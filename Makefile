@@ -1,13 +1,14 @@
 # Developer entry points. `make check` is the gate a change must pass:
-# build, vet, and the full test suite under the race detector (the
-# parallel scan engine is exercised concurrently, so -race is load-
-# bearing, not decoration).
+# scripts/check.sh builds, vets, and runs the racy seams focused and then
+# the full test suite under the race detector (the parallel scan engine
+# is exercised concurrently, so -race is load-bearing, not decoration).
 
 GO ?= go
 
-.PHONY: check build vet test race bench experiments benchjson benchcmp
+.PHONY: check build vet test bench experiments benchjson benchcmp
 
-check: build vet race
+check:
+	scripts/check.sh
 
 build:
 	$(GO) build ./...
@@ -17,14 +18,6 @@ vet:
 
 test:
 	$(GO) test ./...
-
-# The async I/O scheduler is the most condvar-dense code in the tree;
-# hammer it focused (and the quick kill -9 recovery pass) before the
-# long full-suite run, so a scheduler race fails alone and fast.
-race:
-	$(GO) test -race -count=1 -run TestSchedRace ./internal/disk/filevol
-	QUICK=1 $(GO) test -race -count=1 -run TestKillRecovery ./internal/experiments
-	$(GO) test -race ./...
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .

@@ -18,160 +18,83 @@ type aggGroup struct {
 	partials []fsdp.AggPartial
 }
 
-// aggSubset serves AGG^FIRST/NEXT: the Disk Process folds the subset's
+// aggregate serves AGG^FIRST/NEXT: the Disk Process folds the subset's
 // qualifying records through the decomposable aggregate program and
 // replies with one compact partial state per group — rows never cross
 // the interface. Groups are per-message: each reply carries the groups
 // this message's records touched, and the File System merges partials
 // across re-drives and partitions, so the Disk Process's memory stays
 // bounded by the per-message row budget, not the group count.
-func (d *DP) aggSubset(req *fsdp.Request) *fsdp.Reply {
-	f, err := d.getFile(req.File)
-	if err != nil {
-		return errReply(err)
+var aggregate = &subsetKind{first: fsdp.KAggFirst, needsRow: true,
+	open: func(r *subsetRun) (err error) {
+		r.s.agg, err = fsdp.DecodeAggSpec(r.req.Agg)
+		return err
+	},
+	visit:  visitAgg,
+	finish: finishAgg,
+}
+
+func visitAgg(r *subsetRun, _, _ []byte, row record.Row) (bool, error) {
+	spec := r.s.agg
+	kb := r.kb[:0]
+	for _, g := range spec.GroupBy {
+		if g >= len(row) {
+			return false, errBadOrdinal(r.req.File, g)
+		}
+		kb = row[g].AppendKey(kb)
 	}
-	d.stats.setRequests.Add(1)
-
-	isFirst := req.Kind == fsdp.KAggFirst
-	var s *scb
-	if isFirst {
-		pred, err := expr.Decode(req.Pred)
-		if err != nil {
-			return errReply(err)
+	r.kb = kb
+	gr, ok := r.groups[string(kb)]
+	if !ok {
+		keyVals := make(record.Row, len(spec.GroupBy))
+		for i, g := range spec.GroupBy {
+			keyVals[i] = row[g]
 		}
-		spec, err := fsdp.DecodeAggSpec(req.Agg)
-		if err != nil {
-			return errReply(err)
+		gr = &aggGroup{
+			keyBytes: append([]byte(nil), kb...),
+			keyVals:  keyVals,
+			partials: make([]fsdp.AggPartial, len(spec.Cols)),
 		}
-		s = &scb{tx: req.Tx, file: req.File, pred: pred, agg: spec, class: classFor(req)}
-	} else {
-		if s, err = d.lookupSCB(req.SCB); err != nil {
-			return errReply(err)
+		if r.groups == nil {
+			r.groups = make(map[string]*aggGroup)
 		}
-		if s.file != req.File {
-			return &fsdp.Reply{Code: fsdp.ErrBadRequest, Err: "dp: SCB/file mismatch"}
-		}
-		if s.agg == nil {
-			return &fsdp.Reply{Code: fsdp.ErrBadRequest, Err: "dp: SCB is not an aggregation subset"}
-		}
+		r.groups[string(kb)] = gr
+		// A new group grows the reply by its key plus the fixed-size
+		// partial states; charge that against the block budget.
+		r.batch.bytes += len(kb) + 16*(len(spec.GroupBy)+len(spec.Cols))
 	}
-	spec := s.agg
-	width := len(spec.GroupBy) + len(spec.Cols)
-
-	batch := d.newBatch(req.RowLimit)
-	reply := &fsdp.Reply{Done: true}
-	groups := make(map[string]*aggGroup)
-	var firstKey []byte
-	var kb []byte
-	scanErr := f.tree.ScanClass(req.Range, d.cfg.Prefetch, s.class, func(key, val []byte) (bool, error) {
-		if batch.full() {
-			reply.Done = false
-			return false, nil
+	for i, c := range spec.Cols {
+		if c.Star {
+			gr.partials[i].Count++
+			continue
 		}
-		batch.processed++
-		d.stats.rowsScanned.Add(1)
-		reply.LastKey = append(reply.LastKey[:0], key...)
-
-		row, err := record.Decode(val)
-		if err != nil {
-			return false, err
+		if c.Col >= len(row) {
+			return false, errBadOrdinal(r.req.File, c.Col)
 		}
-		if s.pred != nil {
-			d.stats.predicateEvals.Add(1)
-			ok, err := expr.Satisfied(s.pred, row)
-			if err != nil {
-				return false, err
-			}
-			if !ok {
-				d.stats.rowsFiltered.Add(1)
-				return true, nil
-			}
+		v := row[c.Col]
+		if v.IsNull() {
+			continue // SQL aggregates ignore NULLs
 		}
-		if firstKey == nil {
-			firstKey = append([]byte(nil), key...)
-		}
-		kb = kb[:0]
-		for _, g := range spec.GroupBy {
-			if g >= len(row) {
-				return false, errBadOrdinal(req.File, g)
-			}
-			kb = row[g].AppendKey(kb)
-		}
-		gr, ok := groups[string(kb)]
-		if !ok {
-			keyVals := make(record.Row, len(spec.GroupBy))
-			for i, g := range spec.GroupBy {
-				keyVals[i] = row[g]
-			}
-			gr = &aggGroup{
-				keyBytes: append([]byte(nil), kb...),
-				keyVals:  keyVals,
-				partials: make([]fsdp.AggPartial, len(spec.Cols)),
-			}
-			groups[string(kb)] = gr
-			// A new group grows the reply by its key plus the fixed-size
-			// partial states; charge that against the block budget.
-			batch.bytes += len(kb) + 16*width
-		}
-		for i, c := range spec.Cols {
-			if c.Star {
-				gr.partials[i].Count++
-				continue
-			}
-			if c.Col >= len(row) {
-				return false, errBadOrdinal(req.File, c.Col)
-			}
-			v := row[c.Col]
-			if v.IsNull() {
-				continue // SQL aggregates ignore NULLs
-			}
-			gr.partials[i].Feed(c.Fn, v)
-		}
-		return true, nil
-	})
-	if scanErr != nil {
-		return errReply(scanErr)
+		gr.partials[i].Feed(c.Fn, v)
 	}
+	return true, nil
+}
 
-	// Ship the groups in key-byte order: deterministic replies make the
-	// conversation reproducible message-for-message.
-	ordered := make([]*aggGroup, 0, len(groups))
-	for _, gr := range groups {
+// finishAgg ships the groups in key-byte order: deterministic replies
+// make the conversation reproducible message-for-message.
+func finishAgg(r *subsetRun) error {
+	ordered := make([]*aggGroup, 0, len(r.groups))
+	for _, gr := range r.groups {
 		ordered = append(ordered, gr)
 	}
 	sort.Slice(ordered, func(i, j int) bool {
 		return string(ordered[i].keyBytes) < string(ordered[j].keyBytes)
 	})
 	for _, gr := range ordered {
-		reply.Rows = append(reply.Rows, fsdp.EncodeGroup(gr.keyVals, gr.partials))
+		r.reply.Rows = append(r.reply.Rows, fsdp.EncodeGroup(gr.keyVals, gr.partials))
 	}
-	reply.Count = uint32(len(ordered))
-
-	// The aggregated records are locked as a group (shared virtual block
-	// lock) when the aggregation runs under a transaction, so the
-	// partials stay stable until commit.
-	if req.Tx != 0 && firstKey != nil {
-		blockRange := keys.Range{Low: firstKey, High: reply.LastKey, HighIncl: true}
-		if err := d.locks.Acquire(req.Tx, req.File, blockRange, lock.Shared); err != nil {
-			return errReply(err)
-		}
-		d.joinTx(req.Tx)
-	}
-
-	if !reply.Done {
-		d.stats.redrives.Add(1)
-		if isFirst {
-			reply.SCB = d.newSCB(s)
-		} else {
-			reply.SCB = req.SCB
-		}
-	} else if !isFirst {
-		d.mu.Lock()
-		delete(d.scbs, req.SCB)
-		d.mu.Unlock()
-	}
-	reply.Examined = uint32(batch.processed)
-	return reply
+	r.reply.Count = uint32(len(ordered))
+	return nil
 }
 
 func errBadOrdinal(file string, col int) error {

@@ -201,8 +201,10 @@ type fileState struct {
 
 // scb is a Subset Control Block: server-side state created at GET^FIRST
 // / UPDATE^SUBSET^FIRST time so re-drives need not re-send the
-// predicate, projection, or update expression.
+// predicate, projection, or update expression. kind, tx and file name
+// the conversation it belongs to; a ^NEXT must match all three.
 type scb struct {
+	kind    fsdp.Kind // the conversation's ^FIRST kind
 	tx      uint64
 	file    string
 	pred    expr.Expr
@@ -347,14 +349,6 @@ func (d *DP) Locks() *lock.Manager { return d.locks }
 // while its backup had not applied the checkpoint stream (see
 // Config.ShipFlush).
 func (d *DP) ShipDegradedAcks() uint64 { return d.shipDegraded.Load() }
-
-// OpenSCBs returns the number of live Subset Control Blocks — abandoned
-// conversations that were never retired show up here (leak tests).
-func (d *DP) OpenSCBs() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.scbs)
-}
 
 // Stats returns a snapshot of the counters.
 func (d *DP) Stats() Stats {
@@ -522,18 +516,20 @@ func (d *DP) serve(req *fsdp.Request) *fsdp.Reply {
 		reply = d.deleteRecord(req)
 	case fsdp.KLockFile, fsdp.KLockRecord, fsdp.KLockRange:
 		reply = d.lockOp(req)
-	case fsdp.KGetFirstRSBB, fsdp.KGetNextRSBB, fsdp.KGetFirstVSBB, fsdp.KGetNextVSBB:
-		reply = d.getSubset(req)
+	case fsdp.KGetFirstRSBB, fsdp.KGetNextRSBB:
+		reply = d.subset(req, getRSBB)
+	case fsdp.KGetFirstVSBB, fsdp.KGetNextVSBB:
+		reply = d.subset(req, getVSBB)
 	case fsdp.KCountFirst, fsdp.KCountNext:
-		reply = d.countSubset(req)
+		reply = d.subset(req, countRecords)
 	case fsdp.KAggFirst, fsdp.KAggNext:
-		reply = d.aggSubset(req)
+		reply = d.subset(req, aggregate)
 	case fsdp.KProbeBlock:
 		reply = d.probeBlock(req)
 	case fsdp.KUpdateSubsetFirst, fsdp.KUpdateSubsetNext:
-		reply = d.updateSubset(req)
+		reply = d.subset(req, updateRecords)
 	case fsdp.KDeleteSubsetFirst, fsdp.KDeleteSubsetNext:
-		reply = d.deleteSubset(req)
+		reply = d.subset(req, deleteRecords)
 	case fsdp.KInsertBlock:
 		reply = d.insertBlock(req)
 	case fsdp.KUpdateBlock:

@@ -667,6 +667,65 @@ func TestCloseSubsetDiscardsSCB(t *testing.T) {
 	}
 }
 
+// TestNextRefusedOnForeignSCB pins the skeleton's one ^NEXT validation
+// rule: an SCB serves only the conversation that opened it. A ^NEXT of
+// another kind, for another file or under another transaction is
+// refused with ErrBadRequest and changes nothing — in particular a
+// DELETE^SUBSET^NEXT naming a browse scan's SCB deletes no rows — and
+// the rightful conversation still runs to Done.
+func TestNextRefusedOnForeignSCB(t *testing.T) {
+	d, _, _ := testDP(t, nil)
+	loadEmp(t, d, 20)
+	createFile := d.Serve(&fsdp.Request{Kind: fsdp.KCreateFile, File: "OTHER",
+		Schema: record.EncodeSchema(empSchema())})
+	if !createFile.OK() {
+		t.Fatal(createFile.Err)
+	}
+	first := d.Serve(&fsdp.Request{Kind: fsdp.KGetFirstRSBB, File: "EMP", Range: keys.All(), RowLimit: 1})
+	if !first.OK() || first.Done || first.SCB == 0 {
+		t.Fatalf("%+v", first)
+	}
+	rest := keys.All().Continue(first.LastKey)
+	tx := tmf.NewTxID()
+	for _, req := range []*fsdp.Request{
+		{Kind: fsdp.KDeleteSubsetNext, Tx: tx, File: "EMP"},
+		{Kind: fsdp.KUpdateSubsetNext, Tx: tx, File: "EMP"},
+		{Kind: fsdp.KCountNext, File: "EMP"},
+		{Kind: fsdp.KAggNext, File: "EMP"},
+		{Kind: fsdp.KGetNextVSBB, File: "EMP"},
+		{Kind: fsdp.KGetNextRSBB, File: "OTHER"},
+		{Kind: fsdp.KGetNextRSBB, Tx: tx, File: "EMP"},
+	} {
+		req.Range, req.SCB = rest, first.SCB
+		if reply := d.Serve(req); reply.Code != fsdp.ErrBadRequest {
+			t.Errorf("%s on file %s tx %d against a browse GET^FIRST^RSBB's SCB: code %d (%s), count %d",
+				req.Kind, req.File, req.Tx, reply.Code, reply.Err, reply.Count)
+		}
+	}
+	d.Serve(&fsdp.Request{Kind: fsdp.KAbort, Tx: tx})
+	if n, err := d.CountFile("EMP"); err != nil || n != 20 {
+		t.Fatalf("%d rows remain, %v", n, err)
+	}
+	rows := len(first.Rows)
+	for req := (&fsdp.Request{Kind: fsdp.KGetNextRSBB, File: "EMP", Range: rest, SCB: first.SCB}); ; {
+		reply := d.Serve(req)
+		if !reply.OK() {
+			t.Fatalf("rightful ^NEXT refused: %s", reply.Err)
+		}
+		rows += len(reply.Rows)
+		if reply.Done {
+			break
+		}
+		req = &fsdp.Request{Kind: fsdp.KGetNextRSBB, File: "EMP", Range: req.Range.Continue(reply.LastKey), SCB: reply.SCB}
+	}
+	if rows != 20 {
+		t.Errorf("conversation delivered %d rows, want 20", rows)
+	}
+	if _, scbs := d.OpenState(); scbs != 0 {
+		t.Errorf("%d SCBs left open", scbs)
+	}
+}
+
 func TestVSBBExclusiveMode(t *testing.T) {
 	// Read-for-update: the virtual block is locked exclusively.
 	d, _, _ := testDP(t, nil)

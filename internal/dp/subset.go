@@ -52,8 +52,8 @@ type batchState struct {
 // newBatch starts limit tracking for one set-oriented request message.
 // A non-zero rowLimit override (tests, ablations) narrows the row
 // budget for just this message.
-func (d *DP) newBatch(rowLimit uint32) *batchState {
-	b := &batchState{d: d, start: time.Now(), maxRows: d.cfg.MaxRowsPerMsg}
+func (d *DP) newBatch(rowLimit uint32) batchState {
+	b := batchState{d: d, start: time.Now(), maxRows: d.cfg.MaxRowsPerMsg}
 	if rowLimit > 0 && int(rowLimit) < b.maxRows {
 		b.maxRows = int(rowLimit)
 	}
@@ -79,115 +79,135 @@ func (b *batchState) full() bool {
 	return false
 }
 
-// getSubset serves GET^FIRST/NEXT^VSBB and GET^FIRST/NEXT^RSBB.
-//
-// VSBB: the reply's virtual block holds the *projected* fields of
-// key-range records that satisfied the predicate, evaluated here at the
-// data source. RSBB: the reply is a real block image — whole records,
-// no selection or projection.
-func (d *DP) getSubset(req *fsdp.Request) *fsdp.Reply {
+// A subsetKind is what one conversation kind plugs into the subset
+// skeleton (DP.subset): how it opens its Subset Control Block, what it
+// does with each qualifying record, and how it completes a message.
+type subsetKind struct {
+	first fsdp.Kind // the kind's ^FIRST message; recorded in the SCB
+	// mutates: the kind changes records, so it needs a transaction, its
+	// per-record locks stand in for the virtual-block lock, and the
+	// write-behind it caused is nudged when the subset is Done.
+	mutates bool
+	// needsRow: visit reads the decoded record even without a predicate.
+	needsRow bool
+
+	open   func(r *subsetRun) error // ^FIRST: decode the kind's own request fields into r.s
+	visit  func(r *subsetRun, key, val []byte, row record.Row) (more bool, err error)
+	finish func(r *subsetRun) error // after the scan, before locking
+}
+
+// subsetRun is the state of one subset message being served.
+type subsetRun struct {
+	d        *DP
+	f        *fileState
+	req      *fsdp.Request
+	s        *scb
+	batch    batchState
+	reply    *fsdp.Reply
+	firstKey []byte // first qualifying key (kept only when a group lock will need it)
+
+	hits   [][]byte             // mutating kinds: qualifying keys, applied after the scan
+	groups map[string]*aggGroup // AGG: this message's groups
+	kb     []byte               // AGG: group-key scratch
+}
+
+// subset serves every ^FIRST/^NEXT conversation kind. It owns the
+// protocol: open the SCB on ^FIRST or look it up — and refuse it unless
+// file, kind and transaction all match — on ^NEXT; scan the range under
+// the message budget, tracking LastKey and the scanned / predicate /
+// filtered counters; hand each qualifying record to the kind's visitor;
+// lock the virtual block [first qualifying key, LastKey] as a group; and
+// retain the SCB when a re-drive is wanted, retire it when Done.
+func (d *DP) subset(req *fsdp.Request, k *subsetKind) *fsdp.Reply {
 	f, err := d.getFile(req.File)
 	if err != nil {
 		return errReply(err)
 	}
+	if k.mutates && req.Tx == 0 {
+		return &fsdp.Reply{Code: fsdp.ErrBadRequest, Err: "dp: subset mutation requires a transaction"}
+	}
 	d.stats.setRequests.Add(1)
 
-	virtual := req.Kind == fsdp.KGetFirstVSBB || req.Kind == fsdp.KGetNextVSBB
-	isFirst := req.Kind == fsdp.KGetFirstVSBB || req.Kind == fsdp.KGetFirstRSBB
-
-	var s *scb
+	r := &subsetRun{d: d, f: f, req: req, reply: &fsdp.Reply{Done: true}}
+	isFirst := req.Kind == k.first
 	if isFirst {
+		// The SCB is created at ^FIRST time; re-drives do not re-send the
+		// predicate, projection, expressions, access class, or row budget.
 		pred, err := expr.Decode(req.Pred)
 		if err != nil {
 			return errReply(err)
 		}
-		s = &scb{tx: req.Tx, file: req.File, pred: pred, proj: req.Proj,
-			class: classFor(req), limit: req.ScanLimit}
-		// The SCB is created at GET^FIRST time; re-drives do not re-send
-		// the predicate, projection, access class, or row budget.
+		r.s = &scb{kind: k.first, tx: req.Tx, file: req.File, pred: pred, class: classFor(req)}
+		if k.open != nil {
+			if err := k.open(r); err != nil {
+				return errReply(err)
+			}
+		}
 	} else {
-		if s, err = d.lookupSCB(req.SCB); err != nil {
+		if r.s, err = d.lookupSCB(req.SCB); err != nil {
 			return errReply(err)
 		}
-		if s.file != req.File {
-			return &fsdp.Reply{Code: fsdp.ErrBadRequest, Err: "dp: SCB/file mismatch"}
+		if r.s.file != req.File || r.s.kind != k.first || r.s.tx != req.Tx {
+			return &fsdp.Reply{Code: fsdp.ErrBadRequest, Err: "dp: SCB belongs to another conversation (file, kind or transaction mismatch)"}
 		}
 	}
+	s, reply := r.s, r.reply
 
-	batch := d.newBatch(req.RowLimit)
-	reply := &fsdp.Reply{Done: true}
-	var firstKey []byte
+	r.batch = d.newBatch(req.RowLimit)
+	groupLock := req.Tx != 0 && !k.mutates
 	scanErr := f.tree.ScanClass(req.Range, d.cfg.Prefetch, s.class, func(key, val []byte) (bool, error) {
-		if batch.full() {
+		if r.batch.full() {
 			// Budget exhausted and more records remain: request a
 			// continuation re-drive.
 			reply.Done = false
 			return false, nil
 		}
-		batch.processed++
+		r.batch.processed++
 		d.stats.rowsScanned.Add(1)
 		reply.LastKey = append(reply.LastKey[:0], key...)
 
-		keep := true
-		var out []byte
-		if virtual {
-			row, err := record.Decode(val)
+		var row record.Row
+		if k.needsRow || s.pred != nil {
+			var err error
+			if row, err = record.Decode(val); err != nil {
+				return false, err
+			}
+		}
+		if s.pred != nil {
+			d.stats.predicateEvals.Add(1)
+			keep, err := expr.Satisfied(s.pred, row)
 			if err != nil {
 				return false, err
 			}
-			if s.pred != nil {
-				d.stats.predicateEvals.Add(1)
-				ok, err := expr.Satisfied(s.pred, row)
-				if err != nil {
-					return false, err
-				}
-				keep = ok
+			if !keep {
+				d.stats.rowsFiltered.Add(1)
+				return true, nil
 			}
-			if keep {
-				if len(s.proj) > 0 {
-					out = record.Encode(record.Project(row, s.proj))
-				} else {
-					out = val
-				}
-			}
-		} else {
-			out = val
 		}
-
-		if keep {
-			if firstKey == nil {
-				firstKey = append([]byte(nil), key...)
-			}
-			reply.Rows = append(reply.Rows, out)
-			reply.RowKeys = append(reply.RowKeys, append([]byte(nil), key...))
-			batch.bytes += len(out)
-			d.stats.rowsReturned.Add(1)
-			if s.limit > 0 {
-				s.delivered++
-				if s.delivered >= s.limit {
-					// Conversation-wide row budget filled (Top-N /
-					// LIMIT pushdown): end the subset early. Done stays
-					// true — no re-drive wanted.
-					return false, nil
-				}
-			}
-		} else {
-			d.stats.rowsFiltered.Add(1)
+		if groupLock && r.firstKey == nil {
+			r.firstKey = append([]byte(nil), key...)
 		}
-		return true, nil
+		return k.visit(r, key, val, row)
 	})
 	if scanErr != nil {
 		return errReply(scanErr)
 	}
+	if k.finish != nil {
+		if err := k.finish(r); err != nil {
+			return errReply(err)
+		}
+	}
 
-	// Virtual block locking: the records of the virtual block are locked
-	// as a group — one range lock instead of ENSCRIBE SBB's file lock.
-	if req.Tx != 0 && len(reply.Rows) > 0 {
+	// Virtual block locking: the qualifying records of this message are
+	// locked as a group — one range lock instead of ENSCRIBE SBB's file
+	// lock — so what the requester saw, counted or aggregated stays
+	// stable until commit.
+	if r.firstKey != nil {
 		mode := lock.Shared
 		if req.Mode == 2 {
 			mode = lock.Exclusive
 		}
-		blockRange := keys.Range{Low: firstKey, High: reply.LastKey, HighIncl: true}
+		blockRange := keys.Range{Low: r.firstKey, High: reply.LastKey, HighIncl: true}
 		if err := d.locks.Acquire(req.Tx, req.File, blockRange, mode); err != nil {
 			return errReply(err)
 		}
@@ -201,224 +221,111 @@ func (d *DP) getSubset(req *fsdp.Request) *fsdp.Reply {
 		} else {
 			reply.SCB = req.SCB
 		}
-	} else if !isFirst {
-		// Exhausted: retire the SCB.
-		d.mu.Lock()
-		delete(d.scbs, req.SCB)
-		d.mu.Unlock()
-	}
-	reply.Examined = uint32(batch.processed)
-	return reply
-}
-
-// countSubset serves COUNT^FIRST/NEXT: like a VSBB scan with the
-// projection pushed all the way to nothing — the predicate evaluates
-// here and the reply carries only the qualifying-record count, so a
-// COUNT(*) moves a constant-size reply per re-drive no matter how many
-// records qualify.
-func (d *DP) countSubset(req *fsdp.Request) *fsdp.Reply {
-	f, err := d.getFile(req.File)
-	if err != nil {
-		return errReply(err)
-	}
-	d.stats.setRequests.Add(1)
-
-	isFirst := req.Kind == fsdp.KCountFirst
-	var s *scb
-	if isFirst {
-		pred, err := expr.Decode(req.Pred)
-		if err != nil {
-			return errReply(err)
-		}
-		s = &scb{tx: req.Tx, file: req.File, pred: pred, class: classFor(req)}
-	} else {
-		if s, err = d.lookupSCB(req.SCB); err != nil {
-			return errReply(err)
-		}
-		if s.file != req.File {
-			return &fsdp.Reply{Code: fsdp.ErrBadRequest, Err: "dp: SCB/file mismatch"}
-		}
-	}
-
-	batch := d.newBatch(req.RowLimit)
-	reply := &fsdp.Reply{Done: true}
-	var firstKey []byte
-	counted := uint32(0)
-	scanErr := f.tree.ScanClass(req.Range, d.cfg.Prefetch, s.class, func(key, val []byte) (bool, error) {
-		if batch.full() {
-			reply.Done = false
-			return false, nil
-		}
-		batch.processed++
-		d.stats.rowsScanned.Add(1)
-		reply.LastKey = append(reply.LastKey[:0], key...)
-
-		keep := true
-		if s.pred != nil {
-			row, err := record.Decode(val)
-			if err != nil {
-				return false, err
-			}
-			d.stats.predicateEvals.Add(1)
-			if keep, err = expr.Satisfied(s.pred, row); err != nil {
-				return false, err
-			}
-		}
-		if keep {
-			if firstKey == nil {
-				firstKey = append([]byte(nil), key...)
-			}
-			counted++
-		} else {
-			d.stats.rowsFiltered.Add(1)
-		}
-		return true, nil
-	})
-	if scanErr != nil {
-		return errReply(scanErr)
-	}
-	reply.Count = counted
-
-	// The counted records are still locked as a group (shared virtual
-	// block lock) when the count runs under a transaction, so the count
-	// stays stable until commit.
-	if req.Tx != 0 && counted > 0 {
-		blockRange := keys.Range{Low: firstKey, High: reply.LastKey, HighIncl: true}
-		if err := d.locks.Acquire(req.Tx, req.File, blockRange, lock.Shared); err != nil {
-			return errReply(err)
-		}
-		d.joinTx(req.Tx)
-	}
-
-	if !reply.Done {
-		d.stats.redrives.Add(1)
-		if isFirst {
-			reply.SCB = d.newSCB(s)
-		} else {
-			reply.SCB = req.SCB
-		}
-	} else if !isFirst {
-		d.mu.Lock()
-		delete(d.scbs, req.SCB)
-		d.mu.Unlock()
-	}
-	reply.Examined = uint32(batch.processed)
-	return reply
-}
-
-// updateSubset serves UPDATE^SUBSET^FIRST/NEXT: selection predicate and
-// update expression both evaluated at the Disk Process. The record never
-// crosses the FS-DP interface in either direction.
-func (d *DP) updateSubset(req *fsdp.Request) *fsdp.Reply {
-	return d.mutateSubset(req, req.Kind == fsdp.KUpdateSubsetFirst, true)
-}
-
-// deleteSubset serves DELETE^SUBSET^FIRST/NEXT.
-func (d *DP) deleteSubset(req *fsdp.Request) *fsdp.Reply {
-	return d.mutateSubset(req, req.Kind == fsdp.KDeleteSubsetFirst, false)
-}
-
-func (d *DP) mutateSubset(req *fsdp.Request, isFirst, isUpdate bool) *fsdp.Reply {
-	f, err := d.getFile(req.File)
-	if err != nil {
-		return errReply(err)
-	}
-	if req.Tx == 0 {
-		return &fsdp.Reply{Code: fsdp.ErrBadRequest, Err: "dp: subset mutation requires a transaction"}
-	}
-	d.stats.setRequests.Add(1)
-
-	var s *scb
-	if isFirst {
-		pred, err := expr.Decode(req.Pred)
-		if err != nil {
-			return errReply(err)
-		}
-		assigns, err := expr.DecodeAssignments(req.Assign)
-		if err != nil {
-			return errReply(err)
-		}
-		s = &scb{tx: req.Tx, file: req.File, pred: pred, assigns: assigns, class: classFor(req)}
-	} else {
-		if s, err = d.lookupSCB(req.SCB); err != nil {
-			return errReply(err)
-		}
-	}
-
-	batch := d.newBatch(req.RowLimit)
-
-	// Phase 1 (under the tree's scan): collect matching keys within this
-	// message's budget. Phase 2: apply mutations (which re-descend the
-	// tree; the scan must not hold it).
-	type hit struct{ key []byte }
-	var hits []hit
-	reply := &fsdp.Reply{Done: true}
-	scanErr := f.tree.ScanClass(req.Range, d.cfg.Prefetch, s.class, func(key, val []byte) (bool, error) {
-		if batch.full() {
-			reply.Done = false
-			return false, nil
-		}
-		batch.processed++
-		d.stats.rowsScanned.Add(1)
-		reply.LastKey = append(reply.LastKey[:0], key...)
-		keep := true
-		if s.pred != nil {
-			row, err := record.Decode(val)
-			if err != nil {
-				return false, err
-			}
-			d.stats.predicateEvals.Add(1)
-			if keep, err = expr.Satisfied(s.pred, row); err != nil {
-				return false, err
-			}
-		}
-		if keep {
-			hits = append(hits, hit{key: append([]byte(nil), key...)})
-		} else {
-			d.stats.rowsFiltered.Add(1)
-		}
-		return true, nil
-	})
-	if scanErr != nil {
-		return errReply(scanErr)
-	}
-
-	for _, h := range hits {
-		if isUpdate {
-			err = d.updateOne(req.Tx, req.File, f, h.key, func(old record.Row) (record.Row, error) {
-				newRow, err := expr.ApplyAssignments(old, s.assigns)
-				if err != nil {
-					return nil, err
-				}
-				f.schema.Coerce(newRow)
-				return newRow, nil
-			})
-		} else {
-			err = d.deleteOne(req.Tx, req.File, f, h.key)
-		}
-		if err != nil {
-			return errReply(err)
-		}
-		reply.Count++
-	}
-
-	if !reply.Done {
-		d.stats.redrives.Add(1)
-		if isFirst {
-			reply.SCB = d.newSCB(s)
-		} else {
-			reply.SCB = req.SCB
-		}
 	} else {
 		if !isFirst {
+			// Exhausted: retire the SCB.
 			d.mu.Lock()
 			delete(d.scbs, req.SCB)
 			d.mu.Unlock()
 		}
-		d.idleWork() // write-behind of the strings this subset dirtied
+		if k.mutates {
+			d.idleWork() // write-behind of the strings this subset dirtied
+		}
 	}
-	reply.Examined = uint32(batch.processed)
+	reply.Examined = uint32(r.batch.processed)
 	return reply
+}
+
+// GET^FIRST/NEXT^VSBB: the reply's virtual block holds the *projected*
+// fields of key-range records that satisfied the predicate, evaluated
+// here at the data source. GET^FIRST/NEXT^RSBB: the reply is a real
+// block image — whole records, no selection or projection, no decode.
+var (
+	getVSBB = &subsetKind{first: fsdp.KGetFirstVSBB, needsRow: true, visit: visitGet,
+		open: func(r *subsetRun) error {
+			r.s.proj, r.s.limit = r.req.Proj, r.req.ScanLimit
+			return nil
+		}}
+	getRSBB = &subsetKind{first: fsdp.KGetFirstRSBB, visit: visitGet,
+		open: func(r *subsetRun) error {
+			r.s.pred, r.s.limit = nil, r.req.ScanLimit
+			return nil
+		}}
+)
+
+func visitGet(r *subsetRun, key, val []byte, row record.Row) (bool, error) {
+	out := val
+	if len(r.s.proj) > 0 {
+		out = record.Encode(record.Project(row, r.s.proj))
+	}
+	r.reply.Rows = append(r.reply.Rows, out)
+	r.reply.RowKeys = append(r.reply.RowKeys, append([]byte(nil), key...))
+	r.batch.bytes += len(out)
+	r.d.stats.rowsReturned.Add(1)
+	if r.s.limit > 0 {
+		r.s.delivered++
+		// Conversation-wide row budget filled (Top-N / LIMIT pushdown):
+		// end the subset early. Done stays true — no re-drive wanted.
+		return r.s.delivered < r.s.limit, nil
+	}
+	return true, nil
+}
+
+// COUNT^FIRST/NEXT: like a VSBB scan with the projection pushed all the
+// way to nothing — the reply carries only the qualifying-record count,
+// so a COUNT(*) moves a constant-size reply per re-drive no matter how
+// many records qualify.
+var countRecords = &subsetKind{first: fsdp.KCountFirst,
+	visit: func(r *subsetRun, _, _ []byte, _ record.Row) (bool, error) {
+		r.reply.Count++
+		return true, nil
+	}}
+
+// UPDATE^SUBSET^FIRST/NEXT and DELETE^SUBSET^FIRST/NEXT: selection
+// predicate and update expression both evaluated at the Disk Process;
+// the record never crosses the FS-DP interface in either direction. The
+// scan only collects the qualifying keys within the message's budget;
+// the mutations re-descend the tree, so they run after it lets go.
+var (
+	updateRecords = &subsetKind{first: fsdp.KUpdateSubsetFirst, mutates: true, visit: visitCollect,
+		open: func(r *subsetRun) (err error) {
+			r.s.assigns, err = expr.DecodeAssignments(r.req.Assign)
+			return err
+		},
+		finish: func(r *subsetRun) error {
+			return r.apply(func(key []byte) error {
+				return r.d.updateOne(r.req.Tx, r.req.File, r.f, key, func(old record.Row) (record.Row, error) {
+					newRow, err := expr.ApplyAssignments(old, r.s.assigns)
+					if err != nil {
+						return nil, err
+					}
+					r.f.schema.Coerce(newRow)
+					return newRow, nil
+				})
+			})
+		}}
+	deleteRecords = &subsetKind{first: fsdp.KDeleteSubsetFirst, mutates: true, visit: visitCollect,
+		finish: func(r *subsetRun) error {
+			return r.apply(func(key []byte) error {
+				return r.d.deleteOne(r.req.Tx, r.req.File, r.f, key)
+			})
+		}}
+)
+
+func visitCollect(r *subsetRun, key, _ []byte, _ record.Row) (bool, error) {
+	r.hits = append(r.hits, append([]byte(nil), key...))
+	return true, nil
+}
+
+// apply runs one mutation per collected key, counting them in the reply.
+func (r *subsetRun) apply(mutate func(key []byte) error) error {
+	for _, key := range r.hits {
+		if err := mutate(key); err != nil {
+			return err
+		}
+		r.reply.Count++
+	}
+	return nil
 }
 
 // insertBlock serves INSERT^BLOCK: the paper's proposed blocked

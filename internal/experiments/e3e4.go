@@ -96,7 +96,7 @@ func E3(n int) ([]E3Result, *Table, error) {
 	if err := run("UPDATE^SUBSET pushdown", func(r *rig, name string) error {
 		def := empDef(200, true)
 		tx := r.fs.Begin()
-		if _, err := r.fs.UpdateSubset(tx, def, keys.All(), nil, raise); err != nil {
+		if _, _, err := r.fs.UpdateSubset(tx, def, keys.All(), nil, raise); err != nil {
 			return err
 		}
 		return r.fs.Commit(tx)
@@ -143,7 +143,7 @@ func E4(n int) ([]E4Result, *Table, error) {
 		}
 		r.c.Nodes[0].Trail.ResetStats()
 		tx := r.fs.Begin()
-		if _, err := r.fs.UpdateSubset(tx, def, keys.All(), nil, []expr.Assignment{
+		if _, _, err := r.fs.UpdateSubset(tx, def, keys.All(), nil, []expr.Assignment{
 			{Field: 2, E: expr.Bin(expr.OpAdd, expr.F(2, "SALARY"), expr.CInt(1))},
 		}); err != nil {
 			return err

@@ -188,7 +188,7 @@ func E6(n int) ([]E6Result, *Table, error) {
 		d1 := r.c.DP("$DATA1")
 		d1.ResetVolumeStats()
 		tx := r.fs.Begin()
-		if _, err := r.fs.UpdateSubset(tx, def, keys.All(), nil, []expr.Assignment{
+		if _, _, err := r.fs.UpdateSubset(tx, def, keys.All(), nil, []expr.Assignment{
 			{Field: 2, E: expr.Bin(expr.OpAdd, expr.F(2, "SALARY"), expr.CInt(1))},
 		}); err != nil {
 			return err

@@ -2,13 +2,10 @@ package fs
 
 import (
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"nonstopsql/internal/expr"
 	"nonstopsql/internal/fsdp"
 	"nonstopsql/internal/keys"
-	"nonstopsql/internal/obs"
 	"nonstopsql/internal/record"
 	"nonstopsql/internal/tmf"
 )
@@ -28,129 +25,29 @@ type AggGroup struct {
 	Partials []fsdp.AggPartial
 }
 
-// AggTraced evaluates the aggregate specification over the range at the
-// Disk Processes and returns the merged groups keyed by the group key's
+// Agg evaluates the aggregate specification over the range at the Disk
+// Processes and returns the merged groups keyed by the group key's
 // order-preserving byte encoding, plus the operation's ScanStats. The
 // per-partition conversations fan out with the FS default degree of
 // parallelism (SetScanParallel); merging is commutative, so arrival
 // order does not matter.
-func (f *FS) AggTraced(tx *tmf.Tx, def *FileDef, rng keys.Range, pred expr.Expr, spec *fsdp.AggSpec) (map[string]*AggGroup, ScanStats, error) {
-	start := time.Now()
-	spans := partitionsFor(def.Partitions, rng)
-	var stats ScanStats
-	stats.Spans = make([]SpanStats, len(spans))
-	for i, span := range spans {
-		stats.Spans[i].Server = span.server
-		stats.Spans[i].Dist = f.client.DistanceTo(span.server)
-	}
+func (f *FS) Agg(tx *tmf.Tx, def *FileDef, rng keys.Range, pred expr.Expr, spec *fsdp.AggSpec) (map[string]*AggGroup, ScanStats, error) {
+	var o op
+	o.init(f, tx, def.Name, "AGG^FIRST/NEXT", yieldEntries, partitionsFor(def.Partitions, rng))
+	first := fsdp.Request{Kind: fsdp.KAggFirst, Tx: o.txID(), File: def.Name,
+		Pred: expr.Encode(pred), Agg: fsdp.EncodeAggSpec(spec), Hint: hintFor(rng)}
 	groups := make(map[string]*AggGroup)
-	if len(spans) == 0 {
-		return groups, stats, nil
-	}
-	var lat obs.Histogram
-	dop := f.scanDOP
-	if dop < 1 {
-		dop = 1
-	}
-	if dop > len(spans) {
-		dop = len(spans)
-	}
-	var (
-		mu       sync.Mutex // guards groups and firstErr
-		firstErr error
-	)
-	specEnc := fsdp.EncodeAggSpec(spec)
-	if dop <= 1 {
-		for i, span := range spans {
-			err := f.aggSpan(tx, def, span, rng, pred, spec, specEnc, nil, &stats.Spans[i], &lat, &mu, groups)
-			if err != nil {
-				firstErr = err
-				break
-			}
-		}
-	} else {
-		var (
-			wg   sync.WaitGroup
-			next atomic.Int64
-			stop atomic.Bool
-		)
-		for w := 0; w < dop; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					if stop.Load() {
-						return
-					}
-					idx := int(next.Add(1)) - 1
-					if idx >= len(spans) {
-						return
-					}
-					err := f.aggSpan(tx, def, spans[idx], rng, pred, spec, specEnc, &stop, &stats.Spans[idx], &lat, &mu, groups)
-					if err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-						stop.Store(true)
-					}
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	stats.recompute()
-	stats.Lat = lat.Snapshot()
-	stats.Wall = time.Since(start)
-	if rec := f.obsRec; rec != nil {
-		for _, sp := range stats.Spans {
-			if sp.Msgs == 0 {
-				continue
-			}
-			rec.RecordTrace(obs.Trace{
-				Op: "AGG^FIRST/NEXT", Server: sp.Server,
-				Redrives: sp.Redrives, Examined: sp.Examined,
-				Selected: sp.Rows,
-				Blocks:   sp.BlocksRead, Hits: sp.CacheHits,
-				Dist: int(sp.Dist), Wall: sp.Busy,
-			})
-		}
-	}
-	return groups, stats, firstErr
-}
-
-// aggSpan drives one partition's AGG^FIRST/NEXT conversation to
-// exhaustion, merging each reply's group entries into the shared map.
-// Span accounting (sp) is written only by the driving goroutine; the
-// group map and firstErr are guarded by mu.
-func (f *FS) aggSpan(tx *tmf.Tx, def *FileDef, span partSpan, rng keys.Range, pred expr.Expr, spec *fsdp.AggSpec, specEnc []byte, stop *atomic.Bool, sp *SpanStats, lat *obs.Histogram, mu *sync.Mutex, groups map[string]*AggGroup) error {
-	req := &fsdp.Request{Kind: fsdp.KAggFirst, File: def.Name, Range: span.r,
-		Pred: expr.Encode(pred), Agg: specEnc, Hint: hintFor(rng)}
-	if tx != nil {
-		req.Tx = tx.ID
-	}
-	var kb []byte
-	for {
-		t0 := time.Now()
-		reply, reqB, repB, err := f.sendTxMeasured(tx, span.server, req)
-		wait := time.Since(t0)
-		lat.Record(wait)
-		sp.observe(req, reply, reqB, repB, wait)
-		if err != nil {
-			return err
-		}
-		if err := replyErr(reply); err != nil {
-			return err
-		}
-		if len(reply.Rows) > 0 {
-			sp.Rows += uint64(len(reply.Rows))
-			sp.Batches++
+	var mu sync.Mutex // guards groups
+	err := o.run(f.scanDOP, func(c *conv) error {
+		req := first
+		req.Range = c.span().r
+		var kb []byte
+		return c.drive(&req, func(reply *fsdp.Reply) error {
 			mu.Lock()
+			defer mu.Unlock()
 			for _, entry := range reply.Rows {
 				keyVals, partials, err := fsdp.DecodeGroup(entry, len(spec.Cols))
 				if err != nil {
-					mu.Unlock()
 					return err
 				}
 				kb = kb[:0]
@@ -166,23 +63,8 @@ func (f *FS) aggSpan(tx *tmf.Tx, def *FileDef, span partSpan, rng keys.Range, pr
 					g.Partials[i].Merge(spec.Cols[i].Fn, partials[i])
 				}
 			}
-			mu.Unlock()
-		}
-		if reply.Done {
 			return nil
-		}
-		if stop != nil && stop.Load() {
-			_, _ = f.send(span.server, &fsdp.Request{
-				Kind: fsdp.KCloseSubset, File: def.Name, SCB: reply.SCB,
-			})
-			return nil
-		}
-		req = &fsdp.Request{
-			Kind: fsdp.KAggNext, File: def.Name,
-			Range: req.Range.Continue(reply.LastKey), SCB: reply.SCB,
-		}
-		if tx != nil {
-			req.Tx = tx.ID
-		}
-	}
+		})
+	})
+	return groups, o.stats, err
 }

@@ -34,16 +34,17 @@ func loadSpread(t testing.TB, r *rig, def *fs.FileDef, n int) {
 func openSCBs(r *rig) int {
 	n := 0
 	for _, name := range []string{"$DATA1", "$DATA2", "$DATA3"} {
-		n += r.c.DP(name).OpenSCBs()
+		_, scbs := r.c.DP(name).OpenState()
+		n += scbs
 	}
 	return n
 }
 
-// TestAggTracedMatchesScan checks the merged partial states against a
+// TestAggMatchesScan checks the merged partial states against a
 // ground truth computed from a full client-side scan, with a small
 // per-message row budget forcing group merges across re-drives and
 // partitions.
-func TestAggTracedMatchesScan(t *testing.T) {
+func TestAggMatchesScan(t *testing.T) {
 	r := newRig(t, cluster.Options{MaxRowsPerMsg: 16, ScanParallel: 3})
 	def := partitionedDef()
 	mustCreate(t, r, def)
@@ -91,7 +92,7 @@ func TestAggTracedMatchesScan(t *testing.T) {
 	}
 
 	r.c.Net.ResetStats()
-	groups, st, err := r.fs.AggTraced(nil, def, keys.All(), pred, spec)
+	groups, st, err := r.fs.Agg(nil, def, keys.All(), pred, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,9 +138,9 @@ func TestAggTracedMatchesScan(t *testing.T) {
 	}
 }
 
-// TestAggTracedEmptySubset checks that partitions with no qualifying
+// TestAggEmptySubset checks that partitions with no qualifying
 // rows contribute nothing (merge identity) and leak no state.
-func TestAggTracedEmptySubset(t *testing.T) {
+func TestAggEmptySubset(t *testing.T) {
 	r := newRig(t, cluster.Options{})
 	def := partitionedDef()
 	mustCreate(t, r, def)
@@ -147,7 +148,7 @@ func TestAggTracedEmptySubset(t *testing.T) {
 
 	spec := &fsdp.AggSpec{Cols: []fsdp.AggCol{{Fn: fsdp.AggCount, Star: true}, {Fn: fsdp.AggMin, Col: 0}}}
 	pred := expr.Bin(expr.OpLT, expr.F(0, "EMPNO"), expr.CInt(-1))
-	groups, _, err := r.fs.AggTraced(nil, def, keys.All(), pred, spec)
+	groups, _, err := r.fs.Agg(nil, def, keys.All(), pred, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,10 +198,10 @@ func TestScanLimitStopsEarly(t *testing.T) {
 	}
 }
 
-// TestProbePrefixesTraced checks batched point probes: rows come back
+// TestProbePrefixes checks batched point probes: rows come back
 // correct and the conversation count is ceil(probes/ProbeBatchSize) per
 // partition, not one per probe.
-func TestProbePrefixesTraced(t *testing.T) {
+func TestProbePrefixes(t *testing.T) {
 	r := newRig(t, cluster.Options{})
 	def := partitionedDef()
 	mustCreate(t, r, def)
@@ -214,7 +215,7 @@ func TestProbePrefixesTraced(t *testing.T) {
 	prefixes = append(prefixes, ik(5), ik(7)) // no such rows
 
 	r.c.Net.ResetStats()
-	rows, st, err := r.fs.ProbePrefixesTraced(nil, def, prefixes, nil)
+	rows, st, err := r.fs.ProbePrefixes(nil, def, prefixes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +243,7 @@ func TestProbePrefixesTraced(t *testing.T) {
 	// A predicate evaluated at the Disk Process filters without extra
 	// messages.
 	pred := expr.Bin(expr.OpEQ, expr.F(2, "DEPT"), expr.CString("ENG"))
-	rows, _, err = r.fs.ProbePrefixesTraced(nil, def, prefixes[:30], pred)
+	rows, _, err = r.fs.ProbePrefixes(nil, def, prefixes[:30], pred)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +271,7 @@ func TestProbeBlockPartialResend(t *testing.T) {
 		prefixes = append(prefixes, ik(int64(10*i)))
 	}
 	r.c.Net.ResetStats()
-	rows, _, err := r.fs.ProbePrefixesTraced(nil, def, prefixes, nil)
+	rows, _, err := r.fs.ProbePrefixes(nil, def, prefixes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

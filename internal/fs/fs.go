@@ -124,8 +124,8 @@ type FS struct {
 	scanDOP int
 
 	// obsRec, when set, receives one trace per partition conversation
-	// of every set-oriented operation (scans, counts, subset
-	// updates/deletes). Set it before issuing requests.
+	// of every set-oriented operation (see op.finish). Set it before
+	// issuing requests.
 	obsRec *obs.Recorder
 
 	// redriveWindow, when positive, re-drives a send that failed with
@@ -213,36 +213,6 @@ func (f *FS) send(server string, req *fsdp.Request) (*fsdp.Reply, error) {
 		return nil, err
 	}
 	return fsdp.DecodeReply(raw)
-}
-
-// sendMeasured is send plus per-conversation accounting: it returns the
-// encoded request and reply sizes so a scan can attribute its own
-// traffic to partition conversations without touching the network's
-// global counters (which aggregate every requester).
-func (f *FS) sendMeasured(server string, req *fsdp.Request) (reply *fsdp.Reply, reqBytes, replyBytes int, err error) {
-	raw := fsdp.EncodeRequest(req)
-	replyRaw, err := f.sendBytes(server, raw)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	reply, err = fsdp.DecodeReply(replyRaw)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return reply, len(raw), len(replyRaw), nil
-}
-
-// sendTxMeasured is sendMeasured plus transaction enlistment: the
-// server joins tx even when the reply carries an application error (it
-// may hold locks or audit that only commit/abort releases).
-func (f *FS) sendTxMeasured(tx *tmf.Tx, server string, req *fsdp.Request) (reply *fsdp.Reply, reqBytes, replyBytes int, err error) {
-	reply, reqBytes, replyBytes, err = f.sendMeasured(server, req)
-	if err == nil && tx != nil && req.Tx != 0 {
-		if jerr := tx.Join(server); jerr != nil {
-			return reply, reqBytes, replyBytes, jerr
-		}
-	}
-	return reply, reqBytes, replyBytes, err
 }
 
 // SendRaw ships one FS-DP request and returns the undecorated reply. The

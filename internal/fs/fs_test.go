@@ -263,7 +263,7 @@ func TestUpdateSubsetPushdown(t *testing.T) {
 
 	tx2 := r.fs.Begin()
 	pred := expr.Bin(expr.OpGT, expr.F(3, "SALARY"), expr.CInt(0))
-	n, err := r.fs.UpdateSubset(tx2, def, keys.All(), pred, []expr.Assignment{
+	n, _, err := r.fs.UpdateSubset(tx2, def, keys.All(), pred, []expr.Assignment{
 		{Field: 3, E: expr.Bin(expr.OpMul, expr.F(3, "SALARY"), expr.CFloat(2))},
 	})
 	if err != nil {
@@ -288,7 +288,7 @@ func TestDeleteSubsetPushdown(t *testing.T) {
 	load(t, r, def, 100)
 	tx := r.fs.Begin()
 	pred := expr.Bin(expr.OpLT, expr.F(0, "EMPNO"), expr.CInt(40))
-	n, err := r.fs.DeleteSubset(tx, def, keys.All(), pred)
+	n, _, err := r.fs.DeleteSubset(tx, def, keys.All(), pred)
 	if err != nil || n != 40 {
 		t.Fatalf("deleted %d, %v", n, err)
 	}
@@ -395,7 +395,7 @@ func TestUpdateSubsetFallbackWhenIndexed(t *testing.T) {
 	// Assigning the INDEXED column forces the requester-side path with
 	// index maintenance.
 	tx2 := r.fs.Begin()
-	n, err := r.fs.UpdateSubset(tx2, def, keys.All(), nil, []expr.Assignment{
+	n, _, err := r.fs.UpdateSubset(tx2, def, keys.All(), nil, []expr.Assignment{
 		{Field: 1, E: expr.Bin(expr.OpAdd, expr.F(1, "NAME"), expr.CString("-x"))},
 	})
 	if err != nil || n != 20 {
@@ -648,7 +648,7 @@ func TestSelectAllAndCount(t *testing.T) {
 		t.Fatalf("%d rows, %v", len(rows), err)
 	}
 	pred := expr.Bin(expr.OpGT, expr.F(3, "SALARY"), expr.CInt(20000))
-	n, err := r.fs.Count(nil, def, keys.All(), pred)
+	n, _, err := r.fs.Count(nil, def, keys.All(), pred)
 	if err != nil || n != 9 {
 		t.Fatalf("count %d, %v", n, err)
 	}

@@ -1,15 +1,12 @@
 package fs
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"nonstopsql/internal/expr"
 	"nonstopsql/internal/fsdp"
 	"nonstopsql/internal/msg"
 	"nonstopsql/internal/obs"
-	"nonstopsql/internal/tmf"
 )
 
 // This file is the parallel scan engine: the "run the servers in
@@ -45,13 +42,13 @@ type SpanStats struct {
 
 // observe folds one message pair into the span's accounting. reply may
 // be nil (transport error); the pair still counts as traffic. A request
-// carrying an SCB is by construction a continuation re-drive — only
-// ^NEXT messages reference a Subset Control Block.
-func (sp *SpanStats) observe(req *fsdp.Request, reply *fsdp.Reply, reqB, repB int, wait time.Duration) {
+// carrying an SCB is a continuation re-drive, unless it retires the SCB
+// (CLOSE^SUBSET): only those two reference a Subset Control Block.
+func (sp *SpanStats) observe(req *fsdp.Request, reply *fsdp.Reply, bytes int, wait time.Duration) {
 	sp.Msgs++
-	sp.Bytes += uint64(reqB + repB)
+	sp.Bytes += uint64(bytes)
 	sp.Busy += wait
-	if req.SCB != 0 {
+	if req.SCB != 0 && req.Kind != fsdp.KCloseSubset {
 		sp.Redrives++
 	}
 	if reply != nil {
@@ -174,59 +171,34 @@ type spanBatch struct {
 	keys [][]byte
 }
 
-// parScan drives a scan's partition conversations from a pool of
-// scanner goroutines. Scanners claim conversations in key order via an
-// atomic counter. Ordered mode gives every span its own buffered
-// channel and the consumer drains them in key order, so results are
-// byte-identical to the sequential scan; unordered mode funnels every
-// span into one shared channel and delivers batches as they arrive.
+// parScan is the consumer side of a parallel scan: the channels the
+// scanner goroutines (op workers) deliver batches on. Ordered mode
+// gives every span its own buffered channel and the consumer drains
+// them in key order, so results are byte-identical to the sequential
+// scan; unordered mode funnels every span into one shared channel and
+// delivers batches as they arrive.
 type parScan struct {
-	fs   *FS
-	tx   *tmf.Tx
-	def  *FileDef
-	spec SelectSpec
-
-	spans []partSpan
-	next  atomic.Int64 // span claim counter
-
 	chans []chan spanBatch // ordered: one per span
 	out   chan spanBatch   // unordered: shared
 	cur   int              // ordered: span the consumer is draining
 
-	done     chan struct{} // closed to cancel scanners
 	finished chan struct{} // closed after every scanner exited
-	stop     sync.Once
-	wg       sync.WaitGroup
-
-	mu       sync.Mutex
-	firstErr error
-	stats    *ScanStats
-	lat      *obs.Histogram // shared per-message latency (lock-free)
 }
 
-// startParScan launches the scanner pool. dop is clamped to the span
-// count; spans must be non-empty.
-func startParScan(f *FS, tx *tmf.Tx, def *FileDef, spec SelectSpec, spans []partSpan, dop int, stats *ScanStats, lat *obs.Histogram) *parScan {
-	if dop < 1 {
-		dop = 1
+// startParScan launches the scanner pool over r's spans (non-empty).
+// Scanners park on a full batch channel; cancelling the op wakes them
+// through its done channel.
+func (r *Rows) startParScan(dop int) {
+	o := &r.op
+	if dop > len(o.spans) {
+		dop = len(o.spans)
 	}
-	if dop > len(spans) {
-		dop = len(spans)
-	}
-	p := &parScan{
-		fs: f, tx: tx, def: def, spec: spec, spans: spans,
-		done: make(chan struct{}), finished: make(chan struct{}),
-		stats: stats, lat: lat,
-	}
-	stats.Spans = make([]SpanStats, len(spans))
-	for i, span := range spans {
-		stats.Spans[i].Server = span.server
-		stats.Spans[i].Dist = f.client.DistanceTo(span.server)
-	}
-	if spec.Unordered {
+	p := &parScan{finished: make(chan struct{})}
+	o.done = make(chan struct{})
+	if r.spec.Unordered {
 		p.out = make(chan spanBatch, 2*dop)
 	} else {
-		p.chans = make([]chan spanBatch, len(spans))
+		p.chans = make([]chan spanBatch, len(o.spans))
 		for i := range p.chans {
 			// Capacity 2: the double buffer. The scanner parks at most
 			// two undecoded batches ahead of the consumer, keeping one
@@ -234,147 +206,30 @@ func startParScan(f *FS, tx *tmf.Tx, def *FileDef, spec SelectSpec, spans []part
 			p.chans[i] = make(chan spanBatch, 2)
 		}
 	}
-	for w := 0; w < dop; w++ {
-		p.wg.Add(1)
-		go p.scanner()
-	}
+	r.par = p
+	o.launch(dop, func(c *conv) error {
+		ch := p.out
+		if p.chans != nil {
+			ch = p.chans[c.i]
+			defer close(ch)
+		}
+		return c.drive(r.firstRequest(c.span()), func(reply *fsdp.Reply) error {
+			if len(reply.Rows) > 0 {
+				select {
+				case ch <- spanBatch{rows: reply.Rows, keys: reply.RowKeys}:
+				case <-o.done:
+				}
+			}
+			return nil
+		})
+	})
 	go func() {
-		p.wg.Wait()
+		o.wg.Wait()
 		if p.out != nil {
 			close(p.out)
 		}
 		close(p.finished)
 	}()
-	return p
-}
-
-// scanner claims partition conversations in key order and drives each
-// to exhaustion.
-func (p *parScan) scanner() {
-	defer p.wg.Done()
-	for {
-		select {
-		case <-p.done:
-			return
-		default:
-		}
-		idx := int(p.next.Add(1)) - 1
-		if idx >= len(p.spans) {
-			return
-		}
-		if !p.scanSpan(idx) {
-			return
-		}
-	}
-}
-
-// scanSpan drives one partition's re-drive conversation. Returns false
-// when the scan was cancelled or failed (the scanner should exit).
-func (p *parScan) scanSpan(idx int) bool {
-	span := p.spans[idx]
-	var ch chan spanBatch
-	if p.chans != nil {
-		ch = p.chans[idx]
-		defer close(ch)
-	} else {
-		ch = p.out
-	}
-	req := firstScanRequest(p.def, p.spec, p.tx, span)
-	for {
-		t0 := time.Now()
-		reply, reqB, repB, err := p.fs.sendMeasured(span.server, req)
-		wait := time.Since(t0)
-		if err == nil {
-			if p.tx != nil && req.Tx != 0 {
-				err = p.tx.Join(span.server)
-			}
-			if err == nil {
-				err = replyErr(reply)
-			}
-		}
-		p.lat.Record(wait)
-		p.mu.Lock()
-		sp := &p.stats.Spans[idx]
-		sp.observe(req, reply, reqB, repB, wait)
-		if err == nil && len(reply.Rows) > 0 {
-			sp.Rows += uint64(len(reply.Rows))
-			sp.Batches++
-		}
-		p.mu.Unlock()
-		if err != nil {
-			p.fail(err)
-			return false
-		}
-		if len(reply.Rows) > 0 {
-			select {
-			case ch <- spanBatch{rows: reply.Rows, keys: reply.RowKeys}:
-			case <-p.done:
-				p.closeSCB(span.server, reply)
-				return false
-			}
-		}
-		if reply.Done {
-			return true
-		}
-		select {
-		case <-p.done:
-			p.closeSCB(span.server, reply)
-			return false
-		default:
-		}
-		req = nextScanRequest(p.def, p.spec, p.tx, req, reply)
-	}
-}
-
-// closeSCB retires an abandoned conversation's Subset Control Block on
-// the Disk Process (CLOSE^SUBSET), best effort.
-func (p *parScan) closeSCB(server string, reply *fsdp.Reply) {
-	if reply == nil || reply.Done || reply.SCB == 0 {
-		return
-	}
-	req := &fsdp.Request{Kind: fsdp.KCloseSubset, File: p.def.Name, SCB: reply.SCB}
-	_, reqB, repB, err := p.fs.sendMeasured(server, req)
-	if err != nil {
-		return
-	}
-	p.mu.Lock()
-	// Attribute to totals via the span carrying this server (first match).
-	for i := range p.stats.Spans {
-		if p.stats.Spans[i].Server == server {
-			p.stats.Spans[i].Msgs++
-			p.stats.Spans[i].Bytes += uint64(reqB + repB)
-			break
-		}
-	}
-	p.mu.Unlock()
-}
-
-// fail records the scan's first error and cancels the siblings.
-func (p *parScan) fail(err error) {
-	p.mu.Lock()
-	if p.firstErr == nil {
-		p.firstErr = err
-	}
-	p.mu.Unlock()
-	p.cancel()
-}
-
-func (p *parScan) cancel() { p.stop.Do(func() { close(p.done) }) }
-
-// err returns the first error any scanner hit.
-func (p *parScan) err() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.firstErr
-}
-
-// shutdown cancels the scan and waits for every scanner goroutine to
-// exit — after it returns, the scan holds no goroutines. Scanners
-// parked on a full batch channel unblock through the done arm of their
-// send select.
-func (p *parScan) shutdown() {
-	p.cancel()
-	<-p.finished
 }
 
 // nextBatch delivers the next batch to the consumer. ok=false means the
@@ -415,19 +270,17 @@ func (p *parScan) nextBatch() (rows [][]byte, keys [][]byte, ok bool) {
 	return nil, nil, false
 }
 
-// firstScanRequest builds the GET^FIRST message opening one partition's
+// firstRequest builds the GET^FIRST message opening one partition's
 // conversation.
-func firstScanRequest(def *FileDef, spec SelectSpec, tx *tmf.Tx, span partSpan) *fsdp.Request {
+func (r *Rows) firstRequest(span partSpan) *fsdp.Request {
+	spec := r.spec
 	// The hint comes from the ORIGINAL spec range, not the clipped
 	// per-partition span: partition clipping bounds the span even when
 	// the query is a full-table scan.
 	// The whole-conversation row budget (ScanLimit) travels only on the
 	// ^FIRST — it lives in the Subset Control Block thereafter.
-	req := &fsdp.Request{File: def.Name, Range: span.r, RowLimit: spec.RowLimit,
+	req := &fsdp.Request{Tx: r.op.txID(), File: r.op.file, Range: span.r, RowLimit: spec.RowLimit,
 		ScanLimit: spec.ScanLimit, Hint: hintFor(spec.Range)}
-	if tx != nil {
-		req.Tx = tx.ID
-	}
 	if spec.Exclusive {
 		req.Mode = 2
 	}
@@ -444,28 +297,6 @@ func firstScanRequest(def *FileDef, spec SelectSpec, tx *tmf.Tx, span partSpan) 
 		// interface.
 		req.Kind = fsdp.KGetFirstRSBB
 		req.RowLimit = 1
-	}
-	return req
-}
-
-// nextScanRequest builds the continuation re-drive following reply.
-func nextScanRequest(def *FileDef, spec SelectSpec, tx *tmf.Tx, prev *fsdp.Request, reply *fsdp.Reply) *fsdp.Request {
-	req := &fsdp.Request{
-		File:  def.Name,
-		Range: prev.Range.Continue(reply.LastKey),
-		SCB:   reply.SCB, RowLimit: prev.RowLimit,
-	}
-	if tx != nil {
-		req.Tx = tx.ID
-	}
-	if spec.Exclusive {
-		req.Mode = 2
-	}
-	switch spec.Mode {
-	case ModeVSBB:
-		req.Kind = fsdp.KGetNextVSBB
-	default:
-		req.Kind = fsdp.KGetNextRSBB
 	}
 	return req
 }

@@ -288,7 +288,7 @@ func TestCountPushdownConstantSizeReplies(t *testing.T) {
 	// COUNT^FIRST/NEXT: the count happens at the Disk Process and each
 	// reply is constant size.
 	r.c.Net.ResetStats()
-	n, err := r.fs.Count(nil, def, keys.All(), pred)
+	n, _, err := r.fs.Count(nil, def, keys.All(), pred)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,26 +302,6 @@ func TestCountPushdownConstantSizeReplies(t *testing.T) {
 	}
 }
 
-func TestCountParallelMatchesSequential(t *testing.T) {
-	r := newRig(t, cluster.Options{})
-	def := partitionedDef()
-	mustCreate(t, r, def)
-	loadPartitioned(t, r, def, 300)
-	pred := expr.Bin(expr.OpLT, expr.F(3, "SALARY"), expr.CInt(1500))
-
-	seq, err := r.fs.CountParallel(nil, def, keys.All(), pred, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := r.fs.CountParallel(nil, def, keys.All(), pred, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq != par || seq != 150 {
-		t.Fatalf("sequential count %d, parallel %d, want 150", seq, par)
-	}
-}
-
 func TestSubsetFanoutAcrossPartitions(t *testing.T) {
 	r := newRig(t, cluster.Options{})
 	def := partitionedDef()
@@ -331,7 +311,7 @@ func TestSubsetFanoutAcrossPartitions(t *testing.T) {
 
 	tx := r.fs.Begin()
 	pred := expr.Bin(expr.OpGE, expr.F(3, "SALARY"), expr.CInt(0))
-	n, err := r.fs.UpdateSubset(tx, def, keys.All(), pred, []expr.Assignment{
+	n, _, err := r.fs.UpdateSubset(tx, def, keys.All(), pred, []expr.Assignment{
 		{Field: 3, E: expr.Bin(expr.OpAdd, expr.F(3, "SALARY"), expr.CInt(7))},
 	})
 	if err != nil || n != 300 {
@@ -347,7 +327,7 @@ func TestSubsetFanoutAcrossPartitions(t *testing.T) {
 
 	tx2 := r.fs.Begin()
 	del := expr.Bin(expr.OpLT, expr.F(3, "SALARY"), expr.CInt(1000))
-	n, err = r.fs.DeleteSubset(tx2, def, keys.All(), del)
+	n, _, err = r.fs.DeleteSubset(tx2, def, keys.All(), del)
 	if err != nil || n != 100 {
 		t.Fatalf("deleted %d, %v", n, err)
 	}

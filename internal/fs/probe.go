@@ -2,12 +2,10 @@ package fs
 
 import (
 	"fmt"
-	"time"
 
 	"nonstopsql/internal/expr"
 	"nonstopsql/internal/fsdp"
 	"nonstopsql/internal/keys"
-	"nonstopsql/internal/obs"
 	"nonstopsql/internal/record"
 	"nonstopsql/internal/tmf"
 )
@@ -25,30 +23,17 @@ import (
 // message.
 const ProbeBatchSize = 32
 
-// ProbePrefixesTraced fetches every record whose key starts with one of
-// the given prefixes, with the predicate evaluated at the Disk Process,
+// ProbePrefixes fetches every record whose key starts with one of the
+// given prefixes, with the predicate evaluated at the Disk Process,
 // batching probes per partition. Rows arrive grouped by partition, not
 // in probe order — callers that care re-associate by key or value.
-func (f *FS) ProbePrefixesTraced(tx *tmf.Tx, def *FileDef, prefixes [][]byte, pred expr.Expr) ([]record.Row, ScanStats, error) {
-	start := time.Now()
-	var stats ScanStats
-	var lat obs.Histogram
-	raw, err := f.probeFile(tx, def.Name, def.Partitions, prefixes, expr.Encode(pred), &stats, &lat)
+func (f *FS) ProbePrefixes(tx *tmf.Tx, def *FileDef, prefixes [][]byte, pred expr.Expr) ([]record.Row, ScanStats, error) {
+	raw, stats, err := f.probeFile(tx, def.Name, def.Partitions, prefixes, expr.Encode(pred))
 	if err != nil {
-		f.finishProbe(&stats, &lat, start)
 		return nil, stats, err
 	}
-	rows := make([]record.Row, 0, len(raw))
-	for _, rr := range raw {
-		row, err := record.Decode(rr)
-		if err != nil {
-			f.finishProbe(&stats, &lat, start)
-			return nil, stats, err
-		}
-		rows = append(rows, row)
-	}
-	f.finishProbe(&stats, &lat, start)
-	return rows, stats, nil
+	rows, err := decodeRows(raw)
+	return rows, stats, err
 }
 
 // ReadByIndexBatch is ReadByIndex generalized to a block of values: one
@@ -57,149 +42,105 @@ func (f *FS) ProbePrefixesTraced(tx *tmf.Tx, def *FileDef, prefixes [][]byte, pr
 // instead of one message pair per index partition per value plus one
 // READ pair per base row.
 func (f *FS) ReadByIndexBatch(tx *tmf.Tx, def *FileDef, idx *IndexDef, values []record.Value) ([]record.Row, ScanStats, error) {
-	start := time.Now()
-	var stats ScanStats
-	var lat obs.Histogram
 	prefixes := make([][]byte, 0, len(values))
 	for _, v := range values {
 		prefixes = append(prefixes, v.AppendKey(nil))
 	}
-	iraw, err := f.probeFile(tx, idx.Name, idx.Partitions, prefixes, expr.Encode(nil), &stats, &lat)
+	iraw, stats, err := f.probeFile(tx, idx.Name, idx.Partitions, prefixes, expr.Encode(nil))
 	if err != nil {
-		f.finishProbe(&stats, &lat, start)
 		return nil, stats, err
 	}
-	baseKeys := make([][]byte, 0, len(iraw))
-	for _, rr := range iraw {
-		irow, err := record.Decode(rr)
-		if err != nil {
-			f.finishProbe(&stats, &lat, start)
-			return nil, stats, err
-		}
+	irows, err := decodeRows(iraw)
+	if err != nil {
+		return nil, stats, err
+	}
+	baseKeys := make([][]byte, 0, len(irows))
+	for _, irow := range irows {
 		baseKeys = append(baseKeys, baseKeyFromIndexRow(def.Schema, irow))
 	}
-	braw, err := f.probeFile(tx, def.Name, def.Partitions, baseKeys, expr.Encode(nil), &stats, &lat)
+	braw, bstats, err := f.probeFile(tx, def.Name, def.Partitions, baseKeys, expr.Encode(nil))
+	stats.Spans = append(stats.Spans, bstats.Spans...)
+	stats.recompute()
+	stats.Lat.Add(bstats.Lat)
+	stats.Wall += bstats.Wall
 	if err != nil {
-		f.finishProbe(&stats, &lat, start)
 		return nil, stats, err
 	}
-	rows := make([]record.Row, 0, len(braw))
-	for _, rr := range braw {
+	rows, err := decodeRows(braw)
+	return rows, stats, err
+}
+
+func decodeRows(raw [][]byte) ([]record.Row, error) {
+	rows := make([]record.Row, 0, len(raw))
+	for _, rr := range raw {
 		row, err := record.Decode(rr)
 		if err != nil {
-			f.finishProbe(&stats, &lat, start)
-			return nil, stats, err
+			return nil, err
 		}
 		rows = append(rows, row)
 	}
-	f.finishProbe(&stats, &lat, start)
-	return rows, stats, nil
+	return rows, nil
 }
 
 // probeFile buckets the probe prefixes by serving partition and drives
-// one blocked conversation per server, appending one SpanStats per
-// server to stats. Within a server, probes run in the given order.
-func (f *FS) probeFile(tx *tmf.Tx, file string, parts []Partition, prefixes [][]byte, predEnc []byte, stats *ScanStats, lat *obs.Histogram) ([][]byte, error) {
-	type bucket struct {
-		server   string
-		prefixes [][]byte
-	}
-	var buckets []bucket
-	bySrv := make(map[string]int)
+// one PROBE^BLOCK conversation per server, one server at a time. Within
+// a server, probes run in the given order, in blocks of ProbeBatchSize;
+// a partially-served block (reply budget filled) is re-sent from its
+// first unserved probe.
+func (f *FS) probeFile(tx *tmf.Tx, file string, parts []Partition, prefixes [][]byte, predEnc []byte) ([][]byte, ScanStats, error) {
+	var (
+		servers []partSpan
+		buckets [][][]byte
+		bySrv   = make(map[string]int)
+	)
 	for _, p := range prefixes {
 		// A prefix range can straddle a partition boundary; each
 		// spanning partition gets the probe and returns its share.
 		for _, span := range partitionsFor(parts, keys.Prefix(p)) {
 			i, ok := bySrv[span.server]
 			if !ok {
-				i = len(buckets)
+				i = len(servers)
 				bySrv[span.server] = i
-				buckets = append(buckets, bucket{server: span.server})
+				servers = append(servers, partSpan{server: span.server})
+				buckets = append(buckets, nil)
 			}
-			buckets[i].prefixes = append(buckets[i].prefixes, p)
+			buckets[i] = append(buckets[i], p)
 		}
 	}
+	var o op
+	o.init(f, tx, file, "PROBE^BLOCK", yieldRecords, servers)
 	var out [][]byte
-	for _, b := range buckets {
-		stats.Spans = append(stats.Spans, SpanStats{
-			Server: b.server, Dist: f.client.DistanceTo(b.server),
-		})
-		sp := &stats.Spans[len(stats.Spans)-1]
-		rows, err := f.probeServer(tx, file, b.server, b.prefixes, predEnc, sp, lat)
-		if err != nil {
-			return nil, err
+	err := o.run(1, func(c *conv) error {
+		rest := buckets[c.i]
+		block := func() *fsdp.Request {
+			n := min(ProbeBatchSize, len(rest))
+			if n == 0 {
+				return nil
+			}
+			req := &fsdp.Request{Kind: fsdp.KProbeBlock, Tx: o.txID(), File: file,
+				RowKeys: rest[:n], Pred: predEnc}
+			rest = rest[n:]
+			return req
 		}
-		out = append(out, rows...)
-	}
-	return out, nil
-}
-
-// probeServer drives one server's PROBE^BLOCK conversation: the probes
-// go out in blocks of ProbeBatchSize; a partially-served block (reply
-// budget filled) is re-sent from its first unserved probe.
-func (f *FS) probeServer(tx *tmf.Tx, file, server string, prefixes [][]byte, predEnc []byte, sp *SpanStats, lat *obs.Histogram) ([][]byte, error) {
-	var out [][]byte
-	for len(prefixes) > 0 {
-		n := ProbeBatchSize
-		if n > len(prefixes) {
-			n = len(prefixes)
-		}
-		chunk := prefixes[:n]
-		prefixes = prefixes[n:]
-		for len(chunk) > 0 {
-			req := &fsdp.Request{Kind: fsdp.KProbeBlock, File: file,
-				RowKeys: chunk, Pred: predEnc}
-			if tx != nil {
-				req.Tx = tx.ID
-			}
-			t0 := time.Now()
-			reply, reqB, repB, err := f.sendTxMeasured(tx, server, req)
-			wait := time.Since(t0)
-			lat.Record(wait)
-			sp.observe(req, reply, reqB, repB, wait)
-			if err != nil {
-				return nil, err
-			}
-			if err := replyErr(reply); err != nil {
-				return nil, err
-			}
-			if len(reply.Rows) > 0 {
-				sp.Rows += uint64(len(reply.Rows))
-				sp.Batches++
-				out = append(out, reply.Rows...)
-			}
+		// The conversation is stateless: what follows a reply is the
+		// unserved remainder of its block, or the next block.
+		c.cont = func(prev *fsdp.Request, reply *fsdp.Reply) *fsdp.Request {
 			if reply.Done {
-				chunk = nil
-				break
+				return block()
 			}
-			if reply.Count == 0 {
+			req := *prev
+			req.RowKeys = prev.RowKeys[reply.Count:]
+			return &req
+		}
+		return c.drive(block(), func(reply *fsdp.Reply) error {
+			if !reply.Done && reply.Count == 0 {
 				// The DP always serves at least the block's first probe;
 				// a zero-progress reply would loop forever.
-				return nil, fmt.Errorf("fs: PROBE^BLOCK made no progress on %s", server)
+				return fmt.Errorf("fs: PROBE^BLOCK made no progress on %s", c.span().server)
 			}
-			chunk = chunk[reply.Count:]
-		}
-	}
-	return out, nil
-}
-
-// finishProbe stamps the probe operation's totals and emits one trace
-// per server conversation.
-func (f *FS) finishProbe(stats *ScanStats, lat *obs.Histogram, start time.Time) {
-	stats.recompute()
-	stats.Lat = lat.Snapshot()
-	stats.Wall = time.Since(start)
-	if rec := f.obsRec; rec != nil {
-		for _, sp := range stats.Spans {
-			if sp.Msgs == 0 {
-				continue
-			}
-			rec.RecordTrace(obs.Trace{
-				Op: "PROBE^BLOCK", Server: sp.Server,
-				Examined: sp.Examined, Selected: sp.Rows, Returned: sp.Rows,
-				Blocks: sp.BlocksRead, Hits: sp.CacheHits,
-				Dist: int(sp.Dist), Wall: sp.Busy,
-			})
-		}
-	}
+			out = append(out, reply.Rows...)
+			return nil
+		})
+	})
+	return out, o.stats, err
 }

@@ -107,45 +107,31 @@ func (f *FS) Read(tx *tmf.Tx, def *FileDef, key []byte, forUpdate bool) (record.
 // message to the index's Disk Process for the index record(s), then one
 // message per base record to the base file's Disk Process.
 func (f *FS) ReadByIndex(tx *tmf.Tx, def *FileDef, idx *IndexDef, value record.Value) ([]record.Row, error) {
-	prefix := value.AppendKey(nil)
-	spans := partitionsFor(idx.Partitions, keys.Prefix(prefix))
+	var o op
+	o.init(f, tx, idx.Name, "GET^FIRST/NEXT^VSBB", yieldRecords,
+		partitionsFor(idx.Partitions, keys.Prefix(value.AppendKey(nil))))
 	var out []record.Row
-	for _, span := range spans {
-		req := &fsdp.Request{Kind: fsdp.KGetFirstVSBB, File: idx.Name, Range: span.r}
-		if tx != nil {
-			req.Tx = tx.ID
-		}
-		for {
-			reply, err := f.sendTx(tx, span.server, req)
-			if err != nil {
-				return nil, err
-			}
-			if err := replyErr(reply); err != nil {
-				return nil, err
-			}
+	err := o.run(1, func(c *conv) error {
+		first := &fsdp.Request{Kind: fsdp.KGetFirstVSBB, Tx: o.txID(), File: idx.Name, Range: c.span().r}
+		return c.drive(first, func(reply *fsdp.Reply) error {
 			for _, raw := range reply.Rows {
 				irow, err := record.Decode(raw)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				// Extract the base key from the index record and fetch
 				// the base record from its own Disk Process.
-				baseKey := baseKeyFromIndexRow(def.Schema, irow)
-				row, err := f.Read(tx, def, baseKey, false)
+				row, err := f.Read(tx, def, baseKeyFromIndexRow(def.Schema, irow), false)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				out = append(out, row)
 			}
-			if reply.Done {
-				break
-			}
-			req = &fsdp.Request{Kind: fsdp.KGetNextVSBB, File: idx.Name,
-				Range: req.Range.Continue(reply.LastKey), SCB: reply.SCB}
-			if tx != nil {
-				req.Tx = tx.ID
-			}
-		}
+			return nil
+		})
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

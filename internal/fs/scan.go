@@ -2,14 +2,10 @@ package fs
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"nonstopsql/internal/expr"
 	"nonstopsql/internal/fsdp"
 	"nonstopsql/internal/keys"
-	"nonstopsql/internal/obs"
 	"nonstopsql/internal/record"
 	"nonstopsql/internal/tmf"
 )
@@ -95,25 +91,15 @@ func (spec SelectSpec) validate() error {
 // conversations from concurrent scanner goroutines and either merge
 // results back into key order or deliver them unordered.
 type Rows struct {
-	fs   *FS
-	tx   *tmf.Tx
-	def  *FileDef
+	op   op // the scan's conversations and their accounting
 	spec SelectSpec
 
-	spans   []partSpan
-	spanIdx int
-
-	req     *fsdp.Request
+	cur     conv // sequential: the open partition conversation
 	batch   [][]byte
 	keysOut [][]byte
 	pos     int
-	done    bool // current span exhausted
-	started bool
 
-	par    *parScan // non-nil when the parallel engine drives the scan
-	start  time.Time
-	stats  ScanStats
-	lat    obs.Histogram // per-message round-trip latency
+	par    *parScan // non-nil when scanner goroutines drive the scan
 	closed bool
 
 	err error
@@ -121,11 +107,9 @@ type Rows struct {
 
 // Select starts a scan and returns its row iterator.
 func (f *FS) Select(tx *tmf.Tx, def *FileDef, spec SelectSpec) *Rows {
-	r := &Rows{
-		fs: f, tx: tx, def: def, spec: spec,
-		spans: partitionsFor(def.Partitions, spec.Range),
-		start: time.Now(),
-	}
+	r := &Rows{spec: spec}
+	r.op.init(f, tx, def.Name, "GET^FIRST/NEXT^"+spec.Mode.String(), yieldRecords,
+		partitionsFor(def.Partitions, spec.Range))
 	if err := spec.validate(); err != nil {
 		r.err = err
 		return r
@@ -134,14 +118,8 @@ func (f *FS) Select(tx *tmf.Tx, def *FileDef, spec SelectSpec) *Rows {
 	if dop == 0 {
 		dop = f.scanDOP
 	}
-	if dop > 0 && len(r.spans) > 0 {
-		r.par = startParScan(f, tx, def, spec, r.spans, dop, &r.stats, &r.lat)
-		return r
-	}
-	r.stats.Spans = make([]SpanStats, len(r.spans))
-	for i, span := range r.spans {
-		r.stats.Spans[i].Server = span.server
-		r.stats.Spans[i].Dist = f.client.DistanceTo(span.server)
+	if dop > 0 && len(r.op.spans) > 0 {
+		r.startParScan(dop)
 	}
 	return r
 }
@@ -164,18 +142,8 @@ func (r *Rows) Next() (row record.Row, key []byte, ok bool) {
 			}
 			return decoded, key, true
 		}
-		if r.par != nil {
-			rows, keysOut, ok := r.par.nextBatch()
-			if !ok {
-				r.err = r.par.err()
-				r.finish()
-				return nil, nil, false
-			}
-			r.batch, r.keysOut, r.pos = rows, keysOut, 0
-			continue
-		}
 		if !r.fetch() {
-			r.finish()
+			r.op.finish()
 			return nil, nil, false
 		}
 	}
@@ -194,128 +162,57 @@ func (r *Rows) Close() {
 	}
 	r.closed = true
 	if r.par != nil {
-		r.par.shutdown()
+		// Scanners parked on a full batch channel unblock through the
+		// op's done channel and close their conversations on the way out.
+		r.op.cancel()
+		<-r.par.finished
 		if r.err == nil {
-			r.err = r.par.err()
+			r.err = r.op.err()
 		}
-	} else if r.started && !r.done && r.req != nil && r.req.SCB != 0 {
-		// Mid-conversation on the current partition: retire its SCB.
-		_, _ = r.fs.send(r.spans[r.spanIdx].server, &fsdp.Request{
-			Kind: fsdp.KCloseSubset, File: r.def.Name, SCB: r.req.SCB,
-		})
+	} else {
+		r.cur.close()
+		r.op.claim.Store(int64(len(r.op.spans)))
 	}
 	r.batch, r.keysOut, r.pos = nil, nil, 0
-	r.spanIdx = len(r.spans)
-	r.done = true
-	r.finish()
-}
-
-// finish stamps the scan's wall time, once, and emits one trace per
-// partition conversation to the FS observer (when one is attached).
-func (r *Rows) finish() {
-	if r.par != nil {
-		r.par.mu.Lock()
-		defer r.par.mu.Unlock()
-	}
-	if r.stats.Wall != 0 {
-		return
-	}
-	r.stats.Wall = time.Since(r.start)
-	if rec := r.fs.obsRec; rec != nil {
-		op := "GET^FIRST/NEXT^" + r.spec.Mode.String()
-		for _, sp := range r.stats.Spans {
-			if sp.Msgs == 0 {
-				continue
-			}
-			rec.RecordTrace(obs.Trace{
-				Op: op, Server: sp.Server,
-				Redrives: sp.Redrives, Examined: sp.Examined,
-				Selected: sp.Rows, Returned: sp.Rows,
-				Blocks: sp.BlocksRead, Hits: sp.CacheHits,
-				Dist: int(sp.Dist), Wall: sp.Busy,
-			})
-		}
-	}
+	r.op.finish()
 }
 
 // Stats returns a consistent snapshot of the scan's per-partition
 // accounting with totals filled in. Wall is the time from Select until
 // exhaustion/Close (or until now, for a scan still in flight).
-func (r *Rows) Stats() ScanStats {
-	if r.par != nil {
-		r.par.mu.Lock()
-		defer r.par.mu.Unlock()
-	}
-	s := r.stats
-	s.Spans = append([]SpanStats(nil), r.stats.Spans...)
-	s.recompute()
-	s.Lat = r.lat.Snapshot()
-	if s.Wall == 0 {
-		s.Wall = time.Since(r.start)
-	}
-	return s
-}
+func (r *Rows) Stats() ScanStats { return r.op.snapshot() }
 
-// fetch pulls the next batch: a re-drive on the current partition, or
-// GET^FIRST on the next partition.
+// fetch pulls the next batch: from the scanner goroutines, or a re-drive
+// on the current partition, or GET^FIRST on the next partition.
 func (r *Rows) fetch() bool {
+	if r.par != nil {
+		var ok bool
+		if r.batch, r.keysOut, ok = r.par.nextBatch(); !ok {
+			r.err = r.op.err()
+		}
+		r.pos = 0
+		return ok
+	}
 	for {
-		if r.spanIdx >= len(r.spans) {
-			return false
+		if r.cur.req == nil {
+			i := int(r.op.claim.Add(1)) - 1
+			if i >= len(r.op.spans) {
+				return false
+			}
+			r.cur = conv{o: &r.op, i: i}
+			r.cur.req = r.firstRequest(r.cur.span())
 		}
-		span := r.spans[r.spanIdx]
-		if !r.started {
-			r.started = true
-			r.req = firstScanRequest(r.def, r.spec, r.tx, span)
-		} else if r.done {
-			// Current partition exhausted: move on.
-			r.spanIdx++
-			r.started = false
-			continue
-		}
-		reply, err := r.sendScan(span.server, r.req)
+		reply, err := r.cur.next()
 		if err != nil {
+			r.cur.close()
 			r.err = err
 			return false
 		}
-		r.batch, r.keysOut, r.pos = reply.Rows, reply.RowKeys, 0
-		r.done = reply.Done
-		if !reply.Done {
-			r.req = nextScanRequest(r.def, r.spec, r.tx, r.req, reply)
-		}
-		if len(r.batch) > 0 {
+		if len(reply.Rows) > 0 {
+			r.batch, r.keysOut, r.pos = reply.Rows, reply.RowKeys, 0
 			return true
 		}
-		if r.done {
-			r.spanIdx++
-			r.started = false
-		}
 	}
-}
-
-func (r *Rows) sendScan(server string, req *fsdp.Request) (*fsdp.Reply, error) {
-	t0 := time.Now()
-	reply, reqB, repB, err := r.fs.sendMeasured(server, req)
-	if err != nil {
-		return nil, err
-	}
-	if r.tx != nil && req.Tx != 0 {
-		if err := r.tx.Join(server); err != nil {
-			return nil, err
-		}
-	}
-	wait := time.Since(t0)
-	r.lat.Record(wait)
-	sp := &r.stats.Spans[r.spanIdx]
-	sp.observe(req, reply, reqB, repB, wait)
-	if err := replyErr(reply); err != nil {
-		return nil, err
-	}
-	if len(reply.Rows) > 0 {
-		sp.Rows += uint64(len(reply.Rows))
-		sp.Batches++
-	}
-	return reply, nil
 }
 
 // SelectAll drains a scan into memory (convenience for callers with
@@ -334,110 +231,34 @@ func (f *FS) SelectAll(tx *tmf.Tx, def *FileDef, spec SelectSpec) ([]record.Row,
 	return out, rows.Err()
 }
 
-// Count returns the number of records in the range satisfying pred.
-// The count runs entirely at the Disk Processes (COUNT^FIRST/NEXT): the
-// predicate evaluates at the data source and each re-drive moves a
-// constant-size reply carrying only the qualifying-record count. The
-// per-partition conversations fan out with the FS default degree of
-// parallelism (SetScanParallel).
-func (f *FS) Count(tx *tmf.Tx, def *FileDef, rng keys.Range, pred expr.Expr) (int, error) {
-	return f.CountParallel(tx, def, rng, pred, f.scanDOP)
+// counted drives a conversation kind whose replies carry only a count of
+// the records each message qualified (or changed): first is the ^FIRST
+// message less its per-partition key range. It returns the total.
+func (f *FS) counted(tx *tmf.Tx, def *FileDef, rng keys.Range, dop int, label string, first fsdp.Request) (int, ScanStats, error) {
+	var o op
+	o.init(f, tx, def.Name, label, yieldCount, partitionsFor(def.Partitions, rng))
+	// Hint derived from the caller's unclipped range, not the partition
+	// span (see Rows.firstRequest).
+	first.Tx, first.File, first.Hint = o.txID(), def.Name, hintFor(rng)
+	err := o.run(dop, func(c *conv) error {
+		req := first
+		req.Range = c.span().r
+		return c.drive(&req, nil)
+	})
+	return int(o.stats.Rows), o.stats, err
 }
 
-// CountParallel is Count with an explicit degree of parallelism for the
-// per-partition conversations (<=1 = one partition at a time).
-func (f *FS) CountParallel(tx *tmf.Tx, def *FileDef, rng keys.Range, pred expr.Expr, dop int) (int, error) {
-	n, _, err := f.countParallel(tx, def, rng, pred, dop)
-	return n, err
-}
-
-// CountTraced is Count plus the operation's ScanStats: per-partition
-// messages, re-drives, server-reported work, and latency distribution.
-func (f *FS) CountTraced(tx *tmf.Tx, def *FileDef, rng keys.Range, pred expr.Expr) (int, ScanStats, error) {
-	return f.countParallel(tx, def, rng, pred, f.scanDOP)
-}
-
-func (f *FS) countParallel(tx *tmf.Tx, def *FileDef, rng keys.Range, pred expr.Expr, dop int) (int, ScanStats, error) {
-	start := time.Now()
-	spans := partitionsFor(def.Partitions, rng)
-	var stats ScanStats
-	stats.Spans = make([]SpanStats, len(spans))
-	for i, span := range spans {
-		stats.Spans[i].Server = span.server
-		stats.Spans[i].Dist = f.client.DistanceTo(span.server)
-	}
-	if len(spans) == 0 {
-		return 0, stats, nil
-	}
-	var lat obs.Histogram
-	if dop > len(spans) {
-		dop = len(spans)
-	}
-	var (
-		total    int
-		firstErr error
-	)
-	if dop <= 1 {
-		for i, span := range spans {
-			n, err := f.countSpan(tx, def, span, rng, pred, nil, &stats.Spans[i], &lat)
-			total += n
-			if err != nil {
-				firstErr = err
-				break
-			}
-		}
-	} else {
-		var (
-			wg   sync.WaitGroup
-			mu   sync.Mutex
-			next atomic.Int64
-			stop atomic.Bool
-		)
-		for w := 0; w < dop; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					if stop.Load() {
-						return
-					}
-					idx := int(next.Add(1)) - 1
-					if idx >= len(spans) {
-						return
-					}
-					// Each span's stats slot is written only by the claiming
-					// goroutine; totals are assembled after the wait.
-					n, err := f.countSpan(tx, def, spans[idx], rng, pred, &stop, &stats.Spans[idx], &lat)
-					mu.Lock()
-					total += n
-					if err != nil && firstErr == nil {
-						firstErr = err
-						stop.Store(true)
-					}
-					mu.Unlock()
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	stats.recompute()
-	stats.Lat = lat.Snapshot()
-	stats.Wall = time.Since(start)
-	if rec := f.obsRec; rec != nil {
-		for _, sp := range stats.Spans {
-			if sp.Msgs == 0 {
-				continue
-			}
-			rec.RecordTrace(obs.Trace{
-				Op: "COUNT^FIRST/NEXT", Server: sp.Server,
-				Redrives: sp.Redrives, Examined: sp.Examined,
-				Selected: sp.Rows,
-				Blocks:   sp.BlocksRead, Hits: sp.CacheHits,
-				Dist: int(sp.Dist), Wall: sp.Busy,
-			})
-		}
-	}
-	return total, stats, firstErr
+// Count returns the number of records in the range satisfying pred, and
+// the operation's ScanStats: per-partition messages, re-drives,
+// server-reported work, and latency distribution. The count runs
+// entirely at the Disk Processes (COUNT^FIRST/NEXT): the predicate
+// evaluates at the data source and each re-drive moves a constant-size
+// reply carrying only the qualifying-record count. The per-partition
+// conversations fan out with the FS default degree of parallelism
+// (SetScanParallel).
+func (f *FS) Count(tx *tmf.Tx, def *FileDef, rng keys.Range, pred expr.Expr) (int, ScanStats, error) {
+	return f.counted(tx, def, rng, f.scanDOP, "COUNT^FIRST/NEXT",
+		fsdp.Request{Kind: fsdp.KCountFirst, Pred: expr.Encode(pred)})
 }
 
 // hintFor classifies a subset's cache access for the DP: an unbounded
@@ -450,51 +271,4 @@ func hintFor(r keys.Range) uint8 {
 		return fsdp.HintSequential
 	}
 	return fsdp.HintAuto
-}
-
-// countSpan drives one partition's COUNT^FIRST/NEXT conversation to
-// exhaustion, abandoning early (and retiring the SCB) when a sibling
-// conversation failed. sp is this span's accounting slot (written only
-// by the driving goroutine); lat is the operation's shared latency
-// histogram (lock-free).
-func (f *FS) countSpan(tx *tmf.Tx, def *FileDef, span partSpan, rng keys.Range, pred expr.Expr, stop *atomic.Bool, sp *SpanStats, lat *obs.Histogram) (int, error) {
-	// Hint derived from the caller's unclipped range, not the partition
-	// span (see firstScanRequest).
-	req := &fsdp.Request{Kind: fsdp.KCountFirst, File: def.Name, Range: span.r,
-		Pred: expr.Encode(pred), Hint: hintFor(rng)}
-	if tx != nil {
-		req.Tx = tx.ID
-	}
-	n := 0
-	for {
-		t0 := time.Now()
-		reply, reqB, repB, err := f.sendTxMeasured(tx, span.server, req)
-		wait := time.Since(t0)
-		lat.Record(wait)
-		sp.observe(req, reply, reqB, repB, wait)
-		if err != nil {
-			return n, err
-		}
-		if err := replyErr(reply); err != nil {
-			return n, err
-		}
-		n += int(reply.Count)
-		sp.Rows += uint64(reply.Count)
-		if reply.Done {
-			return n, nil
-		}
-		if stop != nil && stop.Load() {
-			_, _ = f.send(span.server, &fsdp.Request{
-				Kind: fsdp.KCloseSubset, File: def.Name, SCB: reply.SCB,
-			})
-			return n, nil
-		}
-		req = &fsdp.Request{
-			Kind: fsdp.KCountNext, File: def.Name,
-			Range: req.Range.Continue(reply.LastKey), SCB: reply.SCB,
-		}
-		if tx != nil {
-			req.Tx = tx.ID
-		}
-	}
 }

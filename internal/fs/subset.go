@@ -2,14 +2,11 @@ package fs
 
 import (
 	"bytes"
-	"sync"
-	"sync/atomic"
-	"time"
+	"math"
 
 	"nonstopsql/internal/expr"
 	"nonstopsql/internal/fsdp"
 	"nonstopsql/internal/keys"
-	"nonstopsql/internal/obs"
 	"nonstopsql/internal/record"
 	"nonstopsql/internal/tmf"
 )
@@ -26,154 +23,26 @@ import (
 // Fallback: assignments touching indexed/key columns run requester-side
 // (scan + per-record update with index maintenance), since index
 // fragments live on other Disk Processes that this one cannot reach.
-func (f *FS) UpdateSubset(tx *tmf.Tx, def *FileDef, rng keys.Range, pred expr.Expr, assigns []expr.Assignment) (int, error) {
-	n, _, err := f.UpdateSubsetTraced(tx, def, rng, pred, assigns)
-	return n, err
-}
-
-// UpdateSubsetTraced is UpdateSubset plus the operation's ScanStats.
-// On the requester-side fallback path the stats cover the qualifying
-// scan only (the per-record updates are point operations accounted in
-// the network's global counters).
-func (f *FS) UpdateSubsetTraced(tx *tmf.Tx, def *FileDef, rng keys.Range, pred expr.Expr, assigns []expr.Assignment) (int, ScanStats, error) {
+// On that path the ScanStats are empty (the per-record updates are point
+// operations accounted in the network's global counters).
+func (f *FS) UpdateSubset(tx *tmf.Tx, def *FileDef, rng keys.Range, pred expr.Expr, assigns []expr.Assignment) (int, ScanStats, error) {
 	if def.AssignsTouchIndexes(assigns) {
 		n, err := f.updateSubsetRequesterSide(tx, def, rng, pred, assigns)
 		return n, ScanStats{}, err
 	}
-	return f.fanoutSubset(tx, def, rng, "UPDATE^SUBSET^FIRST/NEXT", func(span partSpan) *fsdp.Request {
-		return &fsdp.Request{
-			Kind: fsdp.KUpdateSubsetFirst, Tx: tx.ID, File: def.Name,
-			Range:  span.r,
-			Pred:   expr.Encode(pred),
-			Assign: expr.EncodeAssignments(assigns),
-			Hint:   hintFor(rng),
-		}
-	}, fsdp.KUpdateSubsetNext)
+	return f.counted(tx, def, rng, f.subsetDOP(), "UPDATE^SUBSET^FIRST/NEXT", fsdp.Request{
+		Kind: fsdp.KUpdateSubsetFirst,
+		Pred: expr.Encode(pred), Assign: expr.EncodeAssignments(assigns),
+	})
 }
 
-// fanoutSubset drives one DP-pushdown subset conversation per partition
-// intersecting rng, concurrently (bounded by the FS scan DOP, minimum
-// the partition count does not exceed — each partition's conversation
-// is still strictly sequential, so its per-partition locking and
-// re-drive semantics are exactly those of the sequential path). Reply
-// counts are summed; the first error wins and cancels the siblings at
-// their next message boundary.
-func (f *FS) fanoutSubset(tx *tmf.Tx, def *FileDef, rng keys.Range, op string, first func(partSpan) *fsdp.Request, nextKind fsdp.Kind) (int, ScanStats, error) {
-	start := time.Now()
-	spans := partitionsFor(def.Partitions, rng)
-	var stats ScanStats
-	stats.Spans = make([]SpanStats, len(spans))
-	for i, span := range spans {
-		stats.Spans[i].Server = span.server
-		stats.Spans[i].Dist = f.client.DistanceTo(span.server)
+// subsetDOP is the fan-out of a pushed-down subset update or delete: the
+// FS scan DOP, or every partition at once when none is set.
+func (f *FS) subsetDOP() int {
+	if f.scanDOP < 1 {
+		return math.MaxInt
 	}
-	if len(spans) == 0 {
-		return 0, stats, nil
-	}
-	var lat obs.Histogram
-	dop := f.scanDOP
-	if dop < 1 || dop > len(spans) {
-		dop = len(spans)
-	}
-	var (
-		total    int
-		firstErr error
-	)
-	if dop == 1 || len(spans) == 1 {
-		for i, span := range spans {
-			n, err := f.subsetSpan(tx, span, first(span), nextKind, nil, &stats.Spans[i], &lat)
-			total += n
-			if err != nil {
-				firstErr = err
-				break
-			}
-		}
-	} else {
-		var (
-			wg   sync.WaitGroup
-			mu   sync.Mutex
-			next atomic.Int64
-			stop atomic.Bool
-		)
-		for w := 0; w < dop; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					if stop.Load() {
-						return
-					}
-					idx := int(next.Add(1)) - 1
-					if idx >= len(spans) {
-						return
-					}
-					span := spans[idx]
-					n, err := f.subsetSpan(tx, span, first(span), nextKind, &stop, &stats.Spans[idx], &lat)
-					mu.Lock()
-					total += n
-					if err != nil && firstErr == nil {
-						firstErr = err
-						stop.Store(true)
-					}
-					mu.Unlock()
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	stats.recompute()
-	stats.Lat = lat.Snapshot()
-	stats.Wall = time.Since(start)
-	if rec := f.obsRec; rec != nil {
-		for _, sp := range stats.Spans {
-			if sp.Msgs == 0 {
-				continue
-			}
-			rec.RecordTrace(obs.Trace{
-				Op: op, Server: sp.Server,
-				Redrives: sp.Redrives, Examined: sp.Examined,
-				Selected: sp.Rows,
-				Blocks:   sp.BlocksRead, Hits: sp.CacheHits,
-				Dist: int(sp.Dist), Wall: sp.Busy,
-			})
-		}
-	}
-	return total, stats, firstErr
-}
-
-// subsetSpan drives one partition's subset conversation (update or
-// delete) to exhaustion, abandoning between re-drives when a sibling
-// failed.
-func (f *FS) subsetSpan(tx *tmf.Tx, span partSpan, req *fsdp.Request, nextKind fsdp.Kind, stop *atomic.Bool, sp *SpanStats, lat *obs.Histogram) (int, error) {
-	n := 0
-	for {
-		t0 := time.Now()
-		reply, reqB, repB, err := f.sendTxMeasured(tx, span.server, req)
-		wait := time.Since(t0)
-		lat.Record(wait)
-		sp.observe(req, reply, reqB, repB, wait)
-		if err != nil {
-			return n, err
-		}
-		if err := replyErr(reply); err != nil {
-			return n, err
-		}
-		n += int(reply.Count)
-		sp.Rows += uint64(reply.Count)
-		if reply.Done {
-			return n, nil
-		}
-		if stop != nil && stop.Load() {
-			_, _ = f.send(span.server, &fsdp.Request{
-				Kind: fsdp.KCloseSubset, File: req.File, SCB: reply.SCB,
-			})
-			return n, nil
-		}
-		req = &fsdp.Request{
-			Kind: nextKind, Tx: tx.ID, File: req.File,
-			Range: req.Range.Continue(reply.LastKey), SCB: reply.SCB,
-		}
-	}
+	return f.scanDOP
 }
 
 // updateSubsetRequesterSide scans qualifying rows (still filtered at the
@@ -224,26 +93,13 @@ func (f *FS) updateSubsetRequesterSide(tx *tmf.Tx, def *FileDef, rng keys.Range,
 // DeleteSubset deletes every record in the range satisfying pred, with
 // the same pushdown/fallback split as UpdateSubset: files without
 // secondary indexes delete entirely at the Disk Process.
-func (f *FS) DeleteSubset(tx *tmf.Tx, def *FileDef, rng keys.Range, pred expr.Expr) (int, error) {
-	n, _, err := f.DeleteSubsetTraced(tx, def, rng, pred)
-	return n, err
-}
-
-// DeleteSubsetTraced is DeleteSubset plus the operation's ScanStats
-// (empty on the requester-side fallback, as for UpdateSubsetTraced).
-func (f *FS) DeleteSubsetTraced(tx *tmf.Tx, def *FileDef, rng keys.Range, pred expr.Expr) (int, ScanStats, error) {
+func (f *FS) DeleteSubset(tx *tmf.Tx, def *FileDef, rng keys.Range, pred expr.Expr) (int, ScanStats, error) {
 	if len(def.Indexes) > 0 {
 		n, err := f.deleteSubsetRequesterSide(tx, def, rng, pred)
 		return n, ScanStats{}, err
 	}
-	return f.fanoutSubset(tx, def, rng, "DELETE^SUBSET^FIRST/NEXT", func(span partSpan) *fsdp.Request {
-		return &fsdp.Request{
-			Kind: fsdp.KDeleteSubsetFirst, Tx: tx.ID, File: def.Name,
-			Range: span.r,
-			Pred:  expr.Encode(pred),
-			Hint:  hintFor(rng),
-		}
-	}, fsdp.KDeleteSubsetNext)
+	return f.counted(tx, def, rng, f.subsetDOP(), "DELETE^SUBSET^FIRST/NEXT",
+		fsdp.Request{Kind: fsdp.KDeleteSubsetFirst, Pred: expr.Encode(pred)})
 }
 
 func (f *FS) deleteSubsetRequesterSide(tx *tmf.Tx, def *FileDef, rng keys.Range, pred expr.Expr) (int, error) {

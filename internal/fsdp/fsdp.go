@@ -121,6 +121,10 @@ var kindNames = map[Kind]string{
 // follower browse reads there, and the cluster ships checkpoints there.
 const BackupSuffix = "#B"
 
+// Next returns the continuation kind of a ^FIRST kind: every ^FIRST is
+// declared immediately before its ^NEXT.
+func (k Kind) Next() Kind { return k + 1 }
+
 // String returns the message type's protocol name.
 func (k Kind) String() string {
 	if s, ok := kindNames[k]; ok {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -188,6 +189,11 @@ func TestKindNames(t *testing.T) {
 	}
 	if Kind(200).String() == "" {
 		t.Error("unknown kind renders empty")
+	}
+	for k, name := range kindNames {
+		if want := strings.Replace(name, "^FIRST", "^NEXT", 1); want != name && k.Next().String() != want {
+			t.Errorf("%s.Next() = %s, want %s", name, k.Next(), want)
+		}
 	}
 }
 

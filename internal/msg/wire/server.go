@@ -107,13 +107,14 @@ func (s *Server) serveConn(nc net.Conn) {
 	var wmu sync.Mutex // one writer at a time; replies come from many goroutines
 	write := func(b []byte) {
 		wmu.Lock()
+		// Counted before the write: a client that already holds the reply
+		// must never read a FramesOut that does not include it.
+		s.wire.FrameOut(len(b))
 		_, err := nc.Write(b)
 		wmu.Unlock()
 		if err != nil {
 			s.wire.Error()
-			return
 		}
-		s.wire.FrameOut(len(b))
 	}
 	br := bufio.NewReaderSize(nc, 64<<10)
 	for {

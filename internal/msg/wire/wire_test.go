@@ -3,9 +3,11 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -129,6 +131,29 @@ func TestServerDispatch(t *testing.T) {
 	}
 }
 
+// TestFrameOutCountedBeforeReplyVisible reads the wire stats the instant
+// each reply arrives: the reply's FrameOut must already be in them, or
+// FramesIn != FramesOut flickers for any client fast enough to look.
+func TestFrameOutCountedBeforeReplyVisible(t *testing.T) {
+	s, err := Listen("127.0.0.1:0", echoNet(t), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	nc, br := rawConn(t, s.Addr())
+	for i := uint64(1); i <= 500; i++ {
+		if _, err := nc.Write(AppendRequest(nil, i, "echo", []byte("x"))); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ReadFrame(br, 0); err != nil {
+			t.Fatal(err)
+		}
+		if ws := s.Stats(); ws.FramesIn != i || ws.FramesOut != i {
+			t.Fatalf("reply %d in hand, stats say %d frames in, %d out", i, ws.FramesIn, ws.FramesOut)
+		}
+	}
+}
+
 func TestServerPipelinesOneConnection(t *testing.T) {
 	n := msg.NewNetwork()
 	release := make(chan struct{})
@@ -243,9 +268,15 @@ func TestServerDrain(t *testing.T) {
 	n := msg.NewNetwork()
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
-	_, err := n.StartServer("gated", msg.ProcessorID{Node: 0, CPU: 0}, 1, func(req []byte) []byte {
-		entered <- struct{}{}
-		<-release
+	// Only the first request is held; a probe frame that beats the drain
+	// flag is answered at once by the second worker instead of queueing
+	// behind it (and hanging the probe loop below).
+	var held atomic.Bool
+	_, err := n.StartServer("gated", msg.ProcessorID{Node: 0, CPU: 0}, 2, func(req []byte) []byte {
+		if held.CompareAndSwap(false, true) {
+			entered <- struct{}{}
+			<-release
+		}
 		return []byte("done")
 	})
 	if err != nil {
@@ -377,8 +408,9 @@ func TestServerDrainWindow(t *testing.T) {
 		probe.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
 		_, rerr := probe.Read(make([]byte, 1))
 		probe.Close()
-		if rerr != nil && !rerr.(net.Error).Timeout() {
-			break // accepted then immediately closed: the flag is set
+		var ne net.Error
+		if rerr != nil && !(errors.As(rerr, &ne) && ne.Timeout()) {
+			break // accepted then immediately closed (EOF): the flag is set
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("drain never closed the listener")

@@ -93,7 +93,7 @@ func planAggPushdown(sel Select, sc *scope) (*aggPushPlan, bool) {
 // substituted) expressions for this execution.
 func (s *Session) runAggPushdown(tx *tmf.Tx, sel Select, def *fs.FileDef, pred expr.Expr, p *aggPushPlan, having expr.Expr, az *analyzeState) (*Result, error) {
 	rng, residual := expr.ExtractKeyRange(pred, def.Schema)
-	groups, st, err := s.fs.AggTraced(tx, def, rng, residual, p.spec)
+	groups, st, err := s.fs.Agg(tx, def, rng, residual, p.spec)
 	if err != nil {
 		return nil, err
 	}

@@ -312,7 +312,7 @@ func (p *updatePlan) runTx(s *Session, tx *tmf.Tx, params []record.Value, az *an
 			return &Result{Affected: n}, nil
 		}
 	}
-	n, st, err := s.fs.UpdateSubsetTraced(tx, def, rng, residual, assigns)
+	n, st, err := s.fs.UpdateSubset(tx, def, rng, residual, assigns)
 	if err != nil {
 		return nil, err
 	}
@@ -431,7 +431,7 @@ func (p *deletePlan) runTx(s *Session, tx *tmf.Tx, params []record.Value, az *an
 			return &Result{Affected: n}, nil
 		}
 	}
-	n, st, err := s.fs.DeleteSubsetTraced(tx, def, rng, residual)
+	n, st, err := s.fs.DeleteSubset(tx, def, rng, residual)
 	if err != nil {
 		return nil, err
 	}

@@ -253,7 +253,7 @@ func (s *Session) batchedJoinProbes(tx *tmf.Tx, outerRows []record.Row, outerDef
 		}
 		// The inner-only predicate rides along and evaluates at the
 		// Disk Process.
-		innerRows, st, err = s.fs.ProbePrefixesTraced(tx, innerDef, prefixes, innerPredBase)
+		innerRows, st, err = s.fs.ProbePrefixes(tx, innerDef, prefixes, innerPredBase)
 		label = fmt.Sprintf("batched join probes %s (PROBE^BLOCK)", innerDef.Name)
 	} else {
 		vals := make([]record.Value, len(order))

@@ -432,23 +432,11 @@ func (p *selectPlan) runWith(s *Session, tx *tmf.Tx, params []record.Value, az *
 // counts cross the FS-DP interface.
 func (s *Session) runCountStar(tx *tmf.Tx, sel Select, def *fs.FileDef, pred expr.Expr, name string, az *analyzeState) (*Result, error) {
 	rng, residual := expr.ExtractKeyRange(pred, def.Schema)
-	var (
-		n   int
-		err error
-	)
-	if az != nil {
-		var st fs.ScanStats
-		n, st, err = s.fs.CountTraced(tx, def, rng, residual)
-		if err == nil {
-			st.Rows = uint64(n) // counts delivered, not records moved
-			az.scanNode(fmt.Sprintf("count %s (COUNT^FIRST/NEXT)", def.Name), st)
-		}
-	} else {
-		n, err = s.fs.Count(tx, def, rng, residual)
-	}
+	n, st, err := s.fs.Count(tx, def, rng, residual)
 	if err != nil {
 		return nil, err
 	}
+	az.scanNode(fmt.Sprintf("count %s (COUNT^FIRST/NEXT)", def.Name), st)
 	res := &Result{Columns: []string{name}, Rows: []record.Row{{record.Int(int64(n))}}}
 	if sel.Limit >= 0 && len(res.Rows) > sel.Limit {
 		res.Rows = res.Rows[:sel.Limit]

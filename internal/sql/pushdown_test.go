@@ -199,7 +199,8 @@ func TestLimitPushdownMessages(t *testing.T) {
 	scbs := func() int {
 		n := 0
 		for _, v := range []string{"$DATA1", "$DATA2", "$DATA3"} {
-			n += d.c.DP(v).OpenSCBs()
+			_, open := d.c.DP(v).OpenState()
+			n += open
 		}
 		return n
 	}

@@ -1,7 +1,6 @@
 #!/bin/sh
 # The change gate: everything must build, vet clean, and pass the full
-# test suite under the race detector. Same as `make check` for
-# environments without make.
+# test suite under the race detector. `make check` runs this script.
 set -eux
 cd "$(dirname "$0")/.."
 go build ./...
@@ -11,10 +10,13 @@ go vet ./...
 # property. The full suite runs them again, but a regression in the
 # layers everything else talks through should fail alone, fast.
 go test -race -count=1 ./internal/msg ./internal/obs
-# Near-data pushdown: the AGG^FIRST/NEXT merge path shares one group
-# map across partition goroutines and PROBE^BLOCK re-sends partial
-# blocks — the racy seams of PR 6, run focused before the full suite.
-go test -race -count=1 -run 'TestAgg|TestProbe|TestReadByIndexBatch|TestScanLimit' ./internal/fs ./internal/fsdp
+# The FS-DP conversation: one driver fans every set-oriented kind out
+# across partition goroutines (shared span accounting, the AGG^FIRST/NEXT
+# group map, PROBE^BLOCK partial re-sends, scanner channels) and one DP
+# skeleton validates every ^NEXT against its SCB — run focused, with the
+# failed-conversation and foreign-SCB regressions, before the full suite.
+go test -race -count=1 -run 'TestConversationDriver|TestFailedConversationRetiresSCB|TestParallelScan|TestAgg|TestProbe|TestReadByIndexBatch|TestScanLimit' ./internal/fs ./internal/fsdp
+go test -race -count=1 -run 'TestNextRefusedOnForeignSCB|TestVSBBRedriveProtocol|TestUpdateSubsetRedrive|TestConcurrentMixedWorkload' ./internal/dp
 go test -race -count=1 -run 'TestAggPushdownDifferential|TestJoinProbeDifferential|TestLimitPushdownMessages' ./internal/sql
 # Deterministic short crash-point sweep first: every named fault point
 # fired, recovery invariants checked per point. Runs again inside the
