@@ -22,6 +22,12 @@
 //   - range scans hold one leaf latch at a time, following right-
 //     sibling links with the same hand-over-hand coupling.
 //
+// Pages are read where they lie in their cache buffers (page.go): a
+// descent binary-searches in-page keys through a pinned, latched view
+// and copies nothing; a scan hands its callback sub-slices of the leaf;
+// a leaf-local write splices the leaf's bytes. Only structure changes
+// decode a page into a cell list.
+//
 // Latches order strictly root-to-leaf and left-to-right, so descents,
 // chain scans, and collapse repairs can never form a cycle. Disk reads
 // for a page happen while holding only that page's latch (the buffer
@@ -109,72 +115,8 @@ func (t *Tree) Name() string { return t.name }
 // Latches returns the tree's latch table (stats).
 func (t *Tree) Latches() *Latches { return t.lt }
 
-// page (de)serialization ----------------------------------------------
-
-// header: [0] type, [1:3] cell count, [3] level (leaf = 0), [4:8] right
-// sibling block for leaves (0 = none; block 0 is never allocated),
-// [8:15] spare. The level lets an interior page at level 1 hand out its
-// children's block numbers as *leaf* numbers without reading them — the
-// basis of the Disk Process's pre-fetch planning. The sibling link lets
-// range scans walk the leaf level holding one latch at a time.
-func writePage(buf []byte, typ byte, level byte, next disk.BlockNum, cells []cell) {
-	for i := range buf {
-		buf[i] = 0
-	}
-	buf[0] = typ
-	binary.LittleEndian.PutUint16(buf[1:3], uint16(len(cells)))
-	buf[3] = level
-	binary.LittleEndian.PutUint32(buf[4:8], uint32(next))
-	off := headerSize
-	for _, c := range cells {
-		off += binary.PutUvarint(buf[off:], uint64(len(c.key)))
-		off += copy(buf[off:], c.key)
-		off += binary.PutUvarint(buf[off:], uint64(len(c.val)))
-		off += copy(buf[off:], c.val)
-	}
-}
-
-func readPage(buf []byte) (typ byte, level byte, cells []cell) {
-	typ = buf[0]
-	n := int(binary.LittleEndian.Uint16(buf[1:3]))
-	level = buf[3]
-	off := headerSize
-	cells = make([]cell, n)
-	for i := 0; i < n; i++ {
-		kl, sz := binary.Uvarint(buf[off:])
-		off += sz
-		k := append([]byte(nil), buf[off:off+int(kl)]...)
-		off += int(kl)
-		vl, sz := binary.Uvarint(buf[off:])
-		off += sz
-		v := append([]byte(nil), buf[off:off+int(vl)]...)
-		off += int(vl)
-		cells[i] = cell{key: k, val: v}
-	}
-	return typ, level, cells
-}
-
-func readNext(buf []byte) disk.BlockNum {
-	return disk.BlockNum(binary.LittleEndian.Uint32(buf[4:8]))
-}
-
-func cellsSize(cells []cell) int {
-	sz := 0
-	for _, c := range cells {
-		sz += uvarintLen(len(c.key)) + len(c.key) + uvarintLen(len(c.val)) + len(c.val)
-	}
-	return sz
-}
-
-func uvarintLen(v int) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
+// childOf and childCell convert between a child block number and an
+// interior cell's 4-byte value.
 func childOf(c cell) disk.BlockNum {
 	return disk.BlockNum(binary.LittleEndian.Uint32(c.val))
 }
@@ -185,8 +127,9 @@ func childCell(key []byte, bn disk.BlockNum) cell {
 	return cell{key: key, val: v}
 }
 
-// findCell returns the index of the first cell with key >= k, and
-// whether an exact match exists there.
+// findCell returns the index of the first cell with key >= k in a
+// materialized cell list (the structure-change paths; page reads search
+// the page itself, pageView.find).
 func findCell(cells []cell, k []byte) (int, bool) {
 	lo, hi := 0, len(cells)
 	for lo < hi {
@@ -200,41 +143,19 @@ func findCell(cells []cell, k []byte) (int, bool) {
 	return lo, lo < len(cells) && bytes.Equal(cells[lo].key, k)
 }
 
-// childIndex returns the interior cell whose subtree covers k: the last
-// cell with separator <= k.
-func childIndex(cells []cell, k []byte) int {
-	i, exact := findCell(cells, k)
-	if exact {
-		return i
-	}
-	if i == 0 {
-		return 0
-	}
-	return i - 1
-}
-
 // page access helpers --------------------------------------------------
 
-// readBlock pins bn with Keyed intent, decodes it, and unpins. The
-// caller must hold bn's latch; the decoded cells are copies, so they
-// stay valid after both the pin and the latch are gone.
-func (t *Tree) readBlock(bn disk.BlockNum) (typ, level byte, next disk.BlockNum, cells []cell, err error) {
-	return t.readBlockClass(bn, cache.Keyed)
-}
-
-// readBlockClass is readBlock with an explicit cache access class:
-// leaf-level scan reads pass Sequential so a long scan recycles through
-// the pool's probation segment instead of flooding the keyed hot set.
-// Interior pages are always read Keyed by their callers — they are the
-// hot set.
-func (t *Tree) readBlockClass(bn disk.BlockNum, class cache.AccessClass) (typ, level byte, next disk.BlockNum, cells []cell, err error) {
-	pg, err := t.pool.GetClass(bn, class)
+// readCells views bn with Keyed intent and copies its cells out, for
+// the structure changes that rebuild a page from a cell list. The
+// caller must hold bn's latch; the cells are copies, so they stay valid
+// after both the pin and the latch are gone.
+func (t *Tree) readCells(bn disk.BlockNum) (typ, level byte, next disk.BlockNum, cells []cell, err error) {
+	v, err := t.view(bn, cache.Keyed)
 	if err != nil {
 		return 0, 0, 0, nil, err
 	}
-	typ, level, cells = readPage(pg.Data())
-	next = readNext(pg.Data())
-	pg.Release()
+	typ, level, next, cells = v.typ(), v.level(), v.next(), v.cells()
+	v.release()
 	return typ, level, next, cells, nil
 }
 
@@ -245,7 +166,8 @@ func (t *Tree) storePage(bn disk.BlockNum, typ, level byte, next disk.BlockNum, 
 }
 
 // storePageClass is storePage with an explicit access class; BulkLoad
-// writes its one-pass leaf stream Sequential.
+// writes its one-pass leaf stream Sequential. MarkDirty drops the
+// slot's offset table with the bytes it described.
 func (t *Tree) storePageClass(bn disk.BlockNum, typ, level byte, next disk.BlockNum, cells []cell, lsn wal.LSN, class cache.AccessClass) error {
 	pg, err := t.pool.GetClass(bn, class)
 	if err != nil {
@@ -257,41 +179,149 @@ func (t *Tree) storePageClass(bn disk.BlockNum, typ, level byte, next disk.Block
 	return nil
 }
 
+// the descent ----------------------------------------------------------
+
+// latchMode is how a descent latches the path it walks.
+type latchMode int
+
+const (
+	// latchShared crabs shared latches down to the leaf and returns it
+	// latched shared: reads.
+	latchShared latchMode = iota
+	// latchLeaf crabs shared latches but takes the leaf exclusively:
+	// writes that stay within one leaf.
+	latchLeaf
+	// latchPath takes every page on the path exclusively and keeps them
+	// all: splits and collapses, which propagate upward.
+	latchPath
+)
+
+// wframe is one exclusively latched ancestor on a latchPath descent.
+type wframe struct {
+	bn  disk.BlockNum
+	pl  pageLatch
+	idx int // child index taken during the descent
+}
+
+func releaseFrames(path []wframe) {
+	for i := len(path) - 1; i >= 0; i-- {
+		path[i].pl.release()
+	}
+}
+
+// descend is the tree's one root-to-leaf walk: it returns the leaf
+// covering key (nil = the leftmost leaf) latched as mode asks, and for
+// latchPath the exclusively latched ancestors above it. Latches crab:
+// a parent is released only once the child is latched, so a concurrent
+// split or collapse can never redirect the descent onto a freed page;
+// while a parent is latched no structure change can run below it (a
+// latchPath writer would need that parent exclusive), so the child
+// pointer stays valid until the child's latch is granted. Each page is
+// searched where it lies, and its view is dropped before the descent
+// waits for the next latch.
+//
+// Interior pages are viewed Keyed — they are the index hot set every
+// access shares; only the look at the leaf itself, reached from a
+// level-1 parent, uses class, so each re-drive of a sequential scan
+// doesn't promote its first leaf into the protected segment.
+//
+// latchShared and latchPath must look at the leaf to learn that it is
+// one, and return that view for the caller to read through and release.
+// latchLeaf stops at the level-1 parent, which names its children as
+// leaves without reading them, and returns no view: the writer takes
+// its own look.
+func (t *Tree) descend(key []byte, mode latchMode, class cache.AccessClass) ([]wframe, pageLatch, pageView, error) {
+restart:
+	for {
+		var path []wframe
+		pl := t.lt.acquire(t.root, mode == latchPath)
+		bn, cls := t.root, cache.Keyed
+		for {
+			v, err := t.view(bn, cls)
+			if err != nil {
+				return failDescent(path, pl, err)
+			}
+			if !v.interior() {
+				if mode != latchLeaf {
+					return path, pl, v, nil
+				}
+				// The root is the leaf (or still the zeroed page of a file
+				// whose first write never reached disk — recovery redoes
+				// into it as an empty leaf). Upgrade by release-and-
+				// reacquire and re-verify: the root may have grown a level
+				// in between.
+				v.release()
+				pl.release()
+				pl = t.lt.acquire(bn, true)
+				if v, err = t.view(bn, cache.Keyed); err != nil {
+					return failDescent(path, pl, err)
+				}
+				grew := v.interior()
+				v.release()
+				if grew {
+					pl.release()
+					continue restart
+				}
+				return nil, pl, pageView{}, nil
+			}
+			if v.n() == 0 {
+				v.release()
+				return failDescent(path, pl, fmt.Errorf("btree: empty interior page %d in %s", bn, t.name))
+			}
+			idx := v.childIndex(key)
+			child, childIsLeaf := v.child(idx), v.level() == 1
+			v.release()
+			if childIsLeaf {
+				cls = class
+			}
+			if mode == latchPath {
+				path = append(path, wframe{bn: bn, pl: pl, idx: idx})
+				pl = t.lt.acquire(child, true)
+			} else {
+				excl := mode == latchLeaf && childIsLeaf
+				cpl := t.lt.acquire(child, excl)
+				pl.release()
+				pl = cpl
+				if excl {
+					return nil, pl, pageView{}, nil
+				}
+			}
+			bn = child
+		}
+	}
+}
+
+// failDescent releases everything a descent holds and returns err.
+func failDescent(path []wframe, pl pageLatch, err error) ([]wframe, pageLatch, pageView, error) {
+	pl.release()
+	releaseFrames(path)
+	return nil, pageLatch{}, pageView{}, err
+}
+
 // reads ----------------------------------------------------------------
 
-// Get returns the record bytes stored under key. The descent crabs
-// shared latches: the parent is released only once the child is
-// latched, so a concurrent split or collapse can never redirect the
-// descent onto a freed page.
+// Get returns a copy of the record bytes stored under key.
 func (t *Tree) Get(key []byte) ([]byte, error) {
 	t.lt.opEnter()
 	defer t.lt.opExit()
-	pl := t.lt.acquire(t.root, false)
-	bn := t.root
-	for {
-		typ, _, _, cells, err := t.readBlock(bn)
-		if err != nil {
-			pl.release()
-			return nil, err
-		}
-		if typ == pageInterior {
-			if len(cells) == 0 {
-				pl.release()
-				return nil, fmt.Errorf("%w (%s)", ErrNotFound, t.name)
-			}
-			child := childOf(cells[childIndex(cells, key)])
-			cpl := t.lt.acquire(child, false)
-			pl.release()
-			pl, bn = cpl, child
-			continue
-		}
-		i, exact := findCell(cells, key)
-		pl.release()
-		if !exact {
-			return nil, fmt.Errorf("%w (%s)", ErrNotFound, t.name)
-		}
-		return cells[i].val, nil
+	_, pl, v, err := t.descend(key, latchShared, cache.Keyed)
+	if err != nil {
+		return nil, err
 	}
+	var val []byte
+	i, exact := v.find(key)
+	if exact {
+		// The record outlives the pin and the latch: the one copy a
+		// point read makes.
+		_, borrowed := v.cell(i)
+		val = append([]byte(nil), borrowed...)
+	}
+	v.release()
+	pl.release()
+	if !exact {
+		return nil, fmt.Errorf("%w (%s)", ErrNotFound, t.name)
+	}
+	return val, nil
 }
 
 // writes ---------------------------------------------------------------
@@ -344,178 +374,88 @@ func (t *Tree) apply(key, val []byte, lsn wal.LSN, op opKind) error {
 	return t.applyPessimistic(key, val, lsn, op)
 }
 
-// leafExclusive descends with shared crabbing and returns the covering
-// leaf latched exclusively. While the leaf's parent is latched (shared)
-// no structure change can run in that subtree — a pessimistic writer
-// would need the parent exclusive — so the child pointer stays valid
-// until the leaf latch is granted.
-func (t *Tree) leafExclusive(key []byte) (pageLatch, disk.BlockNum, error) {
-	for {
-		pl := t.lt.acquire(t.root, false)
-		bn := t.root
-		restart := false
-		for !restart {
-			typ, level, _, cells, err := t.readBlock(bn)
-			if err != nil {
-				pl.release()
-				return pageLatch{}, 0, err
-			}
-			if typ != pageInterior {
-				// Root is the leaf (or still the zeroed page of a file
-				// whose first write never reached disk — recovery redoes
-				// into it as an empty leaf). Upgrade by
-				// release-and-reacquire and re-verify: the root may have
-				// grown a level in between.
-				pl.release()
-				xpl := t.lt.acquire(bn, true)
-				typ2, _, _, _, err := t.readBlock(bn)
-				if err != nil {
-					xpl.release()
-					return pageLatch{}, 0, err
-				}
-				if typ2 == pageInterior {
-					xpl.release()
-					restart = true
-					continue
-				}
-				return xpl, bn, nil
-			}
-			if len(cells) == 0 {
-				pl.release()
-				return pageLatch{}, 0, fmt.Errorf("btree: empty interior page %d in %s", bn, t.name)
-			}
-			child := childOf(cells[childIndex(cells, key)])
-			excl := level == 1 // children are leaves: latch the target exclusively
-			cpl := t.lt.acquire(child, excl)
-			pl.release()
-			if excl {
-				return cpl, child, nil
-			}
-			pl, bn = cpl, child
-		}
-	}
-}
-
-// applyOptimistic applies op when it stays within one leaf. done=false
-// means a split or collapse must propagate: nothing was modified and
-// the pessimistic descent must redo the operation.
+// applyOptimistic applies op when it stays within one leaf, by splicing
+// the leaf's bytes where they lie. done=false means a split or collapse
+// must propagate: nothing was modified and the pessimistic descent must
+// redo the operation.
 func (t *Tree) applyOptimistic(key, val []byte, lsn wal.LSN, op opKind) (bool, error) {
-	pl, bn, err := t.leafExclusive(key)
+	_, pl, _, err := t.descend(key, latchLeaf, cache.Keyed)
 	if err != nil {
 		return true, err
 	}
 	defer pl.release()
-	_, _, next, cells, err := t.readBlock(bn)
+	bn := pl.bn
+	v, err := t.view(bn, cache.Keyed)
 	if err != nil {
 		return true, err
 	}
-	i, exact := findCell(cells, key)
-	if op == opDelete {
-		if !exact {
-			return true, fmt.Errorf("%w (%s)", ErrNotFound, t.name)
-		}
-		cells = append(cells[:i], cells[i+1:]...)
-		if len(cells) == 0 && bn != t.root {
-			return false, nil // leaf emptied: collapse may propagate
-		}
-		return true, t.storePage(bn, pageLeaf, 0, next, cells, lsn)
+	i, exact := v.find(key)
+	if err := checkOp(op, exact, t.name); err != nil {
+		v.release()
+		return true, err
 	}
-	switch op {
-	case opInsert:
-		if exact {
-			return true, fmt.Errorf("%w (%s)", ErrDuplicate, t.name)
-		}
-	case opUpdate:
-		if !exact {
-			return true, fmt.Errorf("%w (%s)", ErrNotFound, t.name)
-		}
-	}
+	old, put := 0, op != opDelete
 	if exact {
-		cells[i].val = append([]byte(nil), val...)
-	} else {
-		cells = append(cells, cell{})
-		copy(cells[i+1:], cells[i:])
-		cells[i] = cell{key: append([]byte(nil), key...), val: append([]byte(nil), val...)}
+		old = 1
 	}
-	if cellsSize(cells) > usable {
-		return false, nil // leaf overflows: split propagates
+	// Would the leaf empty out (collapse may propagate) or overflow (split
+	// propagates)?
+	propagates := !put && v.n() == 1 && bn != t.root || v.endAfter(i, old, put, key, val) > disk.BlockSize
+	v.release()
+	if propagates {
+		return false, nil
 	}
-	return true, t.storePage(bn, pageLeaf, 0, next, cells, lsn)
+	// The store is its own look at the page, as every rewrite is.
+	w, err := t.view(bn, cache.Keyed)
+	if err != nil {
+		return true, err
+	}
+	w.splice(i, old, put, key, val)
+	w.markSpliced(lsn)
+	w.release()
+	return true, nil
 }
 
-// wframe is one exclusively latched ancestor on a pessimistic path.
-type wframe struct {
-	bn  disk.BlockNum
-	pl  pageLatch
-	idx int // child index taken during the descent
-}
-
-func releaseFrames(path []wframe) {
-	for i := len(path) - 1; i >= 0; i-- {
-		path[i].pl.release()
+// checkOp reports the key-existence error op raises, if any, given
+// whether its key is present.
+func checkOp(op opKind, exact bool, name string) error {
+	switch {
+	case exact && op == opInsert:
+		return fmt.Errorf("%w (%s)", ErrDuplicate, name)
+	case !exact && (op == opUpdate || op == opDelete):
+		return fmt.Errorf("%w (%s)", ErrNotFound, name)
 	}
+	return nil
 }
 
 // applyPessimistic redoes op holding every page on the root-to-leaf
 // path exclusively, so splits and collapses propagate upward with no
 // further latch acquisition above the current page.
 func (t *Tree) applyPessimistic(key, val []byte, lsn wal.LSN, op opKind) error {
-	var path []wframe
-	pl := t.lt.acquire(t.root, true)
-	bn := t.root
-	for {
-		typ, _, next, cells, err := t.readBlock(bn)
-		if err != nil {
-			pl.release()
-			releaseFrames(path)
-			return err
-		}
-		if typ == pageInterior {
-			if len(cells) == 0 {
-				pl.release()
-				releaseFrames(path)
-				return fmt.Errorf("btree: empty interior page %d in %s", bn, t.name)
-			}
-			idx := childIndex(cells, key)
-			child := childOf(cells[idx])
-			path = append(path, wframe{bn: bn, pl: pl, idx: idx})
-			pl = t.lt.acquire(child, true)
-			bn = child
-			continue
-		}
-		i, exact := findCell(cells, key)
-		if op == opDelete {
-			if !exact {
-				pl.release()
-				releaseFrames(path)
-				return fmt.Errorf("%w (%s)", ErrNotFound, t.name)
-			}
-			cells = append(cells[:i], cells[i+1:]...)
-			return t.finishDelete(path, pl, bn, next, cells, lsn)
-		}
-		switch op {
-		case opInsert:
-			if exact {
-				pl.release()
-				releaseFrames(path)
-				return fmt.Errorf("%w (%s)", ErrDuplicate, t.name)
-			}
-		case opUpdate:
-			if !exact {
-				pl.release()
-				releaseFrames(path)
-				return fmt.Errorf("%w (%s)", ErrNotFound, t.name)
-			}
-		}
-		if exact {
-			cells[i].val = append([]byte(nil), val...)
-		} else {
-			cells = append(cells, cell{})
-			copy(cells[i+1:], cells[i:])
-			cells[i] = cell{key: append([]byte(nil), key...), val: append([]byte(nil), val...)}
-		}
-		return t.finishStore(path, pl, bn, pageLeaf, 0, next, cells, lsn)
+	path, pl, v, err := t.descend(key, latchPath, cache.Keyed)
+	if err != nil {
+		return err
 	}
+	bn, next, cells := v.bn(), v.next(), v.cells()
+	v.release()
+	i, exact := findCell(cells, key)
+	if err := checkOp(op, exact, t.name); err != nil {
+		pl.release()
+		releaseFrames(path)
+		return err
+	}
+	if op == opDelete {
+		cells = append(cells[:i], cells[i+1:]...)
+		return t.finishDelete(path, pl, bn, next, cells, lsn)
+	}
+	if exact {
+		cells[i].val = val
+	} else {
+		cells = append(cells, cell{})
+		copy(cells[i+1:], cells[i:])
+		cells[i] = cell{key: key, val: val}
+	}
+	return t.finishStore(path, pl, bn, pageLeaf, 0, next, cells, lsn)
 }
 
 // finishStore writes cells into bn, splitting upward along the held
@@ -543,7 +483,7 @@ func (t *Tree) finishStore(path []wframe, pl pageLatch, bn disk.BlockNum, typ, l
 		// Insert the new separator into the parent (still latched).
 		parent := path[len(path)-1]
 		path = path[:len(path)-1]
-		_, plevel, _, pcells, err := t.readBlock(parent.bn)
+		_, plevel, _, pcells, err := t.readCells(parent.bn)
 		if err != nil {
 			parent.pl.release()
 			releaseFrames(path)
@@ -646,7 +586,7 @@ func (t *Tree) finishDelete(path []wframe, pl pageLatch, bn, next disk.BlockNum,
 		return err
 	}
 	parent := path[len(path)-1]
-	_, plevel, _, pcells, err := t.readBlock(parent.bn)
+	_, plevel, _, pcells, err := t.readCells(parent.bn)
 	if err != nil {
 		pl.release()
 		releaseFrames(path)
@@ -672,7 +612,7 @@ func (t *Tree) finishDelete(path []wframe, pl pageLatch, bn, next disk.BlockNum,
 	pl.release()
 	lpl := t.lt.acquire(leftBn, true)
 	pl = t.lt.acquire(bn, true)
-	_, _, lnext, lcells, err := t.readBlock(leftBn)
+	_, _, lnext, lcells, err := t.readCells(leftBn)
 	if err == nil && lnext != bn {
 		err = fmt.Errorf("btree: leaf chain of %s skips page %d (neighbor %d links to %d)", t.name, bn, leftBn, lnext)
 	}

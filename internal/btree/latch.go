@@ -34,8 +34,9 @@ type LatchStats struct {
 type Latches struct {
 	waiter Waiter
 
-	mu sync.Mutex
-	m  map[disk.BlockNum]*latch
+	mu   sync.Mutex
+	m    map[disk.BlockNum]*latch
+	free []*latch // retired entries, reused so a warm descent allocates nothing
 
 	shared atomic.Uint64
 	excl   atomic.Uint64
@@ -70,7 +71,11 @@ func (lt *Latches) acquire(bn disk.BlockNum, excl bool) pageLatch {
 	lt.mu.Lock()
 	l := lt.m[bn]
 	if l == nil {
-		l = &latch{}
+		if n := len(lt.free); n > 0 {
+			l, lt.free = lt.free[n-1], lt.free[:n-1]
+		} else {
+			l = &latch{}
+		}
 		lt.m[bn] = l
 	}
 	l.refs++
@@ -113,7 +118,9 @@ func (pl pageLatch) release() {
 	pl.lt.mu.Lock()
 	pl.l.refs--
 	if pl.l.refs == 0 {
+		// Nobody holds or awaits it: the RWMutex is idle and safe to reuse.
 		delete(pl.lt.m, pl.bn)
+		pl.lt.free = append(pl.lt.free, pl.l)
 	}
 	pl.lt.mu.Unlock()
 }

@@ -27,31 +27,42 @@ func (t *Tree) LeafRun(r keys.Range) ([]disk.BlockNum, error) {
 
 func (t *Tree) leafRun(bn disk.BlockNum, r keys.Range) ([]disk.BlockNum, error) {
 	pl := t.lt.acquire(bn, false)
-	typ, level, _, cells, err := t.readBlock(bn)
-	pl.release()
+	v, err := t.view(bn, cache.Keyed)
 	if err != nil {
+		pl.release()
 		return nil, err
 	}
-	if typ != pageInterior {
+	if !v.interior() {
+		v.release()
+		pl.release()
 		return []disk.BlockNum{bn}, nil
 	}
+	// Child i spans [sep_i, sep_{i+1}); sep_0 is -inf. Start at the child
+	// covering r.Low — everything left of it lies entirely below the
+	// range — and stop at the first child that starts beyond it.
+	var kids []disk.BlockNum
+	i := 0
+	if r.Low != nil {
+		i = v.childIndex(r.Low)
+	}
+	for n := v.n(); i < n; i++ {
+		if sep := v.key(i); len(sep) != 0 && r.AfterHigh(sep) {
+			break
+		}
+		kids = append(kids, v.child(i))
+	}
+	level := v.level()
+	v.release()
+	pl.release()
+	if level == 1 {
+		// Children are leaves: emit block numbers without reading them —
+		// the span's leaves stay untouched until bulk I/O or pre-fetch
+		// brings them in.
+		return kids, nil
+	}
 	var out []disk.BlockNum
-	for i, c := range cells {
-		// Child i spans [sep_i, sep_{i+1}); sep_0 is -inf.
-		if r.Low != nil && i+1 < len(cells) && keys.Compare(cells[i+1].key, r.Low) <= 0 {
-			continue // entirely below the range
-		}
-		if c.key != nil && r.AfterHigh(c.key) {
-			break // this and all later children start beyond the range
-		}
-		if level == 1 {
-			// Children are leaves: emit block numbers without reading
-			// them — the span's leaves stay untouched until bulk I/O or
-			// pre-fetch brings them in.
-			out = append(out, childOf(c))
-			continue
-		}
-		sub, err := t.leafRun(childOf(c), r)
+	for _, kid := range kids {
+		sub, err := t.leafRun(kid, r)
 		if err != nil {
 			return nil, err
 		}
@@ -64,6 +75,12 @@ func (t *Tree) leafRun(bn disk.BlockNum, r keys.Range) ([]disk.BlockNum, error) 
 // scan early (e.g. the re-drive limits of a set-oriented request). The
 // callback runs under a shared leaf latch and must not re-enter the
 // tree.
+//
+// key and val are BORROWED: they are sub-slices of the leaf where it
+// lies in its cache buffer, which the scan keeps pinned and latched for
+// the duration of the call. They are valid until the callback returns
+// and must never be retained, appended to or written through; a callback
+// that keeps a record (a reply row, a collected key) copies it.
 type ScanFunc func(key, val []byte) (bool, error)
 
 // Scan visits every record in r, in key order. When prefetch is true the
@@ -94,79 +111,58 @@ func (t *Tree) ScanClass(r keys.Range, prefetch bool, class cache.AccessClass, f
 		}
 		t.pool.Prefetch(leaves, class)
 	}
-	pl, bn, err := t.leafShared(r.Low, class)
+	_, pl, v, err := t.descend(r.Low, latchShared, class)
 	if err != nil {
 		return err
 	}
+	// The descent's look at the first leaf ends here and the loop takes
+	// its own, like every later leaf's: one view is one counted cache
+	// access, and that count travels in replies.
+	bn := v.bn()
+	v.release()
+	low := r.Low
 	for {
-		_, _, next, cells, err := t.readBlockClass(bn, class)
+		v, err := t.view(bn, class)
 		if err != nil {
 			pl.release()
 			return err
 		}
-		for _, c := range cells {
-			if r.BeforeLow(c.key) {
-				continue
+		// Only the first leaf can hold records below the range and only
+		// the last can hold records above it: search for both edges and
+		// visit what lies between without comparing per record.
+		i, end, last := 0, v.n(), false
+		if low != nil {
+			var exact bool
+			if i, exact = v.find(low); exact && r.LowExcl {
+				i++
 			}
-			if r.AfterHigh(c.key) {
-				pl.release()
-				return nil
+			low = nil
+		}
+		if r.High != nil && end > 0 && r.AfterHigh(v.key(end-1)) {
+			var exact bool
+			if end, exact = v.find(r.High); exact && r.HighIncl {
+				end++
 			}
-			cont, err := fn(c.key, c.val)
-			if err != nil {
+			last = true
+		}
+		for ; i < end; i++ {
+			key, val := v.cell(i)
+			cont, err := fn(key, val)
+			if err != nil || !cont {
+				v.release()
 				pl.release()
 				return err
 			}
-			if !cont {
-				pl.release()
-				return nil
-			}
 		}
-		if next == 0 {
+		next := v.next()
+		v.release()
+		if last || next == 0 {
 			pl.release()
 			return nil
 		}
 		npl := t.lt.acquire(next, false)
 		pl.release()
 		pl, bn = npl, next
-	}
-}
-
-// leafShared crabs shared latches to the leaf covering key (nil = the
-// leftmost leaf) and returns it latched shared. Interior pages are read
-// Keyed regardless of class; only the descent's final hop — reading the
-// leaf itself, reached from a level-1 parent — uses class, so each
-// re-drive of a sequential scan doesn't promote its first leaf into the
-// protected segment.
-func (t *Tree) leafShared(key []byte, class cache.AccessClass) (pageLatch, disk.BlockNum, error) {
-	pl := t.lt.acquire(t.root, false)
-	bn := t.root
-	cls := cache.Keyed
-	for {
-		typ, level, _, cells, err := t.readBlockClass(bn, cls)
-		if err != nil {
-			pl.release()
-			return pageLatch{}, 0, err
-		}
-		if typ != pageInterior {
-			return pl, bn, nil // leaf, or a zeroed never-written root
-		}
-		if len(cells) == 0 {
-			pl.release()
-			return pageLatch{}, 0, fmt.Errorf("btree: empty interior page %d in %s", bn, t.name)
-		}
-		var child disk.BlockNum
-		if key == nil {
-			child = childOf(cells[0])
-		} else {
-			child = childOf(cells[childIndex(cells, key)])
-		}
-		if level == 1 {
-			cls = class // next read is the leaf
-		}
-		cpl := t.lt.acquire(child, false)
-		pl.release()
-		pl, bn = cpl, child
 	}
 }
 
@@ -295,16 +291,23 @@ type KV struct {
 // countFrom counts all records under bn without latching (used to guard
 // BulkLoad while the root is held exclusively).
 func (t *Tree) countFrom(bn disk.BlockNum) (int, error) {
-	typ, _, _, cells, err := t.readBlock(bn)
+	v, err := t.view(bn, cache.Keyed)
 	if err != nil {
 		return 0, err
 	}
-	if typ != pageInterior {
-		return len(cells), nil
+	if !v.interior() {
+		n := v.n()
+		v.release()
+		return n, nil
 	}
+	kids := make([]disk.BlockNum, v.n())
+	for i := range kids {
+		kids[i] = v.child(i)
+	}
+	v.release()
 	n := 0
-	for _, c := range cells {
-		sub, err := t.countFrom(childOf(c))
+	for _, kid := range kids {
+		sub, err := t.countFrom(kid)
 		if err != nil {
 			return 0, err
 		}

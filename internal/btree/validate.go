@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 
+	"nonstopsql/internal/cache"
 	"nonstopsql/internal/disk"
 )
 
@@ -44,11 +45,12 @@ func (t *Tree) Validate() error {
 				return fmt.Errorf("btree %s: leaf chain longer than the leaf level (cycle?)", t.name)
 			}
 			chain = append(chain, bn)
-			_, _, next, _, err := t.readBlock(bn)
+			v, err := t.view(bn, cache.Keyed)
 			if err != nil {
 				return fmt.Errorf("btree %s: leaf chain read of %d: %w", t.name, bn, err)
 			}
-			bn = next
+			bn = v.next()
+			v.release()
 		}
 		if len(chain) != len(leaves) {
 			return fmt.Errorf("btree %s: leaf chain has %d pages, leaf level has %d", t.name, len(chain), len(leaves))
@@ -67,7 +69,9 @@ func (t *Tree) Validate() error {
 // (inclusive/exclusive, nil = unbounded). Leaves are appended to
 // *leaves in left-to-right order.
 func (t *Tree) validatePage(bn disk.BlockNum, wantLevel int, lo, hi []byte, leaves *[]disk.BlockNum) error {
-	typ, level, _, cells, err := t.readBlock(bn)
+	// Cells are copied out: the recursion below carries separator keys
+	// down as bounds, and must not hold a pin per level while it does.
+	typ, level, _, cells, err := t.readCells(bn)
 	if err != nil {
 		return fmt.Errorf("btree %s: page %d: %w", t.name, bn, err)
 	}
@@ -82,9 +86,6 @@ func (t *Tree) validatePage(bn disk.BlockNum, wantLevel int, lo, hi []byte, leav
 	}
 	if typ == pageInterior && level == 0 {
 		return fmt.Errorf("btree %s: interior page %d at leaf level", t.name, bn)
-	}
-	if cellsSize(cells) > usable {
-		return fmt.Errorf("btree %s: page %d holds %d cell bytes (max %d)", t.name, bn, cellsSize(cells), usable)
 	}
 	// Keys strictly ascending. The first cell of an interior page is the
 	// leftmost child's empty separator; real comparisons start at cell 1.

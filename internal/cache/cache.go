@@ -114,12 +114,23 @@ const (
 	segProb
 )
 
+// A PageIndex is a sidecar the page's user hangs on a cache slot: an
+// index derived from the slot's bytes and kept off the page, so the
+// block image stays what it is on disk. The B-tree keeps its cell
+// offset table here (Offs: the start of every cell, then the end of the
+// last one). The pool never reads it; it only forgets it whenever the
+// slot's bytes are replaced.
+type PageIndex struct {
+	Offs []uint16
+}
+
 // A Page is a pinned cache buffer. Callers must Release it; Data stays
 // valid only while pinned.
 type Page struct {
 	sh    *shard
 	bn    disk.BlockNum
 	data  []byte
+	index atomic.Pointer[PageIndex] // nil until the page's user builds it
 	dirty bool
 	lsn   wal.LSN // page LSN: highest audit LSN applied to this page
 	pins  int
@@ -140,9 +151,23 @@ func (p *Page) Data() []byte { return p.data }
 // BlockNum returns the block this page caches.
 func (p *Page) BlockNum() disk.BlockNum { return p.bn }
 
+// Index returns the slot's sidecar, or nil when none has been built
+// since the slot's bytes last changed. A slot is born without one (a
+// load, or a reload after eviction, Discard or Crash, makes a new Page)
+// and MarkDirty drops it.
+func (p *Page) Index() *PageIndex { return p.index.Load() }
+
+// SetIndex publishes the sidecar. The caller must hold whatever guards
+// the page's bytes against writers (the B-tree's page latch); two
+// readers that each built one from the same bytes may both publish.
+func (p *Page) SetIndex(ix *PageIndex) { p.index.Store(ix) }
+
 // MarkDirty records a modification protected by the audit record at lsn.
-// The page cannot be written to disk until that audit is durable.
+// The page cannot be written to disk until that audit is durable. The
+// bytes changed, so the sidecar is dropped; a writer that kept it in
+// step with its change publishes it again afterwards.
 func (p *Page) MarkDirty(lsn wal.LSN) {
+	p.index.Store(nil)
 	p.sh.lock()
 	defer p.sh.mu.Unlock()
 	p.dirty = true

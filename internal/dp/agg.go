@@ -177,7 +177,9 @@ func (d *DP) probeBlock(req *fsdp.Request) *fsdp.Reply {
 			}
 			if keep {
 				matched = true
-				reply.Rows = append(reply.Rows, val)
+				// key and val are borrowed from the leaf's cache buffer
+				// (btree.ScanFunc); the reply outlives the scan.
+				reply.Rows = append(reply.Rows, append([]byte(nil), val...))
 				reply.RowKeys = append(reply.RowKeys, append([]byte(nil), key...))
 				batch.bytes += len(val)
 				d.stats.rowsReturned.Add(1)

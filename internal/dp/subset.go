@@ -254,9 +254,14 @@ var (
 )
 
 func visitGet(r *subsetRun, key, val []byte, row record.Row) (bool, error) {
-	out := val
+	var out []byte
 	if len(r.s.proj) > 0 {
 		out = record.Encode(record.Project(row, r.s.proj))
+	} else {
+		// No projection (RSBB always): the record ships whole. val is
+		// borrowed from the leaf's cache buffer (btree.ScanFunc) and the
+		// reply outlives the scan.
+		out = append([]byte(nil), val...)
 	}
 	r.reply.Rows = append(r.reply.Rows, out)
 	r.reply.RowKeys = append(r.reply.RowKeys, append([]byte(nil), key...))

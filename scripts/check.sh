@@ -10,6 +10,16 @@ go vet ./...
 # property. The full suite runs them again, but a regression in the
 # layers everything else talks through should fail alone, fast.
 go test -race -count=1 ./internal/msg ./internal/obs
+# B-tree pages are read where they lie in the cache: views pin a slot
+# for as long as the slices they hand out live, the offset table is
+# published on the slot without a lock, and leaf-local writes splice
+# bytes under readers' feet — the racy seams of PR 15. The two packages
+# alone under -race first; then the allocation ceilings (the race
+# detector allocates, so that test only counts without it) and ten
+# seconds of hostile bytes against the walk every page access rests on.
+go test -race -count=1 ./internal/btree ./internal/cache
+go test -count=1 -run TestAllocationCeilings ./internal/btree
+go test -run '^$' -fuzz FuzzPageView -fuzztime 10s ./internal/btree
 # The FS-DP conversation: one driver fans every set-oriented kind out
 # across partition goroutines (shared span accounting, the AGG^FIRST/NEXT
 # group map, PROBE^BLOCK partial re-sends, scanner channels) and one DP
@@ -53,3 +63,7 @@ go test -race -count=1 -run 'TestReplica|TestWireReplicationDifferential|TestFol
 go test -race -count=1 -run 'TestServerDrain' ./internal/msg/wire
 go test -race -count=1 -run 'TestExecuteDDLRace|TestKillConnMidWrite' .
 go test -race ./...
+# The wall-clock benchmark is its own module compiled against these
+# packages, so nothing above builds it: its smoke test is what notices a
+# change that breaks the API it drives.
+(cd benchmark && go test ./...)
