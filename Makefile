@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test bench experiments benchjson benchcmp
+.PHONY: check build vet test experiments
 
 check:
 	scripts/check.sh
@@ -19,20 +19,5 @@ vet:
 test:
 	$(GO) test ./...
 
-bench:
-	$(GO) test -bench=. -benchtime=1x -run=^$$ .
-
 experiments:
-	$(GO) run ./cmd/benchtab
-
-# Machine-readable benchmark report (BENCH_<tag>.json): counted
-# quantities plus the E13 TPS-vs-workers curve, for diffing revisions.
-benchjson:
-	scripts/bench.sh
-
-# Metric-by-metric diff of two benchjson reports:
-#   make benchcmp NEW=BENCH_pr4.json            # against the seed
-#   make benchcmp OLD=BENCH_a.json NEW=BENCH_b.json
-OLD ?= BENCH_seed.json
-benchcmp:
-	scripts/benchdiff.sh $(OLD) $(NEW)
+	$(GO) run ./cmd/experiments

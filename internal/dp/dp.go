@@ -151,7 +151,7 @@ type Stats struct {
 
 	// Group commit on this DP's audit port (zero when the DP has no
 	// audit) and the managed volume's I/O scheduler: the batch sizes
-	// benchdiff tracks across BENCH_ snapshots.
+	// E18 asserts and benchmark/ reports per operation.
 	WALFlushes         uint64
 	WALCommitsFlushed  uint64
 	WALCommitsPerFlush float64

@@ -12,6 +12,57 @@ import (
 	"nonstopsql/internal/keys"
 )
 
+// AblationPushdownSelectivity sweeps predicate selectivity and compares
+// DP-side filtering (VSBB) against requester-side filtering (RSBB) on
+// message bytes: the design choice DESIGN.md calls out. The gain shrinks
+// as selectivity approaches 100% — when everything qualifies, pushdown
+// saves projection bytes only.
+func AblationPushdownSelectivity(n int) (*Table, error) {
+	r, err := newRig(cluster.Options{}, 1)
+	if err != nil {
+		return nil, err
+	}
+	defer r.close()
+	def, err := loadEmp(r, n, 200, true)
+	if err != nil {
+		return nil, err
+	}
+	table := &Table{
+		ID:    "ABL-PUSHDOWN",
+		Title: "Ablation: message bytes vs predicate selectivity (DP-side vs requester-side filtering)",
+		Claim: "filtering at the source wins most when the predicate is very selective",
+		Cols: []Col{
+			label("selectivity"), counted("RSBB KB"), counted("VSBB KB"),
+			counted("byte reduction"),
+		},
+	}
+	for _, pct := range []int{1, 10, 25, 50, 100} {
+		cutoff := int64(n * pct / 100)
+		pred := expr.Bin(expr.OpLT, expr.F(0, "EMPNO"), expr.CInt(cutoff))
+		// Requester-side: all records cross; client filters.
+		r.c.Net.ResetStats()
+		if err := drain(r, def, fsSpecRSBB()); err != nil {
+			return nil, err
+		}
+		rsbbBytes := r.c.Net.Stats().Bytes()
+		// DP-side: note we deliberately do NOT let the planner turn the
+		// key predicate into a range — we want pure filtering cost, so
+		// the predicate goes down as a non-key residual on SALARY.
+		predSal := expr.Bin(expr.OpLT, expr.F(2, "SALARY"), expr.CFloat(float64(cutoff)))
+		_ = pred
+		r.c.Net.ResetStats()
+		if err := drain(r, def, fsSpecVSBB(predSal)); err != nil {
+			return nil, err
+		}
+		vsbbBytes := r.c.Net.Stats().Bytes()
+		red := float64(rsbbBytes) / float64(vsbbBytes)
+		table.Rows = append(table.Rows, []string{
+			fmt.Sprintf("%d%%", pct), u(rsbbBytes / 1024), u(vsbbBytes / 1024), f1(red) + "x",
+		})
+	}
+	return table, nil
+}
+
 // AblationSCB quantifies the Subset Control Block design choice: a
 // long scan is driven once with SCB semantics (predicate travels only
 // in GET^FIRST) and compared against the hypothetical protocol that
@@ -33,10 +84,13 @@ func AblationSCB(n int) (*Table, error) {
 			expr.Bin(expr.OpLT, expr.F(2, "SALARY"), expr.CFloat(1e12))))
 
 	table := &Table{
-		ID:      "ABL-SCB",
-		Title:   "Ablation: Subset Control Block vs re-sending predicate on every re-drive",
-		Claim:   "the predicate and projection were saved in the Subset Control Block created at GET^FIRST time",
-		Headers: []string{"rows/msg limit", "re-drives", "request KB with SCB", "request KB re-sending", "saving"},
+		ID:    "ABL-SCB",
+		Title: "Ablation: Subset Control Block vs re-sending predicate on every re-drive",
+		Claim: "the predicate and projection were saved in the Subset Control Block created at GET^FIRST time",
+		Cols: []Col{
+			label("rows/msg limit"), counted("re-drives"), counted("request KB with SCB"),
+			counted("request KB re-sending"), counted("saving"),
+		},
 	}
 	for _, limit := range []int{10, 50, 200} {
 		r.c.Net.ResetStats()
@@ -76,10 +130,13 @@ func AblationSCB(n int) (*Table, error) {
 // where a fixed timer taxes every lone commit with the full wait.
 func AblationGroupCommitTimer(txnsPerClient int) (*Table, error) {
 	table := &Table{
-		ID:      "ABL-GC-TIMER",
-		Title:   "Ablation: fixed vs adaptive group-commit timers [Helland]",
-		Claim:   "response times are minimized by dynamically adjusting the timers based on transaction rate",
-		Headers: []string{"clients", "timer", "commits/flush", "avg txn latency"},
+		ID:    "ABL-GC-TIMER",
+		Title: "Ablation: fixed vs adaptive group-commit timers [Helland]",
+		Claim: "response times are minimized by dynamically adjusting the timers based on transaction rate",
+		Cols: []Col{
+			label("clients"), label("timer"), observed("commits/flush"),
+			observed("avg txn latency"),
+		},
 	}
 	scale := debitcredit.Scale{Branches: 8, TellersPerBr: 10, AccountsPerBr: 100}
 	run := func(clients int, adaptive bool) error {
@@ -152,10 +209,13 @@ func AblationGroupCommitTimer(txnsPerClient int) (*Table, error) {
 // instant takeover (no log recovery).
 func AblationProcessPairs(txns int) (*Table, error) {
 	table := &Table{
-		ID:      "ABL-PAIRS",
-		Title:   "Ablation: process-pair checkpointing cost (availability vs message traffic)",
-		Claim:   "software redundancy provides fault-tolerant device-controlling process-pairs [Bartlett]",
-		Headers: []string{"configuration", "msgs/txn", "checkpoint msgs/txn", "takeover"},
+		ID:    "ABL-PAIRS",
+		Title: "Ablation: process-pair checkpointing cost (availability vs message traffic)",
+		Claim: "software redundancy provides fault-tolerant device-controlling process-pairs [Bartlett]",
+		Cols: []Col{
+			label("configuration"), counted("msgs/txn"), counted("checkpoint msgs/txn"),
+			label("takeover"),
+		},
 	}
 	scale := debitcredit.Scale{Branches: 5, TellersPerBr: 10, AccountsPerBr: 100}
 	run := func(pairs bool) error {

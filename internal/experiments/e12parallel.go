@@ -149,8 +149,9 @@ func E12(n int) ([]E12Result, *Table, error) {
 		ID:    "E12",
 		Title: "parallel partitioned scan (4 partitions on 4 CPUs, 50% selection via VSBB)",
 		Claim: "each partition has its own Disk Process on its own processor; driving them in parallel divides scan elapsed time without adding messages",
-		Headers: []string{
-			"DOP", "rows", "msgs", "KB", "modeled ms", "speedup", "overlap",
+		Cols: []Col{
+			label("DOP"), counted("rows"), counted("msgs"), counted("KB"), modeled("modeled ms"),
+			modeled("speedup"), observed("overlap"),
 		},
 	}
 	for _, r := range results {

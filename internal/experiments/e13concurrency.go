@@ -30,11 +30,6 @@ type E13Result struct {
 	Modeled     time.Duration
 	TPS         float64
 	Speedup     float64 // TPS / TPS(Workers=1)
-
-	// Buffer pool health during the run (see cache.Stats).
-	CacheHitRate    float64
-	CacheWALStalls  uint64
-	CacheShardWaits uint64
 }
 
 // E13 measures what per-page latching buys the Disk Process's process
@@ -129,10 +124,6 @@ func E13(txnsPerClient int) ([]E13Result, *Table, error) {
 			Checksum:    sum,
 			Modeled:     modeled,
 			TPS:         float64(txns) / modeled.Seconds(),
-
-			CacheHitRate:    st.CacheHitRate(),
-			CacheWALStalls:  st.CacheWALStalls,
-			CacheShardWaits: st.CacheShardWaits,
 		}
 		results = append(results, res)
 		r.close()
@@ -162,8 +153,10 @@ func E13(txnsPerClient int) ([]E13Result, *Table, error) {
 		ID:    "E13",
 		Title: "intra-DP concurrency: DebitCredit TPS vs Disk Process group size (1 volume, 8 clients)",
 		Claim: "the Disk Process is implemented as a process group so multiple requests can be served in parallel on one volume",
-		Headers: []string{
-			"workers", "clients", "txns", "eff. conc", "max in-flight", "latch waits", "modeled ms", "TPS", "speedup",
+		Cols: []Col{
+			label("workers"), label("clients"), counted("txns"), observed("eff. conc"),
+			observed("max in-flight"), observed("latch waits"), observed("modeled ms"),
+			observed("TPS"), observed("speedup"),
 		},
 	}
 	for _, res := range results {

@@ -83,8 +83,9 @@ func E14(txnsPerClient int) ([]E14Result, *Table, error) {
 		ID:    "E14",
 		Title: "recovery torture: crash at every write-path point, recover, check all invariants",
 		Claim: "through TMF integration, SQL transactions survive any single failure: committed work is durable, in-flight work vanishes",
-		Headers: []string{
-			"crash point", "skip", "hits", "committed", "confirmed", "losers", "invariants",
+		Cols: []Col{
+			label("crash point"), label("skip"), observed("hits"), observed("committed"),
+			observed("confirmed"), observed("losers"), counted("invariants"),
 		},
 	}
 	for _, res := range results {

@@ -47,6 +47,13 @@ type E15Shard struct {
 	ExpectedWaitsPerM float64
 }
 
+// E15Rows is E15's two result sets: the policy × phase cells of part A
+// and the shard sweep of part B.
+type E15Rows struct {
+	Policies []E15Result
+	Sweep    []E15Shard
+}
+
 // E15 measures what the access-class-aware buffer pool buys a mixed
 // workload. Part A: eight DebitCredit clients (one per branch, as in
 // E13) share one 64-slot Disk Process cache with Wisconsin full-table
@@ -64,7 +71,7 @@ type E15Shard struct {
 // keyed-class misses and data writes only — the scan's own Sequential
 // I/O is concurrent, overlappable work that must not be charged to the
 // transactions whose cache behavior is being measured.
-func E15(txnsPerClient int) ([]E15Result, []E15Shard, *Table, error) {
+func E15(txnsPerClient int) (*E15Rows, *Table, error) {
 	const (
 		clients  = 8
 		scanners = 4
@@ -81,17 +88,17 @@ func E15(txnsPerClient int) ([]E15Result, []E15Shard, *Table, error) {
 			Adaptive: true, CacheSlots: 64, CachePlainLRU: plain,
 		}, 1)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		bank := debitcredit.Defs([]string{"$DATA1"}, true)
 		if err := bank.Create(r.fs, scale); err != nil {
 			r.close()
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		wdef := wiscDef()
 		if err := r.fs.Create(wdef); err != nil {
 			r.close()
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		d := r.c.DP("$DATA1")
 		perm := wisconsin.Perm(wiscRows, 8191)
@@ -101,7 +108,7 @@ func E15(txnsPerClient int) ([]E15Result, []E15Shard, *Table, error) {
 		}
 		if err := d.BulkLoad("WISC", rows); err != nil {
 			r.close()
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 
 		// Warm the bank's working set back in: the bulk load just pushed
@@ -110,7 +117,7 @@ func E15(txnsPerClient int) ([]E15Result, []E15Shard, *Table, error) {
 		// the same steady state for both policies.
 		if err := runDC(r, bank, scale, clients, txnsPerClient, 500); err != nil {
 			r.close()
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		d.Pool().DrainWriter()
 
@@ -120,7 +127,7 @@ func E15(txnsPerClient int) ([]E15Result, []E15Shard, *Table, error) {
 		d.ResetStats()
 		if err := runDC(r, bank, scale, clients, txnsPerClient, 1000); err != nil {
 			r.close()
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		d.Pool().DrainWriter()
 		eff0, _ := d.Concurrency()
@@ -148,7 +155,7 @@ func E15(txnsPerClient int) ([]E15Result, []E15Shard, *Table, error) {
 		d.ResetStats()
 		if err := fullScan(r.fs, wdef); err != nil {
 			r.close()
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		stop := make(chan struct{})
 		scanErrs := make(chan error, scanners)
@@ -189,7 +196,7 @@ func E15(txnsPerClient int) ([]E15Result, []E15Shard, *Table, error) {
 		}
 		if runErr != nil {
 			r.close()
-			return nil, nil, nil, runErr
+			return nil, nil, runErr
 		}
 		d.Pool().DrainWriter()
 		st = d.Stats()
@@ -222,17 +229,17 @@ func E15(txnsPerClient int) ([]E15Result, []E15Shard, *Table, error) {
 	// not (the ablation control).
 	srBase, srMixed, plMixed := results[0], results[1], results[3]
 	if srMixed.RelTPS < 0.9 {
-		return nil, nil, nil, fmt.Errorf("E15: scan-resistant mixed TPS fell to %.2fx of baseline, want >= 0.9x", srMixed.RelTPS)
+		return nil, nil, fmt.Errorf("E15: scan-resistant mixed TPS fell to %.2fx of baseline, want >= 0.9x", srMixed.RelTPS)
 	}
 	if srMixed.KeyedHitRate < 0.9*srBase.KeyedHitRate {
-		return nil, nil, nil, fmt.Errorf("E15: scan-resistant keyed hit rate fell %.3f -> %.3f under scans, want >= 90%% held",
+		return nil, nil, fmt.Errorf("E15: scan-resistant keyed hit rate fell %.3f -> %.3f under scans, want >= 90%% held",
 			srBase.KeyedHitRate, srMixed.KeyedHitRate)
 	}
 	if plMixed.RelTPS >= 0.9 {
-		return nil, nil, nil, fmt.Errorf("E15: plain LRU mixed TPS %.2fx of baseline — the flood did not degrade the control", plMixed.RelTPS)
+		return nil, nil, fmt.Errorf("E15: plain LRU mixed TPS %.2fx of baseline — the flood did not degrade the control", plMixed.RelTPS)
 	}
 	if plMixed.KeyedHitRate >= srMixed.KeyedHitRate {
-		return nil, nil, nil, fmt.Errorf("E15: plain LRU keyed hit rate %.3f not below scan-resistant %.3f under scans",
+		return nil, nil, fmt.Errorf("E15: plain LRU keyed hit rate %.3f not below scan-resistant %.3f under scans",
 			plMixed.KeyedHitRate, srMixed.KeyedHitRate)
 	}
 
@@ -252,17 +259,17 @@ func E15(txnsPerClient int) ([]E15Result, []E15Shard, *Table, error) {
 			Adaptive: true, CacheSlots: 2048, CacheShards: shards,
 		}, 1)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		bank := debitcredit.Defs([]string{"$DATA1"}, true)
 		if err := bank.Create(r.fs, scale); err != nil {
 			r.close()
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		wdef := wiscDef()
 		if err := r.fs.Create(wdef); err != nil {
 			r.close()
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		d := r.c.DP("$DATA1")
 		perm := wisconsin.Perm(wiscRows, 8191)
@@ -272,7 +279,7 @@ func E15(txnsPerClient int) ([]E15Result, []E15Shard, *Table, error) {
 		}
 		if err := d.BulkLoad("WISC", rows); err != nil {
 			r.close()
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		d.ResetStats()
 		stop := make(chan struct{})
@@ -308,7 +315,7 @@ func E15(txnsPerClient int) ([]E15Result, []E15Shard, *Table, error) {
 		}
 		if runErr != nil {
 			r.close()
-			return nil, nil, nil, runErr
+			return nil, nil, runErr
 		}
 		counts := d.Pool().ShardAcquireList()
 		var total, sumsq float64
@@ -327,10 +334,10 @@ func E15(txnsPerClient int) ([]E15Result, []E15Shard, *Table, error) {
 	}
 	first, last := sweep[0], sweep[len(sweep)-1]
 	if first.ExpectedWaitsPerM == 0 || first.Acquires == 0 {
-		return nil, nil, nil, fmt.Errorf("E15: shard sweep measured no mutex acquisitions — nothing to show")
+		return nil, nil, fmt.Errorf("E15: shard sweep measured no mutex acquisitions — nothing to show")
 	}
 	if last.ExpectedWaitsPerM >= first.ExpectedWaitsPerM/4 {
-		return nil, nil, nil, fmt.Errorf("E15: expected shard waits did not fall at least 4x from 1 shard (%.0f/M) to 16 shards (%.0f/M)",
+		return nil, nil, fmt.Errorf("E15: expected shard waits did not fall at least 4x from 1 shard (%.0f/M) to 16 shards (%.0f/M)",
 			first.ExpectedWaitsPerM, last.ExpectedWaitsPerM)
 	}
 
@@ -338,8 +345,10 @@ func E15(txnsPerClient int) ([]E15Result, []E15Shard, *Table, error) {
 		ID:    "E15",
 		Title: "scan-resistant sharded buffer pool: DebitCredit under concurrent Wisconsin scans (64 slots, 1 volume)",
 		Claim: "the Disk Process cache serves keyed transactions and sequential scans together; sequential floods must not evict the transaction working set",
-		Headers: []string{
-			"policy", "phase", "txns", "scans", "keyed hit", "keyed misses", "WAL stalls", "TPS", "vs base",
+		Cols: []Col{
+			label("policy"), label("phase"), counted("txns"), observed("scans"),
+			observed("keyed hit"), observed("keyed misses"), observed("WAL stalls"),
+			observed("TPS"), observed("vs base"),
 		},
 	}
 	for _, res := range results {
@@ -363,7 +372,7 @@ func E15(txnsPerClient int) ([]E15Result, []E15Shard, *Table, error) {
 		"keyed hit rate counts only Keyed-class accesses, so the scans' Sequential traffic cannot dilute it",
 		sweepNote,
 	)
-	return results, sweep, table, nil
+	return &E15Rows{Policies: results, Sweep: sweep}, table, nil
 }
 
 // wiscDef builds the Wisconsin relation as a direct FileDef (the SQL

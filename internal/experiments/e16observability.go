@@ -21,7 +21,7 @@ type E16Result struct {
 	Examined      uint64 // records visited at the Disk Processes
 	CacheHitRate  float64
 	P50, P95, P99 time.Duration
-	Lat           obs.Snapshot // full histogram, exported by benchjson
+	Lat           obs.Snapshot // the full histogram behind the three percentiles
 }
 
 // E16 exercises the observability layer end to end: a partitioned
@@ -62,8 +62,10 @@ func E16(n int) ([]E16Result, *Table, error) {
 		ID:    "E16",
 		Title: "EXPLAIN ANALYZE actuals per Wisconsin query: FS-DP messages and latency distribution",
 		Claim: "the observability layer attributes messages, re-drives, DP-side work, and p50/p95/p99 latency to each plan node, reconciling with the global counters",
-		Headers: []string{
-			"query", "rows", "messages", "re-drives", "examined", "cache hit", "p50", "p95", "p99",
+		Cols: []Col{
+			label("query"), counted("rows"), counted("messages"), counted("re-drives"),
+			counted("examined"), counted("cache hit"), observed("p50"), observed("p95"),
+			observed("p99"),
 		},
 	}
 	var results []E16Result

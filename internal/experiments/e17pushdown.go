@@ -25,13 +25,16 @@ type E17Result struct {
 }
 
 // E17Node is one EXPLAIN ANALYZE plan node of the pushed-down GROUP BY
-// query — the per-node message/byte accounting benchdiff diffs across
-// revisions.
+// query, with the messages the plan attributes to it.
 type E17Node struct {
 	Node     string
 	Messages uint64
-	Bytes    uint64
-	Rows     uint64
+}
+
+// E17Rows is E17's two result sets.
+type E17Rows struct {
+	Cases []E17Result
+	Nodes []E17Node
 }
 
 // E17 measures near-data pushdown on a partitioned Wisconsin relation:
@@ -42,13 +45,13 @@ type E17Node struct {
 // shape runs on both paths and must return byte-identical results; the
 // GROUP BY case also reconciles EXPLAIN ANALYZE's per-node actuals
 // against the global network counters.
-func E17(n int) ([]E17Result, []E17Node, *Table, error) {
+func E17(n int) (*E17Rows, *Table, error) {
 	// MaxReplyBytes must fit one full probe block of ~200-byte Wisconsin
 	// rows (32 x 200 > the 4K default), or every block splits into two
 	// replies and the conversation arithmetic below goes ragged.
 	r, err := newRig(cluster.Options{ScanParallel: 3, MaxReplyBytes: 8192}, 3)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	defer r.close()
 	cat := sql.NewCatalog([]string{"$DATA1", "$DATA2", "$DATA3"})
@@ -56,10 +59,10 @@ func E17(n int) ([]E17Result, []E17Node, *Table, error) {
 	part := fmt.Sprintf(`PARTITION ON ("$DATA1", "$DATA2" FROM %d, "$DATA3" FROM %d)`,
 		n/3, 2*n/3)
 	if err := wisconsin.Load(sess, "WISC", n, part); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if _, err := sess.Exec("CREATE INDEX wisc_u1 ON WISC (unique1)"); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 
 	// Outer relations for the join shapes. PROBES carries sequential
@@ -71,26 +74,26 @@ func E17(n int) ([]E17Result, []E17Node, *Table, error) {
 		nPK = n / 2
 	}
 	if _, err := sess.Exec("CREATE TABLE PROBES (id INTEGER PRIMARY KEY, u2 INTEGER)"); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if _, err := sess.Exec("CREATE TABLE JPROBE (id INTEGER PRIMARY KEY, v INTEGER)"); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if _, err := sess.Exec("BEGIN WORK"); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	for i := 0; i < nPK; i++ {
 		if _, err := sess.Exec(fmt.Sprintf("INSERT INTO PROBES VALUES (%d, %d)", i, i)); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 	}
 	for i := 0; i < 200 && i < n; i++ {
 		if _, err := sess.Exec(fmt.Sprintf("INSERT INTO JPROBE VALUES (%d, %d)", i, i*5%n)); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 	}
 	if _, err := sess.Exec("COMMIT WORK"); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 
 	// MIN(stringu1) keeps a CHAR(52) column in play: the row path moves
@@ -100,6 +103,12 @@ func E17(n int) ([]E17Result, []E17Node, *Table, error) {
 		name     string
 		stmt     string
 		minRatio float64 // floor on both message and byte reduction (0 = informational)
+		// sequential drives the case partition by partition. A parallel
+		// scan opens all three partitions at once and the first one's ten
+		// rows end the statement, so whether the other two conversations
+		// were already sent is a race between scanner start and consumer
+		// close (3 messages idle, 2 under load): not a counted quantity.
+		sequential bool
 	}{
 		{
 			name:     "groupby-agg",
@@ -107,9 +116,9 @@ func E17(n int) ([]E17Result, []E17Node, *Table, error) {
 			minRatio: 5,
 		},
 		{
-			name:     "topn-key-order",
-			stmt:     "SELECT unique2, unique1 FROM WISC ORDER BY unique2 LIMIT 10",
-			minRatio: 0,
+			name:       "topn-key-order",
+			stmt:       "SELECT unique2, unique1 FROM WISC ORDER BY unique2 LIMIT 10",
+			sequential: true,
 		},
 		{
 			name:     "join-pk-probe",
@@ -127,9 +136,10 @@ func E17(n int) ([]E17Result, []E17Node, *Table, error) {
 		ID:    "E17",
 		Title: "Near-data pushdown: messages and bytes, row-at-a-time vs DP-side execution",
 		Claim: "evaluating aggregates, row budgets, and join probes at the Disk Processes cuts message and byte traffic by the data volume that no longer crosses the FS-DP interface",
-		Headers: []string{
-			"query", "rows", "row-path msgs", "pushdown msgs", "msg reduction",
-			"row-path KB", "pushdown KB", "byte reduction",
+		Cols: []Col{
+			label("query"), counted("rows"), counted("row-path msgs"), counted("pushdown msgs"),
+			counted("msg reduction"), counted("row-path KB"), counted("pushdown KB"),
+			counted("byte reduction"),
 		},
 	}
 	var results []E17Result
@@ -145,16 +155,20 @@ func E17(n int) ([]E17Result, []E17Node, *Table, error) {
 		return res, st.Requests, st.Bytes(), nil
 	}
 	for _, cse := range cases {
+		if cse.sequential {
+			r.fs.SetScanParallel(0)
+		}
 		rowRes, rowMsgs, rowBytes, err := measure(cse.stmt, false)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("E17 %s row path: %w", cse.name, err)
+			return nil, nil, fmt.Errorf("E17 %s row path: %w", cse.name, err)
 		}
 		pushRes, pushMsgs, pushBytes, err := measure(cse.stmt, true)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("E17 %s pushdown: %w", cse.name, err)
+			return nil, nil, fmt.Errorf("E17 %s pushdown: %w", cse.name, err)
 		}
+		r.fs.SetScanParallel(3)
 		if got, want := sql.FormatResult(pushRes), sql.FormatResult(rowRes); got != want {
-			return nil, nil, nil, fmt.Errorf("E17 %s: paths disagree\npushdown:\n%s\nrow path:\n%s", cse.name, got, want)
+			return nil, nil, fmt.Errorf("E17 %s: paths disagree\npushdown:\n%s\nrow path:\n%s", cse.name, got, want)
 		}
 		res := E17Result{
 			Case: cse.name, Rows: len(pushRes.Rows),
@@ -164,7 +178,7 @@ func E17(n int) ([]E17Result, []E17Node, *Table, error) {
 			ByteRatio: float64(rowBytes) / float64(pushBytes),
 		}
 		if cse.minRatio > 0 && (res.MsgRatio < cse.minRatio || res.ByteRatio < cse.minRatio) {
-			return nil, nil, nil, fmt.Errorf("E17 %s: reduction %.1fx msgs / %.1fx bytes, want ≥%.0fx both",
+			return nil, nil, fmt.Errorf("E17 %s: reduction %.1fx msgs / %.1fx bytes, want ≥%.0fx both",
 				cse.name, res.MsgRatio, res.ByteRatio, cse.minRatio)
 		}
 		results = append(results, res)
@@ -181,7 +195,7 @@ func E17(n int) ([]E17Result, []E17Node, *Table, error) {
 	r.c.Net.ResetStats()
 	a, err := sess.ExplainAnalyzeStmt(cases[0].stmt)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("E17 analyze: %w", err)
+		return nil, nil, fmt.Errorf("E17 analyze: %w", err)
 	}
 	delta := r.c.Net.Stats().Requests
 	var nodeMsgs uint64
@@ -193,17 +207,14 @@ func E17(n int) ([]E17Result, []E17Node, *Table, error) {
 		}
 	}
 	if !aggNode {
-		return nil, nil, nil, fmt.Errorf("E17 analyze: no AGG^FIRST/NEXT node in plan:\n%s", a.Plan)
+		return nil, nil, fmt.Errorf("E17 analyze: no AGG^FIRST/NEXT node in plan:\n%s", a.Plan)
 	}
 	if nodeMsgs != delta {
-		return nil, nil, nil, fmt.Errorf("E17 analyze: node messages %d != network request delta %d", nodeMsgs, delta)
+		return nil, nil, fmt.Errorf("E17 analyze: node messages %d != network request delta %d", nodeMsgs, delta)
 	}
 	var nodes []E17Node
 	for _, node := range a.Nodes {
-		nodes = append(nodes, E17Node{
-			Node: node.Label, Messages: node.Messages,
-			Bytes: node.Bytes, Rows: node.RowsReturned,
-		})
+		nodes = append(nodes, E17Node{Node: node.Label, Messages: node.Messages})
 	}
 
 	// Probe-conversation arithmetic: the batched PK join must cut inner
@@ -231,16 +242,16 @@ func E17(n int) ([]E17Result, []E17Node, *Table, error) {
 	} {
 		batched, err := probeMsgs(jc.stmt, "(PROBE^BLOCK)")
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("E17 %s: %w", jc.name, err)
+			return nil, nil, fmt.Errorf("E17 %s: %w", jc.name, err)
 		}
 		sess.SetPushdown(false)
 		perRow, err := probeMsgs(jc.stmt, "one conversation per outer row")
 		sess.SetPushdown(true)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("E17 %s: %w", jc.name, err)
+			return nil, nil, fmt.Errorf("E17 %s: %w", jc.name, err)
 		}
 		if batched*jc.factor > perRow {
-			return nil, nil, nil, fmt.Errorf("E17 %s: %d probe conversations batched vs %d per-row, want ≥%dx reduction",
+			return nil, nil, fmt.Errorf("E17 %s: %d probe conversations batched vs %d per-row, want ≥%dx reduction",
 				jc.name, batched, perRow, jc.factor)
 		}
 	}
@@ -251,5 +262,5 @@ func E17(n int) ([]E17Result, []E17Node, *Table, error) {
 		"both paths return byte-identical results for every case (checked each run); the GROUP BY node's actuals reconcile against msg.Network.Stats()",
 		"MIN over a CHAR(52) column is the row path's burden: every candidate row crosses the interface, while the aggregation subset ships one partial state per group per message",
 	)
-	return results, nodes, table, nil
+	return &E17Rows{Cases: results, Nodes: nodes}, table, nil
 }

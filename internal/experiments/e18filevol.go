@@ -53,50 +53,47 @@ type E18Result struct {
 }
 
 // E18 runs DebitCredit on file-backed volumes in both write modes and
-// returns one row per mode. The batched-async mode must win on TPS —
-// it strictly removes fsyncs and write calls from the same workload.
-// This is the repo's one wall-clock experiment, so it gets wall-clock
-// hygiene: under a loaded host (the full test suite runs packages in
-// parallel) a single measurement is noisy, and the pair is retried up
-// to three times before the TPS claim is declared broken. The
-// structural claims — identical balances, fewer physical fsyncs — are
-// load-independent and must hold on every attempt.
+// returns one row per mode. What it asserts is the mechanism, which is
+// load- and host-independent: identical balances, more than one block
+// per physical write, more than one commit per audit fsync, fewer
+// physical fsyncs than the synchronous leg. Which leg finishes first
+// depends on what an fsync costs on this host (where it is cheap, the
+// leg that never waits out a group-commit timer wins), so elapsed and
+// TPS are printed as Observed figures and claimed nowhere:
+// benchmark/'s txn-file workload is the wall-clock measurement.
 func E18(txnsPerClient int) ([]E18Result, *Table, error) {
 	const clients = 8
-	const attempts = 3
 	scale := debitcredit.Scale{Branches: clients, TellersPerBr: 10, AccountsPerBr: 100}
 	var results []E18Result
-	for attempt := 1; ; attempt++ {
-		results = results[:0]
-		for _, syncPerWrite := range []bool{true, false} {
-			res, err := e18Run(syncPerWrite, scale, clients, txnsPerClient)
-			if err != nil {
-				return nil, nil, err
-			}
-			results = append(results, *res)
+	for _, syncPerWrite := range []bool{true, false} {
+		res, err := e18Run(syncPerWrite, scale, clients, txnsPerClient)
+		if err != nil {
+			return nil, nil, err
 		}
-		syncRes, batched := results[0], results[1]
-		if batched.Checksum != syncRes.Checksum {
-			return nil, nil, fmt.Errorf("E18: final balances diverge across modes: %x vs %x", syncRes.Checksum, batched.Checksum)
-		}
-		if batched.Fsyncs >= syncRes.Fsyncs {
-			return nil, nil, fmt.Errorf("E18: batched-async did not reduce physical fsyncs: %d vs %d", batched.Fsyncs, syncRes.Fsyncs)
-		}
-		if batched.TPS > syncRes.TPS {
-			break
-		}
-		if attempt == attempts {
-			return nil, nil, fmt.Errorf("E18: batched-async TPS %.0f did not beat sync-per-write TPS %.0f in %d attempts", batched.TPS, syncRes.TPS, attempts)
-		}
+		results = append(results, *res)
 	}
 	syncRes, batched := results[0], results[1]
+	if batched.Checksum != syncRes.Checksum {
+		return nil, nil, fmt.Errorf("E18: final balances diverge across modes: %x vs %x", syncRes.Checksum, batched.Checksum)
+	}
+	if batched.BlocksPerWrite <= 1 {
+		return nil, nil, fmt.Errorf("E18: batched-async coalesced nothing: %.2f blocks/write", batched.BlocksPerWrite)
+	}
+	if batched.CommitsPerFsync <= 1 {
+		return nil, nil, fmt.Errorf("E18: batched-async shared no audit fsync: %.2f commits/fsync", batched.CommitsPerFsync)
+	}
+	if batched.Fsyncs >= syncRes.Fsyncs {
+		return nil, nil, fmt.Errorf("E18: batched-async did not reduce physical fsyncs: %d vs %d", batched.Fsyncs, syncRes.Fsyncs)
+	}
 
 	table := &Table{
 		ID:    "E18",
 		Title: "file-backed volumes: sync-per-write vs the asynchronous batched I/O scheduler (wall clock)",
 		Claim: "async submission with write coalescing and batched fsyncs is what turns write-behind and group commit into real throughput",
-		Headers: []string{
-			"mode", "txns", "elapsed", "TPS", "blocks/write", "commits/flush", "commits/fsync", "fsyncs", "absorbed", "queue peak",
+		Cols: []Col{
+			label("mode"), label("txns"), observed("elapsed"), observed("TPS"),
+			observed("blocks/write"), observed("commits/flush"), observed("commits/fsync"),
+			observed("fsyncs"), observed("absorbed"), observed("queue peak"),
 		},
 	}
 	for _, r := range results {
@@ -106,7 +103,7 @@ func E18(txnsPerClient int) ([]E18Result, *Table, error) {
 		})
 	}
 	table.Notes = append(table.Notes,
-		fmt.Sprintf("speedup %.1fx; wall-clock time on real files — no cost model", batched.TPS/syncRes.TPS),
+		fmt.Sprintf("batched-async ran at %.1fx the sync-per-write TPS here: an Observed figure that follows the host's fsync cost, not a claim", batched.TPS/syncRes.TPS),
 		"blocks/write counts physical pwrites; commits/fsync divides durable commit records by physical audit fsyncs",
 		"identical final balance checksum in both modes: the scheduler reorders I/O, never effects",
 	)
@@ -193,7 +190,7 @@ func e18Run(syncPerWrite bool, scale debitcredit.Scale, clients, txnsPerClient i
 	total.Add(auditStats)
 	ws := r.c.Nodes[0].Trail.Stats()
 	// Group-commit size rides the dp.Stats export path — the same one
-	// cmd/benchjson and EXPLAIN ANALYZE consumers see.
+	// EXPLAIN ANALYZE consumers see.
 	dpStats := r.c.DP("$DATA1").Stats()
 	sum, err := bankChecksum(r.fs, bank)
 	if err != nil {

@@ -150,11 +150,11 @@ func E19(requestsPerClient int) (*E19Result, *Table, error) {
 		ID:    "E19",
 		Title: "TCP serving path: concurrent pooled clients against one served cluster (wall clock)",
 		Claim: "the wire transport preserves the message contract — request/reply reconciliation, exactly-once effects — while feeding the network latency bucket with measured round trips",
-		Headers: []string{
-			"clients", "requests", "elapsed", "TPS",
-			"rtt p50", "rtt p95", "rtt p99",
-			"dispatch p50", "dispatch p95", "dispatch p99",
-			"frames", "wire KB",
+		Cols: []Col{
+			label("clients"), label("requests"), observed("elapsed"), observed("TPS"),
+			observed("rtt p50"), observed("rtt p95"), observed("rtt p99"),
+			observed("dispatch p50"), observed("dispatch p95"), observed("dispatch p99"),
+			observed("frames"), observed("wire KB"),
 		},
 		Rows: [][]string{{
 			d(r.Clients), d(r.Requests), r.Elapsed.Round(time.Millisecond).String(), f1(r.TPS),

@@ -29,10 +29,13 @@ func E1(n int) ([]E1Result, *Table, error) {
 	sizes := []int{100, 400, 1300}
 	var results []E1Result
 	table := &Table{
-		ID:      "E1",
-		Title:   "Sequential read message traffic: record-at-a-time vs RSBB",
-		Claim:   "RSBB gives a factor of three over the record-at-a-time interface (at the 4 KB block's blocking factor)",
-		Headers: []string{"record bytes", "rows", "record-at-a-time msgs", "RSBB msgs", "blocking factor", "msg reduction"},
+		ID:    "E1",
+		Title: "Sequential read message traffic: record-at-a-time vs RSBB",
+		Claim: "RSBB gives a factor of three over the record-at-a-time interface (at the 4 KB block's blocking factor)",
+		Cols: []Col{
+			label("record bytes"), label("rows"), counted("record-at-a-time msgs"),
+			counted("RSBB msgs"), counted("blocking factor"), counted("msg reduction"),
+		},
 	}
 	for _, size := range sizes {
 		r, err := newRig(cluster.Options{}, 1)
@@ -115,10 +118,13 @@ func E2(n int) ([]E2Result, *Table, error) {
 
 	var results []E2Result
 	table := &Table{
-		ID:      "E2",
-		Title:   "Wisconsin queries: RSBB (client-side filter) vs VSBB (DP-side selection+projection)",
-		Claim:   "VSBB gives an additional factor of three over RSBB on many of the Wisconsin benchmark queries",
-		Headers: []string{"query", "selectivity", "RSBB msgs", "VSBB msgs", "RSBB KB", "VSBB KB", "msg reduction"},
+		ID:    "E2",
+		Title: "Wisconsin queries: RSBB (client-side filter) vs VSBB (DP-side selection+projection)",
+		Claim: "VSBB gives an additional factor of three over RSBB on many of the Wisconsin benchmark queries",
+		Cols: []Col{
+			label("query"), label("selectivity"), counted("RSBB msgs"), counted("VSBB msgs"),
+			counted("RSBB KB"), counted("VSBB KB"), counted("msg reduction"),
+		},
 	}
 	for _, q := range wisconsin.Queries("WISC", n) {
 		// RSBB baseline: whole records cross the interface; the
@@ -171,11 +177,9 @@ func E2(n int) ([]E2Result, *Table, error) {
 type E10Result struct {
 	RowLimit   int
 	Messages   uint64
-	MaxPerMsg  int
 	TotalRows  int
-	PredResent bool // always false: the Subset Control Block holds it
-	ReqBytesGF int  // GET^FIRST request size (carries predicate)
-	ReqBytesGN int  // GET^NEXT request size (SCB reference only)
+	ReqBytesGF int // GET^FIRST request size (carries predicate)
+	ReqBytesGN int // GET^NEXT request size (SCB reference only)
 }
 
 // E10 exercises the continuation re-drive protocol: a set request never
@@ -203,10 +207,13 @@ func E10(n int) ([]E10Result, *Table, error) {
 			expr.Bin(expr.OpLT, expr.F(2, "SALARY"), expr.CFloat(1e12))))
 	var results []E10Result
 	table := &Table{
-		ID:      "E10",
-		Title:   "Continuation re-drive protocol: bounded work per message",
-		Claim:   "limits on time spent per request message trigger re-drives; predicate/projection travel once (Subset Control Block)",
-		Headers: []string{"rows/msg limit", "messages", "rows", "GET^FIRST bytes", "GET^NEXT bytes"},
+		ID:    "E10",
+		Title: "Continuation re-drive protocol: bounded work per message",
+		Claim: "limits on time spent per request message trigger re-drives; predicate/projection travel once (Subset Control Block)",
+		Cols: []Col{
+			label("rows/msg limit"), counted("messages"), counted("rows"),
+			counted("GET^FIRST bytes"), counted("GET^NEXT bytes"),
+		},
 	}
 	for _, limit := range []int{10, 100, 1000} {
 		r.c.Net.ResetStats()

@@ -42,15 +42,8 @@ type E20Phase struct {
 }
 
 type E20Result struct {
-	Clients   int
-	PerClient int         // DebitCredit transactions per client per phase
-	DC        [2]E20Phase // ad-hoc, prepared
-	PQ        [2]E20Phase // ad-hoc, prepared
-}
-
-// Phases returns the four phases in table order.
-func (r *E20Result) Phases() []E20Phase {
-	return []E20Phase{r.DC[0], r.DC[1], r.PQ[0], r.PQ[1]}
+	DC [2]E20Phase // ad-hoc, prepared
+	PQ [2]E20Phase // ad-hoc, prepared
 }
 
 // dcStmtsPerTxn: three balance updates plus one history insert — the
@@ -98,7 +91,7 @@ func E20(txnsPerClient int) (*E20Result, *Table, error) {
 		}
 	}
 
-	r := &E20Result{Clients: clients, PerClient: txnsPerClient}
+	r := &E20Result{}
 	for i, prepared := range []bool{false, true} {
 		p, err := e20Phase(db, "debitcredit", prepared, clients, txnsPerClient, i*clients*txnsPerClient)
 		if err != nil {
@@ -159,9 +152,10 @@ func E20(txnsPerClient int) (*E20Result, *Table, error) {
 		ID:    "E20",
 		Title: "Compiled statements over TCP: ad-hoc text vs prepared EXECUTE (DebitCredit writes + point-query reads, wall clock)",
 		Claim: "preparing once and executing by handle skips parse/bind/plan and shrinks request frames — more statements per second, lower point-query latency, ≥99% plan-cache hits at steady state",
-		Headers: []string{
-			"workload", "mode", "stmts", "stmts/s",
-			"p50", "p95", "req B/frame", "cache hit", "misses",
+		Cols: []Col{
+			label("workload"), label("mode"), label("stmts"), observed("stmts/s"),
+			observed("p50"), observed("p95"), observed("req B/frame"), observed("cache hit"),
+			observed("misses"),
 		},
 		Rows: [][]string{row(r.DC[0]), row(r.DC[1]), row(r.PQ[0]), row(r.PQ[1])},
 		Notes: []string{

@@ -86,9 +86,10 @@ func E21(txnsPerClient int) (*E21Result, *Table, error) {
 		ID:    "E21",
 		Title: "replicated partition takeover under DebitCredit load: kill the primary, promote the backup, lose nothing",
 		Claim: "a partition group survives its primary's death: committed work is on the backup before the client hears 'committed', so takeover loses zero transactions and browse reads never stop",
-		Headers: []string{
-			"clients", "txns", "retries", "detect", "takeover", "stall",
-			"follower reads (window/total)", "shipped recs", "shipped KB", "p50", "p99",
+		Cols: []Col{
+			label("clients"), label("txns"), observed("retries"), observed("detect"),
+			observed("takeover"), observed("stall"), observed("follower reads (window/total)"),
+			observed("shipped recs"), observed("shipped KB"), observed("p50"), observed("p99"),
 		},
 		Rows: [][]string{{
 			d(res.Clients), d(res.Committed), d(res.Retries),

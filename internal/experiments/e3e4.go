@@ -29,10 +29,12 @@ type E3Result struct {
 //	subset pushdown  — one UPDATE^SUBSET^FIRST/NEXT conversation total
 func E3(n int) ([]E3Result, *Table, error) {
 	table := &Table{
-		ID:      "E3",
-		Title:   "Update message traffic: requester read-modify-write vs DP-side update expression",
-		Claim:   "subcontracting the expression evaluation and update to the disk process avoids returning the record to the File System invoker",
-		Headers: []string{"strategy", "records", "messages", "msgs/record"},
+		ID:    "E3",
+		Title: "Update message traffic: requester read-modify-write vs DP-side update expression",
+		Claim: "subcontracting the expression evaluation and update to the disk process avoids returning the record to the File System invoker",
+		Cols: []Col{
+			label("strategy"), label("records"), counted("messages"), counted("msgs/record"),
+		},
 	}
 	var results []E3Result
 	run := func(name string, fn func(r *rig, defName string) error) error {
@@ -109,13 +111,12 @@ func E3(n int) ([]E3Result, *Table, error) {
 
 // E4Result compares audit formats.
 type E4Result struct {
-	Format        string
-	Updates       int
-	AuditBytes    uint64
-	BytesPerUpd   float64
-	AuditSends    uint64
-	LogFlushes    uint64
-	CompressRatio float64
+	Format      string
+	Updates     int
+	AuditBytes  uint64
+	BytesPerUpd float64
+	AuditSends  uint64
+	LogFlushes  uint64
 }
 
 // E4 reproduces the field-compressed audit claim: the same one-field
@@ -125,10 +126,13 @@ type E4Result struct {
 // writes.
 func E4(n int) ([]E4Result, *Table, error) {
 	table := &Table{
-		ID:      "E4",
-		Title:   "Audit record size: field-compressed (SQL) vs full-record images (ENSCRIBE)",
-		Claim:   "field-compressed audit records are generally reduced in size; the audit buffer fills up less frequently",
-		Headers: []string{"audit format", "updates", "audit KB", "bytes/update", "audit sends", "log flushes"},
+		ID:    "E4",
+		Title: "Audit record size: field-compressed (SQL) vs full-record images (ENSCRIBE)",
+		Claim: "field-compressed audit records are generally reduced in size; the audit buffer fills up less frequently",
+		Cols: []Col{
+			label("audit format"), label("updates"), counted("audit KB"),
+			counted("bytes/update"), counted("audit sends"), counted("log flushes"),
+		},
 	}
 	var results []E4Result
 	run := func(name string, fieldAudit bool) error {
@@ -177,7 +181,6 @@ func E4(n int) ([]E4Result, *Table, error) {
 	}
 	if len(results) == 2 && results[1].AuditBytes > 0 {
 		ratio := float64(results[0].AuditBytes) / float64(results[1].AuditBytes)
-		results[1].CompressRatio = ratio
 		table.Notes = append(table.Notes, fmt.Sprintf("compression ratio: %.1fx (record ≈400 B, updated field 8 B)", ratio))
 	}
 	return results, table, nil

@@ -27,10 +27,10 @@ type E8Result struct {
 // factor, with the target key range locked by prior agreement.
 func E8(n int, factors []int) ([]E8Result, *Table, error) {
 	table := &Table{
-		ID:      "E8",
-		Title:   "Sequential insert message traffic: per-record vs blocked interface (future enhancement)",
-		Claim:   "message traffic between the File System and the Disk Process could be reduced by the blocking factor",
-		Headers: []string{"strategy", "rows", "messages", "msgs/row"},
+		ID:    "E8",
+		Title: "Sequential insert message traffic: per-record vs blocked interface (future enhancement)",
+		Claim: "message traffic between the File System and the Disk Process could be reduced by the blocking factor",
+		Cols:  []Col{label("strategy"), label("rows"), counted("messages"), counted("msgs/row")},
 	}
 	var results []E8Result
 	row := func(name string) record.Row {
@@ -110,10 +110,12 @@ type E9Result struct {
 // UPDATE^BLOCK per buffer instead of a message per record.
 func E9(n int, factors []int) ([]E9Result, *Table, error) {
 	table := &Table{
-		ID:      "E9",
-		Title:   "Cursor update-where-current message traffic: per-record vs buffered (future enhancement)",
-		Claim:   "sending the buffer full of updates to the Disk Process in one message could realize substantial message traffic savings",
-		Headers: []string{"strategy", "rows updated", "messages", "msgs/row"},
+		ID:    "E9",
+		Title: "Cursor update-where-current message traffic: per-record vs buffered (future enhancement)",
+		Claim: "sending the buffer full of updates to the Disk Process in one message could realize substantial message traffic savings",
+		Cols: []Col{
+			label("strategy"), label("rows updated"), counted("messages"), counted("msgs/row"),
+		},
 	}
 	var results []E9Result
 	run := func(name string, factor int) error {
@@ -199,10 +201,13 @@ func F1() ([]F1Result, *Table, error) {
 	}
 	f := c.NewFS(0, 0)
 	table := &Table{
-		ID:      "F1",
-		Title:   "Figure 1: message classification by placement (two 4-CPU nodes)",
-		Claim:   "requestors communicate with local and remote servers via messages; the message system makes distribution transparent",
-		Headers: []string{"volume placement", "requests", "same-CPU", "bus", "network"},
+		ID:    "F1",
+		Title: "Figure 1: message classification by placement (two 4-CPU nodes)",
+		Claim: "requestors communicate with local and remote servers via messages; the message system makes distribution transparent",
+		Cols: []Col{
+			label("volume placement"), counted("requests"), counted("same-CPU"), counted("bus"),
+			counted("network"),
+		},
 	}
 	var results []F1Result
 	for _, vol := range []string{"$LOCAL", "$BUS", "$REMOTE"} {
@@ -268,10 +273,10 @@ func F2() ([]F2Result, *Table, error) {
 	}
 
 	table := &Table{
-		ID:      "F2",
-		Title:   "Figure 2: update via alternate (secondary) key",
-		Claim:   "the File System first asks the index's disk server for the primary key, then sends the update expression to the server managing the primary-key partition",
-		Headers: []string{"step", "messages"},
+		ID:    "F2",
+		Title: "Figure 2: update via alternate (secondary) key",
+		Claim: "the File System first asks the index's disk server for the primary key, then sends the update expression to the server managing the primary-key partition",
+		Cols:  []Col{label("step"), counted("messages")},
 	}
 	var results []F2Result
 	tx2 := r.fs.Begin()
@@ -312,10 +317,10 @@ type E11Result struct {
 // block's records as a group, so writers outside the block proceed.
 func E11() ([]E11Result, *Table, error) {
 	table := &Table{
-		ID:      "E11",
-		Title:   "Sequential-read locking: ENSCRIBE SBB file lock vs VSBB virtual-block group lock",
-		Claim:   "the locking restriction under ENSCRIBE (file locking only) has been removed for SQL; records of the virtual block are locked as a group",
-		Headers: []string{"reader", "writer target", "writer outcome"},
+		ID:    "E11",
+		Title: "Sequential-read locking: ENSCRIBE SBB file lock vs VSBB virtual-block group lock",
+		Claim: "the locking restriction under ENSCRIBE (file locking only) has been removed for SQL; records of the virtual block are locked as a group",
+		Cols:  []Col{label("reader"), label("writer target"), counted("writer outcome")},
 	}
 	var results []E11Result
 

@@ -14,24 +14,67 @@ import (
 	"nonstopsql/internal/record"
 )
 
-// A Table is one reproduced result table/figure.
-type Table struct {
-	ID      string
-	Title   string
-	Claim   string // what the paper says
-	Headers []string
-	Rows    [][]string
-	Notes   []string
+// Kind is the currency a column is stated in (DESIGN.md §4.1). Label,
+// Counted and Modeled columns are exact: testdata/quick.golden pins
+// every cell of them and TestExperiments compares them string for
+// string. Observed columns are printed and pinned nowhere.
+type Kind uint8
+
+const (
+	// Label names the row: a configuration, a mode, a fault point.
+	Label Kind = iota + 1
+	// Counted is something the program counted — messages, bytes, disk
+	// transfers — or an exact function of such counts (a ratio, the
+	// outcome of a deterministic check).
+	Counted
+	// Modeled is counted values priced by a fixed cost model
+	// (msg.CostModel, disk.CostModel): E7 "est ms", E12 "modeled ms".
+	Modeled
+	// Observed is anything a scheduler, a timer or a clock can change:
+	// elapsed time, rates and percentiles computed from it, and counts
+	// that depend on how goroutines interleaved.
+	Observed
+)
+
+// A Col is one column of a Table: its header and its currency.
+type Col struct {
+	Name string
+	Kind Kind
 }
 
-// Render formats the table as aligned text.
+func label(name string) Col    { return Col{name, Label} }
+func counted(name string) Col  { return Col{name, Counted} }
+func modeled(name string) Col  { return Col{name, Modeled} }
+func observed(name string) Col { return Col{name, Observed} }
+
+// A Table is one reproduced result table/figure.
+type Table struct {
+	ID    string
+	Title string
+	Claim string // what the paper says
+	Cols  []Col
+	Rows  [][]string
+	Notes []string
+
+	// typed is the experiment's result rows as Go values, for the shape
+	// assertions in TestExperiments (set by typed in registry.go).
+	typed any
+}
+
+// Render formats the table as aligned text. Observed columns carry a
+// trailing ~ on their header.
 func (t *Table) Render() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s — %s\n", t.ID, t.Title)
 	fmt.Fprintf(&sb, "paper: %s\n", t.Claim)
-	widths := make([]int, len(t.Headers))
-	for i, h := range t.Headers {
-		widths[i] = len(h)
+	headers := make([]string, len(t.Cols))
+	widths := make([]int, len(t.Cols))
+	for i, c := range t.Cols {
+		headers[i] = c.Name
+		if c.Kind == Observed {
+			headers[i] += "~"
+		}
+		widths[i] = len(headers[i])
 	}
 	for _, row := range t.Rows {
 		for i, c := range row {
@@ -50,8 +93,8 @@ func (t *Table) Render() string {
 		}
 		sb.WriteByte('\n')
 	}
-	line(t.Headers)
-	seps := make([]string, len(t.Headers))
+	line(headers)
+	seps := make([]string, len(headers))
 	for i := range seps {
 		seps[i] = strings.Repeat("-", widths[i])
 	}

@@ -167,21 +167,6 @@ func (s Snapshot) String() string {
 		s.Count(), s.Quantile(0.50), s.Quantile(0.95), s.Quantile(0.99))
 }
 
-// QuantileCounts computes a quantile directly from a power-of-two
-// bucket-count slice (same layout as Snapshot.Counts, possibly
-// truncated). benchdiff uses it to diff percentiles between two
-// exported histograms.
-func QuantileCounts(counts []uint64, q float64) time.Duration {
-	var s Snapshot
-	for i, c := range counts {
-		if i >= NumBuckets {
-			break
-		}
-		s.Counts[i] = c
-	}
-	return s.Quantile(q)
-}
-
 // A Trace records one FS-DP operation end to end: what was asked, how
 // many messages it took, what the Disk Process did, and how long the
 // requester waited. One Trace summarizes one conversation (a ^FIRST

@@ -118,28 +118,6 @@ func TestMergePropertyConcurrent(t *testing.T) {
 	}
 }
 
-func TestQuantileCountsHelper(t *testing.T) {
-	var h Histogram
-	for i := 0; i < 1000; i++ {
-		h.RecordNanos(int64(i) * 1000)
-	}
-	s := h.Snapshot()
-	// Truncated slice form must agree with the Snapshot method.
-	counts := make([]uint64, 0, NumBuckets)
-	last := 0
-	for i, c := range s.Counts {
-		if c > 0 {
-			last = i
-		}
-	}
-	counts = append(counts, s.Counts[:last+1]...)
-	for _, q := range []float64{0.5, 0.95, 0.99} {
-		if got, want := QuantileCounts(counts, q), s.Quantile(q); got != want {
-			t.Errorf("QuantileCounts(%v) = %v, want %v", q, got, want)
-		}
-	}
-}
-
 func TestRecorderRing(t *testing.T) {
 	r := NewRecorder(4)
 	for i := 0; i < 6; i++ {

@@ -27,6 +27,13 @@ var next atomic.Uint64
 // NewTxID allocates a fresh transaction identifier.
 func NewTxID() uint64 { return next.Add(1) }
 
+// ResetTxIDs restarts the generator, so the next transaction is number
+// 1 again. It exists for internal/experiments: an id travels as a varint
+// in every audit record and request, so the byte counts an experiment
+// reports depend on how many transactions the process began before it.
+// Call it only while no transaction is live anywhere in the process.
+func ResetTxIDs() { next.Store(0) }
+
 // Sender delivers one FS-DP request to a named Disk Process and returns
 // the decoded reply. The File System provides the implementation; tmf
 // stays independent of routing.

@@ -5,6 +5,12 @@ set -eux
 cd "$(dirname "$0")/.."
 go build ./...
 go vet ./...
+# The counted books: the exact columns of the message-count experiments
+# against testdata/quick.golden. Under two seconds, so a counted integer
+# that moved fails first and alone. Then the one front end, so it cannot
+# rot.
+go test -count=1 -run 'TestExperiments/(E1|E2|E3|E4|E10|E17|F1|F2)$' ./internal/experiments
+go run ./cmd/experiments -quick -only E1 >/dev/null
 # Message-system and observability races first: StopServer/Send hammers,
 # panic recovery, reply timeouts, and the concurrent histogram-merge
 # property. The full suite runs them again, but a regression in the
