@@ -131,9 +131,13 @@ type Page struct {
 	bn    disk.BlockNum
 	data  []byte
 	index atomic.Pointer[PageIndex] // nil until the page's user builds it
-	dirty bool
-	lsn   wal.LSN // page LSN: highest audit LSN applied to this page
-	pins  int
+	dirty bool                      // flipped only through setDirty
+	// dropped: no longer in the page table (Discard, Crash). Crash can
+	// orphan a page somebody still holds; its later transitions must not
+	// move the count of resident dirty pages.
+	dropped bool
+	lsn     wal.LSN // page LSN: highest audit LSN applied to this page
+	pins    int
 	// writing marks an in-flight disk write of a snapshot of this page,
 	// taken with the shard mutex dropped so a flush of page A never
 	// stalls a hit on page B. While set the page must be neither evicted
@@ -170,10 +174,38 @@ func (p *Page) MarkDirty(lsn wal.LSN) {
 	p.index.Store(nil)
 	p.sh.lock()
 	defer p.sh.mu.Unlock()
-	p.dirty = true
+	p.setDirty(true)
 	if lsn > p.lsn {
 		p.lsn = lsn
 	}
+}
+
+// setDirty flips the dirty bit and, at the clean→dirty and dirty→clean
+// transitions of a resident page, the pool's dirty-page counter: the
+// background writer asks DirtyCount every few milliseconds, and on a
+// read-only workload walking every shard's page table for that answer
+// (zero) cost a tenth of the CPU. Shard mutex held.
+func (p *Page) setDirty(d bool) {
+	if p.dirty == d {
+		return
+	}
+	p.dirty = d
+	switch {
+	case p.dropped:
+	case d:
+		p.sh.pool.dirtyPages.Add(1)
+	default:
+		p.sh.pool.dirtyPages.Add(-1)
+	}
+}
+
+// dropLocked takes an unpinned page out of the shard: page table, LRU
+// list and, if it was dirty, the dirty count.
+func (s *shard) dropLocked(pg *Page) {
+	s.listFor(pg).remove(pg)
+	delete(s.pages, pg.bn)
+	pg.setDirty(false)
+	pg.dropped = true
 }
 
 // Release unpins the page.
@@ -261,6 +293,7 @@ type Pool struct {
 	shardMask disk.BlockNum
 
 	stats      counters
+	dirtyPages atomic.Int64 // resident pages with dirty set (Page.setDirty)
 	prefetchWG sync.WaitGroup
 	// prefetchActive/Peak track concurrent pre-fetch workers so tests
 	// can assert the fan-out bound.
@@ -504,8 +537,7 @@ func (s *shard) makeRoomLocked(n int) error {
 			}
 		}
 		if clean != nil {
-			s.listFor(clean).remove(clean)
-			delete(s.pages, clean.bn)
+			s.dropLocked(clean)
 			s.pool.stats.evictions.Add(1)
 			continue
 		}
@@ -539,7 +571,7 @@ func (s *shard) cleanPageLocked(pg *Page) error {
 		return nil // another cleaner got here first
 	}
 	pg.writing = true
-	pg.dirty = false
+	pg.setDirty(false)
 	lsn := pg.lsn
 	buf := append([]byte(nil), pg.data...)
 	stall := lsn > s.pool.gate.FlushedLSN()
@@ -556,7 +588,7 @@ func (s *shard) cleanPageLocked(pg *Page) error {
 	pg.writing = false
 	s.cond.Broadcast()
 	if err != nil {
-		pg.dirty = true
+		pg.setDirty(true)
 		return err
 	}
 	return nil
@@ -735,7 +767,7 @@ func (p *Pool) WriteBehind() (int, error) {
 				// Pages re-dirtied during the write keep their dirty bit
 				// (set by MarkDirty) and age again later.
 				pg.writing = true
-				pg.dirty = false
+				pg.setDirty(false)
 				aged = append(aged, agedPage{pg, append([]byte(nil), pg.data...)})
 			}
 		}
@@ -775,7 +807,7 @@ func (p *Pool) WriteBehind() (int, error) {
 		s.lock()
 		a.pg.writing = false
 		if !ok[i] {
-			a.pg.dirty = true // failed or skipped: still needs writing
+			a.pg.setDirty(true) // failed or skipped: still needs writing
 		}
 		s.cond.Broadcast()
 		s.mu.Unlock()
@@ -836,6 +868,10 @@ func (s *shard) flushAll() error {
 func (p *Pool) Crash() {
 	for _, s := range p.shards {
 		s.lock()
+		for _, pg := range s.pages {
+			pg.setDirty(false)
+			pg.dropped = true
+		}
 		s.pages = make(map[disk.BlockNum]*Page)
 		s.prot = lruList{}
 		s.prob = lruList{}
@@ -864,8 +900,7 @@ func (p *Pool) Discard(bn disk.BlockNum) {
 			s.cond.Wait()
 			continue
 		}
-		s.listFor(pg).remove(pg)
-		delete(s.pages, bn)
+		s.dropLocked(pg)
 		return
 	}
 }
@@ -880,20 +915,9 @@ func (p *Pool) IsDirty(bn disk.BlockNum) bool {
 	return ok && (pg.dirty || pg.writing)
 }
 
-// DirtyCount returns the number of dirty pages (diagnostics).
-func (p *Pool) DirtyCount() int {
-	n := 0
-	for _, s := range p.shards {
-		s.lock()
-		for _, pg := range s.pages {
-			if pg.dirty {
-				n++
-			}
-		}
-		s.mu.Unlock()
-	}
-	return n
-}
+// DirtyCount returns the number of resident dirty pages: a counter kept
+// at every transition (setDirty), not a walk.
+func (p *Pool) DirtyCount() int { return int(p.dirtyPages.Load()) }
 
 // Len returns the number of cached pages.
 func (p *Pool) Len() int {

@@ -1,7 +1,8 @@
 package dp
 
 import (
-	"sort"
+	"bytes"
+	"slices"
 
 	"nonstopsql/internal/cache"
 	"nonstopsql/internal/expr"
@@ -11,11 +12,27 @@ import (
 	"nonstopsql/internal/record"
 )
 
-// aggGroup is one GROUP BY group's accumulation for the current message.
+// aggGroup is one GROUP BY group of the current message. Its bytes live
+// in aggMem.block: the order-preserving key encoding the groups are found
+// and ordered by, then the key fields' wire encoding the reply ships. Its
+// partials are aggMem.partials[part : part+len(agg.Cols)]. A group is
+// three offsets and an index, not a heap object.
 type aggGroup struct {
-	keyBytes []byte
-	keyVals  record.Row
-	partials []fsdp.AggPartial
+	off, keyEnd, end uint32 // block[off:keyEnd] key bytes, block[keyEnd:end] encoded key values
+	part             uint32
+}
+
+// aggMem is the arenas one AGG message accumulates its groups in. The
+// groups are per-message, the memory per-conversation: a message takes it
+// from the Subset Control Block and finishAgg hands it back emptied, so
+// after a conversation's first message a new group costs no allocation —
+// and with a 4 KiB reply budget ending a message every seventy-odd new
+// groups, "per new group" is close to "per record".
+type aggMem struct {
+	block    []byte            // key bytes and encoded key values, group after group
+	groups   []aggGroup        // in key-byte order
+	partials []fsdp.AggPartial // len(agg.Cols) per group, in the order groups appeared
+	kb       []byte            // the record at hand's group key
 }
 
 // aggregate serves AGG^FIRST/NEXT: the Disk Process folds the subset's
@@ -25,7 +42,7 @@ type aggGroup struct {
 // this message's records touched, and the File System merges partials
 // across re-drives and partitions, so the Disk Process's memory stays
 // bounded by the per-message row budget, not the group count.
-var aggregate = &subsetKind{first: fsdp.KAggFirst, needsRow: true,
+var aggregate = &subsetKind{first: fsdp.KAggFirst,
 	open: func(r *subsetRun) (err error) {
 		r.s.agg, err = fsdp.DecodeAggSpec(r.req.Agg)
 		return err
@@ -34,66 +51,75 @@ var aggregate = &subsetKind{first: fsdp.KAggFirst, needsRow: true,
 	finish: finishAgg,
 }
 
-func visitAgg(r *subsetRun, _, _ []byte, row record.Row) (bool, error) {
-	spec := r.s.agg
-	kb := r.kb[:0]
+func visitAgg(r *subsetRun, _, _ []byte, rec *record.View) (bool, error) {
+	spec, m := r.s.agg, &r.agg
+	kb := m.kb[:0]
 	for _, g := range spec.GroupBy {
-		if g >= len(row) {
+		if g < 0 || g >= rec.Len() {
 			return false, errBadOrdinal(r.req.File, g)
 		}
-		kb = row[g].AppendKey(kb)
+		kb = rec.AppendKey(kb, g)
 	}
-	r.kb = kb
-	gr, ok := r.groups[string(kb)]
+	m.kb = kb
+	// The groups stay sorted by key bytes: found by binary search, shipped
+	// in that order by finishAgg with no sort.
+	at, ok := slices.BinarySearchFunc(m.groups, kb, func(g aggGroup, kb []byte) int {
+		return bytes.Compare(m.block[g.off:g.keyEnd], kb)
+	})
 	if !ok {
-		keyVals := make(record.Row, len(spec.GroupBy))
-		for i, g := range spec.GroupBy {
-			keyVals[i] = row[g]
+		gr := aggGroup{off: uint32(len(m.block)), part: uint32(len(m.partials))}
+		m.block = append(m.block, kb...)
+		gr.keyEnd = uint32(len(m.block))
+		for _, g := range spec.GroupBy {
+			m.block = rec.AppendField(m.block, g)
 		}
-		gr = &aggGroup{
-			keyBytes: append([]byte(nil), kb...),
-			keyVals:  keyVals,
-			partials: make([]fsdp.AggPartial, len(spec.Cols)),
-		}
-		if r.groups == nil {
-			r.groups = make(map[string]*aggGroup)
-		}
-		r.groups[string(kb)] = gr
+		gr.end = uint32(len(m.block))
+		m.partials = append(m.partials, make([]fsdp.AggPartial, len(spec.Cols))...)
+		m.groups = slices.Insert(m.groups, at, gr)
 		// A new group grows the reply by its key plus the fixed-size
 		// partial states; charge that against the block budget.
 		r.batch.bytes += len(kb) + 16*(len(spec.GroupBy)+len(spec.Cols))
 	}
+	partials := m.partials[m.groups[at].part:]
 	for i, c := range spec.Cols {
 		if c.Star {
-			gr.partials[i].Count++
+			partials[i].Count++
 			continue
 		}
-		if c.Col >= len(row) {
+		if c.Col < 0 || c.Col >= rec.Len() {
 			return false, errBadOrdinal(r.req.File, c.Col)
 		}
-		v := row[c.Col]
+		v := rec.Value(c.Col)
 		if v.IsNull() {
 			continue // SQL aggregates ignore NULLs
 		}
-		gr.partials[i].Feed(c.Fn, v)
+		partials[i].Feed(c.Fn, v) // Feed copies a MIN/MAX value it keeps
 	}
 	return true, nil
 }
 
 // finishAgg ships the groups in key-byte order: deterministic replies
-// make the conversation reproducible message-for-message.
+// make the conversation reproducible message-for-message. Every entry is
+// appended to one buffer and cut out of it.
 func finishAgg(r *subsetRun) error {
-	ordered := make([]*aggGroup, 0, len(r.groups))
-	for _, gr := range r.groups {
-		ordered = append(ordered, gr)
+	spec, m := r.s.agg, &r.agg
+	ncols := len(spec.Cols)
+	r.reply.Rows = make([][]byte, 0, len(m.groups))
+	// Sized for numeric partials (a long MIN/MAX string just grows it):
+	// the block less its key bytes, which do not ship.
+	size := len(m.block) + len(m.groups)*(1+14*ncols)
+	for _, g := range m.groups {
+		size -= int(g.keyEnd - g.off)
 	}
-	sort.Slice(ordered, func(i, j int) bool {
-		return string(ordered[i].keyBytes) < string(ordered[j].keyBytes)
-	})
-	for _, gr := range ordered {
-		r.reply.Rows = append(r.reply.Rows, fsdp.EncodeGroup(gr.keyVals, gr.partials))
+	out := make([]byte, 0, size)
+	for _, g := range m.groups {
+		n := len(out)
+		out = fsdp.AppendGroup(out, len(spec.GroupBy), m.block[g.keyEnd:g.end], m.partials[g.part:int(g.part)+ncols])
+		r.reply.Rows = append(r.reply.Rows, out[n:len(out):len(out)])
 	}
-	r.reply.Count = uint32(len(ordered))
+	r.reply.Count = uint32(len(m.groups))
+	clear(m.partials) // drop MIN/MAX strings
+	r.s.aggMem = aggMem{block: m.block[:0], groups: m.groups[:0], partials: m.partials[:0], kb: m.kb[:0]}
 	return nil
 }
 
@@ -151,6 +177,7 @@ func (d *DP) probeBlock(req *fsdp.Request) *fsdp.Reply {
 
 	batch := d.newBatch(req.RowLimit)
 	reply := &fsdp.Reply{Done: true}
+	var rec record.View
 	probesDone := 0
 	for _, prefix := range req.RowKeys {
 		// The budget is checked between probes, never inside one, so
@@ -164,14 +191,14 @@ func (d *DP) probeBlock(req *fsdp.Request) *fsdp.Reply {
 		scanErr := f.tree.ScanClass(rng, false, cache.Keyed, func(key, val []byte) (bool, error) {
 			batch.processed++
 			d.stats.rowsScanned.Add(1)
+			if err := rec.Reset(val); err != nil {
+				return false, err
+			}
 			keep := true
 			if pred != nil {
-				row, err := record.Decode(val)
-				if err != nil {
-					return false, err
-				}
 				d.stats.predicateEvals.Add(1)
-				if keep, err = expr.Satisfied(pred, row); err != nil {
+				var err error
+				if keep, err = expr.SatisfiedView(pred, &rec); err != nil {
 					return false, err
 				}
 			}

@@ -1,6 +1,7 @@
 package dp
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -88,11 +89,12 @@ type subsetKind struct {
 	// per-record locks stand in for the virtual-block lock, and the
 	// write-behind it caused is nudged when the subset is Done.
 	mutates bool
-	// needsRow: visit reads the decoded record even without a predicate.
-	needsRow bool
 
-	open   func(r *subsetRun) error // ^FIRST: decode the kind's own request fields into r.s
-	visit  func(r *subsetRun, key, val []byte, row record.Row) (more bool, err error)
+	open func(r *subsetRun) error // ^FIRST: decode the kind's own request fields into r.s
+	// visit sees one qualifying record. key, val and rec — the view of val
+	// — borrow the leaf's cache buffer (btree.ScanFunc) and are gone when
+	// visit returns: whatever the reply or the run keeps is a copy.
+	visit  func(r *subsetRun, key, val []byte, rec *record.View) (more bool, err error)
 	finish func(r *subsetRun) error // after the scan, before locking
 }
 
@@ -106,9 +108,17 @@ type subsetRun struct {
 	reply    *fsdp.Reply
 	firstKey []byte // first qualifying key (kept only when a group lock will need it)
 
-	hits   [][]byte             // mutating kinds: qualifying keys, applied after the scan
-	groups map[string]*aggGroup // AGG: this message's groups
-	kb     []byte               // AGG: group-key scratch
+	rec  record.View // the record under the scan cursor; its offset scratch lives as long as the run
+	hits [][]byte    // mutating kinds: qualifying keys, applied after the scan
+
+	// block is the message's virtual block: reply rows and keys (GET) and
+	// collected keys (mutating kinds) are cut from this one buffer, which
+	// grows by appending, so a message costs a handful of allocations
+	// however many rows it carries. Bytes already appended never move —
+	// growth copies them to a new array and leaves the old one to the
+	// slices cut from it.
+	block []byte
+	agg   aggMem // AGG: this message's groups, in the conversation's arenas
 }
 
 // subset serves every ^FIRST/^NEXT conversation kind. It owns the
@@ -152,6 +162,9 @@ func (d *DP) subset(req *fsdp.Request, k *subsetKind) *fsdp.Reply {
 		}
 	}
 	s, reply := r.s, r.reply
+	// Take the conversation's arenas for this message; finishAgg hands
+	// them back emptied, and a message that fails just drops them.
+	r.agg, s.aggMem = s.aggMem, aggMem{}
 
 	r.batch = d.newBatch(req.RowLimit)
 	groupLock := req.Tx != 0 && !k.mutates
@@ -166,16 +179,14 @@ func (d *DP) subset(req *fsdp.Request, k *subsetKind) *fsdp.Reply {
 		d.stats.rowsScanned.Add(1)
 		reply.LastKey = append(reply.LastKey[:0], key...)
 
-		var row record.Row
-		if k.needsRow || s.pred != nil {
-			var err error
-			if row, err = record.Decode(val); err != nil {
-				return false, err
-			}
+		// The record is read where it lies: validated whole, then reached
+		// field by field. Nothing is decoded that nobody asks for.
+		if err := r.rec.Reset(val); err != nil {
+			return false, err
 		}
 		if s.pred != nil {
 			d.stats.predicateEvals.Add(1)
-			keep, err := expr.Satisfied(s.pred, row)
+			keep, err := expr.SatisfiedView(s.pred, &r.rec)
 			if err != nil {
 				return false, err
 			}
@@ -187,7 +198,7 @@ func (d *DP) subset(req *fsdp.Request, k *subsetKind) *fsdp.Reply {
 		if groupLock && r.firstKey == nil {
 			r.firstKey = append([]byte(nil), key...)
 		}
-		return k.visit(r, key, val, row)
+		return k.visit(r, key, val, &r.rec)
 	})
 	if scanErr != nil {
 		return errReply(scanErr)
@@ -241,7 +252,7 @@ func (d *DP) subset(req *fsdp.Request, k *subsetKind) *fsdp.Reply {
 // here at the data source. GET^FIRST/NEXT^RSBB: the reply is a real
 // block image — whole records, no selection or projection, no decode.
 var (
-	getVSBB = &subsetKind{first: fsdp.KGetFirstVSBB, needsRow: true, visit: visitGet,
+	getVSBB = &subsetKind{first: fsdp.KGetFirstVSBB, visit: visitGet,
 		open: func(r *subsetRun) error {
 			r.s.proj, r.s.limit = r.req.Proj, r.req.ScanLimit
 			return nil
@@ -253,19 +264,29 @@ var (
 		}}
 )
 
-func visitGet(r *subsetRun, key, val []byte, row record.Row) (bool, error) {
-	var out []byte
+// visitGet appends the record's key and its reply row to the virtual
+// block and cuts both out of it. A projected row is assembled from the
+// fields' encoded bytes — the frame record.Encode(record.Project(...))
+// would build, without decoding a value.
+func visitGet(r *subsetRun, key, val []byte, rec *record.View) (bool, error) {
+	b := append(r.block, key...)
+	keyEnd := len(b)
 	if len(r.s.proj) > 0 {
-		out = record.Encode(record.Project(row, r.s.proj))
+		b = binary.AppendUvarint(b, uint64(len(r.s.proj)))
+		for _, f := range r.s.proj {
+			if f < 0 || f >= rec.Len() {
+				return false, fmt.Errorf("dp: projected field ordinal %d out of range for %s", f, r.req.File)
+			}
+			b = rec.AppendField(b, f)
+		}
 	} else {
-		// No projection (RSBB always): the record ships whole. val is
-		// borrowed from the leaf's cache buffer (btree.ScanFunc) and the
-		// reply outlives the scan.
-		out = append([]byte(nil), val...)
+		b = append(b, val...) // no projection (RSBB always): the record ships whole
 	}
-	r.reply.Rows = append(r.reply.Rows, out)
-	r.reply.RowKeys = append(r.reply.RowKeys, append([]byte(nil), key...))
-	r.batch.bytes += len(out)
+	// Capacity-clipped: appending to a reply row can never write into its neighbour.
+	r.reply.RowKeys = append(r.reply.RowKeys, b[len(r.block):keyEnd:keyEnd])
+	r.reply.Rows = append(r.reply.Rows, b[keyEnd:len(b):len(b)])
+	r.batch.bytes += len(b) - keyEnd
+	r.block = b
 	r.d.stats.rowsReturned.Add(1)
 	if r.s.limit > 0 {
 		r.s.delivered++
@@ -281,7 +302,7 @@ func visitGet(r *subsetRun, key, val []byte, row record.Row) (bool, error) {
 // so a COUNT(*) moves a constant-size reply per re-drive no matter how
 // many records qualify.
 var countRecords = &subsetKind{first: fsdp.KCountFirst,
-	visit: func(r *subsetRun, _, _ []byte, _ record.Row) (bool, error) {
+	visit: func(r *subsetRun, _, _ []byte, _ *record.View) (bool, error) {
 		r.reply.Count++
 		return true, nil
 	}}
@@ -317,8 +338,10 @@ var (
 		}}
 )
 
-func visitCollect(r *subsetRun, key, _ []byte, _ record.Row) (bool, error) {
-	r.hits = append(r.hits, append([]byte(nil), key...))
+func visitCollect(r *subsetRun, key, _ []byte, _ *record.View) (bool, error) {
+	n := len(r.block)
+	r.block = append(r.block, key...)
+	r.hits = append(r.hits, r.block[n:len(r.block):len(r.block)])
 	return true, nil
 }
 

@@ -178,20 +178,46 @@ func errEval(format string, args ...any) error {
 	return fmt.Errorf("expr: %s", fmt.Sprintf(format, args...))
 }
 
+// fields is the single record variable an expression reads: a decoded
+// record.Row, or (view != nil) the encoded record where it lies in a Disk
+// Process cache buffer. One evaluator serves both; they part only at the
+// FieldRef leaf. A struct of the two rather than an interface over them:
+// boxing a Row would cost Eval's callers an allocation per call.
+type fields struct {
+	row  record.Row
+	view *record.View
+}
+
+func (f *fields) len() int {
+	if f.view != nil {
+		return f.view.Len()
+	}
+	return len(f.row)
+}
+
 // Eval evaluates e against row using SQL three-valued logic: any
 // comparison or arithmetic over NULL yields NULL; AND/OR follow Kleene
 // semantics.
-func Eval(e Expr, row record.Row) (record.Value, error) {
+func Eval(e Expr, row record.Row) (record.Value, error) { return eval(e, &fields{row: row}) }
+
+// EvalView is Eval against a record read in place. A VARCHAR result may
+// borrow the record's bytes (record.View): whoever keeps it copies it.
+func EvalView(e Expr, v *record.View) (record.Value, error) { return eval(e, &fields{view: v}) }
+
+func eval(e Expr, row *fields) (record.Value, error) {
 	switch n := e.(type) {
 	case Const:
 		return n.V, nil
 	case FieldRef:
-		if n.Index < 0 || n.Index >= len(row) {
-			return record.Null, errEval("field ordinal %d out of range (row has %d fields)", n.Index, len(row))
+		if n.Index < 0 || n.Index >= row.len() {
+			return record.Null, errEval("field ordinal %d out of range (row has %d fields)", n.Index, row.len())
 		}
-		return row[n.Index], nil
+		if row.view != nil {
+			return row.view.Value(n.Index), nil
+		}
+		return row.row[n.Index], nil
 	case Unary:
-		v, err := Eval(n.E, row)
+		v, err := eval(n.E, row)
 		if err != nil {
 			return record.Null, err
 		}
@@ -230,27 +256,29 @@ func Eval(e Expr, row record.Row) (record.Value, error) {
 	return record.Null, errEval("unknown node %T", e)
 }
 
-func evalBinary(n Binary, row record.Row) (record.Value, error) {
-	// Kleene AND/OR can short-circuit on a definite answer even if the
-	// other side is NULL.
-	if n.Op == OpAnd || n.Op == OpOr {
-		l, err := Eval(n.L, row)
+func evalBinary(n Binary, row *fields) (record.Value, error) {
+	l, err := eval(n.L, row)
+	if err != nil {
+		return record.Null, err
+	}
+	r, err := eval(n.R, row)
+	if err != nil {
+		return record.Null, err
+	}
+	op := n.Op
+	switch op {
+	case OpAnd, OpOr:
+		// Kleene AND/OR: a definite answer on one side decides even if the
+		// other side is NULL.
+		lb, lnull, err := asBool(&l)
 		if err != nil {
 			return record.Null, err
 		}
-		r, err := Eval(n.R, row)
+		rb, rnull, err := asBool(&r)
 		if err != nil {
 			return record.Null, err
 		}
-		lb, lnull, err := asBool(l)
-		if err != nil {
-			return record.Null, err
-		}
-		rb, rnull, err := asBool(r)
-		if err != nil {
-			return record.Null, err
-		}
-		if n.Op == OpAnd {
+		if op == OpAnd {
 			if (!lnull && !lb) || (!rnull && !rb) {
 				return record.Bool(false), nil
 			}
@@ -266,17 +294,6 @@ func evalBinary(n Binary, row record.Row) (record.Value, error) {
 			return record.Null, nil
 		}
 		return record.Bool(false), nil
-	}
-
-	l, err := Eval(n.L, row)
-	if err != nil {
-		return record.Null, err
-	}
-	r, err := Eval(n.R, row)
-	if err != nil {
-		return record.Null, err
-	}
-	switch n.Op {
 	case OpEQ, OpNE, OpLT, OpLE, OpGT, OpGE:
 		if l.IsNull() || r.IsNull() {
 			return record.Null, nil
@@ -286,7 +303,7 @@ func evalBinary(n Binary, row record.Row) (record.Value, error) {
 		}
 		c := l.Compare(r)
 		var b bool
-		switch n.Op {
+		switch op {
 		case OpEQ:
 			b = c == 0
 		case OpNE:
@@ -302,7 +319,7 @@ func evalBinary(n Binary, row record.Row) (record.Value, error) {
 		}
 		return record.Bool(b), nil
 	case OpAdd, OpSub, OpMul, OpDiv, OpMod:
-		return evalArith(n.Op, l, r)
+		return evalArith(op, l, r)
 	case OpLike:
 		if l.IsNull() || r.IsNull() {
 			return record.Null, nil
@@ -312,7 +329,7 @@ func evalBinary(n Binary, row record.Row) (record.Value, error) {
 		}
 		return record.Bool(likeMatch(l.S, r.S)), nil
 	}
-	return record.Null, errEval("bad binary op %v", n.Op)
+	return record.Null, errEval("bad binary op %v", op)
 }
 
 func comparable(l, r record.Value) bool {
@@ -324,7 +341,7 @@ func comparable(l, r record.Value) bool {
 	return ln && rn
 }
 
-func asBool(v record.Value) (b, isNull bool, err error) {
+func asBool(v *record.Value) (b, isNull bool, err error) {
 	if v.IsNull() {
 		return false, true, nil
 	}
@@ -385,41 +402,48 @@ func evalArith(op Op, l, r record.Value) (record.Value, error) {
 	return record.Null, errEval("bad arith op %v", op)
 }
 
-// likeMatch implements SQL LIKE with % (any run) and _ (any single char).
+// likeMatch implements SQL LIKE with % (any run) and _ (any single
+// byte): two cursors, and on a mismatch a return to the last % with one
+// more byte given to it. No allocation.
 func likeMatch(s, pat string) bool {
-	// Dynamic programming over the pattern; patterns are short.
-	var match func(si, pi int) bool
-	memo := make(map[[2]int]bool)
-	var seen = make(map[[2]int]bool)
-	match = func(si, pi int) bool {
-		k := [2]int{si, pi}
-		if seen[k] {
-			return memo[k]
-		}
-		seen[k] = true
-		var res bool
+	si, pi := 0, 0
+	star, mark := -1, 0 // last % in pat, and how far into s it reaches so far
+	for si < len(s) {
 		switch {
-		case pi == len(pat):
-			res = si == len(s)
-		case pat[pi] == '%':
-			res = match(si, pi+1) || (si < len(s) && match(si+1, pi))
-		case si < len(s) && (pat[pi] == '_' || pat[pi] == s[si]):
-			res = match(si+1, pi+1)
+		case pi < len(pat) && pat[pi] == '%':
+			star, mark = pi, si
+			pi++
+		case pi < len(pat) && (pat[pi] == '_' || pat[pi] == s[si]):
+			si++
+			pi++
+		case star >= 0:
+			mark++
+			si, pi = mark, star+1
+		default:
+			return false
 		}
-		memo[k] = res
-		return res
 	}
-	return match(0, 0)
+	for pi < len(pat) && pat[pi] == '%' {
+		pi++
+	}
+	return pi == len(pat)
 }
 
 // Satisfied reports whether the predicate is TRUE for the row (NULL and
 // FALSE both reject, per SQL WHERE semantics). A nil predicate accepts
 // every row.
-func Satisfied(pred Expr, row record.Row) (bool, error) {
+func Satisfied(pred Expr, row record.Row) (bool, error) { return satisfied(pred, &fields{row: row}) }
+
+// SatisfiedView is Satisfied against a record read in place.
+func SatisfiedView(pred Expr, v *record.View) (bool, error) {
+	return satisfied(pred, &fields{view: v})
+}
+
+func satisfied(pred Expr, row *fields) (bool, error) {
 	if pred == nil {
 		return true, nil
 	}
-	v, err := Eval(pred, row)
+	v, err := eval(pred, row)
 	if err != nil {
 		return false, err
 	}

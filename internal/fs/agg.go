@@ -1,6 +1,7 @@
 package fs
 
 import (
+	"strings"
 	"sync"
 
 	"nonstopsql/internal/expr"
@@ -41,13 +42,18 @@ func (f *FS) Agg(tx *tmf.Tx, def *FileDef, rng keys.Range, pred expr.Expr, spec 
 	err := o.run(f.scanDOP, func(c *conv) error {
 		req := first
 		req.Range = c.span().r
-		var kb []byte
-		return c.drive(&req, func(reply *fsdp.Reply) error {
+		// Per-conversation scratch: every entry decodes into it, borrowing
+		// the reply's bytes; only a group new to this requester is copied out.
+		var (
+			kb       []byte
+			keyVals  record.Row
+			partials []fsdp.AggPartial
+		)
+		return c.drive(&req, func(reply *fsdp.Reply) (err error) {
 			mu.Lock()
 			defer mu.Unlock()
 			for _, entry := range reply.Rows {
-				keyVals, partials, err := fsdp.DecodeGroup(entry, len(spec.Cols))
-				if err != nil {
+				if keyVals, partials, err = fsdp.DecodeGroup(entry, len(spec.Cols), keyVals, partials); err != nil {
 					return err
 				}
 				kb = kb[:0]
@@ -56,7 +62,14 @@ func (f *FS) Agg(tx *tmf.Tx, def *FileDef, rng keys.Range, pred expr.Expr, spec 
 				}
 				g, ok := groups[string(kb)]
 				if !ok {
-					groups[string(kb)] = &AggGroup{KeyVals: keyVals, Partials: partials}
+					g = &AggGroup{KeyVals: keyVals.Clone(), Partials: append([]fsdp.AggPartial(nil), partials...)}
+					for i := range g.KeyVals {
+						g.KeyVals[i].S = strings.Clone(g.KeyVals[i].S)
+					}
+					for i := range g.Partials {
+						g.Partials[i].Val.S = strings.Clone(g.Partials[i].Val.S)
+					}
+					groups[string(kb)] = g
 					continue
 				}
 				for i := range g.Partials {

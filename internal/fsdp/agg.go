@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 
 	"nonstopsql/internal/record"
 )
@@ -131,9 +132,17 @@ type AggPartial struct {
 	Val   record.Value
 }
 
-// Feed folds one argument value into the partial. NULLs are skipped by
-// the caller (SQL aggregates ignore NULLs); COUNT(*) calls Feed with a
-// non-null dummy.
+// own returns v with its string copied: Feed and Merge are handed values
+// that may borrow a cache page (record.View) or a reply buffer
+// (DecodeGroup), and a partial outlives both.
+func own(v record.Value) record.Value {
+	v.S = strings.Clone(v.S)
+	return v
+}
+
+// Feed folds one argument value into the partial, copying it if kept.
+// NULLs are skipped by the caller (SQL aggregates ignore NULLs); COUNT(*)
+// does not come here at all.
 func (p *AggPartial) Feed(fn AggFn, v record.Value) {
 	switch fn {
 	case AggSum:
@@ -145,29 +154,29 @@ func (p *AggPartial) Feed(fn AggFn, v record.Value) {
 		p.SumF += v.AsFloat()
 	case AggMin:
 		if p.Count == 0 || v.Compare(p.Val) < 0 {
-			p.Val = v
+			p.Val = own(v)
 		}
 	case AggMax:
 		if p.Count == 0 || v.Compare(p.Val) > 0 {
-			p.Val = v
+			p.Val = own(v)
 		}
 	}
 	p.Count++
 }
 
-// Merge folds another partition's partial state into p. Merging is
-// commutative and associative, which is what makes these functions
-// decomposable in the first place.
+// Merge folds another partition's partial state into p, copying o.Val if
+// kept. Merging is commutative and associative, which is what makes
+// these functions decomposable in the first place.
 func (p *AggPartial) Merge(fn AggFn, o AggPartial) {
 	if o.Count > 0 {
 		switch fn {
 		case AggMin:
 			if p.Count == 0 || o.Val.Compare(p.Val) < 0 {
-				p.Val = o.Val
+				p.Val = own(o.Val)
 			}
 		case AggMax:
 			if p.Count == 0 || o.Val.Compare(p.Val) > 0 {
-				p.Val = o.Val
+				p.Val = own(o.Val)
 			}
 		}
 	}
@@ -177,15 +186,15 @@ func (p *AggPartial) Merge(fn AggFn, o AggPartial) {
 	p.Float = p.Float || o.Float
 }
 
-// EncodeGroup serializes one group's reply entry: the GROUP BY key
-// values followed by one partial per AggSpec column.
-func EncodeGroup(keyVals record.Row, partials []AggPartial) []byte {
-	var b []byte
-	b = binary.AppendUvarint(b, uint64(len(keyVals)))
-	for _, v := range keyVals {
-		b = record.AppendValue(b, v)
-	}
-	for _, p := range partials {
+// AppendGroup appends one group's reply entry to b: the GROUP BY key as
+// a record frame (nkeys and keyFields, the key values' wire encodings
+// back to back — the Disk Process copies them from the record where it
+// lies) followed by one partial per AggSpec column.
+func AppendGroup(b []byte, nkeys int, keyFields []byte, partials []AggPartial) []byte {
+	b = binary.AppendUvarint(b, uint64(nkeys))
+	b = append(b, keyFields...)
+	for i := range partials {
+		p := &partials[i]
 		b = binary.AppendVarint(b, p.Count)
 		b = binary.AppendVarint(b, p.SumI)
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.SumF))
@@ -199,24 +208,28 @@ func EncodeGroup(keyVals record.Row, partials []AggPartial) []byte {
 	return b
 }
 
-// DecodeGroup parses one group entry produced by EncodeGroup. ncols is
-// the AggSpec's column count (the group carries no count of its own).
-func DecodeGroup(b []byte, ncols int) (record.Row, []AggPartial, error) {
+// DecodeGroup parses one group entry produced by AppendGroup into the
+// caller's scratch: key values are appended to keyVals[:0] and ncols
+// partials (the AggSpec's column count; the entry carries no count of its
+// own) to partials[:0]. VARCHAR values borrow b (record.BorrowValue), so
+// a requester folding thousands of entries allocates only for what it
+// keeps.
+func DecodeGroup(b []byte, ncols int, keyVals record.Row, partials []AggPartial) (record.Row, []AggPartial, error) {
+	keyVals, partials = keyVals[:0], partials[:0]
 	nk, sz := binary.Uvarint(b)
 	if sz <= 0 {
 		return nil, nil, fmt.Errorf("fsdp: bad group key count")
 	}
 	b = b[sz:]
-	keyVals := make(record.Row, nk)
-	var err error
-	for i := range keyVals {
-		if keyVals[i], b, err = record.DecodeValue(b); err != nil {
+	for i := uint64(0); i < nk; i++ {
+		v, n, err := record.BorrowValue(b)
+		if err != nil {
 			return nil, nil, err
 		}
+		keyVals, b = append(keyVals, v), b[n:]
 	}
-	partials := make([]AggPartial, ncols)
-	for i := range partials {
-		p := &partials[i]
+	for i := 0; i < ncols; i++ {
+		var p AggPartial
 		var n int
 		p.Count, n = binary.Varint(b)
 		if n <= 0 {
@@ -233,10 +246,11 @@ func DecodeGroup(b []byte, ncols int) (record.Row, []AggPartial, error) {
 		}
 		p.SumF = math.Float64frombits(binary.LittleEndian.Uint64(b))
 		p.Float = b[8] == 1
-		b = b[9:]
-		if p.Val, b, err = record.DecodeValue(b); err != nil {
+		var err error
+		if p.Val, n, err = record.BorrowValue(b[9:]); err != nil {
 			return nil, nil, err
 		}
+		partials, b = append(partials, p), b[9+n:]
 	}
 	if len(b) != 0 {
 		return nil, nil, fmt.Errorf("fsdp: %d trailing group bytes", len(b))

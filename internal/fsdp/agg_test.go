@@ -50,7 +50,12 @@ func TestGroupRoundTrip(t *testing.T) {
 		{Count: 5, Val: record.String("abc")},
 		{}, // empty partial (all inputs NULL)
 	}
-	kv, ps, err := DecodeGroup(EncodeGroup(keyVals, partials), len(partials))
+	var keyFields []byte
+	for _, v := range keyVals {
+		keyFields = record.AppendValue(keyFields, v)
+	}
+	entry := AppendGroup([]byte("earlier entries"), len(keyVals), keyFields, partials)[len("earlier entries"):]
+	kv, ps, err := DecodeGroup(entry, len(partials), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,8 +65,17 @@ func TestGroupRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(partials, ps) {
 		t.Errorf("partials: got %+v want %+v", ps, partials)
 	}
-	if _, _, err := DecodeGroup(append(EncodeGroup(keyVals, partials), 9), len(partials)); err == nil {
+	// Decoding into the scratch a previous entry filled reuses it.
+	kv2, ps2, err := DecodeGroup(entry, len(partials), kv, ps)
+	if err != nil || &kv2[0] != &kv[0] || &ps2[0] != &ps[0] || !reflect.DeepEqual(partials, ps2) {
+		t.Errorf("decode into scratch: %v, keys %+v, partials %+v", err, kv2, ps2)
+	}
+	if _, _, err := DecodeGroup(append(entry, 9), len(partials), nil, nil); err == nil {
 		t.Error("trailing group bytes accepted")
+	}
+	// A hostile key count is bounded by the bytes present, not trusted.
+	if _, _, err := DecodeGroup([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 0}, 1, nil, nil); err == nil {
+		t.Error("oversized key count accepted")
 	}
 }
 
@@ -104,5 +118,31 @@ func TestPartialFeedMerge(t *testing.T) {
 	f1.Merge(AggSum, f2)
 	if !f1.Float || f1.SumF != 3.5 || f1.Count != 2 {
 		t.Errorf("mixed sum merge: %+v", f1)
+	}
+}
+
+// TestPartialOwnsWhatItKeeps: the Disk Process feeds partials values that
+// borrow a cache page (record.View) and the File System merges partials
+// that borrow a reply buffer (DecodeGroup); both are gone or rewritten
+// long before the partial is read. A MIN/MAX that kept the borrowed
+// string would change with the buffer.
+func TestPartialOwnsWhatItKeeps(t *testing.T) {
+	buf := record.AppendValue(nil, record.String("mmm"))
+	borrowed, _, err := record.BorrowValue(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lo, hi, merged AggPartial
+	lo.Feed(AggMin, borrowed)
+	hi.Feed(AggMax, borrowed)
+	merged.Merge(AggMin, AggPartial{Count: 1, Val: borrowed})
+	copy(buf[len(buf)-3:], "zzz")
+	if borrowed.S != "zzz" {
+		t.Fatalf("BorrowValue copied: %q", borrowed.S)
+	}
+	for name, p := range map[string]AggPartial{"Feed MIN": lo, "Feed MAX": hi, "Merge MIN": merged} {
+		if p.Val.S != "mmm" {
+			t.Errorf("%s kept a borrowed string: now %q", name, p.Val.S)
+		}
 	}
 }

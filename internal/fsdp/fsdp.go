@@ -472,7 +472,16 @@ func DecodeRequest(b []byte) (*Request, error) {
 
 // EncodeReply serializes a reply message.
 func EncodeReply(r *Reply) []byte {
-	b := []byte{byte(r.Code)}
+	// Sized first (a few bytes over: every length prefix counted at its
+	// widest), so a block of rows is copied here once and not once more
+	// per doubling of the buffer.
+	size := 1 + 11*binary.MaxVarintLen32 + len(r.Err) + len(r.LastKey)
+	for _, vs := range [2][][]byte{r.Rows, r.RowKeys} {
+		for _, v := range vs {
+			size += binary.MaxVarintLen32 + len(v)
+		}
+	}
+	b := append(make([]byte, 0, size), byte(r.Code))
 	b = appendBytes(b, []byte(r.Err))
 	b = appendSlices(b, r.Rows)
 	b = appendSlices(b, r.RowKeys)

@@ -360,37 +360,16 @@ func AppendValue(b []byte, v Value) []byte {
 }
 
 // DecodeValue decodes one wire-encoded value, returning the remainder.
+// The value owns its string.
 func DecodeValue(b []byte) (Value, []byte, error) {
-	if len(b) == 0 {
-		return Null, nil, fmt.Errorf("record: empty value encoding")
+	v, n, err := BorrowValue(b)
+	if err != nil {
+		return Null, nil, err
 	}
-	tag, rest := b[0], b[1:]
-	switch tag {
-	case encNull:
-		return Null, rest, nil
-	case encInt:
-		v, n := binary.Varint(rest)
-		if n <= 0 {
-			return Null, nil, fmt.Errorf("record: bad varint")
-		}
-		return Int(v), rest[n:], nil
-	case encFloat:
-		if len(rest) < 8 {
-			return Null, nil, fmt.Errorf("record: truncated float")
-		}
-		return Float(math.Float64frombits(binary.LittleEndian.Uint64(rest[:8]))), rest[8:], nil
-	case encString:
-		l, n := binary.Uvarint(rest)
-		if n <= 0 || uint64(len(rest)-n) < l {
-			return Null, nil, fmt.Errorf("record: truncated string")
-		}
-		return String(string(rest[n : n+int(l)])), rest[n+int(l):], nil
-	case encFalse:
-		return Bool(false), rest, nil
-	case encTrue:
-		return Bool(true), rest, nil
+	if v.Kind == TypeString {
+		v.S = strings.Clone(v.S)
 	}
-	return Null, nil, fmt.Errorf("record: unknown value tag %d", tag)
+	return v, b[n:], nil
 }
 
 // Encode serializes a full row. The schema is implicit (field count from
@@ -403,37 +382,31 @@ func Encode(r Row) []byte {
 	return b
 }
 
-// Decode deserializes a full row produced by Encode.
+// Decode deserializes a full row produced by Encode into a Row the
+// caller owns. The Disk Process's scans do not come here: they read the
+// record where it lies through a View, whose Reset is this same walk.
 func Decode(b []byte) (Row, error) {
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 {
+	n, pos := binary.Uvarint(b)
+	if pos <= 0 {
 		return nil, fmt.Errorf("record: bad row header")
 	}
-	b = b[sz:]
-	r := make(Row, 0, n)
+	// n is untrusted; every field takes at least one byte.
+	r := make(Row, 0, min(n, uint64(len(b))))
 	for i := uint64(0); i < n; i++ {
-		v, rest, err := DecodeValue(b)
+		v, sz, err := BorrowValue(b[pos:])
 		if err != nil {
 			return nil, fmt.Errorf("record: field %d: %w", i, err)
 		}
+		if v.Kind == TypeString {
+			v.S = strings.Clone(v.S)
+		}
 		r = append(r, v)
-		b = rest
+		pos += sz
 	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("record: %d trailing bytes", len(b))
+	if pos != len(b) {
+		return nil, fmt.Errorf("record: %d trailing bytes", len(b)-pos)
 	}
 	return r, nil
-}
-
-// Project returns the row restricted to the given field ordinals, in the
-// given order. This is the Disk Process's projection primitive: only the
-// projected fields travel back over the FS-DP interface.
-func Project(r Row, fields []int) Row {
-	out := make(Row, len(fields))
-	for i, f := range fields {
-		out[i] = r[f]
-	}
-	return out
 }
 
 // DiffFields returns the ordinals of fields whose values differ between

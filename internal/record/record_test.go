@@ -160,20 +160,6 @@ func TestDecodeValueErrors(t *testing.T) {
 	}
 }
 
-func TestProject(t *testing.T) {
-	row := Row{Int(100), String("bob"), String("1979-05-17"), Float(45000)}
-	p := Project(row, []int{1, 2})
-	want := Row{String("bob"), String("1979-05-17")}
-	if !reflect.DeepEqual(p, want) {
-		t.Errorf("got %v want %v", p, want)
-	}
-	// Projection re-orders too.
-	p2 := Project(row, []int{3, 0})
-	if p2[0].F != 45000 || p2[1].I != 100 {
-		t.Error("reorder projection failed")
-	}
-}
-
 func TestDiffFields(t *testing.T) {
 	old := Row{Int(1), String("a"), Float(10)}
 	new := Row{Int(1), String("b"), Float(10)}

@@ -26,6 +26,21 @@ go test -race -count=1 ./internal/msg ./internal/obs
 go test -race -count=1 ./internal/btree ./internal/cache
 go test -count=1 -run TestAllocationCeilings ./internal/btree
 go test -run '^$' -fuzz FuzzPageView -fuzztime 10s ./internal/btree
+# One layer up, records are read where they lie too (PR 17): a
+# record.View borrows the cell bytes the B-tree hands a scan callback, the
+# expression evaluator reads fields through it, and the Disk Process
+# copies whatever outlives the callback. Same three checks: the two
+# packages under -race (property tests: View == Decode, evaluating on a
+# View == evaluating on a Row, the two-cursor LIKE == the old memoised
+# one), the Disk Process's allocation ceilings without -race, and ten
+# seconds of hostile bytes against the frame walk. record.Decode and
+# expr.Eval/Satisfied(Row) keep their signatures beside the View — the
+# same value decoder, the same evaluator body — because the File System
+# and the SQL executor keep the rows they decode, and benchmark/layers.go,
+# which a performance change may not edit, times exactly those two.
+go test -race -count=1 ./internal/record ./internal/expr
+go test -count=1 -run TestAllocationCeilings ./internal/dp
+go test -run '^$' -fuzz FuzzRecordView -fuzztime 10s ./internal/record
 # The FS-DP conversation: one driver fans every set-oriented kind out
 # across partition goroutines (shared span accounting, the AGG^FIRST/NEXT
 # group map, PROBE^BLOCK partial re-sends, scanner channels) and one DP
