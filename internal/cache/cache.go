@@ -127,11 +127,12 @@ type PageIndex struct {
 // A Page is a pinned cache buffer. Callers must Release it; Data stays
 // valid only while pinned.
 type Page struct {
-	sh    *shard
-	bn    disk.BlockNum
-	data  []byte
-	index atomic.Pointer[PageIndex] // nil until the page's user builds it
-	dirty bool                      // flipped only through setDirty
+	sh      *shard
+	bn      disk.BlockNum
+	data    []byte
+	index   atomic.Pointer[PageIndex] // nil until the page's user builds it
+	dirty   bool                      // flipped only through setDirty
+	dirtyAt int                       // slot in the shard's dirty set plus one; 0 = not in it
 	// dropped: no longer in the page table (Discard, Crash). Crash can
 	// orphan a page somebody still holds; its later transitions must not
 	// move the count of resident dirty pages.
@@ -181,21 +182,29 @@ func (p *Page) MarkDirty(lsn wal.LSN) {
 }
 
 // setDirty flips the dirty bit and, at the clean→dirty and dirty→clean
-// transitions of a resident page, the pool's dirty-page counter: the
-// background writer asks DirtyCount every few milliseconds, and on a
-// read-only workload walking every shard's page table for that answer
-// (zero) cost a tenth of the CPU. Shard mutex held.
+// transitions of a resident page, the two things kept in step with it so
+// that nobody walks a page table to learn them: the pool's dirty-page
+// counter (DirtyCount, asked every few milliseconds) and the shard's
+// dirty set (what a write-behind pass visits). Shard mutex held.
 func (p *Page) setDirty(d bool) {
 	if p.dirty == d {
 		return
 	}
 	p.dirty = d
+	s := p.sh
 	switch {
 	case p.dropped:
 	case d:
-		p.sh.pool.dirtyPages.Add(1)
+		s.pool.dirtyPages.Add(1)
+		s.dirty = append(s.dirty, p)
+		p.dirtyAt = len(s.dirty)
 	default:
-		p.sh.pool.dirtyPages.Add(-1)
+		s.pool.dirtyPages.Add(-1)
+		last := s.dirty[len(s.dirty)-1]
+		s.dirty[p.dirtyAt-1], last.dirtyAt = last, p.dirtyAt
+		s.dirty[len(s.dirty)-1] = nil
+		s.dirty = s.dirty[:len(s.dirty)-1]
+		p.dirtyAt = 0
 	}
 }
 
@@ -263,6 +272,7 @@ type shard struct {
 	waits     atomic.Uint64 // lock acquisitions that found the mutex held
 	waitNanos atomic.Uint64 // total time blocked in those acquisitions
 	pages     map[disk.BlockNum]*Page
+	dirty     []*Page // the resident pages with dirty set (Page.setDirty)
 	inflight  map[disk.BlockNum]chan struct{}
 	prot      lruList // protected: keyed hot set
 	prob      lruList // probation: sequential recycling ring
@@ -468,13 +478,13 @@ func (p *Pool) GetClass(bn disk.BlockNum, class AccessClass) (*Page, error) {
 	err := p.vol.Read(bn, buf)
 
 	s.lock()
+	var pg *Page
+	if err == nil {
+		pg, err = s.installLocked(bn, buf, true, class)
+	}
+	// Retired only now, with the page installed: see installLocked.
 	delete(s.inflight, bn)
 	close(ch)
-	if err != nil {
-		s.mu.Unlock()
-		return nil, err
-	}
-	pg, err := s.installLocked(bn, buf, true, class)
 	s.mu.Unlock()
 	return pg, err
 }
@@ -483,17 +493,23 @@ func (p *Pool) GetClass(bn disk.BlockNum, class AccessClass) (*Page, error) {
 // pin is true the returned page is pinned. Keyed fills enter the
 // protected segment; Sequential fills enter probation, where they are
 // first in line for eviction unless a keyed touch rescues them.
+//
+// One loader per block: the caller holds bn's in-flight entry until this
+// returns, because makeRoomLocked drops the shard mutex. Were the entry
+// retired first, a second miss on bn could read, install, modify and
+// release the block in that window, and installing here would put an
+// image that predates the update over it. For the same reason the page
+// table is consulted after room is made, not before.
 func (s *shard) installLocked(bn disk.BlockNum, data []byte, pin bool, class AccessClass) (*Page, error) {
+	if err := s.makeRoomLocked(1); err != nil {
+		return nil, err
+	}
 	if pg, ok := s.pages[bn]; ok {
-		// Raced with another loader; keep the existing page.
 		if pin {
 			pg.pins++
 			s.touchLocked(pg, class)
 		}
 		return pg, nil
-	}
-	if err := s.makeRoomLocked(1); err != nil {
-		return nil, err
 	}
 	pg := &Page{sh: s, bn: bn, data: data}
 	if pin {
@@ -723,16 +739,16 @@ func (p *Pool) loadRun(r run, class AccessClass) {
 		bn := r.start + disk.BlockNum(i)
 		s := p.shardFor(bn)
 		s.lock()
-		if ch, ok := s.inflight[bn]; ok {
-			delete(s.inflight, bn)
-			close(ch)
-		}
 		if err == nil {
 			p.stats.prefetchedBlocks.Add(1)
 			if _, ierr := s.installLocked(bn, blocks[i], false, class); ierr != nil {
 				// Shard saturated with pinned pages: drop the rest.
 				err = ierr
 			}
+		}
+		if ch, ok := s.inflight[bn]; ok {
+			delete(s.inflight, bn)
+			close(ch)
 		}
 		s.mu.Unlock()
 	}
@@ -759,8 +775,10 @@ func (p *Pool) WriteBehind() (int, error) {
 	var aged []agedPage
 	for _, s := range p.shards {
 		s.lock()
-		for _, pg := range s.pages {
-			if pg.dirty && !pg.writing && pg.lsn <= durable && pg.pins == 0 {
+		// Backwards: claiming a page swap-removes it from the set.
+		for i := len(s.dirty) - 1; i >= 0; i-- {
+			pg := s.dirty[i]
+			if !pg.writing && pg.lsn <= durable && pg.pins == 0 {
 				// Claim the page and snapshot its buffer under the shard
 				// mutex; the bulk writes run with every mutex dropped so
 				// the I/O never blocks hits or misses on other pages.

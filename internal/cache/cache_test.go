@@ -2,6 +2,7 @@ package cache
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -427,5 +428,112 @@ func TestCrashDropsDirtyPages(t *testing.T) {
 	}
 	if buf[0] == 0x55 {
 		t.Error("unflushed update reached disk despite crash")
+	}
+}
+
+// blockingGate is a WAL gate whose first FlushTo parks until released,
+// holding its caller — a loader cleaning a dirty victim — inside
+// makeRoomLocked with the shard mutex dropped.
+type blockingGate struct {
+	fakeGate
+	parked  atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *blockingGate) FlushTo(lsn wal.LSN) {
+	if g.parked.CompareAndSwap(false, true) {
+		close(g.entered)
+		<-g.release
+	}
+	g.fakeGate.FlushTo(lsn)
+}
+
+// TestOneLoaderPerBlock pins the lost update of PR 18: a loader stuck in
+// makeRoomLocked (its in-flight entry already retired, at the time) let a
+// second miss on the same block read it again and install a Page, which
+// a writer modified and released; the first loader then woke and put its
+// own, stale Page over it in the page table. Whichever way the two Gets
+// interleave, one Page for the block must be reachable afterwards and it
+// must carry the modification.
+func TestOneLoaderPerBlock(t *testing.T) {
+	v, start := newVolWithBlocks(t, 3)
+	g := &blockingGate{entered: make(chan struct{}), release: make(chan struct{})}
+	p := NewPoolOpts(v, 2, g, Options{Shards: 1})
+	// Both slots dirty with audit that is not durable: the next miss has
+	// to clean a victim through the gate.
+	for i := 0; i < 2; i++ {
+		pg, err := p.Get(start + disk.BlockNum(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pg.MarkDirty(wal.LSN(i + 1))
+		pg.Release()
+	}
+	bn := start + 2
+	first := make(chan *Page, 1)
+	go func() {
+		pg, err := p.Get(bn)
+		if err != nil {
+			t.Error(err)
+		}
+		first <- pg
+	}()
+	<-g.entered // the first loader has read bn and is parked making room
+
+	second := make(chan *Page, 1)
+	go func() {
+		pg, err := p.Get(bn)
+		if err != nil {
+			t.Error(err)
+			second <- nil
+			return
+		}
+		pg.Data()[0] = 0xEE
+		pg.MarkDirty(3)
+		second <- pg
+	}()
+	// The second Get either waits for the first load (it must not read
+	// the block again) or, were it allowed through, finishes long before
+	// this expires; only then is the first loader let go.
+	var pg2 *Page
+	select {
+	case pg2 = <-second:
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(g.release)
+	pg1 := <-first
+	if pg2 == nil {
+		pg2 = <-second
+	}
+	if pg1 == nil || pg2 == nil {
+		t.FailNow()
+	}
+	if pg1 != pg2 {
+		t.Errorf("two Gets of block %d pinned two different pages", bn)
+	}
+	pg1.Release()
+	pg2.Release()
+
+	s := p.shards[0]
+	s.lock()
+	reachable := 0
+	for _, l := range [2]*lruList{&s.prot, &s.prob} {
+		for pg := l.head; pg != nil; pg = pg.next {
+			if pg.bn == bn {
+				reachable++
+			}
+		}
+	}
+	resident := s.pages[bn]
+	s.mu.Unlock()
+	if reachable != 1 {
+		t.Errorf("%d pages for block %d on the LRU lists, want 1", reachable, bn)
+	}
+	if resident == nil || resident.data[0] != 0xEE || !resident.dirty {
+		t.Errorf("the resident page of block %d lost the update", bn)
+	}
+	if n := v.Stats().Reads; n != 3 {
+		t.Errorf("%d disk reads, want 3: the block was read twice", n)
 	}
 }

@@ -21,7 +21,8 @@ import (
 //
 // The traffic runs in rounds. Between rounds nothing is in flight, and
 // there — as after FlushAll, a Discard of a dirty page and a Crash — the
-// pool's O(1) DirtyCount must equal a walk of every shard's page table.
+// pool's O(1) DirtyCount and every shard's dirty set (what a write-behind
+// pass visits) must equal a walk of every shard's page table.
 func TestPoolProperty(t *testing.T) {
 	const (
 		owners    = 4
@@ -43,13 +44,21 @@ func TestPoolProperty(t *testing.T) {
 	checkDirtyCount := func(when string) {
 		t.Helper()
 		walked := 0
-		for _, s := range p.shards {
+		for i, s := range p.shards {
 			s.lock()
+			inShard := 0
 			for _, pg := range s.pages {
 				if pg.dirty {
-					walked++
+					inShard++
+					if pg.dirtyAt == 0 || s.dirty[pg.dirtyAt-1] != pg {
+						t.Errorf("%s: shard %d: dirty block %d is not in the dirty set", when, i, pg.bn)
+					}
 				}
 			}
+			if len(s.dirty) != inShard {
+				t.Errorf("%s: shard %d: dirty set holds %d pages, a walk of the page table finds %d", when, i, len(s.dirty), inShard)
+			}
+			walked += inShard
 			s.mu.Unlock()
 		}
 		if got := p.DirtyCount(); got != walked {

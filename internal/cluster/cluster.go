@@ -27,7 +27,6 @@ type Options struct {
 	Nodes         int  // default 1
 	CPUsPerNode   int  // default 4, max 16
 	GroupCommit   bool // default true unless DisableGroupCommit
-	Adaptive      bool // adaptive group-commit timers
 	Prefetch      bool
 	WriteBehind   bool
 	DPWorkers     int  // process-group goroutines per DP (default 16)
@@ -49,6 +48,10 @@ type Options struct {
 	ScanParallel int
 
 	DisableGroupCommit bool
+
+	// GroupCommitTimer is wal.Config.FixedTimer: the ABL-GC-TIMER
+	// ablation's fixed [Helland] timer. Nothing else sets it.
+	GroupCommitTimer time.Duration
 
 	// ProcessPairs runs every Disk Process as a primary/hot-standby
 	// pair: a backup process on another CPU receives a checkpoint
@@ -190,8 +193,9 @@ func New(opts Options) (*Cluster, error) {
 		}
 		trail, err := wal.NewTrail(wal.Config{
 			Volume:      auditVol,
+			ID:          uint64(n + 1),
 			GroupCommit: opts.GroupCommit,
-			Adaptive:    opts.Adaptive,
+			FixedTimer:  opts.GroupCommitTimer,
 		})
 		if err != nil {
 			return nil, err

@@ -283,8 +283,19 @@ func (v *Volume) Write(bn BlockNum, data []byte) error {
 	if v.mirrored {
 		v.stats.MirrorWrites++
 	}
-	v.blocks[bn] = append([]byte(nil), data...)
+	v.store(bn, data)
 	return nil
+}
+
+// store copies data into the volume's image of bn, in place when the
+// block has one (the trail's tail block is rewritten by every flush).
+// Images never leave the volume: reads and Clone copy out.
+func (v *Volume) store(bn BlockNum, data []byte) {
+	if img := v.blocks[bn]; img != nil {
+		copy(img, data)
+		return
+	}
+	v.blocks[bn] = append([]byte(nil), data...)
 }
 
 // WriteBulk performs ONE bulk write I/O of consecutive blocks starting at
@@ -325,7 +336,7 @@ func (v *Volume) WriteBulk(start BlockNum, blocks [][]byte) error {
 		if v.frozen.Load() {
 			return nil
 		}
-		v.blocks[start+BlockNum(i)] = append([]byte(nil), b...)
+		v.store(start+BlockNum(i), b)
 	}
 	return nil
 }

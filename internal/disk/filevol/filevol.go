@@ -105,16 +105,21 @@ type Volume struct {
 	mode Mode
 	f    *os.File
 
-	// headerMu serializes header-block writes: allocation growth, the
-	// scheduler's piggybacked refresh, and Close all rewrite it.
-	headerMu sync.Mutex
-
 	mu     sync.Mutex
 	next   disk.BlockNum
 	free   []disk.BlockNum // LIFO reuse stack
 	freed  map[disk.BlockNum]bool
 	stats  disk.Stats
 	closed bool
+
+	// Header-block writes (allocation growth, the scheduler's piggybacked
+	// refresh, Close) take turns, each built from the allocation state as
+	// it is when its turn comes, so a stale mark never lands over a newer
+	// one. hdrBusy is the turn — no mutex is held across the pwrite;
+	// hdrMark is the in-use mark this handle last wrote, 0 if none.
+	hdrBusy bool
+	hdrTurn *sync.Cond // on mu
+	hdrMark disk.BlockNum
 
 	sched *sched // non-nil in BatchedAsync mode
 }
@@ -135,6 +140,7 @@ func Open(cfg Config) (*Volume, error) {
 	}
 	v := &Volume{name: cfg.Name, path: cfg.Path, mode: cfg.Mode, f: f,
 		next: 1, freed: make(map[disk.BlockNum]bool)}
+	v.hdrTurn = sync.NewCond(&v.mu)
 	st, err := f.Stat()
 	if err != nil {
 		f.Close()
@@ -216,16 +222,27 @@ func (v *Volume) readHeader(size int64) error {
 // unallocated. Over-estimating merely leaks a few fresh blocks (and the
 // audit scan already stops at a zero tail). A clean Close records the
 // exact mark: nothing can be in flight.
+//
+// An in-use header is nothing but its rounded mark, which moves once per
+// allocChunk; every Sync asks for a refresh, and when the header it would
+// write is the one this handle last wrote there is nothing to write.
 func (v *Volume) writeHeader(clean bool) error {
 	v.mu.Lock()
-	next := v.next
-	if !clean {
-		next = (next/allocChunk + 1) * allocChunk
+	for v.hdrBusy {
+		v.hdrTurn.Wait()
 	}
+	next := v.next
 	var free []disk.BlockNum
 	if clean {
 		free = append(free, v.free...)
+	} else {
+		next = (next/allocChunk + 1) * allocChunk
+		if next == v.hdrMark {
+			v.mu.Unlock()
+			return nil
+		}
 	}
+	v.hdrBusy = true
 	v.mu.Unlock()
 
 	buf := make([]byte, headerSize)
@@ -245,9 +262,16 @@ func (v *Volume) writeHeader(clean bool) error {
 	for i, bn := range free {
 		binary.LittleEndian.PutUint32(buf[offFree+4*i:], uint32(bn))
 	}
-	v.headerMu.Lock()
 	_, err := v.f.WriteAt(buf, 0)
-	v.headerMu.Unlock()
+
+	v.mu.Lock()
+	v.hdrBusy = false
+	v.hdrMark = 0 // a failed write, or the clean header
+	if err == nil && !clean {
+		v.hdrMark = next
+	}
+	v.hdrTurn.Broadcast()
+	v.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("filevol %s: header write: %w", v.name, err)
 	}

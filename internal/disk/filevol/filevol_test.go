@@ -2,9 +2,11 @@ package filevol
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -173,6 +175,106 @@ func TestCrashReopen(t *testing.T) {
 		t.Errorf("post-crash Allocate returned %d, inside the pre-crash region (≤ %d)", bn, b)
 	}
 	_ = v.f.Close() // release the dead handle
+}
+
+// headerOnDisk reads the header block's mark and clean flag straight
+// from the file.
+func headerOnDisk(t *testing.T, path string) (next disk.BlockNum, clean bool) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	buf := make([]byte, headerSize)
+	if _, err := f.ReadAt(buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	return disk.BlockNum(binary.LittleEndian.Uint32(buf[offNext:])), binary.LittleEndian.Uint32(buf[offClean:]) == 1
+}
+
+// TestHeaderWrittenWhenItChanges: a Sync rewrites the header only when
+// the header it would write differs from the one on disk — which is once
+// per allocation chunk, not once per fsync. What must still land: the
+// in-use mark at Open (over a clean header), every chunk crossing, and
+// the clean header at Close. The proof of the pudding is a kill after
+// allocating across a chunk boundary: no block handed out before the
+// crash is handed out again after it.
+func TestHeaderWrittenWhenItChanges(t *testing.T) {
+	for _, mode := range []Mode{BatchedAsync, SyncPerWrite} {
+		t.Run(mode.String(), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "vol")
+			v, err := Open(Config{Path: path, Name: "$T", Mode: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := v.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if v, err = Open(Config{Path: path, Name: "$T", Mode: mode}); err != nil {
+				t.Fatal(err)
+			}
+			if next, clean := headerOnDisk(t, path); clean || next != allocChunk {
+				t.Fatalf("after Open over a clean header: mark %d clean %v, want %d false", next, clean, allocChunk)
+			}
+
+			// Within one chunk the header does not change, so a Sync leaves
+			// the block alone: scribble on it and see the scribble survive.
+			var last disk.BlockNum
+			for i := 0; i < 10; i++ {
+				last = v.Allocate()
+			}
+			if err := v.Write(last, filled(0x11)); err != nil {
+				t.Fatal(err)
+			}
+			scribble := filled(0x5A)
+			if _, err := v.f.WriteAt(scribble, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := v.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			got := make([]byte, headerSize)
+			if _, err := v.f.ReadAt(got, 0); err != nil || !bytes.Equal(got, scribble) {
+				t.Fatalf("Sync rewrote a header that had not changed (err %v)", err)
+			}
+
+			// Crossing a chunk boundary changes it, and the crossing lands:
+			// one allocation at a time, then a run that jumps a boundary.
+			for v.Allocate() < allocChunk {
+			}
+			if next, clean := headerOnDisk(t, path); clean || next != 2*allocChunk {
+				t.Fatalf("after crossing the first chunk: mark %d clean %v, want %d false", next, clean, 2*allocChunk)
+			}
+			last = v.AllocateRun(allocChunk) + allocChunk - 1
+			if err := v.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if next, _ := headerOnDisk(t, path); next <= last {
+				t.Fatalf("after a run across the second chunk: mark %d does not cover block %d", next, last)
+			}
+
+			// Kill: no Close. Nothing above block 10 was ever written, so
+			// only the header can tell the next incarnation what was taken.
+			v2, err := Open(Config{Path: path, Name: "$T", Mode: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bn := v2.Allocate(); bn <= last {
+				t.Errorf("after the kill Allocate handed out block %d again (blocks up to %d were taken)", bn, last)
+			}
+			if bn := v2.AllocateRun(3); bn <= last {
+				t.Errorf("after the kill AllocateRun handed out block %d again", bn)
+			}
+			if err := v2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, clean := headerOnDisk(t, path); !clean {
+				t.Error("Close did not leave a clean header")
+			}
+			_ = v.f.Close() // release the dead handle
+		})
+	}
 }
 
 // claimRunLocked is the coalescing heart of the scheduler; test it

@@ -164,6 +164,9 @@ func (s *sched) claimRunLocked() (start disk.BlockNum, run [][]byte, ok bool) {
 
 func (s *sched) worker() {
 	defer s.wg.Done()
+	// A multi-block run is gathered here for its one pwrite; a one-block
+	// run goes out from the image the queue already owns.
+	gather := make([]byte, 0, disk.MaxBulkBytes)
 	for {
 		s.mu.Lock()
 		var start disk.BlockNum
@@ -183,9 +186,12 @@ func (s *sched) worker() {
 		s.inFlight++
 		s.mu.Unlock()
 
-		raw := make([]byte, 0, len(run)*disk.BlockSize)
-		for _, b := range run {
-			raw = append(raw, b...)
+		raw := run[0]
+		if len(run) > 1 {
+			raw = gather[:0]
+			for _, b := range run {
+				raw = append(raw, b...)
+			}
 		}
 		_, werr := s.v.f.WriteAt(raw, blockOff(start))
 

@@ -72,8 +72,18 @@ func (d *DP) appendAudit(rec *wal.Record) wal.LSN {
 }
 
 // prepare serves KPrepare (2PC phase 1): all of the transaction's audit
-// at this participant is shipped and forced durable, a prepare record is
-// written, and the participant promises to hold locks.
+// at this participant is shipped, a prepare record is written, and the
+// participant promises to hold locks.
+//
+// The audit is forced here only when the coordinator's commit record will
+// live on another trail. On the same trail (req.CommitLSN names it; one
+// per node) the commit record follows this prepare record in one
+// sequential log and the coordinator forces it before anyone is told the
+// transaction committed: it cannot survive a crash that loses anything
+// before it, and Recover decides winners by commit record alone — a crash
+// in between undoes the transaction on every volume, as presumed abort
+// would after a forced prepare. An anonymous trail (ID 0) always forces;
+// the backup's shipFlush below is not affected. DESIGN.md §17.
 func (d *DP) prepare(req *fsdp.Request) *fsdp.Reply {
 	d.mu.Lock()
 	t, ok := d.txs[req.Tx]
@@ -84,7 +94,9 @@ func (d *DP) prepare(req *fsdp.Request) *fsdp.Reply {
 	}
 	lsn := d.appendAudit(&wal.Record{Type: wal.RecPrepare, TxID: req.Tx, Volume: d.cfg.Volume.Name()})
 	d.cfg.Audit.FlushSend()
-	d.cfg.Audit.Trail().FlushTo(lsn)
+	if trail := d.cfg.Audit.Trail(); trail.ID() == 0 || trail.ID() != req.CommitLSN {
+		trail.FlushTo(lsn)
+	}
 	// The yes vote promises this participant can commit even if it dies:
 	// with a replicated backup, that means the backup must hold every
 	// record of the transaction (it keeps the tx in doubt at takeover).

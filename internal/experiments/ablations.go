@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"time"
 
 	"nonstopsql/internal/cluster"
 	"nonstopsql/internal/debitcredit"
@@ -124,23 +125,23 @@ func AblationSCB(n int) (*Table, error) {
 	return table, nil
 }
 
-// AblationGroupCommitTimer compares fixed vs adaptive group-commit
-// timers across load levels: the adaptive rule keeps single-stream
-// response time near the no-wait floor while still grouping at load,
-// where a fixed timer taxes every lone commit with the full wait.
+// AblationGroupCommitTimer sets the paper's fixed group-commit timer
+// [Helland] against what replaced it, a group paced by the audit volume
+// (DESIGN.md §17): the timer taxes every lone commit with the full wait;
+// device pacing costs a lone commit one flush and still groups under load.
 func AblationGroupCommitTimer(txnsPerClient int) (*Table, error) {
 	table := &Table{
 		ID:    "ABL-GC-TIMER",
-		Title: "Ablation: fixed vs adaptive group-commit timers [Helland]",
-		Claim: "response times are minimized by dynamically adjusting the timers based on transaction rate",
+		Title: "Ablation: fixed group-commit timer [Helland] vs device-paced group commit",
+		Claim: "timers force out pending commits from a partially full buffer; response times are minimized by adjusting the wait to the transaction rate",
 		Cols: []Col{
 			label("clients"), label("timer"), observed("commits/flush"),
 			observed("avg txn latency"),
 		},
 	}
 	scale := debitcredit.Scale{Branches: 8, TellersPerBr: 10, AccountsPerBr: 100}
-	run := func(clients int, adaptive bool) error {
-		r, err := newRig(cluster.Options{Adaptive: adaptive, DPWorkers: clients + 2}, 1)
+	run := func(clients int, timer time.Duration) error {
+		r, err := newRig(cluster.Options{GroupCommitTimer: timer, DPWorkers: clients + 2}, 1)
 		if err != nil {
 			return err
 		}
@@ -180,9 +181,9 @@ func AblationGroupCommitTimer(txnsPerClient int) (*Table, error) {
 			return err
 		}
 		ts := r.c.Nodes[0].Trail.Stats()
-		mode := "fixed 10ms"
-		if adaptive {
-			mode = "adaptive"
+		mode := "device-paced"
+		if timer > 0 {
+			mode = "fixed 10ms"
 		}
 		avgLat := float64(totalNs) / float64(clients*txnsPerClient) / 1e6
 		table.Rows = append(table.Rows, []string{
@@ -193,11 +194,10 @@ func AblationGroupCommitTimer(txnsPerClient int) (*Table, error) {
 		return nil
 	}
 	for _, clients := range []int{1, 16} {
-		if err := run(clients, false); err != nil {
-			return nil, err
-		}
-		if err := run(clients, true); err != nil {
-			return nil, err
+		for _, timer := range []time.Duration{10 * time.Millisecond, 0} {
+			if err := run(clients, timer); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return table, nil

@@ -85,7 +85,7 @@ func E15(txnsPerClient int) (*E15Rows, *Table, error) {
 	for _, plain := range []bool{false, true} {
 		r, err := newRig(cluster.Options{
 			CPUsPerNode: 4, DPWorkers: 8, Prefetch: true, WriteBehind: true,
-			Adaptive: true, CacheSlots: 64, CachePlainLRU: plain,
+			CacheSlots: 64, CachePlainLRU: plain,
 		}, 1)
 		if err != nil {
 			return nil, nil, err
@@ -256,7 +256,7 @@ func E15(txnsPerClient int) (*E15Rows, *Table, error) {
 	for _, shards := range []int{1, 2, 4, 8, 16} {
 		r, err := newRig(cluster.Options{
 			CPUsPerNode: 4, DPWorkers: 8, Prefetch: true, WriteBehind: true,
-			Adaptive: true, CacheSlots: 2048, CacheShards: shards,
+			CacheSlots: 2048, CacheShards: shards,
 		}, 1)
 		if err != nil {
 			return nil, nil, err

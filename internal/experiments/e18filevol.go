@@ -129,8 +129,8 @@ func e18Run(syncPerWrite bool, scale debitcredit.Scale, clients, txnsPerClient i
 	// Everything else — engine, cache, workload — is identical.
 	r, err := newRig(cluster.Options{
 		CPUsPerNode: 4, DPWorkers: 8, WriteBehind: true, Prefetch: true,
-		Adaptive: true, CacheSlots: 128,
-		DataDir: dir, SyncPerWrite: syncPerWrite,
+		CacheSlots: 128,
+		DataDir:    dir, SyncPerWrite: syncPerWrite,
 		DisableGroupCommit: syncPerWrite,
 	}, 1)
 	if err != nil {

@@ -171,7 +171,12 @@ type Request struct {
 	Check  []byte // encoded CHECK constraint (KCreateFile)
 	Audit  bool   // KCreateFile: field-compressed audit (SQL) vs full-record (ENSCRIBE)
 
-	CommitLSN uint64 // KCommit: durable commit record LSN
+	// CommitLSN: on KCommit, the durable commit record's LSN (0 = this
+	// Disk Process is the only participant and writes the record itself).
+	// On KPrepare, the identity of the coordinator's audit trail
+	// (wal.Trail.ID, 0 = anonymous): a participant auditing to that same
+	// trail need not force its prepare record.
+	CommitLSN uint64
 	RowLimit  uint32 // optional per-message row budget override (re-drive)
 
 	// Agg is the encoded partial-aggregate specification (EncodeAggSpec)

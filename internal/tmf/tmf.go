@@ -96,7 +96,10 @@ type Coordinator struct {
 //
 //	multi-participant: presumed-abort 2PC — KPrepare to every
 //	participant, commit record written and forced durable via group
-//	commit, then KCommit to every participant.
+//	commit, then KCommit to every participant. KPrepare names the
+//	coordinator's trail: the paper's TMF keeps one audit trail per node,
+//	and only a participant on another node's trail has to force its
+//	prepare record (dp.prepare has the argument).
 func (c *Coordinator) Commit(t *Tx) error {
 	t.mu.Lock()
 	if t.done {
@@ -123,7 +126,7 @@ func (c *Coordinator) Commit(t *Tx) error {
 
 	// Phase 1: prepare everyone.
 	for _, p := range parts {
-		reply, err := c.Send(p, &fsdp.Request{Kind: fsdp.KPrepare, Tx: t.ID})
+		reply, err := c.Send(p, &fsdp.Request{Kind: fsdp.KPrepare, Tx: t.ID, CommitLSN: c.Trail.ID()})
 		if err != nil || !reply.OK() {
 			// Presumed abort: tell everyone to undo.
 			c.abortAll(t.ID, parts)

@@ -16,6 +16,7 @@ import (
 type fakeDP struct {
 	mu       sync.Mutex
 	prepares []uint64
+	trailIDs []uint64 // the coordinator trail each KPrepare named
 	commits  []uint64
 	aborts   []uint64
 	failPrep bool
@@ -28,6 +29,7 @@ func (f *fakeDP) send(server string, req *fsdp.Request) (*fsdp.Reply, error) {
 	switch req.Kind {
 	case fsdp.KPrepare:
 		f.prepares = append(f.prepares, req.Tx)
+		f.trailIDs = append(f.trailIDs, req.CommitLSN)
 		if f.failPrep {
 			return &fsdp.Reply{Code: fsdp.ErrGeneral, Err: "prepare refused"}, nil
 		}
@@ -133,6 +135,40 @@ func TestCommitTwoPhase(t *testing.T) {
 	// Commit record durable on the trail.
 	if trail.FlushedLSN() == 0 {
 		t.Error("commit record not durable")
+	}
+}
+
+// TestPrepareNamesCoordinatorTrail: KPREPARE tells each participant which
+// trail the commit record will be forced on (in the varint KCOMMIT uses
+// for the commit LSN — one byte either way), which is what lets a
+// participant on that same trail vote without a force of its own. The
+// coordinator's side of the bargain is one flush per transaction.
+func TestPrepareNamesCoordinatorTrail(t *testing.T) {
+	trail, err := wal.NewTrail(wal.Config{Volume: disk.NewVolume("$AUDIT", true), ID: 7, GroupCommit: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer trail.Close()
+	dp := &fakeDP{}
+	c := &Coordinator{Trail: trail, Send: dp.send}
+	for i := 0; i < 3; i++ {
+		tx := Begin()
+		tx.Join("$D1")
+		tx.Join("$D2")
+		if err := c.Commit(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(dp.trailIDs) != 6 {
+		t.Fatalf("%d prepares, want 6", len(dp.trailIDs))
+	}
+	for _, id := range dp.trailIDs {
+		if id != 7 {
+			t.Fatalf("KPREPARE named trail %d, want 7", id)
+		}
+	}
+	if s := trail.Stats(); s.Flushes != 3 || s.CommitsFlushed != 3 {
+		t.Errorf("%d flushes for %d commits, want one each", s.Flushes, s.CommitsFlushed)
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package wal implements the TMF audit trail ("auditing" is Tandem's
 // term for journaling): LSN-stamped audit records with full-record or
 // field-compressed before/after images, an audit buffer whose buffer-full
-// condition triggers bulk log I/O, group commit with adaptive timers
-// [Helland], and the recovery scan used after a crash.
+// condition triggers bulk log I/O, group commit paced by the audit volume
+// (one leader/follower flush behind every force point), and the recovery
+// scan used after a crash.
 //
 // Both SQL and ENSCRIBE share the same audit trail, exactly as in the
 // paper; the only difference is the image format each puts inside its
@@ -12,6 +13,7 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // LSN is a log sequence number: the offset-ordered position of a record
@@ -75,23 +77,34 @@ type Record struct {
 
 // Size returns the encoded byte size of the record; this is what counts
 // against the audit buffer and the trail volume, and what the paper's
-// audit-compression claim measures.
-func (r *Record) Size() int { return len(r.encode(nil)) }
+// audit-compression claim measures. Computed, not encoded: every audited
+// operation asks.
+func (r *Record) Size() int {
+	n := r.bodySize()
+	return uvarintLen(uint64(n)) + 4 + n
+}
+
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+func bytesLen(v int) int { return uvarintLen(uint64(v)) + v }
+
+// bodySize is the length of the frame's body, which the frame states
+// ahead of it: knowing it first lets Encode write the frame straight into
+// its destination, with no body built on the side.
+func (r *Record) bodySize() int {
+	return 2 + uvarintLen(uint64(r.LSN)) + uvarintLen(r.TxID) +
+		bytesLen(len(r.Volume)) + bytesLen(len(r.File)) +
+		bytesLen(len(r.Key)) + bytesLen(len(r.Before)) + bytesLen(len(r.After))
+}
 
 // Encode appends the record's framed encoding (length prefix, checksum,
 // body) to b. It is the trail's own frame format, reused verbatim as the
 // checkpoint-shipping wire format so a replica applies exactly the bytes
 // the primary audited.
-func (r *Record) Encode(b []byte) []byte { return r.encode(b) }
-
-// Decode parses one framed record from b, returning the record and the
-// remaining bytes. The checksum is verified, so a torn or corrupted
-// shipped frame is rejected rather than applied.
-func Decode(b []byte) (*Record, []byte, error) { return decodeRecord(b) }
-
-func (r *Record) encode(b []byte) []byte {
-	body := make([]byte, 0, 64+len(r.Key)+len(r.Before)+len(r.After))
-	body = append(body, byte(r.Type))
+func (r *Record) Encode(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(r.bodySize()))
+	sumAt := len(b)
+	b = append(b, 0, 0, 0, 0, byte(r.Type))
 	var flags byte
 	if r.FieldCompressed {
 		flags |= 1
@@ -99,17 +112,16 @@ func (r *Record) encode(b []byte) []byte {
 	if r.Compensation {
 		flags |= 2
 	}
-	body = append(body, flags)
-	body = binary.AppendUvarint(body, uint64(r.LSN))
-	body = binary.AppendUvarint(body, r.TxID)
-	body = appendBytes(body, []byte(r.Volume))
-	body = appendBytes(body, []byte(r.File))
-	body = appendBytes(body, r.Key)
-	body = appendBytes(body, r.Before)
-	body = appendBytes(body, r.After)
-	b = binary.AppendUvarint(b, uint64(len(body)))
-	b = binary.BigEndian.AppendUint32(b, bodySum(body))
-	return append(b, body...)
+	b = append(b, flags)
+	b = binary.AppendUvarint(b, uint64(r.LSN))
+	b = binary.AppendUvarint(b, r.TxID)
+	b = appendBytes(b, r.Volume)
+	b = appendBytes(b, r.File)
+	b = appendBytes(b, r.Key)
+	b = appendBytes(b, r.Before)
+	b = appendBytes(b, r.After)
+	binary.BigEndian.PutUint32(b[sumAt:], bodySum(b[sumAt+4:]))
+	return b
 }
 
 // bodySum is the FNV-1a checksum guarding each frame. A torn block write
@@ -126,7 +138,7 @@ func bodySum(b []byte) uint32 {
 	return h
 }
 
-func appendBytes(b, v []byte) []byte {
+func appendBytes[T []byte | string](b []byte, v T) []byte {
 	b = binary.AppendUvarint(b, uint64(len(v)))
 	return append(b, v...)
 }
@@ -142,9 +154,10 @@ func takeBytes(b []byte) ([]byte, []byte, error) {
 	return b[n : n+int(l)], b[n+int(l):], nil
 }
 
-// decodeRecord parses one length-prefixed record from b, returning the
-// record and the remainder.
-func decodeRecord(b []byte) (*Record, []byte, error) {
+// Decode parses one framed record from b, returning the record and the
+// remaining bytes. The checksum is verified, so a torn or corrupted
+// shipped frame is rejected rather than applied.
+func Decode(b []byte) (*Record, []byte, error) {
 	l, n := binary.Uvarint(b)
 	if n <= 0 || uint64(len(b)-n) < 4 || uint64(len(b)-n-4) < l {
 		return nil, nil, fmt.Errorf("wal: truncated record frame")

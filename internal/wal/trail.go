@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -16,46 +17,30 @@ type Config struct {
 	// Process in the paper. Required.
 	Volume disk.BlockDev
 
+	// ID names this trail among the trails whose users exchange messages:
+	// a cluster numbers its nodes' trails 1, 2, …. A two-phase commit
+	// coordinator states its trail's ID in KPREPARE, and a participant
+	// auditing to the same trail need not force its prepare record (see
+	// dp.prepare). Zero is anonymous: it matches nothing.
+	ID uint64
+
 	// BufferFullBytes triggers a log flush when this much un-flushed
 	// audit accumulates. Default 16 KB. Field-compressed audit fills the
 	// buffer more slowly, producing "fewer sends of audit … due to audit
 	// buffer-full conditions".
 	BufferFullBytes int
 
-	// GroupCommit batches commit durability waits so one bulk log write
-	// commits many transactions. When false every commit record flushes
-	// immediately.
+	// GroupCommit lets one bulk log write commit every transaction whose
+	// commit record is in the buffer when a flush takes it. When false a
+	// commit record is flushed by its own appender, alone: the
+	// sync-per-commit baseline of E5 and E18.
 	GroupCommit bool
 
-	// MaxGroupSize flushes as soon as this many commit records are
-	// pending. Default 32.
-	MaxGroupSize int
-
-	// TimerMin and TimerMax bound the group-commit timer that forces out
-	// pending commits from a partially full buffer. Defaults 200µs and
-	// 10ms.
-	TimerMin, TimerMax time.Duration
-
-	// Adaptive adjusts the timer from the observed transaction rate
-	// [Helland]: at high rates the timer stretches toward the time needed
-	// to fill a group; at low rates it shrinks to bound response time.
-	// When false the timer is fixed at TimerMax.
-	Adaptive bool
-}
-
-func (c *Config) setDefaults() {
-	if c.BufferFullBytes == 0 {
-		c.BufferFullBytes = 16 * 1024
-	}
-	if c.MaxGroupSize == 0 {
-		c.MaxGroupSize = 32
-	}
-	if c.TimerMin == 0 {
-		c.TimerMin = 200 * time.Microsecond
-	}
-	if c.TimerMax == 0 {
-		c.TimerMax = 10 * time.Millisecond
-	}
+	// FixedTimer is for the ABL-GC-TIMER ablation only: the paper's
+	// [Helland] group-commit timer. A flush leader sleeps this long
+	// before it takes the buffer, where it otherwise only yields the
+	// processor. Nothing else sets it.
+	FixedTimer time.Duration
 }
 
 // Stats counts audit trail activity.
@@ -64,11 +49,9 @@ type Stats struct {
 	CommitRecords     uint64
 	BytesAppended     uint64 // encoded audit bytes (the compression metric)
 	Flushes           uint64 // bulk log writes ("sends" + physical I/Os)
-	BufferFullFlushes uint64
-	GroupFullFlushes  uint64
-	TimerFlushes      uint64
-	ExplicitFlushes   uint64 // FlushTo / Close / non-group commits
+	BufferFullFlushes uint64 // buffer-full conditions
 	CommitsFlushed    uint64 // commit records made durable (for commits/flush)
+	Joined            uint64 // force points that waited on a flush another caller led
 }
 
 // CommitsPerFlush returns the average group-commit batch size.
@@ -79,36 +62,37 @@ func (s Stats) CommitsPerFlush() float64 {
 	return float64(s.CommitsFlushed) / float64(s.Flushes)
 }
 
-type waiter struct {
-	lsn LSN
-	ch  chan struct{}
-}
-
 // A Trail is the audit trail writer: the highly optimized audit-writing
 // component of the audit trail volume's Disk Process.
+//
+// Durability has one mechanism (DESIGN.md §17). Every force point — a
+// commit's WaitDurable, the prepare's and the cache WAL gate's FlushTo,
+// Flush, Close — is "block until durable ≥ LSN". A caller that finds no
+// flush in flight leads one: it takes the pending buffer under the mutex
+// and packs, writes and syncs it with the mutex released, then advances
+// the durable LSN and wakes the followers, whose records form the next
+// group. The device's latency sets the group size, not a timer.
 type Trail struct {
 	cfg        Config
 	firstBlock disk.BlockNum
 
 	mu             sync.Mutex
-	nextLSN        LSN
+	durable        *sync.Cond // a flush finished (or the trail closed)
+	nextLSN        LSN        // last LSN assigned
 	flushedLSN     LSN
-	pending        []byte // encoded, not yet durable
-	pendingLast    LSN    // LSN of last pending record
+	pending        []byte // encoded, not yet taken by a flush
 	pendingCommits int
-	waiters        []waiter
-	timer          *time.Timer
-	timerSet       bool
+	flushing       bool // a leader is out with the buffer it took
 	closed         bool
 	stats          Stats
 
-	// disk packing state
-	tail      []byte        // partial content of the tail block
-	tailNum   disk.BlockNum // block the tail belongs to; 0 = none
-	firstUsed bool          // firstBlock has been consumed
-	diskLen   int           // durable log bytes
-	ewmaGap   time.Duration
-	lastTick  time.Time
+	// The flusher's own: touched only by the one leader, with mu released.
+	spare   []byte        // the buffer the last flush took, for the next swap
+	img     []byte        // block images of a run; between flushes img[:tailLen] is the tail block's content
+	blocks  [][]byte      // img cut into blocks, for WriteBulk
+	tailNum disk.BlockNum // the last block of the log
+	tailLen int           // bytes used in it; 0 = full, the next flush starts a fresh block
+	used    bool          // firstBlock has been consumed
 }
 
 // NewTrail creates an audit trail on cfg.Volume.
@@ -116,8 +100,11 @@ func NewTrail(cfg Config) (*Trail, error) {
 	if cfg.Volume == nil {
 		return nil, fmt.Errorf("wal: Config.Volume is required")
 	}
-	cfg.setDefaults()
+	if cfg.BufferFullBytes == 0 {
+		cfg.BufferFullBytes = 16 * 1024
+	}
 	t := &Trail{cfg: cfg}
+	t.durable = sync.NewCond(&t.mu)
 	t.firstBlock = cfg.Volume.AllocateRun(1)
 	return t, nil
 }
@@ -125,258 +112,188 @@ func NewTrail(cfg Config) (*Trail, error) {
 // FirstBlock returns the block where the trail begins, for recovery.
 func (t *Trail) FirstBlock() disk.BlockNum { return t.firstBlock }
 
+// ID returns the trail's identity (Config.ID; 0 = anonymous).
+func (t *Trail) ID() uint64 { return t.cfg.ID }
+
 // Append adds a data audit record (insert/update/delete/prepare/abort),
 // assigns its LSN, and returns it. The record is buffered; it becomes
-// durable on the next flush. A buffer-full condition flushes immediately.
+// durable on the next flush. The append that fills the buffer flushes it,
+// unless a flush is already in flight — Append never waits for another
+// caller's I/O.
 func (t *Trail) Append(r *Record) LSN {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	lsn := t.appendLocked(r)
-	if len(t.pending) >= t.cfg.BufferFullBytes {
-		t.stats.BufferFullFlushes++
-		t.flushLocked()
-	}
-	return lsn
+	return t.appendLocked(r)
 }
 
 func (t *Trail) appendLocked(r *Record) LSN {
 	t.nextLSN++
 	r.LSN = t.nextLSN
-	enc := r.encode(nil)
-	t.pending = append(t.pending, enc...)
-	t.pendingLast = r.LSN
+	before := len(t.pending)
+	t.pending = r.Encode(t.pending)
 	t.stats.Appends++
-	t.stats.BytesAppended += uint64(len(enc))
+	t.stats.BytesAppended += uint64(len(t.pending) - before)
 	if r.Type == RecCommit {
 		t.stats.CommitRecords++
 		t.pendingCommits++
+	}
+	if full := t.cfg.BufferFullBytes; before < full && len(t.pending) >= full {
+		t.stats.BufferFullFlushes++
+		if !t.flushing && !t.closed {
+			t.flushLocked()
+		}
 	}
 	return r.LSN
 }
 
 // AppendCommit appends a commit record for tx and returns its LSN. Use
 // WaitDurable to block until the commit is on disk; under group commit
-// many transactions ride one bulk log write.
+// many transactions ride one bulk log write. Without it the record is
+// durable on return, and no other commit record shared its flush: the
+// appender waits out a flush in flight before it appends, and takes the
+// buffer in the same critical section.
 func (t *Trail) AppendCommit(txID uint64) LSN {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.cfg.GroupCommit {
+		return t.appendLocked(&Record{Type: RecCommit, TxID: txID})
+	}
+	for t.flushing {
+		t.durable.Wait()
+	}
 	lsn := t.appendLocked(&Record{Type: RecCommit, TxID: txID})
-
-	if !t.cfg.GroupCommit {
-		t.stats.ExplicitFlushes++
+	if t.flushedLSN < lsn && !t.closed {
 		t.flushLocked()
-		return lsn
 	}
-	if t.pendingCommits >= t.cfg.MaxGroupSize {
-		t.stats.GroupFullFlushes++
-		t.flushLocked()
-		return lsn
-	}
-	if len(t.pending) >= t.cfg.BufferFullBytes {
-		t.stats.BufferFullFlushes++
-		t.flushLocked()
-		return lsn
-	}
-	t.armTimerLocked()
 	return lsn
 }
 
-// armTimerLocked starts the group-commit timer if not already pending.
-func (t *Trail) armTimerLocked() {
-	now := time.Now()
-	if !t.lastTick.IsZero() {
-		gap := now.Sub(t.lastTick)
-		if t.ewmaGap == 0 {
-			t.ewmaGap = gap
-		} else {
-			t.ewmaGap = (t.ewmaGap*7 + gap) / 8
-		}
-	}
-	t.lastTick = now
-	if t.timerSet || t.closed {
-		return
-	}
-	delay := t.timerDelayLocked()
-	t.timerSet = true
-	t.timer = time.AfterFunc(delay, t.timerFire)
-}
-
-// timerDelayLocked computes the group-commit timer per [Helland]: wait
-// about as long as the observed arrival rate needs to fill a group —
-// but if that would exceed TimerMax, the rate is too low for grouping
-// to pay and the timer collapses to TimerMin so a lone transaction's
-// response time is not sacrificed waiting for company that will not
-// arrive.
-func (t *Trail) timerDelayLocked() time.Duration {
-	if !t.cfg.Adaptive {
-		return t.cfg.TimerMax
-	}
-	d := t.ewmaGap * time.Duration(t.cfg.MaxGroupSize-1)
-	if d > t.cfg.TimerMax {
-		return t.cfg.TimerMin
-	}
-	if d < t.cfg.TimerMin {
-		d = t.cfg.TimerMin
-	}
-	return d
-}
-
-func (t *Trail) timerFire() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.timerSet = false
-	// The timer can fire concurrently with Close: time.Timer.Stop
-	// returns false once the function is already scheduled, so this
-	// callback may run after the trail was closed (and the volume
-	// possibly crashed by a test). A closed trail never flushes again.
-	if t.closed {
-		return
-	}
-	if t.pendingCommits > 0 || len(t.pending) > 0 {
-		t.stats.TimerFlushes++
-		t.flushLocked()
-	}
-}
-
 // WaitDurable blocks until the record at lsn is durable on the audit
-// trail volume.
+// trail volume: the one wait behind every force point. An lsn the trail
+// never assigned (a page LSN that outlived a restarted trail) means
+// "everything appended so far". On a closed trail it returns at once.
 func (t *Trail) WaitDurable(lsn LSN) {
 	t.mu.Lock()
-	if t.flushedLSN >= lsn {
-		t.mu.Unlock()
-		return
+	defer t.mu.Unlock()
+	if lsn > t.nextLSN {
+		lsn = t.nextLSN
 	}
-	ch := make(chan struct{})
-	t.waiters = append(t.waiters, waiter{lsn: lsn, ch: ch})
-	t.mu.Unlock()
-	<-ch
+	joined := false
+	for t.flushedLSN < lsn && !t.closed {
+		if !t.flushing {
+			// Everything in (flushedLSN, nextLSN] is in pending: lead.
+			t.flushLocked()
+			continue
+		}
+		if !joined {
+			joined = true
+			t.stats.Joined++
+		}
+		t.durable.Wait()
+	}
 }
 
-// FlushTo forces the trail durable through at least lsn. This is the
-// write-ahead-log gate: the cache calls it before writing a dirty data
-// block whose page LSN exceeds the durable LSN.
-func (t *Trail) FlushTo(lsn LSN) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.flushedLSN >= lsn {
-		return
-	}
-	t.stats.ExplicitFlushes++
-	t.flushLocked()
-}
+// FlushTo is WaitDurable under the name the cache's WAL gate knows it by:
+// a dirty data block whose page LSN exceeds the durable LSN may be
+// written only after this returns.
+func (t *Trail) FlushTo(lsn LSN) { t.WaitDurable(lsn) }
 
 // Flush forces all buffered audit durable.
-func (t *Trail) Flush() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.pending) == 0 {
-		return
+func (t *Trail) Flush() { t.WaitDurable(^LSN(0)) }
+
+// flushLocked leads one flush: called with mu held, no flush in flight
+// and pending non-empty; returns with mu held, everything that was
+// pending when it took the buffer durable, and the followers woken.
+//
+// Under group commit the leader first yields the processor once: every
+// session that is already runnable appends its commit record and parks
+// behind this flush before the buffer is taken, and when nobody is the
+// yield returns at once. That is the whole group-commit window. A record
+// appended after the swap has an LSN above upTo, so its owner still finds
+// flushedLSN short of it and leads or joins the next flush. A failed
+// write or sync panics with flushing set: no follower is ever told that
+// audit which did not reach the disk is durable.
+func (t *Trail) flushLocked() {
+	t.flushing = true
+	if t.cfg.GroupCommit {
+		t.mu.Unlock()
+		if t.cfg.FixedTimer > 0 {
+			time.Sleep(t.cfg.FixedTimer)
+		} else {
+			runtime.Gosched()
+		}
+		t.mu.Lock()
 	}
-	t.stats.ExplicitFlushes++
-	t.flushLocked()
+	data, upTo, commits := t.pending, t.nextLSN, t.pendingCommits
+	t.pending, t.pendingCommits = t.spare[:0], 0
+	t.mu.Unlock()
+
+	t.write(data)
+
+	t.mu.Lock()
+	t.spare = data
+	t.flushedLSN = upTo
+	t.stats.Flushes++
+	t.stats.CommitsFlushed += uint64(commits)
+	t.flushing = false
+	t.durable.Broadcast()
 }
 
-// flushLocked writes all pending bytes to the volume using bulk I/O and
-// wakes durable-waiters.
-func (t *Trail) flushLocked() {
-	if t.closed || len(t.pending) == 0 {
-		return
+// write appends data to the log on the volume and makes it durable. The
+// bytes are copied once, into a reused run of block images behind the
+// partly filled tail block (both devices copy what WriteBulk hands them),
+// and go out in bulk writes of ≤ MaxBulkBlocks followed by one Sync.
+func (t *Trail) write(data []byte) {
+	total := t.tailLen + len(data)
+	n := (total + disk.BlockSize - 1) / disk.BlockSize
+	if cap(t.img) < n*disk.BlockSize {
+		img := make([]byte, n*disk.BlockSize)
+		copy(img, t.img[:t.tailLen])
+		t.img = img
 	}
-	t.stats.Flushes++
-	t.stats.CommitsFlushed += uint64(t.pendingCommits)
+	t.img = t.img[:n*disk.BlockSize]
+	copy(t.img[t.tailLen:], data)
+	clear(t.img[total:]) // the scan stops at a zero byte
 
-	data := t.pending
-	t.pending = nil
-	t.pendingCommits = 0
-	t.diskLen += len(data)
-
-	// Pack into blocks: refill the partial tail block, then whole blocks.
-	// haveStart (not start == 0) marks whether the run origin is set:
-	// block number 0 is a valid block, so a tail legitimately living in
-	// block 0 must not be mistaken for "no run started yet".
-	var blocks [][]byte
-	var start disk.BlockNum
-	haveStart := false
-	if t.tailNum != 0 && len(t.tail) > 0 && len(t.tail) < disk.BlockSize {
-		room := disk.BlockSize - len(t.tail)
-		n := room
-		if n > len(data) {
-			n = len(data)
-		}
-		t.tail = append(t.tail, data[:n]...)
-		data = data[n:]
-		start = t.tailNum
-		haveStart = true
-		blk := make([]byte, disk.BlockSize)
-		copy(blk, t.tail)
-		blocks = append(blocks, blk)
-		if len(t.tail) == disk.BlockSize {
-			t.tail = nil
-			t.tailNum = 0
+	// The run starts in the tail block when there is one; every other
+	// block is fresh, and contiguous with the log because the trail owns
+	// its volume.
+	start, fresh := t.tailNum, n-1
+	if t.tailLen == 0 {
+		start, fresh = t.tailNum+1, n
+		if !t.used {
+			t.used = true
+			start, fresh = t.firstBlock, n-1
 		}
 	}
-	for len(data) > 0 {
-		n := disk.BlockSize
-		if n > len(data) {
-			n = len(data)
+	if fresh > 0 {
+		if got := t.cfg.Volume.AllocateRun(fresh); got != start+disk.BlockNum(n-fresh) {
+			panic(fmt.Sprintf("wal: audit volume handed out block %d, log continues at %d", got, start+disk.BlockNum(n-fresh)))
 		}
-		blk := make([]byte, disk.BlockSize)
-		copy(blk, data[:n])
-		bn := t.allocNextBlockLocked()
-		if !haveStart {
-			start = bn
-			haveStart = true
-		}
-		blocks = append(blocks, blk)
-		if n < disk.BlockSize {
-			t.tail = append([]byte(nil), data[:n]...)
-			t.tailNum = bn
-		}
-		data = data[n:]
 	}
-	// Write in bulk runs of ≤ MaxBulkBlocks.
+	t.blocks = t.blocks[:0]
+	for i := 0; i < n; i++ {
+		t.blocks = append(t.blocks, t.img[i*disk.BlockSize:(i+1)*disk.BlockSize])
+	}
 	fault.Inject(fault.WALFlushBeforeWrite)
-	for i := 0; i < len(blocks); i += disk.MaxBulkBlocks {
-		end := i + disk.MaxBulkBlocks
-		if end > len(blocks) {
-			end = len(blocks)
-		}
-		if err := t.cfg.Volume.WriteBulk(start+disk.BlockNum(i), blocks[i:end]); err != nil {
+	for i := 0; i < n; i += disk.MaxBulkBlocks {
+		end := min(i+disk.MaxBulkBlocks, n)
+		if err := t.cfg.Volume.WriteBulk(start+disk.BlockNum(i), t.blocks[i:end]); err != nil {
 			panic(fmt.Sprintf("wal: audit volume write failed: %v", err))
 		}
 	}
 	// On a file-backed volume the bulk writes above may only be queued;
 	// Sync is the durability barrier (batched fsync). It MUST complete
 	// before flushedLSN advances: the cache's WAL gate trusts flushedLSN
-	// when deciding a data page may be cleaned, and the commit protocol
-	// trusts it when acknowledging clients.
+	// to clean a data page, the commit protocol to acknowledge a client.
 	if err := t.cfg.Volume.Sync(); err != nil {
 		panic(fmt.Sprintf("wal: audit volume sync failed: %v", err))
 	}
 	fault.Inject(fault.WALFlushAfterWrite)
 
-	t.flushedLSN = t.pendingLast
-	// Wake waiters at or below the durable LSN.
-	kept := t.waiters[:0]
-	for _, w := range t.waiters {
-		if w.lsn <= t.flushedLSN {
-			close(w.ch)
-		} else {
-			kept = append(kept, w)
-		}
-	}
-	t.waiters = kept
-}
-
-// allocNextBlockLocked returns the next sequential trail block. The
-// trail owns its (dedicated) volume, so fresh allocations stay
-// physically contiguous with the log tail.
-func (t *Trail) allocNextBlockLocked() disk.BlockNum {
-	if !t.firstUsed {
-		t.firstUsed = true
-		return t.firstBlock
-	}
-	return t.cfg.Volume.AllocateRun(1)
+	t.tailNum = start + disk.BlockNum(n-1)
+	t.tailLen = total % disk.BlockSize
+	copy(t.img, t.img[(n-1)*disk.BlockSize:][:t.tailLen])
 }
 
 // FlushedLSN returns the highest durable LSN.
@@ -407,23 +324,14 @@ func (t *Trail) ResetStats() {
 	t.stats = Stats{}
 }
 
-// Close flushes pending audit, stops the timer, and marks the trail
-// closed; every later flush attempt (including a group-commit timer
-// that had already fired when Stop was called) is a no-op.
+// Close waits out a flush in flight, flushes what is pending and marks
+// the trail closed; every later force is a no-op.
 func (t *Trail) Close() {
+	t.WaitDurable(^LSN(0))
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return
-	}
-	if t.timer != nil {
-		t.timer.Stop()
-	}
-	if len(t.pending) > 0 {
-		t.stats.ExplicitFlushes++
-		t.flushLocked()
-	}
 	t.closed = true
+	t.durable.Broadcast()
+	t.mu.Unlock()
 }
 
 // Scan reads the durable audit trail back from the volume, in LSN order.
@@ -446,7 +354,7 @@ func Scan(v disk.BlockDev, firstBlock disk.BlockNum) ([]*Record, error) {
 	}
 	var out []*Record
 	for len(raw) > 0 && raw[0] != 0 {
-		r, rest, err := decodeRecord(raw)
+		r, rest, err := Decode(raw)
 		if err != nil {
 			// A torn tail (crash mid-write) ends the usable log.
 			break

@@ -3,33 +3,7 @@ package wal
 import (
 	"fmt"
 	"testing"
-	"time"
 )
-
-// TestTimerFireAfterCloseIsNoOp pins the timer/Close race: time.AfterFunc
-// callbacks already scheduled when Stop is called still run, so timerFire
-// can execute after Close. A closed trail must never flush again — the
-// volume may belong to a finished test, or be the frozen image a crash
-// harness is about to scan.
-func TestTimerFireAfterCloseIsNoOp(t *testing.T) {
-	tr, v := newTestTrail(t, Config{GroupCommit: true, TimerMin: time.Hour, TimerMax: time.Hour})
-	tr.AppendCommit(1) // arms the (hour-long) timer
-	tr.Close()
-	writesAtClose := v.Stats().Writes + v.Stats().BulkWrites
-
-	// Sneak un-flushed bytes in (Append does not check closed), then run
-	// the timer callback directly, as the scheduled-before-Stop race
-	// would.
-	tr.Append(dataRec(2, "late"))
-	tr.timerFire()
-
-	if got := v.Stats().Writes + v.Stats().BulkWrites; got != writesAtClose {
-		t.Fatalf("timer flush after Close wrote to the volume (%d ops at close, %d after)", writesAtClose, got)
-	}
-	if tr.Stats().TimerFlushes != 0 {
-		t.Fatalf("timer flush counted after Close: %+v", tr.Stats())
-	}
-}
 
 func TestFlushAfterCloseIsNoOp(t *testing.T) {
 	tr, v := newTestTrail(t, Config{})

@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
-	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"nonstopsql/internal/disk"
 )
@@ -15,11 +13,7 @@ import (
 func newTestTrail(t *testing.T, cfg Config) (*Trail, *disk.Volume) {
 	t.Helper()
 	v := disk.NewVolume("$AUDIT", true)
-	cfg.Volume = v
-	tr, err := NewTrail(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := newTrailOn(t, v, cfg)
 	t.Cleanup(tr.Close)
 	return tr, v
 }
@@ -42,8 +36,8 @@ func TestRecordRoundTrip(t *testing.T) {
 		LSN: 7, Type: RecUpdate, TxID: 42, Volume: "$DATA1", File: "ACCOUNT",
 		Key: []byte{1, 2, 3}, Before: []byte("b"), After: []byte("a"), FieldCompressed: true,
 	}
-	enc := r.encode(nil)
-	got, rest, err := decodeRecord(enc)
+	enc := r.Encode(nil)
+	got, rest, err := Decode(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +55,8 @@ func TestRecordRoundTripProperty(t *testing.T) {
 			Type: RecType(typ%7 + 1), TxID: tx, Volume: vol, File: file,
 			Key: key, Before: before, After: after, FieldCompressed: fc,
 		}
-		enc := r.encode(nil)
-		got, rest, err := decodeRecord(enc)
+		enc := r.Encode(nil)
+		got, rest, err := Decode(enc)
 		if err != nil || len(rest) != 0 {
 			return false
 		}
@@ -91,8 +85,8 @@ func TestDecodeRecordErrors(t *testing.T) {
 		{1, byte(RecUpdate)}, // missing flags
 	}
 	for _, b := range bad {
-		if _, _, err := decodeRecord(b); err == nil {
-			t.Errorf("decodeRecord(%x) accepted", b)
+		if _, _, err := Decode(b); err == nil {
+			t.Errorf("Decode(%x) accepted", b)
 		}
 	}
 }
@@ -168,86 +162,6 @@ func TestCommitWithoutGroupCommitFlushesImmediately(t *testing.T) {
 		t.Fatal("commit not durable without group commit")
 	}
 	tr.WaitDurable(lsn) // must not block
-}
-
-func TestGroupCommitGroupsConcurrentCommits(t *testing.T) {
-	tr, _ := newTestTrail(t, Config{GroupCommit: true, MaxGroupSize: 8, TimerMin: time.Millisecond, TimerMax: 5 * time.Millisecond})
-	const n = 64
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(tx uint64) {
-			defer wg.Done()
-			tr.Append(dataRec(tx, "k"))
-			lsn := tr.AppendCommit(tx)
-			tr.WaitDurable(lsn)
-		}(uint64(i))
-	}
-	wg.Wait()
-	s := tr.Stats()
-	if s.CommitsFlushed != n {
-		t.Fatalf("flushed %d commits, want %d", s.CommitsFlushed, n)
-	}
-	if s.Flushes >= n {
-		t.Errorf("group commit did no grouping: %d flushes for %d commits", s.Flushes, n)
-	}
-	if s.CommitsPerFlush() <= 1 {
-		t.Errorf("commits/flush = %v", s.CommitsPerFlush())
-	}
-}
-
-func TestGroupFullForcesFlush(t *testing.T) {
-	tr, _ := newTestTrail(t, Config{GroupCommit: true, MaxGroupSize: 4, TimerMax: time.Hour, TimerMin: time.Hour, Adaptive: false})
-	var last LSN
-	for i := 0; i < 4; i++ {
-		last = tr.AppendCommit(uint64(i))
-	}
-	// Group of 4 must have flushed without any timer help.
-	if tr.FlushedLSN() < last {
-		t.Fatal("group-full did not flush")
-	}
-	if tr.Stats().GroupFullFlushes == 0 {
-		t.Error("GroupFullFlushes not counted")
-	}
-}
-
-func TestTimerFlushesPartialGroup(t *testing.T) {
-	tr, _ := newTestTrail(t, Config{GroupCommit: true, MaxGroupSize: 100, TimerMin: time.Millisecond, TimerMax: 2 * time.Millisecond})
-	lsn := tr.AppendCommit(1)
-	done := make(chan struct{})
-	go func() {
-		tr.WaitDurable(lsn)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("timer never flushed the partial group")
-	}
-	if tr.Stats().TimerFlushes == 0 {
-		t.Error("TimerFlushes not counted")
-	}
-}
-
-func TestAdaptiveTimerTracksRate(t *testing.T) {
-	tr, _ := newTestTrail(t, Config{GroupCommit: true, Adaptive: true, MaxGroupSize: 10, TimerMin: time.Microsecond, TimerMax: time.Hour})
-	tr.mu.Lock()
-	tr.ewmaGap = 100 * time.Microsecond
-	fast := tr.timerDelayLocked()
-	tr.ewmaGap = 10 * time.Millisecond
-	slow := tr.timerDelayLocked()
-	tr.mu.Unlock()
-	if fast >= slow {
-		t.Errorf("adaptive delay should grow with interarrival gap: fast=%v slow=%v", fast, slow)
-	}
-	// Non-adaptive pins at TimerMax.
-	tr2, _ := newTestTrail(t, Config{GroupCommit: true, Adaptive: false, TimerMax: 7 * time.Millisecond})
-	tr2.mu.Lock()
-	d := tr2.timerDelayLocked()
-	tr2.mu.Unlock()
-	if d != 7*time.Millisecond {
-		t.Errorf("fixed timer = %v", d)
-	}
 }
 
 func TestScanRecoversRecordsInOrder(t *testing.T) {
@@ -347,25 +261,6 @@ func TestMultipleFlushesShareTailBlock(t *testing.T) {
 	}
 	if len(recs) != 10 {
 		t.Errorf("scan got %d records, want 10", len(recs))
-	}
-}
-
-func TestWaitDurableManyWaiters(t *testing.T) {
-	tr, _ := newTestTrail(t, Config{GroupCommit: true, MaxGroupSize: 1000, TimerMin: time.Millisecond, TimerMax: 2 * time.Millisecond})
-	var wg sync.WaitGroup
-	for i := 0; i < 20; i++ {
-		wg.Add(1)
-		go func(tx uint64) {
-			defer wg.Done()
-			tr.WaitDurable(tr.AppendCommit(tx))
-		}(uint64(i))
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("waiters stuck")
 	}
 }
 

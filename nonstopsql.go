@@ -59,7 +59,6 @@ type Config struct {
 	VolumesPerNode int // default 4
 
 	DisableGroupCommit bool
-	AdaptiveTimers     bool
 	DisablePrefetch    bool
 	DisableWriteBehind bool
 
@@ -118,7 +117,6 @@ func Open(cfg Config) (*Database, error) {
 		Nodes:              cfg.Nodes,
 		CPUsPerNode:        cfg.CPUsPerNode,
 		DisableGroupCommit: cfg.DisableGroupCommit,
-		Adaptive:           cfg.AdaptiveTimers,
 		Prefetch:           !cfg.DisablePrefetch,
 		WriteBehind:        !cfg.DisableWriteBehind,
 		CacheSlots:         cfg.CacheSlotsPerDP,

@@ -41,6 +41,26 @@ go test -run '^$' -fuzz FuzzPageView -fuzztime 10s ./internal/btree
 go test -race -count=1 ./internal/record ./internal/expr
 go test -count=1 -run TestAllocationCeilings ./internal/dp
 go test -run '^$' -fuzz FuzzRecordView -fuzztime 10s ./internal/record
+# Durability has one mechanism now (PR 18): every force point is one
+# leader/follower wait in wal.Trail, whose leader packs, writes and syncs
+# with the trail mutex RELEASED — the packing state is safe only because
+# there is one flusher at a time — and tmf/dp skip the prepare force when
+# the participant's trail is the coordinator's. Both packages alone under
+# -race first (gated-device tests: N committers behind one flush, Append
+# and Close against a blocked flush, the sync-per-commit leg; the crash
+# sweep around the unforced prepare). Then the cache race that only shows
+# once commits stop parking for 10 ms: a loader stuck making room while a
+# second miss on the same block installs a second Page and an update is
+# lost — the deterministic regression twenty times over, and the
+# benchmark's txn-file shape (two-volume transfers, a pool far smaller
+# than the table) checked for conservation of money — two seconds without
+# the race detector, which is what caught the bug nine runs in ten before
+# the fix (the detector's slowdown closes the window), then briefly with.
+go test -race -count=1 ./internal/wal ./internal/tmf
+go test -race -count=1 -run 'TestPrepareOn|TestCrashAroundUnforcedPrepare' ./internal/dp
+go test -race -count=20 -run TestOneLoaderPerBlock ./internal/cache
+go test -count=1 -run TestMoneyConservedUnderEviction ./internal/cluster
+go test -race -short -count=1 -run TestMoneyConservedUnderEviction ./internal/cluster
 # The FS-DP conversation: one driver fans every set-oriented kind out
 # across partition goroutines (shared span accounting, the AGG^FIRST/NEXT
 # group map, PROBE^BLOCK partial re-sends, scanner channels) and one DP
@@ -58,7 +78,7 @@ go test -race -short -run TestRecoveryTorture ./internal/experiments
 # absorption, and fsync-generation state under one mutex with four
 # condvars — the racy seam of PR 7. Hammer it focused, then run the
 # quick kill -9 crash-recovery pass against real on-disk files.
-go test -race -count=1 -run 'TestSchedRace|TestFsyncBatching|TestWriteAbsorption' ./internal/disk/filevol
+go test -race -count=1 -run 'TestSchedRace|TestFsyncBatching|TestWriteAbsorption|TestHeaderWrittenWhenItChanges' ./internal/disk/filevol
 QUICK=1 go test -race -count=1 -run TestKillRecovery ./internal/experiments
 # Wire transport: framing, pipelined correlation, drain, reconnect, and
 # the client pool's deadline/redial races — the concurrent seams of
