@@ -148,23 +148,6 @@ type Stats struct {
 	ServiceNanos   uint64
 	QueueWaitOps   uint64
 	QueueWaitNanos uint64
-
-	// Group commit on this DP's audit port (zero when the DP has no
-	// audit) and the managed volume's I/O scheduler: the batch sizes
-	// E18 asserts and benchmark/ reports per operation.
-	WALFlushes         uint64
-	WALCommitsFlushed  uint64
-	WALCommitsPerFlush float64
-
-	DiskWrites         uint64
-	DiskBlocksWritten  uint64
-	DiskBlocksPerWrite float64 // coalescing: blocks landed per physical write
-	DiskFsyncs         uint64
-	DiskSyncWaits      uint64
-	DiskSyncsPerFsync  float64 // fsync batching: durability waits per physical fsync
-	DiskEnqueued       uint64
-	DiskAbsorbed       uint64
-	DiskQueuePeak      uint64
 }
 
 // CacheHitRate returns CacheHits/(CacheHits+CacheMisses), or 0.
@@ -362,7 +345,7 @@ func (d *DP) Stats() Stats {
 		qwOps, qwNanos = d.queueWait()
 	}
 	d.qwMu.Unlock()
-	st := Stats{
+	return Stats{
 		Requests:       d.stats.requests.Load(),
 		SetRequests:    d.stats.setRequests.Load(),
 		Redrives:       d.stats.redrives.Load(),
@@ -397,25 +380,6 @@ func (d *DP) Stats() Stats {
 		QueueWaitOps:   qwOps,
 		QueueWaitNanos: qwNanos,
 	}
-	if d.cfg.Audit != nil {
-		if tr := d.cfg.Audit.Trail(); tr != nil {
-			ws := tr.Stats()
-			st.WALFlushes = ws.Flushes
-			st.WALCommitsFlushed = ws.CommitsFlushed
-			st.WALCommitsPerFlush = ws.CommitsPerFlush()
-		}
-	}
-	ds := d.cfg.Volume.Stats()
-	st.DiskWrites = ds.Writes
-	st.DiskBlocksWritten = ds.BlocksWritten
-	st.DiskBlocksPerWrite = ds.BlocksPerWrite()
-	st.DiskFsyncs = ds.Fsyncs
-	st.DiskSyncWaits = ds.SyncWaits
-	st.DiskSyncsPerFsync = ds.CommitsPerFsync()
-	st.DiskEnqueued = ds.Enqueued
-	st.DiskAbsorbed = ds.Absorbed
-	st.DiskQueuePeak = ds.QueuePeak
-	return st
 }
 
 // SetQueueWait wires the msg server's input-queue wait counters into

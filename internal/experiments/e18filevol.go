@@ -189,9 +189,6 @@ func e18Run(syncPerWrite bool, scale debitcredit.Scale, clients, txnsPerClient i
 	auditStats := r.c.Nodes[0].AuditVol.Stats()
 	total.Add(auditStats)
 	ws := r.c.Nodes[0].Trail.Stats()
-	// Group-commit size rides the dp.Stats export path — the same one
-	// EXPLAIN ANALYZE consumers see.
-	dpStats := r.c.DP("$DATA1").Stats()
 	sum, err := bankChecksum(r.fs, bank)
 	if err != nil {
 		return nil, err
@@ -203,7 +200,7 @@ func e18Run(syncPerWrite bool, scale debitcredit.Scale, clients, txnsPerClient i
 		Elapsed:         elapsed,
 		TPS:             float64(txns) / elapsed.Seconds(),
 		BlocksPerWrite:  total.BlocksPerWrite(),
-		CommitsPerFlush: dpStats.WALCommitsPerFlush,
+		CommitsPerFlush: ws.CommitsPerFlush(),
 		Fsyncs:          total.Fsyncs,
 		Absorbed:        total.Absorbed,
 		QueuePeak:       total.QueuePeak,

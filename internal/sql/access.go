@@ -1,0 +1,342 @@
+package sql
+
+import (
+	"fmt"
+	"strings"
+	"time"
+
+	"nonstopsql/internal/expr"
+	"nonstopsql/internal/fs"
+	"nonstopsql/internal/fsdp"
+	"nonstopsql/internal/keys"
+	"nonstopsql/internal/msg"
+	"nonstopsql/internal/obs"
+	"nonstopsql/internal/record"
+	"nonstopsql/internal/tmf"
+)
+
+// This file is the one seat of the access-path decision. A compiled
+// statement holds one tableQuery per single-variable query; its access
+// method is the only value-dependent step of a plan — substitute the
+// values, then choose — and the access it returns has two readers: fetch
+// executes it and describe (explain.go) prints it. Execution, EXPLAIN and EXPLAIN
+// ANALYZE differ only in which of the two they call.
+
+// accessOp is what a statement wants of one table.
+type accessOp uint8
+
+const (
+	opRows   accessOp = iota // full-width rows to the executor
+	opCount                  // COUNT(*) via COUNT^FIRST/NEXT
+	opAgg                    // partial aggregation via AGG^FIRST/NEXT
+	opUpdate                 // UPDATE
+	opDelete                 // DELETE
+)
+
+// verb names a write op in plan text and node labels.
+func (op accessOp) verb() string {
+	if op == opUpdate {
+		return "update"
+	}
+	return "delete"
+}
+
+// accessVia is how the qualifying records are reached.
+type accessVia uint8
+
+const (
+	viaScan  accessVia = iota // the key range peeled off the predicate, or the whole file
+	viaProbe                  // secondary-index probe, then base-file reads by primary key
+	viaNone                   // not at all: LIMIT 0 is answered before any conversation opens
+)
+
+// tableQuery is one single-variable query as compiled: everything about
+// the access that does not depend on values.
+type tableQuery struct {
+	def     *fs.FileDef
+	op      accessOp
+	pred    expr.Expr         // bound predicate template
+	assigns []expr.Assignment // opUpdate: SET templates
+	slots   int               // values the templates wait for (statement markers, a join's outer values)
+	proj    []int             // opRows: columns the executor reads (nil = the whole record)
+	agg     *fsdp.AggSpec     // opAgg
+
+	// limit is the row count after which the executor stops reading (-1 =
+	// never): LIMIT without ORDER BY, or — limitNeedsKeyOrder — with an
+	// ORDER BY the key-ordered scan already satisfies (Top-N), which an
+	// index probe's rows do not.
+	limit              int
+	limitNeedsKeyOrder bool
+	pushdown           bool // the session's setting: a row budget travels to the Disk Processes
+	unordered          bool // the consumer folds rows commutatively: a parallel scan need not merge
+	requesterSide      bool // opUpdate/opDelete: index maintenance keeps the work in the requester
+}
+
+// tableQuery starts the single-variable query for op over def: no row
+// limit, the session's pushdown setting.
+func (s *Session) tableQuery(def *fs.FileDef, op accessOp, pred expr.Expr) tableQuery {
+	return tableQuery{def: def, op: op, pred: pred, slots: expr.NumParams(pred), limit: -1, pushdown: s.pushdown}
+}
+
+// access is the decision for one execution of a tableQuery: what crosses
+// the FS-DP interface.
+type access struct {
+	def           *fs.FileDef
+	op            accessOp
+	via           accessVia
+	pending       bool // the predicate still waits for values: no path is chosen, pred is the template
+	requesterSide bool
+
+	rng     keys.Range   // viaScan: the primary-key range
+	idx     *fs.IndexDef // viaProbe: probe idx for val
+	val     record.Value //
+	pred    expr.Expr    // evaluated at the Disk Process — after a probe, by the requester
+	proj    []int        // projected at the Disk Process (opRows via scan)
+	assigns []expr.Assignment
+	agg     *fsdp.AggSpec
+
+	budget     int  // stop after this many rows (-1 = read everything)
+	budgetAtDP bool // each partition's Disk Process retires its subset at the budget
+	unordered  bool
+}
+
+// fetched is what an access brought back: rows (opRows), the records
+// counted or changed (opCount, opUpdate, opDelete), or the merged
+// per-group partial states (opAgg).
+type fetched struct {
+	rows   []record.Row
+	n      int
+	groups map[string]*fs.AggGroup
+}
+
+// access substitutes vals into the templates and chooses the access path:
+//
+//  1. peel the primary-key range off the predicate (bounded subset),
+//  2. else probe a secondary index on an equality conjunct — for rows,
+//     and for writes that run requester-side anyway,
+//  3. scan — VSBB with DP-side selection/projection when there is a
+//     residual predicate or a narrowing projection, RSBB otherwise.
+//
+// With fewer values than the templates wait for (EXPLAIN of text with
+// markers; a join's inner side before an outer row) a predicate that
+// holds a slot leaves the choice pending.
+func (q *tableQuery) access(vals []record.Value) (access, error) {
+	a := access{def: q.def, op: q.op, requesterSide: q.requesterSide,
+		assigns: q.assigns, agg: q.agg, budget: -1, unordered: q.unordered}
+	pred := q.pred
+	if len(vals) >= q.slots {
+		var err error
+		if pred, err = expr.Substitute(pred, vals); err != nil {
+			return a, err
+		}
+		if a.assigns, err = expr.SubstituteAssignments(q.assigns, vals); err != nil {
+			return a, err
+		}
+	} else if expr.HasParams(pred) {
+		a.pending, a.pred, a.proj = true, pred, q.proj
+		return a, nil
+	}
+	a.rng, a.pred = expr.ExtractKeyRange(pred, q.def.Schema)
+	if a.rng.Low == nil && a.rng.High == nil && (q.op == opRows || q.requesterSide) {
+		if idx, val, ok := indexProbe(q.def, a.pred); ok {
+			a.via, a.idx, a.val = viaProbe, idx, val
+		}
+	}
+	if q.op != opRows {
+		return a, nil
+	}
+	if a.via != viaProbe || !q.limitNeedsKeyOrder {
+		a.budget = q.limit
+	}
+	switch {
+	case a.budget == 0:
+		a.via = viaNone
+	case a.via == viaScan:
+		a.proj = q.proj
+		// Each partition's Disk Process retires its subset after budget
+		// qualifying rows, instead of the requester discarding a
+		// fully-driven scan's surplus.
+		a.budgetAtDP = a.budget > 0 && q.pushdown
+	}
+	return a, nil
+}
+
+// indexProbe finds an equality conjunct on an indexed column.
+func indexProbe(def *fs.FileDef, pred expr.Expr) (*fs.IndexDef, record.Value, bool) {
+	for _, conj := range expr.Conjuncts(pred) {
+		b, ok := conj.(expr.Binary)
+		if !ok || b.Op != expr.OpEQ {
+			continue
+		}
+		fr, isF := b.L.(expr.FieldRef)
+		cv, isC := b.R.(expr.Const)
+		if !isF || !isC {
+			if fr, isF = b.R.(expr.FieldRef); !isF {
+				continue
+			}
+			if cv, isC = b.L.(expr.Const); !isC {
+				continue
+			}
+		}
+		for _, idx := range def.Indexes {
+			if idx.Column == fr.Index && !cv.V.IsNull() {
+				return idx, cv.V, true
+			}
+		}
+	}
+	return nil, record.Null, false
+}
+
+// vsbb reports whether a scan has anything for the Disk Process to
+// evaluate; without a predicate or a projection whole blocks travel (RSBB).
+func (a *access) vsbb() bool { return a.pred != nil || a.proj != nil }
+
+// fetch executes the access under tx. az, when non-nil, receives the
+// node's actuals, labelled from the same struct describe prints.
+func (a *access) fetch(s *Session, tx *tmf.Tx, az *analyzeState) (fetched, error) {
+	switch {
+	case a.via == viaNone:
+		return fetched{}, nil
+	case a.via == viaProbe:
+		return a.fetchProbe(s, tx, az)
+	case a.op == opRows:
+		rows, err := a.fetchScan(s, tx, az)
+		return fetched{rows: rows}, err
+	case a.op == opCount:
+		n, st, err := s.fs.Count(tx, a.def, a.rng, a.pred)
+		if az != nil && err == nil {
+			az.scanNode(fmt.Sprintf("count %s (COUNT^FIRST/NEXT)", a.def.Name), st)
+		}
+		return fetched{n: n}, err
+	case a.op == opAgg:
+		groups, st, err := s.fs.Agg(tx, a.def, a.rng, a.pred, a.agg)
+		if az != nil && err == nil {
+			az.scanNode(fmt.Sprintf("partial aggregation %s (AGG^FIRST/NEXT)", a.def.Name), st)
+		}
+		return fetched{groups: groups}, err
+	}
+	// UPDATE / DELETE over the range. The File System subcontracts the
+	// whole subset to the Disk Processes, or — requesterSide — scans it
+	// (VSBB, exclusive) and maintains the indexes record by record.
+	var n int
+	var st fs.ScanStats
+	var err error
+	if a.op == opUpdate {
+		n, st, err = s.fs.UpdateSubset(tx, a.def, a.rng, a.pred, a.assigns)
+	} else {
+		n, st, err = s.fs.DeleteSubset(tx, a.def, a.rng, a.pred)
+	}
+	verb := a.op.verb()
+	if err != nil || az == nil {
+		return fetched{n: n}, err
+	}
+	if a.requesterSide {
+		// The qualifying scan and the point writes ran un-traced.
+		az.nodes = append(az.nodes, NodeActuals{Label: verb + " requester-side (scan + index maintenance)", Affected: n})
+	} else {
+		az.scanNode(strings.ToUpper(verb)+"^SUBSET^FIRST/NEXT pushdown", st)
+		az.nodes[len(az.nodes)-1].Affected = n
+	}
+	return fetched{n: n}, nil
+}
+
+// fetchScan drives GET^FIRST/NEXT over the range.
+func (a *access) fetchScan(s *Session, tx *tmf.Tx, az *analyzeState) ([]record.Row, error) {
+	spec := fs.SelectSpec{Mode: fs.ModeRSBB, Range: a.rng, Unordered: a.unordered}
+	if a.vsbb() {
+		spec.Mode, spec.Pred, spec.Proj = fs.ModeVSBB, a.pred, a.proj
+	}
+	if a.budgetAtDP {
+		spec.ScanLimit = uint32(a.budget)
+	}
+	rows := s.fs.Select(tx, a.def, spec)
+	// Close releases the parallel engine's scanner goroutines (and any
+	// open DP-side subset control blocks) when the budget ends the scan
+	// early; after a full drain it is a no-op.
+	defer rows.Close()
+	width := len(a.def.Schema.Fields)
+	var out []record.Row
+	for a.budget < 0 || len(out) < a.budget {
+		row, _, ok := rows.Next()
+		if !ok {
+			break
+		}
+		if a.proj != nil {
+			// Re-inflate the projected row to full width so bound
+			// expressions keep their original ordinals.
+			full := make(record.Row, width)
+			for i, f := range a.proj {
+				full[f] = row[i]
+			}
+			row = full
+		}
+		out = append(out, row)
+	}
+	err := rows.Err()
+	if az != nil && err == nil {
+		rows.Close() // settle the parallel engine before reading stats
+		az.scanNode(fmt.Sprintf("scan %s (%s)", a.def.Name, spec.Mode), rows.Stats())
+	}
+	return out, err
+}
+
+// fetchProbe reads the records matching the probe value through the
+// index, filters them by the full predicate in the requester, and — for
+// a write — applies it record by record with index maintenance.
+func (a *access) fetchProbe(s *Session, tx *tmf.Tx, az *analyzeState) (fetched, error) {
+	var d0 msg.Stats
+	var l0 obs.Snapshot
+	var t0 time.Time
+	if az != nil {
+		d0, l0 = s.fs.Network().Stats(), s.fs.Network().LatencyAll()
+		t0 = time.Now()
+	}
+	rows, err := s.fs.ReadByIndex(tx, a.def, a.idx, a.val)
+	if err != nil {
+		return fetched{}, err
+	}
+	out := rows[:0]
+	for _, row := range rows {
+		if a.budget >= 0 && len(out) >= a.budget {
+			break
+		}
+		keep, err := expr.Satisfied(a.pred, row)
+		if err != nil {
+			return fetched{}, err
+		}
+		if keep {
+			out = append(out, row)
+		}
+	}
+	if az != nil {
+		az.deltaNode(fmt.Sprintf("index probe %s.%s", a.def.Name, a.idx.Name),
+			d0, s.fs.Network().Stats(), l0, s.fs.Network().LatencyAll(),
+			len(out), time.Since(t0))
+	}
+	if a.op == opRows {
+		return fetched{rows: out}, nil
+	}
+	t0 = time.Now()
+	for _, row := range out {
+		key := a.def.Schema.Key(row)
+		if a.op == opDelete {
+			err = s.fs.Delete(tx, a.def, key)
+		} else {
+			var newRow record.Row
+			if newRow, err = expr.ApplyAssignments(row, a.assigns); err == nil {
+				a.def.Schema.Coerce(newRow)
+				err = s.fs.Update(tx, a.def, key, newRow)
+			}
+		}
+		if err != nil {
+			return fetched{}, err
+		}
+	}
+	if az != nil {
+		az.nodes = append(az.nodes, NodeActuals{
+			Label:    a.op.verb() + " requester-side (index maintenance)",
+			Affected: len(out), Wall: time.Since(t0),
+		})
+	}
+	return fetched{n: len(out)}, nil
+}

@@ -1,14 +1,12 @@
 package sql
 
 import (
-	"fmt"
 	"sort"
 
 	"nonstopsql/internal/expr"
 	"nonstopsql/internal/fs"
 	"nonstopsql/internal/fsdp"
 	"nonstopsql/internal/record"
-	"nonstopsql/internal/tmf"
 )
 
 // This file routes decomposable aggregate queries through the
@@ -19,43 +17,29 @@ import (
 // shapes (DISTINCT, expression arguments, star items) fall back to the
 // row path, which remains the semantic ground truth.
 
-// aggPushPlan is a compiled pushdown aggregation: the bound plans the
-// row path would use, plus the wire specification and the mapping from
-// output item to partial-state column.
-type aggPushPlan struct {
-	gbs    []expr.Expr
-	plans  []itemPlan
-	having expr.Expr
-	spec   *fsdp.AggSpec
-	colOf  []int // plans[i] -> index into spec.Cols (-1 for group-by items)
-}
-
-// planAggPushdown compiles sel for DP-side partial aggregation. ok is
-// false when any part of the query is not decomposable; binding errors
-// also report !ok so the row path raises them.
-func planAggPushdown(sel Select, sc *scope) (*aggPushPlan, bool) {
-	gbs, plans, having, err := buildAggPlans(sel, sc)
-	if err != nil {
-		return nil, false
-	}
-	p := &aggPushPlan{gbs: gbs, plans: plans, having: having, spec: &fsdp.AggSpec{}}
+// planAggPushdown derives the wire specification for DP-side partial
+// aggregation from the bound aggregate plans, and the mapping from
+// output item to partial-state column (-1 for group-by items). spec is
+// nil when any part of the query is not decomposable.
+func planAggPushdown(gbs []expr.Expr, plans []itemPlan) (spec *fsdp.AggSpec, colOf []int) {
+	spec = &fsdp.AggSpec{}
 	for _, g := range gbs {
 		// Only bare column references extract at the Disk Process.
 		fr, ok := g.(expr.FieldRef)
 		if !ok {
-			return nil, false
+			return nil, nil
 		}
-		p.spec.GroupBy = append(p.spec.GroupBy, fr.Index)
+		spec.GroupBy = append(spec.GroupBy, fr.Index)
 	}
-	p.colOf = make([]int, len(plans))
+	colOf = make([]int, len(plans))
 	for i, pl := range plans {
-		p.colOf[i] = -1
+		colOf[i] = -1
 		if pl.agg == nil {
 			continue
 		}
 		a := pl.agg
 		if a.distinct {
-			return nil, false // DISTINCT partials do not merge
+			return nil, nil // DISTINCT partials do not merge
 		}
 		var fn fsdp.AggFn
 		switch a.fn {
@@ -70,7 +54,7 @@ func planAggPushdown(sel Select, sc *scope) (*aggPushPlan, bool) {
 		case "MAX":
 			fn = fsdp.AggMax
 		default:
-			return nil, false
+			return nil, nil
 		}
 		col := fsdp.AggCol{Fn: fn}
 		if a.star {
@@ -78,30 +62,22 @@ func planAggPushdown(sel Select, sc *scope) (*aggPushPlan, bool) {
 		} else {
 			fr, ok := a.arg.(expr.FieldRef)
 			if !ok {
-				return nil, false // expression arguments stay requester-side
+				return nil, nil // expression arguments stay requester-side
 			}
 			col.Col = fr.Index
 		}
-		p.colOf[i] = len(p.spec.Cols)
-		p.spec.Cols = append(p.spec.Cols, col)
+		colOf[i] = len(spec.Cols)
+		spec.Cols = append(spec.Cols, col)
 	}
-	return p, true
+	return spec, colOf
 }
 
-// runAggPushdown evaluates a compiled pushdown aggregation via
-// AGG^FIRST/NEXT. pred and having are the concrete (parameter-
-// substituted) expressions for this execution.
-func (s *Session) runAggPushdown(tx *tmf.Tx, sel Select, def *fs.FileDef, pred expr.Expr, p *aggPushPlan, having expr.Expr, az *analyzeState) (*Result, error) {
-	rng, residual := expr.ExtractKeyRange(pred, def.Schema)
-	groups, st, err := s.fs.Agg(tx, def, rng, residual, p.spec)
-	if err != nil {
-		return nil, err
-	}
-	az.scanNode(fmt.Sprintf("partial aggregation %s (AGG^FIRST/NEXT)", def.Name), st)
-
+// emitGroups finalizes the merged per-group partial states AGG^FIRST/NEXT
+// brought back into aggregate output rows.
+func (o *output) emitGroups(groups map[string]*fs.AggGroup, spec *fsdp.AggSpec, colOf []int) (*Result, error) {
 	// Aggregates over the empty set with no GROUP BY still emit one row.
-	if len(groups) == 0 && len(p.spec.GroupBy) == 0 {
-		groups[""] = &fs.AggGroup{Partials: make([]fsdp.AggPartial, len(p.spec.Cols))}
+	if len(groups) == 0 && len(spec.GroupBy) == 0 {
+		groups[""] = &fs.AggGroup{Partials: make([]fsdp.AggPartial, len(spec.Cols))}
 	}
 	keysOrdered := make([]string, 0, len(groups))
 	for k := range groups {
@@ -112,17 +88,17 @@ func (s *Session) runAggPushdown(tx *tmf.Tx, sel Select, def *fs.FileDef, pred e
 	outRows := make([]record.Row, 0, len(groups))
 	for _, k := range keysOrdered {
 		g := groups[k]
-		out := make(record.Row, len(p.plans))
-		for i, pl := range p.plans {
+		out := make(record.Row, len(o.plans))
+		for i, pl := range o.plans {
 			if pl.agg != nil {
-				out[i] = finalizeAgg(pl.agg.fn, g.Partials[p.colOf[i]])
+				out[i] = finalizeAgg(pl.agg.fn, g.Partials[colOf[i]])
 			} else {
 				out[i] = g.KeyVals[pl.groupBy]
 			}
 		}
 		outRows = append(outRows, out)
 	}
-	return emitAggResult(sel, p.plans, having, outRows)
+	return o.emitAgg(outRows)
 }
 
 // finalizeAgg converts one merged partial state into the aggregate's SQL
@@ -175,16 +151,4 @@ func orderByIsKeyPrefix(items []OrderItem, schema *record.Schema, sc *scope) boo
 		}
 	}
 	return true
-}
-
-// scanDeliversKeyOrder reports whether tableAccess will serve pred via
-// the key-ordered scan path (primary-key range or full scan) rather
-// than a secondary-index probe, whose rows arrive in index order.
-func scanDeliversKeyOrder(def *fs.FileDef, pred expr.Expr) bool {
-	rng, residual := expr.ExtractKeyRange(pred, def.Schema)
-	if rng.Low != nil || rng.High != nil {
-		return true
-	}
-	_, _, probe := indexProbe(def, residual)
-	return !probe
 }

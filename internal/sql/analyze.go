@@ -9,7 +9,6 @@ import (
 	"nonstopsql/internal/msg"
 	"nonstopsql/internal/obs"
 	"nonstopsql/internal/record"
-	"nonstopsql/internal/tmf"
 )
 
 // NodeActuals is the measured execution of one plan node: the message
@@ -134,94 +133,37 @@ func (s *Session) ExplainAnalyze(src string) (string, error) {
 // actuals: messages, re-drives, rows examined/returned, blocks read,
 // cache hit rate, and p50/p95/p99 message latency. SELECT honors the
 // session's transaction state exactly as Exec would (browse access when
-// none is open); UPDATE/DELETE autocommit when none is open.
+// none is open); UPDATE/DELETE autocommit when none is open. Like
+// EXPLAIN it leaves the plan cache as it found it.
 func (s *Session) ExplainAnalyzeStmt(src string) (*Analyze, error) {
-	stmt, err := Parse(src)
+	p, err := s.peekOrCompile(src)
 	if err != nil {
 		return nil, err
 	}
-	var sb strings.Builder
-	az := &analyzeState{}
-	start := time.Now()
-	var res *Result
-	switch st := stmt.(type) {
-	case Select:
-		if err := s.explainSelect(&sb, st); err != nil {
-			return nil, err
-		}
-		tx := s.tx
-		if st.Browse {
-			tx = nil
-		}
-		if len(st.From) == 1 {
-			res, err = s.singleTableSelect(tx, st, az)
-		} else {
-			res, err = s.joinSelect(tx, st, az)
-		}
-	case Update:
-		if err := s.explainUpdate(&sb, st); err != nil {
-			return nil, err
-		}
-		res, err = s.autocommit(func(tx *tmf.Tx) (*Result, error) {
-			return s.execUpdate(tx, st, az)
-		})
-	case Delete:
-		if err := s.explainDelete(&sb, st); err != nil {
-			return nil, err
-		}
-		res, err = s.autocommit(func(tx *tmf.Tx) (*Result, error) {
-			return s.execDelete(tx, st, az)
-		})
-	default:
-		return nil, fmt.Errorf("sql: EXPLAIN ANALYZE supports SELECT, UPDATE, DELETE (got %T)", stmt)
-	}
-	if err != nil {
-		return nil, err
-	}
-	a := &Analyze{Nodes: az.nodes, Result: res, Wall: time.Since(start)}
-	renderActuals(&sb, a)
-	a.Plan = sb.String()
-	return a, nil
+	return s.analyze(p, nil)
 }
 
 // ExplainAnalyzePrepared executes a prepared statement with the given
-// parameter vector, collecting per-node actuals. The static plan is
-// rendered from the parameter-substituted statement (so key ranges and
-// probe values show the concrete arguments) and annotated with the
-// shared plan cache's view of this compilation before the run.
+// parameter vector, collecting per-node actuals. The static half is
+// describe of the plan that runs, given the same arguments (so key
+// ranges and probe values show them), annotated with the shared plan
+// cache's view of this compilation before the run.
 func (s *Session) ExplainAnalyzePrepared(p *Prepared, params ...record.Value) (*Analyze, error) {
-	if len(params) != p.nParams {
-		return nil, badStatement(fmt.Errorf("sql: statement wants %d parameter(s), got %d", p.nParams, len(params)))
-	}
-	stmt, err := substStmt(p.stmt, params)
+	p, err := s.current(p)
 	if err != nil {
 		return nil, err
 	}
+	return s.analyze(p, params)
+}
+
+func (s *Session) analyze(p *Prepared, params []record.Value) (*Analyze, error) {
 	var sb strings.Builder
-	switch st := stmt.(type) {
-	case Select:
-		if err := s.explainSelect(&sb, st); err != nil {
-			return nil, err
-		}
-	case Update:
-		if err := s.explainUpdate(&sb, st); err != nil {
-			return nil, err
-		}
-	case Delete:
-		if err := s.explainDelete(&sb, st); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("sql: EXPLAIN ANALYZE supports SELECT, UPDATE, DELETE (got %T)", stmt)
-	}
-	if cp, ok := s.cat.plans.peek(p.key, s.cat.Version()); ok {
-		fmt.Fprintf(&sb, "plan: cached (hits=%d)\n", cp.Hits())
-	} else {
-		sb.WriteString("plan: not cached (compiled for this execution)\n")
+	if err := s.describe(&sb, p, params); err != nil {
+		return nil, err
 	}
 	az := &analyzeState{}
 	start := time.Now()
-	res, err := s.runPrepared(p, params, az)
+	res, err := s.execCompiled(p, params, az)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"nonstopsql/internal/expr"
@@ -164,8 +165,14 @@ func hasAggregate(e aExpr) bool {
 	return false
 }
 
-// displayName invents a result column label for an expression.
-func displayName(e aExpr) string {
+// displayName invents a result column label for an expression, as the
+// compiler sees it: a parameter marker shows as ?N, so two markers never
+// name the same expression (GROUP BY and HAVING match by this name).
+func displayName(e aExpr) string { return nameWith(e, nil) }
+
+// nameWith is displayName with parameter values in hand: a marker whose
+// value is known shows as that value, exactly as the literal would.
+func nameWith(e aExpr, params []record.Value) string {
 	switch n := e.(type) {
 	case aCol:
 		return n.Name
@@ -173,13 +180,18 @@ func displayName(e aExpr) string {
 		if n.Star {
 			return n.Fn + "(*)"
 		}
-		return n.Fn + "(" + displayName(n.Arg) + ")"
+		return n.Fn + "(" + nameWith(n.Arg, params) + ")"
 	case aConst:
 		return n.V.Format()
+	case aParam:
+		if n.Index < len(params) {
+			return params[n.Index].Format()
+		}
+		return "?" + strconv.Itoa(n.Index+1)
 	case aBin:
-		return "(" + displayName(n.L) + " " + n.Op.String() + " " + displayName(n.R) + ")"
+		return "(" + nameWith(n.L, params) + " " + n.Op.String() + " " + nameWith(n.R, params) + ")"
 	case aUnary:
-		return "(" + n.Op.String() + " " + displayName(n.E) + ")"
+		return "(" + n.Op.String() + " " + nameWith(n.E, params) + ")"
 	}
 	return "?"
 }

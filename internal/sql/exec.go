@@ -3,12 +3,9 @@ package sql
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"nonstopsql/internal/expr"
 	"nonstopsql/internal/fs"
-	"nonstopsql/internal/msg"
-	"nonstopsql/internal/obs"
 	"nonstopsql/internal/record"
 	"nonstopsql/internal/tmf"
 )
@@ -75,9 +72,12 @@ func (s *Session) MustExec(src string) *Result {
 	return res
 }
 
-// ExecStmt executes a parsed statement.
-func (s *Session) ExecStmt(stmt Statement) (*Result, error) {
-	switch st := stmt.(type) {
+// controlPlan runs transaction control and DDL from the AST: nothing in
+// them is worth compiling, and they are never cached.
+type controlPlan struct{ stmt Statement }
+
+func (p controlPlan) run(s *Session, _ []record.Value, _ *analyzeState) (*Result, error) {
+	switch st := p.stmt.(type) {
 	case Begin:
 		if s.tx != nil {
 			return nil, fmt.Errorf("sql: transaction already open")
@@ -101,19 +101,13 @@ func (s *Session) ExecStmt(stmt Statement) (*Result, error) {
 	case CreateTable:
 		return &Result{}, s.cat.createTable(s.fs, st)
 	case CreateIndex:
-		return s.execDDLIndex(st)
+		return s.autocommit(func(tx *tmf.Tx) (*Result, error) {
+			return &Result{}, s.cat.createIndex(s.fs, tx, st)
+		})
 	case DropTable:
 		return &Result{}, s.cat.dropTable(s.fs, st.Name)
-	case Insert:
-		return s.autocommit(func(tx *tmf.Tx) (*Result, error) { return s.execInsert(tx, st) })
-	case Update:
-		return s.autocommit(func(tx *tmf.Tx) (*Result, error) { return s.execUpdate(tx, st, nil) })
-	case Delete:
-		return s.autocommit(func(tx *tmf.Tx) (*Result, error) { return s.execDelete(tx, st, nil) })
-	case Select:
-		return s.execSelect(st)
 	}
-	return nil, fmt.Errorf("sql: unhandled statement %T", stmt)
+	return nil, fmt.Errorf("sql: unhandled statement %T", p.stmt)
 }
 
 // autocommit runs fn under the open transaction, or under a fresh one
@@ -132,12 +126,6 @@ func (s *Session) autocommit(fn func(*tmf.Tx) (*Result, error)) (*Result, error)
 		return nil, err
 	}
 	return res, nil
-}
-
-func (s *Session) execDDLIndex(st CreateIndex) (*Result, error) {
-	return s.autocommit(func(tx *tmf.Tx) (*Result, error) {
-		return &Result{}, s.cat.createIndex(s.fs, tx, st)
-	})
 }
 
 // insertPlan is a compiled INSERT: resolved column ordinals and bound
@@ -214,23 +202,11 @@ func (p *insertPlan) runTx(s *Session, tx *tmf.Tx, params []record.Value) (*Resu
 	return &Result{Affected: n}, nil
 }
 
-func (s *Session) execInsert(tx *tmf.Tx, ins Insert) (*Result, error) {
-	p, err := s.compileInsert(ins)
-	if err != nil {
-		return nil, err
-	}
-	return p.runTx(s, tx, nil)
-}
+// writePlan is a compiled UPDATE or DELETE: one single-variable query
+// whose op changes the records it reaches.
+type writePlan struct{ q tableQuery }
 
-// updatePlan is a compiled UPDATE: bound predicate and assignment
-// templates over the table's scope.
-type updatePlan struct {
-	def     *fs.FileDef
-	pred    expr.Expr
-	assigns []expr.Assignment
-}
-
-func (s *Session) compileUpdate(upd Update) (*updatePlan, error) {
+func (s *Session) compileUpdate(upd Update) (*writePlan, error) {
 	def, err := s.cat.Table(upd.Table)
 	if err != nil {
 		return nil, err
@@ -241,7 +217,7 @@ func (s *Session) compileUpdate(upd Update) (*updatePlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	var assigns []expr.Assignment
+	q := s.tableQuery(def, opUpdate, pred)
 	for _, set := range upd.Sets {
 		i := def.Schema.FieldIndex(set.Col)
 		if i < 0 {
@@ -251,130 +227,16 @@ func (s *Session) compileUpdate(upd Update) (*updatePlan, error) {
 		if err != nil {
 			return nil, err
 		}
-		assigns = append(assigns, expr.Assignment{Field: i, E: rhs})
+		q.assigns = append(q.assigns, expr.Assignment{Field: i, E: rhs})
+		q.slots = max(q.slots, expr.NumParams(rhs))
 	}
-	return &updatePlan{def: def, pred: pred, assigns: assigns}, nil
+	// Assignments touching indexed or key columns run requester-side:
+	// index fragments live on Disk Processes the base file's cannot reach.
+	q.requesterSide = def.AssignsTouchIndexes(q.assigns)
+	return &writePlan{q: q}, nil
 }
 
-func (p *updatePlan) run(s *Session, params []record.Value, az *analyzeState) (*Result, error) {
-	return s.autocommit(func(tx *tmf.Tx) (*Result, error) { return p.runTx(s, tx, params, az) })
-}
-
-func (s *Session) execUpdate(tx *tmf.Tx, upd Update, az *analyzeState) (*Result, error) {
-	p, err := s.compileUpdate(upd)
-	if err != nil {
-		return nil, err
-	}
-	return p.runTx(s, tx, nil, az)
-}
-
-func (p *updatePlan) runTx(s *Session, tx *tmf.Tx, params []record.Value, az *analyzeState) (*Result, error) {
-	def := p.def
-	pred, err := expr.Substitute(p.pred, params)
-	if err != nil {
-		return nil, err
-	}
-	assigns, err := expr.SubstituteAssignments(p.assigns, params)
-	if err != nil {
-		return nil, err
-	}
-	// The query compiler's key step: peel the primary-key range off the
-	// predicate so each Disk Process receives a bounded subset request.
-	rng, residual := expr.ExtractKeyRange(pred, def.Schema)
-
-	// When the statement will run requester-side anyway (indexed SET
-	// targets) and an index probe matches the predicate, fetch the
-	// qualifying rows through the index instead of scanning.
-	if def.AssignsTouchIndexes(assigns) && rng.Low == nil && rng.High == nil {
-		if rows, ok, err := s.probeRows(tx, def, residual, az); err != nil {
-			return nil, err
-		} else if ok {
-			t0 := time.Now()
-			n := 0
-			for _, row := range rows {
-				key := def.Schema.Key(row)
-				newRow, err := expr.ApplyAssignments(row, assigns)
-				if err != nil {
-					return nil, err
-				}
-				def.Schema.Coerce(newRow)
-				if err := s.fs.Update(tx, def, key, newRow); err != nil {
-					return nil, err
-				}
-				n++
-			}
-			if az != nil {
-				az.nodes = append(az.nodes, NodeActuals{
-					Label:    "update requester-side (index maintenance)",
-					Affected: n, Wall: time.Since(t0),
-				})
-			}
-			return &Result{Affected: n}, nil
-		}
-	}
-	n, st, err := s.fs.UpdateSubset(tx, def, rng, residual, assigns)
-	if err != nil {
-		return nil, err
-	}
-	if az != nil {
-		if st.Messages > 0 {
-			az.scanNode("UPDATE^SUBSET^FIRST/NEXT pushdown", st)
-			az.nodes[len(az.nodes)-1].Affected = n
-		} else {
-			// Requester-side fallback (indexed SET targets without a
-			// usable probe): the qualifying scan ran un-traced.
-			az.nodes = append(az.nodes, NodeActuals{
-				Label: "update requester-side (scan + index maintenance)", Affected: n,
-			})
-		}
-	}
-	return &Result{Affected: n}, nil
-}
-
-// probeRows fetches the rows satisfying pred through a secondary-index
-// probe when one applies (ok=false otherwise), post-filtering the full
-// predicate requester-side.
-func (s *Session) probeRows(tx *tmf.Tx, def *fs.FileDef, pred expr.Expr, az *analyzeState) ([]record.Row, bool, error) {
-	idx, val, ok := indexProbe(def, pred)
-	if !ok {
-		return nil, false, nil
-	}
-	var d0 msg.Stats
-	var l0 obs.Snapshot
-	var t0 time.Time
-	if az != nil {
-		d0, l0 = s.fs.Network().Stats(), s.fs.Network().LatencyAll()
-		t0 = time.Now()
-	}
-	rows, err := s.fs.ReadByIndex(tx, def, idx, val)
-	if err != nil {
-		return nil, false, err
-	}
-	out := rows[:0]
-	for _, row := range rows {
-		keep, err := expr.Satisfied(pred, row)
-		if err != nil {
-			return nil, false, err
-		}
-		if keep {
-			out = append(out, row)
-		}
-	}
-	if az != nil {
-		az.deltaNode(fmt.Sprintf("index probe %s.%s", def.Name, idx.Name),
-			d0, s.fs.Network().Stats(), l0, s.fs.Network().LatencyAll(),
-			len(out), time.Since(t0))
-	}
-	return out, true, nil
-}
-
-// deletePlan is a compiled DELETE: a bound predicate template.
-type deletePlan struct {
-	def  *fs.FileDef
-	pred expr.Expr
-}
-
-func (s *Session) compileDelete(del Delete) (*deletePlan, error) {
+func (s *Session) compileDelete(del Delete) (*writePlan, error) {
 	def, err := s.cat.Table(del.Table)
 	if err != nil {
 		return nil, err
@@ -385,67 +247,33 @@ func (s *Session) compileDelete(del Delete) (*deletePlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &deletePlan{def: def, pred: pred}, nil
+	q := s.tableQuery(def, opDelete, pred)
+	q.requesterSide = len(def.Indexes) > 0
+	return &writePlan{q: q}, nil
 }
 
-func (p *deletePlan) run(s *Session, params []record.Value, az *analyzeState) (*Result, error) {
-	return s.autocommit(func(tx *tmf.Tx) (*Result, error) { return p.runTx(s, tx, params, az) })
-}
-
-func (s *Session) execDelete(tx *tmf.Tx, del Delete, az *analyzeState) (*Result, error) {
-	p, err := s.compileDelete(del)
-	if err != nil {
-		return nil, err
-	}
-	return p.runTx(s, tx, nil, az)
-}
-
-func (p *deletePlan) runTx(s *Session, tx *tmf.Tx, params []record.Value, az *analyzeState) (*Result, error) {
-	def := p.def
-	pred, err := expr.Substitute(p.pred, params)
-	if err != nil {
-		return nil, err
-	}
-	rng, residual := expr.ExtractKeyRange(pred, def.Schema)
-
-	// Indexed tables delete requester-side; prefer an index probe over a
-	// scan when the predicate allows it.
-	if len(def.Indexes) > 0 && rng.Low == nil && rng.High == nil {
-		if rows, ok, err := s.probeRows(tx, def, residual, az); err != nil {
+func (p *writePlan) run(s *Session, params []record.Value, az *analyzeState) (*Result, error) {
+	return s.autocommit(func(tx *tmf.Tx) (*Result, error) {
+		a, err := p.q.access(params)
+		if err != nil {
 			return nil, err
-		} else if ok {
-			t0 := time.Now()
-			n := 0
-			for _, row := range rows {
-				if err := s.fs.Delete(tx, def, def.Schema.Key(row)); err != nil {
-					return nil, err
-				}
-				n++
-			}
-			if az != nil {
-				az.nodes = append(az.nodes, NodeActuals{
-					Label:    "delete requester-side (index maintenance)",
-					Affected: n, Wall: time.Since(t0),
-				})
-			}
-			return &Result{Affected: n}, nil
 		}
-	}
-	n, st, err := s.fs.DeleteSubset(tx, def, rng, residual)
+		f, err := a.fetch(s, tx, az)
+		if err != nil {
+			return nil, err
+		}
+		return &Result{Affected: f.n}, nil
+	})
+}
+
+func (p *writePlan) describe(sb *strings.Builder, params []record.Value) error {
+	a, err := p.q.access(params)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if az != nil {
-		if st.Messages > 0 {
-			az.scanNode("DELETE^SUBSET^FIRST/NEXT pushdown", st)
-			az.nodes[len(az.nodes)-1].Affected = n
-		} else {
-			az.nodes = append(az.nodes, NodeActuals{
-				Label: "delete requester-side (scan + index maintenance)", Affected: n,
-			})
-		}
-	}
-	return &Result{Affected: n}, nil
+	sb.WriteString(strings.ToUpper(p.q.op.verb()) + "\n")
+	a.describe(sb, "  ")
+	return nil
 }
 
 // FormatResult renders a result as an aligned text table (nsqlsh, tests).

@@ -4,10 +4,16 @@ import (
 	"fmt"
 	"strings"
 
-	"nonstopsql/internal/expr"
 	"nonstopsql/internal/fs"
 	"nonstopsql/internal/record"
 )
+
+// describer is a compiled plan EXPLAIN can print: SELECT, UPDATE, DELETE.
+// describe makes the same value-dependent decisions run makes — through
+// the same tableQuery.access — and prints them instead of fetching.
+type describer interface {
+	describe(sb *strings.Builder, params []record.Value) error
+}
 
 // Explain compiles a statement and describes the execution plan the
 // paper's query compiler would produce — which single-variable queries
@@ -15,380 +21,170 @@ import (
 // probe, or scan), the FS-DP interface chosen (VSBB vs RSBB), and what
 // travels to the Disk Process (pushed predicate, projection, update
 // expressions) vs what stays in the requester (residual filters, sorts,
-// aggregation).
+// aggregation). Text that still holds parameter markers has no values to
+// choose a path from: those choices print as made when the values are
+// known (EXPLAIN ANALYZE of a prepared statement has them).
 func (s *Session) Explain(src string) (string, error) {
-	stmt, err := Parse(src)
+	p, err := s.peekOrCompile(src)
 	if err != nil {
 		return "", err
 	}
 	var sb strings.Builder
-	switch st := stmt.(type) {
-	case Select:
-		if err := s.explainSelect(&sb, st); err != nil {
-			return "", err
-		}
-	case Update:
-		if err := s.explainUpdate(&sb, st); err != nil {
-			return "", err
-		}
-	case Delete:
-		if err := s.explainDelete(&sb, st); err != nil {
-			return "", err
-		}
-	default:
-		return "", fmt.Errorf("sql: EXPLAIN supports SELECT, UPDATE, DELETE (got %T)", stmt)
-	}
-	// When the shared plan cache holds a current compilation of this
-	// text, executions skip parse/bind/plan entirely — say so.
-	if p, ok := s.cat.plans.peek(planKey(src, s.pushdown), s.cat.Version()); ok {
-		fmt.Fprintf(&sb, "plan: cached (hits=%d)\n", p.Hits())
+	if err := s.describe(&sb, p, nil); err != nil {
+		return "", err
 	}
 	return sb.String(), nil
 }
 
-// accessPlan is the planner's decision for one single-variable query.
-type accessPlan struct {
-	def      *fs.FileDef
-	path     string // "primary-key range" | "index probe" | "full scan"
-	indexTo  string
-	rng      string
-	mode     string // VSBB / RSBB
-	pushed   expr.Expr
-	proj     []int
-	residual expr.Expr // evaluated in the requester (index probe path)
+// peekOrCompile returns the cached compilation of src, or compiles one
+// without caching it. EXPLAIN is a read: either way no plan-cache counter
+// and no LRU position moves.
+func (s *Session) peekOrCompile(src string) (*Prepared, error) {
+	key := planKey(src, s.pushdown)
+	version := s.cat.Version()
+	if p, ok := s.cat.plans.peek(key, version); ok {
+		return p, nil
+	}
+	return s.compile(src, key, version)
 }
 
-// planAccess mirrors tableAccess's decisions without executing them.
-func planAccess(def *fs.FileDef, pred expr.Expr, needed map[int]bool) accessPlan {
-	p := accessPlan{def: def}
-	rng, residual := expr.ExtractKeyRange(pred, def.Schema)
-	switch {
-	case rng.Low != nil || rng.High != nil:
-		p.path = "primary-key range"
-		p.rng = rng.String()
-	default:
-		if idx, val, ok := indexProbe(def, residual); ok {
-			p.path = "index probe"
-			p.indexTo = fmt.Sprintf("%s = %s via %s", def.Schema.Fields[idx.Column].Name, val.Format(), idx.Name)
-			p.residual = residual
-			return p
-		}
-		p.path = "full scan"
-		p.rng = "[LOW,HIGH]"
+// describe prints p's plan for params, and — when the shared plan cache
+// holds a current compilation of this text, so executions skip
+// parse/bind/plan entirely — says so.
+func (s *Session) describe(sb *strings.Builder, p *Prepared, params []record.Value) error {
+	d, ok := p.plan.(describer)
+	if !ok {
+		return fmt.Errorf("sql: EXPLAIN supports SELECT, UPDATE, DELETE")
 	}
-	var proj []int
-	if needed != nil && len(needed) < len(def.Schema.Fields) {
-		for i := range def.Schema.Fields {
-			if needed[i] {
-				proj = append(proj, i)
+	if err := d.describe(sb, params); err != nil {
+		return err
+	}
+	if cp, ok := s.cat.plans.peek(p.key, s.cat.Version()); ok {
+		fmt.Fprintf(sb, "plan: cached (hits=%d)\n", cp.Hits())
+	}
+	return nil
+}
+
+// describe prints the access. A pending access names what is decided
+// and says that the rest waits for values, rather than print a path the
+// execution may not take.
+func (a *access) describe(sb *strings.Builder, in string) {
+	waits := ""
+	if a.pending {
+		waits = fmt.Sprintf("chosen when the values of %s are known", a.pred)
+	}
+	name := a.def.Name
+	switch a.op {
+	case opUpdate, opDelete:
+		verb := a.op.verb()
+		if a.requesterSide {
+			how := "scan (VSBB, exclusive)"
+			if a.via == viaProbe {
+				how = "index probe"
+			} else if waits != "" {
+				how = "index probe or scan (VSBB, exclusive), " + waits + ","
+			}
+			fmt.Fprintf(sb, "%srequester-side: %s + per-record %s with index maintenance\n", in, how, verb)
+			if a.op == opUpdate {
+				fmt.Fprintf(sb, "%sreason: SET targets an indexed or primary-key column\n", in)
+			}
+			return
+		}
+		if waits != "" {
+			fmt.Fprintf(sb, "%s%s^SUBSET^FIRST/NEXT to each partition, range and predicate %s\n", in, strings.ToUpper(verb), waits)
+		} else {
+			fmt.Fprintf(sb, "%s%s^SUBSET^FIRST/NEXT to each partition, range %s\n", in, strings.ToUpper(verb), a.rng)
+			if a.pred != nil {
+				fmt.Fprintf(sb, "%spredicate at Disk Process: %s\n", in, a.pred)
 			}
 		}
+		if a.op == opDelete {
+			return
+		}
+		for _, as := range a.assigns {
+			fmt.Fprintf(sb, "%supdate expression at Disk Process: %s = %s\n", in, a.def.Schema.Fields[as.Field].Name, as.E)
+		}
+		if a.def.Check != nil {
+			fmt.Fprintf(sb, "%sCHECK at Disk Process: %s\n", in, a.def.Check)
+		}
+		fmt.Fprintf(sb, "%srecords never cross the FS-DP interface\n", in)
+	case opCount, opAgg:
+		what, how := "COUNT(*) at Disk Processes via COUNT^FIRST/NEXT (constant-size replies)", "counted"
+		if a.op == opAgg {
+			what, how = "partial aggregation at Disk Processes via AGG^FIRST/NEXT (per-group partial states)", "aggregated"
+		}
+		fmt.Fprintf(sb, "%saccess %s: %s\n", in, name, what)
+		if waits != "" {
+			fmt.Fprintf(sb, "%sprimary-key range and predicate at Disk Process %s\n", in, waits)
+		} else {
+			if a.pred != nil {
+				fmt.Fprintf(sb, "%spredicate at Disk Process: %s\n", in, a.pred)
+			}
+			if a.rng.Low != nil || a.rng.High != nil {
+				fmt.Fprintf(sb, "%sprimary-key range %s\n", in, a.rng)
+			}
+		}
+		if parts := len(a.def.Partitions); parts > 1 {
+			fmt.Fprintf(sb, "%s%d partitions, %s concurrently\n", in, parts, how)
+		}
+	case opRows:
+		switch {
+		case waits != "":
+			fmt.Fprintf(sb, "%saccess %s: primary-key range, index probe or scan, %s\n", in, name, waits)
+			a.describeProj(sb, in)
+			return
+		case a.via == viaNone:
+			fmt.Fprintf(sb, "%saccess %s: none (LIMIT 0 is answered before any conversation opens)\n", in, name)
+			return
+		case a.via == viaProbe:
+			fmt.Fprintf(sb, "%saccess %s: index probe (%s = %s via %s), then base-file reads by primary key\n",
+				in, name, a.def.Schema.Fields[a.idx.Column].Name, a.val.Format(), a.idx.Name)
+			if a.pred != nil {
+				fmt.Fprintf(sb, "%s  requester filter: %s\n", in, a.pred)
+			}
+			return
+		}
+		path := "full scan [LOW,HIGH]"
+		if a.rng.Low != nil || a.rng.High != nil {
+			path = "primary-key range " + a.rng.String()
+		}
+		mode := fs.ModeRSBB
+		if a.vsbb() {
+			mode = fs.ModeVSBB
+		}
+		fmt.Fprintf(sb, "%saccess %s: %s via GET^FIRST/NEXT^%s\n", in, name, path, mode)
+		if a.pred != nil {
+			fmt.Fprintf(sb, "%s  predicate at Disk Process: %s\n", in, a.pred)
+		}
+		a.describeProj(sb, in)
+		if parts := len(a.def.Partitions); parts > 1 {
+			fmt.Fprintf(sb, "%s  %d partitions, routed by key range\n", in, parts)
+		}
 	}
-	if residual != nil || proj != nil {
-		p.mode = "VSBB"
-		p.pushed = residual
-		p.proj = proj
-	} else {
-		p.mode = "RSBB"
-	}
-	return p
 }
 
-func (p accessPlan) describe(sb *strings.Builder, indent string) {
-	fmt.Fprintf(sb, "%saccess %s: %s", indent, p.def.Name, p.path)
-	if p.indexTo != "" {
-		fmt.Fprintf(sb, " (%s), then base-file reads by primary key", p.indexTo)
-		sb.WriteByte('\n')
-		if p.residual != nil {
-			fmt.Fprintf(sb, "%s  requester filter: %s\n", indent, p.residual)
-		}
+// budgetNote annotates a LIMIT line with what the row budget does to
+// this access; ordered says the statement has an ORDER BY (which only a
+// key-ordered scan lets a budget survive: Top-N).
+func (a *access) budgetNote(ordered bool) string {
+	switch {
+	case a.budget < 0 || a.via == viaNone:
+		return ""
+	case ordered:
+		return " (Top-N: row budget pushed to Disk Processes)"
+	case a.budgetAtDP:
+		return " (scan stops early) — row budget at Disk Processes"
+	}
+	return " (scan stops early)"
+}
+
+func (a *access) describeProj(sb *strings.Builder, in string) {
+	if a.proj == nil {
 		return
 	}
-	if p.rng != "" {
-		fmt.Fprintf(sb, " %s", p.rng)
+	names := make([]string, len(a.proj))
+	for i, f := range a.proj {
+		names[i] = a.def.Schema.Fields[f].Name
 	}
-	fmt.Fprintf(sb, " via GET^FIRST/NEXT^%s\n", p.mode)
-	if p.pushed != nil {
-		fmt.Fprintf(sb, "%s  predicate at Disk Process: %s\n", indent, p.pushed)
-	}
-	if p.proj != nil {
-		names := make([]string, len(p.proj))
-		for i, f := range p.proj {
-			names[i] = p.def.Schema.Fields[f].Name
-		}
-		fmt.Fprintf(sb, "%s  projection at Disk Process: %s\n", indent, strings.Join(names, ", "))
-	}
-	if parts := len(p.def.Partitions); parts > 1 {
-		fmt.Fprintf(sb, "%s  %d partitions, routed by key range\n", indent, parts)
-	}
-}
-
-func (s *Session) explainSelect(sb *strings.Builder, sel Select) error {
-	if len(sel.From) == 2 {
-		return s.explainJoin(sb, sel)
-	}
-	ref := sel.From[0]
-	def, err := s.cat.Table(ref.Table)
-	if err != nil {
-		return err
-	}
-	alias := ref.Alias
-	if alias == "" {
-		alias = def.Name
-	}
-	sc := &scope{}
-	sc.add(alias, def.Schema, 0)
-	pred, err := bind(sel.Where, sc)
-	if err != nil {
-		return err
-	}
-	var exprs []aExpr
-	star := false
-	for _, item := range sel.Items {
-		if item.Star {
-			star = true
-		} else {
-			exprs = append(exprs, item.Expr)
-		}
-	}
-	for _, o := range sel.OrderBy {
-		exprs = append(exprs, o.Expr)
-	}
-	exprs = append(exprs, sel.GroupBy...)
-	var needed map[int]bool
-	if !star {
-		needed = neededColumns(def.Schema, alias, exprs)
-	}
-	sb.WriteString("SELECT (single-variable query)\n")
-	if isCountStarQuery(sel) {
-		rng, residual := expr.ExtractKeyRange(pred, def.Schema)
-		fmt.Fprintf(sb, "  access %s: COUNT(*) at Disk Processes via COUNT^FIRST/NEXT (constant-size replies)\n", def.Name)
-		if residual != nil {
-			fmt.Fprintf(sb, "  predicate at Disk Process: %s\n", residual)
-		}
-		if rng.Low != nil || rng.High != nil {
-			fmt.Fprintf(sb, "  primary-key range %s\n", rng.String())
-		}
-		if parts := len(def.Partitions); parts > 1 {
-			fmt.Fprintf(sb, "  %d partitions, counted concurrently\n", parts)
-		}
-		return nil
-	}
-	aggregate := len(sel.GroupBy) > 0 || sel.Having != nil
-	for _, item := range sel.Items {
-		if !item.Star && hasAggregate(item.Expr) {
-			aggregate = true
-		}
-	}
-	// Decomposable aggregates evaluate at the Disk Processes.
-	if aggregate && s.pushdown {
-		if _, ok := planAggPushdown(sel, sc); ok {
-			rng, residual := expr.ExtractKeyRange(pred, def.Schema)
-			fmt.Fprintf(sb, "  access %s: partial aggregation at Disk Processes via AGG^FIRST/NEXT (per-group partial states)\n", def.Name)
-			if residual != nil {
-				fmt.Fprintf(sb, "  predicate at Disk Process: %s\n", residual)
-			}
-			if rng.Low != nil || rng.High != nil {
-				fmt.Fprintf(sb, "  primary-key range %s\n", rng.String())
-			}
-			if parts := len(def.Partitions); parts > 1 {
-				fmt.Fprintf(sb, "  %d partitions, aggregated concurrently\n", parts)
-			}
-			sb.WriteString("  merge partial states per group at File System\n")
-			if sel.Having != nil {
-				sb.WriteString("  HAVING filter in requester\n")
-			}
-			if len(sel.OrderBy) > 0 {
-				sb.WriteString("  sort in requester (FastSort for large results)\n")
-			}
-			if sel.Limit >= 0 {
-				fmt.Fprintf(sb, "  limit %d\n", sel.Limit)
-			}
-			return nil
-		}
-	}
-	planAccess(def, pred, needed).describe(sb, "  ")
-	if aggregate {
-		sb.WriteString("  aggregate in requester (executor)\n")
-	}
-	if len(sel.OrderBy) > 0 {
-		sb.WriteString("  sort in requester")
-		sb.WriteString(" (FastSort for large results)\n")
-	}
-	if sel.Limit >= 0 {
-		fmt.Fprintf(sb, "  limit %d", sel.Limit)
-		if len(sel.OrderBy) == 0 && !aggregate {
-			sb.WriteString(" (scan stops early)")
-			if s.pushdown {
-				sb.WriteString(" — row budget at Disk Processes")
-			}
-		} else if !aggregate && s.pushdown &&
-			orderByIsKeyPrefix(sel.OrderBy, def.Schema, sc) && scanDeliversKeyOrder(def, pred) {
-			sb.WriteString(" (Top-N: row budget pushed to Disk Processes)")
-		}
-		sb.WriteByte('\n')
-	}
-	return nil
-}
-
-func (s *Session) explainJoin(sb *strings.Builder, sel Select) error {
-	outerRef, innerRef := sel.From[0], sel.From[1]
-	outerDef, err := s.cat.Table(outerRef.Table)
-	if err != nil {
-		return err
-	}
-	innerDef, err := s.cat.Table(innerRef.Table)
-	if err != nil {
-		return err
-	}
-	outerAlias, innerAlias := outerRef.Alias, innerRef.Alias
-	if outerAlias == "" {
-		outerAlias = outerDef.Name
-	}
-	if innerAlias == "" {
-		innerAlias = innerDef.Name
-	}
-	var outerOnly, innerOnly, joinConjs []aExpr
-	for _, conj := range astConjuncts(sel.Where) {
-		uo, ui, err := tablesUsed(conj, outerAlias, outerDef.Schema, innerAlias, innerDef.Schema)
-		if err != nil {
-			return err
-		}
-		switch {
-		case uo && ui:
-			joinConjs = append(joinConjs, conj)
-		case ui:
-			innerOnly = append(innerOnly, conj)
-		default:
-			outerOnly = append(outerOnly, conj)
-		}
-	}
-	sb.WriteString("SELECT (two-variable query, decomposed into single-variable queries)\n")
-	outerScope := &scope{}
-	outerScope.add(outerAlias, outerDef.Schema, 0)
-	outerPred, err := bindConjuncts(outerOnly, outerScope)
-	if err != nil {
-		return err
-	}
-	sb.WriteString("  outer:\n")
-	planAccess(outerDef, outerPred, nil).describe(sb, "    ")
-	sb.WriteString("  inner (once per outer row, join conjuncts instantiated as constants):\n")
-	// Instantiate a representative inner predicate with NULL stand-ins to
-	// show its shape.
-	innerScope := &scope{}
-	innerScope.add(innerAlias, innerDef.Schema, 0)
-	innerPred, err := bindConjuncts(innerOnly, innerScope)
-	if err != nil {
-		return err
-	}
-	sampleOuter := make(record.Row, len(outerDef.Schema.Fields))
-	for i := range sampleOuter {
-		sampleOuter[i] = record.Int(0)
-	}
-	for _, jc := range joinConjs {
-		inst, ok, err := instantiateJoinConj(jc, sampleOuter, outerAlias, outerDef.Schema, innerScope)
-		if err != nil {
-			return err
-		}
-		if ok {
-			innerPred = expr.And(innerPred, inst)
-		}
-	}
-	planAccess(innerDef, innerPred, nil).describe(sb, "    ")
-	if s.pushdown && len(joinConjs) == 1 {
-		if inst, ok, _ := instantiateJoinConj(joinConjs[0], sampleOuter, outerAlias, outerDef.Schema, innerScope); ok {
-			if viaIndex, eligible := probeBatchEligible(inst, innerDef); eligible {
-				path := "leading primary-key column"
-				if viaIndex != nil {
-					path = "index " + viaIndex.Name
-				}
-				fmt.Fprintf(sb, "  inner probes batched: PROBE^BLOCK via %s, up to %d probe keys per message, deduplicated per outer value\n",
-					path, fs.ProbeBatchSize)
-			}
-		}
-	}
-	if len(joinConjs) > 0 {
-		parts := make([]string, len(joinConjs))
-		for i, jc := range joinConjs {
-			parts[i] = displayName(jc)
-		}
-		fmt.Fprintf(sb, "  join conjuncts: %s\n", strings.Join(parts, " AND "))
-	}
-	return nil
-}
-
-func (s *Session) explainUpdate(sb *strings.Builder, upd Update) error {
-	def, err := s.cat.Table(upd.Table)
-	if err != nil {
-		return err
-	}
-	sc := &scope{}
-	sc.add(def.Name, def.Schema, 0)
-	pred, err := bind(upd.Where, sc)
-	if err != nil {
-		return err
-	}
-	var assigns []expr.Assignment
-	for _, set := range upd.Sets {
-		i := def.Schema.FieldIndex(set.Col)
-		if i < 0 {
-			return fmt.Errorf("sql: UPDATE: no column %q", set.Col)
-		}
-		rhs, err := bind(set.E, sc)
-		if err != nil {
-			return err
-		}
-		assigns = append(assigns, expr.Assignment{Field: i, E: rhs})
-	}
-	rng, residual := expr.ExtractKeyRange(pred, def.Schema)
-	sb.WriteString("UPDATE\n")
-	if def.AssignsTouchIndexes(assigns) {
-		if _, _, ok := indexProbe(def, residual); ok && rng.Low == nil && rng.High == nil {
-			sb.WriteString("  requester-side: index probe + per-record update with index maintenance\n")
-		} else {
-			sb.WriteString("  requester-side: scan (VSBB, exclusive) + per-record update with index maintenance\n")
-		}
-		fmt.Fprintf(sb, "  reason: SET targets an indexed or primary-key column\n")
-		return nil
-	}
-	fmt.Fprintf(sb, "  UPDATE^SUBSET^FIRST/NEXT to each partition, range %s\n", rng.String())
-	if residual != nil {
-		fmt.Fprintf(sb, "  predicate at Disk Process: %s\n", residual)
-	}
-	for _, a := range assigns {
-		fmt.Fprintf(sb, "  update expression at Disk Process: %s = %s\n", def.Schema.Fields[a.Field].Name, a.E)
-	}
-	if def.Check != nil {
-		fmt.Fprintf(sb, "  CHECK at Disk Process: %s\n", def.Check)
-	}
-	sb.WriteString("  records never cross the FS-DP interface\n")
-	return nil
-}
-
-func (s *Session) explainDelete(sb *strings.Builder, del Delete) error {
-	def, err := s.cat.Table(del.Table)
-	if err != nil {
-		return err
-	}
-	sc := &scope{}
-	sc.add(def.Name, def.Schema, 0)
-	pred, err := bind(del.Where, sc)
-	if err != nil {
-		return err
-	}
-	rng, residual := expr.ExtractKeyRange(pred, def.Schema)
-	sb.WriteString("DELETE\n")
-	if len(def.Indexes) > 0 {
-		if _, _, ok := indexProbe(def, residual); ok && rng.Low == nil && rng.High == nil {
-			sb.WriteString("  requester-side: index probe + per-record delete with index maintenance\n")
-		} else {
-			sb.WriteString("  requester-side: scan (VSBB, exclusive) + per-record delete with index maintenance\n")
-		}
-		return nil
-	}
-	fmt.Fprintf(sb, "  DELETE^SUBSET^FIRST/NEXT to each partition, range %s\n", rng.String())
-	if residual != nil {
-		fmt.Fprintf(sb, "  predicate at Disk Process: %s\n", residual)
-	}
-	return nil
+	fmt.Fprintf(sb, "%s  projection at Disk Process: %s\n", in, strings.Join(names, ", "))
 }

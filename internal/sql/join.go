@@ -13,15 +13,40 @@ import (
 	"nonstopsql/internal/tmf"
 )
 
-// joinSelect runs a two-table SELECT. A general SQL predicate is
+// joinPlan is a compiled two-table SELECT. A general SQL predicate is
 // multi-variable, but — exactly as the paper describes — the executor's
 // File System invocations stay single-table: the WHERE clause splits
 // into outer-only, inner-only, and join conjuncts; outer-only conjuncts
-// push to the outer table's Disk Processes; for each outer row the join
-// conjuncts are instantiated into constants, turning the inner access
-// into another single-variable query (often a primary-key range or an
-// index probe).
-func (s *Session) joinSelect(tx *tmf.Tx, sel Select, az *analyzeState) (*Result, error) {
+// push to the outer table's Disk Processes; a join conjunct comparing an
+// outer-side operand with an inner-side one becomes part of the inner
+// predicate with a value slot where the outer side stood, so each outer
+// row turns the inner access into another single-variable query (often a
+// primary-key range or an index probe) by supplying values, the way
+// EXECUTE does for markers. All of that is decided here, once.
+type joinPlan struct {
+	outer, inner tableQuery
+	outerVals    []expr.Expr // over the outer row: outerVals[i] fills inner slot nParams+i
+	nParams      int         // statement markers; the inner slots follow them
+	post         expr.Expr   // join conjuncts of any other shape, over the combined row
+	conjNames    []string
+	out          *output
+	browse       bool
+
+	// probe, when non-nil, batches the inner accesses: the single join
+	// conjunct is an equality on the inner table's leading key column
+	// (idx nil) or an indexed column, so the outer values travel as probe
+	// keys in PROBE^BLOCK messages — one conversation per block per
+	// partition — instead of one conversation per outer row.
+	probe     *probeRoute
+	innerOnly expr.Expr // probe: the inner-only conjuncts, without the slot
+}
+
+type probeRoute struct {
+	col int
+	idx *fs.IndexDef
+}
+
+func (s *Session) compileJoin(sel Select, nParams int) (*joinPlan, error) {
 	outerRef, innerRef := sel.From[0], sel.From[1]
 	outerDef, err := s.cat.Table(outerRef.Table)
 	if err != nil {
@@ -39,78 +64,146 @@ func (s *Session) joinSelect(tx *tmf.Tx, sel Select, az *analyzeState) (*Result,
 	if innerAlias == "" {
 		innerAlias = innerDef.Name
 	}
+	used := func(e aExpr) (bool, bool, error) {
+		return tablesUsed(e, outerAlias, outerDef.Schema, innerAlias, innerDef.Schema)
+	}
 
-	// Combined scope for the select list and post-filters.
+	// Combined scope for the select list and post-filters; local scopes
+	// for what is pushed to each table.
 	combined := &scope{}
 	combined.add(outerAlias, outerDef.Schema, 0)
 	combined.add(innerAlias, innerDef.Schema, len(outerDef.Schema.Fields))
-
-	// Local scopes for pushdown binding.
 	outerScope := &scope{}
 	outerScope.add(outerAlias, outerDef.Schema, 0)
 	innerScope := &scope{}
 	innerScope.add(innerAlias, innerDef.Schema, 0)
 
-	// Classify WHERE conjuncts at the AST level.
+	p := &joinPlan{nParams: nParams, browse: sel.Browse}
 	var outerOnly, innerOnly, joinConjs []aExpr
 	for _, conj := range astConjuncts(sel.Where) {
-		usesOuter, usesInner, err := tablesUsed(conj, outerAlias, outerDef.Schema, innerAlias, innerDef.Schema)
+		usesOuter, usesInner, err := used(conj)
 		if err != nil {
 			return nil, err
 		}
 		switch {
 		case usesOuter && usesInner:
 			joinConjs = append(joinConjs, conj)
+			p.conjNames = append(p.conjNames, displayName(conj))
 		case usesInner:
 			innerOnly = append(innerOnly, conj)
 		default:
 			outerOnly = append(outerOnly, conj)
 		}
 	}
-
-	// Outer access: single-variable query.
 	outerPred, err := bindConjuncts(outerOnly, outerScope)
 	if err != nil {
 		return nil, err
 	}
-	outerRows, err := s.tableAccess(tx, outerDef, outerPred, nil, -1, false, az)
-	if err != nil {
+	if p.innerOnly, err = bindConjuncts(innerOnly, innerScope); err != nil {
 		return nil, err
 	}
-
-	// Pre-bind inner-only conjuncts.
-	innerPredBase, err := bindConjuncts(innerOnly, innerScope)
-	if err != nil {
-		return nil, err
-	}
-
-	aggregate := len(sel.GroupBy) > 0 || sel.Having != nil
-	for _, item := range sel.Items {
-		if !item.Star && hasAggregate(item.Expr) {
-			aggregate = true
+	innerPred := p.innerOnly
+	for _, jc := range joinConjs {
+		// A comparison with one operand per table splits; anything else
+		// post-filters the combined row.
+		var outerSide, innerSide aExpr
+		innerOnLeft := false
+		b, ok := jc.(aBin)
+		if ok && isComparison(b.Op) && b.Op != expr.OpLike {
+			lo, li, _ := used(b.L)
+			ro, ri, _ := used(b.R)
+			switch {
+			case !li && ri && !ro:
+				outerSide, innerSide = b.L, b.R
+			case li && !lo && !ri:
+				outerSide, innerSide, innerOnLeft = b.R, b.L, true
+			}
+		}
+		if outerSide == nil {
+			bound, err := bind(jc, combined)
+			if err != nil {
+				return nil, err
+			}
+			p.post = expr.And(p.post, bound)
+			continue
+		}
+		ov, err := bind(outerSide, outerScope)
+		if err != nil {
+			return nil, err
+		}
+		iv, err := bind(innerSide, innerScope)
+		if err != nil {
+			return nil, err
+		}
+		var slot expr.Expr = expr.Param{Index: nParams + len(p.outerVals)}
+		p.outerVals = append(p.outerVals, ov)
+		inst := expr.Binary{Op: b.Op, L: slot, R: iv}
+		if innerOnLeft {
+			inst = expr.Binary{Op: b.Op, L: iv, R: slot}
+		}
+		innerPred = expr.And(innerPred, inst)
+		if f, bare := iv.(expr.FieldRef); bare && b.Op == expr.OpEQ && s.pushdown && len(joinConjs) == 1 {
+			if len(innerDef.Schema.KeyFields) > 0 && f.Index == innerDef.Schema.KeyFields[0] {
+				p.probe = &probeRoute{col: f.Index}
+			} else {
+				for _, ix := range innerDef.Indexes {
+					if ix.Column == f.Index {
+						p.probe = &probeRoute{col: f.Index, idx: ix}
+						break
+					}
+				}
+			}
 		}
 	}
+	p.outer = s.tableQuery(outerDef, opRows, outerPred)
+	p.inner = s.tableQuery(innerDef, opRows, innerPred)
+	p.out, err = compileOutput(sel, combined)
+	return p, err
+}
 
-	outerWidth := len(outerDef.Schema.Fields)
-
-	// Batched probe path: an equality join conjunct on the inner table's
-	// leading key column or an indexed column ships the probe keys in
-	// PROBE^BLOCK messages — one conversation per block per partition —
-	// instead of one conversation per outer row.
-	combinedRows, handled, err := s.batchedJoinProbes(tx, outerRows, outerDef, innerDef,
-		outerAlias, innerScope, joinConjs, innerPredBase, outerWidth, az)
+func (p *joinPlan) run(s *Session, params []record.Value, az *analyzeState) (*Result, error) {
+	tx := s.tx
+	if p.browse {
+		tx = nil
+	}
+	out, err := p.out.bound(params)
 	if err != nil {
 		return nil, err
 	}
-	if handled {
-		if aggregate {
-			return s.aggregateResult(sel, combined, combinedRows)
-		}
-		return s.projectJoinResult(sel, combined, outerDef.Schema, innerDef.Schema, combinedRows)
+	oa, err := p.outer.access(params)
+	if err != nil {
+		return nil, err
 	}
+	of, err := oa.fetch(s, tx, az)
+	if err != nil {
+		return nil, err
+	}
+	outerVals := make([]expr.Expr, len(p.outerVals))
+	for i, e := range p.outerVals {
+		if outerVals[i], err = expr.Substitute(e, params); err != nil {
+			return nil, err
+		}
+	}
+	var rows []record.Row
+	if p.probe != nil {
+		rows, err = p.probeBatched(s, tx, of.rows, outerVals[0], params, az)
+	} else {
+		rows, err = p.probePerRow(s, tx, of.rows, outerVals, params, az)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return out.emitRows(rows, az)
+}
 
-	// Row path: one inner conversation per outer row. Under EXPLAIN
-	// ANALYZE the whole loop accounts as one delta node.
+// probePerRow is the row path: one inner access, chosen and fetched, per
+// outer row. Under EXPLAIN ANALYZE the whole loop accounts as one delta
+// node.
+func (p *joinPlan) probePerRow(s *Session, tx *tmf.Tx, outerRows []record.Row, outerVals []expr.Expr, params []record.Value, az *analyzeState) ([]record.Row, error) {
+	post, err := expr.Substitute(p.post, params)
+	if err != nil {
+		return nil, err
+	}
 	var d0 msg.Stats
 	var l0 obs.Snapshot
 	var t0 time.Time
@@ -118,253 +211,152 @@ func (s *Session) joinSelect(tx *tmf.Tx, sel Select, az *analyzeState) (*Result,
 		d0, l0 = s.fs.Network().Stats(), s.fs.Network().LatencyAll()
 		t0 = time.Now()
 	}
+	vals := make([]record.Value, p.nParams+len(outerVals))
+	copy(vals, params)
+	var combined []record.Row
 	for _, orow := range outerRows {
-		// Instantiate join conjuncts against this outer row.
-		innerPred := innerPredBase
-		var post []expr.Expr
-		for _, jc := range joinConjs {
-			inst, ok, err := instantiateJoinConj(jc, orow, outerAlias, outerDef.Schema, innerScope)
-			if err != nil {
+		for i, e := range outerVals {
+			if vals[p.nParams+i], err = expr.Eval(e, orow); err != nil {
 				return nil, err
 			}
-			if ok {
-				innerPred = expr.And(innerPred, inst)
-			} else {
-				// General shape: post-filter on the combined row.
-				bound, err := bind(jc, combined)
-				if err != nil {
-					return nil, err
-				}
-				post = append(post, bound)
-			}
 		}
-		innerRows, err := s.tableAccess(tx, innerDef, innerPred, nil, -1, false, nil)
+		ia, err := p.inner.access(vals)
 		if err != nil {
 			return nil, err
 		}
-		for _, irow := range innerRows {
-			crow := make(record.Row, 0, outerWidth+len(irow))
-			crow = append(crow, orow...)
-			crow = append(crow, irow...)
-			keep := true
-			for _, p := range post {
-				ok, err := expr.Satisfied(p, crow)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					keep = false
-					break
-				}
+		f, err := ia.fetch(s, tx, nil)
+		if err != nil {
+			return nil, err
+		}
+		for _, irow := range f.rows {
+			crow := make(record.Row, 0, len(orow)+len(irow))
+			crow = append(append(crow, orow...), irow...)
+			keep, err := expr.Satisfied(post, crow)
+			if err != nil {
+				return nil, err
 			}
 			if keep {
-				combinedRows = append(combinedRows, crow)
+				combined = append(combined, crow)
 			}
 		}
 	}
 	if az != nil {
-		az.deltaNode(fmt.Sprintf("inner probes %s (one conversation per outer row)", innerDef.Name),
+		az.deltaNode(fmt.Sprintf("inner probes %s (one conversation per outer row)", p.inner.def.Name),
 			d0, s.fs.Network().Stats(), l0, s.fs.Network().LatencyAll(),
-			len(combinedRows), time.Since(t0))
+			len(combined), time.Since(t0))
 	}
-
-	if aggregate {
-		return s.aggregateResult(sel, combined, combinedRows)
-	}
-	// SELECT * over a join expands both tables' columns.
-	return s.projectJoinResult(sel, combined, outerDef.Schema, innerDef.Schema, combinedRows)
+	return combined, nil
 }
 
-// batchedJoinProbes runs the join's inner accesses as blocked probe
-// conversations (PROBE^BLOCK) when the single join conjunct is an
-// equality whose inner side is the inner table's leading primary-key
-// column or an indexed column. handled=false falls back to the
-// one-conversation-per-outer-row path. Probe values are deduplicated,
-// so repeated outer values cost one probe, and the combined rows come
-// out in outer-row order exactly as the row path produces them.
-func (s *Session) batchedJoinProbes(tx *tmf.Tx, outerRows []record.Row, outerDef, innerDef *fs.FileDef,
-	outerAlias string, innerScope *scope, joinConjs []aExpr, innerPredBase expr.Expr,
-	outerWidth int, az *analyzeState) ([]record.Row, bool, error) {
-	if !s.pushdown || len(joinConjs) != 1 || len(outerRows) == 0 {
-		return nil, false, nil
+// probeBatched runs the join's inner accesses as blocked probe
+// conversations (PROBE^BLOCK). Probe values are deduplicated, so repeated
+// outer values cost one probe, and the combined rows come out in
+// outer-row order exactly as the row path produces them.
+func (p *joinPlan) probeBatched(s *Session, tx *tmf.Tx, outerRows []record.Row, outerVal expr.Expr, params []record.Value, az *analyzeState) ([]record.Row, error) {
+	innerDef, idx, col := p.inner.def, p.probe.idx, p.probe.col
+	innerOnly, err := expr.Substitute(p.innerOnly, params)
+	if err != nil {
+		return nil, err
 	}
-	type probe struct {
-		val record.Value
-	}
-	probeCol := -1
 	var order []string // probe keys, first-appearance order
-	probes := make(map[string]*probe)
+	probes := make(map[string]record.Value)
 	rowKey := make([]string, len(outerRows)) // "" = NULL probe, never joins
 	for oi, orow := range outerRows {
-		inst, ok, err := instantiateJoinConj(joinConjs[0], orow, outerAlias, outerDef.Schema, innerScope)
+		v, err := expr.Eval(outerVal, orow)
 		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			return nil, false, nil
-		}
-		col, v, isEq := eqProbe(inst)
-		if !isEq {
-			return nil, false, nil
-		}
-		if probeCol < 0 {
-			probeCol = col
-		} else if col != probeCol {
-			return nil, false, nil
+			return nil, err
 		}
 		if v.IsNull() {
 			continue // NULL = NULL is never true
 		}
 		k := string(v.AppendKey(nil))
 		if _, ok := probes[k]; !ok {
-			probes[k] = &probe{val: v}
+			probes[k] = v
 			order = append(order, k)
 		}
 		rowKey[oi] = k
 	}
-	if probeCol < 0 {
-		// Every probe value was NULL: empty join, no messages needed.
-		return nil, true, nil
-	}
-	keyed := len(innerDef.Schema.KeyFields) > 0 && probeCol == innerDef.Schema.KeyFields[0]
-	var idx *fs.IndexDef
-	if !keyed {
-		for _, ix := range innerDef.Indexes {
-			if ix.Column == probeCol {
-				idx = ix
-				break
-			}
-		}
-		if idx == nil {
-			return nil, false, nil
-		}
+	if len(order) == 0 {
+		// No outer row, or every probe value NULL: empty join, no messages.
+		return nil, nil
 	}
 
-	var (
-		innerRows []record.Row
-		st        fs.ScanStats
-		err       error
-		label     string
-	)
-	if keyed {
+	var innerRows []record.Row
+	var st fs.ScanStats
+	label := "batched join probes " + innerDef.Name
+	if idx == nil {
 		prefixes := make([][]byte, len(order))
 		for i, k := range order {
 			prefixes[i] = []byte(k)
 		}
 		// The inner-only predicate rides along and evaluates at the
 		// Disk Process.
-		innerRows, st, err = s.fs.ProbePrefixes(tx, innerDef, prefixes, innerPredBase)
-		label = fmt.Sprintf("batched join probes %s (PROBE^BLOCK)", innerDef.Name)
+		innerRows, st, err = s.fs.ProbePrefixes(tx, innerDef, prefixes, innerOnly)
 	} else {
 		vals := make([]record.Value, len(order))
 		for i, k := range order {
-			vals[i] = probes[k].val
+			vals[i] = probes[k]
 		}
 		innerRows, st, err = s.fs.ReadByIndexBatch(tx, innerDef, idx, vals)
-		label = fmt.Sprintf("batched join probes %s via %s (PROBE^BLOCK)", innerDef.Name, idx.Name)
+		label += " via " + idx.Name
 	}
 	if err != nil {
-		return nil, true, err
+		return nil, err
 	}
-	if !keyed && innerPredBase != nil {
-		// Index-probe rows come back unfiltered; apply the inner-only
-		// conjuncts requester-side, as ReadByIndex plans do.
-		kept := innerRows[:0]
-		for _, irow := range innerRows {
-			ok, err := expr.Satisfied(innerPredBase, irow)
-			if err != nil {
-				return nil, true, err
-			}
-			if ok {
-				kept = append(kept, irow)
-			}
-		}
-		innerRows = kept
-	}
-	az.scanNode(label, st)
+	az.scanNode(label+" (PROBE^BLOCK)", st)
 
 	byKey := make(map[string][]record.Row)
 	for _, irow := range innerRows {
-		k := string(irow[probeCol].AppendKey(nil))
+		if idx != nil {
+			// Index-probe rows come back unfiltered; apply the inner-only
+			// conjuncts requester-side, as a single index probe does.
+			ok, err := expr.Satisfied(innerOnly, irow)
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				continue
+			}
+		}
+		k := string(irow[col].AppendKey(nil))
 		byKey[k] = append(byKey[k], irow)
 	}
 	var combined []record.Row
 	for oi, orow := range outerRows {
-		k := rowKey[oi]
-		if k == "" {
-			continue
-		}
-		for _, irow := range byKey[k] {
-			crow := make(record.Row, 0, outerWidth+len(irow))
-			crow = append(crow, orow...)
-			crow = append(crow, irow...)
-			combined = append(combined, crow)
+		for _, irow := range byKey[rowKey[oi]] {
+			crow := make(record.Row, 0, len(orow)+len(irow))
+			combined = append(combined, append(append(crow, orow...), irow...))
 		}
 	}
-	return combined, true, nil
+	return combined, nil
 }
 
-// eqProbe splits an instantiated equality conjunct into its inner
-// column ordinal and constant probe value. ok=false for any other
-// shape (non-equality, computed inner side).
-func eqProbe(e expr.Expr) (col int, v record.Value, ok bool) {
-	b, isBin := e.(expr.Binary)
-	if !isBin || b.Op != expr.OpEQ {
-		return 0, record.Null, false
+func (p *joinPlan) describe(sb *strings.Builder, params []record.Value) error {
+	oa, err := p.outer.access(params)
+	if err != nil {
+		return err
 	}
-	if f, isF := b.L.(expr.FieldRef); isF {
-		if c, isC := b.R.(expr.Const); isC {
-			return f.Index, c.V, true
+	ia, err := p.inner.access(params)
+	if err != nil {
+		return err
+	}
+	sb.WriteString("SELECT (two-variable query, decomposed into single-variable queries)\n")
+	sb.WriteString("  outer:\n")
+	oa.describe(sb, "    ")
+	sb.WriteString("  inner (once per outer row, join conjuncts instantiated as constants):\n")
+	ia.describe(sb, "    ")
+	if p.probe != nil {
+		path := "leading primary-key column"
+		if p.probe.idx != nil {
+			path = "index " + p.probe.idx.Name
 		}
-		return 0, record.Null, false
+		fmt.Fprintf(sb, "  inner probes batched: PROBE^BLOCK via %s, up to %d probe keys per message, deduplicated per outer value\n",
+			path, fs.ProbeBatchSize)
 	}
-	if f, isF := b.R.(expr.FieldRef); isF {
-		if c, isC := b.L.(expr.Const); isC {
-			return f.Index, c.V, true
-		}
+	if len(p.conjNames) > 0 {
+		fmt.Fprintf(sb, "  join conjuncts: %s\n", strings.Join(p.conjNames, " AND "))
 	}
-	return 0, record.Null, false
-}
-
-// probeBatchEligible reports whether a single equality join conjunct of
-// this instantiated shape routes through PROBE^BLOCK against innerDef,
-// and on what access path (the inner table's leading key column, or a
-// secondary index).
-func probeBatchEligible(inst expr.Expr, innerDef *fs.FileDef) (viaIndex *fs.IndexDef, ok bool) {
-	col, _, isEq := eqProbe(inst)
-	if !isEq {
-		return nil, false
-	}
-	if len(innerDef.Schema.KeyFields) > 0 && col == innerDef.Schema.KeyFields[0] {
-		return nil, true
-	}
-	for _, ix := range innerDef.Indexes {
-		if ix.Column == col {
-			return ix, true
-		}
-	}
-	return nil, false
-}
-
-// projectJoinResult is projectResult with * expansion over two schemas.
-func (s *Session) projectJoinResult(sel Select, sc *scope, outer, inner *record.Schema, rows []record.Row) (*Result, error) {
-	expanded := Select{
-		From: sel.From, Where: sel.Where,
-		OrderBy: sel.OrderBy, Limit: sel.Limit, Browse: sel.Browse,
-	}
-	for _, item := range sel.Items {
-		if !item.Star {
-			expanded.Items = append(expanded.Items, item)
-			continue
-		}
-		for _, f := range outer.Fields {
-			expanded.Items = append(expanded.Items, SelectItem{Expr: aCol{Table: outer.Name, Name: f.Name}, Alias: f.Name})
-		}
-		for _, f := range inner.Fields {
-			expanded.Items = append(expanded.Items, SelectItem{Expr: aCol{Table: inner.Name, Name: f.Name}, Alias: f.Name})
-		}
-	}
-	return s.projectResult(expanded, sc, nil, rows)
+	return nil
 }
 
 // astConjuncts splits an unresolved predicate into top-level AND factors.
@@ -409,82 +401,4 @@ func tablesUsed(e aExpr, outerAlias string, outer *record.Schema, innerAlias str
 		}
 	}
 	return usesOuter, usesInner, nil
-}
-
-// instantiateJoinConj converts a comparison between one outer-side and
-// one inner-side operand into an inner-local predicate by evaluating the
-// outer side against the current outer row. Returns ok=false for shapes
-// it cannot split (the caller post-filters those).
-func instantiateJoinConj(e aExpr, outerRow record.Row, outerAlias string, outer *record.Schema, innerScope *scope) (expr.Expr, bool, error) {
-	b, ok := e.(aBin)
-	if !ok {
-		return nil, false, nil
-	}
-	switch b.Op {
-	case expr.OpEQ, expr.OpNE, expr.OpLT, expr.OpLE, expr.OpGT, expr.OpGE:
-	default:
-		return nil, false, nil
-	}
-	sideOf := func(sub aExpr) (string, error) {
-		uo, ui := false, false
-		ou := strings.ToUpper(outerAlias)
-		for _, c := range columnsOf(sub) {
-			inO := (c.Table == "" || c.Table == ou || c.Table == outer.Name) && outer.FieldIndex(c.Name) >= 0
-			if inO {
-				uo = true
-			} else {
-				ui = true
-			}
-		}
-		switch {
-		case uo && ui:
-			return "both", nil
-		case uo:
-			return "outer", nil
-		case ui:
-			return "inner", nil
-		}
-		return "const", nil
-	}
-	ls, err := sideOf(b.L)
-	if err != nil {
-		return nil, false, err
-	}
-	rs, err := sideOf(b.R)
-	if err != nil {
-		return nil, false, err
-	}
-	outerScope := &scope{}
-	outerScope.add(outerAlias, outer, 0)
-
-	evalOuter := func(sub aExpr) (record.Value, error) {
-		bound, err := bind(sub, outerScope)
-		if err != nil {
-			return record.Null, err
-		}
-		return expr.Eval(bound, outerRow)
-	}
-	switch {
-	case (ls == "outer" || ls == "const") && rs == "inner":
-		v, err := evalOuter(b.L)
-		if err != nil {
-			return nil, false, err
-		}
-		inner, err := bind(b.R, innerScope)
-		if err != nil {
-			return nil, false, err
-		}
-		return expr.Binary{Op: b.Op, L: expr.C(v), R: inner}, true, nil
-	case ls == "inner" && (rs == "outer" || rs == "const"):
-		v, err := evalOuter(b.R)
-		if err != nil {
-			return nil, false, err
-		}
-		inner, err := bind(b.L, innerScope)
-		if err != nil {
-			return nil, false, err
-		}
-		return expr.Binary{Op: b.Op, L: inner, R: expr.C(v)}, true, nil
-	}
-	return nil, false, nil
 }

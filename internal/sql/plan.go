@@ -9,245 +9,17 @@ import (
 
 	"nonstopsql/internal/expr"
 	"nonstopsql/internal/fastsort"
-	"nonstopsql/internal/fs"
-	"nonstopsql/internal/msg"
-	"nonstopsql/internal/obs"
 	"nonstopsql/internal/record"
-	"nonstopsql/internal/tmf"
 )
 
-// execSelect plans and runs a SELECT. The plan produced here drives the
-// executor's File System invocations — always in terms of a single
-// table per request, with optional access via a secondary index; a join
-// decomposes into single-variable queries against each table.
-func (s *Session) execSelect(sel Select) (*Result, error) {
-	tx := s.tx
-	if sel.Browse {
-		tx = nil // browse access: no locks, read through
+// compileSelect binds and plans a SELECT. The plan drives the executor's
+// File System invocations — always in terms of a single table per
+// request, with optional access via a secondary index; a join decomposes
+// into single-variable queries against each table (join.go).
+func (s *Session) compileSelect(sel Select, nParams int) (stmtPlan, error) {
+	if len(sel.From) == 2 {
+		return s.compileJoin(sel, nParams)
 	}
-	if len(sel.From) == 1 {
-		return s.singleTableSelect(tx, sel, nil)
-	}
-	return s.joinSelect(tx, sel, nil)
-}
-
-// neededColumns accumulates the field ordinals (within schema) that the
-// client side must see for the given unresolved expressions.
-func neededColumns(schema *record.Schema, alias string, exprs []aExpr) map[int]bool {
-	out := make(map[int]bool)
-	up := strings.ToUpper(alias)
-	for _, e := range exprs {
-		for _, c := range columnsOf(e) {
-			if c.Table != "" && c.Table != up && c.Table != schema.Name {
-				continue
-			}
-			if i := schema.FieldIndex(c.Name); i >= 0 {
-				out[i] = true
-			}
-		}
-	}
-	return out
-}
-
-// tableAccess returns full-width rows of def satisfying pred (already
-// bound against the table's local scope). It performs the planner's
-// access-path selection:
-//
-//  1. peel the primary-key range off the predicate (bounded subset),
-//  2. else probe a secondary index on an equality conjunct,
-//  3. scan — VSBB with DP-side selection/projection when there is a
-//     residual predicate or a narrowing projection, RSBB otherwise.
-//
-// needed lists the client-required columns (nil = all). stopAfter > 0
-// ends the scan early once that many rows are in hand (LIMIT without
-// ORDER BY). unordered lets a parallel scan (an FS configured with
-// SetScanParallel) deliver partitions' batches as they arrive instead
-// of merging back into key order — set only when the consumer is
-// order-insensitive (e.g. feeds a single-group aggregate).
-func (s *Session) tableAccess(tx *tmf.Tx, def *fs.FileDef, pred expr.Expr, needed map[int]bool, stopAfter int, unordered bool, az *analyzeState) ([]record.Row, error) {
-	if stopAfter == 0 {
-		// LIMIT 0: the empty result is known before any conversation
-		// opens — exchanging even one message would be waste.
-		return nil, nil
-	}
-	schema := def.Schema
-	rng, residual := expr.ExtractKeyRange(pred, schema)
-
-	// Index probe: equality conjunct on an indexed column, when the key
-	// range does not already bound the scan.
-	if rng.Low == nil && rng.High == nil {
-		if idx, val, ok := indexProbe(def, residual); ok {
-			var d0 msg.Stats
-			var l0 obs.Snapshot
-			var t0 time.Time
-			if az != nil {
-				d0, l0 = s.fs.Network().Stats(), s.fs.Network().LatencyAll()
-				t0 = time.Now()
-			}
-			rows, err := s.fs.ReadByIndex(tx, def, idx, val)
-			if err != nil {
-				return nil, err
-			}
-			var out []record.Row
-			for _, row := range rows {
-				keep, err := expr.Satisfied(residual, row)
-				if err != nil {
-					return nil, err
-				}
-				if keep {
-					out = append(out, row)
-					if stopAfter > 0 && len(out) >= stopAfter {
-						break
-					}
-				}
-			}
-			if az != nil {
-				az.deltaNode(fmt.Sprintf("index probe %s.%s", def.Name, idx.Name),
-					d0, s.fs.Network().Stats(), l0, s.fs.Network().LatencyAll(),
-					len(out), time.Since(t0))
-			}
-			return out, nil
-		}
-	}
-
-	// Scan path. Build the projection list for VSBB: the client-needed
-	// columns; the DP evaluates the residual on the full record.
-	var proj []int
-	if needed != nil && len(needed) < len(schema.Fields) {
-		for i := range schema.Fields {
-			if needed[i] {
-				proj = append(proj, i)
-			}
-		}
-	}
-	spec := fs.SelectSpec{Range: rng, Unordered: unordered}
-	if stopAfter > 0 && s.pushdown {
-		// Top-N / LIMIT pushdown: each partition's Disk Process retires
-		// its subset after this many qualifying rows, instead of the
-		// requester discarding a fully-driven scan's surplus.
-		spec.ScanLimit = uint32(stopAfter)
-	}
-	if residual != nil || proj != nil {
-		spec.Mode = fs.ModeVSBB
-		spec.Pred = residual
-		spec.Proj = proj
-	} else {
-		spec.Mode = fs.ModeRSBB
-	}
-	rows := s.fs.Select(tx, def, spec)
-	// Close releases the parallel engine's scanner goroutines (and any
-	// open DP-side subset control blocks) when stopAfter ends the scan
-	// early; after a full drain it is a no-op.
-	defer rows.Close()
-	var out []record.Row
-	for {
-		row, _, ok := rows.Next()
-		if !ok {
-			break
-		}
-		if proj != nil {
-			// Re-inflate the projected row to full width so bound
-			// expressions keep their original ordinals.
-			full := make(record.Row, len(schema.Fields))
-			for i, f := range proj {
-				full[f] = row[i]
-			}
-			row = full
-		}
-		out = append(out, row)
-		if stopAfter > 0 && len(out) >= stopAfter {
-			break
-		}
-	}
-	err := rows.Err()
-	if az != nil && err == nil {
-		rows.Close() // settle the parallel engine before reading stats
-		mode := "RSBB"
-		if spec.Mode == fs.ModeVSBB {
-			mode = "VSBB"
-		}
-		az.scanNode(fmt.Sprintf("scan %s (%s)", def.Name, mode), rows.Stats())
-	}
-	return out, err
-}
-
-// indexProbe finds an equality conjunct on an indexed column.
-func indexProbe(def *fs.FileDef, pred expr.Expr) (*fs.IndexDef, record.Value, bool) {
-	for _, conj := range expr.Conjuncts(pred) {
-		b, ok := conj.(expr.Binary)
-		if !ok || b.Op != expr.OpEQ {
-			continue
-		}
-		var fr expr.FieldRef
-		var cv expr.Const
-		if f, ok := b.L.(expr.FieldRef); ok {
-			if c, ok := b.R.(expr.Const); ok {
-				fr, cv = f, c
-			} else {
-				continue
-			}
-		} else if f, ok := b.R.(expr.FieldRef); ok {
-			if c, ok := b.L.(expr.Const); ok {
-				fr, cv = f, c
-			} else {
-				continue
-			}
-		} else {
-			continue
-		}
-		for _, idx := range def.Indexes {
-			if idx.Column == fr.Index && !cv.V.IsNull() {
-				return idx, cv.V, true
-			}
-		}
-	}
-	return nil, record.Null, false
-}
-
-// singleTableSelect runs a one-table SELECT including aggregates, GROUP
-// BY, ORDER BY, and LIMIT. az, when non-nil, collects per-node actuals
-// for EXPLAIN ANALYZE. The ad-hoc path and prepared execution share one
-// compile + run pipeline, so the two are byte-identical by construction.
-func (s *Session) singleTableSelect(tx *tmf.Tx, sel Select, az *analyzeState) (*Result, error) {
-	p, err := s.compileSelect(sel)
-	if err != nil {
-		return nil, err
-	}
-	return p.runWith(s, tx, nil, az)
-}
-
-// selectPlan is a compiled single-table SELECT. Every shape decision —
-// aggregate classification, needed columns, pushdown decomposition,
-// output columns, ORDER BY keys — is made once at compile time;
-// value-dependent choices (key-range extraction, index-probe selection,
-// Top-N eligibility of the concrete predicate) wait for the parameter
-// values at run time.
-type selectPlan struct {
-	sel    Select
-	def    *fs.FileDef
-	sc     *scope
-	pred   expr.Expr // bound WHERE template (may hold parameter slots)
-	needed map[int]bool
-
-	aggregate bool
-	countStar bool
-	countName string
-
-	// Aggregate shapes (aggregate, not countStar).
-	gbs    []expr.Expr
-	plans  []itemPlan
-	having expr.Expr // template (may hold parameter slots)
-	push   *aggPushPlan
-
-	// Projection shapes (non-aggregate).
-	orderKs []orderKey
-	cols    []outCol
-
-	orderIsKeyPrefix bool
-}
-
-// compileSelect binds and plans a single-table SELECT.
-func (s *Session) compileSelect(sel Select) (*selectPlan, error) {
 	ref := sel.From[0]
 	def, err := s.cat.Table(ref.Table)
 	if err != nil {
@@ -264,185 +36,148 @@ func (s *Session) compileSelect(sel Select) (*selectPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &selectPlan{sel: sel, def: def, sc: sc, pred: pred}
-
-	p.aggregate = len(sel.GroupBy) > 0 || sel.Having != nil
-	for _, item := range sel.Items {
-		if !item.Star && hasAggregate(item.Expr) {
-			p.aggregate = true
-		}
+	out, err := compileOutput(sel, sc)
+	if err != nil {
+		return nil, err
 	}
+	p := &selectPlan{q: s.tableQuery(def, opRows, pred), out: out, browse: sel.Browse}
+	switch {
+	case isCountStarQuery(sel):
+		// A bare single-table COUNT(*) needs no rows at all — the Disk
+		// Processes count qualifying records and each re-drive returns a
+		// constant-size reply (COUNT^FIRST/NEXT).
+		p.q.op = opCount
+		return p, nil
+	case out.aggregate:
+		// Decomposable GROUP BY / aggregate queries evaluate at the Disk
+		// Processes (AGG^FIRST/NEXT) and only per-group partial states
+		// cross the interface.
+		if s.pushdown {
+			if p.q.agg, p.colOf = planAggPushdown(out.gbs, out.plans); p.q.agg != nil {
+				p.q.op = opAgg
+				return p, nil
+			}
+		}
+		// A single-group aggregate folds every row commutatively, so a
+		// parallel scan may deliver partitions' batches in arrival order.
+		p.q.unordered = len(sel.GroupBy) == 0
+	case sel.Limit >= 0 && len(sel.OrderBy) == 0:
+		p.q.limit = sel.Limit
+	case sel.Limit >= 0 && s.pushdown && orderByIsKeyPrefix(sel.OrderBy, def.Schema, sc):
+		// Top-N: ORDER BY on an ascending primary-key prefix reads the scan
+		// in output order, so the first LIMIT merged rows are the answer.
+		p.q.limit, p.q.limitNeedsKeyOrder = sel.Limit, true
+	}
+	p.q.proj = neededColumns(def.Schema, alias, sel)
+	return p, nil
+}
 
-	// Determine client-needed columns.
+// neededColumns lists the field ordinals the executor must see to
+// evaluate the select list, ORDER BY, GROUP BY and HAVING — the VSBB
+// projection. nil means the whole record (SELECT *, no column at all, or
+// every column).
+func neededColumns(schema *record.Schema, alias string, sel Select) []int {
 	var exprs []aExpr
-	star := false
 	for _, item := range sel.Items {
 		if item.Star {
-			star = true
-		} else {
-			exprs = append(exprs, item.Expr)
+			return nil
 		}
+		exprs = append(exprs, item.Expr)
 	}
 	for _, o := range sel.OrderBy {
 		exprs = append(exprs, o.Expr)
 	}
 	exprs = append(exprs, sel.GroupBy...)
-	if sel.Having != nil {
-		exprs = append(exprs, sel.Having)
-	}
-	if !star {
-		p.needed = neededColumns(def.Schema, alias, exprs)
-	}
-
-	// COUNT(*) pushdown: a bare single-table COUNT(*) needs no rows at
-	// all — the Disk Processes count qualifying records and each
-	// re-drive returns a constant-size reply (COUNT^FIRST/NEXT).
-	if isCountStarQuery(sel) {
-		p.countStar = true
-		p.countName = sel.Items[0].Alias
-		if p.countName == "" {
-			p.countName = displayName(sel.Items[0].Expr)
-		}
-		return p, nil
-	}
-
-	if p.aggregate {
-		// Partial-aggregate pushdown: decomposable GROUP BY / aggregate
-		// queries evaluate at the Disk Processes (AGG^FIRST/NEXT) and
-		// only per-group partial states cross the interface.
-		if push, ok := planAggPushdown(sel, sc); ok {
-			p.push = push
-			p.gbs, p.plans, p.having = push.gbs, push.plans, push.having
-		} else {
-			p.gbs, p.plans, p.having, err = buildAggPlans(sel, sc)
-			if err != nil {
-				return nil, err
+	exprs = append(exprs, sel.Having)
+	needed := make([]bool, len(schema.Fields))
+	up := strings.ToUpper(alias)
+	for _, e := range exprs {
+		for _, c := range columnsOf(e) {
+			if c.Table != "" && c.Table != up && c.Table != schema.Name {
+				continue
+			}
+			if i := schema.FieldIndex(c.Name); i >= 0 {
+				needed[i] = true
 			}
 		}
-		return p, nil
 	}
-
-	p.orderKs, err = buildOrderKeys(sel.OrderBy, sc)
-	if err != nil {
-		return nil, err
+	var proj []int
+	for i, n := range needed {
+		if n {
+			proj = append(proj, i)
+		}
 	}
-	p.cols, err = buildOutCols(sel, sc, def.Schema)
-	if err != nil {
-		return nil, err
+	if len(proj) == len(needed) {
+		return nil
 	}
-	p.orderIsKeyPrefix = len(sel.OrderBy) > 0 && orderByIsKeyPrefix(sel.OrderBy, def.Schema, sc)
-	return p, nil
+	return proj
 }
 
-// paramsBeyondWhere reports whether any parameter slot sits outside the
-// WHERE/HAVING templates. Those shapes (a parameter in the select list,
-// GROUP BY, ORDER BY, or an aggregate argument) cannot defer to
-// execution in this plan form and fall back to AST substitution.
-func (p *selectPlan) paramsBeyondWhere() bool {
-	for _, g := range p.gbs {
-		if expr.HasParams(g) {
-			return true
-		}
-	}
-	for _, pl := range p.plans {
-		if pl.agg != nil && pl.agg.arg != nil && expr.HasParams(pl.agg.arg) {
-			return true
-		}
-	}
-	for _, c := range p.cols {
-		if expr.HasParams(c.e) {
-			return true
-		}
-	}
-	for _, k := range p.orderKs {
-		if expr.HasParams(k.e) {
-			return true
-		}
-	}
-	return false
+// selectPlan is a compiled single-table SELECT: the one single-variable
+// query and what the executor does with what it fetches. Every shape
+// decision — aggregate classification, needed columns, pushdown
+// decomposition, output columns, ORDER BY keys — is made once at compile
+// time; the value-dependent choices wait in q.access for the parameter
+// values.
+type selectPlan struct {
+	q      tableQuery
+	out    *output
+	colOf  []int // opAgg: out.plans[i] -> index into q.agg.Cols (-1 for group-by items)
+	browse bool  // FOR BROWSE ACCESS: no locks, read through
 }
 
-// run executes the plan for a prepared statement (stmtPlan interface).
 func (p *selectPlan) run(s *Session, params []record.Value, az *analyzeState) (*Result, error) {
 	tx := s.tx
-	if p.sel.Browse {
-		tx = nil // browse access: no locks, read through
+	if p.browse {
+		tx = nil
 	}
-	return p.runWith(s, tx, params, az)
+	a, err := p.q.access(params)
+	if err != nil {
+		return nil, err
+	}
+	out, err := p.out.bound(params)
+	if err != nil {
+		return nil, err
+	}
+	f, err := a.fetch(s, tx, az)
+	if err != nil {
+		return nil, err
+	}
+	switch p.q.op {
+	case opCount:
+		return out.emitAgg([]record.Row{{record.Int(int64(f.n))}})
+	case opAgg:
+		return out.emitGroups(f.groups, p.q.agg, p.colOf)
+	}
+	return out.emitRows(f.rows, az)
 }
 
-// runWith executes the compiled plan under tx with the given parameter
-// vector. The predicate template is substituted first, so all
-// value-dependent access-path decisions see the concrete values.
-func (p *selectPlan) runWith(s *Session, tx *tmf.Tx, params []record.Value, az *analyzeState) (*Result, error) {
-	pred, err := expr.Substitute(p.pred, params)
+func (p *selectPlan) describe(sb *strings.Builder, params []record.Value) error {
+	a, err := p.q.access(params)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if p.countStar {
-		return s.runCountStar(tx, p.sel, p.def, pred, p.countName, az)
-	}
-	var having expr.Expr
-	if p.aggregate {
-		having, err = expr.Substitute(p.having, params)
-		if err != nil {
-			return nil, err
+	sb.WriteString("SELECT (single-variable query)\n")
+	a.describe(sb, "  ")
+	o := p.out
+	switch {
+	case p.q.op == opCount:
+		return nil
+	case p.q.op == opAgg:
+		sb.WriteString("  merge partial states per group at File System\n")
+		if o.having != nil {
+			sb.WriteString("  HAVING filter in requester\n")
 		}
-		if p.push != nil && s.pushdown {
-			return s.runAggPushdown(tx, p.sel, p.def, pred, p.push, having, az)
-		}
+	case o.aggregate:
+		sb.WriteString("  aggregate in requester (executor)\n")
 	}
-
-	stopAfter := -1
-	if p.sel.Limit >= 0 && len(p.sel.OrderBy) == 0 && !p.aggregate {
-		stopAfter = p.sel.Limit
+	if len(o.order) > 0 {
+		sb.WriteString("  sort in requester (FastSort for large results)\n")
 	}
-	// Top-N pushdown: ORDER BY on an ascending primary-key prefix reads
-	// the scan in output order, so the first LIMIT merged rows are the
-	// answer — push the row budget into each partition's subset.
-	if p.sel.Limit >= 0 && !p.aggregate && len(p.sel.OrderBy) > 0 && s.pushdown &&
-		p.orderIsKeyPrefix && scanDeliversKeyOrder(p.def, pred) {
-		stopAfter = p.sel.Limit
+	if o.limit >= 0 {
+		fmt.Fprintf(sb, "  limit %d%s\n", o.limit, a.budgetNote(len(o.order) > 0))
 	}
-	// A single-group aggregate folds every row commutatively, so a
-	// parallel scan may deliver partitions' batches in arrival order.
-	unordered := p.aggregate && len(p.sel.GroupBy) == 0
-	rows, err := s.tableAccess(tx, p.def, pred, p.needed, stopAfter, unordered, az)
-	if err != nil {
-		return nil, err
-	}
-
-	t0 := time.Now()
-	if p.aggregate {
-		res, err := aggregateRows(p.sel, p.gbs, p.plans, having, rows)
-		if err == nil {
-			az.localNode("aggregate", len(rows), time.Since(t0))
-		}
-		return res, err
-	}
-	res, err := projectRows(p.sel, p.cols, p.orderKs, rows)
-	if err == nil && az != nil && len(p.sel.OrderBy) > 0 {
-		az.localNode("sort+project", len(rows), time.Since(t0))
-	}
-	return res, err
-}
-
-// runCountStar answers SELECT COUNT(*) FROM t [WHERE ...] — a single
-// COUNT(*) item, no GROUP BY/HAVING/ORDER BY — with fs.Count so only
-// counts cross the FS-DP interface.
-func (s *Session) runCountStar(tx *tmf.Tx, sel Select, def *fs.FileDef, pred expr.Expr, name string, az *analyzeState) (*Result, error) {
-	rng, residual := expr.ExtractKeyRange(pred, def.Schema)
-	n, st, err := s.fs.Count(tx, def, rng, residual)
-	if err != nil {
-		return nil, err
-	}
-	az.scanNode(fmt.Sprintf("count %s (COUNT^FIRST/NEXT)", def.Name), st)
-	res := &Result{Columns: []string{name}, Rows: []record.Row{{record.Int(int64(n))}}}
-	if sel.Limit >= 0 && len(res.Rows) > sel.Limit {
-		res.Rows = res.Rows[:sel.Limit]
-	}
-	res.Affected = len(res.Rows)
-	return res, nil
+	return nil
 }
 
 // isCountStarQuery reports whether sel is a bare single-table COUNT(*)
@@ -455,23 +190,171 @@ func isCountStarQuery(sel Select) bool {
 	return isCall && call.Fn == "COUNT" && call.Star && !call.Distinct
 }
 
+// output is the requester-side half of a SELECT: what the executor does
+// with the full-width rows (or merged groups) once they are in hand —
+// fold, filter, sort, trim, project. Its expressions are templates; bound
+// fills in the parameter values for one execution.
+type output struct {
+	order     []OrderItem
+	limit     int // -1 = none
+	aggregate bool
+
+	// Aggregate shapes. An aggregate's ORDER BY names output columns, by
+	// the same display names the headers carry.
+	gbs        []expr.Expr
+	plans      []itemPlan
+	having     expr.Expr
+	orderNames []string
+
+	// Projection shapes.
+	orderKs []orderKey
+	cols    []outCol
+
+	hasParams bool // a template or a header waits for parameter values
+}
+
+// compileOutput binds the select list, GROUP BY, HAVING and ORDER BY
+// against sc (one table, or a join's concatenated row).
+func compileOutput(sel Select, sc *scope) (*output, error) {
+	o := &output{order: sel.OrderBy, limit: sel.Limit, aggregate: len(sel.GroupBy) > 0 || sel.Having != nil}
+	for _, item := range sel.Items {
+		if !item.Star && hasAggregate(item.Expr) {
+			o.aggregate = true
+		}
+	}
+	var err error
+	if o.aggregate {
+		if o.gbs, o.plans, o.having, err = buildAggPlans(sel, sc); err != nil {
+			return nil, err
+		}
+		for _, item := range sel.OrderBy {
+			o.orderNames = append(o.orderNames, displayName(item.Expr))
+		}
+	} else {
+		if o.orderKs, err = buildOrderKeys(sel.OrderBy, sc); err != nil {
+			return nil, err
+		}
+		if o.cols, err = buildOutCols(sel.Items, sc); err != nil {
+			return nil, err
+		}
+	}
+	o.hasParams = expr.HasParams(o.having)
+	for _, g := range o.gbs {
+		o.hasParams = o.hasParams || expr.HasParams(g)
+	}
+	for _, pl := range o.plans {
+		o.hasParams = o.hasParams || pl.named != nil || (pl.agg != nil && expr.HasParams(pl.agg.arg))
+	}
+	for _, k := range o.orderKs {
+		o.hasParams = o.hasParams || expr.HasParams(k.e)
+	}
+	for _, c := range o.cols {
+		o.hasParams = o.hasParams || c.named != nil || expr.HasParams(c.e)
+	}
+	return o, nil
+}
+
+// bound returns the output with params substituted into every template
+// and every header that quotes a marker re-rendered — o itself when
+// nothing in it waits for a value (the common case: markers in WHERE).
+func (o *output) bound(params []record.Value) (*output, error) {
+	if !o.hasParams {
+		return o, nil
+	}
+	b := *o
+	var err error
+	sub := func(e expr.Expr) expr.Expr {
+		if err != nil {
+			return nil
+		}
+		e, err = expr.Substitute(e, params)
+		return e
+	}
+	b.having = sub(o.having)
+	b.gbs = make([]expr.Expr, len(o.gbs))
+	for i, g := range o.gbs {
+		b.gbs[i] = sub(g)
+	}
+	b.plans = make([]itemPlan, len(o.plans))
+	for i, pl := range o.plans {
+		if pl.agg != nil {
+			spec := *pl.agg
+			spec.arg = sub(spec.arg)
+			pl.agg = &spec
+		}
+		if pl.named != nil {
+			pl.name = nameWith(pl.named, params)
+		}
+		b.plans[i] = pl
+	}
+	b.orderNames = make([]string, len(o.order))
+	for i, item := range o.order {
+		b.orderNames[i] = nameWith(item.Expr, params)
+	}
+	b.orderKs = make([]orderKey, len(o.orderKs))
+	for i, k := range o.orderKs {
+		b.orderKs[i] = orderKey{e: sub(k.e), desc: k.desc}
+	}
+	b.cols = make([]outCol, len(o.cols))
+	for i, c := range o.cols {
+		if c.named != nil {
+			c.name = nameWith(c.named, params)
+		}
+		c.e = sub(c.e)
+		b.cols[i] = c
+	}
+	return &b, err
+}
+
+// emitRows turns fetched full-width rows into the statement's result.
+func (o *output) emitRows(rows []record.Row, az *analyzeState) (*Result, error) {
+	t0 := time.Now()
+	if o.aggregate {
+		res, err := o.aggregateRows(rows)
+		if err == nil {
+			az.localNode("aggregate", len(rows), time.Since(t0))
+		}
+		return res, err
+	}
+	res, err := o.projectRows(rows)
+	if err == nil && len(o.order) > 0 {
+		az.localNode("sort+project", len(rows), time.Since(t0))
+	}
+	return res, err
+}
+
 // outCol is one bound output column of a projection.
 type outCol struct {
-	e    expr.Expr
-	name string
+	e     expr.Expr
+	name  string
+	named aExpr // non-nil: the header quotes a marker and is rendered per execution
+}
+
+// itemName labels a select item: its alias, else its expression's text.
+// named is the expression when that text quotes a parameter marker — the
+// literal twin's header shows the value, so the label waits for it. (A
+// '?' inside a string literal re-renders too, to the same text.)
+func itemName(item SelectItem) (name string, named aExpr) {
+	if item.Alias != "" {
+		return item.Alias, nil
+	}
+	name = displayName(item.Expr)
+	if strings.Contains(name, "?") {
+		named = item.Expr
+	}
+	return name, named
 }
 
 // buildOutCols binds the select list into output columns, expanding *
-// over schema.
-func buildOutCols(sel Select, sc *scope, schema *record.Schema) ([]outCol, error) {
+// over every table in scope.
+func buildOutCols(items []SelectItem, sc *scope) ([]outCol, error) {
 	var cols []outCol
-	for _, item := range sel.Items {
+	for _, item := range items {
 		if item.Star {
-			if schema == nil {
-				return nil, fmt.Errorf("sql: SELECT * not supported here")
-			}
-			for i, f := range schema.Fields {
-				cols = append(cols, outCol{e: expr.FieldRef{Index: i, Name: f.Name}, name: f.Name})
+			for _, e := range sc.entries {
+				for i, f := range e.schema.Fields {
+					cols = append(cols, outCol{e: expr.FieldRef{Index: e.offset + i, Name: f.Name}, name: f.Name})
+				}
 			}
 			continue
 		}
@@ -479,47 +362,31 @@ func buildOutCols(sel Select, sc *scope, schema *record.Schema) ([]outCol, error
 		if err != nil {
 			return nil, err
 		}
-		name := item.Alias
-		if name == "" {
-			name = displayName(item.Expr)
-		}
-		cols = append(cols, outCol{e: bound, name: name})
+		c := outCol{e: bound}
+		c.name, c.named = itemName(item)
+		cols = append(cols, c)
 	}
 	return cols, nil
 }
 
-// projectResult applies ORDER BY / LIMIT / the select list to full-width
-// rows (the join path's projection; single-table plans pre-bind).
-func (s *Session) projectResult(sel Select, sc *scope, schema *record.Schema, rows []record.Row) (*Result, error) {
-	orderKs, err := buildOrderKeys(sel.OrderBy, sc)
-	if err != nil {
-		return nil, err
-	}
-	cols, err := buildOutCols(sel, sc, schema)
-	if err != nil {
-		return nil, err
-	}
-	return projectRows(sel, cols, orderKs, rows)
-}
-
-// projectRows applies pre-bound ORDER BY / LIMIT / output columns to
-// full-width rows.
-func projectRows(sel Select, cols []outCol, orderKs []orderKey, rows []record.Row) (*Result, error) {
-	if len(sel.OrderBy) > 0 {
-		if err := orderRowsKeyed(orderKs, rows); err != nil {
+// projectRows applies ORDER BY / LIMIT / the output columns to full-width
+// rows.
+func (o *output) projectRows(rows []record.Row) (*Result, error) {
+	if len(o.orderKs) > 0 {
+		if err := orderRowsKeyed(o.orderKs, rows); err != nil {
 			return nil, err
 		}
 	}
-	if sel.Limit >= 0 && len(rows) > sel.Limit {
-		rows = rows[:sel.Limit]
+	if o.limit >= 0 && len(rows) > o.limit {
+		rows = rows[:o.limit]
 	}
 	res := &Result{}
-	for _, c := range cols {
+	for _, c := range o.cols {
 		res.Columns = append(res.Columns, c.name)
 	}
 	for _, row := range rows {
-		out := make(record.Row, len(cols))
-		for i, c := range cols {
+		out := make(record.Row, len(o.cols))
+		for i, c := range o.cols {
 			v, err := expr.Eval(c.e, row)
 			if err != nil {
 				return nil, err
@@ -626,16 +493,13 @@ func buildAggPlans(sel Select, sc *scope) (gbs []expr.Expr, plans []itemPlan, ha
 		if item.Star {
 			return nil, nil, nil, fmt.Errorf("sql: SELECT * with aggregates is not supported")
 		}
-		name := item.Alias
-		if name == "" {
-			name = displayName(item.Expr)
-		}
+		name, named := itemName(item)
 		if call, ok := item.Expr.(aCall); ok {
 			spec, err := newAggSpec(call, sc)
 			if err != nil {
 				return nil, nil, nil, err
 			}
-			plans = append(plans, itemPlan{name: name, agg: spec, groupBy: -1})
+			plans = append(plans, itemPlan{name: name, named: named, agg: spec, groupBy: -1})
 			continue
 		}
 		// Must match a group-by expression.
@@ -649,7 +513,7 @@ func buildAggPlans(sel Select, sc *scope) (gbs []expr.Expr, plans []itemPlan, ha
 		if matched < 0 {
 			return nil, nil, nil, fmt.Errorf("sql: %s must appear in GROUP BY or an aggregate", displayName(item.Expr))
 		}
-		plans = append(plans, itemPlan{name: name, groupBy: matched})
+		plans = append(plans, itemPlan{name: name, named: named, groupBy: matched})
 	}
 	// HAVING rewrites into an expression over the output row: aggregate
 	// calls and GROUP BY expressions it references become hidden output
@@ -663,19 +527,19 @@ func buildAggPlans(sel Select, sc *scope) (gbs []expr.Expr, plans []itemPlan, ha
 	return gbs, plans, having, nil
 }
 
-// emitAggResult turns full-width aggregate output rows (group key order,
+// emitAgg turns full-width aggregate output rows (group key order,
 // hidden columns included) into the statement's result: HAVING filter,
 // hidden-column projection, ORDER BY, LIMIT.
-func emitAggResult(sel Select, plans []itemPlan, having expr.Expr, outRows []record.Row) (*Result, error) {
+func (o *output) emitAgg(outRows []record.Row) (*Result, error) {
 	res := &Result{}
-	for _, p := range plans {
+	for _, p := range o.plans {
 		if !p.hidden {
 			res.Columns = append(res.Columns, p.name)
 		}
 	}
 	for _, out := range outRows {
-		if having != nil {
-			keep, err := expr.Satisfied(having, out)
+		if o.having != nil {
+			keep, err := expr.Satisfied(o.having, out)
 			if err != nil {
 				return nil, err
 			}
@@ -685,7 +549,7 @@ func emitAggResult(sel Select, plans []itemPlan, having expr.Expr, outRows []rec
 		}
 		// Project away the hidden HAVING-only columns.
 		visible := make(record.Row, 0, len(res.Columns))
-		for i, p := range plans {
+		for i, p := range o.plans {
 			if !p.hidden {
 				visible = append(visible, out[i])
 			}
@@ -693,32 +557,23 @@ func emitAggResult(sel Select, plans []itemPlan, having expr.Expr, outRows []rec
 		res.Rows = append(res.Rows, visible)
 	}
 	// ORDER BY over the result columns (match by display name / alias).
-	if len(sel.OrderBy) > 0 {
-		if err := orderResult(res, sel.OrderBy); err != nil {
+	if len(o.order) > 0 {
+		if err := o.orderResult(res); err != nil {
 			return nil, err
 		}
 	}
-	if sel.Limit >= 0 && len(res.Rows) > sel.Limit {
-		res.Rows = res.Rows[:sel.Limit]
+	if o.limit >= 0 && len(res.Rows) > o.limit {
+		res.Rows = res.Rows[:o.limit]
 	}
 	res.Affected = len(res.Rows)
 	return res, nil
 }
 
-// aggregateResult folds rows through the aggregate select list (the
-// join path; single-table plans pre-build their aggregate shapes).
-func (s *Session) aggregateResult(sel Select, sc *scope, rows []record.Row) (*Result, error) {
-	gbs, plans, having, err := buildAggPlans(sel, sc)
-	if err != nil {
-		return nil, err
-	}
-	return aggregateRows(sel, gbs, plans, having, rows)
-}
-
 // aggregateRows folds rows through pre-bound aggregate plans. Groups
 // emit in group-key byte order — the same canonical order the pushdown
 // path produces, so the two plans are byte-identical on any input.
-func aggregateRows(sel Select, gbs []expr.Expr, plans []itemPlan, having expr.Expr, rows []record.Row) (*Result, error) {
+func (o *output) aggregateRows(rows []record.Row) (*Result, error) {
+	gbs, plans := o.gbs, o.plans
 	type group struct {
 		keyVals record.Row
 		states  []*aggState
@@ -789,18 +644,18 @@ func aggregateRows(sel Select, gbs []expr.Expr, plans []itemPlan, having expr.Ex
 		}
 		outRows = append(outRows, out)
 	}
-	return emitAggResult(sel, plans, having, outRows)
+	return o.emitAgg(outRows)
 }
 
 // orderResult sorts an aggregate result by output column references.
-func orderResult(res *Result, items []OrderItem) error {
+func (o *output) orderResult(res *Result) error {
 	type sk struct {
 		col  int
 		desc bool
 	}
 	var sks []sk
-	for _, item := range items {
-		name := displayName(item.Expr)
+	for i, item := range o.order {
+		name := o.orderNames[i]
 		col := -1
 		for i, c := range res.Columns {
 			if strings.EqualFold(c, name) {
@@ -833,6 +688,7 @@ func orderResult(res *Result, items []OrderItem) error {
 // call or a group-by value, possibly hidden (HAVING-only).
 type itemPlan struct {
 	name    string
+	named   aExpr // non-nil: name quotes a marker (see itemName)
 	agg     *aggSpec
 	groupBy int // index into the GROUP BY list, -1 if aggregate
 	hidden  bool

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"nonstopsql/internal/record"
-	"nonstopsql/internal/tmf"
 )
 
 // ErrBadStatement marks statement-compilation failures the client is at
@@ -47,7 +46,6 @@ type Prepared struct {
 	nParams   int
 	version   uint64 // catalog version compiled against
 	pushdown  bool   // session pushdown setting compiled under
-	stmt      Statement
 	plan      stmtPlan
 	cacheable bool
 	hits      atomic.Uint64 // executions served by this compilation
@@ -98,66 +96,41 @@ func (s *Session) prepared(src string) (*Prepared, error) {
 	return p, nil
 }
 
-// compile parses, binds, and plans one statement. DML and SELECT get
-// full compiled plans (joins and selects with parameters outside
-// WHERE/HAVING fall back to AST substitution into the regular executor,
-// which stays the semantic ground truth); transaction control and DDL
-// execute from the AST and are never cached.
+// compile parses, binds, and plans one statement. SELECT (one table or
+// two), UPDATE, DELETE and INSERT get compiled plans — the only
+// description of the statement from here on: execution, EXPLAIN and
+// EXPLAIN ANALYZE all read it. Transaction control and DDL execute from
+// the AST and are never cached.
 func (s *Session) compile(src, key string, version uint64) (*Prepared, error) {
 	stmt, nParams, err := parseStmt(src)
 	if err != nil {
 		return nil, badStatement(err)
 	}
 	p := &Prepared{
-		SQL:      src,
-		key:      key,
-		nParams:  nParams,
-		version:  version,
-		pushdown: s.pushdown,
-		stmt:     stmt,
+		SQL:       src,
+		key:       key,
+		nParams:   nParams,
+		version:   version,
+		pushdown:  s.pushdown,
+		cacheable: true,
 	}
 	switch st := stmt.(type) {
 	case Insert:
-		pl, err := s.compileInsert(st)
-		if err != nil {
-			return nil, badStatement(err)
-		}
-		p.plan = pl
-		p.cacheable = true
+		p.plan, err = s.compileInsert(st)
 	case Update:
-		pl, err := s.compileUpdate(st)
-		if err != nil {
-			return nil, badStatement(err)
-		}
-		p.plan = pl
-		p.cacheable = true
+		p.plan, err = s.compileUpdate(st)
 	case Delete:
-		pl, err := s.compileDelete(st)
-		if err != nil {
-			return nil, badStatement(err)
-		}
-		p.plan = pl
-		p.cacheable = true
+		p.plan, err = s.compileDelete(st)
 	case Select:
-		if len(st.From) == 1 {
-			pl, err := s.compileSelect(st)
-			if err != nil {
-				return nil, badStatement(err)
-			}
-			if pl.paramsBeyondWhere() {
-				p.plan = astPlan{stmt: stmt}
-			} else {
-				p.plan = pl
-			}
-		} else {
-			p.plan = astPlan{stmt: stmt}
-		}
-		p.cacheable = true
+		p.plan, err = s.compileSelect(st, nParams)
 	default:
 		if nParams > 0 {
-			return nil, badStatement(fmt.Errorf("sql: parameter markers are not allowed in %s", stmtName(stmt)))
+			err = fmt.Errorf("sql: parameter markers are not allowed in %s", stmtName(stmt))
 		}
-		p.plan = astPlan{stmt: stmt}
+		p.plan, p.cacheable = controlPlan{stmt: stmt}, false
+	}
+	if err != nil {
+		return nil, badStatement(err)
 	}
 	return p, nil
 }
@@ -169,23 +142,24 @@ func (s *Session) compile(src, key string, version uint64) (*Prepared, error) {
 // never runs a plan compiled against an older catalog version than the
 // one it observes.
 func (s *Session) ExecPrepared(p *Prepared, params ...record.Value) (*Result, error) {
-	return s.runPrepared(p, params, nil)
+	p, err := s.current(p)
+	if err != nil {
+		return nil, err
+	}
+	return s.execCompiled(p, params, nil)
 }
 
-func (s *Session) runPrepared(p *Prepared, params []record.Value, az *analyzeState) (*Result, error) {
+// current returns a compilation of p's text this session may run now: p
+// itself, or its transparent re-preparation through the shared cache.
+func (s *Session) current(p *Prepared) (*Prepared, error) {
 	if p.version == s.cat.Version() && p.pushdown == s.pushdown {
 		// Plan reuse without a cache lookup — still a plan-cache hit in
 		// the counters' terms (an execution served by a reused
 		// compilation).
 		s.cat.plans.hit(p)
-	} else {
-		np, err := s.prepared(p.SQL)
-		if err != nil {
-			return nil, err
-		}
-		p = np
+		return p, nil
 	}
-	return s.execCompiled(p, params, az)
+	return s.prepared(p.SQL)
 }
 
 // execCompiled runs an already-validated compilation.
@@ -213,181 +187,4 @@ func stmtName(stmt Statement) string {
 		return "ROLLBACK"
 	}
 	return fmt.Sprintf("%T", stmt)
-}
-
-// astPlan is the fallback compilation: substitute parameters into the
-// AST and run the regular executor. Joins, selects with parameters
-// outside WHERE/HAVING, and uncacheable statements take this path; it
-// skips re-parsing but re-binds, and is byte-identical with ad-hoc
-// execution by construction.
-type astPlan struct{ stmt Statement }
-
-func (p astPlan) run(s *Session, params []record.Value, az *analyzeState) (*Result, error) {
-	stmt, err := substStmt(p.stmt, params)
-	if err != nil {
-		return nil, err
-	}
-	return s.execStmtAz(stmt, az)
-}
-
-// substStmt replaces parameter markers in a statement's expressions with
-// constants. Statements without parameters pass through unchanged.
-func substStmt(stmt Statement, params []record.Value) (Statement, error) {
-	if len(params) == 0 {
-		return stmt, nil
-	}
-	switch st := stmt.(type) {
-	case Select:
-		return substSelect(st, params)
-	case Insert:
-		rows := make([][]aExpr, len(st.Rows))
-		for i, row := range st.Rows {
-			out := make([]aExpr, len(row))
-			for j, e := range row {
-				se, err := substAExpr(e, params)
-				if err != nil {
-					return nil, err
-				}
-				out[j] = se
-			}
-			rows[i] = out
-		}
-		st.Rows = rows
-		return st, nil
-	case Update:
-		sets := make([]SetClause, len(st.Sets))
-		for i, set := range st.Sets {
-			se, err := substAExpr(set.E, params)
-			if err != nil {
-				return nil, err
-			}
-			sets[i] = SetClause{Col: set.Col, E: se}
-		}
-		st.Sets = sets
-		where, err := substAExpr(st.Where, params)
-		if err != nil {
-			return nil, err
-		}
-		st.Where = where
-		return st, nil
-	case Delete:
-		where, err := substAExpr(st.Where, params)
-		if err != nil {
-			return nil, err
-		}
-		st.Where = where
-		return st, nil
-	}
-	return stmt, nil
-}
-
-func substSelect(sel Select, params []record.Value) (Statement, error) {
-	items := make([]SelectItem, len(sel.Items))
-	for i, item := range sel.Items {
-		if !item.Star {
-			se, err := substAExpr(item.Expr, params)
-			if err != nil {
-				return nil, err
-			}
-			item.Expr = se
-		}
-		items[i] = item
-	}
-	sel.Items = items
-	where, err := substAExpr(sel.Where, params)
-	if err != nil {
-		return nil, err
-	}
-	sel.Where = where
-	if len(sel.GroupBy) > 0 {
-		gbs := make([]aExpr, len(sel.GroupBy))
-		for i, g := range sel.GroupBy {
-			sg, err := substAExpr(g, params)
-			if err != nil {
-				return nil, err
-			}
-			gbs[i] = sg
-		}
-		sel.GroupBy = gbs
-	}
-	having, err := substAExpr(sel.Having, params)
-	if err != nil {
-		return nil, err
-	}
-	sel.Having = having
-	if len(sel.OrderBy) > 0 {
-		obs := make([]OrderItem, len(sel.OrderBy))
-		for i, o := range sel.OrderBy {
-			se, err := substAExpr(o.Expr, params)
-			if err != nil {
-				return nil, err
-			}
-			obs[i] = OrderItem{Expr: se, Desc: o.Desc}
-		}
-		sel.OrderBy = obs
-	}
-	return sel, nil
-}
-
-func substAExpr(e aExpr, params []record.Value) (aExpr, error) {
-	switch n := e.(type) {
-	case nil:
-		return nil, nil
-	case aParam:
-		if n.Index < 0 || n.Index >= len(params) {
-			return nil, badStatement(fmt.Errorf("sql: parameter ?%d out of range (%d supplied)", n.Index+1, len(params)))
-		}
-		return aConst{V: params[n.Index]}, nil
-	case aBin:
-		l, err := substAExpr(n.L, params)
-		if err != nil {
-			return nil, err
-		}
-		r, err := substAExpr(n.R, params)
-		if err != nil {
-			return nil, err
-		}
-		return aBin{Op: n.Op, L: l, R: r}, nil
-	case aUnary:
-		sub, err := substAExpr(n.E, params)
-		if err != nil {
-			return nil, err
-		}
-		return aUnary{Op: n.Op, E: sub}, nil
-	case aCall:
-		if n.Arg == nil {
-			return e, nil
-		}
-		arg, err := substAExpr(n.Arg, params)
-		if err != nil {
-			return nil, err
-		}
-		n.Arg = arg
-		return n, nil
-	}
-	return e, nil
-}
-
-// execStmtAz is ExecStmt with an EXPLAIN ANALYZE collector threaded
-// through the statement kinds that support one.
-func (s *Session) execStmtAz(stmt Statement, az *analyzeState) (*Result, error) {
-	if az == nil {
-		return s.ExecStmt(stmt)
-	}
-	switch st := stmt.(type) {
-	case Update:
-		return s.autocommit(func(tx *tmf.Tx) (*Result, error) { return s.execUpdate(tx, st, az) })
-	case Delete:
-		return s.autocommit(func(tx *tmf.Tx) (*Result, error) { return s.execDelete(tx, st, az) })
-	case Select:
-		tx := s.tx
-		if st.Browse {
-			tx = nil
-		}
-		if len(st.From) == 1 {
-			return s.singleTableSelect(tx, st, az)
-		}
-		return s.joinSelect(tx, st, az)
-	}
-	return s.ExecStmt(stmt)
 }

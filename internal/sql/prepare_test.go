@@ -102,68 +102,11 @@ func TestPrepareExecBasics(t *testing.T) {
 // Queries with constants also run as parameterized variants.
 func TestPreparedDifferentialMatrix(t *testing.T) {
 	d := newDB(t)
-	d.exec(t, `CREATE TABLE m (
-		id INTEGER PRIMARY KEY,
-		dept VARCHAR(10),
-		grade INTEGER,
-		pay FLOAT,
-		bonus INTEGER) PARTITION ON ("$DATA1", "$DATA2" FROM 100, "$DATA3" FROM 200)`)
-	d.exec(t, `CREATE TABLE outr (id INTEGER PRIMARY KEY, fk INTEGER, tag VARCHAR(10))`)
-	d.exec(t, `CREATE TABLE innr (k INTEGER PRIMARY KEY, label VARCHAR(10), wt INTEGER)
-		PARTITION ON ("$DATA1", "$DATA2" FROM 40)`)
-	d.exec(t, "CREATE INDEX innr_label ON innr (label)")
-	d.exec(t, "BEGIN WORK")
-	for i := 0; i < 180; i++ {
-		dept := []string{"'SALES'", "'ENG'", "'HR'", "NULL"}[i%4]
-		bonus := itoa(i % 7)
-		if i%5 == 0 {
-			bonus = "NULL"
-		}
-		d.exec(t, "INSERT INTO m VALUES ("+itoa(i)+", "+dept+", "+itoa(i%3)+", "+itoa(i)+".5, "+bonus+")")
-	}
-	for i := 0; i < 80; i++ {
-		d.exec(t, "INSERT INTO innr VALUES ("+itoa(i)+", 'L"+itoa(i%10)+"', "+itoa(i)+")")
-	}
-	for i := 0; i < 60; i++ {
-		fk := itoa((i * 7) % 80)
-		if i%9 == 0 {
-			fk = "NULL"
-		}
-		d.exec(t, "INSERT INTO outr VALUES ("+itoa(i)+", "+fk+", 'L"+itoa(i%10)+"')")
-	}
-	d.exec(t, "COMMIT WORK")
+	loadMatrix(t, d)
 
 	// The full PR 6 suites, unparameterized: ad-hoc vs prepared must be
 	// byte-identical in every case.
-	queries := []string{
-		"SELECT COUNT(*) FROM m",
-		"SELECT COUNT(bonus) FROM m",
-		"SELECT SUM(bonus) FROM m",
-		"SELECT MIN(pay), MAX(pay) FROM m",
-		"SELECT AVG(pay) FROM m",
-		"SELECT dept, COUNT(*) FROM m GROUP BY dept",
-		"SELECT dept, COUNT(bonus), SUM(bonus) FROM m GROUP BY dept",
-		"SELECT dept, MIN(pay), MAX(dept) FROM m GROUP BY dept",
-		"SELECT dept, AVG(pay) FROM m GROUP BY dept",
-		"SELECT dept, grade, COUNT(*), SUM(bonus) FROM m GROUP BY dept, grade",
-		"SELECT dept, COUNT(*) FROM m WHERE pay > 50 GROUP BY dept",
-		"SELECT dept, COUNT(*) FROM m WHERE pay < -1000 GROUP BY dept",
-		"SELECT SUM(bonus), MIN(bonus), MAX(bonus), COUNT(*) FROM m WHERE pay < -1000",
-		"SELECT dept, SUM(pay) FROM m GROUP BY dept HAVING COUNT(*) > 20",
-		"SELECT dept, COUNT(*) FROM m GROUP BY dept ORDER BY dept DESC",
-		"SELECT dept, COUNT(*) FROM m GROUP BY dept ORDER BY COUNT(*) DESC LIMIT 2",
-		"SELECT grade, MAX(pay) FROM m WHERE id >= 150 AND id < 250 GROUP BY grade",
-		"SELECT COUNT(DISTINCT dept) FROM m",
-		"SELECT dept, COUNT(DISTINCT grade) FROM m GROUP BY dept",
-		"SELECT o.id, i.label FROM outr o, innr i WHERE o.fk = i.k ORDER BY o.id",
-		"SELECT COUNT(*) FROM outr o, innr i WHERE o.fk = i.k",
-		"SELECT o.id, i.wt FROM outr o, innr i WHERE o.fk = i.k AND i.wt > 40 ORDER BY o.id",
-		"SELECT o.id, i.k FROM outr o, innr i WHERE o.tag = i.label ORDER BY o.id, i.k",
-		"SELECT COUNT(*) FROM outr o, innr i WHERE o.tag = i.label AND i.wt < 30",
-		"SELECT o.id FROM outr o, innr i WHERE o.fk = i.k AND o.id = i.wt ORDER BY o.id",
-		"SELECT id, pay FROM m WHERE id >= 20 AND id < 40 ORDER BY id",
-		"SELECT id FROM m ORDER BY id LIMIT 7",
-	}
+	queries := matrixQueries()
 	for _, push := range []bool{true, false} {
 		d.s.SetPushdown(push)
 		for _, q := range queries {
@@ -188,30 +131,7 @@ func TestPreparedDifferentialMatrix(t *testing.T) {
 
 	// Parameterized variants: the same answers must come back when the
 	// constants travel as a parameter vector instead of literal text.
-	param := []struct {
-		adhoc string
-		prep  string
-		args  []record.Value
-	}{
-		{"SELECT dept, COUNT(*) FROM m WHERE pay > 50 GROUP BY dept",
-			"SELECT dept, COUNT(*) FROM m WHERE pay > ? GROUP BY dept",
-			[]record.Value{record.Int(50)}},
-		{"SELECT grade, MAX(pay) FROM m WHERE id >= 150 AND id < 250 GROUP BY grade",
-			"SELECT grade, MAX(pay) FROM m WHERE id >= ? AND id < ? GROUP BY grade",
-			[]record.Value{record.Int(150), record.Int(250)}},
-		{"SELECT dept, SUM(pay) FROM m GROUP BY dept HAVING COUNT(*) > 20",
-			"SELECT dept, SUM(pay) FROM m GROUP BY dept HAVING COUNT(*) > ?",
-			[]record.Value{record.Int(20)}},
-		{"SELECT id, pay FROM m WHERE id >= 20 AND id < 40 ORDER BY id",
-			"SELECT id, pay FROM m WHERE id >= ? AND id < ? ORDER BY id",
-			[]record.Value{record.Int(20), record.Int(40)}},
-		{"SELECT o.id, i.wt FROM outr o, innr i WHERE o.fk = i.k AND i.wt > 40 ORDER BY o.id",
-			"SELECT o.id, i.wt FROM outr o, innr i WHERE o.fk = i.k AND i.wt > ? ORDER BY o.id",
-			[]record.Value{record.Int(40)}},
-		{"SELECT id FROM m WHERE dept = 'ENG' AND pay > 100.5 ORDER BY id",
-			"SELECT id FROM m WHERE dept = ? AND pay > ? ORDER BY id",
-			[]record.Value{record.String("ENG"), record.Float(100.5)}},
-	}
+	param := matrixParamCases
 	for _, push := range []bool{true, false} {
 		d.s.SetPushdown(push)
 		for _, c := range param {

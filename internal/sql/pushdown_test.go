@@ -36,34 +36,8 @@ func newDBOpts(t testing.TB, opts cluster.Options) *db {
 // rows to a group, and shapes that must fall back (DISTINCT).
 func TestAggPushdownDifferential(t *testing.T) {
 	d := newDB(t)
-	d.exec(t, `CREATE TABLE m (
-		id INTEGER PRIMARY KEY,
-		dept VARCHAR(10),
-		grade INTEGER,
-		pay FLOAT,
-		bonus INTEGER) PARTITION ON ("$DATA1", "$DATA2" FROM 100, "$DATA3" FROM 200)`)
-
-	queries := []string{
-		"SELECT COUNT(*) FROM m",
-		"SELECT COUNT(bonus) FROM m",
-		"SELECT SUM(bonus) FROM m",
-		"SELECT MIN(pay), MAX(pay) FROM m",
-		"SELECT AVG(pay) FROM m",
-		"SELECT dept, COUNT(*) FROM m GROUP BY dept",
-		"SELECT dept, COUNT(bonus), SUM(bonus) FROM m GROUP BY dept",
-		"SELECT dept, MIN(pay), MAX(dept) FROM m GROUP BY dept",
-		"SELECT dept, AVG(pay) FROM m GROUP BY dept",
-		"SELECT dept, grade, COUNT(*), SUM(bonus) FROM m GROUP BY dept, grade",
-		"SELECT dept, COUNT(*) FROM m WHERE pay > 50 GROUP BY dept",
-		"SELECT dept, COUNT(*) FROM m WHERE pay < -1000 GROUP BY dept", // empty subset
-		"SELECT SUM(bonus), MIN(bonus), MAX(bonus), COUNT(*) FROM m WHERE pay < -1000",
-		"SELECT dept, SUM(pay) FROM m GROUP BY dept HAVING COUNT(*) > 20",
-		"SELECT dept, COUNT(*) FROM m GROUP BY dept ORDER BY dept DESC",
-		"SELECT dept, COUNT(*) FROM m GROUP BY dept ORDER BY COUNT(*) DESC LIMIT 2",
-		"SELECT grade, MAX(pay) FROM m WHERE id >= 150 AND id < 250 GROUP BY grade",
-		"SELECT COUNT(DISTINCT dept) FROM m", // not decomposable: must fall back
-		"SELECT dept, COUNT(DISTINCT grade) FROM m GROUP BY dept",
-	}
+	d.exec(t, createM)
+	queries := aggDiffQueries
 
 	diff := func(phase string) {
 		t.Helper()
@@ -88,20 +62,8 @@ func TestAggPushdownDifferential(t *testing.T) {
 	// Phase 1: empty table — every partition contributes zero rows.
 	diff("empty")
 
-	// Phase 2: populated, with NULL group keys, NULL aggregate inputs,
-	// and $DATA3's key range left empty. Pay values are halves, so
-	// float sums are exact regardless of merge order.
-	d.exec(t, "BEGIN WORK")
-	for i := 0; i < 180; i++ {
-		dept := []string{"'SALES'", "'ENG'", "'HR'", "NULL"}[i%4]
-		bonus := itoa(i % 7)
-		if i%5 == 0 {
-			bonus = "NULL"
-		}
-		pay := itoa(i) + ".5"
-		d.exec(t, "INSERT INTO m VALUES ("+itoa(i)+", "+dept+", "+itoa(i%3)+", "+pay+", "+bonus+")")
-	}
-	d.exec(t, "COMMIT WORK")
+	// Phase 2: populated (loadM).
+	loadM(t, d)
 	diff("loaded")
 
 	// The pushdown plan must actually be in play for the decomposable
@@ -127,34 +89,8 @@ func TestAggPushdownDifferential(t *testing.T) {
 // results, and checks that batching actually cuts the message count.
 func TestJoinProbeDifferential(t *testing.T) {
 	d := newDB(t)
-	d.exec(t, `CREATE TABLE outr (id INTEGER PRIMARY KEY, fk INTEGER, tag VARCHAR(10))`)
-	d.exec(t, `CREATE TABLE innr (k INTEGER PRIMARY KEY, label VARCHAR(10), wt INTEGER)
-		PARTITION ON ("$DATA1", "$DATA2" FROM 40)`)
-	d.exec(t, "CREATE INDEX innr_label ON innr (label)")
-	d.exec(t, "BEGIN WORK")
-	for i := 0; i < 80; i++ {
-		d.exec(t, "INSERT INTO innr VALUES ("+itoa(i)+", 'L"+itoa(i%10)+"', "+itoa(i)+")")
-	}
-	for i := 0; i < 60; i++ {
-		fk := itoa((i * 7) % 80)
-		if i%9 == 0 {
-			fk = "NULL" // NULL probe values never match
-		}
-		d.exec(t, "INSERT INTO outr VALUES ("+itoa(i)+", "+fk+", 'L"+itoa(i%10)+"')")
-	}
-	d.exec(t, "COMMIT WORK")
-
-	queries := []string{
-		// PK probe route (duplicated fk values: probes deduplicate).
-		"SELECT o.id, i.label FROM outr o, innr i WHERE o.fk = i.k ORDER BY o.id",
-		"SELECT COUNT(*) FROM outr o, innr i WHERE o.fk = i.k",
-		"SELECT o.id, i.wt FROM outr o, innr i WHERE o.fk = i.k AND i.wt > 40 ORDER BY o.id",
-		// Secondary-index probe route.
-		"SELECT o.id, i.k FROM outr o, innr i WHERE o.tag = i.label ORDER BY o.id, i.k",
-		"SELECT COUNT(*) FROM outr o, innr i WHERE o.tag = i.label AND i.wt < 30",
-		// Two join conjuncts: not batchable, same answer both ways.
-		"SELECT o.id FROM outr o, innr i WHERE o.fk = i.k AND o.id = i.wt ORDER BY o.id",
-	}
+	loadJoinTables(t, d)
+	queries := joinDiffQueries
 	for _, q := range queries {
 		d.s.SetPushdown(true)
 		batched, err := d.s.Exec(q)

@@ -215,6 +215,50 @@ func TestPreparedDifferentialMatrixTCP(t *testing.T) {
 			t.Errorf("%q diverges over TCP\nprepared:\n%s\nad-hoc:\n%s", q, got, want)
 		}
 	}
+
+	// Markers outside WHERE/HAVING (select list, aggregate argument,
+	// GROUP BY, ORDER BY, a join's select list): the literal twin's header
+	// and cells must come back when the constant travels as an argument.
+	for _, c := range []struct {
+		adhoc string
+		prep  string
+		args  []record.Value
+	}{
+		{"SELECT id, 7 FROM m WHERE id < 5 ORDER BY id",
+			"SELECT id, ? FROM m WHERE id < 5 ORDER BY id",
+			[]record.Value{record.Int(7)}},
+		{"SELECT id, pay + 7 FROM m WHERE id < 5 ORDER BY id",
+			"SELECT id, pay + ? FROM m WHERE id < ? ORDER BY id",
+			[]record.Value{record.Int(7), record.Int(5)}},
+		{"SELECT dept, SUM(pay * 2) FROM m GROUP BY dept",
+			"SELECT dept, SUM(pay * ?) FROM m GROUP BY dept",
+			[]record.Value{record.Int(2)}},
+		{"SELECT COUNT(*), MAX(pay) FROM m GROUP BY grade + 1",
+			"SELECT COUNT(*), MAX(pay) FROM m GROUP BY grade + ?",
+			[]record.Value{record.Int(1)}},
+		{"SELECT id FROM m WHERE id < 10 ORDER BY pay * -1",
+			"SELECT id FROM m WHERE id < 10 ORDER BY pay * ?",
+			[]record.Value{record.Int(-1)}},
+		{"SELECT o.id, i.wt + 5 FROM outr o, innr i WHERE o.fk = i.k AND o.id < 30 ORDER BY o.id",
+			"SELECT o.id, i.wt + ? FROM outr o, innr i WHERE o.fk = i.k AND o.id < ? ORDER BY o.id",
+			[]record.Value{record.Int(5), record.Int(30)}},
+	} {
+		adhoc, err := pool.Exec(c.adhoc)
+		if err != nil {
+			t.Fatalf("%q ad-hoc: %v", c.adhoc, err)
+		}
+		st, err := pool.Prepare(c.prep)
+		if err != nil {
+			t.Fatalf("Prepare(%q): %v", c.prep, err)
+		}
+		prep, err := st.Exec(c.args...)
+		if err != nil {
+			t.Fatalf("Exec(%q): %v", c.prep, err)
+		}
+		if got, want := nonstopsql.FormatResult(prep), nonstopsql.FormatResult(adhoc); got != want {
+			t.Errorf("%q diverges over TCP\nprepared:\n%s\nad-hoc:\n%s", c.prep, got, want)
+		}
+	}
 }
 
 // TestWireErrorClasses pins the typed error surface: parse/bind

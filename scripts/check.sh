@@ -7,10 +7,12 @@ go build ./...
 go vet ./...
 # The counted books: the exact columns of the message-count experiments
 # against testdata/quick.golden. Under two seconds, so a counted integer
-# that moved fails first and alone. Then the one front end, so it cannot
+# that moved fails first and alone. Then the one front end, and the one
+# program that prints EXPLAIN next to live message counts, so neither can
 # rot.
 go test -count=1 -run 'TestExperiments/(E1|E2|E3|E4|E10|E17|F1|F2)$' ./internal/experiments
 go run ./cmd/experiments -quick -only E1 >/dev/null
+go run ./examples/explain >/dev/null
 # Message-system and observability races first: StopServer/Send hammers,
 # panic recovery, reply timeouts, and the concurrent histogram-merge
 # property. The full suite runs them again, but a regression in the
@@ -68,7 +70,7 @@ go test -race -short -count=1 -run TestMoneyConservedUnderEviction ./internal/cl
 # failed-conversation and foreign-SCB regressions, before the full suite.
 go test -race -count=1 -run 'TestConversationDriver|TestFailedConversationRetiresSCB|TestParallelScan|TestAgg|TestProbe|TestReadByIndexBatch|TestScanLimit' ./internal/fs ./internal/fsdp
 go test -race -count=1 -run 'TestNextRefusedOnForeignSCB|TestVSBBRedriveProtocol|TestUpdateSubsetRedrive|TestConcurrentMixedWorkload' ./internal/dp
-go test -race -count=1 -run 'TestAggPushdownDifferential|TestJoinProbeDifferential|TestLimitPushdownMessages' ./internal/sql
+go test -race -count=1 -run 'TestAggPushdownDifferential|TestJoinProbeDifferential|TestLimitPushdownMessages|TestExplainIsThePlan' ./internal/sql
 # Deterministic short crash-point sweep first: every named fault point
 # fired, recovery invariants checked per point. Runs again inside the
 # full suite, but a recovery regression should fail here, fast and
