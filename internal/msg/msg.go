@@ -442,11 +442,12 @@ func (c *Client) Send(server string, payload []byte) ([]byte, error) {
 	if timeout := c.ReplyTimeout(); timeout <= 0 {
 		out = <-req.reply
 	} else {
-		timer := time.NewTimer(timeout)
+		timer := AcquireTimer(timeout)
 		select {
 		case out = <-req.reply:
-			timer.Stop()
+			ReleaseTimer(timer, false)
 		case <-timer.C:
+			ReleaseTimer(timer, true)
 			c.net.mu.Lock()
 			c.net.stats.Timeouts++
 			c.net.mu.Unlock()

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -45,7 +44,7 @@ type Server struct {
 	lis     net.Listener
 
 	mu       sync.Mutex
-	conns    map[net.Conn]struct{}
+	conns    map[net.Conn]*Writer
 	draining bool
 	closed   bool
 
@@ -66,7 +65,7 @@ func Listen(addr string, network *msg.Network, opts Options) (*Server, error) {
 	if opts.MaxFrame <= 0 {
 		opts.MaxFrame = MaxFrame
 	}
-	s := &Server{network: network, opts: opts, lis: lis, conns: make(map[net.Conn]struct{})}
+	s := &Server{network: network, opts: opts, lis: lis, conns: make(map[net.Conn]*Writer)}
 	s.readers.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -91,34 +90,30 @@ func (s *Server) acceptLoop() {
 			nc.Close()
 			continue
 		}
-		s.conns[nc] = struct{}{}
+		w := NewWriter(nc, &s.wire)
+		s.conns[nc] = w
 		s.mu.Unlock()
 		s.wire.ConnOpened()
 		s.readers.Add(1)
-		go s.serveConn(nc)
+		go s.serveConn(nc, w)
 	}
 }
 
-// serveConn reads frames off one connection and dispatches them.
-func (s *Server) serveConn(nc net.Conn) {
+// serveConn reads frames off one connection and dispatches them. Replies
+// come from many goroutines and leave through the connection's Writer,
+// several to a socket write when several are ready together.
+func (s *Server) serveConn(nc net.Conn, w *Writer) {
 	defer s.readers.Done()
 	cl := s.network.NewClient(ingressProc)
 	cl.SetReplyTimeout(s.opts.ReplyTimeout)
-	var wmu sync.Mutex // one writer at a time; replies come from many goroutines
-	write := func(b []byte) {
-		wmu.Lock()
-		// Counted before the write: a client that already holds the reply
-		// must never read a FramesOut that does not include it.
-		s.wire.FrameOut(len(b))
-		_, err := nc.Write(b)
-		wmu.Unlock()
+	sent := func(err error) {
 		if err != nil {
 			s.wire.Error()
 		}
 	}
-	br := bufio.NewReaderSize(nc, 64<<10)
+	fr := NewReader(nc, s.opts.MaxFrame, &s.wire)
 	for {
-		f, n, err := ReadFrame(br, s.opts.MaxFrame)
+		f, err := fr.Next()
 		if err != nil {
 			// EOF and closed-connection errors are the peer hanging up
 			// (or Close tearing the socket down); anything else is a
@@ -129,10 +124,9 @@ func (s *Server) serveConn(nc net.Conn) {
 			}
 			break
 		}
-		s.wire.FrameIn(n)
 		if f.Kind != KindRequest {
 			s.wire.Error()
-			write(AppendReplyErr(nil, f.Corr, CodeError, "wire: expected request frame"))
+			sent(w.ReplyErr(f.Corr, CodeError, "wire: expected request frame"))
 			continue
 		}
 		s.mu.Lock()
@@ -143,7 +137,7 @@ func (s *Server) serveConn(nc net.Conn) {
 		s.mu.Unlock()
 		if refuse {
 			s.wire.Rejected()
-			write(AppendReplyErr(nil, f.Corr, CodeDraining, "wire: server draining"))
+			sent(w.ReplyErr(f.Corr, CodeDraining, "wire: server draining"))
 			continue
 		}
 		go func(f Frame) {
@@ -151,13 +145,13 @@ func (s *Server) serveConn(nc net.Conn) {
 			data, err := cl.Send(f.Server, f.Body)
 			switch {
 			case err == nil:
-				write(AppendReply(nil, f.Corr, data))
+				sent(w.Reply(f.Corr, data))
 			case errors.Is(err, msg.ErrReplyTimeout):
-				write(AppendReplyErr(nil, f.Corr, CodeTimeout, err.Error()))
+				sent(w.ReplyErr(f.Corr, CodeTimeout, err.Error()))
 			case errors.Is(err, msg.ErrNoServer):
-				write(AppendReplyErr(nil, f.Corr, CodeNoServer, err.Error()))
+				sent(w.ReplyErr(f.Corr, CodeNoServer, err.Error()))
 			default:
-				write(AppendReplyErr(nil, f.Corr, CodeError, err.Error()))
+				sent(w.ReplyErr(f.Corr, CodeError, err.Error()))
 			}
 		}(f)
 	}
@@ -191,6 +185,18 @@ func (s *Server) Drain(timeout time.Duration) error {
 	done := make(chan struct{})
 	go func() {
 		s.inflight.Wait()
+		// An answered request may have left its reply behind a flush
+		// another request leads: every accepted reply reaches the socket
+		// before the connections close.
+		s.mu.Lock()
+		writers := make([]*Writer, 0, len(s.conns))
+		for _, w := range s.conns {
+			writers = append(writers, w)
+		}
+		s.mu.Unlock()
+		for _, w := range writers {
+			_ = w.Flush() // a broken connection has nobody to deliver to
+		}
 		close(done)
 	}()
 	var err error

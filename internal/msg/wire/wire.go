@@ -23,12 +23,23 @@
 // business — a client that gives up abandons the correlation ID and
 // drops the late reply on arrival, mirroring msg.ErrReplyTimeout
 // semantics on the simulated transport.
+//
+// Both ends of a connection send through a Writer and receive through a
+// Reader. The Writer is the socket's force point (DESIGN.md §17.1): frames
+// that are ready together leave in one write — the sender that finds no
+// flush in flight leads one, the rest append behind it and return — with
+// no writer goroutine, timer or tuning knob; obs.Wire counts frames and
+// socket calls, so frames per write is visible on a live server.
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"net"
+
+	"nonstopsql/internal/obs"
 )
 
 // Frame kinds.
@@ -97,24 +108,88 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
+// readChunk is the buffered reader's size and the most ReadFrame
+// allocates on the word of a length prefix alone.
+const readChunk = 64 << 10
+
+// A Reader is the frame reader of one connection: a buffered reader over
+// the socket that counts its refills (obs.Wire.SocketRead) and the frames
+// it decodes (FrameIn), and hands out one string for a server name that
+// repeats from frame to frame instead of allocating it per request.
+type Reader struct {
+	br       *bufio.Reader
+	maxFrame int
+	stats    *obs.Wire
+	frameReader
+}
+
+// NewReader returns the frame reader for nc, counting into stats.
+func NewReader(nc net.Conn, maxFrame int, stats *obs.Wire) *Reader {
+	return &Reader{br: bufio.NewReaderSize(countedReader{nc, stats}, readChunk), maxFrame: maxFrame, stats: stats}
+}
+
+type countedReader struct {
+	r     io.Reader
+	stats *obs.Wire
+}
+
+func (c countedReader) Read(p []byte) (int, error) {
+	c.stats.SocketRead()
+	return c.r.Read(p)
+}
+
+// Next reads, decodes and counts one frame.
+func (r *Reader) Next() (Frame, error) {
+	f, n, err := r.read(r.br, r.maxFrame)
+	if err == nil {
+		r.stats.FrameIn(n)
+	}
+	return f, err
+}
+
 // ReadFrame reads and decodes one frame, returning the total wire bytes
 // consumed (length prefix included). Frames above maxFrame are rejected
 // before any body allocation.
 func ReadFrame(r io.Reader, maxFrame int) (Frame, int, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	var fr frameReader
+	return fr.read(r, maxFrame)
+}
+
+// frameReader is what decoding keeps from one frame to the next: the
+// length prefix's four bytes (a local would be allocated per frame, since
+// it is read through an interface) and the last request's server name,
+// reused when the next frame names the same process.
+type frameReader struct {
+	hdr    [4]byte
+	server string
+}
+
+// read is ReadFrame. A length prefix is a claim, not bytes: the body
+// buffer starts at no more than readChunk and doubles only as the bytes
+// before it have actually arrived, so a peer that announces MaxFrame and
+// stalls costs one chunk.
+func (fr *frameReader) read(r io.Reader, maxFrame int) (Frame, int, error) {
+	if _, err := io.ReadFull(r, fr.hdr[:]); err != nil {
 		return Frame{}, 0, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(fr.hdr[:]))
 	if maxFrame <= 0 {
 		maxFrame = MaxFrame
 	}
-	if n < 1+8 || int(n) > maxFrame {
+	if n < 1+8 || n > maxFrame {
 		return Frame{}, 0, fmt.Errorf("wire: frame length %d out of range", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return Frame{}, 0, fmt.Errorf("wire: truncated frame: %w", err)
+	buf := make([]byte, min(n, readChunk))
+	for got := 0; ; {
+		if _, err := io.ReadFull(r, buf[got:]); err != nil {
+			return Frame{}, 0, fmt.Errorf("wire: truncated frame: %w", err)
+		}
+		if got = len(buf); got == n {
+			break
+		}
+		grown := make([]byte, min(n, 2*got))
+		copy(grown, buf)
+		buf = grown
 	}
 	f := Frame{Kind: buf[0], Corr: binary.BigEndian.Uint64(buf[1:9])}
 	body := buf[9:]
@@ -124,7 +199,10 @@ func ReadFrame(r io.Reader, maxFrame int) (Frame, int, error) {
 		if sz <= 0 || uint64(len(body)-sz) < l {
 			return Frame{}, 0, fmt.Errorf("wire: bad server name in request frame")
 		}
-		f.Server = string(body[sz : sz+int(l)])
+		if name := body[sz : sz+int(l)]; string(name) != fr.server {
+			fr.server = string(name)
+		}
+		f.Server = fr.server
 		f.Body = body[sz+int(l):]
 	case KindReply:
 		f.Body = body
@@ -137,5 +215,5 @@ func ReadFrame(r io.Reader, maxFrame int) (Frame, int, error) {
 	default:
 		return Frame{}, 0, fmt.Errorf("wire: unknown frame kind %d", f.Kind)
 	}
-	return f, 4 + int(n), nil
+	return f, 4 + n, nil
 }

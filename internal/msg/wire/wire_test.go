@@ -3,15 +3,22 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
+	"math/rand"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
+	"unsafe"
 
 	"nonstopsql/internal/msg"
+	"nonstopsql/internal/obs"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -508,5 +515,218 @@ func TestServerRefusesBadFrames(t *testing.T) {
 	}
 	if ws := s.Stats(); ws.Errors == 0 {
 		t.Fatalf("no wire errors counted: %+v", ws)
+	}
+}
+
+// allocatedBy returns the heap bytes f allocated (on any goroutine).
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestReadFrameAllocatesWhatArrives: a length prefix is a claim. A peer
+// that announces a MaxFrame body and then hangs up, or stalls, has cost
+// one read chunk — not the 16 MiB it named — and a genuinely large frame
+// still arrives intact however the bytes dribble in.
+func TestReadFrameAllocatesWhatArrives(t *testing.T) {
+	const slack = 8 << 10
+	claim := binary.BigEndian.AppendUint32(nil, MaxFrame)
+	claim = append(claim, KindReply, 0, 0, 0, 0, 0, 0, 0, 7, 'x')
+
+	got := allocatedBy(func() {
+		if _, _, err := ReadFrame(bytes.NewReader(claim), 0); err == nil {
+			t.Error("a frame cut off after 10 of 16Mi bytes decoded")
+		}
+	})
+	if got > readChunk+slack {
+		t.Errorf("a MaxFrame length prefix and a hang-up allocated %d bytes, want at most %d", got, readChunk+slack)
+	}
+
+	pr, pw := io.Pipe()
+	done := make(chan error, 1)
+	got = allocatedBy(func() {
+		go func() {
+			_, _, err := ReadFrame(pr, 0)
+			done <- err
+		}()
+		// The pipe hands bytes over synchronously: when this returns the
+		// reader has consumed them and sits in its next Read, the body
+		// buffer long since allocated.
+		if _, err := pw.Write(claim); err != nil {
+			t.Error(err)
+		}
+	})
+	if got > readChunk+slack {
+		t.Errorf("a MaxFrame length prefix and a stall allocated %d bytes, want at most %d", got, readChunk+slack)
+	}
+	pw.Close()
+	if err := <-done; err == nil {
+		t.Error("a frame cut off by a closed pipe decoded")
+	}
+
+	payload := make([]byte, 1<<20)
+	rand.New(rand.NewSource(1)).Read(payload)
+	enc := AppendRequest(nil, 99, "$SQL", payload)
+	for name, r := range map[string]io.Reader{
+		"at once":     bytes.NewReader(enc),
+		"buffered":    bufio.NewReaderSize(bytes.NewReader(enc), readChunk),
+		"in dribbles": iotest.HalfReader(iotest.HalfReader(bytes.NewReader(enc))),
+	} {
+		f, n, err := ReadFrame(r, 0)
+		if err != nil {
+			t.Fatalf("1 MiB frame %s: %v", name, err)
+		}
+		if n != len(enc) || f.Kind != KindRequest || f.Corr != 99 || f.Server != "$SQL" || !bytes.Equal(f.Body, payload) {
+			t.Fatalf("1 MiB frame %s came back changed: %d of %d bytes, corr %d, server %q", name, n, len(enc), f.Corr, f.Server)
+		}
+	}
+}
+
+// FuzzReadFrame throws hostile bytes at the front door: no panic, no
+// allocation beyond what the bytes supplied justify, and whatever decodes
+// re-encodes to a frame that decodes the same (to the same bytes, unless
+// the input spelt the server name's length with a padded varint).
+func FuzzReadFrame(f *testing.F) {
+	f.Add(AppendRequest(nil, 7, "$SQL", []byte("select")))
+	f.Add(AppendReply(nil, 7, []byte("rows")))
+	f.Add(AppendReplyErr(nil, 9, CodeTimeout, "too slow"))
+	f.Add(AppendReply(nil, 1, nil))
+	f.Add(AppendRequest(AppendReply(nil, 1, make([]byte, 300)), 2, "", nil))
+	f.Add(binary.BigEndian.AppendUint32(nil, MaxFrame))
+	f.Add([]byte{0, 0, 0, 12, KindRequest, 0, 0, 0, 0, 0, 0, 0, 1, 0x80, 0x00, 'x'})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var fr Frame
+		var n int
+		var err error
+		got := allocatedBy(func() { fr, n, err = ReadFrame(bytes.NewReader(data), 0) })
+		if limit := uint64(2*len(data) + 2*readChunk); got > limit {
+			t.Fatalf("%d input bytes allocated %d, want at most %d", len(data), got, limit)
+		}
+		if err != nil {
+			return
+		}
+		if n > len(data) {
+			t.Fatalf("consumed %d of %d bytes", n, len(data))
+		}
+		var enc []byte
+		switch fr.Kind {
+		case KindRequest:
+			enc = AppendRequest(nil, fr.Corr, fr.Server, fr.Body)
+		case KindReply:
+			enc = AppendReply(nil, fr.Corr, fr.Body)
+		case KindReplyErr:
+			enc = AppendReplyErr(nil, fr.Corr, fr.Code, string(fr.Body))
+		default:
+			t.Fatalf("decoded a frame of unknown kind %d", fr.Kind)
+		}
+		if len(enc) == n && !bytes.Equal(enc, data[:n]) {
+			t.Fatalf("frame re-encoded to different bytes:\n in: %x\nout: %x", data[:n], enc)
+		}
+		again, m, err := ReadFrame(bytes.NewReader(enc), 0)
+		if err != nil || m != len(enc) || m > n {
+			t.Fatalf("re-encoded frame: %d of %d bytes (input %d), err %v", m, len(enc), n, err)
+		}
+		if again.Kind != fr.Kind || again.Corr != fr.Corr || again.Server != fr.Server || again.Code != fr.Code || !bytes.Equal(again.Body, fr.Body) {
+			t.Fatalf("re-encoded frame decoded differently: %+v, first %+v", again, fr)
+		}
+	})
+}
+
+// TestReaderReusesServerName: a connection's requests name the same
+// process over and over; the Reader hands out one string for it.
+func TestReaderReusesServerName(t *testing.T) {
+	cl, srv := net.Pipe()
+	defer cl.Close()
+	defer srv.Close()
+	go func() {
+		b := AppendRequest(nil, 1, "$SQL", []byte("a"))
+		b = AppendRequest(b, 2, "$SQL", []byte("b"))
+		b = AppendRequest(b, 3, "$DATA1", nil)
+		b = AppendRequest(b, 4, "$SQL", nil)
+		_, _ = cl.Write(b)
+	}()
+	var stats obs.Wire
+	fr := NewReader(srv, 0, &stats)
+	var names []string
+	for i := 0; i < 4; i++ {
+		f, err := fr.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, f.Server)
+	}
+	if strings.Join(names, " ") != "$SQL $SQL $DATA1 $SQL" {
+		t.Fatalf("server names %q", names)
+	}
+	if unsafe.StringData(names[0]) != unsafe.StringData(names[1]) {
+		t.Error("the second request's server name is a fresh copy of the first's")
+	}
+	if st := stats.Snapshot(); st.FramesIn != 4 || st.Reads == 0 || st.Reads > 4 {
+		t.Fatalf("%d frames in %d socket reads", st.FramesIn, st.Reads)
+	}
+}
+
+// TestServerDrainDeliversEveryAcceptedReply: eight pipelined requests are
+// inside their handlers when the drain starts. Their replies leave through
+// one connection's flush — most of them as followers, whose senders return
+// before the bytes are written — and every one must be on the socket
+// before the drain closes it.
+func TestServerDrainDeliversEveryAcceptedReply(t *testing.T) {
+	const pipelined = 8
+	for round := 0; round < 20; round++ {
+		n := msg.NewNetwork()
+		entered := make(chan struct{}, pipelined)
+		release := make(chan struct{})
+		_, err := n.StartServer("gated", msg.ProcessorID{Node: 0, CPU: 0}, pipelined, func(req []byte) []byte {
+			entered <- struct{}{}
+			<-release
+			return req
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Listen("127.0.0.1:0", n, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nc, br := rawConn(t, s.Addr())
+		var b []byte
+		for i := uint64(1); i <= pipelined; i++ {
+			b = AppendRequest(b, i, "gated", []byte{byte(i)})
+		}
+		if _, err := nc.Write(b); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < pipelined; i++ {
+			<-entered
+		}
+		drained := make(chan error, 1)
+		go func() { drained <- s.Drain(0) }()
+		close(release)
+
+		nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+		seen := make(map[uint64]bool)
+		for len(seen) < pipelined {
+			f, _, err := ReadFrame(br, 0)
+			if err != nil {
+				t.Fatalf("round %d: connection ended after %d of %d accepted replies: %v", round, len(seen), pipelined, err)
+			}
+			if f.Kind != KindReply || len(f.Body) != 1 || uint64(f.Body[0]) != f.Corr || seen[f.Corr] {
+				t.Fatalf("round %d: unexpected frame %+v", round, f)
+			}
+			seen[f.Corr] = true
+		}
+		if err := <-drained; err != nil {
+			t.Fatalf("drain: %v", err)
+		}
+		if _, _, err := ReadFrame(br, 0); err == nil {
+			t.Fatal("drained server left the connection open")
+		}
+		if ws := s.Stats(); ws.FramesOut != pipelined || ws.Writes == 0 || ws.Writes > pipelined {
+			t.Fatalf("round %d: %d replies in %d socket writes", round, ws.FramesOut, ws.Writes)
+		}
 	}
 }

@@ -8,7 +8,12 @@
 // round-robin, and pipelines: every connection carries any number of
 // outstanding requests, each tagged with a correlation ID, and the
 // reader goroutine matches completion-order replies back to their
-// waiters. A request that hits its reply deadline abandons the
+// waiters. Requests sent together on one connection share a socket write
+// (wire.Writer: the first sender leads the flush, the others append
+// behind it and go straight to waiting for their replies), so a
+// connection gets cheaper per request as it gets busier; connections are
+// added for parallel readers and failure isolation, not to spread write
+// contention. A request that hits its reply deadline abandons the
 // correlation ID (the late reply is dropped on arrival) and returns an
 // error wrapping msg.ErrReplyTimeout, mirroring the in-process
 // semantics. A broken connection fails its in-flight requests with
@@ -17,7 +22,6 @@
 package nsqlclient
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -42,8 +46,9 @@ var ErrDraining = errors.New("nsqlclient: server draining")
 type Options struct {
 	// Conns is the number of pooled connections (default 4). Requests
 	// are assigned round-robin; pipelining means even one connection
-	// carries unlimited concurrent requests, more spread the socket
-	// write contention.
+	// carries unlimited concurrent requests, and frames sent together
+	// on one connection share a socket write, so more connections buy
+	// parallel readers and failure isolation, not cheaper writes.
 	Conns int
 
 	// ReplyTimeout bounds each request (0 = wait forever). Adjustable
@@ -61,6 +66,7 @@ type Options struct {
 type Pool struct {
 	addr    string
 	opts    Options
+	dial    func() (net.Conn, error)
 	timeout atomic.Int64 // per-request deadline in nanoseconds
 	corr    atomic.Uint64
 	next    atomic.Uint64
@@ -81,23 +87,29 @@ type result struct {
 	err  error
 }
 
-// conn is one pooled connection: the socket, the pending-request table
-// its reader resolves, and the state to re-dial it after a failure.
+// conn is one pooled connection: the socket, its frame writer and the
+// pending-request table its reader resolves — one incarnation, replaced
+// together on redial, so a frame registered on one socket is never
+// written to its successor — and the state to re-dial after a failure.
 type conn struct {
 	p  *Pool
-	mu sync.Mutex // guards nc, pending, dialed
+	mu sync.Mutex // guards nc, w, pending, dialed
 
 	nc      net.Conn
+	w       *wire.Writer
 	pending map[uint64]chan result
 	dialed  bool // a successful dial happened before: next one is a redial
-
-	wmu sync.Mutex // serializes frame writes to nc
 }
 
 // Dial creates a pool to addr. The first connection is dialed eagerly
 // so an unreachable server fails here, not on the first request; the
 // rest are dialed on first use.
-func Dial(addr string, opts Options) (*Pool, error) {
+func Dial(addr string, opts Options) (*Pool, error) { return newPool(addr, opts, nil) }
+
+// newPool is Dial with the way a connection is made as a parameter (nil:
+// TCP to addr), which is how the tests put a pool on a pipe or on a
+// socket whose writes they can hold.
+func newPool(addr string, opts Options, dial func() (net.Conn, error)) (*Pool, error) {
 	if opts.Conns <= 0 {
 		opts.Conns = 4
 	}
@@ -107,7 +119,10 @@ func Dial(addr string, opts Options) (*Pool, error) {
 	if opts.MaxFrame <= 0 {
 		opts.MaxFrame = wire.MaxFrame
 	}
-	p := &Pool{addr: addr, opts: opts, stmts: make(map[string]*Stmt)}
+	if dial == nil {
+		dial = func() (net.Conn, error) { return net.DialTimeout("tcp", addr, opts.DialTimeout) }
+	}
+	p := &Pool{addr: addr, opts: opts, dial: dial, stmts: make(map[string]*Stmt)}
 	p.timeout.Store(int64(opts.ReplyTimeout))
 	p.conns = make([]*conn, opts.Conns)
 	for i := range p.conns {
@@ -158,31 +173,30 @@ func (p *Pool) Send(server string, payload []byte) ([]byte, error) {
 		c.mu.Unlock()
 		return nil, err
 	}
-	nc := c.nc
+	nc, w := c.nc, c.w
 	c.pending[corr] = ch
 	pending := c.pending
 	c.mu.Unlock()
 
-	b := wire.AppendRequest(nil, corr, server, payload)
-	c.wmu.Lock()
-	_, err := nc.Write(b)
-	c.wmu.Unlock()
-	if err != nil {
+	// The frame joins the connection's flush (wire.Writer): this sender
+	// leads it or, behind one in flight, returns at once and waits for
+	// its reply. A write that fails — ours or the leader's — fails every
+	// request pending on this incarnation.
+	if err := w.Request(corr, server, payload); err != nil {
 		p.wire.Error()
 		c.fail(nc, err)
 		// fail already resolved our channel; fall through to the wait so
 		// the error text is uniform with a mid-conversation breakage.
-	} else {
-		p.wire.FrameOut(len(b))
 	}
 
 	var out result
 	if d := p.ReplyTimeout(); d > 0 {
-		t := time.NewTimer(d)
+		t := msg.AcquireTimer(d)
 		select {
 		case out = <-ch:
-			t.Stop()
+			msg.ReleaseTimer(t, false)
 		case <-t.C:
+			msg.ReleaseTimer(t, true)
 			// Abandon the correlation ID: the reader drops the late
 			// reply when (if) it arrives.
 			c.mu.Lock()
@@ -212,11 +226,12 @@ func (c *conn) ensureLocked() error {
 	if c.nc != nil {
 		return nil
 	}
-	nc, err := net.DialTimeout("tcp", c.p.addr, c.p.opts.DialTimeout)
+	nc, err := c.p.dial()
 	if err != nil {
 		return fmt.Errorf("nsqlclient: dial %s: %w", c.p.addr, err)
 	}
 	c.nc = nc
+	c.w = wire.NewWriter(nc, &c.p.wire)
 	c.pending = make(map[uint64]chan result)
 	c.p.wire.ConnOpened()
 	if c.dialed {
@@ -231,14 +246,13 @@ func (c *conn) ensureLocked() error {
 // decodes reply frames and resolves the matching pending requests until
 // the connection breaks, then fails whatever is still in flight.
 func (c *conn) read(nc net.Conn, pending map[uint64]chan result) {
-	br := bufio.NewReaderSize(nc, 64<<10)
+	fr := wire.NewReader(nc, c.p.opts.MaxFrame, &c.p.wire)
 	for {
-		f, n, err := wire.ReadFrame(br, c.p.opts.MaxFrame)
+		f, err := fr.Next()
 		if err != nil {
 			c.fail(nc, err)
 			return
 		}
-		c.p.wire.FrameIn(n)
 		c.mu.Lock()
 		ch, ok := pending[f.Corr]
 		delete(pending, f.Corr)
@@ -283,7 +297,7 @@ func (c *conn) fail(nc net.Conn, cause error) {
 		c.mu.Unlock()
 		return
 	}
-	c.nc = nil
+	c.nc, c.w = nil, nil
 	pending := c.pending
 	c.pending = nil
 	c.mu.Unlock()

@@ -1,0 +1,222 @@
+package nsqlclient
+
+import (
+	"errors"
+	"fmt"
+	"net"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"nonstopsql/internal/msg"
+	"nonstopsql/internal/msg/wire"
+	"nonstopsql/internal/nsqlwire"
+	"nonstopsql/internal/obs"
+	"nonstopsql/internal/record"
+)
+
+// heldConn is a socket whose Write can be held at the door and made to
+// fail: the gated device of internal/wal/force_test.go, for the wire.
+type heldConn struct {
+	net.Conn
+	entered chan struct{} // one token per Write that reached the socket
+	gate    chan struct{} // Write waits here; close it to let every Write through
+	broken  atomic.Bool   // Writes fail (and the socket closes) once set
+}
+
+func (c *heldConn) Write(b []byte) (int, error) {
+	c.entered <- struct{}{}
+	<-c.gate
+	if c.broken.Load() {
+		c.Conn.Close()
+		return 0, errors.New("write: broken pipe")
+	}
+	return c.Conn.Write(b)
+}
+
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(50 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestFailedWriteFailsItsBatchAndRedials: a write that fails takes with
+// it the leader's request and every request whose frame was waiting
+// behind it — each gets the lost-connection error, none hangs — and the
+// next Send dials a new incarnation whose writer starts empty: the frames
+// that never left are not sent to the successor socket.
+func TestFailedWriteFailsItsBatchAndRedials(t *testing.T) {
+	s, netw := startEcho(t, 4)
+	held := &heldConn{entered: make(chan struct{}, 8), gate: make(chan struct{})}
+	dials := 0
+	p, err := newPool(s.Addr(), Options{Conns: 1}, func() (net.Conn, error) {
+		nc, err := net.Dial("tcp", s.Addr())
+		if dials++; dials == 1 && err == nil {
+			held.Conn = nc
+			return held, nil
+		}
+		return nc, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	const senders = 3
+	errs := make(chan error, senders)
+	send := func(i int) {
+		_, err := p.Send("echo", []byte(fmt.Sprintf("doomed-%d", i)))
+		errs <- err
+	}
+	go send(0)
+	<-held.entered // the leader is at the socket with its own frame
+	for i := 1; i < senders; i++ {
+		go send(i)
+	}
+	waitFor(t, "the followers' frames to be accepted", func() bool { return p.Stats().FramesOut == senders })
+	if st := p.Stats(); st.Writes != 1 {
+		t.Fatalf("%d socket writes with the first still held", st.Writes)
+	}
+
+	held.broken.Store(true)
+	close(held.gate)
+	for i := 0; i < senders; i++ {
+		select {
+		case err := <-errs:
+			if err == nil || !strings.Contains(err.Error(), "connection to") || !strings.Contains(err.Error(), "lost") {
+				t.Fatalf("a request in or behind the failed write got %v, want the connection-lost error", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a request behind the failed write hung")
+		}
+	}
+	if got := netw.Stats().Requests; got != 0 {
+		t.Fatalf("%d requests reached the server through a write that failed", got)
+	}
+
+	got, err := p.Send("echo", []byte("fresh"))
+	if err != nil || string(got) != "FRESH" {
+		t.Fatalf("send after the failure: %q, %v", got, err)
+	}
+	if st := p.Stats(); dials != 2 || st.Redials != 1 || st.Conns != st.Disconnects+1 {
+		t.Fatalf("%d dials, wire stats %+v; want one redial and balanced connection books", dials, st)
+	}
+	if got := netw.Stats().Requests; got != 1 {
+		t.Fatalf("the server saw %d requests on the new connection, want only the fresh one", got)
+	}
+}
+
+// pipeServer answers EXECUTE requests on the far end of an in-memory
+// pipe with one fixed row: the serving path's wire edge — frame reader,
+// request decode, reply encode, frame writer — with no SQL behind it.
+func pipeServer(nc net.Conn) {
+	var stats obs.Wire
+	fr, fw := wire.NewReader(nc, 0, &stats), wire.NewWriter(nc, &stats)
+	reply := &nsqlwire.Reply{Columns: []string{"bal", "pad"}, Rows: []record.Row{{record.Int(100), record.String("xxxxxxxxxxxxxxxx")}}}
+	for {
+		f, err := fr.Next()
+		if err != nil {
+			return
+		}
+		q, err := nsqlwire.DecodeRequest(f.Body)
+		if err != nil || q.Op != nsqlwire.OpExecute || len(q.Params) != 1 {
+			_ = fw.ReplyErr(f.Corr, wire.CodeError, "pipeServer: not a one-parameter EXECUTE")
+			continue
+		}
+		if fw.Reply(f.Corr, nsqlwire.EncodeReply(reply)) != nil {
+			return
+		}
+	}
+}
+
+// executeAllocsCeiling is what one prepared EXECUTE round trip allocates
+// at the wire edge, both ends counted, as PR 20 left it. Client: the
+// reply channel (two objects), the request payload, the reply frame, and
+// what the caller keeps — Reply, Columns and its two names, Rows, the row
+// and its string, the Result. Server: the request frame, Request and its
+// parameter row, the reply payload. (Through wire.Listen and a message
+// network over TCP the same round trip is 21 objects; it was 41 with a
+// frame buffer, a length-prefix array and a timer per send, encoders that
+// grew from nil, a record.Encode temporary per row and a copy of the
+// rows.)
+const executeAllocsCeiling = 16
+
+func TestAllocationCeilings(t *testing.T) {
+	p, err := newPool("pipe", Options{Conns: 1, ReplyTimeout: time.Minute}, func() (net.Conn, error) {
+		cl, srv := net.Pipe()
+		go pipeServer(srv)
+		return cl, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	execute := func() {
+		res, err := Execute(p, 3, record.Int(4242))
+		if err != nil || len(res.Rows) != 1 || res.Rows[0][0].I != 100 {
+			t.Fatalf("EXECUTE over the pipe: %+v, %v", res, err)
+		}
+	}
+	execute()
+	if got := testing.AllocsPerRun(500, execute); got > executeAllocsCeiling {
+		t.Errorf("one EXECUTE round trip allocates %.1f objects at the wire edge, ceiling %d", got, executeAllocsCeiling)
+	}
+}
+
+// BenchmarkPoolSendPipelined is the benchmark's serving shape with
+// nothing behind the socket: 8 closed-loop senders over 2 connections to
+// an echo process. writes/op counts socket writes at both ends; it was 2
+// (one per frame) before frames shared a flush.
+func BenchmarkPoolSendPipelined(b *testing.B) {
+	for _, procs := range []int{1, 0} {
+		name := "procs=default"
+		if procs > 0 {
+			name = fmt.Sprintf("procs=%d", procs)
+		}
+		b.Run(name, func(b *testing.B) {
+			if procs > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			}
+			netw := msg.NewNetwork()
+			if _, err := netw.StartServer("$ECHO", msg.ProcessorID{Node: 0, CPU: 0}, 8, func(req []byte) []byte { return req }); err != nil {
+				b.Fatal(err)
+			}
+			s, err := wire.Listen("127.0.0.1:0", netw, wire.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			p, err := Dial(s.Addr(), Options{Conns: 2, ReplyTimeout: time.Minute})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer p.Close()
+			payload := make([]byte, 48)
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			b.ReportAllocs()
+			b.ResetTimer()
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for next.Add(1) <= int64(b.N) {
+						if _, err := p.Send("$ECHO", payload); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			b.StopTimer()
+			b.ReportMetric(float64(p.Stats().Writes+s.Stats().Writes)/float64(b.N), "writes/op")
+		})
+	}
+}

@@ -5,7 +5,6 @@ import (
 
 	"nonstopsql/internal/msg"
 	"nonstopsql/internal/nsqlwire"
-	"nonstopsql/internal/record"
 	"nonstopsql/internal/sql"
 )
 
@@ -64,11 +63,13 @@ func Exec(t msg.Transport, stmt string) (*sql.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &sql.Result{Columns: reply.Columns, Affected: int(reply.Affected)}
-	if len(reply.Rows) > 0 {
-		res.Rows = append([]record.Row(nil), reply.Rows...)
-	}
-	return res, nil
+	return sqlResult(reply), nil
+}
+
+// sqlResult hands a decoded reply's columns and rows to the caller: the
+// reply was decoded for this call alone, so nothing is copied.
+func sqlResult(reply *nsqlwire.Reply) *sql.Result {
+	return &sql.Result{Columns: reply.Columns, Rows: reply.Rows, Affected: int(reply.Affected)}
 }
 
 // Explain renders the statement's plan without running it.

@@ -30,11 +30,7 @@ func Execute(t msg.Transport, handle uint64, args ...record.Value) (*sql.Result,
 	if err != nil {
 		return nil, err
 	}
-	res := &sql.Result{Columns: reply.Columns, Affected: int(reply.Affected)}
-	if len(reply.Rows) > 0 {
-		res.Rows = append([]record.Row(nil), reply.Rows...)
-	}
-	return res, nil
+	return sqlResult(reply), nil
 }
 
 // CloseStmt discards a server-side statement handle.

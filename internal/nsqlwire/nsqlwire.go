@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"nonstopsql/internal/record"
 )
@@ -96,16 +97,21 @@ type Request struct {
 	Params record.Row
 }
 
-// EncodeRequest serializes a request payload.
+// EncodeRequest serializes a request payload, in one allocation of
+// exactly its size.
 func EncodeRequest(q *Request) []byte {
-	b := []byte{byte(q.Op)}
-	b = appendBytes(b, []byte(q.Arg))
-	b = binary.AppendUvarint(b, q.Handle)
-	var params []byte
+	n := 1 + stringLen(q.Arg) + uvarintLen(q.Handle) + 1
 	if len(q.Params) > 0 {
-		params = record.Encode(q.Params)
+		n += rowLen(q.Params) - 1
 	}
-	return appendBytes(b, params)
+	b := make([]byte, 0, n)
+	b = append(b, byte(q.Op))
+	b = appendString(b, q.Arg)
+	b = binary.AppendUvarint(b, q.Handle)
+	if len(q.Params) == 0 {
+		return append(b, 0) // no parameter vector: the empty byte string
+	}
+	return appendRow(b, q.Params)
 }
 
 // DecodeRequest parses a request payload.
@@ -156,19 +162,29 @@ type Reply struct {
 	Handle   uint64 // statement handle (OpPrepare replies)
 }
 
-// EncodeReply serializes a reply payload.
+// EncodeReply serializes a reply payload, in one allocation of exactly
+// its size: each row is appended value by value behind its length.
 func EncodeReply(r *Reply) []byte {
-	b := appendBytes(nil, []byte(r.Err))
+	n := stringLen(r.Err) + uvarintLen(uint64(len(r.Columns))) + uvarintLen(uint64(len(r.Rows))) +
+		uvarintLen(r.Affected) + stringLen(r.Text) + 1 + uvarintLen(r.Handle)
+	for _, c := range r.Columns {
+		n += stringLen(c)
+	}
+	for _, row := range r.Rows {
+		n += rowLen(row)
+	}
+	b := make([]byte, 0, n)
+	b = appendString(b, r.Err)
 	b = binary.AppendUvarint(b, uint64(len(r.Columns)))
 	for _, c := range r.Columns {
-		b = appendBytes(b, []byte(c))
+		b = appendString(b, c)
 	}
 	b = binary.AppendUvarint(b, uint64(len(r.Rows)))
 	for _, row := range r.Rows {
-		b = appendBytes(b, record.Encode(row))
+		b = appendRow(b, row)
 	}
 	b = binary.AppendUvarint(b, r.Affected)
-	b = appendBytes(b, []byte(r.Text))
+	b = appendString(b, r.Text)
 	b = append(b, r.Code)
 	return binary.AppendUvarint(b, r.Handle)
 }
@@ -186,6 +202,11 @@ func DecodeReply(b []byte) (*Reply, error) {
 		return nil, fmt.Errorf("nsqlwire: bad column count")
 	}
 	b = b[sz:]
+	// The counts are untrusted: a column takes at least one byte, a row
+	// at least two, so the bytes present bound what is allocated.
+	if n > 0 {
+		r.Columns = make([]string, 0, min(n, uint64(len(b))))
+	}
 	for i := uint64(0); i < n; i++ {
 		var c []byte
 		if c, b, err = takeBytes(b); err != nil {
@@ -198,6 +219,9 @@ func DecodeReply(b []byte) (*Reply, error) {
 		return nil, fmt.Errorf("nsqlwire: bad row count")
 	}
 	b = b[sz:]
+	if n > 0 {
+		r.Rows = make([]record.Row, 0, min(n, uint64(len(b)/2)))
+	}
 	for i := uint64(0); i < n; i++ {
 		var enc []byte
 		if enc, b, err = takeBytes(b); err != nil {
@@ -234,10 +258,31 @@ func DecodeReply(b []byte) (*Reply, error) {
 	return r, nil
 }
 
-func appendBytes(b, v []byte) []byte {
+func appendString(b []byte, v string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(v)))
 	return append(b, v...)
 }
+
+// appendRow appends a row as a byte string: its record encoding
+// (record.Encode's bytes) behind that encoding's length.
+func appendRow(b []byte, r record.Row) []byte {
+	b = binary.AppendUvarint(b, uint64(record.EncodedLen(r)))
+	b = binary.AppendUvarint(b, uint64(len(r)))
+	for _, v := range r {
+		b = record.AppendValue(b, v)
+	}
+	return b
+}
+
+// stringLen and rowLen are the sizes appendString and appendRow produce.
+func stringLen(v string) int { return uvarintLen(uint64(len(v))) + len(v) }
+
+func rowLen(r record.Row) int {
+	n := record.EncodedLen(r)
+	return uvarintLen(uint64(n)) + n
+}
+
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 func takeBytes(b []byte) (v, rest []byte, err error) {
 	l, n := binary.Uvarint(b)

@@ -8,17 +8,7 @@ import (
 )
 
 func TestRequestRoundTrip(t *testing.T) {
-	cases := []Request{
-		{Op: OpPing},
-		{Op: OpExec, Arg: "SELECT * FROM emp WHERE empno = 3"},
-		{Op: OpPrepare, Arg: "SELECT name FROM emp WHERE empno = ?"},
-		{Op: OpExecute, Handle: 7, Params: record.Row{record.Int(3)}},
-		{Op: OpExecute, Handle: 1 << 40, Params: record.Row{
-			record.Int(-12), record.Float(3.5), record.String("alice"), record.Bool(true), record.Null,
-		}},
-		{Op: OpCloseStmt, Handle: 9},
-	}
-	for _, q := range cases {
+	for _, q := range seedRequests() {
 		got, err := DecodeRequest(EncodeRequest(&q))
 		if err != nil {
 			t.Fatalf("%+v: %v", q, err)
@@ -30,18 +20,7 @@ func TestRequestRoundTrip(t *testing.T) {
 }
 
 func TestReplyRoundTrip(t *testing.T) {
-	cases := []Reply{
-		{},
-		{Err: "sql: no table NOPE", Code: CodeBadStatement},
-		{Err: "prepared statement handle 12 is unknown or was evicted", Code: CodeStaleHandle},
-		{Columns: []string{"a", "b"}, Rows: []record.Row{
-			{record.Int(1), record.String("x")},
-			{record.Null, record.Float(2.25)},
-		}, Affected: 2},
-		{Handle: 42, Affected: 3},
-		{Text: "plan: cached (hits=9)\n"},
-	}
-	for _, r := range cases {
+	for _, r := range seedReplies() {
 		got, err := DecodeReply(EncodeReply(&r))
 		if err != nil {
 			t.Fatalf("%+v: %v", r, err)

@@ -165,3 +165,30 @@ func TestRecorderConcurrent(t *testing.T) {
 		t.Errorf("histogram counts = %d + %d, want 8000 total", snaps["A"].Count(), snaps["B"].Count())
 	}
 }
+
+// TestWireStatsAddCarriesSocketCalls: the per-endpoint snapshots sum
+// field for field, the socket calls included, and frames per write is
+// taken over the sum.
+func TestWireStatsAddCarriesSocketCalls(t *testing.T) {
+	var a, b Wire
+	for i := 0; i < 6; i++ {
+		a.FrameOut(10)
+	}
+	a.SocketWrite()
+	a.SocketWrite()
+	a.SocketRead()
+	b.FrameOut(10)
+	b.FrameOut(10)
+	b.SocketWrite()
+	b.SocketWrite()
+	b.SocketRead()
+	b.SocketRead()
+	sum := a.Snapshot()
+	sum.Add(b.Snapshot())
+	if sum.Writes != 4 || sum.Reads != 3 || sum.FramesOut != 8 || sum.FramesPerWrite() != 2 {
+		t.Fatalf("summed wire stats %+v, %.2f frames per write; want 8 frames in 4 writes, 3 reads", sum, sum.FramesPerWrite())
+	}
+	if (WireStats{}).FramesPerWrite() != 0 {
+		t.Fatal("frames per write before the first write is not 0")
+	}
+}

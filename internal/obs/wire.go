@@ -15,6 +15,8 @@ type Wire struct {
 	redials     atomic.Uint64 // client reconnects after a broken connection
 	framesIn    atomic.Uint64
 	framesOut   atomic.Uint64
+	writes      atomic.Uint64 // socket writes; the flush puts many frames in one
+	reads       atomic.Uint64 // socket reads behind the buffered frame reader
 	bytesIn     atomic.Uint64 // wire bytes received, framing included
 	bytesOut    atomic.Uint64 // wire bytes sent, framing included
 	errors      atomic.Uint64 // I/O or frame-decode failures
@@ -43,6 +45,13 @@ func (w *Wire) FrameOut(n int) {
 	w.bytesOut.Add(uint64(n))
 }
 
+// SocketWrite counts one write call on the socket. FramesOut over Writes
+// is the batching the frame flush achieves (wire.Writer).
+func (w *Wire) SocketWrite() { w.writes.Add(1) }
+
+// SocketRead counts one read call on the socket (a buffer refill).
+func (w *Wire) SocketRead() { w.reads.Add(1) }
+
 // Error counts one I/O or frame-decode failure.
 func (w *Wire) Error() { w.errors.Add(1) }
 
@@ -60,6 +69,8 @@ func (w *Wire) Snapshot() WireStats {
 		Redials:     w.redials.Load(),
 		FramesIn:    w.framesIn.Load(),
 		FramesOut:   w.framesOut.Load(),
+		Writes:      w.writes.Load(),
+		Reads:       w.reads.Load(),
 		BytesIn:     w.bytesIn.Load(),
 		BytesOut:    w.bytesOut.Load(),
 		Errors:      w.errors.Load(),
@@ -75,6 +86,8 @@ type WireStats struct {
 	Redials     uint64
 	FramesIn    uint64
 	FramesOut   uint64
+	Writes      uint64 // socket write calls
+	Reads       uint64 // socket read calls
 	BytesIn     uint64
 	BytesOut    uint64
 	Errors      uint64
@@ -84,6 +97,15 @@ type WireStats struct {
 
 // Frames returns the total frame count, both directions.
 func (s WireStats) Frames() uint64 { return s.FramesIn + s.FramesOut }
+
+// FramesPerWrite returns how many frames one socket write carried on
+// average (0 before the first write).
+func (s WireStats) FramesPerWrite() float64 {
+	if s.Writes == 0 {
+		return 0
+	}
+	return float64(s.FramesOut) / float64(s.Writes)
+}
 
 // Bytes returns the total wire bytes moved, both directions.
 func (s WireStats) Bytes() uint64 { return s.BytesIn + s.BytesOut }
@@ -95,6 +117,8 @@ func (s *WireStats) Add(o WireStats) {
 	s.Redials += o.Redials
 	s.FramesIn += o.FramesIn
 	s.FramesOut += o.FramesOut
+	s.Writes += o.Writes
+	s.Reads += o.Reads
 	s.BytesIn += o.BytesIn
 	s.BytesOut += o.BytesOut
 	s.Errors += o.Errors

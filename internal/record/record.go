@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 
 	"nonstopsql/internal/keys"
@@ -381,6 +382,27 @@ func Encode(r Row) []byte {
 	}
 	return b
 }
+
+// EncodedLen returns len(Encode(r)) without encoding: what a message
+// codec needs to write a row's length prefix, and to size its buffer,
+// before the row.
+func EncodedLen(r Row) int {
+	n := uvarintLen(uint64(len(r)))
+	for _, v := range r {
+		n++ // the tag
+		switch v.Kind {
+		case TypeInt:
+			n += uvarintLen(uint64(v.I)<<1 ^ uint64(v.I>>63)) // zig-zag, as binary.AppendVarint
+		case TypeFloat:
+			n += 8
+		case TypeString:
+			n += uvarintLen(uint64(len(v.S))) + len(v.S)
+		}
+	}
+	return n
+}
+
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // Decode deserializes a full row produced by Encode into a Row the
 // caller owns. The Disk Process's scans do not come here: they read the

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -119,6 +120,9 @@ func TestEncodeDecodeProperty(t *testing.T) {
 			row[i] = randValue(rng)
 		}
 		enc := Encode(row)
+		if EncodedLen(row) != len(enc) {
+			return false
+		}
 		dec, err := Decode(enc)
 		if err != nil {
 			return false
@@ -130,6 +134,22 @@ func TestEncodeDecodeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEncodedLenAtBoundaries: the sizes a codec prefixes a row with are
+// the sizes Encode produces where a varint gains a byte.
+func TestEncodedLenAtBoundaries(t *testing.T) {
+	for _, i := range []int64{0, 63, 64, -64, -65, 8191, 8192, -8193, math.MaxInt64, math.MinInt64} {
+		for _, l := range []int{0, 127, 128, 16384} {
+			row := Row{Int(i), String(strings.Repeat("x", l)), Null, Bool(true), Float(1.5)}
+			if got, want := EncodedLen(row), len(Encode(row)); got != want {
+				t.Errorf("EncodedLen(int %d, string of %d) = %d, Encode produced %d", i, l, got, want)
+			}
+		}
+	}
+	if got, want := EncodedLen(make(Row, 200)), len(Encode(make(Row, 200))); got != want {
+		t.Errorf("EncodedLen(200 nulls) = %d, want %d", got, want)
 	}
 }
 

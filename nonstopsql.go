@@ -31,6 +31,7 @@ import (
 	"nonstopsql/internal/disk"
 	"nonstopsql/internal/fs"
 	"nonstopsql/internal/nsqlwire"
+	"nonstopsql/internal/obs"
 	"nonstopsql/internal/sql"
 )
 
@@ -185,6 +186,7 @@ type Stats struct {
 	AuditFlushes uint64 // audit trail bulk writes
 	Commits      uint64
 	PlanCache    PlanCacheStats // shared plan cache counters
+	Wire         obs.WireStats  // the TCP front door, cumulative since Listen (zero when not served)
 }
 
 // PlanCacheStats is the shared plan cache's counter snapshot.
@@ -215,6 +217,7 @@ func (db *Database) Stats() Stats {
 		s.Commits += ts.CommitRecords
 	}
 	s.PlanCache = db.catalog.Plans().Stats()
+	s.Wire = db.WireStats()
 	return s
 }
 

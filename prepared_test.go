@@ -399,4 +399,13 @@ func TestRemoteDDLInvalidation(t *testing.T) {
 	if !strings.Contains(text, "plan cache:") {
 		t.Errorf("remote stats lack the plan cache line:\n%s", text)
 	}
+	// …and the socket's: this very request is a frame in, and every reply
+	// so far left in some write.
+	ws := db.WireStats()
+	if ws.Writes == 0 || ws.Writes > ws.FramesOut || ws.Reads == 0 {
+		t.Errorf("socket calls do not reconcile with frames: %+v", ws)
+	}
+	if !strings.Contains(text, "wire: frames in=") || !strings.Contains(text, "frames/write") {
+		t.Errorf("remote stats lack the wire line:\n%s", text)
+	}
 }

@@ -84,9 +84,23 @@ go test -race -count=1 -run 'TestSchedRace|TestFsyncBatching|TestWriteAbsorption
 QUICK=1 go test -race -count=1 -run TestKillRecovery ./internal/experiments
 # Wire transport: framing, pipelined correlation, drain, reconnect, and
 # the client pool's deadline/redial races — the concurrent seams of
-# PR 8. Then the differential test: the same workload over in-process
-# and TCP transports must be byte-identical with identical accounting.
-go test -race -count=1 ./internal/msg/wire ./internal/nsqlclient
+# PR 8 — and the socket's force point (PR 20): one leader/follower frame
+# flush, wire.Writer, behind every send at both ends, whose leader writes
+# with the mutex RELEASED (held-socket tests: N frames behind one write,
+# a lone sender, a failed write failing its whole batch and the redial,
+# followers blocking at the cap, a drain delivering every accepted
+# reply). The flush has no timer: grep says so. Then ten seconds of
+# hostile bytes against each decoder at the front door, and the
+# allocation ceilings of the wire edge without -race (the detector
+# allocates): codecs that allocate once, one EXECUTE round trip over an
+# in-memory pipe. Then the differential test: the same workload over
+# in-process and TCP transports must be byte-identical with identical
+# accounting.
+go test -race -count=1 ./internal/msg/wire ./internal/nsqlclient ./internal/nsqlwire
+if grep -n 'time\.\(After\|NewTimer\|Sleep\|Tick\)' internal/msg/wire/writer.go; then exit 1; fi
+go test -run '^$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/msg/wire
+go test -run '^$' -fuzz FuzzNsqlwire -fuzztime 10s ./internal/nsqlwire
+go test -count=1 -run TestAllocationCeilings ./internal/nsqlwire ./internal/nsqlclient
 go test -race -count=1 -run 'TestServeSQL|TestDifferentialTransport' .
 # Compiled statements: the shared plan cache takes concurrent get/put
 # from every session while DDL bumps the catalog version, and the

@@ -222,13 +222,20 @@ func replyErr(reply *nsqlwire.Reply, err error) {
 	}
 }
 
-// FormatStats renders an aggregate Stats snapshot as the one-line
-// summary nsqlsh prints for \stats.
+// FormatStats renders an aggregate Stats snapshot as the summary nsqlsh
+// prints for \stats. A served database adds the socket's line: frames
+// each way and how many of them shared a write (the frame flush of
+// wire.Writer at work), counted since the listener opened.
 func FormatStats(s Stats) string {
-	return fmt.Sprintf("messages=%d (%d KB, %d remote)  disk reads=%d writes=%d blocks=%d  audit=%d KB in %d flushes  commits=%d\nplan cache: hits=%d misses=%d (%.0f%%) invalidations=%d evictions=%d entries=%d\n",
+	out := fmt.Sprintf("messages=%d (%d KB, %d remote)  disk reads=%d writes=%d blocks=%d  audit=%d KB in %d flushes  commits=%d\nplan cache: hits=%d misses=%d (%.0f%%) invalidations=%d evictions=%d entries=%d\n",
 		s.Messages, s.MessageBytes/1024, s.RemoteMsgs,
 		s.DiskReads, s.DiskWrites, s.BlocksRead,
 		s.AuditBytes/1024, s.AuditFlushes, s.Commits,
 		s.PlanCache.Hits, s.PlanCache.Misses, 100*s.PlanCache.HitRate(),
 		s.PlanCache.Invalidations, s.PlanCache.Evictions, s.PlanCache.Entries)
+	if w := s.Wire; w.Conns > 0 {
+		out += fmt.Sprintf("wire: frames in=%d out=%d  reads=%d writes=%d (%.2f frames/write)  conns=%d\n",
+			w.FramesIn, w.FramesOut, w.Reads, w.Writes, w.FramesPerWrite(), w.Conns-w.Disconnects)
+	}
+	return out
 }
