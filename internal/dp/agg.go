@@ -2,6 +2,7 @@ package dp
 
 import (
 	"bytes"
+	"hash/maphash"
 	"slices"
 
 	"nonstopsql/internal/cache"
@@ -12,36 +13,49 @@ import (
 	"nonstopsql/internal/record"
 )
 
-// aggGroup is one GROUP BY group of the current message. Its bytes live
-// in aggMem.block: the order-preserving key encoding the groups are found
-// and ordered by, then the key fields' wire encoding the reply ships. Its
-// partials are aggMem.partials[part : part+len(agg.Cols)]. A group is
-// three offsets and an index, not a heap object.
+// aggGroup is one GROUP BY group the conversation holds. Its bytes live in
+// aggMem.block: the order-preserving key encoding the groups are found and
+// ordered by, then the key fields' wire encoding the reply ships. Its
+// partials are aggMem.partials[part : part+len(agg.Cols)]. A group is five
+// numbers, not a heap object.
 type aggGroup struct {
 	off, keyEnd, end uint32 // block[off:keyEnd] key bytes, block[keyEnd:end] encoded key values
 	part             uint32
+	size             uint32 // what the group's reply entry weighs now (fsdp.GroupLen)
 }
 
-// aggMem is the arenas one AGG message accumulates its groups in. The
-// groups are per-message, the memory per-conversation: a message takes it
-// from the Subset Control Block and finishAgg hands it back emptied, so
-// after a conversation's first message a new group costs no allocation —
-// and with a 4 KiB reply budget ending a message every seventy-odd new
-// groups, "per new group" is close to "per record".
+// aggMem is an AGG conversation's groups, in three arenas and a hash table
+// on its Subset Control Block. The groups are per-conversation: they ride
+// from one message to the next, folding in every qualifying record, and
+// leave in one piece — finishAgg ships them all and empties the arenas —
+// when the entries fill a reply block or the range is exhausted. So the
+// memory is one block's worth however many records or groups the subset
+// has, a group the conversation already holds costs no allocation and no
+// reply bytes when a later message meets it again, and the arenas'
+// capacity is kept across a ship. Nothing here outlives the SCB: when it
+// is retired — Done, CLOSE^SUBSET, a failed message, the transaction's
+// end, a crash — the half-built aggregate goes with it.
 type aggMem struct {
 	block    []byte            // key bytes and encoded key values, group after group
-	groups   []aggGroup        // in key-byte order
+	groups   []aggGroup        // in the order they appeared; sorted by key bytes to ship
+	table    []uint32          // open-addressed by the key bytes' hash: index into groups, plus one
 	partials []fsdp.AggPartial // len(agg.Cols) per group, in the order groups appeared
 	kb       []byte            // the record at hand's group key
+	bytes    int               // sum of the groups' sizes: the entries' bytes if shipped now
 }
 
 // aggregate serves AGG^FIRST/NEXT: the Disk Process folds the subset's
 // qualifying records through the decomposable aggregate program and
 // replies with one compact partial state per group — rows never cross
-// the interface. Groups are per-message: each reply carries the groups
-// this message's records touched, and the File System merges partials
-// across re-drives and partitions, so the Disk Process's memory stays
-// bounded by the per-message row budget, not the group count.
+// the interface. The groups belong to the conversation, not the message:
+// a message that ends on the row or time budget replies with LastKey and
+// no entries, and the entries ship only on the full sequential block
+// buffer condition — measured in the bytes they will occupy — or when the
+// range is exhausted. The File System merges what arrives across blocks
+// and partitions, so the Disk Process's memory stays bounded by one reply
+// block, and a subset costs messages in proportion to its rows over the
+// row budget plus its groups over the block, not one per block of new
+// group keys.
 var aggregate = &subsetKind{first: fsdp.KAggFirst,
 	open: func(r *subsetRun) (err error) {
 		r.s.agg, err = fsdp.DecodeAggSpec(r.req.Agg)
@@ -52,7 +66,7 @@ var aggregate = &subsetKind{first: fsdp.KAggFirst,
 }
 
 func visitAgg(r *subsetRun, _, _ []byte, rec *record.View) (bool, error) {
-	spec, m := r.s.agg, &r.agg
+	spec, m := r.s.agg, &r.s.aggMem
 	kb := m.kb[:0]
 	for _, g := range spec.GroupBy {
 		if g < 0 || g >= rec.Len() {
@@ -61,12 +75,11 @@ func visitAgg(r *subsetRun, _, _ []byte, rec *record.View) (bool, error) {
 		kb = rec.AppendKey(kb, g)
 	}
 	m.kb = kb
-	// The groups stay sorted by key bytes: found by binary search, shipped
-	// in that order by finishAgg with no sort.
-	at, ok := slices.BinarySearchFunc(m.groups, kb, func(g aggGroup, kb []byte) int {
-		return bytes.Compare(m.block[g.off:g.keyEnd], kb)
-	})
-	if !ok {
+	if 2*len(m.groups) >= len(m.table) {
+		m.grow() // at most half full, and grown before the slot is taken
+	}
+	at := m.slot(kb)
+	if *at == 0 {
 		gr := aggGroup{off: uint32(len(m.block)), part: uint32(len(m.partials))}
 		m.block = append(m.block, kb...)
 		gr.keyEnd = uint32(len(m.block))
@@ -75,12 +88,11 @@ func visitAgg(r *subsetRun, _, _ []byte, rec *record.View) (bool, error) {
 		}
 		gr.end = uint32(len(m.block))
 		m.partials = append(m.partials, make([]fsdp.AggPartial, len(spec.Cols))...)
-		m.groups = slices.Insert(m.groups, at, gr)
-		// A new group grows the reply by its key plus the fixed-size
-		// partial states; charge that against the block budget.
-		r.batch.bytes += len(kb) + 16*(len(spec.GroupBy)+len(spec.Cols))
+		m.groups = append(m.groups, gr)
+		*at = uint32(len(m.groups))
 	}
-	partials := m.partials[m.groups[at].part:]
+	g := &m.groups[*at-1]
+	partials := m.partials[g.part : int(g.part)+len(spec.Cols)]
 	for i, c := range spec.Cols {
 		if c.Star {
 			partials[i].Count++
@@ -95,23 +107,58 @@ func visitAgg(r *subsetRun, _, _ []byte, rec *record.View) (bool, error) {
 		}
 		partials[i].Feed(c.Fn, v) // Feed copies a MIN/MAX value it keeps
 	}
+	// The block budget is charged what the entries weigh: a new group its
+	// whole entry, a group already held only what this record grew it by
+	// (a varint's next byte, a longer MIN/MAX string) — usually nothing.
+	size := fsdp.GroupLen(len(spec.GroupBy), int(g.end-g.keyEnd), partials)
+	m.bytes += size - int(g.size)
+	g.size = uint32(size)
+	r.batch.bytes = m.bytes
 	return true, nil
 }
 
-// finishAgg ships the groups in key-byte order: deterministic replies
-// make the conversation reproducible message-for-message. Every entry is
-// appended to one buffer and cut out of it.
+var aggSeed = maphash.MakeSeed()
+
+// slot returns the table slot that names kb's group (its index in groups,
+// plus one) or, still zero, the slot where a new group with that key goes.
+func (m *aggMem) slot(kb []byte) *uint32 {
+	mask := uint64(len(m.table) - 1)
+	for i := maphash.Bytes(aggSeed, kb) & mask; ; i = (i + 1) & mask {
+		at := &m.table[i]
+		if *at == 0 {
+			return at
+		}
+		if g := &m.groups[*at-1]; bytes.Equal(m.block[g.off:g.keyEnd], kb) {
+			return at
+		}
+	}
+}
+
+// grow doubles the table and names every group in it again.
+func (m *aggMem) grow() {
+	m.table = make([]uint32, max(64, 2*len(m.table)))
+	for i := range m.groups {
+		g := &m.groups[i]
+		*m.slot(m.block[g.off:g.keyEnd]) = uint32(i + 1)
+	}
+}
+
+// finishAgg ships the conversation's groups when the block is full or the
+// range is exhausted, and otherwise leaves them on the SCB for the
+// re-drive. They ship in key-byte order: deterministic replies make the
+// conversation reproducible message-for-message. Every entry is appended
+// to one buffer and cut out of it.
 func finishAgg(r *subsetRun) error {
-	spec, m := r.s.agg, &r.agg
+	spec, m := r.s.agg, &r.s.aggMem
+	if !r.reply.Done && m.bytes < r.d.cfg.MaxReplyBytes {
+		return nil // the row or time budget ended the message
+	}
+	slices.SortFunc(m.groups, func(a, b aggGroup) int {
+		return bytes.Compare(m.block[a.off:a.keyEnd], m.block[b.off:b.keyEnd])
+	})
 	ncols := len(spec.Cols)
 	r.reply.Rows = make([][]byte, 0, len(m.groups))
-	// Sized for numeric partials (a long MIN/MAX string just grows it):
-	// the block less its key bytes, which do not ship.
-	size := len(m.block) + len(m.groups)*(1+14*ncols)
-	for _, g := range m.groups {
-		size -= int(g.keyEnd - g.off)
-	}
-	out := make([]byte, 0, size)
+	out := make([]byte, 0, m.bytes)
 	for _, g := range m.groups {
 		n := len(out)
 		out = fsdp.AppendGroup(out, len(spec.GroupBy), m.block[g.keyEnd:g.end], m.partials[g.part:int(g.part)+ncols])
@@ -119,7 +166,8 @@ func finishAgg(r *subsetRun) error {
 	}
 	r.reply.Count = uint32(len(m.groups))
 	clear(m.partials) // drop MIN/MAX strings
-	r.s.aggMem = aggMem{block: m.block[:0], groups: m.groups[:0], partials: m.partials[:0], kb: m.kb[:0]}
+	clear(m.table)
+	m.block, m.groups, m.partials, m.bytes = m.block[:0], m.groups[:0], m.partials[:0], 0
 	return nil
 }
 
@@ -176,6 +224,7 @@ func (d *DP) probeBlock(req *fsdp.Request) *fsdp.Reply {
 	}
 
 	batch := d.newBatch(req.RowLimit)
+	defer batch.tally()
 	reply := &fsdp.Reply{Done: true}
 	var rec record.View
 	probesDone := 0
@@ -190,13 +239,12 @@ func (d *DP) probeBlock(req *fsdp.Request) *fsdp.Reply {
 		matched := false
 		scanErr := f.tree.ScanClass(rng, false, cache.Keyed, func(key, val []byte) (bool, error) {
 			batch.processed++
-			d.stats.rowsScanned.Add(1)
 			if err := rec.Reset(val); err != nil {
 				return false, err
 			}
 			keep := true
 			if pred != nil {
-				d.stats.predicateEvals.Add(1)
+				batch.evals++
 				var err error
 				if keep, err = expr.SatisfiedView(pred, &rec); err != nil {
 					return false, err
@@ -209,9 +257,9 @@ func (d *DP) probeBlock(req *fsdp.Request) *fsdp.Reply {
 				reply.Rows = append(reply.Rows, append([]byte(nil), val...))
 				reply.RowKeys = append(reply.RowKeys, append([]byte(nil), key...))
 				batch.bytes += len(val)
-				d.stats.rowsReturned.Add(1)
+				batch.returned++
 			} else {
-				d.stats.rowsFiltered.Add(1)
+				batch.filtered++
 			}
 			return true, nil
 		})

@@ -16,8 +16,11 @@ import (
 // serves the same request over 1000 and over 3000 records in ONE message
 // (the budgets are lifted out of the way) and looks at the difference:
 // the per-message constant cancels, and what is left is the cost of 2000
-// more records. A regression here is a decode, a boxed value or a
-// per-row buffer that crept back under the subset skeleton.
+// more records. The re-drive case puts those records in a conversation's
+// SECOND message, after a 100-record ^FIRST opened the group: the groups
+// are the conversation's, so meeting one again costs nothing there
+// either. A regression here is a decode, a boxed value or a per-row
+// buffer that crept back under the subset skeleton.
 func TestAllocationCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -51,6 +54,9 @@ func TestAllocationCeilings(t *testing.T) {
 		{"AGG^FIRST COUNT(*), SUM into a group the message already has",
 			fsdp.Request{Kind: fsdp.KAggFirst, Pred: salary(expr.OpGE, 0), Agg: agg(2)},
 			0, func(r *fsdp.Reply) bool { return len(r.Rows) == 1 }},
+		{"AGG re-drive into groups the conversation already has",
+			fsdp.Request{Kind: fsdp.KAggFirst, Pred: salary(expr.OpGE, 0), Agg: agg(2), RowLimit: 100}, // ^FIRST takes 100, its ^NEXT the rest
+			0, func(r *fsdp.Reply) bool { return len(r.Rows) == 1 }},
 		{"GET^FIRST^VSBB with a projection, every record returned",
 			fsdp.Request{Kind: fsdp.KGetFirstVSBB, Proj: []int{1, 3}, Pred: salary(expr.OpGE, 0)},
 			16, func(r *fsdp.Reply) bool { return uint32(len(r.Rows)) == r.Examined }},
@@ -63,6 +69,15 @@ func TestAllocationCeilings(t *testing.T) {
 			req := c.req
 			req.File, req.Range = "EMP", keys.Range{High: key1(records)}
 			serve := func() {
+				req, records := req, records
+				if req.RowLimit > 0 {
+					first := d.Serve(&req)
+					if !first.OK() || first.Done || len(first.Rows) != 0 || first.Examined != req.RowLimit {
+						t.Fatalf("%s: ^FIRST %+v", c.name, first)
+					}
+					req = fsdp.Request{Kind: req.Kind.Next(), File: "EMP", SCB: first.SCB, Range: req.Range.Continue(first.LastKey)}
+					records -= int64(first.Examined)
+				}
 				reply := d.Serve(&req)
 				if !reply.OK() || !reply.Done || int64(reply.Examined) != records || !c.check(reply) {
 					t.Fatalf("%s over %d records: %+v", c.name, records, reply)

@@ -194,7 +194,7 @@ type scb struct {
 	proj    []int
 	assigns []expr.Assignment
 	agg     *fsdp.AggSpec // partial-aggregate program (AGG^FIRST/NEXT)
-	aggMem  aggMem        // its arenas, between one message and the conversation's next
+	aggMem  aggMem        // the groups folded so far and not yet shipped
 	// class is the cache access class derived once at ^FIRST time and
 	// reused by every re-drive: a re-drive's range always has Low set
 	// (the continuation key), so re-deriving from the range would

@@ -32,22 +32,32 @@ func (d *DP) lookupSCB(id uint32) (*scb, error) {
 	return s, nil
 }
 
+// retireSCB drops a Subset Control Block and whatever the conversation
+// kept on it; a re-drive that names it afterwards is refused.
+func (d *DP) retireSCB(id uint32) {
+	d.mu.Lock()
+	delete(d.scbs, id)
+	d.mu.Unlock()
+}
+
 // closeSubset serves KCloseSubset: discard an SCB before exhaustion.
 func (d *DP) closeSubset(req *fsdp.Request) *fsdp.Reply {
-	d.mu.Lock()
-	delete(d.scbs, req.SCB)
-	d.mu.Unlock()
+	d.retireSCB(req.SCB)
 	return &fsdp.Reply{}
 }
 
 // batchState tracks the per-message limits of the continuation re-drive
-// protocol: reply-buffer bytes, rows processed, and elapsed time.
+// protocol — reply-buffer bytes, rows processed, and elapsed time — and
+// the message's share of the record counters, which tally adds to the
+// Disk Process's totals once, when the message ends.
 type batchState struct {
 	d         *DP
 	start     time.Time
 	bytes     int
 	processed int
 	maxRows   int
+
+	evals, filtered, returned int
 }
 
 // newBatch starts limit tracking for one set-oriented request message.
@@ -59,6 +69,17 @@ func (d *DP) newBatch(rowLimit uint32) batchState {
 		b.maxRows = int(rowLimit)
 	}
 	return b
+}
+
+// tally adds the message's record counts to the Disk Process's counters:
+// four atomic adds per message, not per record, and the totals are whole
+// at every message boundary, a failed message's included.
+func (b *batchState) tally() {
+	st := &b.d.stats
+	st.rowsScanned.Add(uint64(b.processed))
+	st.predicateEvals.Add(uint64(b.evals))
+	st.rowsFiltered.Add(uint64(b.filtered))
+	st.rowsReturned.Add(uint64(b.returned))
 }
 
 // full reports whether the current request message must end and a
@@ -118,7 +139,6 @@ type subsetRun struct {
 	// growth copies them to a new array and leaves the old one to the
 	// slices cut from it.
 	block []byte
-	agg   aggMem // AGG: this message's groups, in the conversation's arenas
 }
 
 // subset serves every ^FIRST/^NEXT conversation kind. It owns the
@@ -127,7 +147,9 @@ type subsetRun struct {
 // the message budget, tracking LastKey and the scanned / predicate /
 // filtered counters; hand each qualifying record to the kind's visitor;
 // lock the virtual block [first qualifying key, LastKey] as a group; and
-// retain the SCB when a re-drive is wanted, retire it when Done.
+// retain the SCB when a re-drive is wanted, retire it when Done — or when
+// the message fails: a kind may have folded half a message into its SCB
+// (AGG), so a conversation does not outlive its first error.
 func (d *DP) subset(req *fsdp.Request, k *subsetKind) *fsdp.Reply {
 	f, err := d.getFile(req.File)
 	if err != nil {
@@ -162,11 +184,15 @@ func (d *DP) subset(req *fsdp.Request, k *subsetKind) *fsdp.Reply {
 		}
 	}
 	s, reply := r.s, r.reply
-	// Take the conversation's arenas for this message; finishAgg hands
-	// them back emptied, and a message that fails just drops them.
-	r.agg, s.aggMem = s.aggMem, aggMem{}
+	fail := func(err error) *fsdp.Reply {
+		if !isFirst {
+			d.retireSCB(req.SCB)
+		}
+		return errReply(err)
+	}
 
 	r.batch = d.newBatch(req.RowLimit)
+	defer r.batch.tally()
 	groupLock := req.Tx != 0 && !k.mutates
 	scanErr := f.tree.ScanClass(req.Range, d.cfg.Prefetch, s.class, func(key, val []byte) (bool, error) {
 		if r.batch.full() {
@@ -176,7 +202,6 @@ func (d *DP) subset(req *fsdp.Request, k *subsetKind) *fsdp.Reply {
 			return false, nil
 		}
 		r.batch.processed++
-		d.stats.rowsScanned.Add(1)
 		reply.LastKey = append(reply.LastKey[:0], key...)
 
 		// The record is read where it lies: validated whole, then reached
@@ -185,13 +210,13 @@ func (d *DP) subset(req *fsdp.Request, k *subsetKind) *fsdp.Reply {
 			return false, err
 		}
 		if s.pred != nil {
-			d.stats.predicateEvals.Add(1)
+			r.batch.evals++
 			keep, err := expr.SatisfiedView(s.pred, &r.rec)
 			if err != nil {
 				return false, err
 			}
 			if !keep {
-				d.stats.rowsFiltered.Add(1)
+				r.batch.filtered++
 				return true, nil
 			}
 		}
@@ -201,11 +226,11 @@ func (d *DP) subset(req *fsdp.Request, k *subsetKind) *fsdp.Reply {
 		return k.visit(r, key, val, &r.rec)
 	})
 	if scanErr != nil {
-		return errReply(scanErr)
+		return fail(scanErr)
 	}
 	if k.finish != nil {
 		if err := k.finish(r); err != nil {
-			return errReply(err)
+			return fail(err)
 		}
 	}
 
@@ -220,7 +245,7 @@ func (d *DP) subset(req *fsdp.Request, k *subsetKind) *fsdp.Reply {
 		}
 		blockRange := keys.Range{Low: r.firstKey, High: reply.LastKey, HighIncl: true}
 		if err := d.locks.Acquire(req.Tx, req.File, blockRange, mode); err != nil {
-			return errReply(err)
+			return fail(err)
 		}
 		d.joinTx(req.Tx)
 	}
@@ -234,10 +259,7 @@ func (d *DP) subset(req *fsdp.Request, k *subsetKind) *fsdp.Reply {
 		}
 	} else {
 		if !isFirst {
-			// Exhausted: retire the SCB.
-			d.mu.Lock()
-			delete(d.scbs, req.SCB)
-			d.mu.Unlock()
+			d.retireSCB(req.SCB) // exhausted
 		}
 		if k.mutates {
 			d.idleWork() // write-behind of the strings this subset dirtied
@@ -287,7 +309,7 @@ func visitGet(r *subsetRun, key, val []byte, rec *record.View) (bool, error) {
 	r.reply.Rows = append(r.reply.Rows, b[keyEnd:len(b):len(b)])
 	r.batch.bytes += len(b) - keyEnd
 	r.block = b
-	r.d.stats.rowsReturned.Add(1)
+	r.batch.returned++
 	if r.s.limit > 0 {
 		r.s.delivered++
 		// Conversation-wide row budget filled (Top-N / LIMIT pushdown):

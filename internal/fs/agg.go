@@ -14,10 +14,15 @@ import (
 // This file is the File System half of partial-aggregate pushdown
 // (AGG^FIRST/NEXT): fan the conversation out across the file's
 // partitions, then merge the per-group partial states the Disk
-// Processes ship back. Rows never cross the interface — each reply
-// carries one compact entry per group touched by that message, so a
-// GROUP BY over millions of records costs messages proportional to the
-// partition count and the group count, not the row count.
+// Processes ship back. Rows never cross the interface, and a Disk
+// Process keeps a conversation's groups on its Subset Control Block from
+// message to message: a re-drive's reply carries no entries unless a
+// reply block filled with them, and the groups arrive when the block is
+// full or the range is done. So a GROUP BY costs each partition its rows
+// over the per-message row budget plus its groups over the reply block
+// in messages, and a group crosses once per block that carried it — not
+// once per message that met it. The merge below does not care which
+// reply carries which group, or how often.
 
 // AggGroup is one merged group: its GROUP BY key values and one partial
 // state per AggSpec column.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 
 	"nonstopsql/internal/record"
@@ -207,6 +208,23 @@ func AppendGroup(b []byte, nkeys int, keyFields []byte, partials []AggPartial) [
 	}
 	return b
 }
+
+// GroupLen returns len(AppendGroup(nil, nkeys, keyFields, partials)) for
+// keyFields of the given length, without encoding: what the Disk Process
+// charges a group against the reply block while it is still folding
+// records into it.
+func GroupLen(nkeys, keyFieldsLen int, partials []AggPartial) int {
+	n := uvarintLen(uint64(nkeys)) + keyFieldsLen
+	for i := range partials {
+		p := &partials[i]
+		n += varintLen(p.Count) + varintLen(p.SumI) + 8 + 1 + record.ValueLen(p.Val)
+	}
+	return n
+}
+
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+func varintLen(x int64) int { return uvarintLen(uint64(x)<<1 ^ uint64(x>>63)) } // zig-zag, as binary.AppendVarint
 
 // DecodeGroup parses one group entry produced by AppendGroup into the
 // caller's scratch: key values are appended to keyVals[:0] and ncols

@@ -255,20 +255,26 @@ func appendSlices(b []byte, vs [][]byte) []byte {
 	return b
 }
 
-func takeSlices(b []byte) ([][]byte, []byte, error) {
+// takeCount reads the count of a repeated field. Every element costs at
+// least one byte, so a count larger than what is left of the message is
+// hostile or damaged: it is refused here, before anybody sizes a slice
+// by it.
+func takeCount(b []byte) (uint64, []byte, error) {
 	n, sz := binary.Uvarint(b)
-	if sz <= 0 {
-		return nil, nil, fmt.Errorf("fsdp: truncated slice count")
+	if sz <= 0 || n > uint64(len(b)-sz) {
+		return 0, nil, fmt.Errorf("fsdp: bad element count")
 	}
-	b = b[sz:]
-	if n == 0 {
-		return nil, b, nil
+	return n, b[sz:], nil
+}
+
+func takeSlices(b []byte) ([][]byte, []byte, error) {
+	n, b, err := takeCount(b)
+	if err != nil || n == 0 {
+		return nil, b, err
 	}
 	out := make([][]byte, n)
 	for i := range out {
-		var err error
-		out[i], b, err = takeBytes(b)
-		if err != nil {
+		if out[i], b, err = takeBytes(b); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -396,11 +402,9 @@ func DecodeRequest(b []byte) (*Request, error) {
 	if q.Pred, b, err = takeBytes(b); err != nil {
 		return nil, err
 	}
-	u, n = binary.Uvarint(b)
-	if n <= 0 {
-		return nil, fmt.Errorf("fsdp: bad projection count")
+	if u, b, err = takeCount(b); err != nil {
+		return nil, err
 	}
-	b = b[n:]
 	if u > 0 {
 		q.Proj = make([]int, u)
 		for i := range q.Proj {

@@ -389,17 +389,22 @@ func Encode(r Row) []byte {
 func EncodedLen(r Row) int {
 	n := uvarintLen(uint64(len(r)))
 	for _, v := range r {
-		n++ // the tag
-		switch v.Kind {
-		case TypeInt:
-			n += uvarintLen(uint64(v.I)<<1 ^ uint64(v.I>>63)) // zig-zag, as binary.AppendVarint
-		case TypeFloat:
-			n += 8
-		case TypeString:
-			n += uvarintLen(uint64(len(v.S))) + len(v.S)
-		}
+		n += ValueLen(v)
 	}
 	return n
+}
+
+// ValueLen returns len(AppendValue(nil, v)) without encoding.
+func ValueLen(v Value) int {
+	switch v.Kind {
+	case TypeInt:
+		return 1 + uvarintLen(uint64(v.I)<<1^uint64(v.I>>63)) // zig-zag, as binary.AppendVarint
+	case TypeFloat:
+		return 1 + 8
+	case TypeString:
+		return 1 + uvarintLen(uint64(len(v.S))) + len(v.S)
+	}
+	return 1 // the tag says it all: NULL, TRUE, FALSE
 }
 
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }

@@ -211,7 +211,7 @@ func (a *access) fetch(s *Session, tx *tmf.Tx, az *analyzeState) (fetched, error
 	case a.op == opAgg:
 		groups, st, err := s.fs.Agg(tx, a.def, a.rng, a.pred, a.agg)
 		if az != nil && err == nil {
-			az.scanNode(fmt.Sprintf("partial aggregation %s (AGG^FIRST/NEXT)", a.def.Name), st)
+			az.scanNode(fmt.Sprintf("partial aggregation %s (AGG^FIRST/NEXT)", a.def.Name), st).Entries = true
 		}
 		return fetched{groups: groups}, err
 	}

@@ -24,7 +24,14 @@ type NodeActuals struct {
 	Redrives   uint64 // continuation messages beyond each ^FIRST
 	Bytes      uint64 // encoded request + reply bytes
 
-	RowsReturned uint64 // rows delivered to the requester
+	// RowsReturned is what the replies carried to the requester: rows, or
+	// for a COUNT node the count. An AGG^FIRST/NEXT node sets Entries: its
+	// replies carry per-group partial states, and RowsReturned counts those
+	// — one per group per reply block that shipped it, so a partition whose
+	// groups fit one block returns each group once however many records
+	// and re-drives fed it. EXPLAIN ANALYZE prints it as "entries returned".
+	RowsReturned uint64
+	Entries      bool
 	RowsExamined uint64 // records the DPs visited (server-reported)
 	BlocksRead   uint64 // physical reads at the DPs
 	CacheHits    uint64 // buffer-pool hits at the DPs
@@ -66,10 +73,11 @@ type analyzeState struct {
 	nodes []NodeActuals
 }
 
-// scanNode records a node measured by its own ScanStats.
-func (az *analyzeState) scanNode(label string, st fs.ScanStats) {
+// scanNode records a node measured by its own ScanStats and returns it
+// (nil when not collecting) for the caller to qualify.
+func (az *analyzeState) scanNode(label string, st fs.ScanStats) *NodeActuals {
 	if az == nil {
-		return
+		return nil
 	}
 	az.nodes = append(az.nodes, NodeActuals{
 		Label:      label,
@@ -86,6 +94,7 @@ func (az *analyzeState) scanNode(label string, st fs.ScanStats) {
 		Wall: st.Wall,
 		Lat:  st.Lat,
 	})
+	return &az.nodes[len(az.nodes)-1]
 }
 
 // deltaNode records a requester-side node from network-counter deltas
@@ -183,7 +192,11 @@ func renderActuals(sb *strings.Builder, a *Analyze) {
 			}
 			sb.WriteByte('\n')
 		}
-		fmt.Fprintf(sb, "  rows returned=%d", n.RowsReturned)
+		unit := "rows"
+		if n.Entries {
+			unit = "entries"
+		}
+		fmt.Fprintf(sb, "  %s returned=%d", unit, n.RowsReturned)
 		if n.RowsExamined > 0 {
 			fmt.Fprintf(sb, " examined=%d", n.RowsExamined)
 		}

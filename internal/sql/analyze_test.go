@@ -165,6 +165,31 @@ func TestExplainAnalyzeNodes(t *testing.T) {
 			},
 		},
 		{
+			name: "group-by-pushdown",
+			stmt: "SELECT dept, COUNT(*), SUM(salary) FROM emp GROUP BY dept",
+			verify: func(t *testing.T, a *sql.Analyze, netReq, scanned, redrives, updated uint64) {
+				n := findNode(t, a, "partial aggregation EMP (AGG^FIRST/NEXT)")
+				// Entries, not rows: each of the 3 partitions ships each of
+				// its 3 groups once; the result has 3 rows.
+				if !n.Entries || n.RowsReturned != 9 || len(a.Result.Rows) != 3 {
+					t.Errorf("Entries = %v, returned = %d, result rows = %d; want true, 9, 3", n.Entries, n.RowsReturned, len(a.Result.Rows))
+				}
+				if !strings.Contains(a.Plan, "entries returned=9 examined=300") {
+					t.Errorf("the AGG node's actuals do not say entries:\n%s", a.Plan)
+				}
+				if n.RowsExamined != scanned || scanned != 300 {
+					t.Errorf("examined = %d, want 300 (DPs scanned %d)", n.RowsExamined, scanned)
+				}
+				if got := sumNodeMessages(a); got != netReq {
+					t.Errorf("node messages = %d, network counted %d requests", got, netReq)
+				}
+				if n.Redrives != redrives || n.Messages != uint64(n.Partitions)+n.Redrives {
+					t.Errorf("messages = %d, partitions %d, re-drives = %d, DPs counted %d",
+						n.Messages, n.Partitions, n.Redrives, redrives)
+				}
+			},
+		},
+		{
 			name: "update-expression-pushdown",
 			stmt: "UPDATE emp SET salary = salary + 1 WHERE empno < 150",
 			verify: func(t *testing.T, a *sql.Analyze, netReq, scanned, redrives, updated uint64) {

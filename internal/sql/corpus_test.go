@@ -34,7 +34,9 @@ var aggDiffQueries = []string{
 	"SELECT dept, COUNT(*) FROM m GROUP BY dept ORDER BY dept DESC",
 	"SELECT dept, COUNT(*) FROM m GROUP BY dept ORDER BY COUNT(*) DESC LIMIT 2",
 	"SELECT grade, MAX(pay) FROM m WHERE id >= 150 AND id < 250 GROUP BY grade",
-	"SELECT COUNT(DISTINCT dept) FROM m", // not decomposable: must fall back
+	"SELECT bonus, COUNT(*), SUM(pay) FROM m GROUP BY bonus", // groups cycling in key order
+	"SELECT id, COUNT(*), MAX(dept) FROM m GROUP BY id",      // every record a group
+	"SELECT COUNT(DISTINCT dept) FROM m",                     // not decomposable: must fall back
 	"SELECT dept, COUNT(DISTINCT grade) FROM m GROUP BY dept",
 }
 

@@ -33,9 +33,20 @@ func newDBOpts(t testing.TB, opts cluster.Options) *db {
 // edge semantics that make aggregates easy to get wrong at a distance:
 // empty inputs (MIN/MAX/SUM go NULL, COUNT goes 0), NULLs in both
 // group keys and aggregated columns, partitions contributing zero
-// rows to a group, and shapes that must fall back (DISTINCT).
+// rows to a group, and shapes that must fall back (DISTINCT). It runs
+// under the default message budgets, where every conversation here is one
+// message a partition, and again under budgets small enough that the
+// AGG^FIRST/NEXT conversation does everything it can do: messages the row
+// budget ends (no entries), blocks that fill and ship mid-range, and
+// groups met again after their block has gone.
 func TestAggPushdownDifferential(t *testing.T) {
-	d := newDB(t)
+	t.Run("default budgets", func(t *testing.T) { aggPushdownDifferential(t, newDB(t)) })
+	t.Run("16-row messages, 128-byte blocks", func(t *testing.T) {
+		aggPushdownDifferential(t, newDBOpts(t, cluster.Options{MaxRowsPerMsg: 16, MaxReplyBytes: 128}))
+	})
+}
+
+func aggPushdownDifferential(t *testing.T, d *db) {
 	d.exec(t, createM)
 	queries := aggDiffQueries
 

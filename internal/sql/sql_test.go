@@ -21,19 +21,7 @@ type db struct {
 
 func newDB(t testing.TB) *db {
 	t.Helper()
-	c, err := cluster.New(cluster.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	vols := []string{"$DATA1", "$DATA2", "$DATA3"}
-	for i, v := range vols {
-		if _, err := c.AddVolume(0, i%3, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cat := sql.NewCatalog(vols)
-	return &db{c: c, cat: cat, s: sql.NewSession(cat, c.NewFS(0, 0))}
+	return newDBOpts(t, cluster.Options{})
 }
 
 func (d *db) exec(t testing.TB, stmt string) *sql.Result {

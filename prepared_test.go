@@ -189,6 +189,8 @@ func TestPreparedDifferentialMatrixTCP(t *testing.T) {
 		"SELECT dept, COUNT(*) FROM m GROUP BY dept ORDER BY dept DESC",
 		"SELECT dept, COUNT(*) FROM m GROUP BY dept ORDER BY COUNT(*) DESC LIMIT 2",
 		"SELECT grade, MAX(pay) FROM m WHERE id >= 150 AND id < 250 GROUP BY grade",
+		"SELECT bonus, COUNT(*), SUM(pay) FROM m GROUP BY bonus",
+		"SELECT id, COUNT(*), MAX(dept) FROM m GROUP BY id",
 		"SELECT COUNT(DISTINCT dept) FROM m",
 		"SELECT dept, COUNT(DISTINCT grade) FROM m GROUP BY dept",
 		"SELECT o.id, i.label FROM outr o, innr i WHERE o.fk = i.k ORDER BY o.id",

@@ -68,8 +68,15 @@ go test -race -short -count=1 -run TestMoneyConservedUnderEviction ./internal/cl
 # group map, PROBE^BLOCK partial re-sends, scanner channels) and one DP
 # skeleton validates every ^NEXT against its SCB — run focused, with the
 # failed-conversation and foreign-SCB regressions, before the full suite.
+# The AGG^FIRST/NEXT groups ride on the SCB from message to message (PR
+# 21): the counted conversation tests (messages per row budget, a reply
+# never over a block and one entry, budget-ended messages empty, a lost
+# SCB fails the statement) run here too, and ten seconds of hostile bytes
+# go against the four fsdp decoders, whose element counts are now bounded
+# by the bytes behind them.
 go test -race -count=1 -run 'TestConversationDriver|TestFailedConversationRetiresSCB|TestParallelScan|TestAgg|TestProbe|TestReadByIndexBatch|TestScanLimit' ./internal/fs ./internal/fsdp
-go test -race -count=1 -run 'TestNextRefusedOnForeignSCB|TestVSBBRedriveProtocol|TestUpdateSubsetRedrive|TestConcurrentMixedWorkload' ./internal/dp
+go test -race -count=1 -run 'TestNextRefusedOnForeignSCB|TestVSBBRedriveProtocol|TestUpdateSubsetRedrive|TestConcurrentMixedWorkload|TestAgg' ./internal/dp
+go test -run '^$' -fuzz FuzzFsdp -fuzztime 10s ./internal/fsdp
 go test -race -count=1 -run 'TestAggPushdownDifferential|TestJoinProbeDifferential|TestLimitPushdownMessages|TestExplainIsThePlan' ./internal/sql
 # Deterministic short crash-point sweep first: every named fault point
 # fired, recovery invariants checked per point. Runs again inside the

@@ -135,6 +135,22 @@ var workload = []string{
 	`SELECT COUNT(*) FROM emp`,
 }
 
+// The AGG^FIRST/NEXT conversation past its first block: 300 rows whose grp
+// cycles through 100 values in key order (the groups ride the re-drives
+// and ship once), then a GROUP BY on the unique key (more groups than a
+// reply block holds: it ships full blocks and re-drives in between).
+func init() {
+	rows := make([]string, 300)
+	for i := range rows {
+		rows[i] = fmt.Sprintf(`(%d, %d, %d.5)`, i, i%100, i)
+	}
+	workload = append(workload,
+		`CREATE TABLE cyc (id INTEGER PRIMARY KEY, grp INTEGER, v FLOAT)`,
+		`INSERT INTO cyc VALUES `+strings.Join(rows, ", "),
+		`SELECT grp, COUNT(*), SUM(v) FROM cyc GROUP BY grp`,
+		`SELECT id, COUNT(*), SUM(v), MAX(grp) FROM cyc GROUP BY id`)
+}
+
 // TestDifferentialTransport runs the same workload over the in-process
 // transport and over TCP, against identically configured databases, and
 // demands byte-identical replies, identical message-network accounting,
