@@ -109,7 +109,7 @@ type Stats struct {
 	Requests       uint64
 	SetRequests    uint64 // set-oriented requests (incl. re-drives)
 	Redrives       uint64 // continuation replies (not Done)
-	RowsScanned    uint64 // records visited by set requests
+	RowsScanned    uint64 // records visited by set requests and READs
 	RowsReturned   uint64 // records sent back to the File System
 	RowsFiltered   uint64 // records rejected by a DP-side predicate
 	RowsUpdated    uint64
@@ -634,10 +634,15 @@ func (d *DP) readRecord(req *fsdp.Request) *fsdp.Reply {
 			return errReply(err)
 		}
 	}
+	// A READ examines one record and, when it is there, returns it: the
+	// same books a set request keeps, so records examined per record
+	// returned still reads 1 when point reads stop being one-record scans.
+	d.stats.rowsScanned.Add(1)
 	val, err := f.tree.Get(req.Key)
 	if err != nil {
 		return errReply(err)
 	}
+	d.stats.rowsReturned.Add(1)
 	return &fsdp.Reply{Rows: [][]byte{val}, RowKeys: [][]byte{req.Key}, Examined: 1}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"nonstopsql/internal/cluster"
 	"nonstopsql/internal/fs"
+	"nonstopsql/internal/record"
 	"nonstopsql/internal/sql"
 	"nonstopsql/internal/wisconsin"
 )
@@ -202,6 +203,29 @@ func E17(n int) (*E17Rows, *Table, error) {
 		})
 	}
 
+	// pk-read: the PK join's probes as the statements an application sends
+	// — one unique-key SELECT per record. A unique key is the paper's
+	// record-at-a-time READ ("pushdown" column); the same record through a
+	// point range (k >= ? AND k <= ?) is a one-record GET^FIRST
+	// conversation ("row-path" column), which is what the equality cost too
+	// before the SQL executor called READ. A message each either way; the
+	// READ's request carries a key, not a range, and its reply no Subset
+	// Control Block and no continuation key. SELECT *, because a READ
+	// returns the whole record: under a narrow projection of these
+	// 200-byte records the VSBB conversation moves fewer bytes than a READ
+	// does (83 KB against 124 KB for two columns), at the cost of the
+	// conversation.
+	pk, err := e17PointReads(r, sess, nPK)
+	if err != nil {
+		return nil, nil, fmt.Errorf("E17 pk-read: %w", err)
+	}
+	results = append(results, pk)
+	table.Rows = append(table.Rows, []string{
+		pk.Case, fmt.Sprintf("%d", pk.Rows),
+		u(pk.RowMsgs), u(pk.PushMsgs), f1(pk.MsgRatio) + "x",
+		u(pk.RowBytes / 1024), u(pk.PushBytes / 1024), f1(pk.ByteRatio) + "x",
+	})
+
 	// Reconciliation: EXPLAIN ANALYZE's aggregation node must account
 	// for exactly the messages the network counted (browse read — the
 	// statement is the only traffic).
@@ -270,10 +294,68 @@ func E17(n int) (*E17Rows, *Table, error) {
 	}
 
 	table.Notes = append(table.Notes,
+		fmt.Sprintf("pk-read is %d statements, SELECT * ... WHERE unique2 = k: \"row-path\" is the record through a point range (unique2 >= k AND unique2 <= k, a GET^FIRST conversation), \"pushdown\" through the unique key (READ)", nPK),
 		fmt.Sprintf("join probes travel %d keys per PROBE^BLOCK message; the PK join's %d probes cost ceil(%d/%d) conversations instead of %d",
 			fs.ProbeBatchSize, nPK, nPK, fs.ProbeBatchSize, nPK),
 		"both paths return byte-identical results for every case (checked each run); the GROUP BY node's actuals reconcile against msg.Network.Stats()",
 		"MIN over a CHAR(52) column is the row path's burden: every candidate row crosses the interface, while the aggregation subset ships one partial state per group per full reply block, or one in all",
 	)
 	return &E17Rows{Cases: results, Nodes: nodes}, table, nil
+}
+
+// e17PointReads fetches records 0..n-1 of WISC one statement each, by
+// unique key (READ) and by the point range that names the same record.
+func e17PointReads(r *rig, sess *sql.Session, n int) (E17Result, error) {
+	const cols = "SELECT * FROM WISC WHERE "
+	run := func(where, node string, nargs int) (string, uint64, uint64, error) {
+		p, err := sess.Prepare(cols + where)
+		if err != nil {
+			return "", 0, 0, err
+		}
+		args := make([]record.Value, nargs)
+		for i := range args {
+			args[i] = record.Int(0)
+		}
+		a, err := sess.ExplainAnalyzePrepared(p, args...)
+		if err != nil {
+			return "", 0, 0, err
+		}
+		if !strings.Contains(a.Plan, node) {
+			return "", 0, 0, fmt.Errorf("%q does not run as %q:\n%s", where, node, a.Plan)
+		}
+		r.c.Net.ResetStats()
+		var out strings.Builder
+		for k := 0; k < n; k++ {
+			for i := range args {
+				args[i] = record.Int(int64(k))
+			}
+			res, err := sess.ExecPrepared(p, args...)
+			if err != nil {
+				return "", 0, 0, err
+			}
+			out.WriteString(sql.FormatResult(res))
+		}
+		st := r.c.Net.Stats()
+		return out.String(), st.Requests, st.Bytes(), nil
+	}
+	viaRange, rangeMsgs, rangeBytes, err := run("unique2 >= ? AND unique2 <= ?", "actual scan WISC (RSBB)", 2)
+	if err != nil {
+		return E17Result{}, err
+	}
+	viaRead, readMsgs, readBytes, err := run("unique2 = ?", "actual read WISC (READ)", 1)
+	if err != nil {
+		return E17Result{}, err
+	}
+	if viaRead != viaRange {
+		return E17Result{}, fmt.Errorf("paths disagree\nREAD:\n%s\nrange:\n%s", viaRead, viaRange)
+	}
+	if readMsgs != uint64(n) || rangeMsgs != uint64(n) || readBytes >= rangeBytes {
+		return E17Result{}, fmt.Errorf("%d READs cost %d messages / %d bytes, the range form %d / %d: want a message each and fewer bytes by READ",
+			n, readMsgs, readBytes, rangeMsgs, rangeBytes)
+	}
+	return E17Result{
+		Case: "pk-read", Rows: n,
+		RowMsgs: rangeMsgs, PushMsgs: readMsgs, RowBytes: rangeBytes, PushBytes: readBytes,
+		MsgRatio: float64(rangeMsgs) / float64(readMsgs), ByteRatio: float64(rangeBytes) / float64(readBytes),
+	}, nil
 }

@@ -580,7 +580,7 @@ func shapeE16(t *testing.T, table *Table) {
 func shapeE17(t *testing.T, table *Table) {
 	rows := table.typed.(*E17Rows)
 	results, nodes := rows.Cases, rows.Nodes
-	if len(results) != 5 || len(table.Rows) != 5 {
+	if len(results) != 6 || len(table.Rows) != 6 {
 		t.Fatalf("%d results, %d table rows", len(results), len(table.Rows))
 	}
 	foundAgg := false

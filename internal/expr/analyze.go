@@ -1,14 +1,75 @@
 package expr
 
 import (
+	"fmt"
+	"slices"
+	"strings"
+
 	"nonstopsql/internal/keys"
 	"nonstopsql/internal/record"
 )
 
-// bound is one comparison constraint on a single key column.
+// bound is one comparison constraint on a single key column: the column
+// compared with a non-NULL constant (coerced to the column's type), or —
+// when the analysis reads a template — with a parameter slot where such a
+// constant will stand.
 type bound struct {
-	op Op
-	v  record.Value
+	op     Op
+	v      record.Value // the constant, or
+	slot   Param        // (isSlot) the slot
+	isSlot bool
+	ci     int // the conjunct it came from
+}
+
+// keyBounds sorts a predicate's top-level conjuncts of the form
+// KEYCOL op operand by key position. found reports whether there is one.
+func keyBounds(conjuncts []Expr, schema *record.Schema, slots bool) (byPos [][]bound, found bool) {
+	byPos = make([][]bound, len(schema.KeyFields))
+	for ci, c := range conjuncts {
+		col, b, ok := columnBound(c, schema, slots)
+		if !ok {
+			continue
+		}
+		if pos := keyPosition(schema, col); pos >= 0 {
+			b.ci = ci
+			byPos[pos] = append(byPos[pos], b)
+			found = true
+		}
+	}
+	return byPos, found
+}
+
+// walkKey is the rule that turns key-column bounds into a key span, stated
+// once for ExtractKeyRange and ExtractUniqueKey: walking the key columns in
+// key order, the first equality on each column extends the prefix; the
+// first column without one closes the span with whatever bounds it has.
+// It trims byPos to exactly the bounds the span absorbs — one equality
+// for each of the first eqs columns, the closing bounds at column eqs,
+// nothing after — so a second bound on an equality column, or any bound
+// past the closing column, stays in the residual.
+func walkKey(byPos [][]bound) (eqs int) {
+	for pos, bs := range byPos {
+		i := slices.IndexFunc(bs, func(b bound) bool { return b.op == OpEQ })
+		if i < 0 {
+			clear(byPos[pos+1:])
+			return pos
+		}
+		byPos[pos] = bs[i : i+1]
+	}
+	return len(byPos)
+}
+
+// residualOf conjoins every conjunct the walk did not absorb.
+func residualOf(conjuncts []Expr, absorbed [][]bound) Expr {
+	var residual []Expr
+	for ci, c := range conjuncts {
+		if !slices.ContainsFunc(absorbed, func(bs []bound) bool {
+			return slices.ContainsFunc(bs, func(b bound) bool { return b.ci == ci })
+		}) {
+			residual = append(residual, c)
+		}
+	}
+	return Conjoin(residual)
 }
 
 // ExtractKeyRange analyzes a predicate against a schema's primary key and
@@ -20,104 +81,104 @@ type bound struct {
 // bounded [begin-key, end-key] span in the set-oriented FS-DP request so
 // the Disk Process can use bulk I/O and pre-fetch over exactly the blocks
 // containing the span. Conjuncts of the form KEYCOL op CONSTANT on a
-// prefix of the key columns are absorbed: equality conjuncts extend the
-// prefix; the first non-equality bound closes the range. Everything else
-// (including absorbed conjuncts that were inequalities, which remain
-// necessary only when they were only partially absorbed — here they are
-// fully absorbed) stays in the residual.
+// prefix of the key columns are absorbed (walkKey); everything else stays
+// in the residual.
 func ExtractKeyRange(pred Expr, schema *record.Schema) (keys.Range, Expr) {
 	conjuncts := Conjuncts(pred)
-	used := make([]bool, len(conjuncts))
-
-	// Collect per-key-column constant bounds.
-	colBounds := make(map[int][]bound) // key position -> bounds
-	for ci, c := range conjuncts {
-		col, b, ok := constantBound(c, schema)
-		if !ok {
-			continue
-		}
-		pos := keyPosition(schema, col)
-		if pos < 0 {
-			continue
-		}
-		colBounds[pos] = append(colBounds[pos], bound{op: b.op, v: b.v})
-		used[ci] = true
-	}
-
-	// Walk key columns in key order: extend the equality prefix, then take
-	// range bounds on the next column, then stop.
-	var prefix []byte
-	r := keys.All()
-	lastKeyPos := len(schema.KeyFields) - 1
-	for pos := 0; pos < len(schema.KeyFields); pos++ {
-		bs := colBounds[pos]
-		if len(bs) == 0 {
-			break
-		}
-		if eq, ok := equalityOf(bs); ok {
-			key := eq.AppendKey(append([]byte(nil), prefix...))
-			if pos == lastKeyPos {
-				r = keys.Point(key)
-			} else {
-				prefix = key
-				r = keys.Prefix(prefix)
-				continue
-			}
-			break
-		}
-		// Non-equality bounds close the range at this column.
-		r = rangeFromBounds(prefix, bs, pos == lastKeyPos)
-		break
-	}
-	if len(colBounds) == 0 {
+	byPos, found := keyBounds(conjuncts, schema, false)
+	if !found {
 		// No key conjuncts at all: full range, whole predicate residual.
 		return keys.All(), pred
 	}
-
-	// Residual: every conjunct not absorbed into the range. Bounds on key
-	// columns beyond the closed range position were collected but not
-	// absorbed; conservatively keep any conjunct whose column's bounds were
-	// not folded in. We recompute which positions were folded.
-	folded := foldedPositions(colBounds, lastKeyPos)
-	var residual []Expr
-	for ci, c := range conjuncts {
-		if !used[ci] {
-			residual = append(residual, c)
-			continue
-		}
-		col, _, _ := constantBound(c, schema)
-		if !folded[keyPosition(schema, col)] {
-			residual = append(residual, c)
-		}
+	eqs := walkKey(byPos)
+	var prefix []byte
+	for _, eq := range byPos[:eqs] {
+		prefix = eq[0].v.AppendKey(prefix)
 	}
-	return r, Conjoin(residual)
+	r := keys.All()
+	switch {
+	case eqs == len(byPos):
+		r = keys.Point(prefix)
+	case len(byPos[eqs]) > 0:
+		r = rangeFromBounds(prefix, byPos[eqs], eqs == len(byPos)-1)
+	case eqs > 0:
+		r = keys.Prefix(prefix)
+	}
+	return r, residualOf(conjuncts, byPos)
 }
 
-// foldedPositions determines which key positions were absorbed into the
-// range by the same walk ExtractKeyRange performs.
-func foldedPositions(colBounds map[int][]bound, lastKeyPos int) map[int]bool {
-	out := make(map[int]bool)
-	for pos := 0; ; pos++ {
-		bs := colBounds[pos]
-		if len(bs) == 0 {
-			break
-		}
-		out[pos] = true
-		if _, ok := equalityOf(bs); ok {
-			if pos == lastKeyPos {
-				break
+// A UniqueKey is ExtractKeyRange done once, at compile time, for the
+// predicates it would turn into a point: an equality with a constant or a
+// parameter slot on every primary-key column. An execution encodes the key
+// straight from its values (Key) and evaluates Residual — still a
+// template — on the one record. Built on walkKey, so for the same values
+// Key returns the key of the point ExtractKeyRange(Substitute(pred, vals))
+// would return, and Residual substitutes to its residual.
+type UniqueKey struct {
+	Residual Expr
+
+	schema *record.Schema
+	at     []bound // per key position: the equality's constant or slot
+}
+
+// ExtractUniqueKey returns the unique-key form of a predicate template,
+// or nil when the predicate does not pin every key column (a key prefix
+// or a range is a subset, not a record).
+func ExtractUniqueKey(pred Expr, schema *record.Schema) *UniqueKey {
+	conjuncts := Conjuncts(pred)
+	byPos, _ := keyBounds(conjuncts, schema, true)
+	if eqs := walkKey(byPos); eqs == 0 || eqs < len(byPos) {
+		return nil
+	}
+	u := &UniqueKey{Residual: residualOf(conjuncts, byPos), schema: schema}
+	for _, eq := range byPos {
+		u.at = append(u.at, eq[0])
+	}
+	return u
+}
+
+// Key encodes the primary key for one execution's values, checking each
+// slot's value as Substitute would. ok is false when a key value is NULL:
+// an equality with NULL is never true, so no record qualifies.
+func (u *UniqueKey) Key(vals []record.Value) (key []byte, ok bool, err error) {
+	ok = true
+	for pos, at := range u.at {
+		v := at.v
+		if at.isSlot {
+			if v, err = paramValue(at.slot, vals); err != nil {
+				return nil, false, err
 			}
-			continue
+			v = coerceTo(u.schema, u.schema.KeyFields[pos], v)
 		}
-		break
+		if v.IsNull() {
+			ok = false
+		}
+		key = v.AppendKey(key)
 	}
-	return out
+	return key, ok, nil
 }
 
-// constantBound matches FieldRef op Const (either orientation) over
+// String renders the key as its equalities, in key order.
+func (u *UniqueKey) String() string {
+	var sb strings.Builder
+	for pos, at := range u.at {
+		if pos > 0 {
+			sb.WriteString(", ")
+		}
+		var operand Expr = Const{V: at.v}
+		if at.isSlot {
+			operand = at.slot
+		}
+		fmt.Fprintf(&sb, "%s = %s", u.schema.Fields[u.schema.KeyFields[pos]].Name, operand)
+	}
+	return sb.String()
+}
+
+// columnBound matches FieldRef op operand (either orientation) over
 // comparison operators and returns the field ordinal and normalized
-// bound (field on the left).
-func constantBound(e Expr, schema *record.Schema) (int, bound, bool) {
+// bound (field on the left). The operand is a non-NULL Const or, when
+// slots is set, a Param.
+func columnBound(e Expr, schema *record.Schema, slots bool) (int, bound, bool) {
 	b, ok := e.(Binary)
 	if !ok {
 		return 0, bound{}, false
@@ -127,14 +188,23 @@ func constantBound(e Expr, schema *record.Schema) (int, bound, bool) {
 	default:
 		return 0, bound{}, false
 	}
+	operand := func(f FieldRef, e Expr, op Op) (bound, bool) {
+		switch x := e.(type) {
+		case Const:
+			return bound{op: op, v: coerceTo(schema, f.Index, x.V)}, !x.V.IsNull()
+		case Param:
+			return bound{op: op, slot: x, isSlot: true}, slots
+		}
+		return bound{}, false
+	}
 	if f, ok := b.L.(FieldRef); ok {
-		if c, ok := b.R.(Const); ok && !c.V.IsNull() {
-			return f.Index, bound{op: b.Op, v: coerceTo(schema, f.Index, c.V)}, true
+		if bd, ok := operand(f, b.R, b.Op); ok {
+			return f.Index, bd, true
 		}
 	}
 	if f, ok := b.R.(FieldRef); ok {
-		if c, ok := b.L.(Const); ok && !c.V.IsNull() {
-			return f.Index, bound{op: flip(b.Op), v: coerceTo(schema, f.Index, c.V)}, true
+		if bd, ok := operand(f, b.L, flip(b.Op)); ok {
+			return f.Index, bd, true
 		}
 	}
 	return 0, bound{}, false
@@ -173,17 +243,6 @@ func keyPosition(schema *record.Schema, col int) int {
 		}
 	}
 	return -1
-}
-
-// equalityOf returns the single equality value when the bounds pin the
-// column to one value.
-func equalityOf(bs []bound) (record.Value, bool) {
-	for _, b := range bs {
-		if b.op == OpEQ {
-			return b.v, true
-		}
-	}
-	return record.Null, false
 }
 
 // rangeFromBounds builds the encoded range for inequality bounds on the

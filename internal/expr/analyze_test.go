@@ -1,6 +1,8 @@
 package expr
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"nonstopsql/internal/keys"
@@ -244,5 +246,128 @@ func TestSelectivityHint(t *testing.T) {
 	or := Bin(OpOr, rng, rng)
 	if s := SelectivityHint(or); s <= SelectivityHint(rng) {
 		t.Errorf("OR should widen: %v", s)
+	}
+}
+
+// TestUniqueKeyIsExtractKeyRangesPoint is the no-drift property: whenever
+// a template compiles to a unique key and an execution's key values are
+// not NULL, Key is byte for byte the point ExtractKeyRange finds after
+// substituting the same values, and the residuals agree — a FLOAT value on
+// an INTEGER key, flipped operands, repeated and contradictory bounds and
+// composite keys included. With a NULL key value Key reports that nothing
+// qualifies, and the substituted predicate indeed accepts no row.
+func TestUniqueKeyIsExtractKeyRangesPoint(t *testing.T) {
+	orders := ordersSchema(t)
+	sal := record.MustSchema("SAL", []record.Field{
+		{Name: "AMT", Type: record.TypeFloat, NotNull: true}, {Name: "WHO", Type: record.TypeString},
+	}, []int{0})
+	rng := rand.New(rand.NewSource(22))
+	randVal := func() record.Value {
+		switch rng.Intn(6) {
+		case 0:
+			return record.Null
+		case 1:
+			return record.Float(float64(rng.Intn(8)) + 0.5*float64(rng.Intn(2)))
+		}
+		return record.Int(int64(rng.Intn(8)))
+	}
+	compiled, nulls := 0, 0
+	for i := 0; i < 4000; i++ {
+		schema := orders
+		if i%4 == 0 {
+			schema = sal
+		}
+		nSlots := 0
+		operand := func() Expr {
+			if rng.Intn(2) == 0 {
+				nSlots++
+				return Param{Index: nSlots - 1}
+			}
+			return C(randVal())
+		}
+		var tmpl Expr
+		for n := 1 + rng.Intn(5); n > 0; n-- {
+			col := rng.Intn(len(schema.Fields))
+			op := OpEQ
+			if rng.Intn(4) == 0 {
+				op = []Op{OpLT, OpLE, OpGT, OpGE, OpNE}[rng.Intn(5)]
+			}
+			c := Bin(op, F(col, schema.Fields[col].Name), operand())
+			switch rng.Intn(8) {
+			case 0:
+				c = Bin(op, c.(Binary).R, c.(Binary).L)
+			case 1:
+				c = Bin(OpOr, c, Bin(OpEQ, F(0, schema.Fields[0].Name), operand()))
+			}
+			tmpl = And(tmpl, c)
+		}
+		vals := make([]record.Value, nSlots)
+		for j := range vals {
+			vals[j] = randVal()
+		}
+		u := ExtractUniqueKey(tmpl, schema)
+		if u == nil {
+			continue
+		}
+		compiled++
+		sub, err := Substitute(tmpl, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, ok, err := u.Key(vals)
+		if err != nil {
+			t.Fatalf("%s with %v: %v", tmpl, vals, err)
+		}
+		if !ok {
+			nulls++
+			for trial := 0; trial < 50; trial++ {
+				row := record.Row{randVal(), randVal(), randVal(), randVal()}[:len(schema.Fields)]
+				if sat, err := Satisfied(sub, row); err == nil && sat {
+					t.Fatalf("%s: Key says a NULL key value qualifies nothing, but %v satisfies it", sub, row)
+				}
+			}
+			continue
+		}
+		r, res := ExtractKeyRange(sub, schema)
+		if !reflect.DeepEqual(r, keys.Point(key)) {
+			t.Fatalf("%s with %v: compiled key %x, ExtractKeyRange %v", tmpl, vals, key, r)
+		}
+		ures, err := Substitute(u.Residual, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ures, res) {
+			t.Fatalf("%s with %v: compiled residual %v, ExtractKeyRange's %v", tmpl, vals, ures, res)
+		}
+	}
+	if compiled < 200 || nulls < 20 {
+		t.Fatalf("only %d templates compiled to a unique key (%d with a NULL value): the generator no longer reaches the rule", compiled, nulls)
+	}
+
+	// What is not a unique key: a key prefix, a range that happens to be a
+	// point, an equality with a literal NULL.
+	for _, pred := range []Expr{
+		Bin(OpEQ, F(0, "CUSTNO"), Param{Index: 0}),
+		And(Bin(OpEQ, F(0, "CUSTNO"), CInt(1)), And(Bin(OpGE, F(1, "ORDNO"), CInt(2)), Bin(OpLE, F(1, "ORDNO"), CInt(2)))),
+		And(Bin(OpEQ, F(0, "CUSTNO"), CInt(1)), Bin(OpEQ, F(1, "ORDNO"), C(record.Null))),
+		nil,
+	} {
+		if u := ExtractUniqueKey(pred, orders); u != nil {
+			t.Errorf("%v compiled to the unique key %s", pred, u)
+		}
+	}
+}
+
+// TestExtractKeyRangeKeepsWhatItDoesNotAbsorb: only the equality that
+// extends the prefix is absorbed; a second, contradicting bound on the same
+// column must stay in the residual (it was silently dropped).
+func TestExtractKeyRangeKeepsWhatItDoesNotAbsorb(t *testing.T) {
+	emp := empSchema(t)
+	id := F(0, "EMPNO")
+	for _, other := range []Expr{Bin(OpEQ, id, CInt(7)), Bin(OpGT, id, CInt(7))} {
+		r, res := ExtractKeyRange(And(Bin(OpEQ, id, CInt(5)), other), emp)
+		if !reflect.DeepEqual(r, keys.Point(keys.AppendInt64(nil, 5))) || !reflect.DeepEqual(res, other) {
+			t.Errorf("EMPNO = 5 AND %s: range %v residual %v", other, r, res)
+		}
 	}
 }

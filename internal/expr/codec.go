@@ -16,6 +16,21 @@ const (
 	nodeParam = 5
 )
 
+// Bounds on what Decode accepts. The bytes are a message off the network,
+// so the decoder refuses shapes no encoder here produces before they cost
+// anything.
+const (
+	// maxDepth caps operator nesting. decodeExpr recurses once per level,
+	// and a stack overflow is fatal — no recover catches it — so 16 MiB of
+	// unary operators must be an error. The SQL parser nests one level per
+	// operator in a left-deep chain; the deepest compiled statement in the
+	// tests, examples and benchmark nests under 20.
+	maxDepth = 1024
+	// maxOrdinal caps a field ordinal or parameter slot, which index a
+	// record and a parameter vector of at most a few hundred entries.
+	maxOrdinal = 1<<16 - 1
+)
+
 // Encode serializes an expression for the FS-DP wire. A nil expression
 // encodes to an empty slice.
 func Encode(e Expr) []byte {
@@ -54,7 +69,7 @@ func Decode(b []byte) (Expr, error) {
 	if len(b) == 0 {
 		return nil, nil
 	}
-	e, rest, err := decodeExpr(b)
+	e, rest, err := decodeExpr(b, maxDepth)
 	if err != nil {
 		return nil, err
 	}
@@ -64,9 +79,23 @@ func Decode(b []byte) (Expr, error) {
 	return e, nil
 }
 
-func decodeExpr(b []byte) (Expr, []byte, error) {
+// ordinal reads a field ordinal or parameter slot.
+func ordinal(b []byte) (int, int, error) {
+	v, n := binary.Uvarint(b)
+	if n <= 0 || v > maxOrdinal {
+		return 0, 0, fmt.Errorf("expr: bad ordinal")
+	}
+	return int(v), n, nil
+}
+
+// decodeExpr decodes one node and its operands, which may nest depth
+// levels further.
+func decodeExpr(b []byte, depth int) (Expr, []byte, error) {
 	if len(b) == 0 {
 		return nil, nil, fmt.Errorf("expr: truncated expression")
+	}
+	if depth == 0 {
+		return nil, nil, fmt.Errorf("expr: nested deeper than %d operators", maxDepth)
 	}
 	tag, rest := b[0], b[1:]
 	switch tag {
@@ -77,9 +106,9 @@ func decodeExpr(b []byte) (Expr, []byte, error) {
 		}
 		return Const{V: v}, rest, nil
 	case nodeField:
-		idx, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return nil, nil, fmt.Errorf("expr: bad field index")
+		idx, n, err := ordinal(rest)
+		if err != nil {
+			return nil, nil, err
 		}
 		rest = rest[n:]
 		l, n := binary.Uvarint(rest)
@@ -87,17 +116,17 @@ func decodeExpr(b []byte) (Expr, []byte, error) {
 			return nil, nil, fmt.Errorf("expr: bad field name")
 		}
 		name := string(rest[n : n+int(l)])
-		return FieldRef{Index: int(idx), Name: name}, rest[n+int(l):], nil
+		return FieldRef{Index: idx, Name: name}, rest[n+int(l):], nil
 	case nodeBin:
 		if len(rest) == 0 {
 			return nil, nil, fmt.Errorf("expr: truncated binary op")
 		}
 		op := Op(rest[0])
-		l, rest, err := decodeExpr(rest[1:])
+		l, rest, err := decodeExpr(rest[1:], depth-1)
 		if err != nil {
 			return nil, nil, err
 		}
-		r, rest, err := decodeExpr(rest)
+		r, rest, err := decodeExpr(rest, depth-1)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -107,7 +136,7 @@ func decodeExpr(b []byte) (Expr, []byte, error) {
 			return nil, nil, fmt.Errorf("expr: truncated unary op")
 		}
 		op := Op(rest[0])
-		e, rest, err := decodeExpr(rest[1:])
+		e, rest, err := decodeExpr(rest[1:], depth-1)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -117,11 +146,11 @@ func decodeExpr(b []byte) (Expr, []byte, error) {
 			return nil, nil, fmt.Errorf("expr: truncated parameter")
 		}
 		hint := record.Type(rest[0])
-		idx, n := binary.Uvarint(rest[1:])
-		if n <= 0 {
-			return nil, nil, fmt.Errorf("expr: bad parameter index")
+		idx, n, err := ordinal(rest[1:])
+		if err != nil {
+			return nil, nil, err
 		}
-		return Param{Index: int(idx), Hint: hint}, rest[1+n:], nil
+		return Param{Index: idx, Hint: hint}, rest[1+n:], nil
 	}
 	return nil, nil, fmt.Errorf("expr: unknown node tag %d", tag)
 }
@@ -148,11 +177,16 @@ func DecodeAssignments(b []byte) ([]Assignment, error) {
 		return nil, fmt.Errorf("expr: bad assignment header")
 	}
 	b = b[sz:]
+	// n is untrusted; an assignment is a field, a length and at least one
+	// byte of expression.
+	if n > uint64(len(b))/3 {
+		return nil, fmt.Errorf("expr: %d assignments in %d bytes", n, len(b))
+	}
 	out := make([]Assignment, 0, n)
 	for i := uint64(0); i < n; i++ {
-		f, sz := binary.Uvarint(b)
-		if sz <= 0 {
-			return nil, fmt.Errorf("expr: bad assignment field")
+		f, sz, err := ordinal(b)
+		if err != nil {
+			return nil, err
 		}
 		b = b[sz:]
 		l, sz := binary.Uvarint(b)
@@ -160,14 +194,14 @@ func DecodeAssignments(b []byte) ([]Assignment, error) {
 			return nil, fmt.Errorf("expr: bad assignment body")
 		}
 		b = b[sz:]
-		e, rest, err := decodeExpr(b[:l])
+		e, rest, err := decodeExpr(b[:l], maxDepth)
 		if err != nil {
 			return nil, err
 		}
 		if len(rest) != 0 {
 			return nil, fmt.Errorf("expr: trailing assignment bytes")
 		}
-		out = append(out, Assignment{Field: int(f), E: e})
+		out = append(out, Assignment{Field: f, E: e})
 		b = b[l:]
 	}
 	if len(b) != 0 {

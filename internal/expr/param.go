@@ -48,12 +48,9 @@ func Substitute(e Expr, params []record.Value) (Expr, error) {
 func subst(e Expr, params []record.Value) (Expr, bool, error) {
 	switch n := e.(type) {
 	case Param:
-		if n.Index < 0 || n.Index >= len(params) {
-			return nil, false, errEval("parameter ?%d out of range (%d supplied)", n.Index+1, len(params))
-		}
-		v := params[n.Index]
-		if err := CheckHint(n.Hint, v); err != nil {
-			return nil, false, fmt.Errorf("%w in slot ?%d", err, n.Index+1)
+		v, err := paramValue(n, params)
+		if err != nil {
+			return nil, false, err
 		}
 		return Const{V: v}, true, nil
 	case Binary:
@@ -80,6 +77,19 @@ func subst(e Expr, params []record.Value) (Expr, bool, error) {
 		return Unary{Op: n.Op, E: sub}, true, nil
 	}
 	return e, false, nil
+}
+
+// paramValue is the value params holds for slot p, checked against the
+// slot's type hint.
+func paramValue(p Param, params []record.Value) (record.Value, error) {
+	if p.Index < 0 || p.Index >= len(params) {
+		return record.Null, errEval("parameter ?%d out of range (%d supplied)", p.Index+1, len(params))
+	}
+	v := params[p.Index]
+	if err := CheckHint(p.Hint, v); err != nil {
+		return record.Null, fmt.Errorf("%w in slot ?%d", err, p.Index+1)
+	}
+	return v, nil
 }
 
 // CheckHint validates a parameter value against a binder type hint.

@@ -38,6 +38,9 @@ var (
 	ErrDeadlock    = errors.New("fs: deadlock")
 	ErrLockTimeout = errors.New("fs: lock wait timeout")
 	ErrConstraint  = errors.New("fs: CHECK constraint violated")
+	// ErrProtocol is a reply that decodes but is not an answer to the
+	// request that was sent.
+	ErrProtocol = errors.New("fs: protocol violation")
 )
 
 func replyErr(reply *fsdp.Reply) error {

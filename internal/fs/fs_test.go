@@ -8,7 +8,9 @@ import (
 	"nonstopsql/internal/cluster"
 	"nonstopsql/internal/expr"
 	"nonstopsql/internal/fs"
+	"nonstopsql/internal/fsdp"
 	"nonstopsql/internal/keys"
+	"nonstopsql/internal/msg"
 	"nonstopsql/internal/record"
 )
 
@@ -714,5 +716,40 @@ func TestDropRemovesFragments(t *testing.T) {
 	}
 	if _, err := r.c.DP("$DATA2").CountFile("EMP.NAME"); err == nil {
 		t.Error("index fragment survived drop")
+	}
+}
+
+// TestReadRefusesARowlessOK: READ indexed the reply's rows without
+// counting them, so an OK reply carrying none — a relay, a confused backup
+// under SetFollowerReads, hostile bytes on the wire transport — panicked
+// the session's goroutine. It is a protocol error now. The stub servers
+// also say where a READ goes: under a transaction or with follower reads
+// off, to the partition's primary; a browse READ with them on, to its
+// backup.
+func TestReadRefusesARowlessOK(t *testing.T) {
+	net := msg.NewNetwork()
+	row := record.Encode(empRow(7, "alice", "eng", 1))
+	for name, reply := range map[string]*fsdp.Reply{
+		"$X":                     {},                                              // OK, and nothing
+		"$X" + fsdp.BackupSuffix: {Rows: [][]byte{row}, RowKeys: [][]byte{ik(7)}}, // a well-formed READ reply
+	} {
+		raw := fsdp.EncodeReply(reply)
+		if _, err := net.StartServer(name, msg.ProcessorID{CPU: 1}, 1, func([]byte) []byte { return raw }); err != nil {
+			t.Fatal(err)
+		}
+		defer net.StopServer(name)
+	}
+	f := fs.New(net.NewClient(msg.ProcessorID{}), nil)
+	def := &fs.FileDef{Name: "EMP", Schema: empSchema(), Partitions: []fs.Partition{{Server: "$X"}}}
+
+	if got, err := f.Read(nil, def, ik(7), false); !errors.Is(err, fs.ErrProtocol) {
+		t.Fatalf("READ answered OK without a record: row %v, err %v; want fs.ErrProtocol", got, err)
+	}
+	f.SetFollowerReads(true)
+	if got, err := f.Read(nil, def, ik(7), false); err != nil || got[1].S != "alice" {
+		t.Fatalf("browse READ with follower reads on: row %v, err %v; want the backup's record", got, err)
+	}
+	if got, err := f.Read(f.Begin(), def, ik(7), false); !errors.Is(err, fs.ErrProtocol) {
+		t.Fatalf("READ under a transaction with follower reads on: row %v, err %v; want the primary's (rowless) reply", got, err)
 	}
 }

@@ -100,6 +100,11 @@ func (f *FS) Read(tx *tmf.Tx, def *FileDef, key []byte, forUpdate bool) (record.
 	if err := replyErr(reply); err != nil {
 		return nil, err
 	}
+	if len(reply.Rows) != 1 {
+		// Not a reply a Disk Process gives a READ: a relay, a confused
+		// backup, or hostile bytes on the wire transport.
+		return nil, fmt.Errorf("%w: READ %s from %s answered OK with %d records", ErrProtocol, def.Name, server, len(reply.Rows))
+	}
 	return record.Decode(reply.Rows[0])
 }
 

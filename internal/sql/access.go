@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -9,8 +10,6 @@ import (
 	"nonstopsql/internal/fs"
 	"nonstopsql/internal/fsdp"
 	"nonstopsql/internal/keys"
-	"nonstopsql/internal/msg"
-	"nonstopsql/internal/obs"
 	"nonstopsql/internal/record"
 	"nonstopsql/internal/tmf"
 )
@@ -47,7 +46,8 @@ type accessVia uint8
 const (
 	viaScan  accessVia = iota // the key range peeled off the predicate, or the whole file
 	viaProbe                  // secondary-index probe, then base-file reads by primary key
-	viaNone                   // not at all: LIMIT 0 is answered before any conversation opens
+	viaRead                   // the paper's record-at-a-time READ: one record by its unique key
+	viaNone                   // not at all: LIMIT 0, or a NULL key value, is answered before any message is sent
 )
 
 // tableQuery is one single-variable query as compiled: everything about
@@ -56,6 +56,7 @@ type tableQuery struct {
 	def     *fs.FileDef
 	op      accessOp
 	pred    expr.Expr         // bound predicate template
+	key     *expr.UniqueKey   // opRows: pred pins every primary-key column, so the access is a READ
 	assigns []expr.Assignment // opUpdate: SET templates
 	slots   int               // values the templates wait for (statement markers, a join's outer values)
 	proj    []int             // opRows: columns the executor reads (nil = the whole record)
@@ -75,7 +76,8 @@ type tableQuery struct {
 // tableQuery starts the single-variable query for op over def: no row
 // limit, the session's pushdown setting.
 func (s *Session) tableQuery(def *fs.FileDef, op accessOp, pred expr.Expr) tableQuery {
-	return tableQuery{def: def, op: op, pred: pred, slots: expr.NumParams(pred), limit: -1, pushdown: s.pushdown}
+	return tableQuery{def: def, op: op, pred: pred, key: expr.ExtractUniqueKey(pred, def.Schema),
+		slots: expr.NumParams(pred), limit: -1, pushdown: s.pushdown}
 }
 
 // access is the decision for one execution of a tableQuery: what crosses
@@ -87,11 +89,13 @@ type access struct {
 	pending       bool // the predicate still waits for values: no path is chosen, pred is the template
 	requesterSide bool
 
-	rng     keys.Range   // viaScan: the primary-key range
-	idx     *fs.IndexDef // viaProbe: probe idx for val
-	val     record.Value //
-	pred    expr.Expr    // evaluated at the Disk Process — after a probe, by the requester
-	proj    []int        // projected at the Disk Process (opRows via scan)
+	rng     keys.Range      // viaScan: the primary-key range
+	idx     *fs.IndexDef    // viaProbe: probe idx for val
+	val     record.Value    //
+	unique  *expr.UniqueKey // viaRead, or pending with the READ already decided: the compiled key
+	key     []byte          // viaRead: the key, encoded from this execution's values
+	pred    expr.Expr       // evaluated at the Disk Process — after a probe or a READ, by the requester
+	proj    []int           // projected at the Disk Process (opRows via scan)
 	assigns []expr.Assignment
 	agg     *fsdp.AggSpec
 
@@ -111,6 +115,8 @@ type fetched struct {
 
 // access substitutes vals into the templates and chooses the access path:
 //
+//  0. rows by a unique key — decided at compile time — are a READ: the
+//     key is encoded straight from vals, nothing is substituted or peeled,
 //  1. peel the primary-key range off the predicate (bounded subset),
 //  2. else probe a secondary index on an equality conjunct — for rows,
 //     and for writes that run requester-side anyway,
@@ -126,6 +132,10 @@ func (q *tableQuery) access(vals []record.Value) (access, error) {
 	pred := q.pred
 	if len(vals) >= q.slots {
 		var err error
+		if q.op == opRows && q.key != nil {
+			err = a.read(q, vals)
+			return a, err
+		}
 		if pred, err = expr.Substitute(pred, vals); err != nil {
 			return a, err
 		}
@@ -134,6 +144,9 @@ func (q *tableQuery) access(vals []record.Value) (access, error) {
 		}
 	} else if expr.HasParams(pred) {
 		a.pending, a.pred, a.proj = true, pred, q.proj
+		if q.op == opRows {
+			a.unique = q.key
+		}
 		return a, nil
 	}
 	a.rng, a.pred = expr.ExtractKeyRange(pred, q.def.Schema)
@@ -159,6 +172,25 @@ func (q *tableQuery) access(vals []record.Value) (access, error) {
 		a.budgetAtDP = a.budget > 0 && q.pushdown
 	}
 	return a, nil
+}
+
+// read makes a the READ of q's unique key for vals. The whole record
+// comes back, so there is no projection; the residual predicate is the
+// requester's to evaluate on it. A NULL key value equals nothing and
+// LIMIT 0 wants nothing: neither sends a message.
+func (a *access) read(q *tableQuery, vals []record.Value) error {
+	key, ok, err := q.key.Key(vals)
+	if err != nil {
+		return err
+	}
+	if a.pred, err = expr.Substitute(q.key.Residual, vals); err != nil {
+		return err
+	}
+	a.via, a.unique, a.key, a.budget = viaRead, q.key, key, q.limit
+	if !ok || a.budget == 0 {
+		a.via = viaNone
+	}
+	return nil
 }
 
 // indexProbe finds an equality conjunct on an indexed column.
@@ -199,6 +231,9 @@ func (a *access) fetch(s *Session, tx *tmf.Tx, az *analyzeState) (fetched, error
 		return fetched{}, nil
 	case a.via == viaProbe:
 		return a.fetchProbe(s, tx, az)
+	case a.via == viaRead:
+		rows, err := a.fetchRead(s, tx, az)
+		return fetched{rows: rows}, err
 	case a.op == opRows:
 		rows, err := a.fetchScan(s, tx, az)
 		return fetched{rows: rows}, err
@@ -280,17 +315,36 @@ func (a *access) fetchScan(s *Session, tx *tmf.Tx, az *analyzeState) ([]record.R
 	return out, err
 }
 
+// fetchRead sends the one READ. Under a transaction the Disk Process
+// locks the key before it looks, found or not.
+func (a *access) fetchRead(s *Session, tx *tmf.Tx, az *analyzeState) ([]record.Row, error) {
+	from := az.mark(s)
+	var rows []record.Row
+	row, err := s.fs.Read(tx, a.def, a.key, false)
+	switch {
+	case errors.Is(err, fs.ErrNotFound):
+	case err != nil:
+		return nil, err
+	default:
+		keep, err := expr.Satisfied(a.pred, row)
+		if err != nil {
+			return nil, err
+		}
+		if keep {
+			rows = []record.Row{row}
+		}
+	}
+	if n := az.deltaNode(fmt.Sprintf("read %s (READ)", a.def.Name), from, len(rows)); n != nil {
+		n.RowsExamined = 1
+	}
+	return rows, nil
+}
+
 // fetchProbe reads the records matching the probe value through the
 // index, filters them by the full predicate in the requester, and — for
 // a write — applies it record by record with index maintenance.
 func (a *access) fetchProbe(s *Session, tx *tmf.Tx, az *analyzeState) (fetched, error) {
-	var d0 msg.Stats
-	var l0 obs.Snapshot
-	var t0 time.Time
-	if az != nil {
-		d0, l0 = s.fs.Network().Stats(), s.fs.Network().LatencyAll()
-		t0 = time.Now()
-	}
+	from := az.mark(s)
 	rows, err := s.fs.ReadByIndex(tx, a.def, a.idx, a.val)
 	if err != nil {
 		return fetched{}, err
@@ -308,15 +362,11 @@ func (a *access) fetchProbe(s *Session, tx *tmf.Tx, az *analyzeState) (fetched, 
 			out = append(out, row)
 		}
 	}
-	if az != nil {
-		az.deltaNode(fmt.Sprintf("index probe %s.%s", a.def.Name, a.idx.Name),
-			d0, s.fs.Network().Stats(), l0, s.fs.Network().LatencyAll(),
-			len(out), time.Since(t0))
-	}
+	az.deltaNode(fmt.Sprintf("index probe %s.%s", a.def.Name, a.idx.Name), from, len(out))
 	if a.op == opRows {
 		return fetched{rows: out}, nil
 	}
-	t0 = time.Now()
+	t0 := time.Now()
 	for _, row := range out {
 		key := a.def.Schema.Key(row)
 		if a.op == opDelete {

@@ -97,22 +97,43 @@ func (az *analyzeState) scanNode(label string, st fs.ScanStats) *NodeActuals {
 	return &az.nodes[len(az.nodes)-1]
 }
 
-// deltaNode records a requester-side node from network-counter deltas
-// taken around it. Exact only when this session is the network's sole
-// requester during the node (true in tests and the interactive shell).
-func (az *analyzeState) deltaNode(label string, before, after msg.Stats, latBefore, latAfter obs.Snapshot, rows int, wall time.Duration) {
-	if az == nil {
-		return
+// netMark is the network's counters at the start of a requester-side
+// node (the zero mark when not collecting).
+type netMark struct {
+	net  *msg.Network
+	msgs msg.Stats
+	lat  obs.Snapshot
+	at   time.Time
+}
+
+// mark reads the counters of the network s sends through, for deltaNode.
+func (az *analyzeState) mark(s *Session) (m netMark) {
+	if az != nil {
+		m.net = s.fs.Network()
+		m.msgs, m.lat, m.at = m.net.Stats(), m.net.LatencyAll(), time.Now()
 	}
-	latAfter.Sub(latBefore)
+	return m
+}
+
+// deltaNode records a requester-side node from the network-counter deltas
+// since from and returns it (nil when not collecting) for the caller to
+// qualify. Exact only when this session is the network's sole requester
+// during the node (true in tests and the interactive shell).
+func (az *analyzeState) deltaNode(label string, from netMark, rows int) *NodeActuals {
+	if az == nil {
+		return nil
+	}
+	after, lat := from.net.Stats(), from.net.LatencyAll()
+	lat.Sub(from.lat)
 	az.nodes = append(az.nodes, NodeActuals{
 		Label:        label,
-		Messages:     after.Requests - before.Requests,
-		Bytes:        after.Bytes() - before.Bytes(),
+		Messages:     after.Requests - from.msgs.Requests,
+		Bytes:        after.Bytes() - from.msgs.Bytes(),
 		RowsReturned: uint64(rows),
-		Wall:         wall,
-		Lat:          latAfter,
+		Wall:         time.Since(from.at),
+		Lat:          lat,
 	})
+	return &az.nodes[len(az.nodes)-1]
 }
 
 // localNode records a requester-only node (sort, aggregate): no

@@ -295,6 +295,56 @@ func TestExplainAnalyzeWisconsin1pct(t *testing.T) {
 	}
 }
 
+// TestExplainAnalyzeRead: the READ node reconciles with the message
+// system and the Disk Processes to the message, the byte and the record —
+// one request, its bytes and its reply's, one record examined, and one
+// returned by the Disk Process exactly when the key is there (the
+// requester's filter may still drop it).
+func TestExplainAnalyzeRead(t *testing.T) {
+	d := newDB(t)
+	setupPartitionedEmp(t, d, 300)
+	returned := func() (n uint64) {
+		for _, v := range testVolumes {
+			n += d.c.DP(v).Stats().RowsReturned
+		}
+		return n
+	}
+	for _, c := range []struct {
+		stmt            string
+		dpReturns, rows uint64
+	}{
+		{"SELECT name, salary FROM emp WHERE empno = 250", 1, 1},
+		{"SELECT name FROM emp WHERE empno = 250 AND dept = 'nowhere'", 1, 0},
+		{"SELECT name FROM emp WHERE empno = 999", 0, 0},
+	} {
+		net0, ret0 := d.c.Net.Stats(), returned()
+		scanned0, _, _, _ := dpTotals(d)
+		a, err := d.s.ExplainAnalyzeStmt(c.stmt)
+		if err != nil {
+			t.Fatalf("EXPLAIN ANALYZE %q: %v", c.stmt, err)
+		}
+		net1, ret1 := d.c.Net.Stats(), returned()
+		scanned1, _, _, _ := dpTotals(d)
+		n := findNode(t, a, "read EMP (READ)")
+		if len(a.Nodes) != 1 || n.Messages != 1 || n.Messages != net1.Requests-net0.Requests {
+			t.Errorf("%q: %d nodes, %d messages, the network counted %d requests", c.stmt, len(a.Nodes), n.Messages, net1.Requests-net0.Requests)
+		}
+		if n.Bytes == 0 || n.Bytes != net1.Bytes()-net0.Bytes() {
+			t.Errorf("%q: node bytes %d, the network moved %d", c.stmt, n.Bytes, net1.Bytes()-net0.Bytes())
+		}
+		if n.RowsExamined != 1 || scanned1-scanned0 != 1 || ret1-ret0 != c.dpReturns {
+			t.Errorf("%q: examined %d; the Disk Processes examined %d and returned %d, want 1 and %d",
+				c.stmt, n.RowsExamined, scanned1-scanned0, ret1-ret0, c.dpReturns)
+		}
+		if n.RowsReturned != c.rows || uint64(len(a.Result.Rows)) != c.rows {
+			t.Errorf("%q: node returned %d rows, the statement %d, want %d", c.stmt, n.RowsReturned, len(a.Result.Rows), c.rows)
+		}
+		if n.Lat.Count() != 1 {
+			t.Errorf("%q: %d latency samples for one message", c.stmt, n.Lat.Count())
+		}
+	}
+}
+
 // TestExplainAnalyzeDeletePushdown covers the DELETE^SUBSET node.
 func TestExplainAnalyzeDeletePushdown(t *testing.T) {
 	d := newDB(t)

@@ -109,6 +109,111 @@ var matrixParamCases = []struct {
 		[]record.Value{record.Int(5), record.Int(30)}},
 }
 
+// pointReadCases is the unique-key corpus: a SELECT whose predicate pins
+// the whole primary key (prep, with markers; adhoc, its literal twin), and
+// the same record named by a range the compiler cannot turn into a READ
+// (rng: k >= v AND k <= v). All three must return the same bytes. via is
+// the access EXPLAIN ANALYZE of prep must name ("" = not the point of the
+// case, or it varies with pushdown).
+var pointReadCases = []struct {
+	prep  string
+	args  []record.Value
+	adhoc string
+	rng   string
+	via   string
+}{
+	// Hit; miss before the first record, past the last, and in a partition
+	// with no records at all.
+	{"SELECT id, dept, pay FROM m WHERE id = ?", []record.Value{record.Int(42)},
+		"SELECT id, dept, pay FROM m WHERE id = 42",
+		"SELECT id, dept, pay FROM m WHERE id >= 42 AND id <= 42", "] via READ"},
+	{"SELECT * FROM m WHERE ? = id", []record.Value{record.Int(7)},
+		"SELECT * FROM m WHERE 7 = id",
+		"SELECT * FROM m WHERE id >= 7 AND id <= 7", "] via READ"},
+	{"SELECT id FROM m WHERE id = ?", []record.Value{record.Int(-5)},
+		"SELECT id FROM m WHERE id = -5",
+		"SELECT id FROM m WHERE id >= -5 AND id <= -5", "] via READ"},
+	{"SELECT id FROM m WHERE id = ?", []record.Value{record.Int(190)},
+		"SELECT id FROM m WHERE id = 190",
+		"SELECT id FROM m WHERE id >= 190 AND id <= 190", "] via READ"},
+	{"SELECT id FROM m WHERE id = ?", []record.Value{record.Int(1000)},
+		"SELECT id FROM m WHERE id = 1000",
+		"SELECT id FROM m WHERE id >= 1000 AND id <= 1000", "] via READ"},
+	// A NULL key value equals nothing; a FLOAT value on the INTEGER key
+	// encodes as a FLOAT key on every path.
+	{"SELECT id FROM m WHERE id = ?", []record.Value{record.Null},
+		"SELECT id FROM m WHERE id = NULL",
+		"SELECT id FROM m WHERE id >= NULL AND id <= NULL", "a NULL key value equals nothing"},
+	{"SELECT id, pay FROM m WHERE id = ?", []record.Value{record.Float(42)},
+		"SELECT id, pay FROM m WHERE id = 42.0",
+		"SELECT id, pay FROM m WHERE id >= 42.0 AND id <= 42.0", "] via READ"},
+	// Composite key: every column pinned is a record, in any order; a
+	// prefix is a subset and stays a scan.
+	{"SELECT v FROM ck WHERE a = ? AND b = ?", []record.Value{record.Int(2), record.Int(3)},
+		"SELECT v FROM ck WHERE a = 2 AND b = 3",
+		"SELECT v FROM ck WHERE a = 2 AND b >= 3 AND b <= 3", "] via READ"},
+	{"SELECT a, b, v FROM ck WHERE b = ? AND ? = a", []record.Value{record.Int(9), record.Int(5)},
+		"SELECT a, b, v FROM ck WHERE b = 9 AND 5 = a",
+		"SELECT a, b, v FROM ck WHERE a = 5 AND b >= 9 AND b <= 9", "] via READ"},
+	{"SELECT v FROM ck WHERE a = ? AND b = ?", []record.Value{record.Int(2), record.Null},
+		"SELECT v FROM ck WHERE a = 2 AND b = NULL",
+		"SELECT v FROM ck WHERE a = 2 AND b >= NULL AND b <= NULL", "a NULL key value equals nothing"},
+	{"SELECT b, v FROM ck WHERE a = ? ORDER BY b", []record.Value{record.Int(2)},
+		"SELECT b, v FROM ck WHERE a = 2 ORDER BY b",
+		"SELECT b, v FROM ck WHERE a >= 2 AND a <= 2 ORDER BY b", "via GET^FIRST/NEXT"},
+	// A residual predicate, true and false, literal and marker.
+	{"SELECT id FROM m WHERE id = ? AND dept = 'ENG'", []record.Value{record.Int(41)},
+		"SELECT id FROM m WHERE id = 41 AND dept = 'ENG'",
+		"SELECT id FROM m WHERE id >= 41 AND id <= 41 AND dept = 'ENG'", "requester filter"},
+	{"SELECT id FROM m WHERE id = ? AND dept = 'ENG'", []record.Value{record.Int(42)},
+		"SELECT id FROM m WHERE id = 42 AND dept = 'ENG'",
+		"SELECT id FROM m WHERE id >= 42 AND id <= 42 AND dept = 'ENG'", "requester filter"},
+	{"SELECT id, pay FROM m WHERE pay > ? AND id = ?", []record.Value{record.Float(10), record.Int(42)},
+		"SELECT id, pay FROM m WHERE pay > 10.0 AND id = 42",
+		"SELECT id, pay FROM m WHERE pay > 10.0 AND id >= 42 AND id <= 42", "requester filter"},
+	{"SELECT id, pay FROM m WHERE pay > ? AND id = ?", []record.Value{record.Float(100), record.Int(42)},
+		"SELECT id, pay FROM m WHERE pay > 100.0 AND id = 42",
+		"SELECT id, pay FROM m WHERE pay > 100.0 AND id >= 42 AND id <= 42", "requester filter"},
+	// A second bound on the key column is residual, not dropped.
+	{"SELECT id FROM m WHERE id = ? AND id = ?", []record.Value{record.Int(5), record.Int(7)},
+		"SELECT id FROM m WHERE id = 5 AND id = 7",
+		"SELECT id FROM m WHERE id >= 5 AND id <= 5 AND id >= 7 AND id <= 7", "] via READ"},
+	{"SELECT id FROM m WHERE id = ? AND id <= ?", []record.Value{record.Int(5), record.Int(5)},
+		"SELECT id FROM m WHERE id = 5 AND id <= 5",
+		"SELECT id FROM m WHERE id >= 5 AND id <= 5", "] via READ"},
+	// LIMIT and ORDER BY over one record.
+	{"SELECT id FROM m WHERE id = ? LIMIT 0", []record.Value{record.Int(42)},
+		"SELECT id FROM m WHERE id = 42 LIMIT 0",
+		"SELECT id FROM m WHERE id >= 42 AND id <= 42 LIMIT 0", "LIMIT 0 is answered"},
+	{"SELECT id FROM m WHERE id = ? LIMIT 1", []record.Value{record.Int(42)},
+		"SELECT id FROM m WHERE id = 42 LIMIT 1",
+		"SELECT id FROM m WHERE id >= 42 AND id <= 42 LIMIT 1", "] via READ"},
+	{"SELECT id, pay FROM m WHERE id = ? ORDER BY pay DESC", []record.Value{record.Int(42)},
+		"SELECT id, pay FROM m WHERE id = 42 ORDER BY pay DESC",
+		"SELECT id, pay FROM m WHERE id >= 42 AND id <= 42 ORDER BY pay DESC", "] via READ"},
+	{"SELECT id FROM m WHERE id = ? ORDER BY id LIMIT 1", []record.Value{record.Int(42)},
+		"SELECT id FROM m WHERE id = 42 ORDER BY id LIMIT 1",
+		"SELECT id FROM m WHERE id >= 42 AND id <= 42 ORDER BY id LIMIT 1", "] via READ"},
+	// Aggregates over one record: COUNT(*) keeps its own protocol; the
+	// others fold the READ's row in the requester when not pushed down.
+	{"SELECT COUNT(*) FROM m WHERE id = ?", []record.Value{record.Int(42)},
+		"SELECT COUNT(*) FROM m WHERE id = 42",
+		"SELECT COUNT(*) FROM m WHERE id >= 42 AND id <= 42", "via COUNT^FIRST/NEXT"},
+	{"SELECT MAX(pay), COUNT(bonus) FROM m WHERE id = ?", []record.Value{record.Int(40)},
+		"SELECT MAX(pay), COUNT(bonus) FROM m WHERE id = 40",
+		"SELECT MAX(pay), COUNT(bonus) FROM m WHERE id >= 40 AND id <= 40", ""},
+	// Joins: the outer side by unique key; the inner side by unique key
+	// per outer row (two join conjuncts are not batchable, and with
+	// pushdown off nothing is).
+	{"SELECT o.id, i.label FROM outr o, innr i WHERE o.id = ? AND o.fk = i.k", []record.Value{record.Int(8)},
+		"SELECT o.id, i.label FROM outr o, innr i WHERE o.id = 8 AND o.fk = i.k",
+		"SELECT o.id, i.label FROM outr o, innr i WHERE o.id >= 8 AND o.id <= 8 AND o.fk = i.k", "access OUTR: unique key ["},
+	{"SELECT o.id, i.label FROM outr o, innr i WHERE o.fk = i.k AND o.id = i.wt AND o.id < ? ORDER BY o.id", []record.Value{record.Int(50)},
+		"SELECT o.id, i.label FROM outr o, innr i WHERE o.fk = i.k AND o.id = i.wt AND o.id < 50 ORDER BY o.id",
+		"SELECT o.id, i.label FROM outr o, innr i WHERE o.fk >= i.k AND o.fk <= i.k AND o.id = i.wt AND o.id < 50 ORDER BY o.id",
+		"access INNR: unique key (K = "},
+}
+
 // loadJoinTables creates and fills OUTR (60 rows, NULL and duplicated
 // foreign keys) and INNR (80 rows over two partitions, indexed on label).
 func loadJoinTables(t testing.TB, d *db) {
@@ -155,10 +260,26 @@ func loadM(t testing.TB, d *db) {
 	d.exec(t, "COMMIT WORK")
 }
 
-// loadMatrix builds all three tables.
+// loadCK fills CK, the composite-key table: (a, b) for a in 0..5, b in
+// 0..9, over two partitions.
+func loadCK(t testing.TB, d *db) {
+	t.Helper()
+	d.exec(t, `CREATE TABLE ck (a INTEGER, b INTEGER, v VARCHAR(10), PRIMARY KEY (a, b))
+		PARTITION ON ("$DATA1", "$DATA2" FROM 3)`)
+	d.exec(t, "BEGIN WORK")
+	for a := 0; a < 6; a++ {
+		for b := 0; b < 10; b++ {
+			d.exec(t, "INSERT INTO ck VALUES ("+itoa(a)+", "+itoa(b)+", 'v"+itoa(a)+"."+itoa(b)+"')")
+		}
+	}
+	d.exec(t, "COMMIT WORK")
+}
+
+// loadMatrix builds all four tables.
 func loadMatrix(t testing.TB, d *db) {
 	t.Helper()
 	d.exec(t, createM)
 	loadM(t, d)
 	loadJoinTables(t, d)
+	loadCK(t, d)
 }

@@ -17,13 +17,14 @@ type describer interface {
 
 // Explain compiles a statement and describes the execution plan the
 // paper's query compiler would produce — which single-variable queries
-// the executor will issue, each access path (primary-key range, index
-// probe, or scan), the FS-DP interface chosen (VSBB vs RSBB), and what
-// travels to the Disk Process (pushed predicate, projection, update
-// expressions) vs what stays in the requester (residual filters, sorts,
-// aggregation). Text that still holds parameter markers has no values to
-// choose a path from: those choices print as made when the values are
-// known (EXPLAIN ANALYZE of a prepared statement has them).
+// the executor will issue, each access path (a READ by unique key, a
+// primary-key range, an index probe, or a scan), the FS-DP interface
+// chosen (VSBB vs RSBB), and what travels to the Disk Process (pushed
+// predicate, projection, update expressions) vs what stays in the
+// requester (residual filters, sorts, aggregation). Text that still
+// holds parameter markers has no values to choose a path from: those
+// choices print as made when the values are known (EXPLAIN ANALYZE of a
+// prepared statement has them).
 func (s *Session) Explain(src string) (string, error) {
 	p, err := s.peekOrCompile(src)
 	if err != nil {
@@ -129,12 +130,24 @@ func (a *access) describe(sb *strings.Builder, in string) {
 		}
 	case opRows:
 		switch {
+		case waits != "" && a.unique != nil:
+			fmt.Fprintf(sb, "%saccess %s: unique key (%s) via READ, or nothing for a NULL key value: %s\n", in, name, a.unique, waits)
+			return
 		case waits != "":
 			fmt.Fprintf(sb, "%saccess %s: primary-key range, index probe or scan, %s\n", in, name, waits)
 			a.describeProj(sb, in)
 			return
+		case a.via == viaNone && a.budget != 0:
+			fmt.Fprintf(sb, "%saccess %s: none (unique key (%s): a NULL key value equals nothing)\n", in, name, a.unique)
+			return
 		case a.via == viaNone:
 			fmt.Fprintf(sb, "%saccess %s: none (LIMIT 0 is answered before any conversation opens)\n", in, name)
+			return
+		case a.via == viaRead:
+			fmt.Fprintf(sb, "%saccess %s: unique key [%x] via READ\n", in, name, a.key)
+			if a.pred != nil {
+				fmt.Fprintf(sb, "%s  requester filter: %s\n", in, a.pred)
+			}
 			return
 		case a.via == viaProbe:
 			fmt.Fprintf(sb, "%saccess %s: index probe (%s = %s via %s), then base-file reads by primary key\n",
@@ -168,7 +181,7 @@ func (a *access) describe(sb *strings.Builder, in string) {
 // key-ordered scan lets a budget survive: Top-N).
 func (a *access) budgetNote(ordered bool) string {
 	switch {
-	case a.budget < 0 || a.via == viaNone:
+	case a.budget < 0 || a.via == viaNone || a.via == viaRead:
 		return ""
 	case ordered:
 		return " (Top-N: row budget pushed to Disk Processes)"

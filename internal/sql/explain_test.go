@@ -47,6 +47,8 @@ func claimedNodes(static string) []string {
 			}
 		case strings.Contains(line, ": none ("):
 			// No access: no node.
+		case strings.Contains(line, "] via READ"):
+			want = append(want, "read "+table+" (READ)")
 		case strings.Contains(line, "via GET^FIRST/NEXT^VSBB"):
 			want = append(want, "scan "+table+" (VSBB)")
 		case strings.Contains(line, "via GET^FIRST/NEXT^RSBB"):
@@ -95,6 +97,9 @@ func TestExplainIsThePlan(t *testing.T) {
 	}
 	for _, c := range matrixParamCases {
 		corpus = append(corpus, stmt{text: c.adhoc}, stmt{c.prep, c.args})
+	}
+	for _, c := range pointReadCases {
+		corpus = append(corpus, stmt{text: c.adhoc}, stmt{c.prep, c.args}, stmt{text: c.rng})
 	}
 	const havingCase = "SELECT dept, COUNT(DISTINCT name) FROM emp GROUP BY dept HAVING MAX(salary) > 0"
 	const limit0Case = "SELECT name FROM emp LIMIT 0"

@@ -3,12 +3,9 @@ package sql
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"nonstopsql/internal/expr"
 	"nonstopsql/internal/fs"
-	"nonstopsql/internal/msg"
-	"nonstopsql/internal/obs"
 	"nonstopsql/internal/record"
 	"nonstopsql/internal/tmf"
 )
@@ -204,13 +201,7 @@ func (p *joinPlan) probePerRow(s *Session, tx *tmf.Tx, outerRows []record.Row, o
 	if err != nil {
 		return nil, err
 	}
-	var d0 msg.Stats
-	var l0 obs.Snapshot
-	var t0 time.Time
-	if az != nil {
-		d0, l0 = s.fs.Network().Stats(), s.fs.Network().LatencyAll()
-		t0 = time.Now()
-	}
+	from := az.mark(s)
 	vals := make([]record.Value, p.nParams+len(outerVals))
 	copy(vals, params)
 	var combined []record.Row
@@ -240,11 +231,7 @@ func (p *joinPlan) probePerRow(s *Session, tx *tmf.Tx, outerRows []record.Row, o
 			}
 		}
 	}
-	if az != nil {
-		az.deltaNode(fmt.Sprintf("inner probes %s (one conversation per outer row)", p.inner.def.Name),
-			d0, s.fs.Network().Stats(), l0, s.fs.Network().LatencyAll(),
-			len(combined), time.Since(t0))
-	}
+	az.deltaNode(fmt.Sprintf("inner probes %s (one conversation per outer row)", p.inner.def.Name), from, len(combined))
 	return combined, nil
 }
 

@@ -68,11 +68,38 @@ func TestPreparedOverTCP(t *testing.T) {
 		{`SELECT COUNT(*) FROM emp WHERE empno >= 5 AND empno < 25`,
 			`SELECT COUNT(*) FROM emp WHERE empno >= ? AND empno < ?`,
 			[]record.Value{record.Int(5), record.Int(25)}},
+		// A unique key is a READ; the literal twin names the same record
+		// by a point range, which still opens a subset conversation. Hit,
+		// miss, NULL, a FLOAT value on the INTEGER key, a residual
+		// predicate true and false, LIMIT 0.
+		{`SELECT * FROM emp WHERE empno >= 7 AND empno <= 7`,
+			`SELECT * FROM emp WHERE empno = ?`, []record.Value{record.Int(7)}},
+		{`SELECT name FROM emp WHERE empno >= 31 AND empno <= 31`,
+			`SELECT name FROM emp WHERE empno = ?`, []record.Value{record.Int(31)}},
+		{`SELECT name FROM emp WHERE empno >= NULL AND empno <= NULL`,
+			`SELECT name FROM emp WHERE empno = ?`, []record.Value{record.Null}},
+		{`SELECT name FROM emp WHERE empno >= 7.0 AND empno <= 7.0`,
+			`SELECT name FROM emp WHERE empno = ?`, []record.Value{record.Float(7)}},
+		{`SELECT name, dept FROM emp WHERE empno >= 6 AND empno <= 6 AND dept = 'eng'`,
+			`SELECT name, dept FROM emp WHERE empno = ? AND dept = ?`, []record.Value{record.Int(6), record.String("eng")}},
+		{`SELECT name, dept FROM emp WHERE empno >= 7 AND empno <= 7 AND dept = 'eng'`,
+			`SELECT name, dept FROM emp WHERE empno = ? AND dept = ?`, []record.Value{record.Int(7), record.String("eng")}},
+		{`SELECT name FROM emp WHERE empno >= 7 AND empno <= 7 LIMIT 0`,
+			`SELECT name FROM emp WHERE empno = ? LIMIT 0`, []record.Value{record.Int(7)}},
 	}
+	inproc := db.Session(0, 0)
 	for _, c := range cases {
 		adhoc, err := pool.Exec(c.adhoc)
 		if err != nil {
 			t.Fatalf("%q ad-hoc: %v", c.adhoc, err)
+		}
+		// The same statement in process, on the same database.
+		local, err := inproc.Exec(c.adhoc)
+		if err != nil {
+			t.Fatalf("%q in process: %v", c.adhoc, err)
+		}
+		if got, want := nonstopsql.FormatResult(local), nonstopsql.FormatResult(adhoc); got != want {
+			t.Errorf("%q in process diverges from TCP\nin process:\n%s\nTCP:\n%s", c.adhoc, got, want)
 		}
 		st, err := pool.Prepare(c.prep)
 		if err != nil {

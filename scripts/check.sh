@@ -43,6 +43,11 @@ go test -run '^$' -fuzz FuzzPageView -fuzztime 10s ./internal/btree
 go test -race -count=1 ./internal/record ./internal/expr
 go test -count=1 -run TestAllocationCeilings ./internal/dp
 go test -run '^$' -fuzz FuzzRecordView -fuzztime 10s ./internal/record
+# A predicate, a CHECK constraint and a SET list reach the Disk Process as
+# bytes off the network: ten seconds of hostile ones against expr's two
+# decoders (a count bounded by the bytes behind it, nesting capped — a
+# stack overflow is fatal, no recover catches it — and ordinals in range).
+go test -run '^$' -fuzz FuzzExpr -fuzztime 10s ./internal/expr
 # Durability has one mechanism now (PR 18): every force point is one
 # leader/follower wait in wal.Trail, whose leader packs, writes and syncs
 # with the trail mutex RELEASED — the packing state is safe only because
@@ -78,6 +83,16 @@ go test -race -count=1 -run 'TestConversationDriver|TestFailedConversationRetire
 go test -race -count=1 -run 'TestNextRefusedOnForeignSCB|TestVSBBRedriveProtocol|TestUpdateSubsetRedrive|TestConcurrentMixedWorkload|TestAgg' ./internal/dp
 go test -run '^$' -fuzz FuzzFsdp -fuzztime 10s ./internal/fsdp
 go test -race -count=1 -run 'TestAggPushdownDifferential|TestJoinProbeDifferential|TestLimitPushdownMessages|TestExplainIsThePlan' ./internal/sql
+# A unique key is a READ (PR 22): the compile-time key against the
+# run-time range (property test), READ against the range form over the
+# unique-key corpus, what a READ locks (two sessions, one waiting on the
+# other's lock), which Disk Process of a pair serves a browse READ, a
+# rowless OK refused — under -race; then what one prepared point SELECT
+# allocates, without it.
+go test -race -count=1 -run 'TestUniqueKeyIsExtractKeyRangesPoint' ./internal/expr
+go test -race -count=1 -run 'TestPointRead|TestExplainAnalyzeRead' ./internal/sql
+go test -race -count=1 -run 'TestReadRefusesARowlessOK' ./internal/fs
+go test -count=1 -run TestAllocationCeilings ./internal/sql
 # Deterministic short crash-point sweep first: every named fault point
 # fired, recovery invariants checked per point. Runs again inside the
 # full suite, but a recovery regression should fail here, fast and

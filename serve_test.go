@@ -133,6 +133,11 @@ var workload = []string{
 	`SELECT name, salary FROM emp WHERE dept = 'eng' ORDER BY empno`,
 	`DELETE FROM emp WHERE empno = 4`,
 	`SELECT COUNT(*) FROM emp`,
+	// Unique-key SELECTs (READ): hit, deleted, never there, with a filter.
+	`SELECT * FROM emp WHERE empno = 3`,
+	`SELECT name FROM emp WHERE empno = 4`,
+	`SELECT name FROM emp WHERE empno = 99`,
+	`SELECT name, salary FROM emp WHERE empno = 5 AND dept = 'hq'`,
 }
 
 // The AGG^FIRST/NEXT conversation past its first block: 300 rows whose grp
