@@ -2,6 +2,7 @@ package dp
 
 import (
 	"bytes"
+	"fmt"
 	"hash/maphash"
 	"slices"
 
@@ -16,12 +17,11 @@ import (
 // aggGroup is one GROUP BY group the conversation holds. Its bytes live in
 // aggMem.block: the order-preserving key encoding the groups are found and
 // ordered by, then the key fields' wire encoding the reply ships. Its
-// partials are aggMem.partials[part : part+len(agg.Cols)]. A group is five
+// partials are aggMem.partials[part : part+len(agg.Cols)]. A group is four
 // numbers, not a heap object.
 type aggGroup struct {
 	off, keyEnd, end uint32 // block[off:keyEnd] key bytes, block[keyEnd:end] encoded key values
 	part             uint32
-	size             uint32 // what the group's reply entry weighs now (fsdp.GroupLen)
 }
 
 // aggMem is an AGG conversation's groups, in three arenas and a hash table
@@ -41,7 +41,7 @@ type aggMem struct {
 	table    []uint32          // open-addressed by the key bytes' hash: index into groups, plus one
 	partials []fsdp.AggPartial // len(agg.Cols) per group, in the order groups appeared
 	kb       []byte            // the record at hand's group key
-	bytes    int               // sum of the groups' sizes: the entries' bytes if shipped now
+	bytes    int               // what the groups' reply entries weigh (fsdp.GroupLen): the entries' bytes if shipped now
 }
 
 // aggregate serves AGG^FIRST/NEXT: the Disk Process folds the subset's
@@ -65,6 +65,11 @@ var aggregate = &subsetKind{first: fsdp.KAggFirst,
 	finish: finishAgg,
 }
 
+// visitAgg folds one qualifying record into its group. The record's
+// fields are read where they lie: the group key is built from the encoded
+// key fields and COUNT and SUM are fed the field's integer or float —
+// no record.Value in between; MIN, MAX and whatever else a specification
+// off the network asks for go through the general Feed.
 func visitAgg(r *subsetRun, _, _ []byte, rec *record.View) (bool, error) {
 	spec, m := r.s.agg, &r.s.aggMem
 	kb := m.kb[:0]
@@ -79,6 +84,11 @@ func visitAgg(r *subsetRun, _, _ []byte, rec *record.View) (bool, error) {
 		m.grow() // at most half full, and grown before the slot is taken
 	}
 	at := m.slot(kb)
+	// The block budget is charged what the entries weigh: a new group its
+	// whole entry, a group already held only what this record grew it by
+	// (a varint's next byte, a longer MIN/MAX string) — usually nothing,
+	// and the partials say so as they fold, so no entry is weighed twice.
+	grew := 0
 	if *at == 0 {
 		gr := aggGroup{off: uint32(len(m.block)), part: uint32(len(m.partials))}
 		m.block = append(m.block, kb...)
@@ -90,29 +100,32 @@ func visitAgg(r *subsetRun, _, _ []byte, rec *record.View) (bool, error) {
 		m.partials = append(m.partials, make([]fsdp.AggPartial, len(spec.Cols))...)
 		m.groups = append(m.groups, gr)
 		*at = uint32(len(m.groups))
+		grew = fsdp.GroupLen(len(spec.GroupBy), int(gr.end-gr.keyEnd), m.partials[gr.part:])
 	}
-	g := &m.groups[*at-1]
-	partials := m.partials[g.part : int(g.part)+len(spec.Cols)]
-	for i, c := range spec.Cols {
+	part := m.groups[*at-1].part
+	partials := m.partials[part : int(part)+len(spec.Cols)]
+	for i := range partials {
+		c, p := &spec.Cols[i], &partials[i]
 		if c.Star {
-			partials[i].Count++
+			grew += p.AddCount()
 			continue
 		}
 		if c.Col < 0 || c.Col >= rec.Len() {
 			return false, errBadOrdinal(r.req.File, c.Col)
 		}
-		v := rec.Value(c.Col)
-		if v.IsNull() {
-			continue // SQL aggregates ignore NULLs
+		switch kind := rec.Kind(c.Col); {
+		case kind == 0: // SQL aggregates ignore NULLs
+		case c.Fn == fsdp.AggCount:
+			grew += p.AddCount()
+		case c.Fn == fsdp.AggSum && kind == record.TypeInt:
+			grew += p.AddInt(rec.Int(c.Col))
+		case c.Fn == fsdp.AggSum && kind == record.TypeFloat:
+			grew += p.AddFloat(rec.Float(c.Col))
+		default:
+			grew += p.Feed(c.Fn, rec.Value(c.Col)) // Feed copies a MIN/MAX value it keeps
 		}
-		partials[i].Feed(c.Fn, v) // Feed copies a MIN/MAX value it keeps
 	}
-	// The block budget is charged what the entries weigh: a new group its
-	// whole entry, a group already held only what this record grew it by
-	// (a varint's next byte, a longer MIN/MAX string) — usually nothing.
-	size := fsdp.GroupLen(len(spec.GroupBy), int(g.end-g.keyEnd), partials)
-	m.bytes += size - int(g.size)
-	g.size = uint32(size)
+	m.bytes += grew
 	r.batch.bytes = m.bytes
 	return true, nil
 }
@@ -163,6 +176,9 @@ func finishAgg(r *subsetRun) error {
 		n := len(out)
 		out = fsdp.AppendGroup(out, len(spec.GroupBy), m.block[g.keyEnd:g.end], m.partials[g.part:int(g.part)+ncols])
 		r.reply.Rows = append(r.reply.Rows, out[n:len(out):len(out)])
+	}
+	if len(out) != m.bytes {
+		return fmt.Errorf("dp: aggregate entries charged %d bytes against the block weigh %d", m.bytes, len(out))
 	}
 	r.reply.Count = uint32(len(m.groups))
 	clear(m.partials) // drop MIN/MAX strings
@@ -218,10 +234,11 @@ func (d *DP) probeBlock(req *fsdp.Request) *fsdp.Reply {
 		return errReply(err)
 	}
 	d.stats.setRequests.Add(1)
-	pred, err := expr.Decode(req.Pred)
+	e, err := expr.Decode(req.Pred)
 	if err != nil {
 		return errReply(err)
 	}
+	pred := expr.Compile(e) // once per message: the conversation keeps nothing
 
 	batch := d.newBatch(req.RowLimit)
 	defer batch.tally()
@@ -246,7 +263,7 @@ func (d *DP) probeBlock(req *fsdp.Request) *fsdp.Reply {
 			if pred != nil {
 				batch.evals++
 				var err error
-				if keep, err = expr.SatisfiedView(pred, &rec); err != nil {
+				if keep, err = pred.Satisfied(&rec); err != nil {
 					return false, err
 				}
 			}

@@ -1,6 +1,7 @@
 package dp
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -321,4 +322,82 @@ func TestAggLostSCBFailsTheStatement(t *testing.T) {
 			t.Errorf("%d SCBs open after the conversation failed", scbs)
 		}
 	})
+}
+
+// TestAggFedFromFieldBytesIsFeed: visitAgg builds the group key from the
+// encoded key fields and feeds COUNT and SUM the field's integer or float
+// without a record.Value in between; everything else goes through the
+// general AggPartial.Feed. The reference folds every record's decoded
+// values through Feed alone, and the conversation's merged partials must be
+// that, field for field — negative and NULL arguments, a sum that changes
+// sign and length, counts that cross a varint byte, and a SUM over a
+// VARCHAR and a BOOLEAN column, which the SQL compiler refuses but bytes
+// off the network may still ask for: it is tolerated as it always was
+// (counted, nothing added, the partial marked FLOAT). driveAgg holds every
+// reply to the block budget, and finishAgg refuses to ship entries that
+// weigh anything but what the partials said they grew to.
+func TestAggFedFromFieldBytesIsFeed(t *testing.T) {
+	const rows = 5000
+	d, _, _ := testDP(t, nil)
+	s := record.MustSchema("ACCT", []record.Field{
+		{Name: "ID", Type: record.TypeInt, NotNull: true},
+		{Name: "GRP", Type: record.TypeString},
+		{Name: "N", Type: record.TypeInt},
+		{Name: "F", Type: record.TypeFloat},
+		{Name: "OK", Type: record.TypeBool},
+		{Name: "NOTE", Type: record.TypeString},
+	}, []int{0})
+	if reply := d.Serve(&fsdp.Request{Kind: fsdp.KCreateFile, File: "ACCT", Schema: record.EncodeSchema(s)}); !reply.OK() {
+		t.Fatalf("create: %s", reply.Err)
+	}
+	spec := &fsdp.AggSpec{GroupBy: []int{1, 4}, Cols: []fsdp.AggCol{
+		{Fn: fsdp.AggCount, Star: true}, {Fn: fsdp.AggSum, Col: 2}, {Fn: fsdp.AggSum, Col: 3}, {Fn: fsdp.AggCount, Col: 2},
+		{Fn: fsdp.AggSum, Col: 5}, {Fn: fsdp.AggSum, Col: 4}, {Fn: fsdp.AggMin, Col: 2}, {Fn: fsdp.AggMax, Col: 5}, {Fn: fsdp.AggSum, Col: 0},
+	}}
+	table := make([]record.Row, rows)
+	want := map[string][]fsdp.AggPartial{}
+	for i := range table {
+		row := record.Row{record.Int(int64(i)), record.String(string(rune('a' + i%7))), record.Int(int64((i%13 - 6) * (1 << (i % 40)))),
+			record.Float(float64(i) / 4), record.Bool(i%3 == 0), record.String(strings.Repeat("n", i%50))}
+		for _, f := range []int{1, 2, 3, 4, 5} {
+			if (i+f)%11 == 0 {
+				row[f] = record.Null
+			}
+		}
+		table[i] = row
+		k := key(row[1], row[4])
+		if want[k] == nil {
+			want[k] = make([]fsdp.AggPartial, len(spec.Cols))
+		}
+		for j, c := range spec.Cols {
+			switch {
+			case c.Star:
+				want[k][j].Count++
+			case !row[c.Col].IsNull():
+				want[k][j].Feed(c.Fn, row[c.Col])
+			}
+		}
+	}
+	if err := d.BulkLoad("ACCT", table); err != nil {
+		t.Fatal(err)
+	}
+	for _, rowLimit := range []uint32{0, 97} {
+		c := driveAgg(t, d, spec, 0, rowLimit)
+		if len(c.groups) != len(want) {
+			t.Fatalf("row limit %d: %d groups, want %d", rowLimit, len(c.groups), len(want))
+		}
+		for k, w := range want {
+			if got := c.groups[k]; !reflect.DeepEqual(got, w) {
+				t.Errorf("row limit %d: group %x:\n got %+v\nwant %+v", rowLimit, k, got, w)
+			}
+		}
+	}
+	// The hostile SUMs did what they always did.
+	for _, p := range want {
+		for _, hostile := range p[4:6] {
+			if hostile.SumF != 0 || hostile.SumI != 0 || hostile.Float != (hostile.Count > 0) {
+				t.Fatalf("SUM(VARCHAR), SUM(BOOLEAN) = %+v", p[4:6])
+			}
+		}
+	}
 }

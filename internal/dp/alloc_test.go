@@ -8,6 +8,27 @@ import (
 	"nonstopsql/internal/keys"
 )
 
+// oneMessageRig is a Disk Process holding 3000 EMP records — every
+// HIRE_DATE the same, every EMPNO and NAME distinct — with the message
+// budgets lifted out of the way, so one message serves them all.
+func oneMessageRig(t testing.TB) *DP {
+	d, _, _ := testDP(t, func(c *Config) {
+		c.MaxRowsPerMsg, c.MaxReplyBytes = 1<<20, 1<<30
+	})
+	loadEmp(t, d, 3000)
+	return d
+}
+
+func salaryPred(op expr.Op, v float64) []byte {
+	return expr.Encode(expr.Bin(op, expr.F(3, "SALARY"), expr.CFloat(v)))
+}
+
+// countSumBy is COUNT(*), SUM(SALARY) GROUP BY one field.
+func countSumBy(groupBy int) []byte {
+	return fsdp.EncodeAggSpec(&fsdp.AggSpec{GroupBy: []int{groupBy},
+		Cols: []fsdp.AggCol{{Fn: fsdp.AggCount, Star: true}, {Fn: fsdp.AggSum, Col: 3}}})
+}
+
 // TestAllocationCeilings pins what reading the record where it lies
 // bought, one layer above btree's test of the same name: the Disk
 // Process examines, filters, counts and aggregates a record without
@@ -21,21 +42,12 @@ import (
 // are the conversation's, so meeting one again costs nothing there
 // either. A regression here is a decode, a boxed value or a per-row
 // buffer that crept back under the subset skeleton.
+// The last ceiling is the compiled predicate's (compilingCostsAConstantAtFirst).
 func TestAllocationCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	d, _, _ := testDP(t, func(c *Config) {
-		c.MaxRowsPerMsg, c.MaxReplyBytes = 1<<20, 1<<30
-	})
-	loadEmp(t, d, 3000) // every HIRE_DATE the same, every EMPNO and NAME distinct
-	salary := func(op expr.Op, v float64) []byte {
-		return expr.Encode(expr.Bin(op, expr.F(3, "SALARY"), expr.CFloat(v)))
-	}
-	agg := func(groupBy int) []byte {
-		return fsdp.EncodeAggSpec(&fsdp.AggSpec{GroupBy: []int{groupBy},
-			Cols: []fsdp.AggCol{{Fn: fsdp.AggCount, Star: true}, {Fn: fsdp.AggSum, Col: 3}}})
-	}
+	d := oneMessageRig(t)
 	ceilings := []struct {
 		name string
 		req  fsdp.Request
@@ -49,19 +61,19 @@ func TestAllocationCeilings(t *testing.T) {
 			fsdp.Request{Kind: fsdp.KGetFirstVSBB, Proj: []int{0}, Pred: expr.Encode(expr.Bin(expr.OpLike, expr.F(1, "NAME"), expr.CString("%x")))},
 			0, func(r *fsdp.Reply) bool { return len(r.Rows) == 0 }},
 		{"COUNT^FIRST, every record qualifies",
-			fsdp.Request{Kind: fsdp.KCountFirst, Pred: salary(expr.OpGE, 0)},
+			fsdp.Request{Kind: fsdp.KCountFirst, Pred: salaryPred(expr.OpGE, 0)},
 			0, func(r *fsdp.Reply) bool { return r.Count == r.Examined }},
 		{"AGG^FIRST COUNT(*), SUM into a group the message already has",
-			fsdp.Request{Kind: fsdp.KAggFirst, Pred: salary(expr.OpGE, 0), Agg: agg(2)},
+			fsdp.Request{Kind: fsdp.KAggFirst, Pred: salaryPred(expr.OpGE, 0), Agg: countSumBy(2)},
 			0, func(r *fsdp.Reply) bool { return len(r.Rows) == 1 }},
 		{"AGG re-drive into groups the conversation already has",
-			fsdp.Request{Kind: fsdp.KAggFirst, Pred: salary(expr.OpGE, 0), Agg: agg(2), RowLimit: 100}, // ^FIRST takes 100, its ^NEXT the rest
+			fsdp.Request{Kind: fsdp.KAggFirst, Pred: salaryPred(expr.OpGE, 0), Agg: countSumBy(2), RowLimit: 100}, // ^FIRST takes 100, its ^NEXT the rest
 			0, func(r *fsdp.Reply) bool { return len(r.Rows) == 1 }},
 		{"GET^FIRST^VSBB with a projection, every record returned",
-			fsdp.Request{Kind: fsdp.KGetFirstVSBB, Proj: []int{1, 3}, Pred: salary(expr.OpGE, 0)},
+			fsdp.Request{Kind: fsdp.KGetFirstVSBB, Proj: []int{1, 3}, Pred: salaryPred(expr.OpGE, 0)},
 			16, func(r *fsdp.Reply) bool { return uint32(len(r.Rows)) == r.Examined }},
 		{"AGG^FIRST, every record a new group",
-			fsdp.Request{Kind: fsdp.KAggFirst, Agg: agg(0)},
+			fsdp.Request{Kind: fsdp.KAggFirst, Agg: countSumBy(0)},
 			16, func(r *fsdp.Reply) bool { return uint32(len(r.Rows)) == r.Examined }},
 	}
 	for _, c := range ceilings {
@@ -92,5 +104,83 @@ func TestAllocationCeilings(t *testing.T) {
 			t.Errorf("%s: %.0f allocations for 1000 records, %.0f for 3000: 2000 more records cost %.0f, ceiling %.0f",
 				c.name, small, large, large-small, c.extra)
 		}
+	}
+	compilingCostsAConstantAtFirst(t, d)
+}
+
+// compilingCostsAConstantAtFirst is TestAllocationCeilings' last ceiling:
+// the predicate is decoded and compiled into the Subset Control Block's
+// program when ^FIRST opens it, and that is all it ever costs in
+// allocations — the same few whether ^FIRST goes on to examine 100 records
+// or 1000, and nothing at all on a ^NEXT, which allocates exactly what a
+// ^NEXT of a conversation with no predicate does.
+func compilingCostsAConstantAtFirst(t *testing.T, d *DP) {
+	// conversation is COUNT^FIRST over `first` records and then, when next
+	// is set, a COUNT^NEXT over 100 more; otherwise the SCB is closed.
+	conversation := func(pred []byte, first uint32, next bool) float64 {
+		serve := func() {
+			req := fsdp.Request{Kind: fsdp.KCountFirst, File: "EMP", Pred: pred, Range: keys.Range{High: key1(int64(first) + 100)}, RowLimit: first}
+			reply := d.Serve(&req)
+			if !reply.OK() || reply.Done || reply.Examined != first || reply.Count != first {
+				t.Fatalf("^FIRST %+v", reply)
+			}
+			rest := req.Range.Continue(reply.LastKey)
+			req = fsdp.Request{Kind: fsdp.KCloseSubset, File: "EMP", SCB: reply.SCB}
+			if next {
+				req = fsdp.Request{Kind: fsdp.KCountNext, File: "EMP", SCB: reply.SCB, Range: rest}
+			}
+			if reply = d.Serve(&req); !reply.OK() || (next && (!reply.Done || reply.Examined != 100 || reply.Count != 100)) {
+				t.Fatalf("then %+v", reply)
+			}
+		}
+		serve()
+		return testing.AllocsPerRun(10, serve)
+	}
+	pred := expr.Encode(expr.And(expr.Bin(expr.OpGE, expr.F(3, "SALARY"), expr.CFloat(0)),
+		expr.And(expr.Bin(expr.OpNE, expr.F(1, "NAME"), expr.CString("nobody")), expr.Bin(expr.OpLike, expr.F(2, "HIRE_DATE"), expr.CString("19%")))))
+	compile100 := conversation(pred, 100, false) - conversation(nil, 100, false)
+	compile1000 := conversation(pred, 1000, false) - conversation(nil, 1000, false)
+	t.Logf("decoding and compiling a three-conjunct predicate at ^FIRST: %.0f allocations", compile100)
+	if compile100 != compile1000 || compile100 <= 0 || compile100 > 24 {
+		t.Errorf("the predicate costs ^FIRST %.0f allocations over 100 records and %.0f over 1000: want one small constant", compile100, compile1000)
+	}
+	with := conversation(pred, 100, true) - conversation(pred, 100, false)
+	without := conversation(nil, 100, true) - conversation(nil, 100, false)
+	if with != without {
+		t.Errorf("a 100-record ^NEXT costs %.0f allocations more than CLOSE^SUBSET with a predicate, %.0f without: the program is not free to run", with, without)
+	}
+}
+
+// BenchmarkSubsetRecord is the per-record cost of the subset skeleton, by
+// what is asked of the record: one 3000-record message per iteration, the
+// message's constant included and amortised, reported as ns/record.
+func BenchmarkSubsetRecord(b *testing.B) {
+	d := oneMessageRig(b)
+	const records = 3000
+	cases := []struct {
+		name string
+		req  fsdp.Request
+	}{
+		{"filter-int", fsdp.Request{Kind: fsdp.KCountFirst,
+			Pred: expr.Encode(expr.Bin(expr.OpLT, expr.F(0, "EMPNO"), expr.CInt(records/10)))}},
+		{"filter-string", fsdp.Request{Kind: fsdp.KCountFirst,
+			Pred: expr.Encode(expr.Bin(expr.OpLT, expr.F(1, "NAME"), expr.CString("emp-00300")))}},
+		{"agg-existing-group", fsdp.Request{Kind: fsdp.KAggFirst, Pred: salaryPred(expr.OpGE, 0), Agg: countSumBy(2)}},
+		{"agg-new-group", fsdp.Request{Kind: fsdp.KAggFirst, Agg: countSumBy(0)}},
+		{"project", fsdp.Request{Kind: fsdp.KGetFirstVSBB, Proj: []int{1, 3}, Pred: salaryPred(expr.OpGE, 0)}},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			req := c.req
+			req.File, req.Range = "EMP", keys.Range{High: key1(records)}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				req := req
+				if reply := d.Serve(&req); !reply.OK() || !reply.Done || reply.Examined != records {
+					b.Fatalf("%+v", reply)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/records, "ns/record")
+		})
 	}
 }

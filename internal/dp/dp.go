@@ -190,7 +190,7 @@ type scb struct {
 	kind    fsdp.Kind // the conversation's ^FIRST kind
 	tx      uint64
 	file    string
-	pred    expr.Expr
+	pred    *expr.Program // the selection predicate, compiled at ^FIRST; nil accepts every record
 	proj    []int
 	assigns []expr.Assignment
 	agg     *fsdp.AggSpec // partial-aggregate program (AGG^FIRST/NEXT)

@@ -126,8 +126,8 @@ type subsetRun struct {
 	req      *fsdp.Request
 	s        *scb
 	batch    batchState
-	reply    *fsdp.Reply
-	firstKey []byte // first qualifying key (kept only when a group lock will need it)
+	reply    fsdp.Reply // returned by address: the run and its reply are one allocation
+	firstKey []byte     // first qualifying key (kept only when a group lock will need it)
 
 	rec  record.View // the record under the scan cursor; its offset scratch lives as long as the run
 	hits [][]byte    // mutating kinds: qualifying keys, applied after the scan
@@ -160,16 +160,18 @@ func (d *DP) subset(req *fsdp.Request, k *subsetKind) *fsdp.Reply {
 	}
 	d.stats.setRequests.Add(1)
 
-	r := &subsetRun{d: d, f: f, req: req, reply: &fsdp.Reply{Done: true}}
+	r := &subsetRun{d: d, f: f, req: req, reply: fsdp.Reply{Done: true}}
 	isFirst := req.Kind == k.first
 	if isFirst {
 		// The SCB is created at ^FIRST time; re-drives do not re-send the
 		// predicate, projection, expressions, access class, or row budget.
+		// The predicate is compiled here, once, and every message of the
+		// conversation runs the program.
 		pred, err := expr.Decode(req.Pred)
 		if err != nil {
 			return errReply(err)
 		}
-		r.s = &scb{kind: k.first, tx: req.Tx, file: req.File, pred: pred, class: classFor(req)}
+		r.s = &scb{kind: k.first, tx: req.Tx, file: req.File, pred: expr.Compile(pred), class: classFor(req)}
 		if k.open != nil {
 			if err := k.open(r); err != nil {
 				return errReply(err)
@@ -183,7 +185,7 @@ func (d *DP) subset(req *fsdp.Request, k *subsetKind) *fsdp.Reply {
 			return &fsdp.Reply{Code: fsdp.ErrBadRequest, Err: "dp: SCB belongs to another conversation (file, kind or transaction mismatch)"}
 		}
 	}
-	s, reply := r.s, r.reply
+	s, reply := r.s, &r.reply
 	fail := func(err error) *fsdp.Reply {
 		if !isFirst {
 			d.retireSCB(req.SCB)
@@ -211,7 +213,7 @@ func (d *DP) subset(req *fsdp.Request, k *subsetKind) *fsdp.Reply {
 		}
 		if s.pred != nil {
 			r.batch.evals++
-			keep, err := expr.SatisfiedView(s.pred, &r.rec)
+			keep, err := s.pred.Satisfied(&r.rec)
 			if err != nil {
 				return false, err
 			}

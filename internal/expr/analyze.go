@@ -2,6 +2,7 @@ package expr
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -10,15 +11,16 @@ import (
 )
 
 // bound is one comparison constraint on a single key column: the column
-// compared with a non-NULL constant (coerced to the column's type), or —
-// when the analysis reads a template — with a parameter slot where such a
-// constant will stand.
+// compared with a non-NULL constant (stated over the column's type:
+// coerce), or — when the analysis reads a template — with a parameter slot
+// where such a constant will stand.
 type bound struct {
 	op     Op
 	v      record.Value // the constant, or
 	slot   Param        // (isSlot) the slot
 	isSlot bool
-	ci     int // the conjunct it came from
+	none   bool // no value of the column's type satisfies the bound (id = 1.5): the span is empty
+	ci     int  // the conjunct it came from
 }
 
 // keyBounds sorts a predicate's top-level conjuncts of the form
@@ -97,6 +99,12 @@ func ExtractKeyRange(pred Expr, schema *record.Schema) (keys.Range, Expr) {
 	}
 	r := keys.All()
 	switch {
+	case slices.ContainsFunc(byPos, func(bs []bound) bool {
+		return slices.ContainsFunc(bs, func(b bound) bool { return b.none })
+	}):
+		// An absorbed bound nothing satisfies: an empty span, not a scan.
+		k := keys.Successor(prefix)
+		r = keys.Range{Low: k, High: k}
 	case eqs == len(byPos):
 		r = keys.Point(prefix)
 	case len(byPos[eqs]) > 0:
@@ -138,22 +146,22 @@ func ExtractUniqueKey(pred Expr, schema *record.Schema) *UniqueKey {
 }
 
 // Key encodes the primary key for one execution's values, checking each
-// slot's value as Substitute would. ok is false when a key value is NULL:
-// an equality with NULL is never true, so no record qualifies.
+// slot's value as Substitute would. ok is false when a key value is NULL,
+// or no value of the column's type (a FLOAT with a fraction on an INTEGER
+// column): such an equality is never true, so no record qualifies.
 func (u *UniqueKey) Key(vals []record.Value) (key []byte, ok bool, err error) {
 	ok = true
 	for pos, at := range u.at {
-		v := at.v
 		if at.isSlot {
-			if v, err = paramValue(at.slot, vals); err != nil {
+			if at.v, err = paramValue(at.slot, vals); err != nil {
 				return nil, false, err
 			}
-			v = coerceTo(u.schema, u.schema.KeyFields[pos], v)
+			at, _ = at.coerce(u.schema, u.schema.KeyFields[pos]) // an equality always constrains
 		}
-		if v.IsNull() {
+		if at.v.IsNull() || at.none {
 			ok = false
 		}
-		key = v.AppendKey(key)
+		key = at.v.AppendKey(key)
 	}
 	return key, ok, nil
 }
@@ -191,7 +199,10 @@ func columnBound(e Expr, schema *record.Schema, slots bool) (int, bound, bool) {
 	operand := func(f FieldRef, e Expr, op Op) (bound, bool) {
 		switch x := e.(type) {
 		case Const:
-			return bound{op: op, v: coerceTo(schema, f.Index, x.V)}, !x.V.IsNull()
+			if x.V.IsNull() {
+				return bound{}, false
+			}
+			return bound{op: op, v: x.V}.coerce(schema, f.Index)
 		case Param:
 			return bound{op: op, slot: x, isSlot: true}, slots
 		}
@@ -210,14 +221,57 @@ func columnBound(e Expr, schema *record.Schema, slots bool) (int, bound, bool) {
 	return 0, bound{}, false
 }
 
-// coerceTo converts an int literal to float when the column is FLOAT so
-// encoded key bounds compare correctly.
-func coerceTo(schema *record.Schema, field int, v record.Value) record.Value {
-	if field >= 0 && field < len(schema.Fields) &&
-		schema.Fields[field].Type == record.TypeFloat && v.Kind == record.TypeInt {
-		return record.Float(float64(v.I))
+// coerce states the bound "column op v" over the column's own type, so
+// that the encoded key bound compares correctly with the stored keys. It is
+// the one place a constant meets a key column's type, for ExtractKeyRange
+// and UniqueKey.Key alike. constrains is false when every value of the
+// column satisfies the bound (id < 1e300): it is then no bound at all and
+// the conjunct stays in the residual.
+//
+//   - An INTEGER constant against a FLOAT column widens to the float.
+//   - A FLOAT constant f against an INTEGER column is stated over the
+//     integers, exactly: an integral f narrows to the integer; one with a
+//     fraction tightens the bound to the next integer inside it
+//     (> 1.5 → >= 2, >= 1.5 → >= 2, < 1.5 → <= 1, <= 1.5 → <= 1) and
+//     equals no integer (= 1.5 → none). Past int64's range (|f| >= 2^63,
+//     ±Inf) no integer lies beyond f: the bound that looks outward is none
+//     and the one that looks inward does not constrain. NaN is below,
+//     above and equal to no integer: every bound with it is none.
+//
+// "Exactly" is the point: the evaluator compares an INTEGER with a FLOAT
+// through float64 (record.Value.Compare), which past 2^53 calls
+// neighbouring integers equal, and calls NaN equal to everything. A key
+// bound does neither.
+func (b bound) coerce(schema *record.Schema, field int) (_ bound, constrains bool) {
+	if field < 0 || field >= len(schema.Fields) {
+		return b, true
 	}
-	return v
+	switch col := schema.Fields[field].Type; {
+	case col == record.TypeFloat && b.v.Kind == record.TypeInt:
+		b.v = record.Float(float64(b.v.I))
+	case col == record.TypeInt && b.v.Kind == record.TypeFloat:
+		f := b.v.F
+		const two63 = 1 << 63 // as a float64: one past the largest int64
+		switch {
+		case f != f:
+			b.none = true
+		case f >= two63:
+			b.none = b.op == OpEQ || b.op == OpGT || b.op == OpGE
+			return b, b.none
+		case f < -two63:
+			b.none = b.op == OpEQ || b.op == OpLT || b.op == OpLE
+			return b, b.none
+		case f == math.Trunc(f):
+			b.v = record.Int(int64(f))
+		case b.op == OpEQ:
+			b.none = true
+		case b.op == OpGT || b.op == OpGE:
+			b.op, b.v = OpGE, record.Int(int64(math.Ceil(f)))
+		default: // OpLT, OpLE
+			b.op, b.v = OpLE, record.Int(int64(math.Floor(f)))
+		}
+	}
+	return b, true
 }
 
 func flip(op Op) Op {

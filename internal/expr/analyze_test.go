@@ -1,6 +1,8 @@
 package expr
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -250,29 +252,51 @@ func TestSelectivityHint(t *testing.T) {
 }
 
 // TestUniqueKeyIsExtractKeyRangesPoint is the no-drift property: whenever
-// a template compiles to a unique key and an execution's key values are
-// not NULL, Key is byte for byte the point ExtractKeyRange finds after
-// substituting the same values, and the residuals agree — a FLOAT value on
-// an INTEGER key, flipped operands, repeated and contradictory bounds and
-// composite keys included. With a NULL key value Key reports that nothing
-// qualifies, and the substituted predicate indeed accepts no row.
+// a template compiles to a unique key and an execution's key values name a
+// key, Key is byte for byte the point ExtractKeyRange finds after
+// substituting the same values, and the residuals agree — an integral
+// FLOAT value on an INTEGER key (which both narrow to the integer),
+// flipped operands, repeated and contradictory bounds and composite keys
+// included. With a NULL key value, or a FLOAT with a fraction on an
+// INTEGER key column, Key reports that nothing qualifies; the substituted
+// predicate indeed accepts no record of the schema, and in the second case
+// ExtractKeyRange's span is empty too.
 func TestUniqueKeyIsExtractKeyRangesPoint(t *testing.T) {
 	orders := ordersSchema(t)
 	sal := record.MustSchema("SAL", []record.Field{
 		{Name: "AMT", Type: record.TypeFloat, NotNull: true}, {Name: "WHO", Type: record.TypeString},
 	}, []int{0})
 	rng := rand.New(rand.NewSource(22))
+	sawNull := false
 	randVal := func() record.Value {
 		switch rng.Intn(6) {
 		case 0:
+			sawNull = true
 			return record.Null
 		case 1:
 			return record.Float(float64(rng.Intn(8)) + 0.5*float64(rng.Intn(2)))
 		}
 		return record.Int(int64(rng.Intn(8)))
 	}
-	compiled, nulls := 0, 0
+	// randRecord is a record the schema admits: key columns never NULL.
+	randRecord := func(schema *record.Schema) record.Row {
+		row := make(record.Row, len(schema.Fields))
+		for i, f := range schema.Fields {
+			switch {
+			case !f.NotNull && rng.Intn(6) == 0:
+			case f.Type == record.TypeInt:
+				row[i] = record.Int(int64(rng.Intn(8)))
+			case f.Type == record.TypeFloat:
+				row[i] = record.Float(float64(rng.Intn(8)) + 0.5*float64(rng.Intn(2)))
+			default:
+				row[i] = record.String(string(rune('a' + rng.Intn(3))))
+			}
+		}
+		return row
+	}
+	compiled, nulls, fractions := 0, 0, 0
 	for i := 0; i < 4000; i++ {
+		sawNull = false
 		schema := orders
 		if i%4 == 0 {
 			schema = sal
@@ -319,11 +343,17 @@ func TestUniqueKeyIsExtractKeyRangesPoint(t *testing.T) {
 			t.Fatalf("%s with %v: %v", tmpl, vals, err)
 		}
 		if !ok {
-			nulls++
+			if sawNull {
+				nulls++
+			} else if r, _ := ExtractKeyRange(sub, schema); !r.Empty() {
+				t.Fatalf("%s: Key says no %s key equals these values, ExtractKeyRange scans %v", sub, schema.Name, r)
+			} else {
+				fractions++
+			}
 			for trial := 0; trial < 50; trial++ {
-				row := record.Row{randVal(), randVal(), randVal(), randVal()}[:len(schema.Fields)]
+				row := randRecord(schema)
 				if sat, err := Satisfied(sub, row); err == nil && sat {
-					t.Fatalf("%s: Key says a NULL key value qualifies nothing, but %v satisfies it", sub, row)
+					t.Fatalf("%s: Key says nothing qualifies, but %v satisfies it", sub, row)
 				}
 			}
 			continue
@@ -340,8 +370,8 @@ func TestUniqueKeyIsExtractKeyRangesPoint(t *testing.T) {
 			t.Fatalf("%s with %v: compiled residual %v, ExtractKeyRange's %v", tmpl, vals, ures, res)
 		}
 	}
-	if compiled < 200 || nulls < 20 {
-		t.Fatalf("only %d templates compiled to a unique key (%d with a NULL value): the generator no longer reaches the rule", compiled, nulls)
+	if compiled < 200 || nulls < 20 || fractions < 20 {
+		t.Fatalf("only %d templates compiled to a unique key (%d with a NULL value, %d with a fraction on an INTEGER key): the generator no longer reaches the rule", compiled, nulls, fractions)
 	}
 
 	// What is not a unique key: a key prefix, a range that happens to be a
@@ -368,6 +398,153 @@ func TestExtractKeyRangeKeepsWhatItDoesNotAbsorb(t *testing.T) {
 		r, res := ExtractKeyRange(And(Bin(OpEQ, id, CInt(5)), other), emp)
 		if !reflect.DeepEqual(r, keys.Point(keys.AppendInt64(nil, 5))) || !reflect.DeepEqual(res, other) {
 			t.Errorf("EMPNO = 5 AND %s: range %v residual %v", other, r, res)
+		}
+	}
+}
+
+// TestKeyBoundCoercion states the rule by which a constant of one numeric
+// type bounds a key column of the other — bound.coerce, the one place it
+// is decided — case by case, the edges included: what NaN, the infinities
+// and floats past int64 do is written down here, not left to the encoding.
+func TestKeyBoundCoercion(t *testing.T) {
+	emp := empSchema(t) // EMPNO INTEGER key
+	sal := record.MustSchema("S", []record.Field{{Name: "AMT", Type: record.TypeFloat, NotNull: true}}, []int{0})
+	const (
+		asIs = iota // the bound stands as written
+		none        // nothing satisfies it
+		free        // everything does: not a bound
+	)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		schema *record.Schema
+		op     Op
+		v      record.Value
+		how    int
+		wantOp Op
+		want   record.Value
+	}{
+		{sal, OpGE, record.Int(1000), asIs, OpGE, record.Float(1000)},
+		{emp, OpEQ, record.Int(7), asIs, OpEQ, record.Int(7)},
+		{emp, OpEQ, record.String("7"), asIs, OpEQ, record.String("7")},
+		// Integral floats narrow, whatever the operator.
+		{emp, OpEQ, record.Float(1), asIs, OpEQ, record.Int(1)},
+		{emp, OpGT, record.Float(-3), asIs, OpGT, record.Int(-3)},
+		{emp, OpLE, record.Float(0), asIs, OpLE, record.Int(0)},
+		{emp, OpGE, record.Float(-(1 << 63)), asIs, OpGE, record.Int(math.MinInt64)},
+		{emp, OpLT, record.Float(1 << 62), asIs, OpLT, record.Int(1 << 62)},
+		// A fraction tightens the bound to the integer inside it.
+		{emp, OpGT, record.Float(1.5), asIs, OpGE, record.Int(2)},
+		{emp, OpGE, record.Float(1.5), asIs, OpGE, record.Int(2)},
+		{emp, OpLT, record.Float(1.5), asIs, OpLE, record.Int(1)},
+		{emp, OpLE, record.Float(1.5), asIs, OpLE, record.Int(1)},
+		{emp, OpGT, record.Float(-1.5), asIs, OpGE, record.Int(-1)},
+		{emp, OpLT, record.Float(-1.5), asIs, OpLE, record.Int(-2)},
+		{emp, OpEQ, record.Float(1.5), none, 0, record.Null},
+		// Past int64, and the infinities: outward none, inward free.
+		{emp, OpEQ, record.Float(1 << 63), none, 0, record.Null},
+		{emp, OpGT, record.Float(1 << 63), none, 0, record.Null},
+		{emp, OpGE, record.Float(1e300), none, 0, record.Null},
+		{emp, OpLT, record.Float(1 << 63), free, 0, record.Null},
+		{emp, OpLE, record.Float(inf), free, 0, record.Null},
+		{emp, OpGT, record.Float(inf), none, 0, record.Null},
+		{emp, OpEQ, record.Float(-1e300), none, 0, record.Null},
+		{emp, OpLT, record.Float(-1e300), none, 0, record.Null},
+		{emp, OpLE, record.Float(-inf), none, 0, record.Null},
+		{emp, OpGT, record.Float(-1e300), free, 0, record.Null},
+		{emp, OpGE, record.Float(-inf), free, 0, record.Null},
+		// No integer is below, above or equal to NaN.
+		{emp, OpEQ, record.Float(nan), none, 0, record.Null},
+		{emp, OpLT, record.Float(nan), none, 0, record.Null},
+		{emp, OpLE, record.Float(nan), none, 0, record.Null},
+		{emp, OpGT, record.Float(nan), none, 0, record.Null},
+		{emp, OpGE, record.Float(nan), none, 0, record.Null},
+	} {
+		got, constrains := bound{op: c.op, v: c.v}.coerce(c.schema, 0)
+		switch c.how {
+		case asIs:
+			if !constrains || got.none || got.op != c.wantOp || got.v != c.want {
+				t.Errorf("%s %s %s: bound %s %+v (none %v, constrains %v), want %s %+v", c.schema.Fields[0].Name, c.op, c.v.Format(), got.op, got.v, got.none, constrains, c.wantOp, c.want)
+			}
+		case none:
+			if !constrains || !got.none {
+				t.Errorf("%s %s %s: none %v, constrains %v; want an empty span", c.schema.Fields[0].Name, c.op, c.v.Format(), got.none, constrains)
+			}
+		case free:
+			if constrains {
+				t.Errorf("%s %s %s constrains (%+v); every integer satisfies it", c.schema.Fields[0].Name, c.op, c.v.Format(), got)
+			}
+		}
+		// Either way the span and the residual together accept what the
+		// predicate accepts.
+		pred := Bin(c.op, F(0, "K"), C(c.v))
+		r, residual := ExtractKeyRange(pred, c.schema)
+		if c.how == none && !r.Empty() {
+			t.Errorf("%s: span %v, want an empty one", pred, r)
+		}
+		if c.how == free && (r.Low != nil || r.High != nil || residual == nil) {
+			t.Errorf("%s: span %v residual %v, want the conjunct left alone", pred, r, residual)
+		}
+	}
+}
+
+// TestFloatBoundOnIntegerKeyMatchesEvaluation is the differential that
+// found the bug: KEY op f must select what KEY + 0 op f selects — the
+// second never becomes a key bound, so it is the evaluator's word — for
+// integral, fractional, negative and out-of-range floats, written as a
+// literal and supplied for a marker, through ExtractKeyRange's span and
+// residual and through a UniqueKey. (NaN is left out: the evaluator calls
+// it equal to everything, TestKeyBoundCoercion says what a bound does.)
+func TestFloatBoundOnIntegerKeyMatchesEvaluation(t *testing.T) {
+	emp := empSchema(t)
+	floats := []float64{0, 1, -1, 1.5, -1.5, 2.000001, 0.999999, -0.5, 3, -3, 2.5, 100, -100,
+		1 << 53, -(1 << 53), 1 << 62, 1 << 63, -(1 << 63), -(1 << 63) * 1.5, 1e300, -1e300, math.Inf(1), math.Inf(-1)}
+	ids := []int64{-101, -100, -4, -3, -2, -1, 0, 1, 2, 3, 4, 100, 101, 1 << 53, -(1 << 53), 1 << 62}
+	k := F(0, "EMPNO")
+	for _, f := range floats {
+		for _, op := range []Op{OpEQ, OpLT, OpLE, OpGT, OpGE} {
+			for _, flipped := range []bool{false, true} {
+				lit, tmpl := Bin(op, k, CFloat(f)), Bin(op, k, Param{Index: 0})
+				ref := Bin(op, Bin(OpAdd, k, CInt(0)), CFloat(f))
+				if flipped {
+					lit, tmpl = Bin(op, CFloat(f), k), Bin(op, Param{Index: 0}, k)
+					ref = Bin(op, CFloat(f), Bin(OpAdd, k, CInt(0)))
+				}
+				sub, err := Substitute(tmpl, []record.Value{record.Float(f)})
+				if err != nil || !reflect.DeepEqual(sub, lit) {
+					t.Fatalf("%s with %v: %v, %v", tmpl, f, sub, err)
+				}
+				r, residual := ExtractKeyRange(lit, emp)
+				u := ExtractUniqueKey(tmpl, emp)
+				if (u != nil) != (op == OpEQ) {
+					t.Fatalf("%s: unique key %v", tmpl, u)
+				}
+				for _, id := range ids {
+					row := record.Row{record.Int(id), record.String("n"), record.String("d"), record.Float(0)}
+					want, err := Satisfied(ref, row)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := r.Contains(emp.Key(row))
+					if got {
+						if got, err = Satisfied(residual, row); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if got != want {
+						t.Errorf("%s selects EMPNO %d: %v; %s says %v (span %v, residual %v)", lit, id, got, ref, want, r, residual)
+					}
+					if u == nil {
+						continue
+					}
+					key, ok, err := u.Key([]record.Value{record.Float(f)})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := ok && bytes.Equal(key, emp.Key(row)); got != want {
+						t.Errorf("%s with %v reads EMPNO %d: %v; %s says %v", tmpl, f, id, got, ref, want)
+					}
+				}
+			}
 		}
 	}
 }

@@ -25,15 +25,16 @@ func BenchmarkSatisfiedRow(b *testing.B) {
 	}
 }
 
-func BenchmarkSatisfiedView(b *testing.B) {
+func BenchmarkProgramSatisfied(b *testing.B) {
 	enc := record.Encode(benchRow)
 	var v record.View
+	prog := Compile(benchPred)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if err := v.Reset(enc); err != nil {
 			b.Fatal(err)
 		}
-		ok, err := SatisfiedView(benchPred, &v)
+		ok, err := prog.Satisfied(&v)
 		if err != nil {
 			b.Fatal(err)
 		}

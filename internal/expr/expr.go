@@ -180,9 +180,11 @@ func errEval(format string, args ...any) error {
 
 // fields is the single record variable an expression reads: a decoded
 // record.Row, or (view != nil) the encoded record where it lies in a Disk
-// Process cache buffer. One evaluator serves both; they part only at the
-// FieldRef leaf. A struct of the two rather than an interface over them:
-// boxing a Row would cost Eval's callers an allocation per call.
+// Process cache buffer — there eval runs the conjuncts a Program did not
+// compile to a comparison on the field's bytes. One evaluator serves both;
+// they part only at the FieldRef leaf. A struct of the two rather than an
+// interface over them: boxing a Row would cost Eval's callers an
+// allocation per call.
 type fields struct {
 	row  record.Row
 	view *record.View
@@ -199,10 +201,6 @@ func (f *fields) len() int {
 // comparison or arithmetic over NULL yields NULL; AND/OR follow Kleene
 // semantics.
 func Eval(e Expr, row record.Row) (record.Value, error) { return eval(e, &fields{row: row}) }
-
-// EvalView is Eval against a record read in place. A VARCHAR result may
-// borrow the record's bytes (record.View): whoever keeps it copies it.
-func EvalView(e Expr, v *record.View) (record.Value, error) { return eval(e, &fields{view: v}) }
 
 func eval(e Expr, row *fields) (record.Value, error) {
 	switch n := e.(type) {
@@ -433,11 +431,6 @@ func likeMatch(s, pat string) bool {
 // FALSE both reject, per SQL WHERE semantics). A nil predicate accepts
 // every row.
 func Satisfied(pred Expr, row record.Row) (bool, error) { return satisfied(pred, &fields{row: row}) }
-
-// SatisfiedView is Satisfied against a record read in place.
-func SatisfiedView(pred Expr, v *record.View) (bool, error) {
-	return satisfied(pred, &fields{view: v})
-}
 
 func satisfied(pred Expr, row *fields) (bool, error) {
 	if pred == nil {

@@ -122,13 +122,52 @@ func TestHostileExpressionsAreRefused(t *testing.T) {
 	}
 }
 
+// fuzzRecords are the records FuzzExpr's seed predicates meet: a hit, a
+// miss, a NULL field, a field of the wrong kind, a record too short for the
+// ordinal, and bytes that are no record.
+func fuzzRecords() [][]byte {
+	return [][]byte{
+		record.Encode(record.Row{record.Int(15), record.String("ann"), record.Bool(true), record.Float(3.5)}),
+		record.Encode(record.Row{record.Int(25), record.String("bob"), record.Bool(false), record.Float(-1)}),
+		record.Encode(record.Row{record.Null, record.Null, record.Null, record.Null}),
+		record.Encode(record.Row{record.String("15"), record.Int(1), record.Float(1), record.Bool(true)}),
+		record.Encode(record.Row{record.Int(15)}),
+		{2, 1},
+	}
+}
+
 // FuzzExpr feeds hostile bytes to the two decoders a Disk Process runs on
-// a request's predicate, CHECK constraint and SET list.
+// a request's predicate, CHECK constraint and SET list, and — the second
+// input — runs whatever decodes as a predicate against whatever decodes as
+// a record, three ways: the compiled Program the Disk Process runs must be
+// eval, on the View and on the Row, in keep or reject and in error text.
 func FuzzExpr(f *testing.F) {
 	exprs, assigns := fuzzSeeds()
-	for _, data := range append(exprs, assigns...) {
-		f.Add(data)
+	// Later conjuncts that fail behind a false first one, on the compiled
+	// shape; an ordinal past every seed record.
+	for _, e := range []Expr{
+		And(Bin(OpLT, F(0, "ID"), CInt(2)), Bin(OpLT, F(1, "NAME"), CInt(5))),
+		And(Bin(OpGT, CFloat(20), F(0, "ID")), And(Bin(OpEQ, F(2, "OK"), C(record.Bool(true))), Bin(OpNE, F(7, "PAST"), CString("x")))),
+	} {
+		exprs = append(exprs, Encode(e))
 	}
-	f.Add(bytes.Repeat([]byte{nodeUnary, byte(OpNot)}, 4096))
-	f.Fuzz(func(t *testing.T, data []byte) { fuzzOne(t, data) })
+	for _, data := range append(exprs, assigns...) {
+		for _, rec := range fuzzRecords() {
+			f.Add(data, rec)
+		}
+	}
+	f.Add(bytes.Repeat([]byte{nodeUnary, byte(OpNot)}, 4096), []byte{0})
+	f.Fuzz(func(t *testing.T, data, rec []byte) {
+		fuzzOne(t, data)
+		e, err := Decode(data)
+		var v record.View
+		if err != nil || v.Reset(rec) != nil {
+			return
+		}
+		row, err := record.Decode(rec)
+		if err != nil {
+			t.Fatalf("%x: a View reads it, Decode says %v", rec, err)
+		}
+		checkThreeWays(t, e, row, &v)
+	})
 }

@@ -141,18 +141,51 @@ func own(v record.Value) record.Value {
 	return v
 }
 
-// Feed folds one argument value into the partial, copying it if kept.
-// NULLs are skipped by the caller (SQL aggregates ignore NULLs); COUNT(*)
-// does not come here at all.
-func (p *AggPartial) Feed(fn AggFn, v record.Value) {
+// The Disk Process folds a record into a partial through one of the four
+// methods below. Each returns by how many bytes the partial's reply
+// encoding (AppendGroup, GroupLen) grew: a varint's next byte, a longer
+// MIN/MAX value — nearly always nothing — which is what the group is
+// charged against the reply block without weighing it again per record.
+// NULL arguments are skipped by the caller (SQL aggregates ignore NULLs).
+
+// AddCount folds one input into a COUNT: a record for COUNT(*), a
+// non-NULL argument for COUNT(col).
+func (p *AggPartial) AddCount() int {
+	p.Count++
+	if p.Count&(p.Count-1) != 0 {
+		return 0 // a varint lengthens only on reaching a power of two
+	}
+	return varintLen(p.Count) - varintLen(p.Count-1)
+}
+
+// AddInt folds one INTEGER argument into a SUM.
+func (p *AggPartial) AddInt(i int64) int {
+	was := varintLen(p.SumI)
+	p.SumI += i
+	p.SumF += float64(i)
+	return varintLen(p.SumI) - was + p.AddCount()
+}
+
+// AddFloat folds one FLOAT argument into a SUM.
+func (p *AggPartial) AddFloat(f float64) int {
+	p.Float = true
+	p.SumF += f
+	return p.AddCount()
+}
+
+// Feed folds one argument value of any kind into any function's partial,
+// copying the value if it is kept (MIN, MAX). A SUM of something that is
+// no number counts it and adds nothing — only bytes that did not come
+// from the SQL compiler, which refuses such a SUM, ask for one.
+func (p *AggPartial) Feed(fn AggFn, v record.Value) int {
+	switch {
+	case fn == AggSum && v.Kind == record.TypeInt:
+		return p.AddInt(v.I)
+	case fn == AggSum:
+		return p.AddFloat(v.AsFloat())
+	}
+	was := record.ValueLen(p.Val)
 	switch fn {
-	case AggSum:
-		if v.Kind == record.TypeInt {
-			p.SumI += v.I
-		} else {
-			p.Float = true
-		}
-		p.SumF += v.AsFloat()
 	case AggMin:
 		if p.Count == 0 || v.Compare(p.Val) < 0 {
 			p.Val = own(v)
@@ -162,7 +195,7 @@ func (p *AggPartial) Feed(fn AggFn, v record.Value) {
 			p.Val = own(v)
 		}
 	}
-	p.Count++
+	return record.ValueLen(p.Val) - was + p.AddCount()
 }
 
 // Merge folds another partition's partial state into p, copying o.Val if

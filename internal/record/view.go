@@ -6,6 +6,8 @@ import (
 	"math"
 	"slices"
 	"unsafe"
+
+	"nonstopsql/internal/keys"
 )
 
 // A View reads one encoded record where it lies. Reset validates the
@@ -33,7 +35,8 @@ type View struct {
 // Process cannot read in full is refused before any part of it is
 // counted, shipped or aggregated. It is Decode's walk — the same checks
 // in the same order with the same errors, which FuzzRecordView holds the
-// two to — keeping an offset where Decode keeps a value.
+// two to — sizing each field (valueLen) where Decode also reads it, and
+// keeping an offset where Decode keeps a value.
 func (v *View) Reset(b []byte) error {
 	off, err := fieldOffsets(b, v.off[:0])
 	if err != nil {
@@ -55,7 +58,7 @@ func fieldOffsets(b []byte, off []uint32) ([]uint32, error) {
 	// and the table — is bounded by len(b) whatever the header claims.
 	off = slices.Grow(off, int(min(n, uint64(len(b))))+1)
 	for i := uint64(0); i < n; i++ {
-		_, sz, err := BorrowValue(b[pos:])
+		sz, err := valueLen(b[pos:])
 		if err != nil {
 			return off, fmt.Errorf("record: field %d: %w", i, err)
 		}
@@ -71,59 +74,147 @@ func fieldOffsets(b []byte, off []uint32) ([]uint32, error) {
 // Len returns the record's field count.
 func (v *View) Len() int { return max(len(v.off)-1, 0) }
 
-// field returns field i's encoded bytes, borrowed.
+// field returns field i's encoded bytes, borrowed. Reset has checked
+// them: what reads a field below does not check again. It panics if i is
+// out of range, like indexing a Row, and so does everything built on it.
 func (v *View) field(i int) []byte { return v.b[v.off[i]:v.off[i+1]] }
 
 // Value materialises field i. A VARCHAR's S aliases the record bytes;
-// see the type's comment. It panics if i is out of range, like indexing
-// a Row.
-func (v *View) Value(i int) Value {
-	val, _, _ := BorrowValue(v.field(i)) // Reset has checked the field
-	return val
-}
+// see the type's comment.
+func (v *View) Value(i int) Value { return readValue(v.field(i)) }
+
+// Kind returns field i's type, zero for NULL, without reading the value.
+// It says which of the typed peeks below applies.
+func (v *View) Kind(i int) Type { return kindOfTag[v.b[v.off[i]]] }
+
+// kindOfTag maps a checked field's tag byte to its Type.
+var kindOfTag = [...]Type{encNull: 0, encInt: TypeInt, encFloat: TypeFloat, encString: TypeString, encFalse: TypeBool, encTrue: TypeBool}
+
+// Int reads field i, whose Kind is TypeInt.
+func (v *View) Int(i int) int64 { return readInt(v.field(i)) }
+
+// Float reads field i, whose Kind is TypeFloat.
+func (v *View) Float(i int) float64 { return readFloat(v.field(i)) }
+
+// Str reads field i, whose Kind is TypeString. The string is Value(i).S:
+// it aliases the record bytes.
+func (v *View) Str(i int) string { return readString(v.field(i)) }
+
+// Bool reads field i, whose Kind is TypeBool.
+func (v *View) Bool(i int) bool { return v.b[v.off[i]] == encTrue }
 
 // AppendField appends field i's wire encoding (what AppendValue would
 // write for Value(i)) to dst.
 func (v *View) AppendField(dst []byte, i int) []byte { return append(dst, v.field(i)...) }
 
 // AppendKey appends field i's order-preserving key encoding (what
-// Value(i).AppendKey would write) to dst.
-func (v *View) AppendKey(dst []byte, i int) []byte { return v.Value(i).AppendKey(dst) }
+// Value(i).AppendKey would write) to dst, from the encoded field.
+func (v *View) AppendKey(dst []byte, i int) []byte {
+	f := v.field(i)
+	switch f[0] {
+	case encInt:
+		return keys.AppendInt64(dst, readInt(f))
+	case encFloat:
+		return keys.AppendFloat64(dst, readFloat(f))
+	case encString:
+		return keys.AppendString(dst, readString(f))
+	case encFalse, encTrue:
+		return keys.AppendBool(dst, f[0] == encTrue)
+	}
+	return keys.AppendNull(dst)
+}
 
 // BorrowValue decodes the wire-encoded value at the head of b and
-// returns how many bytes it took. It is DecodeValue without the copy, and
-// the one place the value encoding is validated and read: a VARCHAR's S
-// aliases b and is valid only while b is unchanged. Whoever keeps the
-// value keeps strings.Clone(S).
+// returns how many bytes it took: valueLen, the one place the value
+// encoding is validated, then readValue, the one place it is read. It is
+// DecodeValue without the copy: a VARCHAR's S aliases b and is valid only
+// while b is unchanged. Whoever keeps the value keeps strings.Clone(S).
 func BorrowValue(b []byte) (Value, int, error) {
+	n, err := valueLen(b)
+	if err != nil {
+		return Null, 0, err
+	}
+	return readValue(b[:n]), n, nil
+}
+
+// valueLen validates the wire-encoded value at the head of b — tag,
+// varints, lengths against what is there — and returns how many bytes it
+// takes. No value is built.
+func valueLen(b []byte) (int, error) {
 	if len(b) == 0 {
-		return Null, 0, fmt.Errorf("record: empty value encoding")
+		return 0, fmt.Errorf("record: empty value encoding")
 	}
 	switch b[0] {
-	case encNull:
-		return Null, 1, nil
+	case encNull, encFalse, encTrue:
+		return 1, nil
 	case encInt:
-		v, n := binary.Varint(b[1:])
-		if n <= 0 {
-			return Null, 0, fmt.Errorf("record: bad varint")
+		// binary.Varint's refusals without its arithmetic: the last byte
+		// within ten, and the tenth carrying at most the sixty-fourth bit.
+		for i, c := range b[1:min(len(b), 1+binary.MaxVarintLen64)] {
+			if c < 0x80 {
+				if i == binary.MaxVarintLen64-1 && c > 1 {
+					break
+				}
+				return 2 + i, nil
+			}
 		}
-		return Int(v), 1 + n, nil
+		return 0, fmt.Errorf("record: bad varint")
 	case encFloat:
 		if len(b) < 9 {
-			return Null, 0, fmt.Errorf("record: truncated float")
+			return 0, fmt.Errorf("record: truncated float")
 		}
-		return Float(math.Float64frombits(binary.LittleEndian.Uint64(b[1:]))), 9, nil
+		return 9, nil
 	case encString:
-		l, n := binary.Uvarint(b[1:])
+		l, n := uvarint(b[1:])
 		if n <= 0 || uint64(len(b)-1-n) < l {
-			return Null, 0, fmt.Errorf("record: truncated string")
+			return 0, fmt.Errorf("record: truncated string")
 		}
-		s := b[1+n : 1+n+int(l)]
-		return String(unsafe.String(unsafe.SliceData(s), len(s))), 1 + n + int(l), nil
-	case encFalse:
-		return Bool(false), 1, nil
-	case encTrue:
-		return Bool(true), 1, nil
+		return 1 + n + int(l), nil
 	}
-	return Null, 0, fmt.Errorf("record: unknown value tag %d", b[0])
+	return 0, fmt.Errorf("record: unknown value tag %d", b[0])
+}
+
+// readValue reads the value whose encoding is exactly b, which valueLen
+// has accepted: nothing is checked here.
+func readValue(b []byte) Value {
+	switch b[0] {
+	case encInt:
+		return Int(readInt(b))
+	case encFloat:
+		return Float(readFloat(b))
+	case encString:
+		return String(readString(b))
+	case encFalse, encTrue:
+		return Bool(b[0] == encTrue)
+	}
+	return Null
+}
+
+// readInt, readFloat and readString read a checked field of that tag.
+
+func readInt(b []byte) int64 {
+	if ux := uint64(b[1]); ux < 0x80 {
+		return int64(ux>>1) ^ -int64(ux&1) // zig-zag, as binary.Varint
+	}
+	x, _ := binary.Varint(b[1:])
+	return x
+}
+
+func readFloat(b []byte) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(b[1:]))
+}
+
+func readString(b []byte) string {
+	_, n := uvarint(b[1:])
+	s := b[1+n:]
+	return unsafe.String(unsafe.SliceData(s), len(s))
+}
+
+// uvarint is binary.Uvarint with the one-byte case — a string shorter
+// than 128 bytes — inline.
+func uvarint(b []byte) (uint64, int) {
+	if len(b) > 0 && b[0] < 0x80 {
+		return uint64(b[0]), 1
+	}
+	return binary.Uvarint(b)
 }

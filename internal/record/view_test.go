@@ -2,15 +2,79 @@ package record
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 )
 
+// borrowValueWhole is BorrowValue as it was when it validated and read in
+// one body, kept as the reference the validator (valueLen) and the reader
+// (readValue) it became are pinned against: the same values, the same
+// lengths, the same refusals in the same words.
+func borrowValueWhole(b []byte) (Value, int, error) {
+	if len(b) == 0 {
+		return Null, 0, fmt.Errorf("record: empty value encoding")
+	}
+	switch b[0] {
+	case encNull:
+		return Null, 1, nil
+	case encInt:
+		v, n := binary.Varint(b[1:])
+		if n <= 0 {
+			return Null, 0, fmt.Errorf("record: bad varint")
+		}
+		return Int(v), 1 + n, nil
+	case encFloat:
+		if len(b) < 9 {
+			return Null, 0, fmt.Errorf("record: truncated float")
+		}
+		return Float(math.Float64frombits(binary.LittleEndian.Uint64(b[1:]))), 9, nil
+	case encString:
+		l, n := binary.Uvarint(b[1:])
+		if n <= 0 || uint64(len(b)-1-n) < l {
+			return Null, 0, fmt.Errorf("record: truncated string")
+		}
+		return String(string(b[1+n : 1+n+int(l)])), 1 + n + int(l), nil
+	case encFalse:
+		return Bool(false), 1, nil
+	case encTrue:
+		return Bool(true), 1, nil
+	}
+	return Null, 0, fmt.Errorf("record: unknown value tag %d", b[0])
+}
+
+// sameValue is == with NaN equal to itself, bit for bit.
+func sameValue(a, b Value) bool {
+	return a == b || (a.Kind == TypeFloat && b.Kind == TypeFloat && math.Float64bits(a.F) == math.Float64bits(b.F))
+}
+
+// checkValueAgainstReference holds valueLen and BorrowValue to
+// borrowValueWhole on the bytes at the head of b.
+func checkValueAgainstReference(t *testing.T, b []byte) {
+	t.Helper()
+	want, wantN, wantErr := borrowValueWhole(b)
+	n, lenErr := valueLen(b)
+	got, gotN, gotErr := BorrowValue(b)
+	if fmt.Sprint(lenErr) != fmt.Sprint(wantErr) || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+		t.Fatalf("%x: valueLen says %v, BorrowValue %v, the reference %v", b, lenErr, gotErr, wantErr)
+	}
+	if n != wantN || gotN != wantN || !sameValue(got, want) {
+		t.Fatalf("%x: valueLen %d, BorrowValue %+v in %d bytes, the reference %+v in %d", b, n, got, gotN, want, wantN)
+	}
+}
+
 // checkViewAgainstDecode holds a View to Decode on one input: both accept
-// or both refuse with the same error, and on acceptance every accessor
-// agrees with the decoded Row.
+// or both refuse with the same error, and on acceptance every accessor —
+// Value, the typed peeks, AppendField, AppendKey — agrees with the decoded
+// Row. Every suffix of the input is also held, as a bare value, to the
+// reference value decoder.
 func checkViewAgainstDecode(t *testing.T, v *View, b []byte) {
 	t.Helper()
+	for i := range b {
+		checkValueAgainstReference(t, b[i:])
+	}
+	checkValueAgainstReference(t, nil)
 	row, derr := Decode(b)
 	verr := v.Reset(b)
 	if (derr == nil) != (verr == nil) || (derr != nil && derr.Error() != verr.Error()) {
@@ -27,16 +91,30 @@ func checkViewAgainstDecode(t *testing.T, v *View, b []byte) {
 	}
 	for i, want := range row {
 		got := v.Value(i)
-		// NaN != NaN, so floats compare by bits.
-		if got != want && !(got.Kind == TypeFloat && want.Kind == TypeFloat && math.Float64bits(got.F) == math.Float64bits(want.F)) {
+		if !sameValue(got, want) {
 			t.Fatalf("%x: field %d: view %+v, row %+v", b, i, got, want)
+		}
+		// The typed peek of the field's kind, rebuilt into a Value.
+		peek := Null
+		switch v.Kind(i) {
+		case TypeInt:
+			peek = Int(v.Int(i))
+		case TypeFloat:
+			peek = Float(v.Float(i))
+		case TypeString:
+			peek = String(v.Str(i))
+		case TypeBool:
+			peek = Bool(v.Bool(i))
+		}
+		if !sameValue(peek, want) {
+			t.Fatalf("%x: field %d: kind %v peeks %+v, row %+v", b, i, v.Kind(i), peek, want)
 		}
 		field := v.AppendField(nil, i)
 		back, rest, err := DecodeValue(field)
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("%x: field %d: AppendField %x does not decode alone: %v, %d bytes left", b, i, field, err, len(rest))
 		}
-		if back != want && !(back.Kind == TypeFloat && math.Float64bits(back.F) == math.Float64bits(want.F)) {
+		if !sameValue(back, want) {
 			t.Fatalf("%x: field %d: AppendField round-trips to %+v, row has %+v", b, i, back, want)
 		}
 		if k, wantK := v.AppendKey([]byte{0xEE}, i), want.AppendKey([]byte{0xEE}); !bytes.Equal(k, wantK) {
@@ -66,6 +144,10 @@ func viewSeeds() [][]byte {
 		{0x80},                 // header varint cut short
 		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, encNull}, // a header claiming 2^63 fields
 		{1, encInt, 0x80, 0x00}, // a padded (non-canonical) varint is still a varint
+		{1, encInt, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},       // the longest varint: the smallest integer
+		{1, encInt, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02},       // one bit more overflows
+		{1, encInt, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00}, // eleven bytes do too
+		Encode(Row{Int(63), Int(64), Int(-64), Int(-65), Int(math.MinInt64), Int(math.MaxInt64), Float(math.NaN()), Float(math.Inf(-1))}),
 	}
 }
 
@@ -87,7 +169,9 @@ func TestViewMatchesDecode(t *testing.T) {
 
 // FuzzRecordView: for arbitrary bytes the view and Decode accept and
 // refuse exactly the same inputs, and agree on every field of what they
-// accept. `go test -fuzz FuzzRecordView ./internal/record`.
+// accept through every accessor; and the one value validator accepts and
+// refuses what the reference decoder does, in its words.
+// `go test -fuzz FuzzRecordView ./internal/record`.
 func FuzzRecordView(f *testing.F) {
 	for _, b := range viewSeeds() {
 		f.Add(b)

@@ -47,7 +47,7 @@ const (
 	viaScan  accessVia = iota // the key range peeled off the predicate, or the whole file
 	viaProbe                  // secondary-index probe, then base-file reads by primary key
 	viaRead                   // the paper's record-at-a-time READ: one record by its unique key
-	viaNone                   // not at all: LIMIT 0, or a NULL key value, is answered before any message is sent
+	viaNone                   // not at all: LIMIT 0, or a key value no key equals (NULL, 1.5 on an INTEGER key), is answered before any message is sent
 )
 
 // tableQuery is one single-variable query as compiled: everything about
@@ -176,8 +176,9 @@ func (q *tableQuery) access(vals []record.Value) (access, error) {
 
 // read makes a the READ of q's unique key for vals. The whole record
 // comes back, so there is no projection; the residual predicate is the
-// requester's to evaluate on it. A NULL key value equals nothing and
-// LIMIT 0 wants nothing: neither sends a message.
+// requester's to evaluate on it. A key value no key equals (UniqueKey.Key:
+// NULL, a fraction on an INTEGER column) and LIMIT 0 want nothing: neither
+// sends a message.
 func (a *access) read(q *tableQuery, vals []record.Value) error {
 	key, ok, err := q.key.Key(vals)
 	if err != nil {

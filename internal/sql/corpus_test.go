@@ -139,8 +139,9 @@ var pointReadCases = []struct {
 	{"SELECT id FROM m WHERE id = ?", []record.Value{record.Int(1000)},
 		"SELECT id FROM m WHERE id = 1000",
 		"SELECT id FROM m WHERE id >= 1000 AND id <= 1000", "] via READ"},
-	// A NULL key value equals nothing; a FLOAT value on the INTEGER key
-	// encodes as a FLOAT key on every path.
+	// A NULL key value equals nothing; an integral FLOAT value on the
+	// INTEGER key narrows to the integer on every path and finds the record
+	// (it used to encode as a FLOAT key and miss; TestFloatBoundOnIntegerKey).
 	{"SELECT id FROM m WHERE id = ?", []record.Value{record.Null},
 		"SELECT id FROM m WHERE id = NULL",
 		"SELECT id FROM m WHERE id >= NULL AND id <= NULL", "a NULL key value equals nothing"},

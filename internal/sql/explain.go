@@ -138,7 +138,7 @@ func (a *access) describe(sb *strings.Builder, in string) {
 			a.describeProj(sb, in)
 			return
 		case a.via == viaNone && a.budget != 0:
-			fmt.Fprintf(sb, "%saccess %s: none (unique key (%s): a NULL key value equals nothing)\n", in, name, a.unique)
+			fmt.Fprintf(sb, "%saccess %s: none (unique key (%s): a NULL key value equals nothing, nor does a fraction on an INTEGER key)\n", in, name, a.unique)
 			return
 		case a.via == viaNone:
 			fmt.Fprintf(sb, "%saccess %s: none (LIMIT 0 is answered before any conversation opens)\n", in, name)

@@ -767,6 +767,13 @@ func newAggSpec(call aCall, sc *scope) (*aggSpec, error) {
 		if err != nil {
 			return nil, err
 		}
+		// A sum of names is not zero, it is a mistake: refused here, once,
+		// for the pushed-down and the row path alike.
+		if f, ok := bound.(expr.FieldRef); ok && (call.Fn == "SUM" || call.Fn == "AVG") {
+			if typ := sc.typeOf(f.Index); typ == record.TypeString || typ == record.TypeBool {
+				return nil, fmt.Errorf("sql: %s(%s): the argument must be numeric, and %s is %v", call.Fn, f.Name, f.Name, typ)
+			}
+		}
 		spec.arg = bound
 	} else if call.Fn != "COUNT" {
 		return nil, fmt.Errorf("sql: %s(*) is not valid", call.Fn)

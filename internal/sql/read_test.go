@@ -1,6 +1,7 @@
 package sql_test
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -290,5 +291,119 @@ func TestAllocationCeilings(t *testing.T) {
 	}
 	if read+15 > rng {
 		t.Errorf("READ allocates %.0f times, the subset conversation %.0f: the READ should save at least 15", read, rng)
+	}
+}
+
+// TestFloatBoundOnIntegerKey: a FLOAT constant against the INTEGER primary
+// key is stated over the integers before it becomes a key span (an
+// integral one narrows, one with a fraction tightens the bound, an
+// equality with a fraction is an empty span) — it was encoded as a FLOAT
+// key, so `id > 1.5` found nothing and `id = 1.0` missed id 1. The
+// reference is the same comparison on `id + 0`, which is never a key bound
+// and so is the evaluator's word: every (operator, float) selects the same
+// ids both ways, as a literal and as a marker's value, with pushdown on and
+// off. M holds ids 0..179.
+func TestFloatBoundOnIntegerKey(t *testing.T) {
+	d := newDB(t)
+	loadMatrix(t, d)
+	ids := func(text string, args ...record.Value) string {
+		t.Helper()
+		p, err := d.s.Prepare(text)
+		if err != nil {
+			t.Fatalf("Prepare(%q): %v", text, err)
+		}
+		res, err := d.s.ExecPrepared(p, args...)
+		if err != nil {
+			t.Fatalf("%q %v: %v", text, args, err)
+		}
+		return sql.FormatResult(res)
+	}
+	for _, push := range []bool{true, false} {
+		d.s.SetPushdown(push)
+		// The four the bug was reported with, by what they must return.
+		for text, want := range map[string]int{
+			"SELECT id FROM m WHERE id > 1.5": 178, "SELECT id FROM m WHERE id = 1.0": 1,
+			"SELECT id FROM m WHERE id < 1.5": 2, "SELECT id FROM m WHERE id = 1.5": 0,
+			"SELECT id FROM m WHERE 178.5 <= id": 1, "SELECT COUNT(*) FROM m WHERE id >= 0.5 AND id < 9.5": 1,
+		} {
+			if got := len(d.exec(t, text).Rows); got != want {
+				t.Errorf("pushdown=%v: %q returns %d rows, want %d", push, text, got, want)
+			}
+		}
+		for _, lit := range []string{"0.0", "1.0", "1.5", "41.5", "42.0", "178.5", "179.0", "179.5", "0.5", "1000.0",
+			"9223372036854775808.0", "1e300"} {
+			f, err := strconv.ParseFloat(lit, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sign := range []string{"", "-"} {
+				if sign == "-" {
+					f = -f
+				}
+				for _, op := range []string{"=", "<", "<=", ">", ">="} {
+					want := ids("SELECT id FROM m WHERE id + 0 " + op + " " + sign + lit + " ORDER BY id")
+					flipped := map[string]string{"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}[op]
+					for _, form := range []struct {
+						text string
+						args []record.Value
+					}{
+						{"SELECT id FROM m WHERE id " + op + " " + sign + lit + " ORDER BY id", nil},
+						{"SELECT id FROM m WHERE id " + op + " ? ORDER BY id", []record.Value{record.Float(f)}},
+						{"SELECT id FROM m WHERE ? " + flipped + " id ORDER BY id", []record.Value{record.Float(f)}},
+					} {
+						if got := ids(form.text, form.args...); got != want {
+							t.Errorf("pushdown=%v: %q %v diverges from id + 0 %s %s%s\nkey bound:\n%s\nevaluated:\n%s",
+								push, form.text, form.args, op, sign, lit, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSumOfNonNumericColumnRefused: SUM and AVG of a VARCHAR or BOOLEAN
+// column answered 0.0 on every path (a non-number's float is its zero). It
+// is a type error when the statement is bound, so pushed down or not, ad
+// hoc or prepared, nothing runs. What the numeric sums return — INTEGER,
+// FLOAT, a column with NULLs, an empty input — is pinned byte for byte: the
+// aggregate's move onto the record's encoded fields may not change it.
+func TestSumOfNonNumericColumnRefused(t *testing.T) {
+	d := newDB(t)
+	loadMatrix(t, d)
+	d.exec(t, "CREATE TABLE flags (id INTEGER PRIMARY KEY, ok BOOLEAN, name VARCHAR(8))")
+	d.exec(t, "INSERT INTO flags VALUES (1, TRUE, 'a')")
+	for _, push := range []bool{true, false} {
+		d.s.SetPushdown(push)
+		for _, text := range []string{
+			"SELECT SUM(dept) FROM m", "SELECT AVG(dept) FROM m", "SELECT grade, SUM(dept) FROM m GROUP BY grade",
+			"SELECT SUM(name), AVG(ok) FROM flags", "SELECT AVG(ok) FROM flags", "SELECT id FROM flags GROUP BY id HAVING SUM(ok) > 0",
+			"SELECT SUM(dept) FROM m WHERE id = 5",
+		} {
+			d.mustFail(t, text, "the argument must be numeric")
+			if _, err := d.s.Prepare(text); err == nil || !strings.Contains(err.Error(), "the argument must be numeric") {
+				t.Errorf("pushdown=%v: Prepare(%q): %v", push, text, err)
+			}
+		}
+		for text, want := range map[string]string{
+			"SELECT SUM(grade), SUM(pay), SUM(bonus), AVG(bonus), COUNT(bonus) FROM m":                    "180|16200|430|2.986111111111111|144\n",
+			"SELECT grade, SUM(id), SUM(pay), AVG(pay) FROM m WHERE id < 9 GROUP BY grade ORDER BY grade": "0|9|10.5|3.5\n1|12|13.5|4.5\n2|15|16.5|5.5\n",
+			"SELECT SUM(bonus), AVG(pay), MIN(dept), MAX(bonus) FROM m WHERE id > 500":                    "NULL|NULL|NULL|NULL\n",
+			"SELECT SUM(bonus) FROM m WHERE id = 5":                                                       "NULL\n",
+		} {
+			var got strings.Builder
+			for _, row := range d.exec(t, text).Rows {
+				for i, v := range row {
+					if i > 0 {
+						got.WriteByte('|')
+					}
+					got.WriteString(v.Format())
+				}
+				got.WriteByte('\n')
+			}
+			if got.String() != want {
+				t.Errorf("pushdown=%v: %q returns\n%swant\n%s", push, text, got.String(), want)
+			}
+		}
 	}
 }

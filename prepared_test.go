@@ -3,6 +3,7 @@ package nonstopsql_test
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -70,7 +71,8 @@ func TestPreparedOverTCP(t *testing.T) {
 			[]record.Value{record.Int(5), record.Int(25)}},
 		// A unique key is a READ; the literal twin names the same record
 		// by a point range, which still opens a subset conversation. Hit,
-		// miss, NULL, a FLOAT value on the INTEGER key, a residual
+		// miss, NULL, an integral FLOAT value on the INTEGER key (which
+		// narrows to the integer and finds the record), a residual
 		// predicate true and false, LIMIT 0.
 		{`SELECT * FROM emp WHERE empno >= 7 AND empno <= 7`,
 			`SELECT * FROM emp WHERE empno = ?`, []record.Value{record.Int(7)}},
@@ -436,5 +438,79 @@ func TestRemoteDDLInvalidation(t *testing.T) {
 	}
 	if !strings.Contains(text, "wire: frames in=") || !strings.Contains(text, "frames/write") {
 		t.Errorf("remote stats lack the wire line:\n%s", text)
+	}
+}
+
+// TestFloatBoundAndNonNumericSumOverTCP takes this round's two wrong
+// results through the front door. A FLOAT constant against the INTEGER
+// primary key selects what the same comparison on `id + 0` — never a key
+// bound — selects: as a literal and as a marker's value, in process and
+// over TCP. SUM and AVG of a column that is no number are refused when the
+// statement is bound, over TCP as in process, executed or prepared.
+func TestFloatBoundAndNonNumericSumOverTCP(t *testing.T) {
+	db, pool := dialServed(t)
+	inproc := db.Session(0, 0)
+	for _, stmt := range []string{
+		`CREATE TABLE t (id INTEGER PRIMARY KEY, name VARCHAR(8), ok BOOLEAN)`,
+		`INSERT INTO t VALUES (1, 'a', TRUE), (2, 'b', FALSE), (3, 'c', TRUE), (4, 'd', FALSE)`,
+	} {
+		if _, err := pool.Exec(stmt); err != nil {
+			t.Fatalf("%q: %v", stmt, err)
+		}
+	}
+	for _, c := range []struct {
+		op   string
+		f    float64
+		rows int
+	}{{">", 1.5, 3}, {"=", 1.0, 1}, {"<", 1.5, 1}, {"=", 1.5, 0}, {">=", -0.5, 4}, {"<=", 3.0, 3}, {">", 1e300, 0}, {"<", 1e300, 4}} {
+		lit := strconv.FormatFloat(c.f, 'f', 1, 64)
+		ref, err := inproc.Exec("SELECT id FROM t WHERE id + 0 " + c.op + " " + lit + " ORDER BY id")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := nonstopsql.FormatResult(ref)
+		if len(ref.Rows) != c.rows {
+			t.Fatalf("id + 0 %s %s: %d rows, want %d", c.op, lit, len(ref.Rows), c.rows)
+		}
+		literal := "SELECT id FROM t WHERE id " + c.op + " " + lit + " ORDER BY id"
+		marker := "SELECT id FROM t WHERE id " + c.op + " ? ORDER BY id"
+		check := func(how string, res *nonstopsql.Result, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("id %s %s %s: %v", c.op, lit, how, err)
+			}
+			if got := nonstopsql.FormatResult(res); got != want {
+				t.Errorf("id %s %s %s diverges from id + 0 %s %s\nkey bound:\n%s\nevaluated:\n%s", c.op, lit, how, c.op, lit, got, want)
+			}
+		}
+		res, err := inproc.Exec(literal)
+		check("literal, in process", res, err)
+		res, err = pool.Exec(literal)
+		check("literal, over TCP", res, err)
+		p, err := inproc.Prepare(marker)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err = inproc.ExecPrepared(p, record.Float(c.f))
+		check("marker, in process", res, err)
+		st, err := pool.Prepare(marker)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err = st.Exec(record.Float(c.f))
+		check("marker, over TCP", res, err)
+	}
+
+	const refusal = "the argument must be numeric"
+	for _, text := range []string{"SELECT SUM(name), AVG(ok) FROM t", "SELECT ok, AVG(name) FROM t GROUP BY ok"} {
+		if _, err := inproc.Exec(text); err == nil || !strings.Contains(err.Error(), refusal) {
+			t.Errorf("%q in process: %v", text, err)
+		}
+		if _, err := pool.Exec(text); err == nil || !strings.Contains(err.Error(), refusal) {
+			t.Errorf("%q over TCP: %v", text, err)
+		}
+		if _, err := pool.Prepare(text); err == nil || !strings.Contains(err.Error(), refusal) {
+			t.Errorf("Prepare(%q) over TCP: %v", text, err)
+		}
 	}
 }

@@ -30,23 +30,35 @@ go test -count=1 -run TestAllocationCeilings ./internal/btree
 go test -run '^$' -fuzz FuzzPageView -fuzztime 10s ./internal/btree
 # One layer up, records are read where they lie too (PR 17): a
 # record.View borrows the cell bytes the B-tree hands a scan callback, the
-# expression evaluator reads fields through it, and the Disk Process
-# copies whatever outlives the callback. Same three checks: the two
-# packages under -race (property tests: View == Decode, evaluating on a
-# View == evaluating on a Row, the two-cursor LIKE == the old memoised
-# one), the Disk Process's allocation ceilings without -race, and ten
-# seconds of hostile bytes against the frame walk. record.Decode and
-# expr.Eval/Satisfied(Row) keep their signatures beside the View — the
-# same value decoder, the same evaluator body — because the File System
-# and the SQL executor keep the rows they decode, and benchmark/layers.go,
-# which a performance change may not edit, times exactly those two.
+# Disk Process reads fields through it — typed, straight from the encoded
+# bytes — and copies whatever outlives the callback. The Subset Control
+# Block holds the predicate compiled (PR 23): FIELD op CONSTANT conjuncts
+# are comparisons on the encoded field, everything else is handed to
+# expr.eval reading through the View. Same three checks: the two packages
+# under -race (property tests: View == Decode through every accessor, one
+# value validator == the old one-body decoder, the compiled Program ==
+# evaluating on a View == evaluating on a Row in keep/reject and error
+# text, the two-cursor LIKE == the old memoised one), the Disk Process's
+# allocation ceilings without -race — compiling costs ^FIRST a constant
+# and a ^NEXT nothing — with one pass of the per-record benchmark so it
+# cannot rot, and ten seconds of hostile bytes against the frame walk and
+# the typed peeks. record.Decode and expr.Eval/Satisfied(Row) keep their
+# signatures beside the View — the same value validator and reader under
+# Decode, and eval as the Row callers' evaluator, the Program's generic
+# conjunct and the reference the Program is held to — because the File
+# System and the SQL executor keep the rows they decode, and
+# benchmark/layers.go, which a performance change may not edit, times
+# exactly those two.
 go test -race -count=1 ./internal/record ./internal/expr
 go test -count=1 -run TestAllocationCeilings ./internal/dp
+go test -run '^$' -bench BenchmarkSubsetRecord -benchtime 1x ./internal/dp
 go test -run '^$' -fuzz FuzzRecordView -fuzztime 10s ./internal/record
 # A predicate, a CHECK constraint and a SET list reach the Disk Process as
 # bytes off the network: ten seconds of hostile ones against expr's two
 # decoders (a count bounded by the bytes behind it, nesting capped — a
-# stack overflow is fatal, no recover catches it — and ordinals in range).
+# stack overflow is fatal, no recover catches it — and ordinals in range),
+# and whatever decodes as a predicate is compiled and run against whatever
+# the second input decodes to as a record, three ways.
 go test -run '^$' -fuzz FuzzExpr -fuzztime 10s ./internal/expr
 # Durability has one mechanism now (PR 18): every force point is one
 # leader/follower wait in wal.Trail, whose leader packs, writes and syncs
@@ -84,13 +96,15 @@ go test -race -count=1 -run 'TestNextRefusedOnForeignSCB|TestVSBBRedriveProtocol
 go test -run '^$' -fuzz FuzzFsdp -fuzztime 10s ./internal/fsdp
 go test -race -count=1 -run 'TestAggPushdownDifferential|TestJoinProbeDifferential|TestLimitPushdownMessages|TestExplainIsThePlan' ./internal/sql
 # A unique key is a READ (PR 22): the compile-time key against the
-# run-time range (property test), READ against the range form over the
-# unique-key corpus, what a READ locks (two sessions, one waiting on the
-# other's lock), which Disk Process of a pair serves a browse READ, a
-# rowless OK refused — under -race; then what one prepared point SELECT
-# allocates, without it.
-go test -race -count=1 -run 'TestUniqueKeyIsExtractKeyRangesPoint' ./internal/expr
-go test -race -count=1 -run 'TestPointRead|TestExplainAnalyzeRead' ./internal/sql
+# run-time range (property test; a FLOAT constant on an INTEGER key is
+# stated over the integers on both, and KEY op f == KEY + 0 op f), READ
+# against the range form over the unique-key corpus, what a READ locks (two
+# sessions, one waiting on the other's lock), which Disk Process of a pair
+# serves a browse READ, a rowless OK refused, SUM of a column that is no
+# number refused at bind time — under -race; then what one prepared point
+# SELECT allocates, without it.
+go test -race -count=1 -run 'TestUniqueKeyIsExtractKeyRangesPoint|TestKeyBoundCoercion|TestFloatBoundOnIntegerKey' ./internal/expr
+go test -race -count=1 -run 'TestPointRead|TestExplainAnalyzeRead|TestFloatBoundOnIntegerKey|TestSumOfNonNumericColumnRefused' ./internal/sql
 go test -race -count=1 -run 'TestReadRefusesARowlessOK' ./internal/fs
 go test -count=1 -run TestAllocationCeilings ./internal/sql
 # Deterministic short crash-point sweep first: every named fault point
