@@ -1,7 +1,6 @@
 package dp
 
 import (
-	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -290,18 +289,14 @@ var (
 
 // visitGet appends the record's key and its reply row to the virtual
 // block and cuts both out of it. A projected row is assembled from the
-// fields' encoded bytes — the frame record.Encode(record.Project(...))
-// would build, without decoding a value.
+// fields' encoded bytes (View.AppendRow), without decoding a value.
 func visitGet(r *subsetRun, key, val []byte, rec *record.View) (bool, error) {
 	b := append(r.block, key...)
 	keyEnd := len(b)
 	if len(r.s.proj) > 0 {
-		b = binary.AppendUvarint(b, uint64(len(r.s.proj)))
-		for _, f := range r.s.proj {
-			if f < 0 || f >= rec.Len() {
-				return false, fmt.Errorf("dp: projected field ordinal %d out of range for %s", f, r.req.File)
-			}
-			b = rec.AppendField(b, f)
+		var err error
+		if b, err = rec.AppendRow(b, r.s.proj); err != nil {
+			return false, fmt.Errorf("dp: %s: %w", r.req.File, err)
 		}
 	} else {
 		b = append(b, val...) // no projection (RSBB always): the record ships whole

@@ -80,6 +80,16 @@ func (f *FS) sendTx(tx *tmf.Tx, server string, req *fsdp.Request) (*fsdp.Reply, 
 // Read fetches one record by primary key. tx may be nil for browse
 // (lock-free) access; forUpdate takes an exclusive record lock.
 func (f *FS) Read(tx *tmf.Tx, def *FileDef, key []byte, forUpdate bool) (record.Row, error) {
+	enc, err := f.ReadRaw(tx, def, key, forUpdate)
+	if err != nil {
+		return nil, err
+	}
+	return record.Decode(enc)
+}
+
+// ReadRaw is Read less the decoding: the record as the Disk Process
+// encoded it, unvalidated (see Rows.NextRaw).
+func (f *FS) ReadRaw(tx *tmf.Tx, def *FileDef, key []byte, forUpdate bool) ([]byte, error) {
 	p := partitionFor(def.Partitions, key)
 	server := p.Server
 	req := &fsdp.Request{Kind: fsdp.KReadRecord, File: def.Name, Key: key}
@@ -105,7 +115,7 @@ func (f *FS) Read(tx *tmf.Tx, def *FileDef, key []byte, forUpdate bool) (record.
 		// backup, or hostile bytes on the wire transport.
 		return nil, fmt.Errorf("%w: READ %s from %s answered OK with %d records", ErrProtocol, def.Name, server, len(reply.Rows))
 	}
-	return record.Decode(reply.Rows[0])
+	return reply.Rows[0], nil
 }
 
 // ReadByIndex implements Figure 2's first hop generalized to reads: one

@@ -124,29 +124,41 @@ func (f *FS) Select(tx *tmf.Tx, def *FileDef, spec SelectSpec) *Rows {
 	return r
 }
 
-// Next returns the next row and its record key. ok=false ends iteration;
-// check Err afterwards.
-func (r *Rows) Next() (row record.Row, key []byte, ok bool) {
+// NextRaw returns the next row as the Disk Process encoded it — a whole
+// record, or the fields SelectSpec.Proj names in Proj's order — and its
+// record key. Nothing has looked inside the row: whoever reads a value of
+// it validates it first (record.Decode, record.View.Reset). The bytes
+// belong to the reply message and are not reused. ok=false ends
+// iteration; check Err afterwards.
+func (r *Rows) NextRaw() (enc, key []byte, ok bool) {
 	for {
 		if r.err != nil {
 			return nil, nil, false
 		}
 		if r.pos < len(r.batch) {
-			raw := r.batch[r.pos]
-			key = r.keysOut[r.pos]
+			enc, key = r.batch[r.pos], r.keysOut[r.pos]
 			r.pos++
-			decoded, err := record.Decode(raw)
-			if err != nil {
-				r.err = err
-				return nil, nil, false
-			}
-			return decoded, key, true
+			return enc, key, true
 		}
 		if !r.fetch() {
 			r.op.finish()
 			return nil, nil, false
 		}
 	}
+}
+
+// Next is NextRaw for a consumer that reads the row's values: the row
+// decoded. A row that is not a well-formed record ends the iteration with
+// that error.
+func (r *Rows) Next() (row record.Row, key []byte, ok bool) {
+	enc, key, ok := r.NextRaw()
+	if !ok {
+		return nil, nil, false
+	}
+	if row, r.err = record.Decode(enc); r.err != nil {
+		return nil, nil, false
+	}
+	return row, key, true
 }
 
 // Err returns the error that terminated iteration, if any.

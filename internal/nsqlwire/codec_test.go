@@ -3,6 +3,8 @@ package nsqlwire
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
+	"strings"
 	"testing"
 
 	"nonstopsql/internal/record"
@@ -142,20 +144,86 @@ func FuzzNsqlwire(f *testing.F) {
 				t.Fatalf("re-encoded reply %x: decodes to %+v, %v", enc, again, err)
 			}
 		}
+		// The input as a forwarded row: what a pass-through SELECT puts in
+		// a reply is bytes nobody has looked at. The frame holds whatever
+		// they are — a refusal names the row, never the framing — and rows
+		// that decode are the record those bytes spell.
+		forwarded := EncodeReply(&Reply{Columns: []string{"c"}, Encoded: [][]byte{data, data}, Affected: 2})
+		r, err := DecodeReply(forwarded)
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "nsqlwire: row 0: record: ") {
+				t.Fatalf("forwarded row %x broke the frame: %v", data, err)
+			}
+			return
+		}
+		if len(r.Rows) != 2 || r.Affected != 2 || len(r.Columns) != 1 || r.Encoded != nil {
+			t.Fatalf("forwarded row %x decoded to %+v", data, r)
+		}
+		for _, row := range r.Rows {
+			if enc := record.Encode(row); len(enc) > len(data) || (len(enc) == len(data) && !bytes.Equal(enc, data)) {
+				t.Fatalf("forwarded row %x decoded to %v, which encodes to %x", data, row, enc)
+			}
+		}
 	})
+}
+
+// TestEncodedRowsAreRows: a reply's Encoded rows travel as Rows' would —
+// the same bytes, after Rows, in one exactly sized buffer — and come back
+// as Rows.
+func TestEncodedRowsAreRows(t *testing.T) {
+	rows := []record.Row{
+		{record.Int(1), record.String("x"), record.Null},
+		{record.Int(-2), record.String(""), record.Float(2.25)},
+		{record.Int(3), record.Null, record.Bool(true)},
+	}
+	encoded := func(rows []record.Row) (out [][]byte) {
+		for _, r := range rows {
+			out = append(out, record.Encode(r))
+		}
+		return out
+	}
+	want := checkReplyBytes(t, &Reply{Columns: []string{"a", "b", "c"}, Rows: rows, Affected: 3})
+	for split := 0; split <= len(rows); split++ {
+		r := &Reply{Columns: []string{"a", "b", "c"}, Rows: rows[:split], Encoded: encoded(rows[split:]), Affected: 3}
+		got := EncodeReply(r)
+		if !bytes.Equal(got, want) || len(got) != cap(got) {
+			t.Fatalf("%d rows as values and %d encoded: reply bytes\n%x (cap %d), want\n%x", split, len(rows)-split, got, cap(got), want)
+		}
+	}
+	back, err := DecodeReply(want)
+	if err != nil || !reflect.DeepEqual(back.Rows, rows) || back.Encoded != nil {
+		t.Fatalf("decoded %+v, %v", back, err)
+	}
+	// The rows share one allocation and none can grow into the next.
+	_ = append(back.Rows[0], record.Int(99))
+	if !reflect.DeepEqual(back.Rows[1], rows[1]) {
+		t.Fatalf("an append to row 0 rewrote row 1: %v", back.Rows[1])
+	}
 }
 
 var (
 	executeRequest = &Request{Op: OpExecute, Handle: 3, Params: record.Row{record.Int(4242)}}
 	oneRowReply    = &Reply{Columns: []string{"bal", "pad"}, Rows: []record.Row{{record.Int(100), record.String("xxxxxxxxxxxxxxxx")}}}
+	// scanReply is a pass-through range SELECT's reply as the endpoint
+	// builds it: 1 000 rows of (id, bal), still encoded.
+	scanReply = func() *Reply {
+		r := &Reply{Columns: []string{"id", "bal"}, Affected: 1000}
+		for i := 0; i < 1000; i++ {
+			r.Encoded = append(r.Encoded, record.Encode(record.Row{record.Int(int64(i)), record.Float(float64(i) + 0.5)}))
+		}
+		return r
+	}()
 )
 
 // TestAllocationCeilings pins what the codecs allocate for the serving
 // path's commonest conversation, a prepared one-row read: an encoder one
 // buffer, a decoder only what the caller keeps (Request and its parameter
 // row; Reply, Columns and the two names, Rows, the row and its string).
+// A 1 000-row reply costs per reply, not per row: one buffer to encode
+// it from the forwarded rows; Reply, Columns and the two names, Rows and
+// the one arena every row's values land in to decode it.
 func TestAllocationCeilings(t *testing.T) {
-	qb, rb := EncodeRequest(executeRequest), EncodeReply(oneRowReply)
+	qb, rb, sb := EncodeRequest(executeRequest), EncodeReply(oneRowReply), EncodeReply(scanReply)
 	for _, c := range []struct {
 		name    string
 		ceiling float64
@@ -170,6 +238,12 @@ func TestAllocationCeilings(t *testing.T) {
 		}},
 		{"DecodeReply", 7, func() {
 			if _, err := DecodeReply(rb); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"EncodeReply of 1000 forwarded rows", 1, func() { sink = EncodeReply(scanReply) }},
+		{"DecodeReply of 1000 rows", 6, func() {
+			if r, err := DecodeReply(sb); err != nil || len(r.Rows) != 1000 {
 				t.Fatal(err)
 			}
 		}},

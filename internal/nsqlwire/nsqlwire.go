@@ -7,9 +7,13 @@
 // a result set, rendered text, or an application error back.
 //
 // The encoding follows the FS-DP message style: uvarint-length-prefixed
-// byte strings, rows in the record package's tagged value encoding —
-// the same bytes a Disk Process would ship, so a result row costs the
-// same on the TCP wire as on the simulated interconnect.
+// byte strings, rows in the record package's tagged value encoding. For a
+// pass-through SELECT the rows are the Disk Processes' bytes — the
+// endpoint appends what they shipped (Reply.Encoded) behind each row's
+// length and looks inside none of it; every other row is encoded here
+// to the same format, so a result row costs the same on the TCP wire as
+// on the simulated interconnect and a client cannot tell the two apart.
+// DecodeReply is where every row, whoever encoded it, is validated.
 package nsqlwire
 
 import (
@@ -160,12 +164,21 @@ type Reply struct {
 	Affected uint64
 	Text     string // rendered output for the text ops
 	Handle   uint64 // statement handle (OpPrepare replies)
+
+	// Encoded holds rows already in the record encoding (a pass-through
+	// SELECT's, as the Disk Processes shipped them). EncodeReply sends
+	// them after Rows, as they are; DecodeReply never sets it — a decoded
+	// reply has every row in Rows.
+	Encoded [][]byte
 }
 
 // EncodeReply serializes a reply payload, in one allocation of exactly
-// its size: each row is appended value by value behind its length.
+// its size: each row behind its length — a row of Rows appended value by
+// value, a row of Encoded copied. The length prefix is the framing, so
+// nothing inside an Encoded row can break it; whether those bytes are a
+// record is for DecodeReply to say.
 func EncodeReply(r *Reply) []byte {
-	n := stringLen(r.Err) + uvarintLen(uint64(len(r.Columns))) + uvarintLen(uint64(len(r.Rows))) +
+	n := stringLen(r.Err) + uvarintLen(uint64(len(r.Columns))) + uvarintLen(uint64(len(r.Rows)+len(r.Encoded))) +
 		uvarintLen(r.Affected) + stringLen(r.Text) + 1 + uvarintLen(r.Handle)
 	for _, c := range r.Columns {
 		n += stringLen(c)
@@ -173,15 +186,22 @@ func EncodeReply(r *Reply) []byte {
 	for _, row := range r.Rows {
 		n += rowLen(row)
 	}
+	for _, enc := range r.Encoded {
+		n += uvarintLen(uint64(len(enc))) + len(enc)
+	}
 	b := make([]byte, 0, n)
 	b = appendString(b, r.Err)
 	b = binary.AppendUvarint(b, uint64(len(r.Columns)))
 	for _, c := range r.Columns {
 		b = appendString(b, c)
 	}
-	b = binary.AppendUvarint(b, uint64(len(r.Rows)))
+	b = binary.AppendUvarint(b, uint64(len(r.Rows)+len(r.Encoded)))
 	for _, row := range r.Rows {
 		b = appendRow(b, row)
+	}
+	for _, enc := range r.Encoded {
+		b = binary.AppendUvarint(b, uint64(len(enc)))
+		b = append(b, enc...)
 	}
 	b = binary.AppendUvarint(b, r.Affected)
 	b = appendString(b, r.Text)
@@ -219,16 +239,22 @@ func DecodeReply(b []byte) (*Reply, error) {
 		return nil, fmt.Errorf("nsqlwire: bad row count")
 	}
 	b = b[sz:]
+	// Every row of the reply decodes into one arena (record.AppendDecode):
+	// an allocation per reply, not per row. A value takes at least one
+	// byte: the bytes present bound the arena too.
+	var arena record.Row
 	if n > 0 {
-		r.Rows = make([]record.Row, 0, min(n, uint64(len(b)/2)))
+		rows := min(n, uint64(len(b)/2))
+		r.Rows = make([]record.Row, 0, rows)
+		arena = make(record.Row, 0, min(rows*uint64(len(r.Columns)), uint64(len(b))))
 	}
 	for i := uint64(0); i < n; i++ {
 		var enc []byte
 		if enc, b, err = takeBytes(b); err != nil {
 			return nil, err
 		}
-		row, err := record.Decode(enc)
-		if err != nil {
+		var row record.Row
+		if arena, row, err = record.AppendDecode(arena, enc); err != nil {
 			return nil, fmt.Errorf("nsqlwire: row %d: %w", i, err)
 		}
 		r.Rows = append(r.Rows, row)

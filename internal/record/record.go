@@ -413,27 +413,41 @@ func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 // caller owns. The Disk Process's scans do not come here: they read the
 // record where it lies through a View, whose Reset is this same walk.
 func Decode(b []byte) (Row, error) {
+	_, row, err := AppendDecode(nil, b)
+	return row, err
+}
+
+// AppendDecode is Decode into an arena: the row's values go behind the
+// ones arena already holds, so that many rows share one allocation, and
+// the row comes back as the slice of the arena it occupies, clipped to
+// its length — an append to it reallocates rather than write into its
+// neighbour. A nil arena is made to fit the row. On error the arena comes
+// back without the row.
+func AppendDecode(arena Row, b []byte) (_, row Row, err error) {
 	n, pos := binary.Uvarint(b)
 	if pos <= 0 {
-		return nil, fmt.Errorf("record: bad row header")
+		return arena, nil, fmt.Errorf("record: bad row header")
 	}
-	// n is untrusted; every field takes at least one byte.
-	r := make(Row, 0, min(n, uint64(len(b))))
+	if arena == nil {
+		// n is untrusted; every field takes at least one byte.
+		arena = make(Row, 0, min(n, uint64(len(b))))
+	}
+	start := len(arena)
 	for i := uint64(0); i < n; i++ {
 		v, sz, err := BorrowValue(b[pos:])
 		if err != nil {
-			return nil, fmt.Errorf("record: field %d: %w", i, err)
+			return arena[:start], nil, fmt.Errorf("record: field %d: %w", i, err)
 		}
 		if v.Kind == TypeString {
 			v.S = strings.Clone(v.S)
 		}
-		r = append(r, v)
+		arena = append(arena, v)
 		pos += sz
 	}
 	if pos != len(b) {
-		return nil, fmt.Errorf("record: %d trailing bytes", len(b)-pos)
+		return arena[:start], nil, fmt.Errorf("record: %d trailing bytes", len(b)-pos)
 	}
-	return r, nil
+	return arena, arena[start:len(arena):len(arena)], nil
 }
 
 // DiffFields returns the ordinals of fields whose values differ between

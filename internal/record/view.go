@@ -107,6 +107,25 @@ func (v *View) Bool(i int) bool { return v.b[v.off[i]] == encTrue }
 // write for Value(i)) to dst.
 func (v *View) AppendField(dst []byte, i int) []byte { return append(dst, v.field(i)...) }
 
+// AppendRow appends the row of the record's fields proj, in proj's order
+// — the frame Encode would build of those values, assembled from their
+// encoded bytes without decoding one. A nil proj is the whole record. An
+// ordinal the record does not have is an error, not a panic: proj comes
+// from a schema and the record from a disk or a message.
+func (v *View) AppendRow(dst []byte, proj []int) ([]byte, error) {
+	if proj == nil {
+		return append(dst, v.b...), nil
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(proj)))
+	for _, f := range proj {
+		if f < 0 || f >= v.Len() {
+			return dst, fmt.Errorf("record: projected field ordinal %d out of range (row has %d fields)", f, v.Len())
+		}
+		dst = v.AppendField(dst, f)
+	}
+	return dst, nil
+}
+
 // AppendKey appends field i's order-preserving key encoding (what
 // Value(i).AppendKey would write) to dst, from the encoded field.
 func (v *View) AppendKey(dst []byte, i int) []byte {

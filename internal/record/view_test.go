@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -79,6 +80,21 @@ func checkViewAgainstDecode(t *testing.T, v *View, b []byte) {
 	verr := v.Reset(b)
 	if (derr == nil) != (verr == nil) || (derr != nil && derr.Error() != verr.Error()) {
 		t.Fatalf("%x: Decode says %v, View.Reset says %v", b, derr, verr)
+	}
+	// Decode is AppendDecode into no arena: into one that holds a value it
+	// adds the same values behind it and returns them clipped, or refuses
+	// in the same words and adds none.
+	arena, arow, aerr := AppendDecode(Row{Int(7)}, b)
+	if (derr == nil) != (aerr == nil) || (derr != nil && derr.Error() != aerr.Error()) {
+		t.Fatalf("%x: Decode says %v, AppendDecode says %v", b, derr, aerr)
+	}
+	if len(arena) != 1+len(row) || !sameValue(arena[0], Int(7)) || len(arow) != len(row) || cap(arow) != len(arow) {
+		t.Fatalf("%x: AppendDecode behind one value left %d and returned %d (cap %d), Decode gives %d", b, len(arena), len(arow), cap(arow), len(row))
+	}
+	for i, want := range row {
+		if !sameValue(arow[i], want) || !sameValue(arena[1+i], want) {
+			t.Fatalf("%x: field %d: AppendDecode %+v, Decode %+v", b, i, arow[i], want)
+		}
 	}
 	if derr != nil {
 		if v.Len() != 0 {
@@ -192,15 +208,24 @@ func TestViewProjectsByCopyingFields(t *testing.T) {
 	if err := v.Reset(Encode(row)); err != nil {
 		t.Fatal(err)
 	}
-	for _, proj := range [][]int{{1, 2}, {3, 0}, {5, 4, 3, 2, 1, 0}, {2}, {}} {
+	for _, proj := range [][]int{{1, 2}, {3, 0}, {5, 4, 3, 2, 1, 0}, {2}, {4, 4}, {}} {
 		want := make(Row, len(proj))
-		got := []byte{byte(len(proj))} // the frame header, a one-byte uvarint here
 		for i, f := range proj {
 			want[i] = row[f]
-			got = v.AppendField(got, f)
 		}
-		if !bytes.Equal(got, Encode(want)) {
-			t.Errorf("projection %v: copied fields %x, Encode of the projected values %x", proj, got, Encode(want))
+		got, err := v.AppendRow([]byte{0xEE}, proj)
+		if err != nil || !bytes.Equal(got[1:], Encode(want)) || got[0] != 0xEE {
+			t.Errorf("projection %v: copied fields %x (%v), Encode of the projected values %x", proj, got, err, Encode(want))
+		}
+	}
+	// No projection is the record as it lies; a field the record does not
+	// have is refused, not reached for.
+	if got, err := v.AppendRow(nil, nil); err != nil || !bytes.Equal(got, Encode(row)) {
+		t.Errorf("nil projection: %x, %v", got, err)
+	}
+	for _, proj := range [][]int{{6}, {0, -1}} {
+		if _, err := v.AppendRow(nil, proj); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("projection %v of a 6-field record: %v", proj, err)
 		}
 	}
 }

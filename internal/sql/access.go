@@ -25,7 +25,7 @@ import (
 type accessOp uint8
 
 const (
-	opRows   accessOp = iota // full-width rows to the executor
+	opRows   accessOp = iota // rows, as encoded by the Disk Process, to the executor
 	opCount                  // COUNT(*) via COUNT^FIRST/NEXT
 	opAgg                    // partial aggregation via AGG^FIRST/NEXT
 	opUpdate                 // UPDATE
@@ -59,7 +59,7 @@ type tableQuery struct {
 	key     *expr.UniqueKey   // opRows: pred pins every primary-key column, so the access is a READ
 	assigns []expr.Assignment // opUpdate: SET templates
 	slots   int               // values the templates wait for (statement markers, a join's outer values)
-	proj    []int             // opRows: columns the executor reads (nil = the whole record)
+	proj    []int             // opRows: columns the executor reads, in the order it wants them (nil = the whole record)
 	agg     *fsdp.AggSpec     // opAgg
 
 	// limit is the row count after which the executor stops reading (-1 =
@@ -95,7 +95,7 @@ type access struct {
 	unique  *expr.UniqueKey // viaRead, or pending with the READ already decided: the compiled key
 	key     []byte          // viaRead: the key, encoded from this execution's values
 	pred    expr.Expr       // evaluated at the Disk Process — after a probe or a READ, by the requester
-	proj    []int           // projected at the Disk Process (opRows via scan)
+	proj    []int           // opRows: projected at the Disk Process (via scan), cut by the requester (via READ)
 	assigns []expr.Assignment
 	agg     *fsdp.AggSpec
 
@@ -108,9 +108,42 @@ type access struct {
 // counted or changed (opCount, opUpdate, opDelete), or the merged
 // per-group partial states (opAgg).
 type fetched struct {
+	// enc holds a scan's or a READ's rows as the Disk Process encoded them,
+	// each the fields of access.proj in proj's order (nil = the whole
+	// record). Nobody has read a value of them: a pass-through SELECT
+	// forwards them as they are, every other consumer calls access.decode.
+	enc [][]byte
+	// rows holds an index probe's (viaProbe) records instead, which the
+	// probe decoded to filter them: full width.
 	rows   []record.Row
 	n      int
 	groups map[string]*fs.AggGroup
+}
+
+// decode is what a consumer that reads values does to fetched rows: each
+// encoded row validated and decoded (record.Decode), and a projected one
+// re-inflated to full width so bound expressions keep their ordinals.
+func (a *access) decode(f fetched) ([]record.Row, error) {
+	if a.via == viaProbe {
+		return f.rows, nil
+	}
+	width := len(a.def.Schema.Fields)
+	rows := make([]record.Row, len(f.enc))
+	for i, enc := range f.enc {
+		row, err := record.Decode(enc)
+		if err != nil {
+			return nil, err
+		}
+		if a.proj != nil {
+			full := make(record.Row, width)
+			for j, c := range a.proj {
+				full[c] = row[j]
+			}
+			row = full
+		}
+		rows[i] = row
+	}
+	return rows, nil
 }
 
 // access substitutes vals into the templates and chooses the access path:
@@ -175,8 +208,8 @@ func (q *tableQuery) access(vals []record.Value) (access, error) {
 }
 
 // read makes a the READ of q's unique key for vals. The whole record
-// comes back, so there is no projection; the residual predicate is the
-// requester's to evaluate on it. A key value no key equals (UniqueKey.Key:
+// comes back: the residual predicate and the projection are the
+// requester's to apply to it. A key value no key equals (UniqueKey.Key:
 // NULL, a fraction on an INTEGER column) and LIMIT 0 want nothing: neither
 // sends a message.
 func (a *access) read(q *tableQuery, vals []record.Value) error {
@@ -187,7 +220,7 @@ func (a *access) read(q *tableQuery, vals []record.Value) error {
 	if a.pred, err = expr.Substitute(q.key.Residual, vals); err != nil {
 		return err
 	}
-	a.via, a.unique, a.key, a.budget = viaRead, q.key, key, q.limit
+	a.via, a.unique, a.key, a.proj, a.budget = viaRead, q.key, key, q.proj, q.limit
 	if !ok || a.budget == 0 {
 		a.via = viaNone
 	}
@@ -233,11 +266,11 @@ func (a *access) fetch(s *Session, tx *tmf.Tx, az *analyzeState) (fetched, error
 	case a.via == viaProbe:
 		return a.fetchProbe(s, tx, az)
 	case a.via == viaRead:
-		rows, err := a.fetchRead(s, tx, az)
-		return fetched{rows: rows}, err
+		enc, err := a.fetchRead(s, tx, az)
+		return fetched{enc: enc}, err
 	case a.op == opRows:
-		rows, err := a.fetchScan(s, tx, az)
-		return fetched{rows: rows}, err
+		enc, err := a.fetchScan(s, tx, az)
+		return fetched{enc: enc}, err
 	case a.op == opCount:
 		n, st, err := s.fs.Count(tx, a.def, a.rng, a.pred)
 		if az != nil && err == nil {
@@ -276,8 +309,18 @@ func (a *access) fetch(s *Session, tx *tmf.Tx, az *analyzeState) (fetched, error
 	return fetched{n: n}, nil
 }
 
-// fetchScan drives GET^FIRST/NEXT over the range.
-func (a *access) fetchScan(s *Session, tx *tmf.Tx, az *analyzeState) ([]record.Row, error) {
+// fetchRows is fetch for a consumer that reads the rows' values.
+func (a *access) fetchRows(s *Session, tx *tmf.Tx, az *analyzeState) ([]record.Row, error) {
+	f, err := a.fetch(s, tx, az)
+	if err != nil {
+		return nil, err
+	}
+	return a.decode(f)
+}
+
+// fetchScan drives GET^FIRST/NEXT over the range and collects the rows
+// as they came.
+func (a *access) fetchScan(s *Session, tx *tmf.Tx, az *analyzeState) ([][]byte, error) {
 	spec := fs.SelectSpec{Mode: fs.ModeRSBB, Range: a.rng, Unordered: a.unordered}
 	if a.vsbb() {
 		spec.Mode, spec.Pred, spec.Proj = fs.ModeVSBB, a.pred, a.proj
@@ -290,23 +333,13 @@ func (a *access) fetchScan(s *Session, tx *tmf.Tx, az *analyzeState) ([]record.R
 	// open DP-side subset control blocks) when the budget ends the scan
 	// early; after a full drain it is a no-op.
 	defer rows.Close()
-	width := len(a.def.Schema.Fields)
-	var out []record.Row
+	var out [][]byte
 	for a.budget < 0 || len(out) < a.budget {
-		row, _, ok := rows.Next()
+		enc, _, ok := rows.NextRaw()
 		if !ok {
 			break
 		}
-		if a.proj != nil {
-			// Re-inflate the projected row to full width so bound
-			// expressions keep their original ordinals.
-			full := make(record.Row, width)
-			for i, f := range a.proj {
-				full[f] = row[i]
-			}
-			row = full
-		}
-		out = append(out, row)
+		out = append(out, enc)
 	}
 	err := rows.Err()
 	if az != nil && err == nil {
@@ -317,28 +350,40 @@ func (a *access) fetchScan(s *Session, tx *tmf.Tx, az *analyzeState) ([]record.R
 }
 
 // fetchRead sends the one READ. Under a transaction the Disk Process
-// locks the key before it looks, found or not.
-func (a *access) fetchRead(s *Session, tx *tmf.Tx, az *analyzeState) ([]record.Row, error) {
+// locks the key before it looks, found or not. The record is validated
+// whole where it lies (record.View.Reset) before the residual predicate,
+// compiled, reads a field of it or the projection cuts one out.
+func (a *access) fetchRead(s *Session, tx *tmf.Tx, az *analyzeState) ([][]byte, error) {
 	from := az.mark(s)
-	var rows []record.Row
-	row, err := s.fs.Read(tx, a.def, a.key, false)
+	var out [][]byte
+	enc, err := s.fs.ReadRaw(tx, a.def, a.key, false)
 	switch {
 	case errors.Is(err, fs.ErrNotFound):
 	case err != nil:
 		return nil, err
 	default:
-		keep, err := expr.Satisfied(a.pred, row)
+		var v record.View
+		if err := v.Reset(enc); err != nil {
+			return nil, err
+		}
+		keep, err := expr.Compile(a.pred).Satisfied(&v)
 		if err != nil {
 			return nil, err
 		}
 		if keep {
-			rows = []record.Row{row}
+			if a.proj != nil {
+				// Distinct fields of the record: never longer than it is.
+				if enc, err = v.AppendRow(make([]byte, 0, len(enc)), a.proj); err != nil {
+					return nil, err
+				}
+			}
+			out = append(out, enc)
 		}
 	}
-	if n := az.deltaNode(fmt.Sprintf("read %s (READ)", a.def.Name), from, len(rows)); n != nil {
+	if n := az.deltaNode(fmt.Sprintf("read %s (READ)", a.def.Name), from, len(out)); n != nil {
 		n.RowsExamined = 1
 	}
-	return rows, nil
+	return out, nil
 }
 
 // fetchProbe reads the records matching the probe value through the

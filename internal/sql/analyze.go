@@ -193,7 +193,7 @@ func (s *Session) analyze(p *Prepared, params []record.Value) (*Analyze, error) 
 	}
 	az := &analyzeState{}
 	start := time.Now()
-	res, err := s.execCompiled(p, params, az)
+	res, err := decoded(s.execCompiled(p, params, az))
 	if err != nil {
 		return nil, err
 	}

@@ -53,13 +53,19 @@ var joinDiffQueries = []string{
 }
 
 // matrixQueries is the prepared-vs-ad-hoc corpus: both suites above plus
-// a key-range scan and a Top-N.
+// a key-range scan, a Top-N, and the pass-through shapes (a permuted
+// select list, the whole record, a LIMIT, a READ — passthrough_test.go
+// holds them to the materialised path; here they meet the plan cache).
 func matrixQueries() []string {
 	qs := append([]string(nil), aggDiffQueries...)
 	qs = append(qs, joinDiffQueries...)
 	return append(qs,
 		"SELECT id, pay FROM m WHERE id >= 20 AND id < 40 ORDER BY id",
-		"SELECT id FROM m ORDER BY id LIMIT 7")
+		"SELECT id FROM m ORDER BY id LIMIT 7",
+		"SELECT pay, id FROM m WHERE id >= 20 AND id < 140",
+		"SELECT * FROM m WHERE bonus > 3",
+		"SELECT bonus, dept, id FROM m LIMIT 7",
+		"SELECT pay, dept FROM m WHERE id = 42")
 }
 
 // matrixParamCases pairs a literal statement with its parameterized twin.
@@ -86,6 +92,9 @@ var matrixParamCases = []struct {
 	{"SELECT id FROM m WHERE dept = 'ENG' AND pay > 100.5 ORDER BY id",
 		"SELECT id FROM m WHERE dept = ? AND pay > ? ORDER BY id",
 		[]record.Value{record.String("ENG"), record.Float(100.5)}},
+	{"SELECT pay, id FROM m WHERE id >= 20 AND id < 140 AND grade < 2",
+		"SELECT pay, id FROM m WHERE id >= ? AND id < ? AND grade < ?",
+		[]record.Value{record.Int(20), record.Int(140), record.Int(2)}},
 	// Markers outside WHERE/HAVING: the select list (the header is the
 	// value, as in the literal twin), an aggregate argument, GROUP BY
 	// and ORDER BY expressions, and a join's select list.

@@ -43,6 +43,31 @@ type Result struct {
 	Columns  []string
 	Rows     []record.Row
 	Affected int
+
+	// Encoded holds the rows of a pass-through SELECT (output.forward) as
+	// the Disk Processes encoded them, for a caller that forwards rows
+	// rather than reads them: only ExecEncoded and ExecPreparedEncoded
+	// return it set, and then in place of Rows. Nothing has validated the
+	// bytes; whoever reads a value decodes the row first.
+	Encoded [][]byte
+}
+
+// decoded is the in-process edge: a pass-through result's rows validated
+// and decoded — the record.Decode a remote client runs on the same bytes
+// (nsqlwire.DecodeReply) — into one allocation.
+func decoded(res *Result, err error) (*Result, error) {
+	if err != nil || len(res.Encoded) == 0 {
+		return res, err
+	}
+	arena := make(record.Row, 0, len(res.Encoded)*len(res.Columns))
+	res.Rows = make([]record.Row, len(res.Encoded))
+	for i, enc := range res.Encoded {
+		if arena, res.Rows[i], err = record.AppendDecode(arena, enc); err != nil {
+			return nil, err
+		}
+	}
+	res.Encoded = nil
+	return res, nil
 }
 
 // InTx reports whether an explicit transaction is open.
@@ -52,7 +77,12 @@ func (s *Session) InTx() bool { return s.tx != nil }
 // the catalog's shared plan cache, so repeated ad-hoc text (the
 // autocommit "$SQL" traffic a wire server relays) skips the
 // parse/bind/plan work after its first execution.
-func (s *Session) Exec(src string) (*Result, error) {
+func (s *Session) Exec(src string) (*Result, error) { return decoded(s.ExecEncoded(src)) }
+
+// ExecEncoded is Exec for a caller that forwards the result's rows
+// instead of reading them (the "$SQL" endpoint): a pass-through SELECT's
+// rows come back in Result.Encoded, untouched.
+func (s *Session) ExecEncoded(src string) (*Result, error) {
 	p, err := s.prepared(src)
 	if err != nil {
 		return nil, err

@@ -171,7 +171,7 @@ func (p *joinPlan) run(s *Session, params []record.Value, az *analyzeState) (*Re
 	if err != nil {
 		return nil, err
 	}
-	of, err := oa.fetch(s, tx, az)
+	outerRows, err := oa.fetchRows(s, tx, az)
 	if err != nil {
 		return nil, err
 	}
@@ -183,9 +183,9 @@ func (p *joinPlan) run(s *Session, params []record.Value, az *analyzeState) (*Re
 	}
 	var rows []record.Row
 	if p.probe != nil {
-		rows, err = p.probeBatched(s, tx, of.rows, outerVals[0], params, az)
+		rows, err = p.probeBatched(s, tx, outerRows, outerVals[0], params, az)
 	} else {
-		rows, err = p.probePerRow(s, tx, of.rows, outerVals, params, az)
+		rows, err = p.probePerRow(s, tx, outerRows, outerVals, params, az)
 	}
 	if err != nil {
 		return nil, err
@@ -215,11 +215,11 @@ func (p *joinPlan) probePerRow(s *Session, tx *tmf.Tx, outerRows []record.Row, o
 		if err != nil {
 			return nil, err
 		}
-		f, err := ia.fetch(s, tx, nil)
+		innerRows, err := ia.fetchRows(s, tx, nil)
 		if err != nil {
 			return nil, err
 		}
-		for _, irow := range f.rows {
+		for _, irow := range innerRows {
 			crow := make(record.Row, 0, len(orow)+len(irow))
 			crow = append(append(crow, orow...), irow...)
 			keep, err := expr.Satisfied(post, crow)

@@ -68,7 +68,9 @@ func (s *Session) compileSelect(sel Select, nParams int) (stmtPlan, error) {
 		// in output order, so the first LIMIT merged rows are the answer.
 		p.q.limit, p.q.limitNeedsKeyOrder = sel.Limit, true
 	}
-	p.q.proj = neededColumns(def.Schema, alias, sel)
+	if p.q.proj, out.forward = out.passThrough(len(def.Schema.Fields)); !out.forward {
+		p.q.proj = neededColumns(def.Schema, alias, sel)
+	}
 	return p, nil
 }
 
@@ -143,13 +145,19 @@ func (p *selectPlan) run(s *Session, params []record.Value, az *analyzeState) (*
 	if err != nil {
 		return nil, err
 	}
-	switch p.q.op {
-	case opCount:
+	switch {
+	case p.q.op == opCount:
 		return out.emitAgg([]record.Row{{record.Int(int64(f.n))}})
-	case opAgg:
+	case p.q.op == opAgg:
 		return out.emitGroups(f.groups, p.q.agg, p.colOf)
+	case out.forward && a.via != viaProbe:
+		return out.forwardRows(f.enc), nil
 	}
-	return out.emitRows(f.rows, az)
+	rows, err := a.decode(f)
+	if err != nil {
+		return nil, err
+	}
+	return out.emitRows(rows, az)
 }
 
 func (p *selectPlan) describe(sb *strings.Builder, params []record.Value) error {
@@ -210,6 +218,19 @@ type output struct {
 	orderKs []orderKey
 	cols    []outCol
 
+	// forward says the statement is pass-through: the rows the Disk
+	// Processes encode are the result's rows, byte for byte, so the
+	// requester decodes, projects and re-encodes none of them. That holds
+	// when there is one table, no aggregate and no ORDER BY (LIMIT only
+	// truncates), and the select list is plain column references, none
+	// twice, that are either the whole record in schema order or fewer
+	// columns than the record has — the projection the plan would ask of
+	// the Disk Process anyway, now asked in select-list order
+	// (passThrough). The whole record out of order, a repeated column and
+	// every expression stay materialised: forwarding them would take a
+	// request the plan does not send today.
+	forward bool
+
 	hasParams bool // a template or a header waits for parameter values
 }
 
@@ -252,6 +273,48 @@ func compileOutput(sel Select, sc *scope) (*output, error) {
 		o.hasParams = o.hasParams || c.named != nil || expr.HasParams(c.e)
 	}
 	return o, nil
+}
+
+// passThrough applies the rule of the forward field to a select list over
+// one table of width columns. ok comes with the projection to ask of the
+// Disk Process — the select list's columns in the select list's order, so
+// the rows come back as the result wants them; nil is the whole record.
+func (o *output) passThrough(width int) (proj []int, ok bool) {
+	if o.aggregate || len(o.order) > 0 || len(o.cols) > width {
+		return nil, false
+	}
+	seen := make([]bool, width)
+	for i, c := range o.cols {
+		f, isCol := c.e.(expr.FieldRef)
+		if !isCol || seen[f.Index] || (len(o.cols) == width && f.Index != i) {
+			return nil, false
+		}
+		seen[f.Index] = true
+		proj = append(proj, f.Index)
+	}
+	if len(proj) == width {
+		proj = nil
+	}
+	return proj, true
+}
+
+// forwardRows is a pass-through statement's result: the fetched rows,
+// truncated to LIMIT, still encoded. Whoever reads their values decodes
+// them (Result.decode at the in-process edge, the client over the wire).
+func (o *output) forwardRows(enc [][]byte) *Result {
+	if o.limit >= 0 && len(enc) > o.limit {
+		enc = enc[:o.limit]
+	}
+	return &Result{Columns: o.columnNames(), Encoded: enc, Affected: len(enc)}
+}
+
+// columnNames returns a projection's headers.
+func (o *output) columnNames() []string {
+	names := make([]string, len(o.cols))
+	for i, c := range o.cols {
+		names[i] = c.name
+	}
+	return names
 }
 
 // bound returns the output with params substituted into every template
@@ -308,16 +371,19 @@ func (o *output) bound(params []record.Value) (*output, error) {
 
 // emitRows turns fetched full-width rows into the statement's result.
 func (o *output) emitRows(rows []record.Row, az *analyzeState) (*Result, error) {
-	t0 := time.Now()
+	var t0 time.Time
+	if az != nil { // the clock is read for EXPLAIN ANALYZE alone
+		t0 = time.Now()
+	}
 	if o.aggregate {
 		res, err := o.aggregateRows(rows)
-		if err == nil {
+		if az != nil && err == nil {
 			az.localNode("aggregate", len(rows), time.Since(t0))
 		}
 		return res, err
 	}
 	res, err := o.projectRows(rows)
-	if err == nil && len(o.order) > 0 {
+	if az != nil && err == nil && len(o.order) > 0 {
 		az.localNode("sort+project", len(rows), time.Since(t0))
 	}
 	return res, err
@@ -380,10 +446,7 @@ func (o *output) projectRows(rows []record.Row) (*Result, error) {
 	if o.limit >= 0 && len(rows) > o.limit {
 		rows = rows[:o.limit]
 	}
-	res := &Result{}
-	for _, c := range o.cols {
-		res.Columns = append(res.Columns, c.name)
-	}
+	res := &Result{Columns: o.columnNames()}
 	for _, row := range rows {
 		out := make(record.Row, len(o.cols))
 		for i, c := range o.cols {

@@ -142,6 +142,12 @@ func (s *Session) compile(src, key string, version uint64) (*Prepared, error) {
 // never runs a plan compiled against an older catalog version than the
 // one it observes.
 func (s *Session) ExecPrepared(p *Prepared, params ...record.Value) (*Result, error) {
+	return decoded(s.ExecPreparedEncoded(p, params...))
+}
+
+// ExecPreparedEncoded is ExecPrepared for a caller that forwards the
+// result's rows (see ExecEncoded).
+func (s *Session) ExecPreparedEncoded(p *Prepared, params ...record.Value) (*Result, error) {
 	p, err := s.current(p)
 	if err != nil {
 		return nil, err

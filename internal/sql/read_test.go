@@ -292,6 +292,43 @@ func TestAllocationCeilings(t *testing.T) {
 	if read+15 > rng {
 		t.Errorf("READ allocates %.0f times, the subset conversation %.0f: the READ should save at least 15", read, rng)
 	}
+
+	// A pass-through range SELECT at the serving entry point allocates
+	// something per statement and something per FS-DP message — both ends
+	// of it: request, reply, its row and key slices, the conversation's
+	// books — and nothing per row: the rows are slices of the reply
+	// messages and the result is a slice of those. Measured: 179, 291 and
+	// 446 for the three shapes below, i.e. about 20 + 54 a message; the
+	// ceiling is 60 + 56 a message. Decoding, inflating or projecting rows
+	// in the requester costs one or more a row and cannot hide under it.
+	loadScanTable(t, d, 12000)
+	for _, c := range []struct {
+		text string
+		rows int
+	}{
+		{"SELECT id, bal FROM sc WHERE id >= ? AND id < ? AND grp < 10", 1000},
+		{"SELECT bal, id FROM sc WHERE id >= ? AND id < ? AND grp < 20", 2000},
+		{"SELECT id, bal FROM sc WHERE id >= ? AND id < ? AND grp < 1", 100},
+	} {
+		p, err := d.s.Prepare(c.text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exec := func() {
+			res, err := d.s.ExecPreparedEncoded(p, record.Int(1000), record.Int(11000))
+			if err != nil || len(res.Encoded) != c.rows || res.Rows != nil {
+				t.Fatalf("%q: %d rows still encoded, %d decoded, %v", c.text, len(res.Encoded), len(res.Rows), err)
+			}
+		}
+		before := d.c.Net.Stats().Requests
+		exec()
+		msgs := float64(d.c.Net.Stats().Requests - before)
+		got := testing.AllocsPerRun(20, exec)
+		t.Logf("%q: %d rows in %.0f messages: %.0f allocations", c.text, c.rows, msgs, got)
+		if ceiling := 60 + 56*msgs; got > ceiling {
+			t.Errorf("%q: %d rows in %.0f messages allocate %.0f times, ceiling 60 + 56 a message = %.0f", c.text, c.rows, msgs, got, ceiling)
+		}
+	}
 }
 
 // TestFloatBoundOnIntegerKey: a FLOAT constant against the INTEGER primary

@@ -228,6 +228,12 @@ func TestPreparedDifferentialMatrixTCP(t *testing.T) {
 		"SELECT o.id, i.k FROM outr o, innr i WHERE o.tag = i.label ORDER BY o.id, i.k",
 		"SELECT COUNT(*) FROM outr o, innr i WHERE o.tag = i.label AND i.wt < 30",
 		"SELECT o.id FROM outr o, innr i WHERE o.fk = i.k AND o.id = i.wt ORDER BY o.id",
+		// Pass-through: the endpoint forwards these rows as the Disk
+		// Processes encoded them.
+		"SELECT pay, id FROM m WHERE id >= 20 AND id < 140",
+		"SELECT * FROM m WHERE bonus > 3",
+		"SELECT bonus, dept, id FROM m LIMIT 7",
+		"SELECT pay, dept FROM m WHERE id = 42",
 	}
 	for _, q := range queries {
 		adhoc, err := pool.Exec(q)
@@ -255,6 +261,9 @@ func TestPreparedDifferentialMatrixTCP(t *testing.T) {
 		prep  string
 		args  []record.Value
 	}{
+		{"SELECT pay, id FROM m WHERE id >= 20 AND id < 140 AND grade < 2",
+			"SELECT pay, id FROM m WHERE id >= ? AND id < ? AND grade < ?",
+			[]record.Value{record.Int(20), record.Int(140), record.Int(2)}},
 		{"SELECT id, 7 FROM m WHERE id < 5 ORDER BY id",
 			"SELECT id, ? FROM m WHERE id < 5 ORDER BY id",
 			[]record.Value{record.Int(7)}},

@@ -45,10 +45,16 @@ go test -run '^$' -fuzz FuzzPageView -fuzztime 10s ./internal/btree
 # the typed peeks. record.Decode and expr.Eval/Satisfied(Row) keep their
 # signatures beside the View — the same value validator and reader under
 # Decode, and eval as the Row callers' evaluator, the Program's generic
-# conjunct and the reference the Program is held to — because the File
-# System and the SQL executor keep the rows they decode, and
+# conjunct and the reference the Program is held to — because some
+# consumers still keep the rows they decode: the executor's materialised
+# path (joins, sorts, expressions, requester-side aggregates, index
+# probes: access.decode), the File System's requester-side writes and
+# index reads (Rows.Next, Read), ENSCRIBE, the in-process edge of
+# Session.Exec and the client's DecodeReply (both record.AppendDecode,
+# whose nil-destination case Decode is). A pass-through SELECT's rows are
+# decoded by none of the server's layers (PR 24, below). And
 # benchmark/layers.go, which a performance change may not edit, times
-# exactly those two.
+# exactly those two signatures.
 go test -race -count=1 ./internal/record ./internal/expr
 go test -count=1 -run TestAllocationCeilings ./internal/dp
 go test -run '^$' -bench BenchmarkSubsetRecord -benchtime 1x ./internal/dp
@@ -107,6 +113,25 @@ go test -race -count=1 -run 'TestUniqueKeyIsExtractKeyRangesPoint|TestKeyBoundCo
 go test -race -count=1 -run 'TestPointRead|TestExplainAnalyzeRead|TestFloatBoundOnIntegerKey|TestSumOfNonNumericColumnRefused' ./internal/sql
 go test -race -count=1 -run 'TestReadRefusesARowlessOK' ./internal/fs
 go test -count=1 -run TestAllocationCeilings ./internal/sql
+# Virtual blocks to the client edge (PR 24): a pass-through SELECT's rows
+# cross the File System, the executor and the "$SQL" endpoint as the Disk
+# Processes encoded them and are validated by the first reader of a value.
+# Under -race: every pass-through shape beside a twin forced down the
+# materialised path (rows, FS-DP messages and bytes, locks, ad hoc ==
+# prepared, pushdown on == off, browse), the projection EXPLAIN prints,
+# session == "$SQL" in process == TCP in reply bytes over four partitions
+# at ScanParallel 0, 1 and 4, and reply rows damaged between Disk Process
+# and File System stopping at the first decoder with every session and
+# connection intact. Without it: a served point read's allocation
+# ceiling, client and server together (the scan's — per message, not per
+# row — is in internal/sql's TestAllocationCeilings just above, the
+# one-arena reply's in internal/nsqlwire's, with the wire edge below), and
+# one pass of the scan benchmark so it cannot rot.
+go test -race -count=1 -run 'TestPassThrough|TestPreparedDifferentialMatrix' ./internal/sql
+go test -race -count=1 -run 'TestPassThroughTransports|TestHostileRowsStopAtTheDecoder|TestPreparedDifferentialMatrixTCP' .
+go test -race -count=1 -run 'TestEncodedRowsAreRows|TestReplyRoundTrip' ./internal/nsqlwire
+go test -count=1 -run TestAllocationCeilings .
+go test -run '^$' -bench BenchmarkPassThroughScan -benchtime 1x ./internal/sql
 # Deterministic short crash-point sweep first: every named fault point
 # fired, recovery invariants checked per point. Runs again inside the
 # full suite, but a recovery regression should fail here, fast and

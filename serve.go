@@ -87,14 +87,8 @@ func (db *Database) serveOp(q *nsqlwire.Request, reply *nsqlwire.Reply) {
 		if refuseTxControl(q.Arg, reply) {
 			return
 		}
-		res, err := db.withSession(func(s *Session) (*Result, error) { return s.Exec(q.Arg) })
-		if err != nil {
-			replyErr(reply, err)
-			return
-		}
-		reply.Columns = res.Columns
-		reply.Rows = res.Rows
-		reply.Affected = uint64(res.Affected)
+		res, err := db.withSession(func(s *Session) (*Result, error) { return s.ExecEncoded(q.Arg) })
+		replyResult(reply, res, err)
 	case nsqlwire.OpPrepare:
 		if refuseTxControl(q.Arg, reply) {
 			return
@@ -119,15 +113,9 @@ func (db *Database) serveOp(q *nsqlwire.Request, reply *nsqlwire.Reply) {
 			return
 		}
 		res, err := db.withSession(func(s *Session) (*Result, error) {
-			return s.ExecPrepared(p, q.Params...)
+			return s.ExecPreparedEncoded(p, q.Params...)
 		})
-		if err != nil {
-			replyErr(reply, err)
-			return
-		}
-		reply.Columns = res.Columns
-		reply.Rows = res.Rows
-		reply.Affected = uint64(res.Affected)
+		replyResult(reply, res, err)
 	case nsqlwire.OpCloseStmt:
 		db.stmts.close(q.Handle)
 	case nsqlwire.OpExplain:
@@ -208,6 +196,19 @@ func refuseTxControl(stmt string, reply *nsqlwire.Reply) bool {
 		return true
 	}
 	return false
+}
+
+// replyResult fills the reply from a statement's outcome. A pass-through
+// SELECT's rows travel as the Disk Processes encoded them (Encoded): the
+// endpoint reads none of them.
+func replyResult(reply *nsqlwire.Reply, res *Result, err error) {
+	if err != nil {
+		replyErr(reply, err)
+		return
+	}
+	reply.Columns = res.Columns
+	reply.Rows, reply.Encoded = res.Rows, res.Encoded
+	reply.Affected = uint64(res.Affected)
 }
 
 // replyErr fills the reply's error text and class: statement-fault
