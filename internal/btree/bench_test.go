@@ -115,16 +115,31 @@ func BenchmarkInsert(b *testing.B) {
 // warm three-level tree a descent allocates nothing, a point read
 // allocates only the copy it returns, a scan allocates nothing however
 // many records it visits, and a same-length update allocates nothing.
-// A regression here is a copy (or a boxed value, or a closure) that
-// crept back onto the Disk Process's hottest paths.
+// A record scan over warm leaves allocates nothing either — their record
+// tables are built — and after a write to one of its leaves it pays for
+// that leaf's new table and nothing per record: a table costs a constant
+// per version of a leaf, none per visit. A regression here is a copy (or
+// a boxed value, or a closure) that crept back onto the Disk Process's
+// hottest paths.
 func TestAllocationCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	tr := benchTree(t)
+	tr := benchTree(t).HoldsRecords(record.FieldStarts)
 	key := benchKey(benchRows / 3)
 	val := acctRow(7)
 	scanned := 0
+	scanRecords := func() {
+		n := 0
+		err := tr.ScanRecords(keys.Range{Low: key}, false, cache.Keyed, func(k, v []byte, starts []uint16) (bool, error) {
+			n++
+			scanned += len(starts)
+			return n < 1000, nil
+		})
+		if err != nil || n != 1000 {
+			t.Fatal(n, err)
+		}
+	}
 	ceilings := []struct {
 		name string
 		max  float64
@@ -158,6 +173,15 @@ func TestAllocationCeilings(t *testing.T) {
 			if err := tr.Update(key, val, 0); err != nil {
 				t.Fatal(err)
 			}
+		}},
+		{"ScanRecords of 1000 records", 0, scanRecords},
+		// Two slices (the table is sized after its first record) and the
+		// PageIndex that publishes them.
+		{"ScanRecords of 1000 records after a write to one of their leaves", 3, func() {
+			if err := tr.Update(key, val, 0); err != nil {
+				t.Fatal(err)
+			}
+			scanRecords()
 		}},
 	}
 	for _, c := range ceilings {

@@ -77,6 +77,21 @@ type Tree struct {
 	name string
 	root disk.BlockNum
 	lt   *Latches
+	walk RecordWalk // nil unless the file holds records (HoldsRecords)
+}
+
+// A RecordWalk is a record file's validating walk (record.FieldStarts):
+// it checks val whole and appends to starts where each of its fields
+// starts and, last, len(val).
+type RecordWalk func(val []byte, starts []uint16) ([]uint16, error)
+
+// HoldsRecords declares that every value stored in the file is a record
+// walk validates, which lets ScanRecords hand each one to its callback
+// already walked (scan.go). It is called when the tree is created or
+// attached, before anyone else can reach it, and returns the tree.
+func (t *Tree) HoldsRecords(walk RecordWalk) *Tree {
+	t.walk = walk
+	return t
 }
 
 // New creates an empty key-sequenced file and returns it. lt is the

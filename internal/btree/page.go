@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"nonstopsql/internal/cache"
 	"nonstopsql/internal/disk"
@@ -31,9 +32,10 @@ import (
 
 // ErrCorruptPage reports a block whose bytes are not a well-formed
 // B-tree page: a torn or bit-rotted read from a file-backed volume. It
-// is raised once, by the walk that builds the page's offset table, and
-// wraps the file name and block number; page access past that walk does
-// not re-check.
+// is raised by the walk that builds the page's offset table and, for a
+// leaf of a record file, by the walk that builds its record table, and
+// wraps the file name and block number; page and record access past those
+// walks do not re-check.
 var ErrCorruptPage = errors.New("btree: corrupt page")
 
 // maxCells bounds a page's cell count: the smallest cell is two empty
@@ -173,6 +175,61 @@ func (t *Tree) view(bn disk.BlockNum, class cache.AccessClass) (pageView, error)
 	return pageView{pg: pg, buf: pg.Data(), ix: ix}, nil
 }
 
+// recordTable returns the leaf's record table (cache.PageIndex.Recs), or
+// nil when this version of the leaf has none and build is unset. With
+// build set, a missing table is built by walking every record of the leaf
+// with the file's RecordWalk and is published on the slot together with
+// the cell table, in a new PageIndex: the one it replaces may be in use by
+// other holders of the shared latch, who may be building the same table
+// from the same bytes. Like the cell table it is dropped whenever the
+// slot's bytes change (and by splice, which keeps only the cell table in
+// step), so a table always describes the bytes it was built from. Building
+// one is not a look at the page: no cache access is counted.
+func (t *Tree) recordTable(v *pageView, build bool) ([]uint16, error) {
+	if v.ix.Recs != nil || !build {
+		return v.ix.Recs, nil
+	}
+	recs, bad, err := v.buildRecords(t.walk)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s block %d: cell %d: %v", ErrCorruptPage, t.name, v.bn(), bad, err)
+	}
+	v.ix = &cache.PageIndex{Offs: v.ix.Offs, Recs: recs}
+	v.pg.SetIndex(v.ix)
+	return recs, nil
+}
+
+// buildRecords walks every record of the leaf, which has at least one
+// cell, and returns its record table (cache.PageIndex.Recs) — or the
+// first cell whose record fails the walk, and the walk's error.
+func (v pageView) buildRecords(walk RecordWalk) (recs []uint16, bad int, err error) {
+	// Room for the index and the first record (it has fewer fields than
+	// bytes), then for n records as wide as the first: a leaf of like
+	// records costs two allocations here.
+	n := v.n()
+	_, first := v.cell(0)
+	recs = make([]uint16, n+1, n+1+len(first)+1)
+	for i := 0; i < n; i++ {
+		_, val := v.cell(i)
+		recs[i] = uint16(len(recs))
+		if recs, err = walk(val, recs); err != nil {
+			return nil, i, err
+		}
+		if i == 0 {
+			recs = slices.Grow(recs, (n-1)*(len(recs)-n-1))
+		}
+	}
+	recs[n] = uint16(len(recs))
+	return recs, 0, nil
+}
+
+// corruptRecord is how a record that fails its walk outside a record
+// table fails a scan (ScanRecords): with the walk's own error, word for
+// word, that errors.Is also reports as ErrCorruptPage.
+type corruptRecord struct{ error }
+
+func (e corruptRecord) Is(target error) bool { return target == ErrCorruptPage }
+func (e corruptRecord) Unwrap() error        { return e.error }
+
 // release unpins the page; every slice the view handed out dies here.
 func (v pageView) release() { v.pg.Release() }
 
@@ -206,6 +263,23 @@ func (v pageView) cell(i int) (key, val []byte) {
 	l, sz = cellLen(v.buf[off:])
 	off += sz
 	return key, v.buf[off : off+l : off+l]
+}
+
+// cellSized is cell for a cell whose value length is known — a leaf of a
+// record file, whose record table ends each record's starts with its
+// length — without decoding the two length prefixes: the value ends where
+// the cell does, and a prefix is one byte below 128 and two above.
+func (v pageView) cellSized(i, valLen int) (key, val []byte) {
+	start, end := int(v.ix.Offs[i]), int(v.ix.Offs[i+1])
+	keyAt, valAt := start+1, end-valLen
+	if v.buf[start] >= 0x80 {
+		keyAt++
+	}
+	keyEnd := valAt - 1
+	if valLen >= 0x80 {
+		keyEnd--
+	}
+	return v.buf[keyAt:keyEnd:keyEnd], v.buf[valAt:end:end]
 }
 
 // child returns the block interior cell i points at.
@@ -303,6 +377,7 @@ func (v pageView) splice(i, old int, put bool, key, val []byte) {
 		offs[j] = uint16(int(offs[j]) + d)
 	}
 	v.ix.Offs = offs
+	v.ix.Recs = nil // it described the bytes before the splice
 
 	v.buf[0] = pageLeaf // a never-written root becomes a leaf on its first write
 	binary.LittleEndian.PutUint16(v.buf[1:3], uint16(len(offs)-1))
@@ -310,7 +385,8 @@ func (v pageView) splice(i, old int, put bool, key, val []byte) {
 
 // markSpliced marks the page dirty under lsn after a splice. MarkDirty
 // drops the slot's offset table, as it must for any other write; splice
-// kept this one in step with the bytes, so it is published again.
+// kept the cell table in step with the bytes (and dropped the record
+// table), so it is published again.
 func (v pageView) markSpliced(lsn wal.LSN) {
 	v.pg.MarkDirty(lsn)
 	v.pg.SetIndex(v.ix)

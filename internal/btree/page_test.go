@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"nonstopsql/internal/cache"
 	"nonstopsql/internal/disk"
 	"nonstopsql/internal/keys"
+	"nonstopsql/internal/record"
 )
 
 // viewOf views a bare page image, without a tree or a pool.
@@ -87,6 +89,8 @@ func TestCorruptPageFailsTheRequest(t *testing.T) {
 			_, err := tr.Get(ik(3))
 			check("Get", err)
 			check("Scan", tr.Scan(keys.All(), false, func(_, _ []byte) (bool, error) { return true, nil }))
+			check("ScanRecords", tr.HoldsRecords(record.FieldStarts).ScanRecords(keys.All(), false, cache.Keyed,
+				func(_, _ []byte, _ []uint16) (bool, error) { return true, nil }))
 			check("Update", tr.Update(ik(3), []byte("other"), 2))
 			if n := tr.Latches().Live(); n != 0 {
 				t.Errorf("%d latches leaked on the error paths", n)
@@ -196,7 +200,12 @@ func TestSpliceMatchesWritePage(t *testing.T) {
 // access rests on. It must never panic; and when it accepts a block,
 // viewing every cell must stay inside the block and re-encoding the
 // viewed cells with writePage must reproduce the accepted prefix — the
-// header fields and the cell bytes — byte for byte.
+// header fields and the cell bytes — byte for byte. Then the second walk:
+// building the leaf's record table either fails, at the first cell that
+// record.Decode refuses and with Decode's error, or yields starts through
+// which a View reads every field of every cell as Decode reads it, and
+// whose last entry, the record's length, finds the cell's key and value
+// as the length prefixes do (cellSized).
 func FuzzPageView(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	seed := func(typ, level byte, cells []cell) {
@@ -214,6 +223,20 @@ func FuzzPageView(f *testing.F) {
 	seed(pageLeaf, 0, leaf)
 	seed(pageInterior, 1, interior)
 	f.Add(make([]byte, disk.BlockSize)) // a never-written block
+	var recs []cell
+	for i := 0; i < 30; i++ {
+		recs = append(recs, cell{key: ik(int64(i)), val: acctRow(i)})
+	}
+	seed(pageLeaf, 0, recs)
+	recs = recs[:0] // keys and records on both sides of a one-byte length prefix
+	for i := 0; i < 12; i++ {
+		key := ik(int64(i))
+		if i%3 == 0 {
+			key = append(key, bytes.Repeat([]byte{'k'}, 120)...)
+		}
+		recs = append(recs, cell{key: key, val: record.Encode(record.Row{record.Int(int64(i)), record.String(strings.Repeat("p", 100+10*i))})})
+	}
+	seed(pageLeaf, 0, recs)
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		buf := make([]byte, disk.BlockSize)
@@ -238,5 +261,47 @@ func FuzzPageView(f *testing.F) {
 		if !bytes.Equal(again[:8], buf[:8]) || !bytes.Equal(again[headerSize:v.end()], buf[headerSize:v.end()]) {
 			t.Fatalf("accepted page does not re-encode to itself")
 		}
+		if v.interior() || len(cells) == 0 {
+			return
+		}
+		checkRecordTable(t, v, cells)
 	})
+}
+
+// checkRecordTable builds v's record table and holds it to record.Decode
+// of every cell (FuzzPageView's second property).
+func checkRecordTable(t *testing.T, v pageView, cells []cell) {
+	t.Helper()
+	table, bad, err := v.buildRecords(record.FieldStarts)
+	if err != nil {
+		for i := 0; i < bad; i++ {
+			if _, derr := record.Decode(cells[i].val); derr != nil {
+				t.Fatalf("the table failed at cell %d, but cell %d does not decode either: %v", bad, i, derr)
+			}
+		}
+		if _, derr := record.Decode(cells[bad].val); derr == nil || derr.Error() != err.Error() {
+			t.Fatalf("the table refuses cell %d with %v, Decode says %v", bad, err, derr)
+		}
+		return
+	}
+	var rec record.View
+	for i, c := range cells {
+		row, err := record.Decode(c.val)
+		if err != nil {
+			t.Fatalf("the table accepted cell %d, Decode refuses it: %v", i, err)
+		}
+		starts := table[table[i]:table[i+1]]
+		if k, val := v.cellSized(i, int(starts[len(starts)-1])); !bytes.Equal(k, c.key) || !bytes.Equal(val, c.val) {
+			t.Fatalf("cell %d: the record's length finds key %x and value %x, the prefixes %x and %x", i, k, val, c.key, c.val)
+		}
+		rec.Point(c.val, starts)
+		if rec.Len() != len(row) {
+			t.Fatalf("cell %d: %d fields through the table, %d decoded", i, rec.Len(), len(row))
+		}
+		for j := range row {
+			if rec.Kind(j) != row[j].Kind || !bytes.Equal(rec.AppendField(nil, j), record.AppendValue(nil, row[j])) {
+				t.Fatalf("cell %d field %d: %v through the table, %v decoded", i, j, rec.Value(j), row[j])
+			}
+		}
+	}
 }

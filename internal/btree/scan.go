@@ -83,6 +83,15 @@ func (t *Tree) leafRun(bn disk.BlockNum, r keys.Range) ([]disk.BlockNum, error) 
 // that keeps a record (a reply row, a collected key) copies it.
 type ScanFunc func(key, val []byte) (bool, error)
 
+// RecordFunc is ScanFunc for a file of records (HoldsRecords). starts
+// are val's field starts and then len(val), as the file's walk found
+// them since the leaf's bytes last changed: the record has been validated
+// whole before the callback sees it. starts are borrowed like key and val
+// and more strictly still: they may be a slice of the leaf's record
+// table, which every scanner of the leaf shares, so they are read and
+// never written or appended to (record.View.Point copies them).
+type RecordFunc func(key, val []byte, starts []uint16) (bool, error)
+
 // Scan visits every record in r, in key order. When prefetch is true the
 // leaf blocks covering the span are loaded ahead asynchronously with
 // bulk I/O; otherwise leaves are demand-read one block at a time.
@@ -93,15 +102,35 @@ type ScanFunc func(key, val []byte) (bool, error)
 // two leaf latches at any instant, so a long range scan never blocks
 // writers elsewhere in the tree.
 func (t *Tree) Scan(r keys.Range, prefetch bool, fn ScanFunc) error {
-	return t.ScanClass(r, prefetch, cache.Keyed, fn)
+	return t.scan(r, prefetch, cache.Keyed, fn, nil)
 }
 
-// ScanClass is Scan with an explicit cache access class for the leaf
-// level. The Disk Process passes Sequential for full-subset scans (per
-// its Subset Control Block) so the leaf stream recycles through the
+// ScanRecords is Scan over a file of records, handing each record to fn
+// with its field starts, and with an explicit cache access class for the
+// leaf level. The Disk Process passes Sequential for full-subset scans
+// (per its Subset Control Block) so the leaf stream recycles through the
 // pool's probation segment; interior pages are still read Keyed — they
 // are the index hot set every access shares.
-func (t *Tree) ScanClass(r keys.Range, prefetch bool, class cache.AccessClass, fn ScanFunc) error {
+//
+// A record is walked once per version of its leaf's bytes, not once per
+// visit. A visit that covers more than one of a leaf's records uses the
+// leaf's record table, building it first if this version of the leaf has
+// none: every record's field starts, kept beside the cell offset table in
+// the cache slot (cache.PageIndex.Recs) and dropped with it. A visit that
+// covers one record — a keyed UPDATE's point range — uses the table if it
+// is there and otherwise walks just that record, so a one-record subset
+// never pays for the whole leaf. A record that fails its walk fails the
+// scan with ErrCorruptPage: while building a table, naming the file, the
+// block and the cell; alone, in the walk's own words.
+func (t *Tree) ScanRecords(r keys.Range, prefetch bool, class cache.AccessClass, fn RecordFunc) error {
+	if t.walk == nil {
+		return fmt.Errorf("btree: %s does not hold records", t.name)
+	}
+	return t.scan(r, prefetch, class, nil, fn)
+}
+
+// scan is the one scan loop: Scan passes fn, ScanRecords rfn.
+func (t *Tree) scan(r keys.Range, prefetch bool, class cache.AccessClass, fn ScanFunc, rfn RecordFunc) error {
 	t.lt.opEnter()
 	defer t.lt.opExit()
 	if prefetch {
@@ -121,6 +150,7 @@ func (t *Tree) ScanClass(r keys.Range, prefetch bool, class cache.AccessClass, f
 	bn := v.bn()
 	v.release()
 	low := r.Low
+	var one []uint16 // a lone record's starts, when its leaf has no table
 	for {
 		v, err := t.view(bn, class)
 		if err != nil {
@@ -145,9 +175,33 @@ func (t *Tree) ScanClass(r keys.Range, prefetch bool, class cache.AccessClass, f
 			}
 			last = true
 		}
+		var recs []uint16
+		if rfn != nil {
+			if recs, err = t.recordTable(&v, end-i > 1); err != nil {
+				v.release()
+				pl.release()
+				return err
+			}
+		}
 		for ; i < end; i++ {
-			key, val := v.cell(i)
-			cont, err := fn(key, val)
+			var cont bool
+			switch {
+			case rfn == nil:
+				key, val := v.cell(i)
+				cont, err = fn(key, val)
+			case recs != nil:
+				from, to := recs[i], recs[i+1]
+				starts := recs[from:to:to]
+				key, val := v.cellSized(i, int(starts[len(starts)-1]))
+				cont, err = rfn(key, val, starts)
+			default:
+				key, val := v.cell(i)
+				if one, err = t.walk(val, one[:0]); err != nil {
+					err = corruptRecord{err}
+				} else {
+					cont, err = rfn(key, val, one)
+				}
+			}
 			if err != nil || !cont {
 				v.release()
 				pl.release()

@@ -118,10 +118,23 @@ const (
 // index derived from the slot's bytes and kept off the page, so the
 // block image stays what it is on disk. The B-tree keeps its cell
 // offset table here (Offs: the start of every cell, then the end of the
-// last one). The pool never reads it; it only forgets it whenever the
-// slot's bytes are replaced.
+// last one) and, for a leaf of a record file, a second part built lazily
+// by the first scan that needs it: the record table (Recs), every
+// record's field starts. The pool never reads it; it only forgets it
+// whenever the slot's bytes are replaced.
+//
+// A published PageIndex is read by every holder of the page's shared
+// latch at once, so its user changes one only under the exclusive latch,
+// and adds the record table by publishing a new PageIndex that carries
+// both parts.
 type PageIndex struct {
 	Offs []uint16
+	// Recs is nil until built. Then, for a page of n cells, Recs[:n+1] says
+	// where each cell's entries start within Recs (and, last, where they
+	// end), and cell i's entries Recs[Recs[i]:Recs[i+1]] are its record's
+	// field starts and then its length, relative to the record's first
+	// byte.
+	Recs []uint16
 }
 
 // A Page is a pinned cache buffer. Callers must Release it; Data stays

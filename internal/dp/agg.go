@@ -254,11 +254,9 @@ func (d *DP) probeBlock(req *fsdp.Request) *fsdp.Reply {
 		}
 		rng := keys.Prefix(prefix)
 		matched := false
-		scanErr := f.tree.ScanClass(rng, false, cache.Keyed, func(key, val []byte) (bool, error) {
+		scanErr := f.tree.ScanRecords(rng, false, cache.Keyed, func(key, val []byte, starts []uint16) (bool, error) {
 			batch.processed++
-			if err := rec.Reset(val); err != nil {
-				return false, err
-			}
+			rec.Point(val, starts)
 			keep := true
 			if pred != nil {
 				batch.evals++
@@ -270,7 +268,7 @@ func (d *DP) probeBlock(req *fsdp.Request) *fsdp.Reply {
 			if keep {
 				matched = true
 				// key and val are borrowed from the leaf's cache buffer
-				// (btree.ScanFunc); the reply outlives the scan.
+				// (btree.RecordFunc); the reply outlives the scan.
 				reply.Rows = append(reply.Rows, append([]byte(nil), val...))
 				reply.RowKeys = append(reply.RowKeys, append([]byte(nil), key...))
 				batch.bytes += len(val)
@@ -281,7 +279,7 @@ func (d *DP) probeBlock(req *fsdp.Request) *fsdp.Reply {
 			return true, nil
 		})
 		if scanErr != nil {
-			return errReply(scanErr)
+			return d.readFailed(scanErr)
 		}
 		// Probed ranges with matches are range-locked shared under a
 		// transaction, keeping the join's inner rows stable to commit.

@@ -117,6 +117,9 @@ type Stats struct {
 	RowsInserted   uint64
 	PredicateEvals uint64
 	CheckEvals     uint64
+	// CorruptRefusals counts requests refused because a page they read,
+	// or a record on it, is not well-formed (btree.ErrCorruptPage).
+	CorruptRefusals uint64
 
 	// Intra-DP concurrency: how hard the process group's handlers
 	// actually drove the trees in parallel.
@@ -161,17 +164,18 @@ func (s Stats) CacheHitRate() float64 {
 // counters is the internal atomic form of Stats: the serve hot path
 // must not take any DP-wide lock just to count.
 type counters struct {
-	requests       atomic.Uint64
-	setRequests    atomic.Uint64
-	redrives       atomic.Uint64
-	rowsScanned    atomic.Uint64
-	rowsReturned   atomic.Uint64
-	rowsFiltered   atomic.Uint64
-	rowsUpdated    atomic.Uint64
-	rowsDeleted    atomic.Uint64
-	rowsInserted   atomic.Uint64
-	predicateEvals atomic.Uint64
-	checkEvals     atomic.Uint64
+	requests        atomic.Uint64
+	setRequests     atomic.Uint64
+	redrives        atomic.Uint64
+	rowsScanned     atomic.Uint64
+	rowsReturned    atomic.Uint64
+	rowsFiltered    atomic.Uint64
+	rowsUpdated     atomic.Uint64
+	rowsDeleted     atomic.Uint64
+	rowsInserted    atomic.Uint64
+	predicateEvals  atomic.Uint64
+	checkEvals      atomic.Uint64
+	corruptRefusals atomic.Uint64
 }
 
 // fileState is one file fragment managed by this DP as a single B-tree.
@@ -346,22 +350,23 @@ func (d *DP) Stats() Stats {
 	}
 	d.qwMu.Unlock()
 	return Stats{
-		Requests:       d.stats.requests.Load(),
-		SetRequests:    d.stats.setRequests.Load(),
-		Redrives:       d.stats.redrives.Load(),
-		RowsScanned:    d.stats.rowsScanned.Load(),
-		RowsReturned:   d.stats.rowsReturned.Load(),
-		RowsFiltered:   d.stats.rowsFiltered.Load(),
-		RowsUpdated:    d.stats.rowsUpdated.Load(),
-		RowsDeleted:    d.stats.rowsDeleted.Load(),
-		RowsInserted:   d.stats.rowsInserted.Load(),
-		PredicateEvals: d.stats.predicateEvals.Load(),
-		CheckEvals:     d.stats.checkEvals.Load(),
-		LatchShared:    ls.SharedGrants,
-		LatchExclusive: ls.ExclusiveGrants,
-		LatchWaits:     ls.Waits,
-		MaxTreeOps:     ls.MaxOps,
-		MaxInFlight:    maxIn,
+		Requests:        d.stats.requests.Load(),
+		SetRequests:     d.stats.setRequests.Load(),
+		Redrives:        d.stats.redrives.Load(),
+		RowsScanned:     d.stats.rowsScanned.Load(),
+		RowsReturned:    d.stats.rowsReturned.Load(),
+		RowsFiltered:    d.stats.rowsFiltered.Load(),
+		RowsUpdated:     d.stats.rowsUpdated.Load(),
+		RowsDeleted:     d.stats.rowsDeleted.Load(),
+		RowsInserted:    d.stats.rowsInserted.Load(),
+		PredicateEvals:  d.stats.predicateEvals.Load(),
+		CheckEvals:      d.stats.checkEvals.Load(),
+		CorruptRefusals: d.stats.corruptRefusals.Load(),
+		LatchShared:     ls.SharedGrants,
+		LatchExclusive:  ls.ExclusiveGrants,
+		LatchWaits:      ls.Waits,
+		MaxTreeOps:      ls.MaxOps,
+		MaxInFlight:     maxIn,
 
 		CacheHits:           cs.Hits,
 		CacheMisses:         cs.Misses,
@@ -409,6 +414,7 @@ func (d *DP) ResetStats() {
 	d.stats.rowsInserted.Store(0)
 	d.stats.predicateEvals.Store(0)
 	d.stats.checkEvals.Store(0)
+	d.stats.corruptRefusals.Store(0)
 	d.latches.ResetStats()
 	d.pool.ResetStats()
 	d.meter.reset()
@@ -542,6 +548,16 @@ func errReply(err error) *fsdp.Reply {
 
 var errConstraint = errors.New("dp: CHECK constraint violated")
 
+// readFailed is errReply for a request that read pages — a scan, a READ —
+// counting the refusal when what failed it is a page, or a record on one,
+// that is not well-formed.
+func (d *DP) readFailed(err error) *fsdp.Reply {
+	if errors.Is(err, btree.ErrCorruptPage) {
+		d.stats.corruptRefusals.Add(1)
+	}
+	return errReply(err)
+}
+
 // getFile looks up a file fragment. This is on the path of every
 // record operation, so it takes only a read lock.
 func (d *DP) getFile(name string) (*fileState, error) {
@@ -574,7 +590,7 @@ func (d *DP) createFile(req *fsdp.Request) *fsdp.Reply {
 	if dup {
 		return &fsdp.Reply{Code: fsdp.ErrGeneral, Err: fmt.Sprintf("dp %s: file %q exists", d.cfg.Name, req.File)}
 	}
-	tree, err := btree.New(d.pool, d.cfg.Volume, req.File, d.latches)
+	tree, err := d.newTree(req.File)
 	if err != nil {
 		return errReply(err)
 	}
@@ -591,6 +607,16 @@ func (d *DP) createFile(req *fsdp.Request) *fsdp.Reply {
 	// into this file.
 	_ = d.shipSync(fileMarker(d.cfg.Volume.Name(), req.File, req.Schema, req.Check, req.Audit, false))
 	return &fsdp.Reply{Root: uint32(tree.Root())}
+}
+
+// newTree creates the B-tree of a file fragment. Its values are records,
+// so its scans hand them over already walked (btree.Tree.HoldsRecords).
+func (d *DP) newTree(file string) (*btree.Tree, error) {
+	tree, err := btree.New(d.pool, d.cfg.Volume, file, d.latches)
+	if err != nil {
+		return nil, err
+	}
+	return tree.HoldsRecords(record.FieldStarts), nil
 }
 
 // dropFile removes a file fragment (its blocks are not reclaimed; the
@@ -614,7 +640,7 @@ func (d *DP) AttachFile(name string, schema *record.Schema, check expr.Expr, roo
 	d.files[name] = &fileState{
 		schema:     schema,
 		check:      check,
-		tree:       btree.Open(d.pool, d.cfg.Volume, name, root, d.latches),
+		tree:       btree.Open(d.pool, d.cfg.Volume, name, root, d.latches).HoldsRecords(record.FieldStarts),
 		fieldAudit: fieldAudit,
 	}
 }
@@ -640,7 +666,7 @@ func (d *DP) readRecord(req *fsdp.Request) *fsdp.Reply {
 	d.stats.rowsScanned.Add(1)
 	val, err := f.tree.Get(req.Key)
 	if err != nil {
-		return errReply(err)
+		return d.readFailed(err)
 	}
 	d.stats.rowsReturned.Add(1)
 	return &fsdp.Reply{Rows: [][]byte{val}, RowKeys: [][]byte{req.Key}, Examined: 1}

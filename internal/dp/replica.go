@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"sync"
 
-	"nonstopsql/internal/btree"
 	"nonstopsql/internal/expr"
 	"nonstopsql/internal/fault"
 	"nonstopsql/internal/fsdp"
@@ -227,7 +226,7 @@ func (d *DP) applyFileMarker(rec *wal.Record) error {
 	if dup {
 		return nil
 	}
-	tree, err := btree.New(d.pool, d.cfg.Volume, rec.File, d.latches)
+	tree, err := d.newTree(rec.File)
 	if err != nil {
 		return err
 	}

@@ -61,9 +61,13 @@ type batchState struct {
 
 // newBatch starts limit tracking for one set-oriented request message.
 // A non-zero rowLimit override (tests, ablations) narrows the row
-// budget for just this message.
+// budget for just this message. The clock is read only for the
+// elapsed-time limit, which is off unless configured.
 func (d *DP) newBatch(rowLimit uint32) batchState {
-	b := batchState{d: d, start: time.Now(), maxRows: d.cfg.MaxRowsPerMsg}
+	b := batchState{d: d, maxRows: d.cfg.MaxRowsPerMsg}
+	if d.cfg.TimeLimit > 0 {
+		b.start = time.Now()
+	}
 	if rowLimit > 0 && int(rowLimit) < b.maxRows {
 		b.maxRows = int(rowLimit)
 	}
@@ -112,7 +116,7 @@ type subsetKind struct {
 
 	open func(r *subsetRun) error // ^FIRST: decode the kind's own request fields into r.s
 	// visit sees one qualifying record. key, val and rec — the view of val
-	// — borrow the leaf's cache buffer (btree.ScanFunc) and are gone when
+	// — borrow the leaf's cache buffer (btree.RecordFunc) and are gone when
 	// visit returns: whatever the reply or the run keeps is a copy.
 	visit  func(r *subsetRun, key, val []byte, rec *record.View) (more bool, err error)
 	finish func(r *subsetRun) error // after the scan, before locking
@@ -189,13 +193,13 @@ func (d *DP) subset(req *fsdp.Request, k *subsetKind) *fsdp.Reply {
 		if !isFirst {
 			d.retireSCB(req.SCB)
 		}
-		return errReply(err)
+		return d.readFailed(err)
 	}
 
 	r.batch = d.newBatch(req.RowLimit)
 	defer r.batch.tally()
 	groupLock := req.Tx != 0 && !k.mutates
-	scanErr := f.tree.ScanClass(req.Range, d.cfg.Prefetch, s.class, func(key, val []byte) (bool, error) {
+	scanErr := f.tree.ScanRecords(req.Range, d.cfg.Prefetch, s.class, func(key, val []byte, starts []uint16) (bool, error) {
 		if r.batch.full() {
 			// Budget exhausted and more records remain: request a
 			// continuation re-drive.
@@ -205,11 +209,10 @@ func (d *DP) subset(req *fsdp.Request, k *subsetKind) *fsdp.Reply {
 		r.batch.processed++
 		reply.LastKey = append(reply.LastKey[:0], key...)
 
-		// The record is read where it lies: validated whole, then reached
-		// field by field. Nothing is decoded that nobody asks for.
-		if err := r.rec.Reset(val); err != nil {
-			return false, err
-		}
+		// The record is read where it lies, reached field by field through
+		// the starts the B-tree's walk found when it validated it whole.
+		// Nothing is decoded that nobody asks for.
+		r.rec.Point(val, starts)
 		if s.pred != nil {
 			r.batch.evals++
 			keep, err := s.pred.Satisfied(&r.rec)

@@ -228,33 +228,52 @@ func columnBound(e Expr, schema *record.Schema, slots bool) (int, bound, bool) {
 // column satisfies the bound (id < 1e300): it is then no bound at all and
 // the conjunct stays in the residual.
 //
-//   - An INTEGER constant against a FLOAT column widens to the float.
+//   - An INTEGER constant against a FLOAT column widens to the float when
+//     the float is exact. Past 2^53 one may not be: then the bound is
+//     stated over the floats, the nearest float inside it (> i → >= the
+//     first float above i, < i → <= the last float below) and = i → none.
 //   - A FLOAT constant f against an INTEGER column is stated over the
 //     integers, exactly: an integral f narrows to the integer; one with a
 //     fraction tightens the bound to the next integer inside it
 //     (> 1.5 → >= 2, >= 1.5 → >= 2, < 1.5 → <= 1, <= 1.5 → <= 1) and
 //     equals no integer (= 1.5 → none). Past int64's range (|f| >= 2^63,
 //     ±Inf) no integer lies beyond f: the bound that looks outward is none
-//     and the one that looks inward does not constrain. NaN is below,
-//     above and equal to no integer: every bound with it is none.
+//     and the one that looks inward does not constrain.
+//   - NaN is below, above and equal to no number, of either column type:
+//     every bound with it is none.
 //
-// "Exactly" is the point: the evaluator compares an INTEGER with a FLOAT
-// through float64 (record.Value.Compare), which past 2^53 calls
-// neighbouring integers equal, and calls NaN equal to everything. A key
-// bound does neither.
+// Exactly, and with NaN unknown, is how the evaluator compares too
+// (record.CompareIntFloat; expr's comparisons), so that KEY op f and
+// KEY + 0 op f select the same records.
 func (b bound) coerce(schema *record.Schema, field int) (_ bound, constrains bool) {
 	if field < 0 || field >= len(schema.Fields) {
 		return b, true
 	}
 	switch col := schema.Fields[field].Type; {
+	case (col == record.TypeInt || col == record.TypeFloat) && isNaN(b.v):
+		b.none = true
 	case col == record.TypeFloat && b.v.Kind == record.TypeInt:
-		b.v = record.Float(float64(b.v.I))
+		i, f := b.v.I, float64(b.v.I)
+		switch c := record.CompareIntFloat(i, f); {
+		case c == 0:
+			b.v = record.Float(f)
+		case b.op == OpEQ:
+			b.none = true
+		case b.op == OpGT || b.op == OpGE:
+			if c > 0 { // f rounded down
+				f = math.Nextafter(f, math.Inf(1))
+			}
+			b.op, b.v = OpGE, record.Float(f)
+		default: // OpLT, OpLE
+			if c < 0 { // f rounded up
+				f = math.Nextafter(f, math.Inf(-1))
+			}
+			b.op, b.v = OpLE, record.Float(f)
+		}
 	case col == record.TypeInt && b.v.Kind == record.TypeFloat:
 		f := b.v.F
 		const two63 = 1 << 63 // as a float64: one past the largest int64
 		switch {
-		case f != f:
-			b.none = true
 		case f >= two63:
 			b.none = b.op == OpEQ || b.op == OpGT || b.op == OpGE
 			return b, b.none
@@ -331,6 +350,11 @@ func rangeFromBounds(prefix []byte, bs []bound, isLast bool) keys.Range {
 			}
 		default:
 			continue
+		}
+		if c.Low == nil && b.v.Kind == record.TypeFloat {
+			// A NaN key lies below -Inf and below no bound: a FLOAT span
+			// that looks downward stops at -Inf.
+			c.Low = record.Float(math.Inf(-1)).AppendKey(append([]byte(nil), prefix...))
 		}
 		r = r.Intersect(c)
 	}

@@ -492,13 +492,17 @@ func TestKeyBoundCoercion(t *testing.T) {
 // second never becomes a key bound, so it is the evaluator's word — for
 // integral, fractional, negative and out-of-range floats, written as a
 // literal and supplied for a marker, through ExtractKeyRange's span and
-// residual and through a UniqueKey. (NaN is left out: the evaluator calls
-// it equal to everything, TestKeyBoundCoercion says what a bound does.)
+// residual and through a UniqueKey. Past 2^53, where float64 no longer
+// holds every integer, the evaluator compares exactly as the key bound
+// does; and NaN, which no key bound selects, is unknown to the evaluator.
 func TestFloatBoundOnIntegerKeyMatchesEvaluation(t *testing.T) {
 	emp := empSchema(t)
 	floats := []float64{0, 1, -1, 1.5, -1.5, 2.000001, 0.999999, -0.5, 3, -3, 2.5, 100, -100,
-		1 << 53, -(1 << 53), 1 << 62, 1 << 63, -(1 << 63), -(1 << 63) * 1.5, 1e300, -1e300, math.Inf(1), math.Inf(-1)}
-	ids := []int64{-101, -100, -4, -3, -2, -1, 0, 1, 2, 3, 4, 100, 101, 1 << 53, -(1 << 53), 1 << 62}
+		1 << 53, -(1 << 53), 1 << 62, 1 << 63, -(1 << 63), -(1 << 63) * 1.5, 1e300, -1e300, math.Inf(1), math.Inf(-1),
+		math.Nextafter(1<<53, math.Inf(1)), math.Nextafter(-(1 << 53), math.Inf(-1)), math.Nextafter(1<<63, 0), math.NaN()}
+	ids := []int64{-101, -100, -4, -3, -2, -1, 0, 1, 2, 3, 4, 100, 101, 1 << 53, -(1 << 53), 1 << 62,
+		1<<53 + 1, 1<<53 - 1, 1<<53 + 2, 1<<53 + 3, -(1 << 53) - 1, -(1 << 53) - 2, 1<<62 + 1, 1<<62 - 1,
+		math.MaxInt64, math.MaxInt64 - 1, math.MinInt64, math.MinInt64 + 1}
 	k := F(0, "EMPNO")
 	for _, f := range floats {
 		for _, op := range []Op{OpEQ, OpLT, OpLE, OpGT, OpGE} {
@@ -510,7 +514,7 @@ func TestFloatBoundOnIntegerKeyMatchesEvaluation(t *testing.T) {
 					ref = Bin(op, CFloat(f), Bin(OpAdd, k, CInt(0)))
 				}
 				sub, err := Substitute(tmpl, []record.Value{record.Float(f)})
-				if err != nil || !reflect.DeepEqual(sub, lit) {
+				if err != nil || (f == f && !reflect.DeepEqual(sub, lit)) {
 					t.Fatalf("%s with %v: %v, %v", tmpl, f, sub, err)
 				}
 				r, residual := ExtractKeyRange(lit, emp)
@@ -543,6 +547,44 @@ func TestFloatBoundOnIntegerKeyMatchesEvaluation(t *testing.T) {
 					if got := ok && bytes.Equal(key, emp.Key(row)); got != want {
 						t.Errorf("%s with %v reads EMPNO %d: %v; %s says %v", tmpl, f, id, got, ref, want)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestIntegerBoundOnFloatKeyMatchesEvaluation is the same differential
+// the other way round: KEY op i on a FLOAT key selects what KEY + 0.0 op i
+// selects, for integers float64 does not hold (past 2^53) and ones it does,
+// and stored floats on both sides of them, NaN among them.
+func TestIntegerBoundOnFloatKeyMatchesEvaluation(t *testing.T) {
+	sal := record.MustSchema("S", []record.Field{{Name: "AMT", Type: record.TypeFloat, NotNull: true}}, []int{0})
+	ints := []int64{0, 3, -3, 1 << 53, 1<<53 + 1, 1<<53 + 3, -(1 << 53) - 1, 1<<62 + 1, math.MaxInt64, math.MinInt64}
+	var amts []float64
+	for _, i := range ints {
+		f := float64(i)
+		amts = append(amts, f, math.Nextafter(f, math.Inf(1)), math.Nextafter(f, math.Inf(-1)))
+	}
+	amts = append(amts, 0.5, -0.5, math.Inf(1), math.Inf(-1), math.NaN())
+	k := F(0, "AMT")
+	for _, i := range ints {
+		for _, op := range []Op{OpEQ, OpLT, OpLE, OpGT, OpGE} {
+			lit, ref := Bin(op, k, CInt(i)), Bin(op, Bin(OpAdd, k, CFloat(0)), CInt(i))
+			r, residual := ExtractKeyRange(lit, sal)
+			for _, amt := range amts {
+				row := record.Row{record.Float(amt)}
+				want, err := Satisfied(ref, row)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := r.Contains(sal.Key(row))
+				if got {
+					if got, err = Satisfied(residual, row); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if got != want {
+					t.Errorf("%s selects AMT %v: %v; %s says %v (span %v, residual %v)", lit, amt, got, ref, want, r, residual)
 				}
 			}
 		}

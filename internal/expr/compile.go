@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"cmp"
 	"strings"
 
 	"nonstopsql/internal/record"
@@ -140,15 +141,23 @@ func (c *conjunct) test(v *record.View) (bool, error) {
 	if kind == 0 {
 		return false, nil // a comparison with NULL is NULL, which rejects
 	}
-	// cmp is Value.Compare(field, constant), case by case.
-	var cmp int
+	// order is Value.Compare(field, constant), case by case; a NaN on either
+	// side is unknown, as in eval, and rejects.
+	var order int
 	switch {
 	case kind == record.TypeInt && c.c.Kind == record.TypeInt:
-		cmp = compare(v.Int(c.idx), c.c.I)
+		order = cmp.Compare(v.Int(c.idx), c.c.I)
 	case kind == record.TypeInt && c.c.Kind == record.TypeFloat:
-		cmp = compare(float64(v.Int(c.idx)), c.c.F)
+		if c.c.F != c.c.F {
+			return false, nil
+		}
+		order = record.CompareIntFloat(v.Int(c.idx), c.c.F)
 	case kind == record.TypeFloat && c.c.Kind == record.TypeInt:
-		cmp = compare(v.Float(c.idx), float64(c.c.I))
+		f := v.Float(c.idx)
+		if f != f {
+			return false, nil
+		}
+		order = -record.CompareIntFloat(c.c.I, f)
 	case kind != c.c.Kind:
 		l, r := kind, c.c.Kind
 		if c.flipped {
@@ -156,37 +165,29 @@ func (c *conjunct) test(v *record.View) (bool, error) {
 		}
 		return false, errEval("cannot compare %v with %v", l, r)
 	case kind == record.TypeFloat:
-		cmp = compare(v.Float(c.idx), c.c.F)
+		f := v.Float(c.idx)
+		if f != f || c.c.F != c.c.F {
+			return false, nil
+		}
+		order = cmp.Compare(f, c.c.F)
 	case kind == record.TypeString:
-		cmp = strings.Compare(v.Str(c.idx), c.c.S)
+		order = strings.Compare(v.Str(c.idx), c.c.S)
 	default: // BOOLEAN: false before true
-		cmp = compare(b2i(v.Bool(c.idx)), b2i(c.c.B))
+		order = cmp.Compare(b2i(v.Bool(c.idx)), b2i(c.c.B))
 	}
 	switch c.op {
 	case OpEQ:
-		return cmp == 0, nil
+		return order == 0, nil
 	case OpNE:
-		return cmp != 0, nil
+		return order != 0, nil
 	case OpLT:
-		return cmp < 0, nil
+		return order < 0, nil
 	case OpLE:
-		return cmp <= 0, nil
+		return order <= 0, nil
 	case OpGT:
-		return cmp > 0, nil
+		return order > 0, nil
 	}
-	return cmp >= 0, nil
-}
-
-// compare is Value.Compare's three-way answer: neither below nor above is
-// equal, which is what it says of a NaN too.
-func compare[T int64 | float64](a, b T) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
+	return order >= 0, nil
 }
 
 func b2i(b bool) int64 {

@@ -299,6 +299,9 @@ func evalBinary(n Binary, row *fields) (record.Value, error) {
 		if !comparable(l, r) {
 			return record.Null, errEval("cannot compare %v with %v", l.Kind, r.Kind)
 		}
+		if isNaN(l) || isNaN(r) {
+			return record.Null, nil // NaN is neither below, above nor equal to anything: unknown
+		}
 		c := l.Compare(r)
 		var b bool
 		switch op {
@@ -338,6 +341,8 @@ func comparable(l, r record.Value) bool {
 	rn := r.Kind == record.TypeInt || r.Kind == record.TypeFloat
 	return ln && rn
 }
+
+func isNaN(v record.Value) bool { return v.Kind == record.TypeFloat && v.F != v.F }
 
 func asBool(v *record.Value) (b, isNull bool, err error) {
 	if v.IsNull() {

@@ -168,11 +168,12 @@ func TestEvalOnViewMatchesEvalOnRow(t *testing.T) {
 // TestCompiledEvaluatesEveryConjunct pins the rules a compiled predicate
 // could most cheaply break: no short-circuit (a type error behind a false
 // conjunct still surfaces, as eval's AND surfaces it), the constant named
-// first in the error when it stood first, NULL rejecting, Value.Compare's
-// mixed INTEGER/FLOAT comparison bit for bit — through float64, so 2^53+1
-// equals 2^53 as a FLOAT — and its NaN, which is "equal" to everything.
+// first in the error when it stood first, NULL rejecting, the mixed
+// INTEGER/FLOAT comparison exact — 2^53+1 is above 2^53 as a FLOAT, not
+// equal to it — and a NaN on either side unknown: rejected, and so is its
+// NOT.
 func TestCompiledEvaluatesEveryConjunct(t *testing.T) {
-	row := record.Row{record.Int(5), record.String("bob"), record.Null, record.Int(1<<53 + 1), record.Float(2.5)}
+	row := record.Row{record.Int(5), record.String("bob"), record.Null, record.Int(1<<53 + 1), record.Float(2.5), record.Float(math.NaN())}
 	var v record.View
 	if err := v.Reset(record.Encode(row)); err != nil {
 		t.Fatal(err)
@@ -185,14 +186,22 @@ func TestCompiledEvaluatesEveryConjunct(t *testing.T) {
 	}{
 		{And(Bin(OpLT, F(0, "x"), CInt(2)), Bin(OpLT, F(1, "name"), CInt(5))), false, "expr: cannot compare VARCHAR with INTEGER"},
 		{And(Bin(OpLT, F(0, "x"), CInt(2)), Bin(OpLT, CInt(5), F(1, "name"))), false, "expr: cannot compare INTEGER with VARCHAR"},
-		{And(Bin(OpLT, F(0, "x"), CInt(2)), Bin(OpEQ, F(9, "past"), CInt(5))), false, "expr: field ordinal 9 out of range (row has 5 fields)"},
+		{And(Bin(OpLT, F(0, "x"), CInt(2)), Bin(OpEQ, F(9, "past"), CInt(5))), false, "expr: field ordinal 9 out of range (row has 6 fields)"},
 		{And(Bin(OpEQ, F(0, "x"), CInt(5)), Bin(OpEQ, F(2, "nul"), CInt(5))), false, ""},
 		{And(Bin(OpEQ, F(0, "x"), CFloat(5)), Bin(OpGT, CString("c"), F(1, "name"))), true, ""},
-		{Bin(OpEQ, F(3, "big"), CFloat(1<<53)), true, ""},
-		{Bin(OpGT, F(3, "big"), CFloat(1<<53)), false, ""},
+		{Bin(OpEQ, F(3, "big"), CFloat(1<<53)), false, ""},
+		{Bin(OpGT, F(3, "big"), CFloat(1<<53)), true, ""},
+		{Bin(OpLT, CFloat(1<<53), F(3, "big")), true, ""},
 		{Bin(OpLE, CInt(2), F(4, "f")), true, ""},
-		{And(Bin(OpEQ, F(0, "x"), nan), Bin(OpGE, nan, F(4, "f"))), true, ""},
+		{Bin(OpEQ, F(0, "x"), nan), false, ""},
+		{Bin(OpNE, F(0, "x"), nan), false, ""},
+		{Unary{Op: OpNot, E: Bin(OpEQ, F(0, "x"), nan)}, false, ""},
+		{Bin(OpGE, nan, F(4, "f")), false, ""},
 		{Bin(OpLT, F(4, "f"), nan), false, ""},
+		{Bin(OpEQ, F(5, "nan"), F(5, "nan")), false, ""},
+		{Bin(OpNE, F(5, "nan"), CInt(1)), false, ""},
+		{Unary{Op: OpNot, E: Bin(OpLT, F(5, "nan"), CFloat(1))}, false, ""},
+		{Bin(OpEQ, F(1, "name"), nan), false, "expr: cannot compare VARCHAR with FLOAT"},
 	} {
 		keep, err := Compile(c.e).Satisfied(&v)
 		if keep != c.keep || (err == nil) != (c.err == "") || (err != nil && err.Error() != c.err) {

@@ -1,6 +1,7 @@
 package fsdp
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -118,6 +119,40 @@ func TestPartialFeedMerge(t *testing.T) {
 	f1.Merge(AggSum, f2)
 	if !f1.Float || f1.SumF != 3.5 || f1.Count != 2 {
 		t.Errorf("mixed sum merge: %+v", f1)
+	}
+}
+
+// TestMinMaxIgnoresFeedOrder: MIN and MAX see their values in whatever
+// order the records and partitions deliver them, so the answer may not
+// depend on it. It did while numbers compared through float64 — 2^53+1
+// "equalled" the FLOAT 2^53, and NaN "equalled" everything, so whichever
+// came first stuck. Now they are ordered exactly, NaN below every number.
+func TestMinMaxIgnoresFeedOrder(t *testing.T) {
+	vals := []record.Value{record.Int(1<<53 + 1), record.Float(1 << 53), record.Float(math.NaN()), record.Int(-3), record.Float(-2.5)}
+	for _, c := range []struct {
+		fn   AggFn
+		want record.Value
+	}{{AggMin, record.Float(math.NaN())}, {AggMax, record.Int(1<<53 + 1)}} {
+		for rot := range vals {
+			var p AggPartial
+			for i := range vals {
+				p.Feed(c.fn, vals[(rot+i)%len(vals)])
+			}
+			var q, r AggPartial // and split across two partitions, merged the other way round
+			for i, v := range vals {
+				if (i+rot)%2 == 0 {
+					q.Feed(c.fn, v)
+				} else {
+					r.Feed(c.fn, v)
+				}
+			}
+			r.Merge(c.fn, q)
+			for _, got := range []record.Value{p.Val, r.Val} {
+				if got.Kind != c.want.Kind || got.Compare(c.want) != 0 {
+					t.Errorf("%v fed from value %d on: %+v, want %+v", c.fn, rot, got, c.want)
+				}
+			}
+		}
 	}
 }
 

@@ -48,16 +48,17 @@ func AppendInt64(b []byte, v int64) []byte {
 }
 
 // AppendFloat64 appends an IEEE-754 double in an order-preserving
-// encoding. NaN is encoded as the smallest float.
+// encoding. NaN is encoded below every other float, -Inf included, and
+// decodes as a NaN.
 func AppendFloat64(b []byte, v float64) []byte {
 	b = append(b, tagFloat)
 	u := math.Float64bits(v)
-	if math.IsNaN(v) {
-		u = 0 // smallest possible after transform below of a negative
-	}
-	if u&(1<<63) != 0 {
+	switch {
+	case math.IsNaN(v):
+		u = 0 // below -Inf, whose encoding is ^bits(-Inf)
+	case u&(1<<63) != 0:
 		u = ^u // negative: flip all bits
-	} else {
+	default:
 		u ^= 1 << 63 // positive: flip sign bit
 	}
 	var buf [8]byte

@@ -89,6 +89,21 @@ func TestFloatOrderProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+	// NaN sorts below every other float, equal to any other NaN, and
+	// decodes as a NaN: not as 0, which it would otherwise share a key —
+	// and a GROUP BY group — with.
+	nan := AppendFloat64(nil, math.NaN())
+	for _, other := range []float64{math.Inf(-1), -math.MaxFloat64, 0, math.Copysign(0, -1), math.Inf(1)} {
+		if bytes.Compare(nan, AppendFloat64(nil, other)) >= 0 {
+			t.Errorf("NaN does not encode below %v", other)
+		}
+	}
+	if !bytes.Equal(nan, AppendFloat64(nil, -math.NaN())) {
+		t.Error("two NaNs encode differently")
+	}
+	if v, rest, err := DecodeNext(nan); err != nil || len(rest) != 0 || !math.IsNaN(v.(float64)) {
+		t.Errorf("NaN's key decodes as %v, %v", v, err)
+	}
 }
 
 func TestStringOrderProperty(t *testing.T) {

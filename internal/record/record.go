@@ -5,6 +5,7 @@
 package record
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -91,7 +92,10 @@ func (v Value) Format() string {
 }
 
 // Compare orders two non-null values of the same kind: -1, 0, or +1.
-// NULL sorts before everything; mixed int/float compare numerically.
+// NULL sorts before everything; mixed int/float compare numerically and
+// exactly (CompareIntFloat). A FLOAT NaN sorts below every other number
+// and equal to itself, where the key encoding puts it; in a predicate a
+// NaN compares as unknown instead (package expr).
 func (v Value) Compare(o Value) int {
 	if v.IsNull() || o.IsNull() {
 		switch {
@@ -103,25 +107,15 @@ func (v Value) Compare(o Value) int {
 			return 1
 		}
 	}
-	if (v.Kind == TypeInt || v.Kind == TypeFloat) && (o.Kind == TypeInt || o.Kind == TypeFloat) {
-		a, b := v.AsFloat(), o.AsFloat()
-		// Exact path when both are ints.
-		if v.Kind == TypeInt && o.Kind == TypeInt {
-			switch {
-			case v.I < o.I:
-				return -1
-			case v.I > o.I:
-				return 1
-			}
-			return 0
-		}
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		}
-		return 0
+	switch {
+	case v.Kind == TypeInt && o.Kind == TypeInt:
+		return cmp.Compare(v.I, o.I)
+	case v.Kind == TypeInt && o.Kind == TypeFloat:
+		return CompareIntFloat(v.I, o.F)
+	case v.Kind == TypeFloat && o.Kind == TypeInt:
+		return -CompareIntFloat(o.I, v.F)
+	case v.Kind == TypeFloat && o.Kind == TypeFloat:
+		return cmp.Compare(v.F, o.F) // NaN below everything, as the key encoding
 	}
 	switch v.Kind {
 	case TypeString:
@@ -136,6 +130,29 @@ func (v Value) Compare(o Value) int {
 		return 0
 	}
 	return 0
+}
+
+// CompareIntFloat orders the INTEGER i against the FLOAT f exactly: i
+// against f's integral part, then f's fraction. Converting i to float64
+// instead would round past 2^53, where neighbouring integers would compare
+// equal to the same FLOAT. A NaN f is below every integer, as in Compare.
+// It is the one mixed-type comparison: Compare, the Disk Process's MIN and
+// MAX (through Compare) and expr's compiled comparisons all use it.
+func CompareIntFloat(i int64, f float64) int {
+	const two63 = 1 << 63 // as a float64: one past the largest int64
+	switch {
+	case f != f:
+		return 1
+	case f >= two63:
+		return -1
+	case f < -two63:
+		return 1
+	}
+	whole := math.Trunc(f) // in int64's range, so the conversion is exact
+	if c := cmp.Compare(i, int64(whole)); c != 0 {
+		return c
+	}
+	return cmp.Compare(whole, f) // a fraction decides: i == whole
 }
 
 // AsFloat converts a numeric value to float64.

@@ -2,6 +2,7 @@ package record
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -245,6 +246,23 @@ func TestValueCompare(t *testing.T) {
 		{Int(3), Int(2), 1},
 		{Float(1.5), Int(2), -1},
 		{Int(2), Float(1.5), 1},
+		// Exactly, past 2^53: 2^53+1 is no float, and above the float 2^53.
+		{Int(1<<53 + 1), Float(1 << 53), 1},
+		{Float(1 << 53), Int(1<<53 + 1), -1},
+		{Int(1<<53 - 1), Float(1 << 53), -1},
+		{Int(1 << 53), Float(1 << 53), 0},
+		{Int(math.MaxInt64), Float(1 << 63), -1},
+		{Int(math.MinInt64), Float(-(1 << 63)), 0},
+		{Int(math.MinInt64), Float(math.Inf(-1)), 1},
+		{Int(-1), Float(-0.5), -1},
+		{Int(0), Float(-0.5), 1},
+		{Int(0), Float(math.Copysign(0, -1)), 0},
+		// NaN sorts below every number, as the key encoding puts it, and
+		// equal to itself.
+		{Int(math.MinInt64), Float(math.NaN()), 1},
+		{Float(math.NaN()), Int(0), -1},
+		{Float(math.NaN()), Float(math.Inf(-1)), -1},
+		{Float(math.NaN()), Float(math.NaN()), 0},
 		{String("a"), String("b"), -1},
 		{Bool(false), Bool(true), -1},
 		{Null, Int(math.MinInt64), -1},
@@ -254,6 +272,33 @@ func TestValueCompare(t *testing.T) {
 	for _, c := range cases {
 		if got := c.a.Compare(c.b); got != c.want {
 			t.Errorf("Compare(%v,%v) = %d want %d", c.a, c.b, got, c.want)
+		}
+		if got := c.b.Compare(c.a); got != -c.want {
+			t.Errorf("Compare(%v,%v) = %d want %d", c.b, c.a, got, -c.want)
+		}
+	}
+}
+
+// TestCompareIntFloatIsExact holds the mixed comparison to exact
+// arithmetic (math/big) over integers and floats around the places float64
+// rounds: 2^53, 2^62, the ends of int64, and small fractions.
+func TestCompareIntFloatIsExact(t *testing.T) {
+	var ints []int64
+	var floats []float64
+	for _, base := range []int64{0, 1 << 53, 1 << 62, math.MaxInt64 - 2, math.MinInt64 + 2} {
+		for d := int64(-2); d <= 2; d++ {
+			ints = append(ints, base+d, -(base + d))
+			f := float64(base + d)
+			floats = append(floats, f, -f, math.Nextafter(f, math.Inf(1)), math.Nextafter(f, math.Inf(-1)), f+0.5, f-0.5)
+		}
+	}
+	floats = append(floats, math.Inf(1), math.Inf(-1), 1<<63, -(1 << 63), 1e300, -1e300)
+	for _, i := range ints {
+		for _, f := range floats {
+			want := new(big.Float).SetInt64(i).Cmp(big.NewFloat(f))
+			if got := CompareIntFloat(i, f); got != want {
+				t.Errorf("CompareIntFloat(%d, %v) = %d, want %d", i, f, got, want)
+			}
 		}
 	}
 }

@@ -14,11 +14,14 @@ import (
 // whole frame — everything Decode checks, with Decode's errors — in one
 // pass that allocates nothing and notes where each field starts; after
 // that a field is reached by ordinal: materialised as a Value, or copied
-// as its encoded bytes or its key bytes without building a Value.
+// as its encoded bytes or its key bytes without building a Value. Point is
+// Reset for a record whose walk has already run: the Disk Process's scans
+// are handed each record's field starts by the B-tree, which walked every
+// record of the leaf once, when it built the leaf's record table.
 //
 // The View borrows the bytes it was Reset over, and a VARCHAR Value's S
 // aliases them. In the Disk Process those bytes are a cell of a pinned,
-// latched cache page (btree.ScanFunc), valid until the scan callback
+// latched cache page (btree.RecordFunc), valid until the scan callback
 // returns: whatever outlives the callback is copied (AppendField,
 // AppendKey copy; a kept Value.S needs strings.Clone).
 //
@@ -47,9 +50,37 @@ func (v *View) Reset(b []byte) error {
 	return nil
 }
 
+// Point points the view at the encoded record b, whose field starts —
+// and, last, len(b) — are starts, as FieldStarts found them over exactly
+// these bytes: the validating walk has been run, so Point does not run it
+// again. The starts are copied into the View's own scratch; the View
+// neither keeps nor writes starts, so a caller may lend it a table it
+// shares with others (the B-tree's record table, which lives beside the
+// page's cell table in the cache slot).
+func (v *View) Point(b []byte, starts []uint16) {
+	off := slices.Grow(v.off[:0], len(starts))
+	for _, s := range starts {
+		off = append(off, uint32(s))
+	}
+	v.b, v.off = b, off
+}
+
+// FieldStarts is Reset's validating walk — the same checks in the same
+// order with the same errors — for a record that lies in a page: it
+// appends to starts where each of b's fields starts and, last, len(b), as
+// 16-bit offsets, which is what a record table kept beside a 4 KB page
+// holds. A record too long for 16-bit offsets is refused.
+func FieldStarts(b []byte, starts []uint16) ([]uint16, error) {
+	if len(b) > math.MaxUint16 {
+		return starts, fmt.Errorf("record: %d bytes is too long to lie in a page", len(b))
+	}
+	return fieldOffsets(b, starts)
+}
+
 // fieldOffsets walks the frame b, appending to off where each field
-// starts and, last, len(b).
-func fieldOffsets(b []byte, off []uint32) ([]uint32, error) {
+// starts and, last, len(b). It is the one walk behind Reset and
+// FieldStarts; the two differ only in the width of an offset.
+func fieldOffsets[O uint16 | uint32](b []byte, off []O) ([]O, error) {
 	n, pos := binary.Uvarint(b)
 	if pos <= 0 {
 		return off, fmt.Errorf("record: bad row header")
@@ -62,13 +93,13 @@ func fieldOffsets(b []byte, off []uint32) ([]uint32, error) {
 		if err != nil {
 			return off, fmt.Errorf("record: field %d: %w", i, err)
 		}
-		off = append(off, uint32(pos))
+		off = append(off, O(pos))
 		pos += sz
 	}
 	if pos != len(b) {
 		return off, fmt.Errorf("record: %d trailing bytes", len(b)-pos)
 	}
-	return append(off, uint32(pos)), nil
+	return append(off, O(pos)), nil
 }
 
 // Len returns the record's field count.

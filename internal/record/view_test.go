@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -80,6 +81,19 @@ func checkViewAgainstDecode(t *testing.T, v *View, b []byte) {
 	verr := v.Reset(b)
 	if (derr == nil) != (verr == nil) || (derr != nil && derr.Error() != verr.Error()) {
 		t.Fatalf("%x: Decode says %v, View.Reset says %v", b, derr, verr)
+	}
+	// FieldStarts is the same walk in 16-bit offsets, and a View pointed at
+	// what it finds is the View Reset made.
+	starts, serr := FieldStarts(b, nil)
+	if (derr == nil) != (serr == nil) || (derr != nil && derr.Error() != serr.Error()) {
+		t.Fatalf("%x: Decode says %v, FieldStarts says %v", b, derr, serr)
+	}
+	if serr == nil {
+		var p View
+		p.Point(b, starts)
+		if !bytes.Equal(p.b, v.b) || !slices.Equal(p.off, v.off) {
+			t.Fatalf("%x: Point at FieldStarts' %v gives offsets %v, Reset %v", b, starts, p.off, v.off)
+		}
 	}
 	// Decode is AppendDecode into no arena: into one that holds a value it
 	// adds the same values behind it and returns them clipped, or refuses

@@ -180,6 +180,26 @@ go test -race -count=1 -run 'TestPreparedOverTCP|TestPreparedDifferentialMatrixT
 go test -race -count=1 -run 'TestReplica|TestWireReplicationDifferential|TestFollowerBrowseReads' ./internal/cluster
 go test -race -count=1 -run 'TestServerDrain' ./internal/msg/wire
 go test -race -count=1 -run 'TestExecuteDDLRace|TestKillConnMidWrite' .
+# A leaf's records are walked once per page version, not once per visit:
+# the first multi-record scan of a leaf builds its record table beside the
+# cell table in the cache slot, a leaf splice drops it, and the Disk
+# Process's callbacks point their View at a record's starts instead of
+# walking it. Under -race: record scanners building and publishing the
+# tables of leaves that writers are splicing (every record's starts held
+# to a fresh walk of its bytes), callbacks that cannot write the shared
+# table, corrupt pages and records refused with the page named — also a
+# record garbled on a file-backed volume and read by demand read and by
+# pre-fetch — and the exact INTEGER/FLOAT comparison, NaN unknown, on
+# both sides of a key bound and in MIN/MAX. Without it: the allocation
+# ceilings (a warm record scan builds no table; a write costs one), and
+# one pass of each per-record benchmark so neither can rot.
+go test -race -count=1 -run 'TestViewsUnderConcurrentSplices|TestScansNeverWriteTheRecordTable|TestCorruptPageFailsTheRequest|FuzzPageView' ./internal/btree
+go test -race -count=1 -run 'TestCorruptRecordIsRefusedAtThePage|TestRepliesDoNotAliasCachePages|TestTimeLimitRedrive' ./internal/dp
+go test -race -count=1 -run 'TestFloatBoundOnIntegerKeyMatchesEvaluation|TestIntegerBoundOnFloatKeyMatchesEvaluation|TestCompiledEvaluatesEveryConjunct|TestKeyBoundCoercion' ./internal/expr
+go test -race -count=1 -run 'TestValueCompare|TestCompareIntFloatIsExact|TestMinMaxIgnoresFeedOrder|TestFloatOrderProperty' ./internal/record ./internal/fsdp ./internal/keys
+go test -count=1 -run TestAllocationCeilings ./internal/btree ./internal/dp
+go test -run '^$' -bench 'BenchmarkSubsetRecord' -benchtime 1x ./internal/dp
+go test -run '^$' -bench 'BenchmarkScanRow' -benchtime 1x ./internal/btree
 go test -race ./...
 # The wall-clock benchmark is its own module compiled against these
 # packages, so nothing above builds it: its smoke test is what notices a
