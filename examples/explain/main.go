@@ -52,5 +52,6 @@ func main() {
 	show("SELECT * FROM account WHERE branch = 'br07'")
 	show("SELECT branch, COUNT(*), AVG(balance) FROM account GROUP BY branch HAVING COUNT(*) > 50 ORDER BY branch LIMIT 3")
 	show("UPDATE account SET balance = balance * 1.07 WHERE balance > 0")
+	show("UPDATE account SET balance = balance + 10 WHERE acctno = 777")
 	show("DELETE FROM account WHERE branch = 'br00'")
 }

@@ -7,8 +7,8 @@
 //
 //   - single-variable predicate evaluation and field projection at the
 //     data source (VSBB),
-//   - set-oriented update/delete with DP-side update expressions and
-//     CHECK constraint enforcement,
+//   - set-oriented and keyed update/delete with DP-side update
+//     expressions and CHECK constraint enforcement,
 //   - the continuation re-drive protocol with Subset Control Blocks,
 //   - bulk I/O + asynchronous pre-fetch over a request's key span, and
 //     asynchronous write-behind of aged dirty block strings,
@@ -16,6 +16,7 @@
 package dp
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -485,6 +486,8 @@ func (d *DP) serve(req *fsdp.Request) *fsdp.Reply {
 		reply = d.updateRecord(req)
 	case fsdp.KDeleteRecord:
 		reply = d.deleteRecord(req)
+	case fsdp.KUpdateKey, fsdp.KDeleteKey:
+		reply = d.writeKey(req)
 	case fsdp.KLockFile, fsdp.KLockRecord, fsdp.KLockRange:
 		reply = d.lockOp(req)
 	case fsdp.KGetFirstRSBB, fsdp.KGetNextRSBB:
@@ -731,30 +734,162 @@ func (d *DP) updateRecord(req *fsdp.Request) *fsdp.Reply {
 	if err != nil {
 		return errReply(err)
 	}
-	if err := d.updateOne(req.Tx, req.File, f, req.Key, func(record.Row) (record.Row, error) {
-		f.schema.Coerce(newRow)
-		return newRow, nil
-	}); err != nil {
+	if err := d.mustWrite(req.Tx, req.File, f, req.Key, f.replace(newRow)); err != nil {
 		return errReply(err)
 	}
 	return &fsdp.Reply{Count: 1}
 }
 
-// updateOne reads, locks, transforms, validates, audits, and stores one
-// record. transform receives the current row and returns the new one.
-func (d *DP) updateOne(tx uint64, file string, f *fileState, key []byte, transform func(record.Row) (record.Row, error)) error {
+// deleteRecord serves DELETE by key.
+func (d *DP) deleteRecord(req *fsdp.Request) *fsdp.Reply {
+	f, err := d.getFile(req.File)
+	if err != nil {
+		return errReply(err)
+	}
+	if req.Tx == 0 {
+		return &fsdp.Reply{Code: fsdp.ErrBadRequest, Err: "dp: write requires a transaction"}
+	}
+	if err := d.mustWrite(req.Tx, req.File, f, req.Key, nil); err != nil {
+		return errReply(err)
+	}
+	return &fsdp.Reply{Count: 1}
+}
+
+// writeKey serves UPDATE^KEY and DELETE^KEY: the one record of a primary
+// key, changed where it lies when the residual predicate holds — no Subset
+// Control Block, no range lock, no pre-fetch, no scan. The key is locked
+// before the record is read, found or not, so a residual that rejects the
+// record (or a record that is not there) still leaves the key locked to the
+// transaction's end. Count says whether the record was changed; neither a
+// missing record nor a rejecting residual is an error. Like REWRITE it
+// leaves write-behind to the commit that follows.
+func (d *DP) writeKey(req *fsdp.Request) *fsdp.Reply {
+	f, err := d.getFile(req.File)
+	if err != nil {
+		return errReply(err)
+	}
+	if req.Tx == 0 {
+		return &fsdp.Reply{Code: fsdp.ErrBadRequest, Err: "dp: write requires a transaction"}
+	}
+	pred, err := expr.Decode(req.Pred)
+	if err != nil {
+		return errReply(err)
+	}
+	var ch change
+	if req.Kind == fsdp.KUpdateKey {
+		assigns, err := expr.DecodeAssignments(req.Assign)
+		if err != nil {
+			return errReply(err)
+		}
+		ch = f.assign(assigns)
+	}
+	prog := expr.Compile(pred)
+	found, wrote, err := d.writeLocked(req.Tx, req.File, f, req.Key, prog, ch)
+	if err != nil {
+		return d.readFailed(err)
+	}
+	// The books a one-record subset over the key kept: a record examined
+	// when it is there, and the residual evaluated on it.
+	reply := &fsdp.Reply{}
+	if found {
+		d.stats.rowsScanned.Add(1)
+		reply.Examined = 1
+		if prog != nil {
+			d.stats.predicateEvals.Add(1)
+			if !wrote {
+				d.stats.rowsFiltered.Add(1)
+			}
+		}
+	}
+	if wrote {
+		reply.Count = 1
+	}
+	return reply
+}
+
+// A change makes a record's new image from its current one; writeLocked
+// deletes the record when its change is nil.
+type change func(old record.Row) (record.Row, error)
+
+// replace is the change of REWRITE and UPDATE^BLOCK: the record the File
+// System sent, whole.
+func (f *fileState) replace(newRow record.Row) change {
+	return func(record.Row) (record.Row, error) {
+		f.schema.Coerce(newRow)
+		return newRow, nil
+	}
+}
+
+// assign is the change of the SQL writes: the SET list evaluated on the
+// record where it lies.
+func (f *fileState) assign(assigns []expr.Assignment) change {
+	return func(old record.Row) (record.Row, error) {
+		newRow, err := expr.ApplyAssignments(old, assigns)
+		if err != nil {
+			return nil, err
+		}
+		f.schema.Coerce(newRow)
+		return newRow, nil
+	}
+}
+
+// writeLocked is the one way a Disk Process changes or removes a record:
+// lock the key exclusively, read the record under the lock, look at it
+// again through pred (nil accepts every record), and then change it — or,
+// ch nil, delete it — audit first. What is read after the lock is granted
+// is committed or this transaction's own, so the look is honest: a record
+// that qualified while another transaction held it uncommitted, and that
+// transaction rolled back, is judged as it is now. found reports whether
+// the record is there and wrote whether it was changed; when either is
+// false nothing was written, and whether that is an error is the caller's
+// to say. The predicate check is not counted: the caller counts the
+// evaluation that chose the record.
+func (d *DP) writeLocked(tx uint64, file string, f *fileState, key []byte, pred *expr.Program, ch change) (found, wrote bool, err error) {
 	if err := d.lockTx(tx, file, key, lock.Exclusive); err != nil {
-		return err
+		return false, false, err
 	}
 	oldEnc, err := f.tree.Get(key)
-	if err != nil {
-		return err
+	if errors.Is(err, btree.ErrNotFound) {
+		return false, false, nil
 	}
+	if err != nil {
+		return false, false, err
+	}
+	if pred != nil {
+		var v record.View
+		if err := v.Reset(oldEnc); err != nil {
+			return true, false, err
+		}
+		if keep, err := pred.Satisfied(&v); err != nil || !keep {
+			return true, false, err
+		}
+	}
+	if ch == nil {
+		err = d.deleteFound(tx, file, f, key, oldEnc)
+	} else {
+		err = d.updateFound(tx, file, f, key, oldEnc, ch)
+	}
+	return true, err == nil, err
+}
+
+// mustWrite is writeLocked for REWRITE, DELETE and their blocks, which name
+// a record that must be there.
+func (d *DP) mustWrite(tx uint64, file string, f *fileState, key []byte, ch change) error {
+	found, _, err := d.writeLocked(tx, file, f, key, nil, ch)
+	if err == nil && !found {
+		err = fmt.Errorf("%w (%s)", btree.ErrNotFound, file)
+	}
+	return err
+}
+
+// updateFound transforms, validates, CHECKs, audits and stores the locked
+// record oldEnc.
+func (d *DP) updateFound(tx uint64, file string, f *fileState, key, oldEnc []byte, ch change) error {
 	oldRow, err := record.Decode(oldEnc)
 	if err != nil {
 		return err
 	}
-	newRow, err := transform(oldRow)
+	newRow, err := ch(oldRow)
 	if err != nil {
 		return err
 	}
@@ -764,8 +899,7 @@ func (d *DP) updateOne(tx uint64, file string, f *fileState, key []byte, transfo
 	if err := d.checkConstraint(f, newRow); err != nil {
 		return err
 	}
-	newKey := f.schema.Key(newRow)
-	if keysDiffer(key, newKey) {
+	if !bytes.Equal(key, f.schema.Key(newRow)) {
 		return fmt.Errorf("dp %s: update may not change the primary key of %q", d.cfg.Name, file)
 	}
 	newEnc := record.Encode(newRow)
@@ -792,41 +926,8 @@ func (d *DP) updateOne(tx uint64, file string, f *fileState, key []byte, transfo
 	return nil
 }
 
-func keysDiffer(a, b []byte) bool {
-	if len(a) != len(b) {
-		return true
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return true
-		}
-	}
-	return false
-}
-
-// deleteRecord serves DELETE by key.
-func (d *DP) deleteRecord(req *fsdp.Request) *fsdp.Reply {
-	f, err := d.getFile(req.File)
-	if err != nil {
-		return errReply(err)
-	}
-	if req.Tx == 0 {
-		return &fsdp.Reply{Code: fsdp.ErrBadRequest, Err: "dp: write requires a transaction"}
-	}
-	if err := d.deleteOne(req.Tx, req.File, f, req.Key); err != nil {
-		return errReply(err)
-	}
-	return &fsdp.Reply{Count: 1}
-}
-
-func (d *DP) deleteOne(tx uint64, file string, f *fileState, key []byte) error {
-	if err := d.lockTx(tx, file, key, lock.Exclusive); err != nil {
-		return err
-	}
-	oldEnc, err := f.tree.Get(key)
-	if err != nil {
-		return err
-	}
+// deleteFound audits and removes the locked record oldEnc.
+func (d *DP) deleteFound(tx uint64, file string, f *fileState, key, oldEnc []byte) error {
 	lsn := d.appendAudit(&wal.Record{
 		Type: wal.RecDelete, TxID: tx, Volume: d.cfg.Volume.Name(), File: file,
 		Key: key, Before: oldEnc,

@@ -340,24 +340,9 @@ var (
 			r.s.assigns, err = expr.DecodeAssignments(r.req.Assign)
 			return err
 		},
-		finish: func(r *subsetRun) error {
-			return r.apply(func(key []byte) error {
-				return r.d.updateOne(r.req.Tx, r.req.File, r.f, key, func(old record.Row) (record.Row, error) {
-					newRow, err := expr.ApplyAssignments(old, r.s.assigns)
-					if err != nil {
-						return nil, err
-					}
-					r.f.schema.Coerce(newRow)
-					return newRow, nil
-				})
-			})
-		}}
+		finish: func(r *subsetRun) error { return r.apply(r.f.assign(r.s.assigns)) }}
 	deleteRecords = &subsetKind{first: fsdp.KDeleteSubsetFirst, mutates: true, visit: visitCollect,
-		finish: func(r *subsetRun) error {
-			return r.apply(func(key []byte) error {
-				return r.d.deleteOne(r.req.Tx, r.req.File, r.f, key)
-			})
-		}}
+		finish: func(r *subsetRun) error { return r.apply(nil) }}
 )
 
 func visitCollect(r *subsetRun, key, _ []byte, _ *record.View) (bool, error) {
@@ -367,13 +352,20 @@ func visitCollect(r *subsetRun, key, _ []byte, _ *record.View) (bool, error) {
 	return true, nil
 }
 
-// apply runs one mutation per collected key, counting them in the reply.
-func (r *subsetRun) apply(mutate func(key []byte) error) error {
+// apply changes (ch) or deletes (ch nil) each collected record, counting
+// in the reply the ones it wrote. The scan read them without a lock, so
+// writeLocked judges each again under its lock: a record that has since
+// gone, or that qualified only through another transaction's uncommitted
+// change, is skipped.
+func (r *subsetRun) apply(ch change) error {
 	for _, key := range r.hits {
-		if err := mutate(key); err != nil {
+		_, wrote, err := r.d.writeLocked(r.req.Tx, r.req.File, r.f, key, r.s.pred, ch)
+		if err != nil {
 			return err
 		}
-		r.reply.Count++
+		if wrote {
+			r.reply.Count++
+		}
 	}
 	return nil
 }
@@ -427,12 +419,7 @@ func (d *DP) updateBlock(req *fsdp.Request) *fsdp.Reply {
 	}
 	reply := &fsdp.Reply{}
 	for i, key := range req.RowKeys {
-		newRow := rows[i]
-		err := d.updateOne(req.Tx, req.File, f, key, func(record.Row) (record.Row, error) {
-			f.schema.Coerce(newRow)
-			return newRow, nil
-		})
-		if err != nil {
+		if err := d.mustWrite(req.Tx, req.File, f, key, f.replace(rows[i])); err != nil {
 			r := errReply(err)
 			r.Count = reply.Count
 			return r
@@ -454,7 +441,7 @@ func (d *DP) deleteBlock(req *fsdp.Request) *fsdp.Reply {
 	}
 	reply := &fsdp.Reply{}
 	for _, key := range req.RowKeys {
-		if err := d.deleteOne(req.Tx, req.File, f, key); err != nil {
+		if err := d.mustWrite(req.Tx, req.File, f, key, nil); err != nil {
 			r := errReply(err)
 			r.Count = reply.Count
 			return r

@@ -244,6 +244,15 @@ func TestUpdateFieldsPushdownOneMessage(t *testing.T) {
 	if got := r.c.Net.Stats().Requests; got != 1 {
 		t.Errorf("pushdown update used %d messages, want 1", got)
 	}
+	// The one message is UPDATE^KEY, not a subset conversation; a key
+	// that is not there is ErrNotFound, in one message too.
+	if st := r.c.DP("$DATA1").Stats(); st.SetRequests != 0 || st.RowsUpdated != 1 {
+		t.Errorf("the keyed update cost %d set requests and updated %d records", st.SetRequests, st.RowsUpdated)
+	}
+	err = r.fs.UpdateFields(tx, def, ik(99), []expr.Assignment{{Field: 3, E: expr.CFloat(0)}})
+	if !errors.Is(err, fs.ErrNotFound) || r.c.Net.Stats().Requests != 2 {
+		t.Errorf("UpdateFields of a missing key: %v after %d messages", err, r.c.Net.Stats().Requests)
+	}
 	if err := r.fs.Commit(tx); err != nil {
 		t.Fatal(err)
 	}

@@ -199,9 +199,9 @@ func (f *FS) Update(tx *tmf.Tx, def *FileDef, key []byte, newRow record.Row) err
 
 // UpdateFields applies SET expressions to one record. When no indexed
 // column is assigned, the update expression is subcontracted to the Disk
-// Process — one message, no record returned (the paper's key point for
-// updates). Otherwise the File System must read-modify-write with index
-// maintenance.
+// Process — one UPDATE^KEY message, no record returned (the paper's key
+// point for updates). Otherwise the File System must read-modify-write
+// with index maintenance. A missing record is ErrNotFound either way.
 func (f *FS) UpdateFields(tx *tmf.Tx, def *FileDef, key []byte, assigns []expr.Assignment) error {
 	if def.AssignsTouchIndexes(assigns) {
 		oldRow, err := f.Read(tx, def, key, true)
@@ -214,22 +214,39 @@ func (f *FS) UpdateFields(tx *tmf.Tx, def *FileDef, key []byte, assigns []expr.A
 		}
 		return f.Update(tx, def, key, newRow)
 	}
-	p := partitionFor(def.Partitions, key)
-	reply, err := f.sendTx(tx, p.Server, &fsdp.Request{
-		Kind: fsdp.KUpdateSubsetFirst, Tx: tx.ID, File: def.Name,
-		Range:  keys.Point(key),
-		Assign: expr.EncodeAssignments(assigns),
-	})
+	n, err := f.UpdateKey(tx, def, key, nil, assigns)
+	if err == nil && n == 0 {
+		err = fmt.Errorf("%w: %s", ErrNotFound, def.Name)
+	}
+	return err
+}
+
+// UpdateKey is the keyed write: one UPDATE^KEY to the key's partition,
+// which locks the key, and applies assigns to its record there when the
+// record satisfies pred (nil: whenever it is there). It returns the
+// records changed, 1 or 0. No index entry is maintained: the caller sends
+// it only when no assigned column is indexed or part of the key.
+func (f *FS) UpdateKey(tx *tmf.Tx, def *FileDef, key []byte, pred expr.Expr, assigns []expr.Assignment) (int, error) {
+	return f.writeKey(tx, def, &fsdp.Request{Kind: fsdp.KUpdateKey, Key: key,
+		Pred: expr.Encode(pred), Assign: expr.EncodeAssignments(assigns)})
+}
+
+// DeleteKey is UpdateKey's DELETE^KEY, for a file without secondary
+// indexes.
+func (f *FS) DeleteKey(tx *tmf.Tx, def *FileDef, key []byte, pred expr.Expr) (int, error) {
+	return f.writeKey(tx, def, &fsdp.Request{Kind: fsdp.KDeleteKey, Key: key, Pred: expr.Encode(pred)})
+}
+
+func (f *FS) writeKey(tx *tmf.Tx, def *FileDef, req *fsdp.Request) (int, error) {
+	req.Tx, req.File = tx.ID, def.Name
+	reply, err := f.sendTx(tx, partitionFor(def.Partitions, req.Key).Server, req)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if err := replyErr(reply); err != nil {
-		return err
+		return 0, err
 	}
-	if reply.Count == 0 {
-		return fmt.Errorf("%w: %s", ErrNotFound, def.Name)
-	}
-	return nil
+	return int(reply.Count), nil
 }
 
 // AssignsTouchIndexes reports whether any SET target is an indexed

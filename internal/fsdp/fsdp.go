@@ -8,8 +8,9 @@
 //     whole record by key, plus Real Sequential Block Buffering), and
 //   - the new field- and set-oriented NonStop SQL interface
 //     (GET^FIRST/NEXT^VSBB, GET^FIRST/NEXT^RSBB, UPDATE^SUBSET^*,
-//     DELETE^SUBSET^*, with predicates, projections, and update
-//     expressions evaluated by the Disk Process), plus the "future
+//     DELETE^SUBSET^*, UPDATE^KEY, DELETE^KEY, with predicates,
+//     projections, and update expressions evaluated by the Disk
+//     Process), plus the "future
 //     enhancements" the paper sketches (blocked insert, buffered
 //     update/delete-where-current).
 //
@@ -96,6 +97,15 @@ const (
 	// in-flight transactions and start serving as primary.
 	KShipRecords
 	KPromote
+
+	// Keyed writes: the record of one primary key (Key), changed at the
+	// Disk Process when it satisfies an optional residual predicate (Pred)
+	// — by the SET list in Assign, or deleted. The Disk Process locks the
+	// key before it reads, as READ does; Count is 1 when the record was
+	// changed, 0 when it is not there or the residual rejects it. The
+	// paper's update-expression pushdown without a subset around it.
+	KUpdateKey
+	KDeleteKey
 )
 
 var kindNames = map[Kind]string{
@@ -114,6 +124,7 @@ var kindNames = map[Kind]string{
 	KAggFirst: "AGG^FIRST", KAggNext: "AGG^NEXT",
 	KProbeBlock:  "PROBE^BLOCK",
 	KShipRecords: "SHIP^RECORDS", KPromote: "PROMOTE",
+	KUpdateKey: "UPDATE^KEY", KDeleteKey: "DELETE^KEY",
 }
 
 // BackupSuffix names a partition's backup Disk Process: the backup for

@@ -20,6 +20,8 @@ func fuzzSeeds() (requests, replies, specs, groups [][]byte) {
 		{Kind: KGetNextVSBB, File: "EMP", Proj: []int{0, 3, 200}, SCB: 7, RowLimit: 16, ScanLimit: 10, Mode: 2},
 		{Kind: KUpdateBlock, Tx: 3, File: "EMP", Rows: [][]byte{{1}, {}, {2, 2}}, RowKeys: [][]byte{{5}, {6}, {7}}},
 		{Kind: KCreateFile, File: "T", Schema: []byte("schema"), Check: []byte("check"), Audit: true, CommitLSN: 1 << 33},
+		{Kind: KUpdateKey, Tx: 9, File: "ACCT", Key: []byte{0x80, 0, 0, 0, 0, 0, 0, 42}, Pred: []byte{9, 9}, Assign: []byte{1, 2, 3}},
+		{Kind: KDeleteKey, Tx: 9, File: "ACCT", Key: []byte{0x80, 0, 0, 0, 0, 0, 0, 43}},
 	} {
 		requests = append(requests, EncodeRequest(&q))
 	}

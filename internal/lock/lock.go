@@ -117,13 +117,9 @@ func (m *Manager) LockFile(tx TxID, file string, mode Mode) error {
 // ErrDeadlock when granting would require waiting on a cycle, and
 // ErrTimeout when the wait exceeds DefaultTimeout.
 func (m *Manager) Acquire(tx TxID, file string, r keys.Range, mode Mode) error {
-	timeout := m.DefaultTimeout
-	if timeout == 0 {
-		timeout = 2 * time.Second
-	}
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
-
+	// The wait's deadline is armed by the first wait: most acquisitions
+	// never queue, and they pay no timer.
+	var deadline *time.Timer
 	m.mu.Lock()
 	m.stats.Acquires++
 	waited := false
@@ -140,6 +136,12 @@ func (m *Manager) Acquire(tx TxID, file string, r keys.Range, mode Mode) error {
 		if !waited {
 			waited = true
 			m.stats.Waits++
+			timeout := m.DefaultTimeout
+			if timeout == 0 {
+				timeout = 2 * time.Second
+			}
+			deadline = time.NewTimer(timeout)
+			defer deadline.Stop()
 		}
 		// Record wait-for edges and look for a cycle through tx.
 		edges := make(map[TxID]bool, len(blockers))

@@ -46,7 +46,7 @@ type accessVia uint8
 const (
 	viaScan  accessVia = iota // the key range peeled off the predicate, or the whole file
 	viaProbe                  // secondary-index probe, then base-file reads by primary key
-	viaRead                   // the paper's record-at-a-time READ: one record by its unique key
+	viaKey                    // one record by its unique key, in one message: the paper's READ for rows, UPDATE^KEY or DELETE^KEY for a write
 	viaNone                   // not at all: LIMIT 0, or a key value no key equals (NULL, 1.5 on an INTEGER key), is answered before any message is sent
 )
 
@@ -56,7 +56,7 @@ type tableQuery struct {
 	def     *fs.FileDef
 	op      accessOp
 	pred    expr.Expr         // bound predicate template
-	key     *expr.UniqueKey   // opRows: pred pins every primary-key column, so the access is a READ
+	key     *expr.UniqueKey   // pred pins every primary-key column: rows come by READ, a write at the Disk Process is keyed
 	assigns []expr.Assignment // opUpdate: SET templates
 	slots   int               // values the templates wait for (statement markers, a join's outer values)
 	proj    []int             // opRows: columns the executor reads, in the order it wants them (nil = the whole record)
@@ -92,8 +92,8 @@ type access struct {
 	rng     keys.Range      // viaScan: the primary-key range
 	idx     *fs.IndexDef    // viaProbe: probe idx for val
 	val     record.Value    //
-	unique  *expr.UniqueKey // viaRead, or pending with the READ already decided: the compiled key
-	key     []byte          // viaRead: the key, encoded from this execution's values
+	unique  *expr.UniqueKey // viaKey, or pending with the keyed access already decided: the compiled key
+	key     []byte          // viaKey: the key, encoded from this execution's values
 	pred    expr.Expr       // evaluated at the Disk Process — after a probe or a READ, by the requester
 	proj    []int           // opRows: projected at the Disk Process (via scan), cut by the requester (via READ)
 	assigns []expr.Assignment
@@ -148,8 +148,9 @@ func (a *access) decode(f fetched) ([]record.Row, error) {
 
 // access substitutes vals into the templates and chooses the access path:
 //
-//  0. rows by a unique key — decided at compile time — are a READ: the
-//     key is encoded straight from vals, nothing is substituted or peeled,
+//  0. a unique key — decided at compile time — is one message: rows are a
+//     READ, and a write that stays at the Disk Process is an UPDATE^KEY or
+//     DELETE^KEY. The key is encoded straight from vals; nothing is peeled,
 //  1. peel the primary-key range off the predicate (bounded subset),
 //  2. else probe a secondary index on an equality conjunct — for rows,
 //     and for writes that run requester-side anyway,
@@ -165,19 +166,19 @@ func (q *tableQuery) access(vals []record.Value) (access, error) {
 	pred := q.pred
 	if len(vals) >= q.slots {
 		var err error
-		if q.op == opRows && q.key != nil {
-			err = a.read(q, vals)
+		if a.assigns, err = expr.SubstituteAssignments(q.assigns, vals); err != nil {
+			return a, err
+		}
+		if q.keyed() {
+			err = a.byKey(q, vals)
 			return a, err
 		}
 		if pred, err = expr.Substitute(pred, vals); err != nil {
 			return a, err
 		}
-		if a.assigns, err = expr.SubstituteAssignments(q.assigns, vals); err != nil {
-			return a, err
-		}
 	} else if expr.HasParams(pred) {
 		a.pending, a.pred, a.proj = true, pred, q.proj
-		if q.op == opRows {
+		if q.keyed() {
 			a.unique = q.key
 		}
 		return a, nil
@@ -207,12 +208,19 @@ func (q *tableQuery) access(vals []record.Value) (access, error) {
 	return a, nil
 }
 
-// read makes a the READ of q's unique key for vals. The whole record
-// comes back: the residual predicate and the projection are the
-// requester's to apply to it. A key value no key equals (UniqueKey.Key:
-// NULL, a fraction on an INTEGER column) and LIMIT 0 want nothing: neither
-// sends a message.
-func (a *access) read(q *tableQuery, vals []record.Value) error {
+// keyed reports whether q's access is by its unique key: rows (a READ),
+// or a write that no index maintenance keeps in the requester.
+func (q *tableQuery) keyed() bool {
+	return q.key != nil && (q.op == opRows || (q.op == opUpdate || q.op == opDelete) && !q.requesterSide)
+}
+
+// byKey makes a the keyed access of q's unique key for vals. A READ brings
+// the whole record back: the residual predicate and the projection are the
+// requester's to apply to it. A keyed write carries the residual to the
+// Disk Process, which applies it to the record under the key's lock. A key
+// value no key equals (UniqueKey.Key: NULL, a fraction on an INTEGER
+// column) and LIMIT 0 want nothing: neither sends a message.
+func (a *access) byKey(q *tableQuery, vals []record.Value) error {
 	key, ok, err := q.key.Key(vals)
 	if err != nil {
 		return err
@@ -220,7 +228,7 @@ func (a *access) read(q *tableQuery, vals []record.Value) error {
 	if a.pred, err = expr.Substitute(q.key.Residual, vals); err != nil {
 		return err
 	}
-	a.via, a.unique, a.key, a.proj, a.budget = viaRead, q.key, key, q.proj, q.limit
+	a.via, a.unique, a.key, a.proj, a.budget = viaKey, q.key, key, q.proj, q.limit
 	if !ok || a.budget == 0 {
 		a.via = viaNone
 	}
@@ -265,9 +273,12 @@ func (a *access) fetch(s *Session, tx *tmf.Tx, az *analyzeState) (fetched, error
 		return fetched{}, nil
 	case a.via == viaProbe:
 		return a.fetchProbe(s, tx, az)
-	case a.via == viaRead:
+	case a.via == viaKey && a.op == opRows:
 		enc, err := a.fetchRead(s, tx, az)
 		return fetched{enc: enc}, err
+	case a.via == viaKey:
+		n, err := a.fetchKeyed(s, tx, az)
+		return fetched{n: n}, err
 	case a.op == opRows:
 		enc, err := a.fetchScan(s, tx, az)
 		return fetched{enc: enc}, err
@@ -384,6 +395,36 @@ func (a *access) fetchRead(s *Session, tx *tmf.Tx, az *analyzeState) ([][]byte, 
 		n.RowsExamined = 1
 	}
 	return out, nil
+}
+
+// keyKind is the FS-DP request of a keyed write.
+func (a *access) keyKind() fsdp.Kind {
+	if a.op == opUpdate {
+		return fsdp.KUpdateKey
+	}
+	return fsdp.KDeleteKey
+}
+
+// fetchKeyed sends the one keyed write: the key, the residual predicate
+// and, for an UPDATE, the SET list. The Disk Process locks the key, looks
+// at the record under the lock, and changes it there — or leaves it, and
+// the statement affects no row.
+func (a *access) fetchKeyed(s *Session, tx *tmf.Tx, az *analyzeState) (int, error) {
+	from := az.mark(s)
+	var n int
+	var err error
+	if a.op == opUpdate {
+		n, err = s.fs.UpdateKey(tx, a.def, a.key, a.pred, a.assigns)
+	} else {
+		n, err = s.fs.DeleteKey(tx, a.def, a.key, a.pred)
+	}
+	if err != nil {
+		return 0, err
+	}
+	if node := az.deltaNode(fmt.Sprintf("%s %s (%s)", a.op.verb(), a.def.Name, a.keyKind()), from, 0); node != nil {
+		node.Affected = n
+	}
+	return n, nil
 }
 
 // fetchProbe reads the records matching the probe value through the

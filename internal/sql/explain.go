@@ -17,9 +17,10 @@ type describer interface {
 
 // Explain compiles a statement and describes the execution plan the
 // paper's query compiler would produce — which single-variable queries
-// the executor will issue, each access path (a READ by unique key, a
-// primary-key range, an index probe, or a scan), the FS-DP interface
-// chosen (VSBB vs RSBB), and what travels to the Disk Process (pushed
+// the executor will issue, each access path (a READ, UPDATE^KEY or
+// DELETE^KEY by unique key, a primary-key range, an index probe, or a
+// scan), the FS-DP interface chosen (VSBB vs RSBB), and what travels to
+// the Disk Process (pushed
 // predicate, projection, update expressions) vs what stays in the
 // requester (residual filters, sorts, aggregation). Text that still
 // holds parameter markers has no values to choose a path from: those
@@ -91,9 +92,20 @@ func (a *access) describe(sb *strings.Builder, in string) {
 			}
 			return
 		}
-		if waits != "" {
+		switch {
+		case waits != "" && a.unique != nil:
+			fmt.Fprintf(sb, "%saccess %s: unique key (%s) via %s, or nothing for a NULL key value: %s\n", in, name, a.unique, a.keyKind(), waits)
+		case waits != "":
 			fmt.Fprintf(sb, "%s%s^SUBSET^FIRST/NEXT to each partition, range and predicate %s\n", in, strings.ToUpper(verb), waits)
-		} else {
+		case a.via == viaNone:
+			fmt.Fprintf(sb, "%saccess %s: none (unique key (%s): a NULL key value equals nothing, nor does a fraction on an INTEGER key)\n", in, name, a.unique)
+			return
+		case a.via == viaKey:
+			fmt.Fprintf(sb, "%saccess %s: unique key [%x] via %s, one request: the key is locked, then its record read\n", in, name, a.key, a.keyKind())
+			if a.pred != nil {
+				fmt.Fprintf(sb, "%spredicate at Disk Process, on the locked record: %s\n", in, a.pred)
+			}
+		default:
 			fmt.Fprintf(sb, "%s%s^SUBSET^FIRST/NEXT to each partition, range %s\n", in, strings.ToUpper(verb), a.rng)
 			if a.pred != nil {
 				fmt.Fprintf(sb, "%spredicate at Disk Process: %s\n", in, a.pred)
@@ -143,7 +155,7 @@ func (a *access) describe(sb *strings.Builder, in string) {
 		case a.via == viaNone:
 			fmt.Fprintf(sb, "%saccess %s: none (LIMIT 0 is answered before any conversation opens)\n", in, name)
 			return
-		case a.via == viaRead:
+		case a.via == viaKey:
 			fmt.Fprintf(sb, "%saccess %s: unique key [%x] via READ\n", in, name, a.key)
 			if a.pred != nil {
 				fmt.Fprintf(sb, "%s  requester filter: %s\n", in, a.pred)
@@ -181,7 +193,7 @@ func (a *access) describe(sb *strings.Builder, in string) {
 // key-ordered scan lets a budget survive: Top-N).
 func (a *access) budgetNote(ordered bool) string {
 	switch {
-	case a.budget < 0 || a.via == viaNone || a.via == viaRead:
+	case a.budget < 0 || a.via == viaNone || a.via == viaKey:
 		return ""
 	case ordered:
 		return " (Top-N: row budget pushed to Disk Processes)"

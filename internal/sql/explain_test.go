@@ -49,6 +49,10 @@ func claimedNodes(static string) []string {
 			// No access: no node.
 		case strings.Contains(line, "] via READ"):
 			want = append(want, "read "+table+" (READ)")
+		case strings.Contains(line, "] via UPDATE^KEY"):
+			want = append(want, "update "+table+" (UPDATE^KEY)")
+		case strings.Contains(line, "] via DELETE^KEY"):
+			want = append(want, "delete "+table+" (DELETE^KEY)")
 		case strings.Contains(line, "via GET^FIRST/NEXT^VSBB"):
 			want = append(want, "scan "+table+" (VSBB)")
 		case strings.Contains(line, "via GET^FIRST/NEXT^RSBB"):
@@ -113,6 +117,15 @@ func TestExplainIsThePlan(t *testing.T) {
 		stmt{"DELETE FROM m WHERE id >= ? AND id < ?", []record.Value{record.Int(170), record.Int(175)}},
 		stmt{text: "DELETE FROM innr WHERE label = 'L3'"},
 		stmt{text: "UPDATE innr SET label = 'L0' WHERE wt = 5"},
+		// Keyed writes: one request each, or none for a NULL key value;
+		// INNR's index keeps a keyed DELETE in the requester.
+		stmt{"UPDATE m SET bonus = bonus + ? WHERE id = ? AND pay > ?",
+			[]record.Value{record.Int(1), record.Int(42), record.Float(10)}},
+		stmt{text: "UPDATE m SET pay = pay + 1 WHERE id = 44"},
+		stmt{"UPDATE m SET pay = pay + 1 WHERE id = ?", []record.Value{record.Null}},
+		stmt{"DELETE FROM m WHERE id = ?", []record.Value{record.Int(43)}},
+		stmt{text: "UPDATE ck SET v = 'w' WHERE b = 3 AND a = 2"},
+		stmt{text: "DELETE FROM innr WHERE k = 3"},
 	)
 
 	replyBytes := func(q string) uint64 {

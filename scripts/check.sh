@@ -200,6 +200,22 @@ go test -race -count=1 -run 'TestValueCompare|TestCompareIntFloatIsExact|TestMin
 go test -count=1 -run TestAllocationCeilings ./internal/btree ./internal/dp
 go test -run '^$' -bench 'BenchmarkSubsetRecord' -benchtime 1x ./internal/dp
 go test -run '^$' -bench 'BenchmarkScanRow' -benchtime 1x ./internal/btree
+# A keyed write is one request: an UPDATE or DELETE that pins the whole
+# primary key sends UPDATE^KEY / DELETE^KEY, which locks the key before it
+# reads the record, and the subset writes judge each record again once its
+# lock is granted — one mutate path (dp.writeLocked) for every write but
+# INSERT. Under -race: the wrong answers this closed (another transaction's
+# rolled-back change written through a subset UPDATE or DELETE, or a keyed
+# UPDATE), the keyed outcomes at the Disk Process, the SQL-level isolation
+# test, EXPLAIN and EXPLAIN ANALYZE of keyed writes, and the differential
+# matrix holding every keyed form to its one-key-range twin (affected rows,
+# tables, audit images byte for byte; autocommit, a transaction, TCP). Then
+# one pass of the benchmark comparing the keyed request with the one-key
+# subset it replaced, so it cannot rot.
+go test -race -count=1 -run 'TestSubsetWritesRecheckUnderLock|TestKeyedUpdateLocksBeforeItReads|TestKeyedWrite' ./internal/dp
+go test -race -count=1 -run 'TestKeyedWriteIsolation|TestExplainAnalyzeKeyedWrite|TestExplainIsThePlan' ./internal/sql
+go test -race -count=1 -run 'TestKeyedWriteDifferential' .
+go test -run '^$' -bench BenchmarkKeyedUpdate -benchtime 1x ./internal/dp
 go test -race ./...
 # The wall-clock benchmark is its own module compiled against these
 # packages, so nothing above builds it: its smoke test is what notices a
