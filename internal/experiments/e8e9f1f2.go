@@ -289,7 +289,11 @@ func F2() ([]F2Result, *Table, error) {
 	results = append(results, F2Result{Step: "index probe + base read", Messages: afterIndex})
 	table.Rows = append(table.Rows, []string{"1. index DP probe + base DP read", u(afterIndex)})
 
-	key := def.Schema.Key(rows[0])
+	row, err := record.Decode(rows[0])
+	if err != nil {
+		return nil, nil, err
+	}
+	key := def.Schema.Key(row)
 	if err := r.fs.UpdateFields(tx2, def, key, []expr.Assignment{
 		{Field: 2, E: expr.Bin(expr.OpSub, expr.F(2, "SALARY"), expr.CInt(10))},
 	}); err != nil {

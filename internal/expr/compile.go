@@ -71,16 +71,17 @@ func (p *Program) add(e Expr) bool {
 	if b, ok := e.(Binary); ok && b.Op == OpAnd {
 		return p.add(b.L) && p.add(b.R)
 	}
-	if !yieldsBool(e) {
+	if !YieldsBool(e) {
 		return false
 	}
 	p.conj = append(p.conj, compileConjunct(e))
 	return true
 }
 
-// yieldsBool reports whether e evaluates to TRUE, FALSE, NULL or an
-// error whatever the record: what an AND operand must be.
-func yieldsBool(e Expr) bool {
+// YieldsBool reports whether e evaluates to TRUE, FALSE, NULL or an
+// error whatever the record: what an AND operand must be, and what no SUM
+// may add up.
+func YieldsBool(e Expr) bool {
 	switch n := e.(type) {
 	case Const:
 		return n.V.IsNull() || n.V.Kind == record.TypeBool

@@ -215,7 +215,11 @@ func TestProbePrefixes(t *testing.T) {
 	prefixes = append(prefixes, ik(5), ik(7)) // no such rows
 
 	r.c.Net.ResetStats()
-	rows, st, err := r.fs.ProbePrefixes(nil, def, prefixes, nil)
+	recs, st, err := r.fs.ProbePrefixes(nil, def, prefixes, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := decodeAll(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,8 +247,11 @@ func TestProbePrefixes(t *testing.T) {
 	// A predicate evaluated at the Disk Process filters without extra
 	// messages.
 	pred := expr.Bin(expr.OpEQ, expr.F(2, "DEPT"), expr.CString("ENG"))
-	rows, _, err = r.fs.ProbePrefixes(nil, def, prefixes[:30], pred)
+	recs, _, err = r.fs.ProbePrefixes(nil, def, prefixes[:30], pred)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if rows, err = decodeAll(recs); err != nil {
 		t.Fatal(err)
 	}
 	for _, row := range rows {
@@ -302,11 +309,15 @@ func TestReadByIndexBatch(t *testing.T) {
 	values = append(values, record.String("nobody")) // miss
 
 	r.c.Net.ResetStats()
-	rows, st, err := r.fs.ReadByIndexBatch(nil, def, def.Indexes[0], values)
+	recs, st, err := r.fs.ReadByIndexBatch(nil, def, def.Indexes[0], values)
 	if err != nil {
 		t.Fatal(err)
 	}
 	batched := r.c.Net.Stats().Requests
+	rows, err := decodeAll(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 20 {
 		t.Fatalf("got %d rows, want 20", len(rows))
 	}

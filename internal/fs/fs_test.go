@@ -12,6 +12,7 @@ import (
 	"nonstopsql/internal/keys"
 	"nonstopsql/internal/msg"
 	"nonstopsql/internal/record"
+	"nonstopsql/internal/tmf"
 )
 
 // rig is a one-node cluster with two data volumes and an FS.
@@ -79,6 +80,28 @@ func indexedDef() *fs.FileDef {
 			{Name: "EMP.NAME", Column: 1, Partitions: []fs.Partition{{Server: "$DATA2"}}},
 		},
 	}
+}
+
+// readByIndex is ReadByIndex with the records decoded.
+func readByIndex(r *rig, tx *tmf.Tx, def *fs.FileDef, idx *fs.IndexDef, v record.Value) ([]record.Row, error) {
+	recs, err := r.fs.ReadByIndex(tx, def, idx, v)
+	if err != nil {
+		return nil, err
+	}
+	return decodeAll(recs)
+}
+
+// decodeAll decodes records as the File System returned them.
+func decodeAll(recs [][]byte) ([]record.Row, error) {
+	rows := make([]record.Row, len(recs))
+	for i, rec := range recs {
+		row, err := record.Decode(rec)
+		if err != nil {
+			return nil, err
+		}
+		rows[i] = row
+	}
+	return rows, nil
 }
 
 func mustCreate(t testing.TB, r *rig, def *fs.FileDef) {
@@ -330,7 +353,7 @@ func TestSecondaryIndexMaintenance(t *testing.T) {
 		t.Fatalf("index entries %d", n)
 	}
 	// Read via the index: Figure 2's two-step flow.
-	rows, err := r.fs.ReadByIndex(nil, def, def.Indexes[0], record.String("smith"))
+	rows, err := readByIndex(r, nil, def, def.Indexes[0], record.String("smith"))
 	if err != nil || len(rows) != 1 || rows[0][0].I != 1 {
 		t.Fatalf("index read: %v %v", rows, err)
 	}
@@ -373,7 +396,7 @@ func TestIndexedUpdateFlowMessages(t *testing.T) {
 
 	tx2 := r.fs.Begin()
 	r.c.Net.ResetStats()
-	rows, err := r.fs.ReadByIndex(tx2, def, def.Indexes[0], record.String("smith"))
+	rows, err := readByIndex(r, tx2, def, def.Indexes[0], record.String("smith"))
 	if err != nil || len(rows) != 1 {
 		t.Fatal(err)
 	}
@@ -706,7 +729,7 @@ func TestCreateIndexBackfill(t *testing.T) {
 	if n, _ := r.c.DP("$DATA2").CountFile("EMP.LATE"); n != 25 {
 		t.Fatalf("backfill created %d entries", n)
 	}
-	rows, err := r.fs.ReadByIndex(nil, def, idx, record.String("emp-00007"))
+	rows, err := readByIndex(r, nil, def, idx, record.String("emp-00007"))
 	if err != nil || len(rows) != 1 || rows[0][0].I != 7 {
 		t.Fatalf("late index probe: %v %v", rows, err)
 	}

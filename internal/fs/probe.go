@@ -26,14 +26,10 @@ const ProbeBatchSize = 32
 // ProbePrefixes fetches every record whose key starts with one of the
 // given prefixes, with the predicate evaluated at the Disk Process,
 // batching probes per partition. Rows arrive grouped by partition, not
-// in probe order — callers that care re-associate by key or value.
-func (f *FS) ProbePrefixes(tx *tmf.Tx, def *FileDef, prefixes [][]byte, pred expr.Expr) ([]record.Row, ScanStats, error) {
-	raw, stats, err := f.probeFile(tx, def.Name, def.Partitions, prefixes, expr.Encode(pred))
-	if err != nil {
-		return nil, stats, err
-	}
-	rows, err := decodeRows(raw)
-	return rows, stats, err
+// in probe order — callers that care re-associate by key or value — and
+// as the Disk Process encoded them, unvalidated, like Rows.NextRaw's.
+func (f *FS) ProbePrefixes(tx *tmf.Tx, def *FileDef, prefixes [][]byte, pred expr.Expr) ([][]byte, ScanStats, error) {
+	return f.probeFile(tx, def.Name, def.Partitions, prefixes, expr.Encode(pred))
 }
 
 // ReadByIndexBatch is ReadByIndex generalized to a block of values: one
@@ -41,7 +37,7 @@ func (f *FS) ProbePrefixes(tx *tmf.Tx, def *FileDef, prefixes [][]byte, pred exp
 // one batched conversation per base partition for the base records —
 // instead of one message pair per index partition per value plus one
 // READ pair per base row.
-func (f *FS) ReadByIndexBatch(tx *tmf.Tx, def *FileDef, idx *IndexDef, values []record.Value) ([]record.Row, ScanStats, error) {
+func (f *FS) ReadByIndexBatch(tx *tmf.Tx, def *FileDef, idx *IndexDef, values []record.Value) ([][]byte, ScanStats, error) {
 	prefixes := make([][]byte, 0, len(values))
 	for _, v := range values {
 		prefixes = append(prefixes, v.AppendKey(nil))
@@ -50,13 +46,14 @@ func (f *FS) ReadByIndexBatch(tx *tmf.Tx, def *FileDef, idx *IndexDef, values []
 	if err != nil {
 		return nil, stats, err
 	}
-	irows, err := decodeRows(iraw)
-	if err != nil {
-		return nil, stats, err
-	}
-	baseKeys := make([][]byte, 0, len(irows))
-	for _, irow := range irows {
-		baseKeys = append(baseKeys, baseKeyFromIndexRow(def.Schema, irow))
+	baseKeys := make([][]byte, 0, len(iraw))
+	var iv record.View
+	for _, irec := range iraw {
+		key, err := baseKey(def.Schema, &iv, irec)
+		if err != nil {
+			return nil, stats, err
+		}
+		baseKeys = append(baseKeys, key)
 	}
 	braw, bstats, err := f.probeFile(tx, def.Name, def.Partitions, baseKeys, expr.Encode(nil))
 	stats.Spans = append(stats.Spans, bstats.Spans...)
@@ -66,20 +63,7 @@ func (f *FS) ReadByIndexBatch(tx *tmf.Tx, def *FileDef, idx *IndexDef, values []
 	if err != nil {
 		return nil, stats, err
 	}
-	rows, err := decodeRows(braw)
-	return rows, stats, err
-}
-
-func decodeRows(raw [][]byte) ([]record.Row, error) {
-	rows := make([]record.Row, 0, len(raw))
-	for _, rr := range raw {
-		row, err := record.Decode(rr)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+	return braw, stats, nil
 }
 
 // probeFile buckets the probe prefixes by serving partition and drives

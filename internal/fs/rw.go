@@ -120,27 +120,29 @@ func (f *FS) ReadRaw(tx *tmf.Tx, def *FileDef, key []byte, forUpdate bool) ([]by
 
 // ReadByIndex implements Figure 2's first hop generalized to reads: one
 // message to the index's Disk Process for the index record(s), then one
-// message per base record to the base file's Disk Process.
-func (f *FS) ReadByIndex(tx *tmf.Tx, def *FileDef, idx *IndexDef, value record.Value) ([]record.Row, error) {
+// READ per base record to the base file's Disk Process. The base records
+// come back as the Disk Process encoded them, unvalidated, like ReadRaw's.
+func (f *FS) ReadByIndex(tx *tmf.Tx, def *FileDef, idx *IndexDef, value record.Value) ([][]byte, error) {
 	var o op
 	o.init(f, tx, idx.Name, "GET^FIRST/NEXT^VSBB", yieldRecords,
 		partitionsFor(idx.Partitions, keys.Prefix(value.AppendKey(nil))))
-	var out []record.Row
+	var out [][]byte
+	var iv record.View
 	err := o.run(1, func(c *conv) error {
 		first := &fsdp.Request{Kind: fsdp.KGetFirstVSBB, Tx: o.txID(), File: idx.Name, Range: c.span().r}
 		return c.drive(first, func(reply *fsdp.Reply) error {
 			for _, raw := range reply.Rows {
-				irow, err := record.Decode(raw)
-				if err != nil {
-					return err
-				}
 				// Extract the base key from the index record and fetch
 				// the base record from its own Disk Process.
-				row, err := f.Read(tx, def, baseKeyFromIndexRow(def.Schema, irow), false)
+				key, err := baseKey(def.Schema, &iv, raw)
 				if err != nil {
 					return err
 				}
-				out = append(out, row)
+				rec, err := f.ReadRaw(tx, def, key, false)
+				if err != nil {
+					return err
+				}
+				out = append(out, rec)
 			}
 			return nil
 		})
@@ -151,14 +153,20 @@ func (f *FS) ReadByIndex(tx *tmf.Tx, def *FileDef, idx *IndexDef, value record.V
 	return out, nil
 }
 
-// baseKeyFromIndexRow rebuilds the base primary key from an index row
-// (fields 1..n are the base key columns in key order).
-func baseKeyFromIndexRow(base *record.Schema, irow record.Row) []byte {
+// baseKey rebuilds the base primary key from an index record (fields
+// 1..n are the base key columns in key order), read through iv.
+func baseKey(base *record.Schema, iv *record.View, irec []byte) ([]byte, error) {
+	if err := iv.Reset(irec); err != nil {
+		return nil, err
+	}
+	if iv.Len() <= len(base.KeyFields) {
+		return nil, fmt.Errorf("%w: index record of %d fields for a %d-column key", ErrProtocol, iv.Len(), len(base.KeyFields))
+	}
 	var key []byte
 	for i := range base.KeyFields {
-		key = irow[1+i].AppendKey(key)
+		key = iv.AppendKey(key, 1+i)
 	}
-	return key
+	return key, nil
 }
 
 // Update rewrites one record by primary key with full index

@@ -95,7 +95,7 @@ type access struct {
 	unique  *expr.UniqueKey // viaKey, or pending with the keyed access already decided: the compiled key
 	key     []byte          // viaKey: the key, encoded from this execution's values
 	pred    expr.Expr       // evaluated at the Disk Process — after a probe or a READ, by the requester
-	proj    []int           // opRows: projected at the Disk Process (via scan), cut by the requester (via READ)
+	proj    []int           // opRows: projected at the Disk Process (via scan), cut by the requester (via READ or probe)
 	assigns []expr.Assignment
 	agg     *fsdp.AggSpec
 
@@ -108,14 +108,12 @@ type access struct {
 // counted or changed (opCount, opUpdate, opDelete), or the merged
 // per-group partial states (opAgg).
 type fetched struct {
-	// enc holds a scan's or a READ's rows as the Disk Process encoded them,
-	// each the fields of access.proj in proj's order (nil = the whole
-	// record). Nobody has read a value of them: a pass-through SELECT
+	// enc holds the rows as the Disk Process encoded them, each the fields
+	// of access.proj in proj's order (nil = the whole record) — a scan's
+	// unread, a READ's or an index probe's checked and cut by the requester
+	// (admit). Nobody has read a value of them: a pass-through SELECT
 	// forwards them as they are, every other consumer calls access.decode.
-	enc [][]byte
-	// rows holds an index probe's (viaProbe) records instead, which the
-	// probe decoded to filter them: full width.
-	rows   []record.Row
+	enc    [][]byte
 	n      int
 	groups map[string]*fs.AggGroup
 }
@@ -123,18 +121,18 @@ type fetched struct {
 // decode is what a consumer that reads values does to fetched rows: each
 // encoded row validated and decoded (record.Decode), and a projected one
 // re-inflated to full width so bound expressions keep their ordinals.
-func (a *access) decode(f fetched) ([]record.Row, error) {
-	if a.via == viaProbe {
-		return f.rows, nil
-	}
+func (a *access) decode(enc [][]byte) ([]record.Row, error) {
 	width := len(a.def.Schema.Fields)
-	rows := make([]record.Row, len(f.enc))
-	for i, enc := range f.enc {
-		row, err := record.Decode(enc)
+	rows := make([]record.Row, len(enc))
+	for i, e := range enc {
+		row, err := record.Decode(e)
 		if err != nil {
 			return nil, err
 		}
 		if a.proj != nil {
+			if len(row) != len(a.proj) {
+				return nil, fmt.Errorf("%w: a row of %d fields for a projection of %d", fs.ErrProtocol, len(row), len(a.proj))
+			}
 			full := make(record.Row, width)
 			for j, c := range a.proj {
 				full[c] = row[j]
@@ -195,11 +193,11 @@ func (q *tableQuery) access(vals []record.Value) (access, error) {
 	if a.via != viaProbe || !q.limitNeedsKeyOrder {
 		a.budget = q.limit
 	}
+	a.proj = q.proj
 	switch {
 	case a.budget == 0:
 		a.via = viaNone
 	case a.via == viaScan:
-		a.proj = q.proj
 		// Each partition's Disk Process retires its subset after budget
 		// qualifying rows, instead of the requester discarding a
 		// fully-driven scan's surplus.
@@ -326,7 +324,7 @@ func (a *access) fetchRows(s *Session, tx *tmf.Tx, az *analyzeState) ([]record.R
 	if err != nil {
 		return nil, err
 	}
-	return a.decode(f)
+	return a.decode(f.enc)
 }
 
 // fetchScan drives GET^FIRST/NEXT over the range and collects the rows
@@ -361,9 +359,7 @@ func (a *access) fetchScan(s *Session, tx *tmf.Tx, az *analyzeState) ([][]byte, 
 }
 
 // fetchRead sends the one READ. Under a transaction the Disk Process
-// locks the key before it looks, found or not. The record is validated
-// whole where it lies (record.View.Reset) before the residual predicate,
-// compiled, reads a field of it or the projection cuts one out.
+// locks the key before it looks, found or not.
 func (a *access) fetchRead(s *Session, tx *tmf.Tx, az *analyzeState) ([][]byte, error) {
 	from := az.mark(s)
 	var out [][]byte
@@ -374,27 +370,35 @@ func (a *access) fetchRead(s *Session, tx *tmf.Tx, az *analyzeState) ([][]byte, 
 		return nil, err
 	default:
 		var v record.View
-		if err := v.Reset(enc); err != nil {
-			return nil, err
-		}
-		keep, err := expr.Compile(a.pred).Satisfied(&v)
+		rec, keep, err := a.admit(expr.Compile(a.pred), &v, enc)
 		if err != nil {
 			return nil, err
 		}
 		if keep {
-			if a.proj != nil {
-				// Distinct fields of the record: never longer than it is.
-				if enc, err = v.AppendRow(make([]byte, 0, len(enc)), a.proj); err != nil {
-					return nil, err
-				}
-			}
-			out = append(out, enc)
+			out = append(out, rec)
 		}
 	}
 	if n := az.deltaNode(fmt.Sprintf("read %s (READ)", a.def.Name), from, len(out)); n != nil {
 		n.RowsExamined = 1
 	}
 	return out, nil
+}
+
+// admit is the requester's look at a whole record the Disk Process sent
+// back unjudged — a READ's, an index probe's. The record is validated
+// whole where it lies (v.Reset) before the residual predicate, compiled
+// (prog), reads a field of it or the projection cuts one out
+// (View.AppendRow). keep says the predicate accepted it.
+func (a *access) admit(prog *expr.Program, v *record.View, rec []byte) (_ []byte, keep bool, err error) {
+	if err := v.Reset(rec); err != nil {
+		return nil, false, err
+	}
+	if keep, err = prog.Satisfied(v); err != nil || !keep || a.proj == nil {
+		return rec, keep, err
+	}
+	// Distinct fields of the record: never longer than it is.
+	rec, err = v.AppendRow(make([]byte, 0, len(rec)), a.proj)
+	return rec, err == nil, err
 }
 
 // keyKind is the FS-DP request of a keyed write.
@@ -428,33 +432,40 @@ func (a *access) fetchKeyed(s *Session, tx *tmf.Tx, az *analyzeState) (int, erro
 }
 
 // fetchProbe reads the records matching the probe value through the
-// index, filters them by the full predicate in the requester, and — for
-// a write — applies it record by record with index maintenance.
+// index, admits them by the full predicate in the requester, and — for a
+// write — decodes the ones it keeps and applies the write to each, with
+// index maintenance.
 func (a *access) fetchProbe(s *Session, tx *tmf.Tx, az *analyzeState) (fetched, error) {
 	from := az.mark(s)
-	rows, err := s.fs.ReadByIndex(tx, a.def, a.idx, a.val)
+	recs, err := s.fs.ReadByIndex(tx, a.def, a.idx, a.val)
 	if err != nil {
 		return fetched{}, err
 	}
-	out := rows[:0]
-	for _, row := range rows {
+	prog := expr.Compile(a.pred)
+	var v record.View
+	var out [][]byte
+	for _, rec := range recs {
 		if a.budget >= 0 && len(out) >= a.budget {
 			break
 		}
-		keep, err := expr.Satisfied(a.pred, row)
+		rec, keep, err := a.admit(prog, &v, rec)
 		if err != nil {
 			return fetched{}, err
 		}
 		if keep {
-			out = append(out, row)
+			out = append(out, rec)
 		}
 	}
 	az.deltaNode(fmt.Sprintf("index probe %s.%s", a.def.Name, a.idx.Name), from, len(out))
 	if a.op == opRows {
-		return fetched{rows: out}, nil
+		return fetched{enc: out}, nil
+	}
+	rows, err := a.decode(out)
+	if err != nil {
+		return fetched{}, err
 	}
 	t0 := time.Now()
-	for _, row := range out {
+	for _, row := range rows {
 		key := a.def.Schema.Key(row)
 		if a.op == opDelete {
 			err = s.fs.Delete(tx, a.def, key)
@@ -472,8 +483,8 @@ func (a *access) fetchProbe(s *Session, tx *tmf.Tx, az *analyzeState) (fetched, 
 	if az != nil {
 		az.nodes = append(az.nodes, NodeActuals{
 			Label:    a.op.verb() + " requester-side (index maintenance)",
-			Affected: len(out), Wall: time.Since(t0),
+			Affected: len(rows), Wall: time.Since(t0),
 		})
 	}
-	return fetched{n: len(out)}, nil
+	return fetched{n: len(rows)}, nil
 }

@@ -14,70 +14,51 @@ import (
 // aggregates against each partition's subset and the File System merges
 // the per-group partial states — the generalization of the COUNT(*)
 // pushdown to COUNT/SUM/MIN/MAX/AVG with GROUP BY. Non-decomposable
-// shapes (DISTINCT, expression arguments, star items) fall back to the
-// row path, which remains the semantic ground truth.
+// shapes (DISTINCT, expression arguments, expression GROUP BY keys) fold
+// in the requester, through the same partial states.
 
 // planAggPushdown derives the wire specification for DP-side partial
-// aggregation from the bound aggregate plans, and the mapping from
-// output item to partial-state column (-1 for group-by items). spec is
-// nil when any part of the query is not decomposable.
-func planAggPushdown(gbs []expr.Expr, plans []itemPlan) (spec *fsdp.AggSpec, colOf []int) {
+// aggregation from the bound aggregate plans: one column per aggregate
+// item, in plan order (emitGroups reads the partials in that order). spec
+// is nil when any part of the query is not decomposable.
+func planAggPushdown(gbs []expr.Expr, plans []itemPlan) (spec *fsdp.AggSpec) {
 	spec = &fsdp.AggSpec{}
 	for _, g := range gbs {
 		// Only bare column references extract at the Disk Process.
 		fr, ok := g.(expr.FieldRef)
 		if !ok {
-			return nil, nil
+			return nil
 		}
 		spec.GroupBy = append(spec.GroupBy, fr.Index)
 	}
-	colOf = make([]int, len(plans))
-	for i, pl := range plans {
-		colOf[i] = -1
-		if pl.agg == nil {
+	for _, pl := range plans {
+		a := pl.agg
+		switch {
+		case a == nil:
+			continue
+		case a.distinct:
+			return nil // DISTINCT partials do not merge
+		case a.star:
+			spec.Cols = append(spec.Cols, fsdp.AggCol{Fn: a.fn, Star: true})
 			continue
 		}
-		a := pl.agg
-		if a.distinct {
-			return nil, nil // DISTINCT partials do not merge
+		fr, ok := a.arg.(expr.FieldRef)
+		if !ok {
+			return nil // expression arguments stay requester-side
 		}
-		var fn fsdp.AggFn
-		switch a.fn {
-		case "COUNT":
-			fn = fsdp.AggCount
-		case "SUM", "AVG":
-			// AVG decomposes into SUM + COUNT; the SUM partial already
-			// carries its non-null count.
-			fn = fsdp.AggSum
-		case "MIN":
-			fn = fsdp.AggMin
-		case "MAX":
-			fn = fsdp.AggMax
-		default:
-			return nil, nil
-		}
-		col := fsdp.AggCol{Fn: fn}
-		if a.star {
-			col.Star = true
-		} else {
-			fr, ok := a.arg.(expr.FieldRef)
-			if !ok {
-				return nil, nil // expression arguments stay requester-side
-			}
-			col.Col = fr.Index
-		}
-		colOf[i] = len(spec.Cols)
-		spec.Cols = append(spec.Cols, col)
+		spec.Cols = append(spec.Cols, fsdp.AggCol{Fn: a.fn, Col: fr.Index})
 	}
-	return spec, colOf
+	return spec
 }
 
-// emitGroups finalizes the merged per-group partial states AGG^FIRST/NEXT
-// brought back into aggregate output rows.
-func (o *output) emitGroups(groups map[string]*fs.AggGroup, spec *fsdp.AggSpec, colOf []int) (*Result, error) {
+// emitGroups finalizes per-group partial states — merged from the Disk
+// Processes' (AGG^FIRST/NEXT) or folded by the requester (aggregateRows) —
+// into aggregate output rows, in group-key byte order: the one canonical
+// order, so the two paths are byte-identical on any input.
+func (o *output) emitGroups(groups map[string]*fs.AggGroup) (*Result, error) {
 	// Aggregates over the empty set with no GROUP BY still emit one row.
-	if len(groups) == 0 && len(spec.GroupBy) == 0 {
-		groups[""] = &fs.AggGroup{Partials: make([]fsdp.AggPartial, len(spec.Cols))}
+	if len(groups) == 0 && len(o.gbs) == 0 {
+		groups[""] = &fs.AggGroup{Partials: make([]fsdp.AggPartial, o.aggCount())}
 	}
 	keysOrdered := make([]string, 0, len(groups))
 	for k := range groups {
@@ -89,45 +70,18 @@ func (o *output) emitGroups(groups map[string]*fs.AggGroup, spec *fsdp.AggSpec, 
 	for _, k := range keysOrdered {
 		g := groups[k]
 		out := make(record.Row, len(o.plans))
+		c := 0
 		for i, pl := range o.plans {
-			if pl.agg != nil {
-				out[i] = finalizeAgg(pl.agg.fn, g.Partials[colOf[i]])
-			} else {
+			if pl.agg == nil {
 				out[i] = g.KeyVals[pl.groupBy]
+				continue
 			}
+			out[i] = pl.agg.finalize(g.Partials[c])
+			c++
 		}
 		outRows = append(outRows, out)
 	}
 	return o.emitAgg(outRows)
-}
-
-// finalizeAgg converts one merged partial state into the aggregate's SQL
-// value, matching aggState.value exactly (the differential tests hold
-// the two paths byte-identical).
-func finalizeAgg(fn string, p fsdp.AggPartial) record.Value {
-	switch fn {
-	case "COUNT":
-		return record.Int(p.Count)
-	case "SUM":
-		if p.Count == 0 {
-			return record.Null
-		}
-		if p.Float {
-			return record.Float(p.SumF)
-		}
-		return record.Int(p.SumI)
-	case "AVG":
-		if p.Count == 0 {
-			return record.Null
-		}
-		return record.Float(p.SumF / float64(p.Count))
-	case "MIN", "MAX":
-		if p.Count == 0 {
-			return record.Null
-		}
-		return p.Val
-	}
-	return record.Null
 }
 
 // orderByIsKeyPrefix reports whether the ORDER BY list is an ascending

@@ -77,6 +77,32 @@ func BenchmarkPreparedJoin(b *testing.B) {
 	}
 }
 
+// BenchmarkRequesterGroupBy executes a prepared GROUP BY that the Disk
+// Processes cannot decompose — its SUM adds an expression — over 1 000 of
+// the scan table's records: the scan's rows come back, are decoded, and
+// fold in the requester into 100 groups. rows/op says the fold saw them all.
+func BenchmarkRequesterGroupBy(b *testing.B) {
+	d := newDB(b)
+	loadScanTable(b, d, 1200)
+	p, err := d.s.Prepare("SELECT grp, COUNT(*), SUM(bal + 1), MAX(id) FROM sc WHERE id >= ? AND id < ? GROUP BY grp")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	rows := int64(0)
+	for i := 0; i < b.N; i++ {
+		res, err := d.s.ExecPrepared(p, record.Int(100), record.Int(1100))
+		if err != nil || len(res.Rows) != 100 {
+			b.Fatalf("%d groups, %v", len(res.Rows), err)
+		}
+		for _, row := range res.Rows {
+			rows += row[1].I
+		}
+	}
+	b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
+}
+
 // BenchmarkExplain describes a cached point SELECT: a plan-cache peek and
 // one describe of the compiled plan, no parse and no bind.
 func BenchmarkExplain(b *testing.B) {

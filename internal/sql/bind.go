@@ -177,8 +177,11 @@ func nameWith(e aExpr, params []record.Value) string {
 	case aCol:
 		return n.Name
 	case aCall:
-		if n.Star {
+		switch {
+		case n.Star:
 			return n.Fn + "(*)"
+		case n.Distinct:
+			return n.Fn + "(DISTINCT " + nameWith(n.Arg, params) + ")"
 		}
 		return n.Fn + "(" + nameWith(n.Arg, params) + ")"
 	case aConst:

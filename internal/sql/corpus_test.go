@@ -14,8 +14,9 @@ import (
 // aggDiffQueries covers the edge semantics that make aggregates easy to
 // get wrong at a distance: empty inputs (MIN/MAX/SUM go NULL, COUNT goes
 // 0), NULLs in both group keys and aggregated columns, partitions
-// contributing zero rows to a group, and shapes that must fall back
-// (DISTINCT).
+// contributing zero rows to a group, and shapes that fold in the
+// requester (DISTINCT, an expression argument), where HAVING and ORDER BY
+// must find a DISTINCT aggregate by its own name.
 var aggDiffQueries = []string{
 	"SELECT COUNT(*) FROM m",
 	"SELECT COUNT(bonus) FROM m",
@@ -38,6 +39,9 @@ var aggDiffQueries = []string{
 	"SELECT id, COUNT(*), MAX(dept) FROM m GROUP BY id",      // every record a group
 	"SELECT COUNT(DISTINCT dept) FROM m",                     // not decomposable: must fall back
 	"SELECT dept, COUNT(DISTINCT grade) FROM m GROUP BY dept",
+	"SELECT dept, COUNT(dept) FROM m GROUP BY dept HAVING COUNT(DISTINCT dept) = 1",
+	"SELECT grade, COUNT(grade), COUNT(DISTINCT grade) FROM m WHERE id < 10 GROUP BY grade ORDER BY COUNT(DISTINCT grade), grade",
+	"SELECT dept, SUM(pay + 1) FROM m GROUP BY dept",
 }
 
 var joinDiffQueries = []string{
@@ -50,6 +54,8 @@ var joinDiffQueries = []string{
 	"SELECT COUNT(*) FROM outr o, innr i WHERE o.tag = i.label AND i.wt < 30",
 	// Two join conjuncts: not batchable, same answer both ways.
 	"SELECT o.id FROM outr o, innr i WHERE o.fk = i.k AND o.id = i.wt ORDER BY o.id",
+	// A GROUP BY over a join folds the combined rows in the requester.
+	"SELECT i.label, COUNT(*), SUM(o.id), MAX(i.wt) FROM outr o, innr i WHERE o.fk = i.k GROUP BY i.label",
 }
 
 // matrixQueries is the prepared-vs-ad-hoc corpus: both suites above plus

@@ -268,7 +268,7 @@ func (p *joinPlan) probeBatched(s *Session, tx *tmf.Tx, outerRows []record.Row, 
 		return nil, nil
 	}
 
-	var innerRows []record.Row
+	var recs [][]byte
 	var st fs.ScanStats
 	label := "batched join probes " + innerDef.Name
 	if idx == nil {
@@ -278,19 +278,24 @@ func (p *joinPlan) probeBatched(s *Session, tx *tmf.Tx, outerRows []record.Row, 
 		}
 		// The inner-only predicate rides along and evaluates at the
 		// Disk Process.
-		innerRows, st, err = s.fs.ProbePrefixes(tx, innerDef, prefixes, innerOnly)
+		recs, st, err = s.fs.ProbePrefixes(tx, innerDef, prefixes, innerOnly)
 	} else {
 		vals := make([]record.Value, len(order))
 		for i, k := range order {
 			vals[i] = probes[k]
 		}
-		innerRows, st, err = s.fs.ReadByIndexBatch(tx, innerDef, idx, vals)
+		recs, st, err = s.fs.ReadByIndexBatch(tx, innerDef, idx, vals)
 		label += " via " + idx.Name
 	}
 	if err != nil {
 		return nil, err
 	}
 	az.scanNode(label+" (PROBE^BLOCK)", st)
+	inner := access{def: innerDef} // whole records
+	innerRows, err := inner.decode(recs)
+	if err != nil {
+		return nil, err
+	}
 
 	byKey := make(map[string][]record.Row)
 	for _, irow := range innerRows {

@@ -18,7 +18,8 @@ import (
 // is pass-through; the ones that are not (the whole record out of order, a
 // repeated column, an expression) are here to show they still answer the
 // same. Tables: M (three partitions, the third empty; NULLs in dept and
-// bonus) and CK (composite key, two partitions).
+// bonus), CK (composite key, two partitions) and INNR (indexed on label,
+// whose probe returns the records in key order).
 var passThroughCases = []struct {
 	stmt    string
 	orderBy string // the twin is stmt + " ORDER BY " + orderBy, before any LIMIT
@@ -53,6 +54,15 @@ var passThroughCases = []struct {
 	{"SELECT pay, id FROM m WHERE id = ? AND dept = 'ENG'", "id", []record.Value{record.Int(42)}, true},
 	{"SELECT * FROM m WHERE id = 7", "id", nil, true},
 	{"SELECT v FROM ck WHERE a = ? AND b = ?", "a, b", []record.Value{record.Int(2), record.Int(3)}, true},
+	// An index probe: permuted, the whole record, a residual predicate that
+	// keeps and one that rejects, a LIMIT. The requester checks and cuts the
+	// records as it does a READ's.
+	{"SELECT wt, k FROM innr WHERE label = 'L3'", "k", nil, true},
+	{"SELECT * FROM innr WHERE label = 'L4'", "k", nil, true},
+	{"SELECT wt, k FROM innr WHERE label = ? AND wt > ?", "k", []record.Value{record.String("L5"), record.Int(30)}, true},
+	{"SELECT wt, k FROM innr WHERE label = 'L5' AND wt > 100", "k", nil, true},
+	{"SELECT k, label FROM innr WHERE label = 'L6' LIMIT 3", "k", nil, true},
+	{"SELECT label, wt + 1 FROM innr WHERE label = 'L7'", "k", nil, false},
 	// Not pass-through, same answer: every column out of order (the plan
 	// asks for the whole record, which comes in schema order), a column
 	// twice (the plan asks for it once), an expression, a constant.

@@ -9,6 +9,8 @@ import (
 
 	"nonstopsql/internal/expr"
 	"nonstopsql/internal/fastsort"
+	"nonstopsql/internal/fs"
+	"nonstopsql/internal/fsdp"
 	"nonstopsql/internal/record"
 )
 
@@ -53,7 +55,7 @@ func (s *Session) compileSelect(sel Select, nParams int) (stmtPlan, error) {
 		// Processes (AGG^FIRST/NEXT) and only per-group partial states
 		// cross the interface.
 		if s.pushdown {
-			if p.q.agg, p.colOf = planAggPushdown(out.gbs, out.plans); p.q.agg != nil {
+			if p.q.agg = planAggPushdown(out.gbs, out.plans); p.q.agg != nil {
 				p.q.op = opAgg
 				return p, nil
 			}
@@ -124,8 +126,7 @@ func neededColumns(schema *record.Schema, alias string, sel Select) []int {
 type selectPlan struct {
 	q      tableQuery
 	out    *output
-	colOf  []int // opAgg: out.plans[i] -> index into q.agg.Cols (-1 for group-by items)
-	browse bool  // FOR BROWSE ACCESS: no locks, read through
+	browse bool // FOR BROWSE ACCESS: no locks, read through
 }
 
 func (p *selectPlan) run(s *Session, params []record.Value, az *analyzeState) (*Result, error) {
@@ -149,11 +150,11 @@ func (p *selectPlan) run(s *Session, params []record.Value, az *analyzeState) (*
 	case p.q.op == opCount:
 		return out.emitAgg([]record.Row{{record.Int(int64(f.n))}})
 	case p.q.op == opAgg:
-		return out.emitGroups(f.groups, p.q.agg, p.colOf)
-	case out.forward && a.via != viaProbe:
+		return out.emitGroups(f.groups)
+	case out.forward:
 		return out.forwardRows(f.enc), nil
 	}
-	rows, err := a.decode(f)
+	rows, err := a.decode(f.enc)
 	if err != nil {
 		return nil, err
 	}
@@ -632,20 +633,25 @@ func (o *output) emitAgg(outRows []record.Row) (*Result, error) {
 	return res, nil
 }
 
-// aggregateRows folds rows through pre-bound aggregate plans. Groups
-// emit in group-key byte order — the same canonical order the pushdown
-// path produces, so the two plans are byte-identical on any input.
+// aggregateRows folds rows through the aggregate plans in the requester.
+// Each group's partial states are fsdp.AggPartial, fed as the Disk
+// Processes feed theirs, and emitGroups finalizes them as it does the
+// merged groups AGG^FIRST/NEXT brings back: one aggregate body for both
+// paths. DISTINCT is a set in front of Feed, per group and item.
 func (o *output) aggregateRows(rows []record.Row) (*Result, error) {
-	gbs, plans := o.gbs, o.plans
-	type group struct {
-		keyVals record.Row
-		states  []*aggState
+	type seenKey struct {
+		g    *fs.AggGroup
+		item int
+		val  string
 	}
-	groups := make(map[string]*group)
+	var seen map[seenKey]bool
+	groups := make(map[string]*fs.AggGroup)
+	nAggs := o.aggCount()
+	keyVals := make(record.Row, len(o.gbs))
+	var kb []byte
 	for _, row := range rows {
-		keyVals := make(record.Row, len(gbs))
-		var kb []byte
-		for i, g := range gbs {
+		kb = kb[:0]
+		for i, g := range o.gbs {
 			v, err := expr.Eval(g, row)
 			if err != nil {
 				return nil, err
@@ -653,61 +659,55 @@ func (o *output) aggregateRows(rows []record.Row) (*Result, error) {
 			keyVals[i] = v
 			kb = v.AppendKey(kb)
 		}
-		gr, ok := groups[string(kb)]
+		g, ok := groups[string(kb)]
 		if !ok {
-			gr = &group{keyVals: keyVals}
-			for _, p := range plans {
-				if p.agg != nil {
-					gr.states = append(gr.states, p.agg.newState())
-				} else {
-					gr.states = append(gr.states, nil)
+			g = &fs.AggGroup{KeyVals: keyVals.Clone(), Partials: make([]fsdp.AggPartial, nAggs)}
+			groups[string(kb)] = g
+		}
+		c := -1
+		for _, pl := range o.plans {
+			a := pl.agg
+			if a == nil {
+				continue
+			}
+			c++
+			if a.star {
+				g.Partials[c].AddCount()
+				continue
+			}
+			v, err := expr.Eval(a.arg, row)
+			if err != nil {
+				return nil, err
+			}
+			if v.IsNull() {
+				continue // SQL aggregates ignore NULLs
+			}
+			if a.distinct {
+				k := seenKey{g, c, string(v.AppendKey(nil))}
+				if seen[k] {
+					continue
 				}
-			}
-			groups[string(kb)] = gr
-		}
-		si := 0
-		for _, p := range plans {
-			if p.agg != nil {
-				if err := gr.states[si].feed(row); err != nil {
-					return nil, err
+				if seen == nil {
+					seen = make(map[seenKey]bool)
 				}
+				seen[k] = true
 			}
-			si++
+			g.Partials[c].Feed(a.fn, v)
 		}
 	}
-	// No rows and no GROUP BY: aggregates over the empty set.
-	if len(groups) == 0 && len(gbs) == 0 {
-		gr := &group{}
-		for _, p := range plans {
-			if p.agg != nil {
-				gr.states = append(gr.states, p.agg.newState())
-			} else {
-				gr.states = append(gr.states, nil)
-			}
-		}
-		groups[""] = gr
-	}
+	return o.emitGroups(groups)
+}
 
-	keysOrdered := make([]string, 0, len(groups))
-	for k := range groups {
-		keysOrdered = append(keysOrdered, k)
-	}
-	sort.Strings(keysOrdered)
-
-	outRows := make([]record.Row, 0, len(groups))
-	for _, k := range keysOrdered {
-		g := groups[k]
-		out := make(record.Row, len(plans))
-		for i, p := range plans {
-			if p.agg != nil {
-				out[i] = g.states[i].value()
-			} else {
-				out[i] = g.keyVals[p.groupBy]
-			}
+// aggCount is the number of aggregate items: each group holds one partial
+// state per item, in plan order.
+func (o *output) aggCount() int {
+	n := 0
+	for _, pl := range o.plans {
+		if pl.agg != nil {
+			n++
 		}
-		outRows = append(outRows, out)
 	}
-	return o.emitAgg(outRows)
+	return n
 }
 
 // orderResult sorts an aggregate result by output column references.
@@ -815,123 +815,73 @@ func rewriteHaving(e aExpr, sel Select, sc *scope, plans *[]itemPlan) (expr.Expr
 	return nil, fmt.Errorf("sql: HAVING %s must be an aggregate or a GROUP BY expression", name)
 }
 
-// aggSpec / aggState implement COUNT/SUM/AVG/MIN/MAX.
+// aggSpec is one bound aggregate call. fn is the partial state's function
+// (fsdp.AggFn), the Disk Process's and the requester's alike: AVG is a SUM
+// whose partial already counts its inputs, finalized as their quotient.
 type aggSpec struct {
-	fn       string
+	fn       fsdp.AggFn
+	avg      bool
 	star     bool
 	distinct bool
 	arg      expr.Expr
 }
 
+// aggFns maps each SQL aggregate (the parser admits no other) to its
+// partial state's function.
+var aggFns = map[string]fsdp.AggFn{"COUNT": fsdp.AggCount, "SUM": fsdp.AggSum, "AVG": fsdp.AggSum, "MIN": fsdp.AggMin, "MAX": fsdp.AggMax}
+
 func newAggSpec(call aCall, sc *scope) (*aggSpec, error) {
-	spec := &aggSpec{fn: call.Fn, star: call.Star, distinct: call.Distinct}
-	if !call.Star {
-		bound, err := bind(call.Arg, sc)
-		if err != nil {
-			return nil, err
+	spec := &aggSpec{fn: aggFns[call.Fn], avg: call.Fn == "AVG", star: call.Star, distinct: call.Distinct}
+	if call.Star {
+		if spec.fn != fsdp.AggCount {
+			return nil, fmt.Errorf("sql: %s(*) is not valid", call.Fn)
 		}
-		// A sum of names is not zero, it is a mistake: refused here, once,
-		// for the pushed-down and the row path alike.
-		if f, ok := bound.(expr.FieldRef); ok && (call.Fn == "SUM" || call.Fn == "AVG") {
-			if typ := sc.typeOf(f.Index); typ == record.TypeString || typ == record.TypeBool {
-				return nil, fmt.Errorf("sql: %s(%s): the argument must be numeric, and %s is %v", call.Fn, f.Name, f.Name, typ)
+		return spec, nil
+	}
+	bound, err := bind(call.Arg, sc)
+	if err != nil {
+		return nil, err
+	}
+	// A sum of names or of truth values is not zero, it is a mistake:
+	// refused here, once, for the pushed-down and the row path alike. A
+	// column is judged by its declared type, an expression only where its
+	// type is certain — a constant, or a comparison, AND, OR, NOT, IS NULL or
+	// LIKE (expr.YieldsBool).
+	if spec.fn == fsdp.AggSum {
+		var typ record.Type
+		switch b := bound.(type) {
+		case expr.FieldRef:
+			typ = sc.typeOf(b.Index)
+		case expr.Const:
+			typ = b.V.Kind
+		default:
+			if expr.YieldsBool(bound) {
+				typ = record.TypeBool
 			}
 		}
-		spec.arg = bound
-	} else if call.Fn != "COUNT" {
-		return nil, fmt.Errorf("sql: %s(*) is not valid", call.Fn)
+		if typ == record.TypeString || typ == record.TypeBool {
+			arg := displayName(call.Arg)
+			return nil, fmt.Errorf("sql: %s(%s): the argument must be numeric, and %s is %v", call.Fn, arg, arg, typ)
+		}
 	}
+	spec.arg = bound
 	return spec, nil
 }
 
-type aggState struct {
-	spec  *aggSpec
-	count int64
-	sum   float64
-	sumI  int64
-	isInt bool
-	min   record.Value
-	max   record.Value
-	seen  map[string]bool
-	any   bool
-}
-
-func (s *aggSpec) newState() *aggState {
-	st := &aggState{spec: s, isInt: true}
-	if s.distinct {
-		st.seen = make(map[string]bool)
+// finalize converts a group's partial state into the aggregate's SQL
+// value: COUNT is never NULL, the others are over no input.
+func (a *aggSpec) finalize(p fsdp.AggPartial) record.Value {
+	switch {
+	case a.fn == fsdp.AggCount:
+		return record.Int(p.Count)
+	case p.Count == 0:
+		return record.Null
+	case a.avg:
+		return record.Float(p.SumF / float64(p.Count))
+	case a.fn == fsdp.AggSum && p.Float:
+		return record.Float(p.SumF)
+	case a.fn == fsdp.AggSum:
+		return record.Int(p.SumI)
 	}
-	return st
-}
-
-func (s *aggState) feed(row record.Row) error {
-	if s.spec.star {
-		s.count++
-		return nil
-	}
-	v, err := expr.Eval(s.spec.arg, row)
-	if err != nil {
-		return err
-	}
-	if v.IsNull() {
-		return nil // SQL aggregates ignore NULLs
-	}
-	if s.seen != nil {
-		k := string(v.AppendKey(nil))
-		if s.seen[k] {
-			return nil
-		}
-		s.seen[k] = true
-	}
-	s.count++
-	switch s.spec.fn {
-	case "SUM", "AVG":
-		if v.Kind == record.TypeInt {
-			s.sumI += v.I
-		} else {
-			s.isInt = false
-		}
-		s.sum += v.AsFloat()
-	case "MIN":
-		if !s.any || v.Compare(s.min) < 0 {
-			s.min = v
-		}
-	case "MAX":
-		if !s.any || v.Compare(s.max) > 0 {
-			s.max = v
-		}
-	}
-	s.any = true
-	return nil
-}
-
-func (s *aggState) value() record.Value {
-	switch s.spec.fn {
-	case "COUNT":
-		return record.Int(s.count)
-	case "SUM":
-		if s.count == 0 {
-			return record.Null
-		}
-		if s.isInt {
-			return record.Int(s.sumI)
-		}
-		return record.Float(s.sum)
-	case "AVG":
-		if s.count == 0 {
-			return record.Null
-		}
-		return record.Float(s.sum / float64(s.count))
-	case "MIN":
-		if !s.any {
-			return record.Null
-		}
-		return s.min
-	case "MAX":
-		if !s.any {
-			return record.Null
-		}
-		return s.max
-	}
-	return record.Null
+	return p.Val
 }

@@ -128,10 +128,11 @@ func TestPassThroughTransports(t *testing.T) {
 // the client's DecodeReply with "nsqlwire: row N: record: …" — and never
 // as a panic, a short row or a damaged connection: the next statement on
 // the same session, the same message client and the same TCP connection
-// answers. A READ validates the record before it cuts a field from it, so
-// there the refusal is the server's, in the reply. The rows are damaged by
-// a relay process standing between the File System and a real Disk
-// Process.
+// answers. A READ, and an index probe's base-record READs, are validated
+// by the requester (View.Reset) before it cuts a field from them, so there
+// the refusal is the server's, in the reply — although the probe's SELECT
+// is pass-through. The rows are damaged by a relay process standing
+// between the File System and a real Disk Process.
 func TestHostileRowsStopAtTheDecoder(t *testing.T) {
 	db, sess, inproc, pool := served(t, nonstopsql.Config{})
 	// $EVIL relays every message to $DATA1 and, when armed, rewrites the
@@ -156,8 +157,12 @@ func TestHostileRowsStopAtTheDecoder(t *testing.T) {
 	}
 	sess.MustExec(`CREATE TABLE h (id INTEGER PRIMARY KEY, v INTEGER, s VARCHAR(20)) PARTITION ON ("$EVIL")`)
 	sess.MustExec(`INSERT INTO h VALUES (1, 10, 'one'), (2, 20, 'two'), (3, 30, 'three')`)
+	// The index lies beside, not behind, the relay: only the base record is
+	// damaged.
+	sess.MustExec(`CREATE INDEX h_v ON h (v) ON "$DATA2"`)
 
 	const scan, read, sane = "SELECT s, id FROM h WHERE id >= 1", "SELECT s, v FROM h WHERE id = 3", "SELECT v, id FROM h WHERE id = 2"
+	const probe = "SELECT s, id FROM h WHERE v = 30"
 	handles := map[msg.Transport]uint64{}
 	for _, tr := range []msg.Transport{inproc, pool} {
 		h, _, err := nsqlclient.Prepare(tr, scan)
@@ -186,6 +191,8 @@ func TestHostileRowsStopAtTheDecoder(t *testing.T) {
 		check("session scan", err, "record: ")
 		_, err = sess.Exec(read)
 		check("session READ", err, "record: ")
+		_, err = sess.Exec(probe)
+		check("session index probe", err, "record: ")
 		for trName, tr := range map[string]msg.Transport{"$SQL in process": inproc, "TCP": pool} {
 			_, err = nsqlclient.Exec(tr, scan)
 			check(trName+" scan", err, "nsqlwire: row 2: record: ")
@@ -193,6 +200,8 @@ func TestHostileRowsStopAtTheDecoder(t *testing.T) {
 			check(trName+" prepared scan", err, "nsqlwire: row 2: record: ")
 			_, err = nsqlclient.Exec(tr, read)
 			check(trName+" READ", err, "record: ") // refused by View.Reset at the server, before any field is cut
+			_, err = nsqlclient.Exec(tr, probe)
+			check(trName+" index probe", err, "record: ")
 		}
 
 		// Nothing is poisoned: the same session, message client and TCP
@@ -213,6 +222,14 @@ func TestHostileRowsStopAtTheDecoder(t *testing.T) {
 			}
 		}
 	}
+	// A well-formed record of the wrong width on the materialised path,
+	// which re-inflates projected rows by ordinal: refused, not a panic.
+	narrow := func([]byte) []byte { return record.Encode(record.Row{record.Int(1)}) }
+	damage.Store(&narrow)
+	if _, err := sess.Exec(scan + " ORDER BY id"); err == nil || !strings.Contains(err.Error(), "protocol violation") {
+		t.Errorf("a one-field row for a two-column projection: %v", err)
+	}
+	damage.Store(nil)
 	if ws := pool.Stats(); ws.Conns != 1 || ws.Disconnects != 0 {
 		t.Errorf("the TCP connection did not survive: %+v", ws)
 	}

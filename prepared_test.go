@@ -228,6 +228,16 @@ func TestPreparedDifferentialMatrixTCP(t *testing.T) {
 		"SELECT o.id, i.k FROM outr o, innr i WHERE o.tag = i.label ORDER BY o.id, i.k",
 		"SELECT COUNT(*) FROM outr o, innr i WHERE o.tag = i.label AND i.wt < 30",
 		"SELECT o.id FROM outr o, innr i WHERE o.fk = i.k AND o.id = i.wt ORDER BY o.id",
+		// Requester-side folds: a DISTINCT in HAVING and in ORDER BY, an
+		// expression argument, a GROUP BY over a join.
+		"SELECT dept, COUNT(dept) FROM m GROUP BY dept HAVING COUNT(DISTINCT dept) = 1",
+		"SELECT grade, COUNT(grade), COUNT(DISTINCT grade) FROM m WHERE id < 10 GROUP BY grade ORDER BY COUNT(DISTINCT grade), grade",
+		"SELECT dept, SUM(pay + 1) FROM m GROUP BY dept",
+		"SELECT i.label, COUNT(*), SUM(o.id), MAX(i.wt) FROM outr o, innr i WHERE o.fk = i.k GROUP BY i.label",
+		// An index probe, pass-through and materialised.
+		"SELECT wt, k FROM innr WHERE label = 'L3'",
+		"SELECT k, label FROM innr WHERE label = 'L6' AND wt > 20 LIMIT 3",
+		"SELECT label, wt + 1 FROM innr WHERE label = 'L7'",
 		// Pass-through: the endpoint forwards these rows as the Disk
 		// Processes encoded them.
 		"SELECT pay, id FROM m WHERE id >= 20 AND id < 140",
@@ -297,6 +307,56 @@ func TestPreparedDifferentialMatrixTCP(t *testing.T) {
 		}
 		if got, want := nonstopsql.FormatResult(prep), nonstopsql.FormatResult(adhoc); got != want {
 			t.Errorf("%q diverges over TCP\nprepared:\n%s\nad-hoc:\n%s", c.prep, got, want)
+		}
+	}
+
+	// Requester-side writes through the index on label: a SET on the
+	// indexed column keeps an UPDATE in the requester, and so does any
+	// DELETE from an indexed table. Each reads the probe's records, decodes
+	// the ones it rewrites and maintains the index. Run ad hoc, then
+	// prepared (which finds the work done), then read back through the
+	// index and by key.
+	for _, c := range []struct {
+		adhoc, prep string
+		args        []record.Value
+		affected    int
+	}{
+		{"UPDATE innr SET label = 'M3' WHERE label = 'L3' AND wt > 40",
+			"UPDATE innr SET label = ? WHERE label = ? AND wt > ?",
+			[]record.Value{record.String("M3"), record.String("L3"), record.Int(40)}, 4},
+		{"DELETE FROM innr WHERE label = 'L9' AND wt < 30",
+			"DELETE FROM innr WHERE label = ? AND wt < ?",
+			[]record.Value{record.String("L9"), record.Int(30)}, 3},
+	} {
+		res, err := pool.Exec(c.adhoc)
+		if err != nil || res.Affected != c.affected {
+			t.Fatalf("%q: affected %v, %v; want %d", c.adhoc, res, err, c.affected)
+		}
+		st, err := pool.Prepare(c.prep)
+		if err != nil {
+			t.Fatalf("Prepare(%q): %v", c.prep, err)
+		}
+		if res, err := st.Exec(c.args...); err != nil || res.Affected != 0 {
+			t.Fatalf("%q again, prepared: %v, %v; want 0 rows", c.prep, res, err)
+		}
+	}
+	for q, want := range map[string]string{
+		"SELECT k, wt FROM innr WHERE label = 'M3'":              "43 53 63 73",
+		"SELECT k FROM innr WHERE label = 'L3'":                  "3 13 23 33",
+		"SELECT k FROM innr WHERE label = 'L9'":                  "39 49 59 69 79",
+		"SELECT COUNT(*) FROM innr WHERE k >= 0":                 "77",
+		"SELECT k FROM innr WHERE k >= 8 AND k < 20 AND wt < 30": "8 10 11 12 13 14 15 16 17 18",
+	} {
+		res, err := pool.Exec(q)
+		if err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+		var got []string
+		for _, row := range res.Rows {
+			got = append(got, row[0].Format())
+		}
+		if strings.Join(got, " ") != want {
+			t.Errorf("%q after the writes: %s, want %s", q, strings.Join(got, " "), want)
 		}
 	}
 }
@@ -454,8 +514,9 @@ func TestRemoteDDLInvalidation(t *testing.T) {
 // results through the front door. A FLOAT constant against the INTEGER
 // primary key selects what the same comparison on `id + 0` — never a key
 // bound — selects: as a literal and as a marker's value, in process and
-// over TCP. SUM and AVG of a column that is no number are refused when the
-// statement is bound, over TCP as in process, executed or prepared.
+// over TCP. SUM and AVG of a column that is no number, or of a truth value
+// such as a comparison, are refused when the statement is bound, over TCP
+// as in process, executed or prepared.
 func TestFloatBoundAndNonNumericSumOverTCP(t *testing.T) {
 	db, pool := dialServed(t)
 	inproc := db.Session(0, 0)
@@ -511,7 +572,8 @@ func TestFloatBoundAndNonNumericSumOverTCP(t *testing.T) {
 	}
 
 	const refusal = "the argument must be numeric"
-	for _, text := range []string{"SELECT SUM(name), AVG(ok) FROM t", "SELECT ok, AVG(name) FROM t GROUP BY ok"} {
+	for _, text := range []string{"SELECT SUM(name), AVG(ok) FROM t", "SELECT ok, AVG(name) FROM t GROUP BY ok",
+		"SELECT SUM(id > 2) FROM t", "SELECT name, AVG(ok OR id = 1) FROM t GROUP BY name"} {
 		if _, err := inproc.Exec(text); err == nil || !strings.Contains(err.Error(), refusal) {
 			t.Errorf("%q in process: %v", text, err)
 		}

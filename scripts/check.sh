@@ -47,9 +47,9 @@ go test -run '^$' -fuzz FuzzPageView -fuzztime 10s ./internal/btree
 # Decode, and eval as the Row callers' evaluator, the Program's generic
 # conjunct and the reference the Program is held to — because some
 # consumers still keep the rows they decode: the executor's materialised
-# path (joins, sorts, expressions, requester-side aggregates, index
-# probes: access.decode), the File System's requester-side writes and
-# index reads (Rows.Next, Read), ENSCRIBE, the in-process edge of
+# path (joins, sorts, expressions, requester-side aggregates, the rows an
+# index probe keeps: access.decode), the File System's requester-side
+# writes (Rows.Next, Read), ENSCRIBE, the in-process edge of
 # Session.Exec and the client's DecodeReply (both record.AppendDecode,
 # whose nil-destination case Decode is). A pass-through SELECT's rows are
 # decoded by none of the server's layers (PR 24, below). And
@@ -216,6 +216,22 @@ go test -race -count=1 -run 'TestSubsetWritesRecheckUnderLock|TestKeyedUpdateLoc
 go test -race -count=1 -run 'TestKeyedWriteIsolation|TestExplainAnalyzeKeyedWrite|TestExplainIsThePlan' ./internal/sql
 go test -race -count=1 -run 'TestKeyedWriteDifferential' .
 go test -run '^$' -bench BenchmarkKeyedUpdate -benchtime 1x ./internal/dp
+# One row currency and one aggregate body in the requester. An index
+# probe's records come back encoded, and the requester checks and cuts
+# them in the step a READ's go through (access.admit), so a probe SELECT
+# can be pass-through. A requester-side GROUP BY folds through
+# fsdp.AggPartial, the Disk Process's partial state, with DISTINCT a set in
+# front of it. Under -race: aggregate results worked out by hand (empty
+# input, NULLs, the type of a SUM, AVG, MIN/MAX of VARCHAR, COUNT(DISTINCT)
+# with NULLs); a DISTINCT aggregate's own name in its header, HAVING and
+# ORDER BY; SUM/AVG of truth values refused at bind time; the aggregate,
+# join and pass-through differentials; the TCP matrix with requester-side
+# writes through an index; damaged probe rows refused by the requester.
+# Then one pass of the requester-side GROUP BY and join benchmarks so
+# neither can rot.
+go test -race -count=1 -run 'TestAggregatesByHand|TestDistinctAggregateKeepsItsName|TestSumOfTruthValuesIsRefused|TestAggPushdownDifferential|TestJoinProbeDifferential|TestPassThroughDifferential' ./internal/sql
+go test -race -count=1 -run 'TestPreparedDifferentialMatrixTCP|TestHostileRowsStopAtTheDecoder|TestFloatBoundAndNonNumericSumOverTCP' .
+go test -run '^$' -bench 'BenchmarkRequesterGroupBy|BenchmarkPreparedJoin' -benchtime 1x ./internal/sql
 go test -race ./...
 # The wall-clock benchmark is its own module compiled against these
 # packages, so nothing above builds it: its smoke test is what notices a
