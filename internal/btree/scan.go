@@ -2,6 +2,7 @@ package btree
 
 import (
 	"fmt"
+	"sync"
 
 	"nonstopsql/internal/cache"
 	"nonstopsql/internal/disk"
@@ -86,10 +87,12 @@ type ScanFunc func(key, val []byte) (bool, error)
 // RecordFunc is ScanFunc for a file of records (HoldsRecords). starts
 // are val's field starts and then len(val), as the file's walk found
 // them since the leaf's bytes last changed: the record has been validated
-// whole before the callback sees it. starts are borrowed like key and val
-// and more strictly still: they may be a slice of the leaf's record
-// table, which every scanner of the leaf shares, so they are read and
-// never written or appended to (record.View.Point copies them).
+// whole before the callback sees it. starts are borrowed for the
+// callback's lifetime, like key and val, and more strictly still: they
+// may be a slice of the leaf's record table, which every scanner of the
+// leaf shares, so they are read and never written or appended to.
+// record.View.Point borrows them as they are, and a View pointed at them
+// is not read after the callback returns.
 type RecordFunc func(key, val []byte, starts []uint16) (bool, error)
 
 // Scan visits every record in r, in key order. When prefetch is true the
@@ -102,7 +105,7 @@ type RecordFunc func(key, val []byte, starts []uint16) (bool, error)
 // two leaf latches at any instant, so a long range scan never blocks
 // writers elsewhere in the tree.
 func (t *Tree) Scan(r keys.Range, prefetch bool, fn ScanFunc) error {
-	return t.scan(r, prefetch, cache.Keyed, fn, nil)
+	return t.scan(r, prefetch, cache.Keyed, fn, nil, nil)
 }
 
 // ScanRecords is Scan over a file of records, handing each record to fn
@@ -121,16 +124,29 @@ func (t *Tree) Scan(r keys.Range, prefetch bool, fn ScanFunc) error {
 // is there and otherwise walks just that record, so a one-record subset
 // never pays for the whole leaf. A record that fails its walk fails the
 // scan with ErrCorruptPage: while building a table, naming the file, the
-// block and the cell; alone, in the walk's own words.
+// block and the cell; alone, in the walk's own words. A lone record is
+// walked into scratch the scan borrows from a pool for its duration, so a
+// caller scanning point after point (a block of index-join probes)
+// allocates nothing per point.
 func (t *Tree) ScanRecords(r keys.Range, prefetch bool, class cache.AccessClass, fn RecordFunc) error {
 	if t.walk == nil {
 		return fmt.Errorf("btree: %s does not hold records", t.name)
 	}
-	return t.scan(r, prefetch, class, nil, fn)
+	one := loneStarts.Get().(*[]uint16)
+	err := t.scan(r, prefetch, class, nil, fn, one)
+	loneStarts.Put(one)
+	return err
 }
 
-// scan is the one scan loop: Scan passes fn, ScanRecords rfn.
-func (t *Tree) scan(r keys.Range, prefetch bool, class cache.AccessClass, fn ScanFunc, rfn RecordFunc) error {
+// loneStarts is the scratch ScanRecords walks a record into when its leaf
+// has no record table. The starts are handed to the callback, which only
+// borrows them (RecordFunc), so the scratch is free again once the scan
+// returns.
+var loneStarts = sync.Pool{New: func() any { return new([]uint16) }}
+
+// scan is the one scan loop: Scan passes fn, ScanRecords rfn and the
+// scratch a lone record's starts are walked into.
+func (t *Tree) scan(r keys.Range, prefetch bool, class cache.AccessClass, fn ScanFunc, rfn RecordFunc, one *[]uint16) error {
 	t.lt.opEnter()
 	defer t.lt.opExit()
 	if prefetch {
@@ -150,7 +166,6 @@ func (t *Tree) scan(r keys.Range, prefetch bool, class cache.AccessClass, fn Sca
 	bn := v.bn()
 	v.release()
 	low := r.Low
-	var one []uint16 // a lone record's starts, when its leaf has no table
 	for {
 		v, err := t.view(bn, class)
 		if err != nil {
@@ -196,10 +211,10 @@ func (t *Tree) scan(r keys.Range, prefetch bool, class cache.AccessClass, fn Sca
 				cont, err = rfn(key, val, starts)
 			default:
 				key, val := v.cell(i)
-				if one, err = t.walk(val, one[:0]); err != nil {
+				if *one, err = t.walk(val, (*one)[:0]); err != nil {
 					err = corruptRecord{err}
 				} else {
-					cont, err = rfn(key, val, one)
+					cont, err = rfn(key, val, *one)
 				}
 			}
 			if err != nil || !cont {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"slices"
+	"strconv"
 
 	"nonstopsql/internal/cache"
 	"nonstopsql/internal/expr"
@@ -15,13 +16,22 @@ import (
 )
 
 // aggGroup is one GROUP BY group the conversation holds. Its bytes live in
-// aggMem.block: the order-preserving key encoding the groups are found and
-// ordered by, then the key fields' wire encoding the reply ships. Its
-// partials are aggMem.partials[part : part+len(agg.Cols)]. A group is four
-// numbers, not a heap object.
+// aggMem.block: the order-preserving key encoding the groups are ordered
+// by, then the key fields' wire encoding the reply ships. Its partials are
+// aggMem.partials[part : part+len(agg.Cols)]. A group is four numbers, not
+// a heap object.
 type aggGroup struct {
 	off, keyEnd, end uint32 // block[off:keyEnd] key bytes, block[keyEnd:end] encoded key values
 	part             uint32
+}
+
+// aggSlot is one entry of aggMem's open-addressed table: the group it
+// names, and, for a group found by its INTEGER key, that key beside it, so
+// a probe reads the slot and nothing else.
+type aggSlot struct {
+	key   int64  // the group's INTEGER key, when isInt
+	group uint32 // index into groups, plus one; zero is an empty slot
+	isInt bool   // found by key (the int path), not by its key bytes (the byte path)
 }
 
 // aggMem is an AGG conversation's groups, in three arenas and a hash table
@@ -38,9 +48,9 @@ type aggGroup struct {
 type aggMem struct {
 	block    []byte            // key bytes and encoded key values, group after group
 	groups   []aggGroup        // in the order they appeared; sorted by key bytes to ship
-	table    []uint32          // open-addressed by the key bytes' hash: index into groups, plus one
+	table    []aggSlot         // open-addressed, at most half full
 	partials []fsdp.AggPartial // len(agg.Cols) per group, in the order groups appeared
-	kb       []byte            // the record at hand's group key
+	kb       []byte            // the record at hand's group key bytes
 	bytes    int               // what the groups' reply entries weigh (fsdp.GroupLen): the entries' bytes if shipped now
 }
 
@@ -58,40 +68,61 @@ type aggMem struct {
 // group keys.
 var aggregate = &subsetKind{first: fsdp.KAggFirst,
 	open: func(r *subsetRun) (err error) {
-		r.s.agg, err = fsdp.DecodeAggSpec(r.req.Agg)
-		return err
+		if r.s.agg, err = fsdp.DecodeAggSpec(r.req.Agg); err != nil {
+			return badRequest(err.Error())
+		}
+		return nil
 	},
 	visit:  visitAgg,
 	finish: finishAgg,
 }
 
 // visitAgg folds one qualifying record into its group. The record's
-// fields are read where they lie: the group key is built from the encoded
-// key fields and COUNT and SUM are fed the field's integer or float —
-// no record.Value in between; MIN, MAX and whatever else a specification
-// off the network asks for go through the general Feed.
+// fields are read where they lie — no record.Value in between for the
+// group key, COUNT or SUM; MIN and MAX go through the general Feed.
+//
+// The group is found one of two ways, and the record's key field decides
+// which, so one key value is always found the same way and can never be
+// held as two groups. A single INTEGER key field is the int path: the
+// group is probed by the int64 itself, and its key bytes are built only
+// when the group is new. Everything else — a NULL key, a FLOAT, VARCHAR
+// or BOOLEAN key, more than one key column — is the byte path: the key
+// bytes are built for every record and the group probed by them. Either
+// way a group's key bytes are what AppendKey writes, so finishAgg orders
+// and ships every group alike.
 func visitAgg(r *subsetRun, _, _ []byte, rec *record.View) (bool, error) {
 	spec, m := r.s.agg, &r.s.aggMem
-	kb := m.kb[:0]
 	for _, g := range spec.GroupBy {
 		if g < 0 || g >= rec.Len() {
 			return false, errBadOrdinal(r.req.File, g)
 		}
-		kb = rec.AppendKey(kb, g)
 	}
-	m.kb = kb
 	if 2*len(m.groups) >= len(m.table) {
 		m.grow() // at most half full, and grown before the slot is taken
 	}
-	at := m.slot(kb)
+	var at *aggSlot
+	if g := spec.GroupBy; len(g) == 1 && rec.Kind(g[0]) == record.TypeInt {
+		k := rec.Int(g[0])
+		if at = m.islot(k); at.group == 0 {
+			at.key, at.isInt = k, true
+			m.kb = rec.AppendKey(m.kb[:0], g[0])
+		}
+	} else {
+		kb := m.kb[:0]
+		for _, g := range spec.GroupBy {
+			kb = rec.AppendKey(kb, g)
+		}
+		m.kb = kb
+		at = m.slot(kb)
+	}
 	// The block budget is charged what the entries weigh: a new group its
 	// whole entry, a group already held only what this record grew it by
 	// (a varint's next byte, a longer MIN/MAX string) — usually nothing,
 	// and the partials say so as they fold, so no entry is weighed twice.
 	grew := 0
-	if *at == 0 {
+	if at.group == 0 {
 		gr := aggGroup{off: uint32(len(m.block)), part: uint32(len(m.partials))}
-		m.block = append(m.block, kb...)
+		m.block = append(m.block, m.kb...)
 		gr.keyEnd = uint32(len(m.block))
 		for _, g := range spec.GroupBy {
 			m.block = rec.AppendField(m.block, g)
@@ -99,10 +130,10 @@ func visitAgg(r *subsetRun, _, _ []byte, rec *record.View) (bool, error) {
 		gr.end = uint32(len(m.block))
 		m.partials = append(m.partials, make([]fsdp.AggPartial, len(spec.Cols))...)
 		m.groups = append(m.groups, gr)
-		*at = uint32(len(m.groups))
+		at.group = uint32(len(m.groups))
 		grew = fsdp.GroupLen(len(spec.GroupBy), int(gr.end-gr.keyEnd), m.partials[gr.part:])
 	}
-	part := m.groups[*at-1].part
+	part := m.groups[at.group-1].part
 	partials := m.partials[part : int(part)+len(spec.Cols)]
 	for i := range partials {
 		c, p := &spec.Cols[i], &partials[i]
@@ -121,8 +152,10 @@ func visitAgg(r *subsetRun, _, _ []byte, rec *record.View) (bool, error) {
 			grew += p.AddInt(rec.Int(c.Col))
 		case c.Fn == fsdp.AggSum && kind == record.TypeFloat:
 			grew += p.AddFloat(rec.Float(c.Col))
+		case c.Fn == fsdp.AggSum:
+			return false, badRequest("dp: SUM of field " + strconv.Itoa(c.Col) + " of " + r.req.File + ", which is " + kind.String() + ", not a number")
 		default:
-			grew += p.Feed(c.Fn, rec.Value(c.Col)) // Feed copies a MIN/MAX value it keeps
+			grew += p.Feed(c.Fn, rec.Value(c.Col)) // MIN, MAX: Feed copies a value it keeps
 		}
 	}
 	m.bytes += grew
@@ -132,27 +165,54 @@ func visitAgg(r *subsetRun, _, _ []byte, rec *record.View) (bool, error) {
 
 var aggSeed = maphash.MakeSeed()
 
-// slot returns the table slot that names kb's group (its index in groups,
-// plus one) or, still zero, the slot where a new group with that key goes.
-func (m *aggMem) slot(kb []byte) *uint32 {
+// slot returns the table slot that names the byte-path group whose key
+// bytes are kb or, empty, the slot where a new group with that key goes.
+func (m *aggMem) slot(kb []byte) *aggSlot {
 	mask := uint64(len(m.table) - 1)
 	for i := maphash.Bytes(aggSeed, kb) & mask; ; i = (i + 1) & mask {
 		at := &m.table[i]
-		if *at == 0 {
+		if at.group == 0 {
 			return at
 		}
-		if g := &m.groups[*at-1]; bytes.Equal(m.block[g.off:g.keyEnd], kb) {
+		if !at.isInt {
+			if g := &m.groups[at.group-1]; bytes.Equal(m.block[g.off:g.keyEnd], kb) {
+				return at
+			}
+		}
+	}
+}
+
+// islot is slot for the int path: the group whose INTEGER key is k. The
+// key is spread over the table by a multiplicative mix, its high half
+// folded into the low bits the mask keeps. Unlike maphash it is not
+// seeded, so keys chosen to collide could lengthen a probe; the table
+// holds at most one reply block's groups, which bounds that to a few
+// hundred slots.
+func (m *aggMem) islot(k int64) *aggSlot {
+	mask := uint64(len(m.table) - 1)
+	h := uint64(k) * 0x9e3779b97f4a7c15
+	for i := (h ^ h>>32) & mask; ; i = (i + 1) & mask {
+		at := &m.table[i]
+		if at.group == 0 || at.isInt && at.key == k {
 			return at
 		}
 	}
 }
 
-// grow doubles the table and names every group in it again.
+// grow doubles the table and names every group in it again: an int-path
+// group by its key, a byte-path group by its key bytes.
 func (m *aggMem) grow() {
-	m.table = make([]uint32, max(64, 2*len(m.table)))
-	for i := range m.groups {
-		g := &m.groups[i]
-		*m.slot(m.block[g.off:g.keyEnd]) = uint32(i + 1)
+	old := m.table
+	m.table = make([]aggSlot, max(64, 2*len(old)))
+	for _, s := range old {
+		switch {
+		case s.group == 0:
+		case s.isInt:
+			*m.islot(s.key) = s
+		default:
+			g := &m.groups[s.group-1]
+			*m.slot(m.block[g.off:g.keyEnd]) = s
+		}
 	}
 }
 
@@ -188,38 +248,7 @@ func finishAgg(r *subsetRun) error {
 }
 
 func errBadOrdinal(file string, col int) error {
-	return &badOrdinalError{file: file, col: col}
-}
-
-type badOrdinalError struct {
-	file string
-	col  int
-}
-
-func (e *badOrdinalError) Error() string {
-	return "dp: aggregate field ordinal " + itoa(e.col) + " out of range for " + e.file
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
+	return badRequest("dp: aggregate field ordinal " + strconv.Itoa(col) + " out of range for " + file)
 }
 
 // probeBlock serves PROBE^BLOCK: one message carries a block of probe
@@ -244,6 +273,8 @@ func (d *DP) probeBlock(req *fsdp.Request) *fsdp.Reply {
 	defer batch.tally()
 	reply := &fsdp.Reply{Done: true}
 	var rec record.View
+	var block []byte // every matched key and record, cut out as visitGet cuts a virtual block
+	var high []byte  // the probe's range's upper bound, one probe at a time
 	probesDone := 0
 	for _, prefix := range req.RowKeys {
 		// The budget is checked between probes, never inside one, so
@@ -252,7 +283,8 @@ func (d *DP) probeBlock(req *fsdp.Request) *fsdp.Reply {
 			reply.Done = false
 			break
 		}
-		rng := keys.Prefix(prefix)
+		high = keys.AppendPrefixSuccessor(high[:0], prefix)
+		rng := keys.Range{Low: prefix, High: high} // keys.Prefix(prefix), its bound in scratch
 		matched := false
 		scanErr := f.tree.ScanRecords(rng, false, cache.Keyed, func(key, val []byte, starts []uint16) (bool, error) {
 			batch.processed++
@@ -268,9 +300,13 @@ func (d *DP) probeBlock(req *fsdp.Request) *fsdp.Reply {
 			if keep {
 				matched = true
 				// key and val are borrowed from the leaf's cache buffer
-				// (btree.RecordFunc); the reply outlives the scan.
-				reply.Rows = append(reply.Rows, append([]byte(nil), val...))
-				reply.RowKeys = append(reply.RowKeys, append([]byte(nil), key...))
+				// (btree.RecordFunc); the reply outlives the scan, so both
+				// are copied into the message's block and cut out of it.
+				b := append(append(block, key...), val...)
+				keyEnd := len(block) + len(key)
+				reply.RowKeys = append(reply.RowKeys, b[len(block):keyEnd:keyEnd])
+				reply.Rows = append(reply.Rows, b[keyEnd:len(b):len(b)])
+				block = b
 				batch.bytes += len(val)
 				batch.returned++
 			} else {
@@ -284,6 +320,7 @@ func (d *DP) probeBlock(req *fsdp.Request) *fsdp.Reply {
 		// Probed ranges with matches are range-locked shared under a
 		// transaction, keeping the join's inner rows stable to commit.
 		if req.Tx != 0 && matched {
+			rng.High = bytes.Clone(rng.High) // the lock keeps its range; the scratch is the next probe's
 			if err := d.locks.Acquire(req.Tx, req.File, rng, lock.Shared); err != nil {
 				return errReply(err)
 			}

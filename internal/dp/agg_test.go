@@ -1,7 +1,10 @@
 package dp
 
 import (
+	"bytes"
+	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -21,6 +24,20 @@ import (
 // order, so every run of 100 records meets every group.
 func loadAcct(t testing.TB, d *DP, n int, note func(id int) string) {
 	t.Helper()
+	createAcct(t, d)
+	rows := make([]record.Row, n)
+	for i := range rows {
+		rows[i] = record.Row{record.Int(int64(i)), record.Int(int64(i % 100)), record.Float(float64(i)), record.String(note(i))}
+	}
+	if err := d.BulkLoad("ACCT", rows); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// createAcct creates ACCT (ID INTEGER key, GRP INTEGER, BAL FLOAT, NOTE
+// VARCHAR), empty.
+func createAcct(t testing.TB, d *DP) {
+	t.Helper()
 	s := record.MustSchema("ACCT", []record.Field{
 		{Name: "ID", Type: record.TypeInt, NotNull: true},
 		{Name: "GRP", Type: record.TypeInt},
@@ -29,13 +46,6 @@ func loadAcct(t testing.TB, d *DP, n int, note func(id int) string) {
 	}, []int{0})
 	if reply := d.Serve(&fsdp.Request{Kind: fsdp.KCreateFile, File: "ACCT", Schema: record.EncodeSchema(s)}); !reply.OK() {
 		t.Fatalf("create: %s", reply.Err)
-	}
-	rows := make([]record.Row, n)
-	for i := range rows {
-		rows[i] = record.Row{record.Int(int64(i)), record.Int(int64(i % 100)), record.Float(float64(i)), record.String(note(i))}
-	}
-	if err := d.BulkLoad("ACCT", rows); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -330,12 +340,11 @@ func TestAggLostSCBFailsTheStatement(t *testing.T) {
 // general AggPartial.Feed. The reference folds every record's decoded
 // values through Feed alone, and the conversation's merged partials must be
 // that, field for field — negative and NULL arguments, a sum that changes
-// sign and length, counts that cross a varint byte, and a SUM over a
-// VARCHAR and a BOOLEAN column, which the SQL compiler refuses but bytes
-// off the network may still ask for: it is tolerated as it always was
-// (counted, nothing added, the partial marked FLOAT). driveAgg holds every
-// reply to the block budget, and finishAgg refuses to ship entries that
-// weigh anything but what the partials said they grew to.
+// sign and length, counts that cross a varint byte, MIN and MAX. (A SUM
+// over a VARCHAR or a BOOLEAN column is refused:
+// TestHostileAggSpecsAreRefused.) driveAgg holds every reply to the block
+// budget, and finishAgg refuses to ship entries that weigh anything but
+// what the partials said they grew to.
 func TestAggFedFromFieldBytesIsFeed(t *testing.T) {
 	const rows = 5000
 	d, _, _ := testDP(t, nil)
@@ -352,7 +361,7 @@ func TestAggFedFromFieldBytesIsFeed(t *testing.T) {
 	}
 	spec := &fsdp.AggSpec{GroupBy: []int{1, 4}, Cols: []fsdp.AggCol{
 		{Fn: fsdp.AggCount, Star: true}, {Fn: fsdp.AggSum, Col: 2}, {Fn: fsdp.AggSum, Col: 3}, {Fn: fsdp.AggCount, Col: 2},
-		{Fn: fsdp.AggSum, Col: 5}, {Fn: fsdp.AggSum, Col: 4}, {Fn: fsdp.AggMin, Col: 2}, {Fn: fsdp.AggMax, Col: 5}, {Fn: fsdp.AggSum, Col: 0},
+		{Fn: fsdp.AggMin, Col: 2}, {Fn: fsdp.AggMax, Col: 5}, {Fn: fsdp.AggSum, Col: 0},
 	}}
 	table := make([]record.Row, rows)
 	want := map[string][]fsdp.AggPartial{}
@@ -392,12 +401,132 @@ func TestAggFedFromFieldBytesIsFeed(t *testing.T) {
 			}
 		}
 	}
-	// The hostile SUMs did what they always did.
-	for _, p := range want {
-		for _, hostile := range p[4:6] {
-			if hostile.SumF != 0 || hostile.SumI != 0 || hostile.Float != (hostile.Count > 0) {
-				t.Fatalf("SUM(VARCHAR), SUM(BOOLEAN) = %+v", p[4:6])
+}
+
+// TestHostileAggSpecsAreRefused: an aggregate specification is bytes off
+// the network, and the Disk Process answers only one it can honour. Each
+// of these used to be answered: an unknown function folded as a COUNT, a
+// SUM of a VARCHAR field counted with nothing added, and an ordinal of
+// 2^63 refused in words that named it "-".
+func TestHostileAggSpecsAreRefused(t *testing.T) {
+	d, _, _ := testDP(t, nil)
+	loadEmp(t, d, 10)
+	for _, c := range []struct {
+		name string
+		spec *fsdp.AggSpec
+		err  string
+	}{
+		{"unknown function", &fsdp.AggSpec{Cols: []fsdp.AggCol{{Fn: fsdp.AggFn(99), Col: 0}}}, "unknown aggregate function 99"},
+		{"SUM of a VARCHAR", &fsdp.AggSpec{GroupBy: []int{0}, Cols: []fsdp.AggCol{{Fn: fsdp.AggSum, Col: 1}}}, "SUM of field 1 of EMP, which is VARCHAR, not a number"},
+		{"group-by ordinal 2^63", &fsdp.AggSpec{GroupBy: []int{math.MinInt64}, Cols: countSum.Cols[:1]}, "bad agg group-by ordinal"},
+		{"column ordinal 2^31", &fsdp.AggSpec{Cols: []fsdp.AggCol{{Fn: fsdp.AggMax, Col: 1 << 31}}}, "bad agg column ordinal"},
+		{"group-by ordinal 2^31-1", &fsdp.AggSpec{GroupBy: []int{math.MaxInt32}, Cols: countSum.Cols[:1]}, "dp: aggregate field ordinal 2147483647 out of range for EMP"},
+	} {
+		reply := d.Serve(&fsdp.Request{Kind: fsdp.KAggFirst, File: "EMP", Range: keys.All(), Agg: fsdp.EncodeAggSpec(c.spec)})
+		if reply.Code != fsdp.ErrBadRequest || !strings.Contains(reply.Err, c.err) {
+			t.Errorf("%s: code %d %q with %d entries; want ErrBadRequest saying %q", c.name, reply.Code, reply.Err, len(reply.Rows), c.err)
+		}
+	}
+	if _, scbs := d.OpenState(); scbs != 0 {
+		t.Errorf("%d SCBs open after refusals", scbs)
+	}
+}
+
+// TestAggIntKeyEntriesAreTheByteKeyEntries: a single INTEGER group key is
+// found by its int64 (the int path), everything else by its key bytes
+// (the byte path), and what ships is the same either way. One
+// conversation over 1000 records, 40 a message, grouped on an INTEGER
+// column holding NULL (the byte path, beside the int path in one table),
+// 0, -1, MinInt64, MaxInt64 and 245 more values of both signs: 250 groups,
+// so the table grows in the middle of the first message and again in the
+// second, after a re-drive. The reply's entries are, byte for byte, the
+// ones fsdp.AppendGroup builds from the reference partials in key-byte
+// order.
+func TestAggIntKeyEntriesAreTheByteKeyEntries(t *testing.T) {
+	const rows, ngroups = 1000, 250
+	grp := func(i int) record.Value {
+		switch j := i % ngroups; j {
+		case 0:
+			return record.Null
+		case 1:
+			return record.Int(0)
+		case 2:
+			return record.Int(-1)
+		case 3:
+			return record.Int(math.MinInt64)
+		case 4:
+			return record.Int(math.MaxInt64)
+		default:
+			return record.Int(int64(j) * 1_000_003 * int64(1-2*(j%2)))
+		}
+	}
+	d, _, _ := testDP(t, func(c *Config) { c.MaxReplyBytes = 1 << 20 })
+	createAcct(t, d)
+	table := make([]record.Row, rows)
+	spec := &fsdp.AggSpec{GroupBy: []int{1}, Cols: []fsdp.AggCol{
+		{Fn: fsdp.AggCount, Star: true}, {Fn: fsdp.AggSum, Col: 2}, {Fn: fsdp.AggSum, Col: 0}, {Fn: fsdp.AggMin, Col: 3}, {Fn: fsdp.AggCount, Col: 1}}}
+	want := map[string][]fsdp.AggPartial{} // by key bytes
+	for i := range table {
+		table[i] = record.Row{record.Int(int64(i)), grp(i), record.Float(float64(i) / 2), record.String(strings.Repeat("n", 1+i%5))}
+		k := string(table[i][1].AppendKey(nil))
+		if want[k] == nil {
+			want[k] = make([]fsdp.AggPartial, len(spec.Cols))
+		}
+		for j, c := range spec.Cols {
+			switch {
+			case c.Star:
+				want[k][j].AddCount()
+			case !table[i][c.Col].IsNull():
+				want[k][j].Feed(c.Fn, table[i][c.Col])
 			}
+		}
+	}
+	if err := d.BulkLoad("ACCT", table); err != nil {
+		t.Fatal(err)
+	}
+	var entries [][]byte
+	var sorted []string
+	for k := range want {
+		sorted = append(sorted, k)
+	}
+	slices.Sort(sorted)
+	keyOf := map[string]record.Value{}
+	for i := 0; i < ngroups; i++ {
+		keyOf[string(grp(i).AppendKey(nil))] = grp(i)
+	}
+	for _, k := range sorted {
+		entries = append(entries, fsdp.AppendGroup(nil, 1, record.AppendValue(nil, keyOf[k]), want[k]))
+	}
+
+	tableLen := func(scb uint32) int {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return len(d.scbs[scb].aggMem.table)
+	}
+	var got [][]byte
+	var grown []int // the table's size after each message but the last
+	req := &fsdp.Request{Kind: fsdp.KAggFirst, File: "ACCT", Range: keys.All(), Agg: fsdp.EncodeAggSpec(spec), RowLimit: 40}
+	for {
+		reply := d.Serve(req)
+		if !reply.OK() {
+			t.Fatalf("message %d: %s", len(grown)+1, reply.Err)
+		}
+		got = append(got, reply.Rows...)
+		if reply.Done {
+			break
+		}
+		grown = append(grown, tableLen(reply.SCB))
+		req = &fsdp.Request{Kind: fsdp.KAggNext, File: "ACCT", SCB: reply.SCB, Range: req.Range.Continue(reply.LastKey), RowLimit: 40}
+	}
+	if len(grown) != rows/40-1 || grown[0] != 128 || grown[1] != 256 {
+		t.Fatalf("table sizes after each message %v: want 128 after the first (40 groups) and 256 after the second (80)", grown)
+	}
+	if len(got) != len(entries) {
+		t.Fatalf("%d entries, want %d", len(got), len(entries))
+	}
+	for i := range entries {
+		if !bytes.Equal(got[i], entries[i]) {
+			t.Errorf("entry %d (key %v):\n got %x\nwant %x", i, keyOf[sorted[i]], got[i], entries[i])
 		}
 	}
 }

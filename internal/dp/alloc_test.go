@@ -9,13 +9,15 @@ import (
 )
 
 // oneMessageRig is a Disk Process holding 3000 EMP records — every
-// HIRE_DATE the same, every EMPNO and NAME distinct — with the message
+// HIRE_DATE the same, every EMPNO and NAME distinct — and 3000 ACCT
+// records, whose INTEGER GRP cycles through 100 values, with the message
 // budgets lifted out of the way, so one message serves them all.
 func oneMessageRig(t testing.TB) *DP {
 	d, _, _ := testDP(t, func(c *Config) {
 		c.MaxRowsPerMsg, c.MaxReplyBytes = 1<<20, 1<<30
 	})
 	loadEmp(t, d, 3000)
+	loadAcct(t, d, 3000, noNote)
 	return d
 }
 
@@ -28,6 +30,10 @@ func countSumBy(groupBy int) []byte {
 	return fsdp.EncodeAggSpec(&fsdp.AggSpec{GroupBy: []int{groupBy},
 		Cols: []fsdp.AggCol{{Fn: fsdp.AggCount, Star: true}, {Fn: fsdp.AggSum, Col: 3}}})
 }
+
+// acctByGroup is ACCT's COUNT(*), SUM(BAL) GROUP BY GRP: an INTEGER key
+// with 100 values, the int path of the group probe.
+var acctByGroup = fsdp.EncodeAggSpec(countSum)
 
 // TestAllocationCeilings pins what reading the record where it lies
 // bought, one layer above btree's test of the same name: the Disk
@@ -50,7 +56,7 @@ func TestAllocationCeilings(t *testing.T) {
 	d := oneMessageRig(t)
 	ceilings := []struct {
 		name string
-		req  fsdp.Request
+		req  fsdp.Request // over EMP unless it names a file
 		// extra is the ceiling on allocations for 2000 more records in the
 		// message: 0 where the record costs nothing, a few doublings of a
 		// buffer where the reply grows with it.
@@ -69,6 +75,9 @@ func TestAllocationCeilings(t *testing.T) {
 		{"AGG re-drive into groups the conversation already has",
 			fsdp.Request{Kind: fsdp.KAggFirst, Pred: salaryPred(expr.OpGE, 0), Agg: countSumBy(2), RowLimit: 100}, // ^FIRST takes 100, its ^NEXT the rest
 			0, func(r *fsdp.Reply) bool { return len(r.Rows) == 1 }},
+		{"AGG^FIRST GROUP BY an INTEGER into 100 groups the message already has",
+			fsdp.Request{Kind: fsdp.KAggFirst, File: "ACCT", Agg: acctByGroup},
+			0, func(r *fsdp.Reply) bool { return len(r.Rows) == 100 }},
 		{"GET^FIRST^VSBB with a projection, every record returned",
 			fsdp.Request{Kind: fsdp.KGetFirstVSBB, Proj: []int{1, 3}, Pred: salaryPred(expr.OpGE, 0)},
 			16, func(r *fsdp.Reply) bool { return uint32(len(r.Rows)) == r.Examined }},
@@ -79,7 +88,10 @@ func TestAllocationCeilings(t *testing.T) {
 	for _, c := range ceilings {
 		allocs := func(records int64) float64 {
 			req := c.req
-			req.File, req.Range = "EMP", keys.Range{High: key1(records)}
+			if req.File == "" {
+				req.File = "EMP"
+			}
+			req.Range = keys.Range{High: key1(records)}
 			serve := func() {
 				req, records := req, records
 				if req.RowLimit > 0 {
@@ -87,7 +99,7 @@ func TestAllocationCeilings(t *testing.T) {
 					if !first.OK() || first.Done || len(first.Rows) != 0 || first.Examined != req.RowLimit {
 						t.Fatalf("%s: ^FIRST %+v", c.name, first)
 					}
-					req = fsdp.Request{Kind: req.Kind.Next(), File: "EMP", SCB: first.SCB, Range: req.Range.Continue(first.LastKey)}
+					req = fsdp.Request{Kind: req.Kind.Next(), File: req.File, SCB: first.SCB, Range: req.Range.Continue(first.LastKey)}
 					records -= int64(first.Examined)
 				}
 				reply := d.Serve(&req)
@@ -106,6 +118,34 @@ func TestAllocationCeilings(t *testing.T) {
 		}
 	}
 	compilingCostsAConstantAtFirst(t, d)
+	probesCostTheMessage(t, d)
+}
+
+// probesCostTheMessage is TestAllocationCeilings' ceiling for batched
+// index-join probes: a PROBE^BLOCK message copies every matched key and
+// record into one block it cuts the reply out of, walks a lone record into
+// scratch the scan pools, and bounds each probe's range in scratch of its
+// own, so 200 more probes cost a few doublings of the message's buffers,
+// not an allocation or three per probe.
+func probesCostTheMessage(t *testing.T, d *DP) {
+	allocs := func(probes int) float64 {
+		req := fsdp.Request{Kind: fsdp.KProbeBlock, File: "EMP"}
+		for i := 0; i < probes; i++ {
+			req.RowKeys = append(req.RowKeys, key1(int64(7*i)))
+		}
+		serve := func() {
+			if reply := d.Serve(&req); !reply.OK() || !reply.Done || len(reply.Rows) != probes || int(reply.Count) != probes {
+				t.Fatalf("PROBE^BLOCK of %d keys: %+v", probes, reply)
+			}
+		}
+		serve()
+		return testing.AllocsPerRun(10, serve)
+	}
+	small, large := allocs(100), allocs(300)
+	t.Logf("PROBE^BLOCK: %.0f allocations for 100 probes, %.0f for 300", small, large)
+	if large-small > 12 {
+		t.Errorf("PROBE^BLOCK: %.0f allocations for 100 probes, %.0f for 300: 200 more probes cost %.0f, ceiling 12", small, large, large-small)
+	}
 }
 
 // compilingCostsAConstantAtFirst is TestAllocationCeilings' last ceiling:
@@ -167,12 +207,16 @@ func BenchmarkSubsetRecord(b *testing.B) {
 			Pred: expr.Encode(expr.Bin(expr.OpLT, expr.F(1, "NAME"), expr.CString("emp-00300")))}},
 		{"agg-existing-group", fsdp.Request{Kind: fsdp.KAggFirst, Pred: salaryPred(expr.OpGE, 0), Agg: countSumBy(2)}},
 		{"agg-new-group", fsdp.Request{Kind: fsdp.KAggFirst, Agg: countSumBy(0)}},
+		{"agg-int-groups", fsdp.Request{Kind: fsdp.KAggFirst, File: "ACCT", Agg: acctByGroup}},
 		{"project", fsdp.Request{Kind: fsdp.KGetFirstVSBB, Proj: []int{1, 3}, Pred: salaryPred(expr.OpGE, 0)}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			req := c.req
-			req.File, req.Range = "EMP", keys.Range{High: key1(records)}
+			if req.File == "" {
+				req.File = "EMP"
+			}
+			req.Range = keys.Range{High: key1(records)}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				req := req

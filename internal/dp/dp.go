@@ -545,9 +545,18 @@ func errReply(err error) *fsdp.Reply {
 		code = fsdp.ErrLockTimeout
 	case errors.Is(err, errConstraint):
 		code = fsdp.ErrConstraint
+	case errors.As(err, new(badRequest)):
+		code = fsdp.ErrBadRequest
 	}
 	return &fsdp.Reply{Code: code, Err: err.Error()}
 }
+
+// badRequest is a refusal errReply answers ErrBadRequest: a request the
+// Disk Process cannot honour whatever its records hold, such as an
+// aggregate specification off the network that no SQL compiler wrote.
+type badRequest string
+
+func (e badRequest) Error() string { return string(e) }
 
 var errConstraint = errors.New("dp: CHECK constraint violated")
 

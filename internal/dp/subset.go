@@ -132,7 +132,7 @@ type subsetRun struct {
 	reply    fsdp.Reply // returned by address: the run and its reply are one allocation
 	firstKey []byte     // first qualifying key (kept only when a group lock will need it)
 
-	rec  record.View // the record under the scan cursor; its offset scratch lives as long as the run
+	rec  record.View // the record under the scan cursor, pointed at the starts the scan lends
 	hits [][]byte    // mutating kinds: qualifying keys, applied after the scan
 
 	// block is the message's virtual block: reply rows and keys (GET) and

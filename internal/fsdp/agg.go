@@ -80,7 +80,10 @@ func EncodeAggSpec(s *AggSpec) []byte {
 	return b
 }
 
-// DecodeAggSpec parses an aggregate specification.
+// DecodeAggSpec parses an aggregate specification. It refuses what no
+// encoder of a valid specification writes: a function it does not know,
+// and a field ordinal that does not fit in an int32 — no record has that
+// many fields, and an int that has wrapped negative names none either.
 func DecodeAggSpec(b []byte) (*AggSpec, error) {
 	s := &AggSpec{}
 	n, sz := binary.Uvarint(b)
@@ -90,7 +93,7 @@ func DecodeAggSpec(b []byte) (*AggSpec, error) {
 	b = b[sz:]
 	for i := uint64(0); i < n; i++ {
 		g, sz := binary.Uvarint(b)
-		if sz <= 0 {
+		if sz <= 0 || g > math.MaxInt32 {
 			return nil, fmt.Errorf("fsdp: bad agg group-by ordinal")
 		}
 		s.GroupBy = append(s.GroupBy, int(g))
@@ -106,9 +109,12 @@ func DecodeAggSpec(b []byte) (*AggSpec, error) {
 			return nil, fmt.Errorf("fsdp: truncated agg column")
 		}
 		c := AggCol{Fn: AggFn(b[0]), Star: b[1] == 1}
+		if c.Fn < AggCount || c.Fn > AggMax {
+			return nil, fmt.Errorf("fsdp: unknown aggregate function %d", b[0])
+		}
 		b = b[2:]
 		col, sz := binary.Uvarint(b)
-		if sz <= 0 {
+		if sz <= 0 || col > math.MaxInt32 {
 			return nil, fmt.Errorf("fsdp: bad agg column ordinal")
 		}
 		c.Col = int(col)
@@ -175,8 +181,9 @@ func (p *AggPartial) AddFloat(f float64) int {
 
 // Feed folds one argument value of any kind into any function's partial,
 // copying the value if it is kept (MIN, MAX). A SUM of something that is
-// no number counts it and adds nothing — only bytes that did not come
-// from the SQL compiler, which refuses such a SUM, ask for one.
+// no number counts it and adds nothing, but no caller asks for one: the
+// SQL compiler refuses such a SUM, and the Disk Process refuses one that
+// arrives off the network.
 func (p *AggPartial) Feed(fn AggFn, v record.Value) int {
 	switch {
 	case fn == AggSum && v.Kind == record.TypeInt:

@@ -42,6 +42,31 @@ func TestAggSpecDecodeErrors(t *testing.T) {
 	}
 }
 
+// hostileAggSpecs are specifications no SQL compiler writes, which
+// DecodeAggSpec refuses: a function it does not know, and ordinals that do
+// not fit in an int32 — 2^63 once came out of the decoder as a negative
+// int. The biggest ordinal that fits still decodes (the Disk Process
+// refuses it against the record).
+var hostileAggSpecs = map[string][]byte{
+	"function 99":             EncodeAggSpec(&AggSpec{Cols: []AggCol{{Fn: AggFn(99), Col: 0}}}),
+	"function 0":              EncodeAggSpec(&AggSpec{Cols: []AggCol{{Fn: 0, Star: true}}}),
+	"group-by ordinal 2^63":   EncodeAggSpec(&AggSpec{GroupBy: []int{math.MinInt64}, Cols: []AggCol{{Fn: AggCount, Star: true}}}),
+	"group-by ordinal 2^31":   EncodeAggSpec(&AggSpec{GroupBy: []int{1 << 31}, Cols: []AggCol{{Fn: AggCount, Star: true}}}),
+	"column ordinal 2^63 - 1": EncodeAggSpec(&AggSpec{Cols: []AggCol{{Fn: AggMax, Col: math.MaxInt64}}}),
+}
+
+func TestAggSpecRefusesWhatNoEncoderWrites(t *testing.T) {
+	for name, b := range hostileAggSpecs {
+		if s, err := DecodeAggSpec(b); err == nil {
+			t.Errorf("%s: decoded to %+v", name, s)
+		}
+	}
+	edge := &AggSpec{GroupBy: []int{math.MaxInt32}, Cols: []AggCol{{Fn: AggMin, Col: math.MaxInt32}}}
+	if got, err := DecodeAggSpec(EncodeAggSpec(edge)); err != nil || !reflect.DeepEqual(got, edge) {
+		t.Errorf("ordinals of 2^31-1: %+v, %v", got, err)
+	}
+}
+
 func TestGroupRoundTrip(t *testing.T) {
 	keyVals := record.Row{record.Int(7), record.String("ENG")}
 	partials := []AggPartial{

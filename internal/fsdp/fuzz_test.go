@@ -162,5 +162,11 @@ func FuzzFsdp(f *testing.F) {
 		}
 	}
 	f.Add([]byte{0, 0, 0xff, 0xff, 0xff, 0xff, 0x7f}) // a reply promising 2^35-1 rows
+	for _, spec := range hostileAggSpecs {
+		f.Add(spec)
+	}
+	// A SUM of a VARCHAR field decodes: the Disk Process refuses it
+	// against the record (dp's TestHostileAggSpecsAreRefused).
+	f.Add(EncodeAggSpec(&AggSpec{GroupBy: []int{0}, Cols: []AggCol{{Fn: AggSum, Col: 1}}}))
 	f.Fuzz(func(t *testing.T, data []byte) { fuzzOne(t, data) })
 }

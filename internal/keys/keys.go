@@ -175,13 +175,17 @@ func Successor(k []byte) []byte {
 // PrefixSuccessor returns the smallest key greater than every key having
 // prefix p, or nil if no such key exists (p is all 0xFF). Used for
 // generic (key-prefix) lock ranges and partition bounds.
-func PrefixSuccessor(p []byte) []byte {
+func PrefixSuccessor(p []byte) []byte { return AppendPrefixSuccessor(nil, p) }
+
+// AppendPrefixSuccessor appends PrefixSuccessor(p) to dst and returns the
+// extended slice, or nil if p has no successor: PrefixSuccessor into a
+// caller's scratch.
+func AppendPrefixSuccessor(dst, p []byte) []byte {
 	for i := len(p) - 1; i >= 0; i-- {
 		if p[i] != 0xFF {
-			out := make([]byte, i+1)
-			copy(out, p)
-			out[i]++
-			return out
+			dst = append(dst, p[:i+1]...)
+			dst[len(dst)-1]++
+			return dst
 		}
 	}
 	return nil

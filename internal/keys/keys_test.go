@@ -199,6 +199,11 @@ func TestPrefixSuccessor(t *testing.T) {
 	if got := PrefixSuccessor([]byte{0xFF, 0xFF}); got != nil {
 		t.Errorf("got %x, want nil", got)
 	}
+	// Into scratch: appended behind what dst holds, and p left as it was.
+	p := []byte{0x01, 0xFF}
+	if got := AppendPrefixSuccessor([]byte{0xEE}, p); !bytes.Equal(got, []byte{0xEE, 0x02}) || !bytes.Equal(p, []byte{0x01, 0xFF}) {
+		t.Errorf("got %x, p %x", got, p)
+	}
 }
 
 func TestRangeContains(t *testing.T) {

@@ -23,25 +23,32 @@ import (
 // aliases them. In the Disk Process those bytes are a cell of a pinned,
 // latched cache page (btree.RecordFunc), valid until the scan callback
 // returns: whatever outlives the callback is copied (AppendField,
-// AppendKey copy; a kept Value.S needs strings.Clone).
+// AppendKey copy; a kept Value.S needs strings.Clone). A View that Point
+// handed field starts borrows them too, for as long as it reads them.
 //
-// The offset table is the View's own scratch, reused from one Reset to
-// the next: a View is owned by one goroutine and costs one allocation per
+// Offsets are 16-bit, the width of FieldStarts and of the B-tree's record
+// table, so a View reads only records of at most 65 535 bytes — anything
+// that lies in a page, and so everything the Disk Process stores or
+// replies with; Reset refuses a longer frame in FieldStarts' words. Reset's
+// offset table is the View's own scratch, reused from one Reset to the
+// next: a View is owned by one goroutine and costs one allocation per
 // owner, not per record. The zero View is ready for Reset.
 type View struct {
 	b   []byte
-	off []uint32 // off[i] is where field i starts; off[Len()] == len(b)
+	off []uint16 // off[i] is where field i starts; off[Len()] == len(b): own, or the starts Point was lent
+	own []uint16 // Reset's scratch, never a table Point was lent
 }
 
 // Reset points the view at the encoded record b. The whole frame is
 // checked, not just the fields a caller will ask for: a record the Disk
 // Process cannot read in full is refused before any part of it is
-// counted, shipped or aggregated. It is Decode's walk — the same checks
-// in the same order with the same errors, which FuzzRecordView holds the
-// two to — sizing each field (valueLen) where Decode also reads it, and
-// keeping an offset where Decode keeps a value.
+// counted, shipped or aggregated. It is FieldStarts, into the View's own
+// scratch: Decode's walk, the same checks in the same order with the same
+// errors, which FuzzRecordView holds the two to, on a frame that fits
+// 16-bit offsets.
 func (v *View) Reset(b []byte) error {
-	off, err := fieldOffsets(b, v.off[:0])
+	off, err := FieldStarts(b, v.own[:0])
+	v.own = off
 	if err != nil {
 		v.b, v.off = nil, off[:0]
 		return err
@@ -53,53 +60,43 @@ func (v *View) Reset(b []byte) error {
 // Point points the view at the encoded record b, whose field starts —
 // and, last, len(b) — are starts, as FieldStarts found them over exactly
 // these bytes: the validating walk has been run, so Point does not run it
-// again. The starts are copied into the View's own scratch; the View
-// neither keeps nor writes starts, so a caller may lend it a table it
-// shares with others (the B-tree's record table, which lives beside the
-// page's cell table in the cache slot).
-func (v *View) Point(b []byte, starts []uint16) {
-	off := slices.Grow(v.off[:0], len(starts))
-	for _, s := range starts {
-		off = append(off, uint32(s))
-	}
-	v.b, v.off = b, off
-}
+// again. The View borrows starts as they are, without a copy, and never
+// writes or appends to them, so a caller may lend it a table it shares
+// with others (the B-tree's record table, which lives beside the page's
+// cell table in the cache slot); a later Reset walks into the View's own
+// scratch, not into them.
+func (v *View) Point(b []byte, starts []uint16) { v.b, v.off = b, starts }
 
-// FieldStarts is Reset's validating walk — the same checks in the same
-// order with the same errors — for a record that lies in a page: it
-// appends to starts where each of b's fields starts and, last, len(b), as
-// 16-bit offsets, which is what a record table kept beside a 4 KB page
-// holds. A record too long for 16-bit offsets is refused.
+// FieldStarts is Decode's walk — the same checks in the same order with
+// the same errors — for a record that lies in a page: it appends to
+// starts where each of b's fields starts and, last, len(b), as 16-bit
+// offsets, which is what a record table kept beside a 4 KB page holds. A
+// record too long for 16-bit offsets is refused. Each field is sized
+// (valueLen) where Decode also reads it, and an offset kept where Decode
+// keeps a value.
 func FieldStarts(b []byte, starts []uint16) ([]uint16, error) {
 	if len(b) > math.MaxUint16 {
 		return starts, fmt.Errorf("record: %d bytes is too long to lie in a page", len(b))
 	}
-	return fieldOffsets(b, starts)
-}
-
-// fieldOffsets walks the frame b, appending to off where each field
-// starts and, last, len(b). It is the one walk behind Reset and
-// FieldStarts; the two differ only in the width of an offset.
-func fieldOffsets[O uint16 | uint32](b []byte, off []O) ([]O, error) {
 	n, pos := binary.Uvarint(b)
 	if pos <= 0 {
-		return off, fmt.Errorf("record: bad row header")
+		return starts, fmt.Errorf("record: bad row header")
 	}
 	// n is untrusted: every field takes at least one byte, so the walk —
 	// and the table — is bounded by len(b) whatever the header claims.
-	off = slices.Grow(off, int(min(n, uint64(len(b))))+1)
+	starts = slices.Grow(starts, int(min(n, uint64(len(b))))+1)
 	for i := uint64(0); i < n; i++ {
 		sz, err := valueLen(b[pos:])
 		if err != nil {
-			return off, fmt.Errorf("record: field %d: %w", i, err)
+			return starts, fmt.Errorf("record: field %d: %w", i, err)
 		}
-		off = append(off, O(pos))
+		starts = append(starts, uint16(pos))
 		pos += sz
 	}
 	if pos != len(b) {
-		return off, fmt.Errorf("record: %d trailing bytes", len(b)-pos)
+		return starts, fmt.Errorf("record: %d trailing bytes", len(b)-pos)
 	}
-	return append(off, O(pos)), nil
+	return append(starts, uint16(pos)), nil
 }
 
 // Len returns the record's field count.

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // borrowValueWhole is BorrowValue as it was when it validated and read in
@@ -79,6 +80,16 @@ func checkViewAgainstDecode(t *testing.T, v *View, b []byte) {
 	checkValueAgainstReference(t, nil)
 	row, derr := Decode(b)
 	verr := v.Reset(b)
+	if len(b) > math.MaxUint16 {
+		// A View's offsets are 16-bit: a frame no page can hold is refused
+		// by Reset and FieldStarts alike, in FieldStarts' words, whatever
+		// Decode makes of it.
+		want := fmt.Sprintf("record: %d bytes is too long to lie in a page", len(b))
+		if _, serr := FieldStarts(b, nil); fmt.Sprint(verr) != want || fmt.Sprint(serr) != want || v.Len() != 0 {
+			t.Fatalf("%d bytes: View.Reset says %v (%d fields), FieldStarts %v; want %q", len(b), verr, v.Len(), serr, want)
+		}
+		return
+	}
 	if (derr == nil) != (verr == nil) || (derr != nil && derr.Error() != verr.Error()) {
 		t.Fatalf("%x: Decode says %v, View.Reset says %v", b, derr, verr)
 	}
@@ -178,6 +189,10 @@ func viewSeeds() [][]byte {
 		{1, encInt, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02},       // one bit more overflows
 		{1, encInt, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00}, // eleven bytes do too
 		Encode(Row{Int(63), Int(64), Int(-64), Int(-65), Int(math.MinInt64), Int(math.MaxInt64), Float(math.NaN()), Float(math.Inf(-1))}),
+		// The longest frame a View reads, and one byte more: a record
+		// Decode accepts and no page holds.
+		Encode(Row{String(strings.Repeat("x", math.MaxUint16-5))}),
+		Encode(Row{String(strings.Repeat("x", math.MaxUint16-4))}),
 	}
 }
 
@@ -197,10 +212,11 @@ func TestViewMatchesDecode(t *testing.T) {
 	}
 }
 
-// FuzzRecordView: for arbitrary bytes the view and Decode accept and
-// refuse exactly the same inputs, and agree on every field of what they
-// accept through every accessor; and the one value validator accepts and
-// refuses what the reference decoder does, in its words.
+// FuzzRecordView: for arbitrary bytes of at most 65 535 the view and
+// Decode accept and refuse exactly the same inputs, and agree on every
+// field of what they accept through every accessor; a longer frame the
+// view refuses in FieldStarts' words; and the one value validator accepts
+// and refuses what the reference decoder does, in its words.
 // `go test -fuzz FuzzRecordView ./internal/record`.
 func FuzzRecordView(f *testing.F) {
 	for _, b := range viewSeeds() {
@@ -210,6 +226,45 @@ func FuzzRecordView(f *testing.F) {
 		var v View
 		checkViewAgainstDecode(t, &v, b)
 	})
+}
+
+// TestPointBorrowsAndResetOwns pins the aliasing Point's borrowing makes
+// possible, and that it never bites. Point keeps the starts it is lent as
+// they are — no copy — and a later Reset walks into the View's own
+// scratch, never into them: the lent slice here is the front of a larger
+// table, as a record's starts are a slice of its leaf's record table,
+// which every scanner of the leaf shares, and no byte of that table moves.
+func TestPointBorrowsAndResetOwns(t *testing.T) {
+	a := Encode(Row{Int(1), String("lent"), Float(2)})
+	b := Encode(Row{String("a longer record than the first"), Null, Int(-7), Bool(true), Int(99), String("z")})
+	table, err := FieldStarts(a, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lent := table[:len(table):len(table)]
+	if table, err = FieldStarts(b, table); err != nil { // another record's starts behind it
+		t.Fatal(err)
+	}
+	before := slices.Clone(table)
+
+	var v View
+	v.Point(a, lent)
+	if unsafe.SliceData(v.off) != unsafe.SliceData(lent) || len(v.off) != len(lent) {
+		t.Fatalf("Point copied the starts it was lent")
+	}
+	if err := v.Reset(b); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(table, before) {
+		t.Fatalf("Reset wrote into the starts Point was lent: %v, was %v", table, before)
+	}
+	if v.Len() != 6 || v.Str(0) != "a longer record than the first" || v.Int(2) != -7 {
+		t.Fatalf("after Reset the view reads %d fields", v.Len())
+	}
+	v.Point(a, lent) // and back: the scratch Reset filled is not what Point reads
+	if v.Len() != 3 || v.Str(1) != "lent" || v.Float(2) != 2 {
+		t.Fatalf("pointed again, the view reads %d fields", v.Len())
+	}
 }
 
 // TestViewProjectsByCopyingFields: the Disk Process builds a projected

@@ -1,6 +1,7 @@
 package sql_test
 
 import (
+	"math"
 	"testing"
 
 	"nonstopsql/internal/record"
@@ -42,6 +43,14 @@ var aggDiffQueries = []string{
 	"SELECT dept, COUNT(dept) FROM m GROUP BY dept HAVING COUNT(DISTINCT dept) = 1",
 	"SELECT grade, COUNT(grade), COUNT(DISTINCT grade) FROM m WHERE id < 10 GROUP BY grade ORDER BY COUNT(DISTINCT grade), grade",
 	"SELECT dept, SUM(pay + 1) FROM m GROUP BY dept",
+	// The Disk Process finds a group two ways: a lone INTEGER key by its
+	// value, any other key by its key bytes. GK holds NULLs, both signs
+	// and the INTEGER extremes in every key column.
+	"SELECT n, COUNT(*), SUM(f), MIN(s) FROM gk GROUP BY n",
+	"SELECT n, COUNT(*), MAX(id) FROM gk WHERE n < 1 GROUP BY n",
+	"SELECT n, s, COUNT(*), MAX(f) FROM gk GROUP BY n, s",
+	"SELECT f, COUNT(*), SUM(id), MIN(n) FROM gk GROUP BY f",
+	"SELECT s, COUNT(n), MIN(n), MAX(n) FROM gk GROUP BY s",
 }
 
 var joinDiffQueries = []string{
@@ -276,6 +285,43 @@ func loadM(t testing.TB, d *db) {
 	d.exec(t, "COMMIT WORK")
 }
 
+// createGK is the group-key table: an INTEGER, a FLOAT and a VARCHAR
+// column to group by, over two partitions.
+const createGK = `CREATE TABLE gk (id INTEGER PRIMARY KEY, n INTEGER, f FLOAT, s VARCHAR(10))
+	PARTITION ON ("$DATA1", "$DATA2" FROM 50)`
+
+// loadGK fills GK with 100 records: N cycles through gkInts, F through
+// halves of both signs and S through four strings, the empty one
+// included; F and S are NULL now and then.
+func loadGK(t testing.TB, d *db) {
+	t.Helper()
+	ins, err := d.s.Prepare("INSERT INTO gk VALUES (?, ?, ?, ?)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := d.s.ExecPrepared(ins, gkRow(i)...); err != nil {
+			t.Fatalf("insert gk %d: %v", i, err)
+		}
+	}
+}
+
+// gkInts are GK's N values, in the order its keys meet them.
+var gkInts = []record.Value{record.Null, record.Int(0), record.Int(-1), record.Int(math.MinInt64), record.Int(math.MaxInt64),
+	record.Int(7), record.Int(-7), record.Int(1 << 40), record.Int(-(1 << 40)), record.Int(12), record.Int(math.MinInt64 + 1)}
+
+// gkRow is GK's record i.
+func gkRow(i int) []record.Value {
+	f, s := record.Float(float64(i%6-3)/2), record.String([]string{"a", "b", "", "zz"}[i%4])
+	if i%7 == 0 {
+		f = record.Null
+	}
+	if i%9 == 0 {
+		s = record.Null
+	}
+	return []record.Value{record.Int(int64(i)), gkInts[i%len(gkInts)], f, s}
+}
+
 // loadCK fills CK, the composite-key table: (a, b) for a in 0..5, b in
 // 0..9, over two partitions.
 func loadCK(t testing.TB, d *db) {
@@ -291,11 +337,13 @@ func loadCK(t testing.TB, d *db) {
 	d.exec(t, "COMMIT WORK")
 }
 
-// loadMatrix builds all four tables.
+// loadMatrix builds all five tables.
 func loadMatrix(t testing.TB, d *db) {
 	t.Helper()
 	d.exec(t, createM)
 	loadM(t, d)
+	d.exec(t, createGK)
+	loadGK(t, d)
 	loadJoinTables(t, d)
 	loadCK(t, d)
 }

@@ -48,6 +48,7 @@ func TestAggPushdownDifferential(t *testing.T) {
 
 func aggPushdownDifferential(t *testing.T, d *db) {
 	d.exec(t, createM)
+	d.exec(t, createGK)
 	queries := aggDiffQueries
 
 	diff := func(phase string) {
@@ -75,6 +76,7 @@ func aggPushdownDifferential(t *testing.T, d *db) {
 
 	// Phase 2: populated (loadM).
 	loadM(t, d)
+	loadGK(t, d)
 	diff("loaded")
 
 	// The pushdown plan must actually be in play for the decomposable

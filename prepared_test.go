@@ -3,6 +3,7 @@ package nonstopsql_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -199,6 +200,28 @@ func TestPreparedDifferentialMatrixTCP(t *testing.T) {
 		}
 		mustExec(fmt.Sprintf(`INSERT INTO outr VALUES (%d, %s, 'L%d')`, i, fk, i%10))
 	}
+	// Group keys the Disk Process finds by value (a lone INTEGER) and by
+	// key bytes (everything else): NULLs, both signs, the INTEGER extremes.
+	mustExec(`CREATE TABLE gk (id INTEGER PRIMARY KEY, n INTEGER, f FLOAT, s VARCHAR(10))
+		PARTITION ON ("$DATA1", "$DATA2" FROM 50)`)
+	insGK, err := pool.Prepare(`INSERT INTO gk VALUES (?, ?, ?, ?)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gkInts := []record.Value{record.Null, record.Int(0), record.Int(-1), record.Int(math.MinInt64), record.Int(math.MaxInt64),
+		record.Int(7), record.Int(-7), record.Int(1 << 40), record.Int(-(1 << 40)), record.Int(12), record.Int(math.MinInt64 + 1)}
+	for i := 0; i < 100; i++ {
+		f, s := record.Float(float64(i%6-3)/2), record.String([]string{"a", "b", "", "zz"}[i%4])
+		if i%7 == 0 {
+			f = record.Null
+		}
+		if i%9 == 0 {
+			s = record.Null
+		}
+		if _, err := insGK.Exec(record.Int(int64(i)), gkInts[i%len(gkInts)], f, s); err != nil {
+			t.Fatalf("insert gk %d: %v", i, err)
+		}
+	}
 
 	queries := []string{
 		"SELECT COUNT(*) FROM m",
@@ -222,6 +245,10 @@ func TestPreparedDifferentialMatrixTCP(t *testing.T) {
 		"SELECT id, COUNT(*), MAX(dept) FROM m GROUP BY id",
 		"SELECT COUNT(DISTINCT dept) FROM m",
 		"SELECT dept, COUNT(DISTINCT grade) FROM m GROUP BY dept",
+		"SELECT n, COUNT(*), SUM(f), MIN(s) FROM gk GROUP BY n",
+		"SELECT n, s, COUNT(*), MAX(f) FROM gk GROUP BY n, s",
+		"SELECT f, COUNT(*), SUM(id), MIN(n) FROM gk GROUP BY f",
+		"SELECT s, COUNT(n), MIN(n), MAX(n) FROM gk GROUP BY s",
 		"SELECT o.id, i.label FROM outr o, innr i WHERE o.fk = i.k ORDER BY o.id",
 		"SELECT COUNT(*) FROM outr o, innr i WHERE o.fk = i.k",
 		"SELECT o.id, i.wt FROM outr o, innr i WHERE o.fk = i.k AND i.wt > 40 ORDER BY o.id",

@@ -232,6 +232,27 @@ go test -run '^$' -bench BenchmarkKeyedUpdate -benchtime 1x ./internal/dp
 go test -race -count=1 -run 'TestAggregatesByHand|TestDistinctAggregateKeepsItsName|TestSumOfTruthValuesIsRefused|TestAggPushdownDifferential|TestJoinProbeDifferential|TestPassThroughDifferential' ./internal/sql
 go test -race -count=1 -run 'TestPreparedDifferentialMatrixTCP|TestHostileRowsStopAtTheDecoder|TestFloatBoundAndNonNumericSumOverTCP' .
 go test -run '^$' -bench 'BenchmarkRequesterGroupBy|BenchmarkPreparedJoin' -benchtime 1x ./internal/sql
+# The Disk Process's aggregate step touches only what the record adds. A
+# lone INTEGER group key is probed by its int64 (the int path), every other
+# key by its key bytes (the byte path), and a record.View pointed at a
+# record's starts borrows them (one 16-bit offset width). Under -race: the
+# int path's reply entries held byte for byte to fsdp.AppendGroup's in
+# key-byte order (NULL, 0, -1, the int64 extremes, the table grown
+# mid-message and after a re-drive); hostile aggregate specifications
+# refused with ErrBadRequest by the Disk Process and by the decoder; a lent
+# starts table no Reset writes, and the 65 535-byte bound; the pushdown
+# differential and both prepared matrices over INTEGER, FLOAT, VARCHAR and
+# two-column keys. Without it: the allocation ceilings (an INTEGER-key AGG
+# costs nothing per record once its groups exist, a PROBE^BLOCK nothing per
+# probe), and one pass each of the per-record and batched-join benchmarks.
+go test -race -count=1 -run 'TestAggIntKeyEntriesAreTheByteKeyEntries|TestHostileAggSpecsAreRefused|TestAggFedFromFieldBytesIsFeed' ./internal/dp
+go test -race -count=1 -run 'TestAggSpecRefusesWhatNoEncoderWrites|TestEncodersAreCanonical|FuzzFsdp' ./internal/fsdp
+go test -race -count=1 -run 'TestPointBorrowsAndResetOwns|TestViewMatchesDecode|FuzzRecordView' ./internal/record
+go test -race -count=1 -run 'TestAggPushdownDifferential|TestPreparedDifferentialMatrix' ./internal/sql
+go test -race -count=1 -run 'TestPreparedDifferentialMatrixTCP' .
+go test -count=1 -run TestAllocationCeilings ./internal/dp
+go test -run '^$' -bench 'BenchmarkSubsetRecord' -benchtime 1x ./internal/dp
+go test -run '^$' -bench 'BenchmarkPreparedJoin' -benchtime 1x ./internal/sql
 go test -race ./...
 # The wall-clock benchmark is its own module compiled against these
 # packages, so nothing above builds it: its smoke test is what notices a
