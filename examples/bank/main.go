@@ -80,7 +80,7 @@ func main() {
 	if err := db.RestartVolume(accountVol, 3); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%s recovered from the audit trail on CPU 3 (process-pair takeover)\n", accountVol)
+	fmt.Printf("%s recovered from the audit trail on CPU 3 (restart on another processor)\n", accountVol)
 
 	acc2, _, br2, err := bank.Audit(loader)
 	if err != nil {

@@ -53,21 +53,14 @@ type Options struct {
 	// ablation's fixed [Helland] timer. Nothing else sets it.
 	GroupCommitTimer time.Duration
 
-	// ProcessPairs runs every Disk Process as a primary/hot-standby
-	// pair: a backup process on another CPU receives a checkpoint
-	// message per state change (charged to the network), and Takeover
-	// promotes it instantly — no log recovery needed, the paper's
-	// availability mechanism [Bartlett].
-	ProcessPairs bool
-
-	// Replication promotes the checkpoint stream to a real replicated
-	// partition group per data volume: a backup DP on another node
-	// (with its own volume and its own node's audit trail) applies
-	// every shipped audit record, commits are acknowledged only after
-	// the backup holds them durably, and TakeoverReplica repoints the
-	// partition at the backup on primary failure. Browse reads can be
-	// absorbed by the backup (fs.SetFollowerReads). Mutually exclusive
-	// with ProcessPairs (which keeps the paper's in-memory pair).
+	// Replication runs every data volume's Disk Process as a replicated
+	// partition group — the paper's process pair [Bartlett]: a backup
+	// DP on another node (with its own volume and its own node's audit
+	// trail) applies every shipped audit record, commits are
+	// acknowledged only after the backup holds them durably, and
+	// TakeoverReplica repoints the partition at the backup on primary
+	// failure. Browse reads can be absorbed by the backup
+	// (fs.SetFollowerReads).
 	Replication bool
 
 	// ReplicaTransport, with Replication, ships checkpoint batches
@@ -141,12 +134,10 @@ type Cluster struct {
 }
 
 type dpEntry struct {
-	dp        *dp.DP
-	node      int
-	cpu       int
-	vol       disk.BlockDev
-	backupCPU int    // process pair: where the hot standby runs (-1 = none)
-	backupSrv string // the backup's checkpoint-sink process name
+	dp   *dp.DP
+	node int
+	cpu  int
+	vol  disk.BlockDev
 
 	// Replicated partition group state (Options.Replication).
 	ship     *shipper // primary's checkpoint stream, nil otherwise
@@ -176,9 +167,6 @@ func (c *Cluster) newVolume(name string) (disk.BlockDev, error) {
 // write optimization lives in wal.Trail).
 func New(opts Options) (*Cluster, error) {
 	opts.setDefaults()
-	if opts.Replication && opts.ProcessPairs {
-		return nil, fmt.Errorf("cluster: Replication and ProcessPairs are mutually exclusive")
-	}
 	if opts.Replication && opts.ReplicaTransport == nil && opts.Nodes < 2 {
 		// An in-process backup on the primary's own node would share its
 		// audit trail, silently defeating the "survives the loss of
@@ -247,23 +235,69 @@ func (c *Cluster) Drain(timeout time.Duration) error {
 }
 
 // AddVolume creates a data volume named name managed by a new Disk
-// Process group on the given processor, and returns the DP.
+// Process group on the given processor, and returns the DP. With
+// Replication and no ReplicaTransport, its backup is created first on
+// the next node.
 func (c *Cluster) AddVolume(node, cpu int, name string) (*dp.DP, error) {
+	// Checked here too: the backup is created before the primary.
+	if err := c.checkNew(node, name); err != nil {
+		return nil, err
+	}
+	var ship *shipper
+	var backup *dp.DP
+	if c.opts.Replication {
+		transport := c.opts.ReplicaTransport
+		if transport == nil {
+			// In-process group: the backup DP lives on the next node
+			// (its own volume, its own node's trail), reached through
+			// the simulated interconnect like any other server.
+			var err error
+			if backup, err = c.AddReplica((node+1)%len(c.Nodes), cpu, name); err != nil {
+				return nil, err
+			}
+			transport = c.Net.NewClient(msg.ProcessorID{Node: node, CPU: cpu})
+		}
+		ship = newShipper(transport, name+fsdp.BackupSuffix)
+	}
+	e, err := c.startDP(node, cpu, name, ship)
+	if err != nil {
+		return nil, err
+	}
+	e.backupDP = backup
+	return e.dp, nil
+}
+
+// checkNew refuses a Disk Process on a node that does not exist or
+// under a name already taken.
+func (c *Cluster) checkNew(node int, name string) error {
 	if node < 0 || node >= len(c.Nodes) {
-		return nil, fmt.Errorf("cluster: no node %d", node)
+		return fmt.Errorf("cluster: no node %d", node)
+	}
+	if _, dup := c.dps[name]; dup {
+		return fmt.Errorf("cluster: DP %q exists", name)
+	}
+	return nil
+}
+
+// startDP opens name's volume, builds its Disk Process auditing to the
+// node's trail (shipping to ship when it is non-nil), serves it under
+// name on the given processor and registers it. The node and the name
+// are checked before the volume is opened; the volume and the DP are
+// closed again on any later error.
+func (c *Cluster) startDP(node, cpu int, name string, ship *shipper) (*dpEntry, error) {
+	if err := c.checkNew(node, name); err != nil {
+		return nil, err
 	}
 	vol, err := c.newVolume(name)
 	if err != nil {
 		return nil, err
 	}
 	n := c.Nodes[node]
-	proc := msg.ProcessorID{Node: node, CPU: cpu}
-	port := tmf.NewAuditPort(n.Trail, c.Net.NewClient(proc), n.auditSrv, c.opts.AuditBufBytes)
 	cfg := dp.Config{
 		Name:          name,
 		Volume:        vol,
 		CacheSlots:    c.opts.CacheSlots,
-		Audit:         port,
+		Audit:         tmf.NewAuditPort(n.Trail, c.Net.NewClient(msg.ProcessorID{Node: node, CPU: cpu}), n.auditSrv, c.opts.AuditBufBytes),
 		LockTimeout:   c.opts.LockTimeout,
 		MaxReplyBytes: c.opts.MaxReplyBytes,
 		MaxRowsPerMsg: c.opts.MaxRowsPerMsg,
@@ -272,81 +306,36 @@ func (c *Cluster) AddVolume(node, cpu int, name string) (*dp.DP, error) {
 		CacheShards:   c.opts.CacheShards,
 		CachePlainLRU: c.opts.CachePlainLRU,
 	}
-	entry := &dpEntry{node: node, cpu: cpu, vol: vol, backupCPU: -1}
-	if c.opts.ProcessPairs {
-		entry.backupCPU = (cpu + 1) % c.opts.CPUsPerNode
-		entry.backupSrv = name + "#B"
-		backupProc := msg.ProcessorID{Node: node, CPU: entry.backupCPU}
-		if _, err := c.Net.StartServer(entry.backupSrv, backupProc, 1, func([]byte) []byte { return nil }); err != nil {
-			return nil, err
-		}
-		c.servers = append(c.servers, entry.backupSrv)
-		ckptClient := c.Net.NewClient(proc)
-		backupSrv := entry.backupSrv
-		cfg.Checkpoint = func(bytes int) {
-			// One checkpoint message per state change, sized like the
-			// audit record it mirrors.
-			_, _ = ckptClient.Send(backupSrv, make([]byte, bytes))
-		}
-	}
-	if c.opts.Replication {
-		transport := c.opts.ReplicaTransport
-		if transport == nil {
-			// In-process group: the backup DP lives on the next node
-			// (its own volume, its own node's trail), reached through
-			// the simulated interconnect like any other server.
-			backupNode := (node + 1) % len(c.Nodes)
-			bdp, err := c.AddReplica(backupNode, cpu, name)
-			if err != nil {
-				return nil, err
-			}
-			entry.backupDP = bdp
-			transport = c.Net.NewClient(proc)
-		}
-		entry.ship = newShipper(transport, name+fsdp.BackupSuffix)
-		cfg.Ship = entry.ship.ship
-		cfg.ShipFlush = entry.ship.flush
+	if ship != nil {
+		cfg.Ship = ship.ship
+		cfg.ShipFlush = ship.flush
 	}
 	d, err := dp.New(cfg)
 	if err != nil {
+		_ = vol.Close()
 		return nil, err
 	}
-	srv, err := c.Net.StartServer(name, proc, c.opts.DPWorkers, d.Handler)
-	if err != nil {
+	if err := c.serve(name, node, cpu, d); err != nil {
+		_ = d.Close()
+		_ = vol.Close()
 		return nil, err
 	}
-	// Queue wait lives at the msg server (only it sees the input
-	// queue); wire it into dp.Stats so service time and queue wait can
-	// be compared side by side.
-	d.SetQueueWait(srv.QueueWait)
+	e := &dpEntry{dp: d, node: node, cpu: cpu, vol: vol, ship: ship}
 	c.servers = append(c.servers, name)
-	entry.dp = d
-	c.dps[name] = entry
-	return d, nil
+	c.dps[name] = e
+	return e, nil
 }
 
-// Takeover performs a process-pair takeover: the primary's processor is
-// lost, and the hot-standby backup — current via checkpoints — assumes
-// service on its own CPU *without* log recovery. Returns an error when
-// the volume was not created with ProcessPairs.
-func (c *Cluster) Takeover(name string) error {
-	e, ok := c.dps[name]
-	if !ok {
-		return fmt.Errorf("cluster: no DP %q", name)
-	}
-	if e.backupCPU < 0 {
-		return fmt.Errorf("cluster: %q has no process pair configured", name)
-	}
-	c.Net.StopServer(name)
-	// The backup's state is the checkpointed state: the DP's in-memory
-	// structures survive (that is what the checkpoint stream bought).
-	srv, err := c.Net.StartServer(name, msg.ProcessorID{Node: e.node, CPU: e.backupCPU}, c.opts.DPWorkers, e.dp.Handler)
+// serve starts d's process group under name on the given processor.
+// Queue wait lives at the msg server (only it sees the input queue); it
+// is wired into dp.Stats so service time and queue wait can be compared
+// side by side.
+func (c *Cluster) serve(name string, node, cpu int, d *dp.DP) error {
+	srv, err := c.Net.StartServer(name, msg.ProcessorID{Node: node, CPU: cpu}, c.opts.DPWorkers, d.Handler)
 	if err != nil {
 		return err
 	}
-	e.dp.SetQueueWait(srv.QueueWait)
-	e.cpu = e.backupCPU
-	e.backupCPU = (e.cpu + 1) % c.opts.CPUsPerNode
+	d.SetQueueWait(srv.QueueWait)
 	return nil
 }
 
@@ -386,9 +375,9 @@ func (c *Cluster) CrashDP(name string) error {
 	return nil
 }
 
-// RestartDP performs takeover/restart: recovery from the audit trail,
-// then re-registration of the server (optionally on another processor —
-// the backup of the process pair).
+// RestartDP restarts a crashed DP: recovery from the audit trail, then
+// re-registration of the server (optionally on another processor; cpu
+// < 0 keeps the one it ran on).
 func (c *Cluster) RestartDP(name string, cpu int) error {
 	e, ok := c.dps[name]
 	if !ok {
@@ -406,12 +395,7 @@ func (c *Cluster) RestartDP(name string, cpu int) error {
 	if cpu >= 0 {
 		e.cpu = cpu
 	}
-	srv, err := c.Net.StartServer(name, msg.ProcessorID{Node: e.node, CPU: e.cpu}, c.opts.DPWorkers, e.dp.Handler)
-	if err != nil {
-		return err
-	}
-	e.dp.SetQueueWait(srv.QueueWait)
-	return nil
+	return c.serve(name, e.node, e.cpu, e.dp)
 }
 
 // Close stops each DP's background writer, then flushes trails and

@@ -2,6 +2,8 @@ package cluster_test
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -61,9 +63,41 @@ func TestAddVolumeAndDP(t *testing.T) {
 	}
 }
 
-func TestProcessPairTakeover(t *testing.T) {
-	// Crash on CPU 0, takeover on CPU 1 — the backup of the process
-	// pair resumes service after recovery from the shared audit trail.
+// TestRefusedAddVolumeLeavesNothingOpen is the regression test for a
+// duplicate AddVolume opening the volume before it learned that the
+// name was taken: on a file-backed cluster the refused call left a
+// second handle on the live volume file, and its I/O scheduler's
+// goroutines outlived Close.
+func TestRefusedAddVolumeLeavesNothingOpen(t *testing.T) {
+	schedulers := func() int {
+		buf := make([]byte, 1<<20)
+		return strings.Count(string(buf[:runtime.Stack(buf, true)]), "filevol.newSched")
+	}
+	c, err := cluster.New(cluster.Options{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AddVolume(0, 0, "$V1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AddVolume(0, 1, "$V1"); err == nil {
+		t.Error("duplicate volume accepted")
+	}
+	c.Close()
+	// Close waits for the workers; give them a moment to leave the
+	// goroutine list after their last deferred call.
+	deadline := time.Now().Add(time.Second)
+	for schedulers() > 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := schedulers(); n != 0 {
+		t.Errorf("%d filevol scheduler goroutines left after Close", n)
+	}
+}
+
+func TestCrashRestartOnAnotherCPU(t *testing.T) {
+	// Crash on CPU 0, restart on CPU 1: the DP resumes service there
+	// after recovery from its node's audit trail.
 	c, err := cluster.New(cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -99,11 +133,11 @@ func TestProcessPairTakeover(t *testing.T) {
 	// Server answers from its new processor; committed data intact.
 	proc, ok := c.Net.Lookup("$V1")
 	if !ok || proc.CPU != 1 {
-		t.Errorf("takeover processor %v %v", proc, ok)
+		t.Errorf("restart processor %v %v", proc, ok)
 	}
 	row, err := f.Read(nil, def, record.Int(7).AppendKey(nil), false)
 	if err != nil || row[1].S != "v7" {
-		t.Fatalf("post-takeover read: %v %v", row, err)
+		t.Fatalf("post-restart read: %v %v", row, err)
 	}
 	if err := c.RestartDP("$NOPE", 0); err == nil {
 		t.Error("restart of unknown DP accepted")
@@ -169,79 +203,6 @@ func TestAuditServerReceivesBufferFullSends(t *testing.T) {
 	// The audit DP received buffer-full sends over the message system.
 	if got := c.Net.Stats().Requests; got <= 101 {
 		t.Errorf("no audit sends visible: %d requests", got)
-	}
-}
-
-func TestProcessPairCheckpointAndTakeover(t *testing.T) {
-	c, err := cluster.New(cluster.Options{ProcessPairs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.AddVolume(0, 0, "$P1"); err != nil {
-		t.Fatal(err)
-	}
-	f := c.NewFS(0, 2)
-	def := kvDef("$P1")
-	if err := f.Create(def); err != nil {
-		t.Fatal(err)
-	}
-
-	// Every state change ships a checkpoint message to the backup.
-	c.Net.ResetStats()
-	tx := f.Begin()
-	for i := 0; i < 10; i++ {
-		if err := f.Insert(tx, def, record.Row{record.Int(int64(i)), record.String("v")}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := f.Commit(tx); err != nil {
-		t.Fatal(err)
-	}
-	// 10 inserts + commit to primary, plus ≥10 checkpoint messages.
-	if got := c.Net.Stats().Requests; got < 21 {
-		t.Errorf("checkpoint traffic missing: %d requests", got)
-	}
-
-	// A live transaction across the takeover: the backup has the
-	// checkpointed state, so no recovery runs and the in-flight
-	// transaction continues.
-	tx2 := f.Begin()
-	if err := f.Insert(tx2, def, record.Row{record.Int(100), record.String("inflight")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Takeover("$P1"); err != nil {
-		t.Fatal(err)
-	}
-	proc, _ := c.Net.Lookup("$P1")
-	if proc.CPU != 1 {
-		t.Errorf("takeover CPU %d, want 1", proc.CPU)
-	}
-	// The in-flight transaction is still live post-takeover.
-	if err := f.Insert(tx2, def, record.Row{record.Int(101), record.String("post-takeover")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Commit(tx2); err != nil {
-		t.Fatal(err)
-	}
-	row, err := f.Read(nil, def, record.Int(100).AppendKey(nil), false)
-	if err != nil || row[1].S != "inflight" {
-		t.Fatalf("in-flight data lost across takeover: %v %v", row, err)
-	}
-}
-
-func TestTakeoverWithoutPairRejected(t *testing.T) {
-	c, err := cluster.New(cluster.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.AddVolume(0, 0, "$NP")
-	if err := c.Takeover("$NP"); err == nil {
-		t.Error("takeover without a pair accepted")
-	}
-	if err := c.Takeover("$NOPE"); err == nil {
-		t.Error("takeover of unknown DP accepted")
 	}
 }
 
@@ -316,80 +277,5 @@ func TestCrashUnderConcurrentLoadLosesNoCommittedData(t *testing.T) {
 		if err != nil || row[0].I != k {
 			t.Fatalf("committed key %d lost after crash+recovery: %v %v", k, row, err)
 		}
-	}
-}
-
-// TestTakeoverAfterAbort is the regression test for abort-path undo
-// bypassing the checkpoint stream. The backup of a process pair only
-// knows what the Checkpoint callback ships it; if the compensating
-// actions of an abort never go through it, a takeover right after the
-// abort serves the aborted rows as if they committed. Post-fix, the
-// abort's compensations and abort record are checkpointed like forward
-// audit, so the takeover sees them gone and the keys stay reusable.
-func TestTakeoverAfterAbort(t *testing.T) {
-	c, err := cluster.New(cluster.Options{ProcessPairs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.AddVolume(0, 0, "$P2"); err != nil {
-		t.Fatal(err)
-	}
-	f := c.NewFS(0, 2)
-	def := kvDef("$P2")
-	if err := f.Create(def); err != nil {
-		t.Fatal(err)
-	}
-
-	tx := f.Begin()
-	if err := f.Insert(tx, def, record.Row{record.Int(1), record.String("keep")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Commit(tx); err != nil {
-		t.Fatal(err)
-	}
-
-	// Aborted transaction; count the checkpoint traffic its undo ships.
-	c.Net.ResetStats()
-	tx2 := f.Begin()
-	for i := int64(2); i <= 3; i++ {
-		if err := f.Insert(tx2, def, record.Row{record.Int(i), record.String("doomed")}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := f.Abort(tx2); err != nil {
-		t.Fatal(err)
-	}
-	// 2 insert + 1 abort requests to the primary, and 5 checkpoint
-	// messages to the backup: 2 forward inserts, 2 compensations, 1
-	// abort record. Fewer than 8 total means the undo skipped the
-	// checkpoint stream.
-	if got := c.Net.Stats().Requests; got < 8 {
-		t.Errorf("abort shipped %d messages; compensations missing from the checkpoint stream", got)
-	}
-
-	if err := c.Takeover("$P2"); err != nil {
-		t.Fatal(err)
-	}
-
-	if row, err := f.Read(nil, def, record.Int(1).AppendKey(nil), false); err != nil || row[1].S != "keep" {
-		t.Fatalf("committed row lost across takeover: %v %v", row, err)
-	}
-	for i := int64(2); i <= 3; i++ {
-		if row, err := f.Read(nil, def, record.Int(i).AppendKey(nil), false); err == nil {
-			t.Errorf("aborted row %d served after takeover: %v", i, row)
-		}
-	}
-	// The aborted keys are immediately reusable on the new primary.
-	tx3 := f.Begin()
-	if err := f.Insert(tx3, def, record.Row{record.Int(2), record.String("fresh")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Commit(tx3); err != nil {
-		t.Fatal(err)
-	}
-	row, err := f.Read(nil, def, record.Int(2).AppendKey(nil), false)
-	if err != nil || row[1].S != "fresh" {
-		t.Fatalf("aborted key not reusable after takeover: %v %v", row, err)
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"nonstopsql/internal/fault"
 	"nonstopsql/internal/fsdp"
 	"nonstopsql/internal/msg"
-	"nonstopsql/internal/tmf"
 	"nonstopsql/internal/wal"
 )
 
@@ -73,15 +72,7 @@ func (s *shipper) flush() error {
 		return nil
 	}
 	fault.Inject(fault.CheckpointShip)
-	payload := fsdp.EncodeRequest(&fsdp.Request{Kind: fsdp.KShipRecords, Rows: s.buf})
-	replyBytes, err := s.transport.Send(s.target, payload)
-	if err == nil {
-		var reply *fsdp.Reply
-		if reply, err = fsdp.DecodeReply(replyBytes); err == nil && !reply.OK() {
-			err = fmt.Errorf("%s", reply.Err)
-		}
-	}
-	if err != nil {
+	if err := call(s.transport, s.target, &fsdp.Request{Kind: fsdp.KShipRecords, Rows: s.buf}); err != nil {
 		// Backup unreachable: retain the buffer for catch-up. The
 		// primary keeps serving — a dead backup must not take the
 		// partition down with it.
@@ -94,6 +85,20 @@ func (s *shipper) flush() error {
 	s.buf = nil
 	s.bufBytes = 0
 	return nil
+}
+
+// call sends one request to a backup and turns a refusal in its reply
+// into an error.
+func call(t msg.Transport, target string, req *fsdp.Request) error {
+	replyBytes, err := t.Send(target, fsdp.EncodeRequest(req))
+	if err != nil {
+		return err
+	}
+	reply, err := fsdp.DecodeReply(replyBytes)
+	if err == nil && !reply.OK() {
+		err = fmt.Errorf("%s", reply.Err)
+	}
+	return err
 }
 
 func (s *shipper) snapshot() (batches, records, bytes, retries uint64, retained int) {
@@ -147,44 +152,11 @@ func (c *Cluster) ReplicationStats(name string) (ReplicationStats, error) {
 // server are both named primary+"#B", and it audits to ITS node's
 // trail — the group survives the loss of either node's trail.
 func (c *Cluster) AddReplica(node, cpu int, primary string) (*dp.DP, error) {
-	if node < 0 || node >= len(c.Nodes) {
-		return nil, fmt.Errorf("cluster: no node %d", node)
-	}
-	name := primary + fsdp.BackupSuffix
-	if _, dup := c.dps[name]; dup {
-		return nil, fmt.Errorf("cluster: replica %q exists", name)
-	}
-	vol, err := c.newVolume(name)
+	e, err := c.startDP(node, cpu, primary+fsdp.BackupSuffix, nil)
 	if err != nil {
 		return nil, err
 	}
-	n := c.Nodes[node]
-	proc := msg.ProcessorID{Node: node, CPU: cpu}
-	port := tmf.NewAuditPort(n.Trail, c.Net.NewClient(proc), n.auditSrv, c.opts.AuditBufBytes)
-	d, err := dp.New(dp.Config{
-		Name:          name,
-		Volume:        vol,
-		CacheSlots:    c.opts.CacheSlots,
-		Audit:         port,
-		LockTimeout:   c.opts.LockTimeout,
-		MaxReplyBytes: c.opts.MaxReplyBytes,
-		MaxRowsPerMsg: c.opts.MaxRowsPerMsg,
-		Prefetch:      c.opts.Prefetch,
-		WriteBehind:   c.opts.WriteBehind,
-		CacheShards:   c.opts.CacheShards,
-		CachePlainLRU: c.opts.CachePlainLRU,
-	})
-	if err != nil {
-		return nil, err
-	}
-	srv, err := c.Net.StartServer(name, proc, c.opts.DPWorkers, d.Handler)
-	if err != nil {
-		return nil, err
-	}
-	d.SetQueueWait(srv.QueueWait)
-	c.servers = append(c.servers, name)
-	c.dps[name] = &dpEntry{dp: d, node: node, cpu: cpu, vol: vol, backupCPU: -1}
-	return d, nil
+	return e.dp, nil
 }
 
 // TakeoverReplica promotes a replicated partition's backup to primary:
@@ -215,25 +187,15 @@ func (c *Cluster) TakeoverReplica(name string) error {
 	c.Net.StopServer(name)
 
 	target := name + fsdp.BackupSuffix
-	replyBytes, err := e.ship.transport.Send(target, fsdp.EncodeRequest(&fsdp.Request{Kind: fsdp.KPromote}))
-	if err != nil {
+	if err := call(e.ship.transport, target, &fsdp.Request{Kind: fsdp.KPromote}); err != nil {
 		return fmt.Errorf("cluster: promote %s: %w", target, err)
-	}
-	reply, err := fsdp.DecodeReply(replyBytes)
-	if err != nil {
-		return fmt.Errorf("cluster: promote %s: %w", target, err)
-	}
-	if !reply.OK() {
-		return fmt.Errorf("cluster: promote %s: %s", target, reply.Err)
 	}
 
 	if e.backupDP != nil {
 		be := c.dps[target]
-		srv, err := c.Net.StartServer(name, msg.ProcessorID{Node: be.node, CPU: be.cpu}, c.opts.DPWorkers, e.backupDP.Handler)
-		if err != nil {
+		if err := c.serve(name, be.node, be.cpu, e.backupDP); err != nil {
 			return err
 		}
-		e.backupDP.SetQueueWait(srv.QueueWait)
 		e.dp = e.backupDP
 		e.node, e.cpu = be.node, be.cpu
 		return nil
@@ -242,16 +204,12 @@ func (c *Cluster) TakeoverReplica(name string) error {
 	// other process. Transport errors surface as general failures the
 	// requester treats like any DP error.
 	t := e.ship.transport
-	srv, err := c.Net.StartServer(name, msg.ProcessorID{Node: e.node, CPU: e.cpu}, c.opts.DPWorkers, func(req []byte) []byte {
+	_, err := c.Net.StartServer(name, msg.ProcessorID{Node: e.node, CPU: e.cpu}, c.opts.DPWorkers, func(req []byte) []byte {
 		out, err := t.Send(target, req)
 		if err != nil {
 			return fsdp.EncodeReply(&fsdp.Reply{Code: fsdp.ErrGeneral, Err: fmt.Sprintf("cluster: relay to %s: %v", target, err)})
 		}
 		return out
 	})
-	if err != nil {
-		return err
-	}
-	_ = srv
-	return nil
+	return err
 }

@@ -1,7 +1,7 @@
 package dp
 
 import (
-	"sync/atomic"
+	"sync"
 	"testing"
 
 	"nonstopsql/internal/disk"
@@ -11,16 +11,16 @@ import (
 	"nonstopsql/internal/wal"
 )
 
-// TestAbortCheckpointsCompensations is the regression test for the undo
+// TestAbortShipsCompensations is the regression test for the undo
 // path writing compensation records straight to the trail instead of
-// through appendAudit. The backup half of a process pair learns about
-// state changes only from the Checkpoint callback; an abort that skips
-// it leaves the backup believing the aborted rows still exist, so a
+// through appendAudit. The backup of a replicated group learns about
+// state changes only from the Ship stream; an abort that skips it
+// leaves the backup believing the aborted rows still exist, so a
 // takeover right after the abort resurrects them. Post-fix, every
-// compensation and the abort record itself must hit the checkpoint
-// stream.
-func TestAbortCheckpointsCompensations(t *testing.T) {
-	var ckpts atomic.Int64
+// compensation and the abort record itself must reach the stream.
+func TestAbortShipsCompensations(t *testing.T) {
+	var mu sync.Mutex
+	var shipped []wal.Record
 	vol := disk.NewVolume("$DATA1", true)
 	auditVol := disk.NewVolume("$AUDIT", true)
 	trail, err := wal.NewTrail(wal.Config{Volume: auditVol})
@@ -30,8 +30,12 @@ func TestAbortCheckpointsCompensations(t *testing.T) {
 	t.Cleanup(trail.Close)
 	d, err := New(Config{
 		Name: "$DATA1", Volume: vol,
-		Audit:      tmf.NewAuditPort(trail, nil, "", 0),
-		Checkpoint: func(int) { ckpts.Add(1) },
+		Audit: tmf.NewAuditPort(trail, nil, "", 0),
+		Ship: func(rec *wal.Record) {
+			mu.Lock()
+			shipped = append(shipped, *rec)
+			mu.Unlock()
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -41,16 +45,30 @@ func TestAbortCheckpointsCompensations(t *testing.T) {
 	tx := tmf.NewTxID()
 	insertEmp(t, d, s, tx, empRow(1, "doomed-a", 10))
 	insertEmp(t, d, s, tx, empRow(2, "doomed-b", 20))
-	base := ckpts.Load()
+	mu.Lock()
+	base := len(shipped)
+	mu.Unlock()
 
 	reply := d.Serve(&fsdp.Request{Kind: fsdp.KAbort, Tx: tx})
 	if !reply.OK() {
 		t.Fatal(reply.Err)
 	}
-	// Two compensating deletes plus the abort record: three checkpoint
-	// messages to the backup.
-	if got := ckpts.Load() - base; got != 3 {
-		t.Fatalf("abort sent %d checkpoint messages, want 3 (2 compensations + abort)", got)
+	// Two compensating deletes, then the abort record: three records
+	// on the stream to the backup, in that order.
+	mu.Lock()
+	got := shipped[base:]
+	mu.Unlock()
+	if len(got) != 3 {
+		t.Fatalf("abort shipped %d records, want 3 (2 compensations + abort)", len(got))
+	}
+	for i, r := range got {
+		want := wal.RecDelete
+		if i == 2 {
+			want = wal.RecAbort
+		}
+		if r.TxID != tx || r.Type != want || r.Compensation != (i < 2) {
+			t.Errorf("shipped record %d: %s tx %d compensation %v, want %s of tx %d", i, r.Type, r.TxID, r.Compensation, want, tx)
+		}
 	}
 
 	// The trail agrees: compensations flagged, abort last, and the tx's

@@ -67,13 +67,6 @@ type Config struct {
 	CacheShards   int
 	CachePlainLRU bool
 
-	// Checkpoint, when set, is invoked with the byte size of every state
-	// change (audit record) so the hot-standby backup of the process
-	// pair stays current; the cluster wires it to a real message send,
-	// charging the checkpointing cost process pairs pay for instant
-	// takeover.
-	Checkpoint func(bytes int)
-
 	// Ship and ShipFlush wire the real replicated-partition checkpoint
 	// stream. Ship is invoked with every audit record after it is
 	// appended to the trail (plus synthesized commit markers and file

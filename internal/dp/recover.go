@@ -12,9 +12,8 @@ import (
 // Crash simulates losing this Disk Process's processor: the buffer pool
 // vanishes (dirty pages are lost), all transaction state, Subset Control
 // Blocks, and locks evaporate. The volume itself (and the audit trail)
-// survive. Call Recover afterwards — this is the job the backup process
-// of the process-pair performs at takeover, or restart performs after a
-// total outage.
+// survive. Call Recover afterwards — the restart after a crash
+// (cluster.RestartDP) performs it.
 func (d *DP) Crash() {
 	d.pool.Crash()
 	d.mu.Lock()

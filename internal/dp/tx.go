@@ -49,13 +49,10 @@ func (d *DP) addUndo(tx uint64, u undoRec) {
 }
 
 // appendAudit writes one audit record through the audit port, tracks
-// the tx's high-water LSN for prepare, and checkpoints the change to the
-// process pair's backup when one is configured.
+// the tx's high-water LSN for prepare, and ships the change to the
+// replicated group's backup when one is configured.
 func (d *DP) appendAudit(rec *wal.Record) wal.LSN {
 	lsn := d.cfg.Audit.Append(rec)
-	if d.cfg.Checkpoint != nil {
-		d.cfg.Checkpoint(rec.Size())
-	}
 	if d.cfg.Ship != nil {
 		d.cfg.Ship(rec)
 	}
@@ -197,8 +194,8 @@ func (d *DP) abort(req *fsdp.Request) *fsdp.Reply {
 }
 
 // undoTx applies the in-memory undo chain in reverse. Compensation
-// records go through appendAudit like forward audit: the process pair's
-// backup must see them in its checkpoint stream, and the tx's lastLSN
+// records go through appendAudit like forward audit: a replicated
+// group's backup must see them in its checkpoint stream, and the tx's lastLSN
 // high-water mark must cover them so a later prepare forces them.
 func (d *DP) undoTx(tx uint64, t *txState) error {
 	for i := len(t.undo) - 1; i >= 0; i-- {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -203,23 +204,26 @@ func AblationGroupCommitTimer(txnsPerClient int) (*Table, error) {
 	return table, nil
 }
 
-// AblationProcessPairs quantifies what the paper's availability
-// architecture costs: with process pairs, every state change also ships
-// a checkpoint message to the hot-standby backup, in exchange for
-// instant takeover (no log recovery).
-func AblationProcessPairs(txns int) (*Table, error) {
+// AblationReplicatedPair quantifies what the paper's availability
+// architecture costs. The process pair [Bartlett] is a replicated
+// partition group: the primary ships every audit record to a backup
+// Disk Process on the other node, one batch per commit, in exchange for
+// a takeover that promotes the backup instead of replaying the log. The
+// run ends with that takeover, and the bank must balance on the promoted
+// backup.
+func AblationReplicatedPair(txns int) (*Table, error) {
 	table := &Table{
 		ID:    "ABL-PAIRS",
 		Title: "Ablation: process-pair checkpointing cost (availability vs message traffic)",
 		Claim: "software redundancy provides fault-tolerant device-controlling process-pairs [Bartlett]",
 		Cols: []Col{
-			label("configuration"), counted("msgs/txn"), counted("checkpoint msgs/txn"),
+			label("configuration"), counted("msgs/txn"), counted("ship batches/txn"),
 			label("takeover"),
 		},
 	}
 	scale := debitcredit.Scale{Branches: 5, TellersPerBr: 10, AccountsPerBr: 100}
-	run := func(pairs bool) error {
-		r, err := newRig(cluster.Options{ProcessPairs: pairs}, 1)
+	run := func(opts cluster.Options) error {
+		r, err := newRig(opts, 1)
 		if err != nil {
 			return err
 		}
@@ -228,30 +232,40 @@ func AblationProcessPairs(txns int) (*Table, error) {
 		if err := bank.Create(r.fs, scale); err != nil {
 			return err
 		}
+		shipped, _ := r.c.ReplicationStats("$DATA1") // zero without a group
 		r.c.Net.ResetStats()
 		rng := rand.New(rand.NewSource(5))
+		var want float64
 		for i := 0; i < txns; i++ {
-			if err := bank.RunSQL(r.fs, debitcredit.Generate(rng, scale)); err != nil {
+			t := debitcredit.Generate(rng, scale)
+			if err := bank.RunSQL(r.fs, t); err != nil {
 				return err
 			}
+			want += t.Delta
 		}
-		ns := r.c.Net.Stats()
-		perTxn := float64(ns.Requests) / float64(txns)
-		name, ckpt, takeover := "single process (no pair)", "0", "log recovery required"
-		if pairs {
-			name = "process pair (checkpointing)"
-			// 4 state changes per txn (3 updates + history insert).
-			ckpt = "4.0"
-			takeover = "instant (hot standby)"
+		perTxn := fmt.Sprintf("%.1f", float64(r.c.Net.Stats().Requests)/float64(txns))
+		if !opts.Replication {
+			table.Rows = append(table.Rows, []string{"single process (no pair)", perTxn, "0", "log recovery required"})
+			return nil
 		}
-		table.Rows = append(table.Rows, []string{name, fmt.Sprintf("%.1f", perTxn), ckpt, takeover})
+		after, _ := r.c.ReplicationStats("$DATA1") // a replicated partition: no error
+		batches := fmt.Sprintf("%.1f", float64(after.ShippedBatches-shipped.ShippedBatches)/float64(txns))
+		if err := r.c.CrashDP("$DATA1"); err != nil {
+			return err
+		}
+		if err := r.c.TakeoverReplica("$DATA1"); err != nil {
+			return fmt.Errorf("ABL-PAIRS: takeover: %w", err)
+		}
+		if acc, _, br, err := bank.Audit(r.fs); err != nil || math.Abs(acc-want) > 1e-6 || math.Abs(br-want) > 1e-6 {
+			return fmt.Errorf("ABL-PAIRS: promoted backup: accounts %v, branches %v, want %v: %v", acc, br, want, err)
+		}
+		table.Rows = append(table.Rows, []string{"process pair (replicated group)", perTxn, batches, "backup promoted (no log replay)"})
 		return nil
 	}
-	if err := run(false); err != nil {
-		return nil, err
-	}
-	if err := run(true); err != nil {
-		return nil, err
+	for _, opts := range []cluster.Options{{}, {Nodes: 2, Replication: true}} {
+		if err := run(opts); err != nil {
+			return nil, err
+		}
 	}
 	return table, nil
 }

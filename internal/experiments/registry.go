@@ -62,7 +62,7 @@ var Registry = []Experiment{
 	{"ABL-PUSHDOWN", func(s Sizes) (*Table, error) { return AblationPushdownSelectivity(s.Rows) }},
 	{"ABL-SCB", func(s Sizes) (*Table, error) { return AblationSCB(s.Rows) }},
 	{"ABL-GC-TIMER", func(s Sizes) (*Table, error) { return AblationGroupCommitTimer(s.TxnsPerCli) }},
-	{"ABL-PAIRS", func(s Sizes) (*Table, error) { return AblationProcessPairs(s.Txns / 2) }},
+	{"ABL-PAIRS", func(s Sizes) (*Table, error) { return AblationReplicatedPair(s.Txns / 2) }},
 }
 
 // typed adapts an experiment function to Experiment.Run, keeping its Go

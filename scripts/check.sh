@@ -10,7 +10,7 @@ go vet ./...
 # that moved fails first and alone. Then the one front end, and the one
 # program that prints EXPLAIN next to live message counts, so neither can
 # rot.
-go test -count=1 -run 'TestExperiments/(E1|E2|E3|E4|E10|E17|F1|F2)$' ./internal/experiments
+go test -count=1 -run 'TestExperiments/(E1|E2|E3|E4|E10|E17|F1|F2|ABL-PAIRS)$' ./internal/experiments
 go run ./cmd/experiments -quick -only E1 >/dev/null
 go run ./examples/explain >/dev/null
 # Message-system and observability races first: StopServer/Send hammers,
@@ -174,10 +174,11 @@ go test -race -count=1 -run 'TestPreparedOverTCP|TestPreparedDifferentialMatrixT
 # Replicated partition groups: the checkpoint stream's shipper/replica
 # pair runs under every commit while takeover repoints names and the
 # fence refuses re-driven work — the racy seams of PR 10. The group
-# tests (catch-up, takeover, the wire-to-wire differential), then the
+# tests (catch-up, takeover — after an abort too — a takeover refused
+# when catch-up fails, the wire-to-wire differential), then the
 # statement-lifecycle regressions: EXECUTE racing DDL, a connection
 # killed mid-write, and a frame landing in the drain window.
-go test -race -count=1 -run 'TestReplica|TestWireReplicationDifferential|TestFollowerBrowseReads' ./internal/cluster
+go test -race -count=1 -run 'TestReplica|TestTakeoverRefusedWhenCatchUpFails|TestWireReplicationDifferential|TestFollowerBrowseReads' ./internal/cluster
 go test -race -count=1 -run 'TestServerDrain' ./internal/msg/wire
 go test -race -count=1 -run 'TestExecuteDDLRace|TestKillConnMidWrite' .
 # A leaf's records are walked once per page version, not once per visit:
