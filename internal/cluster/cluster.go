@@ -21,12 +21,12 @@ import (
 	"nonstopsql/internal/wal"
 )
 
-// Options tunes the cluster's subsystems; the zero value gives the
-// full paper configuration (group commit, pre-fetch, write-behind on).
+// Options tunes the cluster's subsystems. The zero value commits in
+// groups but leaves pre-fetch and write-behind off; nonstopsql.Config
+// is what turns those two on by default.
 type Options struct {
-	Nodes         int  // default 1
-	CPUsPerNode   int  // default 4, max 16
-	GroupCommit   bool // default true unless DisableGroupCommit
+	Nodes         int // default 1
+	CPUsPerNode   int // default 4, max 16
 	Prefetch      bool
 	WriteBehind   bool
 	DPWorkers     int  // process-group goroutines per DP (default 16)
@@ -47,11 +47,9 @@ type Options struct {
 	// group serves at once on the other side.
 	ScanParallel int
 
+	// DisableGroupCommit flushes every commit record alone, by its own
+	// appender: the sync-per-commit baseline.
 	DisableGroupCommit bool
-
-	// GroupCommitTimer is wal.Config.FixedTimer: the ABL-GC-TIMER
-	// ablation's fixed [Helland] timer. Nothing else sets it.
-	GroupCommitTimer time.Duration
 
 	// Replication runs every data volume's Disk Process as a replicated
 	// partition group — the paper's process pair [Bartlett]: a backup
@@ -75,7 +73,7 @@ type Options struct {
 	// the simulated in-memory volume: writes survive the process, fsync
 	// is physical, and the asynchronous I/O scheduler serves the cache
 	// and the trail. SyncPerWrite selects the naive fsync-per-write mode
-	// (the E18 baseline) instead of batched-async.
+	// instead of batched-async.
 	DataDir      string
 	SyncPerWrite bool
 
@@ -108,9 +106,6 @@ func (o *Options) setDefaults() {
 		// handlers the analog is a pool deep enough that waiters do not
 		// starve the commit messages that would release them.
 		o.DPWorkers = 16
-	}
-	if !o.DisableGroupCommit {
-		o.GroupCommit = true
 	}
 }
 
@@ -182,8 +177,7 @@ func New(opts Options) (*Cluster, error) {
 		trail, err := wal.NewTrail(wal.Config{
 			Volume:      auditVol,
 			ID:          uint64(n + 1),
-			GroupCommit: opts.GroupCommit,
-			FixedTimer:  opts.GroupCommitTimer,
+			GroupCommit: !opts.DisableGroupCommit,
 		})
 		if err != nil {
 			return nil, err

@@ -18,8 +18,8 @@
 // # Crash semantics
 //
 // Writes become durable only at Sync (batched-async mode) or at the
-// write call itself (sync-per-write mode, the E18 baseline). The header
-// is rewritten — without fsync — whenever the high-water mark crosses an
+// write call itself (sync-per-write mode, the baseline batching is held
+// against). The header is rewritten — without fsync — whenever the high-water mark crosses an
 // allocChunk boundary, piggybacked on every batched fsync, and fsynced
 // with the clean flag at Close. After a crash (no clean flag) Open
 // recovers the allocation state conservatively: the high-water mark is
@@ -73,8 +73,8 @@ const (
 	// batches concurrent durability waits onto one fsync. The default.
 	BatchedAsync Mode = iota
 	// SyncPerWrite makes every Write/WriteBulk a synchronous pwrite
-	// followed by its own fsync — the paper-naive baseline E18 measures
-	// batching against.
+	// followed by its own fsync — the paper-naive baseline
+	// TestE18FileVolumes holds batching against.
 	SyncPerWrite
 )
 

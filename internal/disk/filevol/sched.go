@@ -223,7 +223,7 @@ func (s *sched) worker() {
 
 // sync drains the queue, then joins the next fsync generation. One
 // physical fsync serves every caller parked on the generation — that is
-// the commits-per-fsync batching E18 measures.
+// the commits-per-fsync batching TestE18FileVolumes asserts.
 func (s *sched) sync() error {
 	s.mu.Lock()
 	s.stats.SyncWaits++

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
-	"time"
 
 	"nonstopsql/internal/cluster"
 	"nonstopsql/internal/debitcredit"
@@ -122,84 +120,6 @@ func AblationSCB(n int) (*Table, error) {
 			fmt.Sprintf("%.1f", float64(resend)/1024),
 			fmt.Sprintf("%.0f%%", saving),
 		})
-	}
-	return table, nil
-}
-
-// AblationGroupCommitTimer sets the paper's fixed group-commit timer
-// [Helland] against what replaced it, a group paced by the audit volume
-// (DESIGN.md §17): the timer taxes every lone commit with the full wait;
-// device pacing costs a lone commit one flush and still groups under load.
-func AblationGroupCommitTimer(txnsPerClient int) (*Table, error) {
-	table := &Table{
-		ID:    "ABL-GC-TIMER",
-		Title: "Ablation: fixed group-commit timer [Helland] vs device-paced group commit",
-		Claim: "timers force out pending commits from a partially full buffer; response times are minimized by adjusting the wait to the transaction rate",
-		Cols: []Col{
-			label("clients"), label("timer"), observed("commits/flush"),
-			observed("avg txn latency"),
-		},
-	}
-	scale := debitcredit.Scale{Branches: 8, TellersPerBr: 10, AccountsPerBr: 100}
-	run := func(clients int, timer time.Duration) error {
-		r, err := newRig(cluster.Options{GroupCommitTimer: timer, DPWorkers: clients + 2}, 1)
-		if err != nil {
-			return err
-		}
-		defer r.close()
-		bank := debitcredit.Defs([]string{"$DATA1"}, true)
-		if err := bank.Create(r.fs, scale); err != nil {
-			return err
-		}
-		r.c.Nodes[0].Trail.ResetStats()
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		var totalNs int64
-		errs := make(chan error, clients)
-		for g := 0; g < clients; g++ {
-			wg.Add(1)
-			go func(id int) {
-				defer wg.Done()
-				f := r.c.NewFS(0, id%3)
-				rng := rand.New(rand.NewSource(int64(id)))
-				ns := int64(0)
-				for i := 0; i < txnsPerClient; i++ {
-					start := nowNano()
-					if err := bank.RunSQL(f, debitcredit.Generate(rng, scale)); err != nil {
-						errs <- err
-						return
-					}
-					ns += nowNano() - start
-				}
-				mu.Lock()
-				totalNs += ns
-				mu.Unlock()
-			}(g)
-		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			return err
-		}
-		ts := r.c.Nodes[0].Trail.Stats()
-		mode := "device-paced"
-		if timer > 0 {
-			mode = "fixed 10ms"
-		}
-		avgLat := float64(totalNs) / float64(clients*txnsPerClient) / 1e6
-		table.Rows = append(table.Rows, []string{
-			d(clients), mode,
-			fmt.Sprintf("%.2f", ts.CommitsPerFlush()),
-			fmt.Sprintf("%.2fms", avgLat),
-		})
-		return nil
-	}
-	for _, clients := range []int{1, 16} {
-		for _, timer := range []time.Duration{10 * time.Millisecond, 0} {
-			if err := run(clients, timer); err != nil {
-				return nil, err
-			}
-		}
 	}
 	return table, nil
 }

@@ -18,8 +18,9 @@ const goldenFile = "testdata/quick.golden"
 // TestExperiments runs every registered experiment once, compares its
 // exact (Label, Counted, Modeled) columns cell for cell against
 // testdata/quick.golden, and hands the same run to the experiment's
-// shape assertions. A counted number that moves shows up as a diff to
-// the golden in the PR that moved it:
+// shape assertions; then it runs the held proofs (invariants_test.go).
+// A counted number that moves shows up as a diff to the golden in the PR
+// that moved it:
 //
 //	go test ./internal/experiments -run TestExperiments -update
 func TestExperiments(t *testing.T) {
@@ -27,6 +28,9 @@ func TestExperiments(t *testing.T) {
 	for _, e := range Registry {
 		e := e
 		outcomes[e.ID] = t.Run(e.ID, func(t *testing.T) { checkExperiment(t, e, golden) })
+	}
+	for _, p := range heldProofs {
+		outcomes[p.ID] = t.Run(p.ID, p.Run)
 	}
 	if *update {
 		if err := os.WriteFile(goldenFile, []byte(formatGolden(golden)), 0o644); err != nil {
@@ -88,23 +92,16 @@ func runExperiment(t *testing.T, e Experiment) [][]string {
 }
 
 // testSizes is Quick() — the scale the golden is recorded at — except
-// for the four tables whose exact columns are labels only: those keep
-// the sizes their shape tests have always run at rather than pay for a
-// quick-scale run that would pin nothing more.
+// for E14, whose exact columns are labels only: it keeps the size of the
+// CI crash-point sweep rather than pay for a quick-scale run that would
+// pin nothing more.
 func testSizes(id string) Sizes {
 	s := Quick()
-	switch id {
-	case "E14": // the CI crash-point sweep; the registry adapter divides by 4
+	if id == "E14" { // the registry adapter divides by 4
 		s.TxnsPerCli = 4 * 60
 		if testing.Short() {
 			s.TxnsPerCli = 4 * 24
 		}
-	case "E19":
-		s.TxnsPerCli = 10
-	case "E20":
-		s.TxnsPerCli = 8
-	case "E21":
-		s.TxnsPerCli = 40
 	}
 	return s
 }
@@ -159,8 +156,8 @@ func diffExact(id string, want, got [][]string) []string {
 
 const goldenHeader = `# Exact (Label, Counted, Modeled) columns of every registered experiment
 # at Quick() scale; Observed columns are not recorded. TestExperiments
-# compares each cell as a string. E14, E19, E20 and E21 pin labels only
-# and run at the smaller sizes in testSizes (experiments_test.go).
+# compares each cell as a string. E14 pins labels only and runs at the
+# smaller size in testSizes (experiments_test.go).
 # Regenerate: go test ./internal/experiments -run TestExperiments -update
 `
 
@@ -244,6 +241,11 @@ func TestRegistry(t *testing.T) {
 		}
 		ids[e.ID] = true
 	}
+	for _, p := range heldProofs {
+		if ids[p.ID] {
+			t.Errorf("held proof %s has a registry ID", p.ID)
+		}
+	}
 	design, err := os.ReadFile("../../DESIGN.md")
 	if err != nil {
 		t.Fatal(err)
@@ -299,8 +301,7 @@ var shapes = map[string]func(*testing.T, *Table){
 	"E1": shapeE1, "E2": shapeE2, "E3": shapeE3, "E4": shapeE4, "E5": shapeE5,
 	"E6": shapeE6, "E7": shapeE7, "E8": shapeE8, "E9": shapeE9, "E10": shapeE10,
 	"E11": shapeE11, "E12": shapeE12, "E13": shapeE13, "E14": shapeE14, "E15": shapeE15,
-	"E16": shapeE16, "E17": shapeE17, "E18": shapeE18, "E19": shapeE19, "E20": shapeE20,
-	"E21": shapeE21, "F1": shapeF1, "F2": shapeF2,
+	"E16": shapeE16, "E17": shapeE17, "F1": shapeF1, "F2": shapeF2,
 }
 
 func shapeE1(t *testing.T, table *Table) {
@@ -608,116 +609,6 @@ func shapeE17(t *testing.T, table *Table) {
 	}
 }
 
-func shapeE18(t *testing.T, table *Table) {
-	results := table.typed.([]E18Result)
-	if len(results) != 2 || len(table.Rows) != 2 {
-		t.Fatalf("%d results, %d table rows", len(results), len(table.Rows))
-	}
-	syncRes, batched := results[0], results[1]
-	// The mechanism, not the outcome: which leg is faster follows the
-	// host's fsync cost and is asserted nowhere.
-	if batched.BlocksPerWrite <= 1 {
-		t.Errorf("batched mode coalesced nothing: %.2f blocks/write", batched.BlocksPerWrite)
-	}
-	if batched.CommitsPerFsync <= 1 {
-		t.Errorf("batched mode batched no commits per fsync: %.2f", batched.CommitsPerFsync)
-	}
-	if batched.Fsyncs >= syncRes.Fsyncs {
-		t.Errorf("batched mode did not reduce fsyncs: %d vs sync %d", batched.Fsyncs, syncRes.Fsyncs)
-	}
-	if syncRes.Checksum != batched.Checksum {
-		t.Errorf("balance checksum diverges: %x vs %x", syncRes.Checksum, batched.Checksum)
-	}
-}
-
-func shapeE19(t *testing.T, table *Table) {
-	r := table.typed.(*E19Result)
-	if len(table.Rows) != 1 {
-		t.Fatalf("%d table rows", len(table.Rows))
-	}
-	// E19 itself audits effects and frame accounting; re-assert the
-	// measurement substrate: real latency samples on both sides of the
-	// wire, and one pool round-trip sample per request.
-	if r.Clients < 100 {
-		t.Errorf("only %d clients — the experiment claims hundreds", r.Clients)
-	}
-	if got := r.Client.Count(); got < uint64(r.Requests) {
-		t.Errorf("client RTT histogram has %d samples, want >= %d", got, r.Requests)
-	}
-	if r.Network.Count() == 0 {
-		t.Error("no DistNetwork dispatch samples: remote conversations were not classified as network traffic")
-	}
-	if r.TPS <= 0 {
-		t.Errorf("TPS %v", r.TPS)
-	}
-	if r.Wire.Frames() == 0 || r.Wire.Bytes() == 0 {
-		t.Errorf("wire moved nothing: %+v", r.Wire)
-	}
-}
-
-func shapeE20(t *testing.T, table *Table) {
-	r := table.typed.(*E20Result)
-	if len(table.Rows) != 4 {
-		t.Fatalf("%d table rows, want workload × mode", len(table.Rows))
-	}
-	// E20 itself audits effects, frame accounting, and the ≥99% prepared
-	// hit rates. Re-assert the deterministic shape claims here; the
-	// timing-dependent ones (throughput, p50) only get logged, so a
-	// loaded CI machine cannot flake the suite.
-	for _, pair := range [][2]E20Phase{r.DC, r.PQ} {
-		adhoc, prep := pair[0], pair[1]
-		if adhoc.Stmts != prep.Stmts {
-			t.Errorf("%s phases ran different work: %d vs %d statements", adhoc.Workload, adhoc.Stmts, prep.Stmts)
-		}
-		if prep.ReqBytes >= adhoc.ReqBytes {
-			t.Errorf("%s: EXECUTE request frames (%.1f B) not smaller than ad-hoc SQL text (%.1f B)",
-				adhoc.Workload, prep.ReqBytes, adhoc.ReqBytes)
-		}
-		// Varying literals carry distinct cache keys, so the ad-hoc hit
-		// rate is pinned well below the prepared run's.
-		if hr := adhoc.Cache.HitRate(); hr > 0.8 {
-			t.Errorf("ad-hoc %s hit rate %.3f — varying literals should recompile", adhoc.Workload, hr)
-		}
-		if hr := prep.Cache.HitRate(); hr < 0.99 {
-			t.Errorf("prepared %s hit rate %.3f < 0.99", prep.Workload, hr)
-		}
-		if prep.Lat.Count() == 0 {
-			t.Errorf("no %s latency samples", prep.Workload)
-		}
-		t.Logf("%s: stmts/s ad-hoc %.0f vs prepared %.0f; p50 %v vs %v",
-			adhoc.Workload, adhoc.StmtsPerSec, prep.StmtsPerSec,
-			adhoc.Lat.Quantile(0.50), prep.Lat.Quantile(0.50))
-	}
-}
-
-func shapeE21(t *testing.T, table *Table) {
-	r := table.typed.(*E21Result)
-	// E21 itself proves the hard invariants: end state identical to the
-	// no-crash control, balance conservation, follower reads answered
-	// through the takeover window. Re-assert the deterministic shape.
-	if r.Committed != r.Clients*r.TxnsPerClient {
-		t.Errorf("committed %d, want exactly %d — every transaction must eventually commit", r.Committed, r.Clients*r.TxnsPerClient)
-	}
-	if r.Takeover <= 0 {
-		t.Error("takeover duration not measured")
-	}
-	if r.Shipped.ShippedRecords == 0 || r.Shipped.ShippedBytes == 0 {
-		t.Errorf("no checkpoint stream traffic: %+v", r.Shipped)
-	}
-	if !r.Shipped.Promoted {
-		t.Error("backup not promoted")
-	}
-	if r.FollowerOK == 0 || r.FollowerAll < r.FollowerOK {
-		t.Errorf("follower read counts: %d during window, %d total", r.FollowerOK, r.FollowerAll)
-	}
-	if len(table.Rows) != 1 {
-		t.Fatalf("%d table rows, want 1", len(table.Rows))
-	}
-	t.Logf("takeover %v (detect %v, stall %v); %d retries; follower reads %d/%d; shipped %d recs / %d B",
-		r.Takeover, r.Detect, r.Stall, r.Retries, r.FollowerOK, r.FollowerAll,
-		r.Shipped.ShippedRecords, r.Shipped.ShippedBytes)
-}
-
 func shapeF1(t *testing.T, table *Table) {
 	results := table.typed.([]F1Result)
 	if results[0].LocalMsgs == 0 || results[0].NetMsgs != 0 {
@@ -748,8 +639,9 @@ func shapeF2(t *testing.T, table *Table) {
 // Before TestExperiments each experiment had a top-level test of its
 // own, and the list of tests a change may not lose still names them.
 // Each remains as an alias that reports its TestExperiments subtest's
-// outcome; run alone (go test -run TestE18FileVolumes) it runs that
-// subtest itself.
+// outcome; run alone (go test -run TestE17NearDataPushdown) it runs that
+// subtest itself. A held proof (E18–E21) is aliased the same way, so it
+// runs once per pass under both of its names.
 
 // outcomes holds, per experiment ID, whether its TestExperiments subtest
 // passed in this pass over the package. An alias consumes its entry, so
@@ -765,6 +657,11 @@ func alias(t *testing.T, ids ...string) {
 			for _, e := range Registry {
 				if e.ID == id {
 					passed = t.Run(id, func(t *testing.T) { checkExperiment(t, e, golden) })
+				}
+			}
+			for _, p := range heldProofs {
+				if p.ID == id {
+					passed = t.Run(id, p.Run)
 				}
 			}
 		}

@@ -53,15 +53,10 @@ var Registry = []Experiment{
 	{"E15", func(s Sizes) (*Table, error) { return typed(E15(s.TxnsPerCli)) }},
 	{"E16", func(s Sizes) (*Table, error) { return typed(E16(s.Rows)) }},
 	{"E17", func(s Sizes) (*Table, error) { return typed(E17(s.Rows)) }},
-	{"E18", func(s Sizes) (*Table, error) { return typed(E18(s.TxnsPerCli)) }},
-	{"E19", func(s Sizes) (*Table, error) { return typed(E19(s.TxnsPerCli)) }},
-	{"E20", func(s Sizes) (*Table, error) { return typed(E20(s.TxnsPerCli)) }},
-	{"E21", func(s Sizes) (*Table, error) { return typed(E21(s.TxnsPerCli)) }},
 	{"F1", func(Sizes) (*Table, error) { return typed(F1()) }},
 	{"F2", func(Sizes) (*Table, error) { return typed(F2()) }},
 	{"ABL-PUSHDOWN", func(s Sizes) (*Table, error) { return AblationPushdownSelectivity(s.Rows) }},
 	{"ABL-SCB", func(s Sizes) (*Table, error) { return AblationSCB(s.Rows) }},
-	{"ABL-GC-TIMER", func(s Sizes) (*Table, error) { return AblationGroupCommitTimer(s.TxnsPerCli) }},
 	{"ABL-PAIRS", func(s Sizes) (*Table, error) { return AblationReplicatedPair(s.Txns / 2) }},
 }
 

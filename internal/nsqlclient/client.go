@@ -72,7 +72,6 @@ type Pool struct {
 	next    atomic.Uint64
 	closed  atomic.Bool
 	wire    obs.Wire
-	lat     obs.Histogram // round-trip latency, Send call to reply
 	conns   []*conn
 
 	stmtMu sync.Mutex       // guards stmts
@@ -151,9 +150,6 @@ func (p *Pool) ReplyTimeout() time.Duration { return time.Duration(p.timeout.Loa
 // Stats snapshots the pool's wire-level counters.
 func (p *Pool) Stats() obs.WireStats { return p.wire.Snapshot() }
 
-// Latency snapshots the round-trip latency histogram.
-func (p *Pool) Latency() obs.Snapshot { return p.lat.Snapshot() }
-
 // Send dispatches payload to the named server process on the remote
 // cluster and waits for its reply — the msg.Transport contract over
 // TCP. Errors the remote transport coded are mapped back to the msg
@@ -163,7 +159,6 @@ func (p *Pool) Send(server string, payload []byte) ([]byte, error) {
 	if p.closed.Load() {
 		return nil, ErrClosed
 	}
-	start := time.Now()
 	c := p.conns[(p.next.Add(1)-1)%uint64(len(p.conns))]
 	corr := p.corr.Add(1)
 	ch := make(chan result, 1)
@@ -217,7 +212,6 @@ func (p *Pool) Send(server string, payload []byte) ([]byte, error) {
 	if out.err != nil {
 		return nil, out.err
 	}
-	p.lat.Record(time.Since(start))
 	return out.data, nil
 }
 

@@ -51,9 +51,6 @@ func TestPoolSend(t *testing.T) {
 	if st := p.Stats(); st.FramesIn != 1 || st.FramesOut != 1 || st.Conns != 1 {
 		t.Fatalf("pool wire stats: %+v", st)
 	}
-	if p.Latency().Count() != 1 {
-		t.Fatal("round-trip latency not sampled")
-	}
 }
 
 func TestPoolUnknownServer(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"nonstopsql/internal/disk"
 	"nonstopsql/internal/fault"
@@ -33,14 +32,8 @@ type Config struct {
 	// GroupCommit lets one bulk log write commit every transaction whose
 	// commit record is in the buffer when a flush takes it. When false a
 	// commit record is flushed by its own appender, alone: the
-	// sync-per-commit baseline of E5 and E18.
+	// sync-per-commit baseline of E5.
 	GroupCommit bool
-
-	// FixedTimer is for the ABL-GC-TIMER ablation only: the paper's
-	// [Helland] group-commit timer. A flush leader sleeps this long
-	// before it takes the buffer, where it otherwise only yields the
-	// processor. Nothing else sets it.
-	FixedTimer time.Duration
 }
 
 // Stats counts audit trail activity.
@@ -217,11 +210,7 @@ func (t *Trail) flushLocked() {
 	t.flushing = true
 	if t.cfg.GroupCommit {
 		t.mu.Unlock()
-		if t.cfg.FixedTimer > 0 {
-			time.Sleep(t.cfg.FixedTimer)
-		} else {
-			runtime.Gosched()
-		}
+		runtime.Gosched()
 		t.mu.Lock()
 	}
 	data, upTo, commits := t.pending, t.nextLSN, t.pendingCommits

@@ -192,12 +192,6 @@ type Stats struct {
 // PlanCacheStats is the shared plan cache's counter snapshot.
 type PlanCacheStats = sql.PlanCacheStats
 
-// PlanCacheStats snapshots the shared plan cache's counters: hits,
-// misses, schema-version invalidations, LRU evictions, live entries.
-func (db *Database) PlanCacheStats() PlanCacheStats {
-	return db.catalog.Plans().Stats()
-}
-
 // Stats snapshots the counters.
 func (db *Database) Stats() Stats {
 	s := Stats{}

@@ -137,7 +137,7 @@ func TestPreparedOverTCP(t *testing.T) {
 	}
 
 	// The executes above were served by cached compilations.
-	if st := db.PlanCacheStats(); st.Hits == 0 {
+	if st := db.Stats().PlanCache; st.Hits == 0 {
 		t.Errorf("no plan cache hits after prepared traffic: %+v", st)
 	}
 
@@ -515,7 +515,7 @@ func TestRemoteDDLInvalidation(t *testing.T) {
 	if len(res.Rows) != 1 || res.Rows[0][0].I != 10 {
 		t.Fatalf("post-DDL prepared execute: %s", nonstopsql.FormatResult(res))
 	}
-	if inv := db.PlanCacheStats().Invalidations; inv == 0 {
+	if inv := db.Stats().PlanCache.Invalidations; inv == 0 {
 		t.Error("remote DDL caused no plan invalidations")
 	}
 	// \stats over the wire shows the plan cache counters.

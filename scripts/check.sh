@@ -1,6 +1,9 @@
 #!/bin/sh
 # The change gate: everything must build, vet clean, and pass the full
 # test suite under the race detector. `make check` runs this script.
+# Before the full run, focused runs fail first and alone; each test runs
+# once per package and race mode among them, so a block's comment may name
+# a test that an earlier line (often its whole package) already ran.
 set -eux
 cd "$(dirname "$0")/.."
 go build ./...
@@ -73,7 +76,10 @@ go test -run '^$' -fuzz FuzzExpr -fuzztime 10s ./internal/expr
 # the participant's trail is the coordinator's. Both packages alone under
 # -race first (gated-device tests: N committers behind one flush, Append
 # and Close against a blocked flush, the sync-per-commit leg; the crash
-# sweep around the unforced prepare). Then the cache race that only shows
+# sweep around the unforced prepare). Then ten seconds of hostile bytes
+# against the audit frame's two outside readers: Decode, which a backup
+# runs on shipped records, and Scan, which recovery runs over a torn
+# tail. Then the cache race that only shows
 # once commits stop parking for 10 ms: a loader stuck making room while a
 # second miss on the same block installs a second Page and an update is
 # lost — the deterministic regression twenty times over, and the
@@ -82,6 +88,7 @@ go test -run '^$' -fuzz FuzzExpr -fuzztime 10s ./internal/expr
 # the race detector, which is what caught the bug nine runs in ten before
 # the fix (the detector's slowdown closes the window), then briefly with.
 go test -race -count=1 ./internal/wal ./internal/tmf
+go test -run '^$' -fuzz FuzzWALRecord -fuzztime 10s ./internal/wal
 go test -race -count=1 -run 'TestPrepareOn|TestCrashAroundUnforcedPrepare' ./internal/dp
 go test -race -count=20 -run TestOneLoaderPerBlock ./internal/cache
 go test -count=1 -run TestMoneyConservedUnderEviction ./internal/cluster
@@ -101,22 +108,23 @@ go test -race -count=1 -run 'TestConversationDriver|TestFailedConversationRetire
 go test -race -count=1 -run 'TestNextRefusedOnForeignSCB|TestVSBBRedriveProtocol|TestUpdateSubsetRedrive|TestConcurrentMixedWorkload|TestAgg' ./internal/dp
 go test -run '^$' -fuzz FuzzFsdp -fuzztime 10s ./internal/fsdp
 go test -race -count=1 -run 'TestAggPushdownDifferential|TestJoinProbeDifferential|TestLimitPushdownMessages|TestExplainIsThePlan' ./internal/sql
-# A unique key is a READ (PR 22): the compile-time key against the
+# A unique key is a READ (PR 22). The compile-time key against the
 # run-time range (property test; a FLOAT constant on an INTEGER key is
-# stated over the integers on both, and KEY op f == KEY + 0 op f), READ
+# stated over the integers on both, and KEY op f == KEY + 0 op f) ran with
+# the expr package under -race above. Here: READ
 # against the range form over the unique-key corpus, what a READ locks (two
 # sessions, one waiting on the other's lock), which Disk Process of a pair
 # serves a browse READ, a rowless OK refused, SUM of a column that is no
 # number refused at bind time — under -race; then what one prepared point
 # SELECT allocates, without it.
-go test -race -count=1 -run 'TestUniqueKeyIsExtractKeyRangesPoint|TestKeyBoundCoercion|TestFloatBoundOnIntegerKey' ./internal/expr
 go test -race -count=1 -run 'TestPointRead|TestExplainAnalyzeRead|TestFloatBoundOnIntegerKey|TestSumOfNonNumericColumnRefused' ./internal/sql
 go test -race -count=1 -run 'TestReadRefusesARowlessOK' ./internal/fs
 go test -count=1 -run TestAllocationCeilings ./internal/sql
 # Virtual blocks to the client edge (PR 24): a pass-through SELECT's rows
 # cross the File System, the executor and the "$SQL" endpoint as the Disk
 # Processes encoded them and are validated by the first reader of a value.
-# Under -race: every pass-through shape beside a twin forced down the
+# Under -race (the nsqlwire side runs with its package in the wire block
+# below): every pass-through shape beside a twin forced down the
 # materialised path (rows, FS-DP messages and bytes, locks, ad hoc ==
 # prepared, pushdown on == off, browse), the projection EXPLAIN prints,
 # session == "$SQL" in process == TCP in reply bytes over four partitions
@@ -129,7 +137,6 @@ go test -count=1 -run TestAllocationCeilings ./internal/sql
 # one pass of the scan benchmark so it cannot rot.
 go test -race -count=1 -run 'TestPassThrough|TestPreparedDifferentialMatrix' ./internal/sql
 go test -race -count=1 -run 'TestPassThroughTransports|TestHostileRowsStopAtTheDecoder|TestPreparedDifferentialMatrixTCP' .
-go test -race -count=1 -run 'TestEncodedRowsAreRows|TestReplyRoundTrip' ./internal/nsqlwire
 go test -count=1 -run TestAllocationCeilings .
 go test -run '^$' -bench BenchmarkPassThroughScan -benchtime 1x ./internal/sql
 # Deterministic short crash-point sweep first: every named fault point
@@ -150,7 +157,8 @@ QUICK=1 go test -race -count=1 -run TestKillRecovery ./internal/experiments
 # with the mutex RELEASED (held-socket tests: N frames behind one write,
 # a lone sender, a failed write failing its whole batch and the redial,
 # followers blocking at the cap, a drain delivering every accepted
-# reply). The flush has no timer: grep says so. Then ten seconds of
+# reply). The flush has no timer, and neither has the audit trail's
+# (internal/wal/trail.go, below): grep says so. Then ten seconds of
 # hostile bytes against each decoder at the front door, and the
 # allocation ceilings of the wire edge without -race (the detector
 # allocates): codecs that allocate once, one EXECUTE round trip over an
@@ -158,7 +166,7 @@ QUICK=1 go test -race -count=1 -run TestKillRecovery ./internal/experiments
 # in-process and TCP transports must be byte-identical with identical
 # accounting.
 go test -race -count=1 ./internal/msg/wire ./internal/nsqlclient ./internal/nsqlwire
-if grep -n 'time\.\(After\|NewTimer\|Sleep\|Tick\)' internal/msg/wire/writer.go; then exit 1; fi
+if grep -n 'time\.\(After\|NewTimer\|Sleep\|Tick\)' internal/msg/wire/writer.go internal/wal/trail.go; then exit 1; fi
 go test -run '^$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/msg/wire
 go test -run '^$' -fuzz FuzzNsqlwire -fuzztime 10s ./internal/nsqlwire
 go test -count=1 -run TestAllocationCeilings ./internal/nsqlwire ./internal/nsqlclient
@@ -166,40 +174,36 @@ go test -race -count=1 -run 'TestServeSQL|TestDifferentialTransport' .
 # Compiled statements: the shared plan cache takes concurrent get/put
 # from every session while DDL bumps the catalog version, and the
 # server's handle table takes concurrent PREPARE/EXECUTE/eviction —
-# the racy seams of PR 9. Hammer them focused, then the differential
-# matrix: ad-hoc and prepared execution must be byte-identical, in
-# process and over TCP.
-go test -race -count=1 -run 'TestPlanCacheDDLRace|TestPlanCacheCounters|TestPreparedDifferentialMatrix' ./internal/sql
-go test -race -count=1 -run 'TestPreparedOverTCP|TestPreparedDifferentialMatrixTCP|TestStaleHandleReprepare|TestWireErrorClasses' .
+# the racy seams of PR 9. Hammer them focused. The differential matrix
+# (ad-hoc and prepared execution byte-identical, in process and over
+# TCP) ran in the pass-through block above.
+go test -race -count=1 -run 'TestPlanCacheDDLRace|TestPlanCacheCounters' ./internal/sql
+go test -race -count=1 -run 'TestPreparedOverTCP|TestStaleHandleReprepare|TestWireErrorClasses' .
 # Replicated partition groups: the checkpoint stream's shipper/replica
 # pair runs under every commit while takeover repoints names and the
 # fence refuses re-driven work — the racy seams of PR 10. The group
 # tests (catch-up, takeover — after an abort too — a takeover refused
 # when catch-up fails, the wire-to-wire differential), then the
-# statement-lifecycle regressions: EXECUTE racing DDL, a connection
-# killed mid-write, and a frame landing in the drain window.
+# statement-lifecycle regressions: EXECUTE racing DDL and a connection
+# killed mid-write. (A frame landing in the drain window is a msg/wire
+# test, run with its package above.)
 go test -race -count=1 -run 'TestReplica|TestTakeoverRefusedWhenCatchUpFails|TestWireReplicationDifferential|TestFollowerBrowseReads' ./internal/cluster
-go test -race -count=1 -run 'TestServerDrain' ./internal/msg/wire
 go test -race -count=1 -run 'TestExecuteDDLRace|TestKillConnMidWrite' .
 # A leaf's records are walked once per page version, not once per visit:
 # the first multi-record scan of a leaf builds its record table beside the
 # cell table in the cache slot, a leaf splice drops it, and the Disk
 # Process's callbacks point their View at a record's starts instead of
-# walking it. Under -race: record scanners building and publishing the
-# tables of leaves that writers are splicing (every record's starts held
-# to a fresh walk of its bytes), callbacks that cannot write the shared
-# table, corrupt pages and records refused with the page named — also a
-# record garbled on a file-backed volume and read by demand read and by
-# pre-fetch — and the exact INTEGER/FLOAT comparison, NaN unknown, on
-# both sides of a key bound and in MIN/MAX. Without it: the allocation
-# ceilings (a warm record scan builds no table; a write costs one), and
-# one pass of each per-record benchmark so neither can rot.
-go test -race -count=1 -run 'TestViewsUnderConcurrentSplices|TestScansNeverWriteTheRecordTable|TestCorruptPageFailsTheRequest|FuzzPageView' ./internal/btree
+# walking it. The btree, expr and record sides — record scanners building
+# and publishing the tables of leaves that writers are splicing, callbacks
+# that cannot write the shared table, corrupt pages refused with the page
+# named, the exact INTEGER/FLOAT comparison with NaN unknown on both sides
+# of a key bound — and the allocation ceilings (a warm record scan builds
+# no table; a write costs one) ran with their packages above. Here, under
+# -race: a record garbled on a file-backed volume and read by demand read
+# and by pre-fetch, and MIN/MAX and key order over the same comparison.
+# Then one pass of the per-row scan benchmark so it cannot rot.
 go test -race -count=1 -run 'TestCorruptRecordIsRefusedAtThePage|TestRepliesDoNotAliasCachePages|TestTimeLimitRedrive' ./internal/dp
-go test -race -count=1 -run 'TestFloatBoundOnIntegerKeyMatchesEvaluation|TestIntegerBoundOnFloatKeyMatchesEvaluation|TestCompiledEvaluatesEveryConjunct|TestKeyBoundCoercion' ./internal/expr
-go test -race -count=1 -run 'TestValueCompare|TestCompareIntFloatIsExact|TestMinMaxIgnoresFeedOrder|TestFloatOrderProperty' ./internal/record ./internal/fsdp ./internal/keys
-go test -count=1 -run TestAllocationCeilings ./internal/btree ./internal/dp
-go test -run '^$' -bench 'BenchmarkSubsetRecord' -benchtime 1x ./internal/dp
+go test -race -count=1 -run 'TestMinMaxIgnoresFeedOrder|TestFloatOrderProperty' ./internal/fsdp ./internal/keys
 go test -run '^$' -bench 'BenchmarkScanRow' -benchtime 1x ./internal/btree
 # A keyed write is one request: an UPDATE or DELETE that pins the whole
 # primary key sends UPDATE^KEY / DELETE^KEY, which locks the key before it
@@ -214,7 +218,7 @@ go test -run '^$' -bench 'BenchmarkScanRow' -benchtime 1x ./internal/btree
 # one pass of the benchmark comparing the keyed request with the one-key
 # subset it replaced, so it cannot rot.
 go test -race -count=1 -run 'TestSubsetWritesRecheckUnderLock|TestKeyedUpdateLocksBeforeItReads|TestKeyedWrite' ./internal/dp
-go test -race -count=1 -run 'TestKeyedWriteIsolation|TestExplainAnalyzeKeyedWrite|TestExplainIsThePlan' ./internal/sql
+go test -race -count=1 -run 'TestKeyedWriteIsolation|TestExplainAnalyzeKeyedWrite' ./internal/sql
 go test -race -count=1 -run 'TestKeyedWriteDifferential' .
 go test -run '^$' -bench BenchmarkKeyedUpdate -benchtime 1x ./internal/dp
 # One row currency and one aggregate body in the requester. An index
@@ -225,35 +229,29 @@ go test -run '^$' -bench BenchmarkKeyedUpdate -benchtime 1x ./internal/dp
 # front of it. Under -race: aggregate results worked out by hand (empty
 # input, NULLs, the type of a SUM, AVG, MIN/MAX of VARCHAR, COUNT(DISTINCT)
 # with NULLs); a DISTINCT aggregate's own name in its header, HAVING and
-# ORDER BY; SUM/AVG of truth values refused at bind time; the aggregate,
-# join and pass-through differentials; the TCP matrix with requester-side
-# writes through an index; damaged probe rows refused by the requester.
-# Then one pass of the requester-side GROUP BY and join benchmarks so
-# neither can rot.
-go test -race -count=1 -run 'TestAggregatesByHand|TestDistinctAggregateKeepsItsName|TestSumOfTruthValuesIsRefused|TestAggPushdownDifferential|TestJoinProbeDifferential|TestPassThroughDifferential' ./internal/sql
-go test -race -count=1 -run 'TestPreparedDifferentialMatrixTCP|TestHostileRowsStopAtTheDecoder|TestFloatBoundAndNonNumericSumOverTCP' .
+# ORDER BY; SUM/AVG of truth values refused at bind time. (The aggregate,
+# join and pass-through differentials, the TCP matrix with requester-side
+# writes through an index, and damaged probe rows refused by the requester
+# ran in the blocks above.) Then one pass of the requester-side GROUP BY
+# and join benchmarks so neither can rot.
+go test -race -count=1 -run 'TestAggregatesByHand|TestDistinctAggregateKeepsItsName|TestSumOfTruthValuesIsRefused' ./internal/sql
+go test -race -count=1 -run 'TestFloatBoundAndNonNumericSumOverTCP' .
 go test -run '^$' -bench 'BenchmarkRequesterGroupBy|BenchmarkPreparedJoin' -benchtime 1x ./internal/sql
 # The Disk Process's aggregate step touches only what the record adds. A
 # lone INTEGER group key is probed by its int64 (the int path), every other
 # key by its key bytes (the byte path), and a record.View pointed at a
-# record's starts borrows them (one 16-bit offset width). Under -race: the
-# int path's reply entries held byte for byte to fsdp.AppendGroup's in
-# key-byte order (NULL, 0, -1, the int64 extremes, the table grown
-# mid-message and after a re-drive); hostile aggregate specifications
-# refused with ErrBadRequest by the Disk Process and by the decoder; a lent
-# starts table no Reset writes, and the 65 535-byte bound; the pushdown
-# differential and both prepared matrices over INTEGER, FLOAT, VARCHAR and
-# two-column keys. Without it: the allocation ceilings (an INTEGER-key AGG
-# costs nothing per record once its groups exist, a PROBE^BLOCK nothing per
-# probe), and one pass each of the per-record and batched-join benchmarks.
-go test -race -count=1 -run 'TestAggIntKeyEntriesAreTheByteKeyEntries|TestHostileAggSpecsAreRefused|TestAggFedFromFieldBytesIsFeed' ./internal/dp
-go test -race -count=1 -run 'TestAggSpecRefusesWhatNoEncoderWrites|TestEncodersAreCanonical|FuzzFsdp' ./internal/fsdp
-go test -race -count=1 -run 'TestPointBorrowsAndResetOwns|TestViewMatchesDecode|FuzzRecordView' ./internal/record
-go test -race -count=1 -run 'TestAggPushdownDifferential|TestPreparedDifferentialMatrix' ./internal/sql
-go test -race -count=1 -run 'TestPreparedDifferentialMatrixTCP' .
-go test -count=1 -run TestAllocationCeilings ./internal/dp
-go test -run '^$' -bench 'BenchmarkSubsetRecord' -benchtime 1x ./internal/dp
-go test -run '^$' -bench 'BenchmarkPreparedJoin' -benchtime 1x ./internal/sql
+# record's starts borrows them (one 16-bit offset width). Under -race:
+# hostile aggregate specifications refused with ErrBadRequest by the Disk
+# Process and by the decoder, and the encoders canonical. Everything else
+# this rests on ran above: the int path's reply entries held byte for byte
+# to fsdp.AppendGroup's (the TestAgg run of the FS-DP block); a lent starts
+# table no Reset writes and the 65 535-byte bound (internal/record); the
+# pushdown differential and both prepared matrices; the allocation
+# ceilings (an INTEGER-key AGG costs nothing per record once its groups
+# exist, a PROBE^BLOCK nothing per probe) and the per-record and
+# batched-join benchmarks.
+go test -race -count=1 -run 'TestHostileAggSpecsAreRefused' ./internal/dp
+go test -race -count=1 -run 'TestEncodersAreCanonical|FuzzFsdp' ./internal/fsdp
 go test -race ./...
 # The wall-clock benchmark is its own module compiled against these
 # packages, so nothing above builds it: its smoke test is what notices a
