@@ -42,6 +42,20 @@ func checkAliasVal(k, v []byte) error {
 	return nil
 }
 
+// eachRecord hands fn a run's records one at a time, each with its key
+// and field starts: the shape a test checks a record in.
+func eachRecord(fn func(key, val []byte, starts []uint16) (bool, error)) RunFunc {
+	return func(run Run) (bool, error) {
+		for j := range run.Len() {
+			val, starts := run.Record(j)
+			if more, err := fn(run.Key(j), val, starts); err != nil || !more {
+				return false, err
+			}
+		}
+		return true, nil
+	}
+}
+
 // checkAliasStarts is checkAliasVal for a record handed over with its
 // field starts (ScanRecords): the starts must be exactly what a fresh walk
 // of these bytes finds — a table built from another version of the leaf
@@ -151,9 +165,9 @@ func TestViewsUnderConcurrentSplices(t *testing.T) {
 						return
 					default:
 					}
-					err := tr.ScanRecords(band, false, cache.Keyed, func(k, v []byte, starts []uint16) (bool, error) {
+					err := tr.ScanRecords(band, cache.Keyed, eachRecord(func(k, v []byte, starts []uint16) (bool, error) {
 						return true, checkAliasStarts(k, v, starts)
-					})
+					}))
 					if err != nil {
 						t.Errorf("record scanner: %v", err)
 						return
@@ -169,9 +183,9 @@ func TestViewsUnderConcurrentSplices(t *testing.T) {
 					default:
 					}
 					k := ik(int64(5000 + i%600))
-					err := tr.ScanRecords(keys.Range{Low: k, High: k, HighIncl: true}, false, cache.Keyed, func(k, v []byte, starts []uint16) (bool, error) {
+					err := tr.ScanRecords(keys.Range{Low: k, High: k, HighIncl: true}, cache.Keyed, eachRecord(func(k, v []byte, starts []uint16) (bool, error) {
 						return true, checkAliasStarts(k, v, starts)
-					})
+					}))
 					if err != nil {
 						t.Errorf("one-record scanner: %v", err)
 						return
@@ -221,9 +235,9 @@ func TestViewsUnderConcurrentSplices(t *testing.T) {
 // second pass over unchanged leaves publishes no new one.
 func TestScansNeverWriteTheRecordTable(t *testing.T) {
 	tr := benchTree(t).HoldsRecords(record.FieldStarts)
-	scan := func(fn RecordFunc) {
+	scan := func(fn func(key, val []byte, starts []uint16) (bool, error)) {
 		t.Helper()
-		if err := tr.ScanRecords(keys.All(), false, cache.Keyed, fn); err != nil {
+		if err := tr.ScanRecords(keys.All(), cache.Keyed, eachRecord(fn)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -131,9 +131,12 @@ func TestAllocationCeilings(t *testing.T) {
 	scanned := 0
 	scanRecords := func() {
 		n := 0
-		err := tr.ScanRecords(keys.Range{Low: key}, false, cache.Keyed, func(k, v []byte, starts []uint16) (bool, error) {
-			n++
-			scanned += len(starts)
+		err := tr.ScanRecords(keys.Range{Low: key}, cache.Keyed, func(run Run) (bool, error) {
+			for j := 0; j < run.Len() && n < 1000; j++ {
+				_, starts := run.Record(j)
+				scanned += len(starts) + len(run.Key(j))
+				n++
+			}
 			return n < 1000, nil
 		})
 		if err != nil || n != 1000 {

@@ -24,7 +24,8 @@
 //
 // Pages are read where they lie in their cache buffers (page.go): a
 // descent binary-searches in-page keys through a pinned, latched view
-// and copies nothing; a scan hands its callback sub-slices of the leaf;
+// and copies nothing; a scan hands its consumer each leaf's part of the
+// range as one Run of sub-slices of the leaf;
 // a leaf-local write splices the leaf's bytes. Only structure changes
 // decode a page into a cell list.
 //
@@ -86,8 +87,8 @@ type Tree struct {
 type RecordWalk func(val []byte, starts []uint16) ([]uint16, error)
 
 // HoldsRecords declares that every value stored in the file is a record
-// walk validates, which lets ScanRecords hand each one to its callback
-// already walked (scan.go). It is called when the tree is created or
+// walk validates, which lets ScanRecords hand each one over already
+// walked, with its field starts (Run.Record, scan.go). It is called when the tree is created or
 // attached, before anyone else can reach it, and returns the tree.
 func (t *Tree) HoldsRecords(walk RecordWalk) *Tree {
 	t.walk = walk

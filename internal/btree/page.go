@@ -254,32 +254,17 @@ func (v pageView) key(i int) []byte {
 }
 
 // cell returns cell i's key and value, borrowed.
-func (v pageView) cell(i int) (key, val []byte) {
-	off := int(v.ix.Offs[i])
-	l, sz := cellLen(v.buf[off:])
-	off += sz
-	key = v.buf[off : off+l : off+l]
-	off += l
-	l, sz = cellLen(v.buf[off:])
-	off += sz
-	return key, v.buf[off : off+l : off+l]
-}
+func (v pageView) cell(i int) (key, val []byte) { return cellAt(v.buf, int(v.ix.Offs[i])) }
 
-// cellSized is cell for a cell whose value length is known — a leaf of a
-// record file, whose record table ends each record's starts with its
-// length — without decoding the two length prefixes: the value ends where
-// the cell does, and a prefix is one byte below 128 and two above.
-func (v pageView) cellSized(i, valLen int) (key, val []byte) {
-	start, end := int(v.ix.Offs[i]), int(v.ix.Offs[i+1])
-	keyAt, valAt := start+1, end-valLen
-	if v.buf[start] >= 0x80 {
-		keyAt++
-	}
-	keyEnd := valAt - 1
-	if valLen >= 0x80 {
-		keyEnd--
-	}
-	return v.buf[keyAt:keyEnd:keyEnd], v.buf[valAt:end:end]
+// cellAt returns the key and value of the cell at off in buf, borrowed.
+func cellAt(buf []byte, off int) (key, val []byte) {
+	l, sz := cellLen(buf[off:])
+	off += sz
+	key = buf[off : off+l : off+l]
+	off += l
+	l, sz = cellLen(buf[off:])
+	off += sz
+	return key, buf[off : off+l : off+l]
 }
 
 // child returns the block interior cell i points at.

@@ -89,8 +89,8 @@ func TestCorruptPageFailsTheRequest(t *testing.T) {
 			_, err := tr.Get(ik(3))
 			check("Get", err)
 			check("Scan", tr.Scan(keys.All(), false, func(_, _ []byte) (bool, error) { return true, nil }))
-			check("ScanRecords", tr.HoldsRecords(record.FieldStarts).ScanRecords(keys.All(), false, cache.Keyed,
-				func(_, _ []byte, _ []uint16) (bool, error) { return true, nil }))
+			check("ScanRecords", tr.HoldsRecords(record.FieldStarts).ScanRecords(keys.All(), cache.Keyed,
+				func(Run) (bool, error) { return true, nil }))
 			check("Update", tr.Update(ik(3), []byte("other"), 2))
 			if n := tr.Latches().Live(); n != 0 {
 				t.Errorf("%d latches leaked on the error paths", n)
@@ -205,7 +205,7 @@ func TestSpliceMatchesWritePage(t *testing.T) {
 // record.Decode refuses and with Decode's error, or yields starts through
 // which a View reads every field of every cell as Decode reads it, and
 // whose last entry, the record's length, finds the cell's key and value
-// as the length prefixes do (cellSized).
+// as the length prefixes do (Run.Key and Run.Record).
 func FuzzPageView(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	seed := func(typ, level byte, cells []cell) {
@@ -285,14 +285,18 @@ func checkRecordTable(t *testing.T, v pageView, cells []cell) {
 		return
 	}
 	var rec record.View
+	run := Run{page: v.buf, cells: v.ix.Offs, index: table[:len(cells)+1], table: table}
 	for i, c := range cells {
 		row, err := record.Decode(c.val)
 		if err != nil {
 			t.Fatalf("the table accepted cell %d, Decode refuses it: %v", i, err)
 		}
-		starts := table[table[i]:table[i+1]]
-		if k, val := v.cellSized(i, int(starts[len(starts)-1])); !bytes.Equal(k, c.key) || !bytes.Equal(val, c.val) {
+		val, starts := run.Record(i)
+		if k := run.Key(i); !bytes.Equal(k, c.key) || !bytes.Equal(val, c.val) {
 			t.Fatalf("cell %d: the record's length finds key %x and value %x, the prefixes %x and %x", i, k, val, c.key, c.val)
+		}
+		if k, val := run.Cell(i); !bytes.Equal(k, c.key) || !bytes.Equal(val, c.val) {
+			t.Fatalf("cell %d: the run's prefixes find key %x and value %x, not %x and %x", i, k, val, c.key, c.val)
 		}
 		rec.Point(c.val, starts)
 		if rec.Len() != len(row) {

@@ -73,9 +73,8 @@ func (t *Tree) leafRun(bn disk.BlockNum, r keys.Range) ([]disk.BlockNum, error) 
 }
 
 // ScanFunc receives each record in key order. Returning false stops the
-// scan early (e.g. the re-drive limits of a set-oriented request). The
-// callback runs under a shared leaf latch and must not re-enter the
-// tree.
+// scan early. The callback runs under a shared leaf latch and must not
+// re-enter the tree.
 //
 // key and val are BORROWED: they are sub-slices of the leaf where it
 // lies in its cache buffer, which the scan keeps pinned and latched for
@@ -84,78 +83,158 @@ func (t *Tree) leafRun(bn disk.BlockNum, r keys.Range) ([]disk.BlockNum, error) 
 // that keeps a record (a reply row, a collected key) copies it.
 type ScanFunc func(key, val []byte) (bool, error)
 
-// RecordFunc is ScanFunc for a file of records (HoldsRecords). starts
-// are val's field starts and then len(val), as the file's walk found
-// them since the leaf's bytes last changed: the record has been validated
-// whole before the callback sees it. starts are borrowed for the
-// callback's lifetime, like key and val, and more strictly still: they
-// may be a slice of the leaf's record table, which every scanner of the
-// leaf shares, so they are read and never written or appended to.
-// record.View.Point borrows them as they are, and a View pointed at them
-// is not read after the callback returns.
-type RecordFunc func(key, val []byte, starts []uint16) (bool, error)
+// A Run is what a scan hands its consumer in one call: the records of one
+// pinned leaf that lie in the scan's range, in key order, numbered from 0
+// to Len()-1. Everything it hands out is BORROWED, as ScanFunc's key and
+// val are: sub-slices of the leaf where it lies in its cache buffer, and
+// of the leaf's record table beside it, valid until the RunFunc returns —
+// the leaf's latch and pin are held exactly that long. Whatever must
+// outlive the call (a reply row, a key a lock or a re-drive names) is
+// copied before it returns; nothing is written through them.
+//
+// A Run is a value of four slice headers and is passed by value, so
+// handing one over allocates nothing.
+type Run struct {
+	page  []byte   // the leaf's bytes
+	cells []uint16 // record j's cell starts at cells[j] and ends at cells[j+1]
+	// A file of records (ScanRecords) also lends its record table:
+	// record j's field starts, then its length, are
+	// table[index[j]:index[j+1]]. A plain Scan leaves both nil.
+	index []uint16
+	table []uint16
+}
+
+// RunFunc receives each pinned leaf's part of the range, in key order.
+// Returning false stops the scan. Like ScanFunc it runs under a shared
+// leaf latch and must not re-enter the tree.
+type RunFunc func(run Run) (more bool, err error)
+
+// Len returns the number of records in the run.
+func (r *Run) Len() int { return len(r.cells) - 1 }
+
+// Cell returns record j's key and value, reading both length prefixes.
+func (r *Run) Cell(j int) (key, val []byte) { return cellAt(r.page, int(r.cells[j])) }
+
+// Record returns record j of a file of records and its field starts —
+// then its length — as the file's walk found them: the record has been
+// validated whole. The starts may be a slice of the leaf's record table,
+// which every scanner of the leaf shares: they are read and never written
+// or appended to (record.View.Point borrows them as they are). The key
+// is not looked at: the value ends where the cell does, and the starts
+// say how long it is.
+func (r *Run) Record(j int) (val []byte, starts []uint16) {
+	from, to := r.index[j], r.index[j+1]
+	starts = r.table[from:to:to]
+	end := int(r.cells[j+1])
+	return r.page[end-int(starts[len(starts)-1]) : end : end], starts
+}
+
+// Key returns record j's key, for a file of records: the record table
+// gives the value's length, so neither length prefix is decoded — a
+// prefix is one byte below 128 and two above.
+func (r *Run) Key(j int) []byte {
+	start, end := int(r.cells[j]), int(r.cells[j+1])
+	valLen := int(r.table[r.index[j+1]-1])
+	keyAt, keyEnd := start+1, end-valLen-1
+	if r.page[start] >= 0x80 {
+		keyAt++
+	}
+	if valLen >= 0x80 {
+		keyEnd--
+	}
+	return r.page[keyAt:keyEnd:keyEnd]
+}
 
 // Scan visits every record in r, in key order. When prefetch is true the
 // leaf blocks covering the span are loaded ahead asynchronously with
-// bulk I/O; otherwise leaves are demand-read one block at a time.
-//
-// The scan crabs shared latches down to the leaf covering r.Low, then
-// walks the leaf level through the right-sibling links, acquiring the
-// next leaf's latch before releasing the current one. It holds at most
-// two leaf latches at any instant, so a long range scan never blocks
-// writers elsewhere in the tree.
+// bulk I/O (Prefetch); otherwise leaves are demand-read one block at a
+// time. It is a loop over the runs the one scan loop hands over.
 func (t *Tree) Scan(r keys.Range, prefetch bool, fn ScanFunc) error {
-	return t.scan(r, prefetch, cache.Keyed, fn, nil, nil)
+	if prefetch {
+		if _, err := t.Prefetch(r, cache.Keyed); err != nil {
+			return err
+		}
+	}
+	return t.scan(r, cache.Keyed, nil, func(run Run) (bool, error) {
+		for j := range run.Len() {
+			if more, err := fn(run.Cell(j)); err != nil || !more {
+				return false, err
+			}
+		}
+		return true, nil
+	})
 }
 
-// ScanRecords is Scan over a file of records, handing each record to fn
-// with its field starts, and with an explicit cache access class for the
-// leaf level. The Disk Process passes Sequential for full-subset scans
-// (per its Subset Control Block) so the leaf stream recycles through the
-// pool's probation segment; interior pages are still read Keyed — they
-// are the index hot set every access shares.
+// Count returns the number of records in r.
+func (t *Tree) Count(r keys.Range) (int, error) {
+	n := 0
+	err := t.scan(r, cache.Keyed, nil, func(run Run) (bool, error) {
+		n += run.Len()
+		return true, nil
+	})
+	return n, err
+}
+
+// Prefetch plans the leaves whose key span may intersect r (LeafRun) and
+// has the pool load them ahead asynchronously, with bulk I/O, in the
+// given access class. It reports whether the pool took the request
+// (cache.Pool.Prefetch): the Disk Process plans a subset's leaves once per
+// conversation, and again only when the pool dropped the plan.
+func (t *Tree) Prefetch(r keys.Range, class cache.AccessClass) (bool, error) {
+	leaves, err := t.LeafRun(r)
+	if err != nil {
+		return false, err
+	}
+	return t.pool.Prefetch(leaves, class), nil
+}
+
+// ScanRecords is Scan over a file of records (HoldsRecords), handing each
+// leaf's part of the range to fn as a Run that lends the records' field
+// starts, with an explicit cache access class for the leaf level. The
+// Disk Process passes Sequential for full-subset scans (per its Subset
+// Control Block) so the leaf stream recycles through the pool's probation
+// segment; interior pages are still read Keyed — they are the index hot
+// set every access shares.
 //
 // A record is walked once per version of its leaf's bytes, not once per
-// visit. A visit that covers more than one of a leaf's records uses the
-// leaf's record table, building it first if this version of the leaf has
-// none: every record's field starts, kept beside the cell offset table in
-// the cache slot (cache.PageIndex.Recs) and dropped with it. A visit that
-// covers one record — a keyed UPDATE's point range — uses the table if it
-// is there and otherwise walks just that record, so a one-record subset
-// never pays for the whole leaf. A record that fails its walk fails the
-// scan with ErrCorruptPage: while building a table, naming the file, the
-// block and the cell; alone, in the walk's own words. A lone record is
-// walked into scratch the scan borrows from a pool for its duration, so a
-// caller scanning point after point (a block of index-join probes)
-// allocates nothing per point.
-func (t *Tree) ScanRecords(r keys.Range, prefetch bool, class cache.AccessClass, fn RecordFunc) error {
+// visit. A run of more than one record lends the leaf's record table,
+// building it first if this version of the leaf has none: every record's
+// field starts, kept beside the cell offset table in the cache slot
+// (cache.PageIndex.Recs) and dropped with it. A run of one record — a
+// keyed UPDATE's point range — lends the table if it is there and
+// otherwise walks just that record, so a one-record subset never pays for
+// the whole leaf. A record that fails its walk fails the scan with
+// ErrCorruptPage: while building a table, naming the file, the block and
+// the cell; alone, in the walk's own words. A lone record is walked into
+// scratch the scan borrows from a pool for its duration, so a caller
+// scanning point after point (a block of index-join probes) allocates
+// nothing per point.
+func (t *Tree) ScanRecords(r keys.Range, class cache.AccessClass, fn RunFunc) error {
 	if t.walk == nil {
 		return fmt.Errorf("btree: %s does not hold records", t.name)
 	}
 	one := loneStarts.Get().(*[]uint16)
-	err := t.scan(r, prefetch, class, nil, fn, one)
+	err := t.scan(r, class, one, fn)
 	loneStarts.Put(one)
 	return err
 }
 
 // loneStarts is the scratch ScanRecords walks a record into when its leaf
-// has no record table. The starts are handed to the callback, which only
-// borrows them (RecordFunc), so the scratch is free again once the scan
+// has no record table: a one-record table, [2, 2+n] and then the n starts.
+// The run lends it like a leaf's table, so it is free again once the scan
 // returns.
 var loneStarts = sync.Pool{New: func() any { return new([]uint16) }}
 
-// scan is the one scan loop: Scan passes fn, ScanRecords rfn and the
-// scratch a lone record's starts are walked into.
-func (t *Tree) scan(r keys.Range, prefetch bool, class cache.AccessClass, fn ScanFunc, rfn RecordFunc, one *[]uint16) error {
+// scan is the one scan loop. It crabs shared latches down to the leaf
+// covering r.Low, then walks the leaf level through the right-sibling
+// links, acquiring the next leaf's latch before releasing the current
+// one, and hands fn each leaf's part of the range as one Run. It holds at
+// most two leaf latches at any instant, so a long range scan never blocks
+// writers elsewhere in the tree. one is ScanRecords' scratch: non-nil, the
+// runs lend record starts.
+func (t *Tree) scan(r keys.Range, class cache.AccessClass, one *[]uint16, fn RunFunc) error {
 	t.lt.opEnter()
 	defer t.lt.opExit()
-	if prefetch {
-		leaves, err := t.leafRun(t.root, r)
-		if err != nil {
-			return err
-		}
-		t.pool.Prefetch(leaves, class)
-	}
 	_, pl, v, err := t.descend(r.Low, latchShared, class)
 	if err != nil {
 		return err
@@ -174,7 +253,7 @@ func (t *Tree) scan(r keys.Range, prefetch bool, class cache.AccessClass, fn Sca
 		}
 		// Only the first leaf can hold records below the range and only
 		// the last can hold records above it: search for both edges and
-		// visit what lies between without comparing per record.
+		// hand over what lies between without comparing per record.
 		i, end, last := 0, v.n(), false
 		if low != nil {
 			var exact bool
@@ -190,44 +269,21 @@ func (t *Tree) scan(r keys.Range, prefetch bool, class cache.AccessClass, fn Sca
 			}
 			last = true
 		}
-		var recs []uint16
-		if rfn != nil {
-			if recs, err = t.recordTable(&v, end-i > 1); err != nil {
-				v.release()
-				pl.release()
-				return err
+		more := true
+		if i < end {
+			run := Run{page: v.buf, cells: v.ix.Offs[i : end+1]}
+			if one != nil {
+				err = t.lendStarts(&v, &run, i, end, one)
 			}
-		}
-		for ; i < end; i++ {
-			var cont bool
-			switch {
-			case rfn == nil:
-				key, val := v.cell(i)
-				cont, err = fn(key, val)
-			case recs != nil:
-				from, to := recs[i], recs[i+1]
-				starts := recs[from:to:to]
-				key, val := v.cellSized(i, int(starts[len(starts)-1]))
-				cont, err = rfn(key, val, starts)
-			default:
-				key, val := v.cell(i)
-				if *one, err = t.walk(val, (*one)[:0]); err != nil {
-					err = corruptRecord{err}
-				} else {
-					cont, err = rfn(key, val, *one)
-				}
-			}
-			if err != nil || !cont {
-				v.release()
-				pl.release()
-				return err
+			if err == nil {
+				more, err = fn(run)
 			}
 		}
 		next := v.next()
 		v.release()
-		if last || next == 0 {
+		if err != nil || !more || last || next == 0 {
 			pl.release()
-			return nil
+			return err
 		}
 		npl := t.lt.acquire(next, false)
 		pl.release()
@@ -235,14 +291,27 @@ func (t *Tree) scan(r keys.Range, prefetch bool, class cache.AccessClass, fn Sca
 	}
 }
 
-// Count returns the number of records in r.
-func (t *Tree) Count(r keys.Range) (int, error) {
-	n := 0
-	err := t.Scan(r, false, func(_, _ []byte) (bool, error) {
-		n++
-		return true, nil
-	})
-	return n, err
+// lendStarts gives run, cells [i, end) of a leaf of a record file, the
+// records' field starts: the leaf's record table, or — one record, no
+// table — that record walked alone into one.
+func (t *Tree) lendStarts(v *pageView, run *Run, i, end int, one *[]uint16) error {
+	recs, err := t.recordTable(v, end-i > 1)
+	if err != nil {
+		return err
+	}
+	if recs != nil {
+		run.index, run.table = recs[i:end+1], recs
+		return nil
+	}
+	_, val := v.cell(i)
+	s, err := t.walk(val, append((*one)[:0], 0, 0))
+	*one = s
+	if err != nil {
+		return corruptRecord{err}
+	}
+	s[0], s[1] = 2, uint16(len(s))
+	run.index, run.table = s[:2], s
+	return nil
 }
 
 // BulkLoad fills an EMPTY tree from records already sorted by key. The

@@ -631,15 +631,16 @@ func (s *shard) cleanPageLocked(pg *Page) error {
 // queued, so a scan-heavy workload cannot pile up an unbounded
 // goroutine backlog (demand Gets still fetch every block actually
 // touched). This is the paper's asynchronous pre-fetch: the caller
-// continues CPU-bound processing while the reads proceed.
-func (p *Pool) Prefetch(bns []disk.BlockNum, class AccessClass) {
+// continues CPU-bound processing while the reads proceed. It reports
+// whether it took the request: false when it dropped it.
+func (p *Pool) Prefetch(bns []disk.BlockNum, class AccessClass) bool {
 	want := len(bns)
 	if want > PrefetchParallel {
 		want = PrefetchParallel
 	}
 	nw := p.reservePrefetch(want)
 	if nw == 0 {
-		return
+		return want == 0
 	}
 	// Reserve before planRuns: planning registers in-flight entries
 	// that MUST be consumed by a worker, or demand Gets would wait on
@@ -650,7 +651,7 @@ func (p *Pool) Prefetch(bns []disk.BlockNum, class AccessClass) {
 		nw = len(runs)
 	}
 	if nw == 0 {
-		return
+		return true
 	}
 	work := make(chan run, len(runs))
 	for _, r := range runs {
@@ -667,6 +668,7 @@ func (p *Pool) Prefetch(bns []disk.BlockNum, class AccessClass) {
 			}
 		}()
 	}
+	return true
 }
 
 // reservePrefetch atomically claims up to want worker slots from the

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strconv"
 
+	"nonstopsql/internal/btree"
 	"nonstopsql/internal/cache"
 	"nonstopsql/internal/expr"
 	"nonstopsql/internal/fsdp"
@@ -52,6 +53,31 @@ type aggMem struct {
 	partials []fsdp.AggPartial // len(agg.Cols) per group, in the order groups appeared
 	kb       []byte            // the record at hand's group key bytes
 	bytes    int               // what the groups' reply entries weigh (fsdp.GroupLen): the entries' bytes if shipped now
+	width    int               // aggWidth of the conversation's spec: checked once a record, not once a field
+
+	// undo and at are the groups as they stood when an in-transaction
+	// message began (mark), for the message to be folded again from there
+	// (rewind) if its group lock waits.
+	undo []fsdp.AggPartial
+	at   struct{ block, groups, bytes int }
+}
+
+// mark notes the groups as they stand, so that what the message about to
+// run folds into them can be undone.
+func (m *aggMem) mark() {
+	m.undo = append(m.undo[:0], m.partials...)
+	m.at.block, m.at.groups, m.at.bytes = len(m.block), len(m.groups), m.bytes
+}
+
+// rewind puts the groups back as mark found them: the partials as they
+// were, and the groups the message added gone. A partial is a value — a
+// fold replaces a MIN/MAX string, never writes into it — so the copy mark
+// took is the state itself.
+func (m *aggMem) rewind() {
+	clear(m.partials[len(m.undo):])
+	m.partials = append(m.partials[:0], m.undo...)
+	m.block, m.groups, m.bytes = m.block[:m.at.block], m.groups[:m.at.groups], m.at.bytes
+	m.rehash(len(m.table))
 }
 
 // aggregate serves AGG^FIRST/NEXT: the Disk Process folds the subset's
@@ -71,6 +97,7 @@ var aggregate = &subsetKind{first: fsdp.KAggFirst,
 		if r.s.agg, err = fsdp.DecodeAggSpec(r.req.Agg); err != nil {
 			return badRequest(err.Error())
 		}
+		r.s.aggMem.width = aggWidth(r.s.agg)
 		return nil
 	},
 	visit:  visitAgg,
@@ -90,12 +117,10 @@ var aggregate = &subsetKind{first: fsdp.KAggFirst,
 // bytes are built for every record and the group probed by them. Either
 // way a group's key bytes are what AppendKey writes, so finishAgg orders
 // and ships every group alike.
-func visitAgg(r *subsetRun, _, _ []byte, rec *record.View) (bool, error) {
-	spec, m := r.s.agg, &r.s.aggMem
-	for _, g := range spec.GroupBy {
-		if g < 0 || g >= rec.Len() {
-			return false, errBadOrdinal(r.req.File, g)
-		}
+func visitAgg(r *subsetRun, _ int) (bool, error) {
+	spec, m, rec := r.s.agg, &r.s.aggMem, &r.rec
+	if rec.Len() < m.width {
+		return false, badRequest("dp: aggregate field ordinal " + strconv.Itoa(m.width-1) + " out of range for " + r.req.File)
 	}
 	if 2*len(m.groups) >= len(m.table) {
 		m.grow() // at most half full, and grown before the slot is taken
@@ -140,9 +165,6 @@ func visitAgg(r *subsetRun, _, _ []byte, rec *record.View) (bool, error) {
 		if c.Star {
 			grew += p.AddCount()
 			continue
-		}
-		if c.Col < 0 || c.Col >= rec.Len() {
-			return false, errBadOrdinal(r.req.File, c.Col)
 		}
 		switch kind := rec.Kind(c.Col); {
 		case kind == 0: // SQL aggregates ignore NULLs
@@ -199,14 +221,18 @@ func (m *aggMem) islot(k int64) *aggSlot {
 	}
 }
 
-// grow doubles the table and names every group in it again: an int-path
-// group by its key, a byte-path group by its key bytes.
-func (m *aggMem) grow() {
+// grow doubles the table.
+func (m *aggMem) grow() { m.rehash(max(64, 2*len(m.table))) }
+
+// rehash makes the table size slots and names every group in it again: an
+// int-path group by its key, a byte-path group by its key bytes. A slot
+// naming a group rewind dropped is left behind.
+func (m *aggMem) rehash(size int) {
 	old := m.table
-	m.table = make([]aggSlot, max(64, 2*len(old)))
+	m.table = make([]aggSlot, size)
 	for _, s := range old {
 		switch {
-		case s.group == 0:
+		case s.group == 0 || int(s.group) > len(m.groups):
 		case s.isInt:
 			*m.islot(s.key) = s
 		default:
@@ -247,8 +273,20 @@ func finishAgg(r *subsetRun) error {
 	return nil
 }
 
-func errBadOrdinal(file string, col int) error {
-	return badRequest("dp: aggregate field ordinal " + strconv.Itoa(col) + " out of range for " + file)
+// aggWidth is the fewest fields a record may have for spec: one past the
+// largest ordinal it reads, which a narrower record is refused naming. The
+// decoder has refused a negative one.
+func aggWidth(spec *fsdp.AggSpec) int {
+	w := 0
+	for _, g := range spec.GroupBy {
+		w = max(w, g+1)
+	}
+	for _, c := range spec.Cols {
+		if !c.Star {
+			w = max(w, c.Col+1)
+		}
+	}
+	return w
 }
 
 // probeBlock serves PROBE^BLOCK: one message carries a block of probe
@@ -275,6 +313,39 @@ func (d *DP) probeBlock(req *fsdp.Request) *fsdp.Reply {
 	var rec record.View
 	var block []byte // every matched key and record, cut out as visitGet cuts a virtual block
 	var high []byte  // the probe's range's upper bound, one probe at a time
+	// probe serves one probe's range.
+	probe := func(rng keys.Range) error {
+		return f.tree.ScanRecords(rng, cache.Keyed, func(run btree.Run) (bool, error) {
+			for j := range run.Len() {
+				batch.processed++
+				val, starts := run.Record(j)
+				rec.Point(val, starts)
+				keep := true
+				if pred != nil {
+					batch.evals++
+					var err error
+					if keep, err = pred.Satisfied(&rec); err != nil {
+						return false, err
+					}
+				}
+				if !keep {
+					batch.filtered++
+					continue
+				}
+				// The run lends the key and record from the leaf's cache
+				// buffer (btree.Run); the reply outlives the scan, so both
+				// are copied into the message's block and cut out of it.
+				b := append(append(block, run.Key(j)...), val...)
+				keyEnd := len(b) - len(val)
+				reply.RowKeys = append(reply.RowKeys, b[len(block):keyEnd:keyEnd])
+				reply.Rows = append(reply.Rows, b[keyEnd:len(b):len(b)])
+				block = b
+				batch.bytes += len(val)
+				batch.returned++
+			}
+			return true, nil
+		})
+	}
 	probesDone := 0
 	for _, prefix := range req.RowKeys {
 		// The budget is checked between probes, never inside one, so
@@ -285,46 +356,28 @@ func (d *DP) probeBlock(req *fsdp.Request) *fsdp.Reply {
 		}
 		high = keys.AppendPrefixSuccessor(high[:0], prefix)
 		rng := keys.Range{Low: prefix, High: high} // keys.Prefix(prefix), its bound in scratch
-		matched := false
-		scanErr := f.tree.ScanRecords(rng, false, cache.Keyed, func(key, val []byte, starts []uint16) (bool, error) {
-			batch.processed++
-			rec.Point(val, starts)
-			keep := true
-			if pred != nil {
-				batch.evals++
-				var err error
-				if keep, err = pred.Satisfied(&rec); err != nil {
-					return false, err
-				}
-			}
-			if keep {
-				matched = true
-				// key and val are borrowed from the leaf's cache buffer
-				// (btree.RecordFunc); the reply outlives the scan, so both
-				// are copied into the message's block and cut out of it.
-				b := append(append(block, key...), val...)
-				keyEnd := len(block) + len(key)
-				reply.RowKeys = append(reply.RowKeys, b[len(block):keyEnd:keyEnd])
-				reply.Rows = append(reply.Rows, b[keyEnd:len(b):len(b)])
-				block = b
-				batch.bytes += len(val)
-				batch.returned++
-			} else {
-				batch.filtered++
-			}
-			return true, nil
-		})
-		if scanErr != nil {
-			return d.readFailed(scanErr)
+		mark, rows, blockLen := batch, len(reply.Rows), len(block)
+		if err := probe(rng); err != nil {
+			return d.readFailed(err)
 		}
-		// Probed ranges with matches are range-locked shared under a
-		// transaction, keeping the join's inner rows stable to commit.
-		if req.Tx != 0 && matched {
+		// Under a transaction every probed range is range-locked shared,
+		// whether it matched or not, keeping the join's inner rows — and
+		// their absence — stable to commit; and read again if the lock
+		// waited, as a subset's span is (DP.subset): the probe's whole
+		// range is locked, so the second read cannot wait.
+		if req.Tx != 0 {
 			rng.High = bytes.Clone(rng.High) // the lock keeps its range; the scratch is the next probe's
-			if err := d.locks.Acquire(req.Tx, req.File, rng, lock.Shared); err != nil {
+			waited, err := d.locks.Acquire(req.Tx, req.File, rng, lock.Shared)
+			if err != nil {
 				return errReply(err)
 			}
 			d.joinTx(req.Tx)
+			if waited {
+				batch, reply.Rows, reply.RowKeys, block = mark, reply.Rows[:rows], reply.RowKeys[:rows], block[:blockLen]
+				if err := probe(rng); err != nil {
+					return d.readFailed(err)
+				}
+			}
 		}
 		probesDone++
 	}

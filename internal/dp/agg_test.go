@@ -421,6 +421,8 @@ func TestHostileAggSpecsAreRefused(t *testing.T) {
 		{"group-by ordinal 2^63", &fsdp.AggSpec{GroupBy: []int{math.MinInt64}, Cols: countSum.Cols[:1]}, "bad agg group-by ordinal"},
 		{"column ordinal 2^31", &fsdp.AggSpec{Cols: []fsdp.AggCol{{Fn: fsdp.AggMax, Col: 1 << 31}}}, "bad agg column ordinal"},
 		{"group-by ordinal 2^31-1", &fsdp.AggSpec{GroupBy: []int{math.MaxInt32}, Cols: countSum.Cols[:1]}, "dp: aggregate field ordinal 2147483647 out of range for EMP"},
+		{"column ordinals past the record", &fsdp.AggSpec{GroupBy: []int{0}, Cols: []fsdp.AggCol{{Fn: fsdp.AggCount, Star: true}, {Fn: fsdp.AggMax, Col: 9}, {Fn: fsdp.AggMin, Col: 12}}},
+			"dp: aggregate field ordinal 12 out of range for EMP"},
 	} {
 		reply := d.Serve(&fsdp.Request{Kind: fsdp.KAggFirst, File: "EMP", Range: keys.All(), Agg: fsdp.EncodeAggSpec(c.spec)})
 		if reply.Code != fsdp.ErrBadRequest || !strings.Contains(reply.Err, c.err) {

@@ -1,6 +1,7 @@
 package dp
 
 import (
+	"runtime"
 	"testing"
 
 	"nonstopsql/internal/expr"
@@ -59,7 +60,7 @@ func TestAllocationCeilings(t *testing.T) {
 		req  fsdp.Request // over EMP unless it names a file
 		// extra is the ceiling on allocations for 2000 more records in the
 		// message: 0 where the record costs nothing, a few doublings of a
-		// buffer where the reply grows with it.
+		// buffer where the reply grows with it unreserved.
 		extra float64
 		check func(*fsdp.Reply) bool
 	}{
@@ -78,9 +79,11 @@ func TestAllocationCeilings(t *testing.T) {
 		{"AGG^FIRST GROUP BY an INTEGER into 100 groups the message already has",
 			fsdp.Request{Kind: fsdp.KAggFirst, File: "ACCT", Agg: acctByGroup},
 			0, func(r *fsdp.Reply) bool { return len(r.Rows) == 100 }},
+		// The virtual block and the reply's row and key lists are reserved
+		// once, at the second row, for every row the message can carry.
 		{"GET^FIRST^VSBB with a projection, every record returned",
 			fsdp.Request{Kind: fsdp.KGetFirstVSBB, Proj: []int{1, 3}, Pred: salaryPred(expr.OpGE, 0)},
-			16, func(r *fsdp.Reply) bool { return uint32(len(r.Rows)) == r.Examined }},
+			0, func(r *fsdp.Reply) bool { return uint32(len(r.Rows)) == r.Examined }},
 		{"AGG^FIRST, every record a new group",
 			fsdp.Request{Kind: fsdp.KAggFirst, Agg: countSumBy(0)},
 			16, func(r *fsdp.Reply) bool { return uint32(len(r.Rows)) == r.Examined }},
@@ -119,6 +122,40 @@ func TestAllocationCeilings(t *testing.T) {
 	}
 	compilingCostsAConstantAtFirst(t, d)
 	probesCostTheMessage(t, d)
+	oneRowCostsOneRow(t, d)
+}
+
+// oneRowCostsOneRow is TestAllocationCeilings' ceiling in bytes on a
+// GET^VSBB message that returns a single row out of 1000 records — a
+// selective range, a lookup through an index: the row and its place in
+// the reply, within a few hundred bytes of the same message returning
+// nothing, and not a block reserved for every row the budgets allow (the
+// rig's lifted budgets would allow 4096).
+func oneRowCostsOneRow(t *testing.T, d *DP) {
+	perMessage := func(empno int64) float64 {
+		pred := expr.Encode(expr.Bin(expr.OpEQ, expr.F(0, "EMPNO"), expr.CInt(empno)))
+		serve := func() {
+			req := fsdp.Request{Kind: fsdp.KGetFirstVSBB, File: "EMP", Pred: pred, Range: keys.Range{High: key1(1000)}}
+			reply := d.Serve(&req)
+			if !reply.OK() || !reply.Done || reply.Examined != 1000 || len(reply.Rows) != int(min(empno+1, 1)) {
+				t.Fatalf("EMPNO = %d: %+v", empno, reply)
+			}
+		}
+		serve()
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			serve()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	one, none := perMessage(500), perMessage(-1)
+	t.Logf("GET^VSBB over 1000 records: %.0f bytes returning one row, %.0f returning none", one, none)
+	if one-none > 512 {
+		t.Errorf("GET^VSBB over 1000 records: %.0f bytes returning one row, %.0f returning none: the row costs %.0f, ceiling 512", one, none, one-none)
+	}
 }
 
 // probesCostTheMessage is TestAllocationCeilings' ceiling for batched
@@ -209,6 +246,10 @@ func BenchmarkSubsetRecord(b *testing.B) {
 		{"agg-new-group", fsdp.Request{Kind: fsdp.KAggFirst, Agg: countSumBy(0)}},
 		{"agg-int-groups", fsdp.Request{Kind: fsdp.KAggFirst, File: "ACCT", Agg: acctByGroup}},
 		{"project", fsdp.Request{Kind: fsdp.KGetFirstVSBB, Proj: []int{1, 3}, Pred: salaryPred(expr.OpGE, 0)}},
+		// The benchmark's scan-agg detail statement at the Disk Process: an
+		// INTEGER < conjunct keeping one record in ten, two fields shipped.
+		{"detail", fsdp.Request{Kind: fsdp.KGetFirstVSBB, File: "ACCT", Proj: []int{0, 2},
+			Pred: expr.Encode(expr.Bin(expr.OpLT, expr.F(1, "GRP"), expr.CInt(10)))}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {

@@ -198,6 +198,9 @@ type scb struct {
 	// (the continuation key), so re-deriving from the range would
 	// misclassify every full scan after its first message.
 	class cache.AccessClass
+	// planned: the pool took the pre-fetch of the range's leaves (the
+	// plan runs to the range's end, which no ^NEXT moves).
+	planned bool
 	// limit/delivered implement the conversation-wide qualifying-row
 	// budget (Request.ScanLimit): once delivered reaches limit the
 	// subset ends early with Done=true, whatever remains in the range.
@@ -959,7 +962,7 @@ func (d *DP) lockOp(req *fsdp.Request) *fsdp.Reply {
 	case fsdp.KLockRecord:
 		err = d.locks.LockRecord(req.Tx, req.File, req.Key, mode)
 	case fsdp.KLockRange:
-		err = d.locks.Acquire(req.Tx, req.File, req.Range, mode)
+		_, err = d.locks.Acquire(req.Tx, req.File, req.Range, mode)
 	}
 	if err != nil {
 		return errReply(err)

@@ -49,13 +49,17 @@ func AppendInt64(b []byte, v int64) []byte {
 
 // AppendFloat64 appends an IEEE-754 double in an order-preserving
 // encoding. NaN is encoded below every other float, -Inf included, and
-// decodes as a NaN.
+// decodes as a NaN. −0 is encoded as +0: the two compare equal, so they
+// are one key — one row of a FLOAT primary key, one index entry's value,
+// one GROUP BY group — and decode as +0.
 func AppendFloat64(b []byte, v float64) []byte {
 	b = append(b, tagFloat)
 	u := math.Float64bits(v)
 	switch {
 	case math.IsNaN(v):
 		u = 0 // below -Inf, whose encoding is ^bits(-Inf)
+	case v == 0:
+		u = 1 << 63 // +0, whichever zero v is
 	case u&(1<<63) != 0:
 		u = ^u // negative: flip all bits
 	default:

@@ -89,6 +89,14 @@ func TestFloatOrderProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+	// −0 == +0, so the two are one key, and it decodes as +0.
+	zero := AppendFloat64(nil, 0)
+	if neg := AppendFloat64(nil, math.Copysign(0, -1)); !bytes.Equal(neg, zero) {
+		t.Errorf("-0 encodes as %x, +0 as %x", neg, zero)
+	}
+	if v, _, err := DecodeNext(zero); err != nil || v.(float64) != 0 || math.Signbit(v.(float64)) {
+		t.Errorf("zero's key decodes as %v, %v", v, err)
+	}
 	// NaN sorts below every other float, equal to any other NaN, and
 	// decodes as a NaN: not as 0, which it would otherwise share a key —
 	// and a GROUP BY group — with.

@@ -100,29 +100,34 @@ func NewManager() *Manager {
 
 // LockRecord acquires a record (point) lock.
 func (m *Manager) LockRecord(tx TxID, file string, key []byte, mode Mode) error {
-	return m.Acquire(tx, file, keys.Point(key), mode)
+	_, err := m.Acquire(tx, file, keys.Point(key), mode)
+	return err
 }
 
 // LockGeneric acquires a generic (key-prefix) lock.
 func (m *Manager) LockGeneric(tx TxID, file string, prefix []byte, mode Mode) error {
-	return m.Acquire(tx, file, keys.Prefix(prefix), mode)
+	_, err := m.Acquire(tx, file, keys.Prefix(prefix), mode)
+	return err
 }
 
 // LockFile acquires a whole-file lock.
 func (m *Manager) LockFile(tx TxID, file string, mode Mode) error {
-	return m.Acquire(tx, file, keys.All(), mode)
+	_, err := m.Acquire(tx, file, keys.All(), mode)
+	return err
 }
 
-// Acquire obtains a range lock, waiting if necessary. It returns
-// ErrDeadlock when granting would require waiting on a cycle, and
-// ErrTimeout when the wait exceeds DefaultTimeout.
-func (m *Manager) Acquire(tx TxID, file string, r keys.Range, mode Mode) error {
+// Acquire obtains a range lock, waiting if necessary, and reports whether
+// it had to: a caller that read under r before locking it (the Disk
+// Process's virtual-block group lock) must read again once a wait is
+// over, since what it read may have been another transaction's
+// uncommitted change. It returns ErrDeadlock when granting would require
+// waiting on a cycle, and ErrTimeout when the wait exceeds DefaultTimeout.
+func (m *Manager) Acquire(tx TxID, file string, r keys.Range, mode Mode) (waited bool, err error) {
 	// The wait's deadline is armed by the first wait: most acquisitions
 	// never queue, and they pay no timer.
 	var deadline *time.Timer
 	m.mu.Lock()
 	m.stats.Acquires++
-	waited := false
 	for {
 		blockers := m.conflictingLocked(tx, file, r, mode)
 		if len(blockers) == 0 {
@@ -131,7 +136,7 @@ func (m *Manager) Acquire(tx TxID, file string, r keys.Range, mode Mode) error {
 			m.byTx[tx] = append(m.byTx[tx], g)
 			delete(m.waitFor, tx)
 			m.mu.Unlock()
-			return nil
+			return waited, nil
 		}
 		if !waited {
 			waited = true
@@ -153,7 +158,7 @@ func (m *Manager) Acquire(tx TxID, file string, r keys.Range, mode Mode) error {
 			m.stats.Deadlocks++
 			delete(m.waitFor, tx)
 			m.mu.Unlock()
-			return fmt.Errorf("%w (tx %d on %s %v)", ErrDeadlock, tx, file, r)
+			return waited, fmt.Errorf("%w (tx %d on %s %v)", ErrDeadlock, tx, file, r)
 		}
 		w := &waiter{tx: tx, ch: make(chan struct{}, 1)}
 		m.waiters[w] = struct{}{}
@@ -169,7 +174,7 @@ func (m *Manager) Acquire(tx TxID, file string, r keys.Range, mode Mode) error {
 			delete(m.waitFor, tx)
 			m.stats.Timeouts++
 			m.mu.Unlock()
-			return fmt.Errorf("%w (tx %d on %s %v)", ErrTimeout, tx, file, r)
+			return waited, fmt.Errorf("%w (tx %d on %s %v)", ErrTimeout, tx, file, r)
 		}
 	}
 }

@@ -80,6 +80,40 @@ func TestReleaseWakesWaiter(t *testing.T) {
 	}
 }
 
+// TestAcquireReportsTheWait: Acquire says whether the grant had to wait —
+// what tells the Disk Process to read a group-locked range again.
+func TestAcquireReportsTheWait(t *testing.T) {
+	m := NewManager()
+	m.DefaultTimeout = 5 * time.Second
+	block := keys.Range{Low: k(10), High: k(20), HighIncl: true}
+	if waited, err := m.Acquire(1, "EMP", block, Shared); err != nil || waited {
+		t.Fatalf("uncontended: waited %v, %v", waited, err)
+	}
+	if err := m.LockRecord(2, "EMP", k(30), Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		waited bool
+		err    error
+	}
+	got := make(chan result, 1)
+	go func() {
+		waited, err := m.Acquire(3, "EMP", keys.Range{Low: k(25), High: k(35)}, Shared)
+		got <- result{waited, err}
+	}()
+	for m.Stats().Waits == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	m.ReleaseTx(2)
+	if r := <-got; r.err != nil || !r.waited {
+		t.Fatalf("behind an exclusive lock: waited %v, %v", r.waited, r.err)
+	}
+	m.DefaultTimeout = 20 * time.Millisecond
+	if waited, err := m.Acquire(4, "EMP", keys.Point(k(15)), Exclusive); !errors.Is(err, ErrTimeout) || !waited {
+		t.Fatalf("timed out: waited %v, %v", waited, err)
+	}
+}
+
 func TestFileLockBlocksRecordLock(t *testing.T) {
 	m := NewManager()
 	m.DefaultTimeout = 50 * time.Millisecond
@@ -119,7 +153,7 @@ func TestVirtualBlockGroupLock(t *testing.T) {
 	m := NewManager()
 	m.DefaultTimeout = 50 * time.Millisecond
 	blockRange := keys.Range{Low: k(10), High: k(20), HighIncl: true}
-	if err := m.Acquire(1, "EMP", blockRange, Shared); err != nil {
+	if _, err := m.Acquire(1, "EMP", blockRange, Shared); err != nil {
 		t.Fatal(err)
 	}
 	// Readers of members coexist.
@@ -182,7 +216,7 @@ func TestReleaseRange(t *testing.T) {
 	m := NewManager()
 	m.DefaultTimeout = 50 * time.Millisecond
 	blockRange := keys.Range{Low: k(10), High: k(20), HighIncl: true}
-	if err := m.Acquire(1, "EMP", blockRange, Shared); err != nil {
+	if _, err := m.Acquire(1, "EMP", blockRange, Shared); err != nil {
 		t.Fatal(err)
 	}
 	m.ReleaseRange(1, "EMP", keys.Range{Low: k(0), High: k(100), HighIncl: true})
@@ -196,7 +230,7 @@ func TestReleaseRange(t *testing.T) {
 
 func TestReleaseRangeKeepsOutsideGrants(t *testing.T) {
 	m := NewManager()
-	if err := m.Acquire(1, "EMP", keys.Range{Low: k(10), High: k(20), HighIncl: true}, Shared); err != nil {
+	if _, err := m.Acquire(1, "EMP", keys.Range{Low: k(10), High: k(20), HighIncl: true}, Shared); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.LockRecord(1, "EMP", k(50), Exclusive); err != nil {

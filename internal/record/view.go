@@ -21,8 +21,8 @@ import (
 //
 // The View borrows the bytes it was Reset over, and a VARCHAR Value's S
 // aliases them. In the Disk Process those bytes are a cell of a pinned,
-// latched cache page (btree.RecordFunc), valid until the scan callback
-// returns: whatever outlives the callback is copied (AppendField,
+// latched cache page (btree.Run), valid until the scan's turn with that
+// leaf ends: whatever outlives it is copied (AppendField,
 // AppendKey copy; a kept Value.S needs strings.Clone). A View that Point
 // handed field starts borrows them too, for as long as it reads them.
 //
@@ -154,6 +154,22 @@ func (v *View) AppendRow(dst []byte, proj []int) ([]byte, error) {
 	return dst, nil
 }
 
+// RowLen returns how many bytes AppendRow appends for proj: what a reply
+// sizes its buffer by before it assembles a row. An ordinal the record
+// does not have counts nothing; AppendRow refuses it.
+func (v *View) RowLen(proj []int) int {
+	if proj == nil {
+		return len(v.b)
+	}
+	n := uvarintLen(uint64(len(proj)))
+	for _, f := range proj {
+		if uint(f) < uint(v.Len()) {
+			n += int(v.off[f+1] - v.off[f])
+		}
+	}
+	return n
+}
+
 // AppendKey appends field i's order-preserving key encoding (what
 // Value(i).AppendKey would write) to dst, from the encoded field.
 func (v *View) AppendKey(dst []byte, i int) []byte {
@@ -240,11 +256,16 @@ func readValue(b []byte) Value {
 // readInt, readFloat and readString read a checked field of that tag.
 
 func readInt(b []byte) int64 {
-	if ux := uint64(b[1]); ux < 0x80 {
-		return int64(ux>>1) ^ -int64(ux&1) // zig-zag, as binary.Varint
+	ux := uint64(b[1])
+	switch {
+	case ux < 0x80:
+	case b[2] < 0x80: // two bytes: |x| below 8192
+		ux = ux&0x7f | uint64(b[2])<<7
+	default:
+		x, _ := binary.Varint(b[1:])
+		return x
 	}
-	x, _ := binary.Varint(b[1:])
-	return x
+	return int64(ux>>1) ^ -int64(ux&1) // zig-zag, as binary.Varint
 }
 
 func readFloat(b []byte) float64 {

@@ -73,7 +73,14 @@ func (o *output) emitGroups(groups map[string]*fs.AggGroup) (*Result, error) {
 		c := 0
 		for i, pl := range o.plans {
 			if pl.agg == nil {
-				out[i] = g.KeyVals[pl.groupBy]
+				// A group's value is what its key says: −0 and +0 are one
+				// key (keys.AppendFloat64), which reads as +0 whichever
+				// zero the group met first.
+				v := g.KeyVals[pl.groupBy]
+				if v.Kind == record.TypeFloat && v.F == 0 {
+					v.F = 0
+				}
+				out[i] = v
 				continue
 			}
 			out[i] = pl.agg.finalize(g.Partials[c])

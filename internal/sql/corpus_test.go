@@ -291,8 +291,9 @@ const createGK = `CREATE TABLE gk (id INTEGER PRIMARY KEY, n INTEGER, f FLOAT, s
 	PARTITION ON ("$DATA1", "$DATA2" FROM 50)`
 
 // loadGK fills GK with 100 records: N cycles through gkInts, F through
-// halves of both signs and S through four strings, the empty one
-// included; F and S are NULL now and then.
+// halves of both signs — zero both +0 and −0, which are one group — and S
+// through four strings, the empty one included; F and S are NULL now and
+// then.
 func loadGK(t testing.TB, d *db) {
 	t.Helper()
 	ins, err := d.s.Prepare("INSERT INTO gk VALUES (?, ?, ?, ?)")
@@ -313,6 +314,9 @@ var gkInts = []record.Value{record.Null, record.Int(0), record.Int(-1), record.I
 // gkRow is GK's record i.
 func gkRow(i int) []record.Value {
 	f, s := record.Float(float64(i%6-3)/2), record.String([]string{"a", "b", "", "zz"}[i%4])
+	if i%12 == 9 {
+		f = record.Float(math.Copysign(0, -1))
+	}
 	if i%7 == 0 {
 		f = record.Null
 	}

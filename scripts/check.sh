@@ -32,9 +32,10 @@ go test -race -count=1 ./internal/btree ./internal/cache
 go test -count=1 -run TestAllocationCeilings ./internal/btree
 go test -run '^$' -fuzz FuzzPageView -fuzztime 10s ./internal/btree
 # One layer up, records are read where they lie too (PR 17): a
-# record.View borrows the cell bytes the B-tree hands a scan callback, the
-# Disk Process reads fields through it — typed, straight from the encoded
-# bytes — and copies whatever outlives the callback. The Subset Control
+# record.View borrows the cell bytes the B-tree lends the Disk Process a
+# leaf at a time (btree.Run), the Disk Process reads fields through it —
+# typed, straight from the encoded bytes — and copies whatever outlives
+# the leaf's turn. The Subset Control
 # Block holds the predicate compiled (PR 23): FIELD op CONSTANT conjuncts
 # are comparisons on the encoded field, everything else is handed to
 # expr.eval reading through the View. Same three checks: the two packages
@@ -118,6 +119,15 @@ go test -race -count=1 -run 'TestAggPushdownDifferential|TestJoinProbeDifferenti
 # number refused at bind time — under -race; then what one prepared point
 # SELECT allocates, without it.
 go test -race -count=1 -run 'TestPointRead|TestExplainAnalyzeRead|TestFloatBoundOnIntegerKey|TestSumOfNonNumericColumnRefused' ./internal/sql
+# An in-transaction read locks the span it read before it replies: a range
+# SELECT, a COUNT, a pushed GROUP BY and a batched join probe whose group
+# lock waits for another transaction's uncommitted change — one that makes
+# a record qualify, or takes it away — return the committed state once it
+# ends, never what they read before the wait (the message is read again
+# under the lock; an AGG's fold is rewound first). And −0.0 is +0.0 as a
+# key: one GROUP BY group, found through an index, a duplicate primary key.
+go test -race -count=1 -run 'TestReadIsolation|TestNegativeZero' ./internal/sql
+go test -race -count=1 -run 'TestReadsAgainUnderTheGroupLock|TestAcquireReportsTheWait' ./internal/dp ./internal/lock
 go test -race -count=1 -run 'TestReadRefusesARowlessOK' ./internal/fs
 go test -count=1 -run TestAllocationCeilings ./internal/sql
 # Virtual blocks to the client edge (PR 24): a pass-through SELECT's rows
