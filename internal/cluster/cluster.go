@@ -29,7 +29,7 @@ type Options struct {
 	CPUsPerNode   int // default 4, max 16
 	Prefetch      bool
 	WriteBehind   bool
-	DPWorkers     int  // process-group goroutines per DP (default 16)
+	DPWorkers     int  // service slots per DP: requests served at once (default 16)
 	CacheSlots    int  // buffer pool pages per DP
 	CacheShards   int  // buffer pool shards per DP (0 = derive from slots)
 	CachePlainLRU bool // disable scan-resistant replacement (ablations)

@@ -28,8 +28,12 @@ type concMeter struct {
 	active   time.Duration // ∫ dt while inFlight > 0
 }
 
-// advance accrues the integrals up to now. Callers hold mu.
+// advance accrues the integrals up to now. Callers hold mu. A time read
+// before another caller's advance took the lock is already accrued.
 func (m *concMeter) advance(now time.Time) {
+	if now.Before(m.lastT) {
+		return
+	}
 	if m.inFlight > 0 && !m.lastT.IsZero() {
 		dt := now.Sub(m.lastT)
 		m.active += dt
@@ -40,19 +44,25 @@ func (m *concMeter) advance(now time.Time) {
 	m.lastT = now
 }
 
-func (m *concMeter) enter() {
+// enter counts a request into service and returns the time it read, so
+// the request's service timer starts from the same clock read.
+func (m *concMeter) enter() time.Time {
 	m.mu.Lock()
-	m.advance(time.Now())
+	now := time.Now()
+	m.advance(now)
 	m.inFlight++
 	if m.inFlight > m.maxIn {
 		m.maxIn = m.inFlight
 	}
 	m.mu.Unlock()
+	return now
 }
 
-func (m *concMeter) exit() {
+// exit counts a request out of service at now, the service timer's
+// closing read.
+func (m *concMeter) exit(now time.Time) {
 	m.mu.Lock()
-	m.advance(time.Now())
+	m.advance(now)
 	m.inFlight--
 	m.mu.Unlock()
 }

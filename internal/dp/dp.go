@@ -138,8 +138,8 @@ type Stats struct {
 	CacheShards         int
 
 	// Service time vs. queue wait: how long handlers spent doing the
-	// work, and how long requests sat in the process group's shared
-	// input queue first. Queue wait is measured by the msg server and
+	// work, and how long requests waited for one of the process group's
+	// service slots first. Queue wait is measured by the msg server and
 	// wired in via SetQueueWait (the DP never sees the queue itself).
 	ServiceOps     uint64
 	ServiceNanos   uint64
@@ -445,8 +445,17 @@ func (d *DP) Serve(req *fsdp.Request) *fsdp.Reply { return d.serve(req) }
 
 func (d *DP) serve(req *fsdp.Request) *fsdp.Reply {
 	d.stats.requests.Add(1)
-	d.meter.enter()
-	defer d.meter.exit()
+	// One clock read opens both the concurrency meter's interval and the
+	// service timer, and one closes them.
+	t0 := d.meter.enter()
+	defer func() {
+		t1 := time.Now()
+		ns := t1.Sub(t0).Nanoseconds()
+		d.serviceOps.Add(1)
+		d.serviceNanos.Add(uint64(ns))
+		d.svcLat.RecordNanos(ns)
+		d.meter.exit(t1)
+	}()
 
 	// Sample the pool around the dispatch so the reply can carry the
 	// physical-read / cache-hit cost of serving it. Under concurrent
@@ -454,13 +463,6 @@ func (d *DP) serve(req *fsdp.Request) *fsdp.Reply {
 	// reply), but in aggregate they still sum to the pool totals, and a
 	// single-conversation measurement — EXPLAIN ANALYZE — is exact.
 	cs0 := d.pool.Stats()
-	t0 := time.Now()
-	defer func() {
-		ns := time.Since(t0).Nanoseconds()
-		d.serviceOps.Add(1)
-		d.serviceNanos.Add(uint64(ns))
-		d.svcLat.RecordNanos(ns)
-	}()
 
 	if req.Tx != 0 && d.fenceActive.Load() && req.Kind != fsdp.KCommit && req.Kind != fsdp.KAbort {
 		if reply := d.replicaFenced(req); reply != nil {

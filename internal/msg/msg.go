@@ -1,8 +1,9 @@
 // Package msg simulates the message-based Tandem operating system: a
 // network of loosely-coupled processors (grouped into nodes) whose
 // processes communicate only by messages. Servers — Disk Process groups
-// — share a message input queue drained by a pool of goroutines, the
-// "group of cooperating processes" of the paper.
+// — have a fixed number of service slots behind a shared input queue,
+// the "group of cooperating processes" of the paper; a request is served
+// on its sender's goroutine once it holds a slot.
 //
 // Every request and reply is a serialized byte string whose size is
 // charged to counters, classified by distance (same processor, same
@@ -12,18 +13,18 @@
 //
 // The instrument keeps two invariants the accounting depends on:
 //
-//   - request counters are charged only once the request is actually
-//     enqueued at the server, and reply counters are charged by the
-//     worker when it answers — so Requests == Replies whenever every
-//     accepted request was answered, even when sends were rejected by a
-//     closed server or abandoned by a timed-out requester;
-//   - a handler that panics still produces a reply (an error), so a
-//     requester never blocks forever on a dead worker.
+//   - request counters are charged only once the server has admitted
+//     the request, and every admitted request is answered and its reply
+//     charged — so Requests == Replies whenever no send is in flight,
+//     even when sends were rejected by a closed server;
+//   - a handler that panics still produces a reply (an error), and its
+//     service slot is given back.
 package msg
 
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,8 +52,7 @@ type Stats struct {
 	Bus          uint64 // crossed the inter-processor bus (same node)
 	Network      uint64 // crossed node boundaries
 
-	Timeouts uint64 // sends abandoned at the reply deadline
-	Panics   uint64 // handler panics converted into error replies
+	Panics uint64 // handler panics converted into error replies
 }
 
 // Messages returns the total message count (requests + replies).
@@ -70,13 +70,13 @@ func (s *Stats) Add(o Stats) {
 	s.Local += o.Local
 	s.Bus += o.Bus
 	s.Network += o.Network
-	s.Timeouts += o.Timeouts
 	s.Panics += o.Panics
 }
 
-// ErrReplyTimeout marks a Send abandoned at its reply deadline. The
-// request may still be served — the deadline bounds the requester's
-// wait, not the server's work.
+// ErrReplyTimeout marks a request abandoned at its reply deadline, which
+// the transports over the wire keep (wire.Options.ReplyTimeout and the
+// client pool's). The request may still be served — the deadline bounds
+// the requester's wait, not the server's work.
 var ErrReplyTimeout = errors.New("reply timeout")
 
 // ErrNoServer marks a Send addressed to a name with no registered
@@ -85,48 +85,34 @@ var ErrReplyTimeout = errors.New("reply timeout")
 var ErrNoServer = errors.New("no such server")
 
 // A Handler serves one request and returns the reply payload. Handlers
-// run on the server's goroutine pool; application-level errors travel
-// inside the reply encoding, not as Go errors.
+// run on the sender's goroutine, at most `workers` at once per server;
+// application-level errors travel inside the reply encoding, not as Go
+// errors.
 type Handler func(req []byte) []byte
 
-// outcome is what travels back on a request's reply channel: the reply
-// payload, or the transport-level error (handler panic).
-type outcome struct {
-	data []byte
-	err  error
-}
+// queueDepth is the number of requests that may wait for a service slot
+// before a further sender blocks: the input queue's back-pressure.
+const queueDepth = 64
 
-type request struct {
-	payload []byte
-	reply   chan outcome
-
-	// enqueuedNanos is stamped by the sender at the moment the request
-	// actually lands in the server's input queue — after any sender
-	// back-pressure block on a full queue, which belongs to the
-	// requester's wait, not the server's queue-wait histogram. Atomic
-	// because a worker on a direct handoff can pick the request up
-	// before the sender's stamp lands; a zero read means "picked up
-	// immediately", i.e. no queue wait.
-	enqueuedNanos atomic.Int64
-}
-
-// A Server is a named process group with a shared input queue.
+// A Server is a named process group: `workers` service slots behind a
+// shared input queue.
 type Server struct {
 	name    string
 	proc    ProcessorID
 	net     *Network
 	handler Handler
 
-	mu     sync.RWMutex // guards closed vs. in-flight queue sends
-	queue  chan *request
+	mu     sync.RWMutex // guards closed against admissions
 	closed bool
-	wg     sync.WaitGroup
+	active sync.WaitGroup // admitted requests not yet answered
+
+	queue chan struct{} // a place per request waiting for a slot
+	slots chan struct{} // a place per request in service
 
 	received atomic.Uint64
 
-	// Queue wait: time requests sat in the shared input queue before a
-	// worker picked them up — the server-side complement of the
-	// requester's conversation wait.
+	// Queue wait: time requests waited for a free service slot — the
+	// server-side complement of the requester's conversation wait.
 	queueWaitOps   atomic.Uint64
 	queueWaitNanos atomic.Uint64
 	queueWaitHist  obs.Histogram
@@ -141,54 +127,47 @@ func (s *Server) Processor() ProcessorID { return s.proc }
 // Received returns how many requests this server has accepted.
 func (s *Server) Received() uint64 { return s.received.Load() }
 
-// QueueWait returns how many requests have been picked up by workers
-// and their summed input-queue wait in nanoseconds.
+// QueueWait returns how many requests have been served and their
+// summed wait for a service slot in nanoseconds.
 func (s *Server) QueueWait() (ops, nanos uint64) {
 	return s.queueWaitOps.Load(), s.queueWaitNanos.Load()
 }
 
-// QueueWaitLatency returns the input-queue wait distribution.
+// QueueWaitLatency returns the distribution of waits for a service slot.
 func (s *Server) QueueWaitLatency() obs.Snapshot { return s.queueWaitHist.Snapshot() }
 
-// Close stops the server's goroutine pool after draining the queue.
-// Every request accepted before Close gets its reply.
+// Close refuses new requests and returns once every request admitted
+// before it has been answered.
 func (s *Server) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
 	s.closed = true
-	close(s.queue)
 	s.mu.Unlock()
-	s.wg.Wait()
+	s.active.Wait()
 }
 
-// serve drains the shared input queue; one goroutine per pool worker.
-func (s *Server) serve() {
-	defer s.wg.Done()
-	for req := range s.queue {
-		var wait time.Duration
-		if enq := req.enqueuedNanos.Load(); enq != 0 {
-			if w := time.Since(time.Unix(0, enq)); w > 0 {
-				wait = w
-			}
-		}
-		s.queueWaitOps.Add(1)
-		s.queueWaitNanos.Add(uint64(wait))
-		s.queueWaitHist.Record(wait)
-		data, err := s.invoke(req.payload)
-		// Reply accounting happens here, at the worker, not at the
-		// requester: a requester that abandoned the conversation at its
-		// deadline must not skew Requests != Replies for a request that
-		// was in fact served.
-		s.net.chargeReply(len(data), err)
-		req.reply <- outcome{data: data, err: err}
+// acquire takes a service slot. A free slot is taken at once, without
+// reading the clock. Otherwise the request takes a place in the input
+// queue — blocking while the queue is full: that back-pressure is the
+// requester's wait, not queue wait — and its queue wait runs from there
+// until a slot frees.
+func (s *Server) acquire() {
+	var wait time.Duration
+	select {
+	case s.slots <- struct{}{}:
+	default:
+		s.queue <- struct{}{}
+		queued := time.Now()
+		s.slots <- struct{}{}
+		<-s.queue
+		wait = time.Since(queued)
 	}
+	s.queueWaitOps.Add(1)
+	s.queueWaitNanos.Add(uint64(wait))
+	s.queueWaitHist.Record(wait)
 }
 
 // invoke runs the handler, converting a panic into an error so the
-// worker survives and the requester gets a reply instead of a hang.
+// requester gets a reply instead of a crash.
 func (s *Server) invoke(payload []byte) (data []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -205,11 +184,6 @@ type Network struct {
 	servers map[string]*Server
 	stats   Stats
 
-	// ReplyTimeout is the default reply deadline applied to clients
-	// created after it is set (0 = wait forever). Set it before creating
-	// clients; per-client SetReplyTimeout overrides.
-	ReplyTimeout time.Duration
-
 	// lat histograms record request/reply round-trip latency by hop
 	// distance. Lock-free; reset with ResetStats.
 	lat [3]obs.Histogram
@@ -221,8 +195,8 @@ func NewNetwork() *Network {
 }
 
 // StartServer registers a process group named name on processor proc,
-// with `workers` goroutines sharing the input queue, each running
-// handler. It returns the server handle.
+// with `workers` service slots, each running handler for one request at
+// a time. It returns the server handle.
 func (n *Network) StartServer(name string, proc ProcessorID, workers int, handler Handler) (*Server, error) {
 	if workers < 1 {
 		workers = 1
@@ -232,12 +206,9 @@ func (n *Network) StartServer(name string, proc ProcessorID, workers int, handle
 	if _, dup := n.servers[name]; dup {
 		return nil, fmt.Errorf("msg: server %q already registered", name)
 	}
-	s := &Server{name: name, proc: proc, net: n, handler: handler, queue: make(chan *request, 64)}
+	s := &Server{name: name, proc: proc, net: n, handler: handler,
+		queue: make(chan struct{}, queueDepth), slots: make(chan struct{}, workers)}
 	n.servers[name] = s
-	for i := 0; i < workers; i++ {
-		s.wg.Add(1)
-		go s.serve()
-	}
 	return s, nil
 }
 
@@ -305,7 +276,7 @@ func (n *Network) LatencyAll() obs.Snapshot {
 	return s
 }
 
-// chargeRequest records one accepted (enqueued) request.
+// chargeRequest records one admitted request.
 func (n *Network) chargeRequest(payloadLen int, d Distance) {
 	n.mu.Lock()
 	n.stats.Requests++
@@ -321,7 +292,7 @@ func (n *Network) chargeRequest(payloadLen int, d Distance) {
 	n.mu.Unlock()
 }
 
-// chargeReply records one reply at the serving worker.
+// chargeReply records one reply.
 func (n *Network) chargeReply(replyLen int, err error) {
 	n.mu.Lock()
 	n.stats.Replies++
@@ -335,17 +306,13 @@ func (n *Network) chargeReply(replyLen int, err error) {
 // A Client is a requester context: library code (the File System) that
 // runs in an application process on a particular processor.
 type Client struct {
-	net     *Network
-	proc    ProcessorID
-	timeout atomic.Int64 // reply deadline in nanoseconds (0 = wait forever)
+	net  *Network
+	proc ProcessorID
 }
 
-// NewClient creates a requester on the given processor. It inherits the
-// network's default reply deadline.
+// NewClient creates a requester on the given processor.
 func (n *Network) NewClient(proc ProcessorID) *Client {
-	c := &Client{net: n, proc: proc}
-	c.timeout.Store(int64(n.ReplyTimeout))
-	return c
+	return &Client{net: n, proc: proc}
 }
 
 // Processor returns where the client runs.
@@ -353,14 +320,6 @@ func (c *Client) Processor() ProcessorID { return c.proc }
 
 // Network returns the interconnect this client sends through.
 func (c *Client) Network() *Network { return c.net }
-
-// SetReplyTimeout bounds how long Send waits for a reply (0 = forever).
-// Safe to call concurrently with Send: sends already waiting keep the
-// deadline they started with; sends issued afterwards see the new one.
-func (c *Client) SetReplyTimeout(d time.Duration) { c.timeout.Store(int64(d)) }
-
-// ReplyTimeout returns the client's reply deadline.
-func (c *Client) ReplyTimeout() time.Duration { return time.Duration(c.timeout.Load()) }
 
 // Distance classifies one request/reply hop by how far it travels —
 // the same classification Send charges to the Local/Bus/Network
@@ -401,15 +360,13 @@ func (c *Client) DistanceTo(server string) Distance {
 	return classify(c.proc, proc)
 }
 
-// Send delivers one request message to the named server and waits for
-// the reply, charging both directions to the traffic counters.
+// Send delivers one request message to the named server and returns its
+// reply, charging both directions to the traffic counters. The handler
+// runs on the caller's goroutine once the request holds a service slot.
 //
-// Counters are charged only once the request is actually enqueued: a
-// send rejected because the server is unknown or closed charges
-// nothing, so Requests == Replies stays true across server stops. The
-// reply side is charged by the worker (see Server.serve), so it also
-// stays true when this requester gives up at its reply deadline but the
-// server finishes the work anyway.
+// Counters are charged only once the server has admitted the request: a
+// send rejected because the server is unknown or closed charges nothing,
+// so Requests == Replies stays true across server stops.
 func (c *Client) Send(server string, payload []byte) ([]byte, error) {
 	c.net.mu.Lock()
 	s, ok := c.net.servers[server]
@@ -419,49 +376,30 @@ func (c *Client) Send(server string, payload []byte) ([]byte, error) {
 	}
 
 	start := time.Now()
-	req := &request{payload: payload, reply: make(chan outcome, 1)}
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
 		return nil, fmt.Errorf("msg: server %q is down: %w", server, ErrNoServer)
 	}
 	s.received.Add(1)
-	// A full queue blocks this send until a worker drains a slot; that
-	// back-pressure wait belongs to the requester (it is part of the
-	// round trip measured from start), so the queue-entry stamp is taken
-	// only once the send returns — the moment the request actually sits
-	// in the input queue.
-	s.queue <- req
-	req.enqueuedNanos.Store(time.Now().UnixNano())
+	s.active.Add(1)
 	s.mu.RUnlock()
+	defer s.active.Done()
 
 	dist := classify(c.proc, s.proc)
 	c.net.chargeRequest(len(payload), dist)
-
-	var out outcome
-	if timeout := c.ReplyTimeout(); timeout <= 0 {
-		out = <-req.reply
-	} else {
-		timer := AcquireTimer(timeout)
-		select {
-		case out = <-req.reply:
-			ReleaseTimer(timer, false)
-		case <-timer.C:
-			ReleaseTimer(timer, true)
-			c.net.mu.Lock()
-			c.net.stats.Timeouts++
-			c.net.mu.Unlock()
-			return nil, fmt.Errorf("msg: server %q: %w after %v", server, ErrReplyTimeout, timeout)
-		}
-	}
-	// Round-trip latency is recorded for every conversation that got a
-	// reply — error replies (handler panics) included, so per-distance
-	// Lat.Count stays reconcilable against the message counters under
-	// faults. Only abandoned (timed-out) sends go unrecorded; they are
-	// counted in Timeouts instead.
+	s.acquire()
+	data, err := s.invoke(payload)
+	<-s.slots
+	c.net.chargeReply(len(data), err)
+	// Round-trip latency is recorded for every conversation — error
+	// replies (handler panics) included, so per-distance Lat.Count stays
+	// reconcilable against the message counters under faults.
 	c.net.lat[dist].Record(time.Since(start))
-	if out.err != nil {
-		return nil, out.err
+	if len(s.queue) > 0 {
+		// The slot went to a queued request: let it into service now,
+		// as a worker finishing a request would take the next.
+		runtime.Gosched()
 	}
-	return out.data, nil
+	return data, err
 }

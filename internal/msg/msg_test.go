@@ -2,7 +2,6 @@ package msg
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -108,7 +107,7 @@ func TestServerDown(t *testing.T) {
 }
 
 func TestProcessGroupConcurrency(t *testing.T) {
-	// Multiple workers drain the shared queue concurrently.
+	// Four service slots serve four requests at once.
 	n := NewNetwork()
 	var mu sync.Mutex
 	inflight, maxInflight := 0, 0
@@ -207,8 +206,8 @@ func TestCostModel(t *testing.T) {
 
 // TestHandlerPanicReplies pins the hang bugfix: a panicking handler
 // used to kill its worker goroutine without replying, blocking the
-// requester on <-req.reply forever. Now the panic converts into an
-// error reply and the worker survives.
+// requester forever. Now the panic converts into an error reply and the
+// service slot is given back.
 func TestHandlerPanicReplies(t *testing.T) {
 	n := NewNetwork()
 	n.StartServer("$D", ProcessorID{0, 1}, 1, func(req []byte) []byte {
@@ -237,10 +236,10 @@ func TestHandlerPanicReplies(t *testing.T) {
 		t.Fatal("Send hung on a panicking handler")
 	}
 
-	// With a single worker, the server only answers this if the worker
-	// survived the panic.
+	// With a single slot, the server only answers this if the panic
+	// gave the slot back.
 	if _, err := c.Send("$D", []byte("ok")); err != nil {
-		t.Fatalf("worker did not survive the panic: %v", err)
+		t.Fatalf("the slot did not survive the panic: %v", err)
 	}
 	s := n.Stats()
 	if s.Requests != s.Replies {
@@ -248,44 +247,6 @@ func TestHandlerPanicReplies(t *testing.T) {
 	}
 	if s.Panics != 1 {
 		t.Errorf("Panics = %d, want 1", s.Panics)
-	}
-}
-
-// TestReplyTimeout pins the stall bugfix: a handler that never returns
-// used to hang the requester; with a reply deadline Send returns
-// ErrReplyTimeout instead.
-func TestReplyTimeout(t *testing.T) {
-	n := NewNetwork()
-	release := make(chan struct{})
-	n.StartServer("$D", ProcessorID{0, 1}, 1, func(req []byte) []byte {
-		<-release
-		return req
-	})
-	c := n.NewClient(ProcessorID{0, 0})
-	c.SetReplyTimeout(20 * time.Millisecond)
-
-	start := time.Now()
-	_, err := c.Send("$D", []byte("stall"))
-	if err == nil {
-		t.Fatal("Send against a stalled handler returned success")
-	}
-	if !errors.Is(err, ErrReplyTimeout) {
-		t.Fatalf("error %v is not ErrReplyTimeout", err)
-	}
-	if waited := time.Since(start); waited > 5*time.Second {
-		t.Errorf("timeout took %v", waited)
-	}
-	if got := n.Stats().Timeouts; got != 1 {
-		t.Errorf("Timeouts = %d, want 1", got)
-	}
-
-	// Release the handler: the server still answers the abandoned
-	// request (charging its reply), so the books balance eventually.
-	close(release)
-	n.StopServer("$D") // Close drains the queue and waits for workers
-	s := n.Stats()
-	if s.Requests != s.Replies {
-		t.Errorf("Requests %d != Replies %d after handler release", s.Requests, s.Replies)
 	}
 }
 
@@ -394,7 +355,7 @@ func TestLatencyRecordedForErrorReplies(t *testing.T) {
 // back-pressure wait was counted as server-side queue wait. The stamp
 // now lands at actual enqueue.
 //
-// Shape: a gated single-worker server holds one request in its handler
+// Shape: a gated single-slot server holds one request in its handler
 // while 64 fillers pack the queue to capacity. One more sender then
 // blocks in back-pressure for the length of a deliberate pause; once the
 // gate opens, the queue drains in microseconds. The fillers legitimately
@@ -430,14 +391,14 @@ func TestQueueWaitExcludesSenderBackpressure(t *testing.T) {
 	}
 	wg.Add(1)
 	go send()
-	<-entered // the worker holds the first request; the queue is empty
+	<-entered // the slot holds the first request; the queue is empty
 
-	const queueCap = 64 // StartServer's input-queue depth
+	const queueCap = queueDepth
 	for i := 0; i < queueCap; i++ {
 		wg.Add(1)
 		go send()
 	}
-	// Wait until every filler is accepted (received increments before the
+	// Wait until every filler is admitted (received increments before the
 	// queue send, so +1 more means the last filler is at least trying).
 	for srv.Received() < 1+queueCap {
 		time.Sleep(time.Millisecond)
@@ -476,49 +437,8 @@ func TestQueueWaitExcludesSenderBackpressure(t *testing.T) {
 	}
 }
 
-// TestSetReplyTimeoutConcurrent hammers SetReplyTimeout against
-// concurrent Sends — a pooled TCP client shares one Client across
-// goroutines, so the deadline must be atomically settable mid-flight
-// (run under -race).
-func TestSetReplyTimeoutConcurrent(t *testing.T) {
-	n := NewNetwork()
-	n.StartServer("$D", ProcessorID{0, 1}, 4, echo)
-	defer n.StopServer("$D")
-	c := n.NewClient(ProcessorID{0, 0})
-	stop := make(chan struct{})
-	var setter sync.WaitGroup
-	setter.Add(1)
-	go func() {
-		defer setter.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			c.SetReplyTimeout(time.Duration(1+i%5) * time.Second)
-		}
-	}()
-	var senders sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		senders.Add(1)
-		go func() {
-			defer senders.Done()
-			for i := 0; i < 500; i++ {
-				if _, err := c.Send("$D", []byte("x")); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	senders.Wait()
-	close(stop)
-	setter.Wait()
-}
-
-// TestQueueWaitMeasured verifies the server records input-queue wait
-// for every request a worker picks up.
+// TestQueueWaitMeasured verifies the server records a queue wait for
+// every request it serves, a free slot's included.
 func TestQueueWaitMeasured(t *testing.T) {
 	n := NewNetwork()
 	srv, err := n.StartServer("$D", ProcessorID{0, 1}, 1, echo)
@@ -573,7 +493,7 @@ func TestLatencyHistogram(t *testing.T) {
 
 // TestReleasedTimerCarriesNoStaleTick: a reply timer that fired without
 // its waiter seeing the tick (the reply won the race) goes back to the
-// pool drained, so the next Send's deadline does not start out passed.
+// pool drained, so the next wait's deadline does not start out passed.
 func TestReleasedTimerCarriesNoStaleTick(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		tm := AcquireTimer(time.Millisecond)
@@ -590,4 +510,25 @@ func TestReleasedTimerCarriesNoStaleTick(t *testing.T) {
 	tm := AcquireTimer(time.Millisecond)
 	<-tm.C
 	ReleaseTimer(tm, true)
+}
+
+// TestAllocationCeilings pins what a message hop allocates: nothing. The
+// request is served on the sender's goroutine, so there is no request
+// to build, no reply channel and no outcome to send back on it.
+func TestAllocationCeilings(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	n := NewNetwork()
+	n.StartServer("$D", ProcessorID{0, 1}, 2, func(req []byte) []byte { return req })
+	defer n.StopServer("$D")
+	c := n.NewClient(ProcessorID{0, 0})
+	payload := []byte("payload")
+	if got := testing.AllocsPerRun(1000, func() {
+		if _, err := c.Send("$D", payload); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("a Send to an echo server allocated %v objects, want 0", got)
+	}
 }

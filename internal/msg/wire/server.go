@@ -17,31 +17,39 @@ type Options struct {
 	// MaxFrame caps one frame's length (default wire.MaxFrame).
 	MaxFrame int
 
-	// ReplyTimeout bounds each dispatched in-process Send, so a hung
-	// handler cannot pin a connection's request slot — or a drain —
-	// forever (0 = wait forever). The timeout comes back to the remote
-	// requester as an error reply with CodeTimeout.
+	// ReplyTimeout bounds how long a dispatched request may go
+	// unanswered, so a hung handler cannot pin a remote requester — or a
+	// drain — forever (0 = wait forever). At the deadline the requester
+	// gets an error reply with CodeTimeout; the handler runs on, and its
+	// late reply is dropped.
 	ReplyTimeout time.Duration
 }
 
 // A Server accepts TCP connections and dispatches their request frames
-// into an in-process message network. Each connection gets an ingress
+// into an in-process message network. It sends through one ingress
 // msg.Client on a processor outside every cluster node, so dispatched
 // traffic classifies — and is charged and latency-sampled — as
 // DistNetwork: these are the conversations that really crossed a node
 // boundary, feeding the network bucket of the per-distance histograms
 // with measured numbers.
 //
-// Requests on one connection are served concurrently (one goroutine per
-// in-flight request), so replies return in completion order; the
-// correlation ID is what matches them back on the client side. Drain
-// stops accepting connections, answers the requests already in flight,
-// and refuses new frames with CodeDraining.
+// Requests are served concurrently by dispatcher goroutines that park
+// between requests and keep the stacks they grew: a connection's reader
+// hands each frame to an idle dispatcher and starts a new one only when
+// none is idle, so a warm server starts no goroutine per request.
+// Replies return in completion order; the correlation ID is what
+// matches them back on the client side. Drain stops accepting
+// connections, answers the requests already in flight, and refuses new
+// frames with CodeDraining.
 type Server struct {
-	network *msg.Network
+	ingress *msg.Client
 	opts    Options
 	wire    obs.Wire
 	lis     net.Listener
+
+	work     chan job      // unbuffered: an idle dispatcher is parked on it
+	stop     chan struct{} // closed once the readers are gone: dispatchers exit
+	stopOnce sync.Once
 
 	mu       sync.Mutex
 	conns    map[net.Conn]*Writer
@@ -50,6 +58,12 @@ type Server struct {
 
 	readers  sync.WaitGroup // accept loop + per-connection readers
 	inflight sync.WaitGroup // dispatched requests not yet answered
+}
+
+// A job is one request frame and the connection its reply goes to.
+type job struct {
+	f Frame
+	w *Writer
 }
 
 // ingressProc is where remote requesters "run": node -1 exists in no
@@ -65,7 +79,8 @@ func Listen(addr string, network *msg.Network, opts Options) (*Server, error) {
 	if opts.MaxFrame <= 0 {
 		opts.MaxFrame = MaxFrame
 	}
-	s := &Server{network: network, opts: opts, lis: lis, conns: make(map[net.Conn]*Writer)}
+	s := &Server{ingress: network.NewClient(ingressProc), opts: opts, lis: lis,
+		work: make(chan job), stop: make(chan struct{}), conns: make(map[net.Conn]*Writer)}
 	s.readers.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -99,18 +114,11 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// serveConn reads frames off one connection and dispatches them. Replies
-// come from many goroutines and leave through the connection's Writer,
-// several to a socket write when several are ready together.
+// serveConn reads frames off one connection and hands them to
+// dispatchers. Replies leave through the connection's Writer, several to
+// a socket write when several are ready together.
 func (s *Server) serveConn(nc net.Conn, w *Writer) {
 	defer s.readers.Done()
-	cl := s.network.NewClient(ingressProc)
-	cl.SetReplyTimeout(s.opts.ReplyTimeout)
-	sent := func(err error) {
-		if err != nil {
-			s.wire.Error()
-		}
-	}
 	fr := NewReader(nc, s.opts.MaxFrame, &s.wire)
 	for {
 		f, err := fr.Next()
@@ -126,7 +134,7 @@ func (s *Server) serveConn(nc net.Conn, w *Writer) {
 		}
 		if f.Kind != KindRequest {
 			s.wire.Error()
-			sent(w.ReplyErr(f.Corr, CodeError, "wire: expected request frame"))
+			s.sent(w.ReplyErr(f.Corr, CodeError, "wire: expected request frame"))
 			continue
 		}
 		s.mu.Lock()
@@ -137,29 +145,74 @@ func (s *Server) serveConn(nc net.Conn, w *Writer) {
 		s.mu.Unlock()
 		if refuse {
 			s.wire.Rejected()
-			sent(w.ReplyErr(f.Corr, CodeDraining, "wire: server draining"))
+			s.sent(w.ReplyErr(f.Corr, CodeDraining, "wire: server draining"))
 			continue
 		}
-		go func(f Frame) {
-			defer s.inflight.Done()
-			data, err := cl.Send(f.Server, f.Body)
-			switch {
-			case err == nil:
-				sent(w.Reply(f.Corr, data))
-			case errors.Is(err, msg.ErrReplyTimeout):
-				sent(w.ReplyErr(f.Corr, CodeTimeout, err.Error()))
-			case errors.Is(err, msg.ErrNoServer):
-				sent(w.ReplyErr(f.Corr, CodeNoServer, err.Error()))
-			default:
-				sent(w.ReplyErr(f.Corr, CodeError, err.Error()))
-			}
-		}(f)
+		select {
+		case s.work <- job{f, w}:
+		default:
+			go s.dispatch(job{f, w})
+		}
 	}
 	s.mu.Lock()
 	delete(s.conns, nc)
 	s.mu.Unlock()
 	nc.Close()
 	s.wire.ConnClosed()
+}
+
+// dispatch serves j, then every job handed to it while it is parked,
+// until the server stops. With a reply deadline, one timer per
+// dispatcher is re-armed for each request; whichever of the reply and
+// the timer stops it first writes the request's one frame. A deadline
+// that fires holds the job it answered, so its dispatcher exits once
+// the handler returns.
+func (s *Server) dispatch(j job) {
+	var deadline *time.Timer
+	for {
+		if s.opts.ReplyTimeout > 0 {
+			if deadline == nil {
+				deadline = time.AfterFunc(s.opts.ReplyTimeout, func() {
+					s.wire.Timeout()
+					s.answer(j, nil, fmt.Errorf("wire: server %q: %w after %v", j.f.Server, msg.ErrReplyTimeout, s.opts.ReplyTimeout))
+				})
+			} else {
+				deadline.Reset(s.opts.ReplyTimeout)
+			}
+		}
+		data, err := s.ingress.Send(j.f.Server, j.f.Body)
+		if deadline != nil && !deadline.Stop() {
+			return
+		}
+		s.answer(j, data, err)
+		select {
+		case j = <-s.work:
+		case <-s.stop:
+			return
+		}
+	}
+}
+
+// answer writes j's one reply frame and retires the request.
+func (s *Server) answer(j job, data []byte, err error) {
+	defer s.inflight.Done()
+	switch {
+	case err == nil:
+		s.sent(j.w.Reply(j.f.Corr, data))
+	case errors.Is(err, msg.ErrReplyTimeout):
+		s.sent(j.w.ReplyErr(j.f.Corr, CodeTimeout, err.Error()))
+	case errors.Is(err, msg.ErrNoServer):
+		s.sent(j.w.ReplyErr(j.f.Corr, CodeNoServer, err.Error()))
+	default:
+		s.sent(j.w.ReplyErr(j.f.Corr, CodeError, err.Error()))
+	}
+}
+
+// sent counts a reply that could not be written.
+func (s *Server) sent(err error) {
+	if err != nil {
+		s.wire.Error()
+	}
 }
 
 // isClosed reports whether a read error is the peer hanging up or our
@@ -211,12 +264,14 @@ func (s *Server) Drain(timeout time.Duration) error {
 	}
 	s.closeConns()
 	s.readers.Wait()
+	s.stopOnce.Do(func() { close(s.stop) })
 	return err
 }
 
 // Close tears the server down immediately: the listener and every
 // connection close now; dispatched requests still complete against the
-// in-process network, but their replies go nowhere.
+// in-process network, but their replies go nowhere. Idle dispatchers
+// exit now, busy ones when their request is done.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -228,6 +283,7 @@ func (s *Server) Close() error {
 	s.lis.Close()
 	s.closeConns()
 	s.readers.Wait()
+	s.stopOnce.Do(func() { close(s.stop) })
 	return nil
 }
 

@@ -21,8 +21,9 @@
 // carry any number of outstanding requests, and replies return in
 // completion order, not issue order. Deadlines are the requester's
 // business — a client that gives up abandons the correlation ID and
-// drops the late reply on arrival, mirroring msg.ErrReplyTimeout
-// semantics on the simulated transport.
+// drops the late reply on arrival — and the server's: it answers a
+// request still unanswered at Options.ReplyTimeout with CodeTimeout.
+// Both surface as msg.ErrReplyTimeout.
 //
 // Both ends of a connection send through a Writer and receive through a
 // Reader. The Writer is the socket's force point (DESIGN.md §17.1): frames

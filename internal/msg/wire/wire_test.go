@@ -730,3 +730,274 @@ func TestServerDrainDeliversEveryAcceptedReply(t *testing.T) {
 		}
 	}
 }
+
+// TestServerDeadlineAnswersOnce: a request's deadline and its reply race
+// to answer it, and exactly one of them does. A handler that returns
+// just after the deadline leaves its CodeTimeout the only frame for its
+// correlation ID, the connection serves the next request normally, and
+// the books balance once the handler is done.
+func TestServerDeadlineAnswersOnce(t *testing.T) {
+	const timeout = 20 * time.Millisecond
+	n := msg.NewNetwork()
+	release := make(chan struct{})
+	_, err := n.StartServer("late", msg.ProcessorID{Node: 0, CPU: 0}, 1, func(req []byte) []byte {
+		<-release
+		return req
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = n.StartServer("close", msg.ProcessorID{Node: 0, CPU: 0}, 4, func(req []byte) []byte {
+		time.Sleep(timeout)
+		return req
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Listen("127.0.0.1:0", n, Options{ReplyTimeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	nc, br := rawConn(t, s.Addr())
+	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+	balanced := func() {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for st := n.Stats(); st.Requests != st.Replies; st = n.Stats() {
+			if time.Now().After(deadline) {
+				t.Fatalf("requests %d != replies %d", st.Requests, st.Replies)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	if _, err := nc.Write(AppendRequest(nil, 1, "late", []byte("a"))); err != nil {
+		t.Fatal(err)
+	}
+	f, _, err := ReadFrame(br, 0)
+	if err != nil || f.Corr != 1 || f.Kind != KindReplyErr || f.Code != CodeTimeout {
+		t.Fatalf("first frame %+v, %v: want CodeTimeout for corr 1", f, err)
+	}
+	close(release) // the handler returns just after its deadline
+	balanced()
+	if _, err := nc.Write(AppendRequest(nil, 2, "late", []byte("b"))); err != nil {
+		t.Fatal(err)
+	}
+	if f, _, err = ReadFrame(br, 0); err != nil || f.Corr != 2 || f.Kind != KindReply || string(f.Body) != "b" {
+		t.Fatalf("next frame %+v, %v: want the reply to corr 2", f, err)
+	}
+
+	// Handlers that take as long as the deadline: each request still
+	// gets exactly one frame, whichever side won.
+	const racing = 40
+	var b []byte
+	for i := uint64(100); i < 100+racing; i++ {
+		b = AppendRequest(b, i, "close", []byte("c"))
+	}
+	if _, err := nc.Write(b); err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[uint64]bool)
+	for len(seen) < racing {
+		f, _, err := ReadFrame(br, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Corr < 100 || f.Corr >= 100+racing || seen[f.Corr] {
+			t.Fatalf("frame %+v: a second answer, or for a request not asked", f)
+		}
+		if f.Kind != KindReply && f.Code != CodeTimeout {
+			t.Fatalf("frame %+v: want a reply or CodeTimeout", f)
+		}
+		seen[f.Corr] = true
+	}
+	balanced()
+	nc.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	if f, _, err := ReadFrame(br, 0); err == nil {
+		t.Fatalf("a frame after every request was answered: %+v", f)
+	}
+	if ws := s.Stats(); ws.FramesOut != 2+racing || ws.Timeouts == 0 {
+		t.Fatalf("wire stats %+v: want %d frames out, timeouts counted", ws, 2+racing)
+	}
+}
+
+// dispatchers counts the wire servers' dispatcher goroutines, and those
+// of them parked waiting for a frame.
+func dispatchers() (all, parked int) {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if !strings.Contains(g, "wire.(*Server).dispatch(") {
+			continue
+		}
+		all++
+		if strings.Contains(g, "[select") && !strings.Contains(g, "msg.(*Client).Send(") {
+			parked++
+		}
+	}
+	return all, parked
+}
+
+// TestDispatchersDoNotLeak: a server keeps as many dispatchers as
+// requests were ever in flight at once — not one per request — and
+// they are gone, with every goroutine the server started, after Close
+// or Drain.
+func TestDispatchersDoNotLeak(t *testing.T) {
+	for _, stop := range []string{"Close", "Drain"} {
+		t.Run(stop, func(t *testing.T) {
+			const depth = 16
+			// settled waits until every dispatcher is parked and checks
+			// how many there are.
+			settled := func(want int) {
+				t.Helper()
+				deadline := time.Now().Add(5 * time.Second)
+				for {
+					all, parked := dispatchers()
+					if all == parked && all == want {
+						return
+					}
+					if time.Now().After(deadline) {
+						t.Fatalf("%d dispatchers, %d parked; want %d, all parked", all, parked, want)
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+			settled(0) // earlier tests' servers winding down
+			before := runtime.NumGoroutine()
+			n := msg.NewNetwork()
+			entered := make(chan struct{}, depth)
+			var gate atomic.Pointer[chan struct{}]
+			_, err := n.StartServer("gated", msg.ProcessorID{Node: 0, CPU: 0}, depth, func(req []byte) []byte {
+				if g := gate.Load(); g != nil {
+					entered <- struct{}{}
+					<-*g
+				}
+				return req
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := Listen("127.0.0.1:0", n, Options{ReplyTimeout: 30 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			nc, br := rawConn(t, s.Addr())
+			nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+			read := func(count int) {
+				t.Helper()
+				for i := 0; i < count; i++ {
+					if f, _, err := ReadFrame(br, 0); err != nil || f.Kind != KindReply {
+						t.Fatalf("reply %+v, %v", f, err)
+					}
+				}
+			}
+
+			corr := uint64(0)
+			for round := 0; round < 3; round++ {
+				// depth requests in flight at once, pipelined on one
+				// connection and held in their handlers.
+				g := make(chan struct{})
+				gate.Store(&g)
+				var b []byte
+				for i := 0; i < depth; i++ {
+					corr++
+					b = AppendRequest(b, corr, "gated", []byte("x"))
+				}
+				if _, err := nc.Write(b); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < depth; i++ {
+					<-entered
+				}
+				if all, _ := dispatchers(); all != depth {
+					t.Fatalf("round %d: %d dispatchers for %d requests in flight", round, all, depth)
+				}
+				gate.Store(nil)
+				close(g)
+				read(depth)
+				settled(depth)
+				// One at a time: a parked dispatcher takes each.
+				for i := 0; i < 50; i++ {
+					corr++
+					if _, err := nc.Write(AppendRequest(nil, corr, "gated", []byte("y"))); err != nil {
+						t.Fatal(err)
+					}
+					read(1)
+				}
+				settled(depth)
+			}
+
+			if stop == "Close" {
+				s.Close()
+			} else if err := s.Drain(0); err != nil {
+				t.Fatal(err)
+			}
+			settled(0)
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after %s, %d before Listen", runtime.NumGoroutine(), stop, before)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+}
+
+// BenchmarkServerDispatch is one request frame through a warm wire
+// server to an echo process and back, one at a time on one connection.
+// With and without a reply deadline it starts no goroutine per request
+// (dispatchers stays at one or two), and the deadline costs no
+// allocation: each dispatcher re-arms its own timer.
+func BenchmarkServerDispatch(b *testing.B) {
+	for _, timeout := range []time.Duration{0, 30 * time.Second} {
+		b.Run("ReplyTimeout="+timeout.String(), func(b *testing.B) {
+			for all, _ := dispatchers(); all > 0; all, _ = dispatchers() {
+				time.Sleep(time.Millisecond) // the last run's server winding down
+			}
+			n := msg.NewNetwork()
+			if _, err := n.StartServer("echo", msg.ProcessorID{Node: 0, CPU: 0}, 4, func(req []byte) []byte { return req }); err != nil {
+				b.Fatal(err)
+			}
+			s, err := Listen("127.0.0.1:0", n, Options{ReplyTimeout: timeout})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			nc, err := net.Dial("tcp", s.Addr())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer nc.Close()
+			br := bufio.NewReader(nc)
+			frame := AppendRequest(nil, 1, "echo", []byte("payload"))
+			roundTrip := func() {
+				if _, err := nc.Write(frame); err != nil {
+					b.Fatal(err)
+				}
+				if _, _, err := ReadFrame(br, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for i := 0; i < 100; i++ {
+				roundTrip()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				roundTrip()
+			}
+			b.StopTimer()
+			all, _ := dispatchers()
+			b.ReportMetric(float64(all), "dispatchers")
+		})
+	}
+}

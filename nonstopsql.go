@@ -65,7 +65,7 @@ type Config struct {
 
 	CacheSlotsPerDP int           // buffer pool pages per Disk Process
 	LockTimeout     time.Duration // lock wait bound
-	DPWorkers       int           // goroutines per Disk Process group (default 16)
+	DPWorkers       int           // Disk Process service slots: requests served at once (default 16)
 
 	// ScanParallel is the default degree of parallelism for scans and
 	// counts over partitioned files: how many per-partition Disk Process
