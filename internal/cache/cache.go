@@ -992,6 +992,12 @@ func (p *Pool) Stats() Stats {
 	return s
 }
 
+// HitsMisses returns Stats' Hits and Misses without the rest of the
+// snapshot: what a Disk Process samples around every request it serves.
+func (p *Pool) HitsMisses() (hits, misses uint64) {
+	return p.stats.keyedHits.Load() + p.stats.seqHits.Load(), p.stats.keyedMisses.Load() + p.stats.seqMisses.Load()
+}
+
 // ShardWaitList returns the per-shard contended-acquisition counts.
 func (p *Pool) ShardWaitList() []uint64 {
 	out := make([]uint64, len(p.shards))

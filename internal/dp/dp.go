@@ -462,7 +462,7 @@ func (d *DP) serve(req *fsdp.Request) *fsdp.Reply {
 	// workers the deltas interleave (a neighbor's hit may land on this
 	// reply), but in aggregate they still sum to the pool totals, and a
 	// single-conversation measurement — EXPLAIN ANALYZE — is exact.
-	cs0 := d.pool.Stats()
+	hits0, misses0 := d.pool.HitsMisses()
 
 	if req.Tx != 0 && d.fenceActive.Load() && req.Kind != fsdp.KCommit && req.Kind != fsdp.KAbort {
 		if reply := d.replicaFenced(req); reply != nil {
@@ -523,9 +523,9 @@ func (d *DP) serve(req *fsdp.Request) *fsdp.Reply {
 	default:
 		reply = &fsdp.Reply{Code: fsdp.ErrBadRequest, Err: fmt.Sprintf("dp: unknown request kind %d", req.Kind)}
 	}
-	cs1 := d.pool.Stats()
-	reply.CacheHits = uint32(cs1.Hits - cs0.Hits)
-	reply.BlocksRead = uint32(cs1.Misses - cs0.Misses)
+	hits1, misses1 := d.pool.HitsMisses()
+	reply.CacheHits = uint32(hits1 - hits0)
+	reply.BlocksRead = uint32(misses1 - misses0)
 	return reply
 }
 

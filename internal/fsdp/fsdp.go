@@ -345,11 +345,14 @@ func takeRange(b []byte) (keys.Range, []byte, error) {
 	return r, b, nil
 }
 
-// EncodeRequest serializes a request message.
+// EncodeRequest serializes a request message into one buffer sized
+// exactly (requestLen), so a READ costs one allocation, not one per
+// doubling of a buffer grown from a byte.
 func EncodeRequest(q *Request) []byte {
-	b := []byte{byte(q.Kind)}
+	b := append(make([]byte, 0, requestLen(q)), byte(q.Kind))
 	b = binary.AppendUvarint(b, q.Tx)
-	b = appendBytes(b, []byte(q.File))
+	b = binary.AppendUvarint(b, uint64(len(q.File)))
+	b = append(b, q.File...)
 	b = appendBytes(b, q.Key)
 	b = appendBytes(b, q.Row)
 	b = appendRange(b, q.Range)
@@ -377,6 +380,35 @@ func EncodeRequest(q *Request) []byte {
 	b = binary.AppendUvarint(b, uint64(q.ScanLimit))
 	return b
 }
+
+// requestLen is the length EncodeRequest writes for q.
+func requestLen(q *Request) int {
+	n := 1 + uvarintLen(q.Tx) + bytesLen(len(q.File)) + bytesLen(len(q.Key)) + bytesLen(len(q.Row))
+	n++ // range flags
+	if q.Range.Low != nil {
+		n += bytesLen(len(q.Range.Low))
+	}
+	if q.Range.High != nil {
+		n += bytesLen(len(q.Range.High))
+	}
+	n += bytesLen(len(q.Pred)) + uvarintLen(uint64(len(q.Proj)))
+	for _, p := range q.Proj {
+		n += uvarintLen(uint64(p))
+	}
+	n += bytesLen(len(q.Assign)) + uvarintLen(uint64(q.SCB))
+	for _, vs := range [2][][]byte{q.Rows, q.RowKeys} {
+		n += uvarintLen(uint64(len(vs)))
+		for _, v := range vs {
+			n += bytesLen(len(v))
+		}
+	}
+	n += 1 + bytesLen(len(q.Schema)) + bytesLen(len(q.Check)) + 1 // mode, schema, check, audit
+	n += uvarintLen(q.CommitLSN) + uvarintLen(uint64(q.RowLimit)) + 1 + bytesLen(len(q.Agg)) + uvarintLen(uint64(q.ScanLimit))
+	return n
+}
+
+// bytesLen is the encoded length of an l-byte field: prefix and bytes.
+func bytesLen(l int) int { return uvarintLen(uint64(l)) + l }
 
 // DecodeRequest parses a request message.
 func DecodeRequest(b []byte) (*Request, error) {

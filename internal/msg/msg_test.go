@@ -491,27 +491,6 @@ func TestLatencyHistogram(t *testing.T) {
 	}
 }
 
-// TestReleasedTimerCarriesNoStaleTick: a reply timer that fired without
-// its waiter seeing the tick (the reply won the race) goes back to the
-// pool drained, so the next wait's deadline does not start out passed.
-func TestReleasedTimerCarriesNoStaleTick(t *testing.T) {
-	for i := 0; i < 20; i++ {
-		tm := AcquireTimer(time.Millisecond)
-		time.Sleep(3 * time.Millisecond) // fires with nobody receiving
-		ReleaseTimer(tm, false)
-		next := AcquireTimer(time.Hour)
-		select {
-		case <-next.C:
-			t.Fatal("a reused reply timer delivered its previous tick")
-		default:
-		}
-		ReleaseTimer(next, false)
-	}
-	tm := AcquireTimer(time.Millisecond)
-	<-tm.C
-	ReleaseTimer(tm, true)
-}
-
 // TestAllocationCeilings pins what a message hop allocates: nothing. The
 // request is served on the sender's goroutine, so there is no request
 // to build, no reply channel and no outcome to send back on it.

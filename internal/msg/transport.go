@@ -1,10 +1,5 @@
 package msg
 
-import (
-	"sync"
-	"time"
-)
-
 // A Transport is the requester's contract with the message system:
 // deliver one request message to a named server process and wait for its
 // reply. It is the seam the serving path is built on — the same
@@ -25,27 +20,3 @@ type Transport interface {
 }
 
 var _ Transport = (*Client)(nil)
-
-// Reply deadlines are armed once per Send; the timers behind them are
-// reused, not allocated per call.
-var replyTimers sync.Pool
-
-// AcquireTimer returns a timer that fires after d, for one reply wait.
-func AcquireTimer(d time.Duration) *time.Timer {
-	if t, _ := replyTimers.Get().(*time.Timer); t != nil {
-		t.Reset(d)
-		return t
-	}
-	return time.NewTimer(d)
-}
-
-// ReleaseTimer hands t back; fired says the caller received from t.C. A
-// timer that fired unobserved still has — or, as Stop returns, is about
-// to have — its tick in the channel: take it, so the next wait does not
-// start with a deadline already passed.
-func ReleaseTimer(t *time.Timer, fired bool) {
-	if !fired && !t.Stop() {
-		<-t.C
-	}
-	replyTimers.Put(t)
-}

@@ -4,6 +4,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"nonstopsql/internal/obs"
 )
@@ -36,10 +37,11 @@ type Writer struct {
 	stats *obs.Wire
 
 	mu       sync.Mutex
-	flushed  *sync.Cond // a write finished, or the flush in flight ended
-	pending  []byte     // encoded frames no write has taken yet
-	flushing bool       // a leader is out with, or about to take, the buffer
-	err      error      // the write that broke the connection
+	flushed  *sync.Cond  // a write finished, or the flush in flight ended
+	pending  []byte      // encoded frames no write has taken yet
+	flushing bool        // a leader is out with, or about to take, the buffer
+	err      error       // the write that broke the connection
+	joinable atomic.Bool // flushing && len(pending) < maxPending, for Joinable
 
 	spare []byte // the leader's: the buffer the last write took
 }
@@ -81,6 +83,7 @@ func (w *Writer) send(appendFrame func([]byte) []byte) error {
 	before := len(w.pending)
 	w.pending = appendFrame(w.pending)
 	w.stats.FrameOut(len(w.pending) - before)
+	w.joinable.Store(len(w.pending) < maxPending) // a flush is in flight, or this sender leads one
 	if w.flushing {
 		w.mu.Unlock()
 		return nil
@@ -92,6 +95,7 @@ func (w *Writer) send(appendFrame func([]byte) []byte) error {
 	for len(w.pending) > 0 && w.err == nil {
 		data := w.pending
 		w.pending = w.spare[:0]
+		w.joinable.Store(true)
 		w.mu.Unlock()
 		w.stats.SocketWrite()
 		_, err := w.nc.Write(data)
@@ -105,10 +109,18 @@ func (w *Writer) send(appendFrame func([]byte) []byte) error {
 		w.flushed.Broadcast()
 	}
 	w.flushing = false
+	w.joinable.Store(false)
 	err := w.err
 	w.mu.Unlock()
 	return err
 }
+
+// Joinable reports, without the mutex, whether a frame sent now would
+// join a flush already forming and find room under the cap: it would
+// share a write it does not lead, and not wait. A connection pool picks
+// by it; it may be stale by the time the frame is sent, which costs
+// only the write the frame would have shared.
+func (w *Writer) Joinable() bool { return w.joinable.Load() }
 
 // Flush returns once every frame accepted before the call is on the
 // socket (or the connection has failed): outside a flush nothing is

@@ -185,16 +185,25 @@ func TestFailedWriteIsSticky(t *testing.T) {
 // TestFollowersBlockAtTheCap: a peer that stops reading must block its
 // senders, not grow a buffer. Behind a write in flight the pending buffer
 // takes frames up to maxPending; the next sender waits for that write
-// and resumes when it lands.
+// and resumes when it lands. Joinable says which of these a sender would
+// meet: true only behind a flush in flight with room under the cap.
 func TestFollowersBlockAtTheCap(t *testing.T) {
 	nc := newGatedConn()
 	var stats obs.Wire
 	w := NewWriter(nc, &stats)
 	payload := make([]byte, maxPending/4)
+	joinable := func(when string, want bool) {
+		t.Helper()
+		if w.Joinable() != want {
+			t.Fatalf("Joinable() = %v %s", !want, when)
+		}
+	}
+	joinable("with no flush in flight", false)
 
 	lead := make(chan error, 1)
 	go func() { lead <- w.Reply(1, nil) }()
 	<-nc.entered
+	joinable("behind a write in flight, nothing pending", true)
 	corr := uint64(2)
 	within(t, "followers under the cap", func() {
 		for ; corr < 6; corr++ { // four quarter-cap frames: over the cap with their headers
@@ -213,6 +222,7 @@ func TestFollowersBlockAtTheCap(t *testing.T) {
 	if st := stats.Snapshot(); st.FramesOut != 5 {
 		t.Fatalf("%d frames counted out; the blocked sender's is not accepted yet, want 5", st.FramesOut)
 	}
+	joinable("with the cap reached", false)
 
 	close(nc.gate)
 	for _, ch := range []chan error{lead, over} {
@@ -228,6 +238,7 @@ func TestFollowersBlockAtTheCap(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	joinable("after the flush ended", false)
 	var stream []byte
 	for _, b := range nc.written() {
 		stream = append(stream, b...)

@@ -4,21 +4,26 @@
 // msg.Client — both satisfy msg.Transport, so code written against the
 // simulated interconnect runs unchanged against a real socket.
 //
-// The pool holds a fixed set of connections, assigns requests to them
-// round-robin, and pipelines: every connection carries any number of
-// outstanding requests, each tagged with a correlation ID, and the
-// reader goroutine matches completion-order replies back to their
-// waiters. Requests sent together on one connection share a socket write
-// (wire.Writer: the first sender leads the flush, the others append
-// behind it and go straight to waiting for their replies), so a
-// connection gets cheaper per request as it gets busier; connections are
-// added for parallel readers and failure isolation, not to spread write
-// contention. A request that hits its reply deadline abandons the
+// The pool holds a fixed set of connections and pipelines: every
+// connection carries any number of outstanding requests, each tagged
+// with a correlation ID, and the reader goroutine matches
+// completion-order replies back to their waiters. Requests sent together
+// on one connection share a socket write (wire.Writer: the first sender
+// leads the flush, the others append behind it and go straight to
+// waiting for their replies), so a request joins the flush that is
+// already forming: it goes to a connection whose writer has a leader out
+// and room under its cap, and only when no connection has one to the
+// next connection in turn — which is also how idle connections get
+// dialed. A burst of requests therefore rides one connection and one
+// write; the price is that a connection that breaks fails more of the
+// requests in flight, each with a clean error and none retried behind
+// the caller's back. A request that hits its reply deadline abandons the
 // correlation ID (the late reply is dropped on arrival) and returns an
 // error wrapping msg.ErrReplyTimeout, mirroring the in-process
-// semantics. A broken connection fails its in-flight requests with
-// clean errors and is re-dialed lazily by the next request routed to
-// it — the pool itself never goes down just because the server did.
+// semantics; deadlines are swept per connection by one timer, not armed
+// per request. A broken connection is re-dialed lazily by the next
+// request routed to it — the pool itself never goes down just because
+// the server did.
 package nsqlclient
 
 import (
@@ -44,11 +49,12 @@ var ErrDraining = errors.New("nsqlclient: server draining")
 
 // Options tunes a pool.
 type Options struct {
-	// Conns is the number of pooled connections (default 4). Requests
-	// are assigned round-robin; pipelining means even one connection
-	// carries unlimited concurrent requests, and frames sent together
-	// on one connection share a socket write, so more connections buy
-	// parallel readers and failure isolation, not cheaper writes.
+	// Conns is the number of pooled connections (default 4). A request
+	// joins a connection whose flush is forming, else takes the next
+	// connection in turn; pipelining means even one connection carries
+	// unlimited concurrent requests, and frames sent together on one
+	// connection share a socket write, so more connections buy parallel
+	// readers and failure isolation, not cheaper writes.
 	Conns int
 
 	// ReplyTimeout bounds each request (0 = wait forever). Adjustable
@@ -86,18 +92,41 @@ type result struct {
 	err  error
 }
 
+// replyChans holds the reply channels of finished requests. Reuse is
+// safe by one rule: whoever deletes a pending entry under conn.mu — the
+// reader, the sweep or fail — sends on its channel exactly once, and the
+// waiter receives that once before handing the channel back.
+var replyChans = sync.Pool{New: func() any { return make(chan result, 1) }}
+
+// errSwept is what the sweep delivers to a request past its deadline;
+// Send turns it into the error the caller sees.
+var errSwept = errors.New("nsqlclient: reply deadline passed")
+
+// epoch anchors deadlines: time.Since(epoch) is one monotonic clock read.
+var epoch = time.Now()
+
+// waiter is one pending request: where its outcome goes, and when it is
+// due (since epoch; 0 = no deadline).
+type waiter struct {
+	ch  chan result
+	due time.Duration
+}
+
 // conn is one pooled connection: the socket, its frame writer and the
 // pending-request table its reader resolves — one incarnation, replaced
 // together on redial, so a frame registered on one socket is never
-// written to its successor — and the state to re-dial after a failure.
+// written to its successor — its deadline sweep, and the state to
+// re-dial after a failure.
 type conn struct {
 	p  *Pool
-	mu sync.Mutex // guards nc, w, pending, dialed
+	mu sync.Mutex // guards nc, pending, sweep, sweepAt, dialed; writes of w
 
 	nc      net.Conn
-	w       *wire.Writer
-	pending map[uint64]chan result
-	dialed  bool // a successful dial happened before: next one is a redial
+	w       atomic.Pointer[wire.Writer] // read without mu by pick
+	pending map[uint64]waiter
+	sweep   *time.Timer   // this incarnation's deadline sweep, once one is set
+	sweepAt time.Duration // when sweep fires (0: not armed)
+	dialed  bool          // a successful dial happened before: next one is a redial
 }
 
 // Dial creates a pool to addr. The first connection is dialed eagerly
@@ -159,18 +188,25 @@ func (p *Pool) Send(server string, payload []byte) ([]byte, error) {
 	if p.closed.Load() {
 		return nil, ErrClosed
 	}
-	c := p.conns[(p.next.Add(1)-1)%uint64(len(p.conns))]
+	c := p.pick()
 	corr := p.corr.Add(1)
-	ch := make(chan result, 1)
+	wt := waiter{ch: replyChans.Get().(chan result)}
+	d := p.ReplyTimeout()
+	if d > 0 {
+		wt.due = time.Since(epoch) + d
+	}
 
 	c.mu.Lock()
 	if err := c.ensureLocked(); err != nil {
 		c.mu.Unlock()
+		replyChans.Put(wt.ch)
 		return nil, err
 	}
-	nc, w := c.nc, c.w
-	c.pending[corr] = ch
-	pending := c.pending
+	nc, w := c.nc, c.w.Load()
+	c.pending[corr] = wt
+	if wt.due > 0 && (c.sweepAt == 0 || wt.due < c.sweepAt) {
+		c.armLocked(nc, wt.due, wt.due-d)
+	}
 	c.mu.Unlock()
 
 	// The frame joins the connection's flush (wire.Writer): this sender
@@ -184,35 +220,26 @@ func (p *Pool) Send(server string, payload []byte) ([]byte, error) {
 		// the error text is uniform with a mid-conversation breakage.
 	}
 
-	var out result
-	if d := p.ReplyTimeout(); d > 0 {
-		t := msg.AcquireTimer(d)
-		select {
-		case out = <-ch:
-			msg.ReleaseTimer(t, false)
-		case <-t.C:
-			msg.ReleaseTimer(t, true)
-			// Abandon the correlation ID: the reader drops the late
-			// reply when (if) it arrives.
-			c.mu.Lock()
-			_, still := pending[corr]
-			delete(pending, corr)
-			c.mu.Unlock()
-			if !still {
-				// The reply raced the deadline and is already in ch.
-				out = <-ch
-				break
-			}
-			p.wire.Timeout()
-			return nil, fmt.Errorf("nsqlclient: server %q: %w after %v", server, msg.ErrReplyTimeout, d)
+	out := <-wt.ch
+	replyChans.Put(wt.ch)
+	if errors.Is(out.err, errSwept) {
+		p.wire.Timeout()
+		return nil, fmt.Errorf("nsqlclient: server %q: %w after %v", server, msg.ErrReplyTimeout, d)
+	}
+	return out.data, out.err
+}
+
+// pick chooses the connection for one request: the first whose writer
+// has a flush forming with room under its cap, so the frame shares a
+// write already paid for; else the next in turn, dialing it if it is
+// idle. It is the one place a request's connection is chosen.
+func (p *Pool) pick() *conn {
+	for _, c := range p.conns {
+		if w := c.w.Load(); w != nil && w.Joinable() {
+			return c
 		}
-	} else {
-		out = <-ch
 	}
-	if out.err != nil {
-		return nil, out.err
-	}
-	return out.data, nil
+	return p.conns[(p.next.Add(1)-1)%uint64(len(p.conns))]
 }
 
 // ensureLocked makes sure the connection is dialed; c.mu must be held.
@@ -225,21 +252,65 @@ func (c *conn) ensureLocked() error {
 		return fmt.Errorf("nsqlclient: dial %s: %w", c.p.addr, err)
 	}
 	c.nc = nc
-	c.w = wire.NewWriter(nc, &c.p.wire)
-	c.pending = make(map[uint64]chan result)
+	c.w.Store(wire.NewWriter(nc, &c.p.wire))
+	c.pending = make(map[uint64]waiter)
+	c.sweep, c.sweepAt = nil, 0
 	c.p.wire.ConnOpened()
 	if c.dialed {
 		c.p.wire.Redial()
 	}
 	c.dialed = true
-	go c.read(nc, c.pending)
+	go c.read(nc)
 	return nil
+}
+
+// armLocked sets incarnation nc's sweep to fire at due, now being the
+// time since epoch; c.mu must be held. The sweep is armed no later than
+// the earliest deadline pending.
+func (c *conn) armLocked(nc net.Conn, due, now time.Duration) {
+	c.sweepAt = due
+	if c.sweep == nil {
+		c.sweep = time.AfterFunc(due-now, func() { c.sweepDue(nc) })
+	} else {
+		c.sweep.Reset(due - now)
+	}
+}
+
+// sweepDue is incarnation nc's deadline sweep: it fails every request
+// past its deadline — deleting it, so a late reply is dropped — and
+// re-arms for the earliest deadline left. A sweep that finds its
+// incarnation gone does nothing.
+func (c *conn) sweepDue(nc net.Conn) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.nc != nc {
+		return
+	}
+	now, next := time.Since(epoch), time.Duration(0)
+	for corr, wt := range c.pending {
+		switch {
+		case wt.due == 0:
+		case wt.due <= now:
+			delete(c.pending, corr)
+			wt.ch <- result{err: errSwept} // never blocks: the one send
+		case next == 0 || wt.due < next:
+			next = wt.due
+		}
+	}
+	c.sweepAt = 0
+	if next > 0 {
+		c.armLocked(nc, next, now)
+	}
 }
 
 // read is the reader goroutine for one connection incarnation: it
 // decodes reply frames and resolves the matching pending requests until
-// the connection breaks, then fails whatever is still in flight.
-func (c *conn) read(nc net.Conn, pending map[uint64]chan result) {
+// the connection breaks, then fails whatever is still in flight. It
+// looks replies up in c.pending, not in its own incarnation's table: once
+// fail has taken that table its requests are fail's to answer, and
+// c.pending is nil or a successor's, where correlation IDs — unique in
+// the pool — find nothing, so no channel gets two sends.
+func (c *conn) read(nc net.Conn) {
 	fr := wire.NewReader(nc, c.p.opts.MaxFrame, &c.p.wire)
 	for {
 		f, err := fr.Next()
@@ -248,13 +319,13 @@ func (c *conn) read(nc net.Conn, pending map[uint64]chan result) {
 			return
 		}
 		c.mu.Lock()
-		ch, ok := pending[f.Corr]
-		delete(pending, f.Corr)
+		wt, ok := c.pending[f.Corr]
+		delete(c.pending, f.Corr)
 		c.mu.Unlock()
 		if !ok {
 			continue // abandoned at its deadline: drop the late reply
 		}
-		ch <- decode(f)
+		wt.ch <- decode(f)
 	}
 }
 
@@ -281,17 +352,21 @@ func decode(f wire.Frame) result {
 	}
 }
 
-// fail tears down one connection incarnation after an I/O error: every
-// request still pending on it gets a clean error, and the slot is left
-// nil for the next Send routed here to re-dial. It is a no-op if a
-// newer incarnation already took the slot.
+// fail tears down one connection incarnation after an I/O error: its
+// sweep stops, every request still pending on it gets a clean error, and
+// the slot is left nil for the next Send routed here to re-dial. It is a
+// no-op if a newer incarnation already took the slot.
 func (c *conn) fail(nc net.Conn, cause error) {
 	c.mu.Lock()
 	if c.nc != nc {
 		c.mu.Unlock()
 		return
 	}
-	c.nc, c.w = nil, nil
+	c.nc = nil
+	c.w.Store(nil)
+	if c.sweep != nil {
+		c.sweep.Stop()
+	}
 	pending := c.pending
 	c.pending = nil
 	c.mu.Unlock()
@@ -303,8 +378,8 @@ func (c *conn) fail(nc net.Conn, cause error) {
 	} else {
 		err = fmt.Errorf("nsqlclient: connection to %s lost: %w", c.p.addr, cause)
 	}
-	for _, ch := range pending {
-		ch <- result{err: err}
+	for _, wt := range pending {
+		wt.ch <- result{err: err}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -155,6 +156,154 @@ func TestPoolDeadlineWrapsReplyTimeout(t *testing.T) {
 	}
 	if string(got) != "fresh" {
 		t.Fatalf("late reply leaked into a new request: got %q", got)
+	}
+}
+
+// TestPoolSweepsDeadlines: one sweep per connection, armed for the
+// earliest deadline pending, stands in for a timer per request. A request
+// whose reply never comes fails once, at or after its deadline, while the
+// requests beside it on the same connection complete; its late reply is
+// dropped. Deadlines set apart through SetReplyTimeout fail in their own
+// order: the shorter first, the longer not cut short — and a sweep that
+// already fired never cuts a later wait short.
+func TestPoolSweepsDeadlines(t *testing.T) {
+	netw := msg.NewNetwork()
+	release, never := make(chan struct{}), make(chan struct{})
+	t.Cleanup(func() { close(never) })
+	for name, gate := range map[string]chan struct{}{"echo": nil, "late": release, "never": never} {
+		gate := gate
+		if _, err := netw.StartServer(name, msg.ProcessorID{Node: 0, CPU: 0}, 8, func(req []byte) []byte {
+			if gate != nil {
+				<-gate
+			}
+			return bytes.ToUpper(req)
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := wire.Listen("127.0.0.1:0", netw, wire.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const deadline = 100 * time.Millisecond
+	p, err := Dial(s.Addr(), Options{Conns: 1, ReplyTimeout: deadline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	send := func(server, payload string) (string, error) {
+		got, err := p.Send(server, []byte(payload))
+		return string(got), err
+	}
+	timedOut := func(what string, err error, waited, want time.Duration) {
+		t.Helper()
+		if !errors.Is(err, msg.ErrReplyTimeout) || !strings.Contains(err.Error(), fmt.Sprintf("after %v", want)) {
+			t.Fatalf("%s: want the reply-timeout error after %v, got %v", what, want, err)
+		}
+		if waited < want {
+			t.Fatalf("%s failed after %v, before its %v deadline", what, waited, want)
+		}
+	}
+
+	start := time.Now()
+	lateErr := make(chan error, 1)
+	go func() {
+		_, err := send("late", "late")
+		lateErr <- err
+	}()
+	for i := 0; i < 20; i++ {
+		if got, err := send("echo", fmt.Sprintf("beside-%d", i)); err != nil || got != fmt.Sprintf("BESIDE-%d", i) {
+			t.Fatalf("a request beside the stuck one: %q, %v", got, err)
+		}
+	}
+	timedOut("the request whose reply never came", <-lateErr, time.Since(start), deadline)
+	if st := p.Stats(); st.Timeouts != 1 {
+		t.Fatalf("%d timeouts counted, want 1", st.Timeouts)
+	}
+	close(release) // the late reply arrives and is dropped
+	waitFor(t, "the late reply", func() bool { return p.Stats().FramesIn == 21 })
+	if got, err := send("late", "fresh"); err != nil || got != "FRESH" {
+		t.Fatalf("the request after a late reply: %q, %v", got, err)
+	}
+
+	const long, short, later = 400 * time.Millisecond, 40 * time.Millisecond, 200 * time.Millisecond
+	p.SetReplyTimeout(long)
+	longStart := time.Now()
+	longErr := make(chan error, 1)
+	go func() {
+		_, err := send("never", "long")
+		longErr <- err
+	}()
+	waitFor(t, "the long request on the wire", func() bool { return p.Stats().FramesOut == 23 })
+	p.SetReplyTimeout(short)
+	shortStart := time.Now()
+	_, err = send("never", "short")
+	timedOut("the shorter deadline", err, time.Since(shortStart), short)
+	select {
+	case err := <-longErr:
+		t.Fatalf("the longer deadline was cut short by the shorter: %v after %v", err, time.Since(longStart))
+	default:
+	}
+	p.SetReplyTimeout(later)
+	laterStart := time.Now()
+	_, err = send("never", "later")
+	timedOut("a wait begun after a sweep fired", err, time.Since(laterStart), later)
+	timedOut("the longer deadline", <-longErr, time.Since(longStart), long)
+	if st := p.Stats(); st.Timeouts != 4 {
+		t.Fatalf("%d timeouts counted, want 4", st.Timeouts)
+	}
+}
+
+// TestPoolDeadlinesRaceReplies: replies that arrive around their
+// deadline, from many senders at once. Each request gets its own reply or
+// the timeout, never another's — the reply channels are reused, and the
+// sweep, the reader and the waiter meet on every one of them.
+func TestPoolDeadlinesRaceReplies(t *testing.T) {
+	netw := msg.NewNetwork()
+	if _, err := netw.StartServer("slow", msg.ProcessorID{Node: 0, CPU: 0}, 16, func(req []byte) []byte {
+		time.Sleep(time.Duration(req[0]) * 20 * time.Microsecond) // 0 to 5 ms: either side of the deadline
+		return bytes.ToUpper(req)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := wire.Listen("127.0.0.1:0", netw, wire.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	p, err := Dial(s.Addr(), Options{Conns: 2, ReplyTimeout: 2 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	const senders, perSender = 8, 60
+	var wg sync.WaitGroup
+	var timeouts atomic.Uint64
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perSender; i++ {
+				payload := fmt.Appendf([]byte{byte((g*perSender + i) % 250)}, "g%d-i%d", g, i)
+				got, err := p.Send("slow", payload)
+				switch {
+				case errors.Is(err, msg.ErrReplyTimeout):
+					timeouts.Add(1)
+				case err != nil:
+					t.Error(err)
+					return
+				case !bytes.Equal(got, bytes.ToUpper(payload)):
+					t.Errorf("request %q got reply %q", payload, got)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st := p.Stats(); st.Timeouts != timeouts.Load() {
+		t.Fatalf("%d timeouts returned, %d counted", timeouts.Load(), st.Timeouts)
 	}
 }
 

@@ -378,8 +378,8 @@ func (a *access) fetchRead(s *Session, tx *tmf.Tx, az *analyzeState) ([][]byte, 
 			out = append(out, rec)
 		}
 	}
-	if n := az.deltaNode(fmt.Sprintf("read %s (READ)", a.def.Name), from, len(out)); n != nil {
-		n.RowsExamined = 1
+	if az != nil { // the label is built only when something collects it
+		az.deltaNode(fmt.Sprintf("read %s (READ)", a.def.Name), from, len(out)).RowsExamined = 1
 	}
 	return out, nil
 }
@@ -425,8 +425,8 @@ func (a *access) fetchKeyed(s *Session, tx *tmf.Tx, az *analyzeState) (int, erro
 	if err != nil {
 		return 0, err
 	}
-	if node := az.deltaNode(fmt.Sprintf("%s %s (%s)", a.op.verb(), a.def.Name, a.keyKind()), from, 0); node != nil {
-		node.Affected = n
+	if az != nil {
+		az.deltaNode(fmt.Sprintf("%s %s (%s)", a.op.verb(), a.def.Name, a.keyKind()), from, 0).Affected = n
 	}
 	return n, nil
 }

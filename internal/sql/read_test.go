@@ -258,6 +258,8 @@ func TestPointReadFollowsFollowerReads(t *testing.T) {
 // allocated as a point-range subset conversation, which is what the range
 // form still costs. A regression here is a Substitute, a key-range
 // extraction or a conversation that crept back under the unique-key path.
+// The READ measured 26 while its request encoding grew from one byte and
+// it formatted its EXPLAIN ANALYZE label with nothing collecting; 21 since.
 func TestAllocationCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -285,7 +287,7 @@ func TestAllocationCeilings(t *testing.T) {
 	read := allocs("SELECT bal, pad FROM acct WHERE id = ?", record.Int(42))
 	rng := allocs("SELECT bal, pad FROM acct WHERE id >= ? AND id <= ?", record.Int(42), record.Int(42))
 	t.Logf("prepared point SELECT: %.0f allocations by unique key (READ), %.0f by point range (GET^FIRST^VSBB)", read, rng)
-	const ceiling = 34
+	const ceiling = 21
 	if read > ceiling {
 		t.Errorf("a prepared unique-key SELECT allocates %.0f times, ceiling %d", read, ceiling)
 	}

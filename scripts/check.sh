@@ -171,15 +171,22 @@ QUICK=1 go test -race -count=1 -run TestKillRecovery ./internal/experiments
 # (internal/wal/trail.go, below): grep says so. Then ten seconds of
 # hostile bytes against each decoder at the front door, and the
 # allocation ceilings of the wire edge without -race (the detector
-# allocates): codecs that allocate once, one EXECUTE round trip over an
-# in-memory pipe, and a message hop that allocates nothing. Then the
+# allocates): codecs that allocate once — the FS-DP request encoder
+# among them — one EXECUTE round trip over an in-memory pipe, and a
+# message hop that allocates nothing. Then the
 # differential test: the same workload over in-process and TCP
-# transports must be byte-identical with identical accounting.
+# transports must be byte-identical with identical accounting. First,
+# twenty rounds of the client pool's own seams: a request joining the
+# flush already forming on a connection, the fallback to the next
+# connection in turn, and the per-connection deadline sweep against
+# replies, late replies, SetReplyTimeout and replies racing their
+# deadlines from many senders.
+go test -race -count=20 -run 'TestPoolJoinsTheFlushForming|TestPoolFallsBackToTheNextConnection|TestPoolSweepsDeadlines|TestPoolDeadlinesRaceReplies' ./internal/nsqlclient
 go test -race -count=1 ./internal/msg/wire ./internal/nsqlclient ./internal/nsqlwire
 if grep -n 'time\.\(After\|NewTimer\|Sleep\|Tick\)' internal/msg/wire/writer.go internal/wal/trail.go; then exit 1; fi
 go test -run '^$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/msg/wire
 go test -run '^$' -fuzz FuzzNsqlwire -fuzztime 10s ./internal/nsqlwire
-go test -count=1 -run TestAllocationCeilings ./internal/nsqlwire ./internal/nsqlclient ./internal/msg
+go test -count=1 -run TestAllocationCeilings ./internal/nsqlwire ./internal/nsqlclient ./internal/msg ./internal/fsdp
 go test -race -count=1 -run 'TestServeSQL|TestDifferentialTransport' .
 # Compiled statements: the shared plan cache takes concurrent get/put
 # from every session while DDL bumps the catalog version, and the
