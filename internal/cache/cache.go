@@ -138,7 +138,8 @@ type PageIndex struct {
 }
 
 // A Page is a pinned cache buffer. Callers must Release it; Data stays
-// valid only while pinned.
+// valid only while pinned: evicting a page hands its buffer back to the
+// disk package's block pool, and the next miss or snapshot reuses it.
 type Page struct {
 	sh      *shard
 	bn      disk.BlockNum
@@ -487,13 +488,16 @@ func (p *Pool) GetClass(bn disk.BlockNum, class AccessClass) (*Page, error) {
 	}
 	s.mu.Unlock()
 
-	buf := make([]byte, disk.BlockSize)
+	buf := disk.NewBlock()
 	err := p.vol.Read(bn, buf)
 
 	s.lock()
 	var pg *Page
 	if err == nil {
 		pg, err = s.installLocked(bn, buf, true, class)
+	}
+	if pg == nil || &pg.data[0] != &buf[0] {
+		disk.FreeBlock(buf) // an error, or a page already there
 	}
 	// Retired only now, with the page installed: see installLocked.
 	delete(s.inflight, bn)
@@ -567,6 +571,8 @@ func (s *shard) makeRoomLocked(n int) error {
 		}
 		if clean != nil {
 			s.dropLocked(clean)
+			disk.FreeBlock(clean.data)
+			clean.data = nil
 			s.pool.stats.evictions.Add(1)
 			continue
 		}
@@ -602,7 +608,8 @@ func (s *shard) cleanPageLocked(pg *Page) error {
 	pg.writing = true
 	pg.setDirty(false)
 	lsn := pg.lsn
-	buf := append([]byte(nil), pg.data...)
+	buf := disk.NewBlock()
+	copy(buf, pg.data)
 	stall := lsn > s.pool.gate.FlushedLSN()
 	if stall {
 		s.pool.stats.walStalls.Add(1)
@@ -613,6 +620,7 @@ func (s *shard) cleanPageLocked(pg *Page) error {
 		s.pool.gate.FlushTo(lsn)
 	}
 	err := s.pool.vol.Write(pg.bn, buf)
+	disk.FreeBlock(buf)
 	s.lock()
 	pg.writing = false
 	s.cond.Broadcast()
@@ -694,14 +702,6 @@ func (p *Pool) reservePrefetch(want int) int {
 				return int(n)
 			}
 		}
-	}
-}
-
-// LoadRun synchronously loads the given blocks with bulk reads. Used
-// when pre-fetch is disabled, and by Prefetch's workers.
-func (p *Pool) LoadRun(bns []disk.BlockNum, class AccessClass) {
-	for _, r := range p.planRuns(bns) {
-		p.loadRun(r, class)
 	}
 }
 
@@ -794,14 +794,18 @@ func (p *Pool) WriteBehind() (int, error) {
 		for i := len(s.dirty) - 1; i >= 0; i-- {
 			pg := s.dirty[i]
 			if !pg.writing && pg.lsn <= durable && pg.pins == 0 {
-				// Claim the page and snapshot its buffer under the shard
-				// mutex; the bulk writes run with every mutex dropped so
-				// the I/O never blocks hits or misses on other pages.
+				// Claim the page and snapshot its buffer into a pooled
+				// block under the shard mutex; the bulk writes run with
+				// every mutex dropped so the I/O never blocks hits or
+				// misses on other pages, and the snapshots go back to the
+				// pool once the writes return (the device keeps copies).
 				// Pages re-dirtied during the write keep their dirty bit
 				// (set by MarkDirty) and age again later.
 				pg.writing = true
 				pg.setDirty(false)
-				aged = append(aged, agedPage{pg, append([]byte(nil), pg.data...)})
+				buf := disk.NewBlock()
+				copy(buf, pg.data)
+				aged = append(aged, agedPage{pg, buf})
 			}
 		}
 		s.mu.Unlock()
@@ -836,6 +840,7 @@ func (p *Pool) WriteBehind() (int, error) {
 	}
 
 	for i, a := range aged {
+		disk.FreeBlock(a.buf)
 		s := a.pg.sh
 		s.lock()
 		a.pg.writing = false
@@ -938,16 +943,6 @@ func (p *Pool) Discard(bn disk.BlockNum) {
 	}
 }
 
-// IsDirty reports whether bn is cached with unflushed (or mid-flush)
-// updates.
-func (p *Pool) IsDirty(bn disk.BlockNum) bool {
-	s := p.shardFor(bn)
-	s.lock()
-	defer s.mu.Unlock()
-	pg, ok := s.pages[bn]
-	return ok && (pg.dirty || pg.writing)
-}
-
 // DirtyCount returns the number of resident dirty pages: a counter kept
 // at every transition (setDirty), not a walk.
 func (p *Pool) DirtyCount() int { return int(p.dirtyPages.Load()) }
@@ -996,15 +991,6 @@ func (p *Pool) Stats() Stats {
 // snapshot: what a Disk Process samples around every request it serves.
 func (p *Pool) HitsMisses() (hits, misses uint64) {
 	return p.stats.keyedHits.Load() + p.stats.seqHits.Load(), p.stats.keyedMisses.Load() + p.stats.seqMisses.Load()
-}
-
-// ShardWaitList returns the per-shard contended-acquisition counts.
-func (p *Pool) ShardWaitList() []uint64 {
-	out := make([]uint64, len(p.shards))
-	for i, sh := range p.shards {
-		out[i] = sh.waits.Load()
-	}
-	return out
 }
 
 // ShardAcquireList returns the per-shard total acquisition counts: the

@@ -41,9 +41,11 @@ type BlockDev interface {
 	Read(bn BlockNum, buf []byte) error
 	// ReadBulk performs ONE bulk read of n consecutive blocks.
 	ReadBulk(start BlockNum, n int) ([][]byte, error)
-	// Write performs one single-block write.
+	// Write performs one single-block write. The device copies what it
+	// keeps: the caller may reuse data once the call returns.
 	Write(bn BlockNum, data []byte) error
-	// WriteBulk performs ONE bulk write of consecutive blocks.
+	// WriteBulk performs ONE bulk write of consecutive blocks, copying
+	// them as Write does.
 	WriteBulk(start BlockNum, blocks [][]byte) error
 
 	// Sync makes every completed write durable and reports any deferred

@@ -35,6 +35,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sync"
 
@@ -236,7 +237,16 @@ func (v *Volume) writeHeader(clean bool) error {
 	if clean {
 		free = append(free, v.free...)
 	} else {
-		next = (next/allocChunk + 1) * allocChunk
+		// The rounded mark must fit the header's 32 bits. Wrapped, it
+		// would read as the "nothing written yet" mark and never land, so
+		// a volume within one allocChunk of 2^32 blocks is full, and Open
+		// refuses it.
+		rounded := (uint64(next)/allocChunk + 1) * allocChunk
+		if rounded > math.MaxUint32 {
+			v.mu.Unlock()
+			return fmt.Errorf("filevol %s: volume full: high-water mark %d", v.name, next)
+		}
+		next = disk.BlockNum(rounded)
 		if next == v.hdrMark {
 			v.mu.Unlock()
 			return nil
@@ -341,13 +351,15 @@ func (v *Volume) Free(bn disk.BlockNum) {
 	// so ordering against queued writes of the same block is preserved.
 	// No fsync: the zeros only matter if the free list itself survives,
 	// and that takes a clean Close, which fsyncs.
-	zeros := make([]byte, disk.BlockSize)
 	if v.sched != nil {
-		_ = v.sched.submit(bn, zeros)
+		_ = v.sched.submit(bn, zeroBlock[:])
 	} else {
-		_, _ = v.f.WriteAt(zeros, blockOff(bn))
+		_, _ = v.f.WriteAt(zeroBlock[:], blockOff(bn))
 	}
 }
+
+// zeroBlock is what a freed block is overwritten with; nothing writes it.
+var zeroBlock [disk.BlockSize]byte
 
 // allocated reports whether bn is a live block, under v.mu.
 func (v *Volume) allocatedLocked(bn disk.BlockNum) bool {
@@ -371,11 +383,8 @@ func (v *Volume) Read(bn disk.BlockNum, buf []byte) error {
 	v.stats.Reads++
 	v.stats.BlocksRead++
 	v.mu.Unlock()
-	if v.sched != nil {
-		if img, ok := v.sched.lookup(bn); ok {
-			copy(buf, img)
-			return nil
-		}
+	if v.sched != nil && v.sched.lookup(bn, buf) != nil {
+		return nil
 	}
 	return v.pread(buf, blockOff(bn))
 }
@@ -424,9 +433,7 @@ func (v *Volume) ReadBulk(start disk.BlockNum, n int) ([][]byte, error) {
 	if v.sched != nil {
 		overlays = make([][]byte, n)
 		for i := 0; i < n; i++ {
-			if img, ok := v.sched.lookup(start + disk.BlockNum(i)); ok {
-				overlays[i] = append([]byte(nil), img...)
-			}
+			overlays[i] = v.sched.lookup(start+disk.BlockNum(i), nil)
 		}
 	}
 	raw := make([]byte, n*disk.BlockSize)

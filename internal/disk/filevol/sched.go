@@ -18,6 +18,11 @@
 // submission order. Reads overlay pending first, then busy, then the
 // file, so queued writes are immediately visible. Write errors are
 // sticky and surface at the next Sync, per the BlockDev contract.
+//
+// Queued images come from the disk package's block pool and go back to
+// it when a newer image absorbs them or their pwrite lands, so a reader
+// copies an image out under mu: once mu is dropped the buffer may already
+// hold another block.
 package filevol
 
 import (
@@ -86,18 +91,22 @@ func newSched(v *Volume, workers, maxQueue int) *sched {
 	return s
 }
 
-// submit queues one block image, blocking while the queue is full.
+// submit queues a copy of one block image, blocking while the queue is
+// full; the caller keeps data.
 func (s *sched) submit(bn disk.BlockNum, data []byte) error {
-	img := append([]byte(nil), data...)
+	img := disk.NewBlock()
+	copy(img, data)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for len(s.pending) >= s.maxQueue && !s.closed {
 		s.room.Wait()
 	}
 	if s.closed {
+		disk.FreeBlock(img)
 		return fmt.Errorf("disk %s: write on closed volume", s.v.name)
 	}
-	if _, dup := s.pending[bn]; dup {
+	if old, dup := s.pending[bn]; dup {
+		disk.FreeBlock(old)
 		s.stats.Absorbed++
 	}
 	s.pending[bn] = img
@@ -109,17 +118,19 @@ func (s *sched) submit(bn disk.BlockNum, data []byte) error {
 	return nil
 }
 
-// lookup returns the queued or in-flight image of bn, newest first.
-func (s *sched) lookup(bn disk.BlockNum) ([]byte, bool) {
+// lookup copies the queued or in-flight image of bn, newest first, into
+// buf[:0] (allocating when buf is nil) and returns the copy; nil when bn
+// has no image in the queue.
+func (s *sched) lookup(bn disk.BlockNum, buf []byte) []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if img, ok := s.pending[bn]; ok {
-		return img, true
+	img, ok := s.pending[bn]
+	if !ok {
+		if img, ok = s.busy[bn]; !ok {
+			return nil
+		}
 	}
-	if img, ok := s.busy[bn]; ok {
-		return img, true
-	}
-	return nil, false
+	return append(buf[:0], img...)
 }
 
 // claimRunLocked picks a maximal run of consecutive pending blocks —
@@ -200,8 +211,9 @@ func (s *sched) worker() {
 			bn := start + disk.BlockNum(i)
 			// A newer image may have been submitted while we wrote; it
 			// sits in pending and stays claimable. Only our busy entry
-			// is retired.
+			// is retired, and its image goes back to the pool.
 			delete(s.busy, bn)
+			disk.FreeBlock(run[i])
 		}
 		s.inFlight--
 		s.stats.Writes++

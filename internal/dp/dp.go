@@ -30,7 +30,6 @@ import (
 	"nonstopsql/internal/fault"
 	"nonstopsql/internal/fsdp"
 	"nonstopsql/internal/lock"
-	"nonstopsql/internal/obs"
 	"nonstopsql/internal/record"
 	"nonstopsql/internal/tmf"
 	"nonstopsql/internal/wal"
@@ -265,7 +264,6 @@ type DP struct {
 
 	serviceOps   atomic.Uint64
 	serviceNanos atomic.Uint64
-	svcLat       obs.Histogram // per-request service-time distribution
 
 	// queueWait reports the msg server's input-queue wait counters for
 	// this DP's process group (ops, nanos). Wired by the cluster after
@@ -393,10 +391,6 @@ func (d *DP) SetQueueWait(fn func() (ops, nanos uint64)) {
 	d.qwMu.Unlock()
 }
 
-// ServiceLatency returns the per-request service-time distribution
-// (handler time only, excluding queue wait).
-func (d *DP) ServiceLatency() obs.Snapshot { return d.svcLat.Snapshot() }
-
 // ResetStats zeroes the counters, including the latch table's and the
 // concurrency meter's.
 func (d *DP) ResetStats() {
@@ -417,7 +411,6 @@ func (d *DP) ResetStats() {
 	d.meter.reset()
 	d.serviceOps.Store(0)
 	d.serviceNanos.Store(0)
-	d.svcLat.Reset()
 }
 
 // Concurrency returns the measured effective concurrency of request
@@ -450,10 +443,8 @@ func (d *DP) serve(req *fsdp.Request) *fsdp.Reply {
 	t0 := d.meter.enter()
 	defer func() {
 		t1 := time.Now()
-		ns := t1.Sub(t0).Nanoseconds()
 		d.serviceOps.Add(1)
-		d.serviceNanos.Add(uint64(ns))
-		d.svcLat.RecordNanos(ns)
+		d.serviceNanos.Add(uint64(t1.Sub(t0)))
 		d.meter.exit(t1)
 	}()
 

@@ -157,8 +157,16 @@ go test -race -short -run TestRecoveryTorture ./internal/experiments
 # File-backed volumes: the async I/O scheduler keeps coalescing,
 # absorption, and fsync-generation state under one mutex with four
 # condvars — the racy seam of PR 7. Hammer it focused, then run the
-# quick kill -9 crash-recovery pass against real on-disk files.
+# quick kill -9 crash-recovery pass against real on-disk files. Block
+# images are pooled (disk.NewBlock/FreeBlock): a queued image goes back to
+# the pool when it is absorbed or lands, so a reader copies it out under
+# the scheduler's mutex — twenty rounds of readers racing writers over the
+# same blocks, with the race build poisoning every freed buffer. Then ten
+# seconds of hostile header bytes against Open, and the allocation
+# ceilings of the block path (cache and scheduler) with the wire's below.
 go test -race -count=1 -run 'TestSchedRace|TestFsyncBatching|TestWriteAbsorption|TestHeaderWrittenWhenItChanges' ./internal/disk/filevol
+go test -race -count=20 -run TestReadsNeverSeeARecycledImage ./internal/disk/filevol
+go test -run '^$' -fuzz FuzzVolumeHeader -fuzztime 10s ./internal/disk/filevol
 QUICK=1 go test -race -count=1 -run TestKillRecovery ./internal/experiments
 # Wire transport: framing, pipelined correlation, drain, reconnect, and
 # the client pool's deadline/redial races — the concurrent seams of
@@ -186,7 +194,7 @@ go test -race -count=1 ./internal/msg/wire ./internal/nsqlclient ./internal/nsql
 if grep -n 'time\.\(After\|NewTimer\|Sleep\|Tick\)' internal/msg/wire/writer.go internal/wal/trail.go; then exit 1; fi
 go test -run '^$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/msg/wire
 go test -run '^$' -fuzz FuzzNsqlwire -fuzztime 10s ./internal/nsqlwire
-go test -count=1 -run TestAllocationCeilings ./internal/nsqlwire ./internal/nsqlclient ./internal/msg ./internal/fsdp
+go test -count=1 -run TestAllocationCeilings ./internal/nsqlwire ./internal/nsqlclient ./internal/msg ./internal/fsdp ./internal/cache ./internal/disk/filevol
 go test -race -count=1 -run 'TestServeSQL|TestDifferentialTransport' .
 # Compiled statements: the shared plan cache takes concurrent get/put
 # from every session while DDL bumps the catalog version, and the
