@@ -2,7 +2,8 @@
 // network, serves its message network over TCP, and registers the
 // "$SQL" statement endpoint. Clients connect with nsqlsh -connect or
 // the nsqlclient pool, hold pipelined request/reply conversations, and
-// execute autocommit SQL.
+// execute autocommit SQL. The operator's commands (nsqlsh's \crash,
+// \restart and \reset) are refused unless nsqld runs with -admin.
 //
 // SIGTERM or SIGINT triggers a graceful drain: the listener closes, new
 // request frames are refused, in-flight requests get their replies
@@ -29,6 +30,7 @@ func main() {
 	workers := flag.Int("workers", 8, "concurrent remote statements ($SQL session pool size)")
 	replyTimeout := flag.Duration("reply-timeout", 30*time.Second, "server-side bound per dispatched request (0 = none)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for in-flight requests (0 = forever)")
+	admin := flag.Bool("admin", false, "serve the operator's commands to clients: crash and restart a volume, reset the counters")
 	flag.Parse()
 
 	db, err := nonstopsql.Open(nonstopsql.Config{
@@ -38,6 +40,7 @@ func main() {
 		Listen:           *listen,
 		ServeWorkers:     *workers,
 		WireReplyTimeout: *replyTimeout,
+		AdminOps:         *admin,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "nsqld: %v\n", err)

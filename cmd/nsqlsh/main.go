@@ -14,6 +14,10 @@
 //	\crash $DATA1   crash a volume's Disk Process
 //	\restart $DATA1 recover and restart it
 //	\q       quit
+//
+// Against a remote nsqld, \crash, \restart and \reset are the
+// operator's commands: the server refuses them unless it was started with
+// -admin, and the shell prints its refusal.
 package main
 
 import (

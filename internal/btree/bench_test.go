@@ -114,7 +114,9 @@ func BenchmarkInsert(b *testing.B) {
 // TestAllocationCeilings pins what reading pages in place bought: on a
 // warm three-level tree a descent allocates nothing, a point read
 // allocates only the copy it returns, a scan allocates nothing however
-// many records it visits, and a same-length update allocates nothing.
+// many records it visits, and a same-length update allocates nothing. A
+// point read into a buffer of the caller's (AppendGet: the Disk
+// Process's service slot) allocates nothing at all.
 // A record scan over warm leaves allocates nothing either — their record
 // tables are built — and after a write to one of its leaves it pays for
 // that leaf's new table and nothing per record: a table costs a constant
@@ -128,6 +130,7 @@ func TestAllocationCeilings(t *testing.T) {
 	tr := benchTree(t).HoldsRecords(record.FieldStarts)
 	key := benchKey(benchRows / 3)
 	val := acctRow(7)
+	var into []byte
 	scanned := 0
 	scanRecords := func() {
 		n := 0
@@ -158,6 +161,12 @@ func TestAllocationCeilings(t *testing.T) {
 		}},
 		{"Get", 1, func() {
 			if _, err := tr.Get(key); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"AppendGet into a buffer of the caller's", 0, func() {
+			var err error
+			if into, err = tr.AppendGet(into[:0], key); err != nil {
 				t.Fatal(err)
 			}
 		}},

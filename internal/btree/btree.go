@@ -317,27 +317,30 @@ func failDescent(path []wframe, pl pageLatch, err error) ([]wframe, pageLatch, p
 // reads ----------------------------------------------------------------
 
 // Get returns a copy of the record bytes stored under key.
-func (t *Tree) Get(key []byte) ([]byte, error) {
+func (t *Tree) Get(key []byte) ([]byte, error) { return t.AppendGet(nil, key) }
+
+// AppendGet appends the record bytes stored under key to dst, copied
+// from the leaf while it is pinned and latched: the one copy a point
+// read makes, into a buffer of the caller's. Not found leaves dst as it
+// was.
+func (t *Tree) AppendGet(dst, key []byte) ([]byte, error) {
 	t.lt.opEnter()
 	defer t.lt.opExit()
 	_, pl, v, err := t.descend(key, latchShared, cache.Keyed)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	var val []byte
 	i, exact := v.find(key)
 	if exact {
-		// The record outlives the pin and the latch: the one copy a
-		// point read makes.
 		_, borrowed := v.cell(i)
-		val = append([]byte(nil), borrowed...)
+		dst = append(dst, borrowed...)
 	}
 	v.release()
 	pl.release()
 	if !exact {
-		return nil, fmt.Errorf("%w (%s)", ErrNotFound, t.name)
+		return dst, fmt.Errorf("%w (%s)", ErrNotFound, t.name)
 	}
-	return val, nil
+	return dst, nil
 }
 
 // writes ---------------------------------------------------------------

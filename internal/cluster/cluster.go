@@ -325,7 +325,7 @@ func (c *Cluster) startDP(node, cpu int, name string, ship *shipper) (*dpEntry, 
 // is wired into dp.Stats so service time and queue wait can be compared
 // side by side.
 func (c *Cluster) serve(name string, node, cpu int, d *dp.DP) error {
-	srv, err := c.Net.StartServer(name, msg.ProcessorID{Node: node, CPU: cpu}, c.opts.DPWorkers, d.Handler)
+	srv, err := c.Net.Register(name, msg.ProcessorID{Node: node, CPU: cpu}, c.opts.DPWorkers, d.Handler)
 	if err != nil {
 		return err
 	}

@@ -204,12 +204,12 @@ func (c *Cluster) TakeoverReplica(name string) error {
 	// other process. Transport errors surface as general failures the
 	// requester treats like any DP error.
 	t := e.ship.transport
-	_, err := c.Net.StartServer(name, msg.ProcessorID{Node: e.node, CPU: e.cpu}, c.opts.DPWorkers, func(req []byte) []byte {
-		out, err := t.Send(target, req)
+	_, err := c.Net.Register(name, msg.ProcessorID{Node: e.node, CPU: e.cpu}, c.opts.DPWorkers, func(req, out []byte) []byte {
+		reply, err := t.SendAppend(target, req, out)
 		if err != nil {
-			return fsdp.EncodeReply(&fsdp.Reply{Code: fsdp.ErrGeneral, Err: fmt.Sprintf("cluster: relay to %s: %v", target, err)})
+			return fsdp.AppendReply(out, &fsdp.Reply{Code: fsdp.ErrGeneral, Err: fmt.Sprintf("cluster: relay to %s: %v", target, err)})
 		}
-		return out
+		return reply
 	})
 	return err
 }

@@ -260,7 +260,7 @@ func TestReplicaCatchUpAfterBackupOutage(t *testing.T) {
 	// Backup returns (same DP, same volume — only the server name had
 	// vanished); the next transaction's flush carries the backlog.
 	bdp := c.DP("$R2#B")
-	if _, err := c.Net.StartServer("$R2#B", msg.ProcessorID{Node: 1, CPU: 1}, 4, bdp.Handler); err != nil {
+	if _, err := c.Net.Register("$R2#B", msg.ProcessorID{Node: 1, CPU: 1}, 4, bdp.Handler); err != nil {
 		t.Fatal(err)
 	}
 	commit(6, "after")
@@ -336,7 +336,7 @@ func TestTakeoverRefusedWhenCatchUpFails(t *testing.T) {
 
 	// The backup returns; the retried takeover catches up and promotes.
 	bdp := c.DP("$R4#B")
-	if _, err := c.Net.StartServer("$R4#B", msg.ProcessorID{Node: 1, CPU: 1}, 4, bdp.Handler); err != nil {
+	if _, err := c.Net.Register("$R4#B", msg.ProcessorID{Node: 1, CPU: 1}, 4, bdp.Handler); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.TakeoverReplica("$R4"); err != nil {

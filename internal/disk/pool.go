@@ -1,6 +1,10 @@
 package disk
 
-import "sync"
+import (
+	"sync"
+
+	"nonstopsql/internal/poison"
+)
 
 // blockPool is the one pool of 4 KB block images. The cache's miss buffers
 // and write-back snapshots and the file-backed scheduler's queued images
@@ -17,14 +21,6 @@ func NewBlock() []byte { return blockPool.Get().(*[BlockSize]byte)[:] }
 // bytes are poisoned first, so a read through a stale alias returns a
 // wrong answer a test can see, besides the race the detector reports.
 func FreeBlock(b []byte) {
-	p := (*[BlockSize]byte)(b)
-	if poisonFreed {
-		for i := range p {
-			p[i] = poisonByte
-		}
-	}
-	blockPool.Put(p)
+	poison.Fill(b)
+	blockPool.Put((*[BlockSize]byte)(b))
 }
-
-// poisonByte fills a freed block under the race detector.
-const poisonByte = 0xDB

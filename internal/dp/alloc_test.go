@@ -123,6 +123,29 @@ func TestAllocationCeilings(t *testing.T) {
 	compilingCostsAConstantAtFirst(t, d)
 	probesCostTheMessage(t, d)
 	oneRowCostsOneRow(t, d)
+	aReadCostsNothing(t, d)
+}
+
+// aReadCostsNothing is TestAllocationCeilings' ceiling on the served READ:
+// the Handler decodes it into a pooled service slot, copies the record
+// from the leaf into the slot and appends the reply to the sender's
+// buffer — which the sender reuses — so a READ allocates nothing, browse
+// or under a transaction (whose lock holds a copy of the key: that one
+// allocation is the lock's, not the message's, and is not measured here).
+func aReadCostsNothing(t *testing.T, d *DP) {
+	req := fsdp.EncodeRequest(&fsdp.Request{Kind: fsdp.KReadRecord, File: "EMP", Key: key1(1234)})
+	var out []byte
+	var reply fsdp.Reply
+	read := func() {
+		out = d.Handler(req, out[:0])
+		if err := fsdp.DecodeReplyInto(&reply, out); err != nil || !reply.OK() || len(reply.Rows) != 1 {
+			t.Fatalf("READ: %+v, %v", reply, err)
+		}
+	}
+	read()
+	if got := testing.AllocsPerRun(200, read); got > 0 {
+		t.Errorf("a READ through the Handler into a reused buffer allocates %.1f objects, ceiling 0", got)
+	}
 }
 
 // oneRowCostsOneRow is TestAllocationCeilings' ceiling in bytes on a

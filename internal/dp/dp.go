@@ -270,6 +270,21 @@ type DP struct {
 	// StartServer; guarded by qwMu because takeover/restart rewires it.
 	qwMu      sync.Mutex
 	queueWait func() (uint64, uint64)
+
+	// slots holds what a READ in service decodes into and replies from
+	// (*slot): as many are in use as READs are in service.
+	slots sync.Pool
+}
+
+// A slot is one READ in service: the request decoded into it, the record
+// copied out of the leaf and the reply's one-entry lists. A slot of the
+// pool is reused from READ to READ, so a READ allocates nothing.
+type slot struct {
+	req   fsdp.Request
+	reply fsdp.Reply
+	val   []byte
+	rows  [1][]byte
+	keys  [1][]byte
 }
 
 // New creates a Disk Process over its volume.
@@ -423,20 +438,51 @@ func (d *DP) Concurrency() (float64, int) {
 	return d.meter.snapshot()
 }
 
-// Handler is the msg.Handler for this DP's process group.
-func (d *DP) Handler(reqBytes []byte) []byte {
-	req, err := fsdp.DecodeRequest(reqBytes)
-	if err != nil {
-		return fsdp.EncodeReply(&fsdp.Reply{Code: fsdp.ErrBadRequest, Err: err.Error()})
+// Handler is the msg.Handler for this DP's process group: decode, serve,
+// append the reply to the sender's buffer. The request's bytes are the
+// sender's and may be reused once the handler returns. A READ keeps
+// nothing of them — it is decoded into a pooled slot, and the lock a
+// READ under a transaction takes gets a copy of the key — so serving one
+// allocates nothing. PREPARE, COMMIT, ABORT and CLOSE^SUBSET read only
+// the request's numbers. Every other kind may keep what its request
+// carries past the message (a Subset Control Block's projection and
+// program, locked key ranges, undo keys, shipped images), so it is
+// decoded, as every request once was, from a copy of its own.
+func (d *DP) Handler(reqBytes, out []byte) []byte {
+	var kind fsdp.Kind
+	if len(reqBytes) > 0 {
+		kind = fsdp.Kind(reqBytes[0])
 	}
-	reply := d.serve(req)
-	return fsdp.EncodeReply(reply)
+	switch kind {
+	case fsdp.KReadRecord:
+		sl, _ := d.slots.Get().(*slot)
+		if sl == nil {
+			sl = new(slot)
+		}
+		out = d.reply(out, &sl.req, reqBytes, sl)
+		d.slots.Put(sl)
+		return out
+	case fsdp.KPrepare, fsdp.KCommit, fsdp.KAbort, fsdp.KCloseSubset:
+	default:
+		reqBytes = bytes.Clone(reqBytes)
+	}
+	return d.reply(out, new(fsdp.Request), reqBytes, nil)
 }
 
-// Serve handles one decoded request (exported for in-process tests).
-func (d *DP) Serve(req *fsdp.Request) *fsdp.Reply { return d.serve(req) }
+// reply decodes b into req, serves it and appends the reply to out; sl is
+// the service slot of a READ.
+func (d *DP) reply(out []byte, req *fsdp.Request, b []byte, sl *slot) []byte {
+	if err := fsdp.DecodeRequestInto(req, b); err != nil {
+		return fsdp.AppendReply(out, &fsdp.Reply{Code: fsdp.ErrBadRequest, Err: err.Error()})
+	}
+	return fsdp.AppendReply(out, d.serve(req, sl))
+}
 
-func (d *DP) serve(req *fsdp.Request) *fsdp.Reply {
+// Serve handles one decoded request (exported for in-process tests and
+// the benchmark's layer ladder); the reply is the caller's.
+func (d *DP) Serve(req *fsdp.Request) *fsdp.Reply { return d.serve(req, new(slot)) }
+
+func (d *DP) serve(req *fsdp.Request, sl *slot) *fsdp.Reply {
 	d.stats.requests.Add(1)
 	// One clock read opens both the concurrency meter's interval and the
 	// service timer, and one closes them.
@@ -468,7 +514,7 @@ func (d *DP) serve(req *fsdp.Request) *fsdp.Reply {
 	case fsdp.KDropFile:
 		reply = d.dropFile(req)
 	case fsdp.KReadRecord:
-		reply = d.readRecord(req)
+		reply = d.readRecord(req, sl)
 	case fsdp.KInsertRecord:
 		reply = d.insertRecord(req)
 	case fsdp.KUpdateRecord:
@@ -646,8 +692,10 @@ func (d *DP) AttachFile(name string, schema *record.Schema, check expr.Expr, roo
 	}
 }
 
-// readRecord serves the ENSCRIBE READ: whole record by primary key.
-func (d *DP) readRecord(req *fsdp.Request) *fsdp.Reply {
+// readRecord serves the ENSCRIBE READ: whole record by primary key. The
+// record is copied from the leaf into the slot, and the reply is the
+// slot's, read by the encoder before the slot serves another request.
+func (d *DP) readRecord(req *fsdp.Request, sl *slot) *fsdp.Reply {
 	f, err := d.getFile(req.File)
 	if err != nil {
 		return errReply(err)
@@ -657,7 +705,8 @@ func (d *DP) readRecord(req *fsdp.Request) *fsdp.Reply {
 		if req.Mode == 2 {
 			mode = lock.Exclusive // read-for-update
 		}
-		if err := d.lockTx(req.Tx, req.File, req.Key, mode); err != nil {
+		// The lock outlives the request: it holds a copy of the key.
+		if err := d.lockTx(req.Tx, req.File, bytes.Clone(req.Key), mode); err != nil {
 			return errReply(err)
 		}
 	}
@@ -665,12 +714,14 @@ func (d *DP) readRecord(req *fsdp.Request) *fsdp.Reply {
 	// same books a set request keeps, so records examined per record
 	// returned still reads 1 when point reads stop being one-record scans.
 	d.stats.rowsScanned.Add(1)
-	val, err := f.tree.Get(req.Key)
+	sl.val, err = f.tree.AppendGet(sl.val[:0], req.Key)
 	if err != nil {
 		return d.readFailed(err)
 	}
 	d.stats.rowsReturned.Add(1)
-	return &fsdp.Reply{Rows: [][]byte{val}, RowKeys: [][]byte{req.Key}, Examined: 1}
+	sl.rows[0], sl.keys[0] = sl.val, req.Key
+	sl.reply = fsdp.Reply{Rows: sl.rows[:], RowKeys: sl.keys[:], Examined: 1}
+	return &sl.reply
 }
 
 // insertRecord serves WRITE: insert one record.

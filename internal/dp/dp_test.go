@@ -588,13 +588,13 @@ func TestHandlerWire(t *testing.T) {
 	// Full encode/serve/decode through the byte-level Handler.
 	d, _, _ := testDP(t, nil)
 	loadEmp(t, d, 5)
-	raw := d.Handler(fsdp.EncodeRequest(&fsdp.Request{Kind: fsdp.KReadRecord, File: "EMP", Key: key1(2)}))
+	raw := d.Handler(fsdp.EncodeRequest(&fsdp.Request{Kind: fsdp.KReadRecord, File: "EMP", Key: key1(2)}), nil)
 	reply, err := fsdp.DecodeReply(raw)
 	if err != nil || !reply.OK() || len(reply.Rows) != 1 {
 		t.Fatalf("%+v %v", reply, err)
 	}
 	// Garbage request is rejected, not a panic.
-	raw = d.Handler([]byte{0xFF, 0xFF})
+	raw = d.Handler([]byte{0xFF, 0xFF}, nil)
 	reply, err = fsdp.DecodeReply(raw)
 	if err != nil || reply.OK() {
 		t.Fatalf("garbage handled: %+v %v", reply, err)

@@ -265,7 +265,7 @@ func BenchmarkKeyedUpdate(b *testing.B) {
 				}
 				req := c.req(key1(int64(i % records)))
 				req.Tx, req.File = tx, "EMP"
-				reply, err := fsdp.DecodeReply(d.Handler(fsdp.EncodeRequest(&req)))
+				reply, err := fsdp.DecodeReply(d.Handler(fsdp.EncodeRequest(&req), nil))
 				if err != nil || !reply.OK() || reply.Count != 1 {
 					b.Fatalf("%+v %v", reply, err)
 				}

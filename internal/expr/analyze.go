@@ -150,7 +150,12 @@ func ExtractUniqueKey(pred Expr, schema *record.Schema) *UniqueKey {
 // or no value of the column's type (a FLOAT with a fraction on an INTEGER
 // column): such an equality is never true, so no record qualifies.
 func (u *UniqueKey) Key(vals []record.Value) (key []byte, ok bool, err error) {
-	ok = true
+	return u.AppendKey(nil, vals)
+}
+
+// AppendKey is Key appending the key to dst.
+func (u *UniqueKey) AppendKey(dst []byte, vals []record.Value) (key []byte, ok bool, err error) {
+	key, ok = dst, true
 	for pos, at := range u.at {
 		if at.isSlot {
 			if at.v, err = paramValue(at.slot, vals); err != nil {

@@ -39,7 +39,7 @@ func (f *FS) NewBlockedInserter(tx *tmf.Tx, def *FileDef, rng keys.Range, factor
 	}
 	b := &BlockedInserter{fs: f, tx: tx, def: def, factor: factor, locked: make(map[string]bool)}
 	for _, span := range partitionsFor(def.Partitions, rng) {
-		reply, err := f.sendTx(tx, span.server, &fsdp.Request{
+		reply, err := f.sendTx(nil, tx, span.server, &fsdp.Request{
 			Kind: fsdp.KLockRange, Tx: tx.ID, File: def.Name, Range: span.r, Mode: 2,
 		})
 		if err != nil {
@@ -84,7 +84,7 @@ func (b *BlockedInserter) Flush() error {
 	}
 	b.pending = b.pending[:0]
 	for _, server := range order {
-		reply, err := b.fs.sendTx(b.tx, server, &fsdp.Request{
+		reply, err := b.fs.sendTx(nil, b.tx, server, &fsdp.Request{
 			Kind: fsdp.KInsertBlock, Tx: b.tx.ID, File: b.def.Name, Rows: groups[server],
 		})
 		if err != nil {
@@ -205,7 +205,7 @@ func (c *Cursor) flushUpdates() error {
 	}
 	c.pendUpdKeys, c.pendUpdRows = nil, nil
 	for _, server := range order {
-		reply, err := c.fs.sendTx(c.tx, server, byServer[server])
+		reply, err := c.fs.sendTx(nil, c.tx, server, byServer[server])
 		if err != nil {
 			return err
 		}
@@ -234,7 +234,7 @@ func (c *Cursor) flushDeletes() error {
 	}
 	c.pendDelKeys = nil
 	for _, server := range order {
-		reply, err := c.fs.sendTx(c.tx, server, byServer[server])
+		reply, err := c.fs.sendTx(nil, c.tx, server, byServer[server])
 		if err != nil {
 			return err
 		}

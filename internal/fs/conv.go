@@ -213,7 +213,7 @@ func (c *conv) step(req *fsdp.Request) (*fsdp.Reply, error) {
 	o, server := c.o, c.span().server
 	raw := fsdp.EncodeRequest(req)
 	t0 := time.Now()
-	replyRaw, err := o.fs.sendBytes(server, raw)
+	replyRaw, err := o.fs.sendBytes(server, raw, nil)
 	var reply *fsdp.Reply
 	if err == nil {
 		reply, err = fsdp.DecodeReply(replyRaw)

@@ -191,31 +191,58 @@ func (f *FS) Observer() *obs.Recorder { return f.obsRec }
 func (f *FS) Network() *msg.Network { return f.client.Network() }
 
 // sendBytes is the single raw-send chokepoint: one request frame to one
-// named server, with the takeover re-drive loop. Only msg.ErrNoServer
-// is retried — the one transport error that guarantees the request was
-// never enqueued, so a write cannot land twice.
-func (f *FS) sendBytes(server string, raw []byte) ([]byte, error) {
-	out, err := f.client.Send(server, raw)
+// named server, its reply appended to out, with the takeover re-drive
+// loop. Only msg.ErrNoServer is retried — the one transport error that
+// guarantees the request was never enqueued, so a write cannot land
+// twice. A re-drive waits for the next registration of a name on the
+// network (the promoted backup taking the name over), bounded by the
+// re-drive window, instead of polling.
+func (f *FS) sendBytes(server string, raw, out []byte) ([]byte, error) {
+	reply, err := f.client.SendAppend(server, raw, out)
 	if err == nil || f.redriveWindow <= 0 || !errors.Is(err, msg.ErrNoServer) {
-		return out, err
+		return reply, err
 	}
-	deadline := time.Now().Add(f.redriveWindow)
+	window := time.NewTimer(f.redriveWindow)
+	defer window.Stop()
 	for {
-		time.Sleep(2 * time.Millisecond)
-		out, err = f.client.Send(server, raw)
-		if err == nil || !errors.Is(err, msg.ErrNoServer) || time.Now().After(deadline) {
-			return out, err
+		registered := f.client.Network().Registered()
+		if reply, err = f.client.SendAppend(server, raw, out); err == nil || !errors.Is(err, msg.ErrNoServer) {
+			return reply, err
+		}
+		select {
+		case <-registered:
+		case <-window.C:
+			return reply, err
 		}
 	}
 }
 
 // send ships one request to a Disk Process and decodes the reply.
 func (f *FS) send(server string, req *fsdp.Request) (*fsdp.Reply, error) {
-	raw, err := f.sendBytes(server, fsdp.EncodeRequest(req))
+	return f.sendIn(nil, server, req)
+}
+
+// sendIn is send through an arena: the request is encoded into it, the
+// reply appended behind the request, and the reply decoded into the
+// arena's Reply — valid, rows and all, until the arena is reset, and
+// overwritten by the arena's next send. With a nil arena all of it is
+// allocated and the reply is the caller's.
+func (f *FS) sendIn(ar *Arena, server string, req *fsdp.Request) (*fsdp.Reply, error) {
+	raw := ar.Keep(fsdp.AppendRequest(ar.Free(), req))
+	out, err := f.sendBytes(server, raw, ar.Free())
 	if err != nil {
 		return nil, err
 	}
-	return fsdp.DecodeReply(raw)
+	var reply *fsdp.Reply
+	if ar != nil {
+		reply = &ar.reply
+	} else {
+		reply = new(fsdp.Reply)
+	}
+	if err := fsdp.DecodeReplyInto(reply, ar.Keep(out)); err != nil {
+		return nil, err
+	}
+	return reply, nil
 }
 
 // SendRaw ships one FS-DP request and returns the undecorated reply. The

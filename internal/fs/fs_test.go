@@ -3,7 +3,9 @@ package fs_test
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
+	"time"
 
 	"nonstopsql/internal/cluster"
 	"nonstopsql/internal/expr"
@@ -783,5 +785,64 @@ func TestReadRefusesARowlessOK(t *testing.T) {
 	}
 	if got, err := f.Read(f.Begin(), def, ik(7), false); !errors.Is(err, fs.ErrProtocol) {
 		t.Fatalf("READ under a transaction with follower reads on: row %v, err %v; want the primary's (rowless) reply", got, err)
+	}
+}
+
+// TestRedriveWakesOnRegistration: a READ sent to a name that has no
+// server — a takeover in progress — is re-driven when the name is
+// registered, not on the next tick of a poll (it slept 2 ms between
+// tries). Ten times over, the time from StartServer to the READ's answer
+// has a median far under a millisecond. And the re-drive window is still
+// the bound: with no server ever registered, the READ fails with
+// msg.ErrNoServer once the window has passed, whatever else registers
+// meanwhile.
+func TestRedriveWakesOnRegistration(t *testing.T) {
+	net := msg.NewNetwork()
+	raw := fsdp.EncodeReply(&fsdp.Reply{Rows: [][]byte{record.Encode(empRow(7, "alice", "eng", 1))}, RowKeys: [][]byte{ik(7)}})
+	f := fs.New(net.NewClient(msg.ProcessorID{}), nil)
+	f.SetRedriveWindow(10 * time.Second)
+	var lags []time.Duration
+	for i := 0; i < 10; i++ {
+		name := fmt.Sprintf("$LATE%d", i)
+		def := &fs.FileDef{Name: "EMP", Schema: empSchema(), Partitions: []fs.Partition{{Server: name}}}
+		done := make(chan time.Time, 1)
+		go func() {
+			if row, err := f.Read(nil, def, ik(7), false); err != nil || row[1].S != "alice" {
+				t.Errorf("re-driven READ: %v, %v", row, err)
+			}
+			done <- time.Now()
+		}()
+		time.Sleep(5 * time.Millisecond) // the first send has failed: the READ is re-driving
+		registered := time.Now()
+		if _, err := net.StartServer(name, msg.ProcessorID{CPU: 1}, 1, func([]byte) []byte { return raw }); err != nil {
+			t.Fatal(err)
+		}
+		lags = append(lags, (<-done).Sub(registered))
+	}
+	slices.Sort(lags)
+	if median := lags[len(lags)/2]; median > 500*time.Microsecond {
+		t.Errorf("a re-driven READ answered a median %v after its server registered (lags %v): it is polling", median, lags)
+	}
+
+	f.SetRedriveWindow(30 * time.Millisecond)
+	def := &fs.FileDef{Name: "EMP", Schema: empSchema(), Partitions: []fs.Partition{{Server: "$NEVER"}}}
+	stop := make(chan struct{})
+	go func() { // other names come and go: each wakes the re-drive, none answers it
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+				name := fmt.Sprintf("$OTHER%d", i)
+				net.StartServer(name, msg.ProcessorID{CPU: 1}, 1, func([]byte) []byte { return raw })
+				net.StopServer(name)
+			}
+		}
+	}()
+	start := time.Now()
+	_, err := f.Read(nil, def, ik(7), false)
+	close(stop)
+	if elapsed := time.Since(start); !errors.Is(err, msg.ErrNoServer) || elapsed < 30*time.Millisecond {
+		t.Errorf("READ to a name nobody registers: %v after %v; want msg.ErrNoServer once the 30ms window passed", err, elapsed)
 	}
 }

@@ -19,7 +19,7 @@ func (f *FS) Insert(tx *tmf.Tx, def *FileDef, row record.Row) error {
 	}
 	key := def.Schema.Key(row)
 	p := partitionFor(def.Partitions, key)
-	reply, err := f.sendTx(tx, p.Server, &fsdp.Request{
+	reply, err := f.sendTx(nil, tx, p.Server, &fsdp.Request{
 		Kind: fsdp.KInsertRecord, Tx: tx.ID, File: def.Name, Row: record.Encode(row),
 	})
 	if err != nil {
@@ -40,7 +40,7 @@ func (f *FS) insertIndexEntry(tx *tmf.Tx, def *FileDef, idx *IndexDef, row recor
 	irow := indexRow(def.Schema, idx, row)
 	ikey := idx.schema.Key(irow)
 	p := partitionFor(idx.Partitions, ikey)
-	reply, err := f.sendTx(tx, p.Server, &fsdp.Request{
+	reply, err := f.sendTx(nil, tx, p.Server, &fsdp.Request{
 		Kind: fsdp.KInsertRecord, Tx: tx.ID, File: idx.Name, Row: record.Encode(irow),
 	})
 	if err != nil {
@@ -53,7 +53,7 @@ func (f *FS) deleteIndexEntry(tx *tmf.Tx, def *FileDef, idx *IndexDef, row recor
 	irow := indexRow(def.Schema, idx, row)
 	ikey := idx.schema.Key(irow)
 	p := partitionFor(idx.Partitions, ikey)
-	reply, err := f.sendTx(tx, p.Server, &fsdp.Request{
+	reply, err := f.sendTx(nil, tx, p.Server, &fsdp.Request{
 		Kind: fsdp.KDeleteRecord, Tx: tx.ID, File: idx.Name, Key: ikey,
 	})
 	if err != nil {
@@ -67,8 +67,8 @@ func (f *FS) deleteIndexEntry(tx *tmf.Tx, def *FileDef, idx *IndexDef, row recor
 // (duplicate key, constraint violation): the Disk Process may have
 // acquired locks or written audit before failing, and only a commit or
 // abort addressed to it releases them.
-func (f *FS) sendTx(tx *tmf.Tx, server string, req *fsdp.Request) (*fsdp.Reply, error) {
-	reply, err := f.send(server, req)
+func (f *FS) sendTx(ar *Arena, tx *tmf.Tx, server string, req *fsdp.Request) (*fsdp.Reply, error) {
+	reply, err := f.sendIn(ar, server, req)
 	if err == nil && tx != nil && req.Tx != 0 {
 		if jerr := tx.Join(server); jerr != nil {
 			return reply, jerr
@@ -80,7 +80,7 @@ func (f *FS) sendTx(tx *tmf.Tx, server string, req *fsdp.Request) (*fsdp.Reply, 
 // Read fetches one record by primary key. tx may be nil for browse
 // (lock-free) access; forUpdate takes an exclusive record lock.
 func (f *FS) Read(tx *tmf.Tx, def *FileDef, key []byte, forUpdate bool) (record.Row, error) {
-	enc, err := f.ReadRaw(tx, def, key, forUpdate)
+	enc, err := f.ReadRaw(nil, tx, def, key, forUpdate)
 	if err != nil {
 		return nil, err
 	}
@@ -88,8 +88,10 @@ func (f *FS) Read(tx *tmf.Tx, def *FileDef, key []byte, forUpdate bool) (record.
 }
 
 // ReadRaw is Read less the decoding: the record as the Disk Process
-// encoded it, unvalidated (see Rows.NextRaw).
-func (f *FS) ReadRaw(tx *tmf.Tx, def *FileDef, key []byte, forUpdate bool) ([]byte, error) {
+// encoded it, unvalidated (see Rows.NextRaw). With an arena the READ and
+// its reply are built in it and the record is a slice of it; with nil
+// both are allocated and the record is the caller's.
+func (f *FS) ReadRaw(ar *Arena, tx *tmf.Tx, def *FileDef, key []byte, forUpdate bool) ([]byte, error) {
 	p := partitionFor(def.Partitions, key)
 	server := p.Server
 	req := &fsdp.Request{Kind: fsdp.KReadRecord, File: def.Name, Key: key}
@@ -103,7 +105,7 @@ func (f *FS) ReadRaw(tx *tmf.Tx, def *FileDef, key []byte, forUpdate bool) ([]by
 		// serve it — including through a primary takeover.
 		server += fsdp.BackupSuffix
 	}
-	reply, err := f.sendTx(tx, server, req)
+	reply, err := f.sendTx(ar, tx, server, req)
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +140,7 @@ func (f *FS) ReadByIndex(tx *tmf.Tx, def *FileDef, idx *IndexDef, value record.V
 				if err != nil {
 					return err
 				}
-				rec, err := f.ReadRaw(tx, def, key, false)
+				rec, err := f.ReadRaw(nil, tx, def, key, false)
 				if err != nil {
 					return err
 				}
@@ -182,7 +184,7 @@ func (f *FS) Update(tx *tmf.Tx, def *FileDef, key []byte, newRow record.Row) err
 		}
 	}
 	p := partitionFor(def.Partitions, key)
-	reply, err := f.sendTx(tx, p.Server, &fsdp.Request{
+	reply, err := f.sendTx(nil, tx, p.Server, &fsdp.Request{
 		Kind: fsdp.KUpdateRecord, Tx: tx.ID, File: def.Name, Key: key, Row: record.Encode(newRow),
 	})
 	if err != nil {
@@ -247,7 +249,7 @@ func (f *FS) DeleteKey(tx *tmf.Tx, def *FileDef, key []byte, pred expr.Expr) (in
 
 func (f *FS) writeKey(tx *tmf.Tx, def *FileDef, req *fsdp.Request) (int, error) {
 	req.Tx, req.File = tx.ID, def.Name
-	reply, err := f.sendTx(tx, partitionFor(def.Partitions, req.Key).Server, req)
+	reply, err := f.sendTx(nil, tx, partitionFor(def.Partitions, req.Key).Server, req)
 	if err != nil {
 		return 0, err
 	}
@@ -284,7 +286,7 @@ func (f *FS) Delete(tx *tmf.Tx, def *FileDef, key []byte) error {
 		}
 	}
 	p := partitionFor(def.Partitions, key)
-	reply, err := f.sendTx(tx, p.Server, &fsdp.Request{
+	reply, err := f.sendTx(nil, tx, p.Server, &fsdp.Request{
 		Kind: fsdp.KDeleteRecord, Tx: tx.ID, File: def.Name, Key: key,
 	})
 	if err != nil {

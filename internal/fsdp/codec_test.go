@@ -114,8 +114,16 @@ func TestEncodeRequestKeepsTheWireBytes(t *testing.T) {
 
 // TestAllocationCeilings: a request is encoded into the one buffer that
 // carries it — the READ, UPDATE^KEY and COMMIT of the served path each
-// allocate once (5, 5 and 4 times when the buffer grew from one byte).
+// allocate once (5, 5 and 4 times when the buffer grew from one byte),
+// and nothing when that buffer is the sender's, reused. A READ's round
+// through the Into decoders and the appending encoders — the request
+// into a service slot's Request, its reply into the sender's buffer and
+// back into the statement's Reply — allocates nothing.
 func TestAllocationCeilings(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	var buf []byte
 	for _, c := range []struct {
 		name string
 		q    *Request
@@ -123,6 +131,25 @@ func TestAllocationCeilings(t *testing.T) {
 		if got := testing.AllocsPerRun(200, func() { requestSink = EncodeRequest(c.q) }); got > 1 {
 			t.Errorf("encoding a %s request allocates %.1f objects, ceiling 1", c.name, got)
 		}
+		if got := testing.AllocsPerRun(200, func() { buf = AppendRequest(buf[:0], c.q) }); got > 0 {
+			t.Errorf("appending a %s request to a reused buffer allocates %.1f objects, ceiling 0", c.name, got)
+		}
+	}
+	readReply := &Reply{Rows: [][]byte{make([]byte, 150)}, RowKeys: [][]byte{readRequest.Key}, Examined: 1, CacheHits: 3}
+	var q Request
+	var r Reply
+	var out []byte
+	if got := testing.AllocsPerRun(200, func() {
+		buf = AppendRequest(buf[:0], readRequest)
+		if err := DecodeRequestInto(&q, buf); err != nil {
+			t.Fatal(err)
+		}
+		out = AppendReply(out[:0], readReply)
+		if err := DecodeReplyInto(&r, out); err != nil || len(r.Rows) != 1 {
+			t.Fatal(err)
+		}
+	}); got > 0 {
+		t.Errorf("a READ's request and reply through reused buffers and structs allocate %.1f objects, ceiling 0", got)
 	}
 }
 

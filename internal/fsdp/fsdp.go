@@ -21,6 +21,7 @@ package fsdp
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"nonstopsql/internal/keys"
 )
@@ -278,12 +279,14 @@ func takeCount(b []byte) (uint64, []byte, error) {
 	return n, b[sz:], nil
 }
 
-func takeSlices(b []byte) ([][]byte, []byte, error) {
+// takeSlices reads a repeated byte-string field into out's storage when
+// it is large enough; the elements alias b.
+func takeSlices(out [][]byte, b []byte) ([][]byte, []byte, error) {
 	n, b, err := takeCount(b)
 	if err != nil || n == 0 {
 		return nil, b, err
 	}
-	out := make([][]byte, n)
+	out = slices.Grow(out[:0], int(n))[:n]
 	for i := range out {
 		if out[i], b, err = takeBytes(b); err != nil {
 			return nil, nil, err
@@ -348,8 +351,11 @@ func takeRange(b []byte) (keys.Range, []byte, error) {
 // EncodeRequest serializes a request message into one buffer sized
 // exactly (requestLen), so a READ costs one allocation, not one per
 // doubling of a buffer grown from a byte.
-func EncodeRequest(q *Request) []byte {
-	b := append(make([]byte, 0, requestLen(q)), byte(q.Kind))
+func EncodeRequest(q *Request) []byte { return AppendRequest(make([]byte, 0, requestLen(q)), q) }
+
+// AppendRequest appends a request message to b, growing it at most once.
+func AppendRequest(b []byte, q *Request) []byte {
+	b = append(slices.Grow(b, requestLen(q)), byte(q.Kind))
 	b = binary.AppendUvarint(b, q.Tx)
 	b = binary.AppendUvarint(b, uint64(len(q.File)))
 	b = append(b, q.File...)
@@ -412,129 +418,150 @@ func bytesLen(l int) int { return uvarintLen(uint64(l)) + l }
 
 // DecodeRequest parses a request message.
 func DecodeRequest(b []byte) (*Request, error) {
-	if len(b) == 0 {
-		return nil, fmt.Errorf("fsdp: empty request")
+	q := new(Request)
+	if err := DecodeRequestInto(q, b); err != nil {
+		return nil, err
 	}
-	q := &Request{Kind: Kind(b[0])}
-	b = b[1:]
+	return q, nil
+}
+
+// DecodeRequestInto parses a request message into q, setting every field
+// (on an error, some): the byte-string fields alias b, the repeated ones
+// land in q's storage when it is large enough, and File is kept when it
+// already names the same file — so a Disk Process that decodes into one
+// Request per service slot allocates nothing for a READ. What the server
+// keeps past the message it copies.
+func DecodeRequestInto(q *Request, b []byte) error {
+	if len(b) == 0 {
+		return fmt.Errorf("fsdp: empty request")
+	}
+	q.Kind, b = Kind(b[0]), b[1:]
 	var err error
 	var n int
 	var u uint64
 
 	u, n = binary.Uvarint(b)
 	if n <= 0 {
-		return nil, fmt.Errorf("fsdp: bad tx")
+		return fmt.Errorf("fsdp: bad tx")
 	}
 	q.Tx = u
 	b = b[n:]
 
 	var f []byte
 	if f, b, err = takeBytes(b); err != nil {
-		return nil, err
+		return err
 	}
-	q.File = string(f)
+	if string(f) != q.File {
+		q.File = string(f)
+	}
 	if q.Key, b, err = takeBytes(b); err != nil {
-		return nil, err
+		return err
 	}
 	if q.Row, b, err = takeBytes(b); err != nil {
-		return nil, err
+		return err
 	}
 	if q.Range, b, err = takeRange(b); err != nil {
-		return nil, err
+		return err
 	}
 	if q.Pred, b, err = takeBytes(b); err != nil {
-		return nil, err
+		return err
 	}
 	if u, b, err = takeCount(b); err != nil {
-		return nil, err
+		return err
 	}
-	if u > 0 {
-		q.Proj = make([]int, u)
+	if u == 0 {
+		q.Proj = nil
+	} else {
+		q.Proj = slices.Grow(q.Proj[:0], int(u))[:u]
 		for i := range q.Proj {
 			v, n := binary.Uvarint(b)
 			if n <= 0 {
-				return nil, fmt.Errorf("fsdp: bad projection ordinal")
+				return fmt.Errorf("fsdp: bad projection ordinal")
 			}
 			q.Proj[i] = int(v)
 			b = b[n:]
 		}
 	}
 	if q.Assign, b, err = takeBytes(b); err != nil {
-		return nil, err
+		return err
 	}
 	u, n = binary.Uvarint(b)
 	if n <= 0 {
-		return nil, fmt.Errorf("fsdp: bad scb")
+		return fmt.Errorf("fsdp: bad scb")
 	}
 	q.SCB = uint32(u)
 	b = b[n:]
-	if q.Rows, b, err = takeSlices(b); err != nil {
-		return nil, err
+	if q.Rows, b, err = takeSlices(q.Rows, b); err != nil {
+		return err
 	}
-	if q.RowKeys, b, err = takeSlices(b); err != nil {
-		return nil, err
+	if q.RowKeys, b, err = takeSlices(q.RowKeys, b); err != nil {
+		return err
 	}
 	if len(b) == 0 {
-		return nil, fmt.Errorf("fsdp: truncated mode")
+		return fmt.Errorf("fsdp: truncated mode")
 	}
 	q.Mode = b[0]
 	b = b[1:]
 	if q.Schema, b, err = takeBytes(b); err != nil {
-		return nil, err
+		return err
 	}
 	if q.Check, b, err = takeBytes(b); err != nil {
-		return nil, err
+		return err
 	}
 	if len(b) == 0 {
-		return nil, fmt.Errorf("fsdp: truncated audit flag")
+		return fmt.Errorf("fsdp: truncated audit flag")
 	}
 	q.Audit = b[0] == 1
 	b = b[1:]
 	u, n = binary.Uvarint(b)
 	if n <= 0 {
-		return nil, fmt.Errorf("fsdp: bad commit lsn")
+		return fmt.Errorf("fsdp: bad commit lsn")
 	}
 	q.CommitLSN = u
 	b = b[n:]
 	u, n = binary.Uvarint(b)
 	if n <= 0 {
-		return nil, fmt.Errorf("fsdp: bad row limit")
+		return fmt.Errorf("fsdp: bad row limit")
 	}
 	q.RowLimit = uint32(u)
 	b = b[n:]
 	if len(b) == 0 {
-		return nil, fmt.Errorf("fsdp: truncated hint")
+		return fmt.Errorf("fsdp: truncated hint")
 	}
 	q.Hint = b[0]
 	b = b[1:]
 	if q.Agg, b, err = takeBytes(b); err != nil {
-		return nil, err
+		return err
 	}
 	u, n = binary.Uvarint(b)
 	if n <= 0 {
-		return nil, fmt.Errorf("fsdp: bad scan limit")
+		return fmt.Errorf("fsdp: bad scan limit")
 	}
 	q.ScanLimit = uint32(u)
 	b = b[n:]
 	if len(b) != 0 {
-		return nil, fmt.Errorf("fsdp: %d trailing request bytes", len(b))
+		return fmt.Errorf("fsdp: %d trailing request bytes", len(b))
 	}
-	return q, nil
+	return nil
 }
 
 // EncodeReply serializes a reply message.
-func EncodeReply(r *Reply) []byte {
-	// Sized first (a few bytes over: every length prefix counted at its
-	// widest), so a block of rows is copied here once and not once more
-	// per doubling of the buffer.
+func EncodeReply(r *Reply) []byte { return AppendReply(nil, r) }
+
+// AppendReply appends a reply message to b. It is sized first (a few
+// bytes over: every length prefix counted at its widest), so b grows at
+// most once and a block of rows is copied here once, not once more per
+// doubling of the buffer.
+func AppendReply(b []byte, r *Reply) []byte {
 	size := 1 + 11*binary.MaxVarintLen32 + len(r.Err) + len(r.LastKey)
 	for _, vs := range [2][][]byte{r.Rows, r.RowKeys} {
 		for _, v := range vs {
 			size += binary.MaxVarintLen32 + len(v)
 		}
 	}
-	b := append(make([]byte, 0, size), byte(r.Code))
-	b = appendBytes(b, []byte(r.Err))
+	b = append(slices.Grow(b, size), byte(r.Code))
+	b = binary.AppendUvarint(b, uint64(len(r.Err)))
+	b = append(b, r.Err...)
 	b = appendSlices(b, r.Rows)
 	b = appendSlices(b, r.RowKeys)
 	b = appendBytes(b, r.LastKey)
@@ -554,28 +581,40 @@ func EncodeReply(r *Reply) []byte {
 
 // DecodeReply parses a reply message.
 func DecodeReply(b []byte) (*Reply, error) {
-	if len(b) == 0 {
-		return nil, fmt.Errorf("fsdp: empty reply")
+	r := new(Reply)
+	if err := DecodeReplyInto(r, b); err != nil {
+		return nil, err
 	}
-	r := &Reply{Code: ErrCode(b[0])}
-	b = b[1:]
+	return r, nil
+}
+
+// DecodeReplyInto parses a reply message into r, setting every field (on
+// an error, some): the rows, keys and LastKey alias b, and the row and
+// key lists land in r's storage when it is large enough — so a requester
+// that decodes into one Reply per statement allocates nothing for a
+// READ's.
+func DecodeReplyInto(r *Reply, b []byte) error {
+	if len(b) == 0 {
+		return fmt.Errorf("fsdp: empty reply")
+	}
+	r.Code, b = ErrCode(b[0]), b[1:]
 	var err error
 	var e []byte
 	if e, b, err = takeBytes(b); err != nil {
-		return nil, err
+		return err
 	}
 	r.Err = string(e)
-	if r.Rows, b, err = takeSlices(b); err != nil {
-		return nil, err
+	if r.Rows, b, err = takeSlices(r.Rows, b); err != nil {
+		return err
 	}
-	if r.RowKeys, b, err = takeSlices(b); err != nil {
-		return nil, err
+	if r.RowKeys, b, err = takeSlices(r.RowKeys, b); err != nil {
+		return err
 	}
 	if r.LastKey, b, err = takeBytes(b); err != nil {
-		return nil, err
+		return err
 	}
 	if len(b) == 0 {
-		return nil, fmt.Errorf("fsdp: truncated done flag")
+		return fmt.Errorf("fsdp: truncated done flag")
 	}
 	r.Done = b[0] == 1
 	b = b[1:]
@@ -583,42 +622,42 @@ func DecodeReply(b []byte) (*Reply, error) {
 	var n int
 	u, n = binary.Uvarint(b)
 	if n <= 0 {
-		return nil, fmt.Errorf("fsdp: bad count")
+		return fmt.Errorf("fsdp: bad count")
 	}
 	r.Count = uint32(u)
 	b = b[n:]
 	u, n = binary.Uvarint(b)
 	if n <= 0 {
-		return nil, fmt.Errorf("fsdp: bad scb")
+		return fmt.Errorf("fsdp: bad scb")
 	}
 	r.SCB = uint32(u)
 	b = b[n:]
 	u, n = binary.Uvarint(b)
 	if n <= 0 {
-		return nil, fmt.Errorf("fsdp: bad root")
+		return fmt.Errorf("fsdp: bad root")
 	}
 	r.Root = uint32(u)
 	b = b[n:]
 	u, n = binary.Uvarint(b)
 	if n <= 0 {
-		return nil, fmt.Errorf("fsdp: bad examined count")
+		return fmt.Errorf("fsdp: bad examined count")
 	}
 	r.Examined = uint32(u)
 	b = b[n:]
 	u, n = binary.Uvarint(b)
 	if n <= 0 {
-		return nil, fmt.Errorf("fsdp: bad blocks-read count")
+		return fmt.Errorf("fsdp: bad blocks-read count")
 	}
 	r.BlocksRead = uint32(u)
 	b = b[n:]
 	u, n = binary.Uvarint(b)
 	if n <= 0 {
-		return nil, fmt.Errorf("fsdp: bad cache-hit count")
+		return fmt.Errorf("fsdp: bad cache-hit count")
 	}
 	r.CacheHits = uint32(u)
 	b = b[n:]
 	if len(b) != 0 {
-		return nil, fmt.Errorf("fsdp: %d trailing reply bytes", len(b))
+		return fmt.Errorf("fsdp: %d trailing reply bytes", len(b))
 	}
-	return r, nil
+	return nil
 }

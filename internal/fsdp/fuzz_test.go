@@ -3,6 +3,8 @@ package fsdp
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -120,11 +122,49 @@ var recoders = []struct {
 	}},
 }
 
+// heldRequest and heldReply are what a service slot's Request and a
+// statement's Reply last held: every field set, so a decode into them
+// that leaves one standing — a stale Pred, Assign, Proj, Rows or RowKeys —
+// differs from a decode into a fresh one.
+var (
+	heldRequest = EncodeRequest(&Request{Kind: KUpdateBlock, Tx: 77, File: "HELD", Key: []byte("key"), Row: []byte("row"),
+		Range: keys.Range{Low: []byte{1}, High: []byte{}, LowExcl: true, HighIncl: true}, Pred: []byte{9, 9}, Proj: []int{3, 1, 2},
+		Assign: []byte{1, 2}, SCB: 12, Rows: [][]byte{{1}, {2}, {3}}, RowKeys: [][]byte{{4}, {5}, {6}}, Mode: 2,
+		Schema: []byte("s"), Check: []byte("c"), Audit: true, CommitLSN: 5, RowLimit: 6, Agg: []byte{7}, ScanLimit: 8, Hint: HintKeyed})
+	heldReply = EncodeReply(&Reply{Code: ErrGeneral, Err: "held", Rows: [][]byte{{1}, {2}, {3}}, RowKeys: [][]byte{{4}, {5}, {6}},
+		LastKey: []byte{7}, Done: true, Count: 3, SCB: 4, Root: 5, Examined: 6, BlocksRead: 7, CacheHits: 8})
+)
+
+// reuseIsFresh holds the two Into decoders to their promise: decoding
+// data into a struct that last held another message is decoding it into
+// a new one — the same outcome, the same message.
+func reuseIsFresh(t *testing.T, data []byte) {
+	var q Request
+	if err := DecodeRequestInto(&q, heldRequest); err != nil {
+		t.Fatal(err)
+	}
+	errReused := DecodeRequestInto(&q, data)
+	fresh, err := DecodeRequest(data)
+	if fmt.Sprint(err) != fmt.Sprint(errReused) || err == nil && !reflect.DeepEqual(&q, fresh) {
+		t.Fatalf("request %x into a held one: %+v, %v; into a new one: %+v, %v", data, q, errReused, fresh, err)
+	}
+	var r Reply
+	if err := DecodeReplyInto(&r, heldReply); err != nil {
+		t.Fatal(err)
+	}
+	errReused = DecodeReplyInto(&r, data)
+	freshReply, err := DecodeReply(data)
+	if fmt.Sprint(err) != fmt.Sprint(errReused) || err == nil && !reflect.DeepEqual(&r, freshReply) {
+		t.Fatalf("reply %x into a held one: %+v, %v; into a new one: %+v, %v", data, r, errReused, freshReply, err)
+	}
+}
+
 // fuzzOne runs data through all four decoders. None may panic or allocate
 // more than a small multiple of its input; it returns the re-encodings of
 // whatever decoded, each checked to be no longer than the input and a
 // fixed point of decode-encode.
 func fuzzOne(t *testing.T, data []byte) (encs [][]byte) {
+	reuseIsFresh(t, data)
 	for _, c := range recoders {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

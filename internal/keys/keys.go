@@ -86,11 +86,6 @@ func AppendString(b []byte, s string) []byte {
 	return append(b, 0x00, 0x00)
 }
 
-// AppendBytes appends a byte slice using the string encoding.
-func AppendBytes(b []byte, s []byte) []byte {
-	return AppendString(b, string(s))
-}
-
 // DecodeNext decodes the first encoded field of k, returning the value
 // (nil for NULL, bool, int64, float64, or string) and the remainder of k.
 func DecodeNext(k []byte) (any, []byte, error) {
@@ -250,15 +245,6 @@ func (r Range) Empty() bool {
 		return r.LowExcl || !r.HighIncl
 	}
 	return false
-}
-
-// BeforeLow reports whether k sorts before the range's low bound.
-func (r Range) BeforeLow(k []byte) bool {
-	if r.Low == nil {
-		return false
-	}
-	c := bytes.Compare(k, r.Low)
-	return c < 0 || (c == 0 && r.LowExcl)
 }
 
 // AfterHigh reports whether k sorts after the range's high bound.

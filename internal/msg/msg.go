@@ -84,11 +84,14 @@ var ErrReplyTimeout = errors.New("reply timeout")
 // it onto its own error code so remote clients see the same identity.
 var ErrNoServer = errors.New("no such server")
 
-// A Handler serves one request and returns the reply payload. Handlers
-// run on the sender's goroutine, at most `workers` at once per server;
+// A Handler serves one request: it appends the reply payload to out and
+// returns the extended slice, as append does. Handlers run on the
+// sender's goroutine, at most `workers` at once per server;
 // application-level errors travel inside the reply encoding, not as Go
-// errors.
-type Handler func(req []byte) []byte
+// errors. Both byte strings are the sender's: req is valid, and out's
+// spare capacity writable, only until the handler returns, so a handler
+// copies whatever of the request it keeps.
+type Handler func(req, out []byte) []byte
 
 // queueDepth is the number of requests that may wait for a service slot
 // before a further sender blocks: the input queue's back-pressure.
@@ -115,7 +118,6 @@ type Server struct {
 	// server-side complement of the requester's conversation wait.
 	queueWaitOps   atomic.Uint64
 	queueWaitNanos atomic.Uint64
-	queueWaitHist  obs.Histogram
 }
 
 // Name returns the server's process name (e.g. "$DATA1").
@@ -132,9 +134,6 @@ func (s *Server) Received() uint64 { return s.received.Load() }
 func (s *Server) QueueWait() (ops, nanos uint64) {
 	return s.queueWaitOps.Load(), s.queueWaitNanos.Load()
 }
-
-// QueueWaitLatency returns the distribution of waits for a service slot.
-func (s *Server) QueueWaitLatency() obs.Snapshot { return s.queueWaitHist.Snapshot() }
 
 // Close refuses new requests and returns once every request admitted
 // before it has been answered.
@@ -163,18 +162,17 @@ func (s *Server) acquire() {
 	}
 	s.queueWaitOps.Add(1)
 	s.queueWaitNanos.Add(uint64(wait))
-	s.queueWaitHist.Record(wait)
 }
 
 // invoke runs the handler, converting a panic into an error so the
 // requester gets a reply instead of a crash.
-func (s *Server) invoke(payload []byte) (data []byte, err error) {
+func (s *Server) invoke(payload, out []byte) (data []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("msg: server %q: handler panic: %v", s.name, r)
 		}
 	}()
-	return s.handler(payload), nil
+	return s.handler(payload, out), nil
 }
 
 // A Network is the interconnect and process registry for one simulated
@@ -183,6 +181,9 @@ type Network struct {
 	mu      sync.Mutex
 	servers map[string]*Server
 	stats   Stats
+
+	// registered is closed by the next registration (nil: nobody waits).
+	registered chan struct{}
 
 	// lat histograms record request/reply round-trip latency by hop
 	// distance. Lock-free; reset with ResetStats.
@@ -194,10 +195,10 @@ func NewNetwork() *Network {
 	return &Network{servers: make(map[string]*Server)}
 }
 
-// StartServer registers a process group named name on processor proc,
-// with `workers` service slots, each running handler for one request at
-// a time. It returns the server handle.
-func (n *Network) StartServer(name string, proc ProcessorID, workers int, handler Handler) (*Server, error) {
+// Register starts a process group named name on processor proc, with
+// `workers` service slots, each running handler for one request at a
+// time. It returns the server handle.
+func (n *Network) Register(name string, proc ProcessorID, workers int, handler Handler) (*Server, error) {
 	if workers < 1 {
 		workers = 1
 	}
@@ -209,7 +210,35 @@ func (n *Network) StartServer(name string, proc ProcessorID, workers int, handle
 	s := &Server{name: name, proc: proc, net: n, handler: handler,
 		queue: make(chan struct{}, queueDepth), slots: make(chan struct{}, workers)}
 	n.servers[name] = s
+	if n.registered != nil {
+		close(n.registered)
+		n.registered = nil
+	}
 	return s, nil
+}
+
+// StartServer is Register for a handler that returns its reply instead
+// of appending it: the reply is appended to the sender's buffer, or
+// handed over as it is when the sender supplied none.
+func (n *Network) StartServer(name string, proc ProcessorID, workers int, handler func(req []byte) []byte) (*Server, error) {
+	return n.Register(name, proc, workers, func(req, out []byte) []byte {
+		if out == nil {
+			return handler(req)
+		}
+		return append(out, handler(req)...)
+	})
+}
+
+// Registered returns a channel closed by the next registration of any
+// name: a sender re-driving a request to a name that has gone away (a
+// takeover in progress) waits on it instead of polling.
+func (n *Network) Registered() <-chan struct{} {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.registered == nil {
+		n.registered = make(chan struct{})
+	}
+	return n.registered
 }
 
 // StopServer unregisters and stops the named server.
@@ -361,13 +390,24 @@ func (c *Client) DistanceTo(server string) Distance {
 }
 
 // Send delivers one request message to the named server and returns its
-// reply, charging both directions to the traffic counters. The handler
-// runs on the caller's goroutine once the request holds a service slot.
+// reply: SendAppend to no buffer of the caller's.
+func (c *Client) Send(server string, payload []byte) ([]byte, error) {
+	return c.SendAppend(server, payload, nil)
+}
+
+// SendAppend delivers one request message to the named server and
+// appends its reply to out, charging both directions to the traffic
+// counters. The handler runs on the caller's goroutine once the request
+// holds a service slot, and writes the reply into out's spare capacity
+// when it fits: a sender that owns its buffers moves a message pair
+// without allocating. With a nil out, a handler that returns its reply
+// (StartServer) hands it over as it is — it may alias the request — so a
+// sender that reuses the request's bytes afterwards passes a non-nil out.
 //
 // Counters are charged only once the server has admitted the request: a
 // send rejected because the server is unknown or closed charges nothing,
 // so Requests == Replies stays true across server stops.
-func (c *Client) Send(server string, payload []byte) ([]byte, error) {
+func (c *Client) SendAppend(server string, payload, out []byte) ([]byte, error) {
 	c.net.mu.Lock()
 	s, ok := c.net.servers[server]
 	c.net.mu.Unlock()
@@ -389,9 +429,13 @@ func (c *Client) Send(server string, payload []byte) ([]byte, error) {
 	dist := classify(c.proc, s.proc)
 	c.net.chargeRequest(len(payload), dist)
 	s.acquire()
-	data, err := s.invoke(payload)
+	data, err := s.invoke(payload, out)
 	<-s.slots
-	c.net.chargeReply(len(data), err)
+	replyLen := 0
+	if err == nil {
+		replyLen = len(data) - len(out)
+	}
+	c.net.chargeReply(replyLen, err)
 	// Round-trip latency is recorded for every conversation — error
 	// replies (handler panics) included, so per-distance Lat.Count stays
 	// reconcilable against the message counters under faults.

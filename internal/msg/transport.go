@@ -15,8 +15,13 @@ package msg
 // deadline, broken connection) comes back as a Go error; application
 // errors travel inside the reply payload. Implementations must be safe
 // for concurrent Sends.
+//
+// SendAppend is the same conversation with the reply appended to out,
+// which the caller owns: a requester that reuses its buffers moves a
+// message pair without allocating. Send is SendAppend to nil.
 type Transport interface {
 	Send(server string, payload []byte) ([]byte, error)
+	SendAppend(server string, payload, out []byte) ([]byte, error)
 }
 
 var _ Transport = (*Client)(nil)

@@ -135,6 +135,7 @@ func (s *Server) serveConn(nc net.Conn, w *Writer) {
 		if f.Kind != KindRequest {
 			s.wire.Error()
 			s.sent(w.ReplyErr(f.Corr, CodeError, "wire: expected request frame"))
+			f.Release()
 			continue
 		}
 		s.mu.Lock()
@@ -146,6 +147,7 @@ func (s *Server) serveConn(nc net.Conn, w *Writer) {
 		if refuse {
 			s.wire.Rejected()
 			s.sent(w.ReplyErr(f.Corr, CodeDraining, "wire: server draining"))
+			f.Release()
 			continue
 		}
 		select {
@@ -162,13 +164,20 @@ func (s *Server) serveConn(nc net.Conn, w *Writer) {
 }
 
 // dispatch serves j, then every job handed to it while it is parked,
-// until the server stops. With a reply deadline, one timer per
+// until the server stops. The handler appends its reply to the
+// dispatcher's own buffer, which the reply frame copies before the next
+// request; the request frame's buffer goes back to the pool once the
+// handler has returned. With a reply deadline, one timer per
 // dispatcher is re-armed for each request; whichever of the reply and
 // the timer stops it first writes the request's one frame. A deadline
 // that fires holds the job it answered, so its dispatcher exits once
 // the handler returns.
 func (s *Server) dispatch(j job) {
 	var deadline *time.Timer
+	// Never nil: a handler that returns its reply (msg.StartServer) has
+	// it copied into out, not handed over — it may be the request frame
+	// itself, whose buffer goes back to the pool below.
+	out := []byte{}
 	for {
 		if s.opts.ReplyTimeout > 0 {
 			if deadline == nil {
@@ -180,11 +189,16 @@ func (s *Server) dispatch(j job) {
 				deadline.Reset(s.opts.ReplyTimeout)
 			}
 		}
-		data, err := s.ingress.Send(j.f.Server, j.f.Body)
+		data, err := s.ingress.SendAppend(j.f.Server, j.f.Body, out[:0])
+		req := j.f // a deadline that fires reads j.f's header: release a copy
+		req.Release()
 		if deadline != nil && !deadline.Stop() {
 			return
 		}
 		s.answer(j, data, err)
+		if cap(data) <= maxPending {
+			out = data // a huge reply does not pin its buffer to the dispatcher
+		}
 		select {
 		case j = <-s.work:
 		case <-s.stop:

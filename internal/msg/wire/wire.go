@@ -39,8 +39,10 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync"
 
 	"nonstopsql/internal/obs"
+	"nonstopsql/internal/poison"
 )
 
 // Frame kinds.
@@ -70,6 +72,40 @@ type Frame struct {
 	Server string // request frames only
 	Code   byte   // error replies only
 	Body   []byte // request/reply payload, or error text
+
+	buf *[]byte // the pooled read buffer Body lies in (nil: not pooled)
+}
+
+// Release hands the frame's read buffer back for the next frame and
+// drops Body; the header fields stay. Whoever the reader handed the
+// frame to calls it once Body is no longer read — the dispatcher once
+// the handler has returned, the requester once the reply is copied out —
+// and no copy of Body may be read after it. A frame never released is
+// simply collected.
+func (f *Frame) Release() {
+	if f.buf != nil {
+		poison.Fill((*f.buf)[:cap(*f.buf)])
+		framePool.Put(f.buf)
+	}
+	f.Body, f.buf = nil, nil
+}
+
+// framePool holds read buffers of up to readChunk bytes, shared by every
+// connection: a buffer is drawn by a connection's reader and released by
+// whichever goroutine consumed the frame, so it goes back to the pool of
+// the processor that goroutine ran on, without a lock of the
+// connection's. A frame larger than readChunk reads into a buffer of its
+// own, as before.
+var framePool sync.Pool
+
+// frameBuf returns a pooled buffer of length n <= readChunk.
+func frameBuf(n int) *[]byte {
+	if bp, _ := framePool.Get().(*[]byte); bp != nil && cap(*bp) >= n {
+		*bp = (*bp)[:n]
+		return bp
+	}
+	b := make([]byte, n, max(n, 512)) // room for the next frames, which differ in size
+	return &b
 }
 
 // AppendRequest serializes a request frame onto b.
@@ -150,7 +186,8 @@ func (r *Reader) Next() (Frame, error) {
 
 // ReadFrame reads and decodes one frame, returning the total wire bytes
 // consumed (length prefix included). Frames above maxFrame are rejected
-// before any body allocation.
+// before any body allocation. The caller owns the frame and may Release
+// it once Body is read.
 func ReadFrame(r io.Reader, maxFrame int) (Frame, int, error) {
 	var fr frameReader
 	return fr.read(r, maxFrame)
@@ -165,10 +202,11 @@ type frameReader struct {
 	server string
 }
 
-// read is ReadFrame. A length prefix is a claim, not bytes: the body
-// buffer starts at no more than readChunk and doubles only as the bytes
-// before it have actually arrived, so a peer that announces MaxFrame and
-// stalls costs one chunk.
+// read is ReadFrame. A frame of up to readChunk bytes reads into a pooled
+// buffer (Frame.Release). A length prefix is a claim, not bytes: a longer
+// frame's buffer starts at readChunk and doubles only as the bytes before
+// it have actually arrived, so a peer that announces MaxFrame and stalls
+// costs one chunk.
 func (fr *frameReader) read(r io.Reader, maxFrame int) (Frame, int, error) {
 	if _, err := io.ReadFull(r, fr.hdr[:]); err != nil {
 		return Frame{}, 0, err
@@ -180,9 +218,17 @@ func (fr *frameReader) read(r io.Reader, maxFrame int) (Frame, int, error) {
 	if n < 1+8 || n > maxFrame {
 		return Frame{}, 0, fmt.Errorf("wire: frame length %d out of range", n)
 	}
-	buf := make([]byte, min(n, readChunk))
+	var bp *[]byte
+	var buf []byte
+	if n <= readChunk {
+		bp = frameBuf(n)
+		buf = *bp
+	} else {
+		buf = make([]byte, readChunk)
+	}
 	for got := 0; ; {
 		if _, err := io.ReadFull(r, buf[got:]); err != nil {
+			(&Frame{buf: bp}).Release()
 			return Frame{}, 0, fmt.Errorf("wire: truncated frame: %w", err)
 		}
 		if got = len(buf); got == n {
@@ -192,12 +238,13 @@ func (fr *frameReader) read(r io.Reader, maxFrame int) (Frame, int, error) {
 		copy(grown, buf)
 		buf = grown
 	}
-	f := Frame{Kind: buf[0], Corr: binary.BigEndian.Uint64(buf[1:9])}
+	f := Frame{Kind: buf[0], Corr: binary.BigEndian.Uint64(buf[1:9]), buf: bp}
 	body := buf[9:]
 	switch f.Kind {
 	case KindRequest:
 		l, sz := binary.Uvarint(body)
 		if sz <= 0 || uint64(len(body)-sz) < l {
+			f.Release()
 			return Frame{}, 0, fmt.Errorf("wire: bad server name in request frame")
 		}
 		if name := body[sz : sz+int(l)]; string(name) != fr.server {
@@ -209,11 +256,13 @@ func (fr *frameReader) read(r io.Reader, maxFrame int) (Frame, int, error) {
 		f.Body = body
 	case KindReplyErr:
 		if len(body) < 1 {
+			f.Release()
 			return Frame{}, 0, fmt.Errorf("wire: truncated error reply")
 		}
 		f.Code = body[0]
 		f.Body = body[1:]
 	default:
+		f.Release()
 		return Frame{}, 0, fmt.Errorf("wire: unknown frame kind %d", f.Kind)
 	}
 	return f, 4 + n, nil

@@ -87,9 +87,11 @@ type Pool struct {
 // A Pool is a msg.Transport: drop-in for an in-process msg.Client.
 var _ msg.Transport = (*Pool)(nil)
 
+// result is one request's outcome: its reply frame, whose read buffer
+// the waiter releases once it has copied the body out, or an error.
 type result struct {
-	data []byte
-	err  error
+	f   wire.Frame
+	err error
 }
 
 // replyChans holds the reply channels of finished requests. Reuse is
@@ -185,6 +187,14 @@ func (p *Pool) Stats() obs.WireStats { return p.wire.Snapshot() }
 // sentinels: a server-side or client-side deadline wraps
 // msg.ErrReplyTimeout, an unknown process name wraps msg.ErrNoServer.
 func (p *Pool) Send(server string, payload []byte) ([]byte, error) {
+	return p.SendAppend(server, payload, nil)
+}
+
+// SendAppend is Send with the reply appended to out: the reply frame's
+// read buffer goes back to the pool as soon as its body is copied out, so
+// a caller that reuses out receives replies without allocating. With a
+// nil out the reply is the frame's own buffer, handed over.
+func (p *Pool) SendAppend(server string, payload, out []byte) ([]byte, error) {
 	if p.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -220,13 +230,20 @@ func (p *Pool) Send(server string, payload []byte) ([]byte, error) {
 		// the error text is uniform with a mid-conversation breakage.
 	}
 
-	out := <-wt.ch
+	res := <-wt.ch
 	replyChans.Put(wt.ch)
-	if errors.Is(out.err, errSwept) {
+	switch {
+	case errors.Is(res.err, errSwept):
 		p.wire.Timeout()
 		return nil, fmt.Errorf("nsqlclient: server %q: %w after %v", server, msg.ErrReplyTimeout, d)
+	case res.err != nil:
+		return nil, res.err
+	case out == nil:
+		return res.f.Body, nil
 	}
-	return out.data, out.err
+	out = append(out, res.f.Body...)
+	res.f.Release()
+	return out, nil
 }
 
 // pick chooses the connection for one request: the first whose writer
@@ -323,18 +340,22 @@ func (c *conn) read(nc net.Conn) {
 		delete(c.pending, f.Corr)
 		c.mu.Unlock()
 		if !ok {
-			continue // abandoned at its deadline: drop the late reply
+			f.Release() // abandoned at its deadline: drop the late reply
+			continue
 		}
 		wt.ch <- decode(f)
 	}
 }
 
 // decode maps one reply frame to a Send outcome, restoring the msg
-// error sentinels the remote transport coded.
+// error sentinels the remote transport coded. Only a reply keeps its
+// frame: an error's text is copied out and the frame released.
 func decode(f wire.Frame) result {
+	if f.Kind == wire.KindReply {
+		return result{f: f}
+	}
+	defer f.Release()
 	switch f.Kind {
-	case wire.KindReply:
-		return result{data: f.Body}
 	case wire.KindReplyErr:
 		text := string(f.Body)
 		switch f.Code {

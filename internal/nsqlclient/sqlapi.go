@@ -2,9 +2,11 @@ package nsqlclient
 
 import (
 	"errors"
+	"sync"
 
 	"nonstopsql/internal/msg"
 	"nonstopsql/internal/nsqlwire"
+	"nonstopsql/internal/poison"
 	"nonstopsql/internal/sql"
 )
 
@@ -22,30 +24,57 @@ import (
 // statement is broken" from "the server could not run it", and
 // ErrStaleHandle drives transparent re-preparation.
 func do(t msg.Transport, op nsqlwire.Op, arg string) (*nsqlwire.Reply, error) {
-	return doReq(t, &nsqlwire.Request{Op: op, Arg: arg})
+	reply := new(nsqlwire.Reply)
+	return reply, doReq(t, &nsqlwire.Request{Op: op, Arg: arg}, reply)
 }
 
-func doReq(t msg.Transport, q *nsqlwire.Request) (*nsqlwire.Reply, error) {
-	data, err := t.Send(nsqlwire.ServerName, nsqlwire.EncodeRequest(q))
-	if err != nil {
-		return nil, err
+// doReq runs one operation, decoding its reply into reply. The request
+// is encoded into a pooled buffer and the reply appended behind it; the
+// decoded reply aliases none of it, so the buffer goes back to the pool
+// as soon as the reply is decoded.
+func doReq(t msg.Transport, q *nsqlwire.Request, reply *nsqlwire.Reply) error {
+	bp := payloads.Get().(*[]byte)
+	req := nsqlwire.AppendRequest((*bp)[:0], q)
+	data, err := t.SendAppend(nsqlwire.ServerName, req, req[len(req):])
+	if err == nil {
+		err = nsqlwire.DecodeReplyInto(reply, data)
 	}
-	reply, err := nsqlwire.DecodeReply(data)
+	// A reply that did not fit behind the request was allocated apart: the
+	// buffer pooled for next time holds both.
+	switch need := len(req) + len(data); {
+	case cap(req) >= need:
+	case cap(data) >= need:
+		req = data
+	default:
+		req = make([]byte, 0, need)
+	}
+	if cap(req) <= maxPooledPayload {
+		poison.Fill(req[:cap(req)])
+		*bp = req[:0]
+		payloads.Put(bp)
+	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if reply.Err != "" {
 		switch reply.Code {
 		case nsqlwire.CodeBadStatement:
-			return nil, &remoteError{msg: reply.Err, kind: nsqlwire.ErrBadStatement}
+			return &remoteError{msg: reply.Err, kind: nsqlwire.ErrBadStatement}
 		case nsqlwire.CodeStaleHandle:
-			return nil, &remoteError{msg: reply.Err, kind: nsqlwire.ErrStaleHandle}
+			return &remoteError{msg: reply.Err, kind: nsqlwire.ErrStaleHandle}
 		default:
-			return nil, errors.New(reply.Err)
+			return errors.New(reply.Err)
 		}
 	}
-	return reply, nil
+	return nil
 }
+
+// payloads holds the buffers doReq encodes requests into and receives
+// replies in; a buffer larger than maxPooledPayload is left to the
+// collector rather than pinned.
+var payloads = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledPayload = 64 << 10
 
 // remoteError carries a server-reported failure: Error() is exactly the
 // server's message, Unwrap exposes the error class sentinel.

@@ -14,8 +14,8 @@ import (
 // side handle and parameter count. The free function mirrors Exec: the
 // same call works over the in-process transport and the TCP pool.
 func Prepare(t msg.Transport, stmt string) (handle uint64, nParams int, err error) {
-	reply, err := doReq(t, &nsqlwire.Request{Op: nsqlwire.OpPrepare, Arg: stmt})
-	if err != nil {
+	var reply nsqlwire.Reply
+	if err := doReq(t, &nsqlwire.Request{Op: nsqlwire.OpPrepare, Arg: stmt}, &reply); err != nil {
 		return 0, 0, err
 	}
 	return reply.Handle, int(reply.Affected), nil
@@ -26,17 +26,16 @@ func Prepare(t msg.Transport, stmt string) (handle uint64, nParams int, err erro
 // errors.Is(err, nsqlwire.ErrStaleHandle); callers re-prepare (Stmt does
 // this automatically).
 func Execute(t msg.Transport, handle uint64, args ...record.Value) (*sql.Result, error) {
-	reply, err := doReq(t, &nsqlwire.Request{Op: nsqlwire.OpExecute, Handle: handle, Params: args})
-	if err != nil {
+	var reply nsqlwire.Reply
+	if err := doReq(t, &nsqlwire.Request{Op: nsqlwire.OpExecute, Handle: handle, Params: args}, &reply); err != nil {
 		return nil, err
 	}
-	return sqlResult(reply), nil
+	return sqlResult(&reply), nil
 }
 
 // CloseStmt discards a server-side statement handle.
 func CloseStmt(t msg.Transport, handle uint64) error {
-	_, err := doReq(t, &nsqlwire.Request{Op: nsqlwire.OpCloseStmt, Handle: handle})
-	return err
+	return doReq(t, &nsqlwire.Request{Op: nsqlwire.OpCloseStmt, Handle: handle}, new(nsqlwire.Reply))
 }
 
 // A Stmt is a client-side prepared statement: SQL text plus the server

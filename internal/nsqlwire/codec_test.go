@@ -3,6 +3,7 @@ package nsqlwire
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -124,6 +125,7 @@ func FuzzNsqlwire(f *testing.F) {
 	f.Add([]byte{byte(OpExecute), 0, 5, 2, 0xff, 0xff}) // a row header promising 2^14 fields
 	f.Add([]byte{0, 0xff, 0xff, 0xff, 0x7f})            // a column count with nothing behind it
 	f.Fuzz(func(t *testing.T, data []byte) {
+		reuseIsFresh(t, data)
 		if q, err := DecodeRequest(data); err == nil {
 			enc := checkRequestBytes(t, q)
 			if len(enc) > len(data) || (len(enc) == len(data) && !bytes.Equal(enc, data)) {
@@ -165,6 +167,43 @@ func FuzzNsqlwire(f *testing.F) {
 			}
 		}
 	})
+}
+
+// heldRequest and heldReply are what a service slot's Request and a
+// client's Reply last held: every field set, so a decode into them that
+// leaves one standing — stale Params above all — differs from a decode
+// into a fresh one.
+var (
+	heldRequest = EncodeRequest(&Request{Op: OpExecute, Arg: "held", Handle: 9,
+		Params: record.Row{record.Int(1), record.String("two"), record.Float(3), record.Null}})
+	heldReply = EncodeReply(&Reply{Err: "held", Code: CodeServer, Columns: []string{"a", "b"},
+		Rows: []record.Row{{record.Int(1), record.String("x")}}, Affected: 1, Text: "t", Handle: 3})
+)
+
+// reuseIsFresh holds the two Into decoders to their promise: decoding
+// data into a struct that last held another message is decoding it into
+// a new one — the same outcome, and a message that encodes to the same
+// bytes (every field is encoded, and a NaN parameter is not DeepEqual to
+// itself).
+func reuseIsFresh(t *testing.T, data []byte) {
+	var q Request
+	if err := DecodeRequestInto(&q, heldRequest); err != nil {
+		t.Fatal(err)
+	}
+	errReused := DecodeRequestInto(&q, data)
+	fresh, err := DecodeRequest(data)
+	if fmt.Sprint(err) != fmt.Sprint(errReused) || err == nil && (!bytes.Equal(EncodeRequest(&q), EncodeRequest(fresh)) || (q.Params == nil) != (fresh.Params == nil)) {
+		t.Fatalf("request %x into a held one: %+v, %v; into a new one: %+v, %v", data, q, errReused, fresh, err)
+	}
+	var r Reply
+	if err := DecodeReplyInto(&r, heldReply); err != nil {
+		t.Fatal(err)
+	}
+	errReused = DecodeReplyInto(&r, data)
+	freshReply, err := DecodeReply(data)
+	if fmt.Sprint(err) != fmt.Sprint(errReused) || err == nil && (!bytes.Equal(EncodeReply(&r), EncodeReply(freshReply)) || r.Encoded != nil) {
+		t.Fatalf("reply %x into a held one: %+v, %v; into a new one: %+v, %v", data, r, errReused, freshReply, err)
+	}
 }
 
 // TestEncodedRowsAreRows: a reply's Encoded rows travel as Rows' would —
@@ -217,13 +256,20 @@ var (
 
 // TestAllocationCeilings pins what the codecs allocate for the serving
 // path's commonest conversation, a prepared one-row read: an encoder one
-// buffer, a decoder only what the caller keeps (Request and its parameter
-// row; Reply, Columns and the two names, Rows, the row and its string).
-// A 1 000-row reply costs per reply, not per row: one buffer to encode
-// it from the forwarded rows; Reply, Columns and the two names, Rows and
-// the one arena every row's values land in to decode it.
+// buffer, or none appending to a buffer its caller reuses; the request
+// decoder nothing into a Request it reuses (the parameter row's storage
+// is kept); the reply decoder only what the caller keeps (Reply, Columns
+// and the one string both names are cut from, Rows, the row and its
+// string). A 1 000-row reply costs per reply, not per row: one buffer to
+// encode it from the forwarded rows; Reply, Columns and the names'
+// string, Rows and the one arena every row's values land in to decode it.
 func TestAllocationCeilings(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
 	qb, rb, sb := EncodeRequest(executeRequest), EncodeReply(oneRowReply), EncodeReply(scanReply)
+	var buf []byte
+	var q Request
 	for _, c := range []struct {
 		name    string
 		ceiling float64
@@ -231,18 +277,25 @@ func TestAllocationCeilings(t *testing.T) {
 	}{
 		{"EncodeRequest", 1, func() { sink = EncodeRequest(executeRequest) }},
 		{"EncodeReply", 1, func() { sink = EncodeReply(oneRowReply) }},
+		{"AppendRequest to a reused buffer", 0, func() { buf = AppendRequest(buf[:0], executeRequest) }},
+		{"AppendReply to a reused buffer", 0, func() { buf = AppendReply(buf[:0], oneRowReply) }},
 		{"DecodeRequest", 2, func() {
 			if _, err := DecodeRequest(qb); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"DecodeReply", 7, func() {
+		{"DecodeRequestInto a reused Request", 0, func() {
+			if err := DecodeRequestInto(&q, qb); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"DecodeReply", 6, func() {
 			if _, err := DecodeReply(rb); err != nil {
 				t.Fatal(err)
 			}
 		}},
 		{"EncodeReply of 1000 forwarded rows", 1, func() { sink = EncodeReply(scanReply) }},
-		{"DecodeReply of 1000 rows", 6, func() {
+		{"DecodeReply of 1000 rows", 5, func() {
 			if r, err := DecodeReply(sb); err != nil || len(r.Rows) != 1000 {
 				t.Fatal(err)
 			}

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"nonstopsql/internal/record"
 )
@@ -103,12 +104,11 @@ type Request struct {
 
 // EncodeRequest serializes a request payload, in one allocation of
 // exactly its size.
-func EncodeRequest(q *Request) []byte {
-	n := 1 + stringLen(q.Arg) + uvarintLen(q.Handle) + 1
-	if len(q.Params) > 0 {
-		n += rowLen(q.Params) - 1
-	}
-	b := make([]byte, 0, n)
+func EncodeRequest(q *Request) []byte { return AppendRequest(make([]byte, 0, requestLen(q)), q) }
+
+// AppendRequest appends a request payload to b, growing it at most once.
+func AppendRequest(b []byte, q *Request) []byte {
+	b = slices.Grow(b, requestLen(q))
 	b = append(b, byte(q.Op))
 	b = appendString(b, q.Arg)
 	b = binary.AppendUvarint(b, q.Handle)
@@ -118,38 +118,64 @@ func EncodeRequest(q *Request) []byte {
 	return appendRow(b, q.Params)
 }
 
+// requestLen is the length AppendRequest writes for q.
+func requestLen(q *Request) int {
+	n := 1 + stringLen(q.Arg) + uvarintLen(q.Handle) + 1
+	if len(q.Params) > 0 {
+		n += rowLen(q.Params) - 1
+	}
+	return n
+}
+
 // DecodeRequest parses a request payload.
 func DecodeRequest(b []byte) (*Request, error) {
-	if len(b) == 0 {
-		return nil, fmt.Errorf("nsqlwire: empty request")
-	}
-	q := &Request{Op: Op(b[0])}
-	arg, b, err := takeBytes(b[1:])
-	if err != nil {
+	q := new(Request)
+	if err := DecodeRequestInto(q, b); err != nil {
 		return nil, err
 	}
-	q.Arg = string(arg)
+	return q, nil
+}
+
+// DecodeRequestInto parses a request payload into q, overwriting all of
+// it. The parameter values land in q.Params' storage when it is large
+// enough, and Arg is kept when it already holds the same text, so a
+// server that decodes into one Request per service slot allocates for
+// neither. Nothing in q aliases b.
+func DecodeRequestInto(q *Request, b []byte) error {
+	if len(b) == 0 {
+		return fmt.Errorf("nsqlwire: empty request")
+	}
+	q.Op = Op(b[0])
+	arg, b, err := takeBytes(b[1:])
+	if err != nil {
+		return err
+	}
+	if string(arg) != q.Arg {
+		q.Arg = string(arg)
+	}
 	var sz int
 	q.Handle, sz = binary.Uvarint(b)
 	if sz <= 0 {
-		return nil, fmt.Errorf("nsqlwire: bad statement handle")
+		return fmt.Errorf("nsqlwire: bad statement handle")
 	}
 	b = b[sz:]
 	params, b, err := takeBytes(b)
 	if err != nil {
-		return nil, err
+		return err
 	}
+	q.Params = q.Params[:0]
 	if len(params) > 0 {
-		row, err := record.Decode(params)
-		if err != nil {
-			return nil, fmt.Errorf("nsqlwire: params: %w", err)
+		if _, q.Params, err = record.AppendDecode(q.Params, params); err != nil {
+			return fmt.Errorf("nsqlwire: params: %w", err)
 		}
-		q.Params = row
+	}
+	if len(q.Params) == 0 {
+		q.Params = nil
 	}
 	if len(b) != 0 {
-		return nil, fmt.Errorf("nsqlwire: %d trailing request bytes", len(b))
+		return fmt.Errorf("nsqlwire: %d trailing request bytes", len(b))
 	}
-	return q, nil
+	return nil
 }
 
 // A Reply is one operation's outcome. Err carries the application-level
@@ -173,23 +199,16 @@ type Reply struct {
 }
 
 // EncodeReply serializes a reply payload, in one allocation of exactly
-// its size: each row behind its length — a row of Rows appended value by
-// value, a row of Encoded copied. The length prefix is the framing, so
-// nothing inside an Encoded row can break it; whether those bytes are a
-// record is for DecodeReply to say.
-func EncodeReply(r *Reply) []byte {
-	n := stringLen(r.Err) + uvarintLen(uint64(len(r.Columns))) + uvarintLen(uint64(len(r.Rows)+len(r.Encoded))) +
-		uvarintLen(r.Affected) + stringLen(r.Text) + 1 + uvarintLen(r.Handle)
-	for _, c := range r.Columns {
-		n += stringLen(c)
-	}
-	for _, row := range r.Rows {
-		n += rowLen(row)
-	}
-	for _, enc := range r.Encoded {
-		n += uvarintLen(uint64(len(enc))) + len(enc)
-	}
-	b := make([]byte, 0, n)
+// its size.
+func EncodeReply(r *Reply) []byte { return AppendReply(make([]byte, 0, replyLen(r)), r) }
+
+// AppendReply appends a reply payload to b, growing it at most once: each
+// row behind its length — a row of Rows appended value by value, a row of
+// Encoded copied. The length prefix is the framing, so nothing inside an
+// Encoded row can break it; whether those bytes are a record is for
+// DecodeReply to say.
+func AppendReply(b []byte, r *Reply) []byte {
+	b = slices.Grow(b, replyLen(r))
 	b = appendString(b, r.Err)
 	b = binary.AppendUvarint(b, uint64(len(r.Columns)))
 	for _, c := range r.Columns {
@@ -209,34 +228,71 @@ func EncodeReply(r *Reply) []byte {
 	return binary.AppendUvarint(b, r.Handle)
 }
 
+// replyLen is the length AppendReply writes for r.
+func replyLen(r *Reply) int {
+	n := stringLen(r.Err) + uvarintLen(uint64(len(r.Columns))) + uvarintLen(uint64(len(r.Rows)+len(r.Encoded))) +
+		uvarintLen(r.Affected) + stringLen(r.Text) + 1 + uvarintLen(r.Handle)
+	for _, c := range r.Columns {
+		n += stringLen(c)
+	}
+	for _, row := range r.Rows {
+		n += rowLen(row)
+	}
+	for _, enc := range r.Encoded {
+		n += uvarintLen(uint64(len(enc))) + len(enc)
+	}
+	return n
+}
+
 // DecodeReply parses a reply payload.
 func DecodeReply(b []byte) (*Reply, error) {
-	r := &Reply{}
+	r := new(Reply)
+	if err := DecodeReplyInto(r, b); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// DecodeReplyInto parses a reply payload into r, overwriting all of it.
+// Nothing in r aliases b, and none of r's old storage is written: the
+// columns, rows and values are new, because a reply's rows are what its
+// requester keeps. The column names share one string, and every row's
+// values one arena.
+func DecodeReplyInto(r *Reply, b []byte) error {
+	*r = Reply{}
 	e, b, err := takeBytes(b)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	r.Err = string(e)
 	n, sz := binary.Uvarint(b)
 	if sz <= 0 {
-		return nil, fmt.Errorf("nsqlwire: bad column count")
+		return fmt.Errorf("nsqlwire: bad column count")
 	}
 	b = b[sz:]
 	// The counts are untrusted: a column takes at least one byte, a row
 	// at least two, so the bytes present bound what is allocated.
 	if n > 0 {
 		r.Columns = make([]string, 0, min(n, uint64(len(b))))
-	}
-	for i := uint64(0); i < n; i++ {
-		var c []byte
-		if c, b, err = takeBytes(b); err != nil {
-			return nil, err
+		// Every name is cut from one string of the names' bytes, their
+		// length prefixes included.
+		names := b
+		for i := uint64(0); i < n; i++ {
+			if _, b, err = takeBytes(b); err != nil {
+				return err
+			}
 		}
-		r.Columns = append(r.Columns, string(c))
+		names = names[:len(names)-len(b)]
+		all := string(names)
+		for off := 0; off < len(names); {
+			l, sz := binary.Uvarint(names[off:])
+			off += sz + int(l)
+			r.Columns = append(r.Columns, all[off-int(l):off])
+		}
 	}
 	n, sz = binary.Uvarint(b)
 	if sz <= 0 {
-		return nil, fmt.Errorf("nsqlwire: bad row count")
+		return fmt.Errorf("nsqlwire: bad row count")
 	}
 	b = b[sz:]
 	// Every row of the reply decodes into one arena (record.AppendDecode):
@@ -251,37 +307,37 @@ func DecodeReply(b []byte) (*Reply, error) {
 	for i := uint64(0); i < n; i++ {
 		var enc []byte
 		if enc, b, err = takeBytes(b); err != nil {
-			return nil, err
+			return err
 		}
 		var row record.Row
 		if arena, row, err = record.AppendDecode(arena, enc); err != nil {
-			return nil, fmt.Errorf("nsqlwire: row %d: %w", i, err)
+			return fmt.Errorf("nsqlwire: row %d: %w", i, err)
 		}
 		r.Rows = append(r.Rows, row)
 	}
 	r.Affected, sz = binary.Uvarint(b)
 	if sz <= 0 {
-		return nil, fmt.Errorf("nsqlwire: bad affected count")
+		return fmt.Errorf("nsqlwire: bad affected count")
 	}
 	b = b[sz:]
 	t, b, err := takeBytes(b)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	r.Text = string(t)
 	if len(b) == 0 {
-		return nil, fmt.Errorf("nsqlwire: truncated reply code")
+		return fmt.Errorf("nsqlwire: truncated reply code")
 	}
 	r.Code = b[0]
 	r.Handle, sz = binary.Uvarint(b[1:])
 	if sz <= 0 {
-		return nil, fmt.Errorf("nsqlwire: bad reply handle")
+		return fmt.Errorf("nsqlwire: bad reply handle")
 	}
 	b = b[1+sz:]
 	if len(b) != 0 {
-		return nil, fmt.Errorf("nsqlwire: %d trailing reply bytes", len(b))
+		return fmt.Errorf("nsqlwire: %d trailing reply bytes", len(b))
 	}
-	return r, nil
+	return nil
 }
 
 func appendString(b []byte, v string) []byte {

@@ -3,6 +3,7 @@ package sql
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -158,7 +159,7 @@ func (a *access) decode(enc [][]byte) ([]record.Row, error) {
 // With fewer values than the templates wait for (EXPLAIN of text with
 // markers; a join's inner side before an outer row) a predicate that
 // holds a slot leaves the choice pending.
-func (q *tableQuery) access(vals []record.Value) (access, error) {
+func (q *tableQuery) access(ar *fs.Arena, vals []record.Value) (access, error) {
 	a := access{def: q.def, op: q.op, requesterSide: q.requesterSide,
 		assigns: q.assigns, agg: q.agg, budget: -1, unordered: q.unordered}
 	pred := q.pred
@@ -168,7 +169,7 @@ func (q *tableQuery) access(vals []record.Value) (access, error) {
 			return a, err
 		}
 		if q.keyed() {
-			err = a.byKey(q, vals)
+			err = a.byKey(ar, q, vals)
 			return a, err
 		}
 		if pred, err = expr.Substitute(pred, vals); err != nil {
@@ -217,12 +218,14 @@ func (q *tableQuery) keyed() bool {
 // requester's to apply to it. A keyed write carries the residual to the
 // Disk Process, which applies it to the record under the key's lock. A key
 // value no key equals (UniqueKey.Key: NULL, a fraction on an INTEGER
-// column) and LIMIT 0 want nothing: neither sends a message.
-func (a *access) byKey(q *tableQuery, vals []record.Value) error {
-	key, ok, err := q.key.Key(vals)
+// column) and LIMIT 0 want nothing: neither sends a message. The key is
+// encoded into the statement's arena (nil: allocated).
+func (a *access) byKey(ar *fs.Arena, q *tableQuery, vals []record.Value) error {
+	key, ok, err := q.key.AppendKey(ar.Free(), vals)
 	if err != nil {
 		return err
 	}
+	key = ar.Keep(key)
 	if a.pred, err = expr.Substitute(q.key.Residual, vals); err != nil {
 		return err
 	}
@@ -359,23 +362,24 @@ func (a *access) fetchScan(s *Session, tx *tmf.Tx, az *analyzeState) ([][]byte, 
 }
 
 // fetchRead sends the one READ. Under a transaction the Disk Process
-// locks the key before it looks, found or not.
+// locks the key before it looks, found or not. The READ, its reply and
+// the row are the statement's (Session.arena), and so is the one-row list
+// they come back in, until the session's next READ.
 func (a *access) fetchRead(s *Session, tx *tmf.Tx, az *analyzeState) ([][]byte, error) {
 	from := az.mark(s)
 	var out [][]byte
-	enc, err := s.fs.ReadRaw(tx, a.def, a.key, false)
+	enc, err := s.fs.ReadRaw(&s.arena, tx, a.def, a.key, false)
 	switch {
 	case errors.Is(err, fs.ErrNotFound):
 	case err != nil:
 		return nil, err
 	default:
-		var v record.View
-		rec, keep, err := a.admit(expr.Compile(a.pred), &v, enc)
+		rec, keep, err := a.admit(expr.Compile(a.pred), &s.view, &s.arena, enc)
 		if err != nil {
 			return nil, err
 		}
 		if keep {
-			out = append(out, rec)
+			out = append(s.read[:0], rec)
 		}
 	}
 	if az != nil { // the label is built only when something collects it
@@ -388,8 +392,9 @@ func (a *access) fetchRead(s *Session, tx *tmf.Tx, az *analyzeState) ([][]byte, 
 // back unjudged — a READ's, an index probe's. The record is validated
 // whole where it lies (v.Reset) before the residual predicate, compiled
 // (prog), reads a field of it or the projection cuts one out
-// (View.AppendRow). keep says the predicate accepted it.
-func (a *access) admit(prog *expr.Program, v *record.View, rec []byte) (_ []byte, keep bool, err error) {
+// (View.AppendRow) into ar (nil: allocated). keep says the predicate
+// accepted it.
+func (a *access) admit(prog *expr.Program, v *record.View, ar *fs.Arena, rec []byte) (_ []byte, keep bool, err error) {
 	if err := v.Reset(rec); err != nil {
 		return nil, false, err
 	}
@@ -397,8 +402,8 @@ func (a *access) admit(prog *expr.Program, v *record.View, rec []byte) (_ []byte
 		return rec, keep, err
 	}
 	// Distinct fields of the record: never longer than it is.
-	rec, err = v.AppendRow(make([]byte, 0, len(rec)), a.proj)
-	return rec, err == nil, err
+	rec, err = v.AppendRow(slices.Grow(ar.Free(), len(rec)), a.proj)
+	return ar.Keep(rec), err == nil, err
 }
 
 // keyKind is the FS-DP request of a keyed write.
@@ -448,7 +453,7 @@ func (a *access) fetchProbe(s *Session, tx *tmf.Tx, az *analyzeState) (fetched, 
 		if a.budget >= 0 && len(out) >= a.budget {
 			break
 		}
-		rec, keep, err := a.admit(prog, &v, rec)
+		rec, keep, err := a.admit(prog, &v, nil, rec)
 		if err != nil {
 			return fetched{}, err
 		}

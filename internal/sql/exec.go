@@ -25,6 +25,14 @@ type Session struct {
 	// default; SetPushdown(false) forces the row-at-a-time plans
 	// (ablations, differential tests).
 	pushdown bool
+
+	// arena holds the statement's own bytes: its unique keys, its READs
+	// and their replies, the rows a READ's projection cuts (fs.Arena). It
+	// is reset when the next statement starts, so a result's Encoded rows
+	// are valid until then.
+	arena fs.Arena
+	view  record.View // the requester's look at a READ's record (access.admit)
+	read  [1][]byte   // a READ's row, as the statement's fetched rows (fetchRead)
 }
 
 // NewSession creates a session over a shared catalog and one requester's
@@ -48,7 +56,9 @@ type Result struct {
 	// the Disk Processes encoded them, for a caller that forwards rows
 	// rather than reads them: only ExecEncoded and ExecPreparedEncoded
 	// return it set, and then in place of Rows. Nothing has validated the
-	// bytes; whoever reads a value decodes the row first.
+	// bytes; whoever reads a value decodes the row first. They may lie in
+	// the session's statement arena: valid until the session's next
+	// statement starts.
 	Encoded [][]byte
 }
 
@@ -284,7 +294,7 @@ func (s *Session) compileDelete(del Delete) (*writePlan, error) {
 
 func (p *writePlan) run(s *Session, params []record.Value, az *analyzeState) (*Result, error) {
 	return s.autocommit(func(tx *tmf.Tx) (*Result, error) {
-		a, err := p.q.access(params)
+		a, err := p.q.access(&s.arena, params)
 		if err != nil {
 			return nil, err
 		}
@@ -297,7 +307,7 @@ func (p *writePlan) run(s *Session, params []record.Value, az *analyzeState) (*R
 }
 
 func (p *writePlan) describe(sb *strings.Builder, params []record.Value) error {
-	a, err := p.q.access(params)
+	a, err := p.q.access(nil, params)
 	if err != nil {
 		return err
 	}

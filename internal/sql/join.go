@@ -167,7 +167,7 @@ func (p *joinPlan) run(s *Session, params []record.Value, az *analyzeState) (*Re
 	if err != nil {
 		return nil, err
 	}
-	oa, err := p.outer.access(params)
+	oa, err := p.outer.access(&s.arena, params)
 	if err != nil {
 		return nil, err
 	}
@@ -211,7 +211,7 @@ func (p *joinPlan) probePerRow(s *Session, tx *tmf.Tx, outerRows []record.Row, o
 				return nil, err
 			}
 		}
-		ia, err := p.inner.access(vals)
+		ia, err := p.inner.access(&s.arena, vals)
 		if err != nil {
 			return nil, err
 		}
@@ -324,11 +324,11 @@ func (p *joinPlan) probeBatched(s *Session, tx *tmf.Tx, outerRows []record.Row, 
 }
 
 func (p *joinPlan) describe(sb *strings.Builder, params []record.Value) error {
-	oa, err := p.outer.access(params)
+	oa, err := p.outer.access(nil, params)
 	if err != nil {
 		return err
 	}
-	ia, err := p.inner.access(params)
+	ia, err := p.inner.access(nil, params)
 	if err != nil {
 		return err
 	}

@@ -134,7 +134,7 @@ func (p *selectPlan) run(s *Session, params []record.Value, az *analyzeState) (*
 	if p.browse {
 		tx = nil
 	}
-	a, err := p.q.access(params)
+	a, err := p.q.access(&s.arena, params)
 	if err != nil {
 		return nil, err
 	}
@@ -162,7 +162,7 @@ func (p *selectPlan) run(s *Session, params []record.Value, az *analyzeState) (*
 }
 
 func (p *selectPlan) describe(sb *strings.Builder, params []record.Value) error {
-	a, err := p.q.access(params)
+	a, err := p.q.access(nil, params)
 	if err != nil {
 		return err
 	}
@@ -218,6 +218,7 @@ type output struct {
 	// Projection shapes.
 	orderKs []orderKey
 	cols    []outCol
+	names   []string // cols' headers: every result's Columns, shared and read-only
 
 	// forward says the statement is pass-through: the rows the Disk
 	// Processes encode are the result's rows, byte for byte, so the
@@ -259,6 +260,7 @@ func compileOutput(sel Select, sc *scope) (*output, error) {
 		if o.cols, err = buildOutCols(sel.Items, sc); err != nil {
 			return nil, err
 		}
+		o.names = o.columnNames()
 	}
 	o.hasParams = expr.HasParams(o.having)
 	for _, g := range o.gbs {
@@ -306,10 +308,10 @@ func (o *output) forwardRows(enc [][]byte) *Result {
 	if o.limit >= 0 && len(enc) > o.limit {
 		enc = enc[:o.limit]
 	}
-	return &Result{Columns: o.columnNames(), Encoded: enc, Affected: len(enc)}
+	return &Result{Columns: o.names, Encoded: enc, Affected: len(enc)}
 }
 
-// columnNames returns a projection's headers.
+// columnNames builds a projection's headers.
 func (o *output) columnNames() []string {
 	names := make([]string, len(o.cols))
 	for i, c := range o.cols {
@@ -366,6 +368,9 @@ func (o *output) bound(params []record.Value) (*output, error) {
 		}
 		c.e = sub(c.e)
 		b.cols[i] = c
+	}
+	if o.names != nil {
+		b.names = b.columnNames()
 	}
 	return &b, err
 }
@@ -447,7 +452,7 @@ func (o *output) projectRows(rows []record.Row) (*Result, error) {
 	if o.limit >= 0 && len(rows) > o.limit {
 		rows = rows[:o.limit]
 	}
-	res := &Result{Columns: o.columnNames()}
+	res := &Result{Columns: o.names}
 	for _, row := range rows {
 		out := make(record.Row, len(o.cols))
 		for i, c := range o.cols {

@@ -168,8 +168,10 @@ func (s *Session) current(p *Prepared) (*Prepared, error) {
 	return s.prepared(p.SQL)
 }
 
-// execCompiled runs an already-validated compilation.
+// execCompiled runs an already-validated compilation: a statement, so
+// the last one's arena bytes are taken back first.
 func (s *Session) execCompiled(p *Prepared, params []record.Value, az *analyzeState) (*Result, error) {
+	s.arena.Reset()
 	if len(params) != p.nParams {
 		return nil, badStatement(fmt.Errorf("sql: statement wants %d parameter(s), got %d", p.nParams, len(params)))
 	}

@@ -88,6 +88,12 @@ type Config struct {
 	// server side so a hung handler cannot pin a graceful drain forever
 	// (0 = wait forever).
 	WireReplyTimeout time.Duration
+
+	// AdminOps lets "$SQL" clients run the operator's commands: crash and
+	// restart a volume's Disk Process, zero the activity counters. Off by
+	// default, when the endpoint refuses them: anyone who can reach the
+	// port could otherwise take a volume down.
+	AdminOps bool
 }
 
 // A Database is one simulated Tandem network with its catalog.

@@ -240,7 +240,17 @@ func TestHostileRowsStopAtTheDecoder(t *testing.T) {
 // the projected row cut from the record's bytes, the reply encoded from
 // those bytes and decoded — over "$SQL" on the in-process transport. The
 // parent of the change that made the row pass-through measured 44 here
-// (50 for the benchmark's whole process per point-read); this measures 41.
+// (50 for the benchmark's whole process per point-read); that change
+// measured 41, and 30 once messages were calls and their reply channels
+// pooled. Since every hop writes into a buffer its consumer owns — the
+// client's pooled request and reply buffer, the statement arena the READ
+// and its reply land in, the Disk Process's service slot, the pooled
+// "$SQL" Request — it measures 7, and all of them are what the client
+// keeps or its Result points at: the Result and the server's, Columns and
+// the one string its names are cut from, Rows, the row's values and the
+// pad's string. The endpoint alone, handed the EXECUTE's bytes and a
+// reply buffer it can reuse, allocates only the Result of the statement
+// it runs: 1, ceiling 3.
 func TestAllocationCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -263,10 +273,30 @@ func TestAllocationCeilings(t *testing.T) {
 		}
 	}
 	execute()
-	const ceiling = 42
+	const ceiling = 12
 	if got := testing.AllocsPerRun(500, execute); got > ceiling {
 		t.Errorf("one served point read allocates %.1f objects, client and server together; ceiling %d", got, ceiling)
 	} else {
 		t.Logf("one served point read: %.1f allocations, ceiling %d", got, ceiling)
+	}
+
+	// The endpoint alone, through a message hop that allocates nothing
+	// (internal/msg's ceiling).
+	req := nsqlwire.EncodeRequest(&nsqlwire.Request{Op: nsqlwire.OpExecute, Handle: handle, Params: record.Row{record.Int(42)}})
+	var out []byte
+	serve := func() {
+		if out, err = inproc.SendAppend(nsqlwire.ServerName, req, out[:0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	serve()
+	if reply, err := nsqlwire.DecodeReply(out); err != nil || reply.Err != "" || len(reply.Rows) != 1 || reply.Rows[0][0].F != 42.5 {
+		t.Fatalf("EXECUTE served into a reused buffer: %+v, %v", reply, err)
+	}
+	const endpointCeiling = 3
+	if got := testing.AllocsPerRun(500, serve); got > endpointCeiling {
+		t.Errorf("\"$SQL\" serving the point read allocates %.1f objects, ceiling %d", got, endpointCeiling)
+	} else {
+		t.Logf("\"$SQL\" serving the point read: %.1f allocations, ceiling %d", got, endpointCeiling)
 	}
 }

@@ -194,8 +194,29 @@ go test -race -count=1 ./internal/msg/wire ./internal/nsqlclient ./internal/nsql
 if grep -n 'time\.\(After\|NewTimer\|Sleep\|Tick\)' internal/msg/wire/writer.go internal/wal/trail.go; then exit 1; fi
 go test -run '^$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/msg/wire
 go test -run '^$' -fuzz FuzzNsqlwire -fuzztime 10s ./internal/nsqlwire
-go test -count=1 -run TestAllocationCeilings ./internal/nsqlwire ./internal/nsqlclient ./internal/msg ./internal/fsdp ./internal/cache ./internal/disk/filevol
+go test -count=1 -run TestAllocationCeilings . ./internal/nsqlwire ./internal/nsqlclient ./internal/msg ./internal/fsdp ./internal/cache ./internal/disk/filevol
 go test -race -count=1 -run 'TestServeSQL|TestDifferentialTransport' .
+# Every byte on the served read path has one owner that reuses it
+# (DESIGN.md §7.4): pooled frame buffers at both ends of a connection,
+# the client's pooled payload buffer, the session's statement arena
+# (reset when its next statement starts, so "$SQL" encodes the reply
+# before it gives the session back), the Disk Process's service slots.
+# The allocation ceilings above hold the counts — a served point read 12,
+# the endpoint alone 3, codecs into reused buffers 0. Here, twenty rounds
+# under -race, where every buffer taken back is poisoned: results of
+# three shapes held in process and over TCP while 1 000 more statements
+# run on the same session and connection must not change; and ten rounds
+# of eight clients sharing two sessions, whose replies must each carry
+# their own row — a session given back before its reply is encoded
+# fails most rounds. The Into
+# decoders' reuse ran against fresh decodes in FuzzFsdp and FuzzNsqlwire
+# above. Then the operator's commands refused by a default server and
+# served with AdminOps, and a takeover re-drive woken by the name's
+# registration, not a poll.
+go test -race -count=20 -run TestHeldResultsOutliveLaterStatements .
+go test -race -count=10 -run TestRepliesAreEncodedBeforeTheSessionIsReused .
+go test -race -count=1 -run TestAdminOpsAreGated .
+go test -race -count=1 -run TestRedriveWakesOnRegistration ./internal/fs
 # Compiled statements: the shared plan cache takes concurrent get/put
 # from every session while DDL bumps the catalog version, and the
 # server's handle table takes concurrent PREPARE/EXECUTE/eviction —

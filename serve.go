@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"nonstopsql/internal/msg"
@@ -16,7 +17,7 @@ import (
 // network: the process remote clients converse with to execute
 // statements. Each request borrows a session from a fixed pool of
 // workers sessions (spread across the network's processors) and returns
-// it when the reply is built, so requests are independent — autocommit
+// it when the reply is encoded, so requests are independent — autocommit
 // only; BEGIN/COMMIT/ROLLBACK are refused over the wire because the
 // next statement of a conversation would land on a different pooled
 // session anyway.
@@ -24,7 +25,9 @@ import (
 // The endpoint is ordinary messaging: it works over the in-process
 // transport too (a msg.Client can Send to "$SQL" directly), which is
 // what the differential transport tests exploit. Open calls ServeSQL
-// automatically when Config.Listen is set.
+// automatically when Config.Listen is set. The operator's commands —
+// crash and restart a volume, reset the counters — are served only with
+// Config.AdminOps.
 func (db *Database) ServeSQL(workers int) error {
 	if workers <= 0 {
 		workers = 8
@@ -36,7 +39,7 @@ func (db *Database) ServeSQL(workers int) error {
 		pool <- db.Session(node, cpu)
 	}
 	db.sessPool = pool
-	_, err := db.cluster.Net.StartServer(nsqlwire.ServerName, msg.ProcessorID{Node: 0, CPU: 0}, workers, db.sqlHandler)
+	_, err := db.cluster.Net.Register(nsqlwire.ServerName, msg.ProcessorID{Node: 0, CPU: 0}, workers, db.sqlHandler)
 	if err == nil {
 		db.servingSQL = true
 	}
@@ -65,43 +68,63 @@ func (db *Database) WireStats() obs.WireStats {
 }
 
 // sqlHandler is the "$SQL" process: decode one operation, run it
-// against a pooled session, encode the outcome. Application-level
-// failures travel inside the reply (Reply.Err); only transport-level
-// trouble becomes a message error.
-func (db *Database) sqlHandler(reqb []byte) []byte {
-	reply := &nsqlwire.Reply{}
-	q, err := nsqlwire.DecodeRequest(reqb)
-	if err != nil {
-		reply.Err = err.Error()
-		return nsqlwire.EncodeReply(reply)
+// against a pooled session, append the encoded outcome to the sender's
+// buffer. Application-level failures travel inside the reply
+// (Reply.Err); only transport-level trouble becomes a message error. The
+// request is decoded into a pooled Request, whose parameter row is
+// reused, and the reply is built on the stack: a point read served here
+// allocates only its Result.
+func (db *Database) sqlHandler(reqb, out []byte) []byte {
+	q, _ := sqlRequests.Get().(*nsqlwire.Request)
+	if q == nil {
+		q = new(nsqlwire.Request)
 	}
-	db.serveOp(q, reply)
-	return nsqlwire.EncodeReply(reply)
+	var reply nsqlwire.Reply
+	if err := nsqlwire.DecodeRequestInto(q, reqb); err != nil {
+		reply.Err = err.Error()
+		out = nsqlwire.AppendReply(out, &reply)
+	} else {
+		out = db.serveOp(q, &reply, out)
+	}
+	sqlRequests.Put(q)
+	return out
 }
 
-func (db *Database) serveOp(q *nsqlwire.Request, reply *nsqlwire.Reply) {
+// sqlRequests holds the Requests "$SQL" decodes into, one per request in
+// service.
+var sqlRequests sync.Pool
+
+// errAdminOps refuses an operator's command on a server that was not
+// started to take them.
+const errAdminOps = "admin operations (crash, restart, reset stats) are not enabled on this server: start nsqld with -admin"
+
+// serveOp runs one operation and appends its encoded reply to out. A
+// statement's reply is encoded while its session is still held: a
+// pass-through result's rows may lie in the session's statement arena,
+// which the session's next statement takes back.
+func (db *Database) serveOp(q *nsqlwire.Request, reply *nsqlwire.Reply, out []byte) []byte {
 	switch q.Op {
 	case nsqlwire.OpPing:
 		// Nothing to do: an empty ok reply is the answer.
 	case nsqlwire.OpExec:
 		if refuseTxControl(q.Arg, reply) {
-			return
+			break
 		}
-		res, err := db.withSession(func(s *Session) (*Result, error) { return s.ExecEncoded(q.Arg) })
-		replyResult(reply, res, err)
+		s := db.session()
+		res, err := s.ExecEncoded(q.Arg)
+		out = nsqlwire.AppendReply(out, replyResult(reply, res, err))
+		db.release(s)
+		return out
 	case nsqlwire.OpPrepare:
 		if refuseTxControl(q.Arg, reply) {
-			return
+			break
 		}
-		var p *sql.Prepared
-		_, err := db.withSession(func(s *Session) (*Result, error) {
-			var err error
-			p, err = s.Prepare(q.Arg)
-			return nil, err
-		})
+		s := db.session()
+		p, err := s.Prepare(q.Arg)
+		db.release(s)
 		if err != nil {
 			replyErr(reply, err)
-			return
+			break
 		}
 		reply.Handle = db.stmts.put(p)
 		reply.Affected = uint64(p.NumParams())
@@ -110,71 +133,77 @@ func (db *Database) serveOp(q *nsqlwire.Request, reply *nsqlwire.Reply) {
 		if !ok {
 			reply.Err = fmt.Sprintf("prepared statement handle %d is unknown or was evicted", q.Handle)
 			reply.Code = nsqlwire.CodeStaleHandle
-			return
+			break
 		}
-		res, err := db.withSession(func(s *Session) (*Result, error) {
-			return s.ExecPreparedEncoded(p, q.Params...)
-		})
-		replyResult(reply, res, err)
+		s := db.session()
+		res, err := s.ExecPreparedEncoded(p, q.Params...)
+		out = nsqlwire.AppendReply(out, replyResult(reply, res, err))
+		db.release(s)
+		return out
 	case nsqlwire.OpCloseStmt:
 		db.stmts.close(q.Handle)
-	case nsqlwire.OpExplain:
-		db.textOp(reply, func(s *Session) (string, error) { return s.Explain(q.Arg) })
-	case nsqlwire.OpExplainAnalyze:
-		db.textOp(reply, func(s *Session) (string, error) { return s.ExplainAnalyze(q.Arg) })
+	case nsqlwire.OpExplain, nsqlwire.OpExplainAnalyze:
+		s := db.session()
+		var text string
+		var err error
+		if q.Op == nsqlwire.OpExplain {
+			text, err = s.Explain(q.Arg)
+		} else {
+			text, err = s.ExplainAnalyze(q.Arg)
+		}
+		db.release(s)
+		if err != nil {
+			replyErr(reply, err)
+			break
+		}
+		reply.Text = text
 	case nsqlwire.OpTables:
 		if tables := db.Catalog().Tables(); len(tables) > 0 {
 			reply.Text = strings.Join(tables, "\n") + "\n"
 		}
 	case nsqlwire.OpDescribe:
-		out, err := db.Catalog().Describe(q.Arg)
+		text, err := db.Catalog().Describe(q.Arg)
 		if err != nil {
 			reply.Err = err.Error()
-			return
+			break
 		}
-		reply.Text = out
+		reply.Text = text
 	case nsqlwire.OpStats:
 		reply.Text = FormatStats(db.Stats())
-	case nsqlwire.OpResetStats:
-		db.ResetStats()
-	case nsqlwire.OpCrash:
-		if err := db.CrashVolume(q.Arg); err != nil {
-			reply.Err = err.Error()
+	case nsqlwire.OpResetStats, nsqlwire.OpCrash, nsqlwire.OpRestart:
+		if !db.cfg.AdminOps {
+			reply.Err, reply.Code = errAdminOps, nsqlwire.CodeServer
+			break
 		}
-	case nsqlwire.OpRestart:
-		if err := db.RestartVolume(q.Arg, -1); err != nil {
+		var err error
+		switch q.Op {
+		case nsqlwire.OpResetStats:
+			db.ResetStats()
+		case nsqlwire.OpCrash:
+			err = db.CrashVolume(q.Arg)
+		default:
+			err = db.RestartVolume(q.Arg, -1)
+		}
+		if err != nil {
 			reply.Err = err.Error()
 		}
 	default:
 		reply.Err = "unknown operation"
 	}
+	return nsqlwire.AppendReply(out, reply)
 }
 
-// withSession runs fn on a pooled session. A session is never returned
-// to the pool holding an open transaction: whatever fn left behind is
-// rolled back first, so one request's failure cannot poison the next.
-func (db *Database) withSession(fn func(*Session) (*Result, error)) (*Result, error) {
-	s := <-db.sessPool
-	res, err := fn(s)
+// session takes a session from the endpoint's pool, waiting for one.
+func (db *Database) session() *Session { return <-db.sessPool }
+
+// release gives a session back. A session is never returned to the pool
+// holding an open transaction: whatever the request left behind is rolled
+// back first, so one request's failure cannot poison the next.
+func (db *Database) release(s *Session) {
 	if s.InTx() {
 		_, _ = s.Exec("ROLLBACK")
 	}
 	db.sessPool <- s
-	return res, err
-}
-
-func (db *Database) textOp(reply *nsqlwire.Reply, fn func(*Session) (string, error)) {
-	var text string
-	_, err := db.withSession(func(s *Session) (*Result, error) {
-		var err error
-		text, err = fn(s)
-		return nil, err
-	})
-	if err != nil {
-		replyErr(reply, err)
-		return
-	}
-	reply.Text = text
 }
 
 // firstKeyword returns the statement's leading keyword, uppercased.
@@ -198,17 +227,18 @@ func refuseTxControl(stmt string, reply *nsqlwire.Reply) bool {
 	return false
 }
 
-// replyResult fills the reply from a statement's outcome. A pass-through
-// SELECT's rows travel as the Disk Processes encoded them (Encoded): the
-// endpoint reads none of them.
-func replyResult(reply *nsqlwire.Reply, res *Result, err error) {
+// replyResult fills the reply from a statement's outcome and returns it.
+// A pass-through SELECT's rows travel as the Disk Processes encoded them
+// (Encoded): the endpoint reads none of them.
+func replyResult(reply *nsqlwire.Reply, res *Result, err error) *nsqlwire.Reply {
 	if err != nil {
 		replyErr(reply, err)
-		return
+		return reply
 	}
 	reply.Columns = res.Columns
 	reply.Rows, reply.Encoded = res.Rows, res.Encoded
 	reply.Affected = uint64(res.Affected)
+	return reply
 }
 
 // replyErr fills the reply's error text and class: statement-fault
