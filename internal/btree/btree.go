@@ -375,64 +375,106 @@ func (t *Tree) Delete(key []byte, lsn wal.LSN) error {
 	return t.apply(key, nil, lsn, opDelete)
 }
 
-// apply runs one write operation. Almost every write stays within one
-// leaf, so it first tries the optimistic descent (shared crabbing,
-// exclusive latch on the leaf only). When the leaf would split or
-// collapse — a structure change that must propagate to ancestors — it
-// restarts pessimistically, holding the whole root-to-leaf path
-// exclusive. With variable-length keys no cheap "safe node" bound
-// exists (a promoted separator's size depends on the leaf keys), so
-// restart-on-propagate is both simpler and sound.
+// apply runs one blind write: an Edit whose answer is fixed before it
+// sees the record, refused when the key's presence is not what op needs.
 func (t *Tree) apply(key, val []byte, lsn wal.LSN, op opKind) error {
-	t.lt.opEnter()
-	defer t.lt.opExit()
-	done, err := t.applyOptimistic(key, val, lsn, op)
-	if done {
-		return err
-	}
-	return t.applyPessimistic(key, val, lsn, op)
+	return t.Edit(key, func(_ []byte, found bool) (Edit, error) {
+		if err := checkOp(op, found, t.name); err != nil {
+			return Edit{}, err
+		}
+		if op == opDelete {
+			return Edit{Op: Remove, LSN: lsn}, nil
+		}
+		return Edit{Op: Put, Val: val, LSN: lsn}, nil
+	})
 }
 
-// applyOptimistic applies op when it stays within one leaf, by splicing
-// the leaf's bytes where they lie. done=false means a split or collapse
-// must propagate: nothing was modified and the pessimistic descent must
-// redo the operation.
-func (t *Tree) applyOptimistic(key, val []byte, lsn wal.LSN, op opKind) (bool, error) {
+// An EditOp is what an EditFunc decides to do with the record under its
+// key.
+type EditOp uint8
+
+const (
+	Keep   EditOp = iota // leave the leaf as it is
+	Put                  // store Val under the key: a replacement, or an insert when absent
+	Remove               // delete the record (it must be there)
+)
+
+// An Edit is an EditFunc's answer: the operation, the record bytes a Put
+// stores — which must not alias the bytes the function was shown — and
+// the LSN of the audit record protecting the change.
+type Edit struct {
+	Op  EditOp
+	Val []byte
+	LSN wal.LSN
+}
+
+// An EditFunc is shown the record stored under the key, borrowed from the
+// leaf (valid only until it returns), or found false when there is none,
+// and decides what to do with it. It runs with the leaf latched
+// exclusively: it must not touch this volume's trees, and whatever it
+// waits for holds every reader and writer of the leaf with it.
+type EditFunc func(val []byte, found bool) (Edit, error)
+
+// Edit is the tree's read-decide-write: one optimistic descent to the
+// leaf's exclusive latch and one look at the leaf, in which fn is shown
+// the record and its answer is spliced where the record lies — no read
+// before the write, no second descent, no second look. fn runs exactly
+// once; its error is Edit's, and nothing is written. When the answer
+// does not fit the leaf, or a Remove empties a leaf that must then be
+// collapsed, the change is redone on the pessimistic path with the
+// answer fn already gave — restart-on-propagate, because with
+// variable-length keys no cheap "safe node" bound exists (a promoted
+// separator's size depends on the leaf's keys). That redo re-finds the
+// key after the leaf's latch was let go, so the caller must keep anyone
+// else from writing the key meanwhile (the Disk Process holds its record
+// lock); if the key's presence has changed all the same, the redo fails
+// as Insert/Update/Delete would.
+func (t *Tree) Edit(key []byte, fn EditFunc) error {
+	t.lt.opEnter()
+	defer t.lt.opExit()
 	_, pl, _, err := t.descend(key, latchLeaf, cache.Keyed)
 	if err != nil {
-		return true, err
+		return err
 	}
-	defer pl.release()
 	bn := pl.bn
 	v, err := t.view(bn, cache.Keyed)
 	if err != nil {
-		return true, err
+		pl.release()
+		return err
 	}
 	i, exact := v.find(key)
-	if err := checkOp(op, exact, t.name); err != nil {
-		v.release()
-		return true, err
-	}
-	old, put := 0, op != opDelete
+	var cur []byte
 	if exact {
-		old = 1
+		_, cur = v.cell(i)
+	}
+	e, err := fn(cur, exact)
+	if err == nil && e.Op == Remove && !exact {
+		err = fmt.Errorf("%w (%s)", ErrNotFound, t.name)
+	}
+	if err != nil || e.Op == Keep {
+		v.release()
+		pl.release()
+		return err
+	}
+	op, old, put := opInsert, 0, e.Op == Put
+	if exact {
+		op, old = opUpdate, 1
+	}
+	if !put {
+		op = opDelete
 	}
 	// Would the leaf empty out (collapse may propagate) or overflow (split
 	// propagates)?
-	propagates := !put && v.n() == 1 && bn != t.root || v.endAfter(i, old, put, key, val) > disk.BlockSize
+	if !put && v.n() == 1 && bn != t.root || v.endAfter(i, old, put, key, e.Val) > disk.BlockSize {
+		v.release()
+		pl.release()
+		return t.applyPessimistic(key, e.Val, e.LSN, op)
+	}
+	v.splice(i, old, put, key, e.Val)
+	v.markSpliced(e.LSN)
 	v.release()
-	if propagates {
-		return false, nil
-	}
-	// The store is its own look at the page, as every rewrite is.
-	w, err := t.view(bn, cache.Keyed)
-	if err != nil {
-		return true, err
-	}
-	w.splice(i, old, put, key, val)
-	w.markSpliced(lsn)
-	w.release()
-	return true, nil
+	pl.release()
+	return nil
 }
 
 // checkOp reports the key-existence error op raises, if any, given

@@ -534,3 +534,59 @@ func TestWireReplicationDifferential(t *testing.T) {
 		t.Error("no frames reached the backup host's wire server")
 	}
 }
+
+// TestRejectedDuplicateInsertOnTheBackup is the replicated group's side of
+// dp's TestRejectedDuplicateInsertLeavesNoTrace: the backup applies what
+// the primary ships through the same redo as recovery, so a refused
+// duplicate INSERT that still reached the stream overwrote the committed
+// row on the backup, and a takeover served the rejected one — whether
+// the rejecting transaction committed or aborted.
+func TestRejectedDuplicateInsertOnTheBackup(t *testing.T) {
+	for _, commit := range []bool{true, false} {
+		t.Run(fmt.Sprintf("commit=%v", commit), func(t *testing.T) {
+			c, err := cluster.New(cluster.Options{Nodes: 2, Replication: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if _, err := c.AddVolume(0, 1, "$R1"); err != nil {
+				t.Fatal(err)
+			}
+			f := c.NewFS(0, 2)
+			def := kvDef("$R1")
+			if err := f.Create(def); err != nil {
+				t.Fatal(err)
+			}
+			tx := f.Begin()
+			if err := f.Insert(tx, def, record.Row{record.Int(1), record.String("original")}); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Commit(tx); err != nil {
+				t.Fatal(err)
+			}
+
+			tx2 := f.Begin()
+			if err := f.Insert(tx2, def, record.Row{record.Int(1), record.String("rejected")}); err == nil {
+				t.Fatal("duplicate insert accepted")
+			}
+			if commit {
+				err = f.Commit(tx2)
+			} else {
+				err = f.Abort(tx2)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.CrashDP("$R1"); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.TakeoverReplica("$R1"); err != nil {
+				t.Fatal(err)
+			}
+			row, err := f.Read(nil, def, record.Int(1).AppendKey(nil), false)
+			if err != nil || row[1].S != "original" {
+				t.Fatalf("after takeover row 1 reads %v, %v; want original", row, err)
+			}
+		})
+	}
+}

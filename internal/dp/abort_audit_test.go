@@ -71,8 +71,8 @@ func TestAbortShipsCompensations(t *testing.T) {
 		}
 	}
 
-	// The trail agrees: compensations flagged, abort last, and the tx's
-	// lastLSN accounting means a flush covers all of them.
+	// The trail agrees: compensations flagged, abort last, and one flush
+	// covers all of them.
 	trail.Flush()
 	recs, err := wal.Scan(auditVol, trail.FirstBlock())
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"nonstopsql/internal/expr"
 	"nonstopsql/internal/fsdp"
 	"nonstopsql/internal/keys"
+	"nonstopsql/internal/tmf"
 )
 
 // oneMessageRig is a Disk Process holding 3000 EMP records — every
@@ -124,6 +125,45 @@ func TestAllocationCeilings(t *testing.T) {
 	probesCostTheMessage(t, d)
 	oneRowCostsOneRow(t, d)
 	aReadCostsNothing(t, d)
+	aKeyedUpdateCostsItsImages(t, d)
+}
+
+// aKeyedUpdateCostsItsImages is TestAllocationCeilings' ceiling on one
+// served UPDATE^KEY — SET SALARY = SALARY + 1 on a record by its key,
+// under a transaction, through the Handler into a reused reply buffer.
+// The request is decoded into a pooled slot and its SET list found
+// compiled; the record is found, judged, transformed, audited and
+// rewritten in one look at its leaf. What is left is what the change
+// keeps: the key (the lock, the undo entry and the audit record hold it),
+// the lock, the two rows and the two images, the field-compressed audit
+// images and the audit record: 9. It measured 27 while the Disk Process
+// read the record before it rewrote it, copied the request whole and
+// decoded the SET list again for every message.
+func aKeyedUpdateCostsItsImages(t *testing.T, d *DP) {
+	set := expr.EncodeAssignments([]expr.Assignment{{Field: 3, E: expr.Bin(expr.OpAdd, expr.F(3, "SALARY"), expr.CFloat(1))}})
+	tx := tmf.NewTxID()
+	reqs := make([][]byte, 300)
+	for i := range reqs {
+		reqs[i] = fsdp.EncodeRequest(&fsdp.Request{Kind: fsdp.KUpdateKey, Tx: tx, File: "EMP", Key: key1(int64(i)), Assign: set})
+	}
+	var out []byte
+	var reply fsdp.Reply
+	next := 0
+	update := func() {
+		out = d.Handler(reqs[next], out[:0])
+		next++
+		if err := fsdp.DecodeReplyInto(&reply, out); err != nil || !reply.OK() || reply.Count != 1 {
+			t.Fatalf("UPDATE^KEY: %+v, %v", reply, err)
+		}
+	}
+	update()
+	got := testing.AllocsPerRun(200, update)
+	commitTx(t, d, tx)
+	t.Logf("UPDATE^KEY through the Handler: %.0f allocations", got)
+	const ceiling = 12
+	if got > ceiling {
+		t.Errorf("an UPDATE^KEY through the Handler into a reused buffer allocates %.1f objects, ceiling %d", got, ceiling)
+	}
 }
 
 // aReadCostsNothing is TestAllocationCeilings' ceiling on the served READ:

@@ -17,6 +17,7 @@ package dp
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -271,20 +272,27 @@ type DP struct {
 	qwMu      sync.Mutex
 	queueWait func() (uint64, uint64)
 
-	// slots holds what a READ in service decodes into and replies from
-	// (*slot): as many are in use as READs are in service.
+	// slots holds what a READ, UPDATE^KEY or DELETE^KEY in service decodes
+	// into and replies from (*slot): as many are in use as such requests
+	// are in service.
 	slots sync.Pool
+
+	// progs is the compiled predicate and SET list of every UPDATE^KEY and
+	// DELETE^KEY message seen lately, by their bytes (keyedProgs).
+	progs keyedProgs
 }
 
-// A slot is one READ in service: the request decoded into it, the record
-// copied out of the leaf and the reply's one-entry lists. A slot of the
-// pool is reused from READ to READ, so a READ allocates nothing.
+// A slot is one READ, UPDATE^KEY or DELETE^KEY in service: the request
+// decoded into it, a READ's record copied out of the leaf and its reply's
+// one-entry lists, and a keyed write's program key. A slot of the pool is
+// reused from request to request, so a READ allocates nothing.
 type slot struct {
-	req   fsdp.Request
-	reply fsdp.Reply
-	val   []byte
-	rows  [1][]byte
-	keys  [1][]byte
+	req     fsdp.Request
+	reply   fsdp.Reply
+	val     []byte
+	rows    [1][]byte
+	keys    [1][]byte
+	progKey []byte
 }
 
 // New creates a Disk Process over its volume.
@@ -440,21 +448,20 @@ func (d *DP) Concurrency() (float64, int) {
 
 // Handler is the msg.Handler for this DP's process group: decode, serve,
 // append the reply to the sender's buffer. The request's bytes are the
-// sender's and may be reused once the handler returns. A READ keeps
-// nothing of them — it is decoded into a pooled slot, and the lock a
-// READ under a transaction takes gets a copy of the key — so serving one
-// allocates nothing. PREPARE, COMMIT, ABORT and CLOSE^SUBSET read only
-// the request's numbers. Every other kind may keep what its request
-// carries past the message (a Subset Control Block's projection and
-// program, locked key ranges, undo keys, shipped images), so it is
-// decoded, as every request once was, from a copy of its own.
+// sender's and may be reused once the handler returns, so whatever
+// outlives the message is copied out of them (keep). A READ, UPDATE^KEY
+// or DELETE^KEY is decoded into a pooled slot; the rest into a Request of
+// their own, whose repeated fields the decoder allocates. Creating a file
+// and applying shipped records keep most of what they carry (the file's
+// definition, the records a backup holds for takeover), and are rare: they
+// are decoded from a copy of the whole request.
 func (d *DP) Handler(reqBytes, out []byte) []byte {
 	var kind fsdp.Kind
 	if len(reqBytes) > 0 {
 		kind = fsdp.Kind(reqBytes[0])
 	}
 	switch kind {
-	case fsdp.KReadRecord:
+	case fsdp.KReadRecord, fsdp.KUpdateKey, fsdp.KDeleteKey:
 		sl, _ := d.slots.Get().(*slot)
 		if sl == nil {
 			sl = new(slot)
@@ -462,20 +469,48 @@ func (d *DP) Handler(reqBytes, out []byte) []byte {
 		out = d.reply(out, &sl.req, reqBytes, sl)
 		d.slots.Put(sl)
 		return out
-	case fsdp.KPrepare, fsdp.KCommit, fsdp.KAbort, fsdp.KCloseSubset:
-	default:
+	case fsdp.KCreateFile, fsdp.KShipRecords:
 		reqBytes = bytes.Clone(reqBytes)
 	}
 	return d.reply(out, new(fsdp.Request), reqBytes, nil)
 }
 
-// reply decodes b into req, serves it and appends the reply to out; sl is
-// the service slot of a READ.
+// reply decodes b into req, gives what the request's kind keeps bytes of
+// its own, serves it and appends the reply to out.
 func (d *DP) reply(out []byte, req *fsdp.Request, b []byte, sl *slot) []byte {
 	if err := fsdp.DecodeRequestInto(req, b); err != nil {
 		return fsdp.AppendReply(out, &fsdp.Reply{Code: fsdp.ErrBadRequest, Err: err.Error()})
 	}
+	keep(req)
 	return fsdp.AppendReply(out, d.serve(req, sl))
+}
+
+// keep copies out of the message what a request's kind keeps past it: the
+// key a record lock, an undo entry and an audit record hold, a locked
+// range, the keys of a block's locks. Nothing else a request carries
+// outlives it: the decoders copy the strings of rows and expressions, a
+// Subset Control Block keeps the compiled program and the Request's own
+// projection, and a group lock copies its span (subsetRun.span).
+func keep(req *fsdp.Request) {
+	switch req.Kind {
+	case fsdp.KUpdateKey, fsdp.KDeleteKey, fsdp.KUpdateRecord, fsdp.KDeleteRecord, fsdp.KLockRecord:
+		req.Key = bytes.Clone(req.Key)
+	case fsdp.KLockRange:
+		req.Range.Low, req.Range.High = bytes.Clone(req.Range.Low), bytes.Clone(req.Range.High)
+	case fsdp.KUpdateBlock, fsdp.KDeleteBlock, fsdp.KProbeBlock:
+		if req.Tx == 0 {
+			return // nothing is locked
+		}
+		n := 0
+		for _, k := range req.RowKeys {
+			n += len(k)
+		}
+		block := make([]byte, 0, n)
+		for i, k := range req.RowKeys {
+			block = append(block, k...)
+			req.RowKeys[i] = block[len(block)-len(k) : len(block) : len(block)]
+		}
+	}
 }
 
 // Serve handles one decoded request (exported for in-process tests and
@@ -522,7 +557,7 @@ func (d *DP) serve(req *fsdp.Request, sl *slot) *fsdp.Reply {
 	case fsdp.KDeleteRecord:
 		reply = d.deleteRecord(req)
 	case fsdp.KUpdateKey, fsdp.KDeleteKey:
-		reply = d.writeKey(req)
+		reply = d.writeKey(req, sl)
 	case fsdp.KLockFile, fsdp.KLockRecord, fsdp.KLockRange:
 		reply = d.lockOp(req)
 	case fsdp.KGetFirstRSBB, fsdp.KGetNextRSBB:
@@ -743,7 +778,9 @@ func (d *DP) insertRecord(req *fsdp.Request) *fsdp.Reply {
 	return &fsdp.Reply{Count: 1}
 }
 
-// insertOne validates, locks, audits, and inserts one row.
+// insertOne validates, locks, audits, and inserts one row. The key's
+// absence is checked under the leaf's latch before anything is audited:
+// a duplicate leaves no trace on the trail.
 func (d *DP) insertOne(tx uint64, file string, f *fileState, row record.Row) error {
 	f.schema.Coerce(row)
 	if err := f.schema.Validate(row); err != nil {
@@ -757,17 +794,19 @@ func (d *DP) insertOne(tx uint64, file string, f *fileState, row record.Row) err
 		return err
 	}
 	enc := record.Encode(row)
-	lsn := d.appendAudit(&wal.Record{
-		Type: wal.RecInsert, TxID: tx, Volume: d.cfg.Volume.Name(), File: file,
-		Key: key, After: enc,
+	var w write
+	err := f.tree.Edit(key, func(_ []byte, found bool) (btree.Edit, error) {
+		if found {
+			return btree.Edit{}, fmt.Errorf("%w (%s)", btree.ErrDuplicate, file)
+		}
+		rec := &wal.Record{
+			Type: wal.RecInsert, TxID: tx, Volume: d.cfg.Volume.Name(), File: file,
+			Key: key, After: enc,
+		}
+		w = write{rec: rec, undo: undoRec{file: file, kind: wal.RecInsert, key: key}}
+		return btree.Edit{Op: btree.Put, Val: enc, LSN: d.audit(rec, fault.DPInsertAfterAudit)}, nil
 	})
-	fault.Inject(fault.DPInsertAfterAudit)
-	if err := f.tree.Insert(key, enc, lsn); err != nil {
-		return err
-	}
-	d.addUndo(tx, undoRec{file: file, kind: wal.RecInsert, key: key})
-	d.stats.rowsInserted.Add(1)
-	return nil
+	return d.logged(tx, &w, err)
 }
 
 // updateRecord serves the ENSCRIBE REWRITE: replace a whole record.
@@ -783,7 +822,7 @@ func (d *DP) updateRecord(req *fsdp.Request) *fsdp.Reply {
 	if err != nil {
 		return errReply(err)
 	}
-	if err := d.mustWrite(req.Tx, req.File, f, req.Key, f.replace(newRow)); err != nil {
+	if err := d.mustWrite(req.Tx, req.File, f, req.Key, &change{row: newRow}); err != nil {
 		return errReply(err)
 	}
 	return &fsdp.Reply{Count: 1}
@@ -811,8 +850,9 @@ func (d *DP) deleteRecord(req *fsdp.Request) *fsdp.Reply {
 // record (or a record that is not there) still leaves the key locked to the
 // transaction's end. Count says whether the record was changed; neither a
 // missing record nor a rejecting residual is an error. Like REWRITE it
-// leaves write-behind to the commit that follows.
-func (d *DP) writeKey(req *fsdp.Request) *fsdp.Reply {
+// leaves write-behind to the commit that follows. The predicate and SET
+// list are compiled once per distinct message text (keyedProgs).
+func (d *DP) writeKey(req *fsdp.Request, sl *slot) *fsdp.Reply {
 	f, err := d.getFile(req.File)
 	if err != nil {
 		return errReply(err)
@@ -820,20 +860,11 @@ func (d *DP) writeKey(req *fsdp.Request) *fsdp.Reply {
 	if req.Tx == 0 {
 		return &fsdp.Reply{Code: fsdp.ErrBadRequest, Err: "dp: write requires a transaction"}
 	}
-	pred, err := expr.Decode(req.Pred)
+	prog, err := d.progs.get(req, sl)
 	if err != nil {
 		return errReply(err)
 	}
-	var ch change
-	if req.Kind == fsdp.KUpdateKey {
-		assigns, err := expr.DecodeAssignments(req.Assign)
-		if err != nil {
-			return errReply(err)
-		}
-		ch = f.assign(assigns)
-	}
-	prog := expr.Compile(pred)
-	found, wrote, err := d.writeLocked(req.Tx, req.File, f, req.Key, prog, ch)
+	found, wrote, err := d.writeLocked(req.Tx, req.File, f, req.Key, prog.pred, prog.set)
 	if err != nil {
 		return d.readFailed(err)
 	}
@@ -843,7 +874,7 @@ func (d *DP) writeKey(req *fsdp.Request) *fsdp.Reply {
 	if found {
 		d.stats.rowsScanned.Add(1)
 		reply.Examined = 1
-		if prog != nil {
+		if prog.pred != nil {
 			d.stats.predicateEvals.Add(1)
 			if !wrote {
 				d.stats.rowsFiltered.Add(1)
@@ -856,74 +887,142 @@ func (d *DP) writeKey(req *fsdp.Request) *fsdp.Reply {
 	return reply
 }
 
-// A change makes a record's new image from its current one; writeLocked
-// deletes the record when its change is nil.
-type change func(old record.Row) (record.Row, error)
+// keyedProgsCap bounds a Disk Process's table of compiled keyed writes. A
+// statement's text is fixed when it is compiled, so its keyed writes send
+// the same bytes every time it runs — and the parameters of a prepared one
+// travel in the key — so a workload has as many entries as it has keyed
+// statement shapes, and a table full of one-off texts costs a decode each,
+// as every message did before.
+const keyedProgsCap = 256
 
-// replace is the change of REWRITE and UPDATE^BLOCK: the record the File
-// System sent, whole.
-func (f *fileState) replace(newRow record.Row) change {
-	return func(record.Row) (record.Row, error) {
-		f.schema.Coerce(newRow)
-		return newRow, nil
-	}
+// keyedProgs is the keyed writes' counterpart of a Subset Control Block's
+// program: the predicate and SET list of an UPDATE^KEY or DELETE^KEY,
+// decoded and compiled once per distinct bytes instead of once per
+// message. An entry is immutable once published, so any number of
+// handlers run it at once; when the table is full one entry makes room.
+type keyedProgs struct {
+	mu sync.RWMutex
+	m  map[string]*keyedProg
 }
 
-// assign is the change of the SQL writes: the SET list evaluated on the
-// record where it lies.
-func (f *fileState) assign(assigns []expr.Assignment) change {
-	return func(old record.Row) (record.Row, error) {
-		newRow, err := expr.ApplyAssignments(old, assigns)
+// keyedProg is one compiled keyed write.
+type keyedProg struct {
+	pred *expr.Program // nil accepts every record
+	set  *change       // the SET list of an UPDATE^KEY; nil deletes
+}
+
+// get returns req's compiled program. Its table key — the kind, the
+// predicate's length, the predicate and the SET list — is built in the
+// service slot's scratch when there is one, so a hit allocates nothing.
+func (t *keyedProgs) get(req *fsdp.Request, sl *slot) (*keyedProg, error) {
+	var k []byte
+	if sl != nil {
+		k = sl.progKey[:0]
+	}
+	k = binary.AppendUvarint(append(k, byte(req.Kind)), uint64(len(req.Pred)))
+	k = append(append(k, req.Pred...), req.Assign...)
+	if sl != nil {
+		sl.progKey = k
+	}
+	t.mu.RLock()
+	p := t.m[string(k)]
+	t.mu.RUnlock()
+	if p != nil {
+		return p, nil
+	}
+	pred, err := expr.Decode(req.Pred)
+	if err != nil {
+		return nil, err
+	}
+	p = &keyedProg{pred: expr.Compile(pred)}
+	if req.Kind == fsdp.KUpdateKey {
+		set, err := expr.DecodeAssignments(req.Assign)
 		if err != nil {
 			return nil, err
 		}
-		f.schema.Coerce(newRow)
-		return newRow, nil
+		p.set = &change{set: set}
 	}
+	t.mu.Lock()
+	if t.m == nil {
+		t.m = make(map[string]*keyedProg)
+	}
+	if len(t.m) >= keyedProgsCap {
+		for old := range t.m {
+			delete(t.m, old)
+			break
+		}
+	}
+	t.m[string(k)] = p
+	t.mu.Unlock()
+	return p, nil
+}
+
+// A change makes a record's new image from its current one; writeLocked
+// deletes the record when its change is nil. A change holds no state of
+// its own use: a compiled keyed write's is shared by every handler that
+// runs it.
+type change struct {
+	set []expr.Assignment // the SQL writes: the SET list, evaluated on the record
+	row record.Row        // REWRITE and UPDATE^BLOCK: the record the File System sent, whole
+}
+
+// apply returns the record's new image, coerced to f's schema; a SET list
+// makes it behind whatever dst holds.
+func (c *change) apply(f *fileState, old, dst record.Row) (record.Row, error) {
+	newRow := c.row
+	if newRow == nil {
+		var err error
+		if newRow, err = expr.AppendAssignments(dst, old, c.set); err != nil {
+			return nil, err
+		}
+	}
+	f.schema.Coerce(newRow)
+	return newRow, nil
 }
 
 // writeLocked is the one way a Disk Process changes or removes a record:
-// lock the key exclusively, read the record under the lock, look at it
-// again through pred (nil accepts every record), and then change it — or,
-// ch nil, delete it — audit first. What is read after the lock is granted
-// is committed or this transaction's own, so the look is honest: a record
-// that qualified while another transaction held it uncommitted, and that
-// transaction rolled back, is judged as it is now. found reports whether
-// the record is there and wrote whether it was changed; when either is
-// false nothing was written, and whether that is an error is the caller's
-// to say. The predicate check is not counted: the caller counts the
-// evaluation that chose the record.
-func (d *DP) writeLocked(tx uint64, file string, f *fileState, key []byte, pred *expr.Program, ch change) (found, wrote bool, err error) {
+// lock the key exclusively, then, in one look at the record's leaf under
+// its exclusive latch (btree.Tree.Edit), judge the record again through
+// pred (nil accepts every record) and change it — or, ch nil, delete it —
+// audit first. What is read after the lock is granted is committed or
+// this transaction's own, so the look is honest: a record that qualified
+// while another transaction held it uncommitted, and that transaction
+// rolled back, is judged as it is now. found reports whether the record
+// is there and wrote whether it was changed; when either is false nothing
+// was written, and whether that is an error is the caller's to say. The
+// predicate check is not counted: the caller counts the evaluation that
+// chose the record. The key must be the caller's for good: the lock, the
+// undo entry and the audit record keep it.
+func (d *DP) writeLocked(tx uint64, file string, f *fileState, key []byte, pred *expr.Program, ch *change) (found, wrote bool, err error) {
 	if err := d.lockTx(tx, file, key, lock.Exclusive); err != nil {
 		return false, false, err
 	}
-	oldEnc, err := f.tree.Get(key)
-	if errors.Is(err, btree.ErrNotFound) {
-		return false, false, nil
-	}
-	if err != nil {
-		return false, false, err
-	}
-	if pred != nil {
-		var v record.View
-		if err := v.Reset(oldEnc); err != nil {
-			return true, false, err
+	var w write
+	err = f.tree.Edit(key, func(cur []byte, there bool) (btree.Edit, error) {
+		if found = there; !found {
+			return btree.Edit{}, nil
 		}
-		if keep, err := pred.Satisfied(&v); err != nil || !keep {
-			return true, false, err
+		if pred != nil {
+			var v record.View
+			if err := v.Reset(cur); err != nil {
+				return btree.Edit{}, err
+			}
+			if keep, err := pred.Satisfied(&v); err != nil || !keep {
+				return btree.Edit{}, err
+			}
 		}
-	}
-	if ch == nil {
-		err = d.deleteFound(tx, file, f, key, oldEnc)
-	} else {
-		err = d.updateFound(tx, file, f, key, oldEnc, ch)
-	}
-	return true, err == nil, err
+		if ch == nil {
+			return d.deleteFound(&w, tx, file, key, cur), nil
+		}
+		return d.updateFound(&w, tx, file, f, key, cur, ch)
+	})
+	err = d.logged(tx, &w, err)
+	return found, err == nil && w.rec != nil, err
 }
 
 // mustWrite is writeLocked for REWRITE, DELETE and their blocks, which name
 // a record that must be there.
-func (d *DP) mustWrite(tx uint64, file string, f *fileState, key []byte, ch change) error {
+func (d *DP) mustWrite(tx uint64, file string, f *fileState, key []byte, ch *change) error {
 	found, _, err := d.writeLocked(tx, file, f, key, nil, ch)
 	if err == nil && !found {
 		err = fmt.Errorf("%w (%s)", btree.ErrNotFound, file)
@@ -931,27 +1030,80 @@ func (d *DP) mustWrite(tx uint64, file string, f *fileState, key []byte, ch chan
 	return err
 }
 
-// updateFound transforms, validates, CHECKs, audits and stores the locked
-// record oldEnc.
-func (d *DP) updateFound(tx uint64, file string, f *fileState, key, oldEnc []byte, ch change) error {
-	oldRow, err := record.Decode(oldEnc)
+// A write is one record change made under its leaf's latch: the audit
+// record appended to the trail there (nil when nothing was), and the undo
+// entry that takes the change back.
+type write struct {
+	rec  *wal.Record
+	undo undoRec
+}
+
+// audit appends rec to the audit trail and fires the write's crash point,
+// in the window between the audit append and the change it protects. It
+// runs under the leaf's latch, so it does only the in-memory append:
+// shipping to a backup may wait on the backup's flush, and waits until
+// the latch is gone (logged).
+func (d *DP) audit(rec *wal.Record, point string) wal.LSN {
+	lsn := d.cfg.Audit.Append(rec)
+	fault.Inject(point)
+	return lsn
+}
+
+// logged finishes w once its leaf's latch is released: the audit record
+// appended under it is shipped to the backup, and — when the change is in
+// the tree (err nil) — its undo entry is kept and it is counted.
+func (d *DP) logged(tx uint64, w *write, err error) error {
+	if w.rec == nil {
+		return err
+	}
+	d.ship(w.rec)
 	if err != nil {
 		return err
 	}
-	newRow, err := ch(oldRow)
+	d.addUndo(tx, w.undo)
+	switch w.rec.Type {
+	case wal.RecInsert:
+		d.stats.rowsInserted.Add(1)
+	case wal.RecUpdate:
+		d.stats.rowsUpdated.Add(1)
+	case wal.RecDelete:
+		d.stats.rowsDeleted.Add(1)
+	}
+	return nil
+}
+
+// updateFound transforms, validates, CHECKs, encodes and audits the
+// locked record cur, borrowed from its leaf, and returns the new image
+// for the leaf. The record is decoded borrowing cur's strings, and so is
+// every value the change leaves as it was: nothing made of the two rows
+// outlives the latch but the encoded images, and those are copies.
+func (d *DP) updateFound(w *write, tx uint64, file string, f *fileState, key, cur []byte, ch *change) (btree.Edit, error) {
+	// One allocation holds both rows: the record as it is, and as the
+	// change makes it.
+	width := len(f.schema.Fields)
+	arena, oldRow, err := record.AppendBorrowed(make(record.Row, 0, 2*width), cur)
 	if err != nil {
-		return err
+		return btree.Edit{}, err
+	}
+	newRow, err := ch.apply(f, oldRow, arena)
+	if err != nil {
+		return btree.Edit{}, err
 	}
 	if err := f.schema.Validate(newRow); err != nil {
-		return err
+		return btree.Edit{}, err
 	}
 	if err := d.checkConstraint(f, newRow); err != nil {
-		return err
+		return btree.Edit{}, err
 	}
-	if !bytes.Equal(key, f.schema.Key(newRow)) {
-		return fmt.Errorf("dp %s: update may not change the primary key of %q", d.cfg.Name, file)
+	var kb [64]byte
+	if !bytes.Equal(key, f.schema.AppendKey(kb[:0], newRow)) {
+		return btree.Edit{}, fmt.Errorf("dp %s: update may not change the primary key of %q", d.cfg.Name, file)
 	}
-	newEnc := record.Encode(newRow)
+	// And one holds both images: the record's bytes as they are, which the
+	// undo entry restores, and the new ones for the leaf.
+	img := append(make([]byte, 0, len(cur)+record.EncodedLen(newRow)), cur...)
+	before := img[:len(cur):len(cur)]
+	newEnc := record.AppendEncode(img[len(cur):], newRow)
 	rec := &wal.Record{
 		Type: wal.RecUpdate, TxID: tx, Volume: d.cfg.Volume.Name(), File: file, Key: key,
 	}
@@ -962,32 +1114,23 @@ func (d *DP) updateFound(tx uint64, file string, f *fileState, key, oldEnc []byt
 		rec.After = record.EncodeFieldImages(newRow, changed)
 		rec.FieldCompressed = true
 	} else {
-		rec.Before = oldEnc
+		rec.Before = before
 		rec.After = newEnc
 	}
-	lsn := d.appendAudit(rec)
-	fault.Inject(fault.DPUpdateAfterAudit)
-	if err := f.tree.Update(key, newEnc, lsn); err != nil {
-		return err
-	}
-	d.addUndo(tx, undoRec{file: file, kind: wal.RecUpdate, key: key, before: oldEnc})
-	d.stats.rowsUpdated.Add(1)
-	return nil
+	*w = write{rec: rec, undo: undoRec{file: file, kind: wal.RecUpdate, key: key, before: before}}
+	return btree.Edit{Op: btree.Put, Val: newEnc, LSN: d.audit(rec, fault.DPUpdateAfterAudit)}, nil
 }
 
-// deleteFound audits and removes the locked record oldEnc.
-func (d *DP) deleteFound(tx uint64, file string, f *fileState, key, oldEnc []byte) error {
-	lsn := d.appendAudit(&wal.Record{
+// deleteFound audits the removal of the locked record cur, borrowed from
+// its leaf.
+func (d *DP) deleteFound(w *write, tx uint64, file string, key, cur []byte) btree.Edit {
+	before := bytes.Clone(cur)
+	rec := &wal.Record{
 		Type: wal.RecDelete, TxID: tx, Volume: d.cfg.Volume.Name(), File: file,
-		Key: key, Before: oldEnc,
-	})
-	fault.Inject(fault.DPDeleteAfterAudit)
-	if err := f.tree.Delete(key, lsn); err != nil {
-		return err
+		Key: key, Before: before,
 	}
-	d.addUndo(tx, undoRec{file: file, kind: wal.RecDelete, key: key, before: oldEnc})
-	d.stats.rowsDeleted.Add(1)
-	return nil
+	*w = write{rec: rec, undo: undoRec{file: file, kind: wal.RecDelete, key: key, before: before}}
+	return btree.Edit{Op: btree.Remove, LSN: d.audit(rec, fault.DPDeleteAfterAudit)}
 }
 
 // lockOp serves explicit LOCKFILE / LOCKRECORD / LOCKRANGE requests.

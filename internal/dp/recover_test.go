@@ -275,3 +275,40 @@ func TestCrashReleasesLocks(t *testing.T) {
 		t.Error("locks survived crash")
 	}
 }
+
+// TestRejectedDuplicateInsertLeavesNoTrace: an INSERT of a key that is
+// already there is refused, and leaves nothing behind — not on the trail
+// either. It used to append its audit record before the tree found the
+// duplicate, and recorded no undo for it; recovery redoes an insert as an
+// upsert, so after a crash the committed row read as the rejected one,
+// whether the rejecting transaction went on to commit or to abort.
+func TestRejectedDuplicateInsertLeavesNoTrace(t *testing.T) {
+	for _, end := range []fsdp.Kind{fsdp.KCommit, fsdp.KAbort} {
+		t.Run(end.String(), func(t *testing.T) {
+			r := newCrashRig(t)
+			tx := tmf.NewTxID()
+			insertEmp(t, r.d, r.schema, tx, empRow(1, "original", 100))
+			commitTx(t, r.d, tx)
+
+			tx2 := tmf.NewTxID()
+			reply := r.d.Serve(&fsdp.Request{Kind: fsdp.KInsertRecord, Tx: tx2, File: "EMP", Row: record.Encode(empRow(1, "rejected", 999))})
+			if reply.Code != fsdp.ErrDuplicate {
+				t.Fatalf("duplicate insert: %+v", reply)
+			}
+			if reply := r.d.Serve(&fsdp.Request{Kind: end, Tx: tx2}); !reply.OK() {
+				t.Fatal(reply.Err)
+			}
+			if row, ok := r.read(t, 1); !ok || row[1].S != "original" {
+				t.Fatalf("before the crash row 1 reads %v (there: %v), want original", row, ok)
+			}
+			r.trail.Flush()
+			if err := r.d.Pool().FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+			r.crashAndRecover(t)
+			if row, ok := r.read(t, 1); !ok || row[1].S != "original" {
+				t.Fatalf("after recovery row 1 reads %v (there: %v), want original", row, ok)
+			}
+		})
+	}
+}

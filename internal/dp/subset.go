@@ -479,7 +479,7 @@ var (
 			r.s.assigns, err = expr.DecodeAssignments(r.req.Assign)
 			return err
 		},
-		finish: func(r *subsetRun) error { return r.apply(r.f.assign(r.s.assigns)) }}
+		finish: func(r *subsetRun) error { return r.apply(&change{set: r.s.assigns}) }}
 	deleteRecords = &subsetKind{first: fsdp.KDeleteSubsetFirst, mutates: true, visit: visitCollect,
 		finish: func(r *subsetRun) error { return r.apply(nil) }}
 )
@@ -496,7 +496,7 @@ func visitCollect(r *subsetRun, j int) (bool, error) {
 // writeLocked judges each again under its lock: a record that has since
 // gone, or that qualified only through another transaction's uncommitted
 // change, is skipped.
-func (r *subsetRun) apply(ch change) error {
+func (r *subsetRun) apply(ch *change) error {
 	for _, key := range r.hits {
 		_, wrote, err := r.d.writeLocked(r.req.Tx, r.req.File, r.f, key, r.s.pred, ch)
 		if err != nil {
@@ -558,7 +558,7 @@ func (d *DP) updateBlock(req *fsdp.Request) *fsdp.Reply {
 	}
 	reply := &fsdp.Reply{}
 	for i, key := range req.RowKeys {
-		if err := d.mustWrite(req.Tx, req.File, f, key, f.replace(rows[i])); err != nil {
+		if err := d.mustWrite(req.Tx, req.File, f, key, &change{row: rows[i]}); err != nil {
 			r := errReply(err)
 			r.Count = reply.Count
 			return r

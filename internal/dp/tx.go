@@ -12,7 +12,6 @@ import (
 // txState is this DP's participant state for one transaction.
 type txState struct {
 	undo     []undoRec // applied in reverse on abort
-	lastLSN  wal.LSN   // highest audit LSN written for this tx here
 	prepared bool
 }
 
@@ -48,24 +47,23 @@ func (d *DP) addUndo(tx uint64, u undoRec) {
 	t.undo = append(t.undo, u)
 }
 
-// appendAudit writes one audit record through the audit port, tracks
-// the tx's high-water LSN for prepare, and ships the change to the
-// replicated group's backup when one is configured.
+// appendAudit writes one audit record through the audit port and ships
+// it to the replicated group's backup when one is configured. A record
+// write audits under its leaf's latch and ships after (DP.audit,
+// DP.logged); everything else audits here.
 func (d *DP) appendAudit(rec *wal.Record) wal.LSN {
 	lsn := d.cfg.Audit.Append(rec)
+	d.ship(rec)
+	return lsn
+}
+
+// ship hands one audit record to the checkpoint stream, if there is one.
+// It may wait for a flush to the backup in progress, so it never runs
+// under a page latch.
+func (d *DP) ship(rec *wal.Record) {
 	if d.cfg.Ship != nil {
 		d.cfg.Ship(rec)
 	}
-	d.mu.Lock()
-	if t, ok := d.txs[rec.TxID]; ok {
-		if lsn > t.lastLSN {
-			t.lastLSN = lsn
-		}
-	} else {
-		d.txs[rec.TxID] = &txState{lastLSN: lsn}
-	}
-	d.mu.Unlock()
-	return lsn
 }
 
 // prepare serves KPrepare (2PC phase 1): all of the transaction's audit
@@ -109,9 +107,7 @@ func (d *DP) prepare(req *fsdp.Request) *fsdp.Reply {
 // shipSync ships one synthesized record (commit marker, file marker)
 // and flushes the checkpoint stream to the backup synchronously.
 func (d *DP) shipSync(rec *wal.Record) error {
-	if d.cfg.Ship != nil {
-		d.cfg.Ship(rec)
-	}
+	d.ship(rec)
 	return d.shipFlush()
 }
 
@@ -195,8 +191,7 @@ func (d *DP) abort(req *fsdp.Request) *fsdp.Reply {
 
 // undoTx applies the in-memory undo chain in reverse. Compensation
 // records go through appendAudit like forward audit: a replicated
-// group's backup must see them in its checkpoint stream, and the tx's lastLSN
-// high-water mark must cover them so a later prepare forces them.
+// group's backup must see them in its checkpoint stream.
 func (d *DP) undoTx(tx uint64, t *txState) error {
 	for i := len(t.undo) - 1; i >= 0; i-- {
 		fault.Inject(fault.DPAbortMidUndo)

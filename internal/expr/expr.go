@@ -452,7 +452,16 @@ func satisfied(pred Expr, row *fields) (bool, error) {
 // stores the results, returning the updated copy. All right-hand sides
 // see the pre-update row, per SQL semantics.
 func ApplyAssignments(row record.Row, as []Assignment) (record.Row, error) {
-	out := row.Clone()
+	return AppendAssignments(make(record.Row, 0, len(row)), row, as)
+}
+
+// AppendAssignments is ApplyAssignments with the updated copy appended to
+// dst: it is the slice of dst's array that the copy occupies, clipped to
+// its length.
+func AppendAssignments(dst, row record.Row, as []Assignment) (record.Row, error) {
+	start := len(dst)
+	out := append(dst, row...)
+	out = out[start:len(out):len(out)]
 	for _, a := range as {
 		v, err := Eval(a.E, row)
 		if err != nil {

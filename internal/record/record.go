@@ -324,8 +324,10 @@ func (s *Schema) Coerce(r Row) {
 }
 
 // Key returns the encoded primary key of the row.
-func (s *Schema) Key(r Row) []byte {
-	var b []byte
+func (s *Schema) Key(r Row) []byte { return s.AppendKey(nil, r) }
+
+// AppendKey appends the encoded primary key of the row to b.
+func (s *Schema) AppendKey(b []byte, r Row) []byte {
 	for _, k := range s.KeyFields {
 		b = r[k].AppendKey(b)
 	}
@@ -390,10 +392,14 @@ func DecodeValue(b []byte) (Value, []byte, error) {
 	return v, b[n:], nil
 }
 
-// Encode serializes a full row. The schema is implicit (field count from
-// the schema at decode time); values are tagged so decode is self-framing.
-func Encode(r Row) []byte {
-	b := binary.AppendUvarint(nil, uint64(len(r)))
+// Encode serializes a full row, into one allocation of its size. The
+// schema is implicit (field count from the schema at decode time); values
+// are tagged so decode is self-framing.
+func Encode(r Row) []byte { return AppendEncode(make([]byte, 0, EncodedLen(r)), r) }
+
+// AppendEncode appends Encode(r) to b.
+func AppendEncode(b []byte, r Row) []byte {
+	b = binary.AppendUvarint(b, uint64(len(r)))
 	for _, v := range r {
 		b = AppendValue(b, v)
 	}
@@ -434,6 +440,13 @@ func Decode(b []byte) (Row, error) {
 	return row, err
 }
 
+// AppendBorrowed is AppendDecode without the copies: a VARCHAR's value
+// aliases b (BorrowValue), so the row is valid only while b's bytes are
+// unchanged, and whoever keeps a value keeps a clone of its string.
+func AppendBorrowed(arena Row, b []byte) (_, row Row, err error) {
+	return appendDecode(arena, b, true)
+}
+
 // AppendDecode is Decode into an arena: the row's values go behind the
 // ones arena already holds, so that many rows share one allocation, and
 // the row comes back as the slice of the arena it occupies, clipped to
@@ -441,6 +454,10 @@ func Decode(b []byte) (Row, error) {
 // neighbour. A nil arena is made to fit the row. On error the arena comes
 // back without the row.
 func AppendDecode(arena Row, b []byte) (_, row Row, err error) {
+	return appendDecode(arena, b, false)
+}
+
+func appendDecode(arena Row, b []byte, borrow bool) (_, row Row, err error) {
 	n, pos := binary.Uvarint(b)
 	if pos <= 0 {
 		return arena, nil, fmt.Errorf("record: bad row header")
@@ -455,7 +472,7 @@ func AppendDecode(arena Row, b []byte) (_, row Row, err error) {
 		if err != nil {
 			return arena[:start], nil, fmt.Errorf("record: field %d: %w", i, err)
 		}
-		if v.Kind == TypeString {
+		if v.Kind == TypeString && !borrow {
 			v.S = strings.Clone(v.S)
 		}
 		arena = append(arena, v)
@@ -491,9 +508,14 @@ type FieldImage struct {
 }
 
 // EncodeFieldImages serializes the values of the chosen fields, producing
-// the paper's field-compressed before- or after-image.
+// the paper's field-compressed before- or after-image, into one
+// allocation of its size.
 func EncodeFieldImages(r Row, fields []int) []byte {
-	b := binary.AppendUvarint(nil, uint64(len(fields)))
+	n := uvarintLen(uint64(len(fields)))
+	for _, f := range fields {
+		n += uvarintLen(uint64(f)) + ValueLen(r[f])
+	}
+	b := binary.AppendUvarint(make([]byte, 0, n), uint64(len(fields)))
 	for _, f := range fields {
 		b = binary.AppendUvarint(b, uint64(f))
 		b = AppendValue(b, r[f])

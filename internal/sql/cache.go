@@ -61,11 +61,34 @@ func NewPlanCache(cap int) *PlanCache {
 // normalizeSQL canonicalizes statement text for cache keying: runs of
 // whitespace collapse and a trailing semicolon drops, so "SELECT 1;"
 // and "select  1" miss each other only on case (string literals make
-// case folding unsafe).
+// case folding unsafe). Text that is already canonical — what a program
+// sends, statement after statement — comes back as it is, without
+// being split and joined.
 func normalizeSQL(src string) string {
+	if normalized(src) {
+		return src
+	}
 	s := strings.Join(strings.Fields(src), " ")
 	s = strings.TrimSuffix(s, ";")
 	return strings.TrimRight(s, " ")
+}
+
+// normalized reports whether normalizeSQL would return src unchanged: it
+// is ASCII, its only white space is single blanks between words, and it
+// does not end in a semicolon. It errs only towards false.
+func normalized(src string) bool {
+	if src == "" || src[0] == ' ' || src[len(src)-1] == ' ' || src[len(src)-1] == ';' {
+		return src == ""
+	}
+	for i := 0; i < len(src); i++ {
+		switch c := src[i]; {
+		case c >= 0x80, c == '\t', c == '\n', c == '\v', c == '\f', c == '\r':
+			return false
+		case c == ' ' && src[i-1] == ' ':
+			return false
+		}
+	}
+	return true
 }
 
 // planKey builds the full cache key: normalized text plus the pushdown

@@ -100,7 +100,9 @@ func (s *Session) prepared(src string) (*Prepared, error) {
 // two), UPDATE, DELETE and INSERT get compiled plans — the only
 // description of the statement from here on: execution, EXPLAIN and
 // EXPLAIN ANALYZE all read it. Transaction control and DDL execute from
-// the AST and are never cached.
+// the AST. BEGIN, COMMIT and ROLLBACK are cached like any statement — a
+// transaction's two are lexed and parsed once, not on every Exec — while
+// DDL, which changes the catalog the cache is versioned by, never is.
 func (s *Session) compile(src, key string, version uint64) (*Prepared, error) {
 	stmt, nParams, err := parseStmt(src)
 	if err != nil {
@@ -127,7 +129,12 @@ func (s *Session) compile(src, key string, version uint64) (*Prepared, error) {
 		if nParams > 0 {
 			err = fmt.Errorf("sql: parameter markers are not allowed in %s", stmtName(stmt))
 		}
-		p.plan, p.cacheable = controlPlan{stmt: stmt}, false
+		p.plan = controlPlan{stmt: stmt}
+		switch stmt.(type) {
+		case Begin, Commit, Rollback:
+		default:
+			p.cacheable = false
+		}
 	}
 	if err != nil {
 		return nil, badStatement(err)

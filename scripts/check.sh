@@ -128,6 +128,18 @@ go test -race -count=1 -run 'TestPointRead|TestExplainAnalyzeRead|TestFloatBound
 # key: one GROUP BY group, found through an index, a duplicate primary key.
 go test -race -count=1 -run 'TestReadIsolation|TestNegativeZero' ./internal/sql
 go test -race -count=1 -run 'TestReadsAgainUnderTheGroupLock|TestAcquireReportsTheWait' ./internal/dp ./internal/lock
+# A keyed write is one descent (btree.Tree.Edit): the primitive against a
+# reference map while point reads and scans run over the same leaves,
+# records growing past their leaf and leaves emptying (its split and
+# collapse fallbacks, the edit function run once); and a refused
+# duplicate INSERT leaves nothing on the trail — after recovery and after
+# a replicated group's takeover the committed row is the one that reads,
+# whether the refusing transaction committed or aborted. Then, without
+# -race, what a DebitCredit transaction and an empty BEGIN/COMMIT pair
+# allocate in process.
+go test -race -count=1 -run 'TestEditProperty|TestEditFallbackRunsTheAnswer' ./internal/btree
+go test -race -count=1 -run 'TestRejectedDuplicateInsertLeavesNoTrace|TestRejectedDuplicateInsertOnTheBackup' ./internal/dp ./internal/cluster
+go test -count=1 -run TestTransactionAllocationCeilings ./internal/sql
 go test -race -count=1 -run 'TestReadRefusesARowlessOK' ./internal/fs
 go test -count=1 -run TestAllocationCeilings ./internal/sql
 # Virtual blocks to the client edge (PR 24): a pass-through SELECT's rows
