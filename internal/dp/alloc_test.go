@@ -131,14 +131,13 @@ func TestAllocationCeilings(t *testing.T) {
 // aKeyedUpdateCostsItsImages is TestAllocationCeilings' ceiling on one
 // served UPDATE^KEY — SET SALARY = SALARY + 1 on a record by its key,
 // under a transaction, through the Handler into a reused reply buffer.
-// The request is decoded into a pooled slot and its SET list found
-// compiled; the record is found, judged, transformed, audited and
-// rewritten in one look at its leaf. What is left is what the change
+// The request is decoded into a pooled slot; the record is found, judged,
+// transformed, audited and rewritten in one look at its leaf. What is left
+// is the SET list, decoded from every message (5), and what the change
 // keeps: the key (the lock, the undo entry and the audit record hold it),
 // the lock, the two rows and the two images, the field-compressed audit
-// images and the audit record: 9. It measured 27 while the Disk Process
-// read the record before it rewrote it, copied the request whole and
-// decoded the SET list again for every message.
+// images and the audit record: 14. It measured 27 while the Disk Process
+// read the record before it rewrote it and copied the request whole.
 func aKeyedUpdateCostsItsImages(t *testing.T, d *DP) {
 	set := expr.EncodeAssignments([]expr.Assignment{{Field: 3, E: expr.Bin(expr.OpAdd, expr.F(3, "SALARY"), expr.CFloat(1))}})
 	tx := tmf.NewTxID()
@@ -160,7 +159,7 @@ func aKeyedUpdateCostsItsImages(t *testing.T, d *DP) {
 	got := testing.AllocsPerRun(200, update)
 	commitTx(t, d, tx)
 	t.Logf("UPDATE^KEY through the Handler: %.0f allocations", got)
-	const ceiling = 12
+	const ceiling = 16
 	if got > ceiling {
 		t.Errorf("an UPDATE^KEY through the Handler into a reused buffer allocates %.1f objects, ceiling %d", got, ceiling)
 	}

@@ -17,7 +17,6 @@ package dp
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -276,23 +275,18 @@ type DP struct {
 	// into and replies from (*slot): as many are in use as such requests
 	// are in service.
 	slots sync.Pool
-
-	// progs is the compiled predicate and SET list of every UPDATE^KEY and
-	// DELETE^KEY message seen lately, by their bytes (keyedProgs).
-	progs keyedProgs
 }
 
 // A slot is one READ, UPDATE^KEY or DELETE^KEY in service: the request
-// decoded into it, a READ's record copied out of the leaf and its reply's
-// one-entry lists, and a keyed write's program key. A slot of the pool is
-// reused from request to request, so a READ allocates nothing.
+// decoded into it, and a READ's record copied out of the leaf and its
+// reply's one-entry lists. A slot of the pool is reused from request to
+// request, so a READ allocates nothing.
 type slot struct {
-	req     fsdp.Request
-	reply   fsdp.Reply
-	val     []byte
-	rows    [1][]byte
-	keys    [1][]byte
-	progKey []byte
+	req   fsdp.Request
+	reply fsdp.Reply
+	val   []byte
+	rows  [1][]byte
+	keys  [1][]byte
 }
 
 // New creates a Disk Process over its volume.
@@ -557,7 +551,7 @@ func (d *DP) serve(req *fsdp.Request, sl *slot) *fsdp.Reply {
 	case fsdp.KDeleteRecord:
 		reply = d.deleteRecord(req)
 	case fsdp.KUpdateKey, fsdp.KDeleteKey:
-		reply = d.writeKey(req, sl)
+		reply = d.writeKey(req)
 	case fsdp.KLockFile, fsdp.KLockRecord, fsdp.KLockRange:
 		reply = d.lockOp(req)
 	case fsdp.KGetFirstRSBB, fsdp.KGetNextRSBB:
@@ -804,7 +798,7 @@ func (d *DP) insertOne(tx uint64, file string, f *fileState, row record.Row) err
 			Key: key, After: enc,
 		}
 		w = write{rec: rec, undo: undoRec{file: file, kind: wal.RecInsert, key: key}}
-		return btree.Edit{Op: btree.Put, Val: enc, LSN: d.audit(rec, fault.DPInsertAfterAudit)}, nil
+		return btree.Edit{Op: btree.Put, Val: enc, LSN: d.audit(&w, fault.DPInsertAfterAudit)}, nil
 	})
 	return d.logged(tx, &w, err)
 }
@@ -851,8 +845,10 @@ func (d *DP) deleteRecord(req *fsdp.Request) *fsdp.Reply {
 // transaction's end. Count says whether the record was changed; neither a
 // missing record nor a rejecting residual is an error. Like REWRITE it
 // leaves write-behind to the commit that follows. The predicate and SET
-// list are compiled once per distinct message text (keyedProgs).
-func (d *DP) writeKey(req *fsdp.Request, sl *slot) *fsdp.Reply {
+// list are decoded from every message: the requester substitutes a
+// statement's parameters into both before it sends them, so the bytes
+// of one statement differ from run to run.
+func (d *DP) writeKey(req *fsdp.Request) *fsdp.Reply {
 	f, err := d.getFile(req.File)
 	if err != nil {
 		return errReply(err)
@@ -860,11 +856,20 @@ func (d *DP) writeKey(req *fsdp.Request, sl *slot) *fsdp.Reply {
 	if req.Tx == 0 {
 		return &fsdp.Reply{Code: fsdp.ErrBadRequest, Err: "dp: write requires a transaction"}
 	}
-	prog, err := d.progs.get(req, sl)
+	p, err := expr.Decode(req.Pred)
 	if err != nil {
 		return errReply(err)
 	}
-	found, wrote, err := d.writeLocked(req.Tx, req.File, f, req.Key, prog.pred, prog.set)
+	pred := expr.Compile(p)
+	var ch *change
+	if req.Kind == fsdp.KUpdateKey {
+		set, err := expr.DecodeAssignments(req.Assign)
+		if err != nil {
+			return errReply(err)
+		}
+		ch = &change{set: set}
+	}
+	found, wrote, err := d.writeLocked(req.Tx, req.File, f, req.Key, pred, ch)
 	if err != nil {
 		return d.readFailed(err)
 	}
@@ -874,7 +879,7 @@ func (d *DP) writeKey(req *fsdp.Request, sl *slot) *fsdp.Reply {
 	if found {
 		d.stats.rowsScanned.Add(1)
 		reply.Examined = 1
-		if prog.pred != nil {
+		if pred != nil {
 			d.stats.predicateEvals.Add(1)
 			if !wrote {
 				d.stats.rowsFiltered.Add(1)
@@ -887,80 +892,8 @@ func (d *DP) writeKey(req *fsdp.Request, sl *slot) *fsdp.Reply {
 	return reply
 }
 
-// keyedProgsCap bounds a Disk Process's table of compiled keyed writes. A
-// statement's text is fixed when it is compiled, so its keyed writes send
-// the same bytes every time it runs — and the parameters of a prepared one
-// travel in the key — so a workload has as many entries as it has keyed
-// statement shapes, and a table full of one-off texts costs a decode each,
-// as every message did before.
-const keyedProgsCap = 256
-
-// keyedProgs is the keyed writes' counterpart of a Subset Control Block's
-// program: the predicate and SET list of an UPDATE^KEY or DELETE^KEY,
-// decoded and compiled once per distinct bytes instead of once per
-// message. An entry is immutable once published, so any number of
-// handlers run it at once; when the table is full one entry makes room.
-type keyedProgs struct {
-	mu sync.RWMutex
-	m  map[string]*keyedProg
-}
-
-// keyedProg is one compiled keyed write.
-type keyedProg struct {
-	pred *expr.Program // nil accepts every record
-	set  *change       // the SET list of an UPDATE^KEY; nil deletes
-}
-
-// get returns req's compiled program. Its table key — the kind, the
-// predicate's length, the predicate and the SET list — is built in the
-// service slot's scratch when there is one, so a hit allocates nothing.
-func (t *keyedProgs) get(req *fsdp.Request, sl *slot) (*keyedProg, error) {
-	var k []byte
-	if sl != nil {
-		k = sl.progKey[:0]
-	}
-	k = binary.AppendUvarint(append(k, byte(req.Kind)), uint64(len(req.Pred)))
-	k = append(append(k, req.Pred...), req.Assign...)
-	if sl != nil {
-		sl.progKey = k
-	}
-	t.mu.RLock()
-	p := t.m[string(k)]
-	t.mu.RUnlock()
-	if p != nil {
-		return p, nil
-	}
-	pred, err := expr.Decode(req.Pred)
-	if err != nil {
-		return nil, err
-	}
-	p = &keyedProg{pred: expr.Compile(pred)}
-	if req.Kind == fsdp.KUpdateKey {
-		set, err := expr.DecodeAssignments(req.Assign)
-		if err != nil {
-			return nil, err
-		}
-		p.set = &change{set: set}
-	}
-	t.mu.Lock()
-	if t.m == nil {
-		t.m = make(map[string]*keyedProg)
-	}
-	if len(t.m) >= keyedProgsCap {
-		for old := range t.m {
-			delete(t.m, old)
-			break
-		}
-	}
-	t.m[string(k)] = p
-	t.mu.Unlock()
-	return p, nil
-}
-
 // A change makes a record's new image from its current one; writeLocked
-// deletes the record when its change is nil. A change holds no state of
-// its own use: a compiled keyed write's is shared by every handler that
-// runs it.
+// deletes the record when its change is nil.
 type change struct {
 	set []expr.Assignment // the SQL writes: the SET list, evaluated on the record
 	row record.Row        // REWRITE and UPDATE^BLOCK: the record the File System sent, whole
@@ -1031,31 +964,37 @@ func (d *DP) mustWrite(tx uint64, file string, f *fileState, key []byte, ch *cha
 }
 
 // A write is one record change made under its leaf's latch: the audit
-// record appended to the trail there (nil when nothing was), and the undo
-// entry that takes the change back.
+// record appended to the trail there (nil when nothing was), the flushes
+// of the audit buffers that append filled, and the undo entry that takes
+// the change back.
 type write struct {
-	rec  *wal.Record
-	undo undoRec
+	rec    *wal.Record
+	filled tmf.Filled
+	undo   undoRec
 }
 
-// audit appends rec to the audit trail and fires the write's crash point,
-// in the window between the audit append and the change it protects. It
-// runs under the leaf's latch, so it does only the in-memory append:
-// shipping to a backup may wait on the backup's flush, and waits until
-// the latch is gone (logged).
-func (d *DP) audit(rec *wal.Record, point string) wal.LSN {
-	lsn := d.cfg.Audit.Append(rec)
+// audit buffers w's audit record on the trail and fires the write's crash
+// point, in the window between the audit append and the change it
+// protects. It runs under the leaf's latch, so it does only the in-memory
+// append: the flush of a buffer the record filled (a bulk write and a
+// sync, and an audit-send message) and the ship to a backup, which may
+// wait on the backup's flush, wait until the latch is gone (logged).
+func (d *DP) audit(w *write, point string) wal.LSN {
+	lsn, filled := d.cfg.Audit.Buffer(w.rec)
+	w.filled = filled
 	fault.Inject(point)
 	return lsn
 }
 
-// logged finishes w once its leaf's latch is released: the audit record
-// appended under it is shipped to the backup, and — when the change is in
-// the tree (err nil) — its undo entry is kept and it is counted.
+// logged finishes w once its leaf's latch is released: the audit buffer
+// its record filled is flushed, the record is shipped to the backup, and
+// — when the change is in the tree (err nil) — its undo entry is kept and
+// it is counted.
 func (d *DP) logged(tx uint64, w *write, err error) error {
 	if w.rec == nil {
 		return err
 	}
+	d.cfg.Audit.FlushFull(w.filled)
 	d.ship(w.rec)
 	if err != nil {
 		return err
@@ -1118,7 +1057,7 @@ func (d *DP) updateFound(w *write, tx uint64, file string, f *fileState, key, cu
 		rec.After = newEnc
 	}
 	*w = write{rec: rec, undo: undoRec{file: file, kind: wal.RecUpdate, key: key, before: before}}
-	return btree.Edit{Op: btree.Put, Val: newEnc, LSN: d.audit(rec, fault.DPUpdateAfterAudit)}, nil
+	return btree.Edit{Op: btree.Put, Val: newEnc, LSN: d.audit(w, fault.DPUpdateAfterAudit)}, nil
 }
 
 // deleteFound audits the removal of the locked record cur, borrowed from
@@ -1130,7 +1069,7 @@ func (d *DP) deleteFound(w *write, tx uint64, file string, key, cur []byte) btre
 		Key: key, Before: before,
 	}
 	*w = write{rec: rec, undo: undoRec{file: file, kind: wal.RecDelete, key: key, before: before}}
-	return btree.Edit{Op: btree.Remove, LSN: d.audit(rec, fault.DPDeleteAfterAudit)}
+	return btree.Edit{Op: btree.Remove, LSN: d.audit(w, fault.DPDeleteAfterAudit)}
 }
 
 // lockOp serves explicit LOCKFILE / LOCKRECORD / LOCKRANGE requests.

@@ -235,18 +235,29 @@ func TestKeyedWrite(t *testing.T) {
 // BenchmarkKeyedUpdate is one keyed write — SET SALARY = SALARY + 1 on one
 // record by its key — as UPDATE^KEY and as the one-key UPDATE^SUBSET^FIRST
 // it replaced, through the Disk Process's message handler: request decoded,
-// served, reply encoded and decoded. Pre-fetch is on, as in a cluster that
-// serves SQL. Each request gets a Disk Process of its own, and a
+// served, reply encoded and decoded. UPDATE^KEY-param is the same write
+// with a different increment each time, as SQL sends SET SALARY = SALARY
+// + ? (the requester substitutes the parameter into the SET list), so no
+// two messages carry the same SET bytes. Pre-fetch is on, as in a cluster
+// that serves SQL. Each request gets a Disk Process of its own, and a
 // transaction commits every 256 writes, off the clock.
 func BenchmarkKeyedUpdate(b *testing.B) {
 	const records = 3000
-	raise := expr.EncodeAssignments([]expr.Assignment{{Field: 3, E: expr.Bin(expr.OpAdd, expr.F(3, "SALARY"), expr.CFloat(1))}})
+	raiseBy := func(n float64) []byte {
+		return expr.EncodeAssignments([]expr.Assignment{{Field: 3, E: expr.Bin(expr.OpAdd, expr.F(3, "SALARY"), expr.CFloat(n))}})
+	}
+	raise := raiseBy(1)
 	for _, c := range []struct {
 		name string
-		req  func(key []byte) fsdp.Request
+		req  func(i int, key []byte) fsdp.Request
 	}{
-		{"UPDATE^KEY", func(key []byte) fsdp.Request { return fsdp.Request{Kind: fsdp.KUpdateKey, Key: key, Assign: raise} }},
-		{"UPDATE^SUBSET-point", func(key []byte) fsdp.Request {
+		{"UPDATE^KEY", func(_ int, key []byte) fsdp.Request {
+			return fsdp.Request{Kind: fsdp.KUpdateKey, Key: key, Assign: raise}
+		}},
+		{"UPDATE^KEY-param", func(i int, key []byte) fsdp.Request {
+			return fsdp.Request{Kind: fsdp.KUpdateKey, Key: key, Assign: raiseBy(float64(i%100000) + 0.5)}
+		}},
+		{"UPDATE^SUBSET-point", func(_ int, key []byte) fsdp.Request {
 			return fsdp.Request{Kind: fsdp.KUpdateSubsetFirst, Range: keys.Point(key), Assign: raise}
 		}},
 	} {
@@ -263,7 +274,7 @@ func BenchmarkKeyedUpdate(b *testing.B) {
 					tx = tmf.NewTxID()
 					b.StartTimer()
 				}
-				req := c.req(key1(int64(i % records)))
+				req := c.req(i, key1(int64(i%records)))
 				req.Tx, req.File = tx, "EMP"
 				reply, err := fsdp.DecodeReply(d.Handler(fsdp.EncodeRequest(&req), nil))
 				if err != nil || !reply.OK() || reply.Count != 1 {

@@ -214,17 +214,51 @@ func NewAuditPort(trail *wal.Trail, client *msg.Client, auditServer string, bufL
 // Trail exposes the underlying audit trail (WAL gate, commit records).
 func (a *AuditPort) Trail() *wal.Trail { return a.trail }
 
-// Append adds one audit record, returning its LSN, and charges an
-// audit-send message whenever the local buffer fills.
+// Append adds one audit record, returning its LSN, flushes the trail's
+// buffer when the record fills it, and charges an audit-send message
+// whenever the local buffer fills.
 func (a *AuditPort) Append(r *wal.Record) wal.LSN {
-	lsn := a.trail.Append(r)
+	lsn, filled := a.Buffer(r)
+	a.FlushFull(filled)
+	return lsn
+}
+
+// Filled is what one Buffer call left undone: the trail's buffer-full
+// flush, the audit-send of a full local buffer, or — the zero value —
+// nothing.
+type Filled struct {
+	lsn         wal.LSN
+	trail, send bool
+}
+
+// Buffer is Append without the I/O — no trail flush, no audit-send — for
+// a caller that holds a page latch. The caller passes what it returns to
+// FlushFull once it holds no latch.
+func (a *AuditPort) Buffer(r *wal.Record) (wal.LSN, Filled) {
+	lsn, full := a.trail.Buffer(r)
+	f := Filled{lsn: lsn, trail: full}
 	a.mu.Lock()
 	a.buffered += r.Size()
+	f.send = a.buffered >= a.bufLimit
+	a.mu.Unlock()
+	return lsn, f
+}
+
+// FlushFull does what a Buffer call left undone: the trail's flush,
+// unless another caller's took the record, and the audit-send, unless
+// another caller's emptied the local buffer.
+func (a *AuditPort) FlushFull(f Filled) {
+	if f.trail {
+		a.trail.FlushFull(f.lsn)
+	}
+	if !f.send {
+		return
+	}
+	a.mu.Lock()
 	if a.buffered >= a.bufLimit {
 		a.flushLocked()
 	}
 	a.mu.Unlock()
-	return lsn
 }
 
 // FlushSend ships any buffered audit now (commit/prepare must not leave

@@ -116,10 +116,39 @@ func (t *Trail) ID() uint64 { return t.cfg.ID }
 func (t *Trail) Append(r *Record) LSN {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	lsn, full := t.appendLocked(r)
+	if full {
+		t.flushFullLocked(lsn)
+	}
+	return lsn
+}
+
+// Buffer is Append without the I/O, for a caller that holds a page latch:
+// it reports whether r filled the buffer, and a caller told so calls
+// FlushFull once it holds no latch.
+func (t *Trail) Buffer(r *Record) (LSN, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return t.appendLocked(r)
 }
 
-func (t *Trail) appendLocked(r *Record) LSN {
+// FlushFull leads the flush that the buffer-full append of the record at
+// lsn left to its caller, unless a flush already took the record or one is
+// in flight: like Append, it never waits for another caller's I/O.
+func (t *Trail) FlushFull(lsn LSN) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.flushFullLocked(lsn)
+}
+
+func (t *Trail) flushFullLocked(lsn LSN) {
+	if t.flushedLSN < lsn && !t.flushing && !t.closed {
+		t.flushLocked()
+	}
+}
+
+// appendLocked buffers r and reports whether it filled the buffer.
+func (t *Trail) appendLocked(r *Record) (LSN, bool) {
 	t.nextLSN++
 	r.LSN = t.nextLSN
 	before := len(t.pending)
@@ -130,13 +159,12 @@ func (t *Trail) appendLocked(r *Record) LSN {
 		t.stats.CommitRecords++
 		t.pendingCommits++
 	}
-	if full := t.cfg.BufferFullBytes; before < full && len(t.pending) >= full {
-		t.stats.BufferFullFlushes++
-		if !t.flushing && !t.closed {
-			t.flushLocked()
-		}
+	full := t.cfg.BufferFullBytes
+	if before >= full || len(t.pending) < full {
+		return r.LSN, false
 	}
-	return r.LSN
+	t.stats.BufferFullFlushes++
+	return r.LSN, true
 }
 
 // AppendCommit appends a commit record for tx and returns its LSN. Use
@@ -149,12 +177,16 @@ func (t *Trail) AppendCommit(txID uint64) LSN {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.cfg.GroupCommit {
-		return t.appendLocked(&Record{Type: RecCommit, TxID: txID})
+		lsn, full := t.appendLocked(&Record{Type: RecCommit, TxID: txID})
+		if full {
+			t.flushFullLocked(lsn)
+		}
+		return lsn
 	}
 	for t.flushing {
 		t.durable.Wait()
 	}
-	lsn := t.appendLocked(&Record{Type: RecCommit, TxID: txID})
+	lsn, _ := t.appendLocked(&Record{Type: RecCommit, TxID: txID})
 	if t.flushedLSN < lsn && !t.closed {
 		t.flushLocked()
 	}

@@ -132,6 +132,29 @@ func TestBufferFullTriggersFlush(t *testing.T) {
 	}
 }
 
+// TestBufferLeavesTheFlushToItsCaller: Buffer never writes; the caller it
+// tells the buffer is full flushes with FlushFull, and a FlushFull for a
+// record another flush already took writes nothing.
+func TestBufferLeavesTheFlushToItsCaller(t *testing.T) {
+	tr, _ := newTestTrail(t, Config{BufferFullBytes: 256})
+	var lsn LSN
+	full := false
+	for i := 0; !full; i++ {
+		lsn, full = tr.Buffer(dataRec(1, fmt.Sprintf("key-%04d", i)))
+		if tr.Stats().Flushes != 0 {
+			t.Fatalf("Buffer wrote the trail at record %d", i)
+		}
+	}
+	tr.FlushFull(lsn)
+	if s := tr.Stats(); s.Flushes != 1 || s.BufferFullFlushes != 1 || tr.FlushedLSN() != lsn {
+		t.Fatalf("after FlushFull: %+v, durable to %d, want 1 flush to %d", s, tr.FlushedLSN(), lsn)
+	}
+	tr.FlushFull(lsn)
+	if s := tr.Stats(); s.Flushes != 1 {
+		t.Errorf("a FlushFull for a record already durable flushed again: %d flushes", s.Flushes)
+	}
+}
+
 func TestCompressedAuditFillsBufferSlower(t *testing.T) {
 	// The paper: field compression → fewer buffer-full audit sends.
 	run := func(compressed bool) uint64 {

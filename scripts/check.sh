@@ -134,11 +134,13 @@ go test -race -count=1 -run 'TestReadsAgainUnderTheGroupLock|TestAcquireReportsT
 # collapse fallbacks, the edit function run once); and a refused
 # duplicate INSERT leaves nothing on the trail — after recovery and after
 # a replicated group's takeover the committed row is the one that reads,
-# whether the refusing transaction committed or aborted. Then, without
-# -race, what a DebitCredit transaction and an empty BEGIN/COMMIT pair
-# allocate in process.
+# whether the refusing transaction committed or aborted. A buffer-full
+# audit flush that a write starts waits for the leaf's latch to be
+# released: a point read of the leaf is served while it is held. Then,
+# without -race, what a DebitCredit transaction and an empty BEGIN/COMMIT
+# pair allocate in process.
 go test -race -count=1 -run 'TestEditProperty|TestEditFallbackRunsTheAnswer' ./internal/btree
-go test -race -count=1 -run 'TestRejectedDuplicateInsertLeavesNoTrace|TestRejectedDuplicateInsertOnTheBackup' ./internal/dp ./internal/cluster
+go test -race -count=1 -run 'TestRejectedDuplicateInsertLeavesNoTrace|TestRejectedDuplicateInsertOnTheBackup|TestBufferFullFlushRunsOffTheLatch' ./internal/dp ./internal/cluster
 go test -count=1 -run TestTransactionAllocationCeilings ./internal/sql
 go test -race -count=1 -run 'TestReadRefusesARowlessOK' ./internal/fs
 go test -count=1 -run TestAllocationCeilings ./internal/sql
