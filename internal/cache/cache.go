@@ -9,8 +9,9 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -77,7 +78,7 @@ type Stats struct {
 	PrefetchPeak      uint64 // max concurrent pre-fetch workers observed
 	WriteBehindOps    uint64 // bulk writes issued by write-behind
 	WriteBehindBlocks uint64
-	WriterPasses      uint64 // background-writer passes that did work
+	WriterPasses      uint64 // write-behind passes that claimed at least one page
 	WALStalls         uint64 // flushes forced by the WAL gate
 	ShardAcquires     uint64 // shard-mutex acquisitions, contended or not
 	ShardWaits        uint64 // shard-mutex acquisitions that had to block
@@ -141,12 +142,11 @@ type PageIndex struct {
 // valid only while pinned: evicting a page hands its buffer back to the
 // disk package's block pool, and the next miss or snapshot reuses it.
 type Page struct {
-	sh      *shard
-	bn      disk.BlockNum
-	data    []byte
-	index   atomic.Pointer[PageIndex] // nil until the page's user builds it
-	dirty   bool                      // flipped only through setDirty
-	dirtyAt int                       // slot in the shard's dirty set plus one; 0 = not in it
+	sh    *shard
+	bn    disk.BlockNum
+	data  []byte
+	index atomic.Pointer[PageIndex] // nil until the page's user builds it
+	dirty bool                      // flipped only through setDirty
 	// dropped: no longer in the page table (Discard, Crash). Crash can
 	// orphan a page somebody still holds; its later transitions must not
 	// move the count of resident dirty pages.
@@ -196,29 +196,20 @@ func (p *Page) MarkDirty(lsn wal.LSN) {
 }
 
 // setDirty flips the dirty bit and, at the clean→dirty and dirty→clean
-// transitions of a resident page, the two things kept in step with it so
-// that nobody walks a page table to learn them: the pool's dirty-page
-// counter (DirtyCount, asked every few milliseconds) and the shard's
-// dirty set (what a write-behind pass visits). Shard mutex held.
+// transitions of a resident page, moves the pool's dirty-page counter
+// (DirtyCount, asked every few milliseconds) so that nobody walks a page
+// table to learn it. Shard mutex held.
 func (p *Page) setDirty(d bool) {
 	if p.dirty == d {
 		return
 	}
 	p.dirty = d
-	s := p.sh
 	switch {
 	case p.dropped:
 	case d:
-		s.pool.dirtyPages.Add(1)
-		s.dirty = append(s.dirty, p)
-		p.dirtyAt = len(s.dirty)
+		p.sh.pool.dirtyPages.Add(1)
 	default:
-		s.pool.dirtyPages.Add(-1)
-		last := s.dirty[len(s.dirty)-1]
-		s.dirty[p.dirtyAt-1], last.dirtyAt = last, p.dirtyAt
-		s.dirty[len(s.dirty)-1] = nil
-		s.dirty = s.dirty[:len(s.dirty)-1]
-		p.dirtyAt = 0
+		p.sh.pool.dirtyPages.Add(-1)
 	}
 }
 
@@ -286,7 +277,6 @@ type shard struct {
 	waits     atomic.Uint64 // lock acquisitions that found the mutex held
 	waitNanos atomic.Uint64 // total time blocked in those acquisitions
 	pages     map[disk.BlockNum]*Page
-	dirty     []*Page // the resident pages with dirty set (Page.setDirty)
 	inflight  map[disk.BlockNum]chan struct{}
 	prot      lruList // protected: keyed hot set
 	prob      lruList // probation: sequential recycling ring
@@ -326,6 +316,15 @@ type Pool struct {
 
 	writerMu sync.Mutex
 	writer   *writerState
+
+	// passMu runs one write-behind pass at a time and guards the scratch
+	// every pass reuses.
+	passMu  sync.Mutex
+	claimed []claim
+	bufs    [][]byte
+	// The durable LSN and eviction count the last pass started from:
+	// until one of them moves, another pass would find nothing new.
+	passDurable, passEvicted atomic.Uint64
 }
 
 // Options tunes pool construction beyond the required parameters.
@@ -715,8 +714,8 @@ type run struct {
 // registers the chosen blocks as in-flight in their shards so demand
 // Gets wait rather than double-read.
 func (p *Pool) planRuns(bns []disk.BlockNum) []run {
-	sorted := append([]disk.BlockNum(nil), bns...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(bns)
+	slices.Sort(sorted)
 
 	var need []disk.BlockNum
 	for _, bn := range sorted {
@@ -775,84 +774,142 @@ func (p *Pool) loadRun(r run, class AccessClass) {
 // WaitPrefetch blocks until outstanding pre-fetch I/O completes.
 func (p *Pool) WaitPrefetch() { p.prefetchWG.Wait() }
 
+// cleanShare is the share of every shard that a windowed write-behind
+// pass keeps clean or free at the eviction end: a quarter of the slots.
+const cleanShare = 4
+
+// A claim is a page a write-behind pass took for writing and the pooled
+// snapshot of its bytes that the pass writes.
+type claim struct {
+	pg  *Page
+	buf []byte
+}
+
 // WriteBehind writes out strings of contiguous dirty blocks that have
 // "aged" — their audit is already durable — using the minimal number of
 // bulk I/Os, and marks them clean. It returns the number of blocks
 // written. It never forces an audit flush: unaged pages simply wait.
-// The Disk Process's background writer calls this, driven by commit
-// nudges and the dirty ratio.
+// Every aged page is written, wherever it stands in the LRU order:
+// DrainWriter runs it before stats reads and at close. The background
+// writer runs the windowed pass instead (see StartWriter).
 func (p *Pool) WriteBehind() (int, error) {
-	type agedPage struct {
-		pg  *Page
-		buf []byte
-	}
+	return p.writePass((*shard).claimAgedLocked)
+}
+
+// cleanEvictionEnd is the windowed pass the background writer and a
+// synchronous NudgeWriter run: it writes only the aged dirty pages at each
+// shard's eviction end (claimWindowLocked), so a page still in use stays
+// dirty and is written once, when it is about to leave.
+func (p *Pool) cleanEvictionEnd() (int, error) {
+	return p.writePass((*shard).claimWindowLocked)
+}
+
+// writePass is one write-behind pass: claim pages shard by shard with
+// claimFn, then write them in ascending block order as bulk strings with
+// every shard mutex dropped. It allocates nothing once its scratch has
+// grown: the claims and the write's buffer list are the pool's, reused
+// pass after pass under passMu.
+func (p *Pool) writePass(claimFn func(*shard, wal.LSN, []claim) []claim) (int, error) {
+	p.passMu.Lock()
+	defer p.passMu.Unlock()
 	durable := p.gate.FlushedLSN()
-	var aged []agedPage
+	p.passDurable.Store(uint64(durable))
+	p.passEvicted.Store(p.stats.evictions.Load())
+	claimed := p.claimed[:0]
 	for _, s := range p.shards {
 		s.lock()
-		// Backwards: claiming a page swap-removes it from the set.
-		for i := len(s.dirty) - 1; i >= 0; i-- {
-			pg := s.dirty[i]
-			if !pg.writing && pg.lsn <= durable && pg.pins == 0 {
-				// Claim the page and snapshot its buffer into a pooled
-				// block under the shard mutex; the bulk writes run with
-				// every mutex dropped so the I/O never blocks hits or
-				// misses on other pages, and the snapshots go back to the
-				// pool once the writes return (the device keeps copies).
-				// Pages re-dirtied during the write keep their dirty bit
-				// (set by MarkDirty) and age again later.
-				pg.writing = true
-				pg.setDirty(false)
-				buf := disk.NewBlock()
-				copy(buf, pg.data)
-				aged = append(aged, agedPage{pg, buf})
-			}
-		}
+		claimed = claimFn(s, durable, claimed)
 		s.mu.Unlock()
 	}
-	sort.Slice(aged, func(i, j int) bool { return aged[i].pg.bn < aged[j].pg.bn })
+	p.claimed = claimed
+	if len(claimed) == 0 {
+		return 0, nil
+	}
+	p.stats.writerPasses.Add(1)
+	slices.SortFunc(claimed, func(a, b claim) int { return cmp.Compare(a.pg.bn, b.pg.bn) })
 	fault.Inject(fault.CacheWriteBehind)
 
+	// Strings go out in order and the first failure ends the pass, so the
+	// pages written are exactly claimed[:written].
 	written, ops := 0, 0
 	var werr error
-	ok := make([]bool, len(aged))
-	bufs := make([][]byte, len(aged))
-	for i := range aged {
-		bufs[i] = aged[i].buf
-	}
-	for i := 0; i < len(aged); {
+	for i := 0; i < len(claimed) && werr == nil; {
 		j := i + 1
-		for j < len(aged) && aged[j].pg.bn == aged[j-1].pg.bn+1 && j-i < disk.MaxBulkBlocks {
+		for j < len(claimed) && claimed[j].pg.bn == claimed[j-1].pg.bn+1 && j-i < disk.MaxBulkBlocks {
 			j++
 		}
-		if werr == nil {
-			if err := p.vol.WriteBulk(aged[i].pg.bn, bufs[i:j]); err != nil {
-				werr = err
-			} else {
-				for k := i; k < j; k++ {
-					ok[k] = true
-				}
-				written += j - i
-				ops++
-			}
+		bufs := p.bufs[:0]
+		for _, c := range claimed[i:j] {
+			bufs = append(bufs, c.buf)
+		}
+		p.bufs = bufs
+		if werr = p.vol.WriteBulk(claimed[i].pg.bn, bufs); werr == nil {
+			written += j - i
+			ops++
 		}
 		i = j
 	}
+	clear(p.bufs[:cap(p.bufs)])
 
-	for i, a := range aged {
-		disk.FreeBlock(a.buf)
-		s := a.pg.sh
+	for i, c := range claimed {
+		disk.FreeBlock(c.buf)
+		s := c.pg.sh
 		s.lock()
-		a.pg.writing = false
-		if !ok[i] {
-			a.pg.setDirty(true) // failed or skipped: still needs writing
+		c.pg.writing = false
+		if i >= written {
+			c.pg.setDirty(true) // failed or skipped: still needs writing
 		}
 		s.cond.Broadcast()
 		s.mu.Unlock()
 	}
+	clear(claimed) // the scratch keeps no page or buffer alive
 	p.stats.writeBehindOps.Add(uint64(ops))
 	p.stats.writeBehindBlocks.Add(uint64(written))
 	return written, werr
+}
+
+// claimLocked claims pg for a write-behind pass if it is dirty, aged
+// (its audit durable by durable), unpinned and not already being written:
+// it is marked writing and clean, and its bytes are snapshotted into a
+// pooled block under the shard mutex so the write can run with every
+// mutex dropped. A page re-dirtied during the write keeps the dirty bit
+// MarkDirty sets and ages again later.
+func (s *shard) claimLocked(pg *Page, durable wal.LSN, claimed []claim) []claim {
+	if !pg.dirty || pg.writing || pg.pins > 0 || pg.lsn > durable {
+		return claimed
+	}
+	pg.writing = true
+	pg.setDirty(false)
+	buf := disk.NewBlock()
+	copy(buf, pg.data)
+	return append(claimed, claim{pg, buf})
+}
+
+// claimAgedLocked claims every aged dirty page of the shard.
+func (s *shard) claimAgedLocked(durable wal.LSN, claimed []claim) []claim {
+	for _, pg := range s.pages {
+		claimed = s.claimLocked(pg, durable, claimed)
+	}
+	return claimed
+}
+
+// claimWindowLocked claims the aged dirty pages in the shard's window:
+// the 1/cleanShare of its slots nearest eviction, walked in
+// makeRoomLocked's victim order — the probation tail, then the protected
+// tail — with free slots counted first, so a shard with that many free
+// slots claims nothing. A page is written when it reaches the window, not
+// every time a commit ages it: a hot page stays dirty at the protected
+// head until it cools, and a sequential string reaches the window whole
+// and still goes out as bulk writes.
+func (s *shard) claimWindowLocked(durable wal.LSN, claimed []claim) []claim {
+	n := (s.capacity+cleanShare-1)/cleanShare - (s.capacity - len(s.pages))
+	for _, l := range [2]*lruList{&s.prob, &s.prot} {
+		for pg := l.tail; pg != nil && n > 0; pg = pg.prev {
+			claimed = s.claimLocked(pg, durable, claimed)
+			n--
+		}
+	}
+	return claimed
 }
 
 // FlushAll forces every dirty page to disk (WAL-gated). Used at clean
@@ -891,7 +948,7 @@ func (s *shard) flushAll() error {
 			s.cond.Wait() // let in-flight writes land
 			continue
 		}
-		sort.Slice(dirty, func(i, j int) bool { return dirty[i].bn < dirty[j].bn })
+		slices.SortFunc(dirty, func(a, b *Page) int { return cmp.Compare(a.bn, b.bn) })
 		for _, pg := range dirty {
 			if err := s.cleanPageLocked(pg); err != nil {
 				return err
@@ -1059,10 +1116,13 @@ type writerState struct {
 const DefaultWriterInterval = 5 * time.Millisecond
 
 // StartWriter launches the pool's background writer: an autonomous
-// goroutine that runs WriteBehind passes when the durable LSN has
-// advanced (a commit aged new pages) or the dirty ratio passes 1/8 of
-// capacity. interval <= 0 uses DefaultWriterInterval. Idempotent while
-// a writer is running.
+// goroutine that keeps each shard's eviction end clean, so that making
+// room never waits on a write. It runs a windowed pass (claimWindowLocked)
+// when the durable LSN has advanced (a commit aged pages) or the pool has
+// evicted since its last pass (the window moved). A nudge wakes it only
+// when the durable LSN moved; the tick, every interval, also catches
+// evictions. interval <= 0 uses DefaultWriterInterval. Idempotent while a
+// writer is running.
 func (p *Pool) StartWriter(interval time.Duration) {
 	if interval <= 0 {
 		interval = DefaultWriterInterval
@@ -1096,15 +1156,20 @@ func (p *Pool) StopWriter() {
 }
 
 // NudgeWriter tells the background writer that the durable LSN may have
-// advanced (e.g. a commit just landed). Non-blocking; nudges coalesce
-// while a pass is running. With no writer running it degrades to a
-// synchronous WriteBehind pass, preserving caller-timed behavior.
+// advanced (e.g. a commit just landed). Non-blocking: a nudge that finds
+// the durable LSN where the writer last saw it returns at once, and
+// nudges coalesce while a pass is running. With no writer running it
+// degrades to the same windowed pass run synchronously, preserving
+// caller-timed behavior.
 func (p *Pool) NudgeWriter() {
 	p.writerMu.Lock()
 	w := p.writer
 	p.writerMu.Unlock()
 	if w == nil {
-		_, _ = p.WriteBehind()
+		_, _ = p.cleanEvictionEnd()
+		return
+	}
+	if uint64(p.gate.FlushedLSN()) == p.passDurable.Load() {
 		return
 	}
 	select {
@@ -1144,13 +1209,13 @@ func (p *Pool) DrainWriter() {
 }
 
 // writerLoop is the background writer body: wake on a nudge or the
-// fallback tick, skip the pass unless a commit aged new pages (durable
-// LSN advanced) or dirty pages crossed 1/8 of capacity.
+// fallback tick, and skip the pass unless a commit aged pages (the
+// durable LSN advanced) or an eviction moved the window since the last
+// pass.
 func (p *Pool) writerLoop(w *writerState, interval time.Duration) {
 	defer close(w.done)
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
-	lastDurable := p.gate.FlushedLSN()
 	for {
 		select {
 		case <-w.stop:
@@ -1158,16 +1223,12 @@ func (p *Pool) writerLoop(w *writerState, interval time.Duration) {
 		case <-w.nudge:
 		case <-tick.C:
 		}
-		dirty := p.DirtyCount()
-		if dirty == 0 {
+		if p.DirtyCount() == 0 {
 			continue
 		}
-		durable := p.gate.FlushedLSN()
-		if durable == lastDurable && dirty*8 < p.capacity {
+		if uint64(p.gate.FlushedLSN()) == p.passDurable.Load() && p.stats.evictions.Load() == p.passEvicted.Load() {
 			continue
 		}
-		lastDurable = durable
-		p.stats.writerPasses.Add(1)
-		_, _ = p.WriteBehind()
+		_, _ = p.cleanEvictionEnd()
 	}
 }

@@ -117,7 +117,9 @@ func bytesPerOp(n int, op func()) float64 {
 
 // TestAllocationCeilings: a block that moves between the cache and the
 // volume costs a copy into a pooled buffer, not a 4 KB allocation. What
-// is left is bookkeeping: a Page, an in-flight channel, a pass's slices.
+// is left is bookkeeping: a Page and an in-flight channel per miss. A
+// write-behind pass allocates nothing: its claims and buffer list are
+// the pool's scratch, reused pass after pass.
 func TestAllocationCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -137,26 +139,45 @@ func TestAllocationCeilings(t *testing.T) {
 	if st := small.Stats(); st.Hits != 0 || st.Evictions != st.Misses-2 {
 		t.Fatalf("not a miss that evicts each time: %+v", st)
 	}
-	p := NewPool(v, 8, nil)
-	writeBehind := bytesPerOp(2000, func() {
-		pg, err := p.Get(start)
+	dirty := func(p *Pool, bn disk.BlockNum) {
+		pg, err := p.Get(bn)
 		if err != nil {
 			t.Fatal(err)
 		}
 		pg.Data()[0]++
 		pg.MarkDirty(1)
 		pg.Release()
+	}
+	p := NewPool(v, 8, nil)
+	writeBehind := bytesPerOp(2000, func() {
+		dirty(p, start)
 		if n, err := p.WriteBehind(); n != 1 || err != nil {
 			t.Fatal(n, err)
 		}
 	})
+	// A full pool of two slots: the window is the one page at the tail.
+	full := NewPool(v, 2, nil)
+	windowed := bytesPerOp(2000, func() {
+		dirty(full, start)
+		dirty(full, start+1) // to the head, and start to the tail
+		full.NudgeWriter()
+	})
+	if st := full.Stats(); st.WriteBehindBlocks != 2001 || st.Evictions != 0 {
+		t.Fatalf("not a windowed pass that writes one page each time: %+v", st)
+	}
 	for _, c := range []struct {
-		name string
-		got  float64
-	}{{"a miss that evicts a clean page", miss}, {"a write-behind pass of one dirty page", writeBehind}} {
+		name    string
+		got     float64
+		ceiling float64
+	}{
+		{"a miss that evicts a clean page", miss, 512},
+		// A 4 KB block allocated once in 2 000 passes reads 2 B.
+		{"a write-behind pass of one dirty page", writeBehind, 8},
+		{"a windowed pass of one dirty page", windowed, 8},
+	} {
 		t.Logf("%s: %.0f B", c.name, c.got)
-		if c.got >= 512 {
-			t.Errorf("%s allocates %.0f B, ceiling 512", c.name, c.got)
+		if c.got >= c.ceiling {
+			t.Errorf("%s allocates %.0f B, ceiling %.0f", c.name, c.got, c.ceiling)
 		}
 	}
 }

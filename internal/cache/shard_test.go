@@ -1,10 +1,12 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
 	"nonstopsql/internal/disk"
+	"nonstopsql/internal/fault"
 	"nonstopsql/internal/wal"
 )
 
@@ -281,62 +283,174 @@ func TestPrefetchOpsCountsPartialRuns(t *testing.T) {
 	}
 }
 
-func TestBackgroundWriterFlushesOnNudge(t *testing.T) {
-	v, start := newVolWithBlocks(t, 8)
-	g := &fakeGate{flushed: 0}
-	p := NewPool(v, 32, g)
-	p.StartWriter(time.Hour) // tick effectively disabled: nudges only
-	defer p.StopWriter()
-	for i := 0; i < 4; i++ {
+// dirtyBlocks gets the blocks start+from … start+to-1 in order, stamps
+// each with tag and marks block start+i dirty at LSN i+1.
+func dirtyBlocks(t *testing.T, p *Pool, start disk.BlockNum, from, to int, tag byte) {
+	t.Helper()
+	for i := from; i < to; i++ {
 		pg, err := p.Get(start + disk.BlockNum(i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		pg.Data()[3] = 0xAA
+		pg.Data()[1] = tag
 		pg.MarkDirty(wal.LSN(i + 1))
 		pg.Release()
-	}
-	// Nothing durable yet: a nudge must not write anything.
-	p.NudgeWriter()
-	time.Sleep(20 * time.Millisecond)
-	if p.Stats().WriteBehindBlocks != 0 {
-		t.Fatal("writer flushed pages with undurable audit")
-	}
-	// Commit lands: durable LSN advances, nudge triggers a pass.
-	g.FlushTo(4)
-	p.NudgeWriter()
-	deadline := time.Now().Add(2 * time.Second)
-	for p.DirtyCount() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("writer never flushed aged pages")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if p.Stats().WriterPasses == 0 {
-		t.Error("WriterPasses not counted")
 	}
 }
 
-func TestBackgroundWriterDirtyRatio(t *testing.T) {
+// TestNudgeWithFreeSlotsWritesNothing: a pool that has not filled has
+// nothing to keep clean for eviction, so a nudge writes no page, aged or
+// not; the all-aged pass still writes them all.
+func TestNudgeWithFreeSlotsWritesNothing(t *testing.T) {
 	v, start := newVolWithBlocks(t, 8)
-	g := &fakeGate{flushed: 100}
-	p := NewPool(v, 8, g) // 2 dirty pages = 1/4 of capacity ≥ 1/8
-	p.StartWriter(time.Millisecond)
+	p := NewPool(v, 32, &fakeGate{flushed: 100})
+	dirtyBlocks(t, p, start, 0, 8, 0xAA)
+	p.NudgeWriter() // no writer running: the windowed pass, synchronously
+	if st := p.Stats(); st.WriteBehindBlocks != 0 || st.WriterPasses != 0 || p.DirtyCount() != 8 {
+		t.Fatalf("a nudge with 24 free slots wrote: %+v, %d dirty", st, p.DirtyCount())
+	}
+	if n, err := p.WriteBehind(); n != 8 || err != nil {
+		t.Fatalf("WriteBehind wrote %d (%v), want all 8 aged pages", n, err)
+	}
+}
+
+// TestNudgeCleansTheEvictionEnd: at capacity a nudge writes the aged
+// dirty pages in the window at the victim end — a quarter of the slots —
+// and nothing else. A page touched before every nudge stays at the head
+// of the LRU, dirty and never written, while every miss finds a clean
+// victim: no eviction waits on a write.
+func TestNudgeCleansTheEvictionEnd(t *testing.T) {
+	v, start := newVolWithBlocks(t, 16)
+	p := NewPool(v, 8, &fakeGate{flushed: 100})
+	dirtyBlocks(t, p, start, 0, 8, 0xAA) // LRU head→tail: 7 … 0
+	p.NudgeWriter()
+	if st := p.Stats(); st.WriteBehindBlocks != 2 || st.WriteBehindOps != 1 {
+		t.Fatalf("first nudge: %+v, want the two tail blocks in one bulk write", st)
+	}
+	for i := 0; i < 8; i++ {
+		if dirty, want := p.IsDirty(start+disk.BlockNum(i)), i >= 2; dirty != want {
+			t.Errorf("block %d dirty=%v after the first nudge, want %v", i, dirty, want)
+		}
+	}
+
+	const hot = 7
+	for i := 8; i < 16; i++ {
+		dirtyBlocks(t, p, start, hot, hot+1, 0xBB) // touched every pass
+		dirtyBlocks(t, p, start, i, i+1, 0xCC)     // a miss: evicts the clean tail
+		p.NudgeWriter()
+	}
+	st := p.Stats()
+	if st.DirtyEvictions != 0 || st.WALStalls != 0 || st.Evictions != 8 {
+		t.Fatalf("%+v: want 8 clean evictions and no write on the eviction path", st)
+	}
+	// One window page per round: the page that took the evicted one's place.
+	if st.WriteBehindBlocks != 2+8 {
+		t.Errorf("wrote %d blocks, want 10", st.WriteBehindBlocks)
+	}
+	if !p.IsDirty(start + hot) {
+		t.Error("the hot page was cleaned")
+	}
+	buf := make([]byte, disk.BlockSize)
+	if err := v.Read(start+hot, buf); err != nil {
+		t.Fatal(err)
+	}
+	if buf[1] != 0 {
+		t.Errorf("the hot page reached disk (byte %#x): it was written while in use", buf[1])
+	}
+}
+
+// TestBackgroundWriterCleansTheEvictionEnd: the running writer passes
+// when a nudge finds the durable LSN advanced, or its tick finds that the
+// pool evicted, and a pass writes only aged pages in the window.
+func TestBackgroundWriterCleansTheEvictionEnd(t *testing.T) {
+	v, start := newVolWithBlocks(t, 9)
+	g := &fakeGate{flushed: 0}
+	p := NewPool(v, 8, g)
+	p.StartWriter(time.Hour) // tick effectively disabled: nudges only
 	defer p.StopWriter()
-	for i := 0; i < 4; i++ {
-		pg, err := p.Get(start + disk.BlockNum(i))
+	dirtyBlocks(t, p, start, 0, 8, 0xAA)
+	waitFor := func(blocks uint64) {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); p.Stats().WriteBehindBlocks < blocks; {
+			if time.Now().After(deadline) {
+				t.Fatalf("the writer wrote %d blocks, want %d", p.Stats().WriteBehindBlocks, blocks)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(20 * time.Millisecond) // and nothing more
+		if got := p.Stats().WriteBehindBlocks; got != blocks {
+			t.Fatalf("the writer wrote %d blocks, want %d", got, blocks)
+		}
+	}
+
+	// Nothing durable yet: a nudge must not write anything.
+	p.NudgeWriter()
+	waitFor(0)
+	// A commit lands: the durable LSN advances, the window is written.
+	g.FlushTo(8)
+	p.NudgeWriter()
+	waitFor(2)
+	// A miss evicts the clean tail and the window moves one page up. Its
+	// nudge finds nothing newly durable; the tick finds the eviction.
+	pg, err := p.Get(start + 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg.Release()
+	p.NudgeWriter()
+	waitFor(2)
+	p.StopWriter()
+	p.StartWriter(time.Millisecond)
+	waitFor(3)
+	if st := p.Stats(); st.DirtyEvictions != 0 || p.DirtyCount() != 5 {
+		t.Errorf("%+v, %d dirty: want no dirty eviction and 5 dirty pages", st, p.DirtyCount())
+	}
+}
+
+// TestRandomUpdatesWriteLessThanTheyDirty is the txn-file shape at the
+// pool: random keyed updates, each committed and followed by a nudge, on
+// a pool 2.5 times smaller than the blocks it serves. No eviction waits
+// on a write or the WAL, fewer blocks are written than updates made, and
+// the volume ends up holding every update.
+func TestRandomUpdatesWriteLessThanTheyDirty(t *testing.T) {
+	const nblocks, updates = 100, 2000
+	v, start := newVolWithBlocks(t, nblocks)
+	g := &fakeGate{}
+	p := NewPool(v, nblocks*2/5, g)
+	model := make([]byte, nblocks)
+	rng := rand.New(rand.NewSource(1))
+	for lsn := wal.LSN(1); lsn <= updates; lsn++ {
+		b := rng.Intn(nblocks)
+		pg, err := p.Get(start + disk.BlockNum(b))
 		if err != nil {
 			t.Fatal(err)
 		}
-		pg.MarkDirty(wal.LSN(i + 1))
+		model[b]++
+		pg.Data()[1] = model[b]
+		pg.MarkDirty(lsn)
 		pg.Release()
+		g.FlushTo(lsn) // the commit
+		p.NudgeWriter()
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for p.DirtyCount() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("dirty-ratio trigger never fired")
+	st := p.Stats()
+	t.Logf("%d updates: %d blocks written in %d writes, %d evictions", updates, st.WriteBehindBlocks, st.WriteBehindOps, st.Evictions)
+	if st.DirtyEvictions != 0 || st.WALStalls != 0 {
+		t.Errorf("%d dirty evictions, %d WAL stalls: want none", st.DirtyEvictions, st.WALStalls)
+	}
+	if st.WriteBehindBlocks >= updates {
+		t.Errorf("%d blocks written for %d updates", st.WriteBehindBlocks, updates)
+	}
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, disk.BlockSize)
+	for b := range model {
+		if err := v.Read(start+disk.BlockNum(b), buf); err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(time.Millisecond)
+		if buf[1] != model[b] {
+			t.Errorf("block %d holds %d on disk, want %d", b, buf[1], model[b])
+		}
 	}
 }
 
@@ -378,5 +492,29 @@ func TestDrainWriter(t *testing.T) {
 	}
 	if g.calls != 0 {
 		t.Error("DrainWriter forced an audit flush")
+	}
+}
+
+// TestWriteBehindPointNeedsAClaim: the cache/write-behind crash point is
+// reached only by a pass that claimed a page, so a crash armed there
+// always lands between a claim and its write, never in an empty pass.
+func TestWriteBehindPointNeedsAClaim(t *testing.T) {
+	fault.Reset()
+	defer fault.Reset()
+	v, start := newVolWithBlocks(t, 8)
+	p := NewPool(v, 8, &fakeGate{flushed: 100})
+	dirtyBlocks(t, p, start, 0, 4, 0xAA)
+	claimed := -1
+	fault.Arm(fault.CacheWriteBehind, 0, func() { claimed = p.DirtyCount() })
+	fault.Enable()
+	p.NudgeWriter() // four free slots: the window is empty
+	if hits := fault.Hits(fault.CacheWriteBehind); hits != 0 {
+		t.Fatalf("an empty pass reached the point %d times", hits)
+	}
+	if n, err := p.WriteBehind(); n != 4 || err != nil {
+		t.Fatal(n, err)
+	}
+	if !fault.Fired(fault.CacheWriteBehind) || claimed != 0 {
+		t.Fatalf("fired=%v with %d pages left dirty, want it fired with all 4 claimed", fault.Fired(fault.CacheWriteBehind), claimed)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"nonstopsql/internal/cache"
 	"nonstopsql/internal/cluster"
 	"nonstopsql/internal/debitcredit"
 	"nonstopsql/internal/disk"
@@ -147,13 +148,18 @@ func e14Iteration(point string, seed int64, txnsPerClient int) (*E14Result, erro
 	// served by a single worker so concurrent pins can never exhaust the
 	// pool and deadlock eviction, with write-behind off so dirty pages
 	// are cleaned by the eviction path's single-block write rather than
-	// swept up by bulk I/O first.
+	// swept up by bulk I/O first. Write-behind's own point needs the same
+	// pressure with write-behind on: its passes clean the eviction end of
+	// a full pool, and a pool that never fills gives them nothing to
+	// claim. A pass that claims nothing does not reach the point, so the
+	// crash always lands between a pass's claims and their writes.
 	opts := cluster.Options{CPUsPerNode: 4, DPWorkers: 8, WriteBehind: true}
 	scale := debitcredit.Scale{Branches: 2 * e14Clients, TellersPerBr: 2, AccountsPerBr: 10}
-	if point == fault.DiskRead || point == fault.DiskWrite || point == fault.CacheCleanBeforeWrite {
+	switch point {
+	case fault.DiskRead, fault.DiskWrite, fault.CacheCleanBeforeWrite, fault.CacheWriteBehind:
 		opts.CacheSlots = 8
 		opts.DPWorkers = 1
-		opts.WriteBehind = false
+		opts.WriteBehind = point == fault.CacheWriteBehind
 		scale.AccountsPerBr = 30
 	}
 	r, err := newRig(opts, 2)
@@ -197,13 +203,27 @@ func e14Iteration(point string, seed int64, txnsPerClient int) (*E14Result, erro
 	firstBlock := r.c.Nodes[0].Trail.FirstBlock()
 
 	run := &e14Run{attempts: map[uint64][]e14Op{}, confirmed: map[uint64]bool{}}
+	// A write-behind crash must land in a pass that claimed pages. A pass
+	// counts itself in WriterPasses once it has claimed one, before it
+	// reaches the point, so every hit so far has a pass counted since the
+	// point was armed; an empty pass that reached it would leave a hit
+	// without one.
+	pools := [2]*cache.Pool{r.c.DP("$DATA1").Pool(), r.c.DP("$DATA2").Pool()}
+	claimingPasses := func() uint64 { return pools[0].Stats().WriterPasses + pools[1].Stats().WriterPasses }
+	passesBefore := claimingPasses()
+	var emptyPassCrashed atomic.Bool
 	// The crash action: set the flag, then freeze every volume — data
 	// first, audit last. It runs on whatever goroutine hits the point,
-	// possibly under low-level mutexes, so it is strictly lock-free.
+	// possibly under low-level mutexes, so it is strictly lock-free (the
+	// write-behind point's check reads atomics and the fault registry,
+	// which no point holds while its action runs).
 	// Clients confirm a commit only when the flag was still clear after
 	// Commit returned; that load ordering guarantees the commit record's
 	// flush landed before any freeze (confirmed ⊆ durable).
 	crashFn := func() {
+		if point == fault.CacheWriteBehind && claimingPasses()-passesBefore < fault.Hits(point) {
+			emptyPassCrashed.Store(true)
+		}
 		run.crashed.Store(true)
 		vols["$DATA1"].Freeze()
 		vols["$DATA2"].Freeze()
@@ -233,6 +253,9 @@ func e14Iteration(point string, seed int64, txnsPerClient int) (*E14Result, erro
 	}
 	if !fault.Fired(point) {
 		return nil, fmt.Errorf("armed point never fired (hits %d, skip %d): workload does not reach this path", fault.Hits(point), skip)
+	}
+	if emptyPassCrashed.Load() {
+		return nil, fmt.Errorf("the crash landed in a write-behind pass that claimed no page")
 	}
 	hits := fault.Hits(point)
 

@@ -403,6 +403,16 @@ func shapeE6(t *testing.T, table *Table) {
 	if wbOn.DiskWrites >= wbOff.DiskWrites {
 		t.Errorf("write-behind should coalesce: %d vs %d writes", wbOn.DiskWrites, wbOff.DiskWrites)
 	}
+	keyedOn, keyedOff := results[4], results[5]
+	if keyedOn.DirtyEvictions != 0 || keyedOn.WALStalls != 0 {
+		t.Errorf("keyed updates with write-behind: %d dirty evictions, %d WAL stalls, want none", keyedOn.DirtyEvictions, keyedOn.WALStalls)
+	}
+	if keyedOn.BlocksWritten >= uint64(keyedOn.Updates) {
+		t.Errorf("keyed updates with write-behind wrote %d blocks for %d updates", keyedOn.BlocksWritten, keyedOn.Updates)
+	}
+	if keyedOff.DirtyEvictions == 0 {
+		t.Error("keyed updates without write-behind evicted no dirty page: the pool is not under pressure")
+	}
 }
 
 func shapeE7(t *testing.T, table *Table) {

@@ -48,8 +48,9 @@ const (
 	// CacheCleanBeforeWrite fires between a dirty page's WAL-gate check
 	// and its write to disk (eviction and FlushAll path).
 	CacheCleanBeforeWrite = "cache/clean/before-write"
-	// CacheWriteBehind fires after write-behind has claimed its aged
-	// dirty pages, before any bulk write is issued.
+	// CacheWriteBehind fires after a write-behind pass has claimed its
+	// aged dirty pages, before any bulk write is issued. A pass that
+	// claimed none writes nothing and does not reach it.
 	CacheWriteBehind = "cache/write-behind"
 
 	// DPInsertAfterAudit / DPUpdateAfterAudit / DPDeleteAfterAudit fire

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"bytes"
 	"container/list"
 	"hash/maphash"
 	"strings"
@@ -59,18 +60,53 @@ func NewPlanCache(cap int) *PlanCache {
 }
 
 // normalizeSQL canonicalizes statement text for cache keying: runs of
-// whitespace collapse and a trailing semicolon drops, so "SELECT 1;"
-// and "select  1" miss each other only on case (string literals make
-// case folding unsafe). Text that is already canonical — what a program
-// sends, statement after statement — comes back as it is, without
-// being split and joined.
+// the lexer's white space collapse to one blank and a trailing semicolon
+// drops, so "SELECT 1;" and "select  1" miss each other only on case
+// (string literals make case folding unsafe). Only what the lexer skips
+// is folded: the inside of a '…' literal (a doubled quote escapes one)
+// and of a "…" identifier is kept byte for byte, and so is a -- comment
+// together with the line break that ends it. Text that is already
+// canonical — what a program sends, statement after statement — comes
+// back as it is.
 func normalizeSQL(src string) string {
 	if normalized(src) {
 		return src
 	}
-	s := strings.Join(strings.Fields(src), " ")
-	s = strings.TrimSuffix(s, ";")
-	return strings.TrimRight(s, " ")
+	b := make([]byte, 0, len(src))
+	var quote byte // the open literal's delimiter; 0 outside one
+	blank := false // white space seen since the last byte kept
+	for i := 0; i < len(src); i++ {
+		c := src[i]
+		if quote == 0 && (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
+			blank = true
+			continue
+		}
+		if blank && len(b) > 0 {
+			b = append(b, ' ')
+		}
+		blank = false
+		switch {
+		case quote != 0:
+			if c == quote {
+				quote = 0 // a doubled '' closes and reopens at once
+			}
+		case c == '\'' || c == '"':
+			quote = c
+		case c == '-' && i+1 < len(src) && src[i+1] == '-':
+			end := strings.IndexByte(src[i:], '\n')
+			if end < 0 {
+				end = len(src) - i - 1
+			}
+			b = append(b, src[i:i+end+1]...)
+			i += end
+			continue
+		}
+		b = append(b, c)
+	}
+	if quote == 0 && len(b) > 0 && b[len(b)-1] == ';' {
+		b = bytes.TrimRight(b[:len(b)-1], " ")
+	}
+	return string(b)
 }
 
 // normalized reports whether normalizeSQL would return src unchanged: it

@@ -417,3 +417,42 @@ func TestExplainAnalyzePrepared(t *testing.T) {
 		t.Errorf("substituted parameters did not produce a key-range access path:\n%s", a.Plan)
 	}
 }
+
+// TestPlanCacheKeepsLiteralsApart: white space inside a quoted literal
+// or identifier is part of the statement, and so is the line break that
+// ends a comment. Statements that differ there must not share a cached
+// plan; white space elsewhere still folds, so they still hit.
+func TestPlanCacheKeepsLiteralsApart(t *testing.T) {
+	d := newDB(t)
+	d.exec(t, `CREATE TABLE t (k INTEGER PRIMARY KEY, s VARCHAR(10))`)
+	d.exec(t, `INSERT INTO t VALUES (1, 'a b'), (2, 'a  b'), (3, 'a	b'), (4, 'it''s  x')`)
+	for _, c := range []struct {
+		sql  string
+		want int64
+	}{
+		{`SELECT k FROM t WHERE s = 'a b'`, 1},
+		{`SELECT k FROM t WHERE s = 'a  b'`, 2},
+		{"SELECT k FROM t WHERE s = 'a\tb'", 3},
+		{`SELECT  k FROM t  WHERE s = 'a  b' ;`, 2},
+		{`SELECT k FROM t WHERE s = 'it''s  x'`, 4},
+	} {
+		res := d.exec(t, c.sql)
+		if len(res.Rows) < 1 || res.Rows[0][0].I != c.want {
+			t.Errorf("%q returned %v, want k = %d", c.sql, res.Rows, c.want)
+		}
+	}
+	// On one line the comment swallows OR k = 2; after a line break it
+	// is part of the statement.
+	if res := d.exec(t, "SELECT k FROM t WHERE k = 1 -- or any k OR k = 2"); len(res.Rows) != 1 {
+		t.Errorf("the commented-out OR was read: %v, want k = 1", res.Rows)
+	}
+	if res := d.exec(t, "SELECT k FROM t WHERE k = 1 -- or any k\n OR k = 2"); len(res.Rows) != 2 {
+		t.Errorf("the statement after a comment returned %v, want k = 1 and 2", res.Rows)
+	}
+	d.cat.Plans().Reset()
+	d.exec(t, `SELECT s FROM t WHERE s = 'a  b'`)
+	d.exec(t, "SELECT  s\nFROM t WHERE s = 'a  b';")
+	if st := d.cat.Plans().Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Errorf("white space outside the literal split the entry: %+v", st)
+	}
+}

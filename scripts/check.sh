@@ -13,7 +13,7 @@ go vet ./...
 # that moved fails first and alone. Then the one front end, and the one
 # program that prints EXPLAIN next to live message counts, so neither can
 # rot.
-go test -count=1 -run 'TestExperiments/(E1|E2|E3|E4|E10|E17|F1|F2|ABL-PAIRS)$' ./internal/experiments
+go test -count=1 -run 'TestExperiments/(E1|E2|E3|E4|E6|E10|E17|F1|F2|ABL-PAIRS)$' ./internal/experiments
 go run ./cmd/experiments -quick -only E1 >/dev/null
 go run ./examples/explain >/dev/null
 # Message-system and observability races first: StopServer/Send hammers,
@@ -88,10 +88,15 @@ go test -run '^$' -fuzz FuzzExpr -fuzztime 10s ./internal/expr
 # than the table) checked for conservation of money — two seconds without
 # the race detector, which is what caught the bug nine runs in ten before
 # the fix (the detector's slowdown closes the window), then briefly with.
+# Beside the loader race, twenty rounds of write-behind's policy: a pass
+# cleans only the eviction end of a full pool (aged pages in the quarter
+# nearest eviction), never a pool with free slots, never a page touched
+# every pass; under random updates no eviction waits on a write; and the
+# write-behind crash point is reached only by a pass that claimed a page.
 go test -race -count=1 ./internal/wal ./internal/tmf
 go test -run '^$' -fuzz FuzzWALRecord -fuzztime 10s ./internal/wal
 go test -race -count=1 -run 'TestPrepareOn|TestCrashAroundUnforcedPrepare' ./internal/dp
-go test -race -count=20 -run TestOneLoaderPerBlock ./internal/cache
+go test -race -count=20 -run 'TestOneLoaderPerBlock|TestNudge|TestBackgroundWriterCleansTheEvictionEnd|TestRandomUpdatesWriteLessThanTheyDirty|TestWriteBehindPointNeedsAClaim' ./internal/cache
 go test -count=1 -run TestMoneyConservedUnderEviction ./internal/cluster
 go test -race -short -count=1 -run TestMoneyConservedUnderEviction ./internal/cluster
 # The FS-DP conversation: one driver fans every set-oriented kind out
