@@ -113,7 +113,7 @@ func TestCrashRestartOnAnotherCPU(t *testing.T) {
 	}
 	tx := f.Begin()
 	for i := 0; i < 20; i++ {
-		if err := f.Insert(tx, def, record.Row{record.Int(int64(i)), record.String(fmt.Sprintf("v%d", i))}); err != nil {
+		if err := f.Insert(nil, tx, def, record.Row{record.Int(int64(i)), record.String(fmt.Sprintf("v%d", i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -162,7 +162,7 @@ func TestTwoNodesSeparateTrails(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx := f.Begin()
-	if err := f.Insert(tx, def, record.Row{record.Int(1), record.String("x")}); err != nil {
+	if err := f.Insert(nil, tx, def, record.Row{record.Int(1), record.String("x")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Commit(tx); err != nil {
@@ -193,7 +193,7 @@ func TestAuditServerReceivesBufferFullSends(t *testing.T) {
 	}
 	tx := f.Begin()
 	for i := 0; i < 100; i++ {
-		if err := f.Insert(tx, def, record.Row{record.Int(int64(i)), record.String("vvvvvvvvvvvvvvvvvvvv")}); err != nil {
+		if err := f.Insert(nil, tx, def, record.Row{record.Int(int64(i)), record.String("vvvvvvvvvvvvvvvvvvvv")}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -241,7 +241,7 @@ func TestCrashUnderConcurrentLoadLosesNoCommittedData(t *testing.T) {
 				}
 				k := int64(id*100000 + i)
 				tx := f.Begin()
-				if err := f.Insert(tx, def, record.Row{record.Int(k), record.String("v")}); err != nil {
+				if err := f.Insert(nil, tx, def, record.Row{record.Int(k), record.String("v")}); err != nil {
 					_ = f.Abort(tx) // server down or conflict: give up on this key
 					continue
 				}

@@ -57,7 +57,7 @@ func TestReplicatedGroupCommitAndTakeover(t *testing.T) {
 	}
 	tx := f.Begin()
 	for i := 0; i < 20; i++ {
-		if err := f.Insert(tx, def, record.Row{record.Int(int64(i)), record.String(fmt.Sprintf("v%d", i))}); err != nil {
+		if err := f.Insert(nil, tx, def, record.Row{record.Int(int64(i)), record.String(fmt.Sprintf("v%d", i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -82,7 +82,7 @@ func TestReplicatedGroupCommitAndTakeover(t *testing.T) {
 	// the backup in the catch-up flush, but with no commit among them
 	// the promotion undoes and fences it.
 	tx2 := f.Begin()
-	if err := f.Insert(tx2, def, record.Row{record.Int(100), record.String("inflight")}); err != nil {
+	if err := f.Insert(nil, tx2, def, record.Row{record.Int(100), record.String("inflight")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.CrashDP("$R1"); err != nil {
@@ -97,7 +97,7 @@ func TestReplicatedGroupCommitAndTakeover(t *testing.T) {
 	// ever resolve, or hand the coordinator a yes vote it would commit
 	// on — so the refusal has to land before the commit point, not in
 	// phase 2.
-	if err := f.Insert(tx2, def, record.Row{record.Int(101), record.String("late")}); err == nil {
+	if err := f.Insert(nil, tx2, def, record.Row{record.Int(101), record.String("late")}); err == nil {
 		t.Error("fenced transaction's record op accepted after takeover")
 	}
 	if reply := c.DP("$R1").Serve(&fsdp.Request{Kind: fsdp.KPrepare, Tx: tx2.ID}); reply.OK() {
@@ -121,7 +121,7 @@ func TestReplicatedGroupCommitAndTakeover(t *testing.T) {
 		}
 	}
 	tx3 := f.Begin()
-	if err := f.Insert(tx3, def, record.Row{record.Int(100), record.String("fresh")}); err != nil {
+	if err := f.Insert(nil, tx3, def, record.Row{record.Int(100), record.String("fresh")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Commit(tx3); err != nil {
@@ -156,7 +156,7 @@ func TestReplicaTakeoverAfterAbort(t *testing.T) {
 	}
 
 	tx := f.Begin()
-	if err := f.Insert(tx, def, record.Row{record.Int(1), record.String("keep")}); err != nil {
+	if err := f.Insert(nil, tx, def, record.Row{record.Int(1), record.String("keep")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Commit(tx); err != nil {
@@ -170,7 +170,7 @@ func TestReplicaTakeoverAfterAbort(t *testing.T) {
 	}
 	tx2 := f.Begin()
 	for i := int64(2); i <= 3; i++ {
-		if err := f.Insert(tx2, def, record.Row{record.Int(i), record.String("doomed")}); err != nil {
+		if err := f.Insert(nil, tx2, def, record.Row{record.Int(i), record.String("doomed")}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -205,7 +205,7 @@ func TestReplicaTakeoverAfterAbort(t *testing.T) {
 	}
 	// The aborted keys are immediately reusable on the new primary.
 	tx3 := f.Begin()
-	if err := f.Insert(tx3, def, record.Row{record.Int(2), record.String("fresh")}); err != nil {
+	if err := f.Insert(nil, tx3, def, record.Row{record.Int(2), record.String("fresh")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Commit(tx3); err != nil {
@@ -239,7 +239,7 @@ func TestReplicaCatchUpAfterBackupOutage(t *testing.T) {
 	commit := func(k int64, v string) {
 		t.Helper()
 		tx := f.Begin()
-		if err := f.Insert(tx, def, record.Row{record.Int(k), record.String(v)}); err != nil {
+		if err := f.Insert(nil, tx, def, record.Row{record.Int(k), record.String(v)}); err != nil {
 			t.Fatal(err)
 		}
 		if err := f.Commit(tx); err != nil {
@@ -305,7 +305,7 @@ func TestTakeoverRefusedWhenCatchUpFails(t *testing.T) {
 	commit := func(k int64, v string) {
 		t.Helper()
 		tx := f.Begin()
-		if err := f.Insert(tx, def, record.Row{record.Int(k), record.String(v)}); err != nil {
+		if err := f.Insert(nil, tx, def, record.Row{record.Int(k), record.String(v)}); err != nil {
 			t.Fatal(err)
 		}
 		if err := f.Commit(tx); err != nil {
@@ -364,7 +364,7 @@ func TestFollowerBrowseReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx := f.Begin()
-	if err := f.Insert(tx, def, record.Row{record.Int(1), record.String("x")}); err != nil {
+	if err := f.Insert(nil, tx, def, record.Row{record.Int(1), record.String("x")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Commit(tx); err != nil {
@@ -401,7 +401,7 @@ func replicaDifferentialRun(t *testing.T, c *cluster.Cluster) map[int64]string {
 	}
 	tx := f.Begin()
 	for i := int64(0); i < 20; i++ {
-		if err := f.Insert(tx, def, record.Row{record.Int(i), record.String(fmt.Sprintf("v%d", i))}); err != nil {
+		if err := f.Insert(nil, tx, def, record.Row{record.Int(i), record.String(fmt.Sprintf("v%d", i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -419,7 +419,7 @@ func replicaDifferentialRun(t *testing.T, c *cluster.Cluster) map[int64]string {
 	}
 	tx = f.Begin()
 	for i := int64(100); i <= 102; i++ {
-		if err := f.Insert(tx, def, record.Row{record.Int(i), record.String("doomed")}); err != nil {
+		if err := f.Insert(nil, tx, def, record.Row{record.Int(i), record.String("doomed")}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -428,7 +428,7 @@ func replicaDifferentialRun(t *testing.T, c *cluster.Cluster) map[int64]string {
 	}
 
 	inflight := f.Begin()
-	if err := f.Insert(inflight, def, record.Row{record.Int(200), record.String("inflight")}); err != nil {
+	if err := f.Insert(nil, inflight, def, record.Row{record.Int(200), record.String("inflight")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.CrashDP("$W1"); err != nil {
@@ -442,7 +442,7 @@ func replicaDifferentialRun(t *testing.T, c *cluster.Cluster) map[int64]string {
 	}
 	tx = f.Begin()
 	for i := int64(300); i <= 304; i++ {
-		if err := f.Insert(tx, def, record.Row{record.Int(i), record.String(fmt.Sprintf("p%d", i))}); err != nil {
+		if err := f.Insert(nil, tx, def, record.Row{record.Int(i), record.String(fmt.Sprintf("p%d", i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -558,7 +558,7 @@ func TestRejectedDuplicateInsertOnTheBackup(t *testing.T) {
 				t.Fatal(err)
 			}
 			tx := f.Begin()
-			if err := f.Insert(tx, def, record.Row{record.Int(1), record.String("original")}); err != nil {
+			if err := f.Insert(nil, tx, def, record.Row{record.Int(1), record.String("original")}); err != nil {
 				t.Fatal(err)
 			}
 			if err := f.Commit(tx); err != nil {
@@ -566,7 +566,7 @@ func TestRejectedDuplicateInsertOnTheBackup(t *testing.T) {
 			}
 
 			tx2 := f.Begin()
-			if err := f.Insert(tx2, def, record.Row{record.Int(1), record.String("rejected")}); err == nil {
+			if err := f.Insert(nil, tx2, def, record.Row{record.Int(1), record.String("rejected")}); err == nil {
 				t.Fatal("duplicate insert accepted")
 			}
 			if commit {

@@ -124,7 +124,7 @@ func (b *Bank) Create(f *fs.FS, scale Scale) error {
 			}
 			for i := start; i < end; i++ {
 				def, row := mk(i)
-				if err := f.Insert(tx, def, row); err != nil {
+				if err := f.Insert(nil, tx, def, row); err != nil {
 					_ = f.Abort(tx)
 					return err
 				}
@@ -196,7 +196,7 @@ func (b *Bank) RunSQL(f *fs.FS, t Txn) error {
 	}
 	if err == nil {
 		hid := b.hid.Add(1)
-		err = f.Insert(tx, b.History, record.Row{
+		err = f.Insert(nil, tx, b.History, record.Row{
 			record.Int(hid), record.Int(t.AID), record.Int(t.TID), record.Int(t.BID),
 			record.Float(t.Delta), filler,
 		})

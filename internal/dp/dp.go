@@ -19,6 +19,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,6 +30,7 @@ import (
 	"nonstopsql/internal/expr"
 	"nonstopsql/internal/fault"
 	"nonstopsql/internal/fsdp"
+	"nonstopsql/internal/keys"
 	"nonstopsql/internal/lock"
 	"nonstopsql/internal/record"
 	"nonstopsql/internal/tmf"
@@ -70,10 +72,13 @@ type Config struct {
 	// stream. Ship is invoked with every audit record after it is
 	// appended to the trail (plus synthesized commit markers and file
 	// create/drop markers that never pass through the trail append);
-	// the cluster's shipper buffers the framed records. ShipFlush sends
-	// the buffer to the backup and waits for it to be applied and
-	// durable there — called before a commit is acknowledged, so every
-	// confirmed transaction is on the backup's own trail. A ShipFlush
+	// the cluster's shipper buffers the framed records. The record and
+	// the bytes it points to are lent for the call — the Disk Process
+	// reuses them for its next write — so Ship copies what it keeps.
+	// ShipFlush sends the buffer to the backup and waits for it to be
+	// applied and durable there — called before a commit is
+	// acknowledged, so every confirmed transaction is on the backup's
+	// own trail. A ShipFlush
 	// error means the backup does not have the buffered records (the
 	// shipper retains them for catch-up); the DP still answers — a dead
 	// backup must not take the partition down — but counts the
@@ -184,14 +189,14 @@ type fileState struct {
 // predicate, projection, or update expression. kind, tx and file name
 // the conversation it belongs to; a ^NEXT must match all three.
 type scb struct {
-	kind    fsdp.Kind // the conversation's ^FIRST kind
-	tx      uint64
-	file    string
-	pred    *expr.Program // the selection predicate, compiled at ^FIRST; nil accepts every record
-	proj    []int
-	assigns []expr.Assignment
-	agg     *fsdp.AggSpec // partial-aggregate program (AGG^FIRST/NEXT)
-	aggMem  aggMem        // the groups folded so far and not yet shipped
+	kind   fsdp.Kind // the conversation's ^FIRST kind
+	tx     uint64
+	file   string
+	pred   *expr.Program // the selection predicate, compiled at ^FIRST; nil accepts every record
+	proj   []int
+	set    expr.SetList  // the SET list (UPDATE^SUBSET), decoded at ^FIRST
+	agg    *fsdp.AggSpec // partial-aggregate program (AGG^FIRST/NEXT)
+	aggMem aggMem        // the groups folded so far and not yet shipped
 	// class is the cache access class derived once at ^FIRST time and
 	// reused by every re-drive: a re-drive's range always has Low set
 	// (the continuation key), so re-deriving from the range would
@@ -242,6 +247,7 @@ type DP struct {
 	scbs    map[uint32]*scb
 	nextSCB uint32
 	txs     map[uint64]*txState
+	freeTxs []*txState // finished transactions' states, for the next ones
 
 	// rep is the backup-role state: created on the first shipped
 	// checkpoint batch, it tracks in-flight transactions so promotion
@@ -271,22 +277,48 @@ type DP struct {
 	qwMu      sync.Mutex
 	queueWait func() (uint64, uint64)
 
-	// slots holds what a READ, UPDATE^KEY or DELETE^KEY in service decodes
-	// into and replies from (*slot): as many are in use as such requests
-	// are in service.
+	// slots holds what a record request in service decodes into, works in
+	// and replies from (*slot): as many are in use as such requests are in
+	// service.
 	slots sync.Pool
 }
 
-// A slot is one READ, UPDATE^KEY or DELETE^KEY in service: the request
-// decoded into it, and a READ's record copied out of the leaf and its
-// reply's one-entry lists. A slot of the pool is reused from request to
-// request, so a READ allocates nothing.
+// A slot is one record request in service — a READ, an INSERT, a keyed or
+// whole-record write, a lock, or a PREPARE, COMMIT or ABORT: the request
+// decoded into it, its reply, a READ's record copied out of the leaf and
+// the reply's one-entry lists, a keyed UPDATE's SET list, the write it
+// makes (rows, images and audit record) and the marker a PREPARE, COMMIT
+// or ABORT audits. A slot of the pool is reused from request to request,
+// so a READ allocates nothing, and a write what its transaction keeps.
 type slot struct {
 	req   fsdp.Request
 	reply fsdp.Reply
 	val   []byte
 	rows  [1][]byte
 	keys  [1][]byte
+	set   expr.SetList
+	w     write
+	mark  wal.Record
+}
+
+// answer makes r the slot's reply.
+func (sl *slot) answer(r fsdp.Reply) *fsdp.Reply {
+	sl.reply = r
+	return &sl.reply
+}
+
+// slotKind reports whether requests of kind decode into a slot: every
+// record request. A conversation's Subset Control Block keeps what its
+// ^FIRST carries, so those kinds, the blocks and the rare kinds decode
+// into a Request of their own.
+func slotKind(kind fsdp.Kind) bool {
+	switch kind {
+	case fsdp.KReadRecord, fsdp.KInsertRecord, fsdp.KUpdateRecord, fsdp.KDeleteRecord,
+		fsdp.KUpdateKey, fsdp.KDeleteKey, fsdp.KLockFile, fsdp.KLockRecord, fsdp.KLockRange,
+		fsdp.KPrepare, fsdp.KCommit, fsdp.KAbort:
+		return true
+	}
+	return false
 }
 
 // New creates a Disk Process over its volume.
@@ -443,10 +475,12 @@ func (d *DP) Concurrency() (float64, int) {
 // Handler is the msg.Handler for this DP's process group: decode, serve,
 // append the reply to the sender's buffer. The request's bytes are the
 // sender's and may be reused once the handler returns, so whatever
-// outlives the message is copied out of them (keep). A READ, UPDATE^KEY
-// or DELETE^KEY is decoded into a pooled slot; the rest into a Request of
-// their own, whose repeated fields the decoder allocates. Creating a file
-// and applying shipped records keep most of what they carry (the file's
+// outlives the message is copied out of them: a lock copies what it
+// locks, an undo entry its key and image (txState.keep), the trail and a
+// backup's checkpoint stream encode the audit record. A record request
+// decodes into a pooled slot (slotKind); the rest into a Request of their
+// own, whose repeated fields the decoder allocates. Creating a file and
+// applying shipped records keep most of what they carry (the file's
 // definition, the records a backup holds for takeover), and are rare: they
 // are decoded from a copy of the whole request.
 func (d *DP) Handler(reqBytes, out []byte) []byte {
@@ -454,57 +488,28 @@ func (d *DP) Handler(reqBytes, out []byte) []byte {
 	if len(reqBytes) > 0 {
 		kind = fsdp.Kind(reqBytes[0])
 	}
-	switch kind {
-	case fsdp.KReadRecord, fsdp.KUpdateKey, fsdp.KDeleteKey:
+	switch {
+	case slotKind(kind):
 		sl, _ := d.slots.Get().(*slot)
 		if sl == nil {
 			sl = new(slot)
 		}
 		out = d.reply(out, &sl.req, reqBytes, sl)
+		sl.w.bytes.Reset()
 		d.slots.Put(sl)
 		return out
-	case fsdp.KCreateFile, fsdp.KShipRecords:
+	case kind == fsdp.KCreateFile, kind == fsdp.KShipRecords:
 		reqBytes = bytes.Clone(reqBytes)
 	}
 	return d.reply(out, new(fsdp.Request), reqBytes, nil)
 }
 
-// reply decodes b into req, gives what the request's kind keeps bytes of
-// its own, serves it and appends the reply to out.
+// reply decodes b into req, serves it and appends the reply to out.
 func (d *DP) reply(out []byte, req *fsdp.Request, b []byte, sl *slot) []byte {
 	if err := fsdp.DecodeRequestInto(req, b); err != nil {
 		return fsdp.AppendReply(out, &fsdp.Reply{Code: fsdp.ErrBadRequest, Err: err.Error()})
 	}
-	keep(req)
 	return fsdp.AppendReply(out, d.serve(req, sl))
-}
-
-// keep copies out of the message what a request's kind keeps past it: the
-// key a record lock, an undo entry and an audit record hold, a locked
-// range, the keys of a block's locks. Nothing else a request carries
-// outlives it: the decoders copy the strings of rows and expressions, a
-// Subset Control Block keeps the compiled program and the Request's own
-// projection, and a group lock copies its span (subsetRun.span).
-func keep(req *fsdp.Request) {
-	switch req.Kind {
-	case fsdp.KUpdateKey, fsdp.KDeleteKey, fsdp.KUpdateRecord, fsdp.KDeleteRecord, fsdp.KLockRecord:
-		req.Key = bytes.Clone(req.Key)
-	case fsdp.KLockRange:
-		req.Range.Low, req.Range.High = bytes.Clone(req.Range.Low), bytes.Clone(req.Range.High)
-	case fsdp.KUpdateBlock, fsdp.KDeleteBlock, fsdp.KProbeBlock:
-		if req.Tx == 0 {
-			return // nothing is locked
-		}
-		n := 0
-		for _, k := range req.RowKeys {
-			n += len(k)
-		}
-		block := make([]byte, 0, n)
-		for i, k := range req.RowKeys {
-			block = append(block, k...)
-			req.RowKeys[i] = block[len(block)-len(k) : len(block) : len(block)]
-		}
-	}
 }
 
 // Serve handles one decoded request (exported for in-process tests and
@@ -545,15 +550,15 @@ func (d *DP) serve(req *fsdp.Request, sl *slot) *fsdp.Reply {
 	case fsdp.KReadRecord:
 		reply = d.readRecord(req, sl)
 	case fsdp.KInsertRecord:
-		reply = d.insertRecord(req)
+		reply = d.insertRecord(req, sl)
 	case fsdp.KUpdateRecord:
-		reply = d.updateRecord(req)
+		reply = d.updateRecord(req, sl)
 	case fsdp.KDeleteRecord:
-		reply = d.deleteRecord(req)
+		reply = d.deleteRecord(req, sl)
 	case fsdp.KUpdateKey, fsdp.KDeleteKey:
-		reply = d.writeKey(req)
+		reply = d.writeKey(req, sl)
 	case fsdp.KLockFile, fsdp.KLockRecord, fsdp.KLockRange:
-		reply = d.lockOp(req)
+		reply = d.lockOp(req, sl)
 	case fsdp.KGetFirstRSBB, fsdp.KGetNextRSBB:
 		reply = d.subset(req, getRSBB)
 	case fsdp.KGetFirstVSBB, fsdp.KGetNextVSBB:
@@ -577,11 +582,11 @@ func (d *DP) serve(req *fsdp.Request, sl *slot) *fsdp.Reply {
 	case fsdp.KCloseSubset:
 		reply = d.closeSubset(req)
 	case fsdp.KPrepare:
-		reply = d.prepare(req)
+		reply = d.prepare(req, sl)
 	case fsdp.KCommit:
-		reply = d.commit(req)
+		reply = d.commit(req, sl)
 	case fsdp.KAbort:
-		reply = d.abort(req)
+		reply = d.abort(req, sl)
 	case fsdp.KShipRecords:
 		reply = d.applyShipped(req)
 	case fsdp.KPromote:
@@ -734,8 +739,7 @@ func (d *DP) readRecord(req *fsdp.Request, sl *slot) *fsdp.Reply {
 		if req.Mode == 2 {
 			mode = lock.Exclusive // read-for-update
 		}
-		// The lock outlives the request: it holds a copy of the key.
-		if err := d.lockTx(req.Tx, req.File, bytes.Clone(req.Key), mode); err != nil {
+		if err := d.lockTx(req.Tx, req.File, req.Key, mode); err != nil {
 			return errReply(err)
 		}
 	}
@@ -753,8 +757,9 @@ func (d *DP) readRecord(req *fsdp.Request, sl *slot) *fsdp.Reply {
 	return &sl.reply
 }
 
-// insertRecord serves WRITE: insert one record.
-func (d *DP) insertRecord(req *fsdp.Request) *fsdp.Reply {
+// insertRecord serves WRITE: insert one record. The record is read where
+// it lies in the message, into the slot's write.
+func (d *DP) insertRecord(req *fsdp.Request, sl *slot) *fsdp.Reply {
 	f, err := d.getFile(req.File)
 	if err != nil {
 		return errReply(err)
@@ -762,20 +767,20 @@ func (d *DP) insertRecord(req *fsdp.Request) *fsdp.Reply {
 	if req.Tx == 0 {
 		return &fsdp.Reply{Code: fsdp.ErrBadRequest, Err: "dp: write requires a transaction"}
 	}
-	row, err := record.Decode(req.Row)
-	if err != nil {
+	var row record.Row
+	if sl.w.rows, row, err = record.AppendBorrowed(sl.w.rows[:0], req.Row); err != nil {
 		return errReply(err)
 	}
-	if err := d.insertOne(req.Tx, req.File, f, row); err != nil {
+	if err := d.insertOne(&sl.w, req.Tx, req.File, f, row); err != nil {
 		return errReply(err)
 	}
-	return &fsdp.Reply{Count: 1}
+	return sl.answer(fsdp.Reply{Count: 1})
 }
 
-// insertOne validates, locks, audits, and inserts one row. The key's
-// absence is checked under the leaf's latch before anything is audited:
-// a duplicate leaves no trace on the trail.
-func (d *DP) insertOne(tx uint64, file string, f *fileState, row record.Row) error {
+// insertOne validates, locks, audits, and inserts one row, made in w. The
+// key's absence is checked under the leaf's latch before anything is
+// audited: a duplicate leaves no trace on the trail.
+func (d *DP) insertOne(w *write, tx uint64, file string, f *fileState, row record.Row) error {
 	f.schema.Coerce(row)
 	if err := f.schema.Validate(row); err != nil {
 		return err
@@ -783,28 +788,28 @@ func (d *DP) insertOne(tx uint64, file string, f *fileState, row record.Row) err
 	if err := d.checkConstraint(f, row); err != nil {
 		return err
 	}
-	key := f.schema.Key(row)
+	w.begin()
+	key := w.bytes.Keep(f.schema.AppendKey(w.bytes.Free(), row))
 	if err := d.lockTx(tx, file, key, lock.Exclusive); err != nil {
 		return err
 	}
-	enc := record.Encode(row)
-	var w write
+	enc := w.bytes.Keep(record.AppendEncode(w.bytes.Free(), row))
 	err := f.tree.Edit(key, func(_ []byte, found bool) (btree.Edit, error) {
 		if found {
 			return btree.Edit{}, fmt.Errorf("%w (%s)", btree.ErrDuplicate, file)
 		}
-		rec := &wal.Record{
+		w.rec = wal.Record{
 			Type: wal.RecInsert, TxID: tx, Volume: d.cfg.Volume.Name(), File: file,
 			Key: key, After: enc,
 		}
-		w = write{rec: rec, undo: undoRec{file: file, kind: wal.RecInsert, key: key}}
-		return btree.Edit{Op: btree.Put, Val: enc, LSN: d.audit(&w, fault.DPInsertAfterAudit)}, nil
+		w.undo = undoRec{file: file, kind: wal.RecInsert, key: key}
+		return btree.Edit{Op: btree.Put, Val: enc, LSN: d.audit(w, fault.DPInsertAfterAudit)}, nil
 	})
-	return d.logged(tx, &w, err)
+	return d.logged(tx, w, err)
 }
 
 // updateRecord serves the ENSCRIBE REWRITE: replace a whole record.
-func (d *DP) updateRecord(req *fsdp.Request) *fsdp.Reply {
+func (d *DP) updateRecord(req *fsdp.Request, sl *slot) *fsdp.Reply {
 	f, err := d.getFile(req.File)
 	if err != nil {
 		return errReply(err)
@@ -816,14 +821,14 @@ func (d *DP) updateRecord(req *fsdp.Request) *fsdp.Reply {
 	if err != nil {
 		return errReply(err)
 	}
-	if err := d.mustWrite(req.Tx, req.File, f, req.Key, &change{row: newRow}); err != nil {
+	if err := d.mustWrite(&sl.w, req.Tx, req.File, f, req.Key, &change{row: newRow}); err != nil {
 		return errReply(err)
 	}
-	return &fsdp.Reply{Count: 1}
+	return sl.answer(fsdp.Reply{Count: 1})
 }
 
 // deleteRecord serves DELETE by key.
-func (d *DP) deleteRecord(req *fsdp.Request) *fsdp.Reply {
+func (d *DP) deleteRecord(req *fsdp.Request, sl *slot) *fsdp.Reply {
 	f, err := d.getFile(req.File)
 	if err != nil {
 		return errReply(err)
@@ -831,10 +836,10 @@ func (d *DP) deleteRecord(req *fsdp.Request) *fsdp.Reply {
 	if req.Tx == 0 {
 		return &fsdp.Reply{Code: fsdp.ErrBadRequest, Err: "dp: write requires a transaction"}
 	}
-	if err := d.mustWrite(req.Tx, req.File, f, req.Key, nil); err != nil {
+	if err := d.mustWrite(&sl.w, req.Tx, req.File, f, req.Key, nil); err != nil {
 		return errReply(err)
 	}
-	return &fsdp.Reply{Count: 1}
+	return sl.answer(fsdp.Reply{Count: 1})
 }
 
 // writeKey serves UPDATE^KEY and DELETE^KEY: the one record of a primary
@@ -847,8 +852,9 @@ func (d *DP) deleteRecord(req *fsdp.Request) *fsdp.Reply {
 // leaves write-behind to the commit that follows. The predicate and SET
 // list are decoded from every message: the requester substitutes a
 // statement's parameters into both before it sends them, so the bytes
-// of one statement differ from run to run.
-func (d *DP) writeKey(req *fsdp.Request) *fsdp.Reply {
+// of one statement differ from run to run. The SET list decodes into the
+// slot's SetList, and the change is made in the slot's write.
+func (d *DP) writeKey(req *fsdp.Request, sl *slot) *fsdp.Reply {
 	f, err := d.getFile(req.File)
 	if err != nil {
 		return errReply(err)
@@ -863,19 +869,18 @@ func (d *DP) writeKey(req *fsdp.Request) *fsdp.Reply {
 	pred := expr.Compile(p)
 	var ch *change
 	if req.Kind == fsdp.KUpdateKey {
-		set, err := expr.DecodeAssignments(req.Assign)
-		if err != nil {
+		if err := sl.set.Decode(req.Assign); err != nil {
 			return errReply(err)
 		}
-		ch = &change{set: set}
+		ch = &change{set: &sl.set}
 	}
-	found, wrote, err := d.writeLocked(req.Tx, req.File, f, req.Key, pred, ch)
+	found, wrote, err := d.writeLocked(&sl.w, req.Tx, req.File, f, req.Key, pred, ch)
 	if err != nil {
 		return d.readFailed(err)
 	}
 	// The books a one-record subset over the key kept: a record examined
 	// when it is there, and the residual evaluated on it.
-	reply := &fsdp.Reply{}
+	reply := sl.answer(fsdp.Reply{})
 	if found {
 		d.stats.rowsScanned.Add(1)
 		reply.Examined = 1
@@ -895,8 +900,8 @@ func (d *DP) writeKey(req *fsdp.Request) *fsdp.Reply {
 // A change makes a record's new image from its current one; writeLocked
 // deletes the record when its change is nil.
 type change struct {
-	set []expr.Assignment // the SQL writes: the SET list, evaluated on the record
-	row record.Row        // REWRITE and UPDATE^BLOCK: the record the File System sent, whole
+	set *expr.SetList // the SQL writes: the SET list, evaluated on the record
+	row record.Row    // REWRITE and UPDATE^BLOCK: the record the File System sent, whole
 }
 
 // apply returns the record's new image, coerced to f's schema; a SET list
@@ -905,7 +910,7 @@ func (c *change) apply(f *fileState, old, dst record.Row) (record.Row, error) {
 	newRow := c.row
 	if newRow == nil {
 		var err error
-		if newRow, err = expr.AppendAssignments(dst, old, c.set); err != nil {
+		if newRow, err = c.set.Append(dst, old); err != nil {
 			return nil, err
 		}
 	}
@@ -924,13 +929,14 @@ func (c *change) apply(f *fileState, old, dst record.Row) (record.Row, error) {
 // is there and wrote whether it was changed; when either is false nothing
 // was written, and whether that is an error is the caller's to say. The
 // predicate check is not counted: the caller counts the evaluation that
-// chose the record. The key must be the caller's for good: the lock, the
-// undo entry and the audit record keep it.
-func (d *DP) writeLocked(tx uint64, file string, f *fileState, key []byte, pred *expr.Program, ch *change) (found, wrote bool, err error) {
+// chose the record. The change is made in w; the audit record and the
+// undo entry point at key until it is logged, and the lock and the undo
+// entry then keep copies.
+func (d *DP) writeLocked(w *write, tx uint64, file string, f *fileState, key []byte, pred *expr.Program, ch *change) (found, wrote bool, err error) {
 	if err := d.lockTx(tx, file, key, lock.Exclusive); err != nil {
 		return false, false, err
 	}
-	var w write
+	w.begin()
 	err = f.tree.Edit(key, func(cur []byte, there bool) (btree.Edit, error) {
 		if found = there; !found {
 			return btree.Edit{}, nil
@@ -945,32 +951,48 @@ func (d *DP) writeLocked(tx uint64, file string, f *fileState, key []byte, pred 
 			}
 		}
 		if ch == nil {
-			return d.deleteFound(&w, tx, file, key, cur), nil
+			return d.deleteFound(w, tx, file, key, cur), nil
 		}
-		return d.updateFound(&w, tx, file, f, key, cur, ch)
+		return d.updateFound(w, tx, file, f, key, cur, ch)
 	})
-	err = d.logged(tx, &w, err)
-	return found, err == nil && w.rec != nil, err
+	err = d.logged(tx, w, err)
+	return found, err == nil && w.audited, err
 }
 
 // mustWrite is writeLocked for REWRITE, DELETE and their blocks, which name
 // a record that must be there.
-func (d *DP) mustWrite(tx uint64, file string, f *fileState, key []byte, ch *change) error {
-	found, _, err := d.writeLocked(tx, file, f, key, nil, ch)
+func (d *DP) mustWrite(w *write, tx uint64, file string, f *fileState, key []byte, ch *change) error {
+	found, _, err := d.writeLocked(w, tx, file, f, key, nil, ch)
 	if err == nil && !found {
 		err = fmt.Errorf("%w (%s)", btree.ErrNotFound, file)
 	}
 	return err
 }
 
-// A write is one record change made under its leaf's latch: the audit
-// record appended to the trail there (nil when nothing was), the flushes
-// of the audit buffers that append filled, and the undo entry that takes
-// the change back.
+// A write is one record change made under its leaf's latch — the audit
+// record appended to the trail there (audited false when nothing was),
+// the flushes of the audit buffers that append filled, and the undo entry
+// that takes the change back — and the memory it is made in: the record's
+// rows as it is and as the change makes it, the changed fields, and an
+// arena for the key and the images. Whoever owns a write reuses it from
+// change to change (a slot, from request to request): once a change is
+// logged nothing points into it, for the lock and the undo entry copied
+// what they keep and the trail and the backup's stream encoded the record.
 type write struct {
-	rec    *wal.Record
-	filled tmf.Filled
-	undo   undoRec
+	rec     wal.Record
+	audited bool
+	filled  tmf.Filled
+	undo    undoRec
+	rows    record.Row
+	changed []int
+	bytes   fsdp.Arena
+}
+
+// begin starts a change in w: nothing audited, the last change's bytes
+// taken back.
+func (w *write) begin() {
+	w.audited = false
+	w.bytes.Reset()
 }
 
 // audit buffers w's audit record on the trail and fires the write's crash
@@ -980,8 +1002,8 @@ type write struct {
 // sync, and an audit-send message) and the ship to a backup, which may
 // wait on the backup's flush, wait until the latch is gone (logged).
 func (d *DP) audit(w *write, point string) wal.LSN {
-	lsn, filled := d.cfg.Audit.Buffer(w.rec)
-	w.filled = filled
+	lsn, filled := d.cfg.Audit.Buffer(&w.rec)
+	w.audited, w.filled = true, filled
 	fault.Inject(point)
 	return lsn
 }
@@ -991,11 +1013,11 @@ func (d *DP) audit(w *write, point string) wal.LSN {
 // — when the change is in the tree (err nil) — its undo entry is kept and
 // it is counted.
 func (d *DP) logged(tx uint64, w *write, err error) error {
-	if w.rec == nil {
+	if !w.audited {
 		return err
 	}
 	d.cfg.Audit.FlushFull(w.filled)
-	d.ship(w.rec)
+	d.ship(&w.rec)
 	if err != nil {
 		return err
 	}
@@ -1017,13 +1039,13 @@ func (d *DP) logged(tx uint64, w *write, err error) error {
 // every value the change leaves as it was: nothing made of the two rows
 // outlives the latch but the encoded images, and those are copies.
 func (d *DP) updateFound(w *write, tx uint64, file string, f *fileState, key, cur []byte, ch *change) (btree.Edit, error) {
-	// One allocation holds both rows: the record as it is, and as the
-	// change makes it.
+	// w's rows hold both: the record as it is, and as the change makes it.
 	width := len(f.schema.Fields)
-	arena, oldRow, err := record.AppendBorrowed(make(record.Row, 0, 2*width), cur)
+	arena, oldRow, err := record.AppendBorrowed(slices.Grow(w.rows[:0], 2*width), cur)
 	if err != nil {
 		return btree.Edit{}, err
 	}
+	w.rows = arena[:0]
 	newRow, err := ch.apply(f, oldRow, arena)
 	if err != nil {
 		return btree.Edit{}, err
@@ -1038,42 +1060,41 @@ func (d *DP) updateFound(w *write, tx uint64, file string, f *fileState, key, cu
 	if !bytes.Equal(key, f.schema.AppendKey(kb[:0], newRow)) {
 		return btree.Edit{}, fmt.Errorf("dp %s: update may not change the primary key of %q", d.cfg.Name, file)
 	}
-	// And one holds both images: the record's bytes as they are, which the
-	// undo entry restores, and the new ones for the leaf.
-	img := append(make([]byte, 0, len(cur)+record.EncodedLen(newRow)), cur...)
-	before := img[:len(cur):len(cur)]
-	newEnc := record.AppendEncode(img[len(cur):], newRow)
-	rec := &wal.Record{
+	// And w's buffer the images: the record's bytes as they are, which the
+	// undo entry restores, the new ones for the leaf, and the audit's.
+	before := w.bytes.Keep(append(w.bytes.Free(), cur...))
+	newEnc := w.bytes.Keep(record.AppendEncode(w.bytes.Free(), newRow))
+	w.rec = wal.Record{
 		Type: wal.RecUpdate, TxID: tx, Volume: d.cfg.Volume.Name(), File: file, Key: key,
 	}
 	if f.fieldAudit {
 		// SQL field compression: only the changed fields' images.
-		changed := record.DiffFields(oldRow, newRow)
-		rec.Before = record.EncodeFieldImages(oldRow, changed)
-		rec.After = record.EncodeFieldImages(newRow, changed)
-		rec.FieldCompressed = true
+		w.changed = record.AppendDiffFields(w.changed[:0], oldRow, newRow)
+		w.rec.Before = w.bytes.Keep(record.AppendFieldImages(w.bytes.Free(), oldRow, w.changed))
+		w.rec.After = w.bytes.Keep(record.AppendFieldImages(w.bytes.Free(), newRow, w.changed))
+		w.rec.FieldCompressed = true
 	} else {
-		rec.Before = before
-		rec.After = newEnc
+		w.rec.Before = before
+		w.rec.After = newEnc
 	}
-	*w = write{rec: rec, undo: undoRec{file: file, kind: wal.RecUpdate, key: key, before: before}}
+	w.undo = undoRec{file: file, kind: wal.RecUpdate, key: key, before: before}
 	return btree.Edit{Op: btree.Put, Val: newEnc, LSN: d.audit(w, fault.DPUpdateAfterAudit)}, nil
 }
 
 // deleteFound audits the removal of the locked record cur, borrowed from
 // its leaf.
 func (d *DP) deleteFound(w *write, tx uint64, file string, key, cur []byte) btree.Edit {
-	before := bytes.Clone(cur)
-	rec := &wal.Record{
+	before := w.bytes.Keep(append(w.bytes.Free(), cur...))
+	w.rec = wal.Record{
 		Type: wal.RecDelete, TxID: tx, Volume: d.cfg.Volume.Name(), File: file,
 		Key: key, Before: before,
 	}
-	*w = write{rec: rec, undo: undoRec{file: file, kind: wal.RecDelete, key: key, before: before}}
+	w.undo = undoRec{file: file, kind: wal.RecDelete, key: key, before: before}
 	return btree.Edit{Op: btree.Remove, LSN: d.audit(w, fault.DPDeleteAfterAudit)}
 }
 
 // lockOp serves explicit LOCKFILE / LOCKRECORD / LOCKRANGE requests.
-func (d *DP) lockOp(req *fsdp.Request) *fsdp.Reply {
+func (d *DP) lockOp(req *fsdp.Request, sl *slot) *fsdp.Reply {
 	if req.Tx == 0 {
 		return &fsdp.Reply{Code: fsdp.ErrBadRequest, Err: "dp: locks require a transaction"}
 	}
@@ -1084,7 +1105,7 @@ func (d *DP) lockOp(req *fsdp.Request) *fsdp.Reply {
 	var err error
 	switch req.Kind {
 	case fsdp.KLockFile:
-		err = d.locks.LockFile(req.Tx, req.File, mode)
+		_, err = d.locks.Acquire(req.Tx, req.File, keys.All(), mode)
 	case fsdp.KLockRecord:
 		err = d.locks.LockRecord(req.Tx, req.File, req.Key, mode)
 	case fsdp.KLockRange:
@@ -1094,7 +1115,7 @@ func (d *DP) lockOp(req *fsdp.Request) *fsdp.Reply {
 		return errReply(err)
 	}
 	d.joinTx(req.Tx)
-	return &fsdp.Reply{}
+	return sl.answer(fsdp.Reply{})
 }
 
 // lockTx acquires a record lock and registers the tx locally.

@@ -213,7 +213,7 @@ func TestAbortUndoes(t *testing.T) {
 		t.Error("aborted delete not undone")
 	}
 	// Locks released.
-	if d.Locks().HeldBy(tx) != 0 {
+	if d.Locks().Held() != 0 {
 		t.Error("locks survive abort")
 	}
 }
@@ -223,11 +223,11 @@ func TestCommitReleasesLocks(t *testing.T) {
 	s := createEmp(t, d, nil)
 	tx := tmf.NewTxID()
 	insertEmp(t, d, s, tx, empRow(1, "a", 1))
-	if d.Locks().HeldBy(tx) == 0 {
+	if d.Locks().Held() == 0 {
 		t.Fatal("no lock held during tx")
 	}
 	commitTx(t, d, tx)
-	if d.Locks().HeldBy(tx) != 0 {
+	if d.Locks().Held() != 0 {
 		t.Error("locks survive commit")
 	}
 }
@@ -568,7 +568,7 @@ func TestPrepareCommitTwoPhase(t *testing.T) {
 	if !reply.OK() {
 		t.Fatal(reply.Err)
 	}
-	if d.Locks().HeldBy(tx) != 0 {
+	if d.Locks().Held() != 0 {
 		t.Error("locks after phase 2")
 	}
 }

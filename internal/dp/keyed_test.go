@@ -179,7 +179,7 @@ func TestKeyedWrite(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var audited []*wal.Record
-			d, _, _ := testDP(t, func(c *Config) { c.Ship = func(rec *wal.Record) { audited = append(audited, rec) } })
+			d, _, _ := testDP(t, func(c *Config) { c.Ship = func(rec *wal.Record) { r := *rec; audited = append(audited, &r) } })
 			s := createEmp(t, d, check)
 			t0 := tmf.NewTxID()
 			for i := int64(0); i < 5; i++ {
@@ -197,7 +197,7 @@ func TestKeyedWrite(t *testing.T) {
 			}
 			// The key is locked whatever became of the record, until the
 			// transaction ends.
-			if held := d.Locks().HeldBy(tx); held != 1 {
+			if held := d.Locks().Held(); held != 1 {
 				t.Errorf("%d locks held after the request, want the key's", held)
 			}
 			if _, scbs := d.OpenState(); scbs != 0 {

@@ -35,7 +35,7 @@ func newTwoPhaseRig(t *testing.T) *twoPhaseRig {
 	r.trail = r.newTrail(t, r.auditVol, 1)
 	r.addDP(t, "$DATA1", r.trail)
 	r.addDP(t, "$DATA2", r.trail)
-	r.coord = &tmf.Coordinator{Trail: r.trail, Send: func(server string, req *fsdp.Request) (*fsdp.Reply, error) {
+	r.coord = &tmf.Coordinator{Trail: r.trail, Send: func(_ *fsdp.Arena, server string, req *fsdp.Request) (*fsdp.Reply, error) {
 		return r.dps[server].Serve(req), nil
 	}}
 	return r

@@ -267,11 +267,11 @@ func TestCrashReleasesLocks(t *testing.T) {
 	r := newCrashRig(t)
 	tx := tmf.NewTxID()
 	insertEmp(t, r.d, r.schema, tx, empRow(1, "x", 1))
-	if r.d.Locks().HeldBy(tx) == 0 {
+	if r.d.Locks().Held() == 0 {
 		t.Fatal("no locks pre-crash")
 	}
 	r.d.Crash()
-	if r.d.Locks().HeldBy(tx) != 0 {
+	if r.d.Locks().Held() != 0 {
 		t.Error("locks survived crash")
 	}
 }

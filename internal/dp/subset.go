@@ -475,11 +475,8 @@ var countRecords = &subsetKind{first: fsdp.KCountFirst,
 // the mutations re-descend the tree, so they run after it lets go.
 var (
 	updateRecords = &subsetKind{first: fsdp.KUpdateSubsetFirst, mutates: true, visit: visitCollect,
-		open: func(r *subsetRun) (err error) {
-			r.s.assigns, err = expr.DecodeAssignments(r.req.Assign)
-			return err
-		},
-		finish: func(r *subsetRun) error { return r.apply(&change{set: r.s.assigns}) }}
+		open:   func(r *subsetRun) error { return r.s.set.Decode(r.req.Assign) },
+		finish: func(r *subsetRun) error { return r.apply(&change{set: &r.s.set}) }}
 	deleteRecords = &subsetKind{first: fsdp.KDeleteSubsetFirst, mutates: true, visit: visitCollect,
 		finish: func(r *subsetRun) error { return r.apply(nil) }}
 )
@@ -497,8 +494,9 @@ func visitCollect(r *subsetRun, j int) (bool, error) {
 // gone, or that qualified only through another transaction's uncommitted
 // change, is skipped.
 func (r *subsetRun) apply(ch *change) error {
+	var w write
 	for _, key := range r.hits {
-		_, wrote, err := r.d.writeLocked(r.req.Tx, r.req.File, r.f, key, r.s.pred, ch)
+		_, wrote, err := r.d.writeLocked(&w, r.req.Tx, r.req.File, r.f, key, r.s.pred, ch)
 		if err != nil {
 			return err
 		}
@@ -526,8 +524,9 @@ func (d *DP) insertBlock(req *fsdp.Request) *fsdp.Reply {
 		return errReply(err)
 	}
 	reply := &fsdp.Reply{}
+	var w write
 	for _, row := range rows {
-		if err := d.insertOne(req.Tx, req.File, f, row); err != nil {
+		if err := d.insertOne(&w, req.Tx, req.File, f, row); err != nil {
 			r := errReply(err)
 			r.Count = reply.Count
 			return r
@@ -557,8 +556,9 @@ func (d *DP) updateBlock(req *fsdp.Request) *fsdp.Reply {
 		return errReply(err)
 	}
 	reply := &fsdp.Reply{}
+	var w write
 	for i, key := range req.RowKeys {
-		if err := d.mustWrite(req.Tx, req.File, f, key, &change{row: rows[i]}); err != nil {
+		if err := d.mustWrite(&w, req.Tx, req.File, f, key, &change{row: rows[i]}); err != nil {
 			r := errReply(err)
 			r.Count = reply.Count
 			return r
@@ -579,8 +579,9 @@ func (d *DP) deleteBlock(req *fsdp.Request) *fsdp.Reply {
 		return &fsdp.Reply{Code: fsdp.ErrBadRequest, Err: "dp: delete block requires a transaction"}
 	}
 	reply := &fsdp.Reply{}
+	var w write
 	for _, key := range req.RowKeys {
-		if err := d.mustWrite(req.Tx, req.File, f, key, nil); err != nil {
+		if err := d.mustWrite(&w, req.Tx, req.File, f, key, nil); err != nil {
 			r := errReply(err)
 			r.Count = reply.Count
 			return r

@@ -5,13 +5,17 @@ import (
 
 	"nonstopsql/internal/fault"
 	"nonstopsql/internal/fsdp"
+	"nonstopsql/internal/poison"
 	"nonstopsql/internal/record"
 	"nonstopsql/internal/wal"
 )
 
-// txState is this DP's participant state for one transaction.
+// txState is this DP's participant state for one transaction. A finished
+// transaction's state goes on the DP's free list (finishTx) and serves a
+// later one, its arrays and all.
 type txState struct {
 	undo     []undoRec // applied in reverse on abort
+	images   []byte    // the undo entries' keys and images (keep)
 	prepared bool
 }
 
@@ -25,25 +29,55 @@ type undoRec struct {
 	before []byte
 }
 
-func (d *DP) joinTx(tx uint64) *txState {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+// Bounds on what the free list keeps: how many states, and the largest
+// image buffer one keeps — a transaction that changed more gives its
+// buffer to the collector.
+const (
+	maxFreeTxs    = 256
+	maxFreeImages = 64 << 10
+)
+
+// keep copies b to t's images and returns the copy; nil stays nil. An
+// append that outgrows the buffer leaves the copies already made in the
+// old array, where their entries still find them.
+func (t *txState) keep(b []byte) []byte {
+	if b == nil {
+		return nil
+	}
+	t.images = append(t.images, b...)
+	return t.images[len(t.images)-len(b) : len(t.images) : len(t.images)]
+}
+
+// txLocked returns tx's state, making it — from the free list when it can
+// — when tx is new here. Callers hold d.mu.
+func (d *DP) txLocked(tx uint64) *txState {
 	t, ok := d.txs[tx]
 	if !ok {
-		t = &txState{}
+		if n := len(d.freeTxs); n > 0 {
+			t = d.freeTxs[n-1]
+			d.freeTxs[n-1] = nil
+			d.freeTxs = d.freeTxs[:n-1]
+		} else {
+			t = new(txState)
+		}
 		d.txs[tx] = t
 	}
 	return t
 }
 
+func (d *DP) joinTx(tx uint64) {
+	d.mu.Lock()
+	d.txLocked(tx)
+	d.mu.Unlock()
+}
+
+// addUndo adds u to tx's undo chain, with copies of its key and image: the
+// write's buffer they lie in is reused by its next change.
 func (d *DP) addUndo(tx uint64, u undoRec) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	t, ok := d.txs[tx]
-	if !ok {
-		t = &txState{}
-		d.txs[tx] = t
-	}
+	t := d.txLocked(tx)
+	u.key, u.before = t.keep(u.key), t.keep(u.before)
 	t.undo = append(t.undo, u)
 }
 
@@ -79,15 +113,16 @@ func (d *DP) ship(rec *wal.Record) {
 // in between undoes the transaction on every volume, as presumed abort
 // would after a forced prepare. An anonymous trail (ID 0) always forces;
 // the backup's shipFlush below is not affected. DESIGN.md §17.
-func (d *DP) prepare(req *fsdp.Request) *fsdp.Reply {
+func (d *DP) prepare(req *fsdp.Request, sl *slot) *fsdp.Reply {
 	d.mu.Lock()
-	t, ok := d.txs[req.Tx]
+	_, ok := d.txs[req.Tx]
 	d.mu.Unlock()
 	if !ok {
 		// Never touched here: trivially prepared (read-only participant).
-		return &fsdp.Reply{}
+		return sl.answer(fsdp.Reply{})
 	}
-	lsn := d.appendAudit(&wal.Record{Type: wal.RecPrepare, TxID: req.Tx, Volume: d.cfg.Volume.Name()})
+	sl.mark = wal.Record{Type: wal.RecPrepare, TxID: req.Tx, Volume: d.cfg.Volume.Name()}
+	lsn := d.appendAudit(&sl.mark)
 	d.cfg.Audit.FlushSend()
 	if trail := d.cfg.Audit.Trail(); trail.ID() == 0 || trail.ID() != req.CommitLSN {
 		trail.FlushTo(lsn)
@@ -99,9 +134,11 @@ func (d *DP) prepare(req *fsdp.Request) *fsdp.Reply {
 	// out — this volume's own trail can honor it).
 	_ = d.shipFlush()
 	d.mu.Lock()
-	t.prepared = true
+	if t, ok := d.txs[req.Tx]; ok {
+		t.prepared = true
+	}
 	d.mu.Unlock()
-	return &fsdp.Reply{}
+	return sl.answer(fsdp.Reply{})
 }
 
 // shipSync ships one synthesized record (commit marker, file marker)
@@ -132,7 +169,7 @@ func (d *DP) shipFlush() error {
 // become durable, riding group commit with every other transaction in
 // the node. With CommitLSN set, the coordinator already forced the
 // commit record; this is 2PC phase 2.
-func (d *DP) commit(req *fsdp.Request) *fsdp.Reply {
+func (d *DP) commit(req *fsdp.Request, sl *slot) *fsdp.Reply {
 	// A promoted replica resolves transactions it holds in doubt (and
 	// refuses ones it fenced off) before the normal path runs.
 	if reply, handled := d.replicaCommit(req); handled {
@@ -156,17 +193,18 @@ func (d *DP) commit(req *fsdp.Request) *fsdp.Reply {
 		// mode: the commit is durable on this volume's own trail and is
 		// still acknowledged, but the loss of the backup guarantee is
 		// counted, and takeover refuses to promote until catch-up lands.
-		_ = d.shipSync(&wal.Record{Type: wal.RecCommit, TxID: req.Tx, Volume: d.cfg.Volume.Name()})
+		sl.mark = wal.Record{Type: wal.RecCommit, TxID: req.Tx, Volume: d.cfg.Volume.Name()}
+		_ = d.shipSync(&sl.mark)
 	}
 	fault.Inject(fault.DPCommitBeforeFinish)
 	d.finishTx(req.Tx)
 	d.idleWork()
-	return &fsdp.Reply{}
+	return sl.answer(fsdp.Reply{})
 }
 
 // abort serves KAbort: undo in reverse order, write the abort record,
 // release everything.
-func (d *DP) abort(req *fsdp.Request) *fsdp.Reply {
+func (d *DP) abort(req *fsdp.Request, sl *slot) *fsdp.Reply {
 	if reply, handled := d.replicaAbort(req); handled {
 		return reply
 	}
@@ -174,11 +212,12 @@ func (d *DP) abort(req *fsdp.Request) *fsdp.Reply {
 	t, ok := d.txs[req.Tx]
 	d.mu.Unlock()
 	if ok {
-		if err := d.undoTx(req.Tx, t); err != nil {
+		if err := d.undoTx(&sl.mark, req.Tx, t); err != nil {
 			// Undo failure is unrecoverable for this volume state.
 			return errReply(fmt.Errorf("dp %s: undo of tx %d failed: %w", d.cfg.Name, req.Tx, err))
 		}
-		d.appendAudit(&wal.Record{Type: wal.RecAbort, TxID: req.Tx, Volume: d.cfg.Volume.Name()})
+		sl.mark = wal.Record{Type: wal.RecAbort, TxID: req.Tx, Volume: d.cfg.Volume.Name()}
+		d.appendAudit(&sl.mark)
 		// The backup must drop the tx's pending records before locks
 		// release here, or a later takeover could undo a successor's work.
 		// (On a failed flush the abort marker rides the retained buffer;
@@ -186,13 +225,14 @@ func (d *DP) abort(req *fsdp.Request) *fsdp.Reply {
 		_ = d.shipFlush()
 	}
 	d.finishTx(req.Tx)
-	return &fsdp.Reply{}
+	return sl.answer(fsdp.Reply{})
 }
 
-// undoTx applies the in-memory undo chain in reverse. Compensation
-// records go through appendAudit like forward audit: a replicated
-// group's backup must see them in its checkpoint stream.
-func (d *DP) undoTx(tx uint64, t *txState) error {
+// undoTx applies the in-memory undo chain in reverse, auditing each
+// compensation in rec. Compensation records go through appendAudit like
+// forward audit: a replicated group's backup must see them in its
+// checkpoint stream.
+func (d *DP) undoTx(rec *wal.Record, tx uint64, t *txState) error {
 	for i := len(t.undo) - 1; i >= 0; i-- {
 		fault.Inject(fault.DPAbortMidUndo)
 		u := t.undo[i]
@@ -204,26 +244,29 @@ func (d *DP) undoTx(tx uint64, t *txState) error {
 		// them too (repeating history).
 		switch u.kind {
 		case wal.RecInsert:
-			lsn := d.appendAudit(&wal.Record{
+			*rec = wal.Record{
 				Type: wal.RecDelete, TxID: tx, Volume: d.cfg.Volume.Name(), File: u.file,
 				Key: u.key, Compensation: true,
-			})
+			}
+			lsn := d.appendAudit(rec)
 			if err := f.tree.Delete(u.key, lsn); err != nil {
 				return err
 			}
 		case wal.RecUpdate:
-			lsn := d.appendAudit(&wal.Record{
+			*rec = wal.Record{
 				Type: wal.RecUpdate, TxID: tx, Volume: d.cfg.Volume.Name(), File: u.file,
 				Key: u.key, After: u.before, Compensation: true,
-			})
+			}
+			lsn := d.appendAudit(rec)
 			if err := f.tree.Update(u.key, u.before, lsn); err != nil {
 				return err
 			}
 		case wal.RecDelete:
-			lsn := d.appendAudit(&wal.Record{
+			*rec = wal.Record{
 				Type: wal.RecInsert, TxID: tx, Volume: d.cfg.Volume.Name(), File: u.file,
 				Key: u.key, After: u.before, Compensation: true,
-			})
+			}
+			lsn := d.appendAudit(rec)
 			if err := f.tree.Insert(u.key, u.before, lsn); err != nil {
 				return err
 			}
@@ -232,10 +275,23 @@ func (d *DP) undoTx(tx uint64, t *txState) error {
 	return nil
 }
 
-// finishTx drops tx state, its Subset Control Blocks, and its locks.
+// finishTx drops tx state, its Subset Control Blocks, and its locks. The
+// state goes on the free list, its images poisoned under the race
+// detector: nothing reads them once the transaction is over.
 func (d *DP) finishTx(tx uint64) {
 	d.mu.Lock()
-	delete(d.txs, tx)
+	if t, ok := d.txs[tx]; ok {
+		delete(d.txs, tx)
+		if len(d.freeTxs) < maxFreeTxs {
+			poison.Fill(t.images)
+			clear(t.undo)
+			t.undo, t.images, t.prepared = t.undo[:0], t.images[:0], false
+			if cap(t.images) > maxFreeImages {
+				t.undo, t.images = nil, nil
+			}
+			d.freeTxs = append(d.freeTxs, t)
+		}
+	}
 	for id, s := range d.scbs {
 		if s.tx == tx {
 			delete(d.scbs, id)

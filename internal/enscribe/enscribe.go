@@ -239,7 +239,7 @@ func (e *File) sendTx(tx *tmf.Tx, server string, req *fsdp.Request) (*fsdp.Reply
 
 // Write inserts a record (ENSCRIBE WRITE).
 func (e *File) Write(tx *tmf.Tx, row record.Row) error {
-	return e.fs.Insert(tx, e.def, row)
+	return e.fs.Insert(nil, tx, e.def, row)
 }
 
 // Rewrite replaces a record by key (ENSCRIBE REWRITE): the requester

@@ -462,7 +462,7 @@ func e14Client(r *rig, run *e14Run, bank *debitcredit.Bank, scratch *fs.FileDef,
 			ops = append(ops, e14Op{kind: 'a', file: "BRANCH", id: bid, delta: delta})
 		}
 		if err == nil {
-			err = f.Insert(tx, bank.History, record.Row{
+			err = f.Insert(nil, tx, bank.History, record.Row{
 				record.Int(hid), record.Int(aid), record.Int(tid), record.Int(bid),
 				record.Float(delta), record.String("e14"),
 			})
@@ -473,7 +473,7 @@ func e14Client(r *rig, run *e14Run, bank *debitcredit.Bank, scratch *fs.FileDef,
 		if err == nil && doScratch {
 			newScratch = hid
 			payload := fmt.Sprintf("scratch-%d-%d", id, seq)
-			err = f.Insert(tx, scratch, record.Row{record.Int(newScratch), record.String(payload)})
+			err = f.Insert(nil, tx, scratch, record.Row{record.Int(newScratch), record.String(payload)})
 			ops = append(ops, e14Op{kind: 'i', id: newScratch, payload: payload})
 			if err == nil && lastScratch >= 0 {
 				err = f.Delete(tx, scratch, e14Key(lastScratch))

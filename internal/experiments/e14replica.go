@@ -134,7 +134,7 @@ func e14ReplicaIteration(point string, seed int64, txnsPerClient int) (*E14Resul
 			if err := r.fs.UpdateFields(tx, bank.Branch, e14Key(bid), e14Add(1, "BBALANCE", delta)); err != nil {
 				return nil, err
 			}
-			if err := r.fs.Insert(tx, scratch, record.Row{record.Int(int64(60_000_000 + i)), record.String("in-flight")}); err != nil {
+			if err := r.fs.Insert(nil, tx, scratch, record.Row{record.Int(int64(60_000_000 + i)), record.String("in-flight")}); err != nil {
 				return nil, err
 			}
 			// Left open: the primary dies before these ever commit.

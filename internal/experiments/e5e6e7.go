@@ -264,7 +264,7 @@ func E6(n int) ([]E6Result, *Table, error) {
 		for i := 0; i < updates; i++ {
 			tx := r.fs.Begin()
 			key := record.Int(int64(rng.Intn(n))).AppendKey(nil)
-			if _, err := r.fs.UpdateKey(tx, def, key, nil, assigns); err != nil {
+			if _, err := r.fs.UpdateKey(nil, tx, def, key, nil, assigns); err != nil {
 				return err
 			}
 			if err := r.fs.Commit(tx); err != nil {

@@ -64,7 +64,7 @@ func E8(n int, factors []int) ([]E8Result, *Table, error) {
 	if err := run("WRITE per record (current interface)", func(r *rig, def *fs.FileDef) error {
 		tx := r.fs.Begin()
 		for i := 0; i < n; i++ {
-			if err := r.fs.Insert(tx, def, mk(i)); err != nil {
+			if err := r.fs.Insert(nil, tx, def, mk(i)); err != nil {
 				return err
 			}
 		}
@@ -226,7 +226,7 @@ func F1() ([]F1Result, *Table, error) {
 		c.Net.ResetStats()
 		tx := f.Begin()
 		for i := 0; i < 10; i++ {
-			if err := f.Insert(tx, def, record.Row{record.Int(int64(i)), record.String("v")}); err != nil {
+			if err := f.Insert(nil, tx, def, record.Row{record.Int(int64(i)), record.String("v")}); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -263,7 +263,7 @@ func F2() ([]F2Result, *Table, error) {
 		return nil, nil, err
 	}
 	tx := r.fs.Begin()
-	if err := r.fs.Insert(tx, def, record.Row{
+	if err := r.fs.Insert(nil, tx, def, record.Row{
 		record.Int(7), record.String("borr"), record.Float(100), record.String("x"),
 	}); err != nil {
 		return nil, nil, err

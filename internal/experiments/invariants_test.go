@@ -455,7 +455,7 @@ func e21Txn(f *fs.FS, bank *debitcredit.Bank, aid, tid, bid, hid int64, delta fl
 		err = f.UpdateFields(tx, bank.Branch, e14Key(bid), e14Add(1, "BBALANCE", delta))
 	}
 	if err == nil {
-		err = f.Insert(tx, bank.History, record.Row{
+		err = f.Insert(nil, tx, bank.History, record.Row{
 			record.Int(hid), record.Int(aid), record.Int(tid), record.Int(bid),
 			record.Float(delta), record.String("e21"),
 		})

@@ -33,11 +33,14 @@ const (
 
 // Encode serializes an expression for the FS-DP wire. A nil expression
 // encodes to an empty slice.
-func Encode(e Expr) []byte {
+func Encode(e Expr) []byte { return AppendEncode(nil, e) }
+
+// AppendEncode appends Encode(e) to b.
+func AppendEncode(b []byte, e Expr) []byte {
 	if e == nil {
-		return nil
+		return b
 	}
-	return appendExpr(nil, e)
+	return appendExpr(b, e)
 }
 
 func appendExpr(b []byte, e Expr) []byte {
@@ -156,56 +159,22 @@ func decodeExpr(b []byte, depth int) (Expr, []byte, error) {
 }
 
 // EncodeAssignments serializes a SET list for the FS-DP wire.
-func EncodeAssignments(as []Assignment) []byte {
-	b := binary.AppendUvarint(nil, uint64(len(as)))
+func EncodeAssignments(as []Assignment) []byte { return AppendEncodeAssignments(nil, as) }
+
+// AppendEncodeAssignments appends EncodeAssignments(as) to b. Each
+// right-hand side is encoded in place and its length prefix put in front
+// of it after, so nothing is encoded twice or apart.
+func AppendEncodeAssignments(b []byte, as []Assignment) []byte {
+	b = binary.AppendUvarint(b, uint64(len(as)))
+	var hdr [binary.MaxVarintLen64]byte
 	for _, a := range as {
 		b = binary.AppendUvarint(b, uint64(a.Field))
-		sub := appendExpr(nil, a.E)
-		b = binary.AppendUvarint(b, uint64(len(sub)))
-		b = append(b, sub...)
+		start := len(b)
+		b = appendExpr(b, a.E)
+		h := binary.PutUvarint(hdr[:], uint64(len(b)-start))
+		b = append(b, hdr[:h]...)
+		copy(b[start+h:], b[start:len(b)-h])
+		copy(b[start:], hdr[:h])
 	}
 	return b
-}
-
-// DecodeAssignments parses a serialized SET list.
-func DecodeAssignments(b []byte) ([]Assignment, error) {
-	if len(b) == 0 {
-		return nil, nil
-	}
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 {
-		return nil, fmt.Errorf("expr: bad assignment header")
-	}
-	b = b[sz:]
-	// n is untrusted; an assignment is a field, a length and at least one
-	// byte of expression.
-	if n > uint64(len(b))/3 {
-		return nil, fmt.Errorf("expr: %d assignments in %d bytes", n, len(b))
-	}
-	out := make([]Assignment, 0, n)
-	for i := uint64(0); i < n; i++ {
-		f, sz, err := ordinal(b)
-		if err != nil {
-			return nil, err
-		}
-		b = b[sz:]
-		l, sz := binary.Uvarint(b)
-		if sz <= 0 || uint64(len(b)-sz) < l {
-			return nil, fmt.Errorf("expr: bad assignment body")
-		}
-		b = b[sz:]
-		e, rest, err := decodeExpr(b[:l], maxDepth)
-		if err != nil {
-			return nil, err
-		}
-		if len(rest) != 0 {
-			return nil, fmt.Errorf("expr: trailing assignment bytes")
-		}
-		out = append(out, Assignment{Field: f, E: e})
-		b = b[l:]
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("expr: %d trailing bytes after assignments", len(b))
-	}
-	return out, nil
 }

@@ -208,7 +208,7 @@ func eval(e Expr, row *fields) (record.Value, error) {
 		return n.V, nil
 	case FieldRef:
 		if n.Index < 0 || n.Index >= row.len() {
-			return record.Null, errEval("field ordinal %d out of range (row has %d fields)", n.Index, row.len())
+			return record.Null, fieldOutOfRange(n.Index, row.len())
 		}
 		if row.view != nil {
 			return row.view.Value(n.Index), nil
@@ -219,39 +219,57 @@ func eval(e Expr, row *fields) (record.Value, error) {
 		if err != nil {
 			return record.Null, err
 		}
-		switch n.Op {
-		case OpIsNull:
-			return record.Bool(v.IsNull()), nil
-		case OpIsNotNull:
-			return record.Bool(!v.IsNull()), nil
-		case OpNot:
-			if v.IsNull() {
-				return record.Null, nil
-			}
-			if v.Kind != record.TypeBool {
-				return record.Null, errEval("NOT applied to %v", v.Kind)
-			}
-			return record.Bool(!v.B), nil
-		case OpNeg:
-			switch v.Kind {
-			case 0:
-				return record.Null, nil
-			case record.TypeInt:
-				return record.Int(-v.I), nil
-			case record.TypeFloat:
-				return record.Float(-v.F), nil
-			}
-			return record.Null, errEval("unary - applied to %v", v.Kind)
-		}
-		return record.Null, errEval("bad unary op %v", n.Op)
+		return unaryValue(n.Op, v)
 	case Binary:
 		return evalBinary(n, row)
 	case Param:
-		return record.Null, errEval("unsubstituted parameter ?%d (EXECUTE the prepared statement with arguments)", n.Index+1)
+		return record.Null, errParam(n.Index)
 	case nil:
 		return record.Null, errEval("nil expression")
 	}
 	return record.Null, errEval("unknown node %T", e)
+}
+
+// unaryValue applies a one-operand operator to its evaluated operand.
+func unaryValue(op Op, v record.Value) (record.Value, error) {
+	switch op {
+	case OpIsNull:
+		return record.Bool(v.IsNull()), nil
+	case OpIsNotNull:
+		return record.Bool(!v.IsNull()), nil
+	case OpNot:
+		if v.IsNull() {
+			return record.Null, nil
+		}
+		if v.Kind != record.TypeBool {
+			return record.Null, errEval("NOT applied to %v", v.Kind)
+		}
+		return record.Bool(!v.B), nil
+	case OpNeg:
+		switch v.Kind {
+		case 0:
+			return record.Null, nil
+		case record.TypeInt:
+			return record.Int(-v.I), nil
+		case record.TypeFloat:
+			return record.Float(-v.F), nil
+		}
+		return record.Null, errEval("unary - applied to %v", v.Kind)
+	}
+	return record.Null, errEval("bad unary op %v", op)
+}
+
+// evalBinary evaluates both operands, left first — AND and OR do not
+// short-circuit — and applies the operator.
+// errParam is the error of evaluating parameter slot i: the statement
+// was run without its arguments.
+func errParam(i int) error {
+	return errEval("unsubstituted parameter ?%d (EXECUTE the prepared statement with arguments)", i+1)
+}
+
+// fieldOutOfRange is the error of reading field i of a record of n.
+func fieldOutOfRange(i, n int) error {
+	return errEval("field ordinal %d out of range (row has %d fields)", i, n)
 }
 
 func evalBinary(n Binary, row *fields) (record.Value, error) {
@@ -263,7 +281,11 @@ func evalBinary(n Binary, row *fields) (record.Value, error) {
 	if err != nil {
 		return record.Null, err
 	}
-	op := n.Op
+	return binaryValue(n.Op, l, r)
+}
+
+// binaryValue applies a two-operand operator to its evaluated operands.
+func binaryValue(op Op, l, r record.Value) (record.Value, error) {
 	switch op {
 	case OpAnd, OpOr:
 		// Kleene AND/OR: a definite answer on one side decides even if the

@@ -3,6 +3,8 @@ package expr
 import (
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"nonstopsql/internal/record"
@@ -445,5 +447,49 @@ func TestRandomExtractKeyRangeSoundness(t *testing.T) {
 				t.Fatalf("iter %d: predicate %s rejects row but decomposition accepts", i, pred)
 			}
 		}
+	}
+}
+
+// TestSetList: a SetList decodes what EncodeAssignments writes and makes
+// what ApplyAssignments makes — NULL arithmetic, strings, negation, every
+// right-hand side seeing the record as it was — and decoding the next list
+// into it reuses its arrays: nothing is allocated.
+func TestSetList(t *testing.T) {
+	row := record.Row{record.Int(1), record.String("ab"), record.Float(2.5), record.Null}
+	as := []Assignment{
+		{Field: 0, E: Bin(OpAdd, F(0, "A"), CInt(1))},
+		{Field: 1, E: Bin(OpAdd, F(1, "B"), CString("c"))},
+		{Field: 2, E: Unary{Op: OpNeg, E: Bin(OpMul, F(2, "C"), F(0, "A"))}},
+		{Field: 3, E: Bin(OpSub, F(3, "D"), CInt(1))},
+	}
+	var sl SetList
+	if err := sl.Decode(EncodeAssignments(as)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := sl.Append(nil, row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := ApplyAssignments(row, as)
+	if !slices.EqualFunc(got, want, record.Value.Equal) || !got[3].IsNull() {
+		t.Fatalf("SetList made %v, ApplyAssignments %v", got, want)
+	}
+	if _, err := sl.Append(nil, row[:2]); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("a short record: %v", err)
+	}
+	debit := EncodeAssignments([]Assignment{{Field: 2, E: Bin(OpSub, F(2, "C"), CInt(1))}})
+	credit := EncodeAssignments([]Assignment{{Field: 2, E: Bin(OpAdd, F(2, "C"), CInt(1))}})
+	dst := make(record.Row, 0, len(row))
+	if n := testing.AllocsPerRun(100, func() {
+		for _, b := range [][]byte{debit, credit} {
+			if sl.Decode(b) != nil {
+				t.Fatal("decode")
+			}
+			if _, err := sl.Append(dst, row); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); n != 0 {
+		t.Errorf("decoding and running two SET lists allocates %.0f objects, want 0", n)
 	}
 }

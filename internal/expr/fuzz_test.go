@@ -159,15 +159,53 @@ func FuzzExpr(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{nodeUnary, byte(OpNot)}, 4096), []byte{0})
 	f.Fuzz(func(t *testing.T, data, rec []byte) {
 		fuzzOne(t, data)
+		row, rowErr := record.Decode(rec)
+		checkSetList(t, data, row)
 		e, err := Decode(data)
 		var v record.View
 		if err != nil || v.Reset(rec) != nil {
 			return
 		}
-		row, err := record.Decode(rec)
-		if err != nil {
-			t.Fatalf("%x: a View reads it, Decode says %v", rec, err)
+		if rowErr != nil {
+			t.Fatalf("%x: a View reads it, Decode says %v", rec, rowErr)
 		}
 		checkThreeWays(t, e, row, &v)
 	})
+}
+
+// checkSetList holds a SetList to the tree form it stands for: data
+// decodes into one — one that last held another list — exactly when
+// DecodeAssignments accepts it, with the same error, and on row (when not
+// nil) Append computes what AppendAssignments does, error for error.
+func checkSetList(t *testing.T, data []byte, row record.Row) {
+	t.Helper()
+	var sl SetList
+	if err := sl.Decode(EncodeAssignments([]Assignment{{Field: 0, E: Bin(OpAdd, F(0, "A"), CInt(1))}, {Field: 1, E: CString("old")}})); err != nil {
+		t.Fatal(err)
+	}
+	as, aerr := DecodeAssignments(data)
+	serr := sl.Decode(data)
+	if (aerr == nil) != (serr == nil) || aerr != nil && aerr.Error() != serr.Error() {
+		t.Fatalf("%x: DecodeAssignments says %v, SetList.Decode %v", data, aerr, serr)
+	}
+	if aerr != nil {
+		if len(sl.sets) != 0 {
+			t.Fatalf("%x: a refused list left %d assignments", data, len(sl.sets))
+		}
+		return
+	}
+	if len(sl.sets) != len(as) {
+		t.Fatalf("%x: %d assignments, the tree form has %d", data, len(sl.sets), len(as))
+	}
+	if row == nil {
+		return
+	}
+	want, werr := AppendAssignments(nil, row, as)
+	got, gerr := sl.Append(nil, row)
+	if (werr == nil) != (gerr == nil) || werr != nil && werr.Error() != gerr.Error() {
+		t.Fatalf("%x on %v: AppendAssignments says %v, SetList %v", data, row, werr, gerr)
+	}
+	if werr == nil && !bytes.Equal(record.Encode(want), record.Encode(got)) {
+		t.Fatalf("%x on %v: AppendAssignments makes %v, SetList %v", data, row, want, got)
+	}
 }

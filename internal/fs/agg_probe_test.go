@@ -22,7 +22,7 @@ func loadSpread(t testing.TB, r *rig, def *fs.FileDef, n int) {
 	for i := 0; i < n; i++ {
 		no := int64(i) * step
 		dept := []string{"SALES", "ENG", "HR"}[i%3]
-		if err := r.fs.Insert(tx, def, empRow(no, fmt.Sprintf("e%04d", no), dept, float64(10*i))); err != nil {
+		if err := r.fs.Insert(nil, tx, def, empRow(no, fmt.Sprintf("e%04d", no), dept, float64(10*i))); err != nil {
 			t.Fatal(err)
 		}
 	}

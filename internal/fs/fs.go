@@ -152,7 +152,7 @@ type FS struct {
 func New(client *msg.Client, coord *tmf.Coordinator) *FS {
 	f := &FS{client: client, coord: coord}
 	if coord != nil && coord.Send == nil {
-		coord.Send = f.send
+		coord.Send = f.sendIn
 	}
 	return f
 }
@@ -226,19 +226,15 @@ func (f *FS) send(server string, req *fsdp.Request) (*fsdp.Reply, error) {
 // reply appended behind the request, and the reply decoded into the
 // arena's Reply — valid, rows and all, until the arena is reset, and
 // overwritten by the arena's next send. With a nil arena all of it is
-// allocated and the reply is the caller's.
-func (f *FS) sendIn(ar *Arena, server string, req *fsdp.Request) (*fsdp.Reply, error) {
+// allocated and the reply is the caller's. It is the commit
+// coordinator's tmf.Sender.
+func (f *FS) sendIn(ar *fsdp.Arena, server string, req *fsdp.Request) (*fsdp.Reply, error) {
 	raw := ar.Keep(fsdp.AppendRequest(ar.Free(), req))
 	out, err := f.sendBytes(server, raw, ar.Free())
 	if err != nil {
 		return nil, err
 	}
-	var reply *fsdp.Reply
-	if ar != nil {
-		reply = &ar.reply
-	} else {
-		reply = new(fsdp.Reply)
-	}
+	reply := ar.Reply()
 	if err := fsdp.DecodeReplyInto(reply, ar.Keep(out)); err != nil {
 		return nil, err
 	}

@@ -118,7 +118,7 @@ func load(t testing.TB, r *rig, def *fs.FileDef, n int) {
 	tx := r.fs.Begin()
 	for i := 0; i < n; i++ {
 		row := empRow(int64(i), fmt.Sprintf("emp-%05d", i), []string{"SALES", "ENG", "HR"}[i%3], float64(1000*i))
-		if err := r.fs.Insert(tx, def, row); err != nil {
+		if err := r.fs.Insert(nil, tx, def, row); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -150,7 +150,7 @@ func TestPartitionRouting(t *testing.T) {
 	mustCreate(t, r, def)
 	tx := r.fs.Begin()
 	for _, no := range []int64{5, 1500, 2500} {
-		if err := r.fs.Insert(tx, def, empRow(no, fmt.Sprintf("e%d", no), "X", 1)); err != nil {
+		if err := r.fs.Insert(nil, tx, def, empRow(no, fmt.Sprintf("e%d", no), "X", 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -178,7 +178,7 @@ func TestScanAcrossPartitions(t *testing.T) {
 	mustCreate(t, r, def)
 	tx := r.fs.Begin()
 	for i := int64(0); i < 3000; i += 100 {
-		if err := r.fs.Insert(tx, def, empRow(i, fmt.Sprintf("e%d", i), "X", float64(i))); err != nil {
+		if err := r.fs.Insert(nil, tx, def, empRow(i, fmt.Sprintf("e%d", i), "X", float64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -293,7 +293,7 @@ func TestUpdateSubsetPushdown(t *testing.T) {
 	mustCreate(t, r, def)
 	tx := r.fs.Begin()
 	for i := int64(0); i < 3000; i += 10 {
-		r.fs.Insert(tx, def, empRow(i, "e", "X", float64(i)))
+		r.fs.Insert(nil, tx, def, empRow(i, "e", "X", float64(i)))
 	}
 	r.fs.Commit(tx)
 
@@ -341,10 +341,10 @@ func TestSecondaryIndexMaintenance(t *testing.T) {
 	def := indexedDef()
 	mustCreate(t, r, def)
 	tx := r.fs.Begin()
-	if err := r.fs.Insert(tx, def, empRow(1, "smith", "ENG", 100)); err != nil {
+	if err := r.fs.Insert(nil, tx, def, empRow(1, "smith", "ENG", 100)); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.fs.Insert(tx, def, empRow(2, "jones", "ENG", 200)); err != nil {
+	if err := r.fs.Insert(nil, tx, def, empRow(2, "jones", "ENG", 200)); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.fs.Commit(tx); err != nil {
@@ -393,7 +393,7 @@ func TestIndexedUpdateFlowMessages(t *testing.T) {
 	def := indexedDef()
 	mustCreate(t, r, def)
 	tx := r.fs.Begin()
-	r.fs.Insert(tx, def, empRow(1, "smith", "ENG", 100))
+	r.fs.Insert(nil, tx, def, empRow(1, "smith", "ENG", 100))
 	r.fs.Commit(tx)
 
 	tx2 := r.fs.Begin()
@@ -424,7 +424,7 @@ func TestUpdateSubsetFallbackWhenIndexed(t *testing.T) {
 	mustCreate(t, r, def)
 	tx := r.fs.Begin()
 	for i := int64(0); i < 20; i++ {
-		r.fs.Insert(tx, def, empRow(i, fmt.Sprintf("name%02d", i), "X", float64(i)))
+		r.fs.Insert(nil, tx, def, empRow(i, fmt.Sprintf("name%02d", i), "X", float64(i)))
 	}
 	r.fs.Commit(tx)
 
@@ -451,8 +451,8 @@ func TestAbortAcrossPartitions(t *testing.T) {
 	def := partitionedDef()
 	mustCreate(t, r, def)
 	tx := r.fs.Begin()
-	r.fs.Insert(tx, def, empRow(5, "a", "X", 1))
-	r.fs.Insert(tx, def, empRow(1500, "b", "X", 1))
+	r.fs.Insert(nil, tx, def, empRow(5, "a", "X", 1))
+	r.fs.Insert(nil, tx, def, empRow(1500, "b", "X", 1))
 	if err := r.fs.Abort(tx); err != nil {
 		t.Fatal(err)
 	}
@@ -468,8 +468,8 @@ func TestTwoPhaseCommitAcrossPartitions(t *testing.T) {
 	def := partitionedDef()
 	mustCreate(t, r, def)
 	tx := r.fs.Begin()
-	r.fs.Insert(tx, def, empRow(5, "a", "X", 1))
-	r.fs.Insert(tx, def, empRow(1500, "b", "X", 1))
+	r.fs.Insert(nil, tx, def, empRow(5, "a", "X", 1))
+	r.fs.Insert(nil, tx, def, empRow(1500, "b", "X", 1))
 	if len(tx.Participants()) != 2 {
 		t.Fatalf("participants %v", tx.Participants())
 	}
@@ -606,7 +606,7 @@ func TestConstraintSurfacesToClient(t *testing.T) {
 	def.Check = expr.Bin(expr.OpGE, expr.F(3, "SALARY"), expr.CInt(0))
 	mustCreate(t, r, def)
 	tx := r.fs.Begin()
-	err := r.fs.Insert(tx, def, empRow(1, "x", "X", -1))
+	err := r.fs.Insert(nil, tx, def, empRow(1, "x", "X", -1))
 	if !errors.Is(err, fs.ErrConstraint) {
 		t.Errorf("got %v", err)
 	}
@@ -621,7 +621,7 @@ func TestCrashRecoveryThroughCluster(t *testing.T) {
 
 	// In-flight transaction at crash time.
 	tx := r.fs.Begin()
-	if err := r.fs.Insert(tx, def, empRow(999, "phantom", "X", 1)); err != nil {
+	if err := r.fs.Insert(nil, tx, def, empRow(999, "phantom", "X", 1)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -666,7 +666,7 @@ func TestRemoteAccessCostsNetworkHops(t *testing.T) {
 	}
 	c.Net.ResetStats()
 	tx := f.Begin()
-	f.Insert(tx, def, empRow(1, "far", "X", 1))
+	f.Insert(nil, tx, def, empRow(1, "far", "X", 1))
 	f.Commit(tx)
 	s := c.Net.Stats()
 	if s.Network == 0 {

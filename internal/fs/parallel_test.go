@@ -22,7 +22,7 @@ func loadPartitioned(t testing.TB, r *rig, def *fs.FileDef, n int) {
 	step := int64(3000 / n)
 	for i := 0; i < n; i++ {
 		no := int64(i) * step
-		if err := r.fs.Insert(tx, def, empRow(no, fmt.Sprintf("e%04d", no), "X", float64(no))); err != nil {
+		if err := r.fs.Insert(nil, tx, def, empRow(no, fmt.Sprintf("e%04d", no), "X", float64(no))); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -11,16 +11,18 @@ import (
 )
 
 // Insert stores one record, maintaining every secondary index. Message
-// cost: 1 + number of indexes.
-func (f *FS) Insert(tx *tmf.Tx, def *FileDef, row record.Row) error {
+// cost: 1 + number of indexes. With an arena the record's message and its
+// reply are built in it; with nil they are allocated. The row is read,
+// not kept.
+func (f *FS) Insert(ar *fsdp.Arena, tx *tmf.Tx, def *FileDef, row record.Row) error {
 	def.Schema.Coerce(row)
 	if err := def.Schema.Validate(row); err != nil {
 		return err
 	}
-	key := def.Schema.Key(row)
-	p := partitionFor(def.Partitions, key)
-	reply, err := f.sendTx(nil, tx, p.Server, &fsdp.Request{
-		Kind: fsdp.KInsertRecord, Tx: tx.ID, File: def.Name, Row: record.Encode(row),
+	var kb [64]byte
+	p := partitionFor(def.Partitions, def.Schema.AppendKey(kb[:0], row))
+	reply, err := f.sendTx(ar, tx, p.Server, &fsdp.Request{
+		Kind: fsdp.KInsertRecord, Tx: tx.ID, File: def.Name, Row: ar.Keep(record.AppendEncode(ar.Free(), row)),
 	})
 	if err != nil {
 		return err
@@ -67,7 +69,7 @@ func (f *FS) deleteIndexEntry(tx *tmf.Tx, def *FileDef, idx *IndexDef, row recor
 // (duplicate key, constraint violation): the Disk Process may have
 // acquired locks or written audit before failing, and only a commit or
 // abort addressed to it releases them.
-func (f *FS) sendTx(ar *Arena, tx *tmf.Tx, server string, req *fsdp.Request) (*fsdp.Reply, error) {
+func (f *FS) sendTx(ar *fsdp.Arena, tx *tmf.Tx, server string, req *fsdp.Request) (*fsdp.Reply, error) {
 	reply, err := f.sendIn(ar, server, req)
 	if err == nil && tx != nil && req.Tx != 0 {
 		if jerr := tx.Join(server); jerr != nil {
@@ -91,7 +93,7 @@ func (f *FS) Read(tx *tmf.Tx, def *FileDef, key []byte, forUpdate bool) (record.
 // encoded it, unvalidated (see Rows.NextRaw). With an arena the READ and
 // its reply are built in it and the record is a slice of it; with nil
 // both are allocated and the record is the caller's.
-func (f *FS) ReadRaw(ar *Arena, tx *tmf.Tx, def *FileDef, key []byte, forUpdate bool) ([]byte, error) {
+func (f *FS) ReadRaw(ar *fsdp.Arena, tx *tmf.Tx, def *FileDef, key []byte, forUpdate bool) ([]byte, error) {
 	p := partitionFor(def.Partitions, key)
 	server := p.Server
 	req := &fsdp.Request{Kind: fsdp.KReadRecord, File: def.Name, Key: key}
@@ -224,7 +226,7 @@ func (f *FS) UpdateFields(tx *tmf.Tx, def *FileDef, key []byte, assigns []expr.A
 		}
 		return f.Update(tx, def, key, newRow)
 	}
-	n, err := f.UpdateKey(tx, def, key, nil, assigns)
+	n, err := f.UpdateKey(nil, tx, def, key, nil, assigns)
 	if err == nil && n == 0 {
 		err = fmt.Errorf("%w: %s", ErrNotFound, def.Name)
 	}
@@ -235,21 +237,25 @@ func (f *FS) UpdateFields(tx *tmf.Tx, def *FileDef, key []byte, assigns []expr.A
 // which locks the key, and applies assigns to its record there when the
 // record satisfies pred (nil: whenever it is there). It returns the
 // records changed, 1 or 0. No index entry is maintained: the caller sends
-// it only when no assigned column is indexed or part of the key.
-func (f *FS) UpdateKey(tx *tmf.Tx, def *FileDef, key []byte, pred expr.Expr, assigns []expr.Assignment) (int, error) {
-	return f.writeKey(tx, def, &fsdp.Request{Kind: fsdp.KUpdateKey, Key: key,
-		Pred: expr.Encode(pred), Assign: expr.EncodeAssignments(assigns)})
+// it only when no assigned column is indexed or part of the key. With an
+// arena the predicate, the SET list, the message and its reply are built
+// in it; with nil they are allocated.
+func (f *FS) UpdateKey(ar *fsdp.Arena, tx *tmf.Tx, def *FileDef, key []byte, pred expr.Expr, assigns []expr.Assignment) (int, error) {
+	return f.writeKey(ar, tx, def, &fsdp.Request{Kind: fsdp.KUpdateKey, Key: key,
+		Pred:   ar.Keep(expr.AppendEncode(ar.Free(), pred)),
+		Assign: ar.Keep(expr.AppendEncodeAssignments(ar.Free(), assigns))})
 }
 
 // DeleteKey is UpdateKey's DELETE^KEY, for a file without secondary
 // indexes.
-func (f *FS) DeleteKey(tx *tmf.Tx, def *FileDef, key []byte, pred expr.Expr) (int, error) {
-	return f.writeKey(tx, def, &fsdp.Request{Kind: fsdp.KDeleteKey, Key: key, Pred: expr.Encode(pred)})
+func (f *FS) DeleteKey(ar *fsdp.Arena, tx *tmf.Tx, def *FileDef, key []byte, pred expr.Expr) (int, error) {
+	return f.writeKey(ar, tx, def, &fsdp.Request{Kind: fsdp.KDeleteKey, Key: key,
+		Pred: ar.Keep(expr.AppendEncode(ar.Free(), pred))})
 }
 
-func (f *FS) writeKey(tx *tmf.Tx, def *FileDef, req *fsdp.Request) (int, error) {
+func (f *FS) writeKey(ar *fsdp.Arena, tx *tmf.Tx, def *FileDef, req *fsdp.Request) (int, error) {
 	req.Tx, req.File = tx.ID, def.Name
-	reply, err := f.sendTx(nil, tx, partitionFor(def.Partitions, req.Key).Server, req)
+	reply, err := f.sendTx(ar, tx, partitionFor(def.Partitions, req.Key).Server, req)
 	if err != nil {
 		return 0, err
 	}

@@ -79,7 +79,7 @@ func (f *FS) updateSubsetRequesterSide(tx *tmf.Tx, def *FileDef, rng keys.Range,
 		} else {
 			// Primary key changed: a delete+insert pair.
 			if err = f.Delete(tx, def, h.key); err == nil {
-				err = f.Insert(tx, def, newRow)
+				err = f.Insert(nil, tx, def, newRow)
 			}
 		}
 		if err != nil {

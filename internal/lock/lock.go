@@ -3,23 +3,31 @@
 // prefix) level, extended for NonStop SQL with virtual-block group locks
 // — the records of a virtual sequential block buffer locked as a group.
 //
-// All four granularities are represented uniformly as key *ranges* over
-// one file: a record lock is a point range, a generic lock is a prefix
-// range, a file lock is the full range, and a virtual-block lock is the
-// key span of the block's records. Two requests conflict when they come
-// from different transactions, their ranges overlap, and at least one is
-// exclusive. Waits are queued; deadlocks are detected on the wait-for
-// graph and broken by rejecting the requester.
+// All four granularities mean key *ranges* over one file: a record lock
+// is a point range, a generic lock is a prefix range, a file lock is the
+// full range, and a virtual-block lock is the key span of the block's
+// records. Two requests conflict when they come from different
+// transactions, their ranges overlap, and at least one is exclusive.
+// Waits are queued; deadlocks are detected on the wait-for graph and
+// broken by rejecting the requester.
+//
+// A file's record locks are held apart from its ranges, with their keys'
+// hashes, so a record lock compares the bytes only where the hashes agree.
+// Grants are pooled and copy what they lock: an acquisition that does not
+// wait allocates nothing and keeps nothing of its caller's.
 package lock
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/maphash"
+	"slices"
 	"sync"
 	"time"
 
 	"nonstopsql/internal/keys"
+	"nonstopsql/internal/poison"
 )
 
 // Mode is a lock mode.
@@ -63,15 +71,27 @@ type Stats struct {
 	Timeouts  uint64
 }
 
+// A grant is one lock held.
 type grant struct {
 	tx   TxID
-	file string
-	r    keys.Range
 	mode Mode
+	kind int        // points or ranges: the list of its file that holds it
+	hash uint64     // a point's key hash under the Manager's seed
+	r    keys.Range // its bounds lie in buf, which the grant owns
+	buf  []byte
+	file *fileLocks
+	at   int    // its index in that list
+	next *grant // the transaction's next grant
 }
+
+// A file's grants: its record locks (points) and its other ranges.
+type fileLocks [2][]*grant
+
+const points, ranges = 0, 1
 
 type waiter struct {
 	tx TxID
+	on map[TxID]bool // the transactions it waits for: a release by one wakes it
 	ch chan struct{}
 }
 
@@ -80,39 +100,34 @@ type Manager struct {
 	// DefaultTimeout bounds lock waits; zero means 2 s.
 	DefaultTimeout time.Duration
 
-	mu      sync.Mutex
-	grants  map[string][]*grant // by file
-	byTx    map[TxID][]*grant
-	waiters map[*waiter]struct{}
-	waitFor map[TxID]map[TxID]bool
-	stats   Stats
+	mu       sync.Mutex
+	seed     maphash.Seed
+	files    map[string]*fileLocks // kept when emptied: a file's lists are reused
+	byTx     map[TxID]*grant       // each transaction's grants, linked through next
+	grants   sync.Pool             // *grant
+	waiters  map[*waiter]struct{}  // the wait-for graph's edges
+	blockers []TxID                // conflictsLocked's answer, reused
+	stats    Stats
 }
 
 // NewManager creates an empty lock table.
 func NewManager() *Manager {
 	return &Manager{
-		grants:  make(map[string][]*grant),
-		byTx:    make(map[TxID][]*grant),
+		seed:    maphash.MakeSeed(),
+		files:   make(map[string]*fileLocks),
+		byTx:    make(map[TxID]*grant),
 		waiters: make(map[*waiter]struct{}),
-		waitFor: make(map[TxID]map[TxID]bool),
 	}
 }
 
-// LockRecord acquires a record (point) lock.
+// LockRecord acquires a record (point) lock. A transaction that already
+// holds the key in mode or a stronger one is granted at once, no new grant.
 func (m *Manager) LockRecord(tx TxID, file string, key []byte, mode Mode) error {
-	_, err := m.Acquire(tx, file, keys.Point(key), mode)
-	return err
-}
-
-// LockGeneric acquires a generic (key-prefix) lock.
-func (m *Manager) LockGeneric(tx TxID, file string, prefix []byte, mode Mode) error {
-	_, err := m.Acquire(tx, file, keys.Prefix(prefix), mode)
-	return err
-}
-
-// LockFile acquires a whole-file lock.
-func (m *Manager) LockFile(tx TxID, file string, mode Mode) error {
-	_, err := m.Acquire(tx, file, keys.All(), mode)
+	kind := points
+	if key == nil {
+		kind = ranges // keys.Point(nil) is the whole file
+	}
+	_, err := m.acquire(tx, file, keys.Point(key), kind, mode)
 	return err
 }
 
@@ -123,18 +138,30 @@ func (m *Manager) LockFile(tx TxID, file string, mode Mode) error {
 // uncommitted change. It returns ErrDeadlock when granting would require
 // waiting on a cycle, and ErrTimeout when the wait exceeds DefaultTimeout.
 func (m *Manager) Acquire(tx TxID, file string, r keys.Range, mode Mode) (waited bool, err error) {
+	return m.acquire(tx, file, r, ranges, mode)
+}
+
+func (m *Manager) acquire(tx TxID, file string, r keys.Range, kind int, mode Mode) (waited bool, err error) {
+	var h uint64
+	if kind == points {
+		h = maphash.Bytes(m.seed, r.Low)
+	}
 	// The wait's deadline is armed by the first wait: most acquisitions
 	// never queue, and they pay no timer.
 	var deadline *time.Timer
 	m.mu.Lock()
 	m.stats.Acquires++
+	f := m.files[file]
+	if f == nil {
+		f = new(fileLocks)
+		m.files[file] = f
+	}
 	for {
-		blockers := m.conflictingLocked(tx, file, r, mode)
+		blockers, held := m.conflictsLocked(tx, f, r, kind, h, mode)
 		if len(blockers) == 0 {
-			g := &grant{tx: tx, file: file, r: r, mode: mode}
-			m.grants[file] = append(m.grants[file], g)
-			m.byTx[tx] = append(m.byTx[tx], g)
-			delete(m.waitFor, tx)
+			if !held {
+				m.grantLocked(tx, f, r, kind, h, mode)
+			}
 			m.mu.Unlock()
 			return waited, nil
 		}
@@ -148,20 +175,18 @@ func (m *Manager) Acquire(tx TxID, file string, r keys.Range, mode Mode) (waited
 			deadline = time.NewTimer(timeout)
 			defer deadline.Stop()
 		}
-		// Record wait-for edges and look for a cycle through tx.
-		edges := make(map[TxID]bool, len(blockers))
+		// Add the wait-for edges and look for a cycle through tx.
+		w := &waiter{tx: tx, on: make(map[TxID]bool, len(blockers)), ch: make(chan struct{}, 1)}
 		for _, b := range blockers {
-			edges[b] = true
+			w.on[b] = true
 		}
-		m.waitFor[tx] = edges
+		m.waiters[w] = struct{}{}
 		if m.cycleFromLocked(tx) {
+			delete(m.waiters, w)
 			m.stats.Deadlocks++
-			delete(m.waitFor, tx)
 			m.mu.Unlock()
 			return waited, fmt.Errorf("%w (tx %d on %s %v)", ErrDeadlock, tx, file, r)
 		}
-		w := &waiter{tx: tx, ch: make(chan struct{}, 1)}
-		m.waiters[w] = struct{}{}
 		m.mu.Unlock()
 
 		select {
@@ -171,7 +196,6 @@ func (m *Manager) Acquire(tx TxID, file string, r keys.Range, mode Mode) (waited
 		case <-deadline.C:
 			m.mu.Lock()
 			delete(m.waiters, w)
-			delete(m.waitFor, tx)
 			m.stats.Timeouts++
 			m.mu.Unlock()
 			return waited, fmt.Errorf("%w (tx %d on %s %v)", ErrTimeout, tx, file, r)
@@ -179,131 +203,114 @@ func (m *Manager) Acquire(tx TxID, file string, r keys.Range, mode Mode) (waited
 	}
 }
 
-// conflictingLocked lists distinct transactions holding conflicting
-// grants.
-func (m *Manager) conflictingLocked(tx TxID, file string, r keys.Range, mode Mode) []TxID {
-	var out []TxID
-	seen := make(map[TxID]bool)
-	for _, g := range m.grants[file] {
-		if g.tx == tx || seen[g.tx] {
-			continue
-		}
-		if g.mode.conflicts(mode) && g.r.Overlaps(r) {
-			seen[g.tx] = true
-			out = append(out, g.tx)
+// conflictsLocked lists, once each, the transactions other than tx whose
+// grants on f conflict with a request of kind for r in mode (the list is
+// reused by the next call), and reports whether tx holds a record request
+// already: the same key, in mode or a stronger one.
+func (m *Manager) conflictsLocked(tx TxID, f *fileLocks, r keys.Range, kind int, h uint64, mode Mode) (blockers []TxID, held bool) {
+	out := m.blockers[:0]
+	add := func(t TxID) {
+		if !slices.Contains(out, t) {
+			out = append(out, t)
 		}
 	}
-	return out
-}
-
-// cycleFromLocked reports whether the wait-for graph has a cycle
-// reachable from start.
-func (m *Manager) cycleFromLocked(start TxID) bool {
-	visited := make(map[TxID]bool)
-	var dfs func(t TxID) bool
-	dfs = func(t TxID) bool {
-		for next := range m.waitFor[t] {
-			if next == start {
-				return true
-			}
-			if !visited[next] {
-				visited[next] = true
-				if dfs(next) {
-					return true
-				}
-			}
+	for _, g := range f[points] {
+		switch {
+		case kind == points && (g.hash != h || !bytes.Equal(g.r.Low, r.Low)):
+		case kind == ranges && !r.Contains(g.r.Low):
+		case g.tx == tx:
+			held = held || kind == points && g.mode >= mode
+		case g.mode.conflicts(mode):
+			add(g.tx)
 		}
-		return false
 	}
-	return dfs(start)
+	for _, g := range f[ranges] {
+		if g.tx != tx && g.mode.conflicts(mode) && g.r.Overlaps(r) {
+			add(g.tx)
+		}
+	}
+	m.blockers = out
+	return out, held
 }
 
-// ReleaseTx drops every lock held by tx and wakes waiters. Called at
-// commit and abort (strict two-phase locking).
+// grantLocked adds tx's grant of r on f, with a copy of r's bounds.
+func (m *Manager) grantLocked(tx TxID, f *fileLocks, r keys.Range, kind int, h uint64, mode Mode) {
+	g, _ := m.grants.Get().(*grant)
+	if g == nil {
+		g = new(grant)
+	}
+	// Room for both bounds, and never nil: a bound may be empty, not nil.
+	g.buf = slices.Grow(g.buf[:0], len(r.Low)+len(r.High)+1)
+	g.tx, g.mode, g.kind, g.hash, g.file = tx, mode, kind, h, f
+	g.r = keys.Range{Low: g.own(r.Low), High: g.own(r.High), LowExcl: r.LowExcl, HighIncl: r.HighIncl}
+	g.at = len(f[kind])
+	f[kind] = append(f[kind], g)
+	g.next, m.byTx[tx] = m.byTx[tx], g
+}
+
+// own copies a bound into g's buffer; nil, unbounded, stays nil.
+func (g *grant) own(b []byte) []byte {
+	if b == nil {
+		return nil
+	}
+	g.buf = append(g.buf, b...)
+	n := len(g.buf)
+	return g.buf[n-len(b) : n : n]
+}
+
+// ReleaseTx drops every lock held by tx and wakes the waiters waiting
+// for tx: nothing else frees what a waiter waits for. Called at commit
+// and abort (strict two-phase locking).
 func (m *Manager) ReleaseTx(tx TxID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, g := range m.byTx[tx] {
-		list := m.grants[g.file]
-		for i, h := range list {
-			if h == g {
-				m.grants[g.file] = append(list[:i], list[i+1:]...)
-				break
-			}
-		}
-		if len(m.grants[g.file]) == 0 {
-			delete(m.grants, g.file)
-		}
+	for g := m.byTx[tx]; g != nil; {
+		next := g.next
+		m.dropLocked(g)
+		g = next
 	}
 	delete(m.byTx, tx)
-	delete(m.waitFor, tx)
-	m.wakeAllLocked()
+	for w := range m.waiters {
+		if w.on[tx] {
+			select {
+			case w.ch <- struct{}{}:
+			default:
+			}
+		}
+	}
 }
 
-// ReleaseRange drops tx's grants fully contained in r on file; used when
-// a VSBB group lock is narrowed after a re-drive under read-committed
-// semantics.
-func (m *Manager) ReleaseRange(tx TxID, file string, r keys.Range) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	list := m.grants[file]
-	kept := list[:0]
-	var dropped []*grant
-	for _, g := range list {
-		if g.tx == tx && contains(r, g.r) {
-			dropped = append(dropped, g)
-			continue
-		}
-		kept = append(kept, g)
-	}
-	m.grants[file] = kept
-	if len(dropped) > 0 {
-		byTx := m.byTx[tx][:0]
-		for _, g := range m.byTx[tx] {
-			found := false
-			for _, d := range dropped {
-				if d == g {
-					found = true
-					break
+// dropLocked takes g out of its file's list and gives it back to the pool.
+func (m *Manager) dropLocked(g *grant) {
+	list := &g.file[g.kind]
+	last := (*list)[len(*list)-1]
+	(*list)[g.at], last.at = last, g.at
+	(*list)[len(*list)-1] = nil
+	*list = (*list)[:len(*list)-1]
+	poison.Fill(g.buf)
+	m.grants.Put(g)
+}
+
+// cycleFromLocked reports whether the wait-for graph has a cycle through start.
+func (m *Manager) cycleFromLocked(start TxID) bool {
+	visited := map[TxID]bool{}
+	for todo := []TxID{start}; len(todo) > 0; {
+		t := todo[len(todo)-1]
+		todo = todo[:len(todo)-1]
+		for w := range m.waiters {
+			for next := range w.on {
+				if w.tx != t || visited[next] {
+					continue
 				}
+				if next == start {
+					return true
+				}
+				visited[next] = true
+				todo = append(todo, next)
 			}
-			if !found {
-				byTx = append(byTx, g)
-			}
-		}
-		m.byTx[tx] = byTx
-		m.wakeAllLocked()
-	}
-}
-
-// contains reports whether outer covers all of inner.
-func contains(outer, inner keys.Range) bool {
-	if outer.Low != nil {
-		if inner.Low == nil {
-			return false
-		}
-		c := bytes.Compare(inner.Low, outer.Low)
-		if c < 0 || (c == 0 && outer.LowExcl && !inner.LowExcl) {
-			return false
 		}
 	}
-	if outer.High != nil {
-		if inner.High == nil {
-			return false
-		}
-		c := bytes.Compare(inner.High, outer.High)
-		if c > 0 || (c == 0 && inner.HighIncl && !outer.HighIncl) {
-			return false
-		}
-	}
-	return true
-}
-
-// HeldBy returns the number of grants tx currently holds (diagnostics).
-func (m *Manager) HeldBy(tx TxID) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.byTx[tx])
+	return false
 }
 
 // Held returns the total number of live grants across all transactions.
@@ -313,8 +320,8 @@ func (m *Manager) Held() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	n := 0
-	for _, gs := range m.byTx {
-		n += len(gs)
+	for _, f := range m.files {
+		n += len(f[points]) + len(f[ranges])
 	}
 	return n
 }
@@ -324,13 +331,4 @@ func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.stats
-}
-
-func (m *Manager) wakeAllLocked() {
-	for w := range m.waiters {
-		select {
-		case w.ch <- struct{}{}:
-		default:
-		}
-	}
 }

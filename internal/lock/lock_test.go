@@ -212,36 +212,6 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 }
 
-func TestReleaseRange(t *testing.T) {
-	m := NewManager()
-	m.DefaultTimeout = 50 * time.Millisecond
-	blockRange := keys.Range{Low: k(10), High: k(20), HighIncl: true}
-	if _, err := m.Acquire(1, "EMP", blockRange, Shared); err != nil {
-		t.Fatal(err)
-	}
-	m.ReleaseRange(1, "EMP", keys.Range{Low: k(0), High: k(100), HighIncl: true})
-	if m.HeldBy(1) != 0 {
-		t.Error("range release missed grant")
-	}
-	if err := m.LockRecord(2, "EMP", k(15), Exclusive); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReleaseRangeKeepsOutsideGrants(t *testing.T) {
-	m := NewManager()
-	if _, err := m.Acquire(1, "EMP", keys.Range{Low: k(10), High: k(20), HighIncl: true}, Shared); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.LockRecord(1, "EMP", k(50), Exclusive); err != nil {
-		t.Fatal(err)
-	}
-	m.ReleaseRange(1, "EMP", keys.Range{Low: k(0), High: k(30), HighIncl: true})
-	if m.HeldBy(1) != 1 {
-		t.Errorf("HeldBy = %d, want 1 (the k(50) lock)", m.HeldBy(1))
-	}
-}
-
 func TestConcurrentStress(t *testing.T) {
 	m := NewManager()
 	m.DefaultTimeout = 5 * time.Second

@@ -24,6 +24,7 @@ package msg
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -178,9 +179,13 @@ func (s *Server) invoke(payload, out []byte) (data []byte, err error) {
 // A Network is the interconnect and process registry for one simulated
 // Tandem network (one or more nodes of up to 16 processors).
 type Network struct {
-	mu      sync.Mutex
-	servers map[string]*Server
-	stats   Stats
+	mu    sync.Mutex
+	stats Stats
+
+	// servers is the registry, read on every message without a lock: a
+	// map no one writes once published. Register and StopServer publish
+	// a changed copy under mu.
+	servers atomic.Pointer[map[string]*Server]
 
 	// registered is closed by the next registration (nil: nobody waits).
 	registered chan struct{}
@@ -192,7 +197,27 @@ type Network struct {
 
 // NewNetwork creates an empty network.
 func NewNetwork() *Network {
-	return &Network{servers: make(map[string]*Server)}
+	n := new(Network)
+	n.servers.Store(&map[string]*Server{})
+	return n
+}
+
+// server looks name up in the published registry.
+func (n *Network) server(name string) (*Server, bool) {
+	s, ok := (*n.servers.Load())[name]
+	return s, ok
+}
+
+// publishLocked publishes a copy of the registry with name bound to s, or
+// removed when s is nil. Callers hold mu, so publications do not race.
+func (n *Network) publishLocked(name string, s *Server) {
+	next := maps.Clone(*n.servers.Load())
+	if s == nil {
+		delete(next, name)
+	} else {
+		next[name] = s
+	}
+	n.servers.Store(&next)
 }
 
 // Register starts a process group named name on processor proc, with
@@ -204,12 +229,12 @@ func (n *Network) Register(name string, proc ProcessorID, workers int, handler H
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if _, dup := n.servers[name]; dup {
+	if _, dup := n.server(name); dup {
 		return nil, fmt.Errorf("msg: server %q already registered", name)
 	}
 	s := &Server{name: name, proc: proc, net: n, handler: handler,
 		queue: make(chan struct{}, queueDepth), slots: make(chan struct{}, workers)}
-	n.servers[name] = s
+	n.publishLocked(name, s)
 	if n.registered != nil {
 		close(n.registered)
 		n.registered = nil
@@ -244,26 +269,25 @@ func (n *Network) Registered() <-chan struct{} {
 // StopServer unregisters and stops the named server.
 func (n *Network) StopServer(name string) {
 	n.mu.Lock()
-	s := n.servers[name]
-	delete(n.servers, name)
+	s, ok := n.server(name)
+	if ok {
+		n.publishLocked(name, nil)
+	}
 	n.mu.Unlock()
-	if s != nil {
+	if ok {
 		s.Close()
 	}
 }
 
 // Server returns the named server's handle (nil when not registered).
 func (n *Network) Server(name string) *Server {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.servers[name]
+	s, _ := n.server(name)
+	return s
 }
 
 // Lookup returns the processor a server runs on.
 func (n *Network) Lookup(name string) (ProcessorID, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	s, ok := n.servers[name]
+	s, ok := n.server(name)
 	if !ok {
 		return ProcessorID{}, false
 	}
@@ -408,9 +432,7 @@ func (c *Client) Send(server string, payload []byte) ([]byte, error) {
 // send rejected because the server is unknown or closed charges nothing,
 // so Requests == Replies stays true across server stops.
 func (c *Client) SendAppend(server string, payload, out []byte) ([]byte, error) {
-	c.net.mu.Lock()
-	s, ok := c.net.servers[server]
-	c.net.mu.Unlock()
+	s, ok := c.net.server(server)
 	if !ok {
 		return nil, fmt.Errorf("msg: no server %q: %w", server, ErrNoServer)
 	}

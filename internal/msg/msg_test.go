@@ -179,7 +179,7 @@ func TestManyClientsStress(t *testing.T) {
 	if got := n.Stats().Requests; got != 1600 {
 		t.Errorf("requests %d", got)
 	}
-	srv, _ := n.servers["$D"], true
+	srv := n.Server("$D")
 	if srv.Received() != 1600 {
 		t.Errorf("received %d", srv.Received())
 	}

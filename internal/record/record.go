@@ -484,20 +484,20 @@ func appendDecode(arena Row, b []byte, borrow bool) (_, row Row, err error) {
 	return arena, arena[start:len(arena):len(arena)], nil
 }
 
-// DiffFields returns the ordinals of fields whose values differ between
-// old and new. ENSCRIBE must compute this by comparing full before/after
-// images; SQL knows it from the SET list, but both converge on this set.
-func DiffFields(old, new Row) []int {
-	var out []int
+// AppendDiffFields appends to dst the ordinals of fields whose values
+// differ between old and new. ENSCRIBE must compute this by comparing
+// full before/after images; SQL knows it from the SET list, but both
+// converge on this set.
+func AppendDiffFields(dst []int, old, new Row) []int {
 	for i := range old {
 		if i >= len(new) || !old[i].Equal(new[i]) {
-			out = append(out, i)
+			dst = append(dst, i)
 		}
 	}
 	for i := len(old); i < len(new); i++ {
-		out = append(out, i)
+		dst = append(dst, i)
 	}
-	return out
+	return dst
 }
 
 // FieldImage is one (field ordinal, value) pair inside a field-compressed
@@ -507,15 +507,10 @@ type FieldImage struct {
 	Value Value
 }
 
-// EncodeFieldImages serializes the values of the chosen fields, producing
-// the paper's field-compressed before- or after-image, into one
-// allocation of its size.
-func EncodeFieldImages(r Row, fields []int) []byte {
-	n := uvarintLen(uint64(len(fields)))
-	for _, f := range fields {
-		n += uvarintLen(uint64(f)) + ValueLen(r[f])
-	}
-	b := binary.AppendUvarint(make([]byte, 0, n), uint64(len(fields)))
+// AppendFieldImages appends the values of the chosen fields to b: the
+// paper's field-compressed before- or after-image.
+func AppendFieldImages(b []byte, r Row, fields []int) []byte {
+	b = binary.AppendUvarint(b, uint64(len(fields)))
 	for _, f := range fields {
 		b = binary.AppendUvarint(b, uint64(f))
 		b = AppendValue(b, r[f])

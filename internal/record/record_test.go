@@ -184,21 +184,21 @@ func TestDecodeValueErrors(t *testing.T) {
 func TestDiffFields(t *testing.T) {
 	old := Row{Int(1), String("a"), Float(10)}
 	new := Row{Int(1), String("b"), Float(10)}
-	if d := DiffFields(old, new); len(d) != 1 || d[0] != 1 {
+	if d := AppendDiffFields(nil, old, new); len(d) != 1 || d[0] != 1 {
 		t.Errorf("got %v", d)
 	}
-	if d := DiffFields(old, old); d != nil {
+	if d := AppendDiffFields(nil, old, old); d != nil {
 		t.Errorf("identical rows diff: %v", d)
 	}
 	longer := append(new.Clone(), Bool(true))
-	if d := DiffFields(old, longer); len(d) != 2 {
+	if d := AppendDiffFields(nil, old, longer); len(d) != 2 {
 		t.Errorf("got %v", d)
 	}
 }
 
 func TestFieldImagesRoundTrip(t *testing.T) {
 	row := Row{Int(9), String("carol"), String("2001-02-03"), Float(55000.5)}
-	img := EncodeFieldImages(row, []int{3, 1})
+	img := AppendFieldImages(nil, row, []int{3, 1})
 	decoded, err := DecodeFieldImages(img)
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +224,7 @@ func TestFieldImagesCompression(t *testing.T) {
 		wide[i] = String("0123456789abcdef")
 	}
 	full := len(Encode(wide))
-	compressed := len(EncodeFieldImages(wide, []int{7}))
+	compressed := len(AppendFieldImages(nil, wide, []int{7}))
 	if compressed*5 > full {
 		t.Errorf("field image %dB not ≪ full image %dB", compressed, full)
 	}

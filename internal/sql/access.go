@@ -159,7 +159,7 @@ func (a *access) decode(enc [][]byte) ([]record.Row, error) {
 // With fewer values than the templates wait for (EXPLAIN of text with
 // markers; a join's inner side before an outer row) a predicate that
 // holds a slot leaves the choice pending.
-func (q *tableQuery) access(ar *fs.Arena, vals []record.Value) (access, error) {
+func (q *tableQuery) access(ar *fsdp.Arena, vals []record.Value) (access, error) {
 	a := access{def: q.def, op: q.op, requesterSide: q.requesterSide,
 		assigns: q.assigns, agg: q.agg, budget: -1, unordered: q.unordered}
 	pred := q.pred
@@ -220,7 +220,7 @@ func (q *tableQuery) keyed() bool {
 // value no key equals (UniqueKey.Key: NULL, a fraction on an INTEGER
 // column) and LIMIT 0 want nothing: neither sends a message. The key is
 // encoded into the statement's arena (nil: allocated).
-func (a *access) byKey(ar *fs.Arena, q *tableQuery, vals []record.Value) error {
+func (a *access) byKey(ar *fsdp.Arena, q *tableQuery, vals []record.Value) error {
 	key, ok, err := q.key.AppendKey(ar.Free(), vals)
 	if err != nil {
 		return err
@@ -394,7 +394,7 @@ func (a *access) fetchRead(s *Session, tx *tmf.Tx, az *analyzeState) ([][]byte, 
 // (prog), reads a field of it or the projection cuts one out
 // (View.AppendRow) into ar (nil: allocated). keep says the predicate
 // accepted it.
-func (a *access) admit(prog *expr.Program, v *record.View, ar *fs.Arena, rec []byte) (_ []byte, keep bool, err error) {
+func (a *access) admit(prog *expr.Program, v *record.View, ar *fsdp.Arena, rec []byte) (_ []byte, keep bool, err error) {
 	if err := v.Reset(rec); err != nil {
 		return nil, false, err
 	}
@@ -423,9 +423,9 @@ func (a *access) fetchKeyed(s *Session, tx *tmf.Tx, az *analyzeState) (int, erro
 	var n int
 	var err error
 	if a.op == opUpdate {
-		n, err = s.fs.UpdateKey(tx, a.def, a.key, a.pred, a.assigns)
+		n, err = s.fs.UpdateKey(&s.arena, tx, a.def, a.key, a.pred, a.assigns)
 	} else {
-		n, err = s.fs.DeleteKey(tx, a.def, a.key, a.pred)
+		n, err = s.fs.DeleteKey(&s.arena, tx, a.def, a.key, a.pred)
 	}
 	if err != nil {
 		return 0, err

@@ -6,6 +6,7 @@ import (
 
 	"nonstopsql/internal/expr"
 	"nonstopsql/internal/fs"
+	"nonstopsql/internal/fsdp"
 	"nonstopsql/internal/record"
 	"nonstopsql/internal/tmf"
 )
@@ -27,10 +28,10 @@ type Session struct {
 	pushdown bool
 
 	// arena holds the statement's own bytes: its unique keys, its READs
-	// and their replies, the rows a READ's projection cuts (fs.Arena). It
+	// and their replies, the rows a READ's projection cuts (fsdp.Arena). It
 	// is reset when the next statement starts, so a result's Encoded rows
 	// are valid until then.
-	arena fs.Arena
+	arena fsdp.Arena
 	view  record.View // the requester's look at a READ's record (access.admit)
 	read  [1][]byte   // a READ's row, as the statement's fetched rows (fetchRead)
 }
@@ -234,7 +235,7 @@ func (p *insertPlan) runTx(s *Session, tx *tmf.Tx, params []record.Value) (*Resu
 			}
 			row[p.colIdx[j]] = v
 		}
-		if err := s.fs.Insert(tx, p.def, row); err != nil {
+		if err := s.fs.Insert(&s.arena, tx, p.def, row); err != nil {
 			return nil, err
 		}
 		n++

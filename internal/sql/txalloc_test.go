@@ -17,8 +17,16 @@ import (
 // two volumes by unique key (UPDATE^KEY), a history INSERT, COMMIT by
 // two-phase commit — measured 147 while, besides, each keyed write read
 // its record before it rewrote it and the Disk Process copied every write
-// request whole; 116 since. A regression here is a parse, a second
-// descent or a copy of a request that crept back onto the write path.
+// request whole, and 116 while every write and commit message, its reply,
+// the coordinator's requests, the Disk Process's decoded requests, SET
+// lists, rows, images, audit records and transaction states, and every
+// lock grant were allocated afresh. Each has an owner that reuses it now
+// (DESIGN.md §7.4), and 18 are left: the test's own argument lists, the
+// transaction and the results, the INSERT's row and substituted
+// parameters, a unique key's plan, and the file name a service slot
+// decodes when its last request named another file. A regression here is
+// a buffer that lost its owner, a parse, a second descent or a copy of a
+// request that crept back onto the write path.
 func TestTransactionAllocationCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -68,7 +76,7 @@ func TestTransactionAllocationCeilings(t *testing.T) {
 	transfer()
 	txn := testing.AllocsPerRun(200, transfer)
 	t.Logf("empty BEGIN/COMMIT pair: %.0f allocations; DebitCredit transaction: %.0f", pair, txn)
-	const pairCeiling, txnCeiling = 7, 128
+	const pairCeiling, txnCeiling = 5, 19
 	if pair > pairCeiling {
 		t.Errorf("an empty BEGIN/COMMIT pair allocates %.0f times, ceiling %d", pair, pairCeiling)
 	}

@@ -11,7 +11,9 @@
 package tmf
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -35,9 +37,11 @@ func NewTxID() uint64 { return next.Add(1) }
 func ResetTxIDs() { next.Store(0) }
 
 // Sender delivers one FS-DP request to a named Disk Process and returns
-// the decoded reply. The File System provides the implementation; tmf
-// stays independent of routing.
-type Sender func(server string, req *fsdp.Request) (*fsdp.Reply, error)
+// the decoded reply, encoding the request into ar and decoding the reply
+// there (fsdp.Arena): the reply is valid until ar is reset or sends
+// again. The File System provides the implementation; tmf stays
+// independent of routing.
+type Sender func(ar *fsdp.Arena, server string, req *fsdp.Request) (*fsdp.Reply, error)
 
 // A Tx is one distributed transaction: the client-side state TMF keeps
 // while the transaction is active.
@@ -46,12 +50,17 @@ type Tx struct {
 
 	mu           sync.Mutex
 	participants []string // Disk Process names, in join order
-	done         bool
+	done         bool     // once set, participants no longer changes
+	joined       [4]string
 }
 
-// Begin starts a transaction.
+// Begin starts a transaction. Its first participants are listed inside
+// it: a transaction allocates only itself until it touches a fifth Disk
+// Process.
 func Begin() *Tx {
-	return &Tx{ID: NewTxID()}
+	t := &Tx{ID: NewTxID()}
+	t.participants = t.joined[:0]
+	return t
 }
 
 // Join records that the transaction touched the named Disk Process.
@@ -87,6 +96,47 @@ func (t *Tx) Participants() []string {
 type Coordinator struct {
 	Trail *wal.Trail
 	Send  Sender
+
+	rounds sync.Pool // *round
+}
+
+// A round is what one Commit or Abort sends its protocol from: the
+// request it addresses to each participant in turn and the arena the
+// messages and their replies lie in, reused from commit to commit.
+type round struct {
+	req fsdp.Request
+	ar  fsdp.Arena
+}
+
+// begin takes a round for one transaction's commit or abort; end gives
+// it back.
+func (c *Coordinator) begin() *round {
+	r, _ := c.rounds.Get().(*round)
+	if r == nil {
+		r = new(round)
+	}
+	r.ar.Reset()
+	return r
+}
+
+func (c *Coordinator) end(r *round) { c.rounds.Put(r) }
+
+// send sends the round's request, as kind, to one participant.
+func (c *Coordinator) send(r *round, server string, kind fsdp.Kind, tx, commitLSN uint64) (*fsdp.Reply, error) {
+	r.req = fsdp.Request{Kind: kind, Tx: tx, CommitLSN: commitLSN}
+	return c.Send(&r.ar, server, &r.req)
+}
+
+// finish marks t done and returns its participants, which no longer
+// change.
+func (t *Tx) finish() ([]string, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.done {
+		return nil, fmt.Errorf("tmf: transaction %d already finished", t.ID)
+	}
+	t.done = true
+	return t.participants, nil
 }
 
 // Commit drives the commit protocol:
@@ -101,20 +151,14 @@ type Coordinator struct {
 //	and only a participant on another node's trail has to force its
 //	prepare record (dp.prepare has the argument).
 func (c *Coordinator) Commit(t *Tx) error {
-	t.mu.Lock()
-	if t.done {
-		t.mu.Unlock()
-		return fmt.Errorf("tmf: transaction %d already finished", t.ID)
+	parts, err := t.finish()
+	if err != nil || len(parts) == 0 {
+		return err
 	}
-	t.done = true
-	parts := append([]string(nil), t.participants...)
-	t.mu.Unlock()
-
-	switch len(parts) {
-	case 0:
-		return nil
-	case 1:
-		reply, err := c.Send(parts[0], &fsdp.Request{Kind: fsdp.KCommit, Tx: t.ID})
+	r := c.begin()
+	defer c.end(r)
+	if len(parts) == 1 {
+		reply, err := c.send(r, parts[0], fsdp.KCommit, t.ID, 0)
 		if err != nil {
 			return err
 		}
@@ -126,14 +170,14 @@ func (c *Coordinator) Commit(t *Tx) error {
 
 	// Phase 1: prepare everyone.
 	for _, p := range parts {
-		reply, err := c.Send(p, &fsdp.Request{Kind: fsdp.KPrepare, Tx: t.ID, CommitLSN: c.Trail.ID()})
-		if err != nil || !reply.OK() {
+		reply, err := c.send(r, p, fsdp.KPrepare, t.ID, c.Trail.ID())
+		if err == nil && !reply.OK() {
+			err = errors.New(reply.Err)
+		}
+		if err != nil {
 			// Presumed abort: tell everyone to undo.
-			c.abortAll(t.ID, parts)
-			if err != nil {
-				return fmt.Errorf("tmf: prepare of %d at %s: %w", t.ID, p, err)
-			}
-			return fmt.Errorf("tmf: prepare of %d at %s: %s", t.ID, p, reply.Err)
+			c.abortAll(r, t.ID, parts)
+			return fmt.Errorf("tmf: prepare of %d at %s: %w", t.ID, p, err)
 		}
 	}
 
@@ -148,7 +192,7 @@ func (c *Coordinator) Commit(t *Tx) error {
 	// Phase 2: release everyone.
 	var firstErr error
 	for _, p := range parts {
-		reply, err := c.Send(p, &fsdp.Request{Kind: fsdp.KCommit, Tx: t.ID, CommitLSN: uint64(lsn)})
+		reply, err := c.send(r, p, fsdp.KCommit, t.ID, uint64(lsn))
 		if err == nil && !reply.OK() {
 			err = fmt.Errorf("%s", reply.Err)
 		}
@@ -161,21 +205,19 @@ func (c *Coordinator) Commit(t *Tx) error {
 
 // Abort undoes the transaction at every participant.
 func (c *Coordinator) Abort(t *Tx) error {
-	t.mu.Lock()
-	if t.done {
-		t.mu.Unlock()
-		return fmt.Errorf("tmf: transaction %d already finished", t.ID)
+	parts, err := t.finish()
+	if err != nil || len(parts) == 0 {
+		return err
 	}
-	t.done = true
-	parts := append([]string(nil), t.participants...)
-	t.mu.Unlock()
-	return c.abortAll(t.ID, parts)
+	r := c.begin()
+	defer c.end(r)
+	return c.abortAll(r, t.ID, parts)
 }
 
-func (c *Coordinator) abortAll(tx uint64, parts []string) error {
+func (c *Coordinator) abortAll(r *round, tx uint64, parts []string) error {
 	var firstErr error
 	for _, p := range parts {
-		reply, err := c.Send(p, &fsdp.Request{Kind: fsdp.KAbort, Tx: tx})
+		reply, err := c.send(r, p, fsdp.KAbort, tx, 0)
 		if err == nil && !reply.OK() {
 			err = fmt.Errorf("%s", reply.Err)
 		}
@@ -200,6 +242,7 @@ type AuditPort struct {
 	mu       sync.Mutex
 	buffered int
 	sends    uint64
+	payload  []byte // an audit-send's bytes, reused under mu: only their count matters
 }
 
 // NewAuditPort creates a port. bufLimit defaults to 16 KB, matching the
@@ -278,10 +321,10 @@ func (a *AuditPort) flushLocked() {
 	if a.client == nil || a.auditServer == "" {
 		return
 	}
-	payload := make([]byte, size) // the audit bytes themselves
+	a.payload = slices.Grow(a.payload[:0], size)[:size] // stands for the audit bytes themselves
 	// The audit trail DP acknowledges; failures are impossible on the
 	// reliable simulated bus, so the reply is discarded.
-	_, _ = a.client.Send(a.auditServer, payload)
+	_, _ = a.client.Send(a.auditServer, a.payload)
 }
 
 // Sends returns how many audit-send messages this port has issued.

@@ -23,7 +23,7 @@ type fakeDP struct {
 	trail    *wal.Trail
 }
 
-func (f *fakeDP) send(server string, req *fsdp.Request) (*fsdp.Reply, error) {
+func (f *fakeDP) send(_ *fsdp.Arena, server string, req *fsdp.Request) (*fsdp.Reply, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	switch req.Kind {

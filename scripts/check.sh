@@ -149,6 +149,20 @@ go test -race -count=1 -run 'TestRejectedDuplicateInsertLeavesNoTrace|TestReject
 go test -count=1 -run TestTransactionAllocationCeilings ./internal/sql
 go test -race -count=1 -run 'TestReadRefusesARowlessOK' ./internal/fs
 go test -count=1 -run TestAllocationCeilings ./internal/sql
+# A transaction allocates only what it keeps (DESIGN.md §7.4): write and
+# commit messages are built in arenas with owners, and the Disk Process
+# works in its service slots. The lock table holds a file's point grants
+# apart from its ranges, each with its key's hash, takes grants from a free
+# list, and a release wakes only the waiters that wait for it: five rounds
+# of the package under -race — the conflict set against a brute-force scan
+# over random point, prefix, range and file locks and releases, a re-lock
+# that adds no grant, a waiter left parked by an unrelated release — then
+# one pass of its benchmark so it cannot rot. The two ceilings this rests
+# on, a keyed write through the Handler (internal/dp's
+# TestAllocationCeilings) and the DebitCredit transaction, ran without
+# -race just above.
+go test -race -count=5 ./internal/lock
+go test -run '^$' -bench BenchmarkLockAcquireRelease -benchtime 1x ./internal/lock
 # Virtual blocks to the client edge (PR 24): a pass-through SELECT's rows
 # cross the File System, the executor and the "$SQL" endpoint as the Disk
 # Processes encoded them and are validated by the first reader of a value.
