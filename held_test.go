@@ -13,15 +13,20 @@ import (
 )
 
 // TestHeldResultsOutliveLaterStatements: a statement's READ, its reply
-// and the row it cuts live in the session's statement arena, and the
-// client receives replies in pooled buffers — so a result the caller
-// holds must share no byte with either. One held result per shape (a
-// pass-through point read, a materialised one, a range scan), in the
-// process (Session.ExecPrepared) and over TCP (a Stmt on a one-connection
-// pool), must stay equal to a deep copy taken when it arrived while 1 000
-// further statements run on the same session and the same connection.
-// Under the race detector every buffer taken back is poisoned, so a held
-// row that aliased one would read 0xDB.
+// and the row it cuts live in the session's statement arena, a scan's or
+// an aggregate's conversations run in its conversation arenas, its rows
+// are listed in its row list and its groups merged into its group table,
+// the Disk Processes serve them from slots and Subset Control Blocks they
+// reuse, and the client receives replies in pooled buffers — so a result
+// the caller holds must share no byte with any of them. One held result
+// per shape (a pass-through point read, a materialised one, a range scan
+// under a LIMIT, a pushed-down GROUP BY of a VARCHAR key with MIN and MAX
+// of it, a pass-through scan of many messages), in the process
+// (Session.ExecPrepared) and over TCP (a Stmt on a one-connection pool),
+// must stay equal to a deep copy taken when it arrived while 1 000 further
+// statements run on the same session and the same connection. Under the
+// race detector every buffer taken back is poisoned, so a held row that
+// aliased one would read 0xDB.
 func TestHeldResultsOutliveLaterStatements(t *testing.T) {
 	db, sess, _, pool := served(t, nonstopsql.Config{})
 	sess.MustExec("CREATE TABLE acct (id INTEGER PRIMARY KEY, bal FLOAT, pad VARCHAR(100))")
@@ -34,6 +39,8 @@ func TestHeldResultsOutliveLaterStatements(t *testing.T) {
 		"SELECT bal, pad FROM acct WHERE id = ?",
 		"SELECT bal * 2, pad FROM acct WHERE id = ?",
 		"SELECT id, pad FROM acct WHERE id >= ? LIMIT 3",
+		"SELECT pad, COUNT(*), MIN(pad), MAX(bal) FROM acct WHERE id >= ? GROUP BY pad",
+		"SELECT id, pad FROM acct WHERE id >= ?",
 	}
 	type held struct {
 		where string

@@ -20,28 +20,39 @@ import (
 // pre-fetch lands. That is harmless — interior pages are never freed,
 // collapsed leaf blocks are never re-allocated, and the latched chain
 // scan (Scan) is what provides the consistent view.
-func (t *Tree) LeafRun(r keys.Range) ([]disk.BlockNum, error) {
+func (t *Tree) LeafRun(r keys.Range) ([]disk.BlockNum, error) { return t.AppendLeafRun(nil, r) }
+
+// AppendLeafRun is LeafRun appending to dst: a Disk Process plans a
+// conversation's leaves into its Subset Control Block's list.
+func (t *Tree) AppendLeafRun(dst []disk.BlockNum, r keys.Range) ([]disk.BlockNum, error) {
 	t.lt.opEnter()
 	defer t.lt.opExit()
-	return t.leafRun(t.root, r)
+	return t.leafRun(dst, t.root, r)
 }
 
-func (t *Tree) leafRun(bn disk.BlockNum, r keys.Range) ([]disk.BlockNum, error) {
+func (t *Tree) leafRun(dst []disk.BlockNum, bn disk.BlockNum, r keys.Range) ([]disk.BlockNum, error) {
 	pl := t.lt.acquire(bn, false)
 	v, err := t.view(bn, cache.Keyed)
 	if err != nil {
 		pl.release()
-		return nil, err
+		return dst, err
 	}
 	if !v.interior() {
 		v.release()
 		pl.release()
-		return []disk.BlockNum{bn}, nil
+		return append(dst, bn), nil
 	}
 	// Child i spans [sep_i, sep_{i+1}); sep_0 is -inf. Start at the child
 	// covering r.Low — everything left of it lies entirely below the
-	// range — and stop at the first child that starts beyond it.
-	var kids []disk.BlockNum
+	// range — and stop at the first child that starts beyond it. Children
+	// that are leaves go straight to dst, without being read — the span's
+	// leaves stay untouched until bulk I/O or pre-fetch brings them in;
+	// interior children are visited once this page's latch is let go.
+	level := v.level()
+	kids := dst
+	if level > 1 {
+		kids = make([]disk.BlockNum, 0, 64)
+	}
 	i := 0
 	if r.Low != nil {
 		i = v.childIndex(r.Low)
@@ -52,24 +63,17 @@ func (t *Tree) leafRun(bn disk.BlockNum, r keys.Range) ([]disk.BlockNum, error) 
 		}
 		kids = append(kids, v.child(i))
 	}
-	level := v.level()
 	v.release()
 	pl.release()
 	if level == 1 {
-		// Children are leaves: emit block numbers without reading them —
-		// the span's leaves stay untouched until bulk I/O or pre-fetch
-		// brings them in.
 		return kids, nil
 	}
-	var out []disk.BlockNum
 	for _, kid := range kids {
-		sub, err := t.leafRun(kid, r)
-		if err != nil {
-			return nil, err
+		if dst, err = t.leafRun(dst, kid, r); err != nil {
+			return dst, err
 		}
-		out = append(out, sub...)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // ScanFunc receives each record in key order. Returning false stops the
@@ -151,7 +155,7 @@ func (r *Run) Key(j int) []byte {
 // time. It is a loop over the runs the one scan loop hands over.
 func (t *Tree) Scan(r keys.Range, prefetch bool, fn ScanFunc) error {
 	if prefetch {
-		if _, err := t.Prefetch(r, cache.Keyed); err != nil {
+		if _, _, err := t.Prefetch(nil, r, cache.Keyed); err != nil {
 			return err
 		}
 	}
@@ -177,15 +181,17 @@ func (t *Tree) Count(r keys.Range) (int, error) {
 
 // Prefetch plans the leaves whose key span may intersect r (LeafRun) and
 // has the pool load them ahead asynchronously, with bulk I/O, in the
-// given access class. It reports whether the pool took the request
-// (cache.Pool.Prefetch): the Disk Process plans a subset's leaves once per
-// conversation, and again only when the pool dropped the plan.
-func (t *Tree) Prefetch(r keys.Range, class cache.AccessClass) (bool, error) {
-	leaves, err := t.LeafRun(r)
+// given access class, planning them into plan[:0], which it returns. It
+// reports whether the pool took the request (cache.Pool.Prefetch): the
+// Disk Process plans a subset's leaves once per conversation, into its
+// Subset Control Block's list, and again only when the pool dropped the
+// plan.
+func (t *Tree) Prefetch(plan []disk.BlockNum, r keys.Range, class cache.AccessClass) ([]disk.BlockNum, bool, error) {
+	plan, err := t.AppendLeafRun(plan[:0], r)
 	if err != nil {
-		return false, err
+		return plan, false, err
 	}
-	return t.pool.Prefetch(leaves, class), nil
+	return plan, t.pool.Prefetch(plan, class), nil
 }
 
 // ScanRecords is Scan over a file of records (HoldsRecords), handing each

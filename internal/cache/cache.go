@@ -714,8 +714,11 @@ type run struct {
 // registers the chosen blocks as in-flight in their shards so demand
 // Gets wait rather than double-read.
 func (p *Pool) planRuns(bns []disk.BlockNum) []run {
-	sorted := slices.Clone(bns)
-	slices.Sort(sorted)
+	sorted := bns // a B-tree's leaf run is usually in block order already
+	if !slices.IsSorted(sorted) {
+		sorted = slices.Clone(bns)
+		slices.Sort(sorted)
+	}
 
 	var need []disk.BlockNum
 	for _, bn := range sorted {

@@ -3,7 +3,6 @@ package dp
 import (
 	"bytes"
 	"fmt"
-	"hash/maphash"
 	"slices"
 	"strconv"
 
@@ -16,88 +15,32 @@ import (
 	"nonstopsql/internal/record"
 )
 
-// aggGroup is one GROUP BY group the conversation holds. Its bytes live in
-// aggMem.block: the order-preserving key encoding the groups are ordered
-// by, then the key fields' wire encoding the reply ships. Its partials are
-// aggMem.partials[part : part+len(agg.Cols)]. A group is four numbers, not
-// a heap object.
-type aggGroup struct {
-	off, keyEnd, end uint32 // block[off:keyEnd] key bytes, block[keyEnd:end] encoded key values
-	part             uint32
-}
-
-// aggSlot is one entry of aggMem's open-addressed table: the group it
-// names, and, for a group found by its INTEGER key, that key beside it, so
-// a probe reads the slot and nothing else.
-type aggSlot struct {
-	key   int64  // the group's INTEGER key, when isInt
-	group uint32 // index into groups, plus one; zero is an empty slot
-	isInt bool   // found by key (the int path), not by its key bytes (the byte path)
-}
-
-// aggMem is an AGG conversation's groups, in three arenas and a hash table
-// on its Subset Control Block. The groups are per-conversation: they ride
-// from one message to the next, folding in every qualifying record, and
-// leave in one piece — finishAgg ships them all and empties the arenas —
-// when the entries fill a reply block or the range is exhausted. So the
-// memory is one block's worth however many records or groups the subset
-// has, a group the conversation already holds costs no allocation and no
-// reply bytes when a later message meets it again, and the arenas'
-// capacity is kept across a ship. Nothing here outlives the SCB: when it
-// is retired — Done, CLOSE^SUBSET, a failed message, the transaction's
-// end, a crash — the half-built aggregate goes with it.
-type aggMem struct {
-	block    []byte            // key bytes and encoded key values, group after group
-	groups   []aggGroup        // in the order they appeared; sorted by key bytes to ship
-	table    []aggSlot         // open-addressed, at most half full
-	partials []fsdp.AggPartial // len(agg.Cols) per group, in the order groups appeared
-	kb       []byte            // the record at hand's group key bytes
-	bytes    int               // what the groups' reply entries weigh (fsdp.GroupLen): the entries' bytes if shipped now
-	width    int               // aggWidth of the conversation's spec: checked once a record, not once a field
-
-	// undo and at are the groups as they stood when an in-transaction
-	// message began (mark), for the message to be folded again from there
-	// (rewind) if its group lock waits.
-	undo []fsdp.AggPartial
-	at   struct{ block, groups, bytes int }
-}
-
-// mark notes the groups as they stand, so that what the message about to
-// run folds into them can be undone.
-func (m *aggMem) mark() {
-	m.undo = append(m.undo[:0], m.partials...)
-	m.at.block, m.at.groups, m.at.bytes = len(m.block), len(m.groups), m.bytes
-}
-
-// rewind puts the groups back as mark found them: the partials as they
-// were, and the groups the message added gone. A partial is a value — a
-// fold replaces a MIN/MAX string, never writes into it — so the copy mark
-// took is the state itself.
-func (m *aggMem) rewind() {
-	clear(m.partials[len(m.undo):])
-	m.partials = append(m.partials[:0], m.undo...)
-	m.block, m.groups, m.bytes = m.block[:m.at.block], m.groups[:m.at.groups], m.at.bytes
-	m.rehash(len(m.table))
-}
-
 // aggregate serves AGG^FIRST/NEXT: the Disk Process folds the subset's
 // qualifying records through the decomposable aggregate program and
 // replies with one compact partial state per group — rows never cross
 // the interface. The groups belong to the conversation, not the message:
-// a message that ends on the row or time budget replies with LastKey and
+// they ride on its Subset Control Block (scb.groups, an fsdp.GroupTable)
+// from one message to the next, folding in every qualifying record. A
+// message that ends on the row or time budget replies with LastKey and
 // no entries, and the entries ship only on the full sequential block
 // buffer condition — measured in the bytes they will occupy — or when the
-// range is exhausted. The File System merges what arrives across blocks
-// and partitions, so the Disk Process's memory stays bounded by one reply
-// block, and a subset costs messages in proportion to its rows over the
-// row budget plus its groups over the block, not one per block of new
-// group keys.
+// range is exhausted; then they leave in one piece and the table is
+// emptied, its capacity kept. The File System merges what arrives across
+// blocks and partitions, so the Disk Process's memory stays bounded by
+// one reply block however many records or groups the subset has, a group
+// the conversation already holds costs no allocation and no reply bytes
+// when a later message meets it again, and a subset costs messages in
+// proportion to its rows over the row budget plus its groups over the
+// block, not one per block of new group keys. Nothing here outlives the
+// SCB: when it is retired — Done, CLOSE^SUBSET, a failed message, the
+// transaction's end, a crash — the half-built aggregate goes with it.
 var aggregate = &subsetKind{first: fsdp.KAggFirst,
-	open: func(r *subsetRun) (err error) {
-		if r.s.agg, err = fsdp.DecodeAggSpec(r.req.Agg); err != nil {
+	open: func(r *subsetRun) error {
+		if err := fsdp.DecodeAggSpecInto(&r.s.agg, r.req.Agg); err != nil {
 			return badRequest(err.Error())
 		}
-		r.s.aggMem.width = aggWidth(r.s.agg)
+		r.s.groups.Reset(len(r.s.agg.Cols))
+		r.s.width = aggWidth(&r.s.agg)
 		return nil
 	},
 	visit:  visitAgg,
@@ -118,48 +61,40 @@ var aggregate = &subsetKind{first: fsdp.KAggFirst,
 // way a group's key bytes are what AppendKey writes, so finishAgg orders
 // and ships every group alike.
 func visitAgg(r *subsetRun, _ int) (bool, error) {
-	spec, m, rec := r.s.agg, &r.s.aggMem, &r.rec
-	if rec.Len() < m.width {
-		return false, badRequest("dp: aggregate field ordinal " + strconv.Itoa(m.width-1) + " out of range for " + r.req.File)
+	s, rec := r.s, &r.rec
+	spec, t := &s.agg, &s.groups
+	if rec.Len() < s.width {
+		return false, badRequest("dp: aggregate field ordinal " + strconv.Itoa(s.width-1) + " out of range for " + r.req.File)
 	}
-	if 2*len(m.groups) >= len(m.table) {
-		m.grow() // at most half full, and grown before the slot is taken
-	}
-	var at *aggSlot
-	if g := spec.GroupBy; len(g) == 1 && rec.Kind(g[0]) == record.TypeInt {
-		k := rec.Int(g[0])
-		if at = m.islot(k); at.group == 0 {
-			at.key, at.isInt = k, true
-			m.kb = rec.AppendKey(m.kb[:0], g[0])
+	var g int
+	var held bool
+	if gb := spec.GroupBy; len(gb) == 1 && rec.Kind(gb[0]) == record.TypeInt {
+		if g, held = t.LookupInt(rec.Int(gb[0])); !held {
+			s.kb = rec.AppendKey(s.kb[:0], gb[0])
 		}
 	} else {
-		kb := m.kb[:0]
-		for _, g := range spec.GroupBy {
-			kb = rec.AppendKey(kb, g)
+		kb := s.kb[:0]
+		for _, f := range spec.GroupBy {
+			kb = rec.AppendKey(kb, f)
 		}
-		m.kb = kb
-		at = m.slot(kb)
+		s.kb = kb
+		g, held = t.Lookup(kb)
 	}
 	// The block budget is charged what the entries weigh: a new group its
 	// whole entry, a group already held only what this record grew it by
 	// (a varint's next byte, a longer MIN/MAX string) — usually nothing,
 	// and the partials say so as they fold, so no entry is weighed twice.
 	grew := 0
-	if at.group == 0 {
-		gr := aggGroup{off: uint32(len(m.block)), part: uint32(len(m.partials))}
-		m.block = append(m.block, m.kb...)
-		gr.keyEnd = uint32(len(m.block))
-		for _, g := range spec.GroupBy {
-			m.block = rec.AppendField(m.block, g)
+	if !held {
+		fields := s.fields[:0]
+		for _, f := range spec.GroupBy {
+			fields = rec.AppendField(fields, f)
 		}
-		gr.end = uint32(len(m.block))
-		m.partials = append(m.partials, make([]fsdp.AggPartial, len(spec.Cols))...)
-		m.groups = append(m.groups, gr)
-		at.group = uint32(len(m.groups))
-		grew = fsdp.GroupLen(len(spec.GroupBy), int(gr.end-gr.keyEnd), m.partials[gr.part:])
+		s.fields = fields
+		g = t.Add(s.kb, fields)
+		grew = fsdp.GroupLen(len(spec.GroupBy), len(fields), t.Partials(g))
 	}
-	part := m.groups[at.group-1].part
-	partials := m.partials[part : int(part)+len(spec.Cols)]
+	partials := t.Partials(g)
 	for i := range partials {
 		c, p := &spec.Cols[i], &partials[i]
 		if c.Star {
@@ -180,96 +115,36 @@ func visitAgg(r *subsetRun, _ int) (bool, error) {
 			grew += p.Feed(c.Fn, rec.Value(c.Col)) // MIN, MAX: Feed copies a value it keeps
 		}
 	}
-	m.bytes += grew
-	r.batch.bytes = m.bytes
+	s.weight += grew
+	r.batch.bytes = s.weight
 	return true, nil
-}
-
-var aggSeed = maphash.MakeSeed()
-
-// slot returns the table slot that names the byte-path group whose key
-// bytes are kb or, empty, the slot where a new group with that key goes.
-func (m *aggMem) slot(kb []byte) *aggSlot {
-	mask := uint64(len(m.table) - 1)
-	for i := maphash.Bytes(aggSeed, kb) & mask; ; i = (i + 1) & mask {
-		at := &m.table[i]
-		if at.group == 0 {
-			return at
-		}
-		if !at.isInt {
-			if g := &m.groups[at.group-1]; bytes.Equal(m.block[g.off:g.keyEnd], kb) {
-				return at
-			}
-		}
-	}
-}
-
-// islot is slot for the int path: the group whose INTEGER key is k. The
-// key is spread over the table by a multiplicative mix, its high half
-// folded into the low bits the mask keeps. Unlike maphash it is not
-// seeded, so keys chosen to collide could lengthen a probe; the table
-// holds at most one reply block's groups, which bounds that to a few
-// hundred slots.
-func (m *aggMem) islot(k int64) *aggSlot {
-	mask := uint64(len(m.table) - 1)
-	h := uint64(k) * 0x9e3779b97f4a7c15
-	for i := (h ^ h>>32) & mask; ; i = (i + 1) & mask {
-		at := &m.table[i]
-		if at.group == 0 || at.isInt && at.key == k {
-			return at
-		}
-	}
-}
-
-// grow doubles the table.
-func (m *aggMem) grow() { m.rehash(max(64, 2*len(m.table))) }
-
-// rehash makes the table size slots and names every group in it again: an
-// int-path group by its key, a byte-path group by its key bytes. A slot
-// naming a group rewind dropped is left behind.
-func (m *aggMem) rehash(size int) {
-	old := m.table
-	m.table = make([]aggSlot, size)
-	for _, s := range old {
-		switch {
-		case s.group == 0 || int(s.group) > len(m.groups):
-		case s.isInt:
-			*m.islot(s.key) = s
-		default:
-			g := &m.groups[s.group-1]
-			*m.slot(m.block[g.off:g.keyEnd]) = s
-		}
-	}
 }
 
 // finishAgg ships the conversation's groups when the block is full or the
 // range is exhausted, and otherwise leaves them on the SCB for the
 // re-drive. They ship in key-byte order: deterministic replies make the
 // conversation reproducible message-for-message. Every entry is appended
-// to one buffer and cut out of it.
+// to the message's block and cut out of it.
 func finishAgg(r *subsetRun) error {
-	spec, m := r.s.agg, &r.s.aggMem
-	if !r.reply.Done && m.bytes < r.d.cfg.MaxReplyBytes {
+	s, t := r.s, &r.s.groups
+	if !r.reply.Done && s.weight < r.d.cfg.MaxReplyBytes {
 		return nil // the row or time budget ended the message
 	}
-	slices.SortFunc(m.groups, func(a, b aggGroup) int {
-		return bytes.Compare(m.block[a.off:a.keyEnd], m.block[b.off:b.keyEnd])
-	})
-	ncols := len(spec.Cols)
-	r.reply.Rows = make([][]byte, 0, len(m.groups))
-	out := make([]byte, 0, m.bytes)
-	for _, g := range m.groups {
+	t.Sort()
+	nkeys := len(s.agg.GroupBy)
+	out := slices.Grow(r.block[:0], s.weight)
+	for g := range t.Len() {
 		n := len(out)
-		out = fsdp.AppendGroup(out, len(spec.GroupBy), m.block[g.keyEnd:g.end], m.partials[g.part:int(g.part)+ncols])
+		out = fsdp.AppendGroup(out, nkeys, t.Fields(g), t.Partials(g))
 		r.reply.Rows = append(r.reply.Rows, out[n:len(out):len(out)])
 	}
-	if len(out) != m.bytes {
-		return fmt.Errorf("dp: aggregate entries charged %d bytes against the block weigh %d", m.bytes, len(out))
+	r.block = out
+	if len(out) != s.weight {
+		return fmt.Errorf("dp: aggregate entries charged %d bytes against the block weigh %d", s.weight, len(out))
 	}
-	r.reply.Count = uint32(len(m.groups))
-	clear(m.partials) // drop MIN/MAX strings
-	clear(m.table)
-	m.block, m.groups, m.partials, m.bytes = m.block[:0], m.groups[:0], m.partials[:0], 0
+	r.reply.Count = uint32(t.Len())
+	t.Reset(len(s.agg.Cols))
+	s.weight = 0
 	return nil
 }
 

@@ -503,7 +503,7 @@ func TestAggIntKeyEntriesAreTheByteKeyEntries(t *testing.T) {
 	tableLen := func(scb uint32) int {
 		d.mu.Lock()
 		defer d.mu.Unlock()
-		return len(d.scbs[scb].aggMem.table)
+		return d.scbs[scb].groups.Slots()
 	}
 	var got [][]byte
 	var grown []int // the table's size after each message but the last

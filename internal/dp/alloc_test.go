@@ -126,6 +126,66 @@ func TestAllocationCeilings(t *testing.T) {
 	oneRowCostsOneRow(t, d)
 	aReadCostsNothing(t, d)
 	aKeyedUpdateCostsItsImages(t, d)
+	aConversationCostsNothing(t, d)
+}
+
+// aConversationCostsNothing is TestAllocationCeilings' ceiling on whole
+// subset conversations through the Handler: a GET^VSBB with a projection,
+// a COUNT and an AGG grouped by an INTEGER, each from its ^FIRST to Done
+// over 3000 records in three messages, every request encoded and every
+// reply decoded into buffers the test reuses. Each message decodes into a
+// pooled service slot and works in its virtual block and reply lists;
+// each conversation runs in a Subset Control Block off the free list,
+// with the projection, the aggregate specification and the groups in the
+// lists and arenas a finished conversation left there. So once warm, a
+// conversation allocates nothing at all. (A predicate is decoded and
+// compiled at ^FIRST: compilingCostsAConstantAtFirst prices that.)
+func aConversationCostsNothing(t *testing.T, d *DP) {
+	for _, c := range []struct {
+		name  string
+		first fsdp.Request
+		rows  int // reply rows the conversation returns
+	}{
+		{"GET^FIRST/NEXT^VSBB", fsdp.Request{Kind: fsdp.KGetFirstVSBB, File: "EMP", Proj: []int{1, 3}}, 3000},
+		{"COUNT^FIRST/NEXT", fsdp.Request{Kind: fsdp.KCountFirst, File: "EMP"}, 0},
+		{"AGG^FIRST/NEXT", fsdp.Request{Kind: fsdp.KAggFirst, File: "ACCT", Agg: acctByGroup}, 100},
+	} {
+		var req, out []byte
+		var reply fsdp.Reply
+		var lists [2][][]byte // the reply's lists, kept across a reply without rows
+		high := key1(3000)
+		conversation := func() {
+			q := c.first
+			q.Range, q.RowLimit = keys.Range{High: high}, 1000
+			rows, messages := 0, 0
+			for {
+				req = fsdp.AppendRequest(req[:0], &q)
+				out = d.Handler(req, out[:0])
+				messages++
+				reply.Rows, reply.RowKeys = lists[0][:0], lists[1][:0]
+				if err := fsdp.DecodeReplyInto(&reply, out); err != nil || !reply.OK() {
+					t.Fatalf("%s: message %d: %+v, %v", c.name, messages, reply, err)
+				}
+				if cap(reply.Rows) > cap(lists[0]) || cap(reply.RowKeys) > cap(lists[1]) {
+					lists = [2][][]byte{reply.Rows, reply.RowKeys}
+				}
+				rows += len(reply.Rows)
+				if reply.Done {
+					break
+				}
+				q = fsdp.Request{Kind: c.first.Kind.Next(), File: q.File, SCB: reply.SCB, Range: q.Range.Continue(reply.LastKey), RowLimit: q.RowLimit}
+			}
+			if messages != 3 || rows != c.rows {
+				t.Fatalf("%s: %d rows in %d messages, want %d in 3", c.name, rows, messages, c.rows)
+			}
+		}
+		conversation()
+		got := testing.AllocsPerRun(20, conversation)
+		t.Logf("%s, three messages through the Handler: %.0f allocations", c.name, got)
+		if got > 0 {
+			t.Errorf("a %s conversation through the Handler allocates %.1f objects, ceiling 0", c.name, got)
+		}
+	}
 }
 
 // aKeyedUpdateCostsItsImages is TestAllocationCeilings' ceiling on one

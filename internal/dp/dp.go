@@ -178,6 +178,7 @@ type counters struct {
 
 // fileState is one file fragment managed by this DP as a single B-tree.
 type fileState struct {
+	name       string // the file's name, the key it is found by: decoded requests name it with this string
 	schema     *record.Schema
 	check      expr.Expr
 	tree       *btree.Tree
@@ -188,28 +189,50 @@ type fileState struct {
 // / UPDATE^SUBSET^FIRST time so re-drives need not re-send the
 // predicate, projection, or update expression. kind, tx and file name
 // the conversation it belongs to; a ^NEXT must match all three.
+//
+// An SCB is reused: when its conversation ends it goes on the Disk
+// Process's free list with every list and arena it grew (takeSCB,
+// freeSCB), so the next conversation's projection, aggregate
+// specification, leaf plan and groups cost nothing once they fit. A
+// reused struct never answers to its old id: ids come from a counter that
+// only rises, and an id is dropped from the table before its SCB is
+// freed.
 type scb struct {
-	kind   fsdp.Kind // the conversation's ^FIRST kind
-	tx     uint64
-	file   string
-	pred   *expr.Program // the selection predicate, compiled at ^FIRST; nil accepts every record
-	proj   []int
-	set    expr.SetList  // the SET list (UPDATE^SUBSET), decoded at ^FIRST
-	agg    *fsdp.AggSpec // partial-aggregate program (AGG^FIRST/NEXT)
-	aggMem aggMem        // the groups folded so far and not yet shipped
+	kind fsdp.Kind // the conversation's ^FIRST kind
+	tx   uint64
+	file string
+	pred *expr.Program // the selection predicate, compiled at ^FIRST; nil accepts every record
+	proj []int         // the projection (GET^VSBB), copied from ^FIRST; nil ships the record whole
+	set  expr.SetList  // the SET list (UPDATE^SUBSET), decoded at ^FIRST
+	agg  fsdp.AggSpec  // partial-aggregate program (AGG^FIRST/NEXT), decoded at ^FIRST
+	// groups are the groups folded so far and not yet shipped; weight is
+	// what their reply entries weigh (fsdp.GroupLen): their bytes if
+	// shipped now. width is aggWidth of agg, checked once a record. kb and
+	// fields are the record at hand's group key bytes and key values.
+	groups        fsdp.GroupTable
+	weight, width int
+	kb, fields    []byte
+	marked        int // weight at groups.Mark
 	// class is the cache access class derived once at ^FIRST time and
 	// reused by every re-drive: a re-drive's range always has Low set
 	// (the continuation key), so re-deriving from the range would
 	// misclassify every full scan after its first message.
 	class cache.AccessClass
 	// planned: the pool took the pre-fetch of the range's leaves (the
-	// plan runs to the range's end, which no ^NEXT moves).
+	// plan runs to the range's end, which no ^NEXT moves). plan is the
+	// list the leaves were planned into.
 	planned bool
+	plan    []disk.BlockNum
 	// limit/delivered implement the conversation-wide qualifying-row
 	// budget (Request.ScanLimit): once delivered reaches limit the
 	// subset ends early with Done=true, whatever remains in the range.
 	limit     uint32
 	delivered uint32
+
+	// busy: a message is being served on the SCB; retired: its id was
+	// dropped meanwhile (CLOSE^SUBSET, the transaction's end, a crash),
+	// and the message frees it when it ends. Both are guarded by DP.mu.
+	busy, retired bool
 }
 
 // classFor derives a subset's cache access class at ^FIRST time: an
@@ -243,11 +266,12 @@ type DP struct {
 
 	// mu guards transaction and subset-control state only; it is never
 	// held across I/O or tree operations.
-	mu      sync.Mutex
-	scbs    map[uint32]*scb
-	nextSCB uint32
-	txs     map[uint64]*txState
-	freeTxs []*txState // finished transactions' states, for the next ones
+	mu       sync.Mutex
+	scbs     map[uint32]*scb
+	nextSCB  uint32
+	freeSCBs []*scb // finished conversations' SCBs, for the next ones
+	txs      map[uint64]*txState
+	freeTxs  []*txState // finished transactions' states, for the next ones
 
 	// rep is the backup-role state: created on the first shipped
 	// checkpoint batch, it tracks in-flight transactions so promotion
@@ -277,21 +301,27 @@ type DP struct {
 	qwMu      sync.Mutex
 	queueWait func() (uint64, uint64)
 
-	// slots holds what a record request in service decodes into, works in
-	// and replies from (*slot): as many are in use as such requests are in
-	// service.
+	// slots holds what a request in service decodes into, works in and
+	// replies from (*slot): as many are in use as requests are in service.
 	slots sync.Pool
+	// names is fileName, made once: what a decoded request's file name is
+	// taken from.
+	names func([]byte) (string, bool)
 }
 
-// A slot is one record request in service — a READ, an INSERT, a keyed or
-// whole-record write, a lock, or a PREPARE, COMMIT or ABORT: the request
-// decoded into it, its reply, a READ's record copied out of the leaf and
-// the reply's one-entry lists, a keyed UPDATE's SET list, the write it
-// makes (rows, images and audit record) and the marker a PREPARE, COMMIT
-// or ABORT audits. A slot of the pool is reused from request to request,
-// so a READ allocates nothing, and a write what its transaction keeps.
+// A slot is one request in service — a READ, an INSERT, a keyed or
+// whole-record write, a lock, a PREPARE, COMMIT or ABORT, or a message of
+// a subset conversation: the request decoded into it, its reply, a READ's
+// record copied out of the leaf and the reply's one-entry lists, a keyed
+// UPDATE's SET list, the write it makes (rows, images and audit record),
+// the marker a PREPARE, COMMIT or ABORT audits, and a subset message's run
+// — its virtual block, its reply's lists, the keys it collected. A slot of
+// the pool is reused from request to request, and its reply is encoded
+// before it is, so a READ or a conversation's message allocates nothing,
+// and a write what its transaction keeps.
 type slot struct {
 	req   fsdp.Request
+	proj  []int // what req.Proj decodes into
 	reply fsdp.Reply
 	val   []byte
 	rows  [1][]byte
@@ -299,6 +329,7 @@ type slot struct {
 	set   expr.SetList
 	w     write
 	mark  wal.Record
+	run   subsetRun // a subset message replies from run.reply, whose lists it keeps
 }
 
 // answer makes r the slot's reply.
@@ -308,17 +339,16 @@ func (sl *slot) answer(r fsdp.Reply) *fsdp.Reply {
 }
 
 // slotKind reports whether requests of kind decode into a slot: every
-// record request. A conversation's Subset Control Block keeps what its
-// ^FIRST carries, so those kinds, the blocks and the rare kinds decode
-// into a Request of their own.
+// record request and every message of a subset conversation, whose
+// Subset Control Block copies what its ^FIRST carries. The blocks and the
+// rare kinds decode into a Request of their own.
 func slotKind(kind fsdp.Kind) bool {
 	switch kind {
-	case fsdp.KReadRecord, fsdp.KInsertRecord, fsdp.KUpdateRecord, fsdp.KDeleteRecord,
-		fsdp.KUpdateKey, fsdp.KDeleteKey, fsdp.KLockFile, fsdp.KLockRecord, fsdp.KLockRange,
-		fsdp.KPrepare, fsdp.KCommit, fsdp.KAbort:
-		return true
+	case fsdp.KInsertBlock, fsdp.KUpdateBlock, fsdp.KDeleteBlock, fsdp.KProbeBlock,
+		fsdp.KCreateFile, fsdp.KDropFile, fsdp.KShipRecords, fsdp.KPromote:
+		return false
 	}
-	return false
+	return true
 }
 
 // New creates a Disk Process over its volume.
@@ -337,6 +367,7 @@ func New(cfg Config) (*DP, error) {
 		scbs:  make(map[uint32]*scb),
 		txs:   make(map[uint64]*txState),
 	}
+	d.names = d.fileName
 	d.locks.DefaultTimeout = cfg.LockTimeout
 	d.pool = cache.NewPoolOpts(cfg.Volume, cfg.CacheSlots, cfg.Audit.Trail(),
 		cache.Options{Shards: cfg.CacheShards, PlainLRU: cfg.CachePlainLRU})
@@ -477,9 +508,10 @@ func (d *DP) Concurrency() (float64, int) {
 // sender's and may be reused once the handler returns, so whatever
 // outlives the message is copied out of them: a lock copies what it
 // locks, an undo entry its key and image (txState.keep), the trail and a
-// backup's checkpoint stream encode the audit record. A record request
-// decodes into a pooled slot (slotKind); the rest into a Request of their
-// own, whose repeated fields the decoder allocates. Creating a file and
+// backup's checkpoint stream encode the audit record. A record request or
+// a subset conversation's message decodes into a pooled slot (slotKind);
+// the rest into a Request of their own, whose repeated fields the decoder
+// allocates. Creating a file and
 // applying shipped records keep most of what they carry (the file's
 // definition, the records a backup holds for takeover), and are rare: they
 // are decoded from a copy of the whole request.
@@ -494,7 +526,11 @@ func (d *DP) Handler(reqBytes, out []byte) []byte {
 		if sl == nil {
 			sl = new(slot)
 		}
+		sl.req.Proj = sl.proj // a request without one decodes Proj nil: the list is kept here
 		out = d.reply(out, &sl.req, reqBytes, sl)
+		if cap(sl.req.Proj) > cap(sl.proj) {
+			sl.proj = sl.req.Proj[:0]
+		}
 		sl.w.bytes.Reset()
 		d.slots.Put(sl)
 		return out
@@ -506,7 +542,7 @@ func (d *DP) Handler(reqBytes, out []byte) []byte {
 
 // reply decodes b into req, serves it and appends the reply to out.
 func (d *DP) reply(out []byte, req *fsdp.Request, b []byte, sl *slot) []byte {
-	if err := fsdp.DecodeRequestInto(req, b); err != nil {
+	if err := fsdp.DecodeRequestInto(req, b, d.names); err != nil {
 		return fsdp.AppendReply(out, &fsdp.Reply{Code: fsdp.ErrBadRequest, Err: err.Error()})
 	}
 	return fsdp.AppendReply(out, d.serve(req, sl))
@@ -560,19 +596,19 @@ func (d *DP) serve(req *fsdp.Request, sl *slot) *fsdp.Reply {
 	case fsdp.KLockFile, fsdp.KLockRecord, fsdp.KLockRange:
 		reply = d.lockOp(req, sl)
 	case fsdp.KGetFirstRSBB, fsdp.KGetNextRSBB:
-		reply = d.subset(req, getRSBB)
+		reply = d.subset(req, getRSBB, &sl.run)
 	case fsdp.KGetFirstVSBB, fsdp.KGetNextVSBB:
-		reply = d.subset(req, getVSBB)
+		reply = d.subset(req, getVSBB, &sl.run)
 	case fsdp.KCountFirst, fsdp.KCountNext:
-		reply = d.subset(req, countRecords)
+		reply = d.subset(req, countRecords, &sl.run)
 	case fsdp.KAggFirst, fsdp.KAggNext:
-		reply = d.subset(req, aggregate)
+		reply = d.subset(req, aggregate, &sl.run)
 	case fsdp.KProbeBlock:
 		reply = d.probeBlock(req)
 	case fsdp.KUpdateSubsetFirst, fsdp.KUpdateSubsetNext:
-		reply = d.subset(req, updateRecords)
+		reply = d.subset(req, updateRecords, &sl.run)
 	case fsdp.KDeleteSubsetFirst, fsdp.KDeleteSubsetNext:
-		reply = d.subset(req, deleteRecords)
+		reply = d.subset(req, deleteRecords, &sl.run)
 	case fsdp.KInsertBlock:
 		reply = d.insertBlock(req)
 	case fsdp.KUpdateBlock:
@@ -580,7 +616,7 @@ func (d *DP) serve(req *fsdp.Request, sl *slot) *fsdp.Reply {
 	case fsdp.KDeleteBlock:
 		reply = d.deleteBlock(req)
 	case fsdp.KCloseSubset:
-		reply = d.closeSubset(req)
+		reply = d.closeSubset(req, sl)
 	case fsdp.KPrepare:
 		reply = d.prepare(req, sl)
 	case fsdp.KCommit:
@@ -639,6 +675,18 @@ func (d *DP) readFailed(err error) *fsdp.Reply {
 	return errReply(err)
 }
 
+// fileName is the name of the file b names, when this Disk Process has
+// it: the string its file map holds, so decoding a request allocates none.
+func (d *DP) fileName(b []byte) (string, bool) {
+	d.filesMu.RLock()
+	f, ok := d.files[string(b)]
+	d.filesMu.RUnlock()
+	if !ok {
+		return "", false
+	}
+	return f.name, true
+}
+
 // getFile looks up a file fragment. This is on the path of every
 // record operation, so it takes only a read lock.
 func (d *DP) getFile(name string) (*fileState, error) {
@@ -680,7 +728,7 @@ func (d *DP) createFile(req *fsdp.Request) *fsdp.Reply {
 		d.filesMu.Unlock()
 		return &fsdp.Reply{Code: fsdp.ErrGeneral, Err: fmt.Sprintf("dp %s: file %q exists", d.cfg.Name, req.File)}
 	}
-	d.files[req.File] = &fileState{schema: schema, check: check, tree: tree, fieldAudit: req.Audit}
+	d.files[req.File] = &fileState{name: req.File, schema: schema, check: check, tree: tree, fieldAudit: req.Audit}
 	d.filesMu.Unlock()
 	// File metadata never passes through the audit append path, so the
 	// backup learns of the new file from a synthesized marker (see
@@ -719,6 +767,7 @@ func (d *DP) AttachFile(name string, schema *record.Schema, check expr.Expr, roo
 	d.filesMu.Lock()
 	defer d.filesMu.Unlock()
 	d.files[name] = &fileState{
+		name:       name,
 		schema:     schema,
 		check:      check,
 		tree:       btree.Open(d.pool, d.cfg.Volume, name, root, d.latches).HoldsRecords(record.FieldStarts),

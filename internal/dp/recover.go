@@ -19,7 +19,9 @@ func (d *DP) Crash() {
 	d.mu.Lock()
 	oldTxs := d.txs
 	d.txs = make(map[uint64]*txState)
-	d.scbs = make(map[uint32]*scb)
+	for id, s := range d.scbs {
+		d.retireSCB(id, s)
+	}
 	d.mu.Unlock()
 	for tx := range oldTxs {
 		d.locks.ReleaseTx(tx)

@@ -232,7 +232,7 @@ func (d *DP) applyFileMarker(rec *wal.Record) error {
 	}
 	d.filesMu.Lock()
 	if _, dup := d.files[rec.File]; !dup {
-		d.files[rec.File] = &fileState{schema: schema, check: check, tree: tree, fieldAudit: flags&1 != 0}
+		d.files[rec.File] = &fileState{name: rec.File, schema: schema, check: check, tree: tree, fieldAudit: flags&1 != 0}
 	}
 	d.filesMu.Unlock()
 	return nil

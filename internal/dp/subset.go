@@ -3,6 +3,7 @@ package dp
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"time"
 
 	"nonstopsql/internal/btree"
@@ -10,41 +11,116 @@ import (
 	"nonstopsql/internal/fsdp"
 	"nonstopsql/internal/keys"
 	"nonstopsql/internal/lock"
+	"nonstopsql/internal/poison"
 	"nonstopsql/internal/record"
 )
 
-// newSCB registers a Subset Control Block and returns its id.
-func (d *DP) newSCB(s *scb) uint32 {
+// maxFreeSCBs bounds the free list of Subset Control Blocks, and
+// maxSCBArena and maxSCBSlots what a freed one keeps of its scratch and
+// its group table: a conversation that grew past them leaves them to the
+// collector.
+const (
+	maxFreeSCBs = 256
+	maxSCBArena = 64 << 10
+	maxSCBSlots = 8192
+)
+
+// takeSCB returns a Subset Control Block for a conversation a ^FIRST
+// opens: one a finished conversation freed, with what it grew, or a new
+// one. It is busy — its message's — until releaseSCB.
+func (d *DP) takeSCB() *scb {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.nextSCB++
-	id := d.nextSCB
-	d.scbs[id] = s
-	return id
+	var s *scb
+	if n := len(d.freeSCBs); n > 0 {
+		s, d.freeSCBs = d.freeSCBs[n-1], d.freeSCBs[:n-1]
+	}
+	d.mu.Unlock()
+	if s == nil {
+		s = new(scb)
+	}
+	s.busy = true
+	return s
 }
 
+// lookupSCB returns the Subset Control Block a ^NEXT names, busy for its
+// message until releaseSCB. An SCB another message is being served on is
+// refused like one that is not there: a conversation is one message at a
+// time.
 func (d *DP) lookupSCB(id uint32) (*scb, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	s, ok := d.scbs[id]
-	if !ok {
+	if !ok || s.busy {
 		return nil, fmt.Errorf("dp %s: no subset control block %d", d.cfg.Name, id)
 	}
+	s.busy = true
 	return s, nil
 }
 
-// retireSCB drops a Subset Control Block and whatever the conversation
-// kept on it; a re-drive that names it afterwards is refused.
-func (d *DP) retireSCB(id uint32) {
+// releaseSCB ends a message's hold on s, which it served under id (0: a
+// ^FIRST's, not registered yet). keep says the conversation wants a
+// re-drive: s is registered — under a new id when it has none — and the id
+// returned. Otherwise, or when s was retired while the message ran, s is
+// dropped and freed, and 0 returned.
+func (d *DP) releaseSCB(id uint32, s *scb, keep bool) uint32 {
 	d.mu.Lock()
+	defer d.mu.Unlock()
+	s.busy = false
+	switch {
+	case s.retired:
+		id = 0
+		d.freeSCB(s)
+	case keep && id == 0:
+		d.nextSCB++
+		id = d.nextSCB
+		d.scbs[id] = s
+	case !keep:
+		delete(d.scbs, id)
+		id = 0
+		d.freeSCB(s)
+	}
+	return id
+}
+
+// retireSCB drops Subset Control Block id and whatever its conversation
+// kept on it; a re-drive that names it afterwards is refused. An SCB a
+// message is being served on is freed when the message ends. Caller holds
+// d.mu.
+func (d *DP) retireSCB(id uint32, s *scb) {
 	delete(d.scbs, id)
-	d.mu.Unlock()
+	if s.busy {
+		s.retired = true
+		return
+	}
+	d.freeSCB(s)
+}
+
+// freeSCB puts s on the free list, its lists and arenas kept for the next
+// conversation and, under the race detector, its bytes poisoned: nothing
+// reads them once the conversation is over. Caller holds d.mu.
+func (d *DP) freeSCB(s *scb) {
+	if len(d.freeSCBs) >= maxFreeSCBs {
+		return
+	}
+	poison.Fill(s.kb)
+	poison.Fill(s.fields)
+	s.groups.Reset(0)
+	*s = scb{proj: s.proj[:0], set: s.set, agg: fsdp.AggSpec{GroupBy: s.agg.GroupBy[:0], Cols: s.agg.Cols[:0]},
+		groups: s.groups, kb: s.kb[:0], fields: s.fields[:0], plan: s.plan[:0]}
+	if cap(s.kb)+cap(s.fields) > maxSCBArena || s.groups.Slots() > maxSCBSlots {
+		s.groups, s.kb, s.fields = fsdp.GroupTable{}, nil, nil
+	}
+	d.freeSCBs = append(d.freeSCBs, s)
 }
 
 // closeSubset serves KCloseSubset: discard an SCB before exhaustion.
-func (d *DP) closeSubset(req *fsdp.Request) *fsdp.Reply {
-	d.retireSCB(req.SCB)
-	return &fsdp.Reply{}
+func (d *DP) closeSubset(req *fsdp.Request, sl *slot) *fsdp.Reply {
+	d.mu.Lock()
+	if s, ok := d.scbs[req.SCB]; ok {
+		d.retireSCB(req.SCB, s)
+	}
+	d.mu.Unlock()
+	return sl.answer(fsdp.Reply{})
 }
 
 // batchState tracks the per-message limits of the continuation re-drive
@@ -130,7 +206,9 @@ const (
 	limit              // the conversation's row limit (ScanLimit) is met
 )
 
-// subsetRun is the state of one subset message being served.
+// subsetRun is the state of one subset message being served. It is its
+// service slot's, and so are the lists and the block it grows: the next
+// message the slot serves reuses them (start).
 type subsetRun struct {
 	d     *DP
 	f     *fileState
@@ -138,7 +216,7 @@ type subsetRun struct {
 	req   *fsdp.Request
 	s     *scb
 	batch batchState
-	reply fsdp.Reply // returned by address: the run and its reply are one allocation
+	reply fsdp.Reply
 	stop  stop
 
 	// In a transaction a read kind locks the span it read before it
@@ -152,28 +230,40 @@ type subsetRun struct {
 	rec  record.View // the record under the scan cursor, pointed at the starts the run lends
 	hits [][]byte    // mutating kinds: qualifying keys, applied after the scan
 
-	// block is the message's virtual block: reply rows and keys (GET) and
-	// collected keys (mutating kinds) are cut from this one buffer. It
-	// grows by appending, except that a GET reserves it once, at its second
-	// row (reserve). Bytes already appended never move — growth copies them
-	// to a new array and leaves the old one to the slices cut from it.
+	// block is the message's virtual block: reply rows and keys (GET),
+	// collected keys (mutating kinds) and shipped group entries (AGG) are
+	// cut from this one buffer. It grows by appending, except that a GET
+	// reserves room once, at its second row (reserve). Bytes already
+	// appended never move — growth copies them to a new array and leaves
+	// the old one to the slices cut from it.
 	block    []byte
 	reserved bool
 }
 
-// subset serves every ^FIRST/^NEXT conversation kind. It owns the
-// protocol: open the SCB on ^FIRST — planning the range's leaves for
-// pre-fetch, once for the whole conversation — or look it up, and refuse
-// it unless file, kind and transaction all match, on ^NEXT; scan the
-// range a leaf at a time under the message budget, tracking LastKey and
-// the scanned / predicate / filtered counters; hand each qualifying
-// record to the kind's visitor; in a transaction, lock the span the
-// message read as a group before replying — reading it again under the
-// lock if the lock had to wait — and retain the SCB when
-// a re-drive is wanted, retire it when Done — or when the message fails:
-// a kind may have folded half a message into its SCB (AGG), so a
+// start readies r, its slot's, for a message of kind k on file f: every
+// field the message's, and the block and lists the slot's, emptied. The
+// last message's reply was encoded before the slot came back, so what it
+// cut from them is nobody's; under the race detector it is poisoned.
+func (r *subsetRun) start(d *DP, f *fileState, k *subsetKind, req *fsdp.Request) {
+	poison.Fill(r.block)
+	*r = subsetRun{d: d, f: f, k: k, req: req,
+		reply: fsdp.Reply{Rows: r.reply.Rows[:0], RowKeys: r.reply.RowKeys[:0], LastKey: r.reply.LastKey[:0]},
+		hits:  r.hits[:0], block: r.block[:0]}
+}
+
+// subset serves every ^FIRST/^NEXT conversation kind in r, the message's
+// run. It owns the protocol: open the SCB on ^FIRST — planning the
+// range's leaves for pre-fetch, once for the whole conversation — or look
+// it up, and refuse it unless file, kind and transaction all match, on
+// ^NEXT; scan the range a leaf at a time under the message budget,
+// tracking LastKey and the scanned / predicate / filtered counters; hand
+// each qualifying record to the kind's visitor; in a transaction, lock the
+// span the message read as a group before replying — reading it again
+// under the lock if the lock had to wait — and keep the SCB when a
+// re-drive is wanted, retire it when Done — or when the message fails: a
+// kind may have folded half a message into its SCB (AGG), so a
 // conversation does not outlive its first error.
-func (d *DP) subset(req *fsdp.Request, k *subsetKind) *fsdp.Reply {
+func (d *DP) subset(req *fsdp.Request, k *subsetKind, r *subsetRun) *fsdp.Reply {
 	f, err := d.getFile(req.File)
 	if err != nil {
 		return errReply(err)
@@ -183,36 +273,39 @@ func (d *DP) subset(req *fsdp.Request, k *subsetKind) *fsdp.Reply {
 	}
 	d.stats.setRequests.Add(1)
 
-	r := &subsetRun{d: d, f: f, k: k, req: req}
+	r.start(d, f, k, req)
 	isFirst := req.Kind == k.first
+	id := req.SCB
 	if isFirst {
 		// The SCB is created at ^FIRST time; re-drives do not re-send the
 		// predicate, projection, expressions, access class, or row budget.
 		// The predicate is compiled here, once, and every message of the
 		// conversation runs the program.
+		id = 0
 		pred, err := expr.Decode(req.Pred)
 		if err != nil {
 			return errReply(err)
 		}
-		r.s = &scb{kind: k.first, tx: req.Tx, file: req.File, pred: expr.Compile(pred), class: classFor(req)}
+		r.s = d.takeSCB()
+		r.s.kind, r.s.tx, r.s.file, r.s.pred, r.s.class = k.first, req.Tx, req.File, expr.Compile(pred), classFor(req)
 		if k.open != nil {
 			if err := k.open(r); err != nil {
+				d.releaseSCB(0, r.s, false)
 				return errReply(err)
 			}
 		}
 	} else {
-		if r.s, err = d.lookupSCB(req.SCB); err != nil {
+		if r.s, err = d.lookupSCB(id); err != nil {
 			return errReply(err)
 		}
 		if r.s.file != req.File || r.s.kind != k.first || r.s.tx != req.Tx {
+			d.releaseSCB(id, r.s, true)
 			return &fsdp.Reply{Code: fsdp.ErrBadRequest, Err: "dp: SCB belongs to another conversation (file, kind or transaction mismatch)"}
 		}
 	}
 	s, reply := r.s, &r.reply
 	fail := func(err error) *fsdp.Reply {
-		if !isFirst {
-			d.retireSCB(req.SCB)
-		}
+		d.releaseSCB(id, s, false)
 		return d.readFailed(err)
 	}
 
@@ -224,15 +317,16 @@ func (d *DP) subset(req *fsdp.Request, k *subsetKind) *fsdp.Reply {
 	// every pre-fetch worker busy, and then the next message plans what
 	// is left of the range.
 	if d.cfg.Prefetch && !s.planned {
-		if s.planned, err = f.tree.Prefetch(req.Range, s.class); err != nil {
+		if s.plan, s.planned, err = f.tree.Prefetch(s.plan, req.Range, s.class); err != nil {
 			return fail(err)
 		}
 	}
 	r.groupLock = req.Tx != 0 && !k.mutates
 	if r.groupLock {
 		r.delivered = s.delivered
-		if s.agg != nil {
-			s.aggMem.mark() // the fold must be undoable until the lock is granted
+		if s.kind == fsdp.KAggFirst {
+			s.groups.Mark() // the fold must be undoable until the lock is granted
+			s.marked = s.weight
 		}
 	}
 	if err := r.scan(req.Range); err != nil {
@@ -273,18 +367,15 @@ func (d *DP) subset(req *fsdp.Request, k *subsetKind) *fsdp.Reply {
 
 	if !reply.Done {
 		d.stats.redrives.Add(1)
-		if isFirst {
-			reply.SCB = d.newSCB(s)
-		} else {
-			reply.SCB = req.SCB
-		}
-	} else {
-		if !isFirst {
-			d.retireSCB(req.SCB) // exhausted
-		}
-		if k.mutates {
-			d.idleWork() // write-behind of the strings this subset dirtied
-		}
+	}
+	reply.SCB = d.releaseSCB(id, s, !reply.Done)
+	if !reply.Done && reply.SCB == 0 {
+		// The transaction ended, or the volume crashed, while the message
+		// ran: the conversation has nothing to continue against.
+		return errReply(fmt.Errorf("dp %s: subset control block %d retired while in service", d.cfg.Name, id))
+	}
+	if reply.Done && k.mutates {
+		d.idleWork() // write-behind of the strings this subset dirtied
 	}
 	reply.Examined = uint32(r.batch.processed)
 	return reply
@@ -354,7 +445,7 @@ func (r *subsetRun) span(rng keys.Range) keys.Range {
 	if r.stop == ranOut {
 		rng.High = bytes.Clone(rng.High)
 	} else {
-		rng.High, rng.HighIncl = r.reply.LastKey, true
+		rng.High, rng.HighIncl = bytes.Clone(r.reply.LastKey), true
 	}
 	return rng
 }
@@ -367,11 +458,12 @@ func (r *subsetRun) span(rng keys.Range) keys.Range {
 func (r *subsetRun) again(locked keys.Range) error {
 	first := r.stop
 	r.batch = r.d.newBatch(r.req.RowLimit)
-	r.reply.LastKey = nil // the lock holds the first read's LastKey as its span's end
+	r.reply.LastKey = r.reply.LastKey[:0]
 	r.reply.Rows, r.reply.RowKeys, r.reply.Count = r.reply.Rows[:0], r.reply.RowKeys[:0], 0
-	r.block, r.s.delivered, r.stop = r.block[:0], r.delivered, ranOut
-	if r.s.agg != nil {
-		r.s.aggMem.rewind()
+	r.block, r.s.delivered, r.stop, r.reserved = r.block[:0], r.delivered, ranOut, false
+	if r.s.kind == fsdp.KAggFirst {
+		r.s.groups.Rewind()
+		r.s.weight = r.s.marked
 	}
 	err := r.scan(locked)
 	if r.stop == ranOut && first != ranOut {
@@ -391,7 +483,7 @@ func (r *subsetRun) again(locked keys.Range) error {
 var (
 	getVSBB = &subsetKind{first: fsdp.KGetFirstVSBB, visit: visitGet,
 		open: func(r *subsetRun) error {
-			r.s.proj, r.s.limit = r.req.Proj, r.req.ScanLimit
+			r.s.proj, r.s.limit = append(r.s.proj[:0], r.req.Proj...), r.req.ScanLimit
 			if len(r.s.proj) == 0 {
 				r.s.proj = nil // no projection: the record ships whole
 			}
@@ -399,7 +491,7 @@ var (
 		}}
 	getRSBB = &subsetKind{first: fsdp.KGetFirstRSBB, visit: visitGet,
 		open: func(r *subsetRun) error {
-			r.s.pred, r.s.limit = nil, r.req.ScanLimit
+			r.s.pred, r.s.proj, r.s.limit = nil, nil, r.req.ScanLimit
 			return nil
 		}}
 )
@@ -446,15 +538,23 @@ const reserveRows = 4096
 // block allocation, not a doubling per power of two, and a message of one
 // row — a lookup through an index, a selective range — costs what its one
 // row does. The first row stays in the block it was appended to.
+//
+// The block and the lists are the service slot's, and a slot that has
+// served a message like it already has the room: then reserving costs
+// nothing.
 func (r *subsetRun) reserve(keyLen, rowLen int) {
 	b := &r.batch
 	n := min((b.maxBytes-b.bytes)/max(rowLen, 1)+1, b.maxRows-b.processed+1, reserveRows)
 	if r.s.limit > 0 {
 		n = min(n, int(r.s.limit-r.s.delivered))
 	}
-	r.block = make([]byte, 0, n*(keyLen+rowLen))
-	r.reply.Rows = append(make([][]byte, 0, n+1), r.reply.Rows...)
-	r.reply.RowKeys = append(make([][]byte, 0, n+1), r.reply.RowKeys...)
+	if need := len(r.block) + n*(keyLen+rowLen); cap(r.block) < need {
+		// Room for the first row too, which stays where it is: the next
+		// message this slot serves appends its first row here.
+		r.block = make([]byte, 0, need)
+	}
+	r.reply.Rows = slices.Grow(r.reply.Rows, n)
+	r.reply.RowKeys = slices.Grow(r.reply.RowKeys, n)
 	r.reserved = true
 }
 

@@ -294,7 +294,7 @@ func (d *DP) finishTx(tx uint64) {
 	}
 	for id, s := range d.scbs {
 		if s.tx == tx {
-			delete(d.scbs, id)
+			d.retireSCB(id, s)
 		}
 	}
 	d.mu.Unlock()

@@ -81,6 +81,10 @@ func subst(e Expr, params []record.Value) (Expr, bool, error) {
 
 // paramValue is the value params holds for slot p, checked against the
 // slot's type hint.
+// Value returns the argument p stands for in params, checked against its
+// hint: what Substitute puts in its place.
+func (p Param) Value(params []record.Value) (record.Value, error) { return paramValue(p, params) }
+
 func paramValue(p Param, params []record.Value) (record.Value, error) {
 	if p.Index < 0 || p.Index >= len(params) {
 		return record.Null, errEval("parameter ?%d out of range (%d supplied)", p.Index+1, len(params))

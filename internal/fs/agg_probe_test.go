@@ -12,6 +12,35 @@ import (
 	"nonstopsql/internal/record"
 )
 
+// mergedGroup is one group of an FS.Agg result, read out of the table.
+type mergedGroup struct {
+	KeyVals  record.Row
+	Partials []fsdp.AggPartial
+}
+
+// agg runs FS.Agg into a table of its own and returns its groups by key
+// bytes.
+func agg(r *rig, def *fs.FileDef, pred expr.Expr, spec *fsdp.AggSpec) (map[string]mergedGroup, fs.ScanStats, error) {
+	var t fsdp.GroupTable
+	st, err := r.fs.Agg(nil, def, keys.All(), pred, spec, &t, nil)
+	if err != nil {
+		return nil, st, err
+	}
+	groups := make(map[string]mergedGroup, t.Len())
+	for g := range t.Len() {
+		var kv record.Row
+		for b := t.Fields(g); len(b) > 0; {
+			v, n, err := record.BorrowValue(b)
+			if err != nil {
+				return nil, st, err
+			}
+			kv, b = append(kv, v), b[n:]
+		}
+		groups[string(t.Key(g))] = mergedGroup{kv, t.Partials(g)}
+	}
+	return groups, st, nil
+}
+
 // loadSpread inserts n rows spread across partitionedDef's three key
 // ranges with cycling departments and a salary of 10*i, so aggregates
 // have per-group structure on every volume.
@@ -92,7 +121,7 @@ func TestAggMatchesScan(t *testing.T) {
 	}
 
 	r.c.Net.ResetStats()
-	groups, st, err := r.fs.Agg(nil, def, keys.All(), pred, spec)
+	groups, st, err := agg(r, def, pred, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +177,7 @@ func TestAggEmptySubset(t *testing.T) {
 
 	spec := &fsdp.AggSpec{Cols: []fsdp.AggCol{{Fn: fsdp.AggCount, Star: true}, {Fn: fsdp.AggMin, Col: 0}}}
 	pred := expr.Bin(expr.OpLT, expr.F(0, "EMPNO"), expr.CInt(-1))
-	groups, _, err := r.fs.Agg(nil, def, keys.All(), pred, spec)
+	groups, _, err := agg(r, def, pred, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

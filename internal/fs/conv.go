@@ -41,6 +41,11 @@ type op struct {
 	spans []partSpan
 	start time.Time
 
+	// arenas are the caller's, one per conversation that runs at once:
+	// worker w's conversations run in arenas[w], and a worker beyond them
+	// allocates its messages (a nil fsdp.Arena).
+	arenas []fsdp.Arena
+
 	claim atomic.Int64  // next span to open; workers claim in key order
 	stop  atomic.Bool   // first error, or the consumer walked away
 	done  chan struct{} // closed with stop; only a parallel scan has one (its scanners park on channels)
@@ -55,14 +60,22 @@ type op struct {
 }
 
 // init binds the op and sizes one accounting slot per span.
-func (o *op) init(f *FS, tx *tmf.Tx, file, label string, y yield, spans []partSpan) {
-	o.fs, o.tx, o.file, o.label, o.yield, o.spans = f, tx, file, label, y, spans
+func (o *op) init(f *FS, tx *tmf.Tx, file, label string, y yield, spans []partSpan, arenas []fsdp.Arena) {
+	o.fs, o.tx, o.file, o.label, o.yield, o.spans, o.arenas = f, tx, file, label, y, spans, arenas
 	o.start = time.Now()
 	o.stats.Spans = make([]SpanStats, len(spans))
 	for i, span := range spans {
 		o.stats.Spans[i].Server = span.server
 		o.stats.Spans[i].Dist = f.client.DistanceTo(span.server)
 	}
+}
+
+// arena is worker w's arena, nil when the caller gave none.
+func (o *op) arena(w int) *fsdp.Arena {
+	if w < len(o.arenas) {
+		return &o.arenas[w]
+	}
+	return nil
 }
 
 // txID is the transaction id requests carry (0 = browse access).
@@ -84,7 +97,7 @@ func (o *op) run(dop int, fn func(*conv) error) error {
 		dop = len(o.spans)
 	}
 	if dop <= 1 {
-		o.work(fn)
+		o.work(0, fn)
 	} else {
 		o.launch(dop, fn)
 		o.wg.Wait()
@@ -99,18 +112,22 @@ func (o *op) launch(dop int, fn func(*conv) error) {
 		o.wg.Add(1)
 		go func() {
 			defer o.wg.Done()
-			o.work(fn)
+			o.work(w, fn)
 		}()
 	}
 }
 
-func (o *op) work(fn func(*conv) error) {
+// work is worker w: it claims spans and drives their conversations, one
+// at a time, in its arena.
+func (o *op) work(w int, fn func(*conv) error) {
+	var c conv
 	for !o.stop.Load() {
 		i := int(o.claim.Add(1)) - 1
 		if i >= len(o.spans) {
 			return
 		}
-		if err := fn(&conv{o: o, i: i}); err != nil {
+		c = conv{o: o, i: i, ar: o.arena(w)}
+		if err := fn(&c); err != nil {
 			o.fail(err)
 			return
 		}
@@ -195,8 +212,10 @@ func (o *op) finish() {
 type conv struct {
 	o   *op
 	i   int           // span (and accounting slot) index
+	ar  *fsdp.Arena   // what its messages are encoded and decoded in (nil: allocated)
 	req *fsdp.Request // the next message; nil once the conversation is over
 	scb uint32        // Subset Control Block the server holds open for it
+	re  fsdp.Request  // the ^NEXT re-drive being sent, or the CLOSE^SUBSET
 
 	// cont, when set, replaces the SCB continuation: a stateless kind
 	// (PROBE^BLOCK) computes its own follow-up message, nil to end.
@@ -209,14 +228,19 @@ func (c *conv) span() partSpan { return c.o.spans[c.i] }
 // server joins the transaction even when the reply carries an
 // application error (it may hold locks or audit that only commit/abort
 // releases), and the pair counts as traffic even when it fails.
+//
+// The request is encoded into the conversation's arena, the reply appended
+// behind it and decoded there (fsdp.Arena.Decode): the reply's rows,
+// lists and LastKey stay valid until the arena's owner resets it, and the
+// Reply itself until the next step.
 func (c *conv) step(req *fsdp.Request) (*fsdp.Reply, error) {
-	o, server := c.o, c.span().server
-	raw := fsdp.EncodeRequest(req)
+	o, server, ar := c.o, c.span().server, c.ar
+	raw := ar.Keep(fsdp.AppendRequest(ar.Free(), req))
 	t0 := time.Now()
-	replyRaw, err := o.fs.sendBytes(server, raw, nil)
+	replyRaw, err := o.fs.sendBytes(server, raw, ar.Free())
 	var reply *fsdp.Reply
 	if err == nil {
-		reply, err = fsdp.DecodeReply(replyRaw)
+		reply, err = ar.Decode(ar.Keep(replyRaw))
 	}
 	if err == nil && o.tx != nil && req.Tx != 0 {
 		err = o.tx.Join(server)
@@ -261,12 +285,15 @@ func (c *conv) next() (*fsdp.Reply, error) {
 		if prev.SCB == 0 {
 			kind = kind.Next()
 		}
-		c.scb = reply.SCB
-		c.req = &fsdp.Request{
+		// prev may be c.re itself: what the re-drive keeps of it is read
+		// out before it is overwritten.
+		next := fsdp.Request{
 			Kind: kind, Tx: prev.Tx, File: prev.File,
 			Range: prev.Range.Continue(reply.LastKey), SCB: reply.SCB,
 			RowLimit: prev.RowLimit, Mode: prev.Mode,
 		}
+		c.scb, c.re = reply.SCB, next
+		c.req = &c.re
 	}
 	return reply, nil
 }
@@ -276,7 +303,8 @@ func (c *conv) next() (*fsdp.Reply, error) {
 // to the span like any other.
 func (c *conv) close() {
 	if c.scb != 0 {
-		_, _ = c.step(&fsdp.Request{Kind: fsdp.KCloseSubset, File: c.o.file, SCB: c.scb})
+		c.re = fsdp.Request{Kind: fsdp.KCloseSubset, File: c.o.file, SCB: c.scb}
+		_, _ = c.step(&c.re)
 	}
 	c.req, c.scb = nil, 0
 }

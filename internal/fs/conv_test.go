@@ -120,7 +120,7 @@ var convKinds = []convKind{
 			spec := &fsdp.AggSpec{GroupBy: []int{2}, Cols: []fsdp.AggCol{
 				{Fn: fsdp.AggCount, Star: true}, {Fn: fsdp.AggSum, Col: 3}, {Fn: fsdp.AggMax, Col: 0},
 			}}
-			groups, st, err := r.fs.Agg(nil, def, keys.All(), salaryBelow(2900), spec)
+			groups, st, err := agg(r, def, salaryBelow(2900), spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -259,7 +259,7 @@ func TestFailedConversationRetiresSCB(t *testing.T) {
 		}},
 		{"agg", 0, func(r *rig, def *fs.FileDef) (fs.ScanStats, error) {
 			spec := &fsdp.AggSpec{Cols: []fsdp.AggCol{{Fn: fsdp.AggCount, Star: true}}}
-			_, st, err := r.fs.Agg(nil, def, keys.All(), pred, spec)
+			_, st, err := agg(r, def, pred, spec)
 			return st, err
 		}},
 		{"select", 3, func(r *rig, def *fs.FileDef) (fs.ScanStats, error) {

@@ -224,8 +224,8 @@ func (f *FS) send(server string, req *fsdp.Request) (*fsdp.Reply, error) {
 
 // sendIn is send through an arena: the request is encoded into it, the
 // reply appended behind the request, and the reply decoded into the
-// arena's Reply — valid, rows and all, until the arena is reset, and
-// overwritten by the arena's next send. With a nil arena all of it is
+// arena's Reply (fsdp.Arena.Decode) — its rows and lists valid until the
+// arena is reset, the Reply itself overwritten by the arena's next send. With a nil arena all of it is
 // allocated and the reply is the caller's. It is the commit
 // coordinator's tmf.Sender.
 func (f *FS) sendIn(ar *fsdp.Arena, server string, req *fsdp.Request) (*fsdp.Reply, error) {
@@ -234,11 +234,7 @@ func (f *FS) sendIn(ar *fsdp.Arena, server string, req *fsdp.Request) (*fsdp.Rep
 	if err != nil {
 		return nil, err
 	}
-	reply := ar.Reply()
-	if err := fsdp.DecodeReplyInto(reply, ar.Keep(out)); err != nil {
-		return nil, err
-	}
-	return reply, nil
+	return ar.Decode(ar.Keep(out))
 }
 
 // SendRaw ships one FS-DP request and returns the undecorated reply. The

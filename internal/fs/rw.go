@@ -129,7 +129,7 @@ func (f *FS) ReadRaw(ar *fsdp.Arena, tx *tmf.Tx, def *FileDef, key []byte, forUp
 func (f *FS) ReadByIndex(tx *tmf.Tx, def *FileDef, idx *IndexDef, value record.Value) ([][]byte, error) {
 	var o op
 	o.init(f, tx, idx.Name, "GET^FIRST/NEXT^VSBB", yieldRecords,
-		partitionsFor(idx.Partitions, keys.Prefix(value.AppendKey(nil))))
+		partitionsFor(idx.Partitions, keys.Prefix(value.AppendKey(nil))), nil)
 	var out [][]byte
 	var iv record.View
 	err := o.run(1, func(c *conv) error {

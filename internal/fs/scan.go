@@ -72,6 +72,15 @@ type SelectSpec struct {
 	ScanLimit uint32
 	// Exclusive requests X virtual-block locks (read for update).
 	Exclusive bool
+
+	// Arenas, when set, are what the scan's messages are encoded and
+	// decoded in: the caller's, one for each partition conversation that
+	// runs at once (the scan's degree of parallelism; one when it runs
+	// sequentially). The rows NextRaw hands out are then slices of them,
+	// valid until the caller resets them — a statement's, when the next
+	// statement starts. A conversation beyond them allocates its messages,
+	// as every one does without them.
+	Arenas []fsdp.Arena
 }
 
 // validate rejects spec combinations the protocol would silently
@@ -109,7 +118,7 @@ type Rows struct {
 func (f *FS) Select(tx *tmf.Tx, def *FileDef, spec SelectSpec) *Rows {
 	r := &Rows{spec: spec}
 	r.op.init(f, tx, def.Name, "GET^FIRST/NEXT^"+spec.Mode.String(), yieldRecords,
-		partitionsFor(def.Partitions, spec.Range))
+		partitionsFor(def.Partitions, spec.Range), spec.Arenas)
 	if err := spec.validate(); err != nil {
 		r.err = err
 		return r
@@ -128,7 +137,8 @@ func (f *FS) Select(tx *tmf.Tx, def *FileDef, spec SelectSpec) *Rows {
 // record, or the fields SelectSpec.Proj names in Proj's order — and its
 // record key. Nothing has looked inside the row: whoever reads a value of
 // it validates it first (record.Decode, record.View.Reset). The bytes
-// belong to the reply message and are not reused. ok=false ends
+// belong to the reply message: the caller's arenas' (SelectSpec.Arenas),
+// or allocated for the scan. ok=false ends
 // iteration; check Err afterwards.
 func (r *Rows) NextRaw() (enc, key []byte, ok bool) {
 	for {
@@ -211,7 +221,7 @@ func (r *Rows) fetch() bool {
 			if i >= len(r.op.spans) {
 				return false
 			}
-			r.cur = conv{o: &r.op, i: i}
+			r.cur = conv{o: &r.op, i: i, ar: r.op.arena(0)}
 			r.cur.req = r.firstRequest(r.cur.span())
 		}
 		reply, err := r.cur.next()
@@ -248,7 +258,7 @@ func (f *FS) SelectAll(tx *tmf.Tx, def *FileDef, spec SelectSpec) ([]record.Row,
 // message less its per-partition key range. It returns the total.
 func (f *FS) counted(tx *tmf.Tx, def *FileDef, rng keys.Range, dop int, label string, first fsdp.Request) (int, ScanStats, error) {
 	var o op
-	o.init(f, tx, def.Name, label, yieldCount, partitionsFor(def.Partitions, rng))
+	o.init(f, tx, def.Name, label, yieldCount, partitionsFor(def.Partitions, rng), nil)
 	// Hint derived from the caller's unclipped range, not the partition
 	// span (see Rows.firstRequest).
 	first.Tx, first.File, first.Hint = o.txID(), def.Name, hintFor(rng)

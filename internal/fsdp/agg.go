@@ -86,45 +86,56 @@ func EncodeAggSpec(s *AggSpec) []byte {
 // many fields, and an int that has wrapped negative names none either.
 func DecodeAggSpec(b []byte) (*AggSpec, error) {
 	s := &AggSpec{}
+	if err := DecodeAggSpecInto(s, b); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// DecodeAggSpecInto is DecodeAggSpec into s, whose lists it reuses: the
+// Disk Process decodes a conversation's specification into its Subset
+// Control Block's.
+func DecodeAggSpecInto(s *AggSpec, b []byte) error {
+	s.GroupBy, s.Cols = s.GroupBy[:0], s.Cols[:0]
 	n, sz := binary.Uvarint(b)
 	if sz <= 0 {
-		return nil, fmt.Errorf("fsdp: bad agg group-by count")
+		return fmt.Errorf("fsdp: bad agg group-by count")
 	}
 	b = b[sz:]
 	for i := uint64(0); i < n; i++ {
 		g, sz := binary.Uvarint(b)
 		if sz <= 0 || g > math.MaxInt32 {
-			return nil, fmt.Errorf("fsdp: bad agg group-by ordinal")
+			return fmt.Errorf("fsdp: bad agg group-by ordinal")
 		}
 		s.GroupBy = append(s.GroupBy, int(g))
 		b = b[sz:]
 	}
 	n, sz = binary.Uvarint(b)
 	if sz <= 0 {
-		return nil, fmt.Errorf("fsdp: bad agg column count")
+		return fmt.Errorf("fsdp: bad agg column count")
 	}
 	b = b[sz:]
 	for i := uint64(0); i < n; i++ {
 		if len(b) < 2 {
-			return nil, fmt.Errorf("fsdp: truncated agg column")
+			return fmt.Errorf("fsdp: truncated agg column")
 		}
 		c := AggCol{Fn: AggFn(b[0]), Star: b[1] == 1}
 		if c.Fn < AggCount || c.Fn > AggMax {
-			return nil, fmt.Errorf("fsdp: unknown aggregate function %d", b[0])
+			return fmt.Errorf("fsdp: unknown aggregate function %d", b[0])
 		}
 		b = b[2:]
 		col, sz := binary.Uvarint(b)
 		if sz <= 0 || col > math.MaxInt32 {
-			return nil, fmt.Errorf("fsdp: bad agg column ordinal")
+			return fmt.Errorf("fsdp: bad agg column ordinal")
 		}
 		c.Col = int(col)
 		b = b[sz:]
 		s.Cols = append(s.Cols, c)
 	}
 	if len(b) != 0 {
-		return nil, fmt.Errorf("fsdp: %d trailing agg spec bytes", len(b))
+		return fmt.Errorf("fsdp: %d trailing agg spec bytes", len(b))
 	}
-	return s, nil
+	return nil
 }
 
 // AggPartial is one aggregate column's partial state for one group. The
@@ -273,45 +284,53 @@ func varintLen(x int64) int { return uvarintLen(uint64(x)<<1 ^ uint64(x>>63)) } 
 // a requester folding thousands of entries allocates only for what it
 // keeps.
 func DecodeGroup(b []byte, ncols int, keyVals record.Row, partials []AggPartial) (record.Row, []AggPartial, error) {
+	keyVals, _, partials, err := decodeGroup(b, ncols, keyVals, partials)
+	return keyVals, partials, err
+}
+
+// decodeGroup is DecodeGroup, and says where in b the key values lie.
+func decodeGroup(b []byte, ncols int, keyVals record.Row, partials []AggPartial) (record.Row, []byte, []AggPartial, error) {
 	keyVals, partials = keyVals[:0], partials[:0]
 	nk, sz := binary.Uvarint(b)
 	if sz <= 0 {
-		return nil, nil, fmt.Errorf("fsdp: bad group key count")
+		return nil, nil, nil, fmt.Errorf("fsdp: bad group key count")
 	}
 	b = b[sz:]
+	fields := b
 	for i := uint64(0); i < nk; i++ {
 		v, n, err := record.BorrowValue(b)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		keyVals, b = append(keyVals, v), b[n:]
 	}
+	fields = fields[:len(fields)-len(b)]
 	for i := 0; i < ncols; i++ {
 		var p AggPartial
 		var n int
 		p.Count, n = binary.Varint(b)
 		if n <= 0 {
-			return nil, nil, fmt.Errorf("fsdp: bad partial count")
+			return nil, nil, nil, fmt.Errorf("fsdp: bad partial count")
 		}
 		b = b[n:]
 		p.SumI, n = binary.Varint(b)
 		if n <= 0 {
-			return nil, nil, fmt.Errorf("fsdp: bad partial sum")
+			return nil, nil, nil, fmt.Errorf("fsdp: bad partial sum")
 		}
 		b = b[n:]
 		if len(b) < 9 {
-			return nil, nil, fmt.Errorf("fsdp: truncated partial")
+			return nil, nil, nil, fmt.Errorf("fsdp: truncated partial")
 		}
 		p.SumF = math.Float64frombits(binary.LittleEndian.Uint64(b))
 		p.Float = b[8] == 1
 		var err error
 		if p.Val, n, err = record.BorrowValue(b[9:]); err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		partials, b = append(partials, p), b[9+n:]
 	}
 	if len(b) != 0 {
-		return nil, nil, fmt.Errorf("fsdp: %d trailing group bytes", len(b))
+		return nil, nil, nil, fmt.Errorf("fsdp: %d trailing group bytes", len(b))
 	}
-	return keyVals, partials, nil
+	return keyVals, fields, partials, nil
 }

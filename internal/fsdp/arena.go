@@ -14,18 +14,33 @@ import "nonstopsql/internal/poison"
 // that would not fit the space left are allocated apart and counted, and
 // the next Reset grows the arena to the run's size. A Disk Process's
 // record change makes its key and images in one the same way (dp.write).
+// A reply decoded in the arena (Decode) takes its row and key lists from
+// the arena too, so they — like the bytes they point into — stay valid
+// until Reset: a scan hands one reply's rows on while it decodes the next.
 // An Arena is used by one goroutine at a time; the zero Arena is ready to
 // use.
 type Arena struct {
-	buf   []byte
-	need  int   // bytes this run took, in the arena or apart
-	reply Reply // what Reply hands out
+	buf        []byte
+	need       int // bytes this run took, in the arena or apart
+	rows, keys list
+	reply      Reply // what Decode decodes into
+}
+
+// list is an arena of list entries: the row or key lists of the replies
+// an Arena decodes.
+type list struct {
+	l    [][]byte
+	need int // entries this run took, in the list or apart
 }
 
 // maxArena bounds what an arena keeps across Reset: a run that moved
 // more than this allocates its messages apart every time rather than
-// pinning its high-water mark to the arena's owner.
-const maxArena = 64 << 10
+// pinning its high-water mark to the arena's owner. maxLists is the same
+// bound on its row and key lists, in entries each.
+const (
+	maxArena = 64 << 10
+	maxLists = 4096
+)
 
 // Free returns the arena's unused tail: a zero-length slice to append to.
 // A nil Arena has none: what is appended to it is allocated, and Keep
@@ -53,19 +68,53 @@ func (a *Arena) Keep(b []byte) []byte {
 	return b
 }
 
-// Reply is the Reply the arena's messages decode into, overwritten by
-// each: its rows and keys alias the arena. A nil Arena has none, and
-// gives a new Reply each time.
-func (a *Arena) Reply() *Reply {
+// Decode decodes the reply message b into the arena's Reply, which the
+// next Decode overwrites: its rows, keys and LastKey alias b, and its row
+// and key lists are cut from the arena's, each message's its own, so all
+// of them are valid until Reset. A nil Arena decodes into a new Reply,
+// which is the caller's.
+func (a *Arena) Decode(b []byte) (*Reply, error) {
 	if a == nil {
-		return new(Reply)
+		return DecodeReply(b)
 	}
-	return &a.reply
+	r := &a.reply
+	r.Rows, r.RowKeys = a.rows.free(), a.keys.free()
+	if err := DecodeReplyInto(r, b); err != nil {
+		return nil, err
+	}
+	r.Rows, r.RowKeys = a.rows.keep(r.Rows), a.keys.keep(r.RowKeys)
+	return r, nil
+}
+
+func (l *list) free() [][]byte { return l.l[len(l.l):] }
+
+// keep claims e, a list decoded into free(), as Arena.Keep claims bytes:
+// capacity-clipped, so nothing appended to it reaches the next one.
+func (l *list) keep(e [][]byte) [][]byte {
+	l.need += len(e)
+	if n := len(l.l); len(e) > 0 && cap(l.l) > n && &e[0] == &l.l[:n+1][n] {
+		l.l = l.l[:n+len(e)]
+		return l.l[n:len(l.l):len(l.l)]
+	}
+	return e
+}
+
+func (l *list) reset() {
+	clear(l.l)
+	switch {
+	case l.need > cap(l.l) && l.need <= maxLists:
+		l.l = make([][]byte, 0, l.need)
+	case cap(l.l) > maxLists:
+		l.l = nil
+	default:
+		l.l = l.l[:0]
+	}
+	l.need = 0
 }
 
 // Reset takes back everything the arena handed out. Under the race
 // detector the bytes are poisoned first, so a read through a stale alias
-// returns a wrong answer a test can see.
+// returns a wrong answer a test can see; the lists are cleared always.
 func (a *Arena) Reset() {
 	poison.Fill(a.buf)
 	switch {
@@ -77,4 +126,7 @@ func (a *Arena) Reset() {
 		a.buf = a.buf[:0]
 	}
 	a.need = 0
+	a.rows.reset()
+	a.keys.reset()
+	a.reply = Reply{}
 }

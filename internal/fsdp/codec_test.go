@@ -141,7 +141,7 @@ func TestAllocationCeilings(t *testing.T) {
 	var out []byte
 	if got := testing.AllocsPerRun(200, func() {
 		buf = AppendRequest(buf[:0], readRequest)
-		if err := DecodeRequestInto(&q, buf); err != nil {
+		if err := DecodeRequestInto(&q, buf, nil); err != nil {
 			t.Fatal(err)
 		}
 		out = AppendReply(out[:0], readReply)

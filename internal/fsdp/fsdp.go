@@ -419,7 +419,7 @@ func bytesLen(l int) int { return uvarintLen(uint64(l)) + l }
 // DecodeRequest parses a request message.
 func DecodeRequest(b []byte) (*Request, error) {
 	q := new(Request)
-	if err := DecodeRequestInto(q, b); err != nil {
+	if err := DecodeRequestInto(q, b, nil); err != nil {
 		return nil, err
 	}
 	return q, nil
@@ -428,10 +428,12 @@ func DecodeRequest(b []byte) (*Request, error) {
 // DecodeRequestInto parses a request message into q, setting every field
 // (on an error, some): the byte-string fields alias b, the repeated ones
 // land in q's storage when it is large enough, and File is kept when it
-// already names the same file — so a Disk Process that decodes into one
-// Request per service slot allocates nothing for a READ. What the server
-// keeps past the message it copies.
-func DecodeRequestInto(q *Request, b []byte) error {
+// already names the same file, or else taken from names when names knows
+// it (a nil names knows none; an unknown name is allocated) — so a Disk
+// Process that decodes into one Request per service slot, and names the
+// files it serves, allocates nothing for a READ. What the server keeps
+// past the message it copies.
+func DecodeRequestInto(q *Request, b []byte, names func(file []byte) (string, bool)) error {
 	if len(b) == 0 {
 		return fmt.Errorf("fsdp: empty request")
 	}
@@ -452,7 +454,14 @@ func DecodeRequestInto(q *Request, b []byte) error {
 		return err
 	}
 	if string(f) != q.File {
-		q.File = string(f)
+		name, ok := "", false
+		if names != nil {
+			name, ok = names(f)
+		}
+		if !ok {
+			name = string(f)
+		}
+		q.File = name
 	}
 	if q.Key, b, err = takeBytes(b); err != nil {
 		return err

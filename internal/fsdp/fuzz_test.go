@@ -140,10 +140,10 @@ var (
 // a new one — the same outcome, the same message.
 func reuseIsFresh(t *testing.T, data []byte) {
 	var q Request
-	if err := DecodeRequestInto(&q, heldRequest); err != nil {
+	if err := DecodeRequestInto(&q, heldRequest, nil); err != nil {
 		t.Fatal(err)
 	}
-	errReused := DecodeRequestInto(&q, data)
+	errReused := DecodeRequestInto(&q, data, nil)
 	fresh, err := DecodeRequest(data)
 	if fmt.Sprint(err) != fmt.Sprint(errReused) || err == nil && !reflect.DeepEqual(&q, fresh) {
 		t.Fatalf("request %x into a held one: %+v, %v; into a new one: %+v, %v", data, q, errReused, fresh, err)

@@ -116,7 +116,7 @@ type fetched struct {
 	// forwards them as they are, every other consumer calls access.decode.
 	enc    [][]byte
 	n      int
-	groups map[string]*fs.AggGroup
+	groups *fsdp.GroupTable
 }
 
 // decode is what a consumer that reads values does to fetched rows: each
@@ -290,11 +290,11 @@ func (a *access) fetch(s *Session, tx *tmf.Tx, az *analyzeState) (fetched, error
 		}
 		return fetched{n: n}, err
 	case a.op == opAgg:
-		groups, st, err := s.fs.Agg(tx, a.def, a.rng, a.pred, a.agg)
+		st, err := s.fs.Agg(tx, a.def, a.rng, a.pred, a.agg, &s.groups, s.convArenas())
 		if az != nil && err == nil {
 			az.scanNode(fmt.Sprintf("partial aggregation %s (AGG^FIRST/NEXT)", a.def.Name), st).Entries = true
 		}
-		return fetched{groups: groups}, err
+		return fetched{groups: &s.groups}, err
 	}
 	// UPDATE / DELETE over the range. The File System subcontracts the
 	// whole subset to the Disk Processes, or — requesterSide — scans it
@@ -331,9 +331,12 @@ func (a *access) fetchRows(s *Session, tx *tmf.Tx, az *analyzeState) ([]record.R
 }
 
 // fetchScan drives GET^FIRST/NEXT over the range and collects the rows
-// as they came.
+// as they came. The conversations run in the statement's arenas, and the
+// rows are listed in the statement's row list (Session.rows), after what
+// the statement's earlier scans listed there: the list, like the rows,
+// is valid until the next statement starts.
 func (a *access) fetchScan(s *Session, tx *tmf.Tx, az *analyzeState) ([][]byte, error) {
-	spec := fs.SelectSpec{Mode: fs.ModeRSBB, Range: a.rng, Unordered: a.unordered}
+	spec := fs.SelectSpec{Mode: fs.ModeRSBB, Range: a.rng, Unordered: a.unordered, Arenas: s.convArenas()}
 	if a.vsbb() {
 		spec.Mode, spec.Pred, spec.Proj = fs.ModeVSBB, a.pred, a.proj
 	}
@@ -345,13 +348,17 @@ func (a *access) fetchScan(s *Session, tx *tmf.Tx, az *analyzeState) ([][]byte, 
 	// open DP-side subset control blocks) when the budget ends the scan
 	// early; after a full drain it is a no-op.
 	defer rows.Close()
-	var out [][]byte
-	for a.budget < 0 || len(out) < a.budget {
+	from := len(s.rows)
+	for a.budget < 0 || len(s.rows)-from < a.budget {
 		enc, _, ok := rows.NextRaw()
 		if !ok {
 			break
 		}
-		out = append(out, enc)
+		s.rows = append(s.rows, enc)
+	}
+	var out [][]byte
+	if len(s.rows) > from {
+		out = s.rows[from:len(s.rows):len(s.rows)]
 	}
 	err := rows.Err()
 	if az != nil && err == nil {

@@ -1,10 +1,9 @@
 package sql
 
 import (
-	"sort"
+	"strings"
 
 	"nonstopsql/internal/expr"
-	"nonstopsql/internal/fs"
 	"nonstopsql/internal/fsdp"
 	"nonstopsql/internal/record"
 )
@@ -54,41 +53,56 @@ func planAggPushdown(gbs []expr.Expr, plans []itemPlan) (spec *fsdp.AggSpec) {
 // emitGroups finalizes per-group partial states — merged from the Disk
 // Processes' (AGG^FIRST/NEXT) or folded by the requester (aggregateRows) —
 // into aggregate output rows, in group-key byte order: the one canonical
-// order, so the two paths are byte-identical on any input.
-func (o *output) emitGroups(groups map[string]*fs.AggGroup) (*Result, error) {
-	// Aggregates over the empty set with no GROUP BY still emit one row.
-	if len(groups) == 0 && len(o.gbs) == 0 {
-		groups[""] = &fs.AggGroup{Partials: make([]fsdp.AggPartial, o.aggCount())}
+// order, so the two paths are byte-identical on any input. The table is
+// the statement's and the result the caller's, so the rows are cut from
+// one value slab of the result's, and a VARCHAR key value is copied out of
+// the table.
+func (o *output) emitGroups(t *fsdp.GroupTable) (*Result, error) {
+	t.Sort()
+	n, width := t.Len(), len(o.plans)
+	empty := n == 0 && len(o.gbs) == 0
+	if empty {
+		n = 1 // aggregates over the empty set with no GROUP BY still emit one row
 	}
-	keysOrdered := make([]string, 0, len(groups))
-	for k := range groups {
-		keysOrdered = append(keysOrdered, k)
-	}
-	sort.Strings(keysOrdered)
-
-	outRows := make([]record.Row, 0, len(groups))
-	for _, k := range keysOrdered {
-		g := groups[k]
-		out := make(record.Row, len(o.plans))
+	slab := make(record.Row, n*width)
+	rows := make([]record.Row, n)
+	var keyBuf [4]record.Value
+	for g := range rows {
+		out := slab[g*width : (g+1)*width : (g+1)*width]
+		keyVals := keyBuf[:0]
+		var partials []fsdp.AggPartial
+		if empty {
+			partials = make([]fsdp.AggPartial, o.aggCount())
+		} else {
+			partials = t.Partials(g)
+			for b := t.Fields(g); len(b) > 0; {
+				v, m, err := record.BorrowValue(b)
+				if err != nil {
+					return nil, err
+				}
+				v.S = strings.Clone(v.S)
+				keyVals, b = append(keyVals, v), b[m:]
+			}
+		}
 		c := 0
 		for i, pl := range o.plans {
 			if pl.agg == nil {
 				// A group's value is what its key says: −0 and +0 are one
 				// key (keys.AppendFloat64), which reads as +0 whichever
 				// zero the group met first.
-				v := g.KeyVals[pl.groupBy]
+				v := keyVals[pl.groupBy]
 				if v.Kind == record.TypeFloat && v.F == 0 {
 					v.F = 0
 				}
 				out[i] = v
 				continue
 			}
-			out[i] = pl.agg.finalize(g.Partials[c])
+			out[i] = pl.agg.finalize(partials[c])
 			c++
 		}
-		outRows = append(outRows, out)
+		rows[g] = out
 	}
-	return o.emitAgg(outRows)
+	return o.emitAgg(rows)
 }
 
 // orderByIsKeyPrefix reports whether the ORDER BY list is an ascending

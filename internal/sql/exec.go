@@ -34,6 +34,46 @@ type Session struct {
 	arena fsdp.Arena
 	view  record.View // the requester's look at a READ's record (access.admit)
 	read  [1][]byte   // a READ's row, as the statement's fetched rows (fetchRead)
+
+	// convs are the arenas the statement's subset conversations run in,
+	// one per conversation that runs at once (fs.SelectSpec.Arenas); rows
+	// lists the rows its scans fetched, slices of them (fetchScan); groups
+	// is the table its pushed-down GROUP BY merges into (fs.FS.Agg). All
+	// three are the statement's like arena, and taken back with it.
+	convs  []fsdp.Arena
+	rows   [][]byte
+	groups fsdp.GroupTable
+
+	insert record.Row // the row an INSERT builds (insertPlan.runTx)
+}
+
+// maxRowList bounds the row list a session keeps across statements, in
+// rows: a statement that fetched more lists them apart next time too.
+const maxRowList = 1 << 14
+
+// newStatement takes back what the last statement's result may have
+// pointed into — its arenas and its row list — for the statement about
+// to run: the caller has decoded or encoded that result by now.
+func (s *Session) newStatement() {
+	s.arena.Reset()
+	for i := range s.convs {
+		s.convs[i].Reset()
+	}
+	clear(s.rows)
+	s.rows = s.rows[:0]
+	if cap(s.rows) > maxRowList {
+		s.rows = nil
+	}
+}
+
+// convArenas returns the statement's conversation arenas: one for each
+// conversation the File System runs at once, at its current degree of
+// parallelism.
+func (s *Session) convArenas() []fsdp.Arena {
+	if n := max(1, s.fs.ScanParallel()); len(s.convs) < n {
+		s.convs = append(s.convs, make([]fsdp.Arena, n-len(s.convs))...)
+	}
+	return s.convs
 }
 
 // NewSession creates a session over a shared catalog and one requester's
@@ -220,16 +260,31 @@ func (p *insertPlan) run(s *Session, params []record.Value, az *analyzeState) (*
 	return s.autocommit(func(tx *tmf.Tx) (*Result, error) { return p.runTx(s, tx, params) })
 }
 
+// runTx inserts the plan's rows under tx. Each is built in the session's
+// row, which fs.Insert reads and does not keep: a bare parameter marker is
+// its argument and a constant its value, read where they are; any other
+// expression is substituted and evaluated.
 func (p *insertPlan) runTx(s *Session, tx *tmf.Tx, params []record.Value) (*Result, error) {
-	n := 0
+	n, width := 0, len(p.def.Schema.Fields)
+	if cap(s.insert) < width {
+		s.insert = make(record.Row, width)
+	}
+	row := s.insert[:width]
 	for _, exprsRow := range p.rows {
-		row := make(record.Row, len(p.def.Schema.Fields))
+		clear(row)
 		for j, bound := range exprsRow {
-			e, err := expr.Substitute(bound, params)
-			if err != nil {
-				return nil, err
+			var v record.Value
+			var err error
+			switch e := bound.(type) {
+			case expr.Param:
+				v, err = e.Value(params)
+			case expr.Const:
+				v = e.V
+			default:
+				if bound, err = expr.Substitute(bound, params); err == nil {
+					v, err = expr.Eval(bound, nil)
+				}
 			}
-			v, err := expr.Eval(e, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -9,7 +9,6 @@ import (
 
 	"nonstopsql/internal/expr"
 	"nonstopsql/internal/fastsort"
-	"nonstopsql/internal/fs"
 	"nonstopsql/internal/fsdp"
 	"nonstopsql/internal/record"
 )
@@ -218,7 +217,7 @@ type output struct {
 	// Projection shapes.
 	orderKs []orderKey
 	cols    []outCol
-	names   []string // cols' headers: every result's Columns, shared and read-only
+	names   []string // the headers (columnNames): every result's Columns, shared and read-only
 
 	// forward says the statement is pass-through: the rows the Disk
 	// Processes encode are the result's rows, byte for byte, so the
@@ -260,8 +259,8 @@ func compileOutput(sel Select, sc *scope) (*output, error) {
 		if o.cols, err = buildOutCols(sel.Items, sc); err != nil {
 			return nil, err
 		}
-		o.names = o.columnNames()
 	}
+	o.names = o.columnNames()
 	o.hasParams = expr.HasParams(o.having)
 	for _, g := range o.gbs {
 		o.hasParams = o.hasParams || expr.HasParams(g)
@@ -311,8 +310,18 @@ func (o *output) forwardRows(enc [][]byte) *Result {
 	return &Result{Columns: o.names, Encoded: enc, Affected: len(enc)}
 }
 
-// columnNames builds a projection's headers.
+// columnNames builds a result's headers: a projection's columns, or an
+// aggregate's visible items.
 func (o *output) columnNames() []string {
+	if o.aggregate {
+		var names []string
+		for _, p := range o.plans {
+			if !p.hidden {
+				names = append(names, p.name)
+			}
+		}
+		return names
+	}
 	names := make([]string, len(o.cols))
 	for i, c := range o.cols {
 		names[i] = c.name
@@ -598,14 +607,12 @@ func buildAggPlans(sel Select, sc *scope) (gbs []expr.Expr, plans []itemPlan, ha
 
 // emitAgg turns full-width aggregate output rows (group key order,
 // hidden columns included) into the statement's result: HAVING filter,
-// hidden-column projection, ORDER BY, LIMIT.
+// hidden-column projection, ORDER BY, LIMIT. It works in the rows it is
+// given: the ones HAVING keeps are the result's, each with its hidden
+// columns projected away within its own values.
 func (o *output) emitAgg(outRows []record.Row) (*Result, error) {
-	res := &Result{}
-	for _, p := range o.plans {
-		if !p.hidden {
-			res.Columns = append(res.Columns, p.name)
-		}
-	}
+	res := &Result{Columns: o.names}
+	kept := outRows[:0]
 	for _, out := range outRows {
 		if o.having != nil {
 			keep, err := expr.Satisfied(o.having, out)
@@ -616,14 +623,21 @@ func (o *output) emitAgg(outRows []record.Row) (*Result, error) {
 				continue
 			}
 		}
-		// Project away the hidden HAVING-only columns.
-		visible := make(record.Row, 0, len(res.Columns))
-		for i, p := range o.plans {
-			if !p.hidden {
-				visible = append(visible, out[i])
+		if len(o.names) < len(out) {
+			// Project away the hidden HAVING-only columns.
+			n := 0
+			for i, p := range o.plans {
+				if !p.hidden {
+					out[n] = out[i]
+					n++
+				}
 			}
+			out = out[:n:n]
 		}
-		res.Rows = append(res.Rows, visible)
+		kept = append(kept, out)
+	}
+	if len(kept) > 0 {
+		res.Rows = kept
 	}
 	// ORDER BY over the result columns (match by display name / alias).
 	if len(o.order) > 0 {
@@ -638,37 +652,35 @@ func (o *output) emitAgg(outRows []record.Row) (*Result, error) {
 	return res, nil
 }
 
-// aggregateRows folds rows through the aggregate plans in the requester.
+// aggregateRows folds rows through the aggregate plans in the requester,
+// into a group table like the one AGG^FIRST/NEXT's entries merge into.
 // Each group's partial states are fsdp.AggPartial, fed as the Disk
 // Processes feed theirs, and emitGroups finalizes them as it does the
-// merged groups AGG^FIRST/NEXT brings back: one aggregate body for both
-// paths. DISTINCT is a set in front of Feed, per group and item.
+// merged groups: one aggregate body for both paths. DISTINCT is a set in
+// front of Feed, per group and item.
 func (o *output) aggregateRows(rows []record.Row) (*Result, error) {
 	type seenKey struct {
-		g    *fs.AggGroup
-		item int
-		val  string
+		g, item int
+		val     string
 	}
 	var seen map[seenKey]bool
-	groups := make(map[string]*fs.AggGroup)
-	nAggs := o.aggCount()
-	keyVals := make(record.Row, len(o.gbs))
-	var kb []byte
+	var t fsdp.GroupTable
+	t.Reset(o.aggCount())
+	var kb, fields []byte
 	for _, row := range rows {
-		kb = kb[:0]
-		for i, g := range o.gbs {
+		kb, fields = kb[:0], fields[:0]
+		for _, g := range o.gbs {
 			v, err := expr.Eval(g, row)
 			if err != nil {
 				return nil, err
 			}
-			keyVals[i] = v
-			kb = v.AppendKey(kb)
+			kb, fields = v.AppendKey(kb), record.AppendValue(fields, v)
 		}
-		g, ok := groups[string(kb)]
+		g, ok := t.Lookup(kb)
 		if !ok {
-			g = &fs.AggGroup{KeyVals: keyVals.Clone(), Partials: make([]fsdp.AggPartial, nAggs)}
-			groups[string(kb)] = g
+			g = t.Add(kb, fields)
 		}
+		partials := t.Partials(g)
 		c := -1
 		for _, pl := range o.plans {
 			a := pl.agg
@@ -677,7 +689,7 @@ func (o *output) aggregateRows(rows []record.Row) (*Result, error) {
 			}
 			c++
 			if a.star {
-				g.Partials[c].AddCount()
+				partials[c].AddCount()
 				continue
 			}
 			v, err := expr.Eval(a.arg, row)
@@ -697,10 +709,10 @@ func (o *output) aggregateRows(rows []record.Row) (*Result, error) {
 				}
 				seen[k] = true
 			}
-			g.Partials[c].Feed(a.fn, v)
+			partials[c].Feed(a.fn, v)
 		}
 	}
-	return o.emitGroups(groups)
+	return o.emitGroups(&t)
 }
 
 // aggCount is the number of aggregate items: each group holds one partial

@@ -178,7 +178,7 @@ func (s *Session) current(p *Prepared) (*Prepared, error) {
 // execCompiled runs an already-validated compilation: a statement, so
 // the last one's arena bytes are taken back first.
 func (s *Session) execCompiled(p *Prepared, params []record.Value, az *analyzeState) (*Result, error) {
-	s.arena.Reset()
+	s.newStatement()
 	if len(params) != p.nParams {
 		return nil, badStatement(fmt.Errorf("sql: statement wants %d parameter(s), got %d", p.nParams, len(params)))
 	}

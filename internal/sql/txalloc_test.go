@@ -20,13 +20,14 @@ import (
 // request whole, and 116 while every write and commit message, its reply,
 // the coordinator's requests, the Disk Process's decoded requests, SET
 // lists, rows, images, audit records and transaction states, and every
-// lock grant were allocated afresh. Each has an owner that reuses it now
-// (DESIGN.md §7.4), and 18 are left: the test's own argument lists, the
-// transaction and the results, the INSERT's row and substituted
-// parameters, a unique key's plan, and the file name a service slot
-// decodes when its last request named another file. A regression here is
-// a buffer that lost its owner, a parse, a second descent or a copy of a
-// request that crept back onto the write path.
+// lock grant were allocated afresh, and 18 while the INSERT built its row
+// and a constant per parameter marker afresh and a service slot decoded
+// a file name when its last request named another file. Each has an owner
+// that reuses it now (DESIGN.md §7.4) — the session's row, the Disk
+// Process's file map — and 11 are left: the test's own argument lists,
+// the transaction and the results, and a unique key's plan. A regression
+// here is a buffer that lost its owner, a parse, a second descent or a
+// copy of a request that crept back onto the write path.
 func TestTransactionAllocationCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -76,7 +77,7 @@ func TestTransactionAllocationCeilings(t *testing.T) {
 	transfer()
 	txn := testing.AllocsPerRun(200, transfer)
 	t.Logf("empty BEGIN/COMMIT pair: %.0f allocations; DebitCredit transaction: %.0f", pair, txn)
-	const pairCeiling, txnCeiling = 5, 19
+	const pairCeiling, txnCeiling = 5, 11
 	if pair > pairCeiling {
 		t.Errorf("an empty BEGIN/COMMIT pair allocates %.0f times, ceiling %d", pair, pairCeiling)
 	}

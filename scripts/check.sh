@@ -62,6 +62,22 @@ go test -run '^$' -fuzz FuzzPageView -fuzztime 10s ./internal/btree
 go test -race -count=1 ./internal/record ./internal/expr
 go test -count=1 -run TestAllocationCeilings ./internal/dp
 go test -run '^$' -bench BenchmarkSubsetRecord -benchtime 1x ./internal/dp
+# A report allocates only what its client keeps (DESIGN.md §7.4): a
+# subset conversation's messages are served from the Disk Process's
+# service slots, in Subset Control Blocks it takes from a free list with
+# their arenas, and encoded and decoded in arenas the SQL statement owns,
+# beside its row list and its one group table (fsdp.GroupTable). The Disk
+# Process's ceilings just above include whole GET, COUNT and AGG
+# conversations through the Handler at zero. Without -race: what one
+# report — the benchmark's GROUP BY and filtered scan — allocates in
+# process, the same over half the span and under a row budget that more
+# than triples the re-drives. Then twenty rounds under -race of reports
+# on four sessions while other conversations end early on the same Disk
+# Processes (a LIMIT's CLOSE^SUBSET, a predicate that fails mid-
+# conversation, an abort that retires an SCB), every result checked
+# against the loaded values.
+go test -count=1 -run TestReportAllocationCeilings ./internal/sql
+go test -race -count=20 -run TestReportsWhileConversationsEndEarly ./internal/sql
 go test -run '^$' -fuzz FuzzRecordView -fuzztime 10s ./internal/record
 # A predicate, a CHECK constraint and a SET list reach the Disk Process as
 # bytes off the network: ten seconds of hostile ones against expr's two
