@@ -146,6 +146,23 @@ func TestAllocationCeilings(t *testing.T) {
 			t.Fatal(n, err)
 		}
 	}
+	scanColumn := func() {
+		n := 0
+		err := tr.ScanRecords(keys.Range{Low: key}, cache.Keyed, func(run Run) (bool, error) {
+			kinds, vals, ok := run.Column(0, numericField)
+			if run.Len() > 1 && !ok {
+				t.Fatal("field 0 is no column")
+			}
+			for j := 0; j < len(kinds) && n < 1000; j++ {
+				scanned += int(kinds[j]) + int(vals[j]&1)
+				n++
+			}
+			return n < 1000, nil
+		})
+		if err != nil || n < 1000 {
+			t.Fatal(n, err)
+		}
+	}
 	ceilings := []struct {
 		name string
 		max  float64
@@ -187,13 +204,24 @@ func TestAllocationCeilings(t *testing.T) {
 			}
 		}},
 		{"ScanRecords of 1000 records", 0, scanRecords},
-		// Two slices (the table is sized after its first record) and the
-		// PageIndex that publishes them.
-		{"ScanRecords of 1000 records after a write to one of their leaves", 3, func() {
+		// Two slices (the table is sized after its first record), the
+		// PageIndex that publishes them with its scan part in one
+		// allocation, the scan part's copy of the last key and its column
+		// slots.
+		{"ScanRecords of 1000 records after a write to one of their leaves", 5, func() {
 			if err := tr.Update(key, val, 0); err != nil {
 				t.Fatal(err)
 			}
 			scanRecords()
+		}},
+		{"ScanRecords of 1000 records reading a column", 0, scanColumn},
+		// And the column of that leaf: its entries' two slices and the
+		// Column that publishes them.
+		{"ScanRecords of 1000 records reading a column after a write to one of their leaves", 8, func() {
+			if err := tr.Update(key, val, 0); err != nil {
+				t.Fatal(err)
+			}
+			scanColumn()
 		}},
 	}
 	for _, c := range ceilings {

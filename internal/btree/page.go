@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
+	"sync/atomic"
 
 	"nonstopsql/internal/cache"
 	"nonstopsql/internal/disk"
@@ -179,48 +181,87 @@ func (t *Tree) view(bn disk.BlockNum, class cache.AccessClass) (pageView, error)
 // nil when this version of the leaf has none and build is unset. With
 // build set, a missing table is built by walking every record of the leaf
 // with the file's RecordWalk and is published on the slot together with
-// the cell table, in a new PageIndex: the one it replaces may be in use by
-// other holders of the shared latch, who may be building the same table
-// from the same bytes. Like the cell table it is dropped whenever the
-// slot's bytes change (and by splice, which keeps only the cell table in
-// step), so a table always describes the bytes it was built from. Building
-// one is not a look at the page: no cache access is counted.
+// the cell table and the scan part (cache.LeafScan: a copy of the leaf's
+// last key, and room for its columns), in a new PageIndex: the one it
+// replaces may be in use by other holders of the shared latch, who may be
+// building the same table from the same bytes. Like the cell table it is
+// dropped whenever the slot's bytes change (and by splice, which keeps
+// only the cell table in step), so a table always describes the bytes it
+// was built from. Building one is not a look at the page: no cache access
+// is counted.
 func (t *Tree) recordTable(v *pageView, build bool) ([]uint16, error) {
 	if v.ix.Recs != nil || !build {
 		return v.ix.Recs, nil
 	}
-	recs, bad, err := v.buildRecords(t.walk)
+	recs, width, bad, err := v.buildRecords(t.walk)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s block %d: cell %d: %v", ErrCorruptPage, t.name, v.bn(), bad, err)
 	}
-	v.ix = &cache.PageIndex{Offs: v.ix.Offs, Recs: recs}
+	// The index and its scan part are one allocation.
+	parts := &struct {
+		ix   cache.PageIndex
+		scan cache.LeafScan
+	}{ix: cache.PageIndex{Offs: v.ix.Offs, Recs: recs}}
+	last := v.key(v.n() - 1)
+	parts.scan.LastKey = append(make([]byte, 0, len(last)), last...)
+	if width > 0 {
+		parts.scan.Cols = make([]atomic.Pointer[cache.Column], width)
+	}
+	parts.ix.Scan = &parts.scan
+	v.ix = &parts.ix
 	v.pg.SetIndex(v.ix)
 	return recs, nil
 }
 
 // buildRecords walks every record of the leaf, which has at least one
-// cell, and returns its record table (cache.PageIndex.Recs) — or the
-// first cell whose record fails the walk, and the walk's error.
-func (v pageView) buildRecords(walk RecordWalk) (recs []uint16, bad int, err error) {
+// cell, and returns its record table (cache.PageIndex.Recs) and the
+// fewest fields a record of it has — or the first cell whose record fails
+// the walk, and the walk's error.
+func (v pageView) buildRecords(walk RecordWalk) (recs []uint16, width, bad int, err error) {
 	// Room for the index and the first record (it has fewer fields than
 	// bytes), then for n records as wide as the first: a leaf of like
 	// records costs two allocations here.
 	n := v.n()
 	_, first := v.cell(0)
 	recs = make([]uint16, n+1, n+1+len(first)+1)
+	width = math.MaxInt
 	for i := 0; i < n; i++ {
 		_, val := v.cell(i)
 		recs[i] = uint16(len(recs))
 		if recs, err = walk(val, recs); err != nil {
-			return nil, i, err
+			return nil, 0, i, err
 		}
+		width = min(width, len(recs)-int(recs[i])-1)
 		if i == 0 {
 			recs = slices.Grow(recs, (n-1)*(len(recs)-n-1))
 		}
 	}
 	recs[n] = uint16(len(recs))
-	return recs, 0, nil
+	return recs, width, 0, nil
 }
+
+// buildColumn decodes field f of every record of the leaf whose bytes are
+// page and whose index (Offs, Recs) is ix into a column, or returns
+// notColumn when some record's field is one dec refuses. f is below every
+// record's field count (cache.LeafScan.Cols).
+func buildColumn(page []byte, ix *cache.PageIndex, f int, dec FieldDecode) *cache.Column {
+	offs, recs := ix.Offs, ix.Recs
+	n := len(offs) - 1
+	c := &cache.Column{Kinds: make([]uint8, n), Vals: make([]uint64, n)}
+	for i := range n {
+		from, to := recs[i], recs[i+1]
+		starts := recs[from:to:to]
+		end := int(offs[i+1])
+		var ok bool
+		if c.Kinds[i], c.Vals[i], ok = dec(page[end-int(starts[len(starts)-1]):end:end], starts, f); !ok {
+			return notColumn
+		}
+	}
+	return c
+}
+
+// notColumn is the column of a field that is not one in its leaf version.
+var notColumn = &cache.Column{}
 
 // corruptRecord is how a record that fails its walk outside a record
 // table fails a scan (ScanRecords): with the walk's own error, word for
@@ -238,6 +279,16 @@ func (v pageView) interior() bool      { return v.buf[0] == pageInterior }
 func (v pageView) typ() byte           { return v.buf[0] }
 func (v pageView) level() byte         { return v.buf[3] }
 func (v pageView) next() disk.BlockNum { return disk.BlockNum(binary.LittleEndian.Uint32(v.buf[4:8])) }
+
+// lastKey returns the last cell's key, borrowed: the scan part's copy
+// when the leaf has one (cache.LeafScan), which a range scan's edge test
+// reads instead of the far end of the leaf. The page has a cell.
+func (v pageView) lastKey() []byte {
+	if sc := v.ix.Scan; sc != nil {
+		return sc.LastKey
+	}
+	return v.key(v.n() - 1)
+}
 
 // n returns the number of cells.
 func (v pageView) n() int { return len(v.ix.Offs) - 1 }
@@ -362,7 +413,7 @@ func (v pageView) splice(i, old int, put bool, key, val []byte) {
 		offs[j] = uint16(int(offs[j]) + d)
 	}
 	v.ix.Offs = offs
-	v.ix.Recs = nil // it described the bytes before the splice
+	v.ix.Recs, v.ix.Scan = nil, nil // they described the bytes before the splice
 
 	v.buf[0] = pageLeaf // a never-written root becomes a leaf on its first write
 	binary.LittleEndian.PutUint16(v.buf[1:3], uint16(len(offs)-1))

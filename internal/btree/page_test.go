@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -272,7 +273,7 @@ func FuzzPageView(f *testing.F) {
 // of every cell (FuzzPageView's second property).
 func checkRecordTable(t *testing.T, v pageView, cells []cell) {
 	t.Helper()
-	table, bad, err := v.buildRecords(record.FieldStarts)
+	table, width, bad, err := v.buildRecords(record.FieldStarts)
 	if err != nil {
 		for i := 0; i < bad; i++ {
 			if _, derr := record.Decode(cells[i].val); derr != nil {
@@ -286,6 +287,18 @@ func checkRecordTable(t *testing.T, v pageView, cells []cell) {
 	}
 	var rec record.View
 	run := Run{page: v.buf, cells: v.ix.Offs, index: table[:len(cells)+1], table: table}
+	ix := &cache.PageIndex{Offs: v.ix.Offs, Recs: table}
+	fewest := math.MaxInt
+	for _, c := range cells {
+		row, _ := record.Decode(c.val)
+		fewest = min(fewest, len(row))
+	}
+	if width != fewest {
+		t.Fatalf("the table says every record has %d fields, the fewest decoded are %d", width, fewest)
+	}
+	for f := range width {
+		checkColumn(t, buildColumn(v.buf, ix, f, numericField), f, cells)
+	}
 	for i, c := range cells {
 		row, err := record.Decode(c.val)
 		if err != nil {
@@ -306,6 +319,43 @@ func checkRecordTable(t *testing.T, v pageView, cells []cell) {
 			if rec.Kind(j) != row[j].Kind || !bytes.Equal(rec.AppendField(nil, j), record.AppendValue(nil, row[j])) {
 				t.Fatalf("cell %d field %d: %v through the table, %v decoded", i, j, rec.Value(j), row[j])
 			}
+		}
+	}
+}
+
+// numericField is record.NumericField as a column decoder.
+func numericField(val []byte, starts []uint16, f int) (uint8, uint64, bool) {
+	k, b, ok := record.NumericField(val, starts, f)
+	return uint8(k), b, ok
+}
+
+// checkColumn holds field f's column to record.Decode of every cell: a
+// column when every record's field is an INTEGER, a FLOAT or NULL, with
+// each entry the decoded value's type and bits, and notColumn otherwise.
+func checkColumn(t *testing.T, c *cache.Column, f int, cells []cell) {
+	t.Helper()
+	numeric := true
+	for _, cl := range cells {
+		row, _ := record.Decode(cl.val)
+		if k := row[f].Kind; k == record.TypeString || k == record.TypeBool {
+			numeric = false
+		}
+	}
+	if numeric != (c.Kinds != nil) {
+		t.Fatalf("field %d: a column is built %v, every record's field is a number or NULL %v", f, c.Kinds != nil, numeric)
+	}
+	if !numeric {
+		return
+	}
+	for i, cl := range cells {
+		row, _ := record.Decode(cl.val)
+		v := row[f]
+		bits := uint64(v.I)
+		if v.Kind == record.TypeFloat {
+			bits = math.Float64bits(v.F)
+		}
+		if record.Type(c.Kinds[i]) != v.Kind || c.Vals[i] != bits {
+			t.Fatalf("cell %d field %d: column entry %d %#x, decoded %v", i, f, c.Kinds[i], c.Vals[i], v)
 		}
 	}
 }

@@ -91,12 +91,13 @@ type ScanFunc func(key, val []byte) (bool, error)
 // pinned leaf that lie in the scan's range, in key order, numbered from 0
 // to Len()-1. Everything it hands out is BORROWED, as ScanFunc's key and
 // val are: sub-slices of the leaf where it lies in its cache buffer, and
-// of the leaf's record table beside it, valid until the RunFunc returns —
-// the leaf's latch and pin are held exactly that long. Whatever must
-// outlive the call (a reply row, a key a lock or a re-drive names) is
-// copied before it returns; nothing is written through them.
+// of the leaf's sidecar beside it (its record table and its scan part),
+// valid until the RunFunc returns — the leaf's latch and pin are held
+// exactly that long. Whatever must outlive the call (a reply row, a key a
+// lock or a re-drive names) is copied before it returns; nothing is
+// written through them.
 //
-// A Run is a value of four slice headers and is passed by value, so
+// A Run is a few slice headers and a pointer and is passed by value, so
 // handing one over allocates nothing.
 type Run struct {
 	page  []byte   // the leaf's bytes
@@ -106,6 +107,13 @@ type Run struct {
 	// table[index[j]:index[j+1]]. A plain Scan leaves both nil.
 	index []uint16
 	table []uint16
+	// ix is the leaf's sidecar when it has a scan part (cache.LeafScan),
+	// whose columns hold the leaf's records from cell 0, the run's from
+	// cell first; last is its copy of the leaf's last key when the run
+	// reaches the leaf's end.
+	ix    *cache.PageIndex
+	first int
+	last  []byte
 }
 
 // RunFunc receives each pinned leaf's part of the range, in key order.
@@ -135,8 +143,12 @@ func (r *Run) Record(j int) (val []byte, starts []uint16) {
 
 // Key returns record j's key, for a file of records: the record table
 // gives the value's length, so neither length prefix is decoded — a
-// prefix is one byte below 128 and two above.
+// prefix is one byte below 128 and two above. The leaf's last key is read
+// from the sidecar's copy when there is one.
 func (r *Run) Key(j int) []byte {
+	if r.last != nil && j == len(r.cells)-2 {
+		return r.last
+	}
 	start, end := int(r.cells[j]), int(r.cells[j+1])
 	valLen := int(r.table[r.index[j+1]-1])
 	keyAt, keyEnd := start+1, end-valLen-1
@@ -147,6 +159,38 @@ func (r *Run) Key(j int) []byte {
 		keyEnd--
 	}
 	return r.page[keyAt:keyEnd:keyEnd]
+}
+
+// A FieldDecode reads field f of a record whose field starts, then its
+// length, are starts (a RecordWalk's) as a column entry: its type and
+// eight bytes of value, or ok false when a column cannot hold the field
+// (record.NumericField).
+type FieldDecode func(val []byte, starts []uint16, f int) (kind uint8, bits uint64, ok bool)
+
+// Column returns field f of the run's records as a column — record j's
+// entry is kinds[j], vals[j] — or ok false when the run's leaf has no
+// scan part (cache.LeafScan) or the field is not a column in it: some
+// record of the leaf lacks it, or holds a value dec refuses. The first
+// scan to ask builds the column for the whole leaf with dec and publishes
+// it on the scan part, where it lives as long as the record table does;
+// two scanners under the shared latch may both build it, identically.
+// The slices are borrowed like everything else a run lends, and shared
+// with every scanner of the leaf: they are read and never written.
+func (r *Run) Column(f int, dec FieldDecode) (kinds []uint8, vals []uint64, ok bool) {
+	if r.ix == nil || uint(f) >= uint(len(r.ix.Scan.Cols)) {
+		return nil, nil, false
+	}
+	at := &r.ix.Scan.Cols[f]
+	c := at.Load()
+	if c == nil {
+		c = buildColumn(r.page, r.ix, f, dec)
+		at.Store(c)
+	}
+	if c.Kinds == nil {
+		return nil, nil, false
+	}
+	end := r.first + r.Len()
+	return c.Kinds[r.first:end:end], c.Vals[r.first:end:end], true
 }
 
 // Scan visits every record in r, in key order. When prefetch is true the
@@ -268,7 +312,7 @@ func (t *Tree) scan(r keys.Range, class cache.AccessClass, one *[]uint16, fn Run
 			}
 			low = nil
 		}
-		if r.High != nil && end > 0 && r.AfterHigh(v.key(end-1)) {
+		if r.High != nil && end > 0 && r.AfterHigh(v.lastKey()) {
 			var exact bool
 			if end, exact = v.find(r.High); exact && r.HighIncl {
 				end++
@@ -307,6 +351,12 @@ func (t *Tree) lendStarts(v *pageView, run *Run, i, end int, one *[]uint16) erro
 	}
 	if recs != nil {
 		run.index, run.table = recs[i:end+1], recs
+		if sc := v.ix.Scan; sc != nil {
+			run.ix, run.first = v.ix, i
+			if end == v.n() {
+				run.last = sc.LastKey
+			}
+		}
 		return nil
 	}
 	_, val := v.cell(i)

@@ -119,15 +119,17 @@ const (
 // index derived from the slot's bytes and kept off the page, so the
 // block image stays what it is on disk. The B-tree keeps its cell
 // offset table here (Offs: the start of every cell, then the end of the
-// last one) and, for a leaf of a record file, a second part built lazily
-// by the first scan that needs it: the record table (Recs), every
-// record's field starts. The pool never reads it; it only forgets it
-// whenever the slot's bytes are replaced.
+// last one) and, for a leaf of a record file, two more parts built
+// lazily by the first scan of more than one of its records: the record
+// table (Recs), every record's field starts, and the scan part (Scan).
+// The pool never reads it; it only forgets it whenever the slot's bytes
+// are replaced.
 //
 // A published PageIndex is read by every holder of the page's shared
 // latch at once, so its user changes one only under the exclusive latch,
-// and adds the record table by publishing a new PageIndex that carries
-// both parts.
+// and adds the record table and the scan part by publishing a new
+// PageIndex that carries every part. The scan part's columns are the
+// one thing added under the shared latch, each by an atomic store.
 type PageIndex struct {
 	Offs []uint16
 	// Recs is nil until built. Then, for a page of n cells, Recs[:n+1] says
@@ -136,6 +138,31 @@ type PageIndex struct {
 	// field starts and then its length, relative to the record's first
 	// byte.
 	Recs []uint16
+	// Scan is nil until built, with Recs, and dropped with it.
+	Scan *LeafScan
+}
+
+// A LeafScan is what a leaf's scans read instead of the leaf: a copy of
+// its last key, which a range scan tests its upper bound against, and
+// the columns of its numeric fields, each built the first time a scan
+// asks for it.
+type LeafScan struct {
+	LastKey []byte
+	// Cols has one entry per field ordinal that every record of the leaf
+	// has, so a column is never built for an ordinal some record lacks.
+	// An entry is nil until the field's column is built, and then the
+	// column: one that says, by a nil Kinds, that the field is not a
+	// column in this leaf version.
+	Cols []atomic.Pointer[Column]
+}
+
+// A Column is one field of every record of a leaf, in cell order, decoded:
+// the field's type (the record package's, zero for NULL) and eight bytes
+// of value, an INTEGER's int64 or a FLOAT's float64 bits. Both slices are
+// shared by every scanner of the leaf and never written once published.
+type Column struct {
+	Kinds []uint8
+	Vals  []uint64
 }
 
 // A Page is a pinned cache buffer. Callers must Release it; Data stays

@@ -3,6 +3,7 @@ package dp
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 
@@ -43,6 +44,7 @@ var aggregate = &subsetKind{first: fsdp.KAggFirst,
 		r.s.width = aggWidth(&r.s.agg)
 		return nil
 	},
+	reads:  true,
 	visit:  visitAgg,
 	finish: finishAgg,
 }
@@ -86,13 +88,7 @@ func visitAgg(r *subsetRun, _ int) (bool, error) {
 	// and the partials say so as they fold, so no entry is weighed twice.
 	grew := 0
 	if !held {
-		fields := s.fields[:0]
-		for _, f := range spec.GroupBy {
-			fields = rec.AppendField(fields, f)
-		}
-		s.fields = fields
-		g = t.Add(s.kb, fields)
-		grew = fsdp.GroupLen(len(spec.GroupBy), len(fields), t.Partials(g))
+		g, grew = r.addGroup()
 	}
 	partials := t.Partials(g)
 	for i := range partials {
@@ -118,6 +114,96 @@ func visitAgg(r *subsetRun, _ int) (bool, error) {
 	s.weight += grew
 	r.batch.bytes = s.weight
 	return true, nil
+}
+
+// addGroup adds the group whose key bytes are s.kb, its key values the
+// group-by fields of r.rec, and returns it and what its entry weighs.
+func (r *subsetRun) addGroup() (g, weight int) {
+	s, t := r.s, &r.s.groups
+	fields := s.fields[:0]
+	for _, f := range s.agg.GroupBy {
+		fields = r.rec.AppendField(fields, f)
+	}
+	s.fields = fields
+	g = t.Add(s.kb, fields)
+	return g, fsdp.GroupLen(len(s.agg.GroupBy), len(fields), t.Partials(g))
+}
+
+// foldColumns reports whether the run's qualifying records can be folded
+// from columns: one group-by field, and it and every aggregate's field
+// columns in the run's leaf. Then it lends keyK, keyV, foldK and foldV the
+// columns. Every field the fold reads is then one every record of the
+// leaf has, so no record is narrower than the specification (visitAgg's
+// first refusal), and none is a VARCHAR or a BOOLEAN, so no SUM fails.
+func (r *subsetRun) foldColumns() bool {
+	spec := &r.s.agg
+	if len(spec.GroupBy) != 1 || rowPath.Load() {
+		return false
+	}
+	var ok bool
+	if r.keyK, r.keyV, ok = r.run.Column(spec.GroupBy[0], numericField); !ok {
+		return false
+	}
+	n := len(spec.Cols)
+	r.foldK, r.foldV = slices.Grow(r.foldK[:0], n)[:n], slices.Grow(r.foldV[:0], n)[:n]
+	for i := range spec.Cols {
+		c := &spec.Cols[i]
+		if c.Star {
+			r.foldK[i], r.foldV[i] = nil, nil
+			continue
+		}
+		if r.foldK[i], r.foldV[i], ok = r.run.Column(c.Col, numericField); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// foldAt is visitAgg for qualifying record j of a run foldColumns
+// accepted, read from its columns: an INTEGER key is probed by its int64,
+// and COUNT, SUM, MIN and MAX fold the column entries. The record is
+// pointed at only for a new group, whose key values are its fields'
+// bytes; a NULL or FLOAT key goes to visitAgg, the byte path, whole.
+func (r *subsetRun) foldAt(j int) error {
+	if record.Type(r.keyK[j]) != record.TypeInt {
+		r.rec.Point(r.run.Record(j))
+		_, err := visitAgg(r, j)
+		return err
+	}
+	s := r.s
+	spec, t := &s.agg, &s.groups
+	key := int64(r.keyV[j])
+	g, held := t.LookupInt(key)
+	grew := 0
+	if !held {
+		r.rec.Point(r.run.Record(j))
+		s.kb = keys.AppendInt64(s.kb[:0], key)
+		g, grew = r.addGroup()
+	}
+	partials := t.Partials(g)
+	for i := range partials {
+		c, p := &spec.Cols[i], &partials[i]
+		if c.Star {
+			grew += p.AddCount()
+			continue
+		}
+		switch kind, bits := record.Type(r.foldK[i][j]), r.foldV[i][j]; {
+		case kind == 0: // SQL aggregates ignore NULLs
+		case c.Fn == fsdp.AggCount:
+			grew += p.AddCount()
+		case c.Fn == fsdp.AggSum && kind == record.TypeInt:
+			grew += p.AddInt(int64(bits))
+		case c.Fn == fsdp.AggSum:
+			grew += p.AddFloat(math.Float64frombits(bits))
+		case kind == record.TypeInt: // MIN, MAX
+			grew += p.Feed(c.Fn, record.Int(int64(bits)))
+		default:
+			grew += p.Feed(c.Fn, record.Float(math.Float64frombits(bits)))
+		}
+	}
+	s.weight += grew
+	r.batch.bytes = s.weight
+	return nil
 }
 
 // finishAgg ships the conversation's groups when the block is full or the
@@ -176,6 +262,10 @@ func (d *DP) probeBlock(req *fsdp.Request) *fsdp.Reply {
 		return errReply(err)
 	}
 	d.stats.setRequests.Add(1)
+	if req.Tx != 0 {
+		d.enterTx(req.Tx) // it joins the transaction under its probes' locks
+		defer d.leaveTx(req.Tx)
+	}
 	e, err := expr.Decode(req.Pred)
 	if err != nil {
 		return errReply(err)
@@ -246,7 +336,9 @@ func (d *DP) probeBlock(req *fsdp.Request) *fsdp.Reply {
 			if err != nil {
 				return errReply(err)
 			}
-			d.joinTx(req.Tx)
+			if err := d.joinRead(req.Tx); err != nil {
+				return errReply(err)
+			}
 			if waited {
 				batch, reply.Rows, reply.RowKeys, block = mark, reply.Rows[:rows], reply.RowKeys[:rows], block[:blockLen]
 				if err := probe(rng); err != nil {

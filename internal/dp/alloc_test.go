@@ -134,7 +134,8 @@ func TestAllocationCeilings(t *testing.T) {
 // a COUNT and an AGG grouped by an INTEGER, each from its ^FIRST to Done
 // over 3000 records in three messages, every request encoded and every
 // reply decoded into buffers the test reuses. Each message decodes into a
-// pooled service slot and works in its virtual block and reply lists;
+// service slot from the free list and works in its virtual block and
+// reply lists;
 // each conversation runs in a Subset Control Block off the free list,
 // with the projection, the aggregate specification and the groups in the
 // lists and arenas a finished conversation left there. So once warm, a
@@ -191,7 +192,7 @@ func aConversationCostsNothing(t *testing.T, d *DP) {
 // aKeyedUpdateCostsItsImages is TestAllocationCeilings' ceiling on one
 // served UPDATE^KEY — SET SALARY = SALARY + 1 on a record by its key,
 // under a transaction, through the Handler into a reused reply buffer.
-// The request is decoded into a pooled slot, its SET list into the slot's
+// The request is decoded into a service slot, its SET list into the slot's
 // SetList, and the record is found, judged, transformed, audited and
 // rewritten in one look at its leaf, its rows, images and audit record
 // made in the slot's write. What is left is what the transaction keeps:
@@ -230,7 +231,7 @@ func aKeyedUpdateCostsItsImages(t *testing.T, d *DP) {
 }
 
 // aReadCostsNothing is TestAllocationCeilings' ceiling on the served READ:
-// the Handler decodes it into a pooled service slot, copies the record
+// the Handler decodes it into a service slot from the free list, copies the record
 // from the leaf into the slot and appends the reply to the sender's
 // buffer — which the sender reuses — so a READ allocates nothing, browse
 // or under a transaction (whose lock holds a copy of the key: that one

@@ -272,6 +272,10 @@ type DP struct {
 	freeSCBs []*scb // finished conversations' SCBs, for the next ones
 	txs      map[uint64]*txState
 	freeTxs  []*txState // finished transactions' states, for the next ones
+	// serving counts each transaction's read messages in service, which
+	// join it when their group lock is granted (enterTx), and marks one
+	// that finished while they were (txEnded).
+	serving map[uint64]uint32
 
 	// rep is the backup-role state: created on the first shipped
 	// checkpoint batch, it tracks in-flight transactions so promotion
@@ -301,9 +305,11 @@ type DP struct {
 	qwMu      sync.Mutex
 	queueWait func() (uint64, uint64)
 
-	// slots holds what a request in service decodes into, works in and
-	// replies from (*slot): as many are in use as requests are in service.
-	slots sync.Pool
+	// freeSlots holds what a request in service decodes into, works in and
+	// replies from (*slot) while no request is: as many are out as
+	// requests are in service, and each comes back with what it grew.
+	slotMu    sync.Mutex
+	freeSlots []*slot
 	// names is fileName, made once: what a decoded request's file name is
 	// taken from.
 	names func([]byte) (string, bool)
@@ -315,10 +321,11 @@ type DP struct {
 // record copied out of the leaf and the reply's one-entry lists, a keyed
 // UPDATE's SET list, the write it makes (rows, images and audit record),
 // the marker a PREPARE, COMMIT or ABORT audits, and a subset message's run
-// — its virtual block, its reply's lists, the keys it collected. A slot of
-// the pool is reused from request to request, and its reply is encoded
-// before it is, so a READ or a conversation's message allocates nothing,
-// and a write what its transaction keeps.
+// — its virtual block, its reply's lists, the keys it collected, its
+// column scratch. A slot of the free list is reused from request to
+// request, and its reply is encoded before it is, so a READ or a
+// conversation's message allocates nothing, and a write what its
+// transaction keeps.
 type slot struct {
 	req   fsdp.Request
 	proj  []int // what req.Proj decodes into
@@ -361,11 +368,12 @@ func New(cfg Config) (*DP, error) {
 	}
 	cfg.setDefaults()
 	d := &DP{
-		cfg:   cfg,
-		locks: lock.NewManager(),
-		files: make(map[string]*fileState),
-		scbs:  make(map[uint32]*scb),
-		txs:   make(map[uint64]*txState),
+		cfg:     cfg,
+		locks:   lock.NewManager(),
+		files:   make(map[string]*fileState),
+		scbs:    make(map[uint32]*scb),
+		txs:     make(map[uint64]*txState),
+		serving: make(map[uint64]uint32),
 	}
 	d.names = d.fileName
 	d.locks.DefaultTimeout = cfg.LockTimeout
@@ -509,10 +517,10 @@ func (d *DP) Concurrency() (float64, int) {
 // outlives the message is copied out of them: a lock copies what it
 // locks, an undo entry its key and image (txState.keep), the trail and a
 // backup's checkpoint stream encode the audit record. A record request or
-// a subset conversation's message decodes into a pooled slot (slotKind);
-// the rest into a Request of their own, whose repeated fields the decoder
-// allocates. Creating a file and
-// applying shipped records keep most of what they carry (the file's
+// a subset conversation's message decodes into a service slot from the
+// free list (slotKind); the rest into a Request of their own, whose
+// repeated fields the decoder allocates. Creating a file and applying
+// shipped records keep most of what they carry (the file's
 // definition, the records a backup holds for takeover), and are rare: they
 // are decoded from a copy of the whole request.
 func (d *DP) Handler(reqBytes, out []byte) []byte {
@@ -522,22 +530,48 @@ func (d *DP) Handler(reqBytes, out []byte) []byte {
 	}
 	switch {
 	case slotKind(kind):
-		sl, _ := d.slots.Get().(*slot)
-		if sl == nil {
-			sl = new(slot)
-		}
+		sl := d.takeSlot()
 		sl.req.Proj = sl.proj // a request without one decodes Proj nil: the list is kept here
 		out = d.reply(out, &sl.req, reqBytes, sl)
 		if cap(sl.req.Proj) > cap(sl.proj) {
 			sl.proj = sl.req.Proj[:0]
 		}
 		sl.w.bytes.Reset()
-		d.slots.Put(sl)
+		d.freeSlot(sl)
 		return out
 	case kind == fsdp.KCreateFile, kind == fsdp.KShipRecords:
 		reqBytes = bytes.Clone(reqBytes)
 	}
 	return d.reply(out, new(fsdp.Request), reqBytes, nil)
+}
+
+// maxFreeSlots bounds the free list of service slots: more requests in
+// service at once than that leave the extra slots to the collector.
+const maxFreeSlots = 64
+
+// takeSlot returns a service slot for a request: one a served request
+// gave back, with what it grew, or a new one. Unlike a sync.Pool's, the
+// free list keeps its slots across garbage collections and processors.
+func (d *DP) takeSlot() *slot {
+	d.slotMu.Lock()
+	var sl *slot
+	if n := len(d.freeSlots); n > 0 {
+		sl, d.freeSlots = d.freeSlots[n-1], d.freeSlots[:n-1]
+	}
+	d.slotMu.Unlock()
+	if sl == nil {
+		sl = new(slot)
+	}
+	return sl
+}
+
+// freeSlot gives a slot back once its reply has been encoded.
+func (d *DP) freeSlot(sl *slot) {
+	d.slotMu.Lock()
+	if len(d.freeSlots) < maxFreeSlots {
+		d.freeSlots = append(d.freeSlots, sl)
+	}
+	d.slotMu.Unlock()
 }
 
 // reply decodes b into req, serves it and appends the reply to out.

@@ -19,6 +19,9 @@ func (d *DP) Crash() {
 	d.mu.Lock()
 	oldTxs := d.txs
 	d.txs = make(map[uint64]*txState)
+	for tx := range d.serving {
+		d.endServingLocked(tx)
+	}
 	for id, s := range d.scbs {
 		d.retireSCB(id, s)
 	}

@@ -123,3 +123,41 @@ func t2RollsBack(t *testing.T, d *DP, req *fsdp.Request) *fsdp.Reply {
 	serveOK(t, d, &fsdp.Request{Kind: fsdp.KAbort, Tx: t2})
 	return <-done
 }
+
+// TestAbortedTransactionIsNotJoinedAgain: a transaction aborts while its
+// ^NEXT is in service, waiting at its group lock for another transaction.
+// Once that lock is granted the message must not join the finished
+// transaction again: it fails, and afterwards the Disk Process holds no
+// transaction, no Subset Control Block and no lock.
+func TestAbortedTransactionIsNotJoinedAgain(t *testing.T) {
+	for _, kind := range []fsdp.Kind{fsdp.KCountFirst, fsdp.KAggFirst, fsdp.KGetFirstVSBB} {
+		t.Run(kind.String(), func(t *testing.T) {
+			d := rereadRig(t)
+			t1, t2 := tmf.NewTxID(), tmf.NewTxID()
+			first := fsdp.Request{Kind: kind, Tx: t1, File: "ACCT", Range: keys.All(), RowLimit: 200}
+			if kind == fsdp.KAggFirst {
+				first.Agg = acctByGroup
+			}
+			reply := serveOK(t, d, &first)
+			if reply.Done {
+				t.Fatal("^FIRST read the whole file")
+			}
+			serveOK(t, d, &fsdp.Request{Kind: fsdp.KUpdateRecord, Tx: t2, File: "ACCT", Key: key1(250),
+				Row: record.Encode(record.Row{record.Int(250), record.Int(103), record.Float(1e6), record.String("")})})
+			next := fsdp.Request{Kind: kind.Next(), Tx: t1, File: "ACCT", SCB: reply.SCB,
+				Range: first.Range.Continue(reply.LastKey), RowLimit: 200}
+			done := waitingServe(t, d, &next)
+			serveOK(t, d, &fsdp.Request{Kind: fsdp.KAbort, Tx: t1})
+			serveOK(t, d, &fsdp.Request{Kind: fsdp.KCommit, Tx: t2})
+			if reply := <-done; reply.OK() {
+				t.Errorf("the ^NEXT of an aborted transaction replied %+v", reply)
+			}
+			if txns, scbs := d.OpenState(); txns != 0 || scbs != 0 {
+				t.Errorf("after the abort: %d transactions, %d subset control blocks", txns, scbs)
+			}
+			if n := d.Locks().Held(); n != 0 {
+				t.Errorf("after the abort: %d locks held", n)
+			}
+		})
+	}
+}

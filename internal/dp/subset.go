@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"nonstopsql/internal/btree"
@@ -188,7 +189,10 @@ type subsetKind struct {
 	mutates bool
 
 	open func(r *subsetRun) error // ^FIRST: decode the kind's own request fields into r.s
-	// visit sees qualifying record j of r.run, with r.rec pointed at it.
+	// reads: visit reads the record, so r.rec is pointed at it first.
+	reads bool
+	// visit sees qualifying record j of r.run, with r.rec pointed at it
+	// when the kind reads records.
 	// Everything the run lends — the record, its starts, r.run.Key(j) —
 	// borrows the leaf's cache buffer (btree.Run) and is gone when the
 	// run's turn ends: whatever the reply or the message keeps is a copy.
@@ -230,6 +234,21 @@ type subsetRun struct {
 	rec  record.View // the record under the scan cursor, pointed at the starts the run lends
 	hits [][]byte    // mutating kinds: qualifying keys, applied after the scan
 
+	// The column scratch (DESIGN.md §7.2), the slot's like the block: the
+	// predicate's column tests, compiled at the message's start — colPred
+	// says every conjunct is one — and, for the run being served, the
+	// columns they read, testK[i] and testV[i] the field of tests[i]'s;
+	// and an AGG's group key column and one column per aggregate (nil for
+	// COUNT(*)).
+	tests   []expr.ColumnTest
+	colPred bool
+	testK   [][]uint8
+	testV   [][]uint64
+	keyK    []uint8
+	keyV    []uint64
+	foldK   [][]uint8
+	foldV   [][]uint64
+
 	// block is the message's virtual block: reply rows and keys (GET),
 	// collected keys (mutating kinds) and shipped group entries (AGG) are
 	// cut from this one buffer. It grows by appending, except that a GET
@@ -248,7 +267,62 @@ func (r *subsetRun) start(d *DP, f *fileState, k *subsetKind, req *fsdp.Request)
 	poison.Fill(r.block)
 	*r = subsetRun{d: d, f: f, k: k, req: req,
 		reply: fsdp.Reply{Rows: r.reply.Rows[:0], RowKeys: r.reply.RowKeys[:0], LastKey: r.reply.LastKey[:0]},
-		hits:  r.hits[:0], block: r.block[:0]}
+		hits:  r.hits[:0], block: r.block[:0],
+		tests: r.tests[:0], testK: r.testK[:0], testV: r.testV[:0], foldK: r.foldK[:0], foldV: r.foldV[:0]}
+}
+
+// columns readies the message's column tests: the predicate's conjuncts,
+// when every one compares a field with a number (expr.ColumnTests), and
+// room for the columns they read. The row path's hook turns them off.
+func (r *subsetRun) columns() {
+	if r.s.pred == nil || rowPath.Load() {
+		return
+	}
+	if r.tests, r.colPred = r.s.pred.ColumnTests(r.tests[:0]); !r.colPred {
+		return
+	}
+	n := len(r.tests)
+	r.testK, r.testV = slices.Grow(r.testK[:0], n)[:n], slices.Grow(r.testV[:0], n)[:n]
+}
+
+// rowPath, set, serves every record on the row path: the equivalence
+// tests' switch (export_test.go).
+var rowPath atomic.Bool
+
+// numericField is record.NumericField as the B-tree's column decoder.
+func numericField(val []byte, starts []uint16, f int) (uint8, uint64, bool) {
+	k, b, ok := record.NumericField(val, starts, f)
+	return uint8(k), b, ok
+}
+
+// testColumns reports whether the run's records can be judged on
+// columns: the message's predicate is all column tests, and every field
+// they read is a column in the run's leaf. Then it lends testK and testV
+// the columns.
+func (r *subsetRun) testColumns() bool {
+	if !r.colPred {
+		return false
+	}
+	for i := range r.tests {
+		k, v, ok := r.run.Column(r.tests[i].Field(), numericField)
+		if !ok {
+			return false
+		}
+		r.testK[i], r.testV[i] = k, v
+	}
+	return true
+}
+
+// judge is the predicate's verdict on record j of the run, from the
+// columns testColumns lent: it cannot fail, so it stops at the first test
+// that rejects.
+func (r *subsetRun) judge(j int) bool {
+	for i := range r.tests {
+		if !r.tests[i].Test(record.Type(r.testK[i][j]), r.testV[i][j]) {
+			return false
+		}
+	}
+	return true
 }
 
 // subset serves every ^FIRST/^NEXT conversation kind in r, the message's
@@ -272,6 +346,10 @@ func (d *DP) subset(req *fsdp.Request, k *subsetKind, r *subsetRun) *fsdp.Reply 
 		return &fsdp.Reply{Code: fsdp.ErrBadRequest, Err: "dp: subset mutation requires a transaction"}
 	}
 	d.stats.setRequests.Add(1)
+	if req.Tx != 0 && !k.mutates {
+		d.enterTx(req.Tx) // it joins the transaction under its group lock
+		defer d.leaveTx(req.Tx)
+	}
 
 	r.start(d, f, k, req)
 	isFirst := req.Kind == k.first
@@ -321,6 +399,7 @@ func (d *DP) subset(req *fsdp.Request, k *subsetKind, r *subsetRun) *fsdp.Reply 
 			return fail(err)
 		}
 	}
+	r.columns()
 	r.groupLock = req.Tx != 0 && !k.mutates
 	if r.groupLock {
 		r.delivered = s.delivered
@@ -351,7 +430,9 @@ func (d *DP) subset(req *fsdp.Request, k *subsetKind, r *subsetRun) *fsdp.Reply 
 		if err != nil {
 			return fail(err)
 		}
-		d.joinTx(req.Tx)
+		if err := d.joinRead(req.Tx); err != nil {
+			return fail(err)
+		}
 		if waited {
 			if err := r.again(span); err != nil {
 				return fail(err)
@@ -393,8 +474,16 @@ func (r *subsetRun) scan(rng keys.Range) error {
 // message's budget, judged by the predicate and, qualifying, handed to the
 // kind's visitor. LastKey is copied once, from the last record processed,
 // while the leaf is still pinned.
+//
+// The predicate judges the run's records on columns when it can
+// (testColumns), and an AGG folds them from columns when it can
+// (foldColumns): the record is then pointed at only when something reads
+// it — a GET's row, a new group, a group key that is not an INTEGER —
+// and what the message counts, replies and stops at is the row path's.
 func (r *subsetRun) take() (bool, error) {
 	b, pred, run := &r.batch, r.s.pred, &r.run
+	onCols := pred != nil && r.testColumns()
+	fold := r.k == aggregate && r.foldColumns()
 	n := run.Len()
 	j, more := 0, true
 	for ; j < n; j++ {
@@ -408,12 +497,19 @@ func (r *subsetRun) take() (bool, error) {
 		// The record is read where it lies, reached field by field through
 		// the starts the B-tree's walk found when it validated it whole.
 		// Nothing is decoded that nobody asks for.
-		r.rec.Point(run.Record(j))
+		pointed := false
 		if pred != nil {
 			b.evals++
-			keep, err := pred.Satisfied(&r.rec)
-			if err != nil {
-				return false, err
+			var keep bool
+			if onCols {
+				keep = r.judge(j)
+			} else {
+				r.rec.Point(run.Record(j))
+				pointed = true
+				var err error
+				if keep, err = pred.Satisfied(&r.rec); err != nil {
+					return false, err
+				}
 			}
 			if !keep {
 				b.filtered++
@@ -421,6 +517,15 @@ func (r *subsetRun) take() (bool, error) {
 			}
 		}
 		var err error
+		if fold {
+			if err = r.foldAt(j); err != nil {
+				return false, err
+			}
+			continue
+		}
+		if r.k.reads && !pointed {
+			r.rec.Point(run.Record(j))
+		}
 		if more, err = r.k.visit(r, j); err != nil {
 			return false, err
 		}
@@ -481,7 +586,7 @@ func (r *subsetRun) again(locked keys.Range) error {
 // here at the data source. GET^FIRST/NEXT^RSBB: the reply is a real
 // block image — whole records, no selection or projection, no decode.
 var (
-	getVSBB = &subsetKind{first: fsdp.KGetFirstVSBB, visit: visitGet,
+	getVSBB = &subsetKind{first: fsdp.KGetFirstVSBB, reads: true, visit: visitGet,
 		open: func(r *subsetRun) error {
 			r.s.proj, r.s.limit = append(r.s.proj[:0], r.req.Proj...), r.req.ScanLimit
 			if len(r.s.proj) == 0 {
@@ -489,7 +594,7 @@ var (
 			}
 			return nil
 		}}
-	getRSBB = &subsetKind{first: fsdp.KGetFirstRSBB, visit: visitGet,
+	getRSBB = &subsetKind{first: fsdp.KGetFirstRSBB, reads: true, visit: visitGet,
 		open: func(r *subsetRun) error {
 			r.s.pred, r.s.proj, r.s.limit = nil, nil, r.req.ScanLimit
 			return nil

@@ -71,6 +71,59 @@ func (d *DP) joinTx(tx uint64) {
 	d.mu.Unlock()
 }
 
+// joinRead is joinTx for a read message in service (enterTx) that has
+// locked what it read. It refuses, with an error, a transaction that
+// finished while the message was in service and releases what the message
+// locked: joining would bring the transaction back, a state and locks no
+// commit or abort would ever release.
+func (d *DP) joinRead(tx uint64) error {
+	d.mu.Lock()
+	ended := d.serving[tx]&txEnded != 0
+	if !ended {
+		d.txLocked(tx)
+	}
+	d.mu.Unlock()
+	if ended {
+		d.locks.ReleaseTx(tx)
+		return fmt.Errorf("dp %s: transaction %d ended while its message was in service", d.cfg.Name, tx)
+	}
+	return nil
+}
+
+// txEnded marks, in DP.serving, a transaction that finished while one of
+// its messages was in service.
+const txEnded = 1 << 31
+
+// enterTx notes that a read message of tx is in service, one that joins
+// tx once it holds its group lock (joinRead); leaveTx, that it is done. A
+// message enters before it looks its Subset Control Block up, so a
+// transaction that finishes after the look-up finds it counted. (One that
+// finished before a ^FIRST arrived cannot be told from one that has not
+// begun.)
+func (d *DP) enterTx(tx uint64) {
+	d.mu.Lock()
+	d.serving[tx]++
+	d.mu.Unlock()
+}
+
+func (d *DP) leaveTx(tx uint64) {
+	d.mu.Lock()
+	if n := d.serving[tx] - 1; n&^txEnded == 0 {
+		delete(d.serving, tx)
+	} else {
+		d.serving[tx] = n
+	}
+	d.mu.Unlock()
+}
+
+// endServingLocked marks tx ended for the messages of it in service.
+// Caller holds d.mu.
+func (d *DP) endServingLocked(tx uint64) {
+	if n, ok := d.serving[tx]; ok {
+		d.serving[tx] = n | txEnded
+	}
+}
+
 // addUndo adds u to tx's undo chain, with copies of its key and image: the
 // write's buffer they lie in is reused by its next change.
 func (d *DP) addUndo(tx uint64, u undoRec) {
@@ -292,6 +345,7 @@ func (d *DP) finishTx(tx uint64) {
 			d.freeTxs = append(d.freeTxs, t)
 		}
 	}
+	d.endServingLocked(tx)
 	for id, s := range d.scbs {
 		if s.tx == tx {
 			d.retireSCB(id, s)

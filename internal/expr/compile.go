@@ -2,6 +2,7 @@ package expr
 
 import (
 	"cmp"
+	"math"
 	"strings"
 
 	"nonstopsql/internal/record"
@@ -139,57 +140,115 @@ func (c *conjunct) test(v *record.View) (bool, error) {
 		return false, errEval("field ordinal %d out of range (row has %d fields)", c.idx, v.Len())
 	}
 	kind := v.Kind(c.idx)
-	if kind == 0 {
-		return false, nil // a comparison with NULL is NULL, which rejects
-	}
-	// order is Value.Compare(field, constant), case by case; a NaN on either
-	// side is unknown, as in eval, and rejects.
-	var order int
+	numeric := c.c.Kind == record.TypeInt || c.c.Kind == record.TypeFloat
 	switch {
-	case kind == record.TypeInt && c.c.Kind == record.TypeInt:
-		order = cmp.Compare(v.Int(c.idx), c.c.I)
-	case kind == record.TypeInt && c.c.Kind == record.TypeFloat:
-		if c.c.F != c.c.F {
-			return false, nil
-		}
-		order = record.CompareIntFloat(v.Int(c.idx), c.c.F)
-	case kind == record.TypeFloat && c.c.Kind == record.TypeInt:
-		f := v.Float(c.idx)
-		if f != f {
-			return false, nil
-		}
-		order = -record.CompareIntFloat(c.c.I, f)
+	case kind == 0:
+		return false, nil // a comparison with NULL is NULL, which rejects
+	case kind == record.TypeInt && numeric:
+		return c.number(kind, uint64(v.Int(c.idx))), nil
+	case kind == record.TypeFloat && numeric:
+		return c.number(kind, math.Float64bits(v.Float(c.idx))), nil
 	case kind != c.c.Kind:
 		l, r := kind, c.c.Kind
 		if c.flipped {
 			l, r = r, l
 		}
 		return false, errEval("cannot compare %v with %v", l, r)
-	case kind == record.TypeFloat:
-		f := v.Float(c.idx)
-		if f != f || c.c.F != c.c.F {
-			return false, nil
-		}
-		order = cmp.Compare(f, c.c.F)
 	case kind == record.TypeString:
-		order = strings.Compare(v.Str(c.idx), c.c.S)
-	default: // BOOLEAN: false before true
-		order = cmp.Compare(b2i(v.Bool(c.idx)), b2i(c.c.B))
+		return c.op.holds(strings.Compare(v.Str(c.idx), c.c.S)), nil
 	}
-	switch c.op {
-	case OpEQ:
-		return order == 0, nil
-	case OpNE:
-		return order != 0, nil
-	case OpLT:
-		return order < 0, nil
-	case OpLE:
-		return order <= 0, nil
-	case OpGT:
-		return order > 0, nil
-	}
-	return order >= 0, nil
+	// BOOLEAN: false before true
+	return c.op.holds(cmp.Compare(b2i(v.Bool(c.idx)), b2i(c.c.B))), nil
 }
+
+// number judges a field that is a number, or NULL, against the conjunct's
+// constant, which is a number: the field as a column holds it
+// (record.NumericField), its type — zero for NULL — and an INTEGER's
+// int64 or a FLOAT's float64 bits. The order is Value.Compare(field,
+// constant), case by case, exact between an INTEGER and a FLOAT; a NaN on
+// either side is unknown, as in eval, and rejects, and so does NULL.
+func (c *conjunct) number(kind record.Type, bits uint64) bool {
+	var order int
+	switch {
+	case kind == record.TypeInt && c.c.Kind == record.TypeInt:
+		order = cmp.Compare(int64(bits), c.c.I)
+	case kind == record.TypeInt:
+		if c.c.F != c.c.F {
+			return false
+		}
+		order = record.CompareIntFloat(int64(bits), c.c.F)
+	case kind == record.TypeFloat:
+		f := math.Float64frombits(bits)
+		if f != f {
+			return false
+		}
+		if c.c.Kind == record.TypeInt {
+			order = -record.CompareIntFloat(c.c.I, f)
+		} else {
+			if c.c.F != c.c.F {
+				return false
+			}
+			order = cmp.Compare(f, c.c.F)
+		}
+	default: // NULL
+		return false
+	}
+	return c.op.holds(order)
+}
+
+// holds reports whether a comparison op holds between two values that
+// order says how to order (cmp.Compare's answer).
+func (op Op) holds(order int) bool {
+	switch op {
+	case OpEQ:
+		return order == 0
+	case OpNE:
+		return order != 0
+	case OpLT:
+		return order < 0
+	case OpLE:
+		return order <= 0
+	case OpGT:
+		return order > 0
+	}
+	return order >= 0
+}
+
+// A ColumnTest is a compiled conjunct FIELD op CONSTANT whose constant is
+// a number, judged on the field's entry in a column (record.NumericField:
+// its type, zero for NULL, and an INTEGER's int64 or a FLOAT's float64
+// bits). On a record whose field is an INTEGER, a FLOAT or NULL the
+// conjunct cannot fail, and Test answers what it answers, by the same
+// code (conjunct.number): NULL and a NaN on either side reject, and an
+// INTEGER meets a FLOAT exactly.
+type ColumnTest struct{ c conjunct }
+
+// ColumnTests appends the program's conjuncts to dst as column tests and
+// reports whether every one of them is one. When it is, the program keeps
+// a record whose tested fields are all INTEGER, FLOAT or NULL exactly
+// when every test passes, and never fails on it: the tests may be run in
+// any order and stop at the first that rejects. A nil program has no
+// conjuncts.
+func (p *Program) ColumnTests(dst []ColumnTest) ([]ColumnTest, bool) {
+	if p == nil {
+		return dst, true
+	}
+	for _, c := range p.conj {
+		if c.generic != nil || (c.c.Kind != record.TypeInt && c.c.Kind != record.TypeFloat) {
+			return dst, false
+		}
+	}
+	for _, c := range p.conj {
+		dst = append(dst, ColumnTest{c})
+	}
+	return dst, true
+}
+
+// Field returns the ordinal of the field the test reads.
+func (t *ColumnTest) Field() int { return t.c.idx }
+
+// Test judges one column entry of the field.
+func (t *ColumnTest) Test(kind record.Type, bits uint64) bool { return t.c.number(kind, bits) }
 
 func b2i(b bool) int64 {
 	if b {

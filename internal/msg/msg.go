@@ -179,8 +179,13 @@ func (s *Server) invoke(payload, out []byte) (data []byte, err error) {
 // A Network is the interconnect and process registry for one simulated
 // Tandem network (one or more nodes of up to 16 processors).
 type Network struct {
-	mu    sync.Mutex
-	stats Stats
+	mu sync.Mutex // guards the registry's publications and registered
+
+	// The traffic counters, charged with atomic adds: every message of
+	// every session passes here, and none waits for another to count.
+	requests, replies           atomic.Uint64
+	requestBytes, replyBytes    atomic.Uint64
+	local, bus, network, panics atomic.Uint64
 
 	// servers is the registry, read on every message without a lock: a
 	// map no one writes once published. Register and StopServer publish
@@ -294,18 +299,22 @@ func (n *Network) Lookup(name string) (ProcessorID, bool) {
 	return s.proc, true
 }
 
-// Stats returns a snapshot of the traffic counters.
+// Stats returns the traffic counters, summed from the atomic ones: each
+// is read once. With no send in flight they are exact, and Requests ==
+// Replies; while sends run, the replies are read before the requests, so
+// a snapshot never shows a reply whose request it does not count.
 func (n *Network) Stats() Stats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.stats
+	s := Stats{Replies: n.replies.Load(), ReplyBytes: n.replyBytes.Load(), Panics: n.panics.Load()}
+	s.Requests, s.RequestBytes = n.requests.Load(), n.requestBytes.Load()
+	s.Local, s.Bus, s.Network = n.local.Load(), n.bus.Load(), n.network.Load()
+	return s
 }
 
 // ResetStats zeroes the traffic counters and latency histograms.
 func (n *Network) ResetStats() {
-	n.mu.Lock()
-	n.stats = Stats{}
-	n.mu.Unlock()
+	for _, c := range []*atomic.Uint64{&n.requests, &n.replies, &n.requestBytes, &n.replyBytes, &n.local, &n.bus, &n.network, &n.panics} {
+		c.Store(0)
+	}
 	for i := range n.lat {
 		n.lat[i].Reset()
 	}
@@ -331,29 +340,25 @@ func (n *Network) LatencyAll() obs.Snapshot {
 
 // chargeRequest records one admitted request.
 func (n *Network) chargeRequest(payloadLen int, d Distance) {
-	n.mu.Lock()
-	n.stats.Requests++
-	n.stats.RequestBytes += uint64(payloadLen)
+	n.requestBytes.Add(uint64(payloadLen))
 	switch d {
 	case DistLocal:
-		n.stats.Local++
+		n.local.Add(1)
 	case DistBus:
-		n.stats.Bus++
+		n.bus.Add(1)
 	default:
-		n.stats.Network++
+		n.network.Add(1)
 	}
-	n.mu.Unlock()
+	n.requests.Add(1)
 }
 
 // chargeReply records one reply.
 func (n *Network) chargeReply(replyLen int, err error) {
-	n.mu.Lock()
-	n.stats.Replies++
-	n.stats.ReplyBytes += uint64(replyLen)
+	n.replyBytes.Add(uint64(replyLen))
 	if err != nil {
-		n.stats.Panics++
+		n.panics.Add(1)
 	}
-	n.mu.Unlock()
+	n.replies.Add(1)
 }
 
 // A Client is a requester context: library code (the File System) that

@@ -314,6 +314,61 @@ func TestStopSendRace(t *testing.T) {
 	}
 }
 
+// TestCountersWhileSending reads the traffic counters while eight
+// senders on three distance classes run, under -race: a snapshot never
+// counts a reply whose request it misses, and once the senders are done
+// every counter is exact.
+func TestCountersWhileSending(t *testing.T) {
+	n := NewNetwork()
+	n.StartServer("$D", ProcessorID{0, 1}, 2, echo)
+	defer n.StopServer("$D")
+	const senders, sends = 8, 300
+	done := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if s := n.Stats(); s.Replies > s.Requests {
+				t.Errorf("a snapshot counts %d replies to %d requests", s.Replies, s.Requests)
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := range senders {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := n.NewClient(ProcessorID{g % 2, g % 4})
+			for range sends {
+				if _, err := c.Send("$D", []byte("x")); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(done)
+	reader.Wait()
+	s := n.Stats()
+	const total = senders * sends
+	if s.Requests != total || s.Replies != total || s.Local+s.Bus+s.Network != total ||
+		s.RequestBytes != total || s.ReplyBytes != total*uint64(len("echo:x")) {
+		t.Errorf("after %d sends: %+v", total, s)
+	}
+	n.ResetStats()
+	if s := n.Stats(); s != (Stats{}) {
+		t.Errorf("after ResetStats: %+v", s)
+	}
+}
+
 // TestLatencyRecordedForErrorReplies pins the accounting bugfix: Send
 // used to record round-trip latency only on success, returning early for
 // panic/error replies, so per-distance Lat.Count silently drifted below

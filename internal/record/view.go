@@ -131,6 +131,29 @@ func (v *View) Str(i int) string { return readString(v.field(i)) }
 // Bool reads field i, whose Kind is TypeBool.
 func (v *View) Bool(i int) bool { return v.b[v.off[i]] == encTrue }
 
+// NumericField reads field i of the record b, whose field starts — and,
+// last, len(b) — are starts, as FieldStarts found them, as one entry of a
+// column: its type (zero for NULL) and eight bytes of value, an INTEGER's
+// int64 or a FLOAT's float64 bits. ok is false when the record has no
+// field i or the field is a VARCHAR or a BOOLEAN: a column holds only
+// what a comparison with a number or a COUNT or SUM reads without an
+// error. The B-tree builds a leaf's columns with it (btree.Run.Column).
+func NumericField(b []byte, starts []uint16, i int) (kind Type, bits uint64, ok bool) {
+	if i < 0 || i >= len(starts)-1 {
+		return 0, 0, false
+	}
+	f := b[starts[i]:starts[i+1]]
+	switch f[0] {
+	case encNull:
+		return 0, 0, true
+	case encInt:
+		return TypeInt, uint64(readInt(f)), true
+	case encFloat:
+		return TypeFloat, binary.LittleEndian.Uint64(f[1:]), true
+	}
+	return 0, 0, false
+}
+
 // AppendField appends field i's wire encoding (what AppendValue would
 // write for Value(i)) to dst.
 func (v *View) AppendField(dst []byte, i int) []byte { return append(dst, v.field(i)...) }

@@ -68,10 +68,9 @@ func (r *reportRig) run(t testing.TB, lo, hi int64) {
 type reportCost struct{ objects, bytes, msgs, redrives float64 }
 
 // cost measures one report over [lo, hi), averaged over runs after two
-// warm-up reports, on one processor as testing.AllocsPerRun measures: the
-// pools the layers keep their buffers in are per processor.
+// warm-up reports, at whatever processor count the test runs with: every
+// layer keeps its buffers with an owner, not in a per-processor pool.
 func (r *reportRig) cost(t testing.TB, lo, hi int64) reportCost {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	redrives := func() (n uint64) {
 		for _, v := range []string{"$DATA1", "$DATA2", "$DATA3"} {
 			n += r.d.c.DP(v).Stats().Redrives

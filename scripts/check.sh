@@ -18,8 +18,12 @@ go run ./cmd/experiments -quick -only E1 >/dev/null
 go run ./examples/explain >/dev/null
 # Message-system and observability races first: StopServer/Send hammers,
 # panic recovery, reply timeouts, and the concurrent histogram-merge
-# property. The full suite runs them again, but a regression in the
-# layers everything else talks through should fail alone, fast.
+# property. The traffic counters are atomic adds, not a mutex every
+# message of every session takes: beside the hammer, senders on three
+# distance classes while a reader takes snapshots (never a reply whose
+# request it misses; exact once idle). The full suite runs them again, but
+# a regression in the layers everything else talks through should fail
+# alone, fast.
 go test -race -count=1 ./internal/msg ./internal/obs
 # B-tree pages are read where they lie in the cache: views pin a slot
 # for as long as the slices they hand out live, the offset table is
@@ -62,10 +66,29 @@ go test -run '^$' -fuzz FuzzPageView -fuzztime 10s ./internal/btree
 go test -race -count=1 ./internal/record ./internal/expr
 go test -count=1 -run TestAllocationCeilings ./internal/dp
 go test -run '^$' -bench BenchmarkSubsetRecord -benchtime 1x ./internal/dp
+# A leaf is decoded once per version (DESIGN.md §7.1, §7.2): the first
+# multi-record scan of a leaf also publishes its scan part — a copy of its
+# last key and a slot per field every record has — and a column is built
+# when a scan first asks for it; a splice drops them with the record
+# table. The Disk Process judges an all-numeric predicate and folds an
+# INTEGER-keyed COUNT/SUM/MIN/MAX from columns, and points at a record only
+# when something reads it. Twenty rounds under -race of column scanners
+# against writers splicing the same leaves, every entry held to a fresh
+# decode; the sidecar's lifetime across a splice; the column path against
+# the row path over random records (NULL, NaN, ±0, INTEGER and FLOAT
+# mixed, VARCHAR and BOOLEAN in some, short records, hostile ordinals),
+# reply bytes and counters; and the column evaluator's seed corpus against
+# Program.Satisfied. (FuzzPageView, above, holds the fewest-fields count
+# and every column of arbitrary pages to record.Decode.)
+go test -race -count=20 -run 'TestColumnsUnderConcurrentSplices' ./internal/btree
+go test -count=1 -run 'TestScanPartFollowsTheLeaf' ./internal/btree
+go test -count=1 -run 'TestColumnPathMatchesRowPath|TestAbortedTransactionIsNotJoinedAgain' ./internal/dp
+go test -count=1 -run 'FuzzColumnTests|TestColumnTestsMatchSatisfied' ./internal/expr
 # A report allocates only what its client keeps (DESIGN.md §7.4): a
 # subset conversation's messages are served from the Disk Process's
-# service slots, in Subset Control Blocks it takes from a free list with
-# their arenas, and encoded and decoded in arenas the SQL statement owns,
+# service slots — a free list, not a per-processor pool, so the counts are
+# exact at any GOMAXPROCS — in Subset Control Blocks it takes from a free
+# list with their arenas, and encoded and decoded in arenas the SQL statement owns,
 # beside its row list and its one group table (fsdp.GroupTable). The Disk
 # Process's ceilings just above include whole GET, COUNT and AGG
 # conversations through the Handler at zero. Without -race: what one
@@ -147,8 +170,11 @@ go test -race -count=1 -run 'TestPointRead|TestExplainAnalyzeRead|TestFloatBound
 # ends, never what they read before the wait (the message is read again
 # under the lock; an AGG's fold is rewound first). And −0.0 is +0.0 as a
 # key: one GROUP BY group, found through an index, a duplicate primary key.
+# A read message whose transaction aborts while it waits at its group lock
+# does not join the finished transaction again: it fails, and no
+# transaction state and no lock is left behind.
 go test -race -count=1 -run 'TestReadIsolation|TestNegativeZero' ./internal/sql
-go test -race -count=1 -run 'TestReadsAgainUnderTheGroupLock|TestAcquireReportsTheWait' ./internal/dp ./internal/lock
+go test -race -count=1 -run 'TestReadsAgainUnderTheGroupLock|TestAcquireReportsTheWait|TestAbortedTransactionIsNotJoinedAgain' ./internal/dp ./internal/lock
 # A keyed write is one descent (btree.Tree.Edit): the primitive against a
 # reference map while point reads and scans run over the same leaves,
 # records growing past their leaf and leaves emptying (its split and
