@@ -222,7 +222,7 @@ func TestViewsUnderConcurrentSplices(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if n := tr.Latches().Live(); n != 0 {
+	if n := tr.lt.Live(); n != 0 {
 		t.Fatalf("%d latches still live", n)
 	}
 }
@@ -254,7 +254,7 @@ func TestScansNeverWriteTheRecordTable(t *testing.T) {
 		rec.Point(v, starts)
 		return true, nil
 	})
-	leaves, err := tr.LeafRun(keys.All())
+	leaves, err := tr.AppendLeafRun(nil, keys.All())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +443,7 @@ func TestScanPartFollowsTheLeaf(t *testing.T) {
 		return pg.Index()
 	}
 	count(keys.All())
-	leaves, err := tr.LeafRun(keys.All())
+	leaves, err := tr.AppendLeafRun(nil, keys.All())
 	if err != nil || len(leaves) < 5 {
 		t.Fatalf("%d leaves, %v", len(leaves), err)
 	}

@@ -128,9 +128,6 @@ func (t *Tree) Root() disk.BlockNum { return t.root }
 // Name returns the file name.
 func (t *Tree) Name() string { return t.name }
 
-// Latches returns the tree's latch table (stats).
-func (t *Tree) Latches() *Latches { return t.lt }
-
 // childOf and childCell convert between a child block number and an
 // interior cell's 4-byte value.
 func childOf(c cell) disk.BlockNum {

@@ -310,7 +310,7 @@ func TestBulkLoadContiguousLeaves(t *testing.T) {
 	if c != 3000 {
 		t.Fatalf("count %d", c)
 	}
-	leaves, err := tr.LeafRun(keys.All())
+	leaves, err := tr.AppendLeafRun(nil, keys.All())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,8 +359,8 @@ func TestLeafRunRangePruning(t *testing.T) {
 		recs = append(recs, KV{Key: ik(int64(i)), Val: bytes.Repeat([]byte("z"), 60)})
 	}
 	tr.BulkLoad(recs, 1)
-	all, _ := tr.LeafRun(keys.All())
-	narrow, err := tr.LeafRun(keys.Range{Low: ik(100), High: ik(150), HighIncl: true})
+	all, _ := tr.AppendLeafRun(nil, keys.All())
+	narrow, err := tr.AppendLeafRun(nil, keys.Range{Low: ik(100), High: ik(150), HighIncl: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -176,7 +176,7 @@ func TestConcurrentMixed(t *testing.T) {
 		t.Fatalf("count %d, want %d", n, want)
 	}
 
-	st := tr.Latches().Stats()
+	st := tr.lt.Stats()
 	if st.SharedGrants == 0 || st.ExclusiveGrants == 0 {
 		t.Fatalf("latch stats not collected: %+v", st)
 	}

@@ -102,7 +102,7 @@ func TestEditProperty(t *testing.T) {
 	}
 	keyOf := func(w, i int) []byte { return ik(int64(i*writers + w)) }
 	leaves := func() int {
-		run, err := tr.LeafRun(keys.All())
+		run, err := tr.AppendLeafRun(nil, keys.All())
 		if err != nil {
 			t.Error(err)
 		}
@@ -310,7 +310,7 @@ func TestEditFallbackRunsTheAnswer(t *testing.T) {
 
 func mustLeafRun(t *testing.T, tr *Tree) []uint32 {
 	t.Helper()
-	run, err := tr.LeafRun(keys.All())
+	run, err := tr.AppendLeafRun(nil, keys.All())
 	if err != nil {
 		t.Fatal(err)
 	}

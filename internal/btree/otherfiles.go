@@ -9,10 +9,10 @@ import (
 	"nonstopsql/internal/wal"
 )
 
-// The relative and entry-sequenced access methods share a one-page block
-// directory: a fixed metadata block listing the file's data blocks in
-// order. One 4 KB directory addresses ~1000 data blocks (≈4 MB), which
-// is ample for the simulated volumes.
+// The entry-sequenced access method keeps a one-page block directory: a
+// fixed metadata block listing the file's data blocks in order. One 4 KB
+// directory addresses ~1000 data blocks (≈4 MB), which is ample for the
+// simulated volumes.
 
 const dirHeader = 8 // [0:4] entry count, [4:8] per-file metadata
 
@@ -37,140 +37,6 @@ func writeDir(buf []byte, meta uint32, blocks []disk.BlockNum) {
 	for i, bn := range blocks {
 		binary.LittleEndian.PutUint32(buf[dirHeader+4*i:], uint32(bn))
 	}
-}
-
-// A RelativeFile provides direct access by record number over fixed-
-// length records (ENSCRIBE "relative" structure). Each data block holds
-// a presence byte plus the record bytes per slot.
-type RelativeFile struct {
-	pool   *cache.Pool
-	vol    disk.BlockDev
-	name   string
-	dir    disk.BlockNum
-	recLen int
-}
-
-// NewRelative creates a relative file with fixed record length recLen.
-func NewRelative(pool *cache.Pool, vol disk.BlockDev, name string, recLen int) (*RelativeFile, error) {
-	if recLen <= 0 || recLen+1 > disk.BlockSize {
-		return nil, fmt.Errorf("btree: relative record length %d out of range", recLen)
-	}
-	dir := vol.Allocate()
-	f := &RelativeFile{pool: pool, vol: vol, name: name, dir: dir, recLen: recLen}
-	pg, err := pool.Get(dir)
-	if err != nil {
-		return nil, err
-	}
-	writeDir(pg.Data(), uint32(recLen), nil)
-	pg.MarkDirty(0)
-	pg.Release()
-	return f, nil
-}
-
-// OpenRelative attaches to an existing relative file.
-func OpenRelative(pool *cache.Pool, vol disk.BlockDev, name string, dir disk.BlockNum) (*RelativeFile, error) {
-	f := &RelativeFile{pool: pool, vol: vol, name: name, dir: dir}
-	pg, err := pool.Get(dir)
-	if err != nil {
-		return nil, err
-	}
-	meta, _ := readDir(pg.Data())
-	pg.Release()
-	f.recLen = int(meta)
-	if f.recLen <= 0 {
-		return nil, fmt.Errorf("btree: %s is not a relative file", name)
-	}
-	return f, nil
-}
-
-func (f *RelativeFile) perBlock() int { return disk.BlockSize / (f.recLen + 1) }
-
-// slotAddr locates record recnum, extending the file if extend is true.
-func (f *RelativeFile) slotAddr(recnum uint32, extend bool, lsn wal.LSN) (disk.BlockNum, int, error) {
-	blockIdx := int(recnum) / f.perBlock()
-	slot := int(recnum) % f.perBlock()
-	pg, err := f.pool.Get(f.dir)
-	if err != nil {
-		return 0, 0, err
-	}
-	meta, blocks := readDir(pg.Data())
-	if blockIdx >= len(blocks) {
-		if !extend {
-			pg.Release()
-			return 0, 0, fmt.Errorf("%w (%s record %d)", ErrNotFound, f.name, recnum)
-		}
-		if blockIdx >= dirCapacity() {
-			pg.Release()
-			return 0, 0, fmt.Errorf("btree: %s exceeds maximum relative file size", f.name)
-		}
-		for len(blocks) <= blockIdx {
-			blocks = append(blocks, f.vol.Allocate())
-		}
-		writeDir(pg.Data(), meta, blocks)
-		pg.MarkDirty(lsn)
-	}
-	bn := blocks[blockIdx]
-	pg.Release()
-	return bn, slot, nil
-}
-
-// Write stores the record at recnum (creating or replacing it).
-func (f *RelativeFile) Write(recnum uint32, data []byte, lsn wal.LSN) error {
-	if len(data) != f.recLen {
-		return fmt.Errorf("btree: %s record is %d bytes, want %d", f.name, len(data), f.recLen)
-	}
-	bn, slot, err := f.slotAddr(recnum, true, lsn)
-	if err != nil {
-		return err
-	}
-	pg, err := f.pool.Get(bn)
-	if err != nil {
-		return err
-	}
-	off := slot * (f.recLen + 1)
-	pg.Data()[off] = 1
-	copy(pg.Data()[off+1:], data)
-	pg.MarkDirty(lsn)
-	pg.Release()
-	return nil
-}
-
-// Read returns the record at recnum.
-func (f *RelativeFile) Read(recnum uint32) ([]byte, error) {
-	bn, slot, err := f.slotAddr(recnum, false, 0)
-	if err != nil {
-		return nil, err
-	}
-	pg, err := f.pool.Get(bn)
-	if err != nil {
-		return nil, err
-	}
-	defer pg.Release()
-	off := slot * (f.recLen + 1)
-	if pg.Data()[off] == 0 {
-		return nil, fmt.Errorf("%w (%s record %d)", ErrNotFound, f.name, recnum)
-	}
-	return append([]byte(nil), pg.Data()[off+1:off+1+f.recLen]...), nil
-}
-
-// Delete clears the record slot at recnum.
-func (f *RelativeFile) Delete(recnum uint32, lsn wal.LSN) error {
-	bn, slot, err := f.slotAddr(recnum, false, 0)
-	if err != nil {
-		return err
-	}
-	pg, err := f.pool.Get(bn)
-	if err != nil {
-		return err
-	}
-	defer pg.Release()
-	off := slot * (f.recLen + 1)
-	if pg.Data()[off] == 0 {
-		return fmt.Errorf("%w (%s record %d)", ErrNotFound, f.name, recnum)
-	}
-	pg.Data()[off] = 0
-	pg.MarkDirty(lsn)
-	return nil
 }
 
 // An EntryFile is an entry-sequenced file: variable-length records,
@@ -198,11 +64,6 @@ func NewEntry(pool *cache.Pool, vol disk.BlockDev, name string) (*EntryFile, err
 	pg.MarkDirty(0)
 	pg.Release()
 	return f, nil
-}
-
-// OpenEntry attaches to an existing entry-sequenced file.
-func OpenEntry(pool *cache.Pool, vol disk.BlockDev, name string, dir disk.BlockNum) *EntryFile {
-	return &EntryFile{pool: pool, vol: vol, name: name, dir: dir}
 }
 
 // Addr is a record's stable address: block index and byte offset.

@@ -16,91 +16,6 @@ func newPool(t testing.TB) (*cache.Pool, *disk.Volume) {
 	return cache.NewPool(v, 128, nil), v
 }
 
-func TestRelativeReadWriteDelete(t *testing.T) {
-	p, v := newPool(t)
-	f, err := NewRelative(p, v, "FIXED", 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := bytes.Repeat([]byte("r"), 100)
-	if err := f.Write(7, rec, 1); err != nil {
-		t.Fatal(err)
-	}
-	got, err := f.Read(7)
-	if err != nil || !bytes.Equal(got, rec) {
-		t.Fatalf("read: %v", err)
-	}
-	// Neighbor slots empty.
-	if _, err := f.Read(6); !errors.Is(err, ErrNotFound) {
-		t.Errorf("empty slot read: %v", err)
-	}
-	if err := f.Delete(7, 2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Read(7); !errors.Is(err, ErrNotFound) {
-		t.Errorf("deleted slot read: %v", err)
-	}
-	if err := f.Delete(7, 3); !errors.Is(err, ErrNotFound) {
-		t.Errorf("double delete: %v", err)
-	}
-}
-
-func TestRelativeSparseAndDense(t *testing.T) {
-	p, v := newPool(t)
-	f, _ := NewRelative(p, v, "FIXED", 64)
-	// Sparse write far out extends the file.
-	rec := bytes.Repeat([]byte("a"), 64)
-	if err := f.Write(500, rec, 1); err != nil {
-		t.Fatal(err)
-	}
-	for i := uint32(0); i < 200; i++ {
-		r := bytes.Repeat([]byte{byte(i)}, 64)
-		if err := f.Write(i, r, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := uint32(0); i < 200; i++ {
-		got, err := f.Read(i)
-		if err != nil || got[0] != byte(i) {
-			t.Fatalf("read %d: %v", i, err)
-		}
-	}
-}
-
-func TestRelativeValidation(t *testing.T) {
-	p, v := newPool(t)
-	if _, err := NewRelative(p, v, "F", 0); err == nil {
-		t.Error("zero record length accepted")
-	}
-	if _, err := NewRelative(p, v, "F", disk.BlockSize); err == nil {
-		t.Error("block-sized record accepted")
-	}
-	f, _ := NewRelative(p, v, "F", 50)
-	if err := f.Write(0, make([]byte, 49), 1); err == nil {
-		t.Error("short record accepted")
-	}
-	if _, err := f.Read(12345); !errors.Is(err, ErrNotFound) {
-		t.Errorf("read past EOF: %v", err)
-	}
-}
-
-func TestRelativeReopen(t *testing.T) {
-	p, v := newPool(t)
-	f, _ := NewRelative(p, v, "F", 80)
-	rec := bytes.Repeat([]byte("k"), 80)
-	f.Write(3, rec, 1)
-	p.FlushAll()
-	p.Crash()
-	f2, err := OpenRelative(p, v, "F", f.dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := f2.Read(3)
-	if err != nil || !bytes.Equal(got, rec) {
-		t.Fatalf("reopen read: %v", err)
-	}
-}
-
 func TestEntryAppendRead(t *testing.T) {
 	p, v := newPool(t)
 	f, err := NewEntry(p, v, "LOG")

@@ -93,7 +93,7 @@ func TestCorruptPageFailsTheRequest(t *testing.T) {
 			check("ScanRecords", tr.HoldsRecords(record.FieldStarts).ScanRecords(keys.All(), cache.Keyed,
 				func(Run) (bool, error) { return true, nil }))
 			check("Update", tr.Update(ik(3), []byte("other"), 2))
-			if n := tr.Latches().Live(); n != 0 {
+			if n := tr.lt.Live(); n != 0 {
 				t.Errorf("%d latches leaked on the error paths", n)
 			}
 		})

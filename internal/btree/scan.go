@@ -10,7 +10,7 @@ import (
 	"nonstopsql/internal/wal"
 )
 
-// LeafRun returns, in key order, the block numbers of every leaf whose
+// AppendLeafRun appends, in key order, the block numbers of every leaf whose
 // key span may intersect r. It walks only interior pages — this is the
 // Disk Process's "advance knowledge of the required key span": the list
 // feeds bulk reads and asynchronous pre-fetch before any leaf is read.
@@ -20,10 +20,9 @@ import (
 // pre-fetch lands. That is harmless — interior pages are never freed,
 // collapsed leaf blocks are never re-allocated, and the latched chain
 // scan (Scan) is what provides the consistent view.
-func (t *Tree) LeafRun(r keys.Range) ([]disk.BlockNum, error) { return t.AppendLeafRun(nil, r) }
-
-// AppendLeafRun is LeafRun appending to dst: a Disk Process plans a
-// conversation's leaves into its Subset Control Block's list.
+//
+// A Disk Process plans a conversation's leaves into its Subset Control
+// Block's list, so the run is appended to dst.
 func (t *Tree) AppendLeafRun(dst []disk.BlockNum, r keys.Range) ([]disk.BlockNum, error) {
 	t.lt.opEnter()
 	defer t.lt.opExit()
@@ -213,17 +212,7 @@ func (t *Tree) Scan(r keys.Range, prefetch bool, fn ScanFunc) error {
 	})
 }
 
-// Count returns the number of records in r.
-func (t *Tree) Count(r keys.Range) (int, error) {
-	n := 0
-	err := t.scan(r, cache.Keyed, nil, func(run Run) (bool, error) {
-		n += run.Len()
-		return true, nil
-	})
-	return n, err
-}
-
-// Prefetch plans the leaves whose key span may intersect r (LeafRun) and
+// Prefetch plans the leaves whose key span may intersect r (AppendLeafRun) and
 // has the pool load them ahead asynchronously, with bulk I/O, in the
 // given access class, planning them into plan[:0], which it returns. It
 // reports whether the pool took the request (cache.Pool.Prefetch): the

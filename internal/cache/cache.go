@@ -86,14 +86,6 @@ type Stats struct {
 	Shards            int
 }
 
-// HitRate returns Hits/(Hits+Misses), or 0 with no traffic.
-func (s Stats) HitRate() float64 {
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses)
-}
-
 // counters is the pool-wide atomic stats block. Per-shard mutexes make
 // a single locked Stats struct a contention point of its own, so every
 // counter is independent.
@@ -1115,15 +1107,6 @@ func (p *Pool) ResetStats() {
 		sh.waits.Store(0)
 		sh.waitNanos.Store(0)
 	}
-}
-
-// Contains reports whether bn is cached (diagnostics and tests).
-func (p *Pool) Contains(bn disk.BlockNum) bool {
-	s := p.shardFor(bn)
-	s.lock()
-	defer s.mu.Unlock()
-	_, ok := s.pages[bn]
-	return ok
 }
 
 // String describes the pool.

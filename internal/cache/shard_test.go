@@ -215,9 +215,6 @@ func TestAccessClassStats(t *testing.T) {
 	if s.Hits != 2 || s.Misses != 2 {
 		t.Errorf("totals %+v", s)
 	}
-	if hr := s.HitRate(); hr != 0.5 {
-		t.Errorf("hit rate %f", hr)
-	}
 }
 
 // TestPrefetchFanoutBounded is the satellite: a 10k-block pre-fetch

@@ -37,11 +37,6 @@ type Scale struct {
 	HistoryCapacity int
 }
 
-// DefaultScale is a laptop-size bank.
-func DefaultScale() Scale {
-	return Scale{Branches: 10, TellersPerBr: 10, AccountsPerBr: 1000}
-}
-
 func (s Scale) Tellers() int  { return s.Branches * s.TellersPerBr }
 func (s Scale) Accounts() int { return s.Branches * s.AccountsPerBr }
 

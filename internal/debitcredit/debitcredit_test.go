@@ -108,7 +108,7 @@ func TestSQLUsesFewerMessagesThanEnscribe(t *testing.T) {
 }
 
 func TestGenerateWithinScale(t *testing.T) {
-	scale := debitcredit.DefaultScale()
+	scale := debitcredit.Scale{Branches: 10, TellersPerBr: 10, AccountsPerBr: 1000}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 1000; i++ {
 		txn := debitcredit.Generate(rng, scale)

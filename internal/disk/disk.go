@@ -75,23 +75,6 @@ func (s *Stats) Add(o Stats) {
 // IOs returns the total number of physical I/O operations (seeks).
 func (s Stats) IOs() uint64 { return s.Reads + s.Writes }
 
-// BlocksPerWrite returns the average write-coalescing factor.
-func (s Stats) BlocksPerWrite() float64 {
-	if s.Writes == 0 {
-		return 0
-	}
-	return float64(s.BlocksWritten) / float64(s.Writes)
-}
-
-// CommitsPerFsync relates logical durability waits to physical fsyncs:
-// the fsync-batching payoff (simulated volumes report 0/0).
-func (s Stats) CommitsPerFsync() float64 {
-	if s.Fsyncs == 0 {
-		return 0
-	}
-	return float64(s.SyncWaits) / float64(s.Fsyncs)
-}
-
 // A Volume is one simulated disk volume (optionally mirrored). The zero
 // value is not usable; call NewVolume.
 type Volume struct {
@@ -127,9 +110,6 @@ func (v *Volume) Name() string { return v.name }
 // the volume mutex — a bulk write that is interrupted mid-run persists
 // only the prefix written before the freeze, i.e. a torn write.
 func (v *Volume) Freeze() { v.frozen.Store(true) }
-
-// Frozen reports whether the volume has been frozen.
-func (v *Volume) Frozen() bool { return v.frozen.Load() }
 
 // Clone returns an unfrozen deep copy of the volume's current block
 // image (allocation state included, I/O counters zeroed) under the

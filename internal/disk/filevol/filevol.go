@@ -291,12 +291,6 @@ func (v *Volume) writeHeader(clean bool) error {
 // Name returns the volume name.
 func (v *Volume) Name() string { return v.name }
 
-// Path returns the backing file's path.
-func (v *Volume) Path() string { return v.path }
-
-// Mode returns the volume's write mode.
-func (v *Volume) Mode() Mode { return v.mode }
-
 func blockOff(bn disk.BlockNum) int64 {
 	return headerSize + int64(bn-1)*disk.BlockSize
 }

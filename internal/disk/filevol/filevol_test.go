@@ -423,11 +423,8 @@ func TestFsyncBatching(t *testing.T) {
 	if st.SyncWaits != rounds*syncers {
 		t.Fatalf("SyncWaits = %d, want %d", st.SyncWaits, rounds*syncers)
 	}
-	if st.Fsyncs >= st.SyncWaits {
+	if st.Fsyncs == 0 || st.Fsyncs >= st.SyncWaits {
 		t.Errorf("Fsyncs = %d not batched below SyncWaits = %d", st.Fsyncs, st.SyncWaits)
-	}
-	if v.Stats().CommitsPerFsync() <= 1 {
-		t.Errorf("CommitsPerFsync = %.2f, want > 1", v.Stats().CommitsPerFsync())
 	}
 }
 

@@ -336,7 +336,7 @@ func (d *DP) probeBlock(req *fsdp.Request) *fsdp.Reply {
 			if err != nil {
 				return errReply(err)
 			}
-			if err := d.joinRead(req.Tx); err != nil {
+			if err := d.join(req.Tx); err != nil {
 				return errReply(err)
 			}
 			if waited {

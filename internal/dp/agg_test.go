@@ -54,7 +54,7 @@ func noNote(int) string { return "" }
 // aggConv is one conversation's transcript.
 type aggConv struct {
 	replies []*fsdp.Reply
-	groups  map[string][]fsdp.AggPartial // merged as fs.Agg merges, keyed by the key values' wire bytes
+	groups  map[string][]fsdp.AggPartial // merged as fs.Agg merges, keyed by the key values' key bytes
 	shipped map[string]int               // how many entries carried each group
 }
 
@@ -79,20 +79,16 @@ func driveAgg(t *testing.T, d *DP, spec *fsdp.AggSpec, tx uint64, rowLimit uint3
 		bytes, largest := 0, 0
 		for _, entry := range reply.Rows {
 			bytes, largest = bytes+len(entry), max(largest, len(entry))
-			keyVals, partials, err := fsdp.DecodeGroup(entry, len(spec.Cols), nil, nil)
+			k, partials, err := decodeEntry(entry, spec.Cols)
 			if err != nil {
 				t.Fatal(err)
 			}
-			k := string(record.Encode(keyVals))
 			c.shipped[k]++
 			if have, ok := c.groups[k]; ok {
 				for i := range have {
 					have[i].Merge(spec.Cols[i].Fn, partials[i])
 				}
 				continue
-			}
-			for i := range partials {
-				partials[i].Val.S = strings.Clone(partials[i].Val.S)
 			}
 			c.groups[k] = partials
 		}
@@ -114,7 +110,25 @@ func driveAgg(t *testing.T, d *DP, spec *fsdp.AggSpec, tx uint64, rowLimit uint3
 	}
 }
 
-func key(vals ...record.Value) string { return string(record.Encode(record.Row(vals))) }
+// decodeEntry decodes one AGG reply entry the File System's way, into a
+// fresh fsdp.GroupTable: the group's key bytes and its partial states.
+func decodeEntry(entry []byte, cols []fsdp.AggCol) (string, []fsdp.AggPartial, error) {
+	var gt fsdp.GroupTable
+	gt.Reset(len(cols))
+	if err := gt.Merge(entry, cols); err != nil {
+		return "", nil, err
+	}
+	return string(gt.Key(0)), gt.Partials(0), nil
+}
+
+// key is a group's key bytes.
+func key(vals ...record.Value) string {
+	var b []byte
+	for _, v := range vals {
+		b = v.AppendKey(b)
+	}
+	return string(b)
+}
 
 var countSum = &fsdp.AggSpec{GroupBy: []int{1}, Cols: []fsdp.AggCol{{Fn: fsdp.AggCount, Star: true}, {Fn: fsdp.AggSum, Col: 2}}}
 
@@ -289,7 +303,7 @@ func TestAggLostSCBFailsTheStatement(t *testing.T) {
 				t.Fatal(reply.Err)
 			}
 			for _, entry := range reply.Rows {
-				_, p, err := fsdp.DecodeGroup(entry, 1, nil, nil)
+				_, p, err := decodeEntry(entry, countSum.Cols[:1])
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -63,7 +63,7 @@ func TestRepliesDoNotAliasCachePages(t *testing.T) {
 	if !minMax.OK() || len(minMax.Rows) != 1 {
 		t.Fatalf("AGG MIN/MAX(NAME): %+v", minMax)
 	}
-	if _, parts, err := fsdp.DecodeGroup(minMax.Rows[0], 2, nil, nil); err != nil || parts[0].Val.S != "emp-00000" || parts[1].Val.S != "emp-00059" {
+	if _, parts, err := decodeEntry(minMax.Rows[0], []fsdp.AggCol{{Fn: fsdp.AggMin, Col: 1}, {Fn: fsdp.AggMax, Col: 1}}); err != nil || parts[0].Val.S != "emp-00000" || parts[1].Val.S != "emp-00059" {
 		t.Fatalf("AGG MIN/MAX(NAME): %+v, %v", parts, err)
 	}
 	type snapshot struct {

@@ -32,13 +32,3 @@ func (d *DP) BulkLoad(file string, rows []record.Row) error {
 	}
 	return d.pool.FlushAll()
 }
-
-// CountFile returns the number of records in a file fragment (tests and
-// examples).
-func (d *DP) CountFile(file string) (int, error) {
-	f, err := d.getFile(file)
-	if err != nil {
-		return 0, err
-	}
-	return f.tree.Count(keys.All())
-}

@@ -151,14 +151,6 @@ type Stats struct {
 	QueueWaitNanos uint64
 }
 
-// CacheHitRate returns CacheHits/(CacheHits+CacheMisses), or 0.
-func (s Stats) CacheHitRate() float64 {
-	if s.CacheHits+s.CacheMisses == 0 {
-		return 0
-	}
-	return float64(s.CacheHits) / float64(s.CacheHits+s.CacheMisses)
-}
-
 // counters is the internal atomic form of Stats: the serve hot path
 // must not take any DP-wide lock just to count.
 type counters struct {
@@ -272,9 +264,9 @@ type DP struct {
 	freeSCBs []*scb // finished conversations' SCBs, for the next ones
 	txs      map[uint64]*txState
 	freeTxs  []*txState // finished transactions' states, for the next ones
-	// serving counts each transaction's read messages in service, which
-	// join it when their group lock is granted (enterTx), and marks one
-	// that finished while they were (txEnded).
+	// serving counts each transaction's subset messages in service, which
+	// join it when a lock is granted (enterTx), and marks one that
+	// finished while they were (txEnded).
 	serving map[uint64]uint32
 
 	// rep is the backup-role state: created on the first shipped
@@ -1197,17 +1189,18 @@ func (d *DP) lockOp(req *fsdp.Request, sl *slot) *fsdp.Reply {
 	if err != nil {
 		return errReply(err)
 	}
-	d.joinTx(req.Tx)
+	if err := d.join(req.Tx); err != nil {
+		return errReply(err)
+	}
 	return sl.answer(fsdp.Reply{})
 }
 
-// lockTx acquires a record lock and registers the tx locally.
+// lockTx acquires a record lock and registers the tx locally (join).
 func (d *DP) lockTx(tx uint64, file string, key []byte, mode lock.Mode) error {
 	if err := d.locks.LockRecord(tx, file, key, mode); err != nil {
 		return err
 	}
-	d.joinTx(tx)
-	return nil
+	return d.join(tx)
 }
 
 // checkConstraint enforces the file's CHECK at the Disk Process,

@@ -338,8 +338,9 @@ func (d *DP) replicaFenced(req *fsdp.Request) *fsdp.Reply {
 }
 
 // undoShipped reverses one transaction's shipped records (promotion and
-// post-promotion abort). Mirrors undoTx, but driven by the shipped
-// record images instead of in-memory undo entries.
+// post-promotion abort). Each goes through compensate, as undoTx's undo
+// entries do, driven by the shipped record images instead of in-memory
+// undo entries; the compensations are not shipped on.
 //
 // An original that a compensation record already reversed must not be
 // undone again. Undo is LIFO — the primary's undoTx and this function
@@ -351,7 +352,6 @@ func (d *DP) replicaFenced(req *fsdp.Request) *fsdp.Reply {
 // the caller stores back, so a retried promotion resumes where the
 // failure left off instead of double-undoing.
 func (d *DP) undoShipped(tx uint64, recs []*wal.Record) ([]*wal.Record, error) {
-	vol := d.cfg.Volume.Name()
 	skip := 0
 	for i := len(recs) - 1; i >= 0; i-- {
 		r := recs[i]
@@ -368,31 +368,13 @@ func (d *DP) undoShipped(tx uint64, recs []*wal.Record) ([]*wal.Record, error) {
 		if err != nil {
 			continue // file dropped after the record shipped
 		}
-		comp := &wal.Record{TxID: tx, Volume: vol, File: r.File, Key: r.Key, Compensation: true}
-		switch r.Type {
-		case wal.RecInsert:
-			comp.Type = wal.RecDelete
-			lsn := d.cfg.Audit.Append(comp)
-			if err := f.tree.Delete(r.Key, lsn); err != nil {
-				return recs, err
-			}
-		case wal.RecUpdate:
-			comp.Type, comp.After, comp.FieldCompressed = wal.RecUpdate, r.Before, r.FieldCompressed
-			lsn := d.cfg.Audit.Append(comp)
-			if r.FieldCompressed {
-				if err := d.applyFieldImages(f, r.Key, r.Before, lsn); err != nil {
-					return recs, err
-				}
-			} else if err := f.tree.Update(r.Key, r.Before, lsn); err != nil {
-				return recs, err
-			}
-		case wal.RecDelete:
-			comp.Type, comp.After = wal.RecInsert, r.Before
-			lsn := d.cfg.Audit.Append(comp)
-			if err := f.tree.Insert(r.Key, r.Before, lsn); err != nil {
-				return recs, err
-			}
-		default:
+		comp := new(wal.Record)
+		u := undoRec{file: r.File, kind: r.Type, key: r.Key, before: r.Before}
+		ok, err := d.compensate(comp, tx, f, u, r.FieldCompressed, false)
+		if err != nil {
+			return recs, err
+		}
+		if !ok {
 			continue
 		}
 		recs = append(recs, comp)

@@ -161,3 +161,43 @@ func TestAbortedTransactionIsNotJoinedAgain(t *testing.T) {
 		})
 	}
 }
+
+// TestAbortedSubsetWriteIsNotJoinedAgain: an UPDATE^SUBSET that waits for
+// a record lock while its own transaction aborts does not, once the lock
+// is granted, write under the ended transaction. It fails, no write lands,
+// and the Disk Process holds no transaction state and no lock afterwards.
+func TestAbortedSubsetWriteIsNotJoinedAgain(t *testing.T) {
+	d := rereadRig(t)
+	t1, t2 := tmf.NewTxID(), tmf.NewTxID()
+	serveOK(t, d, &fsdp.Request{Kind: fsdp.KUpdateRecord, Tx: t2, File: "ACCT", Key: key1(250),
+		Row: record.Encode(record.Row{record.Int(250), record.Int(103), record.Float(1e6), record.String("")})})
+	update := fsdp.Request{Kind: fsdp.KUpdateSubsetFirst, Tx: t1, File: "ACCT",
+		Range:  keys.Range{Low: key1(240), High: key1(260)},
+		Assign: expr.EncodeAssignments([]expr.Assignment{{Field: 2, E: expr.CFloat(-1)}})}
+	done := waitingServe(t, d, &update)
+	serveOK(t, d, &fsdp.Request{Kind: fsdp.KAbort, Tx: t1})
+	serveOK(t, d, &fsdp.Request{Kind: fsdp.KCommit, Tx: t2})
+	if reply := <-done; reply.OK() {
+		t.Errorf("the UPDATE^SUBSET of an aborted transaction replied %+v", reply)
+	}
+	for id := int64(240); id < 260; id++ {
+		reply := serveOK(t, d, &fsdp.Request{Kind: fsdp.KReadRecord, File: "ACCT", Key: key1(id)})
+		row, err := record.Decode(reply.Rows[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := float64(id)
+		if id == 250 {
+			want = 1e6
+		}
+		if row[2].F != want {
+			t.Errorf("record %d: BAL %v after the abort, want %v", id, row[2].F, want)
+		}
+	}
+	if txns, scbs := d.OpenState(); txns != 0 || scbs != 0 {
+		t.Errorf("after the abort: %d transactions, %d subset control blocks", txns, scbs)
+	}
+	if n := d.Locks().Held(); n != 0 {
+		t.Errorf("after the abort: %d locks held", n)
+	}
+}

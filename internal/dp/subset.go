@@ -346,8 +346,8 @@ func (d *DP) subset(req *fsdp.Request, k *subsetKind, r *subsetRun) *fsdp.Reply 
 		return &fsdp.Reply{Code: fsdp.ErrBadRequest, Err: "dp: subset mutation requires a transaction"}
 	}
 	d.stats.setRequests.Add(1)
-	if req.Tx != 0 && !k.mutates {
-		d.enterTx(req.Tx) // it joins the transaction under its group lock
+	if req.Tx != 0 {
+		d.enterTx(req.Tx) // it joins the transaction under a lock it holds
 		defer d.leaveTx(req.Tx)
 	}
 
@@ -430,7 +430,7 @@ func (d *DP) subset(req *fsdp.Request, k *subsetKind, r *subsetRun) *fsdp.Reply 
 		if err != nil {
 			return fail(err)
 		}
-		if err := d.joinRead(req.Tx); err != nil {
+		if err := d.join(req.Tx); err != nil {
 			return fail(err)
 		}
 		if waited {

@@ -65,18 +65,13 @@ func (d *DP) txLocked(tx uint64) *txState {
 	return t
 }
 
-func (d *DP) joinTx(tx uint64) {
-	d.mu.Lock()
-	d.txLocked(tx)
-	d.mu.Unlock()
-}
-
-// joinRead is joinTx for a read message in service (enterTx) that has
-// locked what it read. It refuses, with an error, a transaction that
-// finished while the message was in service and releases what the message
-// locked: joining would bring the transaction back, a state and locks no
-// commit or abort would ever release.
-func (d *DP) joinRead(tx uint64) error {
+// join registers tx here once a message has locked what it reads or
+// writes. It refuses, with an error, a transaction that finished while the
+// message was in service (enterTx) and releases what the message locked:
+// joining would bring the transaction back, a state and locks no commit or
+// abort would ever release, and a write made under it that nothing would
+// undo.
+func (d *DP) join(tx uint64) error {
 	d.mu.Lock()
 	ended := d.serving[tx]&txEnded != 0
 	if !ended {
@@ -94,12 +89,12 @@ func (d *DP) joinRead(tx uint64) error {
 // its messages was in service.
 const txEnded = 1 << 31
 
-// enterTx notes that a read message of tx is in service, one that joins
-// tx once it holds its group lock (joinRead); leaveTx, that it is done. A
-// message enters before it looks its Subset Control Block up, so a
-// transaction that finishes after the look-up finds it counted. (One that
-// finished before a ^FIRST arrived cannot be told from one that has not
-// begun.)
+// enterTx notes that a subset message of tx is in service, one that joins
+// tx once it holds a lock (join): a read its group lock, a write each
+// record lock; leaveTx, that it is done. A message enters before it looks
+// its Subset Control Block up, so a transaction that finishes after the
+// look-up finds it counted. (One that finished before a ^FIRST arrived
+// cannot be told from one that has not begun.)
 func (d *DP) enterTx(tx uint64) {
 	d.mu.Lock()
 	d.serving[tx]++
@@ -282,9 +277,9 @@ func (d *DP) abort(req *fsdp.Request, sl *slot) *fsdp.Reply {
 }
 
 // undoTx applies the in-memory undo chain in reverse, auditing each
-// compensation in rec. Compensation records go through appendAudit like
-// forward audit: a replicated group's backup must see them in its
-// checkpoint stream.
+// compensation in rec. Compensation records are shipped like forward
+// audit: a replicated group's backup must see them in its checkpoint
+// stream.
 func (d *DP) undoTx(rec *wal.Record, tx uint64, t *txState) error {
 	for i := len(t.undo) - 1; i >= 0; i-- {
 		fault.Inject(fault.DPAbortMidUndo)
@@ -293,39 +288,46 @@ func (d *DP) undoTx(rec *wal.Record, tx uint64, t *txState) error {
 		if err != nil {
 			return err
 		}
-		// Compensation actions are audited so redo-after-crash replays
-		// them too (repeating history).
-		switch u.kind {
-		case wal.RecInsert:
-			*rec = wal.Record{
-				Type: wal.RecDelete, TxID: tx, Volume: d.cfg.Volume.Name(), File: u.file,
-				Key: u.key, Compensation: true,
-			}
-			lsn := d.appendAudit(rec)
-			if err := f.tree.Delete(u.key, lsn); err != nil {
-				return err
-			}
-		case wal.RecUpdate:
-			*rec = wal.Record{
-				Type: wal.RecUpdate, TxID: tx, Volume: d.cfg.Volume.Name(), File: u.file,
-				Key: u.key, After: u.before, Compensation: true,
-			}
-			lsn := d.appendAudit(rec)
-			if err := f.tree.Update(u.key, u.before, lsn); err != nil {
-				return err
-			}
-		case wal.RecDelete:
-			*rec = wal.Record{
-				Type: wal.RecInsert, TxID: tx, Volume: d.cfg.Volume.Name(), File: u.file,
-				Key: u.key, After: u.before, Compensation: true,
-			}
-			lsn := d.appendAudit(rec)
-			if err := f.tree.Insert(u.key, u.before, lsn); err != nil {
-				return err
-			}
+		if _, err := d.compensate(rec, tx, f, u, false, true); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// compensate reverses u, one change tx made — an INSERT is deleted, an
+// UPDATE or a DELETE puts its before image back — and audits the
+// compensation in rec first, so redo after a crash replays it too
+// (repeating history). compressed says u's before image is field-
+// compressed (a shipped UPDATE's), applied field by field; ship, that the
+// record goes to a replicated group's backup as well. ok is false for a
+// kind that changes nothing, which is neither audited nor applied.
+func (d *DP) compensate(rec *wal.Record, tx uint64, f *fileState, u undoRec, compressed, ship bool) (ok bool, err error) {
+	*rec = wal.Record{TxID: tx, Volume: d.cfg.Volume.Name(), File: u.file, Key: u.key, Compensation: true}
+	switch u.kind {
+	case wal.RecInsert:
+		rec.Type = wal.RecDelete
+	case wal.RecUpdate:
+		rec.Type, rec.After, rec.FieldCompressed = wal.RecUpdate, u.before, compressed
+	case wal.RecDelete:
+		rec.Type, rec.After = wal.RecInsert, u.before
+	default:
+		return false, nil
+	}
+	lsn := d.cfg.Audit.Append(rec)
+	if ship {
+		d.ship(rec)
+	}
+	switch {
+	case u.kind == wal.RecInsert:
+		return true, f.tree.Delete(u.key, lsn)
+	case u.kind == wal.RecDelete:
+		return true, f.tree.Insert(u.key, u.before, lsn)
+	case compressed:
+		return true, d.applyFieldImages(f, u.key, u.before, lsn)
+	default:
+		return true, f.tree.Update(u.key, u.before, lsn)
+	}
 }
 
 // finishTx drops tx state, its Subset Control Blocks, and its locks. The

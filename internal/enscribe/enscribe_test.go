@@ -98,10 +98,10 @@ func TestReadNextSequentialOrder(t *testing.T) {
 	file := enscribe.Open(r.fs, def)
 	loadAccounts(t, r, file, 50)
 
-	file.KeyPosition(nil)
+	cur := file.KeyPosition(nil)
 	var got []int64
 	for {
-		row, _, err := file.ReadNext(nil)
+		row, _, err := cur.ReadNext(nil)
 		if enscribe.EOF(err) {
 			break
 		}
@@ -126,8 +126,8 @@ func TestKeyPositionMidFile(t *testing.T) {
 	r.fs.Create(def)
 	file := enscribe.Open(r.fs, def)
 	loadAccounts(t, r, file, 20)
-	file.KeyPosition(ik(15))
-	row, _, err := file.ReadNext(nil)
+	cur := file.KeyPosition(ik(15))
+	row, _, err := cur.ReadNext(nil)
 	if err != nil || row[0].I != 15 {
 		t.Fatalf("%v %v", row, err)
 	}
@@ -140,11 +140,11 @@ func TestRecordAtATimeCostsOneMessagePerRecord(t *testing.T) {
 	file := enscribe.Open(r.fs, def)
 	loadAccounts(t, r, file, 100)
 
-	file.KeyPosition(nil)
+	cur := file.KeyPosition(nil)
 	r.c.Net.ResetStats()
 	n := 0
 	for {
-		_, _, err := file.ReadNext(nil)
+		_, _, err := cur.ReadNext(nil)
 		if enscribe.EOF(err) {
 			break
 		}
@@ -174,11 +174,11 @@ func TestSBBReducesMessagesByBlockingFactor(t *testing.T) {
 	if err := file.EnableSBB(tx); err != nil {
 		t.Fatal(err)
 	}
-	file.KeyPosition(nil)
+	cur := file.KeyPosition(nil)
 	r.c.Net.ResetStats()
 	n := 0
 	for {
-		_, _, err := file.ReadNext(tx)
+		_, _, err := cur.ReadNext(tx)
 		if enscribe.EOF(err) {
 			break
 		}
@@ -289,11 +289,11 @@ func TestPartitionedEnscribeScan(t *testing.T) {
 		file.Write(tx, record.Row{record.Int(int64(i)), record.Float(1), record.String("o")})
 	}
 	f.Commit(tx)
-	file.KeyPosition(nil)
+	cur := file.KeyPosition(nil)
 	n := 0
 	last := int64(-1)
 	for {
-		row, _, err := file.ReadNext(nil)
+		row, _, err := cur.ReadNext(nil)
 		if enscribe.EOF(err) {
 			break
 		}

@@ -116,7 +116,10 @@ func e18Run(t *testing.T, syncPerWrite bool) e18Leg {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leg := e18Leg{blocksPerWrite: total.BlocksPerWrite(), fsyncs: total.Fsyncs, checksum: sum}
+	leg := e18Leg{fsyncs: total.Fsyncs, checksum: sum}
+	if total.Writes > 0 {
+		leg.blocksPerWrite = float64(total.BlocksWritten) / float64(total.Writes)
+	}
 	if audit.Fsyncs > 0 {
 		leg.commitsPerFsync = float64(node.Trail.Stats().CommitsFlushed) / float64(audit.Fsyncs)
 	}

@@ -145,15 +145,11 @@ func ExtractUniqueKey(pred Expr, schema *record.Schema) *UniqueKey {
 	return u
 }
 
-// Key encodes the primary key for one execution's values, checking each
-// slot's value as Substitute would. ok is false when a key value is NULL,
-// or no value of the column's type (a FLOAT with a fraction on an INTEGER
-// column): such an equality is never true, so no record qualifies.
-func (u *UniqueKey) Key(vals []record.Value) (key []byte, ok bool, err error) {
-	return u.AppendKey(nil, vals)
-}
-
-// AppendKey is Key appending the key to dst.
+// AppendKey encodes the primary key for one execution's values, appending
+// it to dst, and checks each slot's value as Substitute would. ok is false
+// when a key value is NULL, or no value of the column's type (a FLOAT with
+// a fraction on an INTEGER column): such an equality is never true, so no
+// record qualifies.
 func (u *UniqueKey) AppendKey(dst []byte, vals []record.Value) (key []byte, ok bool, err error) {
 	key, ok = dst, true
 	for pos, at := range u.at {

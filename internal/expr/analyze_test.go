@@ -338,7 +338,7 @@ func TestUniqueKeyIsExtractKeyRangesPoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		key, ok, err := u.Key(vals)
+		key, ok, err := u.AppendKey(nil, vals)
 		if err != nil {
 			t.Fatalf("%s with %v: %v", tmpl, vals, err)
 		}
@@ -540,7 +540,7 @@ func TestFloatBoundOnIntegerKeyMatchesEvaluation(t *testing.T) {
 					if u == nil {
 						continue
 					}
-					key, ok, err := u.Key([]record.Value{record.Float(f)})
+					key, ok, err := u.AppendKey(nil, []record.Value{record.Float(f)})
 					if err != nil {
 						t.Fatal(err)
 					}

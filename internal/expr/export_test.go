@@ -49,3 +49,36 @@ func DecodeAssignments(b []byte) ([]Assignment, error) {
 	}
 	return out, nil
 }
+
+// FieldsUsed returns the set of field ordinals referenced by e, sorted.
+func FieldsUsed(e Expr) []int {
+	set := make(map[int]bool)
+	var walk func(Expr)
+	walk = func(e Expr) {
+		switch n := e.(type) {
+		case FieldRef:
+			set[n.Index] = true
+		case Binary:
+			walk(n.L)
+			walk(n.R)
+		case Unary:
+			walk(n.E)
+		}
+	}
+	if e != nil {
+		walk(e)
+	}
+	if len(set) == 0 {
+		return nil
+	}
+	out := make([]int, 0, len(set))
+	for i := range set {
+		out = append(out, i)
+	}
+	for i := 1; i < len(out); i++ {
+		for j := i; j > 0 && out[j] < out[j-1]; j-- {
+			out[j], out[j-1] = out[j-1], out[j]
+		}
+	}
+	return out
+}

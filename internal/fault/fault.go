@@ -137,9 +137,6 @@ func Enable() { reg.enabled.Store(true) }
 // Disable turns injection off without clearing counters or armings.
 func Disable() { reg.enabled.Store(false) }
 
-// Enabled reports whether injection is on.
-func Enabled() bool { return reg.enabled.Load() }
-
 // Reset disables injection, disarms every point, and zeroes all hit
 // counters. Call between sweep iterations.
 func Reset() {

@@ -52,7 +52,7 @@ func TestResetClears(t *testing.T) {
 	Inject(DiskBulkWrite)
 	Arm(DiskBulkWrite, 0, func() {})
 	Reset()
-	if Enabled() {
+	if reg.enabled.Load() {
 		t.Fatal("Reset left the registry enabled")
 	}
 	if Hits(DiskBulkWrite) != 0 {

@@ -33,7 +33,7 @@ import (
 // it; one it holds merges the entry's partials in place.
 func (f *FS) Agg(tx *tmf.Tx, def *FileDef, rng keys.Range, pred expr.Expr, spec *fsdp.AggSpec, groups *fsdp.GroupTable, arenas []fsdp.Arena) (ScanStats, error) {
 	var o op
-	o.init(f, tx, def.Name, "AGG^FIRST/NEXT", yieldEntries, partitionsFor(def.Partitions, rng), arenas)
+	o.init(f, tx, def.Name, yieldRows, partitionsFor(def.Partitions, rng), arenas)
 	first := fsdp.Request{Kind: fsdp.KAggFirst, Tx: o.txID(), File: def.Name,
 		Pred: expr.Encode(pred), Agg: fsdp.EncodeAggSpec(spec), Hint: hintFor(rng)}
 	groups.Reset(len(spec.Cols))

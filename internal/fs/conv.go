@@ -20,14 +20,12 @@ import (
 // builder and a fold over its replies.
 
 // yield says what a conversation kind's replies carry, which decides
-// how a span's Rows are counted and whether a trace reports them as
-// returned records.
+// how a span's Rows are counted.
 type yield uint8
 
 const (
-	yieldCount   yield = iota // a count of qualifying records (COUNT, UPDATE/DELETE^SUBSET)
-	yieldEntries              // per-group partial states, not records (AGG)
-	yieldRecords              // records (GET, PROBE)
+	yieldCount yield = iota // a count of qualifying records (COUNT, UPDATE/DELETE^SUBSET)
+	yieldRows               // records (GET, PROBE) or per-group partial states (AGG)
 )
 
 // An op is one set-oriented operation: its partition spans, their
@@ -36,7 +34,6 @@ type op struct {
 	fs    *FS
 	tx    *tmf.Tx
 	file  string
-	label string // trace Op, e.g. "COUNT^FIRST/NEXT"
 	yield yield
 	spans []partSpan
 	start time.Time
@@ -60,8 +57,8 @@ type op struct {
 }
 
 // init binds the op and sizes one accounting slot per span.
-func (o *op) init(f *FS, tx *tmf.Tx, file, label string, y yield, spans []partSpan, arenas []fsdp.Arena) {
-	o.fs, o.tx, o.file, o.label, o.yield, o.spans, o.arenas = f, tx, file, label, y, spans, arenas
+func (o *op) init(f *FS, tx *tmf.Tx, file string, y yield, spans []partSpan, arenas []fsdp.Arena) {
+	o.fs, o.tx, o.file, o.yield, o.spans, o.arenas = f, tx, file, y, spans, arenas
 	o.start = time.Now()
 	o.stats.Spans = make([]SpanStats, len(spans))
 	for i, span := range spans {
@@ -177,34 +174,12 @@ func (o *op) snapshot() ScanStats {
 	return s
 }
 
-// finish stamps the totals and wall time, once, and emits one trace per
-// span that exchanged messages to the FS observer (when attached).
+// finish stamps the totals and wall time, once.
 func (o *op) finish() {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if o.stats.Wall != 0 {
-		return
-	}
-	o.settle(&o.stats)
-	rec := o.fs.obsRec
-	if rec == nil {
-		return
-	}
-	for _, sp := range o.stats.Spans {
-		if sp.Msgs == 0 {
-			continue
-		}
-		var returned uint64
-		if o.yield == yieldRecords {
-			returned = sp.Rows
-		}
-		rec.RecordTrace(obs.Trace{
-			Op: o.label, Server: sp.Server,
-			Redrives: sp.Redrives, Examined: sp.Examined,
-			Selected: sp.Rows, Returned: returned,
-			Blocks: sp.BlocksRead, Hits: sp.CacheHits,
-			Dist: int(sp.Dist), Wall: sp.Busy,
-		})
+	if o.stats.Wall == 0 {
+		o.settle(&o.stats)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"nonstopsql/internal/fs"
 	"nonstopsql/internal/fsdp"
 	"nonstopsql/internal/keys"
-	"nonstopsql/internal/obs"
 	"nonstopsql/internal/record"
 )
 
@@ -170,7 +169,7 @@ var convKinds = []convKind{
 // FS conversation driver at each fan-out and message budget, and holds
 // them all to the same books: results identical across DOPs, every
 // message accounted (and equal to the network's own count), one latency
-// sample per message, one trace per partition that saw traffic, and no
+// sample per message, one span with traffic per partition counted, and no
 // Subset Control Block left behind.
 func TestConversationDriver(t *testing.T) {
 	for _, kind := range convKinds {
@@ -179,8 +178,6 @@ func TestConversationDriver(t *testing.T) {
 			for _, dop := range []int{0, 1, 3} {
 				name := fmt.Sprintf("%s/rows%d/dop%d", kind.name, maxRows, dop)
 				r := newRig(t, cluster.Options{MaxRowsPerMsg: maxRows, ScanParallel: dop})
-				rec := obs.NewRecorder(0)
-				r.fs.SetObserver(rec)
 				def := partitionedDef()
 				if kind.indexed {
 					def = indexedDef()
@@ -217,8 +214,14 @@ func TestConversationDriver(t *testing.T) {
 				if st.Lat.Count() != st.Messages {
 					t.Errorf("%s: %d latency samples for %d messages", name, st.Lat.Count(), st.Messages)
 				}
-				if st.Partitions == 0 || rec.TraceCount() != uint64(st.Partitions) {
-					t.Errorf("%s: %d traces for %d partitions with traffic", name, rec.TraceCount(), st.Partitions)
+				busy := 0
+				for _, sp := range st.Spans {
+					if sp.Msgs > 0 {
+						busy++
+					}
+				}
+				if st.Partitions == 0 || busy != st.Partitions {
+					t.Errorf("%s: %d spans with traffic for %d partitions with traffic", name, busy, st.Partitions)
 				}
 				if n := openSCBs(r); n != 0 {
 					t.Errorf("%s: %d SCBs left open", name, n)

@@ -26,7 +26,6 @@ import (
 	"nonstopsql/internal/fsdp"
 	"nonstopsql/internal/keys"
 	"nonstopsql/internal/msg"
-	"nonstopsql/internal/obs"
 	"nonstopsql/internal/record"
 	"nonstopsql/internal/tmf"
 )
@@ -126,11 +125,6 @@ type FS struct {
 	// synchronous one-partition-at-a-time scan.
 	scanDOP int
 
-	// obsRec, when set, receives one trace per partition conversation
-	// of every set-oriented operation (see op.finish). Set it before
-	// issuing requests.
-	obsRec *obs.Recorder
-
 	// redriveWindow, when positive, re-drives a send that failed with
 	// msg.ErrNoServer for up to this long: during a partition takeover
 	// the server name vanishes until the cluster repoints it at the
@@ -178,13 +172,6 @@ func (f *FS) SetRedriveWindow(d time.Duration) { f.redriveWindow = d }
 // SetFollowerReads routes browse (nil-tx) point reads to partition
 // backups. Not safe to call concurrently with operations in flight.
 func (f *FS) SetFollowerReads(on bool) { f.followerReads = on }
-
-// SetObserver attaches a trace recorder; nil detaches. Not safe to call
-// concurrently with operations in flight.
-func (f *FS) SetObserver(rec *obs.Recorder) { f.obsRec = rec }
-
-// Observer returns the attached trace recorder (nil when none).
-func (f *FS) Observer() *obs.Recorder { return f.obsRec }
 
 // Network exposes the message network this FS sends through, for
 // traffic-counter reconciliation (EXPLAIN ANALYZE, experiments).
@@ -313,10 +300,6 @@ func sortPartitions(ps []Partition) {
 		return bytes.Compare(ps[i].LowKey, ps[j].LowKey) < 0
 	})
 }
-
-// IndexSchema returns the record layout of one of the file's indexes
-// (available after Create).
-func (def *FileDef) IndexSchema(idx *IndexDef) *record.Schema { return idx.schema }
 
 // Drop removes the file's fragments and its indexes' fragments from
 // their Disk Processes.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"nonstopsql/internal/cluster"
+	"nonstopsql/internal/dp"
 	"nonstopsql/internal/expr"
 	"nonstopsql/internal/fs"
 	"nonstopsql/internal/fsdp"
@@ -159,7 +160,7 @@ func TestPartitionRouting(t *testing.T) {
 	}
 	// Each record landed on its own DP.
 	for name, want := range map[string]int{"$DATA1": 1, "$DATA2": 1, "$DATA3": 1} {
-		if n, _ := r.c.DP(name).CountFile("EMP"); n != want {
+		if n, _ := countFile(r.c.DP(name), "EMP"); n != want {
 			t.Errorf("%s has %d records, want %d", name, n, want)
 		}
 	}
@@ -331,7 +332,7 @@ func TestDeleteSubsetPushdown(t *testing.T) {
 	if err := r.fs.Commit(tx); err != nil {
 		t.Fatal(err)
 	}
-	if c, _ := r.c.DP("$DATA1").CountFile("EMP"); c != 60 {
+	if c, _ := countFile(r.c.DP("$DATA1"), "EMP"); c != 60 {
 		t.Errorf("count %d", c)
 	}
 }
@@ -351,7 +352,7 @@ func TestSecondaryIndexMaintenance(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Index file exists on $DATA2 with two entries.
-	if n, _ := r.c.DP("$DATA2").CountFile("EMP.NAME"); n != 2 {
+	if n, _ := countFile(r.c.DP("$DATA2"), "EMP.NAME"); n != 2 {
 		t.Fatalf("index entries %d", n)
 	}
 	// Read via the index: Figure 2's two-step flow.
@@ -381,7 +382,7 @@ func TestSecondaryIndexMaintenance(t *testing.T) {
 	if err := r.fs.Commit(tx3); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := r.c.DP("$DATA2").CountFile("EMP.NAME"); n != 1 {
+	if n, _ := countFile(r.c.DP("$DATA2"), "EMP.NAME"); n != 1 {
 		t.Errorf("index entries after delete: %d", n)
 	}
 }
@@ -457,7 +458,7 @@ func TestAbortAcrossPartitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"$DATA1", "$DATA2"} {
-		if n, _ := r.c.DP(name).CountFile("EMP"); n != 0 {
+		if n, _ := countFile(r.c.DP(name), "EMP"); n != 0 {
 			t.Errorf("%s has %d records after abort", name, n)
 		}
 	}
@@ -470,14 +471,16 @@ func TestTwoPhaseCommitAcrossPartitions(t *testing.T) {
 	tx := r.fs.Begin()
 	r.fs.Insert(nil, tx, def, empRow(5, "a", "X", 1))
 	r.fs.Insert(nil, tx, def, empRow(1500, "b", "X", 1))
-	if len(tx.Participants()) != 2 {
-		t.Fatalf("participants %v", tx.Participants())
+	for _, name := range []string{"$DATA1", "$DATA2"} {
+		if txns, _ := r.c.DP(name).OpenState(); txns != 1 {
+			t.Fatalf("%s holds %d transactions before the commit, want the one it joined", name, txns)
+		}
 	}
 	if err := r.fs.Commit(tx); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"$DATA1", "$DATA2"} {
-		if n, _ := r.c.DP(name).CountFile("EMP"); n != 1 {
+		if n, _ := countFile(r.c.DP(name), "EMP"); n != 1 {
 			t.Errorf("%s has %d records after 2PC", name, n)
 		}
 	}
@@ -510,7 +513,7 @@ func TestBlockedInserterMessageSavings(t *testing.T) {
 	if msgs > n/8 {
 		t.Errorf("blocked insert used %d messages for %d rows", msgs, n)
 	}
-	if c, _ := r.c.DP("$DATA1").CountFile("EMP"); c != n {
+	if c, _ := countFile(r.c.DP("$DATA1"), "EMP"); c != n {
 		t.Errorf("count %d", c)
 	}
 }
@@ -560,7 +563,7 @@ func TestCursorBufferedUpdates(t *testing.T) {
 	if msgs > 30 {
 		t.Errorf("buffered cursor used %d messages", msgs)
 	}
-	if c, _ := r.c.DP("$DATA1").CountFile("EMP"); c != 50 {
+	if c, _ := countFile(r.c.DP("$DATA1"), "EMP"); c != 50 {
 		t.Errorf("count %d", c)
 	}
 	row, err := r.fs.Read(nil, def, ik(0), false)
@@ -644,7 +647,7 @@ func TestCrashRecoveryThroughCluster(t *testing.T) {
 	if _, err := r.fs.Read(nil, def, ik(999), false); !errors.Is(err, fs.ErrNotFound) {
 		t.Errorf("phantom visible after recovery: %v", err)
 	}
-	if n, _ := r.c.DP("$DATA1").CountFile("EMP"); n != 50 {
+	if n, _ := countFile(r.c.DP("$DATA1"), "EMP"); n != 50 {
 		t.Errorf("count %d", n)
 	}
 }
@@ -728,7 +731,7 @@ func TestCreateIndexBackfill(t *testing.T) {
 	if err := r.fs.Commit(tx); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := r.c.DP("$DATA2").CountFile("EMP.LATE"); n != 25 {
+	if n, _ := countFile(r.c.DP("$DATA2"), "EMP.LATE"); n != 25 {
 		t.Fatalf("backfill created %d entries", n)
 	}
 	rows, err := readByIndex(r, nil, def, idx, record.String("emp-00007"))
@@ -745,10 +748,10 @@ func TestDropRemovesFragments(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fragments gone at both DPs.
-	if _, err := r.c.DP("$DATA1").CountFile("EMP"); err == nil {
+	if _, err := countFile(r.c.DP("$DATA1"), "EMP"); err == nil {
 		t.Error("base fragment survived drop")
 	}
-	if _, err := r.c.DP("$DATA2").CountFile("EMP.NAME"); err == nil {
+	if _, err := countFile(r.c.DP("$DATA2"), "EMP.NAME"); err == nil {
 		t.Error("index fragment survived drop")
 	}
 }
@@ -845,4 +848,10 @@ func TestRedriveWakesOnRegistration(t *testing.T) {
 	if elapsed := time.Since(start); !errors.Is(err, msg.ErrNoServer) || elapsed < 30*time.Millisecond {
 		t.Errorf("READ to a name nobody registers: %v after %v; want msg.ErrNoServer once the 30ms window passed", err, elapsed)
 	}
+}
+
+// countFile returns the number of records in one file fragment of d.
+func countFile(d *dp.DP, file string) (int, error) {
+	rows, err := d.DumpFile(file)
+	return len(rows), err
 }

@@ -111,15 +111,6 @@ func (s *ScanStats) recompute() {
 	}
 }
 
-// CacheHitRate returns the operation's buffer-pool hit rate at the
-// serving Disk Processes, or 0 when no block was touched.
-func (s ScanStats) CacheHitRate() float64 {
-	if s.CacheHits+s.BlocksRead == 0 {
-		return 0
-	}
-	return float64(s.CacheHits) / float64(s.CacheHits+s.BlocksRead)
-}
-
 // Overlap reports how much conversation time ran concurrently: the
 // ratio of summed per-span busy time to wall time. Sequential scans sit
 // near 1.0; a DOP-4 scan over 4 partitions approaches 4.0.

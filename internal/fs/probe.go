@@ -92,7 +92,7 @@ func (f *FS) probeFile(tx *tmf.Tx, file string, parts []Partition, prefixes [][]
 		}
 	}
 	var o op
-	o.init(f, tx, file, "PROBE^BLOCK", yieldRecords, servers, nil)
+	o.init(f, tx, file, yieldRows, servers, nil)
 	var out [][]byte
 	err := o.run(1, func(c *conv) error {
 		rest := buckets[c.i]

@@ -128,7 +128,7 @@ func (f *FS) ReadRaw(ar *fsdp.Arena, tx *tmf.Tx, def *FileDef, key []byte, forUp
 // come back as the Disk Process encoded them, unvalidated, like ReadRaw's.
 func (f *FS) ReadByIndex(tx *tmf.Tx, def *FileDef, idx *IndexDef, value record.Value) ([][]byte, error) {
 	var o op
-	o.init(f, tx, idx.Name, "GET^FIRST/NEXT^VSBB", yieldRecords,
+	o.init(f, tx, idx.Name, yieldRows,
 		partitionsFor(idx.Partitions, keys.Prefix(value.AppendKey(nil))), nil)
 	var out [][]byte
 	var iv record.View

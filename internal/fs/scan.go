@@ -117,7 +117,7 @@ type Rows struct {
 // Select starts a scan and returns its row iterator.
 func (f *FS) Select(tx *tmf.Tx, def *FileDef, spec SelectSpec) *Rows {
 	r := &Rows{spec: spec}
-	r.op.init(f, tx, def.Name, "GET^FIRST/NEXT^"+spec.Mode.String(), yieldRecords,
+	r.op.init(f, tx, def.Name, yieldRows,
 		partitionsFor(def.Partitions, spec.Range), spec.Arenas)
 	if err := spec.validate(); err != nil {
 		r.err = err
@@ -237,28 +237,12 @@ func (r *Rows) fetch() bool {
 	}
 }
 
-// SelectAll drains a scan into memory (convenience for callers with
-// small results).
-func (f *FS) SelectAll(tx *tmf.Tx, def *FileDef, spec SelectSpec) ([]record.Row, error) {
-	rows := f.Select(tx, def, spec)
-	defer rows.Close()
-	var out []record.Row
-	for {
-		row, _, ok := rows.Next()
-		if !ok {
-			break
-		}
-		out = append(out, row)
-	}
-	return out, rows.Err()
-}
-
 // counted drives a conversation kind whose replies carry only a count of
 // the records each message qualified (or changed): first is the ^FIRST
 // message less its per-partition key range. It returns the total.
-func (f *FS) counted(tx *tmf.Tx, def *FileDef, rng keys.Range, dop int, label string, first fsdp.Request) (int, ScanStats, error) {
+func (f *FS) counted(tx *tmf.Tx, def *FileDef, rng keys.Range, dop int, first fsdp.Request) (int, ScanStats, error) {
 	var o op
-	o.init(f, tx, def.Name, label, yieldCount, partitionsFor(def.Partitions, rng), nil)
+	o.init(f, tx, def.Name, yieldCount, partitionsFor(def.Partitions, rng), nil)
 	// Hint derived from the caller's unclipped range, not the partition
 	// span (see Rows.firstRequest).
 	first.Tx, first.File, first.Hint = o.txID(), def.Name, hintFor(rng)
@@ -279,8 +263,7 @@ func (f *FS) counted(tx *tmf.Tx, def *FileDef, rng keys.Range, dop int, label st
 // conversations fan out with the FS default degree of parallelism
 // (SetScanParallel).
 func (f *FS) Count(tx *tmf.Tx, def *FileDef, rng keys.Range, pred expr.Expr) (int, ScanStats, error) {
-	return f.counted(tx, def, rng, f.scanDOP, "COUNT^FIRST/NEXT",
-		fsdp.Request{Kind: fsdp.KCountFirst, Pred: expr.Encode(pred)})
+	return f.counted(tx, def, rng, f.scanDOP, fsdp.Request{Kind: fsdp.KCountFirst, Pred: expr.Encode(pred)})
 }
 
 // hintFor classifies a subset's cache access for the DP: an unbounded

@@ -30,7 +30,7 @@ func (f *FS) UpdateSubset(tx *tmf.Tx, def *FileDef, rng keys.Range, pred expr.Ex
 		n, err := f.updateSubsetRequesterSide(tx, def, rng, pred, assigns)
 		return n, ScanStats{}, err
 	}
-	return f.counted(tx, def, rng, f.subsetDOP(), "UPDATE^SUBSET^FIRST/NEXT", fsdp.Request{
+	return f.counted(tx, def, rng, f.subsetDOP(), fsdp.Request{
 		Kind: fsdp.KUpdateSubsetFirst,
 		Pred: expr.Encode(pred), Assign: expr.EncodeAssignments(assigns),
 	})
@@ -98,7 +98,7 @@ func (f *FS) DeleteSubset(tx *tmf.Tx, def *FileDef, rng keys.Range, pred expr.Ex
 		n, err := f.deleteSubsetRequesterSide(tx, def, rng, pred)
 		return n, ScanStats{}, err
 	}
-	return f.counted(tx, def, rng, f.subsetDOP(), "DELETE^SUBSET^FIRST/NEXT",
+	return f.counted(tx, def, rng, f.subsetDOP(),
 		fsdp.Request{Kind: fsdp.KDeleteSubsetFirst, Pred: expr.Encode(pred)})
 }
 

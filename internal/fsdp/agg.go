@@ -80,21 +80,12 @@ func EncodeAggSpec(s *AggSpec) []byte {
 	return b
 }
 
-// DecodeAggSpec parses an aggregate specification. It refuses what no
-// encoder of a valid specification writes: a function it does not know,
-// and a field ordinal that does not fit in an int32 — no record has that
-// many fields, and an int that has wrapped negative names none either.
-func DecodeAggSpec(b []byte) (*AggSpec, error) {
-	s := &AggSpec{}
-	if err := DecodeAggSpecInto(s, b); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// DecodeAggSpecInto is DecodeAggSpec into s, whose lists it reuses: the
-// Disk Process decodes a conversation's specification into its Subset
-// Control Block's.
+// DecodeAggSpecInto parses an aggregate specification into s, whose lists
+// it reuses: the Disk Process decodes a conversation's specification into
+// its Subset Control Block's. It refuses what no encoder of a valid
+// specification writes: a function it does not know, and a field ordinal
+// that does not fit in an int32 — no record has that many fields, and an
+// int that has wrapped negative names none either.
 func DecodeAggSpecInto(s *AggSpec, b []byte) error {
 	s.GroupBy, s.Cols = s.GroupBy[:0], s.Cols[:0]
 	n, sz := binary.Uvarint(b)
@@ -152,7 +143,7 @@ type AggPartial struct {
 
 // own returns v with its string copied: Feed and Merge are handed values
 // that may borrow a cache page (record.View) or a reply buffer
-// (DecodeGroup), and a partial outlives both.
+// (decodeGroup), and a partial outlives both.
 func own(v record.Value) record.Value {
 	v.S = strings.Clone(v.S)
 	return v
@@ -277,18 +268,12 @@ func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 func varintLen(x int64) int { return uvarintLen(uint64(x)<<1 ^ uint64(x>>63)) } // zig-zag, as binary.AppendVarint
 
-// DecodeGroup parses one group entry produced by AppendGroup into the
-// caller's scratch: key values are appended to keyVals[:0] and ncols
-// partials (the AggSpec's column count; the entry carries no count of its
-// own) to partials[:0]. VARCHAR values borrow b (record.BorrowValue), so
-// a requester folding thousands of entries allocates only for what it
-// keeps.
-func DecodeGroup(b []byte, ncols int, keyVals record.Row, partials []AggPartial) (record.Row, []AggPartial, error) {
-	keyVals, _, partials, err := decodeGroup(b, ncols, keyVals, partials)
-	return keyVals, partials, err
-}
-
-// decodeGroup is DecodeGroup, and says where in b the key values lie.
+// decodeGroup parses one group entry produced by AppendGroup into the
+// caller's scratch, and says where in b the key values lie: key values are
+// appended to keyVals[:0] and ncols partials (the AggSpec's column count;
+// the entry carries no count of its own) to partials[:0]. VARCHAR values
+// borrow b (record.BorrowValue), so a requester folding thousands of
+// entries allocates only for what it keeps.
 func decodeGroup(b []byte, ncols int, keyVals record.Row, partials []AggPartial) (record.Row, []byte, []AggPartial, error) {
 	keyVals, partials = keyVals[:0], partials[:0]
 	nk, sz := binary.Uvarint(b)

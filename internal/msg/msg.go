@@ -62,18 +62,6 @@ func (s Stats) Messages() uint64 { return s.Requests + s.Replies }
 // Bytes returns the total bytes moved.
 func (s Stats) Bytes() uint64 { return s.RequestBytes + s.ReplyBytes }
 
-// Add accumulates o into s.
-func (s *Stats) Add(o Stats) {
-	s.Requests += o.Requests
-	s.Replies += o.Replies
-	s.RequestBytes += o.RequestBytes
-	s.ReplyBytes += o.ReplyBytes
-	s.Local += o.Local
-	s.Bus += o.Bus
-	s.Network += o.Network
-	s.Panics += o.Panics
-}
-
 // ErrReplyTimeout marks a request abandoned at its reply deadline, which
 // the transports over the wire keep (wire.Options.ReplyTimeout and the
 // client pool's). The request may still be served — the deadline bounds
@@ -113,8 +101,6 @@ type Server struct {
 	queue chan struct{} // a place per request waiting for a slot
 	slots chan struct{} // a place per request in service
 
-	received atomic.Uint64
-
 	// Queue wait: time requests waited for a free service slot — the
 	// server-side complement of the requester's conversation wait.
 	queueWaitOps   atomic.Uint64
@@ -123,12 +109,6 @@ type Server struct {
 
 // Name returns the server's process name (e.g. "$DATA1").
 func (s *Server) Name() string { return s.name }
-
-// Processor returns where the server runs.
-func (s *Server) Processor() ProcessorID { return s.proc }
-
-// Received returns how many requests this server has accepted.
-func (s *Server) Received() uint64 { return s.received.Load() }
 
 // QueueWait returns how many requests have been served and their
 // summed wait for a service slot in nanoseconds.
@@ -284,12 +264,6 @@ func (n *Network) StopServer(name string) {
 	}
 }
 
-// Server returns the named server's handle (nil when not registered).
-func (n *Network) Server(name string) *Server {
-	s, _ := n.server(name)
-	return s
-}
-
 // Lookup returns the processor a server runs on.
 func (n *Network) Lookup(name string) (ProcessorID, bool) {
 	s, ok := n.server(name)
@@ -318,15 +292,6 @@ func (n *Network) ResetStats() {
 	for i := range n.lat {
 		n.lat[i].Reset()
 	}
-}
-
-// Latency returns the round-trip latency distribution for one hop
-// distance class.
-func (n *Network) Latency(d Distance) obs.Snapshot {
-	if d < DistLocal || d > DistNetwork {
-		return obs.Snapshot{}
-	}
-	return n.lat[d].Snapshot()
 }
 
 // LatencyAll returns the round-trip latency distribution across every
@@ -372,9 +337,6 @@ type Client struct {
 func (n *Network) NewClient(proc ProcessorID) *Client {
 	return &Client{net: n, proc: proc}
 }
-
-// Processor returns where the client runs.
-func (c *Client) Processor() ProcessorID { return c.proc }
 
 // Network returns the interconnect this client sends through.
 func (c *Client) Network() *Network { return c.net }
@@ -448,7 +410,6 @@ func (c *Client) SendAppend(server string, payload, out []byte) ([]byte, error) 
 		s.mu.RUnlock()
 		return nil, fmt.Errorf("msg: server %q is down: %w", server, ErrNoServer)
 	}
-	s.received.Add(1)
 	s.active.Add(1)
 	s.mu.RUnlock()
 	defer s.active.Done()

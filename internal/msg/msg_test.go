@@ -179,10 +179,6 @@ func TestManyClientsStress(t *testing.T) {
 	if got := n.Stats().Requests; got != 1600 {
 		t.Errorf("requests %d", got)
 	}
-	srv := n.Server("$D")
-	if srv.Received() != 1600 {
-		t.Errorf("received %d", srv.Received())
-	}
 }
 
 func TestCostModel(t *testing.T) {
@@ -399,7 +395,7 @@ func TestLatencyRecordedForErrorReplies(t *testing.T) {
 	if s.Requests != 5 || s.Replies != 5 || s.Panics != 2 {
 		t.Fatalf("stats %+v, want 5 requests, 5 replies, 2 panics", s)
 	}
-	if got := n.Latency(DistNetwork).Count(); got != s.Requests {
+	if got := n.lat[DistNetwork].Snapshot().Count(); got != s.Requests {
 		t.Errorf("network-distance latency samples = %d, want %d (error replies must record latency)", got, s.Requests)
 	}
 }
@@ -479,10 +475,10 @@ func TestLatencyHistogram(t *testing.T) {
 		c.Send("$LOCAL", nil)
 	}
 	c.Send("$REMOTE", nil)
-	if got := n.Latency(DistLocal).Count(); got != 3 {
+	if got := n.lat[DistLocal].Snapshot().Count(); got != 3 {
 		t.Errorf("local latency count = %d, want 3", got)
 	}
-	if got := n.Latency(DistNetwork).Count(); got != 1 {
+	if got := n.lat[DistNetwork].Snapshot().Count(); got != 1 {
 		t.Errorf("network latency count = %d, want 1", got)
 	}
 	all := n.LatencyAll()

@@ -145,7 +145,7 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// readChunk is the buffered reader's size and the most ReadFrame
+// readChunk is the buffered reader's size and the most a frame read
 // allocates on the word of a length prefix alone.
 const readChunk = 64 << 10
 
@@ -184,15 +184,6 @@ func (r *Reader) Next() (Frame, error) {
 	return f, err
 }
 
-// ReadFrame reads and decodes one frame, returning the total wire bytes
-// consumed (length prefix included). Frames above maxFrame are rejected
-// before any body allocation. The caller owns the frame and may Release
-// it once Body is read.
-func ReadFrame(r io.Reader, maxFrame int) (Frame, int, error) {
-	var fr frameReader
-	return fr.read(r, maxFrame)
-}
-
 // frameReader is what decoding keeps from one frame to the next: the
 // length prefix's four bytes (a local would be allocated per frame, since
 // it is read through an interface) and the last request's server name,
@@ -202,7 +193,10 @@ type frameReader struct {
 	server string
 }
 
-// read is ReadFrame. A frame of up to readChunk bytes reads into a pooled
+// read reads and decodes one frame, returning the total wire bytes
+// consumed (length prefix included). Frames above maxFrame are rejected
+// before any body allocation. The caller owns the frame and may Release
+// it once Body is read. A frame of up to readChunk bytes reads into a pooled
 // buffer (Frame.Release). A length prefix is a claim, not bytes: a longer
 // frame's buffer starts at readChunk and doubles only as the bytes before
 // it have actually arrived, so a peer that announces MaxFrame and stalls

@@ -129,8 +129,8 @@ func TestServerDispatch(t *testing.T) {
 	if st.Requests != 1 || st.Replies != 1 || st.Network != 1 {
 		t.Fatalf("network stats: %+v", st)
 	}
-	if got := n.Latency(msg.DistNetwork).Count(); got != 1 {
-		t.Fatalf("DistNetwork latency samples = %d, want 1", got)
+	if got := n.LatencyAll().Count(); got != 1 {
+		t.Fatalf("latency samples = %d, want the one DistNetwork conversation's", got)
 	}
 	ws := s.Stats()
 	if ws.FramesIn != 1 || ws.FramesOut != 1 || ws.Conns != 1 {

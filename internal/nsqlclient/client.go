@@ -57,8 +57,7 @@ type Options struct {
 	// readers and failure isolation, not cheaper writes.
 	Conns int
 
-	// ReplyTimeout bounds each request (0 = wait forever). Adjustable
-	// later with SetReplyTimeout.
+	// ReplyTimeout bounds each request (0 = wait forever).
 	ReplyTimeout time.Duration
 
 	// DialTimeout bounds each connect attempt (default 5s).
@@ -170,10 +169,6 @@ func newPool(addr string, opts Options, dial func() (net.Conn, error)) (*Pool, e
 
 // Addr returns the server address the pool dials.
 func (p *Pool) Addr() string { return p.addr }
-
-// SetReplyTimeout changes the per-request deadline (0 = wait forever).
-// Safe to call concurrently with Send.
-func (p *Pool) SetReplyTimeout(d time.Duration) { p.timeout.Store(int64(d)) }
 
 // ReplyTimeout returns the current per-request deadline.
 func (p *Pool) ReplyTimeout() time.Duration { return time.Duration(p.timeout.Load()) }

@@ -148,7 +148,7 @@ func TestPoolDeadlineWrapsReplyTimeout(t *testing.T) {
 	// The late reply must be dropped, not delivered to a later request:
 	// release the handler, then run a fresh request on the same
 	// connection and check it gets its own answer.
-	p.SetReplyTimeout(5 * time.Second)
+	p.timeout.Store(int64(5 * time.Second))
 	close(stall)
 	got, err := p.Send("stuck", []byte("fresh"))
 	if err != nil {
@@ -163,7 +163,7 @@ func TestPoolDeadlineWrapsReplyTimeout(t *testing.T) {
 // earliest deadline pending, stands in for a timer per request. A request
 // whose reply never comes fails once, at or after its deadline, while the
 // requests beside it on the same connection complete; its late reply is
-// dropped. Deadlines set apart through SetReplyTimeout fail in their own
+// dropped. Deadlines set apart (the pool's deadline changed between sends) fail in their own
 // order: the shorter first, the longer not cut short — and a sweep that
 // already fired never cuts a later wait short.
 func TestPoolSweepsDeadlines(t *testing.T) {
@@ -228,7 +228,7 @@ func TestPoolSweepsDeadlines(t *testing.T) {
 	}
 
 	const long, short, later = 400 * time.Millisecond, 40 * time.Millisecond, 200 * time.Millisecond
-	p.SetReplyTimeout(long)
+	p.timeout.Store(int64(long))
 	longStart := time.Now()
 	longErr := make(chan error, 1)
 	go func() {
@@ -236,7 +236,7 @@ func TestPoolSweepsDeadlines(t *testing.T) {
 		longErr <- err
 	}()
 	waitFor(t, "the long request on the wire", func() bool { return p.Stats().FramesOut == 23 })
-	p.SetReplyTimeout(short)
+	p.timeout.Store(int64(short))
 	shortStart := time.Now()
 	_, err = send("never", "short")
 	timedOut("the shorter deadline", err, time.Since(shortStart), short)
@@ -245,7 +245,7 @@ func TestPoolSweepsDeadlines(t *testing.T) {
 		t.Fatalf("the longer deadline was cut short by the shorter: %v after %v", err, time.Since(longStart))
 	default:
 	}
-	p.SetReplyTimeout(later)
+	p.timeout.Store(int64(later))
 	laterStart := time.Now()
 	_, err = send("never", "later")
 	timedOut("a wait begun after a sweep fired", err, time.Since(laterStart), later)
@@ -488,7 +488,7 @@ func TestPoolSetReplyTimeoutConcurrent(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				p.SetReplyTimeout(time.Duration(1+i%5) * time.Second)
+				p.timeout.Store(int64(time.Duration(1+i%5) * time.Second))
 			}
 		}
 	}()

@@ -106,22 +106,3 @@ func (s WireStats) FramesPerWrite() float64 {
 	}
 	return float64(s.FramesOut) / float64(s.Writes)
 }
-
-// Bytes returns the total wire bytes moved, both directions.
-func (s WireStats) Bytes() uint64 { return s.BytesIn + s.BytesOut }
-
-// Add accumulates o into s.
-func (s *WireStats) Add(o WireStats) {
-	s.Conns += o.Conns
-	s.Disconnects += o.Disconnects
-	s.Redials += o.Redials
-	s.FramesIn += o.FramesIn
-	s.FramesOut += o.FramesOut
-	s.Writes += o.Writes
-	s.Reads += o.Reads
-	s.BytesIn += o.BytesIn
-	s.BytesOut += o.BytesOut
-	s.Errors += o.Errors
-	s.Timeouts += o.Timeouts
-	s.Rejected += o.Rejected
-}

@@ -9,12 +9,6 @@ import (
 	"nonstopsql/internal/record"
 )
 
-// Parse compiles one SQL statement's text into its AST.
-func Parse(src string) (Statement, error) {
-	stmt, _, err := parseStmt(src)
-	return stmt, err
-}
-
 // parseStmt compiles one statement and reports how many parameter
 // markers (?) it carries, numbered left to right.
 func parseStmt(src string) (Statement, int, error) {

@@ -58,9 +58,6 @@ func (p *Prepared) NumParams() int { return p.nParams }
 // its first (the EXPLAIN `plan: cached (hits=N)` annotation).
 func (p *Prepared) Hits() uint64 { return p.hits.Load() }
 
-// Version returns the catalog version the plan was compiled against.
-func (p *Prepared) Version() uint64 { return p.version }
-
 // stmtPlan is an executable compiled plan. run receives the parameter
 // vector (nil for parameterless statements) and the optional EXPLAIN
 // ANALYZE collector.

@@ -222,7 +222,7 @@ func TestPointReadFollowsFollowerReads(t *testing.T) {
 	s.MustExec("INSERT INTO kv VALUES (1, 'x')")
 
 	received := func() (primary, backup uint64) {
-		return c.Net.Server("$R1").Received(), c.Net.Server("$R1" + fsdp.BackupSuffix).Received()
+		return c.DP("$R1").Stats().Requests, c.DP("$R1" + fsdp.BackupSuffix).Stats().Requests
 	}
 	for _, step := range []struct {
 		stmts       []string

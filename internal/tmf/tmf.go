@@ -83,13 +83,6 @@ func (t *Tx) Join(server string) error {
 	return nil
 }
 
-// Participants returns the joined Disk Processes.
-func (t *Tx) Participants() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]string(nil), t.participants...)
-}
-
 // A Coordinator commits and aborts transactions. It owns the node's
 // audit trail reference for writing commit records and a Sender for the
 // participant protocol.
@@ -241,7 +234,6 @@ type AuditPort struct {
 
 	mu       sync.Mutex
 	buffered int
-	sends    uint64
 	payload  []byte // an audit-send's bytes, reused under mu: only their count matters
 }
 
@@ -317,7 +309,6 @@ func (a *AuditPort) FlushSend() {
 func (a *AuditPort) flushLocked() {
 	size := a.buffered
 	a.buffered = 0
-	a.sends++
 	if a.client == nil || a.auditServer == "" {
 		return
 	}
@@ -325,11 +316,4 @@ func (a *AuditPort) flushLocked() {
 	// The audit trail DP acknowledges; failures are impossible on the
 	// reliable simulated bus, so the reply is discarded.
 	_, _ = a.client.Send(a.auditServer, a.payload)
-}
-
-// Sends returns how many audit-send messages this port has issued.
-func (a *AuditPort) Sends() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.sends
 }

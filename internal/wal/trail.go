@@ -324,13 +324,6 @@ func (t *Trail) FlushedLSN() LSN {
 	return t.flushedLSN
 }
 
-// NextLSN returns the next LSN that will be assigned.
-func (t *Trail) NextLSN() LSN {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.nextLSN + 1
-}
-
 // Stats returns a snapshot of the counters.
 func (t *Trail) Stats() Stats {
 	t.mu.Lock()

@@ -355,11 +355,10 @@ func TestScanStopsAtCorruptTail(t *testing.T) {
 
 func TestTrailNextLSN(t *testing.T) {
 	tr, _ := newTestTrail(t, Config{})
-	if tr.NextLSN() != 1 {
-		t.Errorf("fresh trail NextLSN %d", tr.NextLSN())
+	if lsn := tr.Append(dataRec(1, "k")); lsn != 1 {
+		t.Errorf("fresh trail assigned LSN %d", lsn)
 	}
-	tr.Append(dataRec(1, "k"))
-	if tr.NextLSN() != 2 {
-		t.Errorf("NextLSN %d", tr.NextLSN())
+	if lsn := tr.Append(dataRec(1, "k")); lsn != 2 {
+		t.Errorf("second record assigned LSN %d", lsn)
 	}
 }

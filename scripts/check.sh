@@ -8,6 +8,13 @@ set -eux
 cd "$(dirname "$0")/.."
 go build ./...
 go vet ./...
+# The wall-clock benchmark is its own module compiled against these
+# packages, and nothing else here builds it: a change that deletes or
+# renames what it drives fails here, before anything runs. Then every
+# exported function and method has a caller outside the tests (an export
+# only a test calls lives in its package's export_test.go).
+(cd benchmark && go build ./... && go vet ./...)
+go test -count=1 -run TestEveryExportHasACaller .
 # The counted books: the exact columns of the message-count experiments
 # against testdata/quick.golden. Under two seconds, so a counted integer
 # that moved fails first and alone. Then the one front end, and the one
@@ -170,11 +177,12 @@ go test -race -count=1 -run 'TestPointRead|TestExplainAnalyzeRead|TestFloatBound
 # ends, never what they read before the wait (the message is read again
 # under the lock; an AGG's fold is rewound first). And −0.0 is +0.0 as a
 # key: one GROUP BY group, found through an index, a duplicate primary key.
-# A read message whose transaction aborts while it waits at its group lock
-# does not join the finished transaction again: it fails, and no
-# transaction state and no lock is left behind.
+# A read message whose transaction aborts while it waits at its group lock,
+# and an UPDATE^SUBSET whose transaction aborts while it waits at a record
+# lock, do not join the finished transaction again: each fails, nothing is
+# written, and no transaction state and no lock is left behind.
 go test -race -count=1 -run 'TestReadIsolation|TestNegativeZero' ./internal/sql
-go test -race -count=1 -run 'TestReadsAgainUnderTheGroupLock|TestAcquireReportsTheWait|TestAbortedTransactionIsNotJoinedAgain' ./internal/dp ./internal/lock
+go test -race -count=1 -run 'TestReadsAgainUnderTheGroupLock|TestAcquireReportsTheWait|TestAbortedTransactionIsNotJoinedAgain|TestAbortedSubsetWriteIsNotJoinedAgain' ./internal/dp ./internal/lock
 # A keyed write is one descent (btree.Tree.Edit): the primitive against a
 # reference map while point reads and scans run over the same leaves,
 # records growing past their leaf and leaves emptying (its split and
@@ -262,7 +270,7 @@ QUICK=1 go test -race -count=1 -run TestKillRecovery ./internal/experiments
 # twenty rounds of the client pool's own seams: a request joining the
 # flush already forming on a connection, the fallback to the next
 # connection in turn, and the per-connection deadline sweep against
-# replies, late replies, SetReplyTimeout and replies racing their
+# replies, late replies, a deadline changed between sends and replies racing their
 # deadlines from many senders.
 go test -race -count=20 -run 'TestPoolJoinsTheFlushForming|TestPoolFallsBackToTheNextConnection|TestPoolSweepsDeadlines|TestPoolDeadlinesRaceReplies' ./internal/nsqlclient
 go test -race -count=1 ./internal/msg/wire ./internal/nsqlclient ./internal/nsqlwire
