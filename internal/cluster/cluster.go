@@ -22,8 +22,8 @@ import (
 )
 
 // Options tunes the cluster's subsystems. The zero value commits in
-// groups but leaves pre-fetch and write-behind off; nonstopsql.Config
-// is what turns those two on by default.
+// groups but leaves pre-fetch and write-behind off; nonstopsql.Open
+// turns those two on.
 type Options struct {
 	Nodes         int // default 1
 	CPUsPerNode   int // default 4, max 16
@@ -212,6 +212,9 @@ func (c *Cluster) Addr() string {
 	}
 	return c.wire.Addr()
 }
+
+// CPUsPerNode returns how many processors each node has.
+func (c *Cluster) CPUsPerNode() int { return c.opts.CPUsPerNode }
 
 // WireServer exposes the TCP front door (nil unless Options.Listen was
 // set) for drain control and wire-level counters.

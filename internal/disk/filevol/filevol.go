@@ -91,9 +91,6 @@ type Config struct {
 	Path string // backing file (created if absent). Required.
 	Name string // volume name, e.g. "$DATA1"; defaults to Path
 	Mode Mode
-	// Workers is the completion-worker pool depth in BatchedAsync mode
-	// (default 2): how many coalesced bulk pwrites can be in flight.
-	Workers int
 	// MaxQueue bounds the submission queue in blocks (default 256);
 	// submitters block when it is full.
 	MaxQueue int
@@ -164,7 +161,7 @@ func Open(cfg Config) (*Volume, error) {
 		return nil, fmt.Errorf("filevol %s: %w", cfg.Name, err)
 	}
 	if cfg.Mode == BatchedAsync {
-		v.sched = newSched(v, cfg.Workers, cfg.MaxQueue)
+		v.sched = newSched(v, cfg.MaxQueue)
 	}
 	return v, nil
 }

@@ -434,7 +434,7 @@ func TestFsyncBatching(t *testing.T) {
 func TestSchedRace(t *testing.T) {
 	v, err := Open(Config{
 		Path: filepath.Join(t.TempDir(), "vol"), Name: "$T",
-		Mode: BatchedAsync, Workers: 4, MaxQueue: 32,
+		Mode: BatchedAsync, MaxQueue: 32,
 	})
 	if err != nil {
 		t.Fatal(err)

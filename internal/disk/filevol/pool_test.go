@@ -41,7 +41,7 @@ func image(bn disk.BlockNum, ver uint32) []byte {
 // writes is resident.
 func TestReadsNeverSeeARecycledImage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "vol")
-	v, err := Open(Config{Path: path, Name: "$T", Mode: BatchedAsync, Workers: 2, MaxQueue: 4})
+	v, err := Open(Config{Path: path, Name: "$T", Mode: BatchedAsync, MaxQueue: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,9 @@ import (
 )
 
 const (
-	defaultWorkers  = 2
+	// workers is the completion-worker pool depth: how many coalesced
+	// bulk pwrites can be in flight.
+	workers         = 2
 	defaultMaxQueue = 256
 )
 
@@ -67,10 +69,7 @@ type sched struct {
 	wg sync.WaitGroup
 }
 
-func newSched(v *Volume, workers, maxQueue int) *sched {
-	if workers <= 0 {
-		workers = defaultWorkers
-	}
+func newSched(v *Volume, maxQueue int) *sched {
 	if maxQueue <= 0 {
 		maxQueue = defaultMaxQueue
 	}

@@ -1,77 +1,55 @@
 // Package fastsort implements the parallel sorter the paper's SQL
 // compiler can invoke ("FastSort: An External Sort Using Parallel
 // Processing" [Tsukerman]): initial runs are sorted by a pool of sorter
-// processes in parallel, then merged; large inputs optionally spill
-// their runs to scratch files spread across multiple disk volumes, so
-// both processors and disks work in parallel.
+// processes in parallel, then merged pairwise in parallel rounds. The
+// paper's FastSort also spills its runs to scratch files on several disk
+// volumes; here its one input, an ORDER BY result, is already in memory,
+// so the runs stay there.
 package fastsort
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 
-	"nonstopsql/internal/btree"
-	"nonstopsql/internal/cache"
-	"nonstopsql/internal/disk"
 	"nonstopsql/internal/record"
 )
 
 // Less orders two rows.
 type Less func(a, b record.Row) bool
 
-// Config tunes the sorter. The zero value sorts in memory with 4
-// sorter processes and 4096-record runs.
-type Config struct {
-	Workers int // parallel sorter processes
-	RunSize int // records per initial run
+const (
+	workers = 4    // parallel sorter processes
+	runSize = 4096 // records per initial run; no more than this sort in place
+)
 
-	// Scratch volumes: when set and the input exceeds SpillThreshold,
-	// sorted runs are written to entry-sequenced scratch files spread
-	// round-robin across these volumes and merged back streaming.
-	Scratch        []disk.BlockDev
-	SpillThreshold int // default 4 * RunSize
+// Sort orders rows by less, stably. Up to runSize rows sort in place and
+// rows itself is returned; more are sorted in runs by parallel sorter
+// processes and merged into a new slice.
+func Sort(rows []record.Row, less Less) []record.Row {
+	return sortWith(rows, less, workers, runSize)
 }
 
-func (c *Config) setDefaults() {
-	if c.Workers <= 0 {
-		c.Workers = 4
-	}
-	if c.RunSize <= 0 {
-		c.RunSize = 4096
-	}
-	if c.SpillThreshold <= 0 {
-		c.SpillThreshold = 4 * c.RunSize
-	}
-}
-
-// Sort orders rows by less, in parallel. The input slice is consumed;
-// the returned slice is sorted.
-func Sort(rows []record.Row, less Less, cfg Config) ([]record.Row, error) {
-	cfg.setDefaults()
-	if len(rows) <= cfg.RunSize {
+// sortWith is Sort with the worker count and run size given.
+func sortWith(rows []record.Row, less Less, workers, runSize int) []record.Row {
+	if len(rows) <= runSize {
 		sort.SliceStable(rows, func(i, j int) bool { return less(rows[i], rows[j]) })
-		return rows, nil
+		return rows
 	}
-	runs := sortRuns(rows, less, cfg)
-	if len(cfg.Scratch) > 0 && len(rows) >= cfg.SpillThreshold {
-		return mergeExternal(runs, less, cfg)
-	}
-	return mergeInMemory(runs, less, cfg), nil
+	return mergeRuns(sortRuns(rows, less, workers, runSize), less, workers)
 }
 
 // sortRuns splits rows into runs and sorts them concurrently: the
 // "multiple processors" half of FastSort.
-func sortRuns(rows []record.Row, less Less, cfg Config) [][]record.Row {
+func sortRuns(rows []record.Row, less Less, workers, runSize int) [][]record.Row {
 	var runs [][]record.Row
-	for start := 0; start < len(rows); start += cfg.RunSize {
-		end := start + cfg.RunSize
+	for start := 0; start < len(rows); start += runSize {
+		end := start + runSize
 		if end > len(rows) {
 			end = len(rows)
 		}
 		runs = append(runs, rows[start:end])
 	}
-	sem := make(chan struct{}, cfg.Workers)
+	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
 	for _, run := range runs {
 		run := run
@@ -87,12 +65,12 @@ func sortRuns(rows []record.Row, less Less, cfg Config) [][]record.Row {
 	return runs
 }
 
-// mergeInMemory merges runs pairwise in parallel rounds (a merge tree),
+// mergeRuns merges runs pairwise in parallel rounds (a merge tree),
 // keeping all workers busy until one run remains.
-func mergeInMemory(runs [][]record.Row, less Less, cfg Config) []record.Row {
+func mergeRuns(runs [][]record.Row, less Less, workers int) []record.Row {
 	for len(runs) > 1 {
 		next := make([][]record.Row, (len(runs)+1)/2)
-		sem := make(chan struct{}, cfg.Workers)
+		sem := make(chan struct{}, workers)
 		var wg sync.WaitGroup
 		for i := 0; i+1 < len(runs); i += 2 {
 			i := i
@@ -127,177 +105,4 @@ func merge2(a, b []record.Row, less Less) []record.Row {
 	}
 	out = append(out, a[i:]...)
 	return append(out, b[j:]...)
-}
-
-// mergeExternal spills each run to an entry-sequenced scratch file
-// (round-robin across the scratch volumes, written concurrently — the
-// "multiple disks" half), then streams a k-way heap merge over the run
-// files.
-func mergeExternal(runs [][]record.Row, less Less, cfg Config) ([]record.Row, error) {
-	pools := make([]*cache.Pool, len(cfg.Scratch))
-	for i, v := range cfg.Scratch {
-		pools[i] = cache.NewPool(v, 256, nil)
-	}
-	files := make([]*btree.EntryFile, len(runs))
-	counts := make([]int, len(runs))
-
-	sem := make(chan struct{}, cfg.Workers)
-	var wg sync.WaitGroup
-	errCh := make(chan error, len(runs))
-	for ri, run := range runs {
-		ri, run := ri, run
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			vi := ri % len(cfg.Scratch)
-			f, err := btree.NewEntry(pools[vi], cfg.Scratch[vi], fmt.Sprintf("SCRATCH.%d", ri))
-			if err != nil {
-				errCh <- err
-				return
-			}
-			for _, row := range run {
-				if _, err := f.Append(record.Encode(row), 0); err != nil {
-					errCh <- err
-					return
-				}
-			}
-			files[ri] = f
-			counts[ri] = len(run)
-		}()
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		return nil, err
-	}
-	// The spill is physical: every run reaches its scratch volume before
-	// the merge reads anything back.
-	for _, p := range pools {
-		if err := p.FlushAll(); err != nil {
-			return nil, err
-		}
-	}
-
-	// Streaming cursors over the run files.
-	cursors := make([]*runCursor, len(files))
-	total := 0
-	for i, f := range files {
-		cursors[i] = &runCursor{file: f, remaining: counts[i]}
-		if err := cursors[i].next(); err != nil {
-			return nil, err
-		}
-		total += counts[i]
-	}
-
-	// K-way merge with a simple heap.
-	h := &mergeHeap{less: less}
-	for _, c := range cursors {
-		if c.cur != nil {
-			h.push(c)
-		}
-	}
-	out := make([]record.Row, 0, total)
-	for h.len() > 0 {
-		c := h.pop()
-		out = append(out, c.cur)
-		if err := c.next(); err != nil {
-			return nil, err
-		}
-		if c.cur != nil {
-			h.push(c)
-		}
-	}
-	return out, nil
-}
-
-// runCursor streams one spilled run back in append order.
-type runCursor struct {
-	file      *btree.EntryFile
-	addr      btree.Addr
-	remaining int
-	started   bool
-	cur       record.Row
-	pending   []record.Row
-}
-
-// next advances the cursor; cur becomes nil at end of run. EntryFile
-// scans are forward-only, so the cursor drains the file once into a
-// small read-ahead buffer per call batch.
-func (c *runCursor) next() error {
-	if len(c.pending) > 0 {
-		c.cur = c.pending[0]
-		c.pending = c.pending[1:]
-		return nil
-	}
-	if c.started {
-		c.cur = nil
-		return nil
-	}
-	c.started = true
-	var rows []record.Row
-	err := c.file.Scan(func(_ btree.Addr, data []byte) (bool, error) {
-		row, err := record.Decode(data)
-		if err != nil {
-			return false, err
-		}
-		rows = append(rows, row)
-		return true, nil
-	})
-	if err != nil {
-		return err
-	}
-	if len(rows) == 0 {
-		c.cur = nil
-		return nil
-	}
-	c.cur = rows[0]
-	c.pending = rows[1:]
-	return nil
-}
-
-// mergeHeap is a minimal binary heap of cursors keyed by cur.
-type mergeHeap struct {
-	less Less
-	cs   []*runCursor
-}
-
-func (h *mergeHeap) len() int { return len(h.cs) }
-
-func (h *mergeHeap) push(c *runCursor) {
-	h.cs = append(h.cs, c)
-	i := len(h.cs) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.less(h.cs[i].cur, h.cs[p].cur) {
-			break
-		}
-		h.cs[i], h.cs[p] = h.cs[p], h.cs[i]
-		i = p
-	}
-}
-
-func (h *mergeHeap) pop() *runCursor {
-	top := h.cs[0]
-	last := len(h.cs) - 1
-	h.cs[0] = h.cs[last]
-	h.cs = h.cs[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h.cs) && h.less(h.cs[l].cur, h.cs[small].cur) {
-			small = l
-		}
-		if r < len(h.cs) && h.less(h.cs[r].cur, h.cs[small].cur) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h.cs[i], h.cs[small] = h.cs[small], h.cs[i]
-		i = small
-	}
-	return top
 }

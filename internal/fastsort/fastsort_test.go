@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"nonstopsql/internal/disk"
 	"nonstopsql/internal/record"
 )
 
@@ -31,22 +30,14 @@ func isSorted(rows []record.Row) bool {
 }
 
 func TestSortSmall(t *testing.T) {
-	rows := intRows(100, 1)
-	out, err := Sort(rows, byFirst, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := Sort(intRows(100, 1), byFirst)
 	if len(out) != 100 || !isSorted(out) {
 		t.Fatal("small sort failed")
 	}
 }
 
 func TestSortParallelRuns(t *testing.T) {
-	rows := intRows(50000, 2)
-	out, err := Sort(rows, byFirst, Config{Workers: 4, RunSize: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := Sort(intRows(50000, 2), byFirst)
 	if len(out) != 50000 || !isSorted(out) {
 		t.Fatal("parallel sort failed")
 	}
@@ -61,8 +52,8 @@ func TestSortMatchesStdlib(t *testing.T) {
 			want[i] = r[0].I
 		}
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		out, err := Sort(rows, byFirst, Config{Workers: 3, RunSize: 64})
-		if err != nil || len(out) != n {
+		out := sortWith(rows, byFirst, 3, 64)
+		if len(out) != n {
 			return false
 		}
 		for i, r := range out {
@@ -77,56 +68,11 @@ func TestSortMatchesStdlib(t *testing.T) {
 	}
 }
 
-func TestExternalSpill(t *testing.T) {
-	scratch := []disk.BlockDev{
-		disk.NewVolume("$SORT1", false),
-		disk.NewVolume("$SORT2", false),
-	}
-	rows := intRows(20000, 3)
-	out, err := Sort(rows, byFirst, Config{
-		Workers: 4, RunSize: 500, Scratch: scratch, SpillThreshold: 1000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 20000 || !isSorted(out) {
-		t.Fatal("external sort failed")
-	}
-	// Both scratch volumes were actually written: disks in parallel.
-	for _, v := range scratch {
-		if v.Stats().BlocksWritten == 0 {
-			t.Errorf("scratch %s unused", v.Name())
-		}
-	}
-}
-
-func TestExternalMatchesInMemory(t *testing.T) {
-	rowsA := intRows(8000, 4)
-	rowsB := intRows(8000, 4)
-	inMem, err := Sort(rowsA, byFirst, Config{RunSize: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ext, err := Sort(rowsB, byFirst, Config{
-		RunSize: 256, Scratch: []disk.BlockDev{disk.NewVolume("$S", false)}, SpillThreshold: 512,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range inMem {
-		if inMem[i][0].I != ext[i][0].I {
-			t.Fatalf("divergence at %d", i)
-		}
-	}
-}
-
 func TestSortEmptyAndSingle(t *testing.T) {
-	if out, err := Sort(nil, byFirst, Config{}); err != nil || len(out) != 0 {
+	if out := Sort(nil, byFirst); len(out) != 0 {
 		t.Fatal("empty sort")
 	}
-	one := []record.Row{{record.Int(5)}}
-	out, err := Sort(one, byFirst, Config{})
-	if err != nil || len(out) != 1 {
+	if out := Sort([]record.Row{{record.Int(5)}}, byFirst); len(out) != 1 {
 		t.Fatal("single sort")
 	}
 }
@@ -135,10 +81,7 @@ func TestStringOrdering(t *testing.T) {
 	rows := []record.Row{
 		{record.String("pear")}, {record.String("apple")}, {record.String("mango")},
 	}
-	out, err := Sort(rows, func(a, b record.Row) bool { return a[0].S < b[0].S }, Config{RunSize: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := sortWith(rows, func(a, b record.Row) bool { return a[0].S < b[0].S }, workers, 1)
 	if out[0][0].S != "apple" || out[2][0].S != "pear" {
 		t.Fatalf("%v", out)
 	}
@@ -151,9 +94,7 @@ func BenchmarkSortWorkers(b *testing.B) {
 				b.StopTimer()
 				rows := intRows(100000, int64(i))
 				b.StartTimer()
-				if _, err := Sort(rows, byFirst, Config{Workers: workers, RunSize: 4096}); err != nil {
-					b.Fatal(err)
-				}
+				sortWith(rows, byFirst, workers, runSize)
 			}
 		})
 	}

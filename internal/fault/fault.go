@@ -90,6 +90,13 @@ const (
 	TakeoverPromote = "takeover-promote"
 )
 
+// FSConvFailed fires in a File System scan worker whose partition
+// conversation failed, before the worker records the failure on its
+// operation. It is not a crash point, and Points leaves it out: a test
+// arms it to hold that window open, where the consumer of an ordered
+// parallel scan must already see the failure.
+const FSConvFailed = "fs/conv/failed"
+
 // Points lists every crash point in sweep order.
 func Points() []string {
 	return []string{

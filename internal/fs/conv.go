@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nonstopsql/internal/fault"
 	"nonstopsql/internal/fsdp"
 	"nonstopsql/internal/obs"
 	"nonstopsql/internal/tmf"
@@ -125,6 +126,7 @@ func (o *op) work(w int, fn func(*conv) error) {
 		}
 		c = conv{o: o, i: i, ar: o.arena(w)}
 		if err := fn(&c); err != nil {
+			fault.Inject(fault.FSConvFailed)
 			o.fail(err)
 			return
 		}

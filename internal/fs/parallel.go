@@ -202,9 +202,8 @@ func (r *Rows) startParScan(dop int) {
 		ch := p.out
 		if p.chans != nil {
 			ch = p.chans[c.i]
-			defer close(ch)
 		}
-		return c.drive(r.firstRequest(c.span()), func(reply *fsdp.Reply) error {
+		err := c.drive(r.firstRequest(c.span()), func(reply *fsdp.Reply) error {
 			if len(reply.Rows) > 0 {
 				select {
 				case ch <- spanBatch{rows: reply.Rows, keys: reply.RowKeys}:
@@ -213,6 +212,15 @@ func (r *Rows) startParScan(dop int) {
 			}
 			return nil
 		})
+		if p.chans != nil {
+			// The consumer reads the op's error once the channel closes,
+			// so a failure is recorded first.
+			if err != nil {
+				o.fail(err)
+			}
+			close(ch)
+		}
+		return err
 	})
 	go func() {
 		o.wg.Wait()

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"nonstopsql/internal/cluster"
 	"nonstopsql/internal/expr"
+	"nonstopsql/internal/fault"
 	"nonstopsql/internal/fs"
 	"nonstopsql/internal/keys"
 	"nonstopsql/internal/msg"
@@ -337,5 +339,44 @@ func TestSubsetFanoutAcrossPartitions(t *testing.T) {
 	rest, err := r.fs.SelectAll(nil, def, fs.SelectSpec{Mode: fs.ModeVSBB, Range: keys.All()})
 	if err != nil || len(rest) != 200 {
 		t.Fatalf("%d rows remain, %v", len(rest), err)
+	}
+}
+
+// TestOrderedScanReportsItsFailedSpan: when an ordered parallel scan's
+// conversation fails, the consumer that sees its span end sees the
+// failure too. The scan worker is held between the failure and the moment
+// it records the failure on its operation (fault.FSConvFailed); a span
+// whose batch channel closed before the failure was recorded read as a
+// complete scan, truncated, with no error.
+func TestOrderedScanReportsItsFailedSpan(t *testing.T) {
+	defer fault.Reset()
+	r := newRig(t, cluster.Options{})
+	def := singleDef()
+	mustCreate(t, r, def)
+	load(t, r, def, 50)
+
+	// 1 / (EMPNO - 30) > 0 fails with division by zero at record 30.
+	pred := expr.Bin(expr.OpGT,
+		expr.Bin(expr.OpDiv, expr.CInt(1), expr.Bin(expr.OpSub, expr.F(0, "EMPNO"), expr.CInt(30))),
+		expr.CInt(0))
+	release := make(chan struct{})
+	fault.Enable()
+	fault.Arm(fault.FSConvFailed, 0, func() { <-release })
+	rows := r.fs.Select(nil, def, fs.SelectSpec{Mode: fs.ModeVSBB, Range: keys.All(), Pred: pred, Parallel: 1})
+	n := 0
+	for {
+		if _, _, ok := rows.Next(); !ok {
+			break
+		}
+		n++
+	}
+	err := rows.Err()
+	close(release)
+	rows.Close()
+	if !fault.Fired(fault.FSConvFailed) {
+		t.Fatal("the conversation did not fail")
+	}
+	if err == nil || !strings.Contains(err.Error(), "division by zero") {
+		t.Fatalf("ordered parallel scan ended after %d rows with error %v, want division by zero", n, err)
 	}
 }

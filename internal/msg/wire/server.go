@@ -14,9 +14,6 @@ import (
 
 // Options tunes a wire server.
 type Options struct {
-	// MaxFrame caps one frame's length (default wire.MaxFrame).
-	MaxFrame int
-
 	// ReplyTimeout bounds how long a dispatched request may go
 	// unanswered, so a hung handler cannot pin a remote requester — or a
 	// drain — forever (0 = wait forever). At the deadline the requester
@@ -76,9 +73,6 @@ func Listen(addr string, network *msg.Network, opts Options) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: listen %s: %w", addr, err)
 	}
-	if opts.MaxFrame <= 0 {
-		opts.MaxFrame = MaxFrame
-	}
 	s := &Server{ingress: network.NewClient(ingressProc), opts: opts, lis: lis,
 		work: make(chan job), stop: make(chan struct{}), conns: make(map[net.Conn]*Writer)}
 	s.readers.Add(1)
@@ -119,7 +113,7 @@ func (s *Server) acceptLoop() {
 // a socket write when several are ready together.
 func (s *Server) serveConn(nc net.Conn, w *Writer) {
 	defer s.readers.Done()
-	fr := NewReader(nc, s.opts.MaxFrame, &s.wire)
+	fr := NewReader(nc, &s.wire)
 	for {
 		f, err := fr.Next()
 		if err != nil {

@@ -154,15 +154,15 @@ const readChunk = 64 << 10
 // it decodes (FrameIn), and hands out one string for a server name that
 // repeats from frame to frame instead of allocating it per request.
 type Reader struct {
-	br       *bufio.Reader
-	maxFrame int
-	stats    *obs.Wire
+	br    *bufio.Reader
+	stats *obs.Wire
 	frameReader
 }
 
-// NewReader returns the frame reader for nc, counting into stats.
-func NewReader(nc net.Conn, maxFrame int, stats *obs.Wire) *Reader {
-	return &Reader{br: bufio.NewReaderSize(countedReader{nc, stats}, readChunk), maxFrame: maxFrame, stats: stats}
+// NewReader returns the frame reader for nc, counting into stats. It
+// refuses a frame longer than MaxFrame.
+func NewReader(nc net.Conn, stats *obs.Wire) *Reader {
+	return &Reader{br: bufio.NewReaderSize(countedReader{nc, stats}, readChunk), stats: stats}
 }
 
 type countedReader struct {
@@ -177,7 +177,7 @@ func (c countedReader) Read(p []byte) (int, error) {
 
 // Next reads, decodes and counts one frame.
 func (r *Reader) Next() (Frame, error) {
-	f, n, err := r.read(r.br, r.maxFrame)
+	f, n, err := r.read(r.br, MaxFrame)
 	if err == nil {
 		r.stats.FrameIn(n)
 	}

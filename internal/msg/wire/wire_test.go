@@ -485,7 +485,7 @@ func TestServerCloseStopsServing(t *testing.T) {
 
 func TestServerRefusesBadFrames(t *testing.T) {
 	n := echoNet(t)
-	s, err := Listen("127.0.0.1:0", n, Options{MaxFrame: 1 << 10})
+	s, err := Listen("127.0.0.1:0", n, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,9 +504,10 @@ func TestServerRefusesBadFrames(t *testing.T) {
 		t.Fatalf("bad-kind reply: %+v", f)
 	}
 
-	// An oversize frame poisons the stream: connection dropped.
+	// A length prefix over MaxFrame poisons the stream: the connection is
+	// dropped before any body is read.
 	nc2, br2 := rawConn(t, s.Addr())
-	if _, err := nc2.Write(AppendRequest(nil, 6, "echo", make([]byte, 2<<10))); err != nil {
+	if _, err := nc2.Write(binary.BigEndian.AppendUint32(nil, MaxFrame+1)); err != nil {
 		t.Fatal(err)
 	}
 	nc2.SetReadDeadline(time.Now().Add(2 * time.Second))
@@ -649,7 +650,7 @@ func TestReaderReusesServerName(t *testing.T) {
 		_, _ = cl.Write(b)
 	}()
 	var stats obs.Wire
-	fr := NewReader(srv, 0, &stats)
+	fr := NewReader(srv, &stats)
 	var names []string
 	for i := 0; i < 4; i++ {
 		f, err := fr.Next()

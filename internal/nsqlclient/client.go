@@ -59,13 +59,10 @@ type Options struct {
 
 	// ReplyTimeout bounds each request (0 = wait forever).
 	ReplyTimeout time.Duration
-
-	// DialTimeout bounds each connect attempt (default 5s).
-	DialTimeout time.Duration
-
-	// MaxFrame caps one reply frame's length (default wire.MaxFrame).
-	MaxFrame int
 }
+
+// dialTimeout bounds each connect attempt.
+const dialTimeout = 5 * time.Second
 
 // A Pool is a pipelined client connection pool to one wire server.
 type Pool struct {
@@ -142,14 +139,8 @@ func newPool(addr string, opts Options, dial func() (net.Conn, error)) (*Pool, e
 	if opts.Conns <= 0 {
 		opts.Conns = 4
 	}
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = 5 * time.Second
-	}
-	if opts.MaxFrame <= 0 {
-		opts.MaxFrame = wire.MaxFrame
-	}
 	if dial == nil {
-		dial = func() (net.Conn, error) { return net.DialTimeout("tcp", addr, opts.DialTimeout) }
+		dial = func() (net.Conn, error) { return net.DialTimeout("tcp", addr, dialTimeout) }
 	}
 	p := &Pool{addr: addr, opts: opts, dial: dial, stmts: make(map[string]*Stmt)}
 	p.timeout.Store(int64(opts.ReplyTimeout))
@@ -323,7 +314,7 @@ func (c *conn) sweepDue(nc net.Conn) {
 // c.pending is nil or a successor's, where correlation IDs — unique in
 // the pool — find nothing, so no channel gets two sends.
 func (c *conn) read(nc net.Conn) {
-	fr := wire.NewReader(nc, c.p.opts.MaxFrame, &c.p.wire)
+	fr := wire.NewReader(nc, &c.p.wire)
 	for {
 		f, err := fr.Next()
 		if err != nil {

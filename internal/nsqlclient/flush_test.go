@@ -209,7 +209,7 @@ func TestPoolFallsBackToTheNextConnection(t *testing.T) {
 // request decode, reply encode, frame writer — with no SQL behind it.
 func pipeServer(nc net.Conn) {
 	var stats obs.Wire
-	fr, fw := wire.NewReader(nc, 0, &stats), wire.NewWriter(nc, &stats)
+	fr, fw := wire.NewReader(nc, &stats), wire.NewWriter(nc, &stats)
 	reply := &nsqlwire.Reply{Columns: []string{"bal", "pad"}, Rows: []record.Row{{record.Int(100), record.String("xxxxxxxxxxxxxxxx")}}}
 	var q nsqlwire.Request
 	var out []byte

@@ -65,14 +65,13 @@ const (
 )
 
 // Error classes for Reply.Code, so remote callers can distinguish fault
-// domains without parsing message text.
+// domains without parsing message text. Code 0 is no application error
+// (Reply.Err is empty).
 const (
-	// CodeOK: no application error (Reply.Err is empty).
-	CodeOK byte = iota
 	// CodeBadStatement: the statement itself is at fault — parse or bind
 	// failure, wrong parameter count. Client error; retrying the same
 	// bytes cannot succeed.
-	CodeBadStatement
+	CodeBadStatement byte = iota + 1
 	// CodeStaleHandle: the prepared-statement handle is unknown or was
 	// evicted from the server's handle table. Re-prepare and retry.
 	CodeStaleHandle

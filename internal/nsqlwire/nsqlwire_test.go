@@ -42,7 +42,7 @@ func TestDecodeRejectsTruncationAndTrailingBytes(t *testing.T) {
 		t.Error("request with a trailing byte decoded")
 	}
 
-	rb := EncodeReply(&Reply{Handle: 5, Affected: 2, Code: CodeOK})
+	rb := EncodeReply(&Reply{Handle: 5, Affected: 2})
 	for n := 0; n < len(rb); n++ {
 		if _, err := DecodeReply(rb[:n]); err == nil {
 			t.Errorf("reply truncated to %d bytes decoded", n)

@@ -477,12 +477,6 @@ func (o *output) projectRows(rows []record.Row) (*Result, error) {
 	return res, nil
 }
 
-// fastSortThreshold is the result size beyond which ORDER BY invokes
-// the parallel sorter, FastSort [Tsukerman] — the "user option which
-// directs the SQL compiler to cause the invocation at execution time of
-// the parallel sorter" made automatic.
-const fastSortThreshold = 4096
-
 // orderKey is one bound ORDER BY key.
 type orderKey struct {
 	e    expr.Expr
@@ -505,9 +499,10 @@ func buildOrderKeys(items []OrderItem, sc *scope) ([]orderKey, error) {
 	return ks, nil
 }
 
-// orderRowsKeyed sorts full-width rows by pre-bound ORDER BY keys. Small
-// results sort in place; large ones go through FastSort's parallel
-// run-sort/merge.
+// orderRowsKeyed sorts full-width rows by pre-bound ORDER BY keys through
+// the parallel sorter, FastSort [Tsukerman] — the "user option which
+// directs the SQL compiler to cause the invocation at execution time of
+// the parallel sorter" made automatic; it sorts a small result in place.
 func orderRowsKeyed(ks []orderKey, rows []record.Row) error {
 	// The comparator runs on FastSort's parallel sorter processes, so the
 	// error capture must be synchronized.
@@ -543,15 +538,7 @@ func orderRowsKeyed(ks []orderKey, rows []record.Row) error {
 		}
 		return false
 	}
-	if len(rows) >= fastSortThreshold {
-		sorted, err := fastsort.Sort(rows, less, fastsort.Config{})
-		if err != nil {
-			return err
-		}
-		copy(rows, sorted)
-		return sortErr
-	}
-	sort.SliceStable(rows, func(a, b int) bool { return less(rows[a], rows[b]) })
+	copy(rows, fastsort.Sort(rows, less))
 	return sortErr
 }
 

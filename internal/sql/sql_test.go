@@ -563,6 +563,12 @@ func TestOrderByLargeUsesFastSort(t *testing.T) {
 			t.Fatalf("order broken at %d", i)
 		}
 	}
+	// An ORDER BY key that fails to evaluate on one row fails the
+	// statement, whether the result sorts in place (100 rows) or in
+	// parallel runs (5 000): row k = 50 has v = 950.
+	for _, where := range []string{"WHERE k < 100", ""} {
+		d.mustFail(t, "SELECT k, v FROM big "+where+" ORDER BY 1 / (v - 950)", "division by zero")
+	}
 }
 
 func TestExplain(t *testing.T) {

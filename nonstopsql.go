@@ -51,21 +51,12 @@ type (
 	FileDef = fs.FileDef
 )
 
-// Config sizes and tunes the simulated network. The zero value gives a
-// single 4-CPU node with 4 data volumes and every paper optimization
-// (group commit, pre-fetch, write-behind) enabled.
+// Config sizes and tunes the simulated network. Every node has 4 CPUs,
+// and every paper optimization (group commit, pre-fetch, write-behind) is
+// on. The zero value gives a single node with 4 data volumes.
 type Config struct {
 	Nodes          int // default 1
-	CPUsPerNode    int // default 4 (max 16, as on the real hardware)
 	VolumesPerNode int // default 4
-
-	DisableGroupCommit bool
-	DisablePrefetch    bool
-	DisableWriteBehind bool
-
-	CacheSlotsPerDP int           // buffer pool pages per Disk Process
-	LockTimeout     time.Duration // lock wait bound
-	DPWorkers       int           // Disk Process service slots: requests served at once (default 16)
 
 	// ScanParallel is the default degree of parallelism for scans and
 	// counts over partitioned files: how many per-partition Disk Process
@@ -114,24 +105,16 @@ func Open(cfg Config) (*Database, error) {
 	if cfg.Nodes == 0 {
 		cfg.Nodes = 1
 	}
-	if cfg.CPUsPerNode == 0 {
-		cfg.CPUsPerNode = 4
-	}
 	if cfg.VolumesPerNode == 0 {
 		cfg.VolumesPerNode = 4
 	}
 	c, err := cluster.New(cluster.Options{
-		Nodes:              cfg.Nodes,
-		CPUsPerNode:        cfg.CPUsPerNode,
-		DisableGroupCommit: cfg.DisableGroupCommit,
-		Prefetch:           !cfg.DisablePrefetch,
-		WriteBehind:        !cfg.DisableWriteBehind,
-		CacheSlots:         cfg.CacheSlotsPerDP,
-		LockTimeout:        cfg.LockTimeout,
-		DPWorkers:          cfg.DPWorkers,
-		ScanParallel:       cfg.ScanParallel,
-		Listen:             cfg.Listen,
-		WireReplyTimeout:   cfg.WireReplyTimeout,
+		Nodes:            cfg.Nodes,
+		Prefetch:         true,
+		WriteBehind:      true,
+		ScanParallel:     cfg.ScanParallel,
+		Listen:           cfg.Listen,
+		WireReplyTimeout: cfg.WireReplyTimeout,
 	})
 	if err != nil {
 		return nil, err
@@ -140,7 +123,7 @@ func Open(cfg Config) (*Database, error) {
 	for n := 0; n < cfg.Nodes; n++ {
 		for v := 0; v < cfg.VolumesPerNode; v++ {
 			name := fmt.Sprintf("$DATA%d", n*cfg.VolumesPerNode+v+1)
-			if _, err := c.AddVolume(n, v%cfg.CPUsPerNode, name); err != nil {
+			if _, err := c.AddVolume(n, v%c.CPUsPerNode(), name); err != nil {
 				c.Close()
 				return nil, err
 			}

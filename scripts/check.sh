@@ -105,9 +105,13 @@ go test -count=1 -run 'FuzzColumnTests|TestColumnTestsMatchSatisfied' ./internal
 # on four sessions while other conversations end early on the same Disk
 # Processes (a LIMIT's CLOSE^SUBSET, a predicate that fails mid-
 # conversation, an abort that retires an SCB), every result checked
-# against the loaded values.
+# against the loaded values. Beside them, twenty rounds of an ordered
+# parallel scan whose conversation fails while its worker is held before
+# it records the failure: the consumer that sees the span end must see
+# the error, not a truncated result.
 go test -count=1 -run TestReportAllocationCeilings ./internal/sql
 go test -race -count=20 -run TestReportsWhileConversationsEndEarly ./internal/sql
+go test -race -count=20 -run TestOrderedScanReportsItsFailedSpan ./internal/fs
 go test -run '^$' -fuzz FuzzRecordView -fuzztime 10s ./internal/record
 # A predicate, a CHECK constraint and a SET list reach the Disk Process as
 # bytes off the network: ten seconds of hostile ones against expr's two

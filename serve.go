@@ -35,7 +35,7 @@ func (db *Database) ServeSQL(workers int) error {
 	pool := make(chan *Session, workers)
 	for i := 0; i < workers; i++ {
 		node := i % db.cfg.Nodes
-		cpu := (i / db.cfg.Nodes) % db.cfg.CPUsPerNode
+		cpu := (i / db.cfg.Nodes) % db.cluster.CPUsPerNode()
 		pool <- db.Session(node, cpu)
 	}
 	db.sessPool = pool
