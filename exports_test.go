@@ -45,19 +45,20 @@ var unsetOptions = map[string]string{
 	"nonstopsql/internal/disk/filevol.Config.MaxQueue":     "a full submission queue: TestSchedRace and TestReadsNeverSeeARecycledImage prove writers that fill a queue of 32 and of 4 blocks and wait for room lose no image (the default 256 never fills there)",
 }
 
-// TestEveryExportHasACaller fails when a function, method or constant
-// exported from a non-test file of the module is referenced by no non-test
-// file beyond its own declaration, or when an exported field of an option
-// struct (a type whose name ends in Config or Options) is set by no
-// non-test file outside its own package: a setting there is a default.
-// cmd/, examples/ and benchmark/ count as callers; test files do not, so
-// an export only a test calls belongs in that package's export_test.go,
-// and an option only a test sets is a constant or an allowlist entry.
-// Functions, constants and fields are matched by their type-checked
-// objects, so a field is told from a same-named field of another struct. A
-// method is matched by its name through any selector, so it shares its
-// callers with every method and field of that name: a call through an
-// interface names no concrete method.
+// TestEveryExportHasACaller fails when a function, method, constant or
+// package-level variable exported from a non-test file of the module is
+// referenced by no non-test file beyond its own declaration, or when an
+// exported field of an option struct (a type whose name ends in Config or
+// Options) is set by no non-test file outside its own package: a setting
+// there is a default. cmd/, examples/ and benchmark/ count as callers;
+// test files do not, so an export only a test calls belongs in that
+// package's export_test.go, and an option only a test sets is a constant
+// or an allowlist entry. Functions, constants, variables and fields are
+// matched by their type-checked objects, so a field is told from a
+// same-named field of another struct. A method is matched by its name
+// through any selector, so it shares its callers with every method and
+// field of that name: a call through an interface names no concrete
+// method.
 func TestEveryExportHasACaller(t *testing.T) {
 	fset, pkgs := loadModule(t)
 	used := map[types.Object]bool{}
@@ -145,7 +146,7 @@ func TestEveryExportHasACaller(t *testing.T) {
 						switch spec := spec.(type) {
 						case *ast.ValueSpec:
 							for _, name := range spec.Names {
-								if d.Tok == token.CONST && name.IsExported() && !used[p.info.Defs[name]] {
+								if name.IsExported() && !used[p.info.Defs[name]] {
 									report(name.Pos(), p.path+"."+name.Name, "is exported and no non-test code reads it: delete it, or move it into its package's export_test.go", nil)
 								}
 							}

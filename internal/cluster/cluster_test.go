@@ -9,9 +9,22 @@ import (
 	"time"
 
 	"nonstopsql/internal/cluster"
+	"nonstopsql/internal/dp"
 	"nonstopsql/internal/fs"
 	"nonstopsql/internal/record"
 )
+
+// atRest checks, when the test ends, that the named Disk Processes of c
+// hold nothing (dp.Open): no transaction, conversation, slot, lock or latch.
+func atRest(t *testing.T, c *cluster.Cluster, names ...string) {
+	t.Cleanup(func() {
+		for _, name := range names {
+			if open := c.DP(name).OpenState(); open != (dp.Open{}) {
+				t.Errorf("%s holds %+v at the end of the test", name, open)
+			}
+		}
+	})
+}
 
 func kvDef(vol string) *fs.FileDef {
 	return &fs.FileDef{
@@ -106,6 +119,7 @@ func TestCrashRestartOnAnotherCPU(t *testing.T) {
 	if _, err := c.AddVolume(0, 0, "$V1"); err != nil {
 		t.Fatal(err)
 	}
+	atRest(t, c, "$V1")
 	f := c.NewFS(0, 2)
 	def := kvDef("$V1")
 	if err := f.Create(def); err != nil {
@@ -156,6 +170,7 @@ func TestTwoNodesSeparateTrails(t *testing.T) {
 	if _, err := c.AddVolume(1, 0, "$R1"); err != nil {
 		t.Fatal(err)
 	}
+	atRest(t, c, "$R1")
 	f := c.NewFS(1, 1)
 	def := kvDef("$R1")
 	if err := f.Create(def); err != nil {
@@ -186,6 +201,7 @@ func TestAuditServerReceivesBufferFullSends(t *testing.T) {
 	if _, err := c.AddVolume(0, 0, "$V1"); err != nil {
 		t.Fatal(err)
 	}
+	atRest(t, c, "$V1")
 	f := c.NewFS(0, 1)
 	def := kvDef("$V1")
 	if err := f.Create(def); err != nil {
@@ -218,6 +234,7 @@ func TestCrashUnderConcurrentLoadLosesNoCommittedData(t *testing.T) {
 	if _, err := c.AddVolume(0, 0, "$CR"); err != nil {
 		t.Fatal(err)
 	}
+	atRest(t, c, "$CR")
 	f0 := c.NewFS(0, 1)
 	def := kvDef("$CR")
 	if err := f0.Create(def); err != nil {

@@ -61,6 +61,7 @@ func moneyConserved(t *testing.T, disableGroupCommit bool) {
 		}
 		names = append(names, name)
 	}
+	atRest(t, c, names...)
 	catalog := sql.NewCatalog(names)
 	sess := make([]*sql.Session, sessions)
 	for i := range sess {

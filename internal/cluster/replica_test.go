@@ -46,6 +46,7 @@ func TestReplicatedGroupCommitAndTakeover(t *testing.T) {
 	if _, err := c.AddVolume(0, 1, "$R1"); err != nil {
 		t.Fatal(err)
 	}
+	atRest(t, c, "$R1")
 	// The backup DP lives on the other node under the #B name.
 	if c.DP("$R1#B") == nil {
 		t.Fatal("backup DP missing")
@@ -149,6 +150,7 @@ func TestReplicaTakeoverAfterAbort(t *testing.T) {
 	if _, err := c.AddVolume(0, 0, "$P2"); err != nil {
 		t.Fatal(err)
 	}
+	atRest(t, c, "$P2")
 	f := c.NewFS(0, 2)
 	def := kvDef("$P2")
 	if err := f.Create(def); err != nil {
@@ -231,6 +233,7 @@ func TestReplicaCatchUpAfterBackupOutage(t *testing.T) {
 	if _, err := c.AddVolume(0, 1, "$R2"); err != nil {
 		t.Fatal(err)
 	}
+	atRest(t, c, "$R2")
 	f := c.NewFS(0, 2)
 	def := kvDef("$R2")
 	if err := f.Create(def); err != nil {
@@ -297,6 +300,7 @@ func TestTakeoverRefusedWhenCatchUpFails(t *testing.T) {
 	if _, err := c.AddVolume(0, 1, "$R4"); err != nil {
 		t.Fatal(err)
 	}
+	atRest(t, c, "$R4")
 	f := c.NewFS(0, 2)
 	def := kvDef("$R4")
 	if err := f.Create(def); err != nil {
@@ -358,6 +362,7 @@ func TestFollowerBrowseReads(t *testing.T) {
 	if _, err := c.AddVolume(0, 1, "$R3"); err != nil {
 		t.Fatal(err)
 	}
+	atRest(t, c, "$R3")
 	f := c.NewFS(0, 2)
 	def := kvDef("$R3")
 	if err := f.Create(def); err != nil {

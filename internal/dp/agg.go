@@ -262,10 +262,6 @@ func (d *DP) probeBlock(req *fsdp.Request) *fsdp.Reply {
 		return errReply(err)
 	}
 	d.stats.setRequests.Add(1)
-	if req.Tx != 0 {
-		d.enterTx(req.Tx) // it joins the transaction under its probes' locks
-		defer d.leaveTx(req.Tx)
-	}
 	e, err := expr.Decode(req.Pred)
 	if err != nil {
 		return errReply(err)

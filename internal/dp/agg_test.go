@@ -101,7 +101,7 @@ func driveAgg(t *testing.T, d *DP, spec *fsdp.AggSpec, tx uint64, rowLimit uint3
 			t.Errorf("message %d: shipped %d bytes of entries with the block (%d) not full and the range not exhausted", len(c.replies), bytes, max)
 		}
 		if reply.Done {
-			if _, scbs := d.OpenState(); scbs != 0 {
+			if scbs := d.OpenState().SCBs; scbs != 0 {
 				t.Errorf("%d SCBs open after Done", scbs)
 			}
 			return c
@@ -342,9 +342,10 @@ func TestAggLostSCBFailsTheStatement(t *testing.T) {
 		refused(t, d, next)
 		commitTx(t, d, 7)
 		refused(t, d, next) // and stays refused: a retry would fold 100-199 in twice
-		if _, scbs := d.OpenState(); scbs != 0 {
+		if scbs := d.OpenState().SCBs; scbs != 0 {
 			t.Errorf("%d SCBs open after the conversation failed", scbs)
 		}
+		d.Serve(&fsdp.Request{Kind: fsdp.KAbort, Tx: 9})
 	})
 }
 
@@ -443,7 +444,7 @@ func TestHostileAggSpecsAreRefused(t *testing.T) {
 			t.Errorf("%s: code %d %q with %d entries; want ErrBadRequest saying %q", c.name, reply.Code, reply.Err, len(reply.Rows), c.err)
 		}
 	}
-	if _, scbs := d.OpenState(); scbs != 0 {
+	if scbs := d.OpenState().SCBs; scbs != 0 {
 		t.Errorf("%d SCBs open after refusals", scbs)
 	}
 }

@@ -183,8 +183,8 @@ type fileState struct {
 // the conversation it belongs to; a ^NEXT must match all three.
 //
 // An SCB is reused: when its conversation ends it goes on the Disk
-// Process's free list with every list and arena it grew (takeSCB,
-// freeSCB), so the next conversation's projection, aggregate
+// Process's free list with every list and arena it grew (DP.freeSCB,
+// scb.reset), so the next conversation's projection, aggregate
 // specification, leaf plan and groups cost nothing once they fit. A
 // reused struct never answers to its old id: ids come from a counter that
 // only rises, and an id is dropped from the table before its SCB is
@@ -257,24 +257,21 @@ type DP struct {
 	files   map[string]*fileState
 
 	// mu guards transaction and subset-control state only; it is never
-	// held across I/O or tree operations.
-	mu       sync.Mutex
-	scbs     map[uint32]*scb
-	nextSCB  uint32
-	freeSCBs []*scb // finished conversations' SCBs, for the next ones
-	txs      map[uint64]*txState
-	freeTxs  []*txState // finished transactions' states, for the next ones
-	// serving counts each transaction's subset messages in service, which
-	// join it when a lock is granted (enterTx), and marks one that
-	// finished while they were (txEnded).
-	serving map[uint64]uint32
+	// held across I/O or tree operations. The free lists keep finished
+	// conversations' SCBs and finished transactions' states for the next.
+	mu      sync.Mutex
+	scbs    map[uint32]*scb
+	nextSCB uint32
+	freeSCB freeList[scb]
+	txs     map[uint64]*txState
+	freeTx  freeList[txState]
 
 	// rep is the backup-role state: created on the first shipped
 	// checkpoint batch, it tracks in-flight transactions so promotion
 	// can resolve them. nil on a DP that was never shipped to.
 	// fenceActive is set once promotion fences any transaction, so the
 	// per-request fence check costs one atomic load everywhere else.
-	rep         *replicaState
+	rep         atomic.Pointer[replicaState]
 	fenceActive atomic.Bool
 
 	// shipDegraded counts acknowledgements (commit, prepare, abort)
@@ -297,11 +294,11 @@ type DP struct {
 	qwMu      sync.Mutex
 	queueWait func() (uint64, uint64)
 
-	// freeSlots holds what a request in service decodes into, works in and
+	// freeSlot holds what a request in service decodes into, works in and
 	// replies from (*slot) while no request is: as many are out as
 	// requests are in service, and each comes back with what it grew.
-	slotMu    sync.Mutex
-	freeSlots []*slot
+	slotMu   sync.Mutex
+	freeSlot freeList[slot]
 	// names is fileName, made once: what a decoded request's file name is
 	// taken from.
 	names func([]byte) (string, bool)
@@ -350,6 +347,18 @@ func slotKind(kind fsdp.Kind) bool {
 	return true
 }
 
+// changesOrLocks reports whether requests of kind change records or lock
+// them, which only a transaction's may.
+func changesOrLocks(kind fsdp.Kind) bool {
+	switch kind {
+	case fsdp.KInsertRecord, fsdp.KUpdateRecord, fsdp.KDeleteRecord, fsdp.KUpdateKey, fsdp.KDeleteKey,
+		fsdp.KLockFile, fsdp.KLockRecord, fsdp.KLockRange, fsdp.KInsertBlock, fsdp.KUpdateBlock, fsdp.KDeleteBlock,
+		fsdp.KUpdateSubsetFirst, fsdp.KUpdateSubsetNext, fsdp.KDeleteSubsetFirst, fsdp.KDeleteSubsetNext:
+		return true
+	}
+	return false
+}
+
 // New creates a Disk Process over its volume.
 func New(cfg Config) (*DP, error) {
 	if cfg.Volume == nil {
@@ -360,12 +369,14 @@ func New(cfg Config) (*DP, error) {
 	}
 	cfg.setDefaults()
 	d := &DP{
-		cfg:     cfg,
-		locks:   lock.NewManager(),
-		files:   make(map[string]*fileState),
-		scbs:    make(map[uint32]*scb),
-		txs:     make(map[uint64]*txState),
-		serving: make(map[uint64]uint32),
+		cfg:      cfg,
+		locks:    lock.NewManager(),
+		files:    make(map[string]*fileState),
+		scbs:     make(map[uint32]*scb),
+		freeSCB:  freeList[scb]{max: maxFreeSCBs},
+		txs:      make(map[uint64]*txState),
+		freeTx:   freeList[txState]{max: maxFreeTxs},
+		freeSlot: freeList[slot]{max: maxFreeSlots},
 	}
 	d.names = d.fileName
 	d.locks.DefaultTimeout = cfg.LockTimeout
@@ -522,14 +533,18 @@ func (d *DP) Handler(reqBytes, out []byte) []byte {
 	}
 	switch {
 	case slotKind(kind):
-		sl := d.takeSlot()
+		d.slotMu.Lock()
+		sl := d.freeSlot.take()
+		d.slotMu.Unlock()
 		sl.req.Proj = sl.proj // a request without one decodes Proj nil: the list is kept here
 		out = d.reply(out, &sl.req, reqBytes, sl)
 		if cap(sl.req.Proj) > cap(sl.proj) {
 			sl.proj = sl.req.Proj[:0]
 		}
 		sl.w.bytes.Reset()
-		d.freeSlot(sl)
+		d.slotMu.Lock()
+		d.freeSlot.put(sl)
+		d.slotMu.Unlock()
 		return out
 	case kind == fsdp.KCreateFile, kind == fsdp.KShipRecords:
 		reqBytes = bytes.Clone(reqBytes)
@@ -539,31 +554,39 @@ func (d *DP) Handler(reqBytes, out []byte) []byte {
 
 // maxFreeSlots bounds the free list of service slots: more requests in
 // service at once than that leave the extra slots to the collector.
+// Unlike a sync.Pool's, the free list keeps its slots across garbage
+// collections and processors.
 const maxFreeSlots = 64
 
-// takeSlot returns a service slot for a request: one a served request
-// gave back, with what it grew, or a new one. Unlike a sync.Pool's, the
-// free list keeps its slots across garbage collections and processors.
-func (d *DP) takeSlot() *slot {
-	d.slotMu.Lock()
-	var sl *slot
-	if n := len(d.freeSlots); n > 0 {
-		sl, d.freeSlots = d.freeSlots[n-1], d.freeSlots[:n-1]
-	}
-	d.slotMu.Unlock()
-	if sl == nil {
-		sl = new(slot)
-	}
-	return sl
+// A freeList is a LIFO of finished objects for the next to reuse, with
+// what they grew, and the count of those taken and not given back — what
+// a Disk Process at rest has none of (OpenState). Its owner's mutex guards
+// it, and its owner resets what it gives back.
+type freeList[T any] struct {
+	free []*T
+	max  int // how many it keeps; the rest are left to the collector
+	out  int
 }
 
-// freeSlot gives a slot back once its reply has been encoded.
-func (d *DP) freeSlot(sl *slot) {
-	d.slotMu.Lock()
-	if len(d.freeSlots) < maxFreeSlots {
-		d.freeSlots = append(d.freeSlots, sl)
+// take returns a freed object, or a new one when there is none.
+func (l *freeList[T]) take() *T {
+	l.out++
+	n := len(l.free)
+	if n == 0 {
+		return new(T)
 	}
-	d.slotMu.Unlock()
+	x := l.free[n-1]
+	l.free[n-1] = nil
+	l.free = l.free[:n-1]
+	return x
+}
+
+// put gives x back.
+func (l *freeList[T]) put(x *T) {
+	l.out--
+	if len(l.free) < l.max {
+		l.free = append(l.free, x)
+	}
 }
 
 // reply decodes b into req, serves it and appends the reply to out.
@@ -601,6 +624,16 @@ func (d *DP) serve(req *fsdp.Request, sl *slot) *fsdp.Reply {
 		if reply := d.replicaFenced(req); reply != nil {
 			return reply
 		}
+	}
+
+	// A message of a transaction is in service in it until it is answered,
+	// but for the three that end it; a write or a lock must have one.
+	var t *txState
+	switch {
+	case req.Tx == 0 && changesOrLocks(req.Kind):
+		return &fsdp.Reply{Code: fsdp.ErrBadRequest, Err: fmt.Sprintf("dp: %s requires a transaction", req.Kind)}
+	case req.Tx != 0 && req.Kind != fsdp.KPrepare && req.Kind != fsdp.KCommit && req.Kind != fsdp.KAbort:
+		t = d.enter(req.Tx)
 	}
 
 	var reply *fsdp.Reply
@@ -655,6 +688,11 @@ func (d *DP) serve(req *fsdp.Request, sl *slot) *fsdp.Reply {
 		reply = d.promote(req)
 	default:
 		reply = &fsdp.Reply{Code: fsdp.ErrBadRequest, Err: fmt.Sprintf("dp: unknown request kind %d", req.Kind)}
+	}
+	if t != nil {
+		if err := d.leave(req.Tx, t); err != nil {
+			reply = errReply(err)
+		}
 	}
 	hits1, misses1 := d.pool.HitsMisses()
 	reply.CacheHits = uint32(hits1 - hits0)
@@ -839,9 +877,6 @@ func (d *DP) insertRecord(req *fsdp.Request, sl *slot) *fsdp.Reply {
 	if err != nil {
 		return errReply(err)
 	}
-	if req.Tx == 0 {
-		return &fsdp.Reply{Code: fsdp.ErrBadRequest, Err: "dp: write requires a transaction"}
-	}
 	var row record.Row
 	if sl.w.rows, row, err = record.AppendBorrowed(sl.w.rows[:0], req.Row); err != nil {
 		return errReply(err)
@@ -880,7 +915,7 @@ func (d *DP) insertOne(w *write, tx uint64, file string, f *fileState, row recor
 		w.undo = undoRec{file: file, kind: wal.RecInsert, key: key}
 		return btree.Edit{Op: btree.Put, Val: enc, LSN: d.audit(w, fault.DPInsertAfterAudit)}, nil
 	})
-	return d.logged(tx, w, err)
+	return d.logged(tx, f, w, err)
 }
 
 // updateRecord serves the ENSCRIBE REWRITE: replace a whole record.
@@ -888,9 +923,6 @@ func (d *DP) updateRecord(req *fsdp.Request, sl *slot) *fsdp.Reply {
 	f, err := d.getFile(req.File)
 	if err != nil {
 		return errReply(err)
-	}
-	if req.Tx == 0 {
-		return &fsdp.Reply{Code: fsdp.ErrBadRequest, Err: "dp: write requires a transaction"}
 	}
 	newRow, err := record.Decode(req.Row)
 	if err != nil {
@@ -907,9 +939,6 @@ func (d *DP) deleteRecord(req *fsdp.Request, sl *slot) *fsdp.Reply {
 	f, err := d.getFile(req.File)
 	if err != nil {
 		return errReply(err)
-	}
-	if req.Tx == 0 {
-		return &fsdp.Reply{Code: fsdp.ErrBadRequest, Err: "dp: write requires a transaction"}
 	}
 	if err := d.mustWrite(&sl.w, req.Tx, req.File, f, req.Key, nil); err != nil {
 		return errReply(err)
@@ -933,9 +962,6 @@ func (d *DP) writeKey(req *fsdp.Request, sl *slot) *fsdp.Reply {
 	f, err := d.getFile(req.File)
 	if err != nil {
 		return errReply(err)
-	}
-	if req.Tx == 0 {
-		return &fsdp.Reply{Code: fsdp.ErrBadRequest, Err: "dp: write requires a transaction"}
 	}
 	p, err := expr.Decode(req.Pred)
 	if err != nil {
@@ -1030,7 +1056,7 @@ func (d *DP) writeLocked(w *write, tx uint64, file string, f *fileState, key []b
 		}
 		return d.updateFound(w, tx, file, f, key, cur, ch)
 	})
-	err = d.logged(tx, w, err)
+	err = d.logged(tx, f, w, err)
 	return found, err == nil && w.audited, err
 }
 
@@ -1086,8 +1112,10 @@ func (d *DP) audit(w *write, point string) wal.LSN {
 // logged finishes w once its leaf's latch is released: the audit buffer
 // its record filled is flushed, the record is shipped to the backup, and
 // — when the change is in the tree (err nil) — its undo entry is kept and
-// it is counted.
-func (d *DP) logged(tx uint64, w *write, err error) error {
+// it is counted. A change whose transaction ended after the write joined
+// it has no undo chain to join: it is taken back (compensate), still under
+// the transaction's lock, and the write fails.
+func (d *DP) logged(tx uint64, f *fileState, w *write, err error) error {
 	if !w.audited {
 		return err
 	}
@@ -1096,7 +1124,13 @@ func (d *DP) logged(tx uint64, w *write, err error) error {
 	if err != nil {
 		return err
 	}
-	d.addUndo(tx, w.undo)
+	fault.Inject(fault.DPBeforeUndo)
+	if err := d.addUndo(tx, w.undo); err != nil {
+		if _, cerr := d.compensate(&w.rec, tx, f, w.undo, false, true); cerr != nil {
+			return cerr
+		}
+		return err
+	}
 	switch w.rec.Type {
 	case wal.RecInsert:
 		d.stats.rowsInserted.Add(1)
@@ -1170,9 +1204,6 @@ func (d *DP) deleteFound(w *write, tx uint64, file string, key, cur []byte) btre
 
 // lockOp serves explicit LOCKFILE / LOCKRECORD / LOCKRANGE requests.
 func (d *DP) lockOp(req *fsdp.Request, sl *slot) *fsdp.Reply {
-	if req.Tx == 0 {
-		return &fsdp.Reply{Code: fsdp.ErrBadRequest, Err: "dp: locks require a transaction"}
-	}
 	mode := lock.Shared
 	if req.Mode == 2 {
 		mode = lock.Exclusive

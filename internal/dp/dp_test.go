@@ -37,6 +37,13 @@ func testDP(t testing.TB, mutate func(*Config)) (*DP, *wal.Trail, *disk.Volume) 
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A test ends with the Disk Process at rest: every transaction ended,
+	// every conversation closed.
+	t.Cleanup(func() {
+		if open := d.OpenState(); open != (Open{}) {
+			t.Errorf("the Disk Process holds %+v at the end of the test", open)
+		}
+	})
 	return d, trail, vol
 }
 
@@ -147,6 +154,7 @@ func TestDuplicateInsert(t *testing.T) {
 	if reply.Code != fsdp.ErrDuplicate {
 		t.Errorf("dup insert: %v", reply.Code)
 	}
+	commitTx(t, d, tx)
 }
 
 func TestCheckConstraintEnforcedAtDP(t *testing.T) {
@@ -172,6 +180,7 @@ func TestCheckConstraintEnforcedAtDP(t *testing.T) {
 	if d.Stats().CheckEvals == 0 {
 		t.Error("CheckEvals not counted")
 	}
+	commitTx(t, d, tx)
 }
 
 func TestAbortUndoes(t *testing.T) {
@@ -357,6 +366,7 @@ func TestRSBBBlockSizedBatches(t *testing.T) {
 	if bytes < disk.BlockSize/2 || bytes > 2*disk.BlockSize {
 		t.Errorf("RSBB batch is %d bytes, want ≈%d", bytes, disk.BlockSize)
 	}
+	d.Serve(&fsdp.Request{Kind: fsdp.KCloseSubset, File: "EMP", SCB: reply.SCB})
 }
 
 func TestUpdateSubsetExpressionPushdown(t *testing.T) {
@@ -721,7 +731,7 @@ func TestNextRefusedOnForeignSCB(t *testing.T) {
 	if rows != 20 {
 		t.Errorf("conversation delivered %d rows, want 20", rows)
 	}
-	if _, scbs := d.OpenState(); scbs != 0 {
+	if scbs := d.OpenState().SCBs; scbs != 0 {
 		t.Errorf("%d SCBs left open", scbs)
 	}
 }
@@ -761,6 +771,7 @@ func TestTimeLimitRedrive(t *testing.T) {
 	if len(r.Rows) == 0 {
 		t.Fatal("re-drive reply carried no progress at all")
 	}
+	d.Serve(&fsdp.Request{Kind: fsdp.KCloseSubset, File: "EMP", SCB: r.SCB})
 }
 
 func TestConcurrentMixedWorkloadOnOneDP(t *testing.T) {

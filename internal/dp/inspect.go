@@ -43,18 +43,24 @@ func (d *DP) Files() []FileMeta {
 // Volume exposes the managed volume (recovery tests clone it).
 func (d *DP) Volume() disk.BlockDev { return d.cfg.Volume }
 
-// OpenState returns how many transactions and Subset Control Blocks are
-// live at this participant — both must be zero after recovery, or state
-// leaked.
-func (d *DP) OpenState() (txns, scbs int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.txs), len(d.scbs)
-}
+// Open counts what a Disk Process holds for work in progress: the
+// transaction states, Subset Control Blocks and service slots taken from
+// its free lists and not given back, the locks held, and the page-latch
+// table entries held or awaited. A Disk Process at rest holds none of
+// them, and neither does one just recovered.
+type Open struct{ Txns, SCBs, Slots, Locks, Latches int }
 
-// LiveLatches returns the number of page-latch table entries currently
-// held or awaited — zero when the DP is quiesced.
-func (d *DP) LiveLatches() int { return d.latches.Live() }
+// OpenState reports what the Disk Process holds (Open).
+func (d *DP) OpenState() Open {
+	o := Open{Locks: d.locks.Held(), Latches: d.latches.Live()}
+	d.mu.Lock()
+	o.Txns, o.SCBs = d.freeTx.out, d.freeSCB.out
+	d.mu.Unlock()
+	d.slotMu.Lock()
+	o.Slots = d.freeSlot.out
+	d.slotMu.Unlock()
+	return o
+}
 
 // ValidateFiles checks the structural invariants of every attached
 // file's B-tree (page types, key order, separator bounds, sibling

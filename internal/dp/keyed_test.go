@@ -200,7 +200,7 @@ func TestKeyedWrite(t *testing.T) {
 			if held := d.Locks().Held(); held != 1 {
 				t.Errorf("%d locks held after the request, want the key's", held)
 			}
-			if _, scbs := d.OpenState(); scbs != 0 {
+			if scbs := d.OpenState().SCBs; scbs != 0 {
 				t.Errorf("%d Subset Control Blocks open", scbs)
 			}
 			if st := d.Stats(); st.SetRequests != st0.SetRequests || st.Redrives != st0.Redrives || st.Requests != st0.Requests+1 {

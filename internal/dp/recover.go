@@ -11,23 +11,23 @@ import (
 
 // Crash simulates losing this Disk Process's processor: the buffer pool
 // vanishes (dirty pages are lost), all transaction state, Subset Control
-// Blocks, and locks evaporate. The volume itself (and the audit trail)
+// Blocks, and locks evaporate — a transaction's as its last message in
+// service leaves (DP.end). The volume itself (and the audit trail)
 // survive. Call Recover afterwards — the restart after a crash
 // (cluster.RestartDP) performs it.
 func (d *DP) Crash() {
 	d.pool.Crash()
 	d.mu.Lock()
-	oldTxs := d.txs
-	d.txs = make(map[uint64]*txState)
-	for tx := range d.serving {
-		d.endServingLocked(tx)
-	}
 	for id, s := range d.scbs {
 		d.retireSCB(id, s)
 	}
+	txs := make([]uint64, 0, len(d.txs))
+	for tx := range d.txs {
+		txs = append(txs, tx)
+	}
 	d.mu.Unlock()
-	for tx := range oldTxs {
-		d.locks.ReleaseTx(tx)
+	for _, tx := range txs {
+		_ = d.end(tx, false, nil) // no rollback, so no error: Recover undoes
 	}
 }
 

@@ -64,17 +64,16 @@ type replicaState struct {
 
 // replica returns the backup-role state, creating it on first use.
 func (d *DP) replica() *replicaState {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.rep == nil {
-		d.rep = &replicaState{
-			pending:  make(map[uint64][]*wal.Record),
-			prepared: make(map[uint64]bool),
-			indoubt:  make(map[uint64][]*wal.Record),
-			fenced:   make(map[uint64]bool),
-		}
+	if rep := d.rep.Load(); rep != nil {
+		return rep
 	}
-	return d.rep
+	d.rep.CompareAndSwap(nil, &replicaState{
+		pending:  make(map[uint64][]*wal.Record),
+		prepared: make(map[uint64]bool),
+		indoubt:  make(map[uint64][]*wal.Record),
+		fenced:   make(map[uint64]bool),
+	})
+	return d.rep.Load()
 }
 
 // fileMarker synthesizes the RecCheckpoint record that announces a file
@@ -323,9 +322,7 @@ func (d *DP) promote(*fsdp.Request) *fsdp.Reply {
 // is not fenced. Commit and abort are not routed here: replicaCommit
 // and replicaAbort resolve those.
 func (d *DP) replicaFenced(req *fsdp.Request) *fsdp.Reply {
-	d.mu.Lock()
-	rep := d.rep
-	d.mu.Unlock()
+	rep := d.rep.Load()
 	if rep == nil {
 		return nil
 	}
@@ -338,12 +335,12 @@ func (d *DP) replicaFenced(req *fsdp.Request) *fsdp.Reply {
 }
 
 // undoShipped reverses one transaction's shipped records (promotion and
-// post-promotion abort). Each goes through compensate, as undoTx's undo
+// post-promotion abort). Each goes through compensate, as rollback's undo
 // entries do, driven by the shipped record images instead of in-memory
 // undo entries; the compensations are not shipped on.
 //
 // An original that a compensation record already reversed must not be
-// undone again. Undo is LIFO — the primary's undoTx and this function
+// undone again. Undo is LIFO — the primary's rollback and this function
 // both walk the originals in reverse — so, walking backwards, each
 // compensation encountered cancels the nearest earlier un-compensated
 // original. That skips both compensations the primary shipped (it died
@@ -386,9 +383,7 @@ func (d *DP) undoShipped(tx uint64, recs []*wal.Record) ([]*wal.Record, error) {
 // handled=false when the transaction is not one takeover resolved, so
 // the ordinary commit path runs (new post-takeover transactions).
 func (d *DP) replicaCommit(req *fsdp.Request) (*fsdp.Reply, bool) {
-	d.mu.Lock()
-	rep := d.rep
-	d.mu.Unlock()
+	rep := d.rep.Load()
 	if rep == nil {
 		return nil, false
 	}
@@ -418,9 +413,7 @@ func (d *DP) replicaCommit(req *fsdp.Request) (*fsdp.Reply, bool) {
 
 // replicaAbort intercepts KAbort on a promoted replica.
 func (d *DP) replicaAbort(req *fsdp.Request) (*fsdp.Reply, bool) {
-	d.mu.Lock()
-	rep := d.rep
-	d.mu.Unlock()
+	rep := d.rep.Load()
 	if rep == nil {
 		return nil, false
 	}
@@ -451,9 +444,7 @@ func (d *DP) replicaAbort(req *fsdp.Request) (*fsdp.Reply, bool) {
 // records applied, whether the DP has been promoted, how many
 // transactions are still in doubt, and how many promotion fenced.
 func (d *DP) ReplicaStats() (batches, records uint64, promoted bool, indoubt, fenced int) {
-	d.mu.Lock()
-	rep := d.rep
-	d.mu.Unlock()
+	rep := d.rep.Load()
 	if rep == nil {
 		return 0, 0, false, 0, 0
 	}

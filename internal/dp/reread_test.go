@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"nonstopsql/internal/expr"
+	"nonstopsql/internal/fault"
 	"nonstopsql/internal/fsdp"
 	"nonstopsql/internal/keys"
 	"nonstopsql/internal/record"
@@ -152,8 +153,8 @@ func TestAbortedTransactionIsNotJoinedAgain(t *testing.T) {
 			if reply := <-done; reply.OK() {
 				t.Errorf("the ^NEXT of an aborted transaction replied %+v", reply)
 			}
-			if txns, scbs := d.OpenState(); txns != 0 || scbs != 0 {
-				t.Errorf("after the abort: %d transactions, %d subset control blocks", txns, scbs)
+			if open := d.OpenState(); open.Txns != 0 || open.SCBs != 0 {
+				t.Errorf("after the abort: %d transactions, %d subset control blocks", open.Txns, open.SCBs)
 			}
 			if n := d.Locks().Held(); n != 0 {
 				t.Errorf("after the abort: %d locks held", n)
@@ -194,10 +195,149 @@ func TestAbortedSubsetWriteIsNotJoinedAgain(t *testing.T) {
 			t.Errorf("record %d: BAL %v after the abort, want %v", id, row[2].F, want)
 		}
 	}
-	if txns, scbs := d.OpenState(); txns != 0 || scbs != 0 {
-		t.Errorf("after the abort: %d transactions, %d subset control blocks", txns, scbs)
+	if open := d.OpenState(); open.Txns != 0 || open.SCBs != 0 {
+		t.Errorf("after the abort: %d transactions, %d subset control blocks", open.Txns, open.SCBs)
 	}
 	if n := d.Locks().Held(); n != 0 {
 		t.Errorf("after the abort: %d locks held", n)
 	}
+}
+
+// TestNoKindJoinsAnAbortedTransaction: a message of any kind that carries a
+// transaction, waiting for a lock while its own transaction aborts, does
+// not join the transaction again once the lock is granted. T2 holds record
+// 250 raised to a BAL of 1e6 (deleted, for the inserts); T1's message on
+// it waits; ABORT T1; COMMIT T2. The message fails, what it names is as
+// committed — T2's record 250, and what a block changed before it waited
+// taken back — and the Disk Process holds nothing afterwards.
+func TestNoKindJoinsAnAbortedTransaction(t *testing.T) {
+	acct := func(id int64, bal float64) []byte {
+		return record.Encode(record.Row{record.Int(id), record.Int(id % 100), record.Float(bal), record.String("")})
+	}
+	minusOne := expr.EncodeAssignments([]expr.Assignment{{Field: 2, E: expr.CFloat(-1)}})
+	cases := []struct {
+		name      string
+		t2Deletes bool // T2 deletes record 250 instead of raising it
+		req       fsdp.Request
+	}{
+		{"READ", false, fsdp.Request{Kind: fsdp.KReadRecord, Key: key1(250)}},
+		{"LOCKRECORD", false, fsdp.Request{Kind: fsdp.KLockRecord, Key: key1(250)}},
+		{"LOCKRANGE", false, fsdp.Request{Kind: fsdp.KLockRange, Range: keys.Range{Low: key1(240), High: key1(260)}}},
+		{"LOCKFILE", false, fsdp.Request{Kind: fsdp.KLockFile}},
+		{"REWRITE", false, fsdp.Request{Kind: fsdp.KUpdateRecord, Key: key1(250), Row: acct(250, -1)}},
+		{"UPDATE^KEY", false, fsdp.Request{Kind: fsdp.KUpdateKey, Key: key1(250), Assign: minusOne}},
+		{"DELETE", false, fsdp.Request{Kind: fsdp.KDeleteRecord, Key: key1(250)}},
+		{"DELETE^KEY", false, fsdp.Request{Kind: fsdp.KDeleteKey, Key: key1(250)}},
+		{"INSERT", true, fsdp.Request{Kind: fsdp.KInsertRecord, Row: acct(250, -1)}},
+		{"INSERT^BLOCK", true, fsdp.Request{Kind: fsdp.KInsertBlock, Rows: [][]byte{acct(1000, -1), acct(250, -1)}}},
+		{"UPDATE^BLOCK", false, fsdp.Request{Kind: fsdp.KUpdateBlock,
+			RowKeys: [][]byte{key1(249), key1(250)}, Rows: [][]byte{acct(249, -1), acct(250, -1)}}},
+		{"DELETE^BLOCK", false, fsdp.Request{Kind: fsdp.KDeleteBlock, RowKeys: [][]byte{key1(249), key1(250)}}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			d := rereadRig(t)
+			t1, t2 := tmf.NewTxID(), tmf.NewTxID()
+			if c.t2Deletes {
+				serveOK(t, d, &fsdp.Request{Kind: fsdp.KDeleteRecord, Tx: t2, File: "ACCT", Key: key1(250)})
+			} else {
+				serveOK(t, d, &fsdp.Request{Kind: fsdp.KUpdateRecord, Tx: t2, File: "ACCT", Key: key1(250), Row: acct(250, 1e6)})
+			}
+			req := c.req
+			req.Tx, req.File = t1, "ACCT"
+			done := waitingServe(t, d, &req)
+			serveOK(t, d, &fsdp.Request{Kind: fsdp.KAbort, Tx: t1})
+			serveOK(t, d, &fsdp.Request{Kind: fsdp.KCommit, Tx: t2})
+			if reply := <-done; reply.OK() {
+				t.Errorf("the %s of an aborted transaction replied %+v", c.name, reply)
+			}
+			for _, want := range []struct {
+				id    int64
+				there bool
+				bal   float64
+			}{{250, !c.t2Deletes, 1e6}, {249, true, 249}, {1000, false, 0}} {
+				bal, there := acctBal(t, d, want.id)
+				if there != want.there || (there && bal != want.bal) {
+					t.Errorf("record %d: present %v, BAL %v; want present %v, BAL %v", want.id, there, bal, want.there, want.bal)
+				}
+			}
+			if open := d.OpenState(); open.Txns != 0 || open.Locks != 0 || open.SCBs != 0 {
+				t.Errorf("after the abort the Disk Process holds %+v", open)
+			}
+		})
+	}
+}
+
+// TestAbortBeforeUndoTakesTheWriteBack: a write whose change is in the tree
+// while its transaction aborts, before its undo entry joins the undo chain
+// (fault.DPBeforeUndo), is taken back and fails, and so is everything the
+// transaction wrote before it, newest first: T1 has set records 249 and
+// 250 to -1, and its REWRITE of 250 to -2 is held in that window while
+// ABORT T1 is served. Afterwards both read as committed, the Disk Process
+// holds nothing, and recovery from the trail agrees.
+func TestAbortBeforeUndoTakesTheWriteBack(t *testing.T) {
+	defer fault.Reset()
+	r := newCrashRig(t)
+	for i := int64(249); i <= 250; i++ {
+		insertEmp(t, r.d, r.schema, 1, empRow(i, "e", float64(i)))
+	}
+	commitTx(t, r.d, 1)
+	rewrite := func(tx uint64, id int64, salary float64) *fsdp.Request {
+		return &fsdp.Request{Kind: fsdp.KUpdateRecord, Tx: tx, File: "EMP", Key: key1(id), Row: record.Encode(empRow(id, "e", salary))}
+	}
+	t1 := tmf.NewTxID()
+	serveOK(t, r.d, rewrite(t1, 249, -1))
+	serveOK(t, r.d, rewrite(t1, 250, -1))
+
+	paused, release := make(chan struct{}), make(chan struct{})
+	fault.Enable()
+	fault.Arm(fault.DPBeforeUndo, 0, func() { close(paused); <-release })
+	done := make(chan *fsdp.Reply, 1)
+	go func() { done <- r.d.Serve(rewrite(t1, 250, -2)) }()
+	select {
+	case <-paused:
+	case reply := <-done:
+		t.Fatalf("the REWRITE did not reach its undo: %+v", reply)
+	case <-time.After(5 * time.Second):
+		t.Fatal("the REWRITE did not reach its undo in 5 s")
+	}
+	serveOK(t, r.d, &fsdp.Request{Kind: fsdp.KAbort, Tx: t1})
+	close(release)
+	if reply := <-done; reply.OK() {
+		t.Errorf("the REWRITE of an aborted transaction replied %+v", reply)
+	}
+	fault.Reset()
+
+	check := func(when string) {
+		t.Helper()
+		for _, id := range []int64{249, 250} {
+			if row, ok := r.read(t, id); !ok || row[3].F != float64(id) {
+				t.Errorf("%s: record %d is %v, want SALARY %d", when, id, row, id)
+			}
+		}
+		if open := r.d.OpenState(); open != (Open{}) {
+			t.Errorf("%s: the Disk Process holds %+v", when, open)
+		}
+	}
+	check("after the abort")
+	r.crashAndRecover(t)
+	check("after recovery")
+}
+
+// acctBal reads one committed ACCT record's BAL; there is false when the
+// key is not there.
+func acctBal(t *testing.T, d *DP, id int64) (bal float64, there bool) {
+	t.Helper()
+	reply := d.Serve(&fsdp.Request{Kind: fsdp.KReadRecord, File: "ACCT", Key: key1(id)})
+	if reply.Code == fsdp.ErrNotFound {
+		return 0, false
+	}
+	if !reply.OK() {
+		t.Fatal(reply.Err)
+	}
+	row, err := record.Decode(reply.Rows[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return row[2].F, true
 }

@@ -26,23 +26,6 @@ const (
 	maxSCBSlots = 8192
 )
 
-// takeSCB returns a Subset Control Block for a conversation a ^FIRST
-// opens: one a finished conversation freed, with what it grew, or a new
-// one. It is busy — its message's — until releaseSCB.
-func (d *DP) takeSCB() *scb {
-	d.mu.Lock()
-	var s *scb
-	if n := len(d.freeSCBs); n > 0 {
-		s, d.freeSCBs = d.freeSCBs[n-1], d.freeSCBs[:n-1]
-	}
-	d.mu.Unlock()
-	if s == nil {
-		s = new(scb)
-	}
-	s.busy = true
-	return s
-}
-
 // lookupSCB returns the Subset Control Block a ^NEXT names, busy for its
 // message until releaseSCB. An SCB another message is being served on is
 // refused like one that is not there: a conversation is one message at a
@@ -68,17 +51,15 @@ func (d *DP) releaseSCB(id uint32, s *scb, keep bool) uint32 {
 	defer d.mu.Unlock()
 	s.busy = false
 	switch {
-	case s.retired:
+	case s.retired || !keep:
+		delete(d.scbs, id) // a retired SCB's id is gone already, and ids are never reused
 		id = 0
-		d.freeSCB(s)
-	case keep && id == 0:
+		s.reset()
+		d.freeSCB.put(s)
+	case id == 0:
 		d.nextSCB++
 		id = d.nextSCB
 		d.scbs[id] = s
-	case !keep:
-		delete(d.scbs, id)
-		id = 0
-		d.freeSCB(s)
 	}
 	return id
 }
@@ -93,16 +74,14 @@ func (d *DP) retireSCB(id uint32, s *scb) {
 		s.retired = true
 		return
 	}
-	d.freeSCB(s)
+	s.reset()
+	d.freeSCB.put(s)
 }
 
-// freeSCB puts s on the free list, its lists and arenas kept for the next
-// conversation and, under the race detector, its bytes poisoned: nothing
-// reads them once the conversation is over. Caller holds d.mu.
-func (d *DP) freeSCB(s *scb) {
-	if len(d.freeSCBs) >= maxFreeSCBs {
-		return
-	}
+// reset readies a retired Subset Control Block for the free list, its lists
+// and arenas kept for the next conversation and, under the race detector,
+// its bytes poisoned: nothing reads them once the conversation is over.
+func (s *scb) reset() {
 	poison.Fill(s.kb)
 	poison.Fill(s.fields)
 	s.groups.Reset(0)
@@ -111,7 +90,6 @@ func (d *DP) freeSCB(s *scb) {
 	if cap(s.kb)+cap(s.fields) > maxSCBArena || s.groups.Slots() > maxSCBSlots {
 		s.groups, s.kb, s.fields = fsdp.GroupTable{}, nil, nil
 	}
-	d.freeSCBs = append(d.freeSCBs, s)
 }
 
 // closeSubset serves KCloseSubset: discard an SCB before exhaustion.
@@ -342,14 +320,7 @@ func (d *DP) subset(req *fsdp.Request, k *subsetKind, r *subsetRun) *fsdp.Reply 
 	if err != nil {
 		return errReply(err)
 	}
-	if k.mutates && req.Tx == 0 {
-		return &fsdp.Reply{Code: fsdp.ErrBadRequest, Err: "dp: subset mutation requires a transaction"}
-	}
 	d.stats.setRequests.Add(1)
-	if req.Tx != 0 {
-		d.enterTx(req.Tx) // it joins the transaction under a lock it holds
-		defer d.leaveTx(req.Tx)
-	}
 
 	r.start(d, f, k, req)
 	isFirst := req.Kind == k.first
@@ -364,7 +335,10 @@ func (d *DP) subset(req *fsdp.Request, k *subsetKind, r *subsetRun) *fsdp.Reply 
 		if err != nil {
 			return errReply(err)
 		}
-		r.s = d.takeSCB()
+		d.mu.Lock()
+		r.s = d.freeSCB.take()
+		d.mu.Unlock()
+		r.s.busy = true // its message's, until releaseSCB
 		r.s.kind, r.s.tx, r.s.file, r.s.pred, r.s.class = k.first, req.Tx, req.File, expr.Compile(pred), classFor(req)
 		if k.open != nil {
 			if err := k.open(r); err != nil {
@@ -721,9 +695,6 @@ func (d *DP) insertBlock(req *fsdp.Request) *fsdp.Reply {
 	if err != nil {
 		return errReply(err)
 	}
-	if req.Tx == 0 {
-		return &fsdp.Reply{Code: fsdp.ErrBadRequest, Err: "dp: insert block requires a transaction"}
-	}
 	rows, err := decodeRowsStrict(req.Rows)
 	if err != nil {
 		return errReply(err)
@@ -749,9 +720,6 @@ func (d *DP) updateBlock(req *fsdp.Request) *fsdp.Reply {
 	f, err := d.getFile(req.File)
 	if err != nil {
 		return errReply(err)
-	}
-	if req.Tx == 0 {
-		return &fsdp.Reply{Code: fsdp.ErrBadRequest, Err: "dp: update block requires a transaction"}
 	}
 	if len(req.Rows) != len(req.RowKeys) {
 		return &fsdp.Reply{Code: fsdp.ErrBadRequest, Err: "dp: update block rows/keys mismatch"}
@@ -779,9 +747,6 @@ func (d *DP) deleteBlock(req *fsdp.Request) *fsdp.Reply {
 	f, err := d.getFile(req.File)
 	if err != nil {
 		return errReply(err)
-	}
-	if req.Tx == 0 {
-		return &fsdp.Reply{Code: fsdp.ErrBadRequest, Err: "dp: delete block requires a transaction"}
 	}
 	reply := &fsdp.Reply{}
 	var w write

@@ -10,13 +10,21 @@ import (
 	"nonstopsql/internal/wal"
 )
 
-// txState is this DP's participant state for one transaction. A finished
-// transaction's state goes on the DP's free list (finishTx) and serves a
-// later one, its arrays and all.
+// txState is this DP's participant state for one transaction, in the
+// DP's one transaction table from the first of its messages to arrive
+// until its end. A finished transaction's state goes on the DP's free list
+// and serves a later one, its arrays and all.
 type txState struct {
-	undo     []undoRec // applied in reverse on abort
-	images   []byte    // the undo entries' keys and images (keep)
-	prepared bool
+	undo   []undoRec // applied in reverse on abort
+	images []byte    // the undo entries' keys and images (keep)
+	// serving counts the transaction's messages in service here (enter,
+	// leave). joined says one of them locked something, which makes this
+	// Disk Process a participant: PREPARE and COMMIT audit it and ABORT
+	// rolls it back. ended says COMMIT, ABORT or a crash ended it, which
+	// join and addUndo refuse from then on; rollback, that an ABORT left
+	// the rollback to the last message out.
+	serving                 int
+	joined, ended, rollback bool
 }
 
 // undoRec is one in-memory undo entry. `before` is always a full record
@@ -48,85 +56,148 @@ func (t *txState) keep(b []byte) []byte {
 	return t.images[len(t.images)-len(b) : len(t.images) : len(t.images)]
 }
 
-// txLocked returns tx's state, making it — from the free list when it can
-// — when tx is new here. Callers hold d.mu.
-func (d *DP) txLocked(tx uint64) *txState {
-	t, ok := d.txs[tx]
-	if !ok {
-		if n := len(d.freeTxs); n > 0 {
-			t = d.freeTxs[n-1]
-			d.freeTxs[n-1] = nil
-			d.freeTxs = d.freeTxs[:n-1]
-		} else {
-			t = new(txState)
-		}
+// reset readies a finished transaction's state for the next, its images
+// poisoned under the race detector: nothing reads them once the
+// transaction is over.
+func (t *txState) reset() {
+	poison.Fill(t.images)
+	clear(t.undo)
+	*t = txState{undo: t.undo[:0], images: t.images[:0]}
+	if cap(t.images) > maxFreeImages {
+		t.undo, t.images = nil, nil
+	}
+}
+
+// enter counts a message of tx in service, making tx's state when tx is
+// new here. Every message with a transaction but PREPARE, COMMIT and
+// ABORT enters in serve before it is dispatched and leaves once it is
+// served, so while it is in service its state is in the table.
+func (d *DP) enter(tx uint64) *txState {
+	d.mu.Lock()
+	t := d.txs[tx]
+	if t == nil {
+		t = d.freeTx.take()
 		d.txs[tx] = t
 	}
+	t.serving++
+	d.mu.Unlock()
 	return t
 }
 
-// join registers tx here once a message has locked what it reads or
-// writes. It refuses, with an error, a transaction that finished while the
-// message was in service (enterTx) and releases what the message locked:
-// joining would bring the transaction back, a state and locks no commit or
-// abort would ever release, and a write made under it that nothing would
-// undo.
+// leave ends a message's service in tx. The last of tx's messages to
+// leave drops the state of a transaction that never joined here, and
+// finishes one that ended while they were in service.
+func (d *DP) leave(tx uint64, t *txState) error {
+	d.mu.Lock()
+	t.serving--
+	last := t.serving == 0 && (t.ended || !t.joined)
+	if last {
+		delete(d.txs, tx)
+		if !t.ended {
+			// It never joined: it has nothing to reset, and no lock to
+			// release — a release now could drop one that a message of tx
+			// arriving meanwhile took.
+			d.freeTx.put(t)
+		}
+	}
+	d.mu.Unlock()
+	if last && t.ended {
+		return d.finish(tx, t, new(wal.Record))
+	}
+	return nil
+}
+
+// join makes this Disk Process a participant in tx once a message of tx
+// has locked what it reads or writes. It refuses a transaction that ended
+// while the message was in service: joining would bring the transaction
+// back, a write made under it that nothing would undo. What the message
+// locked is released when tx's last message leaves.
 func (d *DP) join(tx uint64) error {
 	d.mu.Lock()
-	ended := d.serving[tx]&txEnded != 0
+	t := d.txs[tx]
+	ended := t.ended
 	if !ended {
-		d.txLocked(tx)
+		t.joined = true
 	}
 	d.mu.Unlock()
 	if ended {
-		d.locks.ReleaseTx(tx)
 		return fmt.Errorf("dp %s: transaction %d ended while its message was in service", d.cfg.Name, tx)
 	}
 	return nil
 }
 
-// txEnded marks, in DP.serving, a transaction that finished while one of
-// its messages was in service.
-const txEnded = 1 << 31
-
-// enterTx notes that a subset message of tx is in service, one that joins
-// tx once it holds a lock (join): a read its group lock, a write each
-// record lock; leaveTx, that it is done. A message enters before it looks
-// its Subset Control Block up, so a transaction that finishes after the
-// look-up finds it counted. (One that finished before a ^FIRST arrived
-// cannot be told from one that has not begun.)
-func (d *DP) enterTx(tx uint64) {
+// joined reports whether this Disk Process is a participant in tx.
+func (d *DP) joined(tx uint64) bool {
 	d.mu.Lock()
-	d.serving[tx]++
-	d.mu.Unlock()
-}
-
-func (d *DP) leaveTx(tx uint64) {
-	d.mu.Lock()
-	if n := d.serving[tx] - 1; n&^txEnded == 0 {
-		delete(d.serving, tx)
-	} else {
-		d.serving[tx] = n
-	}
-	d.mu.Unlock()
-}
-
-// endServingLocked marks tx ended for the messages of it in service.
-// Caller holds d.mu.
-func (d *DP) endServingLocked(tx uint64) {
-	if n, ok := d.serving[tx]; ok {
-		d.serving[tx] = n | txEnded
-	}
+	defer d.mu.Unlock()
+	t := d.txs[tx]
+	return t != nil && t.joined
 }
 
 // addUndo adds u to tx's undo chain, with copies of its key and image: the
-// write's buffer they lie in is reused by its next change.
-func (d *DP) addUndo(tx uint64, u undoRec) {
+// write's buffer they lie in is reused by its next change. It refuses a
+// transaction that ended since the write joined it.
+func (d *DP) addUndo(tx uint64, u undoRec) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	t := d.txLocked(tx)
+	t := d.txs[tx]
+	if t.ended {
+		return fmt.Errorf("dp %s: transaction %d ended before its change was kept", d.cfg.Name, tx)
+	}
 	u.key, u.before = t.keep(u.key), t.keep(u.before)
 	t.undo = append(t.undo, u)
+	return nil
+}
+
+// end ends tx at this Disk Process, for COMMIT, ABORT (rollback) and a
+// crash: join and addUndo refuse tx from here on, and its Subset Control
+// Blocks are retired. When none of its messages is in service, tx is
+// finished now; otherwise the last of them finishes it as it leaves. So an
+// ABORT's rollback runs once no change of tx can still join the undo
+// chain, and tx's locks are held until then. rec is where a rollback
+// audits.
+func (d *DP) end(tx uint64, rollback bool, rec *wal.Record) error {
+	d.mu.Lock()
+	for id, s := range d.scbs {
+		if s.tx == tx {
+			d.retireSCB(id, s)
+		}
+	}
+	t := d.txs[tx]
+	if t != nil {
+		t.ended, t.rollback = true, rollback && t.joined
+		if t.serving > 0 {
+			d.mu.Unlock()
+			return nil
+		}
+		delete(d.txs, tx)
+	}
+	d.mu.Unlock()
+	return d.finish(tx, t, rec)
+}
+
+// finish completes the end of tx, whose state t (nil when it has none) is
+// out of the table: the rollback an ABORT asked for, then the release of
+// tx's locks, and t back on the free list.
+func (d *DP) finish(tx uint64, t *txState, rec *wal.Record) error {
+	if t != nil && t.rollback {
+		if err := d.rollback(rec, tx, t); err != nil {
+			// Undo failure is unrecoverable for this volume state: the
+			// transaction stays, locks and all.
+			d.mu.Lock()
+			d.txs[tx] = t
+			d.mu.Unlock()
+			return fmt.Errorf("dp %s: undo of tx %d failed: %w", d.cfg.Name, tx, err)
+		}
+	}
+	d.locks.ReleaseTx(tx)
+	if t != nil {
+		t.reset()
+		d.mu.Lock()
+		d.freeTx.put(t)
+		d.mu.Unlock()
+	}
+	return nil
 }
 
 // appendAudit writes one audit record through the audit port and ships
@@ -162,10 +233,7 @@ func (d *DP) ship(rec *wal.Record) {
 // would after a forced prepare. An anonymous trail (ID 0) always forces;
 // the backup's shipFlush below is not affected. DESIGN.md §17.
 func (d *DP) prepare(req *fsdp.Request, sl *slot) *fsdp.Reply {
-	d.mu.Lock()
-	_, ok := d.txs[req.Tx]
-	d.mu.Unlock()
-	if !ok {
+	if !d.joined(req.Tx) {
 		// Never touched here: trivially prepared (read-only participant).
 		return sl.answer(fsdp.Reply{})
 	}
@@ -181,11 +249,6 @@ func (d *DP) prepare(req *fsdp.Request, sl *slot) *fsdp.Reply {
 	// A failed flush degrades the promise (counted; the vote still goes
 	// out — this volume's own trail can honor it).
 	_ = d.shipFlush()
-	d.mu.Lock()
-	if t, ok := d.txs[req.Tx]; ok {
-		t.prepared = true
-	}
-	d.mu.Unlock()
 	return sl.answer(fsdp.Reply{})
 }
 
@@ -223,9 +286,7 @@ func (d *DP) commit(req *fsdp.Request, sl *slot) *fsdp.Reply {
 	if reply, handled := d.replicaCommit(req); handled {
 		return reply
 	}
-	d.mu.Lock()
-	_, ok := d.txs[req.Tx]
-	d.mu.Unlock()
+	ok := d.joined(req.Tx)
 	if ok && req.CommitLSN == 0 {
 		d.cfg.Audit.FlushSend()
 		trail := d.cfg.Audit.Trail()
@@ -245,42 +306,32 @@ func (d *DP) commit(req *fsdp.Request, sl *slot) *fsdp.Reply {
 		_ = d.shipSync(&sl.mark)
 	}
 	fault.Inject(fault.DPCommitBeforeFinish)
-	d.finishTx(req.Tx)
+	_ = d.end(req.Tx, false, nil) // no rollback, so no error
 	d.idleWork()
 	return sl.answer(fsdp.Reply{})
 }
 
 // abort serves KAbort: undo in reverse order, write the abort record,
-// release everything.
+// release everything — now, or when the transaction's last message in
+// service leaves (end).
 func (d *DP) abort(req *fsdp.Request, sl *slot) *fsdp.Reply {
 	if reply, handled := d.replicaAbort(req); handled {
 		return reply
 	}
-	d.mu.Lock()
-	t, ok := d.txs[req.Tx]
-	d.mu.Unlock()
-	if ok {
-		if err := d.undoTx(&sl.mark, req.Tx, t); err != nil {
-			// Undo failure is unrecoverable for this volume state.
-			return errReply(fmt.Errorf("dp %s: undo of tx %d failed: %w", d.cfg.Name, req.Tx, err))
-		}
-		sl.mark = wal.Record{Type: wal.RecAbort, TxID: req.Tx, Volume: d.cfg.Volume.Name()}
-		d.appendAudit(&sl.mark)
-		// The backup must drop the tx's pending records before locks
-		// release here, or a later takeover could undo a successor's work.
-		// (On a failed flush the abort marker rides the retained buffer;
-		// a takeover before it lands refuses catch-up failure outright.)
-		_ = d.shipFlush()
+	if err := d.end(req.Tx, true, &sl.mark); err != nil {
+		return errReply(err)
 	}
-	d.finishTx(req.Tx)
 	return sl.answer(fsdp.Reply{})
 }
 
-// undoTx applies the in-memory undo chain in reverse, auditing each
-// compensation in rec. Compensation records are shipped like forward
-// audit: a replicated group's backup must see them in its checkpoint
-// stream.
-func (d *DP) undoTx(rec *wal.Record, tx uint64, t *txState) error {
+// rollback applies tx's undo chain in reverse, auditing each compensation
+// in rec, and then the abort record. Compensation records are shipped like
+// forward audit: a replicated group's backup must see them in its
+// checkpoint stream. And the backup must drop the tx's pending records
+// before locks release here, or a later takeover could undo a successor's
+// work. (On a failed flush the abort marker rides the retained buffer; a
+// takeover before it lands refuses catch-up failure outright.)
+func (d *DP) rollback(rec *wal.Record, tx uint64, t *txState) error {
 	for i := len(t.undo) - 1; i >= 0; i-- {
 		fault.Inject(fault.DPAbortMidUndo)
 		u := t.undo[i]
@@ -292,6 +343,9 @@ func (d *DP) undoTx(rec *wal.Record, tx uint64, t *txState) error {
 			return err
 		}
 	}
+	*rec = wal.Record{Type: wal.RecAbort, TxID: tx, Volume: d.cfg.Volume.Name()}
+	d.appendAudit(rec)
+	_ = d.shipFlush()
 	return nil
 }
 
@@ -328,33 +382,6 @@ func (d *DP) compensate(rec *wal.Record, tx uint64, f *fileState, u undoRec, com
 	default:
 		return true, f.tree.Update(u.key, u.before, lsn)
 	}
-}
-
-// finishTx drops tx state, its Subset Control Blocks, and its locks. The
-// state goes on the free list, its images poisoned under the race
-// detector: nothing reads them once the transaction is over.
-func (d *DP) finishTx(tx uint64) {
-	d.mu.Lock()
-	if t, ok := d.txs[tx]; ok {
-		delete(d.txs, tx)
-		if len(d.freeTxs) < maxFreeTxs {
-			poison.Fill(t.images)
-			clear(t.undo)
-			t.undo, t.images, t.prepared = t.undo[:0], t.images[:0], false
-			if cap(t.images) > maxFreeImages {
-				t.undo, t.images = nil, nil
-			}
-			d.freeTxs = append(d.freeTxs, t)
-		}
-	}
-	d.endServingLocked(tx)
-	for id, s := range d.scbs {
-		if s.tx == tx {
-			d.retireSCB(id, s)
-		}
-	}
-	d.mu.Unlock()
-	d.locks.ReleaseTx(tx)
 }
 
 // idleWork marks the "idle time between Disk Process requests": tell

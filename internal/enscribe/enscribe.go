@@ -28,12 +28,6 @@ import (
 	"nonstopsql/internal/tmf"
 )
 
-// Re-exported error values (same classification as package fs).
-var (
-	ErrNotFound  = fs.ErrNotFound
-	ErrDuplicate = fs.ErrDuplicate
-)
-
 // A File is an ENSCRIBE open of a key-sequenced file. Not safe for
 // concurrent use (match the original's per-opener state).
 type File struct {

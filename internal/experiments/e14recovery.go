@@ -358,14 +358,8 @@ func e14Iteration(point string, seed int64, txnsPerClient int) (*E14Result, erro
 		if err := rd.ValidateFiles(); err != nil {
 			return nil, fmt.Errorf("recovered %s: %w", name, err)
 		}
-		if txns, scbs := rd.OpenState(); txns != 0 || scbs != 0 {
-			return nil, fmt.Errorf("recovered %s leaks state: %d txns, %d SCBs", name, txns, scbs)
-		}
-		if n := rd.LiveLatches(); n != 0 {
-			return nil, fmt.Errorf("recovered %s leaks %d latches", name, n)
-		}
-		if n := rd.Locks().Held(); n != 0 {
-			return nil, fmt.Errorf("recovered %s leaks %d locks", name, n)
+		if open := rd.OpenState(); open != (dp.Open{}) {
+			return nil, fmt.Errorf("recovered %s leaks state: %+v", name, open)
 		}
 		recovered[name] = rd
 	}

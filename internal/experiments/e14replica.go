@@ -242,14 +242,8 @@ func e14ReplicaIteration(point string, seed int64, txnsPerClient int) (*E14Resul
 	if err := judged.ValidateFiles(); err != nil {
 		return nil, fmt.Errorf("backup: %w", err)
 	}
-	if txns, scbs := judged.OpenState(); txns != 0 || scbs != 0 {
-		return nil, fmt.Errorf("backup leaks state: %d txns, %d SCBs", txns, scbs)
-	}
-	if n := judged.LiveLatches(); n != 0 {
-		return nil, fmt.Errorf("backup leaks %d latches", n)
-	}
-	if n := judged.Locks().Held(); n != 0 {
-		return nil, fmt.Errorf("backup leaks %d locks", n)
+	if open := judged.OpenState(); open != (dp.Open{}) {
+		return nil, fmt.Errorf("backup leaks state: %+v", open)
 	}
 
 	accSum, err := e14CheckBalances(judged, "ACCOUNT", 2, exp.account)

@@ -97,6 +97,13 @@ const (
 // parallel scan must already see the failure.
 const FSConvFailed = "fs/conv/failed"
 
+// DPBeforeUndo fires in a Disk Process write whose change is in the tree,
+// after its audit record is flushed and shipped and before its undo entry
+// joins the transaction's undo chain. It is not a crash point, and Points
+// leaves it out: a test arms it to hold that window open while the write's
+// transaction ends.
+const DPBeforeUndo = "dp/before-undo"
+
 // Points lists every crash point in sweep order.
 func Points() []string {
 	return []string{

@@ -63,8 +63,7 @@ func loadSpread(t testing.TB, r *rig, def *fs.FileDef, n int) {
 func openSCBs(r *rig) int {
 	n := 0
 	for _, name := range []string{"$DATA1", "$DATA2", "$DATA3"} {
-		_, scbs := r.c.DP(name).OpenState()
-		n += scbs
+		n += r.c.DP(name).OpenState().SCBs
 	}
 	return n
 }

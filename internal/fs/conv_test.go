@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"nonstopsql/internal/cluster"
 	"nonstopsql/internal/expr"
@@ -272,8 +273,12 @@ func TestFailedConversationRetiresSCB(t *testing.T) {
 					break
 				}
 			}
+			// What the consumer sees: Err once Next has said the rows ended.
+			// Close waits for every scanner and reads the op's error again,
+			// so reading Err only after it would hide a truncated result.
+			err := rows.Err()
 			rows.Close()
-			return rows.Stats(), rows.Err()
+			return rows.Stats(), err
 		}},
 	}
 	for _, op := range ops {
@@ -298,6 +303,10 @@ func TestFailedConversationRetiresSCB(t *testing.T) {
 			fault.Reset()
 			fault.Enable()
 			fault.ArmErr(fault.DiskRead, reads/2, errRead)
+			// The failed conversation's scanner dawdles before it records
+			// the failure: a consumer that saw its span end before the
+			// failure was recorded would read a truncated result.
+			fault.Arm(fault.FSConvFailed, 0, func() { time.Sleep(50 * time.Millisecond) })
 			st, err := op.run(r, def)
 			if err == nil || !fault.Fired(fault.DiskRead) {
 				t.Fatalf("armed read failure (fired=%v) surfaced as %v", fault.Fired(fault.DiskRead), err)

@@ -31,11 +31,21 @@ func newRig(t testing.TB, opts cluster.Options) *rig {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
-	for i, name := range []string{"$DATA1", "$DATA2", "$DATA3"} {
+	vols := []string{"$DATA1", "$DATA2", "$DATA3"}
+	for i, name := range vols {
 		if _, err := c.AddVolume(0, i%2, name); err != nil {
 			t.Fatal(err)
 		}
 	}
+	// Registered after Close, so it runs first: a test ends with every
+	// Disk Process at rest.
+	t.Cleanup(func() {
+		for _, name := range vols {
+			if open := c.DP(name).OpenState(); open != (dp.Open{}) {
+				t.Errorf("%s holds %+v at the end of the test", name, open)
+			}
+		}
+	})
 	return &rig{c: c, fs: c.NewFS(0, 0)}
 }
 
@@ -472,7 +482,7 @@ func TestTwoPhaseCommitAcrossPartitions(t *testing.T) {
 	r.fs.Insert(nil, tx, def, empRow(5, "a", "X", 1))
 	r.fs.Insert(nil, tx, def, empRow(1500, "b", "X", 1))
 	for _, name := range []string{"$DATA1", "$DATA2"} {
-		if txns, _ := r.c.DP(name).OpenState(); txns != 1 {
+		if txns := r.c.DP(name).OpenState().Txns; txns != 1 {
 			t.Fatalf("%s holds %d transactions before the commit, want the one it joined", name, txns)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nonstopsql/internal/cluster"
+	"nonstopsql/internal/dp"
 	"nonstopsql/internal/sql"
 )
 
@@ -24,6 +25,15 @@ func newDBOpts(t testing.TB, opts cluster.Options) *db {
 		}
 	}
 	cat := sql.NewCatalog(vols)
+	// Registered after Close, so it runs first: a test ends with every
+	// Disk Process at rest.
+	t.Cleanup(func() {
+		for _, v := range vols {
+			if open := c.DP(v).OpenState(); open != (dp.Open{}) {
+				t.Errorf("%s holds %+v at the end of the test", v, open)
+			}
+		}
+	})
 	return &db{c: c, cat: cat, s: sql.NewSession(cat, c.NewFS(0, 0))}
 }
 
@@ -148,8 +158,7 @@ func TestLimitPushdownMessages(t *testing.T) {
 	scbs := func() int {
 		n := 0
 		for _, v := range []string{"$DATA1", "$DATA2", "$DATA3"} {
-			_, open := d.c.DP(v).OpenState()
-			n += open
+			n += d.c.DP(v).OpenState().SCBs
 		}
 		return n
 	}

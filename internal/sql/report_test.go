@@ -271,8 +271,8 @@ func TestReportsWhileConversationsEndEarly(t *testing.T) {
 	})
 	wg.Wait()
 	for _, v := range []string{"$DATA1", "$DATA2", "$DATA3"} {
-		if txs, scbs := d.c.DP(v).OpenState(); txs != 0 || scbs != 0 {
-			t.Errorf("%s: %d transactions and %d Subset Control Blocks open", v, txs, scbs)
+		if open := d.c.DP(v).OpenState(); open.Txns != 0 || open.SCBs != 0 {
+			t.Errorf("%s: %d transactions and %d Subset Control Blocks open", v, open.Txns, open.SCBs)
 		}
 	}
 }

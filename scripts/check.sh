@@ -89,7 +89,7 @@ go test -run '^$' -bench BenchmarkSubsetRecord -benchtime 1x ./internal/dp
 # and every column of arbitrary pages to record.Decode.)
 go test -race -count=20 -run 'TestColumnsUnderConcurrentSplices' ./internal/btree
 go test -count=1 -run 'TestScanPartFollowsTheLeaf' ./internal/btree
-go test -count=1 -run 'TestColumnPathMatchesRowPath|TestAbortedTransactionIsNotJoinedAgain' ./internal/dp
+go test -count=1 -run 'TestColumnPathMatchesRowPath|TestAbortedTransactionIsNotJoinedAgain|TestNoKindJoinsAnAbortedTransaction' ./internal/dp
 go test -count=1 -run 'FuzzColumnTests|TestColumnTestsMatchSatisfied' ./internal/expr
 # A report allocates only what its client keeps (DESIGN.md §7.4): a
 # subset conversation's messages are served from the Disk Process's
@@ -181,12 +181,17 @@ go test -race -count=1 -run 'TestPointRead|TestExplainAnalyzeRead|TestFloatBound
 # ends, never what they read before the wait (the message is read again
 # under the lock; an AGG's fold is rewound first). And −0.0 is +0.0 as a
 # key: one GROUP BY group, found through an index, a duplicate primary key.
-# A read message whose transaction aborts while it waits at its group lock,
-# and an UPDATE^SUBSET whose transaction aborts while it waits at a record
-# lock, do not join the finished transaction again: each fails, nothing is
-# written, and no transaction state and no lock is left behind.
+# A message of any kind whose transaction aborts while it waits at a lock
+# — a read's group lock, a subset write's, a record message's or a block's
+# record lock, an explicit lock — does not join the finished transaction
+# again: each fails, what it named reads as committed, and no transaction
+# state and no lock is left behind. A write whose transaction aborts after
+# its change is in the tree and before its undo entry is kept
+# (fault.DPBeforeUndo) is taken back, newest first with the rest of the
+# transaction's changes, twenty rounds.
 go test -race -count=1 -run 'TestReadIsolation|TestNegativeZero' ./internal/sql
-go test -race -count=1 -run 'TestReadsAgainUnderTheGroupLock|TestAcquireReportsTheWait|TestAbortedTransactionIsNotJoinedAgain|TestAbortedSubsetWriteIsNotJoinedAgain' ./internal/dp ./internal/lock
+go test -race -count=1 -run 'TestReadsAgainUnderTheGroupLock|TestAcquireReportsTheWait|TestAbortedTransactionIsNotJoinedAgain|TestAbortedSubsetWriteIsNotJoinedAgain|TestNoKindJoinsAnAbortedTransaction' ./internal/dp ./internal/lock
+go test -race -count=20 -run 'TestAbortBeforeUndoTakesTheWriteBack' ./internal/dp
 # A keyed write is one descent (btree.Tree.Edit): the primitive against a
 # reference map while point reads and scans run over the same leaves,
 # records growing past their leaf and leaves emptying (its split and
