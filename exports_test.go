@@ -14,9 +14,11 @@ import (
 )
 
 // uncalledExports names the exported functions and methods that may have no
-// caller in a non-test file, each with its reason. A method is keyed by its
-// name alone (methods are matched by name, see below), a function by its
-// package's import path and name.
+// caller in a non-test file, each with its reason. A method the standard
+// library calls through an interface is keyed by its name alone, as every
+// type's method of that name is; any other method by its package's import
+// path, its receiver's type name and its name; a function by its package's
+// import path and name.
 var uncalledExports = map[string]string{
 	// Methods the standard library calls through an interface.
 	".Error":  "the error interface",
@@ -25,8 +27,10 @@ var uncalledExports = map[string]string{
 	".Is":     "errors.Is",
 
 	// Paper mechanisms a test proves, with no production caller yet.
-	".SetFollowerReads": "fs: browse reads served by a group's backup; TestE21ReplicatedTakeover reads through it in the takeover window",
-	".DeleteCurrent":    "fs.Cursor: the one sender of DELETE^BLOCK, the kind the File System's set-oriented index maintenance is to send",
+	"nonstopsql/internal/fs.FS.SetFollowerReads":   "browse reads served by a group's backup; TestE21ReplicatedTakeover reads through it in the takeover window",
+	"nonstopsql/internal/fs.Cursor.DeleteCurrent":  "the one sender of DELETE^BLOCK, the kind the File System's set-oriented index maintenance is to send",
+	"nonstopsql/internal/disk.Volume.Free":         "disk.BlockDev.Free, through which a Disk Process is to give back a collapsed leaf's and a dropped file's blocks once recovery no longer resets its trees; TestFreeReuse proves a freed block is unreadable and allocated again",
+	"nonstopsql/internal/disk/filevol.Volume.Free": "the same on a file-backed volume; TestCleanReopen proves its free list survives a clean close and reopen",
 
 	// fsdp's DecodeRequest and EncodeReply and nsqlwire's four codec
 	// wrappers need no entry: benchmark/layers.go calls them, and the
@@ -55,17 +59,24 @@ var unsetOptions = map[string]string{
 // package's export_test.go, and an option only a test sets is a constant
 // or an allowlist entry. Functions, constants, variables and fields are
 // matched by their type-checked objects, so a field is told from a
-// same-named field of another struct. A method is matched by its name
-// through any selector, so it shares its callers with every method and
-// field of that name: a call through an interface names no concrete
-// method.
+// same-named field of another struct. A method counts as called when a
+// selector resolves to it, or to a method of a module interface that its
+// type implements. Two cases still fall back to names: a selector on a
+// value whose type does not resolve (the standard library's packages load
+// empty, so a method called on what one of them returns counts for every
+// method of its name), and a method the standard library calls through an
+// interface of its own (the name-keyed allowlist entries).
 func TestEveryExportHasACaller(t *testing.T) {
 	fset, pkgs := loadModule(t)
 	used := map[types.Object]bool{}
 	set := map[types.Object]bool{}
-	selected := map[string]bool{}
+	unresolved := map[string]bool{}                 // method names selected on a value of unknown type
+	throughIface := map[string][]*types.Interface{} // method names selected on an interface value, with the interface
 	for _, p := range pkgs {
 		for _, obj := range p.info.Uses {
+			if f, ok := obj.(*types.Func); ok {
+				obj = f.Origin()
+			}
 			used[obj] = true
 		}
 		setField := func(obj types.Object) {
@@ -87,7 +98,13 @@ func TestEveryExportHasACaller(t *testing.T) {
 							return true
 						}
 					}
-					selected[n.Sel.Name] = true
+					switch sel := p.info.Selections[n]; {
+					case sel == nil:
+						unresolved[n.Sel.Name] = true
+					case types.IsInterface(sel.Recv()):
+						iface := sel.Recv().Underlying().(*types.Interface)
+						throughIface[n.Sel.Name] = append(throughIface[n.Sel.Name], iface)
+					}
 				case *ast.CompositeLit:
 					var st *types.Struct
 					if typ := p.info.TypeOf(n); typ != nil {
@@ -135,8 +152,9 @@ func TestEveryExportHasACaller(t *testing.T) {
 					switch {
 					case !d.Name.IsExported():
 					case d.Recv != nil:
-						if !selected[d.Name.Name] {
-							report(d.Pos(), "."+d.Name.Name, "is exported and no non-test code calls it: delete it, or move it into its package's export_test.go", uncalledExports)
+						m := p.info.Defs[d.Name].(*types.Func)
+						if !used[m] && !unresolved[m.Name()] && !implementsCalled(m, throughIface[m.Name()]) {
+							report(d.Pos(), methodKey(m), "is exported and no non-test code calls it: delete it, or move it into its package's export_test.go", uncalledExports)
 						}
 					case !used[p.info.Defs[d.Name]]:
 						report(d.Pos(), p.path+"."+d.Name.Name, "is exported and no non-test code calls it: delete it, or move it into its package's export_test.go", uncalledExports)
@@ -172,6 +190,39 @@ func TestEveryExportHasACaller(t *testing.T) {
 	for _, d := range dead {
 		t.Error(d)
 	}
+}
+
+// implementsCalled reports whether m's receiver type, or a pointer to it,
+// implements one of the interfaces m's name was selected on.
+func implementsCalled(m *types.Func, ifaces []*types.Interface) bool {
+	recv := m.Type().(*types.Signature).Recv().Type()
+	if ptr, ok := recv.(*types.Pointer); ok {
+		recv = ptr.Elem()
+	}
+	for _, iface := range ifaces {
+		if types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface) {
+			return true
+		}
+	}
+	return false
+}
+
+// methodKey names m in uncalledExports: by its name alone when it is one
+// the standard library calls through an interface, else by its package's
+// import path, its receiver's type name and its name.
+func methodKey(m *types.Func) string {
+	if _, ok := uncalledExports["."+m.Name()]; ok {
+		return "." + m.Name()
+	}
+	recv := m.Type().(*types.Signature).Recv().Type()
+	if ptr, ok := recv.(*types.Pointer); ok {
+		recv = ptr.Elem()
+	}
+	name := recv.String()
+	if named, ok := recv.(*types.Named); ok {
+		name = named.Obj().Name()
+	}
+	return m.Pkg().Path() + "." + name + "." + m.Name()
 }
 
 // A modulePackage is one directory's non-test files, type-checked.

@@ -125,9 +125,6 @@ func Open(pool *cache.Pool, vol disk.BlockDev, name string, root disk.BlockNum, 
 // Root returns the file's fixed root block.
 func (t *Tree) Root() disk.BlockNum { return t.root }
 
-// Name returns the file name.
-func (t *Tree) Name() string { return t.name }
-
 // childOf and childCell convert between a child block number and an
 // interior cell's 4-byte value.
 func childOf(c cell) disk.BlockNum {

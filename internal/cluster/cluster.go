@@ -374,17 +374,31 @@ func (c *Cluster) CrashDP(name string) error {
 
 // RestartDP restarts a crashed DP: recovery from the audit trail, then
 // re-registration of the server (optionally on another processor; cpu
-// < 0 keeps the one it ran on).
+// < 0 keeps the one it ran on). The DP's records are its own node's
+// trail, in its order; a transaction's outcome may be on another's — a
+// two-node transaction's commit record is on its coordinator's trail — so
+// every other node's COMMIT records are passed on as outcomes.
 func (c *Cluster) RestartDP(name string, cpu int) error {
 	e, ok := c.dps[name]
 	if !ok {
 		return fmt.Errorf("cluster: no DP %q", name)
 	}
-	n := c.Nodes[e.node]
-	n.Trail.Flush() // make every assigned LSN visible to the scan
-	recs, err := wal.Scan(n.AuditVol, n.Trail.FirstBlock())
-	if err != nil {
-		return err
+	var recs []*wal.Record
+	for i, n := range c.Nodes {
+		n.Trail.Flush() // make every assigned LSN visible to the scan
+		trail, err := wal.Scan(n.AuditVol, n.Trail.FirstBlock())
+		if err != nil {
+			return err
+		}
+		if i == e.node {
+			recs = append(recs, trail...)
+			continue
+		}
+		for _, r := range trail {
+			if r.Type == wal.RecCommit {
+				recs = append(recs, r)
+			}
+		}
 	}
 	if err := e.dp.Recover(recs); err != nil {
 		return err

@@ -113,6 +113,10 @@ func TestReplicatedGroupCommitAndTakeover(t *testing.T) {
 	if n := c.DP("$R1").Locks().Held(); n != 0 {
 		t.Errorf("fenced transaction leaks %d locks", n)
 	}
+	// Its ABORT answers OK and frees what is left of it: the fence.
+	if reply := c.DP("$R1").Serve(&fsdp.Request{Kind: fsdp.KAbort, Tx: tx2.ID}); !reply.OK() {
+		t.Errorf("fenced transaction's abort: %s", reply.Err)
+	}
 
 	// Every committed row survived; the fenced key is reusable.
 	for i := 0; i < 20; i++ {

@@ -267,12 +267,9 @@ type DP struct {
 	freeTx  freeList[txState]
 
 	// rep is the backup-role state: created on the first shipped
-	// checkpoint batch, it tracks in-flight transactions so promotion
-	// can resolve them. nil on a DP that was never shipped to.
-	// fenceActive is set once promotion fences any transaction, so the
-	// per-request fence check costs one atomic load everywhere else.
-	rep         atomic.Pointer[replicaState]
-	fenceActive atomic.Bool
+	// checkpoint batch, it tracks the stream's progress and the
+	// promotion. nil on a DP that was never shipped to.
+	rep atomic.Pointer[replicaState]
 
 	// shipDegraded counts acknowledgements (commit, prepare, abort)
 	// returned while the backup had NOT applied the checkpoint stream —
@@ -404,9 +401,6 @@ func (d *DP) Close() error {
 	return nil
 }
 
-// Name returns the DP's process name.
-func (d *DP) Name() string { return d.cfg.Name }
-
 // Pool exposes the buffer pool (stats, tests).
 func (d *DP) Pool() *cache.Pool { return d.pool }
 
@@ -523,9 +517,8 @@ func (d *DP) Concurrency() (float64, int) {
 // a subset conversation's message decodes into a service slot from the
 // free list (slotKind); the rest into a Request of their own, whose
 // repeated fields the decoder allocates. Creating a file and applying
-// shipped records keep most of what they carry (the file's
-// definition, the records a backup holds for takeover), and are rare: they
-// are decoded from a copy of the whole request.
+// shipped records keep what they carry of a file's definition, and are
+// rare: they are decoded from a copy of the whole request.
 func (d *DP) Handler(reqBytes, out []byte) []byte {
 	var kind fsdp.Kind
 	if len(reqBytes) > 0 {
@@ -620,12 +613,6 @@ func (d *DP) serve(req *fsdp.Request, sl *slot) *fsdp.Reply {
 	// single-conversation measurement — EXPLAIN ANALYZE — is exact.
 	hits0, misses0 := d.pool.HitsMisses()
 
-	if req.Tx != 0 && d.fenceActive.Load() && req.Kind != fsdp.KCommit && req.Kind != fsdp.KAbort {
-		if reply := d.replicaFenced(req); reply != nil {
-			return reply
-		}
-	}
-
 	// A message of a transaction is in service in it until it is answered,
 	// but for the three that end it; a write or a lock must have one.
 	var t *txState
@@ -633,7 +620,9 @@ func (d *DP) serve(req *fsdp.Request, sl *slot) *fsdp.Reply {
 	case req.Tx == 0 && changesOrLocks(req.Kind):
 		return &fsdp.Reply{Code: fsdp.ErrBadRequest, Err: fmt.Sprintf("dp: %s requires a transaction", req.Kind)}
 	case req.Tx != 0 && req.Kind != fsdp.KPrepare && req.Kind != fsdp.KCommit && req.Kind != fsdp.KAbort:
-		t = d.enter(req.Tx)
+		if t = d.enter(req.Tx); t == nil {
+			return d.errFenced(req.Tx)
+		}
 	}
 
 	var reply *fsdp.Reply
@@ -1126,7 +1115,7 @@ func (d *DP) logged(tx uint64, f *fileState, w *write, err error) error {
 	}
 	fault.Inject(fault.DPBeforeUndo)
 	if err := d.addUndo(tx, w.undo); err != nil {
-		if _, cerr := d.compensate(&w.rec, tx, f, w.undo, false, true); cerr != nil {
+		if cerr := d.compensate(&w.rec, tx, f, w.undo); cerr != nil {
 			return cerr
 		}
 		return err

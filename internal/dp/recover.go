@@ -35,7 +35,9 @@ func (d *DP) Crash() {
 // every attached file's tree is reset to empty, then redo repeats
 // history for every logged operation on this volume in LSN order, then
 // in-flight ("loser") transactions — no commit and no abort record —
-// are undone from their before-images. Files must be attached
+// are undone from their before-images. records is this volume's trail, in
+// its order, plus the commit records of any other trail its transactions
+// may have committed on (a coordinator's). Files must be attached
 // (AttachFile) before calling.
 //
 // The reset matters: the on-disk tree image at a crash is an arbitrary

@@ -8,7 +8,7 @@ package dp
 // independently recoverable, exactly like a primary's. On primary
 // failure, KPromote resolves what was in flight: prepared transactions
 // stay in doubt under re-acquired locks until the coordinator's phase 2
-// arrives; unprepared ones are undone from the shipped before-images
+// arrives; unprepared ones are rolled back from the shipped before-images
 // and fenced so a late commit re-drive cannot falsely acknowledge.
 //
 // LSNs are local: a shipped record carries the primary's LSN, but the
@@ -29,23 +29,14 @@ import (
 	"nonstopsql/internal/wal"
 )
 
-// replicaState is the backup's view of the checkpoint stream.
+// replicaState is the backup's view of the checkpoint stream. The
+// transactions the stream carries live in the DP's one transaction table
+// (DP.txs), like any other: a shipped change pushes an undo entry, a
+// shipped compensation pops the newest, a shipped PREPARE marks the state
+// and a shipped COMMIT or ABORT ends it.
 type replicaState struct {
 	mu      sync.Mutex
 	lastSeq uint64 // highest applied record sequence (idempotence)
-
-	// pending holds each in-flight transaction's shipped data records
-	// (original images, in arrival order) until its commit or abort
-	// marker arrives; prepared marks the ones whose yes vote the
-	// primary issued. Both feed promotion.
-	pending  map[uint64][]*wal.Record
-	prepared map[uint64]bool
-
-	// After promotion: indoubt transactions await the coordinator's
-	// phase 2 under re-acquired locks; fenced ones were undone, so a
-	// commit re-drive must be refused rather than falsely acknowledged.
-	indoubt map[uint64][]*wal.Record
-	fenced  map[uint64]bool
 
 	// halted is set by the first KPromote attempt and refuses the
 	// checkpoint stream from then on: a failed promotion is retried by
@@ -67,12 +58,7 @@ func (d *DP) replica() *replicaState {
 	if rep := d.rep.Load(); rep != nil {
 		return rep
 	}
-	d.rep.CompareAndSwap(nil, &replicaState{
-		pending:  make(map[uint64][]*wal.Record),
-		prepared: make(map[uint64]bool),
-		indoubt:  make(map[uint64][]*wal.Record),
-		fenced:   make(map[uint64]bool),
-	})
+	d.rep.CompareAndSwap(nil, new(replicaState))
 	return d.rep.Load()
 }
 
@@ -135,7 +121,7 @@ func (d *DP) applyShipped(req *fsdp.Request) *fsdp.Reply {
 			err = fmt.Errorf("sequence gap: got %d, want %d", seq, rep.lastSeq+1)
 		}
 		if err == nil {
-			err = d.applyOneShipped(rep, rec, &lastCommit)
+			err = d.applyOneShipped(rec, &lastCommit)
 		}
 		if err != nil {
 			// Half a batch may be applied; the stream is no longer
@@ -154,47 +140,78 @@ func (d *DP) applyShipped(req *fsdp.Request) *fsdp.Reply {
 		// The primary acknowledges its client only after this reply:
 		// every confirmed transaction is durably committed on the
 		// backup's own trail first. rep.mu is released — the wait is on
-		// the trail alone, so later ship batches and fence checks are not
-		// serialized behind the backup's disk.
+		// the trail alone, so later ship batches are not serialized
+		// behind the backup's disk.
 		trail.WaitDurable(lastCommit)
 	}
 	return &fsdp.Reply{Count: uint32(applied)}
 }
 
 // applyOneShipped applies one shipped record under rep.mu.
-func (d *DP) applyOneShipped(rep *replicaState, rec *wal.Record, lastCommit *wal.LSN) error {
+func (d *DP) applyOneShipped(rec *wal.Record, lastCommit *wal.LSN) error {
 	switch rec.Type {
 	case wal.RecCheckpoint:
 		return d.applyFileMarker(rec)
 	case wal.RecCommit:
-		delete(rep.pending, rec.TxID)
-		delete(rep.prepared, rec.TxID)
 		*lastCommit = d.cfg.Audit.Trail().AppendCommit(rec.TxID)
-		return nil
+		return d.end(rec.TxID, false, nil)
 	case wal.RecAbort:
-		local := *rec
-		local.Volume = d.cfg.Volume.Name()
-		d.cfg.Audit.Append(&local)
-		delete(rep.pending, rec.TxID)
-		delete(rep.prepared, rec.TxID)
-		return nil
+		// The primary's compensations came ahead of its abort record.
+		d.auditLocal(rec)
+		return d.end(rec.TxID, false, nil)
 	case wal.RecPrepare:
-		local := *rec
-		local.Volume = d.cfg.Volume.Name()
-		d.cfg.Audit.Append(&local)
-		rep.prepared[rec.TxID] = true
+		d.auditLocal(rec)
+		d.mu.Lock()
+		if t := d.txs[rec.TxID]; t != nil {
+			t.prepared = true
+		}
+		d.mu.Unlock()
 		return nil
 	case wal.RecInsert, wal.RecUpdate, wal.RecDelete:
-		local := *rec
-		local.Volume = d.cfg.Volume.Name()
-		d.cfg.Audit.Append(&local) // stamps local.LSN with the backup trail's LSN
+		local := d.auditLocal(rec) // stamped with the backup trail's LSN
 		if err := d.redoOne(&local); err != nil {
 			return err
 		}
-		rep.pending[rec.TxID] = append(rep.pending[rec.TxID], &local)
+		d.shipped(rec)
 		return nil
 	}
 	return fmt.Errorf("unexpected shipped record type %s", rec.Type)
+}
+
+// auditLocal appends a copy of rec, naming this DP's volume, to the
+// backup's own trail and returns it.
+func (d *DP) auditLocal(rec *wal.Record) wal.Record {
+	local := *rec
+	local.Volume = d.cfg.Volume.Name()
+	d.cfg.Audit.Append(&local)
+	return local
+}
+
+// shipped keeps rec, a shipped change the backup applied, in its
+// transaction's state, making the state on the transaction's first record.
+// An original pushes its undo entry, with copies of its key and before
+// image and whether that image is field-compressed (a shipped UPDATE's
+// is). A compensation pops the newest entry: the primary undoes in
+// reverse, so what a compensation took back is the newest change not yet
+// taken back. Promotion and a later ABORT roll back what is left.
+func (d *DP) shipped(rec *wal.Record) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	t := d.txs[rec.TxID]
+	if t == nil {
+		t = d.freeTx.take()
+		d.txs[rec.TxID] = t
+	}
+	t.joined = true
+	if rec.Compensation {
+		if n := len(t.undo); n > 0 {
+			t.undo[n-1] = undoRec{}
+			t.undo = t.undo[:n-1]
+		}
+		return
+	}
+	t.undo = append(t.undo, undoRec{file: rec.File, kind: rec.Type, key: t.keep(rec.Key),
+		before: t.keep(rec.Before), compressed: rec.FieldCompressed})
 }
 
 // applyFileMarker creates or drops a file fragment from a shipped
@@ -239,18 +256,21 @@ func (d *DP) applyFileMarker(rec *wal.Record) error {
 
 // promote serves KPromote: the takeover state machine. The backup stops
 // accepting the checkpoint stream and resolves every in-flight
-// transaction — prepared ones stay in doubt (their exclusive locks are
-// re-acquired so new traffic cannot read uncommitted state; the
-// coordinator's phase-2 commit or presumed-abort re-drive resolves
-// them), unprepared ones are undone from the shipped before-images and
-// fenced. After promote the DP serves as an ordinary primary.
+// transaction in its table. A prepared one stays in doubt: its exclusive
+// locks are re-acquired, so new traffic cannot read uncommitted state,
+// and the coordinator's phase-2 COMMIT or ABORT resolves it. Every other
+// one is rolled back (rollback), its compensations and abort record
+// audited to the backup's own trail so its recovery repeats this history,
+// and its ended state stays in the table, fenced: the primary never
+// acknowledged it, so a re-driven COMMIT is refused rather than falsely
+// acknowledged, and nothing new may join it (DP.enter, prepare). After
+// promote the DP serves as an ordinary primary.
 //
 // A pass failure leaves promoted unset and returns the error: a retried
 // KPromote re-runs both passes rather than reporting success while
 // transactions remain unresolved. The re-run is idempotent — relocks
-// re-grant to the same transaction, transactions already moved to
-// indoubt stay there, and undoShipped skips every original whose
-// compensation already applied.
+// re-grant to the same transaction, a fenced state is passed over, and
+// rollback drops each undo entry once it is compensated.
 func (d *DP) promote(*fsdp.Request) *fsdp.Reply {
 	rep := d.replica()
 	rep.mu.Lock()
@@ -264,180 +284,53 @@ func (d *DP) promote(*fsdp.Request) *fsdp.Reply {
 	rep.halted = true // no more shipped batches, even if a pass below fails
 	fault.Inject(fault.TakeoverPromote)
 
-	// In-doubt pass: prepared transactions keep their effects and their
-	// locks. The locks are uncontended (the backup held none), so
+	// Only the stream touched these states, and it is halted: they are
+	// read and rolled back outside d.mu, as an ended primary state is.
+	type inflight struct {
+		tx uint64
+		t  *txState
+	}
+	var indoubt, losers []inflight
+	d.mu.Lock()
+	for tx, t := range d.txs {
+		switch {
+		case t.fenced:
+		case t.prepared:
+			indoubt = append(indoubt, inflight{tx, t})
+		default:
+			losers = append(losers, inflight{tx, t})
+		}
+	}
+	d.mu.Unlock()
+
+	// In-doubt pass: the locks are uncontended (the backup held none), so
 	// re-acquisition cannot block.
-	for tx, recs := range rep.pending {
-		if !rep.prepared[tx] {
-			continue
-		}
-		for _, r := range recs {
-			if r.Compensation {
-				continue
-			}
-			if err := d.locks.LockRecord(tx, r.File, r.Key, lock.Exclusive); err != nil {
-				return errReply(fmt.Errorf("dp %s: promote relock tx %d: %w", d.cfg.Name, tx, err))
+	for _, x := range indoubt {
+		for _, u := range x.t.undo {
+			if err := d.locks.LockRecord(x.tx, u.file, u.key, lock.Exclusive); err != nil {
+				return errReply(fmt.Errorf("dp %s: promote relock tx %d: %w", d.cfg.Name, x.tx, err))
 			}
 		}
-		rep.indoubt[tx] = recs
-		delete(rep.pending, tx)
-		delete(rep.prepared, tx)
 	}
 
-	// Loser pass: unprepared in-flight transactions are undone in
-	// reverse, compensations and an abort marker audited to the
-	// backup's own trail (so its recovery repeats this history), and
-	// the transaction fenced: the primary never acknowledged it, so a
-	// re-driven commit must fail rather than falsely succeed.
-	undone := 0
-	for tx, recs := range rep.pending {
-		recs, err := d.undoShipped(tx, recs)
-		rep.pending[tx] = recs // keeps the undo's own compensations for a retry
-		if err != nil {
-			return errReply(fmt.Errorf("dp %s: promote undo tx %d: %w", d.cfg.Name, tx, err))
+	// Loser pass.
+	var rec wal.Record
+	for _, x := range losers {
+		if err := d.rollback(&rec, x.tx, x.t, fault.TakeoverPromote); err != nil {
+			return errReply(fmt.Errorf("dp %s: promote undo tx %d: %w", d.cfg.Name, x.tx, err))
 		}
-		d.cfg.Audit.Append(&wal.Record{Type: wal.RecAbort, TxID: tx, Volume: d.cfg.Volume.Name()})
-		rep.fenced[tx] = true
+		d.mu.Lock()
+		x.t.ended, x.t.fenced, x.t.joined = true, true, false // an ABORT frees it, auditing nothing
+		d.mu.Unlock()
 		rep.fencedTotal++
-		delete(rep.pending, tx)
-		undone++
-	}
-	if len(rep.fenced) > 0 {
-		d.fenceActive.Store(true)
 	}
 	rep.promoted = true
-	return &fsdp.Reply{Count: uint32(undone)}
+	return &fsdp.Reply{Count: uint32(len(losers))}
 }
 
-// replicaFenced refuses any request that would attach new work to a
-// transaction the takeover fenced: record operations, subset ops, and —
-// critically — KPrepare. Promotion undid the transaction from the
-// shipped before-images and its requester's coordinator already gave up
-// on it, so effects accepted here could never be committed or aborted
-// again (their locks would leak forever), and a yes vote would carry
-// the coordinator past its commit point on a transaction this volume
-// then refuses in phase 2 — a partial commit. Refusing at first contact
-// keeps the failure on the abort side of the commit point, where
-// presumed abort cleans up everywhere. Returns nil when the transaction
-// is not fenced. Commit and abort are not routed here: replicaCommit
-// and replicaAbort resolve those.
-func (d *DP) replicaFenced(req *fsdp.Request) *fsdp.Reply {
-	rep := d.rep.Load()
-	if rep == nil {
-		return nil
-	}
-	rep.mu.Lock()
-	defer rep.mu.Unlock()
-	if !rep.promoted || !rep.fenced[req.Tx] {
-		return nil
-	}
-	return &fsdp.Reply{Code: fsdp.ErrGeneral, Err: fmt.Sprintf("dp %s: tx %d fenced by takeover", d.cfg.Name, req.Tx)}
-}
-
-// undoShipped reverses one transaction's shipped records (promotion and
-// post-promotion abort). Each goes through compensate, as rollback's undo
-// entries do, driven by the shipped record images instead of in-memory
-// undo entries; the compensations are not shipped on.
-//
-// An original that a compensation record already reversed must not be
-// undone again. Undo is LIFO — the primary's rollback and this function
-// both walk the originals in reverse — so, walking backwards, each
-// compensation encountered cancels the nearest earlier un-compensated
-// original. That skips both compensations the primary shipped (it died
-// mid-abort) and this function's own from an earlier attempt: every
-// compensation applied here is appended to the returned slice, which
-// the caller stores back, so a retried promotion resumes where the
-// failure left off instead of double-undoing.
-func (d *DP) undoShipped(tx uint64, recs []*wal.Record) ([]*wal.Record, error) {
-	skip := 0
-	for i := len(recs) - 1; i >= 0; i-- {
-		r := recs[i]
-		if r.Compensation {
-			skip++
-			continue
-		}
-		if skip > 0 {
-			skip-- // a later compensation already reversed this original
-			continue
-		}
-		fault.Inject(fault.TakeoverPromote)
-		f, err := d.getFile(r.File)
-		if err != nil {
-			continue // file dropped after the record shipped
-		}
-		comp := new(wal.Record)
-		u := undoRec{file: r.File, kind: r.Type, key: r.Key, before: r.Before}
-		ok, err := d.compensate(comp, tx, f, u, r.FieldCompressed, false)
-		if err != nil {
-			return recs, err
-		}
-		if !ok {
-			continue
-		}
-		recs = append(recs, comp)
-	}
-	return recs, nil
-}
-
-// replicaCommit intercepts KCommit on a promoted replica. Returns
-// handled=false when the transaction is not one takeover resolved, so
-// the ordinary commit path runs (new post-takeover transactions).
-func (d *DP) replicaCommit(req *fsdp.Request) (*fsdp.Reply, bool) {
-	rep := d.rep.Load()
-	if rep == nil {
-		return nil, false
-	}
-	rep.mu.Lock()
-	defer rep.mu.Unlock()
-	if !rep.promoted {
-		return nil, false
-	}
-	if rep.fenced[req.Tx] {
-		// The primary died before confirming this transaction and the
-		// takeover undid it. Acknowledging the re-driven commit would
-		// claim durability for work that no longer exists.
-		return &fsdp.Reply{Code: fsdp.ErrGeneral, Err: fmt.Sprintf("dp %s: tx %d fenced by takeover", d.cfg.Name, req.Tx)}, true
-	}
-	if _, ok := rep.indoubt[req.Tx]; ok {
-		// Coordinator phase 2: the commit record is durable on the
-		// coordinator's trail, but this volume recovers from its own —
-		// write a local commit marker before releasing.
-		trail := d.cfg.Audit.Trail()
-		trail.WaitDurable(trail.AppendCommit(req.Tx))
-		delete(rep.indoubt, req.Tx)
-		d.locks.ReleaseTx(req.Tx)
-		return &fsdp.Reply{}, true
-	}
-	return nil, false
-}
-
-// replicaAbort intercepts KAbort on a promoted replica.
-func (d *DP) replicaAbort(req *fsdp.Request) (*fsdp.Reply, bool) {
-	rep := d.rep.Load()
-	if rep == nil {
-		return nil, false
-	}
-	rep.mu.Lock()
-	defer rep.mu.Unlock()
-	if !rep.promoted {
-		return nil, false
-	}
-	if rep.fenced[req.Tx] {
-		delete(rep.fenced, req.Tx) // resolved exactly as takeover assumed
-		return &fsdp.Reply{}, true
-	}
-	if recs, ok := rep.indoubt[req.Tx]; ok {
-		recs, err := d.undoShipped(req.Tx, recs)
-		rep.indoubt[req.Tx] = recs
-		if err != nil {
-			return errReply(fmt.Errorf("dp %s: abort of in-doubt tx %d: %w", d.cfg.Name, req.Tx, err)), true
-		}
-		d.cfg.Audit.Append(&wal.Record{Type: wal.RecAbort, TxID: req.Tx, Volume: d.cfg.Volume.Name()})
-		delete(rep.indoubt, req.Tx)
-		d.locks.ReleaseTx(req.Tx)
-		return &fsdp.Reply{}, true
-	}
-	return nil, false
+// errFenced refuses a message of a transaction promotion fenced.
+func (d *DP) errFenced(tx uint64) *fsdp.Reply {
+	return &fsdp.Reply{Code: fsdp.ErrGeneral, Err: fmt.Sprintf("dp %s: tx %d fenced by takeover", d.cfg.Name, tx)}
 }
 
 // ReplicaStats reports the backup role's progress: shipped batches and
@@ -450,5 +343,14 @@ func (d *DP) ReplicaStats() (batches, records uint64, promoted bool, indoubt, fe
 	}
 	rep.mu.Lock()
 	defer rep.mu.Unlock()
-	return rep.batches, rep.records, rep.promoted, len(rep.indoubt), rep.fencedTotal
+	if rep.promoted {
+		d.mu.Lock()
+		for _, t := range d.txs {
+			if t.prepared {
+				indoubt++
+			}
+		}
+		d.mu.Unlock()
+	}
+	return rep.batches, rep.records, rep.promoted, indoubt, rep.fencedTotal
 }

@@ -5,7 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"nonstopsql/internal/expr"
+	"nonstopsql/internal/fault"
 	"nonstopsql/internal/fsdp"
+	"nonstopsql/internal/keys"
 	"nonstopsql/internal/lock"
 	"nonstopsql/internal/record"
 	"nonstopsql/internal/wal"
@@ -97,6 +100,7 @@ func TestPromoteSkipsShippedCompensations(t *testing.T) {
 	if reply := d.Serve(&fsdp.Request{Kind: fsdp.KCommit, Tx: loser}); reply.OK() {
 		t.Error("fenced transaction's commit acknowledged")
 	}
+	serveOK(t, d, &fsdp.Request{Kind: fsdp.KAbort, Tx: loser})
 }
 
 // TestPromoteRetryAfterRelockFailure pins the promotion failure path: a
@@ -154,38 +158,127 @@ func TestPromoteRetryAfterRelockFailure(t *testing.T) {
 	}
 }
 
-// TestUndoShippedRetryIdempotent pins the undo bookkeeping a promotion
-// retry relies on: undoShipped records its own compensations in the
-// returned slice, so running it again undoes nothing twice.
-func TestUndoShippedRetryIdempotent(t *testing.T) {
+// TestPromoteRetryUndoesNothingTwice pins the undo bookkeeping a promotion
+// retry relies on: rollback drops each undo entry once it is compensated.
+// The loser changed record 5 and inserted 6 and 7; the first promotion
+// takes back 7 and 6 and then fails on 5 (the row is gone from under it at
+// that step), and the retry takes back 5 alone — one undo step after its
+// start, where undoing 7 or 6 again would fail on a missing key.
+func TestPromoteRetryUndoesNothingTwice(t *testing.T) {
+	defer fault.Reset()
 	d, _, _ := testDP(t, nil)
 	s := createEmp(t, d, nil)
+	base, changed := empRow(5, "base", 500), empRow(5, "changed", 501)
+	dead6, dead7 := empRow(6, "x", 1), empRow(7, "x", 1)
+	key := func(r record.Row) []byte { return s.Key(r) }
+	enc := record.Encode
 
-	row := empRow(6, "x", 1)
-	key := s.Key(row)
-	const tx = 61
+	const committed, loser = 60, 61
 	if reply := shipFrames(d, 1, []*wal.Record{
-		{Type: wal.RecInsert, TxID: tx, File: "EMP", Key: key, After: record.Encode(row)},
+		{Type: wal.RecInsert, TxID: committed, File: "EMP", Key: key(base), After: enc(base)},
+		{Type: wal.RecCommit, TxID: committed},
+		{Type: wal.RecUpdate, TxID: loser, File: "EMP", Key: key(base), Before: enc(base), After: enc(changed)},
+		{Type: wal.RecInsert, TxID: loser, File: "EMP", Key: key(dead6), After: enc(dead6)},
+		{Type: wal.RecInsert, TxID: loser, File: "EMP", Key: key(dead7), After: enc(dead7)},
 	}); !reply.OK() {
 		t.Fatalf("ship: %s", reply.Err)
 	}
-	recs := d.replica().pending[tx]
-
-	recs, err := d.undoShipped(tx, recs)
+	f, err := d.getFile("EMP")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 {
-		t.Fatalf("first undo should append one compensation, got %d records", len(recs))
+	// Hits: the start, then one per undo step; the fourth is record 5's.
+	fault.Arm(fault.TakeoverPromote, 3, func() {
+		if err := f.tree.Delete(key(base), 0); err != nil {
+			t.Error(err)
+		}
+	})
+	fault.Enable()
+	if reply := d.Serve(&fsdp.Request{Kind: fsdp.KPromote}); reply.OK() {
+		t.Fatal("promote reported OK with record 5 missing under its undo")
 	}
-	if _, ok := readKey(t, d, key); ok {
-		t.Fatal("row survived undo")
+	if !fault.Fired(fault.TakeoverPromote) {
+		t.Fatal("the undo step of record 5 was not reached")
 	}
-	again, err := d.undoShipped(tx, recs)
-	if err != nil {
-		t.Fatalf("re-run of undoShipped: %v", err)
+	if err := f.tree.Insert(key(base), enc(changed), 0); err != nil {
+		t.Fatal(err)
 	}
-	if len(again) != len(recs) {
-		t.Fatalf("re-run undid again: %d records, want %d", len(again), len(recs))
+
+	fault.Reset()
+	fault.Enable()
+	if reply := d.Serve(&fsdp.Request{Kind: fsdp.KPromote}); !reply.OK() {
+		t.Fatalf("retried promote: %s", reply.Err)
+	}
+	if hits := fault.Hits(fault.TakeoverPromote); hits != 2 {
+		t.Errorf("retried promote reached its crash point %d times, want 2 (its start and record 5's undo)", hits)
+	}
+	if reply, ok := readKey(t, d, key(base)); !ok {
+		t.Errorf("record 5 lost: %s", reply.Err)
+	} else if row, err := record.Decode(reply.Rows[0]); err != nil || row[1].S != "base" {
+		t.Errorf("record 5 reads %v (%v), want its committed image", row, err)
+	}
+	for _, r := range []record.Row{dead6, dead7} {
+		if _, ok := readKey(t, d, key(r)); ok {
+			t.Errorf("loser row %d survived promotion", r[0].I)
+		}
+	}
+	if _, _, promoted, indoubt, fenced := d.ReplicaStats(); !promoted || indoubt != 0 || fenced != 1 {
+		t.Errorf("replica state after promote: promoted %v, indoubt %d, fenced %d", promoted, indoubt, fenced)
+	}
+	serveOK(t, d, &fsdp.Request{Kind: fsdp.KAbort, Tx: loser})
+}
+
+// TestFencedTransactionRefusesEveryKind: on a promoted backup, every
+// message of a transaction the promotion fenced is refused at first
+// contact — each kind that joins a transaction, PREPARE and a subset's
+// ^FIRST — and none writes anything or leaves a lock. COMMIT is refused
+// too; ABORT answers OK and frees the fenced state, after which the Disk
+// Process holds nothing.
+func TestFencedTransactionRefusesEveryKind(t *testing.T) {
+	d := rereadRig(t)
+	const fenced = 71
+	if reply := shipFrames(d, 1, []*wal.Record{
+		{Type: wal.RecUpdate, TxID: fenced, File: "ACCT", Key: key1(300), Before: acctRow(300, 300), After: acctRow(300, -5)},
+	}); !reply.OK() {
+		t.Fatalf("ship: %s", reply.Err)
+	}
+	serveOK(t, d, &fsdp.Request{Kind: fsdp.KPromote})
+
+	asCommitted := func(t *testing.T) {
+		t.Helper()
+		for _, want := range []struct {
+			id    int64
+			there bool
+		}{{249, true}, {250, true}, {300, true}, {1000, false}} {
+			bal, there := acctBal(t, d, want.id)
+			if there != want.there || (there && bal != float64(want.id)) {
+				t.Errorf("record %d: present %v, BAL %v; want present %v, BAL %d", want.id, there, bal, want.there, want.id)
+			}
+		}
+		if open := d.OpenState(); open != (Open{Txns: 1}) {
+			t.Errorf("with one fenced transaction the Disk Process holds %+v", open)
+		}
+	}
+	asCommitted(t)
+	kinds := append(joiningKinds(),
+		joiningKind{name: "PREPARE", req: fsdp.Request{Kind: fsdp.KPrepare}},
+		joiningKind{name: "UPDATE^SUBSET^FIRST", req: fsdp.Request{Kind: fsdp.KUpdateSubsetFirst, Range: keys.All(),
+			Assign: expr.EncodeAssignments([]expr.Assignment{{Field: 2, E: expr.CFloat(-1)}})}})
+	for _, c := range kinds {
+		t.Run(c.name, func(t *testing.T) {
+			req := c.req
+			req.Tx, req.File = fenced, "ACCT"
+			if reply := d.Serve(&req); reply.OK() {
+				t.Errorf("the %s of a fenced transaction replied %+v", c.name, reply)
+			}
+			asCommitted(t)
+		})
+	}
+	if reply := d.Serve(&fsdp.Request{Kind: fsdp.KCommit, Tx: fenced, CommitLSN: 1}); reply.OK() {
+		t.Error("the COMMIT of a fenced transaction was acknowledged")
+	}
+	serveOK(t, d, &fsdp.Request{Kind: fsdp.KAbort, Tx: fenced})
+	if open := d.OpenState(); open != (Open{}) {
+		t.Errorf("after the fenced transaction's ABORT the Disk Process holds %+v", open)
 	}
 }

@@ -211,37 +211,14 @@ func TestAbortedSubsetWriteIsNotJoinedAgain(t *testing.T) {
 // committed — T2's record 250, and what a block changed before it waited
 // taken back — and the Disk Process holds nothing afterwards.
 func TestNoKindJoinsAnAbortedTransaction(t *testing.T) {
-	acct := func(id int64, bal float64) []byte {
-		return record.Encode(record.Row{record.Int(id), record.Int(id % 100), record.Float(bal), record.String("")})
-	}
-	minusOne := expr.EncodeAssignments([]expr.Assignment{{Field: 2, E: expr.CFloat(-1)}})
-	cases := []struct {
-		name      string
-		t2Deletes bool // T2 deletes record 250 instead of raising it
-		req       fsdp.Request
-	}{
-		{"READ", false, fsdp.Request{Kind: fsdp.KReadRecord, Key: key1(250)}},
-		{"LOCKRECORD", false, fsdp.Request{Kind: fsdp.KLockRecord, Key: key1(250)}},
-		{"LOCKRANGE", false, fsdp.Request{Kind: fsdp.KLockRange, Range: keys.Range{Low: key1(240), High: key1(260)}}},
-		{"LOCKFILE", false, fsdp.Request{Kind: fsdp.KLockFile}},
-		{"REWRITE", false, fsdp.Request{Kind: fsdp.KUpdateRecord, Key: key1(250), Row: acct(250, -1)}},
-		{"UPDATE^KEY", false, fsdp.Request{Kind: fsdp.KUpdateKey, Key: key1(250), Assign: minusOne}},
-		{"DELETE", false, fsdp.Request{Kind: fsdp.KDeleteRecord, Key: key1(250)}},
-		{"DELETE^KEY", false, fsdp.Request{Kind: fsdp.KDeleteKey, Key: key1(250)}},
-		{"INSERT", true, fsdp.Request{Kind: fsdp.KInsertRecord, Row: acct(250, -1)}},
-		{"INSERT^BLOCK", true, fsdp.Request{Kind: fsdp.KInsertBlock, Rows: [][]byte{acct(1000, -1), acct(250, -1)}}},
-		{"UPDATE^BLOCK", false, fsdp.Request{Kind: fsdp.KUpdateBlock,
-			RowKeys: [][]byte{key1(249), key1(250)}, Rows: [][]byte{acct(249, -1), acct(250, -1)}}},
-		{"DELETE^BLOCK", false, fsdp.Request{Kind: fsdp.KDeleteBlock, RowKeys: [][]byte{key1(249), key1(250)}}},
-	}
-	for _, c := range cases {
+	for _, c := range joiningKinds() {
 		t.Run(c.name, func(t *testing.T) {
 			d := rereadRig(t)
 			t1, t2 := tmf.NewTxID(), tmf.NewTxID()
 			if c.t2Deletes {
 				serveOK(t, d, &fsdp.Request{Kind: fsdp.KDeleteRecord, Tx: t2, File: "ACCT", Key: key1(250)})
 			} else {
-				serveOK(t, d, &fsdp.Request{Kind: fsdp.KUpdateRecord, Tx: t2, File: "ACCT", Key: key1(250), Row: acct(250, 1e6)})
+				serveOK(t, d, &fsdp.Request{Kind: fsdp.KUpdateRecord, Tx: t2, File: "ACCT", Key: key1(250), Row: acctRow(250, 1e6)})
 			}
 			req := c.req
 			req.Tx, req.File = t1, "ACCT"
@@ -340,4 +317,38 @@ func acctBal(t *testing.T, d *DP, id int64) (bal float64, there bool) {
 		t.Fatal(err)
 	}
 	return row[2].F, true
+}
+
+// acctRow encodes an ACCT record (rereadRig's file) with the given BAL.
+func acctRow(id int64, bal float64) []byte {
+	return record.Encode(record.Row{record.Int(id), record.Int(id % 100), record.Float(bal), record.String("")})
+}
+
+// A joiningKind is a message of one kind that carries a transaction and
+// locks, reads or writes rereadRig's record 250: the READ, the three
+// locks, the record writes and the three blocks.
+type joiningKind struct {
+	name      string
+	t2Deletes bool // a contending transaction deletes record 250 instead of raising it
+	req       fsdp.Request
+}
+
+// joiningKinds lists them, each without its transaction and file.
+func joiningKinds() []joiningKind {
+	minusOne := expr.EncodeAssignments([]expr.Assignment{{Field: 2, E: expr.CFloat(-1)}})
+	return []joiningKind{
+		{"READ", false, fsdp.Request{Kind: fsdp.KReadRecord, Key: key1(250)}},
+		{"LOCKRECORD", false, fsdp.Request{Kind: fsdp.KLockRecord, Key: key1(250)}},
+		{"LOCKRANGE", false, fsdp.Request{Kind: fsdp.KLockRange, Range: keys.Range{Low: key1(240), High: key1(260)}}},
+		{"LOCKFILE", false, fsdp.Request{Kind: fsdp.KLockFile}},
+		{"REWRITE", false, fsdp.Request{Kind: fsdp.KUpdateRecord, Key: key1(250), Row: acctRow(250, -1)}},
+		{"UPDATE^KEY", false, fsdp.Request{Kind: fsdp.KUpdateKey, Key: key1(250), Assign: minusOne}},
+		{"DELETE", false, fsdp.Request{Kind: fsdp.KDeleteRecord, Key: key1(250)}},
+		{"DELETE^KEY", false, fsdp.Request{Kind: fsdp.KDeleteKey, Key: key1(250)}},
+		{"INSERT", true, fsdp.Request{Kind: fsdp.KInsertRecord, Row: acctRow(250, -1)}},
+		{"INSERT^BLOCK", true, fsdp.Request{Kind: fsdp.KInsertBlock, Rows: [][]byte{acctRow(1000, -1), acctRow(250, -1)}}},
+		{"UPDATE^BLOCK", false, fsdp.Request{Kind: fsdp.KUpdateBlock,
+			RowKeys: [][]byte{key1(249), key1(250)}, Rows: [][]byte{acctRow(249, -1), acctRow(250, -1)}}},
+		{"DELETE^BLOCK", false, fsdp.Request{Kind: fsdp.KDeleteBlock, RowKeys: [][]byte{key1(249), key1(250)}}},
+	}
 }

@@ -25,16 +25,24 @@ type txState struct {
 	// the rollback to the last message out.
 	serving                 int
 	joined, ended, rollback bool
+	// A backup's transaction (replica.go): prepared says the checkpoint
+	// stream carried its PREPARE, which leaves it in doubt at promotion;
+	// fenced, that promotion rolled it back and left its ended state in the
+	// table, where enter and prepare refuse it, COMMIT is refused and ABORT
+	// frees it.
+	prepared, fenced bool
 }
 
-// undoRec is one in-memory undo entry. `before` is always a full record
-// image (independent of the on-trail audit compression), so abort is a
-// simple value restore.
+// undoRec is one in-memory undo entry. A primary's `before` is always a
+// full record image (independent of the on-trail audit compression), so
+// abort is a simple value restore; a backup's is the shipped record's,
+// field-compressed for a SQL file's UPDATE (compressed).
 type undoRec struct {
-	file   string
-	kind   wal.RecType // the forward operation being undone
-	key    []byte
-	before []byte
+	file       string
+	kind       wal.RecType // the forward operation being undone
+	key        []byte
+	before     []byte
+	compressed bool
 }
 
 // Bounds on what the free list keeps: how many states, and the largest
@@ -71,13 +79,19 @@ func (t *txState) reset() {
 // enter counts a message of tx in service, making tx's state when tx is
 // new here. Every message with a transaction but PREPARE, COMMIT and
 // ABORT enters in serve before it is dispatched and leaves once it is
-// served, so while it is in service its state is in the table.
+// served, so while it is in service its state is in the table. It refuses
+// a transaction a takeover fenced (nil): its requester's coordinator gave
+// up on it, and work accepted now could never commit or abort again.
 func (d *DP) enter(tx uint64) *txState {
 	d.mu.Lock()
 	t := d.txs[tx]
-	if t == nil {
+	switch {
+	case t == nil:
 		t = d.freeTx.take()
 		d.txs[tx] = t
+	case t.fenced:
+		d.mu.Unlock()
+		return nil
 	}
 	t.serving++
 	d.mu.Unlock()
@@ -126,12 +140,15 @@ func (d *DP) join(tx uint64) error {
 	return nil
 }
 
-// joined reports whether this Disk Process is a participant in tx.
-func (d *DP) joined(tx uint64) bool {
+// marks reports whether this Disk Process is a participant in tx, and
+// whether tx is a promoted backup's in-doubt (prepared) or fenced one.
+func (d *DP) marks(tx uint64) (joined, prepared, fenced bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	t := d.txs[tx]
-	return t != nil && t.joined
+	if t := d.txs[tx]; t != nil {
+		return t.joined, t.prepared, t.fenced
+	}
+	return false, false, false
 }
 
 // addUndo adds u to tx's undo chain, with copies of its key and image: the
@@ -181,7 +198,7 @@ func (d *DP) end(tx uint64, rollback bool, rec *wal.Record) error {
 // tx's locks, and t back on the free list.
 func (d *DP) finish(tx uint64, t *txState, rec *wal.Record) error {
 	if t != nil && t.rollback {
-		if err := d.rollback(rec, tx, t); err != nil {
+		if err := d.rollback(rec, tx, t, fault.DPAbortMidUndo); err != nil {
 			// Undo failure is unrecoverable for this volume state: the
 			// transaction stays, locks and all.
 			d.mu.Lock()
@@ -233,7 +250,13 @@ func (d *DP) ship(rec *wal.Record) {
 // would after a forced prepare. An anonymous trail (ID 0) always forces;
 // the backup's shipFlush below is not affected. DESIGN.md §17.
 func (d *DP) prepare(req *fsdp.Request, sl *slot) *fsdp.Reply {
-	if !d.joined(req.Tx) {
+	joined, _, fenced := d.marks(req.Tx)
+	if fenced {
+		// A yes vote would carry the coordinator past its commit point on
+		// a transaction this volume refuses in phase 2.
+		return d.errFenced(req.Tx)
+	}
+	if !joined {
 		// Never touched here: trivially prepared (read-only participant).
 		return sl.answer(fsdp.Reply{})
 	}
@@ -279,15 +302,18 @@ func (d *DP) shipFlush() error {
 // participant: it writes the commit record itself and waits for it to
 // become durable, riding group commit with every other transaction in
 // the node. With CommitLSN set, the coordinator already forced the
-// commit record; this is 2PC phase 2.
+// commit record; this is 2PC phase 2. A promoted backup's in-doubt
+// transaction writes its own commit record in phase 2 too: the
+// coordinator's is on another trail, and this volume recovers from its
+// own. A fenced one is refused: the primary died before confirming it and
+// the takeover undid it, so an acknowledgement would claim durability for
+// work that no longer exists.
 func (d *DP) commit(req *fsdp.Request, sl *slot) *fsdp.Reply {
-	// A promoted replica resolves transactions it holds in doubt (and
-	// refuses ones it fenced off) before the normal path runs.
-	if reply, handled := d.replicaCommit(req); handled {
-		return reply
+	ok, prepared, fenced := d.marks(req.Tx)
+	if fenced {
+		return d.errFenced(req.Tx)
 	}
-	ok := d.joined(req.Tx)
-	if ok && req.CommitLSN == 0 {
+	if ok && (req.CommitLSN == 0 || prepared) {
 		d.cfg.Audit.FlushSend()
 		trail := d.cfg.Audit.Trail()
 		lsn := trail.AppendCommit(req.Tx)
@@ -313,11 +339,9 @@ func (d *DP) commit(req *fsdp.Request, sl *slot) *fsdp.Reply {
 
 // abort serves KAbort: undo in reverse order, write the abort record,
 // release everything — now, or when the transaction's last message in
-// service leaves (end).
+// service leaves (end). A fenced transaction was undone at takeover: its
+// ABORT only frees its state.
 func (d *DP) abort(req *fsdp.Request, sl *slot) *fsdp.Reply {
-	if reply, handled := d.replicaAbort(req); handled {
-		return reply
-	}
 	if err := d.end(req.Tx, true, &sl.mark); err != nil {
 		return errReply(err)
 	}
@@ -325,23 +349,26 @@ func (d *DP) abort(req *fsdp.Request, sl *slot) *fsdp.Reply {
 }
 
 // rollback applies tx's undo chain in reverse, auditing each compensation
-// in rec, and then the abort record. Compensation records are shipped like
-// forward audit: a replicated group's backup must see them in its
-// checkpoint stream. And the backup must drop the tx's pending records
-// before locks release here, or a later takeover could undo a successor's
-// work. (On a failed flush the abort marker rides the retained buffer; a
-// takeover before it lands refuses catch-up failure outright.)
-func (d *DP) rollback(rec *wal.Record, tx uint64, t *txState) error {
+// in rec, and then the abort record; point is the crash point it fires
+// before each step (an ABORT's, or a promotion's). Each entry is dropped
+// once it is compensated, so a rollback retried after a failure undoes
+// nothing twice; a file dropped since leaves nothing to take back, as in
+// recovery. Compensation records are shipped like forward audit: a
+// replicated group's backup must see them in its checkpoint stream. And
+// the backup must end the tx before locks release here, or a later
+// takeover could undo a successor's work. (On a failed flush the abort
+// marker rides the retained buffer; a takeover before it lands refuses
+// catch-up failure outright.)
+func (d *DP) rollback(rec *wal.Record, tx uint64, t *txState, point string) error {
 	for i := len(t.undo) - 1; i >= 0; i-- {
-		fault.Inject(fault.DPAbortMidUndo)
-		u := t.undo[i]
-		f, err := d.getFile(u.file)
-		if err != nil {
-			return err
+		fault.Inject(point)
+		if f, err := d.getFile(t.undo[i].file); err == nil {
+			if err := d.compensate(rec, tx, f, t.undo[i]); err != nil {
+				return err
+			}
 		}
-		if _, err := d.compensate(rec, tx, f, u, false, true); err != nil {
-			return err
-		}
+		t.undo[i] = undoRec{}
+		t.undo = t.undo[:i]
 	}
 	*rec = wal.Record{Type: wal.RecAbort, TxID: tx, Volume: d.cfg.Volume.Name()}
 	d.appendAudit(rec)
@@ -350,37 +377,31 @@ func (d *DP) rollback(rec *wal.Record, tx uint64, t *txState) error {
 }
 
 // compensate reverses u, one change tx made — an INSERT is deleted, an
-// UPDATE or a DELETE puts its before image back — and audits the
-// compensation in rec first, so redo after a crash replays it too
-// (repeating history). compressed says u's before image is field-
-// compressed (a shipped UPDATE's), applied field by field; ship, that the
-// record goes to a replicated group's backup as well. ok is false for a
-// kind that changes nothing, which is neither audited nor applied.
-func (d *DP) compensate(rec *wal.Record, tx uint64, f *fileState, u undoRec, compressed, ship bool) (ok bool, err error) {
+// UPDATE or a DELETE puts its before image back, field by field when the
+// image is field-compressed — and audits the compensation in rec first, so
+// redo after a crash replays it too (repeating history), and ships it to a
+// replicated group's backup.
+func (d *DP) compensate(rec *wal.Record, tx uint64, f *fileState, u undoRec) error {
 	*rec = wal.Record{TxID: tx, Volume: d.cfg.Volume.Name(), File: u.file, Key: u.key, Compensation: true}
 	switch u.kind {
 	case wal.RecInsert:
 		rec.Type = wal.RecDelete
 	case wal.RecUpdate:
-		rec.Type, rec.After, rec.FieldCompressed = wal.RecUpdate, u.before, compressed
-	case wal.RecDelete:
-		rec.Type, rec.After = wal.RecInsert, u.before
+		rec.Type, rec.After, rec.FieldCompressed = wal.RecUpdate, u.before, u.compressed
 	default:
-		return false, nil
+		rec.Type, rec.After = wal.RecInsert, u.before
 	}
 	lsn := d.cfg.Audit.Append(rec)
-	if ship {
-		d.ship(rec)
-	}
+	d.ship(rec)
 	switch {
 	case u.kind == wal.RecInsert:
-		return true, f.tree.Delete(u.key, lsn)
+		return f.tree.Delete(u.key, lsn)
 	case u.kind == wal.RecDelete:
-		return true, f.tree.Insert(u.key, u.before, lsn)
-	case compressed:
-		return true, d.applyFieldImages(f, u.key, u.before, lsn)
+		return f.tree.Insert(u.key, u.before, lsn)
+	case u.compressed:
+		return d.applyFieldImages(f, u.key, u.before, lsn)
 	default:
-		return true, f.tree.Update(u.key, u.before, lsn)
+		return f.tree.Update(u.key, u.before, lsn)
 	}
 }
 

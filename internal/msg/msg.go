@@ -107,9 +107,6 @@ type Server struct {
 	queueWaitNanos atomic.Uint64
 }
 
-// Name returns the server's process name (e.g. "$DATA1").
-func (s *Server) Name() string { return s.name }
-
 // QueueWait returns how many requests have been served and their
 // summed wait for a service slot in nanoseconds.
 func (s *Server) QueueWait() (ops, nanos uint64) {

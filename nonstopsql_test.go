@@ -104,6 +104,31 @@ func TestMultiNode(t *testing.T) {
 	}
 }
 
+// TestCrossNodeRestartKeepsACommit: a committed transaction over two
+// nodes keeps its rows on the second node when that volume restarts. Its
+// PREPARE is on the second node's trail and its commit record on the
+// coordinator's, the first node's; recovery must read the outcome there.
+func TestCrossNodeRestartKeepsACommit(t *testing.T) {
+	db := openDB(t, nonstopsql.Config{Nodes: 2, VolumesPerNode: 1})
+	s := db.Session(0, 0)
+	s.MustExec(`CREATE TABLE m (k INTEGER PRIMARY KEY, v INTEGER)
+		PARTITION ON ("$DATA1", "$DATA2" FROM 100)`)
+	s.MustExec("BEGIN")
+	for i := 0; i < 200; i += 20 {
+		s.MustExec(fmt.Sprintf("INSERT INTO m VALUES (%d, %d)", i, i))
+	}
+	s.MustExec("COMMIT")
+	if err := db.CrashVolume("$DATA2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.RestartVolume("$DATA2", 0); err != nil {
+		t.Fatal(err)
+	}
+	if res := s.MustExec("SELECT COUNT(*) FROM m"); res.Rows[0][0].I != 10 {
+		t.Fatalf("count %v after $DATA2 restarted, want 10", res.Rows[0][0])
+	}
+}
+
 func TestConcurrentSessionsPublicAPI(t *testing.T) {
 	db := openDB(t, nonstopsql.Config{})
 	s := db.Session(0, 0)

@@ -326,6 +326,16 @@ go test -race -count=1 -run 'TestPreparedOverTCP|TestStaleHandleReprepare|TestWi
 # killed mid-write. (A frame landing in the drain window is a msg/wire
 # test, run with its package above.)
 go test -race -count=1 -run 'TestReplica|TestTakeoverRefusedWhenCatchUpFails|TestWireReplicationDifferential|TestFollowerBrowseReads' ./internal/cluster
+# A backup's transactions live in its Disk Process's one transaction table
+# (DESIGN.md §16): a promotion — the mid-abort stream, a relock that fails
+# and is retried — and, twenty rounds each, a retried promotion that undoes
+# nothing twice and a fenced transaction that every kind, PREPARE and a
+# subset's ^FIRST find refused, COMMIT refused and ABORT freeing it. Then
+# twenty rounds of a two-node commit that keeps its rows when its second
+# node's volume restarts: the outcome is on the coordinator's trail.
+go test -race -count=1 -run 'TestPromote' ./internal/dp
+go test -race -count=20 -run 'TestPromoteRetryUndoesNothingTwice|TestFencedTransactionRefusesEveryKind' ./internal/dp
+go test -race -count=20 -run 'TestCrossNodeRestartKeepsACommit' .
 go test -race -count=1 -run 'TestExecuteDDLRace|TestKillConnMidWrite' .
 # A leaf's records are walked once per page version, not once per visit:
 # the first multi-record scan of a leaf builds its record table beside the
